@@ -5,7 +5,7 @@
 #
 #   gate     — formatting, release build, full test suite, xtask lint,
 #              and the end-to-end smoke tests (serve, read path, build,
-#              chaos). Tier-1: must pass on stable, fully offline.
+#              bench, chaos). Tier-1: must pass on stable, fully offline.
 #   stream   — the streaming-ingestion smoke: fleetsim's interleaved
 #              wire through polstream (byte-identity vs the batch build
 #              plus a sustained-ingest rps floor), a polinv audit of
@@ -176,6 +176,19 @@ run_gate() {
     exit 1
   fi
   echo "polbuild smoke: $(cat "$smoke_dir/build.out" | head -1)"
+
+  echo "==> bench-smoke (polbench batch_build, traced: every output check passes, no line fails to decode)"
+  # The repository's benchmark as a gate, not as a measurement: two
+  # seconds on a seed the committed numbers do not use. Its last line is
+  # the machine-readable result.
+  bench_result=$(bash benchmark/run.sh --workload batch_build --seed 2 --seconds 2 --trace 1 | tail -n 1)
+  for want in '"correct": true,' '"failed": 0,' '"ais.decode_failures": {"value": 0,'; do
+    if ! grep -qF -- "$want" <<<"$bench_result"; then
+      echo "ci: bench-smoke result lacks $want" >&2
+      exit 1
+    fi
+  done
+  echo "bench-smoke: $(grep -oE '"attempted": [0-9]+' <<<"$bench_result") checks passed"
 
   echo "==> chaos smoke (fault-injected persistence + serving + journaling)"
   cargo test -q -p pol-core --features chaos --test codec_chaos

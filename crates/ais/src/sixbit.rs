@@ -4,6 +4,13 @@
 //! character carries 6 bits ("payload armouring", values 0–63 mapped to the
 //! ranges `0x30..=0x57` and `0x60..=0x77`). Text fields inside the payload
 //! use a separate 6-bit ASCII alphabet (`@` = 0, `A`–`Z`, digits, space…).
+//!
+//! [`BitReader`] and [`BitWriter`] share one representation: the bit string
+//! packed big-endian into `u64` words, stream bit `i` at bit `63 - i % 64`
+//! of word `i / 64`. Sixteen words live inline — 1 024 bits, above the
+//! 1 008-bit five-slot maximum of an AIS message — so neither side touches
+//! the heap on protocol-sized payloads; longer ones spill to a `Vec<u64>`
+//! with the same layout.
 
 use std::fmt;
 
@@ -19,6 +26,8 @@ pub enum SixBitError {
         /// Bits remaining in the buffer.
         available: usize,
     },
+    /// An integer read wider than the 64 bits it is returned in.
+    FieldTooWide(usize),
 }
 
 impl fmt::Display for SixBitError {
@@ -31,18 +40,41 @@ impl fmt::Display for SixBitError {
                     "payload too short: wanted {wanted} bits, had {available}"
                 )
             }
+            Self::FieldTooWide(n) => write!(f, "cannot read {n} bits into a 64-bit integer"),
         }
     }
 }
 
 impl std::error::Error for SixBitError {}
 
+/// 6-bit value (0–63) → armoured payload byte.
+const fn armor_byte(v: u8) -> u8 {
+    if v < 40 {
+        v + 48
+    } else {
+        v + 56
+    }
+}
+
+/// Marks a byte outside the armouring alphabet in [`UNARMOR`]; its two high
+/// bits are what a valid value (< 64) never has.
+const BAD_ARMOR: u8 = 0xFF;
+
+/// Armoured payload byte → 6-bit value, the inverse of [`armor_byte`].
+static UNARMOR: [u8; 256] = {
+    let mut table = [BAD_ARMOR; 256];
+    let mut v = 0u8;
+    while v < 64 {
+        table[armor_byte(v) as usize] = v;
+        v += 1;
+    }
+    table
+};
+
 /// Decodes one armoured payload character to its 6-bit value.
 pub fn unarmor_char(c: char) -> Result<u8, SixBitError> {
-    let v = c as u32;
-    match v {
-        0x30..=0x57 => Ok((v - 48) as u8),
-        0x60..=0x77 => Ok((v - 56) as u8),
+    match u8::try_from(c).map(|b| UNARMOR[b as usize]) {
+        Ok(v) if v != BAD_ARMOR => Ok(v),
         _ => Err(SixBitError::BadArmorChar(c)),
     }
 }
@@ -53,85 +85,170 @@ pub fn unarmor_char(c: char) -> Result<u8, SixBitError> {
 /// When `v > 63`.
 pub fn armor_char(v: u8) -> char {
     assert!(v < 64, "six-bit value out of range: {v}");
-    if v < 40 {
-        (v + 48) as char
-    } else {
-        (v + 56) as char
+    armor_byte(v) as char
+}
+
+/// Words a [`Bits`] holds without allocating.
+const INLINE_WORDS: usize = 16;
+
+/// The packed bit string behind reader and writer (layout in the module
+/// doc). Bits at and after `len` are zero while only `push` has run.
+#[derive(Default)]
+struct Bits {
+    /// Words `0..INLINE_WORDS`.
+    head: [u64; INLINE_WORDS],
+    /// The words after those, as far as bits were pushed.
+    tail: Vec<u64>,
+    len: usize,
+}
+
+impl Bits {
+    /// Word `i`; zero past the stored ones.
+    fn word(&self, i: usize) -> u64 {
+        let word = match i.checked_sub(INLINE_WORDS) {
+            None => self.head.get(i),
+            Some(j) => self.tail.get(j),
+        };
+        word.copied().unwrap_or(0)
+    }
+
+    /// ORs `bits` into word `w`, growing the tail to reach it.
+    fn or_word(&mut self, w: usize, bits: u64) {
+        let word = match w.checked_sub(INLINE_WORDS) {
+            None => self.head.get_mut(w),
+            Some(j) => {
+                if j >= self.tail.len() {
+                    self.tail.resize(j + 1, 0);
+                }
+                self.tail.get_mut(j)
+            }
+        };
+        if let Some(word) = word {
+            *word |= bits;
+        }
+    }
+
+    /// Appends the low `n` bits of `v`; `1 ≤ n ≤ 64` and `v < 2^n`.
+    fn push(&mut self, v: u64, n: usize) {
+        let (w, off) = (self.len / 64, self.len % 64);
+        self.or_word(w, (v << (64 - n)) >> off);
+        if off + n > 64 {
+            self.or_word(w + 1, v << (128 - off - n));
+        }
+        self.len += n;
+    }
+
+    /// Bits `pos..pos + n` as an integer, `1 ≤ n ≤ 64`; positions past the
+    /// stored words read as zero.
+    fn get(&self, pos: usize, n: usize) -> u64 {
+        let (w, off) = (pos / 64, pos % 64);
+        // The low part shifts by `64 - off` in two steps: `off` may be 0.
+        let window = (self.word(w) << off) | ((self.word(w + 1) >> 1) >> (63 - off));
+        window >> (64 - n)
     }
 }
 
 /// A bit-level reader over an armoured payload.
 pub struct BitReader {
-    bits: Vec<bool>,
+    bits: Bits,
     pos: usize,
 }
 
 impl BitReader {
     /// Parses an armoured payload string, dropping `fill` trailing pad bits.
+    ///
+    /// The whole payload is unpacked and validated here, so a bad character
+    /// anywhere is reported before the first field is read.
+    #[inline]
     pub fn from_payload(payload: &str, fill: u8) -> Result<BitReader, SixBitError> {
-        let mut bits = Vec::with_capacity(payload.len() * 6);
-        for c in payload.chars() {
-            let v = unarmor_char(c)?;
-            for i in (0..6).rev() {
-                bits.push((v >> i) & 1 == 1);
+        let bytes = payload.as_bytes();
+        let mut bits = Bits::default();
+        // Every looked-up value is ORed into `seen`, which is tested once
+        // at the end: see `BAD_ARMOR`.
+        let mut seen = 0u8;
+        // Ten characters fill 60 bits of one `push`.
+        for group in bytes.chunks(10) {
+            let mut packed = 0u64;
+            for &b in group {
+                let v = UNARMOR[b as usize];
+                seen |= v;
+                packed = (packed << 6) | u64::from(v & 63);
+            }
+            bits.push(packed, group.len() * 6);
+        }
+        if seen & 0xC0 != 0 {
+            // A bad byte is, or is part of, a character `unarmor_char`
+            // rejects.
+            if let Some(e) = payload.chars().find_map(|c| unarmor_char(c).err()) {
+                return Err(e);
             }
         }
-        let keep = bits.len().saturating_sub(fill as usize);
-        bits.truncate(keep);
+        bits.len = bits.len.saturating_sub(fill as usize);
         Ok(BitReader { bits, pos: 0 })
     }
 
     /// Bits remaining.
     pub fn remaining(&self) -> usize {
-        self.bits.len() - self.pos
+        self.bits.len - self.pos
+    }
+
+    fn out_of_bits(&self, wanted: usize) -> SixBitError {
+        SixBitError::OutOfBits {
+            wanted,
+            available: self.remaining(),
+        }
     }
 
     /// Reads `n ≤ 64` bits as an unsigned big-endian integer.
     pub fn read_u64(&mut self, n: usize) -> Result<u64, SixBitError> {
-        assert!(n <= 64);
+        if n > 64 {
+            return Err(SixBitError::FieldTooWide(n));
+        }
         if self.remaining() < n {
-            return Err(SixBitError::OutOfBits {
-                wanted: n,
-                available: self.remaining(),
-            });
+            return Err(self.out_of_bits(n));
         }
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.bits[self.pos] as u64;
-            self.pos += 1;
+        if n == 0 {
+            return Ok(0);
         }
+        let v = self.bits.get(self.pos, n);
+        self.pos += n;
         Ok(v)
     }
 
-    /// Reads `n` bits as a two's-complement signed integer.
+    /// Reads `n ≤ 64` bits as a two's-complement signed integer.
     pub fn read_i64(&mut self, n: usize) -> Result<i64, SixBitError> {
         let raw = self.read_u64(n)?;
-        let sign_bit = 1u64 << (n - 1);
-        Ok(if raw & sign_bit != 0 {
-            (raw as i64) - (1i64 << n)
-        } else {
-            raw as i64
-        })
+        if n == 0 {
+            return Ok(0);
+        }
+        // Move the field's sign bit to bit 63 and shift back arithmetically.
+        Ok(((raw << (64 - n)) as i64) >> (64 - n))
     }
 
     /// Reads a 6-bit-ASCII text field of `chars` characters, trimming
     /// trailing `@` (the null of the AIS alphabet) and spaces.
+    ///
+    /// A field that runs past the end consumes the whole characters that
+    /// are there before reporting the missing one.
     pub fn read_text(&mut self, chars: usize) -> Result<String, SixBitError> {
-        let mut s = String::with_capacity(chars);
-        for _ in 0..chars {
-            let v = self.read_u64(6)? as u8;
-            s.push(sixbit_ascii(v));
+        let present = chars.min(self.remaining() / 6);
+        let sextet = |i: usize| sixbit_ascii(self.bits.get(self.pos + i * 6, 6) as u8);
+        let kept = (0..present)
+            .rev()
+            .find(|&i| !matches!(sextet(i), '@' | ' '))
+            .map_or(0, |last| last + 1);
+        let text = (0..kept).map(sextet).collect();
+        self.pos += present * 6;
+        if present < chars {
+            return Err(self.out_of_bits(6));
         }
-        Ok(s.trim_end_matches(['@', ' ']).to_string())
+        Ok(text)
     }
 
     /// Skips `n` bits.
     pub fn skip(&mut self, n: usize) -> Result<(), SixBitError> {
         if self.remaining() < n {
-            return Err(SixBitError::OutOfBits {
-                wanted: n,
-                available: self.remaining(),
-            });
+            return Err(self.out_of_bits(n));
         }
         self.pos += n;
         Ok(())
@@ -141,7 +258,7 @@ impl BitReader {
 /// A bit-level writer producing armoured payloads.
 #[derive(Default)]
 pub struct BitWriter {
-    bits: Vec<bool>,
+    bits: Bits,
 }
 
 impl BitWriter {
@@ -150,18 +267,21 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Appends `n ≤ 64` bits of `v`, big-endian.
+    /// Appends the low `n ≤ 64` bits of `v`, big-endian.
+    ///
+    /// # Panics
+    /// When `n > 64`.
     pub fn write_u64(&mut self, v: u64, n: usize) {
-        assert!(n <= 64);
+        assert!(n <= 64, "cannot write {n} bits of a 64-bit integer");
         debug_assert!(n == 64 || v < (1u64 << n), "value {v} overflows {n} bits");
-        for i in (0..n).rev() {
-            self.bits.push((v >> i) & 1 == 1);
+        if n > 0 {
+            self.bits.push(v & (u64::MAX >> (64 - n)), n);
         }
     }
 
     /// Appends `n` bits of a signed value (two's complement).
     pub fn write_i64(&mut self, v: i64, n: usize) {
-        let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let mask = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
         self.write_u64((v as u64) & mask, n);
     }
 
@@ -180,35 +300,22 @@ impl BitWriter {
 
     /// Bit length so far.
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.bits.len
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.bits.len == 0
     }
 
     /// Produces `(payload, fill_bits)`: the armoured string plus how many
     /// pad bits the last character carries.
     pub fn into_payload(self) -> (String, u8) {
-        let fill = (6 - self.bits.len() % 6) % 6;
-        let mut payload = String::with_capacity(self.bits.len() / 6 + 1);
-        let mut acc = 0u8;
-        let mut nbits = 0;
-        for b in self
-            .bits
-            .iter()
-            .copied()
-            .chain(std::iter::repeat_n(false, fill))
-        {
-            acc = (acc << 1) | b as u8;
-            nbits += 1;
-            if nbits == 6 {
-                payload.push(armor_char(acc));
-                acc = 0;
-                nbits = 0;
-            }
-        }
+        let chars = self.bits.len.div_ceil(6);
+        let fill = chars * 6 - self.bits.len;
+        let payload = (0..chars)
+            .map(|i| armor_char(self.bits.get(i * 6, 6) as u8))
+            .collect();
         (payload, fill as u8)
     }
 }

