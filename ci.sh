@@ -20,11 +20,11 @@
 #              chain byte-identical to an uninterrupted oracle, within
 #              a bounded recovery latency. The surviving chain is then
 #              audited with polinv verify.
-#   reactor  — the event-loop scalability gate: a reactor-core server
-#              holds 10 000 open sockets (95% idle, the rest driven
+#   reactor  — the event-loop scalability gate: a server holds
+#              10 000 open sockets (95% idle, the rest driven
 #              hard) behind an rps floor, hot-swaps its snapshot under
 #              a concurrent burst, survives the fault-injected chaos
-#              self-test on the same core, and drains cleanly on stdin
+#              self-test, and drains cleanly on stdin
 #              EOF. The 10k descriptors are split across the polinv
 #              server process and the polload driver so the container's
 #              fd ceiling holds.
@@ -182,6 +182,10 @@ run_gate() {
   # seconds on a seed the committed numbers do not use. Its last line is
   # the machine-readable result.
   bench_result=$(bash benchmark/run.sh --workload batch_build --seed 2 --seconds 2 --trace 1 | tail -n 1)
+  # Echoed before the checks: a stolen CPU tells a throttled box from a
+  # real failure when the stage goes red.
+  bench_steal=$(grep -oE '"proc.steal_share": \{"value": [0-9.e-]+' <<<"$bench_result" | sed 's/.*: //' || true)
+  echo "bench-smoke: proc.steal_share=${bench_steal:-missing}"
   for want in '"correct": true,' '"failed": 0,' '"ais.decode_failures": {"value": 0,'; do
     if ! grep -qF -- "$want" <<<"$bench_result"; then
       echo "ci: bench-smoke result lacks $want" >&2
@@ -361,7 +365,7 @@ run_reactor() {
     migrate "$reactor_dir/inv.pol" "$reactor_dir/inv.pol3" >/dev/null
   mkfifo "$reactor_dir/ctl"
   cargo run --release -q -p pol-bench --bin polinv -- \
-    serve "$reactor_dir/inv.pol3" --core reactor --addr 127.0.0.1:0 \
+    serve "$reactor_dir/inv.pol3" --addr 127.0.0.1:0 \
     > "$reactor_dir/serve.out" 2> "$reactor_dir/serve.err" < "$reactor_dir/ctl" &
   reactor_pid=$!
   exec 6> "$reactor_dir/ctl" # hold the control fifo open; closing it stops the server
@@ -404,9 +408,8 @@ run_reactor() {
     echo "ci: reactor server never applied the reload" >&2
     exit 1
   fi
-  # The kill/delay chaos pass on the same core (failpoints are
-  # per-process, so this runs the in-process self-test; the default
-  # server core is the reactor).
+  # The kill/delay chaos pass (failpoints are per-process, so this
+  # runs the in-process self-test).
   cargo run -q -p pol-bench --features chaos --bin polload -- \
     --chaos --vessels 10 --days 3 --requests 500 > "$reactor_dir/chaos.out"
   # Clean drain: stdin EOF, then the shutdown line must appear even

@@ -35,7 +35,7 @@ pub struct EtaEstimate {
 ///
 /// Generic over [`InventoryQuery`] so the same estimator serves from the
 /// in-memory [`Inventory`] or from a serving-side store (the `pol-serve`
-/// ETA endpoint delegates here against its sharded store).
+/// ETA endpoint delegates here against its heap or mapped store).
 pub struct EtaEstimator<'a, I: InventoryQuery = Inventory> {
     inventory: &'a I,
     /// Widen the query up to this many rings when the cell is unseen.

@@ -8,7 +8,7 @@
 //! polinv query <inv.pol> <lat> <lon> [--segment container|tanker|...]
 //! polinv top-dest <inv.pol> <LOCODE>
 //! polinv migrate <inv.pol> <inv.pol3>
-//! polinv serve <inv.pol> [--addr 127.0.0.1:0] [--core reactor|threaded] [--workers 8]
+//! polinv serve <inv.pol> [--addr 127.0.0.1:0] [--workers 8] [--cache 256]
 //! ```
 //!
 //! Every reading subcommand sniffs the snapshot format: POLINV2
@@ -48,8 +48,7 @@ fn usage() -> ExitCode {
          polinv query <file> <lat> <lon> [--segment <name>]\n  \
          polinv top-dest <file> <LOCODE>\n  \
          polinv migrate <in.pol> <out.pol3>\n  \
-         polinv serve <file> [--addr HOST:PORT] [--core reactor|threaded] [--workers N] \
-         [--shards N] [--cache N]"
+         polinv serve <file> [--addr HOST:PORT] [--workers N] [--cache N]"
     );
     ExitCode::from(2)
 }
@@ -383,20 +382,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         return usage();
     };
     let addr = parse_flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
-    let core = match parse_flag(args, "--core").as_deref() {
-        None | Some("reactor") => pol_serve::ServerCore::Reactor,
-        Some("threaded") => pol_serve::ServerCore::Threaded,
-        Some(other) => {
-            eprintln!("error: --core must be 'reactor' or 'threaded', got {other}");
-            return ExitCode::FAILURE;
-        }
-    };
     let config = pol_serve::ServerConfig {
-        core,
         worker_threads: parse_flag(args, "--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8),
-        shards: parse_flag(args, "--shards")
             .and_then(|v| v.parse().ok())
             .unwrap_or(8),
         cache_capacity: parse_flag(args, "--cache")
@@ -406,7 +393,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
     // start_snapshot sniffs the format: a POLINV3 file is memory-mapped
     // zero-copy (validated, not deserialized), POLINV2 takes the full
-    // decode + shard path.
+    // decode into a heap inventory.
     let started = std::time::Instant::now();
     let mut server = match pol_serve::Server::start_snapshot(Path::new(path), addr.as_str(), config)
     {

@@ -241,6 +241,33 @@ pub fn reset() {
     registry::reset();
 }
 
+/// Sole ownership of the failpoint registry, held by one chaos test at a
+/// time; see [`exclusive`].
+#[must_use = "the registry is only yours while the guard lives"]
+pub struct Exclusive {
+    _held: std::sync::MutexGuard<'static, ()>,
+}
+
+impl Drop for Exclusive {
+    fn drop(&mut self) {
+        reset();
+    }
+}
+
+/// Takes the process-wide chaos lock and hands back a clean registry:
+/// every failpoint is disarmed on acquire and again when the guard
+/// drops. The registry is global and failpoints fire on pool and reactor
+/// threads a test does not own, so tests that share a binary must not
+/// arm it concurrently — each takes this guard first. A test that
+/// panicked while holding it (chaos tests assert under fire) does not
+/// poison the next one.
+pub fn exclusive() -> Exclusive {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _held = GATE.lock().unwrap_or_else(|p| p.into_inner());
+    reset();
+    Exclusive { _held }
+}
+
 /// Counters of a failpoint (zeroes when unarmed or compiled out).
 #[inline]
 pub fn stats(name: &str) -> FailpointStats {
@@ -299,14 +326,15 @@ pub fn fire(name: &str) -> bool {
 mod tests {
     use super::*;
 
-    /// Tests share one process-global registry; namespacing the
-    /// failpoint names per test keeps them independent.
+    /// Tests share one process-global registry, so each takes
+    /// [`exclusive`] first; the per-test names keep failures readable.
     fn name(test: &str, point: &str) -> String {
         format!("test.{test}.{point}")
     }
 
     #[test]
     fn unarmed_failpoints_do_nothing() {
+        let _chaos = exclusive();
         assert_eq!(eval("test.unarmed.nope"), None);
         assert!(!fire("test.unarmed.nope"));
         assert_eq!(stats("test.unarmed.nope"), FailpointStats::default());
@@ -314,6 +342,7 @@ mod tests {
 
     #[test]
     fn one_shot_fires_exactly_once() {
+        let _chaos = exclusive();
         let n = name("oneshot", "p");
         configure(&n, Trigger::OneShot(FaultAction::Err));
         assert!(fire(&n));
@@ -325,6 +354,7 @@ mod tests {
 
     #[test]
     fn nth_hit_fires_on_the_nth_only() {
+        let _chaos = exclusive();
         let n = name("nth", "p");
         configure(
             &n,
@@ -342,6 +372,7 @@ mod tests {
 
     #[test]
     fn every_nth_fires_periodically() {
+        let _chaos = exclusive();
         let n = name("everynth", "p");
         configure(
             &n,
@@ -356,6 +387,7 @@ mod tests {
 
     #[test]
     fn prob_stream_is_deterministic_and_calibrated() {
+        let _chaos = exclusive();
         let (a, b) = (name("prob", "a"), name("prob", "b"));
         let trig = Trigger::Prob {
             p: 0.25,
@@ -373,6 +405,7 @@ mod tests {
 
     #[test]
     fn delay_sleeps_and_reports_no_error() {
+        let _chaos = exclusive();
         let n = name("delay", "p");
         configure(
             &n,
@@ -385,6 +418,7 @@ mod tests {
 
     #[test]
     fn kill_panics_with_the_failpoint_name() {
+        let _chaos = exclusive();
         let n = name("kill", "p");
         configure(&n, Trigger::OneShot(FaultAction::Kill));
         let err = std::panic::catch_unwind(|| fire(&n)).unwrap_err();
@@ -395,6 +429,7 @@ mod tests {
 
     #[test]
     fn remove_and_reconfigure() {
+        let _chaos = exclusive();
         let n = name("remove", "p");
         configure(&n, Trigger::Always(FaultAction::Err));
         assert!(fire(&n));
@@ -403,5 +438,33 @@ mod tests {
         assert_eq!(stats(&n), FailpointStats::default());
         configure(&n, Trigger::Always(FaultAction::Err));
         assert!(fire(&n));
+    }
+
+    #[test]
+    fn exclusive_guard_serialises_and_resets() {
+        let n = name("exclusive", "p");
+        let guard = exclusive();
+        configure(&n, Trigger::Always(FaultAction::Err));
+        // A second taker waits for the first guard, then finds the
+        // registry clean.
+        let waiter = std::thread::spawn({
+            let n = n.clone();
+            move || {
+                let _chaos = exclusive();
+                fire(&n)
+            }
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!waiter.is_finished(), "second guard did not wait");
+        assert!(fire(&n), "armed failpoint lost while the guard was held");
+        drop(guard);
+        assert!(!waiter.join().unwrap(), "drop did not disarm the registry");
+        // A holder that panics does not poison the lock.
+        let _ = std::thread::spawn(|| {
+            let _chaos = exclusive();
+            panic!("test body failed under chaos");
+        })
+        .join();
+        let _chaos = exclusive();
     }
 }

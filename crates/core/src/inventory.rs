@@ -33,8 +33,7 @@ pub struct CoverageReport {
 /// cell-keyed lookups at the three grouping-set levels plus the grid
 /// resolution. Abstracting that surface lets the same estimators run
 /// against the in-memory [`Inventory`] *and* against serving-side stores
-/// (e.g. `pol-serve`'s sharded read-only store, or its mmap-backed
-/// columnar store).
+/// (e.g. `pol-serve`'s mmap-backed columnar store).
 ///
 /// Lookups return [`Cow`] so heap stores stay zero-copy
 /// (`Cow::Borrowed` straight out of their maps) while zero-*deserialize*
@@ -197,14 +196,6 @@ impl Inventory {
     /// Iterates all entries.
     pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &CellStats)> {
         self.entries.iter()
-    }
-
-    /// Decomposes the inventory into its parts — the inverse of
-    /// [`Inventory::from_entries`]. Serving-side stores use this to
-    /// repartition the entry map (e.g. into hash shards) without cloning
-    /// every sketch.
-    pub fn into_entries(self) -> (Resolution, FxHashMap<GroupKey, CellStats>, u64) {
-        (self.resolution, self.entries, self.total_records)
     }
 
     /// All occupied cells (the `(H3-index)` grouping set's key space).

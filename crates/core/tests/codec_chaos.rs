@@ -6,7 +6,7 @@
 #![cfg(feature = "chaos")]
 
 use pol_ais::types::{MarketSegment, Mmsi};
-use pol_chaos::{configure, remove, stats, FaultAction, Trigger};
+use pol_chaos::{configure, exclusive, remove, stats, FaultAction, Trigger};
 use pol_core::codec;
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::inventory::Inventory;
@@ -57,6 +57,7 @@ fn no_temp_files(dir: &Path) -> bool {
 
 #[test]
 fn injected_write_failure_cleans_temp_and_preserves_old_file() {
+    let _chaos = exclusive();
     let dir = std::env::temp_dir().join("pol-codec-chaos-write");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -88,6 +89,7 @@ fn injected_write_failure_cleans_temp_and_preserves_old_file() {
 
 #[test]
 fn injected_rename_failure_cleans_temp_and_preserves_old_file() {
+    let _chaos = exclusive();
     let dir = std::env::temp_dir().join("pol-codec-chaos-rename");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();

@@ -134,23 +134,6 @@ impl<T: Send + 'static> Dataset<T> {
         })
     }
 
-    /// Sorts every partition independently (the paper sorts each vessel's
-    /// reports by timestamp *within* the vessel partition, §3.3.1).
-    pub fn sort_within_partitions<F>(
-        self,
-        engine: &Engine,
-        stage: &str,
-        cmp: F,
-    ) -> Result<Dataset<T>, EngineError>
-    where
-        F: Fn(&T, &T) -> std::cmp::Ordering + Send + Sync + 'static,
-    {
-        self.map_partitions(engine, stage, move |mut part| {
-            part.sort_by(&cmp);
-            part
-        })
-    }
-
     /// Concatenates two datasets (partition lists append).
     pub fn union(mut self, other: Dataset<T>) -> Dataset<T> {
         self.partitions.extend(other.partitions);
@@ -234,17 +217,6 @@ mod tests {
             expect.push(x);
         }
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn sort_within_partitions_is_per_partition() {
-        let e = Engine::new(2);
-        let d = Dataset::from_partitions(vec![vec![3, 1, 2], vec![9, 7]]);
-        let out = d
-            .sort_within_partitions(&e, "sort", |a, b| a.cmp(b))
-            .unwrap();
-        assert_eq!(out.partitions()[0], vec![1, 2, 3]);
-        assert_eq!(out.partitions()[1], vec![7, 9]);
     }
 
     #[test]

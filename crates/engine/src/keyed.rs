@@ -142,140 +142,6 @@ where
         });
         Ok(result)
     }
-
-    /// `reduceByKey`: aggregation where the accumulator is the value type.
-    pub fn reduce_by_key<F>(
-        self,
-        engine: &Engine,
-        stage: &str,
-        f: F,
-    ) -> Result<Dataset<(K, V)>, EngineError>
-    where
-        V: Clone,
-        F: Fn(&mut V, V) + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        let f2 = f.clone();
-        self.aggregate_by_key(
-            engine,
-            stage,
-            || None::<V>,
-            move |acc, v| match acc {
-                Some(a) => f(a, v),
-                None => *acc = Some(v),
-            },
-            move |acc, other| match (acc.as_mut(), other) {
-                (Some(a), Some(o)) => f2(a, o),
-                (None, o) => *acc = o,
-                (_, None) => {}
-            },
-        )?
-        // An accumulator exists only for keys that saw a value, so `None`
-        // is unreachable and the flatten drops nothing.
-        .flat_map(engine, &format!("{stage}:unwrap"), |(k, v)| {
-            v.map(|v| (k, v))
-        })
-    }
-
-    /// `groupByKey`: collects all values per key (use `aggregate_by_key`
-    /// when a bounded accumulator exists — same advice as Spark's docs).
-    pub fn group_by_key(
-        self,
-        engine: &Engine,
-        stage: &str,
-    ) -> Result<Dataset<(K, Vec<V>)>, EngineError> {
-        self.aggregate_by_key(
-            engine,
-            stage,
-            Vec::new,
-            |acc, v| acc.push(v),
-            |acc, mut other| acc.append(&mut other),
-        )
-    }
-
-    /// Number of distinct keys.
-    pub fn count_keys(self, engine: &Engine, stage: &str) -> Result<usize, EngineError> {
-        Ok(self
-            .aggregate_by_key(engine, stage, || (), |_, _| (), |_, _| ())?
-            .count())
-    }
-
-    /// Inner join on key with `other` (both sides shuffled to the same
-    /// partitioning).
-    pub fn join<W>(
-        self,
-        engine: &Engine,
-        stage: &str,
-        other: KeyedDataset<K, W>,
-    ) -> Result<Dataset<(K, (V, W))>, EngineError>
-    where
-        V: Clone,
-        W: Clone + Send + 'static,
-    {
-        let started = Instant::now();
-        let input_records = (self.count() + other.count()) as u64;
-        let num = engine.default_partitions();
-        let left = self
-            .partition_by_key(engine, &format!("{stage}:shuffle-left"), num)?
-            .inner
-            .into_partitions();
-        let right = other
-            .partition_by_key(engine, &format!("{stage}:shuffle-right"), num)?
-            .inner
-            .into_partitions();
-        let zipped: Vec<(Vec<(K, V)>, Vec<(K, W)>)> = left.into_iter().zip(right).collect();
-        let joined: Vec<Vec<(K, (V, W))>> = engine.run_tasks(stage, zipped, |_, (l, r)| {
-            let mut by_key: FxHashMap<K, Vec<W>> = FxHashMap::default();
-            for (k, w) in r {
-                by_key.entry(k).or_default().push(w);
-            }
-            // How many left records still need each key: the last use
-            // consumes the right-side values instead of cloning them,
-            // and the final pair of every record moves `k`/`v` outright
-            // (a 1:1 join therefore clones nothing in this loop).
-            let mut remaining: FxHashMap<K, usize> = FxHashMap::default();
-            for (k, _) in &l {
-                if let Some(n) = remaining.get_mut(k) {
-                    *n += 1;
-                } else if by_key.contains_key(k) {
-                    remaining.insert(k.clone(), 1);
-                }
-            }
-            let mut out = Vec::new();
-            for (k, v) in l {
-                let Some(n) = remaining.get_mut(&k) else {
-                    continue; // no match on the right
-                };
-                *n -= 1;
-                if *n == 0 {
-                    let mut ws = by_key.remove(&k).unwrap_or_default();
-                    if let Some(w_last) = ws.pop() {
-                        for w in ws {
-                            out.push((k.clone(), (v.clone(), w)));
-                        }
-                        out.push((k, (v, w_last)));
-                    }
-                } else if let Some(ws) = by_key.get(&k) {
-                    if let Some((w_last, init)) = ws.split_last() {
-                        for w in init {
-                            out.push((k.clone(), (v.clone(), w.clone())));
-                        }
-                        out.push((k, (v, w_last.clone())));
-                    }
-                }
-            }
-            out
-        })?;
-        let result = Dataset::from_partitions(joined);
-        engine.metrics().record(StageReport {
-            name: stage.to_string(),
-            input_records,
-            output_records: result.count() as u64,
-            shuffled_records: input_records,
-            wall: started.elapsed(),
-        });
-        Ok(result)
-    }
 }
 
 /// Radix-partitions a combiner map into `shards` buckets by key hash —
@@ -381,11 +247,23 @@ mod tests {
         text.split(' ').map(|w| (w, 1u64)).collect()
     }
 
+    /// Sums `u64` values per key: the smallest `aggregate_by_key`.
+    fn sum_by_key<K>(
+        d: KeyedDataset<K, u64>,
+        e: &Engine,
+        stage: &str,
+    ) -> Result<Dataset<(K, u64)>, EngineError>
+    where
+        K: Eq + Hash + Clone + Send + Sync + 'static,
+    {
+        d.aggregate_by_key(e, stage, || 0u64, |a, v| *a += v, |a, o| *a += o)
+    }
+
     #[test]
-    fn word_count_via_reduce_by_key() {
+    fn word_count_via_aggregate_by_key() {
         let e = Engine::new(4);
         let d = Dataset::from_vec(words(), 3).into_keyed();
-        let mut out = d.reduce_by_key(&e, "wc", |a, b| *a += b).unwrap().collect();
+        let mut out = sum_by_key(d, &e, "wc").unwrap().collect();
         out.sort();
         let the = out.iter().find(|(w, _)| *w == "the").unwrap();
         assert_eq!(the.1, 3);
@@ -445,36 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn group_by_key_collects_all() {
-        let e = Engine::new(2);
-        let d = Dataset::from_vec(vec![(1, "a"), (2, "b"), (1, "c")], 2).into_keyed();
-        let mut out = d.group_by_key(&e, "group").unwrap().collect();
-        out.sort_by_key(|(k, _)| *k);
-        assert_eq!(out.len(), 2);
-        let mut ones = out[0].1.clone();
-        ones.sort();
-        assert_eq!(ones, vec!["a", "c"]);
-    }
-
-    #[test]
-    fn count_keys_counts_distinct() {
-        let e = Engine::new(2);
-        let d =
-            Dataset::from_vec((0..100u32).map(|i| (i % 7, i)).collect::<Vec<_>>(), 5).into_keyed();
-        assert_eq!(d.count_keys(&e, "keys").unwrap(), 7);
-    }
-
-    #[test]
-    fn join_inner() {
-        let e = Engine::new(2);
-        let left = Dataset::from_vec(vec![(1, "l1"), (2, "l2"), (3, "l3")], 2).into_keyed();
-        let right = Dataset::from_vec(vec![(2, "r2a"), (2, "r2b"), (4, "r4")], 2).into_keyed();
-        let mut out = left.join(&e, "join", right).unwrap().collect();
-        out.sort();
-        assert_eq!(out, vec![(2, ("l2", "r2a")), (2, ("l2", "r2b"))]);
-    }
-
-    #[test]
     fn key_by_builds_pairs() {
         let e = Engine::new(2);
         let d = Dataset::from_vec(vec!["aa", "b", "ccc"], 2);
@@ -493,27 +341,6 @@ mod tests {
         let stages = e.metrics().report();
         let s = stages.iter().find(|s| s.name == "the-shuffle").unwrap();
         assert_eq!(s.shuffled_records, 50);
-    }
-
-    #[test]
-    fn join_duplicate_keys_preserve_order_and_multiplicity() {
-        let e = Engine::new(2);
-        // Two left records with the same key, three right values: 6 pairs,
-        // each left record fanned out over the right values in order.
-        let left = Dataset::from_vec(vec![(7u32, "a"), (7, "b")], 1).into_keyed();
-        let right = Dataset::from_vec(vec![(7u32, 1), (7, 2), (7, 3)], 1).into_keyed();
-        let out = left.join(&e, "dupjoin", right).unwrap().collect();
-        assert_eq!(
-            out,
-            vec![
-                (7, ("a", 1)),
-                (7, ("a", 2)),
-                (7, ("a", 3)),
-                (7, ("b", 1)),
-                (7, ("b", 2)),
-                (7, ("b", 3)),
-            ]
-        );
     }
 
     #[test]
@@ -542,7 +369,7 @@ mod tests {
         let e = Engine::new(2);
         let d = Dataset::from_vec((0..50u32).map(|i| (i % 3, 1u64)).collect::<Vec<_>>(), 4)
             .into_keyed();
-        let _ = d.reduce_by_key(&e, "agg", |a, b| *a += b).unwrap();
+        let _ = sum_by_key(d, &e, "agg").unwrap();
         let stages = e.metrics().report();
         let merge = stages.iter().find(|s| s.name == "agg:radix-merge");
         assert!(merge.is_some(), "radix merge stage visible in metrics");
@@ -571,7 +398,13 @@ mod tests {
         let e = Engine::new(2);
         let d = Dataset::from_vec(words(), 3).into_keyed();
         let err = d
-            .reduce_by_key(&e, "explode", |_, _| panic!("combiner bug"))
+            .aggregate_by_key(
+                &e,
+                "explode",
+                || 0u64,
+                |a, v| *a += v,
+                |_, _| panic!("combiner bug"),
+            )
             .unwrap_err();
         assert_eq!(err.stage, "explode");
     }

@@ -10,11 +10,11 @@
 //!   per-stage [`metrics::JobMetrics`] (records in/out, shuffle volume,
 //!   wall time — the observability Figure 3 of the paper sketches),
 //! * [`Dataset`] — a partitioned collection with narrow transformations
-//!   (`map`, `filter`, `flat_map`, `map_partitions`,
-//!   `sort_within_partitions`) that never move data between partitions,
-//! * [`KeyedDataset`] — wide transformations: hash-partition shuffle,
-//!   `aggregate_by_key` (seq/comb operators, i.e. Spark's `aggregateByKey`),
-//!   `reduce_by_key`, `group_by_key` and inner `join`.
+//!   (`map`, `filter`, `flat_map`, `map_partitions`) that never move
+//!   data between partitions,
+//! * [`KeyedDataset`] — wide transformations: the hash-partition shuffle
+//!   (`partition_by_key`) and `aggregate_by_key` (seq/comb operators,
+//!   i.e. Spark's `aggregateByKey`).
 //!
 //! The core correctness property (tested): **keyed aggregation is
 //! partition- and thread-count-invariant** — it equals a sequential fold of

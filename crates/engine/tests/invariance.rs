@@ -88,7 +88,7 @@ proptest! {
     }
 
     #[test]
-    fn reduce_by_key_matches_hashmap(
+    fn aggregate_by_key_matches_hashmap(
         data in prop::collection::vec((0u8..20, 1u64..100), 0..400),
     ) {
         let engine = Engine::new(2);
@@ -98,7 +98,7 @@ proptest! {
         }
         let got: HashMap<u8, u64> = Dataset::from_vec(data, 5)
             .into_keyed()
-            .reduce_by_key(&engine, "sum", |a, b| *a += b)
+            .aggregate_by_key(&engine, "sum", || 0u64, |a, v| *a += v, |a, o| *a += o)
             .unwrap()
             .collect()
             .into_iter()

@@ -30,7 +30,13 @@ fn aggregate_many_keys() {
         .collect();
     let out = Dataset::from_vec(data, 8)
         .into_keyed()
-        .reduce_by_key(&engine, "many-keys", |a, b| *a += b)
+        .aggregate_by_key(
+            &engine,
+            "many-keys",
+            || 0u64,
+            |a, v| *a += v,
+            |a, o| *a += o,
+        )
         .unwrap()
         .collect();
     assert!(out.len() <= keys as usize);
@@ -79,26 +85,6 @@ fn empty_dataset_through_all_operations() {
         .unwrap()
         .collect();
     assert!(out.is_empty());
-}
-
-#[test]
-fn join_with_skewed_keys() {
-    let engine = Engine::new(3);
-    // One hot key with 1000 left rows and 3 right rows -> 3000 pairs.
-    let mut left: Vec<(u8, u32)> = (0..1000).map(|i| (7u8, i)).collect();
-    left.push((1, 1));
-    let right: Vec<(u8, &str)> = vec![(7, "a"), (7, "b"), (7, "c"), (2, "z")];
-    let out = Dataset::from_vec(left, 5)
-        .into_keyed()
-        .join(
-            &engine,
-            "skew-join",
-            Dataset::from_vec(right, 2).into_keyed(),
-        )
-        .unwrap()
-        .collect();
-    assert_eq!(out.len(), 3000);
-    assert!(out.iter().all(|(k, _)| *k == 7));
 }
 
 #[test]

@@ -1,37 +1,35 @@
 //! `pol-serve` — a concurrent TCP query server over a loaded inventory.
 //!
 //! The paper's inventory is an offline artefact; this crate puts it
-//! online. A [`server::Server`] owns a hash-sharded read-only
-//! [`store::ShardedStore`], answers point/route/bbox/top-destination
+//! online. A [`server::Server`] holds one read-only
+//! [`store::StoreBackend`], answers point/route/bbox/top-destination
 //! queries plus the `pol-apps` ETA and destination-prediction endpoints
 //! over a versioned length-prefixed binary protocol ([`proto`]), caches
 //! the expensive aggregate scans ([`store::QueryCache`]), and accounts
 //! every request in per-endpoint latency histograms ([`metrics`]).
 //!
-//! The zero-copy read path: a POLINV3 columnar snapshot can be served
+//! The zero-copy read path: a POLINV3 columnar snapshot is served
 //! straight off disk through a [`mapped::MappedStore`] — the file is
 //! memory-mapped ([`mmap::MappedFile`]), validated once, and queried by
-//! binary search without deserializing anything up front. The server
-//! sniffs the snapshot format and picks the backend
-//! ([`store::StoreBackend`]); protocol v3 adds request batching
-//! ([`proto::Request::Batch`]) so one frame can carry many lookups.
+//! binary search without deserializing anything up front. Anything else
+//! (POLINV2, a POLMAN1 delta chain, an in-process build) is served from
+//! the heap [`pol_core::Inventory`] the codec produced. The server sniffs
+//! the snapshot format and picks the backend; [`proto::Request::Batch`]
+//! lets one frame carry many lookups.
 //!
-//! Two serving cores share that execution engine
-//! ([`server::ServerCore`]): the original thread-per-connection core,
-//! and the default epoll-based [`reactor`] — one event loop owning
+//! One serving core: the epoll-based [`reactor`] — one event loop owning
 //! every nonblocking socket, per-connection frame state machines
-//! ([`conn::ConnState`]), and the worker pool reduced to pure request
-//! execution, so tens of thousands of mostly-idle connections cost no
-//! threads.
+//! ([`conn::ConnState`]), and a worker pool that only executes requests,
+//! so tens of thousands of mostly-idle connections cost no threads.
 //!
 //! Operational posture: bounded worker pool with typed
 //! [`proto::Response::Busy`] backpressure instead of unbounded queueing
-//! (the reactor sheds per *request* at the event loop, keeping the
-//! connection), per-frame size caps, socket read/write timeouts, a
-//! slow-loris frame-assembly deadline anchored to each frame's first
-//! byte, hostile-input-safe decoding, and clean shutdown on a control
-//! signal. The matching [`client::Client`] and the `polload` load
-//! generator in `pol-bench` drive it.
+//! (shed per *request* at the event loop, keeping the connection),
+//! per-frame size caps, a write-stall deadline, a slow-loris
+//! frame-assembly deadline anchored to each frame's first byte,
+//! hostile-input-safe decoding, and clean shutdown on a control signal.
+//! The matching [`client::Client`] and the `polload` load generator in
+//! `pol-bench` drive it.
 
 #![deny(missing_docs)]
 
@@ -50,5 +48,5 @@ pub use mapped::{MappedCounters, MappedStore};
 pub use metrics::{Endpoint, EndpointStats, HealthReport, ServerMetrics, StatsReport};
 pub use mmap::MappedFile;
 pub use proto::{ProtoError, Request, Response, MAX_BATCH, PROTO_VERSION};
-pub use server::{InventoryService, Server, ServerConfig, ServerCore};
-pub use store::{QueryCache, ShardedStore, StoreBackend};
+pub use server::{InventoryService, Server, ServerConfig};
+pub use store::{QueryCache, StoreBackend};

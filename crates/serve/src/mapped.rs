@@ -1,7 +1,7 @@
 //! The zero-copy read store over a memory-mapped POLINV3 snapshot.
 //!
-//! Where [`crate::store::ShardedStore`] deserializes a whole snapshot
-//! into heap maps before the first query, `MappedStore` maps the file
+//! Where the heap backend deserializes a whole snapshot into an
+//! [`pol_core::Inventory`] before the first query, `MappedStore` maps the file
 //! ([`crate::mmap::MappedFile`]), validates the columnar layout once
 //! ([`Layout::parse`] — CRCs, seal, sortedness; no sketch decoding),
 //! and then answers:
@@ -128,8 +128,8 @@ impl MappedStore {
     }
 
     /// Occupied cells whose centre falls inside a bounding box, sorted
-    /// by raw cell index for a canonical reply (same order as
-    /// [`crate::store::ShardedStore::cells_in`]).
+    /// by raw cell index for a canonical reply (same order as the heap
+    /// arm of [`crate::store::StoreBackend::cells_in`]).
     pub fn cells_in(&self, bbox: &BBox) -> Vec<CellIndex> {
         let Some(lat) = LatIndexReader::new(self.file.bytes(), &self.layout) else {
             return Vec::new();

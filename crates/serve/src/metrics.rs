@@ -4,8 +4,8 @@
 //! Latency is tracked per endpoint in a fixed-width
 //! [`pol_sketch::Histogram`] over microseconds (the same machinery the
 //! inventory uses for its 30°-bin course histograms), with a
-//! [`pol_sketch::Welford`] alongside for exact max. Startup work (load,
-//! shard build) is accounted as [`pol_engine::metrics::StageReport`]s in
+//! [`pol_sketch::Welford`] alongside for exact max. Startup work (snapshot
+//! open or load) is accounted as [`pol_engine::metrics::StageReport`]s in
 //! a [`JobMetrics`], so `STATS` shows the server's build stages in the
 //! same rendering as a pipeline run.
 
@@ -47,7 +47,7 @@ pub enum Endpoint {
     Health,
     /// Readiness probe (accepting and serving traffic).
     Ready,
-    /// A protocol-v3 batch frame (children are *not* double-counted
+    /// A batch frame (children are *not* double-counted
     /// under their own endpoints; the whole frame is one batch request).
     Batch,
 }
@@ -165,7 +165,7 @@ pub struct StatsReport {
     /// Rejected hot reloads (corrupt or unreadable file; the previous
     /// snapshot stayed live).
     pub reloads_failed: u64,
-    /// Sub-requests carried inside protocol-v3 `BATCH` frames (each
+    /// Sub-requests carried inside `BATCH` frames (each
     /// batch frame counts once under [`Endpoint::Batch`]; this counter
     /// accounts its children).
     pub batched_requests: u64,
@@ -184,25 +184,23 @@ pub struct StatsReport {
     /// Whole seconds since the last successful hot reload (since process
     /// start if none happened yet) — the streaming-freshness signal.
     pub since_reload_secs: u64,
-    /// Connections currently open on the server (reactor core tracks
-    /// this exactly; the threaded core counts admitted connections).
+    /// Connections currently open on the server.
     pub open_connections: u64,
     /// High-water mark of `open_connections` over the server's lifetime.
     pub peak_connections: u64,
-    /// Readiness events delivered by `epoll_wait` to the reactor loop
-    /// (zero on the threaded core).
+    /// Readiness events delivered by `epoll_wait` to the reactor loop.
     pub ready_events: u64,
     /// Cross-thread eventfd wakeups the reactor consumed — each one is a
     /// worker handing completed responses back to the loop.
     pub wakeups: u64,
     /// Requests shed with `Busy` by the event loop's admission check
-    /// (a subset of `busy_rejections`; zero on the threaded core, which
-    /// sheds whole connections at accept instead).
+    /// (a subset of `busy_rejections`; the rest are connections turned
+    /// away at the `max_connections` ceiling).
     pub shed_at_loop: u64,
     /// Largest per-connection write buffer observed, bytes — how far a
     /// slow reader ever got behind before `EPOLLOUT` caught it up.
     pub write_buffer_high_water: u64,
-    /// The live store backend ("sharded-heap" or "mapped-columnar").
+    /// The live store backend ("heap" or "mapped-columnar").
     pub store: String,
     /// Per-endpoint counters, in [`Endpoint::ALL`] order, endpoints with
     /// zero traffic omitted.
@@ -372,7 +370,7 @@ impl ServerMetrics {
         }
     }
 
-    /// Accounts a startup stage (inventory load, shard build, …).
+    /// Accounts a startup stage (snapshot open, load or chain merge).
     pub fn record_stage(&self, report: StageReport) {
         self.jobs.record(report);
     }
@@ -675,12 +673,12 @@ mod tests {
     fn stages_render_into_snapshot() {
         let m = ServerMetrics::new();
         m.record_stage(StageReport {
-            name: "shard".into(),
+            name: "snapshot-load".into(),
             input_records: 10,
             output_records: 10,
             shuffled_records: 0,
             wall: Duration::from_millis(2),
         });
-        assert!(m.snapshot().stages.contains("shard"));
+        assert!(m.snapshot().stages.contains("snapshot-load"));
     }
 }

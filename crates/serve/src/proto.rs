@@ -22,24 +22,10 @@ use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, WireError};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Wire protocol version carried in every payload. Version 2 added the
-/// `HEALTH`/`READY` probes and the snapshot-generation counters in
-/// `STATS`; version 3 added request batching (`BATCH` frames) and the
-/// read-path counters (`store`, batched/mapped counters, per-endpoint
-/// p95) in `STATS`; version 4 added the streaming-freshness fields
-/// (`delta_generation`, `chain_len`, `since_reload_secs`) in `STATS`;
-/// version 5 added the event-loop pressure counters
-/// (`open_connections`, `peak_connections`, `ready_events`, `wakeups`,
-/// `shed_at_loop`, `write_buffer_high_water`) in `STATS`.
-/// Decoders accept [`MIN_PROTO_VERSION`]`..=`[`PROTO_VERSION`].
+/// Wire protocol version carried in every payload. There are no
+/// deployed peers to stay compatible with, so the decoders accept exactly
+/// this version: any other version byte is [`ProtoError::BadVersion`].
 pub const PROTO_VERSION: u8 = 5;
-
-/// Oldest protocol version the decoders still accept. Version-2 peers
-/// never send `BATCH`, and the only payload whose *shape* changed across
-/// versions — `STATS` — is decoded against the version byte it carries
-/// (fields a version does not encode default to zero/empty), so every
-/// accepted version decodes with its own wire layout.
-pub const MIN_PROTO_VERSION: u8 = 2;
 
 /// Upper bound on sub-requests in one `BATCH` frame.
 pub const MAX_BATCH: usize = 256;
@@ -452,7 +438,7 @@ pub const REQ_STATS: u8 = 8;
 pub const REQ_HEALTH: u8 = 9;
 /// Tag byte of [`Request::Ready`].
 pub const REQ_READY: u8 = 10;
-/// Tag byte of [`Request::Batch`] (protocol v3+).
+/// Tag byte of [`Request::Batch`].
 pub const REQ_BATCH: u8 = 11;
 
 /// Serializes a request payload (version byte + tag + body).
@@ -561,15 +547,21 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
 /// that cannot fit the remaining bytes, and trailing garbage.
 pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
     let mut input = payload;
-    let version = get_byte(&mut input)?;
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
-        return Err(ProtoError::BadVersion(version));
-    }
+    check_version(&mut input)?;
     let req = decode_request_body(&mut input, true)?;
     if !input.is_empty() {
         return Err(ProtoError::Wire(WireError("trailing bytes")));
     }
     Ok(req)
+}
+
+/// Consumes the payload's leading version byte, which must be
+/// [`PROTO_VERSION`].
+fn check_version(input: &mut &[u8]) -> Result<(), ProtoError> {
+    match get_byte(input)? {
+        PROTO_VERSION => Ok(()),
+        other => Err(ProtoError::BadVersion(other)),
+    }
 }
 
 /// Reads a request's tag + body (no version byte). `allow_batch` is
@@ -703,7 +695,7 @@ pub const RESP_ERROR: u8 = 7;
 pub const RESP_HEALTH: u8 = 8;
 /// Tag byte of [`Response::Ready`].
 pub const RESP_READY: u8 = 9;
-/// Tag byte of [`Response::Batch`] (protocol v3+).
+/// Tag byte of [`Response::Batch`].
 pub const RESP_BATCH: u8 = 10;
 
 /// Serializes a response payload (version byte + tag + body).
@@ -794,26 +786,17 @@ fn encode_response_body(resp: &Response, out: &mut Vec<u8>) {
 /// [`decode_request`].
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
     let mut input = payload;
-    let version = get_byte(&mut input)?;
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
-        return Err(ProtoError::BadVersion(version));
-    }
-    let resp = decode_response_body(&mut input, version, true)?;
+    check_version(&mut input)?;
+    let resp = decode_response_body(&mut input, true)?;
     if !input.is_empty() {
         return Err(ProtoError::Wire(WireError("trailing bytes")));
     }
     Ok(resp)
 }
 
-/// Reads a response's tag + body (no version byte). `version` is the
-/// payload's declared protocol version — `STATS` is the one body whose
-/// shape changed across versions, so its decoder needs it. `allow_batch`
-/// is false inside a batch child, so batches cannot nest.
-fn decode_response_body(
-    input: &mut &[u8],
-    version: u8,
-    allow_batch: bool,
-) -> Result<Response, ProtoError> {
+/// Reads a response's tag + body (no version byte). `allow_batch` is
+/// false inside a batch child, so batches cannot nest.
+fn decode_response_body(input: &mut &[u8], allow_batch: bool) -> Result<Response, ProtoError> {
     let tag = get_byte(input)?;
     let resp = match tag {
         RESP_PONG => Response::Pong,
@@ -869,7 +852,7 @@ fn decode_response_body(
             }
             Response::Destinations(ranked)
         }
-        RESP_STATS => Response::Stats(decode_stats_report(input, version)?),
+        RESP_STATS => Response::Stats(decode_stats_report(input)?),
         RESP_BUSY => Response::Busy,
         RESP_ERROR => Response::Error(get_string(input, MAX_ERROR_BYTES)?),
         RESP_HEALTH => {
@@ -883,9 +866,7 @@ fn decode_response_body(
             })
         }
         RESP_READY => Response::Ready(get_bool(input)?),
-        RESP_BATCH if allow_batch => Response::Batch(decode_batch(input, |child, nest| {
-            decode_response_body(child, version, nest)
-        })?),
+        RESP_BATCH if allow_batch => Response::Batch(decode_batch(input, decode_response_body)?),
         other => return Err(ProtoError::BadTag(other)),
     };
     Ok(resp)
@@ -928,13 +909,9 @@ fn encode_stats_report(report: &StatsReport, out: &mut Vec<u8>) {
     out.extend_from_slice(bytes);
 }
 
-/// Decodes a `STATS` body against the wire layout of `version`: v2
-/// carries only the nine base counters and p50/p99/max endpoint rows;
-/// v3 added the read-path counters, `store`, and per-endpoint p95; v4
-/// the streaming-freshness trio; v5 the six event-loop counters. Fields
-/// a version does not encode default to zero/empty, so a `StatsReport`
-/// from any accepted peer is well-formed.
-fn decode_stats_report(input: &mut &[u8], version: u8) -> Result<StatsReport, ProtoError> {
+/// Decodes a `STATS` body, field for field the mirror of
+/// [`encode_stats_report`].
+fn decode_stats_report(input: &mut &[u8]) -> Result<StatsReport, ProtoError> {
     let total_requests = get_varint(input)?;
     let busy_rejections = get_varint(input)?;
     let malformed_frames = get_varint(input)?;
@@ -944,38 +921,22 @@ fn decode_stats_report(input: &mut &[u8], version: u8) -> Result<StatsReport, Pr
     let generation = get_varint(input)?;
     let reloads_ok = get_varint(input)?;
     let reloads_failed = get_varint(input)?;
-    let (mut batched_requests, mut mapped_lookups, mut mapped_scan_entries) = (0, 0, 0);
-    if version >= 3 {
-        batched_requests = get_varint(input)?;
-        mapped_lookups = get_varint(input)?;
-        mapped_scan_entries = get_varint(input)?;
-    }
-    let (mut delta_generation, mut chain_len, mut since_reload_secs) = (0, 0, 0);
-    if version >= 4 {
-        delta_generation = get_varint(input)?;
-        chain_len = get_varint(input)?;
-        since_reload_secs = get_varint(input)?;
-    }
-    let (mut open_connections, mut peak_connections, mut ready_events) = (0, 0, 0);
-    let (mut wakeups, mut shed_at_loop, mut write_buffer_high_water) = (0, 0, 0);
-    if version >= 5 {
-        open_connections = get_varint(input)?;
-        peak_connections = get_varint(input)?;
-        ready_events = get_varint(input)?;
-        wakeups = get_varint(input)?;
-        shed_at_loop = get_varint(input)?;
-        write_buffer_high_water = get_varint(input)?;
-    }
-    let store = if version >= 3 {
-        get_string(input, MAX_ERROR_BYTES)?
-    } else {
-        String::new()
-    };
+    let batched_requests = get_varint(input)?;
+    let mapped_lookups = get_varint(input)?;
+    let mapped_scan_entries = get_varint(input)?;
+    let delta_generation = get_varint(input)?;
+    let chain_len = get_varint(input)?;
+    let since_reload_secs = get_varint(input)?;
+    let open_connections = get_varint(input)?;
+    let peak_connections = get_varint(input)?;
+    let ready_events = get_varint(input)?;
+    let wakeups = get_varint(input)?;
+    let shed_at_loop = get_varint(input)?;
+    let write_buffer_high_water = get_varint(input)?;
+    let store = get_string(input, MAX_ERROR_BYTES)?;
     let len = get_varint(input)? as usize;
-    // Each endpoint entry is at least 26 (v2: id + count + three f64s)
-    // or 34 (v3+: four f64s) bytes.
-    let min_entry = if version >= 3 { 34 } else { 26 };
-    if len > input.len() / min_entry {
+    // Each endpoint entry is at least 34 bytes (id + count + four f64s).
+    if len > input.len() / 34 {
         return Err(ProtoError::Wire(WireError("endpoint count exceeds buffer")));
     }
     let mut endpoints = Vec::with_capacity(len);
@@ -984,7 +945,7 @@ fn decode_stats_report(input: &mut &[u8], version: u8) -> Result<StatsReport, Pr
             Endpoint::from_id(get_byte(input)?).ok_or(WireError("unknown endpoint id"))?;
         let count = get_varint(input)?;
         let p50_us = get_f64(input)?;
-        let p95_us = if version >= 3 { get_f64(input)? } else { 0.0 };
+        let p95_us = get_f64(input)?;
         let p99_us = get_f64(input)?;
         let max_us = get_f64(input)?;
         endpoints.push(EndpointStats {
@@ -1153,101 +1114,6 @@ mod tests {
     }
 
     #[test]
-    fn older_protocol_version_still_decodes() {
-        let mut bytes = encode_request(&Request::PointSummary {
-            lat: 51.5,
-            lon: -0.1,
-        });
-        bytes[0] = MIN_PROTO_VERSION;
-        assert!(decode_request(&bytes).is_ok());
-    }
-
-    /// `STATS` is the one payload whose shape changed across protocol
-    /// versions: each accepted version must decode against *its own*
-    /// wire layout, with the fields it predates defaulted — not have the
-    /// v5 counters misparse its store string.
-    #[test]
-    fn stats_report_decodes_each_accepted_versions_own_layout() {
-        // Shared pieces, hand-encoded exactly as the historical encoders
-        // wrote them: nine base counters 1..=9, one Ping endpoint row,
-        // a one-byte stages blob.
-        let push_base = |out: &mut Vec<u8>| {
-            for v in 1..=9u64 {
-                put_varint(out, v);
-            }
-        };
-        let push_endpoint = |out: &mut Vec<u8>, with_p95: bool| {
-            out.push(Endpoint::Ping.id());
-            put_varint(out, 42);
-            put_f64(out, 1.5); // p50
-            if with_p95 {
-                put_f64(out, 2.5);
-            }
-            put_f64(out, 3.5); // p99
-            put_f64(out, 4.5); // max
-        };
-        let push_stages = |out: &mut Vec<u8>| {
-            put_varint(out, 1);
-            out.push(b's');
-        };
-
-        // v2: base counters, p50/p99/max endpoint rows, stages.
-        let mut v2 = vec![2u8, RESP_STATS];
-        push_base(&mut v2);
-        put_varint(&mut v2, 1);
-        push_endpoint(&mut v2, false);
-        push_stages(&mut v2);
-        // v3: + batched/mapped counters, store string, endpoint p95.
-        let mut v3 = vec![3u8, RESP_STATS];
-        push_base(&mut v3);
-        for v in [10u64, 11, 12] {
-            put_varint(&mut v3, v);
-        }
-        put_string(&mut v3, "columnar");
-        put_varint(&mut v3, 1);
-        push_endpoint(&mut v3, true);
-        push_stages(&mut v3);
-        // v4: + the streaming-freshness trio before the store string.
-        let mut v4 = vec![4u8, RESP_STATS];
-        push_base(&mut v4);
-        for v in [10u64, 11, 12, 13, 14, 15] {
-            put_varint(&mut v4, v);
-        }
-        put_string(&mut v4, "columnar");
-        put_varint(&mut v4, 1);
-        push_endpoint(&mut v4, true);
-        push_stages(&mut v4);
-
-        for (bytes, version) in [(&v2, 2u8), (&v3, 3), (&v4, 4)] {
-            let decoded = decode_response(bytes)
-                .unwrap_or_else(|e| panic!("v{version} stats payload failed to decode: {e}"));
-            let Response::Stats(r) = decoded else {
-                panic!("v{version}: not a stats response");
-            };
-            assert_eq!(r.total_requests, 1, "v{version}");
-            assert_eq!(r.reloads_failed, 9, "v{version}");
-            assert_eq!(r.batched_requests, if version >= 3 { 10 } else { 0 });
-            assert_eq!(r.mapped_scan_entries, if version >= 3 { 12 } else { 0 });
-            assert_eq!(r.delta_generation, if version >= 4 { 13 } else { 0 });
-            assert_eq!(r.since_reload_secs, if version >= 4 { 15 } else { 0 });
-            // The v5 event-loop counters exist in no older layout.
-            assert_eq!(r.open_connections, 0, "v{version}");
-            assert_eq!(r.write_buffer_high_water, 0, "v{version}");
-            assert_eq!(r.store, if version >= 3 { "columnar" } else { "" });
-            assert_eq!(r.endpoints.len(), 1, "v{version}");
-            assert_eq!(r.endpoints[0].count, 42, "v{version}");
-            assert_eq!(r.endpoints[0].p50_us, 1.5, "v{version}");
-            assert_eq!(
-                r.endpoints[0].p95_us,
-                if version >= 3 { 2.5 } else { 0.0 },
-                "v{version}"
-            );
-            assert_eq!(r.endpoints[0].p99_us, 3.5, "v{version}");
-            assert_eq!(r.stages, "s", "v{version}");
-        }
-    }
-
-    #[test]
     fn nested_batches_rejected() {
         let nested = Request::Batch(vec![Request::Batch(vec![Request::Ping])]);
         let bytes = encode_request(&nested);
@@ -1295,12 +1161,22 @@ mod tests {
 
     #[test]
     fn request_rejects_bad_version_tag_and_trailing() {
-        let mut bytes = encode_request(&Request::Ping);
-        bytes[0] = 99;
-        assert!(matches!(
-            decode_request(&bytes),
-            Err(ProtoError::BadVersion(99))
-        ));
+        // One accepted version: its neighbours and the retired 2–4
+        // are as foreign as 99, for requests and responses alike.
+        for version in [2u8, 3, 4, 6, 99] {
+            let mut bytes = encode_request(&Request::Ping);
+            bytes[0] = version;
+            assert!(matches!(
+                decode_request(&bytes),
+                Err(ProtoError::BadVersion(v)) if v == version
+            ));
+            let mut bytes = encode_response(&Response::Pong);
+            bytes[0] = version;
+            assert!(matches!(
+                decode_response(&bytes),
+                Err(ProtoError::BadVersion(v)) if v == version
+            ));
+        }
         let bytes = [PROTO_VERSION, 200];
         assert!(matches!(
             decode_request(&bytes),

@@ -11,59 +11,84 @@
 //! only itself.
 //!
 //! Backpressure is load-shedding *at the loop*: before a request is
-//! enqueued the loop takes an admission slot (the same
-//! `worker_threads + max_pending` arithmetic the threaded core applies
-//! per connection); when the slots are gone the request is answered with
-//! an immediate typed `Busy` frame and never queued. [`AdmitGuard`]
-//! releases the slot on drop, so a worker killed mid-request (the
-//! `serve.worker.kill` chaos fault) cannot leak one, and the
-//! `CompletionGuard` below pushes a close-the-connection completion from
-//! its own drop, so a killed request cannot wedge its connection either.
+//! enqueued the loop takes an admission slot (`worker_threads +
+//! max_pending` of them exist); when the slots are gone the request is
+//! answered with an immediate typed `Busy` frame and never queued.
+//! [`AdmitGuard`] releases the slot on drop, so a worker killed
+//! mid-request (the `serve.worker.kill` chaos fault) cannot leak one, and
+//! the `CompletionGuard` below pushes a close-the-connection completion
+//! from its own drop, so a killed request cannot wedge its connection
+//! either.
 //!
-//! Shutdown ordering is the threaded core's, re-expressed: `READY` flips
-//! (the `Server` marks draining before raising the stop flag), the loop
-//! drops the listener, in-flight and already-buffered requests are
-//! answered, idle-at-a-frame-boundary connections close, and the drain
-//! deadline bounds a peer that streams forever.
+//! Shutdown ordering: `READY` flips (the `Server` marks draining before
+//! raising the stop flag), the loop drops the listener, in-flight and
+//! already-buffered requests are answered, idle-at-a-frame-boundary
+//! connections close, and the drain deadline bounds a peer that streams
+//! forever.
 //!
 //! The epoll/eventfd bindings are declared `extern "C"` in the style of
-//! [`crate::mmap`] — std already links libc on every unix target. On
-//! non-Linux targets (or if epoll setup fails at runtime) the server
-//! falls back to the legacy threaded core transparently.
+//! [`crate::mmap`] — std already links libc on every unix target. The
+//! server needs epoll: on other platforms, or when epoll/eventfd setup
+//! fails, [`spawn`] returns the error and nothing is left running.
+
+#![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 
 use crate::conn::{ConnState, ReadEvent};
 use crate::metrics::ServerMetrics;
 use crate::proto::{decode_request, encode_response, Response};
-use crate::server::{AdmitGuard, InventoryService, ServerConfig};
+use crate::server::{InventoryService, ServerConfig};
 use parking_lot::{Mutex, RwLock};
 use pol_engine::ThreadPool;
+use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
-/// Runs the event-driven core on `listener` until `stop` is raised and
-/// the drain completes. Falls back to the legacy threaded accept loop on
-/// platforms without epoll or when epoll setup fails, so a
-/// [`crate::server::ServerCore::Reactor`] config is safe everywhere.
-pub(crate) fn run(
+/// The loop's `epoll_wait` timeout and sweep period: how soon an idle
+/// loop notices the stop flag, a stalled frame or a stuck writer.
+const LOOP_TICK: Duration = Duration::from_millis(100);
+
+/// Builds the event loop around `listener` on the calling thread — so an
+/// epoll/eventfd setup failure is the caller's `io::Error`, with no
+/// thread started and the listener closed — then runs it on its own
+/// thread until `stop` is raised and the drain completes.
+pub(crate) fn spawn(
     listener: TcpListener,
     service: Arc<RwLock<Arc<InventoryService>>>,
     config: ServerConfig,
     stop: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
-) {
+) -> io::Result<JoinHandle<()>> {
     #[cfg(target_os = "linux")]
     {
-        match linux::EventLoop::new(listener, service, config, stop, metrics) {
-            Ok(event_loop) => event_loop.run(),
-            Err(init) => {
-                let (listener, service, stop, metrics, _err) = *init;
-                crate::server::accept_loop(listener, service, config, stop, metrics);
-            }
-        }
+        let event_loop = linux::EventLoop::new(listener, service, config, stop, metrics)?;
+        std::thread::Builder::new()
+            .name("pol-serve-loop".into())
+            .spawn(move || event_loop.run())
     }
     #[cfg(not(target_os = "linux"))]
-    crate::server::accept_loop(listener, service, config, stop, metrics);
+    {
+        let _ = (listener, service, config, stop, metrics);
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "pol-serve needs epoll (Linux)",
+        ))
+    }
+}
+
+/// Releases one admission slot when dropped. Holding the decrement in a
+/// `Drop` guard keeps the admission count honest even when a worker
+/// panics — an injected `serve.worker.kill` fault unwinds through the
+/// pool's `catch_unwind`, and without the guard every kill would leak a
+/// slot until the cap starved the server into rejecting everyone.
+struct AdmitGuard(Arc<AtomicUsize>);
+
+impl Drop for AdmitGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// One finished request, handed from a worker back to the loop.
@@ -71,7 +96,7 @@ struct Completion {
     /// Which connection asked.
     token: u64,
     /// Encoded response payload; `None` aborts the connection without a
-    /// reply (a killed worker), exactly like the threaded core's break.
+    /// reply (a killed worker).
     reply: Option<Vec<u8>>,
     /// Close once the reply has flushed (malformed peer).
     close_after: bool,
@@ -82,8 +107,7 @@ struct LoopShared {
     /// Finished requests awaiting the loop. Leaf lock in the declared
     /// `lock_order`: nothing is ever acquired while it is held.
     completions: Mutex<Vec<Completion>>,
-    /// Rings the loop's eventfd; `None` outside Linux (unused — workers
-    /// only exist under a running event loop).
+    /// Rings the loop's eventfd.
     #[cfg(target_os = "linux")]
     wake: linux::WakeFd,
 }
@@ -122,10 +146,9 @@ impl Drop for CompletionGuard {
 }
 
 /// The worker-side of one request: decode, execute against a pinned
-/// snapshot, encode — never touching a socket. Mirrors the threaded
-/// core's `serve_frame` decision-for-decision (chaos kill point before
+/// snapshot, encode — never touching a socket: chaos kill point before
 /// decode, one typed error then close for malformed frames, per-frame
-/// snapshot pinning for hot-reload atomicity).
+/// snapshot pinning for hot-reload atomicity.
 fn execute_job(
     payload: Vec<u8>,
     token: u64,
@@ -158,8 +181,9 @@ fn execute_job(
             metrics.record(endpoint, started.elapsed());
         }
         Err(e) => {
-            // One typed error, then the socket — same resynchronisation
-            // refusal as the threaded core.
+            // A peer that cannot frame a request correctly gets one typed
+            // error, then the socket: resynchronising a corrupt binary
+            // stream is not worth the attack surface.
             metrics.incr_malformed();
             done.reply = Some(encode_response(&Response::Error(e.to_string())));
             done.close_after = true;
@@ -171,10 +195,9 @@ fn execute_job(
 mod linux {
     use super::*;
     use std::collections::HashMap;
-    use std::io;
     use std::net::TcpStream;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     mod sys {
         use std::ffi::c_void;
@@ -384,41 +407,22 @@ mod linux {
         last_sweep: Instant,
     }
 
-    type InitError = (
-        TcpListener,
-        Arc<RwLock<Arc<InventoryService>>>,
-        Arc<AtomicBool>,
-        Arc<ServerMetrics>,
-        io::Error,
-    );
-
     impl EventLoop {
-        /// Builds the loop. On failure every moved-in handle is returned
-        /// so the caller can fall back to the threaded core.
+        /// Builds the loop: epoll and eventfd first, the worker pool only
+        /// once nothing can fail any more, so an error leaves no thread
+        /// behind and drops (closes) the listener.
         pub(super) fn new(
             listener: TcpListener,
             service: Arc<RwLock<Arc<InventoryService>>>,
             config: ServerConfig,
             stop: Arc<AtomicBool>,
             metrics: Arc<ServerMetrics>,
-        ) -> Result<EventLoop, Box<InitError>> {
-            let built = (|| -> io::Result<(Epoll, WakeFd)> {
-                listener.set_nonblocking(true)?;
-                let epoll = Epoll::new()?;
-                let wake = WakeFd::new()?;
-                epoll.add(listener.as_raw_fd(), READ_INTEREST, TOKEN_LISTENER)?;
-                epoll.add(wake.fd.as_raw_fd(), sys::EPOLLIN, TOKEN_WAKE)?;
-                Ok((epoll, wake))
-            })();
-            let (epoll, wake) = match built {
-                Ok(pair) => pair,
-                Err(e) => {
-                    // Undo nonblocking so the fallback accept loop blocks
-                    // as it expects to.
-                    let _ = listener.set_nonblocking(false);
-                    return Err(Box::new((listener, service, stop, metrics, e)));
-                }
-            };
+        ) -> io::Result<EventLoop> {
+            listener.set_nonblocking(true)?;
+            let epoll = Epoll::new()?;
+            let wake = WakeFd::new()?;
+            epoll.add(listener.as_raw_fd(), READ_INTEREST, TOKEN_LISTENER)?;
+            epoll.add(wake.fd.as_raw_fd(), sys::EPOLLIN, TOKEN_WAKE)?;
             let workers = config.worker_threads.max(1);
             Ok(EventLoop {
                 epoll,
@@ -487,20 +491,13 @@ mod linux {
             // (pool dropped with self)
         }
 
-        /// epoll timeout for this iteration: the read-timeout tick (the
-        /// shutdown/stall poll granularity, as on the threaded core),
-        /// tightened while draining so the exit condition is prompt.
+        /// epoll timeout for this iteration: [`LOOP_TICK`], tightened
+        /// while draining so the exit condition is prompt.
         fn tick_ms(&self) -> i32 {
-            let base = self
-                .config
-                .read_timeout
-                .min(Duration::from_millis(100))
-                .as_millis()
-                .max(1) as i32;
             if self.drain_deadline.is_some() {
-                base.min(10)
+                10
             } else {
-                base
+                LOOP_TICK.as_millis() as i32
             }
         }
 
@@ -567,8 +564,7 @@ mod linux {
             }
             if bits & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0 {
                 if pol_chaos::fire("serve.conn.read_delay") {
-                    // Err action: the transport dies under the reader,
-                    // as in the threaded core's poll loop.
+                    // Err action: the transport dies under the reader.
                     self.close_conn(token);
                     return;
                 }
@@ -712,8 +708,7 @@ mod linux {
                         }
                     }
                     None => {
-                        // Killed worker: abort without a reply, exactly
-                        // like the threaded core.
+                        // Killed worker: abort without a reply.
                         self.close_conn(token);
                         continue;
                     }
@@ -775,12 +770,11 @@ mod linux {
 
         /// Periodic pass over all connections: slow-loris frame
         /// deadlines, slow-reader write stalls, and drain-idle closes.
-        /// Runs at the read-timeout tick, not per event batch, so a busy
+        /// Runs once per [`LOOP_TICK`], not per event batch, so a busy
         /// loop does not pay O(connections) per wakeup.
         fn sweep(&mut self) {
             let draining = self.drain_deadline.is_some();
-            let tick = self.config.read_timeout.min(Duration::from_millis(100));
-            if !draining && self.last_sweep.elapsed() < tick {
+            if !draining && self.last_sweep.elapsed() < LOOP_TICK {
                 return;
             }
             self.last_sweep = Instant::now();
@@ -829,11 +823,8 @@ mod linux {
     /// nonblocking write of the framed response, dropped on
     /// `WouldBlock`. The frame is a handful of bytes, so it fits a
     /// fresh socket's send buffer in practice; when it does not, losing
-    /// the courtesy frame beats stalling the event loop — the threaded
-    /// core's blocking [`crate::server::reject_busy`] can wait out a full write
-    /// timeout, which is fine on a per-connection worker but would
-    /// freeze every other connection here. The peer still observes the
-    /// close either way.
+    /// the courtesy frame beats stalling the event loop behind a blocking
+    /// write. The peer still observes the close either way.
     fn reject_busy_nonblocking(stream: TcpStream) {
         use std::io::Write;
         if stream.set_nonblocking(true).is_err() {

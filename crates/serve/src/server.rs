@@ -1,75 +1,50 @@
 //! The concurrent TCP query server.
 //!
-//! One accept thread admits connections onto a bounded
-//! [`pol_engine::ThreadPool`]; each worker owns its connection for its
-//! lifetime and speaks the length-prefixed protocol of [`crate::proto`].
-//! Admission is capped at `worker_threads + max_pending`: a connection
-//! over the cap is answered with a typed [`Response::Busy`] frame and
-//! closed instead of queueing unboundedly — load sheds at the edge, it
-//! does not pile up.
+//! One epoll event loop ([`crate::reactor`]) owns every socket and
+//! speaks the length-prefixed protocol of [`crate::proto`]; a bounded
+//! [`pol_engine::ThreadPool`] only executes requests. Admission is capped
+//! at `worker_threads + max_pending` requests: one over the cap is
+//! answered with a typed [`Response::Busy`] frame instead of queueing
+//! unboundedly — load sheds at the edge, it does not pile up.
 //!
-//! Graceful shutdown: [`Server::shutdown`] raises a stop flag and pokes
-//! the listener with a loopback connect to unblock `accept`. Connection
-//! workers notice the flag at their next socket read timeout (the
-//! read-timeout interval doubles as the shutdown poll granularity) and
-//! drain; dropping the pool joins them.
+//! Graceful shutdown: [`Server::shutdown`] marks the server draining and
+//! raises a stop flag the loop checks every tick; in-flight and
+//! already-buffered requests are answered, idle connections close, and
+//! the drain deadline bounds the rest.
 
 use crate::mapped::MappedStore;
 use crate::metrics::ServerMetrics;
-use crate::proto::{
-    decode_request, encode_response, write_frame, FrameAccumulator, ProtoError, Request, Response,
-    DEFAULT_MAX_FRAME_BYTES,
-};
-use crate::store::{CacheKey, QueryCache, ShardedStore, StoreBackend};
+use crate::proto::{Request, Response, DEFAULT_MAX_FRAME_BYTES};
+use crate::store::{CacheKey, QueryCache, StoreBackend};
 use parking_lot::{Mutex, RwLock};
 use pol_apps::destination::DestinationPredictor;
 use pol_apps::eta::EtaEstimator;
 use pol_core::codec::{CodecError, SnapshotFormat};
 use pol_core::{Inventory, InventoryQuery};
 use pol_engine::metrics::StageReport;
-use pol_engine::ThreadPool;
 use pol_geo::{BBox, LatLon};
 use pol_hexgrid::cell_at;
 use std::borrow::Cow;
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which serving core drives connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServerCore {
-    /// One pool worker owns each connection for its lifetime — the
-    /// original thread-per-connection core. Simple, but open sockets are
-    /// bounded by the admission cap.
-    Threaded,
-    /// One epoll event loop owns every socket and the pool only executes
-    /// requests ([`crate::reactor`]): tens of thousands of mostly-idle
-    /// connections cost no threads. On platforms without epoll this
-    /// falls back to [`ServerCore::Threaded`] at startup.
-    Reactor,
-}
 
 /// Tunables for [`Server::start`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Which serving core drives connections.
-    pub core: ServerCore,
-    /// Connection worker threads (each owns one connection at a time).
+    /// Request-execution worker threads.
     pub worker_threads: usize,
-    /// Admitted-but-unserved connections tolerated beyond the workers
+    /// Admitted-but-unserved requests tolerated beyond the workers
     /// before new arrivals are shed with [`Response::Busy`].
     pub max_pending: usize,
-    /// Hash shards for the read store.
-    pub shards: usize,
     /// Aggregate-query cache entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Socket read timeout; also the shutdown-flag poll interval.
-    pub read_timeout: Duration,
-    /// Socket write timeout.
+    /// How long a response may sit unflushed (the peer is not reading)
+    /// before the connection is closed.
     pub write_timeout: Duration,
     /// Per-frame size cap, both directions.
     pub max_frame_bytes: usize,
@@ -78,26 +53,22 @@ pub struct ServerConfig {
     /// until the connection goes idle at a frame boundary or this
     /// deadline passes — whichever comes first.
     pub drain_timeout: Duration,
-    /// Open-socket ceiling for the reactor core (the threaded core's
-    /// admission cap bounds its sockets already). Arrivals beyond it get
-    /// a typed [`Response::Busy`] and a close.
+    /// Open-socket ceiling. Arrivals beyond it get a typed
+    /// [`Response::Busy`] and a close.
     pub max_connections: usize,
     /// How long a frame may sit partially assembled before the
     /// connection is closed as stalled. The clock anchors to the frame's
     /// *first* byte, so a slow-loris peer dripping one byte per interval
-    /// cannot keep resetting it. Both cores enforce it.
+    /// cannot keep resetting it.
     pub stall_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            core: ServerCore::Reactor,
             worker_threads: 8,
             max_pending: 64,
-            shards: 8,
             cache_capacity: 256,
-            read_timeout: Duration::from_millis(100),
             write_timeout: Duration::from_secs(5),
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             drain_timeout: Duration::from_secs(2),
@@ -107,10 +78,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// The query-execution core: a store backend (sharded heap or mapped
+/// The query-execution core: a store backend (heap inventory or mapped
 /// columnar), the aggregate cache, and the metrics sink. Shared by every
-/// connection worker; also usable directly (without sockets) for
-/// in-process querying and tests.
+/// request worker; also usable directly (without sockets) for in-process
+/// querying and tests.
 pub struct InventoryService {
     store: StoreBackend,
     cache: Mutex<QueryCache>,
@@ -118,21 +89,14 @@ pub struct InventoryService {
 }
 
 impl InventoryService {
-    /// Builds the service, sharding `inventory` and recording the build
-    /// as a `StageReport` on `metrics`.
+    /// Serves `inventory` as it is, from the heap.
     pub fn new(inventory: Inventory, config: &ServerConfig, metrics: Arc<ServerMetrics>) -> Self {
-        let records = inventory.len() as u64;
-        let started = Instant::now();
-        let store = ShardedStore::new(inventory, config.shards.max(1));
-        metrics.record_stage(StageReport {
-            name: "shard-build".into(),
-            input_records: records,
-            output_records: store.len() as u64,
-            shuffled_records: 0,
-            wall: started.elapsed(),
-        });
+        InventoryService::with_store(StoreBackend::Heap(inventory), config, metrics)
+    }
+
+    fn with_store(store: StoreBackend, config: &ServerConfig, metrics: Arc<ServerMetrics>) -> Self {
         InventoryService {
-            store: StoreBackend::Sharded(store),
+            store,
             cache: Mutex::new(QueryCache::new(config.cache_capacity)),
             metrics,
         }
@@ -141,61 +105,55 @@ impl InventoryService {
     /// Opens a snapshot file behind the right backend, sniffing its
     /// format: a POLINV3 file is memory-mapped zero-copy (validated, not
     /// deserialized — the cold-start win), a POLMAN1 delta-chain
-    /// manifest is loaded base-plus-deltas into the sharded heap store
+    /// manifest is merged base-plus-deltas into a heap inventory
     /// (recording the chain lineage for the `STATS` freshness fields),
-    /// and anything else goes through the full POLINV2 decode into the
-    /// sharded heap store. Every path records its startup cost as a
-    /// `StageReport`.
+    /// and anything else goes through the full POLINV2 decode into a heap
+    /// inventory. Every path records its startup cost as a `StageReport`.
     pub fn open_snapshot(
         path: &Path,
         config: &ServerConfig,
         metrics: Arc<ServerMetrics>,
     ) -> Result<Self, CodecError> {
-        match pol_core::codec::sniff_file(path)? {
-            Some(SnapshotFormat::V3) => {
-                let started = Instant::now();
-                let store = MappedStore::open(path)?;
-                metrics.record_stage(StageReport {
-                    name: "mmap-open".into(),
-                    input_records: store.total_records(),
-                    output_records: store.len() as u64,
-                    shuffled_records: 0,
-                    wall: started.elapsed(),
-                });
-                metrics.set_chain(0, 1);
-                Ok(InventoryService {
-                    store: StoreBackend::Mapped(store),
-                    cache: Mutex::new(QueryCache::new(config.cache_capacity)),
-                    metrics,
-                })
-            }
-            Some(SnapshotFormat::Manifest) => {
-                let started = Instant::now();
-                let (inventory, info) = pol_core::codec::manifest::load_chain(path)?;
-                metrics.record_stage(StageReport {
-                    name: "chain-load".into(),
-                    input_records: info.chain_len,
-                    output_records: inventory.len() as u64,
-                    shuffled_records: 0,
-                    wall: started.elapsed(),
-                });
-                metrics.set_chain(info.generation, info.chain_len);
-                Ok(InventoryService::new(inventory, config, metrics))
-            }
-            _ => {
-                let started = Instant::now();
-                let inventory = pol_core::codec::load(path)?;
-                metrics.record_stage(StageReport {
-                    name: "snapshot-load".into(),
-                    input_records: inventory.total_records(),
-                    output_records: inventory.len() as u64,
-                    shuffled_records: 0,
-                    wall: started.elapsed(),
-                });
-                metrics.set_chain(0, 1);
-                Ok(InventoryService::new(inventory, config, metrics))
-            }
-        }
+        let started = Instant::now();
+        let (store, name, input_records, generation, chain_len) =
+            match pol_core::codec::sniff_file(path)? {
+                Some(SnapshotFormat::V3) => {
+                    let store = MappedStore::open(path)?;
+                    let records = store.total_records();
+                    (StoreBackend::Mapped(store), "mmap-open", records, 0, 1)
+                }
+                Some(SnapshotFormat::Manifest) => {
+                    let (inventory, info) = pol_core::codec::manifest::load_chain(path)?;
+                    let store = StoreBackend::Heap(inventory);
+                    (
+                        store,
+                        "chain-load",
+                        info.chain_len,
+                        info.generation,
+                        info.chain_len,
+                    )
+                }
+                _ => {
+                    let inventory = pol_core::codec::load(path)?;
+                    let records = inventory.total_records();
+                    (
+                        StoreBackend::Heap(inventory),
+                        "snapshot-load",
+                        records,
+                        0,
+                        1,
+                    )
+                }
+            };
+        metrics.record_stage(StageReport {
+            name: name.into(),
+            input_records,
+            output_records: store.len() as u64,
+            shuffled_records: 0,
+            wall: started.elapsed(),
+        });
+        metrics.set_chain(generation, chain_len);
+        Ok(InventoryService::with_store(store, config, metrics))
     }
 
     /// The underlying store backend.
@@ -341,16 +299,18 @@ impl InventoryService {
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
+    loop_handle: Option<JoinHandle<()>>,
     metrics: Arc<ServerMetrics>,
     service: Arc<RwLock<Arc<InventoryService>>>,
     config: ServerConfig,
 }
 
 impl Server {
-    /// Loads `inventory` into a sharded service and starts serving on
-    /// `addr` (use port 0 for an ephemeral port; the bound address is
-    /// available from [`Server::local_addr`]).
+    /// Starts serving `inventory` from the heap on `addr` (use port 0 for
+    /// an ephemeral port; the bound address is available from
+    /// [`Server::local_addr`]). Fails with the underlying `io::Error` when
+    /// the bind or the event loop's epoll/eventfd setup fails, and with
+    /// [`io::ErrorKind::Unsupported`] on platforms without epoll.
     pub fn start<A: ToSocketAddrs>(
         inventory: Inventory,
         addr: A,
@@ -361,10 +321,11 @@ impl Server {
         Server::start_with_service(service, metrics, addr, config)
     }
 
-    /// Starts serving straight off a snapshot file, sniffing its format:
-    /// POLINV3 is memory-mapped zero-copy (validate, don't deserialize),
-    /// POLINV2 is fully decoded into the sharded heap store. This is the
-    /// fast cold-start path `polinv serve` uses.
+    /// Starts serving straight off a snapshot file, sniffing its format
+    /// like [`InventoryService::open_snapshot`]: POLINV3 is memory-mapped
+    /// zero-copy (validate, don't deserialize), anything else is decoded
+    /// into a heap inventory. This is the fast cold-start path
+    /// `polinv serve` uses.
     pub fn start_snapshot<A: ToSocketAddrs>(
         path: &Path,
         addr: A,
@@ -386,31 +347,17 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_metrics = Arc::clone(&metrics);
-        let accept_service = Arc::clone(&service);
-        let accept_handle = thread::Builder::new()
-            .name("pol-serve-accept".into())
-            .spawn(move || match config.core {
-                ServerCore::Reactor => crate::reactor::run(
-                    listener,
-                    accept_service,
-                    config,
-                    accept_stop,
-                    accept_metrics,
-                ),
-                ServerCore::Threaded => accept_loop(
-                    listener,
-                    accept_service,
-                    config,
-                    accept_stop,
-                    accept_metrics,
-                ),
-            })?;
+        let loop_handle = crate::reactor::spawn(
+            listener,
+            Arc::clone(&service),
+            config,
+            Arc::clone(&stop),
+            Arc::clone(&metrics),
+        )?;
         Ok(Server {
             addr: local,
             stop,
-            accept_handle: Some(accept_handle),
+            loop_handle: Some(loop_handle),
             metrics,
             service,
             config,
@@ -428,11 +375,11 @@ impl Server {
     }
 
     /// Hot-swaps the served snapshot for `inventory` without dropping a
-    /// single connection: the new inventory is sharded off to the side,
-    /// then an atomic `Arc` swap makes it the live snapshot. Requests
-    /// already executing finish on the old snapshot (their clone keeps
-    /// it alive); every frame decoded after the swap sees the new one.
-    /// The generation counter in `STATS`/`HEALTH` advances.
+    /// single connection: an atomic `Arc` swap makes it the live
+    /// snapshot. Requests already executing finish on the old snapshot
+    /// (their clone keeps it alive); every frame decoded after the swap
+    /// sees the new one. The generation counter in `STATS`/`HEALTH`
+    /// advances.
     pub fn reload(&self, inventory: Inventory) {
         let fresh = Arc::new(InventoryService::new(
             inventory,
@@ -448,7 +395,7 @@ impl Server {
     /// format like [`Server::start_snapshot`] (a POLINV3 file swaps in a
     /// fresh mapped store; a POLMAN1 manifest merges its base + delta
     /// chain and records the lineage in the `STATS` freshness fields;
-    /// POLINV2 decodes into the heap store). A corrupt, truncated, or
+    /// POLINV2 decodes into a heap inventory). A corrupt, truncated, or
     /// unreadable file — anywhere in a chain — is rejected by the
     /// codec's checksums *before* anything is swapped: the error is
     /// returned, `reloads_failed` advances, and the previous snapshot
@@ -472,13 +419,12 @@ impl Server {
     pub fn shutdown(&mut self) {
         if !self.stop.swap(true, Ordering::Relaxed) {
             // Mark the server draining first so READY flips before the
-            // listener goes away, then unblock the accept() call; the
-            // loop re-checks the flag before handling whatever this
-            // connect delivers.
+            // listener goes away, then poke the listener so the loop sees
+            // the flag now rather than at its next tick.
             self.metrics.set_draining();
-            let _ = TcpStream::connect(self.addr);
+            let _ = std::net::TcpStream::connect(self.addr);
         }
-        if let Some(handle) = self.accept_handle.take() {
+        if let Some(handle) = self.loop_handle.take() {
             let _ = handle.join();
         }
     }
@@ -488,216 +434,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Releases one admission slot when dropped. Holding the decrement in a
-/// `Drop` guard (instead of a statement after `handle_connection`) keeps
-/// the admission count honest even when a connection worker panics — an
-/// injected `serve.worker.kill` fault unwinds through the pool's
-/// `catch_unwind`, and without the guard every kill would leak a slot
-/// until the cap starved the server into rejecting everyone. The
-/// reactor core reuses it per *request* for the same reason: a killed
-/// worker must still release its slot.
-pub(crate) struct AdmitGuard(pub(crate) Arc<AtomicUsize>);
-
-impl Drop for AdmitGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-pub(crate) fn accept_loop(
-    listener: TcpListener,
-    service: Arc<RwLock<Arc<InventoryService>>>,
-    config: ServerConfig,
-    stop: Arc<AtomicBool>,
-    metrics: Arc<ServerMetrics>,
-) {
-    let workers = config.worker_threads.max(1);
-    let pool = ThreadPool::new(workers);
-    let admitted = Arc::new(AtomicUsize::new(0));
-    let admit_cap = workers + config.max_pending;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if admitted.fetch_add(1, Ordering::Relaxed) >= admit_cap {
-            admitted.fetch_sub(1, Ordering::Relaxed);
-            metrics.incr_busy();
-            reject_busy(stream, &config);
-            continue;
-        }
-        let guard = AdmitGuard(Arc::clone(&admitted));
-        metrics.incr_connections();
-        let service = Arc::clone(&service);
-        let conn_stop = Arc::clone(&stop);
-        let conn_metrics = Arc::clone(&metrics);
-        let submitted = pool.execute(move || {
-            let _admitted = guard;
-            handle_connection(stream, &service, &config, &conn_stop, &conn_metrics);
-        });
-        if submitted.is_err() {
-            // Pool shut down underneath us (the rejected closure was
-            // dropped, releasing its guard); stop accepting.
-            break;
-        }
-    }
-    // Dropping the pool joins the workers; they observe the stop flag at
-    // their next read timeout and drain.
-    drop(pool);
-}
-
-pub(crate) fn reject_busy(stream: TcpStream, config: &ServerConfig) {
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let payload = encode_response(&Response::Busy);
-    let _ = write_frame(&mut stream, &payload);
-    let _ = stream.flush();
-}
-
-/// Decrements the open-connection gauge when dropped, so the gauge
-/// stays honest through every exit path including a chaos-killed worker
-/// unwinding.
-struct ConnGauge<'a>(&'a ServerMetrics);
-
-impl Drop for ConnGauge<'_> {
-    fn drop(&mut self) {
-        self.0.conn_closed();
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    service: &RwLock<Arc<InventoryService>>,
-    config: &ServerConfig,
-    stop: &AtomicBool,
-    metrics: &ServerMetrics,
-) {
-    metrics.conn_opened();
-    let _gauge = ConnGauge(metrics);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut acc = FrameAccumulator::new();
-    // Once shutdown is requested the connection does not slam shut: it
-    // keeps serving until it is idle at a frame boundary (a request the
-    // server accepted gets its answer) or the drain deadline passes
-    // (a peer streaming forever cannot hold shutdown hostage).
-    let mut drain_deadline: Option<Instant> = None;
-    // Frame-assembly deadline: anchored to the first byte of the frame
-    // in progress, never refreshed by later drips, so a slow-loris peer
-    // cannot stretch one frame forever (same rule as the reactor core).
-    let mut frame_started: Option<Instant> = None;
-    loop {
-        if stop.load(Ordering::Relaxed) && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + config.drain_timeout);
-        }
-        if drain_deadline.is_some_and(|d| Instant::now() >= d) {
-            break;
-        }
-        if frame_started.is_some_and(|t| t.elapsed() > config.stall_timeout) {
-            break;
-        }
-        if pol_chaos::fire("serve.conn.read_delay") {
-            // An Err action models the transport dying under the reader.
-            break;
-        }
-        match acc.poll(&mut reader, config.max_frame_bytes) {
-            Ok(Some(payload)) => {
-                frame_started = None;
-                // The snapshot is resolved per frame: a hot reload swaps
-                // the Arc between requests, never under one.
-                let snapshot = Arc::clone(&service.read());
-                if !serve_frame(&payload, &snapshot, &mut writer, metrics) {
-                    break;
-                }
-            }
-            Ok(None) => {
-                if frame_started.is_none() && acc.is_partial() {
-                    frame_started = Some(Instant::now());
-                }
-            }
-            Err(ProtoError::Io(e))
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Read timeout: no bytes lost (the accumulator keeps its
-                // partial frame); loop around to poll the stop flag. A
-                // draining connection that hits a timeout with no frame
-                // in progress is idle — safe to close.
-                if frame_started.is_none() && acc.is_partial() {
-                    frame_started = Some(Instant::now());
-                }
-                if drain_deadline.is_some() && !acc.is_partial() {
-                    break;
-                }
-            }
-            Err(ProtoError::FrameTooLarge(n)) => {
-                metrics.incr_malformed();
-                let resp = Response::Error(format!("frame of {n} bytes exceeds cap"));
-                let _ = write_response(&mut writer, &resp);
-                break;
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Decodes, executes, and answers one frame. Returns `false` when the
-/// connection should close (malformed input or a dead peer).
-fn serve_frame<W: Write>(
-    payload: &[u8],
-    service: &InventoryService,
-    writer: &mut W,
-    metrics: &ServerMetrics,
-) -> bool {
-    let started = Instant::now();
-    if pol_chaos::fire("serve.worker.kill") {
-        // Err action: the worker aborts this connection without a reply
-        // (the Kill action panics inside `fire` instead and is contained
-        // by the pool's catch_unwind; either way no locks are held here).
-        return false;
-    }
-    match decode_request(payload) {
-        Ok(req) => {
-            let endpoint = req.endpoint();
-            let resp = service.execute(&req);
-            let ok = write_response(writer, &resp);
-            metrics.record(endpoint, started.elapsed());
-            ok
-        }
-        Err(e) => {
-            // A peer that cannot frame a request correctly gets one typed
-            // error, then the socket: resynchronising a corrupt binary
-            // stream is not worth the attack surface.
-            metrics.incr_malformed();
-            let _ = write_response(writer, &Response::Error(e.to_string()));
-            false
-        }
-    }
-}
-
-fn write_response<W: Write>(writer: &mut W, resp: &Response) -> bool {
-    let payload = encode_response(resp);
-    write_frame(writer, &payload)
-        .and_then(|()| writer.flush())
-        .is_ok()
 }
 
 #[cfg(test)]
@@ -763,12 +499,20 @@ mod tests {
 
     #[test]
     fn stats_request_reports_stage_accounting() {
+        let dir = std::env::temp_dir().join(format!("pol-serve-stage-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("inv.pol");
+        pol_core::codec::save(&empty_inventory(), &path).unwrap();
         let cfg = ServerConfig::default();
-        let metrics = Arc::new(ServerMetrics::new());
-        let svc = InventoryService::new(empty_inventory(), &cfg, Arc::clone(&metrics));
+        let svc =
+            InventoryService::open_snapshot(&path, &cfg, Arc::new(ServerMetrics::new())).unwrap();
         match svc.execute(&Request::Stats) {
-            Response::Stats(report) => assert!(report.stages.contains("shard-build")),
+            Response::Stats(report) => {
+                assert!(report.stages.contains("snapshot-load"));
+                assert_eq!(report.store, "heap");
+            }
             other => panic!("expected stats, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

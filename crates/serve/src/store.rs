@@ -1,168 +1,48 @@
-//! The serving-side read store: a hash-sharded, read-only view of an
-//! [`Inventory`] plus an LRU cache for the expensive aggregate queries.
-//!
-//! Sharding splits the single entry map into `n` smaller maps keyed by a
-//! mix of the cell index. Point lookups touch exactly one shard (smaller
-//! probe footprint, better cache residency under concurrent load);
-//! whole-inventory scans (bbox, top-destination) fan out across shards
-//! and merge. The split is loss-free: every query answers exactly as the
-//! unsharded inventory would, which the loopback integration test
-//! asserts endpoint by endpoint.
+//! The serving-side read store: one enum over the two places an
+//! inventory can be served from — the heap [`Inventory`] the codecs
+//! produce, or a memory-mapped POLINV3 file — plus an LRU cache for the
+//! expensive aggregate queries. Both arms answer every query with the
+//! same bytes, which the loopback integration test asserts endpoint by
+//! endpoint.
 
 use crate::mapped::{MappedCounters, MappedStore};
 use pol_ais::types::MarketSegment;
-use pol_core::features::{CellStats, GroupKey};
+use pol_core::features::CellStats;
 use pol_core::{Inventory, InventoryQuery};
 use pol_geo::BBox;
 use pol_hexgrid::{CellIndex, Resolution};
-use pol_sketch::hash::{mix64, FxHashMap};
+use pol_sketch::hash::FxHashMap;
 use std::borrow::Cow;
 use std::sync::Arc;
-
-/// A read-only inventory split into cell-hash shards.
-pub struct ShardedStore {
-    resolution: Resolution,
-    total_records: u64,
-    entries: usize,
-    shards: Vec<Inventory>,
-}
-
-impl ShardedStore {
-    /// Splits an inventory into `n_shards` (at least 1) hash shards.
-    pub fn new(inventory: Inventory, n_shards: usize) -> ShardedStore {
-        let n = n_shards.max(1);
-        let (resolution, entries, total_records) = inventory.into_entries();
-        let entry_count = entries.len();
-        let mut maps: Vec<FxHashMap<GroupKey, CellStats>> =
-            (0..n).map(|_| FxHashMap::default()).collect();
-        for (key, stats) in entries {
-            let shard = shard_of(key.cell(), n);
-            if let Some(map) = maps.get_mut(shard) {
-                map.insert(key, stats);
-            }
-        }
-        let shards = maps
-            .into_iter()
-            .map(|m| Inventory::from_entries(resolution, m, 0))
-            .collect();
-        ShardedStore {
-            resolution,
-            total_records,
-            entries: entry_count,
-            shards,
-        }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total group-identifier entries across all shards.
-    pub fn len(&self) -> usize {
-        self.entries
-    }
-
-    /// Whether the store holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Records summarised by the underlying inventory.
-    pub fn total_records(&self) -> u64 {
-        self.total_records
-    }
-
-    fn shard_for(&self, cell: CellIndex) -> &Inventory {
-        let idx = shard_of(cell, self.shards.len());
-        // shard_of is always < len; fall back to shard 0 defensively
-        // rather than indexing (this crate is panic-free by lint).
-        self.shards.get(idx).or(self.shards.first()).unwrap_or_else(
-            // lint: allow(no_unwrap) — the constructor guarantees at
-            // least one shard; an empty shard vector is unreachable.
-            || unreachable!("ShardedStore built with zero shards"),
-        )
-    }
-
-    /// Occupied cells whose centre falls inside a bounding box, merged
-    /// across shards and sorted for a canonical reply.
-    pub fn cells_in(&self, bbox: &BBox) -> Vec<CellIndex> {
-        let mut cells: Vec<CellIndex> = self.shards.iter().flat_map(|s| s.cells_in(bbox)).collect();
-        cells.sort_unstable();
-        cells
-    }
-
-    /// Occupied cells whose most frequent destination is `dest`, merged
-    /// across shards and sorted for a canonical reply.
-    pub fn cells_with_top_destination(
-        &self,
-        dest: u16,
-        segment: Option<MarketSegment>,
-    ) -> Vec<CellIndex> {
-        let mut cells: Vec<CellIndex> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.cells_with_top_destination(dest, segment))
-            .collect();
-        cells.sort_unstable();
-        cells
-    }
-}
-
-impl InventoryQuery for ShardedStore {
-    fn resolution(&self) -> Resolution {
-        self.resolution
-    }
-
-    fn summary(&self, cell: CellIndex) -> Option<Cow<'_, CellStats>> {
-        self.shard_for(cell).summary(cell).map(Cow::Borrowed)
-    }
-
-    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Cow<'_, CellStats>> {
-        self.shard_for(cell)
-            .summary_for(cell, segment)
-            .map(Cow::Borrowed)
-    }
-
-    fn summary_route(
-        &self,
-        cell: CellIndex,
-        origin: u16,
-        dest: u16,
-        segment: MarketSegment,
-    ) -> Option<Cow<'_, CellStats>> {
-        self.shard_for(cell)
-            .summary_route(cell, origin, dest, segment)
-            .map(Cow::Borrowed)
-    }
-}
-
-fn shard_of(cell: CellIndex, n: usize) -> usize {
-    (mix64(cell.raw()) % n.max(1) as u64) as usize
-}
 
 // ---------------------------------------------------------------------
 // Backend dispatch
 // ---------------------------------------------------------------------
 
-/// The two read-store implementations a server can serve from: the heap
-/// [`ShardedStore`] (any snapshot, built by full deserialize) and the
-/// zero-copy [`MappedStore`] (POLINV3 snapshots, opened by mmap +
+/// The two read stores a server can serve from: a heap [`Inventory`]
+/// (any snapshot, built by full deserialize or handed over in process)
+/// and the zero-copy [`MappedStore`] (POLINV3 snapshots, opened by mmap +
 /// validation). An enum rather than a trait object because the scan
 /// queries and counters are not part of [`InventoryQuery`], and the
 /// dispatch cost of two arms is nil next to a query.
 pub enum StoreBackend {
-    /// Heap-resident hash shards (POLINV2 fallback / in-process builds).
-    Sharded(ShardedStore),
+    /// Heap-resident inventory (POLINV2, delta chains, in-process builds).
+    Heap(Inventory),
     /// Memory-mapped columnar snapshot (POLINV3).
     Mapped(MappedStore),
+}
+
+/// Sorts a heap scan's cells by raw index — the canonical reply order.
+fn sorted(mut cells: Vec<CellIndex>) -> Vec<CellIndex> {
+    cells.sort_unstable();
+    cells
 }
 
 impl StoreBackend {
     /// A short name for metrics and logs.
     pub fn name(&self) -> &'static str {
         match self {
-            StoreBackend::Sharded(_) => "sharded-heap",
+            StoreBackend::Heap(_) => "heap",
             StoreBackend::Mapped(_) => "mapped-columnar",
         }
     }
@@ -170,7 +50,7 @@ impl StoreBackend {
     /// Total group-identifier entries.
     pub fn len(&self) -> usize {
         match self {
-            StoreBackend::Sharded(s) => s.len(),
+            StoreBackend::Heap(inv) => inv.len(),
             StoreBackend::Mapped(m) => m.len(),
         }
     }
@@ -183,7 +63,7 @@ impl StoreBackend {
     /// Records summarised by the underlying inventory.
     pub fn total_records(&self) -> u64 {
         match self {
-            StoreBackend::Sharded(s) => s.total_records(),
+            StoreBackend::Heap(inv) => inv.total_records(),
             StoreBackend::Mapped(m) => m.total_records(),
         }
     }
@@ -193,7 +73,7 @@ impl StoreBackend {
     /// order.
     pub fn cells_in(&self, bbox: &BBox) -> Vec<CellIndex> {
         match self {
-            StoreBackend::Sharded(s) => s.cells_in(bbox),
+            StoreBackend::Heap(inv) => sorted(inv.cells_in(bbox)),
             StoreBackend::Mapped(m) => m.cells_in(bbox),
         }
     }
@@ -206,7 +86,7 @@ impl StoreBackend {
         segment: Option<MarketSegment>,
     ) -> Vec<CellIndex> {
         match self {
-            StoreBackend::Sharded(s) => s.cells_with_top_destination(dest, segment),
+            StoreBackend::Heap(inv) => sorted(inv.cells_with_top_destination(dest, segment)),
             StoreBackend::Mapped(m) => m.cells_with_top_destination(dest, segment),
         }
     }
@@ -214,7 +94,7 @@ impl StoreBackend {
     /// The mapped store's work counters (`None` for the heap backend).
     pub fn mapped_counters(&self) -> Option<MappedCounters> {
         match self {
-            StoreBackend::Sharded(_) => None,
+            StoreBackend::Heap(_) => None,
             StoreBackend::Mapped(m) => Some(m.counters()),
         }
     }
@@ -223,21 +103,21 @@ impl StoreBackend {
 impl InventoryQuery for StoreBackend {
     fn resolution(&self) -> Resolution {
         match self {
-            StoreBackend::Sharded(s) => InventoryQuery::resolution(s),
+            StoreBackend::Heap(inv) => InventoryQuery::resolution(inv),
             StoreBackend::Mapped(m) => InventoryQuery::resolution(m),
         }
     }
 
     fn summary(&self, cell: CellIndex) -> Option<Cow<'_, CellStats>> {
         match self {
-            StoreBackend::Sharded(s) => s.summary(cell),
+            StoreBackend::Heap(inv) => InventoryQuery::summary(inv, cell),
             StoreBackend::Mapped(m) => m.summary(cell),
         }
     }
 
     fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Cow<'_, CellStats>> {
         match self {
-            StoreBackend::Sharded(s) => s.summary_for(cell, segment),
+            StoreBackend::Heap(inv) => InventoryQuery::summary_for(inv, cell, segment),
             StoreBackend::Mapped(m) => m.summary_for(cell, segment),
         }
     }
@@ -250,7 +130,9 @@ impl InventoryQuery for StoreBackend {
         segment: MarketSegment,
     ) -> Option<Cow<'_, CellStats>> {
         match self {
-            StoreBackend::Sharded(s) => s.summary_route(cell, origin, dest, segment),
+            StoreBackend::Heap(inv) => {
+                InventoryQuery::summary_route(inv, cell, origin, dest, segment)
+            }
             StoreBackend::Mapped(m) => m.summary_route(cell, origin, dest, segment),
         }
     }
@@ -336,95 +218,6 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pol_core::records::{CellPoint, TripPoint};
-    use pol_geo::LatLon;
-    use pol_hexgrid::cell_at;
-
-    fn res() -> Resolution {
-        Resolution::new(6).unwrap()
-    }
-
-    fn sample_inventory(n: usize) -> Inventory {
-        let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
-        for i in 0..n {
-            let pos = LatLon::new(-50.0 + (i % 100) as f64, (i % 160) as f64).unwrap();
-            let cell = cell_at(pos, res());
-            let cp = CellPoint {
-                point: TripPoint {
-                    mmsi: pol_ais::types::Mmsi(1 + (i % 7) as u32),
-                    timestamp: i as i64,
-                    pos,
-                    sog_knots: Some(9.0 + (i % 12) as f64),
-                    cog_deg: Some((i * 31 % 360) as f64),
-                    heading_deg: Some((i * 29 % 360) as f64),
-                    segment: MarketSegment::from_id((i % 6) as u8).unwrap(),
-                    trip_id: (i % 11) as u64,
-                    origin: (i % 5) as u16,
-                    dest: (i % 7) as u16,
-                    eto_secs: i as i64 * 30,
-                    ata_secs: (n - i) as i64 * 30,
-                },
-                cell,
-                next_cell: None,
-            };
-            for key in [
-                GroupKey::Cell(cell),
-                GroupKey::CellType(cell, cp.point.segment),
-                GroupKey::CellRoute(cell, cp.point.origin, cp.point.dest, cp.point.segment),
-            ] {
-                entries
-                    .entry(key)
-                    .or_insert_with(|| CellStats::new(0.02, 8))
-                    .observe(&cp);
-            }
-        }
-        Inventory::from_entries(res(), entries, n as u64)
-    }
-
-    #[test]
-    fn sharding_preserves_every_lookup() {
-        let reference = sample_inventory(400);
-        let store = ShardedStore::new(sample_inventory(400), 8);
-        assert_eq!(store.n_shards(), 8);
-        assert_eq!(store.len(), reference.len());
-        assert_eq!(store.total_records(), reference.total_records());
-        assert_eq!(
-            InventoryQuery::resolution(&store),
-            Inventory::resolution(&reference)
-        );
-        for (key, stats) in reference.iter() {
-            let got = match key {
-                GroupKey::Cell(c) => store.summary(*c),
-                GroupKey::CellType(c, s) => store.summary_for(*c, *s),
-                GroupKey::CellRoute(c, o, d, s) => store.summary_route(*c, *o, *d, *s),
-            };
-            let got = got.unwrap_or_else(|| panic!("missing {key:?}"));
-            assert_eq!(got.records, stats.records);
-            assert_eq!(got.top_destinations(3), stats.top_destinations(3));
-        }
-    }
-
-    #[test]
-    fn scans_match_unsharded_inventory() {
-        let reference = sample_inventory(400);
-        let store = ShardedStore::new(sample_inventory(400), 5);
-        let bbox = BBox::new(-20.0, 10.0, 40.0, 120.0).unwrap();
-        let mut want = reference.cells_in(&bbox);
-        want.sort_unstable();
-        assert_eq!(store.cells_in(&bbox), want);
-        for dest in 0..7u16 {
-            let mut want = reference.cells_with_top_destination(dest, None);
-            want.sort_unstable();
-            assert_eq!(store.cells_with_top_destination(dest, None), want, "{dest}");
-        }
-    }
-
-    #[test]
-    fn single_shard_degenerates_gracefully() {
-        let store = ShardedStore::new(sample_inventory(50), 0); // clamped to 1
-        assert_eq!(store.n_shards(), 1);
-        assert!(!store.is_empty());
-    }
 
     #[test]
     fn cache_hits_and_lru_eviction() {

@@ -8,7 +8,7 @@
 //! disarmed.
 
 use pol_ais::types::{MarketSegment, Mmsi};
-use pol_chaos::{configure, reset, stats, FaultAction, Trigger};
+use pol_chaos::{configure, exclusive, reset, stats, FaultAction, Trigger};
 use pol_core::codec;
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::records::{CellPoint, TripPoint};
@@ -16,9 +16,7 @@ use pol_core::Inventory;
 use pol_geo::LatLon;
 use pol_hexgrid::{cell_at, Resolution};
 use pol_serve::proto::{decode_response, read_frame, write_frame, Request, Response};
-use pol_serve::{
-    Client, ClientConfig, ClientError, ProtoError, RetryPolicy, Server, ServerConfig, ServerCore,
-};
+use pol_serve::{Client, ClientConfig, ClientError, ProtoError, RetryPolicy, Server, ServerConfig};
 use pol_sketch::hash::FxHashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -101,6 +99,7 @@ fn is_retryable_kind(e: &ClientError) -> bool {
 
 #[test]
 fn fleet_survives_kills_delays_and_corrupt_reload() {
+    let _chaos = exclusive();
     const N: usize = 400;
     const FLEET: usize = 4;
     const QUERIES: usize = 60;
@@ -108,7 +107,6 @@ fn fleet_survives_kills_delays_and_corrupt_reload() {
     let reference = Arc::new(sample_inventory(N));
     let config = ServerConfig {
         worker_threads: 4,
-        read_timeout: Duration::from_millis(25),
         drain_timeout: Duration::from_millis(500),
         ..ServerConfig::default()
     };
@@ -118,7 +116,6 @@ fn fleet_survives_kills_delays_and_corrupt_reload() {
     // Arm the chaos: every 40th served frame kills its worker job
     // (contained panic, connection dies without a reply), and reads are
     // randomly delayed. Seeds fixed for a deterministic fault schedule.
-    reset();
     configure(
         "serve.worker.kill",
         Trigger::EveryNth {
@@ -252,17 +249,15 @@ fn fleet_survives_kills_delays_and_corrupt_reload() {
 /// event loop.
 #[test]
 fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
+    let _chaos = exclusive();
     let config = ServerConfig {
-        core: ServerCore::Reactor,
         worker_threads: 1,
         max_pending: 0,
-        read_timeout: Duration::from_millis(25),
         ..ServerConfig::default()
     };
     let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
 
-    reset();
     // The first request to reach a worker sleeps 600 ms, pinning the
     // single admission slot for a deterministic window.
     configure(
@@ -304,7 +299,6 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
     let snap = server.metrics().snapshot();
     assert!(snap.shed_at_loop >= 1, "shed_at_loop never counted");
     assert!(snap.busy_rejections >= 1);
-    reset();
     server.shutdown();
 }
 
@@ -318,17 +312,15 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
 /// exactly the interleaving where the pop-path shed fires.
 #[test]
 fn shed_at_pop_answers_every_pipelined_frame() {
+    let _chaos = exclusive();
     let config = ServerConfig {
-        core: ServerCore::Reactor,
         worker_threads: 1,
         max_pending: 0, // admission cap of exactly one slot
-        read_timeout: Duration::from_millis(25),
         ..ServerConfig::default()
     };
     let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
 
-    reset();
     // After the first request's completion is posted, its worker keeps
     // the only admission slot pinned for 600 ms: the loop pops the
     // pipelined follow-ups into a full cap.
@@ -380,7 +372,6 @@ fn shed_at_pop_answers_every_pipelined_frame() {
 
     let snap = server.metrics().snapshot();
     assert!(snap.shed_at_loop >= 3, "pop-path sheds must be counted");
-    reset();
     server.shutdown();
 }
 
@@ -388,17 +379,16 @@ fn shed_at_pop_answers_every_pipelined_frame() {
 /// server still admits new connections (the `AdmitGuard` contract).
 #[test]
 fn killed_workers_do_not_leak_admission_slots() {
+    let _chaos = exclusive();
     let config = ServerConfig {
         worker_threads: 2,
         max_pending: 1,
-        read_timeout: Duration::from_millis(25),
         drain_timeout: Duration::from_millis(300),
         ..ServerConfig::default()
     };
     let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
 
-    reset();
     configure("serve.worker.kill", Trigger::Always(FaultAction::Kill));
     // Every request meets a kill; with retries exhausted each attempt
     // fails with a transport error. The slots must all be released.

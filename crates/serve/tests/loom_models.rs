@@ -93,7 +93,7 @@ fn hot_reload_never_tears_a_query() {
     });
 }
 
-/// The accept loop's admission slot, released by `AdmitGuard::drop`.
+/// The event loop's admission slot, released by `AdmitGuard::drop`.
 struct AdmitGuard(Arc<AtomicUsize>);
 
 impl Drop for AdmitGuard {
@@ -102,14 +102,14 @@ impl Drop for AdmitGuard {
     }
 }
 
-/// Mirrors `accept_loop`: `admitted.fetch_add` then reject-and-undo
-/// over capacity, otherwise an `AdmitGuard` rides into the worker
-/// closure. One admitted connection's worker is killed mid-job (the
-/// `serve.worker.kill` fault), unwinding through the pool's
+/// Mirrors the reactor's `dispatch`: `admitted.fetch_add` then
+/// reject-and-undo over capacity, otherwise an `AdmitGuard` rides into
+/// the worker closure. One admitted request's worker is killed mid-job
+/// (the `serve.worker.kill` fault), unwinding through the pool's
 /// `catch_unwind`; another races for the remaining capacity. In every
 /// interleaving each admission must be released exactly once — the
-/// counter returns to zero whether a connection was served, rejected,
-/// or killed.
+/// counter returns to zero whether a request was served, rejected, or
+/// killed.
 #[test]
 fn admit_guard_never_leaks_a_slot() {
     loom::model(|| {

@@ -1,6 +1,6 @@
 //! End-to-end loopback tests: a real server on an ephemeral port, driven
 //! by concurrent clients, with every response checked against the answer
-//! computed directly on the unsharded `Inventory`. Also covers the
+//! computed directly on the `Inventory`. Also covers the
 //! operational contracts: backpressure (`Busy`), malformed-frame
 //! rejection, frame-size caps, and clean shutdown with clients attached.
 
@@ -14,7 +14,7 @@ use pol_core::Inventory;
 use pol_geo::{BBox, LatLon};
 use pol_hexgrid::{cell_at, CellIndex, Resolution};
 use pol_serve::proto::{read_frame, write_frame, ProtoError, Request, Response, PROTO_VERSION};
-use pol_serve::{Client, ClientError, Server, ServerConfig, ServerCore};
+use pol_serve::{Client, ClientError, Server, ServerConfig};
 use pol_sketch::hash::FxHashMap;
 use std::io::Write;
 use std::net::TcpStream;
@@ -76,7 +76,6 @@ fn stats_bytes(stats: Option<&CellStats>) -> Option<Vec<u8>> {
 fn test_config() -> ServerConfig {
     ServerConfig {
         worker_threads: 6,
-        read_timeout: Duration::from_millis(25),
         ..ServerConfig::default()
     }
 }
@@ -188,56 +187,64 @@ fn concurrent_responses_equal_direct_inventory_queries() {
     server.shutdown();
 }
 
-/// The `STATS` endpoint reflects traffic and the shard-build stage.
+/// The `STATS` endpoint reflects traffic and the snapshot-load stage.
 #[test]
 fn stats_endpoint_reports_counters_and_stages() {
-    let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", test_config()).unwrap();
+    let dir = std::env::temp_dir().join(format!("pol-serve-stats-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("inv.pol");
+    pol_core::codec::save(&sample_inventory(50), &path).unwrap();
+    let mut server = Server::start_snapshot(&path, "127.0.0.1:0", test_config()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.ping().unwrap();
     client.point_summary(10.0, 10.0).unwrap();
     let report = client.stats().unwrap();
     assert!(report.total_requests >= 2);
     assert_eq!(report.connections, 1);
-    assert!(report.stages.contains("shard-build"));
+    assert!(report.stages.contains("snapshot-load"));
     assert!(report
         .endpoints
         .iter()
         .any(|e| e.endpoint == pol_serve::Endpoint::PointSummary && e.count == 1));
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Connections beyond `worker_threads + max_pending` are shed with a
-/// typed `Busy` frame instead of queueing. Pinned to the threaded core,
-/// whose admission is per *connection* (a second attached connection is
-/// over the cap even while idle); the reactor core admits per request —
-/// its shedding is covered by the chaos suite's
-/// `reactor_sheds_at_the_loop_and_keeps_the_connection`.
+/// The one connection-level shed: an arrival over `max_connections` gets
+/// a typed `Busy` frame and a close, the connection already attached
+/// keeps answering, and the slot frees when it leaves. (Per-*request*
+/// shedding is covered by the chaos suite's
+/// `reactor_sheds_at_the_loop_and_keeps_the_connection`.)
 #[test]
-fn overload_is_rejected_with_busy() {
+fn connections_over_the_ceiling_are_rejected_with_busy() {
     let config = ServerConfig {
-        core: ServerCore::Threaded,
-        worker_threads: 1,
-        max_pending: 0,
-        read_timeout: Duration::from_millis(25),
-        ..ServerConfig::default()
+        max_connections: 1,
+        ..test_config()
     };
     let mut server = Server::start(sample_inventory(20), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
 
     let mut first = Client::connect(addr).unwrap();
-    first.ping().unwrap(); // guarantees the admission is registered
+    first.ping().unwrap(); // guarantees the connection is registered
     let mut second = Client::connect(addr).unwrap();
     match second.ping() {
         Err(ClientError::ServerBusy) => {}
         other => panic!("expected ServerBusy, got {other:?}"),
     }
     // The client retries Busy on fresh connections before giving up, so
-    // every attempt lands one rejection.
-    assert!(server.metrics().snapshot().busy_rejections >= 1);
+    // every attempt lands one rejection — none of them at the loop.
+    let snap = server.metrics().snapshot();
+    assert!(snap.busy_rejections >= 1);
+    assert_eq!(snap.shed_at_loop, 0);
+    first.ping().unwrap();
 
     // Releasing the first connection frees the slot for a new client.
     drop(first);
-    std::thread::sleep(Duration::from_millis(150));
+    let metrics = server.metrics();
+    let deadline = Instant::now() + Duration::from_secs(3);
+    while metrics.open_connections() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let mut third = Client::connect(addr).unwrap();
     third.ping().unwrap();
     server.shutdown();
@@ -326,7 +333,6 @@ fn fragmented_request_is_reassembled() {
 fn shutdown_drains_in_flight_requests() {
     let config = ServerConfig {
         worker_threads: 2,
-        read_timeout: Duration::from_millis(25),
         drain_timeout: Duration::from_secs(2),
         ..ServerConfig::default()
     };
@@ -508,7 +514,7 @@ fn mmap_snapshot_server_equals_heap_server() {
     assert!(report.mapped_scan_entries > 0);
     assert!(report.stages.contains("mmap-open"));
     let report = on_heap.stats().unwrap();
-    assert_eq!(report.store, "sharded-heap");
+    assert_eq!(report.store, "heap");
     assert_eq!(report.mapped_lookups, 0);
 
     heap_server.shutdown();
@@ -516,7 +522,7 @@ fn mmap_snapshot_server_equals_heap_server() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A protocol-v3 batch frame answers exactly like the same requests sent
+/// A batch frame answers exactly like the same requests sent
 /// one frame at a time, children are accounted separately from frames,
 /// and oversized batches are refused client-side.
 #[test]
@@ -662,46 +668,39 @@ fn pipelined_responses_survive_a_lazy_reader() {
 /// A slow-loris peer — one that declares a frame and then drips bytes
 /// forever — is cut off by the frame-assembly deadline (anchored to the
 /// frame's first byte, so the drip cannot keep resetting it) without
-/// ever stalling the other clients. Both cores enforce the same rule.
+/// ever stalling the other clients.
 #[test]
 fn slow_loris_is_cut_off_without_stalling_others() {
-    for core in [ServerCore::Reactor, ServerCore::Threaded] {
-        let config = ServerConfig {
-            core,
-            stall_timeout: Duration::from_millis(300),
-            read_timeout: Duration::from_millis(25),
-            ..ServerConfig::default()
-        };
-        let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
-        let addr = server.local_addr();
+    let config = ServerConfig {
+        stall_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
 
-        // The loris declares a 100-byte frame, then feeds it one byte at
-        // a time — each drip inside the read timeout, the whole frame
-        // far beyond the stall deadline.
-        let mut loris = TcpStream::connect(addr).unwrap();
-        loris.set_nodelay(true).unwrap();
-        loris.write_all(&(100u32).to_le_bytes()).unwrap();
-        loris.flush().unwrap();
+    // The loris declares a 100-byte frame, then feeds it one byte at a
+    // time — each drip prompt, the whole frame far beyond the stall
+    // deadline.
+    let mut loris = TcpStream::connect(addr).unwrap();
+    loris.set_nodelay(true).unwrap();
+    loris.write_all(&(100u32).to_le_bytes()).unwrap();
+    loris.flush().unwrap();
 
-        let mut healthy = Client::connect(addr).unwrap();
-        let started = Instant::now();
-        let mut cut_off = false;
-        while started.elapsed() < Duration::from_secs(5) {
-            // Other clients are served the whole time.
-            healthy.ping().unwrap();
-            if loris.write_all(&[0]).and_then(|()| loris.flush()).is_err() {
-                cut_off = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(30));
-        }
-        assert!(
-            cut_off,
-            "{core:?}: slow-loris connection evaded the stall deadline"
-        );
+    let mut healthy = Client::connect(addr).unwrap();
+    let started = Instant::now();
+    let mut cut_off = false;
+    while started.elapsed() < Duration::from_secs(5) {
+        // Other clients are served the whole time.
         healthy.ping().unwrap();
-        server.shutdown();
+        if loris.write_all(&[0]).and_then(|()| loris.flush()).is_err() {
+            cut_off = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(30));
     }
+    assert!(cut_off, "slow-loris connection evaded the stall deadline");
+    healthy.ping().unwrap();
+    server.shutdown();
 }
 
 /// `CellIndex::from_raw` accepts every index a bbox scan returns (the

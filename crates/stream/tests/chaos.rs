@@ -6,14 +6,14 @@
 //! (intact, fully verifiable) or the new one, and a crash at any
 //! failpoint recovers byte-identically.
 //!
-//! Failpoint configuration is process-global, so every test takes the
-//! [`GATE`] mutex for its whole body.
+//! Failpoint configuration is process-global, so every test holds
+//! [`pol_chaos::exclusive`] for its whole body.
 
 #![cfg(feature = "chaos")]
 
 use pol_ais::types::{MarketSegment, Mmsi, NavStatus};
 use pol_ais::PositionReport;
-use pol_chaos::{configure, remove, stats, FaultAction, Trigger};
+use pol_chaos::{configure, exclusive, remove, stats, FaultAction, Trigger};
 use pol_core::codec::{columnar, manifest};
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::records::{CellPoint, PortSite, TripPoint};
@@ -30,10 +30,6 @@ use pol_stream::{
     WalReader, WalWriter, WindowSpec, CHECKPOINT_NAME,
 };
 use std::path::Path;
-use std::sync::Mutex;
-
-/// Serializes every test in this binary: failpoints are global state.
-static GATE: Mutex<()> = Mutex::new(());
 
 fn window_inventory(n: usize, salt: u64) -> Inventory {
     let res = Resolution::new(6).unwrap();
@@ -89,7 +85,7 @@ fn fresh_dir(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn injected_snapshot_write_failure_keeps_old_chain_loadable() {
-    let _gate = GATE.lock().unwrap();
+    let _chaos = exclusive();
     let dir = fresh_dir("pol-stream-chaos-write");
     let mut publisher = DeltaPublisher::create(&dir);
     publisher.publish(&window_inventory(40, 0)).unwrap();
@@ -115,7 +111,7 @@ fn injected_snapshot_write_failure_keeps_old_chain_loadable() {
 
 #[test]
 fn injected_manifest_failure_leaves_orphan_but_valid_old_chain() {
-    let _gate = GATE.lock().unwrap();
+    let _chaos = exclusive();
     let dir = fresh_dir("pol-stream-chaos-manifest");
     let mut publisher = DeltaPublisher::create(&dir);
     publisher.publish(&window_inventory(40, 0)).unwrap();
@@ -147,7 +143,7 @@ fn injected_manifest_failure_leaves_orphan_but_valid_old_chain() {
 
 #[test]
 fn injected_rename_failure_never_blesses_a_torn_manifest() {
-    let _gate = GATE.lock().unwrap();
+    let _chaos = exclusive();
     let dir = fresh_dir("pol-stream-chaos-rename");
     let mut publisher = DeltaPublisher::create(&dir);
     publisher.publish(&window_inventory(40, 0)).unwrap();
@@ -189,7 +185,7 @@ fn wire_report(mmsi: u32, ts: i64) -> PositionReport {
 
 #[test]
 fn wal_append_write_fault_preserves_the_pending_frame() {
-    let _gate = GATE.lock().unwrap();
+    let _chaos = exclusive();
     let dir = fresh_dir("pol-stream-chaos-wal-append");
     let cfg = WalConfig {
         batch_records: 8,
@@ -217,7 +213,7 @@ fn wal_append_write_fault_preserves_the_pending_frame() {
 
 #[test]
 fn wal_sync_fault_surfaces_and_the_retry_makes_records_durable() {
-    let _gate = GATE.lock().unwrap();
+    let _chaos = exclusive();
     let dir = fresh_dir("pol-stream-chaos-wal-sync");
     let cfg = WalConfig {
         batch_records: 4,
@@ -244,7 +240,7 @@ fn wal_sync_fault_surfaces_and_the_retry_makes_records_durable() {
 
 #[test]
 fn wal_seal_fault_poisons_rotation_but_recovery_heals_the_tail() {
-    let _gate = GATE.lock().unwrap();
+    let _chaos = exclusive();
     let dir = fresh_dir("pol-stream-chaos-wal-seal");
     let cfg = WalConfig {
         batch_records: 4,
@@ -293,7 +289,7 @@ fn wal_seal_fault_poisons_rotation_but_recovery_heals_the_tail() {
 
 #[test]
 fn checkpoint_save_fault_keeps_the_previous_checkpoint() {
-    let _gate = GATE.lock().unwrap();
+    let _chaos = exclusive();
     let dir = fresh_dir("pol-stream-chaos-ckpt");
     let statics = vec![pol_ais::StaticReport {
         mmsi: Mmsi(200_000_001),
@@ -340,7 +336,7 @@ fn checkpoint_save_fault_keeps_the_previous_checkpoint() {
 /// counters, and every chain file.
 #[test]
 fn crash_at_every_failpoint_reconverges_byte_identically() {
-    let _gate = GATE.lock().unwrap();
+    let _chaos = exclusive();
     let scenario = ScenarioConfig::tiny();
     let ds = generate(&scenario);
     let pipeline = pol_core::PipelineConfig::default();
