@@ -182,9 +182,13 @@ run_gate() {
   # seconds on a seed the committed numbers do not use. Its last line is
   # the machine-readable result.
   bench_result=$(bash benchmark/run.sh --workload batch_build --seed 2 --seconds 2 --trace 1 | tail -n 1)
+  # One metric's value out of the result line (empty when absent).
+  bench_row() {
+    grep -oE "\"$1\": \{\"value\": [0-9.e-]+" <<<"$bench_result" | sed 's/.*: //' || true
+  }
   # Echoed before the checks: a stolen CPU tells a throttled box from a
   # real failure when the stage goes red.
-  bench_steal=$(grep -oE '"proc.steal_share": \{"value": [0-9.e-]+' <<<"$bench_result" | sed 's/.*: //' || true)
+  bench_steal=$(bench_row proc.steal_share)
   echo "bench-smoke: proc.steal_share=${bench_steal:-missing}"
   for want in '"correct": true,' '"failed": 0,' '"ais.decode_failures": {"value": 0,'; do
     if ! grep -qF -- "$want" <<<"$bench_result"; then
@@ -193,6 +197,27 @@ run_gate() {
     fi
   done
   echo "bench-smoke: $(grep -oE '"attempted": [0-9]+' <<<"$bench_result") checks passed"
+
+  echo "==> bench-smoke (polbench serve_lookup, traced: every reply byte-checked, lookups never leave the loop)"
+  # The read side, same terms: the server child answers point, segment
+  # and route summaries on its event loop, so nothing is shed and next
+  # to no request wakes the loop through the eventfd. The wakeup row is
+  # a ratio of two STATS counters: it does not depend on the box's mood.
+  bench_result=$(bash benchmark/run.sh --workload serve_lookup --seed 2 --seconds 2 --trace 1 | tail -n 1)
+  bench_steal=$(bench_row proc.steal_share)
+  echo "bench-smoke: proc.steal_share=${bench_steal:-missing}"
+  for want in '"correct": true,' '"failed": 0,' '"serve.busy": {"value": 0,' '"serve.shed_at_loop": {"value": 0,'; do
+    if ! grep -qF -- "$want" <<<"$bench_result"; then
+      echo "ci: bench-smoke result lacks $want" >&2
+      exit 1
+    fi
+  done
+  bench_wakeups=$(bench_row serve.wakeups_per_request)
+  if ! awk -v w="${bench_wakeups:-1}" 'BEGIN { exit !(w < 0.05) }'; then
+    echo "ci: bench-smoke serve.wakeups_per_request=${bench_wakeups:-missing}, want < 0.05" >&2
+    exit 1
+  fi
+  echo "bench-smoke: $(grep -oE '"attempted": [0-9]+' <<<"$bench_result") replies checked, serve.wakeups_per_request=$bench_wakeups"
 
   echo "==> chaos smoke (fault-injected persistence + serving + journaling)"
   cargo test -q -p pol-core --features chaos --test codec_chaos

@@ -18,9 +18,12 @@
 //! lets one frame carry many lookups.
 //!
 //! One serving core: the epoll-based [`reactor`] — one event loop owning
-//! every nonblocking socket, per-connection frame state machines
-//! ([`conn::ConnState`]), and a worker pool that only executes requests,
-//! so tens of thousands of mostly-idle connections cost no threads.
+//! every nonblocking socket and per-connection frame state machines
+//! ([`conn::ConnState`]), so tens of thousands of mostly-idle
+//! connections cost no threads. The loop answers the constant-time
+//! requests itself (a point lookup costs a point lookup, and its reply
+//! is the snapshot's stored bytes); scans, estimators and batches run on
+//! a bounded worker pool that never touches a socket.
 //!
 //! Operational posture: bounded worker pool with typed
 //! [`proto::Response::Busy`] backpressure instead of unbounded queueing

@@ -32,7 +32,7 @@ use pol_core::codec::columnar::{
     TopDestReader, TOP_DEST_ALL_SEGMENTS,
 };
 use pol_core::codec::CodecError;
-use pol_core::features::CellStats;
+use pol_core::features::{CellStats, GroupKey};
 use pol_core::InventoryQuery;
 use pol_geo::{BBox, LatLon};
 use pol_hexgrid::{CellIndex, Resolution};
@@ -113,11 +113,28 @@ impl MappedStore {
         SectionReader::new(self.file.bytes(), span)
     }
 
-    /// One binary-searched point lookup + on-demand stats decode.
-    fn lookup(&self, span: &GroupSpan, key: &[u8]) -> Option<CellStats> {
+    /// One binary-searched point lookup in the section `key` belongs
+    /// to: the section and the entry's index in it.
+    fn find(&self, key: &GroupKey) -> Option<(SectionReader<'_>, usize)> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let reader = self.reader(span)?;
-        let i = reader.find(key)?;
+        let in_section = |span: &GroupSpan, key: &[u8]| {
+            let reader = self.reader(span)?;
+            let i = reader.find(key)?;
+            Some((reader, i))
+        };
+        let layout = &self.layout;
+        match *key {
+            GroupKey::Cell(c) => in_section(&layout.cell, &cell_key(c)),
+            GroupKey::CellType(c, seg) => in_section(&layout.cell_type, &cell_type_key(c, seg)),
+            GroupKey::CellRoute(c, origin, dest, seg) => {
+                in_section(&layout.cell_route, &cell_route_key(c, origin, dest, seg))
+            }
+        }
+    }
+
+    /// The summary stored at `key`, decoded on demand.
+    pub fn get(&self, key: &GroupKey) -> Option<CellStats> {
+        let (reader, i) = self.find(key)?;
         let stats = reader.decode_stats(i);
         if stats.is_none() {
             // CRC-validated bytes that fail to decode mean an encoder
@@ -125,6 +142,15 @@ impl MappedStore {
             self.decode_errors.fetch_add(1, Ordering::Relaxed);
         }
         stats
+    }
+
+    /// The summary stored at `key` as the file holds it: the canonical
+    /// `encode_cell_stats` bytes, CRC-verified when the file was opened,
+    /// borrowed from the mapping. What a summary reply carries on the
+    /// wire, so serving one decodes nothing.
+    pub fn stats_bytes(&self, key: &GroupKey) -> Option<&[u8]> {
+        let (reader, i) = self.find(key)?;
+        reader.stats_bytes(i)
     }
 
     /// Occupied cells whose centre falls inside a bounding box, sorted
@@ -189,13 +215,11 @@ impl InventoryQuery for MappedStore {
     }
 
     fn summary(&self, cell: CellIndex) -> Option<Cow<'_, CellStats>> {
-        self.lookup(&self.layout.cell, &cell_key(cell))
-            .map(Cow::Owned)
+        self.get(&GroupKey::Cell(cell)).map(Cow::Owned)
     }
 
     fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Cow<'_, CellStats>> {
-        self.lookup(&self.layout.cell_type, &cell_type_key(cell, segment))
-            .map(Cow::Owned)
+        self.get(&GroupKey::CellType(cell, segment)).map(Cow::Owned)
     }
 
     fn summary_route(
@@ -205,10 +229,7 @@ impl InventoryQuery for MappedStore {
         dest: u16,
         segment: MarketSegment,
     ) -> Option<Cow<'_, CellStats>> {
-        self.lookup(
-            &self.layout.cell_route,
-            &cell_route_key(cell, origin, dest, segment),
-        )
-        .map(Cow::Owned)
+        self.get(&GroupKey::CellRoute(cell, origin, dest, segment))
+            .map(Cow::Owned)
     }
 }

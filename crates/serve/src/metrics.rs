@@ -4,7 +4,11 @@
 //! Latency is tracked per endpoint in a fixed-width
 //! [`pol_sketch::Histogram`] over microseconds (the same machinery the
 //! inventory uses for its 30°-bin course histograms), with a
-//! [`pol_sketch::Welford`] alongside for exact max. Startup work (snapshot
+//! [`pol_sketch::Welford`] alongside for exact max. A request's clock
+//! runs from the read that completed its frame on the event loop to its
+//! reply reaching the connection's write buffer, so time spent queued
+//! behind the connection's earlier frames, on the pool's queue and in
+//! the completion hand-off is in the number, whichever side ran it. Startup work (snapshot
 //! open or load) is accounted as [`pol_engine::metrics::StageReport`]s in
 //! a [`JobMetrics`], so `STATS` shows the server's build stages in the
 //! same rendering as a pipeline run.
@@ -359,7 +363,8 @@ impl ServerMetrics {
         }
     }
 
-    /// Accounts one served request.
+    /// Accounts one served request; `wall` is frame-complete to
+    /// reply-buffered (see the module docs).
     pub fn record(&self, endpoint: Endpoint, wall: Duration) {
         if let Some(slot) = self.slots.get(endpoint.id() as usize) {
             slot.count.fetch_add(1, Ordering::Relaxed);

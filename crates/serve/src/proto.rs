@@ -214,6 +214,31 @@ impl Request {
             Request::Batch(children) => children.iter().all(Request::is_idempotent),
         }
     }
+
+    /// Whether the event loop answers this request itself instead of
+    /// handing it to the worker pool: the kinds whose cost is constant
+    /// and small next to a pool hop (one hash or binary-search lookup,
+    /// or no lookup at all). A property of the request kind alone —
+    /// never of a size, a timer or a setting — and exhaustive on
+    /// purpose: a new endpoint has to say which side it runs on.
+    pub fn runs_on_loop(&self) -> bool {
+        match self {
+            Request::Ping
+            | Request::Health
+            | Request::Ready
+            | Request::PointSummary { .. }
+            | Request::SegmentSummary { .. }
+            | Request::RouteSummary { .. } => true,
+            // Scans, estimators, STATS (histogram locks + a rendered
+            // report) and batches of anything cost what their input says.
+            Request::BboxScan { .. }
+            | Request::TopDestinationCells { .. }
+            | Request::Eta { .. }
+            | Request::PredictDestination { .. }
+            | Request::Stats
+            | Request::Batch(_) => false,
+        }
+    }
 }
 
 /// A reply to one [`Request`].
@@ -256,6 +281,16 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = payload.len() as u32;
     w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)
+}
+
+/// The payload length a frame header declares; an empty frame or one
+/// over the cap is refused here, before its body is allocated or awaited.
+fn frame_len(header: [u8; 4], max_bytes: usize) -> Result<usize, ProtoError> {
+    let len = u32::from_le_bytes(header) as usize;
+    if len == 0 || len > max_bytes {
+        return Err(ProtoError::FrameTooLarge(len));
+    }
+    Ok(len)
 }
 
 /// Incremental frame reader that survives short reads and read timeouts.
@@ -303,10 +338,7 @@ impl FrameAccumulator {
                 }
                 self.filled += n;
                 if self.filled == 4 {
-                    let len = u32::from_le_bytes(self.header) as usize;
-                    if len == 0 || len > max_bytes {
-                        return Err(ProtoError::FrameTooLarge(len));
-                    }
+                    let len = frame_len(self.header, max_bytes)?;
                     self.body = vec![0; len];
                     self.body_len = Some(len);
                     self.filled = 0;
@@ -329,6 +361,26 @@ impl FrameAccumulator {
             }
         }
     }
+}
+
+/// Splits the first complete frame off the front of `buf` and returns
+/// its payload, advancing `buf` past it; `None` (and `buf` untouched)
+/// while the header or the body is still short. The declared length is
+/// checked as soon as its four bytes are there, as
+/// [`FrameAccumulator::poll`] does one `read` at a time.
+pub fn split_frame<'a>(
+    buf: &mut &'a [u8],
+    max_bytes: usize,
+) -> Result<Option<&'a [u8]>, ProtoError> {
+    let Some((header, rest)) = buf.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = frame_len(*header, max_bytes)?;
+    let Some((payload, after)) = rest.split_at_checked(len) else {
+        return Ok(None);
+    };
+    *buf = after;
+    Ok(Some(payload))
 }
 
 /// Blocking convenience: reads one full frame (clients; no timeouts).
@@ -706,8 +758,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 }
 
 /// Writes a response's tag + body (no version byte) — shared between the
-/// top-level payload codec and the per-child encoding inside a batch.
-fn encode_response_body(resp: &Response, out: &mut Vec<u8>) {
+/// top-level payload codec, the per-child encoding inside a batch, and
+/// [`crate::server::InventoryService::execute_into`].
+pub(crate) fn encode_response_body(resp: &Response, out: &mut Vec<u8>) {
     match resp {
         Response::Pong => out.push(RESP_PONG),
         Response::Summary(stats) => {

@@ -1,24 +1,44 @@
 //! `serve::reactor` — the std-only epoll event-driven server core.
 //!
 //! One reactor thread owns every socket. `epoll_wait` reports readiness;
-//! the loop accepts nonblocking connections, feeds readable sockets
-//! through their [`ConnState`] frame machines, and hands every decoded
-//! request to the bounded worker pool. Workers never touch sockets: they
-//! execute the query against a per-frame-pinned snapshot, then push the
-//! encoded response onto a completion queue and ring an `eventfd` — the
-//! loop wakes, moves the bytes into the connection's write buffer, and
-//! flushes with `EPOLLOUT` re-arming, so a peer that stops reading slows
-//! only itself.
+//! the loop accepts nonblocking connections, takes one `read` per
+//! readable socket into a buffer it owns, and slices the complete
+//! frames out of it through the connection's [`ConnState`]. What happens
+//! to a frame depends on its request kind alone
+//! ([`Request::runs_on_loop`]):
+//!
+//! * a constant-time request (`PING`, `HEALTH`, `READY`, the three
+//!   summary lookups) on a connection with nothing ahead of it is
+//!   decoded, executed against the snapshot pinned for that frame and
+//!   encoded into the connection's write buffer right there — no pool,
+//!   no admission slot, no completion queue, no `eventfd`;
+//! * everything else (scans, estimators, `STATS`, batches) goes to the
+//!   bounded worker pool. Workers never touch sockets: they execute
+//!   against a per-frame-pinned snapshot, push the encoded response onto
+//!   a completion queue and ring an `eventfd` — the loop wakes and moves
+//!   the bytes into the connection's write buffer.
+//!
+//! The protocol has no request ids, so replies leave in request order: a
+//! connection has at most one request on the pool, every frame that
+//! arrives behind it (of either kind) waits in the connection's pending
+//! queue, and when the completion comes back the loop runs the queued
+//! loop-kind frames on the spot and stops at the first one it hands to
+//! the pool. The write buffer is flushed once per burst read and once
+//! per completion, with `EPOLLOUT` re-arming, so a peer that stops
+//! reading slows only itself.
 //!
 //! Backpressure is load-shedding *at the loop*: before a request is
-//! enqueued the loop takes an admission slot (`worker_threads +
-//! max_pending` of them exist); when the slots are gone the request is
-//! answered with an immediate typed `Busy` frame and never queued.
+//! handed to the pool the loop takes an admission slot (there are
+//! `worker_threads + max_pending` of them); when the slots are gone the
+//! request is answered with an immediate typed `Busy` frame and never
+//! queued.
 //! [`AdmitGuard`] releases the slot on drop, so a worker killed
 //! mid-request (the `serve.worker.kill` chaos fault) cannot leak one, and
 //! the `CompletionGuard` below pushes a close-the-connection completion
 //! from its own drop, so a killed request cannot wedge its connection
-//! either.
+//! either. A request the loop runs itself sits under `catch_unwind` with
+//! the same outcome — no reply, that connection closed — so neither a
+//! fault nor a bug in a query can take the loop thread down.
 //!
 //! Shutdown ordering: `READY` flips (the `Server` marks draining before
 //! raising the stop flag), the loop drops the listener, in-flight and
@@ -33,18 +53,19 @@
 
 #![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 
-use crate::conn::{ConnState, ReadEvent};
-use crate::metrics::ServerMetrics;
-use crate::proto::{decode_request, encode_response, Response};
+use crate::conn::{ConnState, PendingFrame, ReadEvent, READ_SCRATCH_BYTES};
+use crate::metrics::{Endpoint, ServerMetrics};
+use crate::proto::{decode_request, encode_response, Request, Response};
 use crate::server::{InventoryService, ServerConfig};
 use parking_lot::{Mutex, RwLock};
 use pol_engine::ThreadPool;
 use std::io;
 use std::net::TcpListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The loop's `epoll_wait` timeout and sweep period: how soon an idle
 /// loop notices the stop flag, a stalled frame or a stuck writer.
@@ -91,15 +112,23 @@ impl Drop for AdmitGuard {
     }
 }
 
-/// One finished request, handed from a worker back to the loop.
+/// One finished pool request, handed from a worker back to the loop.
 struct Completion {
     /// Which connection asked.
     token: u64,
-    /// Encoded response payload; `None` aborts the connection without a
-    /// reply (a killed worker).
-    reply: Option<Vec<u8>>,
-    /// Close once the reply has flushed (malformed peer).
-    close_after: bool,
+    /// The answer; `None` aborts the connection without a reply (a
+    /// killed worker).
+    served: Option<Served>,
+}
+
+/// A pool request's answer and what the loop needs to account it.
+struct Served {
+    /// Encoded response payload.
+    reply: Vec<u8>,
+    /// The endpoint the request is accounted under.
+    endpoint: Endpoint,
+    /// When the request's frame completed on the loop.
+    completed: Instant,
 }
 
 /// State shared between the loop and the pool workers.
@@ -122,46 +151,43 @@ impl LoopShared {
 }
 
 /// Guarantees the loop hears about every dispatched request exactly
-/// once. Constructed at the top of the worker job with an empty reply;
-/// on a normal return the job has filled in the outcome, and on a panic
-/// (the `serve.worker.kill` chaos fault unwinding through the pool's
+/// once. Constructed at the top of the worker job with no answer; on a
+/// normal return the job has filled it in, and on a panic (the
+/// `serve.worker.kill` chaos fault unwinding through the pool's
 /// `catch_unwind`) the drop still runs and the default outcome —
 /// no reply, close the connection — reaches the loop, so an in-flight
 /// marker can never wedge a connection.
 struct CompletionGuard {
     shared: Arc<LoopShared>,
     token: u64,
-    reply: Option<Vec<u8>>,
-    close_after: bool,
+    served: Option<Served>,
 }
 
 impl Drop for CompletionGuard {
     fn drop(&mut self) {
         self.shared.complete(Completion {
             token: self.token,
-            reply: self.reply.take(),
-            close_after: self.close_after,
+            served: self.served.take(),
         });
     }
 }
 
-/// The worker-side of one request: decode, execute against a pinned
-/// snapshot, encode — never touching a socket: chaos kill point before
-/// decode, one typed error then close for malformed frames, per-frame
-/// snapshot pinning for hot-reload atomicity.
+/// The worker-side of one pool request: execute against a pinned
+/// snapshot and encode — never touching a socket. The loop decoded the
+/// frame (it had to, to know the request's kind); the chaos kill point
+/// comes first, and the snapshot is pinned per frame for hot-reload
+/// atomicity.
 fn execute_job(
-    payload: Vec<u8>,
+    req: Request,
+    completed: Instant,
     token: u64,
     service: &RwLock<Arc<InventoryService>>,
-    metrics: &ServerMetrics,
     shared: Arc<LoopShared>,
 ) {
-    let started = std::time::Instant::now();
     let mut done = CompletionGuard {
         shared,
         token,
-        reply: None,
-        close_after: true,
+        served: None,
     };
     if pol_chaos::fire("serve.worker.kill") {
         // Err action: abort this connection without a reply (the Kill
@@ -169,25 +195,173 @@ fn execute_job(
         // catch_unwind; either way the guard reports the abort).
         return;
     }
-    match decode_request(&payload) {
-        Ok(req) => {
-            let endpoint = req.endpoint();
-            // The snapshot is resolved per frame: a hot reload swaps the
-            // Arc between requests, never under one.
-            let snapshot = Arc::clone(&service.read());
-            let resp = snapshot.execute(&req);
-            done.reply = Some(encode_response(&resp));
-            done.close_after = false;
-            metrics.record(endpoint, started.elapsed());
+    // The snapshot is resolved per frame: a hot reload swaps the Arc
+    // between requests, never under one.
+    let snapshot = Arc::clone(&service.read());
+    let mut reply = Vec::new();
+    snapshot.execute_into(&req, &mut reply);
+    done.served = Some(Served {
+        reply,
+        endpoint: req.endpoint(),
+        completed,
+    });
+}
+
+/// What became of one frame the loop looked at.
+enum Outcome {
+    /// Nothing more to do for it now: answered (a reply, a `Busy` or a
+    /// typed error is in the write buffer), queued, or dropped because
+    /// the connection is already condemned.
+    Settled,
+    /// Handed to the pool; the connection waits for its completion.
+    InFlight,
+    /// The request died without an answer (an injected kill, a panic in
+    /// a query, a pool that is gone): close the connection, reply
+    /// nothing.
+    Abort,
+}
+
+/// Turns complete frames into replies in a connection's write buffer or
+/// jobs on the pool: everything the loop needs for that and nothing it
+/// needs for sockets, so the loop can lend a connection's state to it
+/// while the socket table is borrowed.
+struct Runner {
+    service: Arc<RwLock<Arc<InventoryService>>>,
+    metrics: Arc<ServerMetrics>,
+    pool: ThreadPool,
+    admitted: Arc<AtomicUsize>,
+    admit_cap: usize,
+    shared: Arc<LoopShared>,
+}
+
+impl Runner {
+    /// Takes a frame just sliced off the wire. Responses must leave in
+    /// request order and the protocol has no request ids, so a frame
+    /// behind an in-flight or queued one waits its turn in the pending
+    /// queue, whatever its kind; one with nothing ahead of it runs now.
+    fn accept(
+        &self,
+        token: u64,
+        state: &mut ConnState,
+        payload: &[u8],
+        completed: Instant,
+    ) -> Outcome {
+        if state.close_after_flush {
+            return Outcome::Settled; // already condemned: don't take new work
         }
-        Err(e) => {
-            // A peer that cannot frame a request correctly gets one typed
-            // error, then the socket: resynchronising a corrupt binary
-            // stream is not worth the attack surface.
-            metrics.incr_malformed();
-            done.reply = Some(encode_response(&Response::Error(e.to_string())));
-            done.close_after = true;
+        if state.in_flight || !state.pending.is_empty() {
+            state.pending.push_back(PendingFrame {
+                payload: payload.to_vec(),
+                completed,
+            });
+            return Outcome::Settled;
         }
+        self.run(token, state, payload, completed)
+    }
+
+    /// The sink a slicing pass feeds: [`Runner::accept`] for each frame,
+    /// the last outcome left in `outcome`, and nothing more taken once a
+    /// frame has aborted the connection.
+    fn sink<'a>(
+        &'a self,
+        token: u64,
+        outcome: &'a mut Outcome,
+    ) -> impl FnMut(&mut ConnState, &[u8], Instant) + 'a {
+        move |state, payload, completed| {
+            if !matches!(outcome, Outcome::Abort) {
+                *outcome = self.accept(token, state, payload, completed);
+            }
+        }
+    }
+
+    /// Decodes the frame whose turn it is and answers it on the loop or
+    /// hands it to the pool, as its request kind says.
+    fn run(
+        &self,
+        token: u64,
+        state: &mut ConnState,
+        payload: &[u8],
+        completed: Instant,
+    ) -> Outcome {
+        match decode_request(payload) {
+            Ok(req) if req.runs_on_loop() => self.run_on_loop(state, &req, completed),
+            Ok(req) => self.dispatch(token, state, req, completed),
+            Err(e) => {
+                // A peer that cannot frame a request correctly gets one
+                // typed error, then the socket: resynchronising a corrupt
+                // binary stream is not worth the attack surface.
+                self.metrics.incr_malformed();
+                let resp = Response::Error(e.to_string());
+                state.outbox.push_frame(&encode_response(&resp));
+                state.close_after_flush = true;
+                state.pending.clear();
+                Outcome::Settled
+            }
+        }
+    }
+
+    /// Answers a constant-time request where it stands: pin the
+    /// snapshot, execute, encode straight into the write buffer. The
+    /// same kill point as a pool request fires first, and the whole call
+    /// is unwind-contained with the killed-worker outcome — a half
+    /// written reply goes down with the connection it was for.
+    fn run_on_loop(&self, state: &mut ConnState, req: &Request, completed: Instant) -> Outcome {
+        let outbox = &mut state.outbox;
+        let answered = catch_unwind(AssertUnwindSafe(|| {
+            if pol_chaos::fire("serve.worker.kill") {
+                return false;
+            }
+            let snapshot = Arc::clone(&self.service.read());
+            outbox.push_frame_with(|out| snapshot.execute_into(req, out));
+            true
+        }));
+        if !matches!(answered, Ok(true)) {
+            return Outcome::Abort;
+        }
+        self.metrics.record(req.endpoint(), completed.elapsed());
+        Outcome::Settled
+    }
+
+    /// Admission check + hand-off to the pool: the loop-level
+    /// expression of the typed Busy backpressure. A shed request is
+    /// answered (`Settled`), so the caller may feed the next pending
+    /// frame through immediately.
+    fn dispatch(
+        &self,
+        token: u64,
+        state: &mut ConnState,
+        req: Request,
+        completed: Instant,
+    ) -> Outcome {
+        if self.admitted.fetch_add(1, Ordering::Relaxed) >= self.admit_cap {
+            self.admitted.fetch_sub(1, Ordering::Relaxed);
+            self.metrics.incr_busy();
+            self.metrics.incr_shed_at_loop();
+            // Shed *this request*, keep the connection: an immediate
+            // Busy frame, never a queue slot.
+            state.outbox.push_frame(&encode_response(&Response::Busy));
+            return Outcome::Settled;
+        }
+        let guard = AdmitGuard(Arc::clone(&self.admitted));
+        state.in_flight = true;
+        let service = Arc::clone(&self.service);
+        let shared = Arc::clone(&self.shared);
+        let submitted = self.pool.execute(move || {
+            let _admitted = guard;
+            execute_job(req, completed, token, &service, shared);
+            // Chaos: keep holding the admission slot after the
+            // completion has been posted — the window where a
+            // pipelined connection's next pending frame meets a full
+            // cap at pop time and must be shed, not stranded.
+            pol_chaos::fire("serve.worker.slot_hold");
+        });
+        if submitted.is_err() {
+            // Pool shut down underneath us (closure dropped unrun; its
+            // AdmitGuard released on the way out). The request can
+            // never be answered.
+            return Outcome::Abort;
+        }
+        Outcome::InFlight
     }
 }
 
@@ -197,7 +371,6 @@ mod linux {
     use std::collections::HashMap;
     use std::net::TcpStream;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-    use std::time::Instant;
 
     mod sys {
         use std::ffi::c_void;
@@ -393,16 +566,15 @@ mod linux {
     pub(super) struct EventLoop {
         epoll: Epoll,
         listener: Option<TcpListener>,
-        shared: Arc<LoopShared>,
         conns: HashMap<u64, ConnEntry>,
         next_token: u64,
-        pool: ThreadPool,
-        admitted: Arc<AtomicUsize>,
-        admit_cap: usize,
-        service: Arc<RwLock<Arc<InventoryService>>>,
+        /// The one read buffer, lent to whichever connection is
+        /// readable: ten thousand mostly idle sockets should not each
+        /// hold a buffer sized for a burst.
+        scratch: Vec<u8>,
+        runner: Runner,
         config: ServerConfig,
         stop: Arc<AtomicBool>,
-        metrics: Arc<ServerMetrics>,
         drain_deadline: Option<Instant>,
         last_sweep: Instant,
     }
@@ -427,19 +599,22 @@ mod linux {
             Ok(EventLoop {
                 epoll,
                 listener: Some(listener),
-                shared: Arc::new(LoopShared {
-                    completions: Mutex::new(Vec::new()),
-                    wake,
-                }),
                 conns: HashMap::new(),
                 next_token: FIRST_CONN_TOKEN,
-                pool: ThreadPool::new(workers),
-                admitted: Arc::new(AtomicUsize::new(0)),
-                admit_cap: workers + config.max_pending,
-                service,
+                scratch: vec![0; READ_SCRATCH_BYTES],
+                runner: Runner {
+                    service,
+                    metrics,
+                    pool: ThreadPool::new(workers),
+                    admitted: Arc::new(AtomicUsize::new(0)),
+                    admit_cap: workers + config.max_pending,
+                    shared: Arc::new(LoopShared {
+                        completions: Mutex::new(Vec::new()),
+                        wake,
+                    }),
+                },
                 config,
                 stop,
-                metrics,
                 drain_deadline: None,
                 last_sweep: Instant::now(),
             })
@@ -453,7 +628,7 @@ mod linux {
                     Err(_) => break,
                 };
                 if n > 0 {
-                    self.metrics.add_ready_events(n as u64);
+                    self.runner.metrics.add_ready_events(n as u64);
                 }
                 for ev in events.iter().take(n) {
                     // Copy out of the (possibly packed) kernel struct
@@ -463,8 +638,8 @@ mod linux {
                     match token {
                         TOKEN_LISTENER => self.accept_ready(),
                         TOKEN_WAKE => {
-                            self.shared.wake.drain();
-                            self.metrics.incr_wakeup();
+                            self.runner.shared.wake.drain();
+                            self.runner.metrics.incr_wakeup();
                         }
                         _ => self.conn_ready(token, bits),
                     }
@@ -485,7 +660,7 @@ mod linux {
             // late completions land in the queue and are simply dropped
             // with it.
             self.conns.drain().for_each(|(_, entry)| {
-                self.metrics.conn_closed();
+                self.runner.metrics.conn_closed();
                 drop(entry);
             });
             // (pool dropped with self)
@@ -528,7 +703,7 @@ mod linux {
             if self.conns.len() >= self.config.max_connections {
                 // The fd budget is the one resource admission cannot
                 // defer: turn the connection away with a typed Busy.
-                self.metrics.incr_busy();
+                self.runner.metrics.incr_busy();
                 reject_busy_nonblocking(stream);
                 return;
             }
@@ -545,8 +720,8 @@ mod linux {
             {
                 return;
             }
-            self.metrics.incr_connections();
-            self.metrics.conn_opened();
+            self.runner.metrics.incr_connections();
+            self.runner.metrics.conn_opened();
             self.conns.insert(
                 token,
                 ConnEntry {
@@ -568,153 +743,107 @@ mod linux {
                     self.close_conn(token);
                     return;
                 }
-                let mut frames = Vec::new();
-                let event = {
-                    let Some(entry) = self.conns.get_mut(&token) else {
-                        return;
-                    };
-                    entry.state.read_ready(
-                        &mut entry.stream,
-                        self.config.max_frame_bytes,
-                        &mut frames,
-                    )
+                let Some(entry) = self.conns.get_mut(&token) else {
+                    return;
                 };
-                for payload in frames {
-                    self.enqueue_frame(token, payload);
-                }
-                match event {
-                    ReadEvent::Open => {}
-                    ReadEvent::PeerClosed => {
-                        if let Some(entry) = self.conns.get_mut(&token) {
-                            entry.state.peer_closed = true;
-                        }
-                    }
-                    ReadEvent::FrameTooLarge(n) => {
-                        self.metrics.incr_malformed();
-                        if let Some(entry) = self.conns.get_mut(&token) {
-                            let resp = Response::Error(format!("frame of {n} bytes exceeds cap"));
-                            entry.state.outbox.push_frame(&encode_response(&resp));
-                            entry.state.close_after_flush = true;
-                        }
-                    }
-                    ReadEvent::Failed => {
-                        self.close_conn(token);
-                        return;
-                    }
+                let mut outcome = Outcome::Settled;
+                let event = entry.state.read_ready(
+                    &mut entry.stream,
+                    &mut self.scratch,
+                    self.config.max_frame_bytes,
+                    &mut self.runner.sink(token, &mut outcome),
+                );
+                if !self.settle_read(token, outcome, event) {
+                    return;
                 }
             }
+            // One flush for the whole burst, however many replies the
+            // frames in it produced.
             self.flush_conn(token);
         }
 
-        /// Queues or dispatches one decoded frame. Responses must leave
-        /// in request order and the protocol has no request ids, so a
-        /// connection has at most one request in the pool at a time;
-        /// later frames wait in its pending queue.
-        fn enqueue_frame(&mut self, token: u64, payload: Vec<u8>) {
-            let Some(entry) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if entry.state.close_after_flush {
-                return; // already condemned: don't take new work
-            }
-            if entry.state.in_flight || !entry.state.pending.is_empty() {
-                entry.state.pending.push_back(payload);
-            } else {
-                self.dispatch(token, payload);
-            }
-        }
-
-        /// Admission check + hand-off to the pool: the loop-level
-        /// expression of the typed Busy backpressure. Returns whether the
-        /// request is now in flight on the pool; `false` means it was
-        /// answered (shed with Busy) or the connection is gone, so the
-        /// caller may feed the next pending frame through immediately.
-        fn dispatch(&mut self, token: u64, payload: Vec<u8>) -> bool {
-            if self.admitted.fetch_add(1, Ordering::Relaxed) >= self.admit_cap {
-                self.admitted.fetch_sub(1, Ordering::Relaxed);
-                self.metrics.incr_busy();
-                self.metrics.incr_shed_at_loop();
-                if let Some(entry) = self.conns.get_mut(&token) {
-                    // Shed *this request*, keep the connection: an
-                    // immediate Busy frame, never a queue slot.
-                    entry
-                        .state
-                        .outbox
-                        .push_frame(&encode_response(&Response::Busy));
-                }
-                return false;
-            }
-            let guard = AdmitGuard(Arc::clone(&self.admitted));
-            if let Some(entry) = self.conns.get_mut(&token) {
-                entry.state.in_flight = true;
-            }
-            let service = Arc::clone(&self.service);
-            let metrics = Arc::clone(&self.metrics);
-            let shared = Arc::clone(&self.shared);
-            let submitted = self.pool.execute(move || {
-                let _admitted = guard;
-                execute_job(payload, token, &service, &metrics, shared);
-                // Chaos: keep holding the admission slot after the
-                // completion has been posted — the window where a
-                // pipelined connection's next pending frame meets a full
-                // cap at pop time and must be shed, not stranded.
-                pol_chaos::fire("serve.worker.slot_hold");
-            });
-            if submitted.is_err() {
-                // Pool shut down underneath us (closure dropped unrun;
-                // its AdmitGuard released on the way out). The request
-                // can never be answered: close the connection.
+        /// Acts on how a slicing pass ended — the last frame's outcome
+        /// and the read side's event. Returns whether the connection is
+        /// still registered.
+        fn settle_read(&mut self, token: u64, outcome: Outcome, event: ReadEvent) -> bool {
+            if matches!(outcome, Outcome::Abort) || event == ReadEvent::Failed {
                 self.close_conn(token);
                 return false;
+            }
+            let Some(entry) = self.conns.get_mut(&token) else {
+                return false;
+            };
+            match event {
+                ReadEvent::Open | ReadEvent::Failed => {}
+                ReadEvent::PeerClosed => entry.state.peer_closed = true,
+                ReadEvent::FrameTooLarge(n) => {
+                    self.runner.metrics.incr_malformed();
+                    let resp = Response::Error(format!("frame of {n} bytes exceeds cap"));
+                    entry.state.outbox.push_frame(&encode_response(&resp));
+                    entry.state.close_after_flush = true;
+                }
             }
             true
         }
 
-        /// Moves worker results into their connections' write buffers
-        /// and feeds each connection's next pending frame through
-        /// admission.
+        /// Moves worker results into their connections' write buffers,
+        /// accounts them, and lets each connection's queued frames take
+        /// their turn. A connection has at most one request on the pool,
+        /// so it appears at most once per pass and is flushed once.
         fn apply_completions(&mut self) {
-            let done = std::mem::take(&mut *self.shared.completions.lock());
+            let done = std::mem::take(&mut *self.runner.shared.completions.lock());
             for completion in done {
                 let token = completion.token;
                 let Some(entry) = self.conns.get_mut(&token) else {
                     continue; // connection died while the request ran
                 };
                 entry.state.in_flight = false;
-                match completion.reply {
-                    Some(bytes) => {
-                        entry.state.outbox.push_frame(&bytes);
-                        if completion.close_after {
-                            entry.state.close_after_flush = true;
-                            entry.state.pending.clear();
-                        } else {
-                            // Keep the pipeline moving even when
-                            // admission sheds: a shed answers its frame
-                            // with Busy but leaves in_flight false, so
-                            // stopping here would strand the rest of the
-                            // queue with no completion to ever pop it.
-                            // Drain until a dispatch is admitted (the
-                            // next completion resumes) or the queue is
-                            // empty — every popped frame gets an answer.
-                            while let Some(next) = self
-                                .conns
-                                .get_mut(&token)
-                                .and_then(|entry| entry.state.pending.pop_front())
-                            {
-                                if self.dispatch(token, next) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        // Killed worker: abort without a reply.
-                        self.close_conn(token);
-                        continue;
-                    }
+                let Some(served) = completion.served else {
+                    // Killed worker: abort without a reply.
+                    self.close_conn(token);
+                    continue;
+                };
+                entry.state.outbox.push_frame(&served.reply);
+                self.runner
+                    .metrics
+                    .record(served.endpoint, served.completed.elapsed());
+                if self.drain_pending(token) {
+                    self.flush_conn(token);
                 }
-                self.flush_conn(token);
             }
+        }
+
+        /// Gives the frames queued behind a completed request their
+        /// turn: loop-kind frames are answered on the spot, and the walk
+        /// stops at the first frame handed to the pool (its completion
+        /// resumes it). A shed answers its frame with `Busy` but puts
+        /// nothing in flight, so the walk goes on — stopping there would
+        /// strand the rest of the queue with no completion to ever pop
+        /// it; every popped frame gets an answer. Once the queue is
+        /// empty with nothing in flight, frames a full queue had made
+        /// the read side hold back come in the same way. Returns whether
+        /// the connection is still registered.
+        fn drain_pending(&mut self, token: u64) -> bool {
+            let Some(entry) = self.conns.get_mut(&token) else {
+                return false;
+            };
+            let state = &mut entry.state;
+            let runner = &self.runner;
+            let mut outcome = Outcome::Settled;
+            while let Some(frame) = state.pending.pop_front() {
+                outcome = runner.run(token, state, &frame.payload, frame.completed);
+                if !matches!(outcome, Outcome::Settled) {
+                    break;
+                }
+            }
+            let mut event = ReadEvent::Open;
+            if matches!(outcome, Outcome::Settled) {
+                event = state.resume(
+                    self.config.max_frame_bytes,
+                    &mut runner.sink(token, &mut outcome),
+                );
+            }
+            self.settle_read(token, outcome, event)
         }
 
         /// Flushes a connection's outbox as far as the socket allows and
@@ -735,7 +864,8 @@ mod linux {
                         return;
                     }
                 }
-                self.metrics
+                self.runner
+                    .metrics
                     .observe_write_buffer(entry.state.outbox.high_water() as u64);
             }
             let drained = entry.state.outbox.is_empty();
@@ -814,7 +944,7 @@ mod linux {
         fn close_conn(&mut self, token: u64) {
             if let Some(entry) = self.conns.remove(&token) {
                 self.epoll.del(entry.stream.as_raw_fd());
-                self.metrics.conn_closed();
+                self.runner.metrics.conn_closed();
             }
         }
     }

@@ -1,11 +1,12 @@
 //! The concurrent TCP query server.
 //!
-//! One epoll event loop ([`crate::reactor`]) owns every socket and
-//! speaks the length-prefixed protocol of [`crate::proto`]; a bounded
-//! [`pol_engine::ThreadPool`] only executes requests. Admission is capped
-//! at `worker_threads + max_pending` requests: one over the cap is
-//! answered with a typed [`Response::Busy`] frame instead of queueing
-//! unboundedly — load sheds at the edge, it does not pile up.
+//! One epoll event loop ([`crate::reactor`]) owns every socket, speaks
+//! the length-prefixed protocol of [`crate::proto`] and answers the
+//! constant-time requests ([`Request::runs_on_loop`]) where it stands; a
+//! bounded [`pol_engine::ThreadPool`] executes the rest. Admission to the
+//! pool is capped at `worker_threads + max_pending` requests: one over
+//! the cap is answered with a typed [`Response::Busy`] frame instead of
+//! queueing unboundedly — load sheds at the edge, it does not pile up.
 //!
 //! Graceful shutdown: [`Server::shutdown`] marks the server draining and
 //! raises a stop flag the loop checks every tick; in-flight and
@@ -14,17 +15,21 @@
 
 use crate::mapped::MappedStore;
 use crate::metrics::ServerMetrics;
-use crate::proto::{Request, Response, DEFAULT_MAX_FRAME_BYTES};
-use crate::store::{CacheKey, QueryCache, StoreBackend};
+use crate::proto::{
+    encode_response_body, Request, Response, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION, RESP_BATCH,
+    RESP_SUMMARY,
+};
+use crate::store::{CacheKey, QueryCache, StoreBackend, StoredSummary};
 use parking_lot::{Mutex, RwLock};
 use pol_apps::destination::DestinationPredictor;
 use pol_apps::eta::EtaEstimator;
-use pol_core::codec::{CodecError, SnapshotFormat};
+use pol_core::codec::{encode_cell_stats, CodecError, SnapshotFormat};
+use pol_core::features::GroupKey;
 use pol_core::{Inventory, InventoryQuery};
 use pol_engine::metrics::StageReport;
 use pol_geo::{BBox, LatLon};
 use pol_hexgrid::cell_at;
-use std::borrow::Cow;
+use pol_sketch::wire::put_varint;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
@@ -167,36 +172,11 @@ impl InventoryService {
     pub fn execute(&self, req: &Request) -> Response {
         match req {
             Request::Ping => Response::Pong,
-            Request::PointSummary { lat, lon } => match LatLon::new(*lat, *lon) {
-                Some(pos) => {
-                    let cell = cell_at(pos, self.store.resolution());
-                    Response::Summary(self.store.summary(cell).map(Cow::into_owned))
-                }
-                None => Response::Error("coordinates out of range".into()),
-            },
-            Request::SegmentSummary { lat, lon, segment } => match LatLon::new(*lat, *lon) {
-                Some(pos) => {
-                    let cell = cell_at(pos, self.store.resolution());
-                    Response::Summary(self.store.summary_for(cell, *segment).map(Cow::into_owned))
-                }
-                None => Response::Error("coordinates out of range".into()),
-            },
-            Request::RouteSummary {
-                lat,
-                lon,
-                origin,
-                dest,
-                segment,
-            } => match LatLon::new(*lat, *lon) {
-                Some(pos) => {
-                    let cell = cell_at(pos, self.store.resolution());
-                    Response::Summary(
-                        self.store
-                            .summary_route(cell, *origin, *dest, *segment)
-                            .map(Cow::into_owned),
-                    )
-                }
-                None => Response::Error("coordinates out of range".into()),
+            Request::PointSummary { .. }
+            | Request::SegmentSummary { .. }
+            | Request::RouteSummary { .. } => match self.summary_key(req) {
+                Some(key) => Response::Summary(self.store.get(&key)),
+                None => out_of_range(),
             },
             Request::BboxScan {
                 min_lat,
@@ -281,6 +261,78 @@ impl InventoryService {
         }
     }
 
+    /// Executes one request and appends its encoded reply payload to
+    /// `out` — byte for byte `encode_response(&self.execute(req))`,
+    /// which tests pin. This is the form the server sends: a summary
+    /// goes out as the store holds it (a mapped snapshot's stats bytes
+    /// *are* the wire encoding; a heap entry is encoded from the borrow),
+    /// so the three summary lookups build, clone and re-encode nothing,
+    /// and a batch answers its children the same way.
+    pub fn execute_into(&self, req: &Request, out: &mut Vec<u8>) {
+        out.push(PROTO_VERSION);
+        self.reply_body(req, out);
+    }
+
+    /// Appends a reply's tag + body (no version byte).
+    fn reply_body(&self, req: &Request, out: &mut Vec<u8>) {
+        match req {
+            Request::PointSummary { .. }
+            | Request::SegmentSummary { .. }
+            | Request::RouteSummary { .. } => match self.summary_key(req) {
+                Some(key) => {
+                    out.push(RESP_SUMMARY);
+                    match self.store.stored_summary(&key) {
+                        None => out.push(0),
+                        Some(StoredSummary::Stats(stats)) => {
+                            out.push(1);
+                            encode_cell_stats(stats, out);
+                        }
+                        Some(StoredSummary::Encoded(bytes)) => {
+                            out.push(1);
+                            out.extend_from_slice(bytes);
+                        }
+                    }
+                }
+                None => encode_response_body(&out_of_range(), out),
+            },
+            Request::Batch(children) => {
+                self.metrics.add_batched(children.len() as u64);
+                out.push(RESP_BATCH);
+                put_varint(out, children.len() as u64);
+                let mut body = Vec::new();
+                for child in children {
+                    body.clear();
+                    self.reply_body(child, &mut body);
+                    put_varint(out, body.len() as u64);
+                    out.extend_from_slice(&body);
+                }
+            }
+            other => encode_response_body(&self.execute(other), out),
+        }
+    }
+
+    /// The group key a summary request reads; `None` when its
+    /// coordinates are out of range (and for every other request kind).
+    fn summary_key(&self, req: &Request) -> Option<GroupKey> {
+        let cell = |lat: f64, lon: f64| {
+            LatLon::new(lat, lon).map(|pos| cell_at(pos, self.store.resolution()))
+        };
+        match *req {
+            Request::PointSummary { lat, lon } => cell(lat, lon).map(GroupKey::Cell),
+            Request::SegmentSummary { lat, lon, segment } => {
+                cell(lat, lon).map(|c| GroupKey::CellType(c, segment))
+            }
+            Request::RouteSummary {
+                lat,
+                lon,
+                origin,
+                dest,
+                segment,
+            } => cell(lat, lon).map(|c| GroupKey::CellRoute(c, origin, dest, segment)),
+            _ => None,
+        }
+    }
+
     fn cached<F: FnOnce() -> Vec<u64>>(&self, key: CacheKey, compute: F) -> Arc<Vec<u64>> {
         if let Some(hit) = self.cache.lock().get(&key) {
             self.metrics.incr_cache_hit();
@@ -293,6 +345,11 @@ impl InventoryService {
         self.cache.lock().put(key, Arc::clone(&value));
         value
     }
+}
+
+/// The typed error a summary request with impossible coordinates gets.
+fn out_of_range() -> Response {
+    Response::Error("coordinates out of range".into())
 }
 
 /// A running server. Dropping it shuts it down.

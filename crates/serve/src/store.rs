@@ -7,7 +7,7 @@
 
 use crate::mapped::{MappedCounters, MappedStore};
 use pol_ais::types::MarketSegment;
-use pol_core::features::CellStats;
+use pol_core::features::{CellStats, GroupKey};
 use pol_core::{Inventory, InventoryQuery};
 use pol_geo::BBox;
 use pol_hexgrid::{CellIndex, Resolution};
@@ -30,6 +30,16 @@ pub enum StoreBackend {
     Heap(Inventory),
     /// Memory-mapped columnar snapshot (POLINV3).
     Mapped(MappedStore),
+}
+
+/// A summary as its store holds it, borrowed: the decoded statistics of
+/// a heap entry, or a mapped entry's canonical encoding. Either becomes
+/// a reply without building, cloning or re-encoding a [`CellStats`].
+pub enum StoredSummary<'a> {
+    /// A heap inventory's entry.
+    Stats(&'a CellStats),
+    /// A mapped snapshot's `encode_cell_stats` bytes.
+    Encoded(&'a [u8]),
 }
 
 /// Sorts a heap scan's cells by raw index — the canonical reply order.
@@ -88,6 +98,23 @@ impl StoreBackend {
         match self {
             StoreBackend::Heap(inv) => sorted(inv.cells_with_top_destination(dest, segment)),
             StoreBackend::Mapped(m) => m.cells_with_top_destination(dest, segment),
+        }
+    }
+
+    /// The summary stored at `key`, owned (cloned off the heap, decoded
+    /// out of the mapping).
+    pub fn get(&self, key: &GroupKey) -> Option<CellStats> {
+        match self {
+            StoreBackend::Heap(inv) => inv.get(key).cloned(),
+            StoreBackend::Mapped(m) => m.get(key),
+        }
+    }
+
+    /// The summary stored at `key`, in the form the backend holds it.
+    pub fn stored_summary(&self, key: &GroupKey) -> Option<StoredSummary<'_>> {
+        match self {
+            StoreBackend::Heap(inv) => inv.get(key).map(StoredSummary::Stats),
+            StoreBackend::Mapped(m) => m.stats_bytes(key).map(StoredSummary::Encoded),
         }
     }
 

@@ -267,9 +267,11 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
             action: FaultAction::Delay(Duration::from_millis(600)),
         },
     );
+    // STATS is a pool request (a ping would be answered by the loop
+    // itself and never meet admission).
     let pinner = std::thread::spawn(move || {
         let mut client = Client::connect_with(addr, chaos_client_config(7)).unwrap();
-        client.ping().unwrap(); // delayed, then answered
+        client.stats().unwrap(); // delayed, then answered
     });
     std::thread::sleep(Duration::from_millis(150)); // slot is pinned now
 
@@ -278,7 +280,7 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
     stream
         .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
-    let payload = pol_serve::proto::encode_request(&Request::Ping);
+    let payload = pol_serve::proto::encode_request(&Request::Stats);
     let mut framed = Vec::new();
     write_frame(&mut framed, &payload).unwrap();
     use std::io::Write;
@@ -294,7 +296,10 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
     pinner.join().unwrap();
     stream.write_all(&framed).unwrap();
     let reply = read_frame(&mut stream, 1 << 20).unwrap();
-    assert!(matches!(decode_response(&reply).unwrap(), Response::Pong));
+    assert!(matches!(
+        decode_response(&reply).unwrap(),
+        Response::Stats(_)
+    ));
 
     let snap = server.metrics().snapshot();
     assert!(snap.shed_at_loop >= 1, "shed_at_loop never counted");
@@ -336,11 +341,11 @@ fn shed_at_pop_answers_every_pipelined_frame() {
     stream
         .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
-    let payload = pol_serve::proto::encode_request(&Request::Ping);
+    let payload = pol_serve::proto::encode_request(&Request::Stats);
     let mut framed = Vec::new();
     write_frame(&mut framed, &payload).unwrap();
-    // Four requests in one burst: the first dispatches, the other three
-    // queue behind it in the connection's pending queue.
+    // Four pool requests in one burst: the first dispatches, the other
+    // three queue behind it in the connection's pending queue.
     let mut burst = Vec::new();
     for _ in 0..4 {
         burst.extend_from_slice(&framed);
@@ -352,7 +357,7 @@ fn shed_at_pop_answers_every_pipelined_frame() {
     // then one typed Busy per shed follow-up — none goes unanswered.
     let reply = read_frame(&mut stream, 1 << 20).unwrap();
     assert!(
-        matches!(decode_response(&reply).unwrap(), Response::Pong),
+        matches!(decode_response(&reply).unwrap(), Response::Stats(_)),
         "first pipelined request must be served"
     );
     for i in 1..4 {
@@ -368,7 +373,10 @@ fn shed_at_pop_answers_every_pipelined_frame() {
     std::thread::sleep(Duration::from_millis(700));
     stream.write_all(&framed).unwrap();
     let reply = read_frame(&mut stream, 1 << 20).unwrap();
-    assert!(matches!(decode_response(&reply).unwrap(), Response::Pong));
+    assert!(matches!(
+        decode_response(&reply).unwrap(),
+        Response::Stats(_)
+    ));
 
     let snap = server.metrics().snapshot();
     assert!(snap.shed_at_loop >= 3, "pop-path sheds must be counted");
@@ -397,7 +405,8 @@ fn killed_workers_do_not_leak_admission_slots() {
         cfg.retry.max_attempts = 2;
         cfg.retry.deadline = Duration::from_secs(3);
         let mut client = Client::connect_with(addr, cfg).unwrap();
-        let err = client.ping().unwrap_err();
+        // A pool request: it is the worker that dies holding a slot.
+        let err = client.stats().unwrap_err();
         assert!(is_retryable_kind(&err), "unexpected error: {err}");
     }
     assert!(stats("serve.worker.kill").fired >= 6);
@@ -405,11 +414,82 @@ fn killed_workers_do_not_leak_admission_slots() {
     // Disarmed: the very next connection is admitted and served.
     reset();
     let mut client = Client::connect_with(addr, chaos_client_config(42)).unwrap();
-    client.ping().unwrap();
+    client.stats().unwrap();
     assert_eq!(
         server.metrics().snapshot().busy_rejections,
         0,
         "kills leaked admission slots into Busy shedding"
     );
+    server.shutdown();
+}
+
+/// A request the loop answers itself dies like a pool request dies: an
+/// `Err` fault and a `Kill` fault (a panic on the loop thread, contained)
+/// each close the connection they hit without a reply — the frames
+/// pipelined behind the dead one included — while the loop, and a second
+/// connection that was open all along, keep answering correctly.
+#[test]
+fn a_fault_on_a_loop_request_closes_only_its_connection() {
+    let _chaos = exclusive();
+    const N: usize = 200;
+    let reference = sample_inventory(N);
+    let mut server =
+        Server::start(sample_inventory(N), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut bystander = Client::connect_with(addr, chaos_client_config(3)).unwrap();
+    let mut check_bystander = |round: &str| {
+        for i in 0..20usize {
+            let pos = LatLon::new(-50.0 + (i % 101) as f64, -160.0 + (i % 320) as f64).unwrap();
+            let got = bystander.point_summary(pos.lat(), pos.lon()).unwrap();
+            assert_eq!(
+                stats_bytes(got.as_ref()),
+                stats_bytes(reference.summary(cell_at(pos, res()))),
+                "bystander answer {i} {round}"
+            );
+        }
+    };
+    check_bystander("before any fault");
+
+    let point = pol_serve::proto::encode_request(&Request::PointSummary {
+        lat: -50.0,
+        lon: -160.0,
+    });
+    let mut burst = Vec::new();
+    for _ in 0..3 {
+        write_frame(&mut burst, &point).unwrap();
+    }
+    for action in [FaultAction::Err, FaultAction::Kill] {
+        configure("serve.worker.kill", Trigger::OneShot(action));
+        let mut victim = std::net::TcpStream::connect(addr).unwrap();
+        victim
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        use std::io::Write;
+        victim.write_all(&burst).unwrap();
+        // No reply to the dead request nor to the two behind it: the
+        // next thing the peer sees is the close.
+        match read_frame(&mut victim, 1 << 20) {
+            Err(ProtoError::ConnectionClosed) => {}
+            Err(ProtoError::Io(e)) => assert_ne!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock,
+                "{action:?}: the connection was left open"
+            ),
+            other => panic!("{action:?}: expected a close, got {other:?}"),
+        }
+        assert_eq!(
+            stats("serve.worker.kill").fired,
+            1,
+            "{action:?} never fired"
+        );
+        check_bystander(&format!("after {action:?}"));
+    }
+
+    // The loop thread took a panic and is still the loop: new
+    // connections are accepted and pool requests still complete.
+    let mut fresh = Client::connect_with(addr, chaos_client_config(4)).unwrap();
+    fresh.ping().unwrap();
+    let report = fresh.stats().unwrap();
+    assert_eq!(report.open_connections, 2, "only the victims were closed");
     server.shutdown();
 }

@@ -603,8 +603,10 @@ fn batched_requests_equal_single_requests() {
 }
 
 /// The reactor's event-loop counters are live: an attached connection
-/// shows in the gauge, readiness events and eventfd wakeups accumulate
-/// under traffic, and the gauge returns to zero when the peer leaves.
+/// shows in the gauge, readiness events accumulate under traffic,
+/// eventfd wakeups under pool traffic only (a request the loop answers
+/// itself crosses no thread), and the gauge returns to zero when the
+/// peer leaves.
 #[test]
 fn reactor_core_event_counters_are_live() {
     let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", test_config()).unwrap();
@@ -612,6 +614,12 @@ fn reactor_core_event_counters_are_live() {
     for _ in 0..10 {
         client.ping().unwrap();
     }
+    assert_eq!(
+        server.metrics().snapshot().wakeups,
+        0,
+        "a ping must not wake anyone"
+    );
+    client.bbox_scan(-10.0, -10.0, 10.0, 10.0).unwrap();
     let report = client.stats().unwrap();
     assert_eq!(report.open_connections, 1);
     assert!(report.peak_connections >= 1);
@@ -1037,5 +1045,134 @@ fn ingester_crash_recovery_extends_the_served_chain() {
     assert!(occupied > 0, "probe set never hit an occupied cell");
 
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One frame per request in `requests`, back to back: what a pipelining
+/// client writes in one go.
+fn burst_of(requests: &[Request]) -> Vec<u8> {
+    let mut burst = Vec::new();
+    for req in requests {
+        write_frame(&mut burst, &pol_serve::proto::encode_request(req)).unwrap();
+    }
+    burst
+}
+
+/// Requests the loop answers itself and requests it hands to the pool,
+/// pipelined on one connection in one burst, are answered in request
+/// order — the scan first although the lookups behind it are ready long
+/// before it — and each reply is the in-process answer, from the heap
+/// and from a mapped snapshot.
+#[test]
+fn mixed_kinds_pipelined_on_one_connection_answer_in_order() {
+    use pol_core::codec::columnar;
+    use pol_serve::proto::encode_response;
+    use pol_serve::{InventoryService, ServerMetrics};
+    const N: usize = 400;
+    let dir = std::env::temp_dir().join(format!("pol-serve-mixed-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let v3_path = dir.join("inv.pol3");
+    columnar::save(&sample_inventory(N), &v3_path).unwrap();
+    let in_process = InventoryService::new(
+        sample_inventory(N),
+        &test_config(),
+        Arc::new(ServerMetrics::new()),
+    );
+
+    let (lat, lon) = (-55.0 + 7.0, -170.0 + 7.0); // sample point 7
+    let segment = MarketSegment::from_id(0).unwrap();
+    let requests = [
+        Request::BboxScan {
+            min_lat: -60.0,
+            min_lon: -175.0,
+            max_lat: 60.0,
+            max_lon: 175.0,
+        },
+        Request::PointSummary { lat, lon },
+        Request::PointSummary {
+            lat: lat + 1.0,
+            lon: lon + 1.0,
+        },
+        Request::Eta {
+            lat,
+            lon,
+            segment: None,
+            route: None,
+        },
+        Request::RouteSummary {
+            lat,
+            lon,
+            origin: 1,
+            dest: 7,
+            segment,
+        },
+        Request::Ping,
+    ];
+    assert!(matches!(
+        in_process.execute(&requests[1]),
+        Response::Summary(Some(_))
+    ));
+    assert!(matches!(
+        in_process.execute(&requests[4]),
+        Response::Summary(Some(_))
+    ));
+    let burst = burst_of(&requests);
+
+    let servers = [
+        Server::start(sample_inventory(N), "127.0.0.1:0", test_config()).unwrap(),
+        Server::start_snapshot(&v3_path, "127.0.0.1:0", test_config()).unwrap(),
+    ];
+    for mut server in servers {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .unwrap();
+        // Twice over: the second burst meets a connection that has
+        // already been through a pool round trip.
+        for round in 0..2 {
+            stream.write_all(&burst).unwrap();
+            for (i, req) in requests.iter().enumerate() {
+                let reply = read_frame(&mut stream, 1 << 20).unwrap();
+                assert_eq!(
+                    reply,
+                    encode_response(&in_process.execute(req)),
+                    "round {round} reply {i} to {req:?}"
+                );
+            }
+        }
+        server.shutdown();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The snapshot is pinned per frame on the loop as it is on a worker:
+/// of two lookups on one connection with a hot reload between them, the
+/// first is answered from the old snapshot and the second from the new.
+#[test]
+fn reload_between_two_loop_requests_is_seen_by_the_second() {
+    use pol_core::codec::columnar;
+    let dir = std::env::temp_dir().join(format!("pol-serve-reload-loop-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (old, new) = (sample_inventory(300), sample_inventory(900));
+    let new_path = dir.join("new.pol3");
+    columnar::save(&new, &new_path).unwrap();
+
+    let pos = LatLon::new(-55.0 + 3.0, -170.0 + 3.0).unwrap(); // sample point 3
+    let cell = cell_at(pos, res());
+    assert_ne!(
+        stats_bytes(old.summary(cell)),
+        stats_bytes(new.summary(cell)),
+        "the two snapshots must differ at the probed cell"
+    );
+    let server = Server::start(sample_inventory(300), "127.0.0.1:0", test_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let first = client.point_summary(pos.lat(), pos.lon()).unwrap();
+    assert_eq!(stats_bytes(first.as_ref()), stats_bytes(old.summary(cell)));
+    server.reload_from(&new_path).unwrap();
+    let second = client.point_summary(pos.lat(), pos.lon()).unwrap();
+    assert_eq!(stats_bytes(second.as_ref()), stats_bytes(new.summary(cell)));
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -234,3 +234,221 @@ fn corrupt_snapshot_is_rejected_at_open() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A fleetsim fleet through the fused build, written as POLINV3: real
+/// sketches of every shape (empty, single-sample, saturated) in all
+/// three grouping sets.
+fn fleetsim_snapshot(tag: &str) -> (Inventory, PathBuf) {
+    use pol_core::records::PortSite;
+    use pol_fleetsim::scenario::{generate, ScenarioConfig};
+    let ds = generate(&ScenarioConfig::tiny());
+    let cfg = pol_core::PipelineConfig::default();
+    let ports: Vec<PortSite> = pol_fleetsim::WORLD_PORTS
+        .iter()
+        .enumerate()
+        .map(|(i, p)| PortSite {
+            id: i as u16,
+            name: p.name.to_string(),
+            pos: p.pos(),
+            radius_km: cfg.port_radius_km,
+        })
+        .collect();
+    let built = pol_core::run_fused(
+        &pol_engine::Engine::new(2),
+        ds.positions,
+        &ds.statics,
+        &ports,
+        &cfg,
+    )
+    .unwrap();
+    let dir = std::env::temp_dir().join(format!("pol-serve-mapped-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    columnar::save(&built.inventory, &dir.join("inv.pol3")).unwrap();
+    (built.inventory, dir)
+}
+
+/// What lets a summary reply be the file's bytes: for every entry of
+/// every section, the stored blob is exactly what `encode_cell_stats`
+/// makes of the entry decoded — so passing it through equals decoding and
+/// re-encoding it — and the store hands out that same blob by key,
+/// counting the lookup.
+#[test]
+fn stored_stats_bytes_are_the_canonical_encoding() {
+    let (inventory, dir) = fleetsim_snapshot("passthrough");
+    let path = dir.join("inv.pol3");
+    let bytes = std::fs::read(&path).unwrap();
+    let layout = columnar::Layout::parse(&bytes).unwrap();
+    let mapped = MappedStore::open(&path).unwrap();
+    let mut entries = 0u64;
+    for span in [&layout.cell, &layout.cell_type, &layout.cell_route] {
+        let reader = columnar::SectionReader::new(&bytes, span).unwrap();
+        for i in 0..reader.len() {
+            let stored = reader.stats_bytes(i).unwrap();
+            let mut reencoded = Vec::new();
+            encode_cell_stats(&reader.decode_stats(i).unwrap(), &mut reencoded);
+            assert_eq!(stored, reencoded, "{:?} entry {i}", reader.kind());
+            let key = reader.group_key_at(i).unwrap();
+            assert_eq!(mapped.stats_bytes(&key), Some(stored), "{key:?}");
+            entries += 1;
+        }
+    }
+    assert_eq!(entries, inventory.len() as u64);
+    assert!(entries > 100, "the fleet left too few entries to mean much");
+    assert_eq!(mapped.counters().lookups, entries);
+    assert_eq!(mapped.counters().decode_errors, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The two forms of an answer are pinned equal: what `execute_into`
+/// appends is byte for byte `encode_response(&execute(req))`, on the
+/// mapped store and on the heap, for every endpoint — hits at all three
+/// grouping sets over every stored key, a miss, out-of-range
+/// coordinates, and a batch of all of them.
+#[test]
+fn append_form_equals_typed_form_on_every_endpoint() {
+    use pol_core::features::GroupKey;
+    use pol_hexgrid::cell_center;
+    use pol_serve::proto::{decode_response, encode_response, Request, Response};
+    use pol_serve::{InventoryService, ServerConfig, ServerMetrics};
+    use std::sync::Arc;
+
+    let (inventory, dir) = fleetsim_snapshot("append-form");
+    let at = |c: CellIndex| (cell_center(c).lat(), cell_center(c).lon());
+    let mut requests: Vec<Request> = inventory
+        .iter()
+        .map(|(key, _)| match *key {
+            GroupKey::Cell(c) => Request::PointSummary {
+                lat: at(c).0,
+                lon: at(c).1,
+            },
+            GroupKey::CellType(c, segment) => Request::SegmentSummary {
+                lat: at(c).0,
+                lon: at(c).1,
+                segment,
+            },
+            GroupKey::CellRoute(c, origin, dest, segment) => Request::RouteSummary {
+                lat: at(c).0,
+                lon: at(c).1,
+                origin,
+                dest,
+                segment,
+            },
+        })
+        .collect();
+    let (lat, lon) = at(inventory.cells().next().unwrap());
+    let segment = MarketSegment::Tanker;
+    let others = vec![
+        // A miss at each grouping set (mid-Sahara; a route no one sails).
+        Request::PointSummary {
+            lat: 23.0,
+            lon: 12.0,
+        },
+        Request::SegmentSummary {
+            lat: 23.0,
+            lon: 12.0,
+            segment,
+        },
+        Request::RouteSummary {
+            lat,
+            lon,
+            origin: 60_000,
+            dest: 60_001,
+            segment,
+        },
+        // Out of range, at each summary kind.
+        Request::PointSummary {
+            lat: 95.0,
+            lon: 0.0,
+        },
+        Request::SegmentSummary {
+            lat: 0.0,
+            lon: 999.0,
+            segment,
+        },
+        Request::RouteSummary {
+            lat: f64::NAN,
+            lon: 0.0,
+            origin: 1,
+            dest: 2,
+            segment,
+        },
+        Request::BboxScan {
+            min_lat: lat - 5.0,
+            min_lon: lon - 5.0,
+            max_lat: lat + 5.0,
+            max_lon: lon + 5.0,
+        },
+        Request::BboxScan {
+            min_lat: 10.0,
+            min_lon: 0.0,
+            max_lat: -10.0,
+            max_lon: 5.0,
+        },
+        Request::TopDestinationCells {
+            dest: 3,
+            segment: None,
+        },
+        Request::Eta {
+            lat,
+            lon,
+            segment: None,
+            route: None,
+        },
+        Request::PredictDestination {
+            segment: None,
+            top_n: 3,
+            track: vec![(lat, lon), (lat + 0.1, lon + 0.1)],
+        },
+        Request::Ping,
+        Request::Health,
+        Request::Ready,
+    ];
+    requests.extend(others.iter().cloned());
+    requests.push(Request::Batch(others));
+    requests.push(Request::Batch(requests.iter().take(40).cloned().collect()));
+    requests.push(Request::Batch(Vec::new()));
+
+    let config = ServerConfig::default();
+    let metrics = || Arc::new(ServerMetrics::new());
+    let on_mapped =
+        InventoryService::open_snapshot(&dir.join("inv.pol3"), &config, metrics()).unwrap();
+    assert_eq!(on_mapped.store().name(), "mapped-columnar");
+    let on_heap = InventoryService::new(inventory, &config, metrics());
+    for service in [&on_mapped, &on_heap] {
+        let store = service.store().name();
+        let mut hits = 0;
+        for req in &requests {
+            let typed = service.execute(req);
+            hits += usize::from(matches!(typed, Response::Summary(Some(_))));
+            // Appended after bytes that are already there, as a reply
+            // is appended to a write buffer.
+            let mut appended = b"earlier".to_vec();
+            service.execute_into(req, &mut appended);
+            assert_eq!(&appended[7..], encode_response(&typed), "{store}: {req:?}");
+        }
+        assert!(hits > 100, "{store}: only {hits} summary hits");
+        // STATS reads clocks and counters; its two forms are taken a
+        // moment apart, so they are compared field by field.
+        let mut appended = Vec::new();
+        service.execute_into(&Request::Stats, &mut appended);
+        match (
+            decode_response(&appended).unwrap(),
+            service.execute(&Request::Stats),
+        ) {
+            (Response::Stats(mut a), Response::Stats(b)) => {
+                a.since_reload_secs = b.since_reload_secs;
+                assert_eq!(a, b, "{store}: STATS");
+            }
+            other => panic!("{store}: expected two STATS replies, got {other:?}"),
+        }
+    }
+    // The heap and the mapped store append the same bytes, too.
+    for req in &requests {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        on_mapped.execute_into(req, &mut a);
+        on_heap.execute_into(req, &mut b);
+        assert_eq!(a, b, "{req:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
