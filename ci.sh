@@ -1,33 +1,14 @@
 #!/usr/bin/env bash
 # The conformance gates every PR must pass, runnable locally.
 #
-#   ./ci.sh [gate|stream|recovery|reactor|analysis|all]   (default: gate)
+#   ./ci.sh [gate|analysis|all]   (default: gate)
 #
-#   gate     — formatting, release build, full test suite, xtask lint,
-#              and the end-to-end smoke tests (serve, read path, build,
-#              bench, chaos). Tier-1: must pass on stable, fully offline.
-#   stream   — the streaming-ingestion smoke: fleetsim's interleaved
-#              wire through polstream (byte-identity vs the batch build
-#              plus a sustained-ingest rps floor), a polinv audit of
-#              the published delta chain, and a delta hot-reload of a
-#              live server under polload traffic with the freshness
-#              fields checked afterwards.
-#   recovery — the crash-recovery gate: polstream journals the wire to
-#              a POLWAL1 directory and SIGABRTs itself mid-run
-#              (--kill-after); a second invocation --recovers from the
-#              checkpoint + journal suffix, resumes the wire, and must
-#              close byte-identical to the batch build with the delta
-#              chain byte-identical to an uninterrupted oracle, within
-#              a bounded recovery latency. The surviving chain is then
-#              audited with polinv verify.
-#   reactor  — the event-loop scalability gate: a server holds
-#              10 000 open sockets (95% idle, the rest driven
-#              hard) behind an rps floor, hot-swaps its snapshot under
-#              a concurrent burst, survives the fault-injected chaos
-#              self-test, and drains cleanly on stdin
-#              EOF. The 10k descriptors are split across the polinv
-#              server process and the polload driver so the container's
-#              fd ceiling holds.
+#   gate     — formatting, release build, full test suite (which drives
+#              the shipped `polinv` binary end to end over real sockets:
+#              crates/bench/tests/polinv_cli.rs), xtask lint, the
+#              repository's benchmark as a smoke on all four workloads,
+#              and the fault-injected chaos suites. Tier-1: must pass on
+#              stable, fully offline.
 #   analysis — the dynamic checkers: loom model checking of the serve
 #              primitives, Miri on the codec property tests, ASan on
 #              the mmap suite, TSan on the loopback server tests.
@@ -39,24 +20,35 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# The smoke stages allocate scratch dirs; one trap cleans up whichever
-# exist so `all` never leaks an earlier stage's directory.
-smoke_dir=""
-stream_dir=""
-recovery_dir=""
-reactor_dir=""
-cleanup() {
-  [ -n "$smoke_dir" ] && rm -rf "$smoke_dir"
-  [ -n "$stream_dir" ] && rm -rf "$stream_dir"
-  [ -n "$recovery_dir" ] && rm -rf "$recovery_dir"
-  [ -n "$reactor_dir" ] && rm -rf "$reactor_dir"
-  return 0
-}
-trap cleanup EXIT
-
 # The nightly toolchain used by Miri and the sanitizers. CI pins an
 # exact date via POL_NIGHTLY so sanitizer behaviour cannot drift.
 NIGHTLY="${POL_NIGHTLY:-nightly}"
+
+# One metric's value out of polbench's result line (empty when absent).
+bench_row() {
+  grep -oE "\"$1\": \{\"value\": [0-9.e-]+" <<<"$bench_result" | sed 's/.*: //' || true
+}
+
+# The repository's benchmark as a gate, not as a measurement: two traced
+# seconds of one workload on a seed the committed numbers do not use.
+# The last line polbench prints is the machine-readable result; every
+# further argument is a fragment it must contain, after the two every
+# workload owes: all outputs checked correct, no operation failed.
+bench_smoke() {
+  local workload="$1" want
+  shift
+  bench_result=$(bash benchmark/run.sh --workload "$workload" --seed 2 --seconds 2 --trace 1 | tail -n 1)
+  # Echoed before the checks: a stolen CPU tells a throttled box from a
+  # real failure when the stage goes red.
+  echo "bench-smoke: $workload proc.steal_share=$(bench_row proc.steal_share)"
+  for want in '"correct": true,' '"failed": 0,' "$@"; do
+    if ! grep -qF -- "$want" <<<"$bench_result"; then
+      echo "ci: bench-smoke $workload result lacks $want" >&2
+      exit 1
+    fi
+  done
+  echo "bench-smoke: $workload $(grep -oE '"attempted": [0-9]+' <<<"$bench_result") checks passed"
+}
 
 run_gate() {
   echo "==> cargo fmt --all --check"
@@ -71,383 +63,32 @@ run_gate() {
   echo "==> cargo run -p xtask -- lint"
   cargo run -q -p xtask -- lint
 
-  echo "==> pol-serve smoke test (build inventory, serve, polload burst, clean shutdown)"
-  smoke_dir=$(mktemp -d)
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    build --out "$smoke_dir/inv.pol" --vessels 10 --days 3 >/dev/null
-  mkfifo "$smoke_dir/ctl"
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    serve "$smoke_dir/inv.pol" --addr 127.0.0.1:0 \
-    > "$smoke_dir/serve.out" 2> "$smoke_dir/serve.err" < "$smoke_dir/ctl" &
-  serve_pid=$!
-  exec 9> "$smoke_dir/ctl" # hold the control fifo open; closing it stops the server
-  serve_addr=""
-  for _ in $(seq 1 100); do
-    serve_addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve.out")
-    if [ -n "$serve_addr" ]; then break; fi
-    sleep 0.1
-  done
-  if [ -z "$serve_addr" ]; then
-    echo "ci: server never reported its address" >&2
-    exit 1
-  fi
-  cargo run --release -q -p pol-bench --bin polload -- \
-    --addr "$serve_addr" --threads 4 --requests 2000 \
-    --out "$smoke_dir/BENCH_serve.json" > "$smoke_dir/load.out"
-  if ! grep -q '"endpoint": "point_summary"' "$smoke_dir/BENCH_serve.json"; then
-    echo "ci: polload produced no point_summary result" >&2
-    exit 1
-  fi
-  if grep -q '"rps": 0\.0,' "$smoke_dir/BENCH_serve.json"; then
-    echo "ci: an endpoint reported zero RPS" >&2
-    exit 1
-  fi
-  exec 9>&- # stdin EOF -> graceful shutdown
-  wait "$serve_pid"
-  if ! grep -q "shut down after" "$smoke_dir/serve.err"; then
-    echo "ci: server did not shut down cleanly" >&2
-    exit 1
-  fi
-  echo "pol-serve smoke: $(grep 'aggregate point_summary' "$smoke_dir/load.out")"
-
-  echo "==> read-path smoke (migrate to POLINV3, serve mmap, batch burst, rps floor)"
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    migrate "$smoke_dir/inv.pol" "$smoke_dir/inv.pol3" > "$smoke_dir/migrate.out"
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    verify "$smoke_dir/inv.pol3" >/dev/null
-  mkfifo "$smoke_dir/ctl3"
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    serve "$smoke_dir/inv.pol3" --addr 127.0.0.1:0 \
-    > "$smoke_dir/serve3.out" 2> "$smoke_dir/serve3.err" < "$smoke_dir/ctl3" &
-  serve3_pid=$!
-  exec 8> "$smoke_dir/ctl3"
-  serve3_addr=""
-  for _ in $(seq 1 100); do
-    serve3_addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve3.out")
-    if [ -n "$serve3_addr" ]; then break; fi
-    sleep 0.1
-  done
-  if [ -z "$serve3_addr" ]; then
-    echo "ci: mmap server never reported its address" >&2
-    exit 1
-  fi
-  # The floor gates batched route-summary throughput — conservative (the
-  # committed baseline is ~500k rps on release loopback), catching a read
-  # path that stopped amortising, not jitter.
-  cargo run --release -q -p pol-bench --bin polload -- \
-    --addr "$serve3_addr" --threads 4 --requests 2000 --batch 32 --min-rps 20000 \
-    --out "$smoke_dir/BENCH_serve3.json" > "$smoke_dir/load3.out"
-  if ! grep -q '"endpoint": "route_summary_batch"' "$smoke_dir/BENCH_serve3.json"; then
-    echo "ci: polload produced no batched route_summary result" >&2
-    exit 1
-  fi
-  exec 8>&- # stdin EOF -> graceful shutdown
-  wait "$serve3_pid"
-  if ! grep -q "shut down after" "$smoke_dir/serve3.err"; then
-    echo "ci: mmap server did not shut down cleanly" >&2
-    exit 1
-  fi
-  echo "read-path smoke: $(grep -- '--min-rps gate' "$smoke_dir/load3.out")"
-
-  echo "==> polbuild ingestion smoke (fused vs staged, bit-identity + throughput + speedup floors)"
-  # The rps floor is deliberately conservative (~2 orders below a
-  # release-build laptop) — it catches a pipeline that stopped scaling,
-  # not jitter. --threads sweeps the staged/fused pair across worker
-  # counts so the radix-merge parallel path is exercised, not just the
-  # sequential one. --min-speedup 1.0 is the tentpole acceptance bar:
-  # the fused executor must beat (or tie) the staged pipeline at EVERY
-  # swept thread count; --repeat 3 takes the min-of-3 wall time per
-  # executor so a neighbour stealing the CPU mid-pass cannot fail the
-  # gate on scheduling noise.
-  cargo run --release -q -p pol-bench --bin polbuild -- \
-    --vessels 10 --days 3 --threads 1,4 --min-rps 5000 \
-    --min-speedup 1.0 --repeat 3 \
-    --out "$smoke_dir/BENCH_build.json" > "$smoke_dir/build.out"
-  if [ ! -s "$smoke_dir/BENCH_build.json" ]; then
-    echo "ci: polbuild wrote no BENCH_build.json" >&2
-    exit 1
-  fi
-  if ! grep -q '"bit_identical": true' "$smoke_dir/BENCH_build.json"; then
-    echo "ci: fused executor diverged from staged" >&2
-    exit 1
-  fi
-  if grep -q '"fused_records_per_sec": 0\.0' "$smoke_dir/BENCH_build.json"; then
-    echo "ci: polbuild reported zero end-to-end throughput" >&2
-    exit 1
-  fi
-  echo "polbuild smoke: $(cat "$smoke_dir/build.out" | head -1)"
-
-  echo "==> bench-smoke (polbench batch_build, traced: every output check passes, no line fails to decode)"
-  # The repository's benchmark as a gate, not as a measurement: two
-  # seconds on a seed the committed numbers do not use. Its last line is
-  # the machine-readable result.
-  bench_result=$(bash benchmark/run.sh --workload batch_build --seed 2 --seconds 2 --trace 1 | tail -n 1)
-  # One metric's value out of the result line (empty when absent).
-  bench_row() {
-    grep -oE "\"$1\": \{\"value\": [0-9.e-]+" <<<"$bench_result" | sed 's/.*: //' || true
-  }
-  # Echoed before the checks: a stolen CPU tells a throttled box from a
-  # real failure when the stage goes red.
-  bench_steal=$(bench_row proc.steal_share)
-  echo "bench-smoke: proc.steal_share=${bench_steal:-missing}"
-  for want in '"correct": true,' '"failed": 0,' '"ais.decode_failures": {"value": 0,'; do
-    if ! grep -qF -- "$want" <<<"$bench_result"; then
-      echo "ci: bench-smoke result lacks $want" >&2
-      exit 1
-    fi
-  done
-  echo "bench-smoke: $(grep -oE '"attempted": [0-9]+' <<<"$bench_result") checks passed"
-
-  echo "==> bench-smoke (polbench serve_lookup, traced: every reply byte-checked, lookups never leave the loop)"
-  # The read side, same terms: the server child answers point, segment
-  # and route summaries on its event loop, so nothing is shed and next
-  # to no request wakes the loop through the eventfd. The wakeup row is
-  # a ratio of two STATS counters: it does not depend on the box's mood.
-  bench_result=$(bash benchmark/run.sh --workload serve_lookup --seed 2 --seconds 2 --trace 1 | tail -n 1)
-  bench_steal=$(bench_row proc.steal_share)
-  echo "bench-smoke: proc.steal_share=${bench_steal:-missing}"
-  for want in '"correct": true,' '"failed": 0,' '"serve.busy": {"value": 0,' '"serve.shed_at_loop": {"value": 0,'; do
-    if ! grep -qF -- "$want" <<<"$bench_result"; then
-      echo "ci: bench-smoke result lacks $want" >&2
-      exit 1
-    fi
-  done
+  echo "==> bench-smoke (polbench, traced, every output byte-checked against the Inventory oracle)"
+  # Wire bytes in to first answer served; no line fails to decode.
+  bench_smoke batch_build '"ais.decode_failures": {"value": 0,'
+  # The write side as one process-level pass: WAL, checkpoints, window
+  # cuts, hot reload, crash image, recovery, and byte identity with the
+  # batch oracle are each one of the checks counted in "attempted".
+  bench_smoke stream_ingest
+  # The server child answers point, segment and route summaries on its
+  # event loop: nothing is shed and next to no request wakes the loop
+  # through the eventfd. The wakeup row is a ratio of two STATS
+  # counters: it does not depend on the box's mood.
+  bench_smoke serve_lookup '"serve.busy": {"value": 0,' '"serve.shed_at_loop": {"value": 0,'
   bench_wakeups=$(bench_row serve.wakeups_per_request)
   if ! awk -v w="${bench_wakeups:-1}" 'BEGIN { exit !(w < 0.05) }'; then
     echo "ci: bench-smoke serve.wakeups_per_request=${bench_wakeups:-missing}, want < 0.05" >&2
     exit 1
   fi
-  echo "bench-smoke: $(grep -oE '"attempted": [0-9]+' <<<"$bench_result") replies checked, serve.wakeups_per_request=$bench_wakeups"
+  # BATCHx32 frames of scans, ETA and prediction through the worker pool.
+  bench_smoke serve_heavy
 
   echo "==> chaos smoke (fault-injected persistence + serving + journaling)"
   cargo test -q -p pol-core --features chaos --test codec_chaos
   cargo test -q -p pol-serve --features chaos --test chaos
   cargo test -q -p pol-stream --features chaos --test chaos
-  cargo run -q -p pol-bench --features chaos --bin polload -- \
-    --chaos --vessels 20 --days 3 --requests 1000
 
   echo "ci: gate passed"
-}
-
-run_stream() {
-  echo "==> streaming ingest smoke (interleaved wire -> polstream -> byte-identity + rps floor)"
-  stream_dir=$(mktemp -d)
-  # Same philosophy as polbuild's floor: conservative (release laptops
-  # sustain far more), catching an ingest path that stopped scaling.
-  cargo run --release -q -p pol-bench --bin polstream -- \
-    --vessels 10 --days 3 --window-days 1 --min-rps 5000 \
-    --delta-dir "$stream_dir/deltas" --out "$stream_dir/BENCH_stream.json" \
-    > "$stream_dir/stream.out"
-  if ! grep -q '"byte_identical": true' "$stream_dir/BENCH_stream.json"; then
-    echo "ci: streamed inventory diverged from the batch build" >&2
-    exit 1
-  fi
-  if ! grep -q '"late_dropped": 0,' "$stream_dir/BENCH_stream.json"; then
-    echo "ci: the reorder bound dropped records the batch build saw" >&2
-    exit 1
-  fi
-  # The ingestion vitals line: nothing may have fallen behind the
-  # reorder bound on the smoke wire.
-  if ! grep -q '^progress: .*late_dropped=0 ' "$stream_dir/stream.out"; then
-    echo "ci: polstream progress output did not report late_dropped=0" >&2
-    exit 1
-  fi
-  echo "polstream smoke: $(grep -- '--min-rps gate' "$stream_dir/stream.out")"
-
-  echo "==> delta chain audit (polinv verify walks base + every delta)"
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    verify "$stream_dir/deltas/inventory.polman" > "$stream_dir/verify.out"
-  if ! grep -q 'OK (POLMAN1 delta chain)' "$stream_dir/verify.out"; then
-    echo "ci: polinv did not verify the published delta chain" >&2
-    exit 1
-  fi
-
-  echo "==> delta hot-reload under load (serve the base, swap in the chain mid-burst)"
-  mkfifo "$stream_dir/ctl"
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    serve "$stream_dir/deltas/base.pol" --addr 127.0.0.1:0 \
-    > "$stream_dir/serve.out" 2> "$stream_dir/serve.err" < "$stream_dir/ctl" &
-  stream_serve_pid=$!
-  exec 7> "$stream_dir/ctl" # hold the control fifo open; closing it stops the server
-  stream_addr=""
-  for _ in $(seq 1 100); do
-    stream_addr=$(sed -n 's/^listening on //p' "$stream_dir/serve.out")
-    if [ -n "$stream_addr" ]; then break; fi
-    sleep 0.1
-  done
-  if [ -z "$stream_addr" ]; then
-    echo "ci: chain server never reported its address" >&2
-    exit 1
-  fi
-  # Drive a burst and swap the snapshot for the full base+delta chain
-  # while it runs. polload fails on any dropped or errored request, so
-  # its exit code is the "zero dropped in-flight queries" check; the
-  # loopback test suite proves the zero-wrong-answers half.
-  cargo run --release -q -p pol-bench --bin polload -- \
-    --addr "$stream_addr" --threads 4 --requests 8000 \
-    --out "$stream_dir/BENCH_reload.json" > "$stream_dir/load.out" 2> "$stream_dir/load.err" &
-  load_pid=$!
-  sleep 0.5
-  echo "reload $stream_dir/deltas/inventory.polman" >&7
-  if ! wait "$load_pid"; then
-    echo "ci: polload dropped requests across the delta reload" >&2
-    exit 1
-  fi
-  if ! grep -q "^reloaded $stream_dir/deltas/inventory.polman" "$stream_dir/serve.err"; then
-    echo "ci: server never applied the delta-chain reload" >&2
-    exit 1
-  fi
-  # Freshness probe: a fresh polload run renders the server's STATS
-  # report, which must now carry the reloaded chain's lineage.
-  cargo run --release -q -p pol-bench --bin polload -- \
-    --addr "$stream_addr" --threads 1 --requests 50 \
-    --out "$stream_dir/BENCH_probe.json" > /dev/null 2> "$stream_dir/probe.err"
-  if ! grep -Eq 'delta_generation=[0-9]+ chain_len=([2-9]|[0-9]{2,}) since_reload_secs=[0-9]+' \
-      "$stream_dir/probe.err"; then
-    echo "ci: STATS did not report the reloaded chain's freshness fields" >&2
-    exit 1
-  fi
-  exec 7>&- # stdin EOF -> graceful shutdown
-  wait "$stream_serve_pid"
-  if ! grep -q "shut down after" "$stream_dir/serve.err"; then
-    echo "ci: chain server did not shut down cleanly" >&2
-    exit 1
-  fi
-  echo "delta reload smoke: $(grep -m1 'delta_generation=' "$stream_dir/probe.err")"
-
-  echo "ci: stream passed"
-}
-
-run_recovery() {
-  echo "==> crash-recovery gate (journal, SIGABRT mid-run, recover, reconverge)"
-  recovery_dir=$(mktemp -d)
-  # Life 1: journal the wire and abort after 15k records — far enough
-  # to have durable WAL segments, a checkpoint, and published deltas on
-  # disk, and early enough that a real journal suffix remains to replay.
-  if cargo run --release -q -p pol-bench --bin polstream -- \
-      --vessels 10 --days 3 --window-days 1 \
-      --wal-dir "$recovery_dir/wal" --checkpoint-every 5000 --kill-after 13500 \
-      --out "$recovery_dir/BENCH_kill.json" \
-      > "$recovery_dir/kill.out" 2> "$recovery_dir/kill.err"; then
-    echo "ci: polstream --kill-after exited cleanly instead of aborting" >&2
-    exit 1
-  fi
-  if ! grep -q -- '--kill-after 13500: aborting' "$recovery_dir/kill.err"; then
-    echo "ci: polstream died before the scripted kill point" >&2
-    cat "$recovery_dir/kill.err" >&2
-    exit 1
-  fi
-  if ! ls "$recovery_dir/wal/"wal-*.polwal >/dev/null 2>&1; then
-    echo "ci: the killed run left no journal segment behind" >&2
-    exit 1
-  fi
-
-  # Life 2: recover from the checkpoint + journal suffix, resume the
-  # wire, and hold the run to the full gate set — batch byte-identity,
-  # chain byte-identity vs an uninterrupted oracle, bounded recovery
-  # latency, and the rps floor.
-  cargo run --release -q -p pol-bench --bin polstream -- \
-    --vessels 10 --days 3 --window-days 1 \
-    --wal-dir "$recovery_dir/wal" --checkpoint-every 5000 --recover \
-    --max-recovery-secs 60 --min-rps 5000 \
-    --out "$recovery_dir/BENCH_stream_recovery.json" \
-    > "$recovery_dir/recover.out"
-  if ! grep -q '"byte_identical": true' "$recovery_dir/BENCH_stream_recovery.json"; then
-    echo "ci: recovered inventory diverged from the batch build" >&2
-    exit 1
-  fi
-  if ! grep -q '"recovered": true' "$recovery_dir/BENCH_stream_recovery.json"; then
-    echo "ci: the recovery run did not record itself as recovered" >&2
-    exit 1
-  fi
-  if ! grep -q 'recovery gate passed' "$recovery_dir/recover.out"; then
-    echo "ci: the recovered delta chain was not proven byte-identical" >&2
-    exit 1
-  fi
-  if ! grep -q '^progress: .*late_dropped=0 ' "$recovery_dir/recover.out"; then
-    echo "ci: recovered run progress did not report late_dropped=0" >&2
-    exit 1
-  fi
-
-  echo "==> surviving chain audit (polinv verify walks base + every delta)"
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    verify "$recovery_dir/wal/inventory.polman" > "$recovery_dir/verify.out"
-  if ! grep -q 'OK (POLMAN1 delta chain)' "$recovery_dir/verify.out"; then
-    echo "ci: polinv did not verify the recovered delta chain" >&2
-    exit 1
-  fi
-  echo "recovery smoke: $(grep -m1 '  recovery ' "$recovery_dir/recover.out")"
-
-  echo "ci: recovery passed"
-}
-
-run_reactor() {
-  echo "==> reactor scalability gate (10k open sockets, rps floor, reload under load, chaos, drain)"
-  reactor_dir=$(mktemp -d)
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    build --out "$reactor_dir/inv.pol" --vessels 10 --days 3 >/dev/null
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    migrate "$reactor_dir/inv.pol" "$reactor_dir/inv.pol3" >/dev/null
-  mkfifo "$reactor_dir/ctl"
-  cargo run --release -q -p pol-bench --bin polinv -- \
-    serve "$reactor_dir/inv.pol3" --addr 127.0.0.1:0 \
-    > "$reactor_dir/serve.out" 2> "$reactor_dir/serve.err" < "$reactor_dir/ctl" &
-  reactor_pid=$!
-  exec 6> "$reactor_dir/ctl" # hold the control fifo open; closing it stops the server
-  reactor_addr=""
-  for _ in $(seq 1 100); do
-    reactor_addr=$(sed -n 's/^listening on //p' "$reactor_dir/serve.out")
-    if [ -n "$reactor_addr" ]; then break; fi
-    sleep 0.1
-  done
-  if [ -z "$reactor_addr" ]; then
-    echo "ci: reactor server never reported its address" >&2
-    exit 1
-  fi
-  # The 10k-socket burst: 95% of the fleet sits silent in the readiness
-  # table while the rest is driven in rotation. The floor is roughly an
-  # order of magnitude under the committed single-core baseline
-  # (figures/BENCH_serve.json records ~9k rps at 10k sockets), so it
-  # catches a reactor that stopped scaling, not scheduler jitter.
-  cargo run --release -q -p pol-bench --bin polload -- \
-    --addr "$reactor_addr" --connections 10000 --idle-frac 0.95 \
-    --threads 4 --requests 20000 --min-rps 1000 \
-    --out "$reactor_dir/BENCH_conn.json" > "$reactor_dir/conn.out"
-  if ! grep -q '"connections": 10000' "$reactor_dir/BENCH_conn.json"; then
-    echo "ci: the connection bench recorded no 10k row" >&2
-    exit 1
-  fi
-  # Hot reload while a fresh burst is in flight: no request may be
-  # dropped across the swap (polload exits non-zero on any error).
-  cargo run --release -q -p pol-bench --bin polload -- \
-    --addr "$reactor_addr" --threads 4 --requests 6000 \
-    --out "$reactor_dir/BENCH_reload.json" > /dev/null 2>&1 &
-  reactor_load_pid=$!
-  sleep 0.3
-  echo "reload $reactor_dir/inv.pol3" >&6
-  if ! wait "$reactor_load_pid"; then
-    echo "ci: polload dropped requests across the reactor reload" >&2
-    exit 1
-  fi
-  if ! grep -q "^reloaded $reactor_dir/inv.pol3" "$reactor_dir/serve.err"; then
-    echo "ci: reactor server never applied the reload" >&2
-    exit 1
-  fi
-  # The kill/delay chaos pass (failpoints are per-process, so this
-  # runs the in-process self-test).
-  cargo run -q -p pol-bench --features chaos --bin polload -- \
-    --chaos --vessels 10 --days 3 --requests 500 > "$reactor_dir/chaos.out"
-  # Clean drain: stdin EOF, then the shutdown line must appear even
-  # after carrying 10k sockets.
-  exec 6>&- # stdin EOF -> graceful shutdown
-  wait "$reactor_pid"
-  if ! grep -q "shut down after" "$reactor_dir/serve.err"; then
-    echo "ci: reactor server did not drain cleanly" >&2
-    exit 1
-  fi
-  echo "reactor smoke: $(grep -- '--min-rps gate' "$reactor_dir/conn.out")"
-
-  echo "ci: reactor passed"
 }
 
 # Prints a loud, documented skip. Every skip names its checker, the
@@ -512,19 +153,13 @@ run_analysis() {
 stage="${1:-gate}"
 case "$stage" in
   gate) run_gate ;;
-  stream) run_stream ;;
-  recovery) run_recovery ;;
-  reactor) run_reactor ;;
   analysis) run_analysis ;;
   all)
     run_gate
-    run_stream
-    run_recovery
-    run_reactor
     run_analysis
     ;;
   *)
-    echo "usage: ./ci.sh [gate|stream|recovery|reactor|analysis|all]" >&2
+    echo "usage: ./ci.sh [gate|analysis|all]" >&2
     exit 2
     ;;
 esac

@@ -1,11 +1,11 @@
 //! A counting global allocator for the benchmark binaries.
 //!
-//! Wraps the system allocator with relaxed atomic counters so `polbuild`
-//! (and `polinv build --timings`) can report allocations and bytes per
-//! pipeline stage — the cost the fused executor exists to avoid. Every
-//! call also feeds `pol_engine::profile::note_alloc`, the thread-local
-//! counters behind `polbuild --profile`'s per-worker breakdown. Install
-//! it in a binary with:
+//! Wraps the system allocator with relaxed atomic counters so
+//! `polinv build --timings` can report the allocations and bytes of a
+//! build — the cost the fused executor exists to avoid. Every call also
+//! feeds `pol_engine::profile::note_alloc`, the thread-local counters
+//! `tests/alloc_budget.rs` reads to count one thread's allocations.
+//! Install it in a binary with:
 //!
 //! ```ignore
 //! #[global_allocator]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! polinv build --out inv.pol [--vessels 150] [--days 14] [--res 6] [--seed 42]
-//!              [--executor fused|staged] [--timings]
+//!              [--timings]
 //! polinv info <inv.pol>
 //! polinv verify <inv.pol>
 //! polinv query <inv.pol> <lat> <lon> [--segment container|tanker|...]
@@ -25,7 +25,7 @@
 
 use pol_ais::types::MarketSegment;
 use pol_bench::alloc::{self, CountingAlloc};
-use pol_bench::{build_inventory_on, BuildExecutor};
+use pol_bench::build_inventory_on;
 use pol_core::{codec, Inventory, PipelineConfig};
 use pol_engine::Engine;
 use pol_fleetsim::emit::EmissionConfig;
@@ -42,7 +42,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  polinv build --out <file> [--vessels N] [--days D] [--res R] [--seed S] \
-         [--executor fused|staged] [--timings]\n  \
+         [--timings]\n  \
          polinv info <file>\n  \
          polinv verify <file>\n  \
          polinv query <file> <lat> <lon> [--segment <name>]\n  \
@@ -100,23 +100,13 @@ fn cmd_build(args: &[String]) -> ExitCode {
         },
         ..ScenarioConfig::default()
     };
-    let executor = match parse_flag(args, "--executor") {
-        None => BuildExecutor::Fused,
-        Some(name) => match BuildExecutor::from_name(&name) {
-            Some(e) => e,
-            None => {
-                eprintln!("error: unknown executor {name} (expected fused|staged)");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
     let timings = args.iter().any(|a| a == "--timings");
     let cfg = PipelineConfig::default().with_resolution(resolution);
     eprintln!("simulating {vessels} vessels over {days} days (seed {seed})...");
     let ds = generate(&scenario);
     let engine = Engine::with_available_parallelism();
     let before = alloc::snapshot();
-    let out = build_inventory_on(&engine, &ds, &cfg, executor);
+    let out = build_inventory_on(&engine, &ds, &cfg);
     let delta = alloc::snapshot().since(before);
     engine.metrics().add_counter("alloc.calls", delta.allocs);
     engine.metrics().add_counter("alloc.bytes", delta.bytes);

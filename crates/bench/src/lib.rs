@@ -84,60 +84,29 @@ pub fn port_id(locode: &str) -> u16 {
          .0
 }
 
-/// Which build executor to run — the staged reference pipeline or the
-/// fused morsel-driven one. They produce bit-identical inventories
-/// (tested); fused is the fast default, staged is the oracle `polbuild`
-/// benchmarks against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BuildExecutor {
-    /// [`pol_core::run`] — one materialized `Dataset` per stage.
-    Staged,
-    /// [`pol_core::run_fused`] — single pass per vessel partition.
-    Fused,
-}
-
-impl BuildExecutor {
-    /// Parses a `--executor` flag value.
-    pub fn from_name(name: &str) -> Option<BuildExecutor> {
-        match name {
-            "staged" => Some(BuildExecutor::Staged),
-            "fused" => Some(BuildExecutor::Fused),
-            _ => None,
-        }
-    }
-}
-
-/// Runs the chosen executor over an already-generated dataset on an
-/// explicit engine (so callers control thread count and read the
-/// engine's stage metrics afterwards).
+/// Runs the pipeline ([`pol_core::run_fused`]) over an already-generated
+/// dataset on an explicit engine (so callers control thread count and
+/// read the engine's stage metrics afterwards).
 pub fn build_inventory_on(
     engine: &Engine,
     ds: &Dataset,
     pipeline: &PipelineConfig,
-    executor: BuildExecutor,
 ) -> PipelineOutput {
     let ports = port_sites(pipeline.port_radius_km);
-    let positions = ds.positions.clone();
-    match executor {
-        BuildExecutor::Staged => pol_core::run(engine, positions, &ds.statics, &ports, pipeline),
-        BuildExecutor::Fused => {
-            pol_core::run_fused(engine, positions, &ds.statics, &ports, pipeline)
-        }
-    }
-    // lint: allow(no_unwrap) — bench harness: a failed pipeline build
-    // invalidates every number downstream; abort loudly.
-    .expect("pipeline run failed")
+    pol_core::run_fused(engine, ds.positions.clone(), &ds.statics, &ports, pipeline)
+        // lint: allow(no_unwrap) — bench harness: a failed pipeline build
+        // invalidates every number downstream; abort loudly.
+        .expect("pipeline run failed")
 }
 
-/// Generates a scenario and runs the full pipeline over it (fused
-/// executor — bit-identical to staged, materially faster).
+/// Generates a scenario and runs the full pipeline over it.
 pub fn build_inventory(
     scenario: &ScenarioConfig,
     pipeline: &PipelineConfig,
 ) -> (Dataset, PipelineOutput) {
     let ds = generate(scenario);
     let engine = Engine::with_available_parallelism();
-    let out = build_inventory_on(&engine, &ds, pipeline, BuildExecutor::Fused);
+    let out = build_inventory_on(&engine, &ds, pipeline);
     (ds, out)
 }
 

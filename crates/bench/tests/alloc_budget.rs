@@ -5,7 +5,7 @@
 //! per-worker scratch, thread-local buffers and sketch spill vectors),
 //! then pins the *steady-state* allocation count of a full fused build.
 //! The committed baseline before the scratch-arena rewrite was 401,610
-//! allocations for the default `polbuild` workload; the budget here is
+//! allocations for 40 vessels over 7 days (295 k reports); the budget here is
 //! more than an order of magnitude below that, scaled to the smaller
 //! test workload — a regression that reintroduces per-vessel or
 //! per-record allocation blows through it immediately.
@@ -13,7 +13,7 @@
 use pol_ais::encode::{encode_position_a, encode_position_b};
 use pol_ais::{decode_payload, Assembler, Mmsi, NavStatus, PositionReport, Sentence};
 use pol_bench::alloc::{snapshot, CountingAlloc};
-use pol_bench::{build_inventory_on, BuildExecutor};
+use pol_bench::port_sites;
 use pol_core::{codec, PipelineConfig};
 use pol_engine::Engine;
 use pol_fleetsim::emit::EmissionConfig;
@@ -28,7 +28,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// time: the harness starts the tests of a file on parallel threads.
 static ONE_BUILD_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// The CI smoke workload (matches `ci.sh`'s polbuild invocation scale).
+/// Ten vessels over three days: some 30 k reports.
 fn scenario() -> ScenarioConfig {
     ScenarioConfig {
         seed: 42,
@@ -54,11 +54,14 @@ fn fused_steady_state_allocations_stay_pinned() {
 
     let engine = Engine::new(2);
     // Warm-up: first run allocates the per-worker scratch arenas.
-    let warm = build_inventory_on(&engine, &ds, &cfg, BuildExecutor::Fused);
+    let ports = port_sites(cfg.port_radius_km);
+    let fused =
+        || pol_core::run_fused(&engine, ds.positions.clone(), &ds.statics, &ports, &cfg).unwrap();
+    let warm = fused();
 
     // Steady state: same engine, warm scratch.
     let before = snapshot();
-    let steady = build_inventory_on(&engine, &ds, &cfg, BuildExecutor::Fused);
+    let steady = fused();
     let delta = snapshot().since(before);
 
     // Same bytes both times — the reuse must not leak state across runs.
@@ -97,9 +100,12 @@ fn staged_pipeline_allocations_stay_reduced() {
     let ds = generate(&scenario());
     let cfg = PipelineConfig::default();
     let engine = Engine::new(2);
-    let _ = build_inventory_on(&engine, &ds, &cfg, BuildExecutor::Staged);
+    let ports = port_sites(cfg.port_radius_km);
+    let staged =
+        || pol_core::run(&engine, ds.positions.clone(), &ds.statics, &ports, &cfg).unwrap();
+    let _ = staged();
     let before = snapshot();
-    let _ = build_inventory_on(&engine, &ds, &cfg, BuildExecutor::Staged);
+    let _ = staged();
     let delta = snapshot().since(before);
     eprintln!("staged steady-state: {} allocs", delta.allocs);
     assert!(

@@ -1,0 +1,426 @@
+//! The shipped `polinv` binary, driven end to end over real sockets:
+//! `build` → `verify` → `migrate` → `serve` a POLINV2 and a POLINV3 file →
+//! `reload` a POLMAN1 chain over stdin → a corrupt `reload` → thousands
+//! of open sockets → stdin EOF. Every answer is compared with the same
+//! query made on an `Inventory` in this process.
+//!
+//! The library tests reach all of this through `Server` and
+//! `InventoryService`; this file is the one place the command-line
+//! parsing, the format sniffing behind `serve`, the stdin control
+//! channel and the process's own descriptor budget are exercised.
+
+use pol_core::codec::{self, columnar};
+use pol_core::features::GroupKey;
+use pol_core::Inventory;
+use pol_geo::LatLon;
+use pol_hexgrid::{cell_at, cell_center};
+use pol_serve::proto::encode_response;
+use pol_serve::{Client, Request, Response, StatsReport};
+use pol_stream::DeltaPublisher;
+use std::fs::{self, File};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
+
+/// The longest any wait on a child may take.
+const WAIT: Duration = Duration::from_secs(10);
+
+/// Sockets that carry lookups while the idle fleet is held open.
+const ACTIVE_SOCKETS: usize = 64;
+
+/// An empty directory of this file's own under `CARGO_TARGET_TMPDIR`.
+fn scratch(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("polinv_cli")
+        .join(name);
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn arg(path: &Path) -> &str {
+    path.to_str().expect("scratch paths are UTF-8")
+}
+
+fn polinv(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_polinv"))
+        .args(args)
+        .output()
+        .expect("spawn polinv")
+}
+
+/// Runs one subcommand that must succeed; its stdout.
+fn polinv_ok(args: &[&str]) -> String {
+    let out = polinv(args);
+    assert!(
+        out.status.success(),
+        "polinv {args:?} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("polinv prints UTF-8")
+}
+
+/// The first whole line of `text` at or after byte `from` that starts
+/// with `prefix`. A last line without its newline is still being
+/// written and does not count.
+fn find_line(text: &str, from: usize, prefix: &str) -> Option<String> {
+    let whole = text.get(from..text.rfind('\n')? + 1)?;
+    whole
+        .lines()
+        .find(|l| l.starts_with(prefix))
+        .map(str::to_string)
+}
+
+/// Polls `path` for a line starting with `prefix`; on timeout the panic
+/// carries the child's stderr.
+fn wait_for_line(path: &Path, from: usize, prefix: &str, child_stderr: &Path) -> String {
+    let deadline = Instant::now() + WAIT;
+    loop {
+        let text = fs::read_to_string(path).unwrap_or_default();
+        if let Some(line) = find_line(&text, from, prefix) {
+            return line;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no `{prefix}` line in {} within {WAIT:?}; child stderr:\n{}",
+            path.display(),
+            fs::read_to_string(child_stderr).unwrap_or_default()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A running `polinv serve`. Killed and reaped on drop, so a failed
+/// assertion leaves no server behind.
+struct Serving {
+    child: Child,
+    stderr: PathBuf,
+}
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+impl Serving {
+    /// Serves `snapshot` on an ephemeral loopback port, the child's
+    /// output going to files under `dir`.
+    fn start(snapshot: &Path, dir: &Path) -> (Serving, SocketAddr) {
+        let (stdout, stderr) = (dir.join("serve.out"), dir.join("serve.err"));
+        let child = Command::new(env!("CARGO_BIN_EXE_polinv"))
+            .args(["serve", arg(snapshot), "--addr", "127.0.0.1:0"])
+            .stdin(Stdio::piped())
+            .stdout(File::create(&stdout).expect("create serve.out"))
+            .stderr(File::create(&stderr).expect("create serve.err"))
+            .spawn()
+            .expect("spawn polinv serve");
+        let serving = Serving { child, stderr };
+        let line = wait_for_line(&stdout, 0, "listening on ", &serving.stderr);
+        let addr = line["listening on ".len()..]
+            .parse()
+            .expect("a socket address after `listening on`");
+        (serving, addr)
+    }
+
+    /// Sends `reload <path>` down the control channel; the server's
+    /// verdict line (`reloaded …` or `reload rejected …`).
+    fn reload(&mut self, path: &Path) -> String {
+        let mark = fs::metadata(&self.stderr).map_or(0, |m| m.len() as usize);
+        let stdin = self.child.stdin.as_mut().expect("control channel open");
+        writeln!(stdin, "reload {}", path.display()).expect("write control line");
+        wait_for_line(&self.stderr, mark, "reload", &self.stderr)
+    }
+
+    /// Closes stdin, which asks the server to drain and exit; its
+    /// `shut down after …` line.
+    fn stop(mut self) -> String {
+        drop(self.child.stdin.take());
+        let deadline = Instant::now() + WAIT;
+        let status = loop {
+            if let Some(status) = self.child.try_wait().expect("poll the child") {
+                break status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "polinv serve still running {WAIT:?} after stdin EOF"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let log = fs::read_to_string(&self.stderr).unwrap_or_default();
+        assert!(status.success(), "polinv serve exited {status}:\n{log}");
+        find_line(&log, 0, "shut down after")
+            .unwrap_or_else(|| panic!("polinv serve exited without draining:\n{log}"))
+    }
+}
+
+/// What the server must answer to a summary lookup, from `inv` itself.
+fn expected(inv: &Inventory, req: &Request) -> Response {
+    let cell = |lat, lon| cell_at(LatLon::new(lat, lon).expect("in range"), inv.resolution());
+    let stats = match *req {
+        Request::PointSummary { lat, lon } => inv.summary(cell(lat, lon)),
+        Request::SegmentSummary { lat, lon, segment } => inv.summary_for(cell(lat, lon), segment),
+        Request::RouteSummary {
+            lat,
+            lon,
+            origin,
+            dest,
+            segment,
+        } => inv.summary_route(cell(lat, lon), origin, dest, segment),
+        _ => unreachable!("the pool holds summary lookups only"),
+    };
+    Response::Summary(stats.cloned())
+}
+
+/// Some 600 lookups spread over every key of `inv`, all three grouping
+/// sets among them.
+fn lookups(inv: &Inventory) -> Vec<Request> {
+    inv.iter()
+        .step_by(inv.len() / 600 + 1)
+        .map(|(key, _)| {
+            let at = cell_center(key.cell());
+            let (lat, lon) = (at.lat(), at.lon());
+            match *key {
+                GroupKey::Cell(_) => Request::PointSummary { lat, lon },
+                GroupKey::CellType(_, segment) => Request::SegmentSummary { lat, lon, segment },
+                GroupKey::CellRoute(_, origin, dest, segment) => Request::RouteSummary {
+                    lat,
+                    lon,
+                    origin,
+                    dest,
+                    segment,
+                },
+            }
+        })
+        .collect()
+}
+
+/// `CellStats` has no `PartialEq`; the wire encoding is canonical, so
+/// equal bytes are equal answers. A `Busy` or `Error` reply fails too.
+fn assert_answer(inv: &Inventory, req: &Request, got: &Response) {
+    assert!(
+        encode_response(got) == encode_response(&expected(inv, req)),
+        "{req:?} answered {got:?}"
+    );
+}
+
+/// Every lookup of `pool` as a frame of its own, then again as
+/// `BATCH`×32, each answer equal to `inv`'s.
+fn assert_serves(addr: SocketAddr, inv: &Inventory, pool: &[Request]) {
+    let mut client = Client::connect(addr).expect("connect");
+    for req in pool {
+        let got = client.request_once(req).expect("single frame");
+        assert_answer(inv, req, &got);
+    }
+    for chunk in pool.chunks(32) {
+        let reply = client.request_once(&Request::Batch(chunk.to_vec()));
+        let Ok(Response::Batch(children)) = reply else {
+            panic!("BATCH of {} answered {reply:?}", chunk.len());
+        };
+        assert_eq!(children.len(), chunk.len());
+        for (req, got) in chunk.iter().zip(&children) {
+            assert_answer(inv, req, got);
+        }
+    }
+}
+
+/// The server's `STATS` reply, over a connection of its own.
+fn stats(addr: SocketAddr) -> StatsReport {
+    Client::connect(addr)
+        .and_then(|mut c| c.stats())
+        .expect("STATS")
+}
+
+/// What `polinv build`, `verify` and `migrate` left on disk, and the
+/// inventories the servers' answers are held to.
+struct Fixture {
+    /// `polinv build`'s output.
+    v2: PathBuf,
+    /// `polinv migrate`'s output.
+    v3: PathBuf,
+    /// `v2`, decoded.
+    base: Inventory,
+    /// A second, smaller build with another seed.
+    delta: Inventory,
+    /// `base` with `delta` merged in.
+    merged: Inventory,
+    /// Lookups over the keys of `merged`: some miss on `base`.
+    pool: Vec<Request>,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dir = scratch("fixture");
+        let (v2, v3, delta_v2) = (
+            dir.join("inv.pol"),
+            dir.join("inv.pol3"),
+            dir.join("delta.pol"),
+        );
+        let built = polinv_ok(&["build", "--out", arg(&v2), "--vessels", "30", "--days", "6"]);
+        assert!(built.starts_with(&format!("wrote {}", v2.display())));
+        assert!(polinv_ok(&["verify", arg(&v2)]).contains(": OK\n"));
+        let migrated = polinv_ok(&["migrate", arg(&v2), arg(&v3)]);
+        assert!(migrated.starts_with("migrated "), "{migrated}");
+        assert!(polinv_ok(&["verify", arg(&v3)]).contains(": OK (POLINV3 columnar)\n"));
+        polinv_ok(&[
+            "build",
+            "--out",
+            arg(&delta_v2),
+            "--vessels",
+            "20",
+            "--days",
+            "6",
+            "--seed",
+            "7",
+        ]);
+
+        let base = codec::load(&v2).expect("load the built file");
+        assert!(
+            codec::to_bytes(&columnar::load(&v3).expect("load the migrated file"))
+                == codec::to_bytes(&base),
+            "migrate changed the inventory"
+        );
+        let delta = codec::load(&delta_v2).expect("load the second build");
+        // `Inventory` has no `Clone`: load the file once more.
+        let mut merged = codec::load(&v2).expect("load the built file");
+        merged.merge(&delta);
+        let pool = lookups(&merged);
+        assert!(pool.len() > 400, "thin pool: {}", pool.len());
+        Fixture {
+            v2,
+            v3,
+            base,
+            delta,
+            merged,
+            pool,
+        }
+    })
+}
+
+/// min(10 000, soft `RLIMIT_NOFILE` − 512): the idle fleet this process
+/// can hold beside its active sockets and the harness's own files. The
+/// child inherits the same limit and holds only the other ends.
+fn idle_fleet_size() -> usize {
+    let limits = fs::read_to_string("/proc/self/limits").expect("read /proc/self/limits");
+    let soft = limits
+        .lines()
+        .find_map(|l| l.strip_prefix("Max open files"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .expect("a `Max open files` row");
+    // "unlimited" does not parse and does not bind.
+    let soft = soft.parse::<usize>().unwrap_or(usize::MAX);
+    soft.saturating_sub(512).min(10_000)
+}
+
+#[test]
+fn polinv2_file_is_served_from_the_heap_with_the_inventorys_answers() {
+    let fx = fixture();
+    let (serving, addr) = Serving::start(&fx.v2, &scratch("serve_v2"));
+    assert_serves(addr, &fx.base, &fx.pool);
+    assert_eq!(stats(addr).store, "heap");
+    let last = serving.stop();
+    assert!(last.ends_with("(0 busy, 0 malformed)"), "{last}");
+}
+
+#[test]
+fn polinv3_server_reloads_a_chain_refuses_a_corrupt_file_holds_the_fleet_and_drains() {
+    let fx = fixture();
+    let dir = scratch("serve_v3");
+    let (mut serving, addr) = Serving::start(&fx.v3, &dir);
+    assert_serves(addr, &fx.base, &fx.pool);
+    let before = stats(addr);
+    assert_eq!(before.store, "mapped-columnar");
+    assert!(before.chain_len < 2, "a lone snapshot is no chain");
+
+    // A POLMAN1 chain, written the way an ingester does.
+    let chain_dir = dir.join("chain");
+    fs::create_dir_all(&chain_dir).unwrap();
+    let mut publisher = DeltaPublisher::create(&chain_dir);
+    publisher.publish(&fx.base).unwrap();
+    publisher.publish(&fx.delta).unwrap();
+    let manifest = publisher.manifest_path();
+    assert!(polinv_ok(&["verify", arg(manifest)]).contains(": OK (POLMAN1 delta chain)\n"));
+
+    let verdict = serving.reload(manifest);
+    assert!(
+        verdict.starts_with(&format!("reloaded {}", manifest.display())),
+        "{verdict}"
+    );
+    assert_serves(addr, &fx.merged, &fx.pool);
+    let chained = stats(addr);
+    assert!(chained.chain_len >= 2, "chain_len {}", chained.chain_len);
+    assert_eq!(chained.delta_generation, 1);
+    assert_eq!(chained.generation, before.generation + 1);
+
+    // One flipped byte: `verify` calls it corrupt, `reload` refuses it
+    // and the chain keeps answering.
+    let corrupt = dir.join("corrupt.pol3");
+    let mut bytes = fs::read(&fx.v3).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x40;
+    fs::write(&corrupt, bytes).unwrap();
+    let audit = polinv(&["verify", arg(&corrupt)]);
+    assert!(!audit.status.success(), "verify passed a corrupt file");
+    assert!(String::from_utf8_lossy(&audit.stderr).contains("CORRUPT"));
+    let verdict = serving.reload(&corrupt);
+    assert!(verdict.starts_with("reload rejected"), "{verdict}");
+    assert_serves(addr, &fx.merged, &fx.pool);
+    let after = stats(addr);
+    assert_eq!(after.generation, chained.generation);
+    assert_eq!(after.reloads_failed, 1);
+
+    // The open-socket phase: a fleet of silent sockets sits in the
+    // child's readiness table while a few carry lookups. No latency is
+    // asserted: how fast is polbench's to say.
+    let fleet = idle_fleet_size();
+    // Written past the harness's capture: the size depends on the box,
+    // and a small fleet should be seen in a green run too.
+    writeln!(
+        std::io::stderr(),
+        "polinv_cli: holding {fleet} idle + {ACTIVE_SOCKETS} active sockets"
+    )
+    .ok();
+    let mut idle = Vec::with_capacity(fleet);
+    for i in 0..fleet {
+        let socket = TcpStream::connect_timeout(&addr, WAIT)
+            .unwrap_or_else(|e| panic!("idle socket {i} of {fleet}: {e}"));
+        idle.push(socket);
+        // Connections are accepted in order, so a PONG on a newer one
+        // says the accept queue (128 deep) is empty again. Unpaced, a
+        // descheduled server overflows it and each dropped SYN costs
+        // the connecting side a one-second retransmit.
+        if i % 32 == 31 {
+            Client::connect(addr)
+                .and_then(|mut c| c.ping())
+                .expect("ping between waves");
+        }
+    }
+    let mut active: Vec<Client> = (0..ACTIVE_SOCKETS)
+        .map(|_| Client::connect(addr).expect("active socket"))
+        .collect();
+    for (i, req) in fx.pool.iter().enumerate() {
+        let got = active[i % ACTIVE_SOCKETS]
+            .request_once(req)
+            .expect("lookup beside the fleet");
+        assert_answer(&fx.merged, req, &got);
+    }
+    let crowded = active[0].stats().unwrap();
+    let held = (fleet + ACTIVE_SOCKETS) as u64;
+    assert!(
+        crowded.peak_connections >= held && crowded.open_connections >= held,
+        "{} open, peak {}, {held} held",
+        crowded.open_connections,
+        crowded.peak_connections
+    );
+    assert_eq!((crowded.busy_rejections, crowded.shed_at_loop), (0, 0));
+
+    // EOF with the whole fleet still connected.
+    let last = serving.stop();
+    assert!(last.ends_with("(0 busy, 0 malformed)"), "{last}");
+    drop(idle);
+}

@@ -27,8 +27,6 @@
 //! registry does not exist; the optimizer deletes the call and the
 //! branch on its result entirely. Production builds therefore carry no
 //! registry lookups, no locks, and no branches for any failpoint.
-//! `polload` asserts the serving throughput stays within 5 % of the
-//! baseline with the feature off.
 //!
 //! ## Usage
 //!

@@ -53,10 +53,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// File magic (format version 2: checksummed sections, sealed footer).
 pub const MAGIC: &[u8; 8] = b"POLINV2\0";
 
-/// The magic of the retired unchecksummed version-1 format, recognised
-/// only to produce a precise error.
-pub const MAGIC_V1: &[u8; 8] = b"POLINV1\0";
-
 /// Footer seal magic — the last 8 bytes of every complete inventory file.
 pub const FOOTER_MAGIC: &[u8; 8] = b"POLSEAL\0";
 
@@ -262,13 +258,7 @@ struct Sections<'a> {
 fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>, CodecError> {
     // Magic first: "this is not an inventory at all" must win over
     // "this inventory is damaged" for arbitrary non-inventory input.
-    if bytes.len() < MAGIC.len() {
-        return Err(CodecError::BadHeader);
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        // A v1 file is recognisably an inventory but predates the
-        // checksummed format; it still reads as BadHeader (there is no
-        // way to prove its integrity), just not as random garbage.
+    if !bytes.starts_with(MAGIC) {
         return Err(CodecError::BadHeader);
     }
 
@@ -747,23 +737,20 @@ mod tests {
 
     #[test]
     fn corrupt_headers_rejected() {
-        // Empty input, short input, wrong magic, v1 magic, truncated
-        // after magic, bad resolution byte: all typed, never panics.
+        // Empty input, short input, wrong magic (the retired POLINV1
+        // among them), truncated after magic, bad resolution byte: all
+        // typed, never panics.
         assert!(matches!(from_bytes(&[]), Err(CodecError::BadHeader)));
         assert!(matches!(
             from_bytes(&MAGIC[..4]),
             Err(CodecError::BadHeader)
         ));
-        let mut wrong_magic = MAGIC.to_vec();
-        wrong_magic[0] = b'X';
-        wrong_magic.push(6);
-        assert!(matches!(
-            from_bytes(&wrong_magic),
-            Err(CodecError::BadHeader)
-        ));
-        let mut v1 = MAGIC_V1.to_vec();
-        v1.push(6);
-        assert!(matches!(from_bytes(&v1), Err(CodecError::BadHeader)));
+        for wrong_magic in [b"XOLINV2\0\x06", b"POLINV1\0\x06"] {
+            assert!(matches!(
+                from_bytes(wrong_magic),
+                Err(CodecError::BadHeader)
+            ));
+        }
         assert!(matches!(from_bytes(&MAGIC[..]), Err(CodecError::Unsealed)));
         let bad_res = forge_image(&[99], &[]); // resolution out of range
         assert!(matches!(from_bytes(&bad_res), Err(CodecError::BadHeader)));

@@ -33,11 +33,10 @@ pub mod profile;
 pub use dataset::Dataset;
 pub use error::{EngineError, EngineErrorKind};
 pub use keyed::{merge_combiner_shards, radix_partition, KeyedDataset};
-pub use metrics::{JobMetrics, StageReport, TaskProfile};
+pub use metrics::{JobMetrics, StageReport};
 pub use pool::ThreadPool;
 
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The execution context: thread pool + metrics. Clone-cheap (shared
 /// internals), like a `SparkContext` handle.
@@ -55,7 +54,7 @@ impl Engine {
     /// floating-point accumulators, so a thread-dependent count would
     /// make the inventory bytes depend on the machine. A fixed 32 keeps
     /// `same seed ⇒ byte-identical inventory` true across thread counts
-    /// (polbuild's `--threads` sweep gates on exactly this) while still
+    /// (`thread_count_does_not_change_result` pins exactly this) while still
     /// giving the merge enough shards to saturate typical worker pools.
     pub const DEFAULT_PARTITIONS: usize = 32;
 
@@ -98,9 +97,7 @@ impl Engine {
     /// returning results in input order. Unlike the [`Dataset`]
     /// transformations this records no [`StageReport`] — callers that fuse
     /// several logical stages into one pass (see `pol-core`'s fused
-    /// executor) account for their own record counts. It does record one
-    /// [`TaskProfile`] per task (worker, wall, allocation deltas), which is
-    /// what `polbuild --profile` renders.
+    /// executor) account for their own record counts.
     pub fn run_tasks<I, R, F>(
         &self,
         stage: &str,
@@ -112,24 +109,7 @@ impl Engine {
         R: Send + 'static,
         F: Fn(usize, I) -> R + Send + Sync + 'static,
     {
-        let metrics = self.metrics.clone();
-        let name: Arc<str> = Arc::from(stage);
-        self.pool.run_stage(stage, inputs, move |idx, input| {
-            let (a0, b0) = profile::thread_totals();
-            let started = Instant::now();
-            let out = f(idx, input);
-            let wall = started.elapsed();
-            let (a1, b1) = profile::thread_totals();
-            metrics.record_task(TaskProfile {
-                stage: name.to_string(),
-                task: idx,
-                worker: profile::current_worker(),
-                wall,
-                allocs: a1 - a0,
-                alloc_bytes: b1 - b0,
-            });
-            out
-        })
+        self.pool.run_stage(stage, inputs, f)
     }
 }
 
@@ -144,25 +124,6 @@ mod tests {
         assert_eq!(e.default_partitions(), Engine::DEFAULT_PARTITIONS);
         let e0 = Engine::new(0);
         assert_eq!(e0.threads(), 1, "clamped to one thread");
-    }
-
-    #[test]
-    fn run_tasks_records_worker_attributed_profiles() {
-        let e = Engine::new(2);
-        let out = e
-            .run_tasks("probe", vec![1u32, 2, 3], |_, x| x * 2)
-            .unwrap();
-        assert_eq!(out, vec![2, 4, 6]);
-        let profiles = e.metrics().task_profiles();
-        let probe: Vec<_> = profiles.iter().filter(|t| t.stage == "probe").collect();
-        assert_eq!(probe.len(), 3, "one profile per task");
-        for t in &probe {
-            assert!(t.worker.is_some(), "tasks run on tagged pool workers");
-            assert!(t.worker.unwrap() < 2);
-        }
-        let tasks: std::collections::BTreeSet<usize> = probe.iter().map(|t| t.task).collect();
-        assert_eq!(tasks, (0..3).collect());
-        assert!(e.metrics().render_profile().contains("probe"));
     }
 
     #[test]

@@ -21,34 +21,12 @@ pub struct StageReport {
     pub wall: Duration,
 }
 
-/// One task's execution profile: which worker ran it, for how long, and
-/// how much it allocated (deltas of the thread-local counters in
-/// [`crate::profile`]). Recorded by [`crate::Engine::run_tasks`] for every
-/// task of every stage.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TaskProfile {
-    /// Stage the task belonged to.
-    pub stage: String,
-    /// Task index within the stage (input order).
-    pub task: usize,
-    /// Pool-worker index that ran the task (`None` off-pool).
-    pub worker: Option<usize>,
-    /// Wall-clock time of the task body.
-    pub wall: Duration,
-    /// Heap allocations performed by the task body (0 unless the binary
-    /// installs a counting allocator feeding [`crate::profile::note_alloc`]).
-    pub allocs: u64,
-    /// Bytes requested by those allocations.
-    pub alloc_bytes: u64,
-}
-
 /// Accumulates [`StageReport`]s across a job. Shared by all clones of an
 /// [`crate::Engine`].
 #[derive(Default)]
 pub struct JobMetrics {
     stages: Mutex<Vec<StageReport>>,
     counters: Mutex<FxHashMap<String, u64>>,
-    tasks: Mutex<Vec<TaskProfile>>,
 }
 
 impl JobMetrics {
@@ -91,21 +69,10 @@ impl JobMetrics {
         self.stages.lock().iter().map(|s| s.wall).sum()
     }
 
-    /// Records one task's execution profile.
-    pub fn record_task(&self, profile: TaskProfile) {
-        self.tasks.lock().push(profile);
-    }
-
-    /// Snapshot of all task profiles so far, in completion order.
-    pub fn task_profiles(&self) -> Vec<TaskProfile> {
-        self.tasks.lock().clone()
-    }
-
-    /// Drops all recorded stages, counters and task profiles.
+    /// Drops all recorded stages and counters.
     pub fn clear(&self) {
         self.stages.lock().clear();
         self.counters.lock().clear();
-        self.tasks.lock().clear();
     }
 
     /// Renders a compact text table (one line per stage, then counters).
@@ -128,57 +95,6 @@ impl JobMetrics {
             out.push_str("counters\n");
             for (name, value) in counters {
                 out.push_str(&format!("  {name:<30} {value:>12}\n"));
-            }
-        }
-        out
-    }
-
-    /// Renders the flat per-stage per-worker profile: task count, wall
-    /// time, allocations and allocated bytes, aggregated by
-    /// `(stage, worker)` in first-appearance stage order. This is the
-    /// `polbuild --profile` payload; stage shuffle volume lives in
-    /// [`JobMetrics::render`].
-    pub fn render_profile(&self) -> String {
-        let tasks = self.tasks.lock();
-        // (stage, worker) → (tasks, wall, allocs, bytes); stage order by
-        // first appearance, workers sorted within a stage.
-        let mut stage_order: Vec<String> = Vec::new();
-        let mut rows: FxHashMap<(String, Option<usize>), (u64, Duration, u64, u64)> =
-            FxHashMap::default();
-        for t in tasks.iter() {
-            if !stage_order.contains(&t.stage) {
-                stage_order.push(t.stage.clone());
-            }
-            let e = rows
-                .entry((t.stage.clone(), t.worker))
-                .or_insert((0, Duration::ZERO, 0, 0));
-            e.0 += 1;
-            e.1 += t.wall;
-            e.2 += t.allocs;
-            e.3 += t.alloc_bytes;
-        }
-        let mut out = String::from(
-            "stage                          worker  tasks   wall_ms      allocs    alloc_mb\n",
-        );
-        for stage in &stage_order {
-            let mut workers: Vec<Option<usize>> = rows
-                .keys()
-                .filter(|(s, _)| s == stage)
-                .map(|(_, w)| *w)
-                .collect();
-            workers.sort();
-            for w in workers {
-                let (tasks, wall, allocs, bytes) = rows[&(stage.clone(), w)];
-                let worker = w.map_or("-".to_string(), |w| w.to_string());
-                out.push_str(&format!(
-                    "{:<30} {:>6} {:>6} {:>9.1} {:>11} {:>11.2}\n",
-                    stage,
-                    worker,
-                    tasks,
-                    wall.as_secs_f64() * 1e3,
-                    allocs,
-                    bytes as f64 / (1024.0 * 1024.0),
-                ));
             }
         }
         out
@@ -226,46 +142,6 @@ mod tests {
         let text = m.render();
         assert!(text.contains("clean"));
         assert!(text.lines().count() >= 2);
-    }
-
-    #[test]
-    fn task_profiles_aggregate_per_stage_per_worker() {
-        let m = JobMetrics::default();
-        for (task, worker, wall_ms, allocs) in
-            [(0, Some(0), 4, 10), (1, Some(1), 6, 20), (2, Some(0), 2, 5)]
-        {
-            m.record_task(TaskProfile {
-                stage: "build".into(),
-                task,
-                worker,
-                wall: Duration::from_millis(wall_ms),
-                allocs,
-                alloc_bytes: allocs * 100,
-            });
-        }
-        m.record_task(TaskProfile {
-            stage: "scan".into(),
-            task: 0,
-            worker: None,
-            wall: Duration::from_millis(1),
-            allocs: 1,
-            alloc_bytes: 64,
-        });
-        assert_eq!(m.task_profiles().len(), 4);
-        let text = m.render_profile();
-        // build/worker-0 aggregates two tasks (6 ms, 15 allocs).
-        let w0 = text
-            .lines()
-            .find(|l| l.starts_with("build") && l.contains(" 0 "))
-            .unwrap();
-        assert!(w0.contains("2"), "task count: {w0}");
-        assert!(w0.contains("15"), "alloc sum: {w0}");
-        // Off-pool worker renders as '-'.
-        assert!(text
-            .lines()
-            .any(|l| l.starts_with("scan") && l.contains('-')));
-        m.clear();
-        assert!(m.task_profiles().is_empty());
     }
 
     #[test]

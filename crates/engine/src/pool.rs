@@ -50,9 +50,6 @@ impl ThreadPool {
             let spawned = std::thread::Builder::new()
                 .name(format!("pol-worker-{i}"))
                 .spawn(move || {
-                    // Tag the thread so task profiles can attribute work to
-                    // a worker index.
-                    crate::profile::set_worker(i);
                     while let Ok(job) = rx.recv() {
                         // A panicking job must not take the worker down;
                         // run_stage surfaces the failure to the caller.

@@ -1,24 +1,17 @@
-//! Thread-local execution profiling: per-thread allocation counters and
-//! pool-worker identity.
+//! Thread-local allocation counters.
 //!
-//! [`crate::Engine::run_tasks`] snapshots these counters around every task
-//! closure, turning them into per-stage per-worker
-//! [`crate::metrics::TaskProfile`] rows. The counters themselves are fed by
-//! whatever global allocator the binary installs (pol-bench's
-//! `CountingAlloc` calls [`note_alloc`]); a binary without a counting
-//! allocator simply reports zero allocations and still gets wall-clock and
-//! worker attribution.
+//! Fed by whatever global allocator the binary installs (pol-bench's
+//! `CountingAlloc` calls [`note_alloc`]); two [`thread_totals`] readings
+//! attribute a region of code on one thread, whatever other threads
+//! allocate meanwhile. A binary without a counting allocator reads zero.
 
 use std::cell::Cell;
 
 thread_local! {
-    /// Allocations observed on this thread (monotonic; profile deltas are
-    /// taken around task bodies).
+    /// Allocations observed on this thread (monotonic).
     static TL_ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes requested by those allocations.
     static TL_BYTES: Cell<u64> = const { Cell::new(0) };
-    /// Pool-worker index of this thread, `usize::MAX` off-pool.
-    static TL_WORKER: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 /// Records one allocation of `bytes` on the current thread.
@@ -40,21 +33,6 @@ pub fn thread_totals() -> (u64, u64) {
     (allocs, bytes)
 }
 
-/// Tags the current thread as pool worker `idx` (called once per worker at
-/// spawn).
-pub(crate) fn set_worker(idx: usize) {
-    TL_WORKER.with(|c| c.set(idx));
-}
-
-/// The pool-worker index of the current thread, `None` off-pool (e.g. the
-/// driver thread).
-pub fn current_worker() -> Option<usize> {
-    match TL_WORKER.try_with(Cell::get) {
-        Ok(usize::MAX) | Err(_) => None,
-        Ok(idx) => Some(idx),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,17 +45,5 @@ mod tests {
         let (a1, b1) = thread_totals();
         assert_eq!(a1 - a0, 2);
         assert_eq!(b1 - b0, 192);
-    }
-
-    #[test]
-    fn worker_identity_is_per_thread() {
-        assert_eq!(current_worker(), None, "driver thread is off-pool");
-        std::thread::spawn(|| {
-            set_worker(7);
-            assert_eq!(current_worker(), Some(7));
-        })
-        .join()
-        .unwrap();
-        assert_eq!(current_worker(), None, "tag does not leak across threads");
     }
 }

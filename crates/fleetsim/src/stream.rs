@@ -16,7 +16,7 @@
 //!   timestamp (the merge invariant the ordering proptest pins);
 //! * timestamp ties break by lane index, so the stream is deterministic
 //!   given the dataset — a requirement for the streamed-vs-batch
-//!   byte-identity gate in `polstream`.
+//!   byte-identity tests in `pol-stream` (`tests/stream_identity.rs`).
 //!
 //! Reception dropout, GPS noise and corrupt-field injection all happen
 //! upstream in [`crate::emit::EmissionConfig`]; this module only changes

@@ -31,8 +31,8 @@
 //! per-frame size caps, a write-stall deadline, a slow-loris
 //! frame-assembly deadline anchored to each frame's first byte,
 //! hostile-input-safe decoding, and clean shutdown on a control signal.
-//! The matching [`client::Client`] and the `polload` load generator in
-//! `pol-bench` drive it.
+//! The matching [`client::Client`] drives it; `polinv serve` in
+//! `pol-bench` is its command-line front end.
 
 #![deny(missing_docs)]
 

@@ -96,7 +96,7 @@ impl Endpoint {
         Endpoint::ALL.get(id as usize).copied()
     }
 
-    /// Human-readable name used in `BENCH_serve.json` and log lines.
+    /// Human-readable name used in STATS reports and log lines.
     pub fn name(self) -> &'static str {
         match self {
             Endpoint::Ping => "ping",
@@ -216,8 +216,7 @@ pub struct StatsReport {
 
 impl StatsReport {
     /// Renders the report as a human-readable table: the counter block,
-    /// then one latency row per endpoint, then the startup stages — the
-    /// `--stats` rendering used by `polinv serve` and `polload`.
+    /// then one latency row per endpoint, then the startup stages.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -29,7 +29,7 @@
 //!
 //! ## The identity contract
 //!
-//! The headline invariant — gated by the `polstream` bench driver — is
+//! The headline invariant — pinned by `tests/stream_identity.rs` — is
 //! that after all watermarks close, the streamed inventory is
 //! **byte-identical** to the batch build over the same records. The
 //! chain of reasoning:

@@ -97,9 +97,9 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// One driver step, shared by every run in this suite (and mirrored by
-/// the `polstream` binary): push, then cut every window the watermark
-/// allows, publishing exactly-once by generation.
+/// One driver step, shared by every run in this suite: push, then cut
+/// every window the watermark allows, publishing exactly-once by
+/// generation.
 fn step(
     je: &mut JournaledEngine,
     publisher: &mut DeltaPublisher,
