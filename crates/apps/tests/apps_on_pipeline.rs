@@ -185,8 +185,8 @@ fn anomaly_rates_are_low_on_training_traffic() {
 #[test]
 fn inventory_answers_are_stable_across_reload() {
     let (_, out, _) = world();
-    let bytes = pol_core::codec::to_bytes(&out.inventory);
-    let back = pol_core::codec::from_bytes(&bytes).unwrap();
+    let bytes = pol_core::codec::columnar::to_bytes(&out.inventory);
+    let back = pol_core::codec::columnar::from_bytes(&bytes).unwrap();
     // A sample of queries must answer identically after reload.
     for (key, stats) in out.inventory.iter().take(200) {
         if let GroupKey::Cell(cell) = key {

@@ -7,16 +7,16 @@
 //! polinv verify <inv.pol>
 //! polinv query <inv.pol> <lat> <lon> [--segment container|tanker|...]
 //! polinv top-dest <inv.pol> <LOCODE>
-//! polinv migrate <inv.pol> <inv.pol3>
 //! polinv serve <inv.pol> [--addr 127.0.0.1:0] [--workers 8] [--cache 256]
 //! ```
 //!
-//! Every reading subcommand sniffs the snapshot format: POLINV2
-//! (row-oriented), POLINV3 (columnar, `migrate`'s output), and POLMAN1
-//! delta-chain manifests (`pol-stream`'s output — loaded base plus
-//! deltas, merged) are accepted everywhere a `<inv.pol>` appears.
-//! `verify` on a manifest audits the whole chain file by file. `serve`
-//! memory-maps a POLINV3 file zero-copy instead of deserializing it.
+//! `build` writes one POLINV3 (columnar) file, and that file is what
+//! `serve` memory-maps — validated, not deserialized. Every reading
+//! subcommand sniffs the magic: a POLINV3 file or a POLMAN1 delta-chain
+//! manifest (`pol-stream`'s output — loaded base plus deltas, merged) is
+//! accepted everywhere a `<inv.pol>` appears, anything else is refused
+//! as not an inventory. `verify` on a manifest audits the whole chain
+//! file by file.
 //!
 //! While `serve` is running, its stdin is a tiny control channel: a
 //! `reload <file>` line hot-swaps the snapshot (validated first — a
@@ -47,7 +47,6 @@ fn usage() -> ExitCode {
          polinv verify <file>\n  \
          polinv query <file> <lat> <lon> [--segment <name>]\n  \
          polinv top-dest <file> <LOCODE>\n  \
-         polinv migrate <in.pol> <out.pol3>\n  \
          polinv serve <file> [--addr HOST:PORT] [--workers N] [--cache N]"
     );
     ExitCode::from(2)
@@ -119,7 +118,7 @@ fn cmd_build(args: &[String]) -> ExitCode {
     if timings {
         eprint!("{}", engine.metrics().render());
     }
-    if let Err(e) = codec::save(&out.inventory, Path::new(&out_path)) {
+    if let Err(e) = codec::columnar::save(&out.inventory, Path::new(&out_path)) {
         eprintln!("error: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
@@ -163,69 +162,8 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
     };
-    let format = match codec::sniff_file(Path::new(path)) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{path}: CORRUPT: inventory io error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if matches!(format, Some(codec::SnapshotFormat::Manifest)) {
-        // A POLMAN1 delta chain: walk base + every delta, re-verifying
-        // each file's recorded length + CRC and the merge itself.
-        return match codec::manifest::verify_chain(Path::new(path)) {
-            Ok(report) => {
-                println!("{path}: OK (POLMAN1 delta chain)");
-                println!("  newest generation {}", report.generation);
-                println!("  chain length      {} files", report.files.len());
-                println!("  merged entries    {}", report.merged_entries);
-                for f in &report.files {
-                    println!(
-                        "  gen {:>5}  {:<24} {:>10} bytes  crc64 {:016x}  {:>8} entries",
-                        f.generation, f.name, f.file_len, f.crc, f.entries
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: CORRUPT: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if matches!(format, Some(codec::SnapshotFormat::V3)) {
-        return match codec::columnar::verify(Path::new(path)) {
-            Ok(report) => {
-                println!("{path}: OK (POLINV3 columnar)");
-                println!("  file length       {} bytes", report.file_len);
-                println!("  resolution        {}", report.resolution);
-                println!("  records           {}", report.total_records);
-                println!("  entries           {}", report.entries);
-                for s in &report.sections {
-                    println!(
-                        "  section {:<10} {:>8} entries  crc64 {:016x}",
-                        s.name, s.entries, s.crc
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: CORRUPT: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match codec::verify(Path::new(path)) {
-        Ok(report) => {
-            println!("{path}: OK");
-            println!("  file length       {} bytes", report.file_len);
-            println!("  header crc64      {:016x}", report.header_crc);
-            println!("  entries crc64     {:016x}", report.entries_crc);
-            println!("  resolution        {}", report.resolution);
-            println!("  records           {}", report.total_records);
-            println!("  entries           {}", report.entries);
-            ExitCode::SUCCESS
-        }
+    match verify(path) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{path}: CORRUPT: {e}");
             ExitCode::FAILURE
@@ -233,46 +171,43 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_migrate(args: &[String]) -> ExitCode {
-    let (Some(input), Some(output)) = (args.first(), args.get(1)) else {
-        return usage();
-    };
-    let bytes = match std::fs::read(input) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: cannot read {input}: {e}");
-            return ExitCode::FAILURE;
+/// Audits the file end to end as the format its magic announces and
+/// prints what was found.
+fn verify(path: &str) -> Result<(), codec::CodecError> {
+    let file = Path::new(path);
+    match codec::sniff_file(file)? {
+        // A POLMAN1 delta chain: walk base + every delta, re-verifying
+        // each file's recorded length + CRC and the merge itself.
+        Some(codec::SnapshotFormat::Manifest) => {
+            let report = codec::manifest::verify_chain(file)?;
+            println!("{path}: OK (POLMAN1 delta chain)");
+            println!("  newest generation {}", report.generation);
+            println!("  chain length      {} files", report.files.len());
+            println!("  merged entries    {}", report.merged_entries);
+            for f in &report.files {
+                println!(
+                    "  gen {:>5}  {:<24} {:>10} bytes  crc64 {:016x}  {:>8} entries",
+                    f.generation, f.name, f.file_len, f.crc, f.entries
+                );
+            }
         }
-    };
-    // The byte-level migration keeps every stats blob verbatim (both
-    // formats share the canonical encoding), so queries against the
-    // migrated file are bit-identical to the original.
-    let v3 = match codec::columnar::migrate_v2_bytes(&bytes) {
-        Ok(v3) => v3,
-        Err(e) => {
-            eprintln!("error: cannot migrate {input}: {e}");
-            return ExitCode::FAILURE;
+        Some(codec::SnapshotFormat::V3) => {
+            let report = codec::columnar::verify(file)?;
+            println!("{path}: OK (POLINV3 columnar)");
+            println!("  file length       {} bytes", report.file_len);
+            println!("  resolution        {}", report.resolution);
+            println!("  records           {}", report.total_records);
+            println!("  entries           {}", report.entries);
+            for s in &report.sections {
+                println!(
+                    "  section {:<10} {:>8} entries  crc64 {:016x}",
+                    s.name, s.entries, s.crc
+                );
+            }
         }
-    };
-    if let Err(e) = codec::save_bytes(&v3, Path::new(output)) {
-        eprintln!("error: cannot write {output}: {e}");
-        return ExitCode::FAILURE;
+        None => return Err(codec::CodecError::BadHeader),
     }
-    match codec::columnar::verify(Path::new(output)) {
-        Ok(report) => {
-            println!(
-                "migrated {input} -> {output}: {} entries, {} -> {} bytes",
-                report.entries,
-                bytes.len(),
-                v3.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: migrated file failed verification: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(())
 }
 
 fn cmd_query(args: &[String]) -> ExitCode {
@@ -382,8 +317,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         ..pol_serve::ServerConfig::default()
     };
     // start_snapshot sniffs the format: a POLINV3 file is memory-mapped
-    // zero-copy (validated, not deserialized), POLINV2 takes the full
-    // decode into a heap inventory.
+    // zero-copy (validated, not deserialized), a POLMAN1 chain is merged
+    // into a heap inventory.
     let started = std::time::Instant::now();
     let mut server = match pol_serve::Server::start_snapshot(Path::new(path), addr.as_str(), config)
     {
@@ -440,7 +375,6 @@ fn main() -> ExitCode {
         Some("verify") => cmd_verify(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("top-dest") => cmd_top_dest(&args[1..]),
-        Some("migrate") => cmd_migrate(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         _ => usage(),
     }

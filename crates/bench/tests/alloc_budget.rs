@@ -14,7 +14,8 @@ use pol_ais::encode::{encode_position_a, encode_position_b};
 use pol_ais::{decode_payload, Assembler, Mmsi, NavStatus, PositionReport, Sentence};
 use pol_bench::alloc::{snapshot, CountingAlloc};
 use pol_bench::port_sites;
-use pol_core::{codec, PipelineConfig};
+use pol_core::codec::columnar;
+use pol_core::PipelineConfig;
 use pol_engine::Engine;
 use pol_fleetsim::emit::EmissionConfig;
 use pol_fleetsim::scenario::{generate, ScenarioConfig};
@@ -66,8 +67,8 @@ fn fused_steady_state_allocations_stay_pinned() {
 
     // Same bytes both times — the reuse must not leak state across runs.
     assert_eq!(
-        codec::to_bytes(&warm.inventory),
-        codec::to_bytes(&steady.inventory),
+        columnar::to_bytes(&warm.inventory),
+        columnar::to_bytes(&steady.inventory),
         "scratch reuse changed the inventory"
     );
 

@@ -1,15 +1,16 @@
 //! The shipped `polinv` binary, driven end to end over real sockets:
-//! `build` → `verify` → `migrate` → `serve` a POLINV2 and a POLINV3 file →
-//! `reload` a POLMAN1 chain over stdin → a corrupt `reload` → thousands
-//! of open sockets → stdin EOF. Every answer is compared with the same
-//! query made on an `Inventory` in this process.
+//! `build` → `verify` → `serve` the file `build` wrote, mapped →
+//! `reload` a POLMAN1 chain over stdin → a corrupt file and one under a
+//! retired format's magic, refused by `verify`, `serve` and `reload` →
+//! thousands of open sockets → stdin EOF. Every answer is compared with
+//! the same query made on an `Inventory` in this process.
 //!
 //! The library tests reach all of this through `Server` and
 //! `InventoryService`; this file is the one place the command-line
 //! parsing, the format sniffing behind `serve`, the stdin control
 //! channel and the process's own descriptor budget are exercised.
 
-use pol_core::codec::{self, columnar};
+use pol_core::codec::columnar;
 use pol_core::features::GroupKey;
 use pol_core::Inventory;
 use pol_geo::LatLon;
@@ -235,14 +236,12 @@ fn stats(addr: SocketAddr) -> StatsReport {
         .expect("STATS")
 }
 
-/// What `polinv build`, `verify` and `migrate` left on disk, and the
-/// inventories the servers' answers are held to.
+/// What `polinv build` and `verify` left on disk, and the inventories
+/// the servers' answers are held to.
 struct Fixture {
-    /// `polinv build`'s output.
-    v2: PathBuf,
-    /// `polinv migrate`'s output.
-    v3: PathBuf,
-    /// `v2`, decoded.
+    /// `polinv build`'s output: the POLINV3 file `serve` maps.
+    built: PathBuf,
+    /// `built`, decoded.
     base: Inventory,
     /// A second, smaller build with another seed.
     delta: Inventory,
@@ -256,21 +255,28 @@ fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let dir = scratch("fixture");
-        let (v2, v3, delta_v2) = (
-            dir.join("inv.pol"),
-            dir.join("inv.pol3"),
-            dir.join("delta.pol"),
-        );
-        let built = polinv_ok(&["build", "--out", arg(&v2), "--vessels", "30", "--days", "6"]);
-        assert!(built.starts_with(&format!("wrote {}", v2.display())));
-        assert!(polinv_ok(&["verify", arg(&v2)]).contains(": OK\n"));
-        let migrated = polinv_ok(&["migrate", arg(&v2), arg(&v3)]);
-        assert!(migrated.starts_with("migrated "), "{migrated}");
-        assert!(polinv_ok(&["verify", arg(&v3)]).contains(": OK (POLINV3 columnar)\n"));
+        let (built, delta_built) = (dir.join("inv.pol"), dir.join("delta.pol"));
+        let wrote = polinv_ok(&[
+            "build",
+            "--out",
+            arg(&built),
+            "--vessels",
+            "30",
+            "--days",
+            "6",
+        ]);
+        assert!(wrote.starts_with(&format!("wrote {}", built.display())));
+        // The POLINV3 report: one row per section.
+        let audit = polinv_ok(&["verify", arg(&built)]);
+        assert!(audit.contains(": OK (POLINV3 columnar)\n"), "{audit}");
+        for section in columnar::SectionKind::ALL {
+            let row = format!("  section {:<10} ", section.name());
+            assert!(audit.contains(&row), "no `{row}` row in:\n{audit}");
+        }
         polinv_ok(&[
             "build",
             "--out",
-            arg(&delta_v2),
+            arg(&delta_built),
             "--vessels",
             "20",
             "--days",
@@ -279,21 +285,15 @@ fn fixture() -> &'static Fixture {
             "7",
         ]);
 
-        let base = codec::load(&v2).expect("load the built file");
-        assert!(
-            codec::to_bytes(&columnar::load(&v3).expect("load the migrated file"))
-                == codec::to_bytes(&base),
-            "migrate changed the inventory"
-        );
-        let delta = codec::load(&delta_v2).expect("load the second build");
+        let base = columnar::load(&built).expect("load the built file");
+        let delta = columnar::load(&delta_built).expect("load the second build");
         // `Inventory` has no `Clone`: load the file once more.
-        let mut merged = codec::load(&v2).expect("load the built file");
+        let mut merged = columnar::load(&built).expect("load the built file");
         merged.merge(&delta);
         let pool = lookups(&merged);
         assert!(pool.len() > 400, "thin pool: {}", pool.len());
         Fixture {
-            v2,
-            v3,
+            built,
             base,
             delta,
             merged,
@@ -317,21 +317,16 @@ fn idle_fleet_size() -> usize {
     soft.saturating_sub(512).min(10_000)
 }
 
-#[test]
-fn polinv2_file_is_served_from_the_heap_with_the_inventorys_answers() {
-    let fx = fixture();
-    let (serving, addr) = Serving::start(&fx.v2, &scratch("serve_v2"));
-    assert_serves(addr, &fx.base, &fx.pool);
-    assert_eq!(stats(addr).store, "heap");
-    let last = serving.stop();
-    assert!(last.ends_with("(0 busy, 0 malformed)"), "{last}");
-}
-
+/// What this file is for. The file `polinv build` wrote is served from
+/// the mapped store with no command in between; a chain reloads over it;
+/// a damaged file and one in the retired row format are refused by
+/// `verify`, `serve` and `reload` alike, the last with the old snapshot
+/// still answering.
 #[test]
 fn polinv3_server_reloads_a_chain_refuses_a_corrupt_file_holds_the_fleet_and_drains() {
     let fx = fixture();
     let dir = scratch("serve_v3");
-    let (mut serving, addr) = Serving::start(&fx.v3, &dir);
+    let (mut serving, addr) = Serving::start(&fx.built, &dir);
     assert_serves(addr, &fx.base, &fx.pool);
     let before = stats(addr);
     assert_eq!(before.store, "mapped-columnar");
@@ -357,22 +352,41 @@ fn polinv3_server_reloads_a_chain_refuses_a_corrupt_file_holds_the_fleet_and_dra
     assert_eq!(chained.delta_generation, 1);
     assert_eq!(chained.generation, before.generation + 1);
 
-    // One flipped byte: `verify` calls it corrupt, `reload` refuses it
-    // and the chain keeps answering.
-    let corrupt = dir.join("corrupt.pol3");
-    let mut bytes = fs::read(&fx.v3).unwrap();
-    let middle = bytes.len() / 2;
-    bytes[middle] ^= 0x40;
-    fs::write(&corrupt, bytes).unwrap();
-    let audit = polinv(&["verify", arg(&corrupt)]);
-    assert!(!audit.status.success(), "verify passed a corrupt file");
-    assert!(String::from_utf8_lossy(&audit.stderr).contains("CORRUPT"));
-    let verdict = serving.reload(&corrupt);
-    assert!(verdict.starts_with("reload rejected"), "{verdict}");
-    assert_serves(addr, &fx.merged, &fx.pool);
-    let after = stats(addr);
-    assert_eq!(after.generation, chained.generation);
-    assert_eq!(after.reloads_failed, 1);
+    // Two files nothing may accept: the built file with one byte
+    // flipped, and the retired row format's magic over padding. `verify`
+    // and `serve` turn each away, `reload` refuses it and the chain keeps
+    // answering.
+    let mut flipped = fs::read(&fx.built).unwrap();
+    let middle = flipped.len() / 2;
+    flipped[middle] ^= 0x40;
+    let mut retired = b"POLINV2\0".to_vec();
+    retired.resize(4096, 0);
+    let refused = [
+        ("corrupt.pol", flipped, "failed its CRC-64 check"),
+        (
+            "retired.pol",
+            retired,
+            "not a patterns-of-life inventory file",
+        ),
+    ];
+    for (nth, (name, bytes, why)) in (1..).zip(refused) {
+        let path = dir.join(name);
+        fs::write(&path, bytes).unwrap();
+        for cmd in ["verify", "serve"] {
+            let out = polinv(&[cmd, arg(&path)]);
+            let said = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success() && said.contains(why), "{cmd}: {said}");
+        }
+        let verdict = serving.reload(&path);
+        assert!(
+            verdict.starts_with("reload rejected") && verdict.contains(why),
+            "{verdict}"
+        );
+        assert_serves(addr, &fx.merged, &fx.pool);
+        let after = stats(addr);
+        assert_eq!(after.generation, chained.generation);
+        assert_eq!(after.reloads_failed, nth);
+    }
 
     // The open-socket phase: a fleet of silent sockets sits in the
     // child's readiness table while a few carry lookups. No latency is

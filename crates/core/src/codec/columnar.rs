@@ -45,15 +45,15 @@
 //! seeks straight to any section without scanning, and nothing hides in
 //! gaps. [`Layout::parse`] validates everything eagerly — seal, CRCs,
 //! bounds, key sortedness, offset monotonicity — in one linear pass that
-//! decodes no sketches, which is why opening a POLINV3 snapshot is
-//! drastically cheaper than deserializing a POLINV2 one. Stats decode
-//! lazily per lookup from the blob column.
+//! decodes no sketches, which is why opening a POLINV3 snapshot costs a
+//! validation pass, not a deserialization. Stats decode lazily per
+//! lookup from the blob column.
 //!
-//! Statistics reuse the parent module's canonical
-//! [`encode_cell_stats`](super::encode_cell_stats) bytes, so a POLINV2 →
-//! POLINV3 migration re-encodes every summary to the *identical* bytes
-//! it already had, and every query answered from the mapped file is
-//! bit-identical to the heap inventory's answer.
+//! Statistics are the parent module's canonical
+//! [`encode_cell_stats`](super::encode_cell_stats) bytes — the encoding
+//! the wire protocol carries — so every query answered from the mapped
+//! file is bit-identical to the heap inventory's answer, and a summary
+//! reply is the mapped bytes themselves.
 
 use super::{
     decode_cell_stats, encode_cell_stats, save_bytes, CodecError, FOOTER_MAGIC, MIN_ENTRY_BYTES,
@@ -333,8 +333,8 @@ impl Layout {
         if bytes.len() < MAGIC_V3.len() || &bytes[..MAGIC_V3.len()] != MAGIC_V3 {
             return Err(CodecError::BadHeader);
         }
-        // Footer seal: identical discipline to POLINV2 — prove the file
-        // *ends* correctly before trusting anything in the middle.
+        // Footer seal first, as everywhere else: prove the file *ends*
+        // correctly before trusting anything in the middle.
         if bytes.len() < MAGIC_V3.len() + 16 {
             return Err(unsealed());
         }
@@ -492,9 +492,9 @@ impl Layout {
                 return Err(wire("entry count exceeds section"));
             }
             let blob_len = body.len() - fixed;
-            // Same allocation guard as v2: a count claiming more entries
-            // than the blob could physically hold is hostile. Stats
-            // alone dominate MIN_ENTRY_BYTES, so the v2 bound applies.
+            // Allocation guard: a count claiming more entries than the
+            // blob could physically hold is hostile. Stats alone
+            // dominate MIN_ENTRY_BYTES, so that bound applies.
             if sec
                 .count
                 .checked_mul(MIN_ENTRY_BYTES)
@@ -926,8 +926,8 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
 
 /// Deserializes a POLINV3 file image into a heap [`Inventory`] —
 /// validating the layout, then decoding every entry of every grouping
-/// section (the migration/fallback path; serving reads zero-copy via
-/// [`Layout`] + [`SectionReader`] instead).
+/// section (the path for tools and delta merges; serving reads
+/// zero-copy via [`Layout`] + [`SectionReader`] instead).
 pub fn from_bytes(bytes: &[u8]) -> Result<Inventory, CodecError> {
     let layout = Layout::parse(bytes)?;
     let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
@@ -1018,8 +1018,8 @@ pub fn verify(path: &Path) -> Result<ColumnarReport, CodecError> {
     verify_bytes(&buf)
 }
 
-/// Saves an inventory as a POLINV3 file, crash-safely — same temp-file
-/// + fsync + atomic-rename discipline as the v2 [`save`](super::save).
+/// Saves an inventory as a POLINV3 file, crash-safely — the temp-file
+/// + fsync + atomic-rename discipline of [`save_bytes`].
 pub fn save(inv: &Inventory, path: &Path) -> io::Result<()> {
     save_bytes(&to_bytes(inv), path)
 }
@@ -1031,58 +1031,11 @@ pub fn load(path: &Path) -> Result<Inventory, CodecError> {
     from_bytes(&buf)
 }
 
-/// Converts a POLINV2 file image into a POLINV3 one. The stats bytes
-/// survive verbatim (both formats share the canonical encoding), only
-/// the framing changes — the migration proptest pins query equality.
-pub fn migrate_v2_bytes(v2: &[u8]) -> Result<Vec<u8>, CodecError> {
-    Ok(to_bytes(&super::from_bytes(v2)?))
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::tests::sample_inventory;
     use super::*;
-    use crate::records::{CellPoint, TripPoint};
-    use pol_ais::types::Mmsi;
     use pol_geo::{BBox, LatLon};
-    use pol_hexgrid::cell_at;
-
-    fn sample_inventory(n: usize) -> Inventory {
-        let res = Resolution::new(6).unwrap();
-        let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
-        for i in 0..n {
-            let pos = LatLon::new(-50.0 + (i % 100) as f64, -170.0 + (i % 340) as f64).unwrap();
-            let cell = cell_at(pos, res);
-            let cp = CellPoint {
-                point: TripPoint {
-                    mmsi: Mmsi(100 + (i % 9) as u32),
-                    timestamp: i as i64,
-                    pos,
-                    sog_knots: Some(8.0 + (i % 10) as f64),
-                    cog_deg: Some((i * 17 % 360) as f64),
-                    heading_deg: Some((i * 13 % 360) as f64),
-                    segment: MarketSegment::from_id((i % 6) as u8).unwrap(),
-                    trip_id: (i % 12) as u64,
-                    origin: (i % 4) as u16,
-                    dest: (i % 5) as u16,
-                    eto_secs: i as i64 * 60,
-                    ata_secs: (n - i) as i64 * 60,
-                },
-                cell,
-                next_cell: None,
-            };
-            for key in [
-                GroupKey::Cell(cell),
-                GroupKey::CellType(cell, cp.point.segment),
-                GroupKey::CellRoute(cell, cp.point.origin, cp.point.dest, cp.point.segment),
-            ] {
-                entries
-                    .entry(key)
-                    .or_insert_with(|| CellStats::new(0.02, 8))
-                    .observe(&cp);
-            }
-        }
-        Inventory::from_entries(res, entries, n as u64)
-    }
 
     fn stats_bytes_of(s: &CellStats) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1166,21 +1119,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_from_v2_is_query_identical() {
-        let inv = sample_inventory(250);
-        let v2 = super::super::to_bytes(&inv);
-        let v3 = migrate_v2_bytes(&v2).unwrap();
-        let from_v3 = from_bytes(&v3).unwrap();
-        assert_eq!(from_v3.len(), inv.len());
-        for (key, stats) in inv.iter() {
-            let b = from_v3.get(key).unwrap();
-            assert_eq!(stats_bytes_of(b), stats_bytes_of(stats));
-        }
-        // Migrating the same v2 image twice is deterministic.
-        assert_eq!(v3, migrate_v2_bytes(&v2).unwrap());
-    }
-
-    #[test]
     fn empty_inventory_round_trips() {
         let inv = Inventory::from_entries(Resolution::new(7).unwrap(), FxHashMap::default(), 0);
         let bytes = to_bytes(&inv);
@@ -1198,9 +1136,6 @@ mod tests {
             from_bytes(b"not an inventory"),
             Err(CodecError::BadHeader)
         ));
-        // v2 magic is not a v3 file.
-        let v2 = super::super::to_bytes(&sample_inventory(5));
-        assert!(matches!(from_bytes(&v2), Err(CodecError::BadHeader)));
         let bytes = to_bytes(&sample_inventory(50));
         for cut in (0..bytes.len() - 1).step_by(13) {
             match from_bytes(&bytes[..cut]).err() {
@@ -1216,6 +1151,16 @@ mod tests {
                 "bit flip at byte {byte} went undetected"
             );
         }
+        // Corruption inside a section's body names that section.
+        let layout = Layout::parse(&bytes).unwrap();
+        let mut corrupt = bytes.clone();
+        corrupt[layout.cell_route.blob.start + layout.cell_route.blob.len() / 2] ^= 0x10;
+        match from_bytes(&corrupt).err() {
+            Some(CodecError::Checksum {
+                section: "cell-route",
+            }) => {}
+            other => panic!("expected cell-route checksum failure, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1230,6 +1175,13 @@ mod tests {
         assert_eq!(report.sections[3].name, "lat-index");
         assert_eq!(report.sections[4].name, "top-dest");
         assert_eq!(report.sections[0].entries, report.sections[3].entries);
+        assert_eq!(report.total_records, inv.total_records());
+        assert_eq!(report.file_len, bytes.len() as u64);
+
+        let mut corrupt = bytes.clone();
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= 0x01;
+        assert!(verify_bytes(&corrupt).is_err());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! a manifest can never *silently* bless a torn or stale file: the chain
 //! loader re-hashes every file before decoding a byte of it.
 
-use super::{columnar, save_bytes, sniff_format, CodecError, SnapshotFormat, FOOTER_MAGIC};
+use super::{columnar, save_bytes, CodecError, FOOTER_MAGIC};
 use crate::inventory::Inventory;
 use pol_sketch::crc64::crc64;
 use pol_sketch::wire::{get_varint, put_varint, WireError};
@@ -239,15 +239,6 @@ fn read_entry_bytes(dir: &Path, e: &ManifestEntry) -> Result<Vec<u8>, CodecError
     Ok(buf)
 }
 
-fn decode_snapshot(bytes: &[u8]) -> Result<Inventory, CodecError> {
-    match sniff_format(bytes) {
-        Some(SnapshotFormat::V3) => columnar::from_bytes(bytes),
-        // Unknown magic goes through the v2 decoder so the error is the
-        // same typed BadHeader a direct load would produce.
-        _ => super::from_bytes(bytes),
-    }
-}
-
 /// Loads a full delta chain: reads the manifest, verifies every named
 /// file's length + CRC, decodes the base, and merges each delta in
 /// ascending generation order. That canonical order is the identity
@@ -260,13 +251,13 @@ pub fn load_chain(path: &Path) -> Result<(Inventory, ChainInfo), CodecError> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let mut chain = man.entries.iter();
     let base_entry = chain.next().ok_or(wire("manifest names no base"))?;
-    let mut inv = decode_snapshot(&read_entry_bytes(dir, base_entry)?)?;
+    let mut inv = columnar::from_bytes(&read_entry_bytes(dir, base_entry)?)?;
     let mut info = ChainInfo {
         generation: base_entry.generation,
         chain_len: 1,
     };
     for e in chain {
-        let delta = decode_snapshot(&read_entry_bytes(dir, e)?)?;
+        let delta = columnar::from_bytes(&read_entry_bytes(dir, e)?)?;
         if delta.resolution() != inv.resolution() {
             return Err(wire("chain resolution mismatch"));
         }
@@ -312,7 +303,7 @@ pub fn verify_chain(path: &Path) -> Result<ChainReport, CodecError> {
     let mut files = Vec::with_capacity(man.entries.len());
     for e in &man.entries {
         let bytes = read_entry_bytes(dir, e)?;
-        let inv = decode_snapshot(&bytes)?;
+        let inv = columnar::from_bytes(&bytes)?;
         files.push(ChainEntryReport {
             name: e.name.clone(),
             generation: e.generation,
@@ -331,58 +322,8 @@ pub fn verify_chain(path: &Path) -> Result<ChainReport, CodecError> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::{sample_inventory, temp_dir};
     use super::*;
-    use crate::features::{CellStats, GroupKey};
-    use crate::records::{CellPoint, TripPoint};
-    use pol_ais::types::{MarketSegment, Mmsi};
-    use pol_geo::LatLon;
-    use pol_hexgrid::{cell_at, Resolution};
-    use pol_sketch::hash::FxHashMap;
-
-    fn sample_inventory(n: usize, salt: u64) -> Inventory {
-        let res = Resolution::new(6).unwrap();
-        let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
-        for i in 0..n {
-            let j = i as u64 + salt * 1000;
-            let pos = LatLon::new(-40.0 + (j % 80) as f64, -100.0 + (j % 200) as f64).unwrap();
-            let cell = cell_at(pos, res);
-            let cp = CellPoint {
-                point: TripPoint {
-                    mmsi: Mmsi(100 + (j % 9) as u32),
-                    timestamp: j as i64,
-                    pos,
-                    sog_knots: Some(8.0),
-                    cog_deg: Some(90.0),
-                    heading_deg: None,
-                    segment: MarketSegment::from_id((j % 6) as u8).unwrap(),
-                    trip_id: j % 12,
-                    origin: (j % 4) as u16,
-                    dest: (j % 5) as u16,
-                    eto_secs: 60,
-                    ata_secs: 60,
-                },
-                cell,
-                next_cell: None,
-            };
-            for key in [
-                GroupKey::Cell(cell),
-                GroupKey::CellType(cell, cp.point.segment),
-            ] {
-                entries
-                    .entry(key)
-                    .or_insert_with(|| CellStats::new(0.02, 8))
-                    .observe(&cp);
-            }
-        }
-        Inventory::from_entries(res, entries, n as u64)
-    }
-
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("pol-manifest-{tag}"));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn entry_for(dir: &Path, generation: u64, name: &str, inv: &Inventory) -> ManifestEntry {
         let bytes = columnar::to_bytes(inv);
@@ -502,9 +443,9 @@ mod tests {
     #[test]
     fn chain_load_merges_in_generation_order() {
         let dir = temp_dir("chain");
-        let base = sample_inventory(60, 0);
-        let d1 = sample_inventory(40, 1);
-        let d2 = sample_inventory(30, 2);
+        let base = sample_inventory(60);
+        let d1 = sample_inventory(40);
+        let d2 = sample_inventory(30);
         let man = Manifest {
             entries: vec![
                 entry_for(&dir, 0, "base.pol3", &base),
@@ -524,7 +465,7 @@ mod tests {
             }
         );
         // `sample_inventory` is deterministic: rebuild the expected merge.
-        let mut want = sample_inventory(60, 0);
+        let mut want = sample_inventory(60);
         want.merge(&d1);
         want.merge(&d2);
         assert_eq!(columnar::to_bytes(&merged), columnar::to_bytes(&want));
@@ -539,8 +480,8 @@ mod tests {
     #[test]
     fn chain_rejects_tampered_or_missing_files() {
         let dir = temp_dir("tamper");
-        let base = sample_inventory(50, 0);
-        let d1 = sample_inventory(20, 1);
+        let base = sample_inventory(50);
+        let d1 = sample_inventory(20);
         let man = Manifest {
             entries: vec![
                 entry_for(&dir, 0, "base.pol3", &base),
@@ -553,7 +494,7 @@ mod tests {
 
         // Swap the delta for a different (valid!) snapshot: the CRC in
         // the manifest catches it even though the file itself decodes.
-        columnar::save(&sample_inventory(21, 9), &dir.join("delta-1.pol3")).unwrap();
+        columnar::save(&sample_inventory(21), &dir.join("delta-1.pol3")).unwrap();
         assert!(matches!(
             load_chain(&man_path),
             Err(CodecError::Checksum { .. }) | Err(CodecError::Wire(_))
@@ -562,34 +503,25 @@ mod tests {
         // Missing file.
         std::fs::remove_file(dir.join("delta-1.pol3")).unwrap();
         assert!(matches!(load_chain(&man_path), Err(CodecError::Io(_))));
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
-    #[test]
-    fn chain_base_may_be_v2() {
-        let dir = temp_dir("v2base");
-        let base = sample_inventory(30, 0);
-        let bytes = super::super::to_bytes(&base);
-        save_bytes(&bytes, &dir.join("base.pol")).unwrap();
+        // A chain file must be POLINV3: one the manifest vouches for
+        // (length and CRC match) under any other magic is BadHeader.
+        let retired = b"POLINV2\0 and whatever a retired writer put after it";
+        save_bytes(retired, &dir.join("base.pol")).unwrap();
         let man = Manifest {
             entries: vec![ManifestEntry {
                 generation: 0,
-                file_len: bytes.len() as u64,
-                crc: crc64(&bytes),
+                file_len: retired.len() as u64,
+                crc: crc64(retired),
                 name: "base.pol".into(),
             }],
         };
-        let man_path = dir.join("chain.polman");
         save(&man, &man_path).unwrap();
-        let (merged, info) = load_chain(&man_path).unwrap();
-        assert_eq!(
-            info,
-            ChainInfo {
-                generation: 0,
-                chain_len: 1
-            }
-        );
-        assert_eq!(columnar::to_bytes(&merged), columnar::to_bytes(&base));
+        assert!(matches!(load_chain(&man_path), Err(CodecError::BadHeader)));
+        assert!(matches!(
+            verify_chain(&man_path),
+            Err(CodecError::BadHeader)
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -450,7 +450,7 @@ pub fn fold_projected(
 mod tests {
     use super::*;
     use crate::clean::order_and_filter_vessel;
-    use crate::codec;
+    use crate::codec::columnar;
     use crate::pipeline::run;
     use crate::trips::extract_for_vessel;
     use pol_fleetsim::scenario::{generate, ScenarioConfig};
@@ -486,8 +486,8 @@ mod tests {
         assert_eq!(staged.counts, fused.counts);
         assert_eq!(staged.clean_report, fused.clean_report);
         assert_eq!(
-            codec::to_bytes(&staged.inventory),
-            codec::to_bytes(&fused.inventory),
+            columnar::to_bytes(&staged.inventory),
+            columnar::to_bytes(&fused.inventory),
             "fused inventory must be byte-identical to staged"
         );
     }
@@ -580,8 +580,8 @@ mod tests {
 
         let folded = fold_projected(&Engine::new(1), &cfg, per_vessel, projected_count).unwrap();
         assert_eq!(
-            codec::to_bytes(&fused.inventory),
-            codec::to_bytes(&folded),
+            columnar::to_bytes(&fused.inventory),
+            columnar::to_bytes(&folded),
             "fold_projected must reproduce the fused build byte-for-byte"
         );
     }
@@ -595,8 +595,8 @@ mod tests {
         assert_eq!(staged.counts, fused.counts);
         assert_eq!(staged.clean_report, fused.clean_report);
         assert_eq!(
-            codec::to_bytes(&staged.inventory),
-            codec::to_bytes(&fused.inventory)
+            columnar::to_bytes(&staged.inventory),
+            columnar::to_bytes(&fused.inventory)
         );
         assert!(fused.inventory.is_empty());
     }

@@ -149,8 +149,8 @@ mod tests {
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.inventory.len(), b.inventory.len());
         assert_eq!(
-            crate::codec::to_bytes(&a.inventory),
-            crate::codec::to_bytes(&b.inventory),
+            crate::codec::columnar::to_bytes(&a.inventory),
+            crate::codec::columnar::to_bytes(&b.inventory),
             "same seed ⇒ byte-identical inventory"
         );
     }
@@ -177,8 +177,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.counts, b.counts);
-        let reference = crate::codec::to_bytes(&a.inventory);
-        assert_eq!(reference, crate::codec::to_bytes(&b.inventory));
+        let reference = crate::codec::columnar::to_bytes(&a.inventory);
+        assert_eq!(reference, crate::codec::columnar::to_bytes(&b.inventory));
         // The fused executor must agree with the staged path — same
         // inventory bytes, stage counts and clean accounting — at every
         // thread count, including pools far wider than the partition
@@ -201,7 +201,7 @@ mod tests {
             );
             assert_eq!(
                 reference,
-                crate::codec::to_bytes(&f.inventory),
+                crate::codec::columnar::to_bytes(&f.inventory),
                 "fused bytes at {threads} threads"
             );
         }

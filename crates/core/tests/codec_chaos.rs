@@ -7,7 +7,7 @@
 
 use pol_ais::types::{MarketSegment, Mmsi};
 use pol_chaos::{configure, exclusive, remove, stats, FaultAction, Trigger};
-use pol_core::codec;
+use pol_core::codec::columnar;
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::inventory::Inventory;
 use pol_core::records::{CellPoint, TripPoint};
@@ -64,26 +64,26 @@ fn injected_write_failure_cleans_temp_and_preserves_old_file() {
     let path = dir.join("inv.pol");
 
     // A good save first, so there is an old complete file to preserve.
-    codec::save(&sample_inventory(40), &path).unwrap();
+    columnar::save(&sample_inventory(40), &path).unwrap();
     let old = std::fs::read(&path).unwrap();
 
     configure("codec.save.write", Trigger::OneShot(FaultAction::Err));
-    let err = codec::save(&sample_inventory(200), &path);
+    let err = columnar::save(&sample_inventory(200), &path);
     assert!(err.is_err(), "injected write failure must surface");
     assert_eq!(stats("codec.save.write").fired, 1);
     remove("codec.save.write");
 
     // The old file is byte-identical and still loads; no temp debris.
     assert_eq!(std::fs::read(&path).unwrap(), old);
-    assert!(codec::load(&path).is_ok());
+    assert!(columnar::load(&path).is_ok());
     assert!(
         no_temp_files(&dir),
         "temp file leaked after injected write failure"
     );
 
     // And a retry with the failpoint disarmed succeeds.
-    codec::save(&sample_inventory(200), &path).unwrap();
-    assert!(codec::load(&path).unwrap().len() > 0);
+    columnar::save(&sample_inventory(200), &path).unwrap();
+    assert!(columnar::load(&path).unwrap().len() > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -95,13 +95,13 @@ fn injected_rename_failure_cleans_temp_and_preserves_old_file() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("inv.pol");
 
-    codec::save(&sample_inventory(40), &path).unwrap();
+    columnar::save(&sample_inventory(40), &path).unwrap();
     let old = std::fs::read(&path).unwrap();
 
     // Fail after the temp file is fully written and fsynced — the
     // worst case: a complete sibling that must still be removed.
     configure("codec.save.rename", Trigger::OneShot(FaultAction::Err));
-    assert!(codec::save(&sample_inventory(200), &path).is_err());
+    assert!(columnar::save(&sample_inventory(200), &path).is_err());
     remove("codec.save.rename");
 
     assert_eq!(std::fs::read(&path).unwrap(), old);

@@ -1,16 +1,14 @@
-//! Property tests for the POLINV3 columnar snapshot (ISSUE satellite):
-//! the POLINV2 → POLINV3 migration must be query-identical, and
-//! `columnar::from_bytes` / `Layout::parse` on truncated, bit-flipped,
-//! zero-length or arbitrary-garbage input must never panic and must
-//! always return a typed [`CodecError`] — mirrors the POLINV2
-//! corruption suite in `codec_corruption.rs`.
+//! Property tests for the POLINV3 columnar snapshot: the encoding is
+//! canonical, and `columnar::from_bytes` / `Layout::parse` on truncated,
+//! bit-flipped, zero-length or arbitrary-garbage input must never panic
+//! and must always return a typed [`CodecError`].
 
 use pol_ais::types::{MarketSegment, Mmsi};
-use pol_core::codec::{self, columnar, CodecError};
+use pol_core::codec::{columnar, CodecError};
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::inventory::Inventory;
 use pol_core::records::{CellPoint, TripPoint};
-use pol_geo::{BBox, LatLon};
+use pol_geo::LatLon;
 use pol_hexgrid::{cell_at, Resolution};
 use pol_sketch::hash::FxHashMap;
 use proptest::prelude::*;
@@ -56,25 +54,10 @@ fn sample_inventory() -> Inventory {
     Inventory::from_entries(res, entries, 400)
 }
 
-/// The POLINV2 image of the sample inventory.
-fn v2_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| codec::to_bytes(&sample_inventory()))
-}
-
-/// The migrated POLINV3 image (the corruption target).
+/// The POLINV3 image of the sample inventory (the corruption target).
 fn v3_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| columnar::migrate_v2_bytes(v2_bytes()).expect("migration succeeds"))
-}
-
-/// CellStats has no `PartialEq`; equality is by canonical encoding.
-fn stats_bytes(stats: Option<&CellStats>) -> Option<Vec<u8>> {
-    stats.map(|s| {
-        let mut out = Vec::new();
-        codec::encode_cell_stats(s, &mut out);
-        out
-    })
+    BYTES.get_or_init(|| columnar::to_bytes(&sample_inventory()))
 }
 
 fn is_typed(err: &CodecError) -> bool {
@@ -105,59 +88,8 @@ fn clean_image_loads_and_verifies() {
     assert_eq!(report.sections.len(), 5);
 }
 
-/// POLINV2 → POLINV3 migration is query-identical: every summary at
-/// every grouping-set level, every bbox scan, and every top-destination
-/// scan answers exactly as the original inventory does.
-#[test]
-fn migration_round_trip_is_query_identical() {
-    let original = sample_inventory();
-    let migrated = columnar::from_bytes(v3_bytes()).unwrap();
-
-    assert_eq!(migrated.resolution(), original.resolution());
-    assert_eq!(migrated.len(), original.len());
-    assert_eq!(migrated.total_records(), original.total_records());
-
-    for i in 0..400usize {
-        let pos = LatLon::new(-40.0 + (i % 90) as f64, -120.0 + (i % 240) as f64).unwrap();
-        let cell = cell_at(pos, original.resolution());
-        let seg = MarketSegment::from_id((i % 7) as u8).unwrap();
-        let (origin, dest) = ((i % 6) as u16, (i % 9) as u16);
-        assert_eq!(
-            stats_bytes(migrated.summary(cell)),
-            stats_bytes(original.summary(cell)),
-            "cell summary {i}"
-        );
-        assert_eq!(
-            stats_bytes(migrated.summary_for(cell, seg)),
-            stats_bytes(original.summary_for(cell, seg)),
-            "segment summary {i}"
-        );
-        assert_eq!(
-            stats_bytes(migrated.summary_route(cell, origin, dest, seg)),
-            stats_bytes(original.summary_route(cell, origin, dest, seg)),
-            "route summary {i}"
-        );
-    }
-
-    let bbox = BBox::new(-35.0, -100.0, 30.0, 80.0).unwrap();
-    assert_eq!(migrated.cells_in(&bbox), original.cells_in(&bbox));
-    // Hash-map iteration order is instance-specific; compare as sorted
-    // sets (the serving layer sorts before answering anyway).
-    let sorted = |mut cells: Vec<pol_hexgrid::CellIndex>| {
-        cells.sort_unstable_by_key(|c| c.raw());
-        cells
-    };
-    for dest in 0..9u16 {
-        assert_eq!(
-            sorted(migrated.cells_with_top_destination(dest, None)),
-            sorted(original.cells_with_top_destination(dest, None)),
-            "top destination {dest}"
-        );
-    }
-}
-
 /// The columnar encoding is canonical: re-encoding a decoded image
-/// reproduces the exact bytes, so migration is idempotent.
+/// reproduces the exact bytes.
 #[test]
 fn columnar_encoding_is_canonical() {
     let decoded = columnar::from_bytes(v3_bytes()).unwrap();
@@ -219,19 +151,5 @@ proptest! {
             Ok(_) => {}
             Err(err) => prop_assert!(is_typed(&err), "untyped error: {err:?}"),
         }
-    }
-
-    /// Migration rejects corrupted POLINV2 input typed (never panics,
-    /// never emits a POLINV3 file from bad data).
-    #[test]
-    fn migration_of_corrupt_v2_fails_typed(pos in 0usize..1_000_000, bit in 0u8..8) {
-        let bytes = v2_bytes();
-        let pos = pos % bytes.len();
-        let mut corrupt = bytes.to_vec();
-        corrupt[pos] ^= 1 << bit;
-        let err = columnar::migrate_v2_bytes(&corrupt)
-            .err()
-            .expect("corrupt v2 must not migrate");
-        prop_assert!(is_typed(&err), "untyped error for flip {pos}:{bit}: {err:?}");
     }
 }

@@ -4,9 +4,10 @@
 
 use pol_ais::types::{Mmsi, NavStatus, ShipTypeCode};
 use pol_ais::{PositionReport, StaticReport};
+use pol_core::codec::columnar;
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::records::PortSite;
-use pol_core::{codec, Inventory, PipelineConfig};
+use pol_core::{Inventory, PipelineConfig};
 use pol_engine::{Dataset, Engine};
 use pol_geo::LatLon;
 use pol_hexgrid::Resolution;
@@ -196,9 +197,9 @@ proptest! {
             }
         }
         let inv = Inventory::from_entries(res, entries, pts.len() as u64);
-        let bytes = codec::to_bytes(&inv);
-        let back = codec::from_bytes(&bytes).expect("round trip");
-        prop_assert_eq!(codec::to_bytes(&back), bytes, "canonical fixed point");
+        let bytes = columnar::to_bytes(&inv);
+        let back = columnar::from_bytes(&bytes).expect("round trip");
+        prop_assert_eq!(columnar::to_bytes(&back), bytes, "canonical fixed point");
         prop_assert_eq!(back.len(), inv.len());
     }
 
@@ -242,7 +243,7 @@ proptest! {
             &ports,
             &cfg,
         ).unwrap();
-        let reference = codec::to_bytes(&staged.inventory);
+        let reference = columnar::to_bytes(&staged.inventory);
         for threads in [1usize, 2, 8, 16] {
             let engine = Engine::new(threads);
             let fused = pol_core::run_fused(
@@ -261,7 +262,7 @@ proptest! {
             );
             prop_assert_eq!(
                 &reference,
-                &codec::to_bytes(&fused.inventory),
+                &columnar::to_bytes(&fused.inventory),
                 "inventory bytes at {} threads",
                 threads
             );
@@ -278,7 +279,7 @@ proptest! {
             ).unwrap();
             prop_assert_eq!(
                 &reference,
-                &codec::to_bytes(&warm.inventory),
+                &columnar::to_bytes(&warm.inventory),
                 "warm-scratch inventory bytes at {} threads",
                 threads
             );

@@ -17,7 +17,7 @@
 //! return one byte at a time, inject `Interrupted`, and starve writes
 //! with `WouldBlock` mid-frame.
 
-use crate::proto::{split_frame, ProtoError};
+use crate::proto::{split_frame, ProtoError, DEFAULT_MAX_FRAME_BYTES};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::time::Instant;
@@ -228,16 +228,21 @@ impl ConnState {
         !self.mid_frame() && !self.in_flight && self.pending.is_empty() && self.outbox.is_empty()
     }
 
-    /// Whether reading should stop: the pipeline is full, or the
-    /// connection is condemned and whatever else it sends will not be
-    /// answered. While this holds the reactor drops `EPOLLIN` from the
-    /// connection's interest — with level-triggered epoll, staying
-    /// subscribed to a socket we refuse to read would re-report it on
-    /// every `epoll_wait` and spin the loop hot exactly when the server
-    /// is saturated. Unread bytes wait in the kernel buffer; interest is
-    /// re-armed as completions shrink the queue.
+    /// Whether reading should stop: the pipeline is full, the peer is not
+    /// reading its replies (a frame's worth, [`DEFAULT_MAX_FRAME_BYTES`],
+    /// is already owed — a peer that pipelines and never reads must not
+    /// grow the outbox without bound), or the connection is condemned and
+    /// whatever else it sends will not be answered. While this holds the
+    /// reactor drops `EPOLLIN` from the connection's interest — with
+    /// level-triggered epoll, staying subscribed to a socket we refuse to
+    /// read would re-report it on every `epoll_wait` and spin the loop
+    /// hot exactly when the server is saturated. Unread bytes wait in the
+    /// kernel buffer; interest is re-armed as completions shrink the
+    /// queue and flushes shrink the outbox.
     pub fn read_paused(&self) -> bool {
-        self.close_after_flush || self.pending.len() >= MAX_PENDING_FRAMES
+        self.close_after_flush
+            || self.pending.len() >= MAX_PENDING_FRAMES
+            || self.outbox.pending() >= DEFAULT_MAX_FRAME_BYTES
     }
 
     /// Pumps the read side after a readiness event: one `read` into
@@ -289,10 +294,10 @@ impl ConnState {
         read_event(sliced)
     }
 
-    /// Hands out the frames a full pending queue made
-    /// [`ConnState::read_ready`] hold back, now that the queue has room.
-    /// No read: these bytes left the socket already, so no readiness
-    /// event will announce them.
+    /// Hands out the frames a full pending queue or a full outbox made
+    /// [`ConnState::read_ready`] hold back, now that there is room. No
+    /// read: these bytes left the socket already, so no readiness event
+    /// will announce them.
     pub fn resume(&mut self, max_frame_bytes: usize, sink: FrameSink<'_>) -> ReadEvent {
         if self.carry.is_empty() {
             return ReadEvent::Open;
@@ -663,6 +668,12 @@ mod tests {
         assert!(conn.read_paused(), "full pipeline must stop reading");
         conn.pending.pop_front();
         assert!(!conn.read_paused(), "one free slot must resume reading");
+        // A frame's worth of replies the peer has not taken pauses it
+        // too, until a flush makes room.
+        conn.outbox.push_frame(&vec![0; DEFAULT_MAX_FRAME_BYTES]);
+        assert!(conn.read_paused(), "a backed-up outbox must stop reading");
+        conn.outbox.flush_to(&mut Vec::new()).unwrap();
+        assert!(!conn.read_paused(), "a flushed outbox must resume reading");
         conn.close_after_flush = true;
         assert!(conn.read_paused(), "a condemned connection reads no more");
     }

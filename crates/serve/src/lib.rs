@@ -11,9 +11,9 @@
 //! The zero-copy read path: a POLINV3 columnar snapshot is served
 //! straight off disk through a [`mapped::MappedStore`] — the file is
 //! memory-mapped ([`mmap::MappedFile`]), validated once, and queried by
-//! binary search without deserializing anything up front. Anything else
-//! (POLINV2, a POLMAN1 delta chain, an in-process build) is served from
-//! the heap [`pol_core::Inventory`] the codec produced. The server sniffs
+//! binary search without deserializing anything up front. A POLMAN1
+//! delta chain or an in-process build is served from the heap
+//! [`pol_core::Inventory`] it merges into. The server sniffs
 //! the snapshot format and picks the backend; [`proto::Request::Batch`]
 //! lets one frame carry many lookups.
 //!

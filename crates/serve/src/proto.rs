@@ -293,81 +293,10 @@ fn frame_len(header: [u8; 4], max_bytes: usize) -> Result<usize, ProtoError> {
     Ok(len)
 }
 
-/// Incremental frame reader that survives short reads and read timeouts.
-///
-/// Sockets under a read timeout can deliver a frame in pieces with
-/// `WouldBlock`/`TimedOut` errors in between; `std`'s `read_exact` cannot
-/// resume after such an error. The accumulator keeps its partial state
-/// across [`FrameAccumulator::poll`] calls, so the caller can interleave
-/// timeout handling (e.g. a shutdown-flag check) with frame assembly.
-#[derive(Default)]
-pub struct FrameAccumulator {
-    header: [u8; 4],
-    filled: usize,
-    body: Vec<u8>,
-    body_len: Option<usize>,
-}
-
-impl FrameAccumulator {
-    /// A fresh accumulator with no partial frame.
-    pub fn new() -> FrameAccumulator {
-        FrameAccumulator::default()
-    }
-
-    /// Whether a frame is partially assembled. A draining server uses
-    /// this to distinguish "idle at a frame boundary, safe to close"
-    /// from "mid-frame, the peer deserves its answer first".
-    pub fn is_partial(&self) -> bool {
-        self.filled > 0 || self.body_len.is_some()
-    }
-
-    /// Feeds at most one `read` call into the pending frame. Returns
-    /// `Ok(Some(payload))` when a frame completed, `Ok(None)` when more
-    /// bytes are needed. Timeouts surface as `Err(ProtoError::Io)` with
-    /// kind `WouldBlock`/`TimedOut` and do **not** lose partial state.
-    pub fn poll<R: Read>(
-        &mut self,
-        r: &mut R,
-        max_bytes: usize,
-    ) -> Result<Option<Vec<u8>>, ProtoError> {
-        match self.body_len {
-            None => {
-                let n = r.read(&mut self.header[self.filled..])?;
-                if n == 0 {
-                    return Err(ProtoError::ConnectionClosed);
-                }
-                self.filled += n;
-                if self.filled == 4 {
-                    let len = frame_len(self.header, max_bytes)?;
-                    self.body = vec![0; len];
-                    self.body_len = Some(len);
-                    self.filled = 0;
-                }
-                Ok(None)
-            }
-            Some(len) => {
-                let n = r.read(&mut self.body[self.filled..])?;
-                if n == 0 {
-                    return Err(ProtoError::ConnectionClosed);
-                }
-                self.filled += n;
-                if self.filled == len {
-                    self.filled = 0;
-                    self.body_len = None;
-                    Ok(Some(std::mem::take(&mut self.body)))
-                } else {
-                    Ok(None)
-                }
-            }
-        }
-    }
-}
-
 /// Splits the first complete frame off the front of `buf` and returns
 /// its payload, advancing `buf` past it; `None` (and `buf` untouched)
 /// while the header or the body is still short. The declared length is
-/// checked as soon as its four bytes are there, as
-/// [`FrameAccumulator::poll`] does one `read` at a time.
+/// checked as soon as its four bytes are there, before the body arrives.
 pub fn split_frame<'a>(
     buf: &mut &'a [u8],
     max_bytes: usize,
@@ -384,13 +313,18 @@ pub fn split_frame<'a>(
 }
 
 /// Blocking convenience: reads one full frame (clients; no timeouts).
+/// End of stream — at a frame boundary or inside a frame — is
+/// [`ProtoError::ConnectionClosed`].
 pub fn read_frame<R: Read>(r: &mut R, max_bytes: usize) -> Result<Vec<u8>, ProtoError> {
-    let mut acc = FrameAccumulator::new();
-    loop {
-        if let Some(payload) = acc.poll(r, max_bytes)? {
-            return Ok(payload);
-        }
-    }
+    let closed = |e: io::Error| match e.kind() {
+        io::ErrorKind::UnexpectedEof => ProtoError::ConnectionClosed,
+        _ => ProtoError::Io(e),
+    };
+    let mut header = [0u8; 4];
+    r.read_exact(&mut header).map_err(closed)?;
+    let mut payload = vec![0; frame_len(header, max_bytes)?];
+    r.read_exact(&mut payload).map_err(closed)?;
+    Ok(payload)
 }
 
 // ---------------------------------------------------------------------
@@ -1056,6 +990,13 @@ mod tests {
         write_frame(&mut buf, b"hello").unwrap();
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r, 1024).unwrap(), b"hello");
+        // End of stream, at the boundary or inside a frame, is a close.
+        for mut cut in [&buf[..0], &buf[..2], &buf[..7]] {
+            assert!(matches!(
+                read_frame(&mut cut, 1024),
+                Err(ProtoError::ConnectionClosed)
+            ));
+        }
     }
 
     #[test]
@@ -1077,21 +1018,6 @@ mod tests {
             read_frame(&mut r, 1024),
             Err(ProtoError::FrameTooLarge(0))
         ));
-    }
-
-    #[test]
-    fn accumulator_survives_byte_at_a_time_delivery() {
-        let mut framed = Vec::new();
-        write_frame(&mut framed, b"stream me").unwrap();
-        let mut acc = FrameAccumulator::new();
-        let mut got = None;
-        for b in &framed {
-            let mut one = std::slice::from_ref(b);
-            if let Some(p) = acc.poll(&mut one, 1024).unwrap() {
-                got = Some(p);
-            }
-        }
-        assert_eq!(got.as_deref(), Some(&b"stream me"[..]));
     }
 
     #[test]

@@ -849,25 +849,18 @@ mod linux {
         /// Flushes a connection's outbox as far as the socket allows and
         /// re-arms epoll interest: `EPOLLOUT` only while bytes are owed.
         fn flush_conn(&mut self, token: u64) {
+            // A flush that takes a full outbox back under the mark lets
+            // the frames the read side was holding in (no readiness event
+            // will announce bytes already off the socket); their replies
+            // are flushed in turn, until the socket or the frames run out.
+            while self.flush_outbox(token) {
+                if !self.drain_pending(token) {
+                    return;
+                }
+            }
             let Some(entry) = self.conns.get_mut(&token) else {
                 return;
             };
-            if !entry.state.outbox.is_empty() {
-                match entry.state.outbox.flush_to(&mut entry.stream) {
-                    Ok(n) => {
-                        if n > 0 {
-                            entry.state.last_write = Instant::now();
-                        }
-                    }
-                    Err(_) => {
-                        self.close_conn(token);
-                        return;
-                    }
-                }
-                self.runner
-                    .metrics
-                    .observe_write_buffer(entry.state.outbox.high_water() as u64);
-            }
             let drained = entry.state.outbox.is_empty();
             let done = drained
                 && (entry.state.close_after_flush
@@ -896,6 +889,33 @@ mod linux {
                     }
                 }
             }
+        }
+
+        /// One write of the outbox to the socket. Returns whether that
+        /// un-paused a read side that was holding frames back behind a
+        /// full outbox with nothing in flight (a completion hands held
+        /// frames out itself, after the queue ahead of them).
+        fn flush_outbox(&mut self, token: u64) -> bool {
+            let Some(entry) = self.conns.get_mut(&token) else {
+                return false;
+            };
+            if entry.state.outbox.is_empty() {
+                return false;
+            }
+            let paused = entry.state.read_paused();
+            match entry.state.outbox.flush_to(&mut entry.stream) {
+                Ok(0) => {}
+                Ok(_) => entry.state.last_write = Instant::now(),
+                Err(_) => {
+                    self.close_conn(token);
+                    return false;
+                }
+            }
+            self.runner
+                .metrics
+                .observe_write_buffer(entry.state.outbox.high_water() as u64);
+            let state = &entry.state;
+            paused && !state.read_paused() && state.mid_frame() && !state.in_flight
         }
 
         /// Periodic pass over all connections: slow-loris frame

@@ -112,8 +112,8 @@ impl InventoryService {
     /// deserialized — the cold-start win), a POLMAN1 delta-chain
     /// manifest is merged base-plus-deltas into a heap inventory
     /// (recording the chain lineage for the `STATS` freshness fields),
-    /// and anything else goes through the full POLINV2 decode into a heap
-    /// inventory. Every path records its startup cost as a `StageReport`.
+    /// and anything else is [`CodecError::BadHeader`]. Both paths record
+    /// their startup cost as a `StageReport`.
     pub fn open_snapshot(
         path: &Path,
         config: &ServerConfig,
@@ -138,17 +138,7 @@ impl InventoryService {
                         info.chain_len,
                     )
                 }
-                _ => {
-                    let inventory = pol_core::codec::load(path)?;
-                    let records = inventory.total_records();
-                    (
-                        StoreBackend::Heap(inventory),
-                        "snapshot-load",
-                        records,
-                        0,
-                        1,
-                    )
-                }
+                None => return Err(CodecError::BadHeader),
             };
         metrics.record_stage(StageReport {
             name: name.into(),
@@ -380,8 +370,8 @@ impl Server {
 
     /// Starts serving straight off a snapshot file, sniffing its format
     /// like [`InventoryService::open_snapshot`]: POLINV3 is memory-mapped
-    /// zero-copy (validate, don't deserialize), anything else is decoded
-    /// into a heap inventory. This is the fast cold-start path
+    /// zero-copy (validate, don't deserialize), a POLMAN1 chain is
+    /// merged into a heap inventory. This is the cold-start path
     /// `polinv serve` uses.
     pub fn start_snapshot<A: ToSocketAddrs>(
         path: &Path,
@@ -451,8 +441,8 @@ impl Server {
     /// Hot-reloads the snapshot from an inventory file, sniffing its
     /// format like [`Server::start_snapshot`] (a POLINV3 file swaps in a
     /// fresh mapped store; a POLMAN1 manifest merges its base + delta
-    /// chain and records the lineage in the `STATS` freshness fields;
-    /// POLINV2 decodes into a heap inventory). A corrupt, truncated, or
+    /// chain and records the lineage in the `STATS` freshness fields).
+    /// A corrupt, truncated, or
     /// unreadable file — anywhere in a chain — is rejected by the
     /// codec's checksums *before* anything is swapped: the error is
     /// returned, `reloads_failed` advances, and the previous snapshot
@@ -559,14 +549,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pol-serve-stage-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("inv.pol");
-        pol_core::codec::save(&empty_inventory(), &path).unwrap();
+        pol_core::codec::columnar::save(&empty_inventory(), &path).unwrap();
         let cfg = ServerConfig::default();
         let svc =
             InventoryService::open_snapshot(&path, &cfg, Arc::new(ServerMetrics::new())).unwrap();
         match svc.execute(&Request::Stats) {
             Response::Stats(report) => {
-                assert!(report.stages.contains("snapshot-load"));
-                assert_eq!(report.store, "heap");
+                assert!(report.stages.contains("mmap-open"));
+                assert_eq!(report.store, "mapped-columnar");
             }
             other => panic!("expected stats, got {other:?}"),
         }

@@ -20,13 +20,13 @@ use std::sync::Arc;
 // ---------------------------------------------------------------------
 
 /// The two read stores a server can serve from: a heap [`Inventory`]
-/// (any snapshot, built by full deserialize or handed over in process)
-/// and the zero-copy [`MappedStore`] (POLINV3 snapshots, opened by mmap +
+/// (a merged delta chain, or one handed over in process) and the
+/// zero-copy [`MappedStore`] (POLINV3 snapshots, opened by mmap +
 /// validation). An enum rather than a trait object because the scan
 /// queries and counters are not part of [`InventoryQuery`], and the
 /// dispatch cost of two arms is nil next to a query.
 pub enum StoreBackend {
-    /// Heap-resident inventory (POLINV2, delta chains, in-process builds).
+    /// Heap-resident inventory (delta chains, in-process builds).
     Heap(Inventory),
     /// Memory-mapped columnar snapshot (POLINV3).
     Mapped(MappedStore),

@@ -9,7 +9,7 @@
 
 use pol_ais::types::{MarketSegment, Mmsi};
 use pol_chaos::{configure, exclusive, reset, stats, FaultAction, Trigger};
-use pol_core::codec;
+use pol_core::codec::{columnar, encode_cell_stats};
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::records::{CellPoint, TripPoint};
 use pol_core::Inventory;
@@ -65,7 +65,7 @@ fn sample_inventory(n: usize) -> Inventory {
 fn stats_bytes(stats: Option<&CellStats>) -> Option<Vec<u8>> {
     stats.map(|s| {
         let mut out = Vec::new();
-        codec::encode_cell_stats(s, &mut out);
+        encode_cell_stats(s, &mut out);
         out
     })
 }
@@ -172,7 +172,7 @@ fn fleet_survives_kills_delays_and_corrupt_reload() {
 
         // The reloader runs while the fleet is querying.
         let corrupt_path = dir.join("corrupt.pol");
-        let mut bytes = codec::to_bytes(&sample_inventory(N));
+        let mut bytes = columnar::to_bytes(&sample_inventory(N));
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&corrupt_path, &bytes).unwrap();
@@ -188,7 +188,7 @@ fn fleet_survives_kills_delays_and_corrupt_reload() {
         );
 
         let clean_path = dir.join("clean.pol");
-        codec::save(&sample_inventory(N), &clean_path).unwrap();
+        columnar::save(&sample_inventory(N), &clean_path).unwrap();
         server.reload_from(&clean_path).unwrap();
         assert_eq!(server.metrics().generation(), before + 1);
     });

@@ -187,13 +187,13 @@ fn concurrent_responses_equal_direct_inventory_queries() {
     server.shutdown();
 }
 
-/// The `STATS` endpoint reflects traffic and the snapshot-load stage.
+/// The `STATS` endpoint reflects traffic and the snapshot-open stage.
 #[test]
 fn stats_endpoint_reports_counters_and_stages() {
     let dir = std::env::temp_dir().join(format!("pol-serve-stats-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("inv.pol");
-    pol_core::codec::save(&sample_inventory(50), &path).unwrap();
+    pol_core::codec::columnar::save(&sample_inventory(50), &path).unwrap();
     let mut server = Server::start_snapshot(&path, "127.0.0.1:0", test_config()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.ping().unwrap();
@@ -201,7 +201,7 @@ fn stats_endpoint_reports_counters_and_stages() {
     let report = client.stats().unwrap();
     assert!(report.total_requests >= 2);
     assert_eq!(report.connections, 1);
-    assert!(report.stages.contains("snapshot-load"));
+    assert!(report.stages.contains("mmap-open"));
     assert!(report
         .endpoints
         .iter()
@@ -404,7 +404,7 @@ fn health_ready_and_hot_reload() {
 /// `reload_from` on a corrupt file keeps the old snapshot serving.
 #[test]
 fn corrupt_reload_is_rejected_and_old_snapshot_survives() {
-    use pol_core::codec;
+    use pol_core::codec::columnar;
     let dir = std::env::temp_dir().join("pol-serve-reload-test");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -413,7 +413,7 @@ fn corrupt_reload_is_rejected_and_old_snapshot_survives() {
     let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", test_config()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let mut bytes = codec::to_bytes(&sample_inventory(300));
+    let mut bytes = columnar::to_bytes(&sample_inventory(300));
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01; // bit rot
     let path = dir.join("corrupt.pol");
@@ -434,26 +434,25 @@ fn corrupt_reload_is_rejected_and_old_snapshot_survives() {
 
     // A clean file lands.
     let clean = dir.join("clean.pol");
-    codec::save(&sample_inventory(300), &clean).unwrap();
+    columnar::save(&sample_inventory(300), &clean).unwrap();
     server.reload_from(&clean).unwrap();
     assert_eq!(client.stats().unwrap().generation, 2);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A server started from a migrated POLINV3 snapshot (zero-copy mapped
+/// A server started from a POLINV3 snapshot (zero-copy mapped
 /// backend) answers every endpoint exactly like the heap-backed server
 /// over the same data, and reports the mapped store through `STATS`.
 #[test]
 fn mmap_snapshot_server_equals_heap_server() {
-    use pol_core::codec::{self, columnar};
+    use pol_core::codec::columnar;
     const N: usize = 400;
     let dir = std::env::temp_dir().join(format!("pol-serve-mmap-loop-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let v3_path = dir.join("inv.pol3");
-    let v3 = columnar::migrate_v2_bytes(&codec::to_bytes(&sample_inventory(N))).unwrap();
-    std::fs::write(&v3_path, &v3).unwrap();
+    columnar::save(&sample_inventory(N), &v3_path).unwrap();
 
     let mut heap_server = Server::start(sample_inventory(N), "127.0.0.1:0", test_config()).unwrap();
     let mut mmap_server = Server::start_snapshot(&v3_path, "127.0.0.1:0", test_config()).unwrap();
@@ -673,6 +672,66 @@ fn pipelined_responses_survive_a_lazy_reader() {
     server.shutdown();
 }
 
+/// A peer that pipelines and never reads is held by backpressure, not
+/// buffered: once a frame's worth of replies is owed the loop stops
+/// reading that socket, so the outbox stays by the mark however much the
+/// peer goes on to write — and when it does read, every reply is there,
+/// in order.
+#[test]
+fn a_peer_that_never_reads_is_bounded_by_backpressure_and_loses_nothing() {
+    use pol_serve::proto::{encode_response, DEFAULT_MAX_FRAME_BYTES};
+    use pol_serve::{InventoryService, ServerMetrics};
+    const N: usize = 400;
+    const LOOKUPS: usize = 100_000;
+    let mark = DEFAULT_MAX_FRAME_BYTES as u64;
+    let config = ServerConfig {
+        write_timeout: Duration::from_secs(60),
+        ..test_config()
+    };
+    let in_process =
+        InventoryService::new(sample_inventory(N), &config, Arc::new(ServerMetrics::new()));
+    // Two occupied cells, alternating, so a reply out of place shows.
+    let pair = [7.0, 8.0].map(|i| Request::PointSummary {
+        lat: -55.0 + i,
+        lon: -170.0 + i,
+    });
+    let expected = pair.each_ref().map(|req| {
+        let resp = in_process.execute(req);
+        assert!(matches!(resp, Response::Summary(Some(_))));
+        encode_response(&resp)
+    });
+    assert_ne!(expected[0], expected[1]);
+
+    let mut server = Server::start(sample_inventory(N), "127.0.0.1:0", config).unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut writing = stream.try_clone().unwrap();
+    let burst = burst_of(&pair).repeat(LOOKUPS / 2);
+    let writer = std::thread::spawn(move || writing.write_all(&burst));
+
+    // Not reading: the outbox reaches the mark and stops there, although
+    // the replies to what the peer has written would be tens of megabytes.
+    let metrics = server.metrics();
+    let high_water = || metrics.snapshot().write_buffer_high_water;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while high_water() < mark && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    std::thread::sleep(Duration::from_millis(300));
+    assert!((mark..2 * mark).contains(&high_water()), "{}", high_water());
+
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut stream = std::io::BufReader::with_capacity(1 << 16, stream);
+    for i in 0..LOOKUPS {
+        let reply = read_frame(&mut stream, 1 << 20).unwrap();
+        assert!(reply == expected[i % 2], "reply {i} out of place");
+    }
+    writer.join().unwrap().unwrap();
+    assert!(high_water() < 2 * mark, "{}", high_water());
+    server.shutdown();
+}
+
 /// A slow-loris peer — one that declares a frame and then drips bytes
 /// forever — is cut off by the frame-assembly deadline (anchored to the
 /// frame's first byte, so the drip cannot keep resetting it) without
@@ -734,7 +793,7 @@ fn scanned_cells_reconstruct_as_valid_indices() {
 #[test]
 fn delta_chain_hot_reload_under_load_loses_no_query() {
     use pol_core::codec::manifest::{Manifest, ManifestEntry};
-    use pol_core::codec::{self, columnar, save_bytes};
+    use pol_core::codec::{columnar, save_bytes};
     use pol_sketch::crc64::crc64;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -746,7 +805,7 @@ fn delta_chain_hot_reload_under_load_loses_no_query() {
     let delta = sample_inventory(150); // overlaps the base: real merges
     let merged = {
         // Inventory has no Clone; a codec round trip is a faithful copy.
-        let mut m = codec::from_bytes(&codec::to_bytes(&base)).unwrap();
+        let mut m = columnar::from_bytes(&columnar::to_bytes(&base)).unwrap();
         m.merge(&delta);
         m
     };

@@ -1,5 +1,5 @@
 //! Zero-copy store equivalence tests (ISSUE tentpole): a
-//! [`MappedStore`] over a migrated POLINV3 snapshot must answer every
+//! [`MappedStore`] over a POLINV3 snapshot must answer every
 //! query — all three summary levels, bbox scans, top-destination scans,
 //! and the `pol-apps` estimators built on top — exactly like the heap
 //! [`Inventory`] the snapshot came from, while corrupt files are
@@ -8,7 +8,7 @@
 use pol_ais::types::{MarketSegment, Mmsi};
 use pol_apps::destination::DestinationPredictor;
 use pol_apps::eta::EtaEstimator;
-use pol_core::codec::{self, columnar, encode_cell_stats};
+use pol_core::codec::{columnar, encode_cell_stats};
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::records::{CellPoint, TripPoint};
 use pol_core::{Inventory, InventoryQuery};
@@ -60,15 +60,14 @@ fn sample_inventory(n: usize) -> Inventory {
     Inventory::from_entries(res(), entries, n as u64)
 }
 
-/// Writes the inventory through the production migration path
-/// (POLINV2 bytes → `migrate_v2_bytes` → POLINV3 file) and maps it.
-fn migrate_and_map(inv: &Inventory, tag: &str) -> (MappedStore, PathBuf) {
+/// Saves the inventory as `polinv build` does (a POLINV3 file) and maps
+/// it.
+fn save_and_map(inv: &Inventory, tag: &str) -> (MappedStore, PathBuf) {
     let dir = std::env::temp_dir().join(format!("pol-serve-mapped-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let v3 = columnar::migrate_v2_bytes(&codec::to_bytes(inv)).unwrap();
-    let path = dir.join("inv.pol3");
-    std::fs::write(&path, &v3).unwrap();
+    let path = dir.join("inv.pol");
+    columnar::save(inv, &path).unwrap();
     (MappedStore::open(&path).unwrap(), dir)
 }
 
@@ -92,7 +91,7 @@ fn sorted(mut cells: Vec<CellIndex>) -> Vec<CellIndex> {
 fn mapped_store_equals_heap_inventory_on_every_lookup() {
     const N: usize = 700;
     let heap = sample_inventory(N);
-    let (mapped, dir) = migrate_and_map(&heap, "lookups");
+    let (mapped, dir) = save_and_map(&heap, "lookups");
 
     assert_eq!(mapped.resolution(), InventoryQuery::resolution(&heap));
     assert_eq!(mapped.len(), heap.len());
@@ -136,7 +135,7 @@ fn mapped_store_equals_heap_inventory_on_every_lookup() {
 #[test]
 fn mapped_store_equals_heap_inventory_on_scans() {
     let heap = sample_inventory(500);
-    let (mapped, dir) = migrate_and_map(&heap, "scans");
+    let (mapped, dir) = save_and_map(&heap, "scans");
 
     for i in 0..24usize {
         let lo_lat = -60.0 + (i * 5) as f64;
@@ -166,7 +165,7 @@ fn mapped_store_equals_heap_inventory_on_scans() {
 #[test]
 fn estimators_agree_across_backends() {
     let heap = sample_inventory(600);
-    let (mapped, dir) = migrate_and_map(&heap, "estimators");
+    let (mapped, dir) = save_and_map(&heap, "estimators");
 
     for i in 0..80usize {
         let pos = LatLon::new(-55.0 + (i % 111) as f64, -170.0 + (i % 340) as f64).unwrap();
@@ -227,9 +226,9 @@ fn corrupt_snapshot_is_rejected_at_open() {
         std::fs::write(&path, &bytes).unwrap();
         assert!(MappedStore::open(&path).is_err(), "{name} must not open");
     }
-    // A POLINV2 file is not a POLINV3 file.
+    // Another format's magic is not a POLINV3 file.
     let v2path = dir.join("v2.pol");
-    codec::save(&sample_inventory(200), &v2path).unwrap();
+    std::fs::write(&v2path, b"POLINV2\0 and the rest of a retired file").unwrap();
     assert!(MappedStore::open(&v2path).is_err());
 
     std::fs::remove_dir_all(&dir).ok();

@@ -409,13 +409,13 @@ fn every_opcode_constant_is_pinned_to_its_frame_tag() {
 
 /// The wire survives a deliberately hostile transport: frames written
 /// through the reactor's [`pol_serve::conn::WriteBuffer`] over a sink
-/// that fragments, interrupts, and blocks, then read back one byte at a
-/// time through a `FrameAccumulator`, must decode to the original
-/// requests in order.
+/// that fragments, interrupts, and blocks, then read back through
+/// `read_frame` from a source that yields one byte at a time and
+/// interrupts, must decode to the original requests in order.
 #[test]
 fn frames_round_trip_over_a_fragmenting_transport() {
     use pol_serve::conn::WriteBuffer;
-    use pol_serve::proto::FrameAccumulator;
+    use pol_serve::proto::{read_frame, ProtoError};
     use std::io::{self, Read, Write};
 
     struct Fragmenting {
@@ -443,13 +443,15 @@ fn frames_round_trip_over_a_fragmenting_transport() {
     struct Drip<'a> {
         data: &'a [u8],
         pos: usize,
+        calls: usize,
     }
     impl Read for Drip<'_> {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.pos >= self.data.len() {
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "dry"));
+            self.calls += 1;
+            if self.calls % 5 == 0 {
+                return Err(io::Error::new(io::ErrorKind::Interrupted, "signal"));
             }
-            let n = buf.len().min(1);
+            let n = buf.len().min(1).min(self.data.len() - self.pos);
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
             self.pos += n;
             Ok(n)
@@ -487,17 +489,14 @@ fn frames_round_trip_over_a_fragmenting_transport() {
     let mut r = Drip {
         data: &t.sink,
         pos: 0,
+        calls: 0,
     };
-    let mut acc = FrameAccumulator::new();
     let mut decoded = Vec::new();
     loop {
-        match acc.poll(&mut r, 1 << 20) {
-            Ok(Some(payload)) => decoded.push(decode_request(&payload).expect("valid frame")),
-            Ok(None) => {}
-            Err(e) => {
-                assert!(decoded.len() == requests.len(), "stream ended early: {e}");
-                break;
-            }
+        match read_frame(&mut r, 1 << 20) {
+            Ok(payload) => decoded.push(decode_request(&payload).expect("valid frame")),
+            Err(ProtoError::ConnectionClosed) => break,
+            Err(e) => panic!("stream ended early: {e}"),
         }
     }
     assert_eq!(

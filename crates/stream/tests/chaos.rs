@@ -377,7 +377,7 @@ fn crash_at_every_failpoint_reconverges_byte_identically() {
             }
         }
         let out = je.close(&engine).unwrap();
-        (pol_core::codec::to_bytes(&out.inventory), out.counters)
+        (columnar::to_bytes(&out.inventory), out.counters)
     };
     let oracle_chain: Vec<(String, Vec<u8>)> =
         manifest::load(&oracle_dir.join(pol_stream::MANIFEST_NAME))
@@ -462,7 +462,7 @@ fn crash_at_every_failpoint_reconverges_byte_identically() {
         }
         let out = je.close(&engine).unwrap();
         assert_eq!(
-            pol_core::codec::to_bytes(&out.inventory),
+            columnar::to_bytes(&out.inventory),
             oracle_bytes,
             "{name} hit {n}: inventory must reconverge byte-identically"
         );

@@ -20,7 +20,7 @@
 //! journal tails, and planted chain orphans.
 
 use pol_ais::PositionReport;
-use pol_core::codec::{self, columnar, manifest};
+use pol_core::codec::{columnar, manifest};
 use pol_core::records::PortSite;
 use pol_core::{run_fused, PipelineConfig};
 use pol_engine::Engine;
@@ -76,7 +76,7 @@ fn fixture() -> Fixture {
             start_ts: ds.config.start,
             window_secs: 2 * 86_400,
         },
-        batch_bytes: codec::to_bytes(&batch.inventory),
+        batch_bytes: columnar::to_bytes(&batch.inventory),
     }
 }
 
@@ -146,7 +146,7 @@ fn uninterrupted(fx: &Fixture, dir: &Path, checkpoint_every: u64) -> RunResult {
     }
     let out = je.close(&engine).unwrap();
     RunResult {
-        inventory_bytes: codec::to_bytes(&out.inventory),
+        inventory_bytes: columnar::to_bytes(&out.inventory),
         counters: out.counters,
         chain_files: chain_files(dir),
     }
@@ -199,7 +199,7 @@ fn crash_and_recover(fx: &Fixture, dir: &Path, kill_at: usize, checkpoint_every:
     }
     let out = je.close(&engine).unwrap();
     RunResult {
-        inventory_bytes: codec::to_bytes(&out.inventory),
+        inventory_bytes: columnar::to_bytes(&out.inventory),
         counters: out.counters,
         chain_files: chain_files(dir),
     }
@@ -338,7 +338,7 @@ fn torn_journal_tail_is_discarded_and_replayed_from_the_wire() {
     }
     let out = je.close(&engine).unwrap();
     let recovered = RunResult {
-        inventory_bytes: codec::to_bytes(&out.inventory),
+        inventory_bytes: columnar::to_bytes(&out.inventory),
         counters: out.counters,
         chain_files: chain_files(&dir),
     };
@@ -391,7 +391,7 @@ fn planted_chain_orphan_is_swept_and_generation_reused() {
     }
     let out = je.close(&engine).unwrap();
     let recovered = RunResult {
-        inventory_bytes: codec::to_bytes(&out.inventory),
+        inventory_bytes: columnar::to_bytes(&out.inventory),
         counters: out.counters,
         chain_files: chain_files(&dir),
     };
@@ -458,7 +458,7 @@ fn double_crash_recovers_from_the_recovery_checkpoint() {
     }
     let out = je.close(&engine).unwrap();
     let recovered = RunResult {
-        inventory_bytes: codec::to_bytes(&out.inventory),
+        inventory_bytes: columnar::to_bytes(&out.inventory),
         counters: out.counters,
         chain_files: chain_files(&dir),
     };
@@ -496,7 +496,7 @@ fn recovery_without_windows_matches_ingest_recover_wrapper() {
     let out = je.close(&engine).unwrap();
     assert_eq!(out.counters.late_dropped, 0);
     assert_eq!(
-        codec::to_bytes(&out.inventory),
+        columnar::to_bytes(&out.inventory),
         fx.batch_bytes,
         "windowless recovery must still close byte-identical to the batch build"
     );

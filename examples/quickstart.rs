@@ -5,8 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use patterns_of_life::core::codec::columnar;
 use patterns_of_life::core::records::PortSite;
-use patterns_of_life::core::{codec, PipelineConfig};
+use patterns_of_life::core::PipelineConfig;
 use patterns_of_life::engine::Engine;
 use patterns_of_life::fleetsim::scenario::{generate, ScenarioConfig};
 use patterns_of_life::fleetsim::WORLD_PORTS;
@@ -83,8 +84,8 @@ fn main() {
     }
 
     // 5. Persist and reload.
-    let bytes = codec::to_bytes(&out.inventory);
-    let back = codec::from_bytes(&bytes).expect("round-trip");
+    let bytes = columnar::to_bytes(&out.inventory);
+    let back = columnar::from_bytes(&bytes).expect("round-trip");
     println!(
         "\nserialized inventory: {} bytes for {} entries; reload OK ({} entries)",
         bytes.len(),

@@ -4,9 +4,10 @@
 use patterns_of_life::apps::{
     AnomalyDetector, DestinationPredictor, EtaEstimator, RouteForecaster,
 };
+use patterns_of_life::core::codec::columnar;
 use patterns_of_life::core::features::{GroupKey, GroupingSet};
 use patterns_of_life::core::records::PortSite;
-use patterns_of_life::core::{codec, PipelineConfig};
+use patterns_of_life::core::PipelineConfig;
 use patterns_of_life::engine::Engine;
 use patterns_of_life::fleetsim::scenario::{generate, ScenarioConfig};
 use patterns_of_life::fleetsim::WORLD_PORTS;
@@ -116,11 +117,11 @@ fn cell_level_consistency_between_grouping_sets() {
 #[test]
 fn inventory_round_trips_through_codec() {
     let w = world();
-    let bytes = codec::to_bytes(&w.output.inventory);
-    let back = codec::from_bytes(&bytes).expect("decodes");
+    let bytes = columnar::to_bytes(&w.output.inventory);
+    let back = columnar::from_bytes(&bytes).expect("decodes");
     assert_eq!(back.len(), w.output.inventory.len());
     assert_eq!(back.total_records(), w.output.inventory.total_records());
-    assert_eq!(codec::to_bytes(&back), bytes, "canonical bytes");
+    assert_eq!(columnar::to_bytes(&back), bytes, "canonical bytes");
 }
 
 #[test]
