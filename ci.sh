@@ -69,7 +69,15 @@ run_gate() {
   # The write side as one process-level pass: WAL, checkpoints, window
   # cuts, hot reload, crash image, recovery, and byte identity with the
   # batch oracle are each one of the checks counted in "attempted".
+  # The checkpoint file is the head alone — scalars and reorder buffers;
+  # what grows with the state is appended to the log beside it. A byte
+  # count: it does not depend on the box's mood.
   bench_smoke stream_ingest
+  bench_head=$(bench_row stream.checkpoint_bytes)
+  if ! awk -v b="${bench_head:-262144}" 'BEGIN { exit !(b < 262144) }'; then
+    echo "ci: bench-smoke stream.checkpoint_bytes=${bench_head:-missing}, want < 262144" >&2
+    exit 1
+  fi
   # The server child answers point, segment and route summaries on its
   # event loop: nothing is shed and next to no request wakes the loop
   # through the eventfd. The wakeup row is a ratio of two STATS

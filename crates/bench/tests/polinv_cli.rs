@@ -287,8 +287,7 @@ fn fixture() -> &'static Fixture {
 
         let base = columnar::load(&built).expect("load the built file");
         let delta = columnar::load(&delta_built).expect("load the second build");
-        // `Inventory` has no `Clone`: load the file once more.
-        let mut merged = columnar::load(&built).expect("load the built file");
+        let mut merged = base.clone();
         merged.merge(&delta);
         let pool = lookups(&merged);
         assert!(pool.len() > 400, "thin pool: {}", pool.len());

@@ -68,6 +68,7 @@ use pol_sketch::wire::{get_varint, put_varint, WireError};
 use std::io::{self, Read};
 use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 /// File magic (format version 3: columnar sections, sealed footer).
 pub const MAGIC_V3: &[u8; 8] = b"POLINV3\0";
@@ -930,7 +931,7 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
 /// zero-copy via [`Layout`] + [`SectionReader`] instead).
 pub fn from_bytes(bytes: &[u8]) -> Result<Inventory, CodecError> {
     let layout = Layout::parse(bytes)?;
-    let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
+    let mut entries: FxHashMap<GroupKey, Arc<CellStats>> = FxHashMap::default();
     let total: usize = layout.cell.count + layout.cell_type.count + layout.cell_route.count;
     entries.reserve(total);
     for span in [&layout.cell, &layout.cell_type, &layout.cell_route] {
@@ -942,10 +943,10 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Inventory, CodecError> {
             if !input.is_empty() {
                 return Err(wire("trailing stats bytes"));
             }
-            entries.insert(key, stats);
+            entries.insert(key, Arc::new(stats));
         }
     }
-    Ok(Inventory::from_entries(
+    Ok(Inventory::from_shared(
         layout.resolution,
         entries,
         layout.total_records,

@@ -34,7 +34,9 @@
 //! the manifest rewrite leaves the old manifest (atomic rename). Because
 //! every entry records the referenced file's exact length and CRC-64/XZ,
 //! a manifest can never *silently* bless a torn or stale file: the chain
-//! loader re-hashes every file before decoding a byte of it.
+//! walker ([`extend_chain`], the one function behind [`load_chain`],
+//! [`verify_chain`] and `pol-serve`'s hot reload) re-hashes every file it
+//! reads before decoding a byte of it.
 
 use super::{columnar, save_bytes, CodecError, FOOTER_MAGIC};
 use crate::inventory::Inventory;
@@ -83,6 +85,30 @@ pub struct ChainInfo {
     pub generation: u64,
     /// Files in the chain, base included.
     pub chain_len: u64,
+}
+
+/// What [`extend_chain`] produced: the merged inventory, the manifest
+/// entries it now reflects, and what was found in each link it read.
+pub struct ChainExtension {
+    /// Every link of the manifest merged in ascending generation order.
+    pub inventory: Inventory,
+    /// The manifest's entries, base first — what a later
+    /// [`extend_chain`] is handed back as the already-merged prefix.
+    pub entries: Vec<ManifestEntry>,
+    /// One report per link read, verified, decoded and merged by this
+    /// call, in merge order; links taken over from the caller's prefix
+    /// are not among them.
+    pub links: Vec<ChainEntryReport>,
+}
+
+impl ChainExtension {
+    /// The lineage of [`inventory`](Self::inventory).
+    pub fn info(&self) -> ChainInfo {
+        ChainInfo {
+            generation: self.entries.last().map_or(0, |e| e.generation),
+            chain_len: self.entries.len() as u64,
+        }
+    }
 }
 
 fn wire(msg: &'static str) -> CodecError {
@@ -239,36 +265,77 @@ fn read_entry_bytes(dir: &Path, e: &ManifestEntry) -> Result<Vec<u8>, CodecError
     Ok(buf)
 }
 
-/// Loads a full delta chain: reads the manifest, verifies every named
-/// file's length + CRC, decodes the base, and merges each delta in
-/// ascending generation order. That canonical order is the identity
-/// anchor: the merged bytes depend only on the set of
-/// `(generation, delta)` pairs, never on arrival or iteration order —
-/// the same canonicalization `pol_stream`'s `merge_chain` applies, and
-/// its permutation proptest pins.
-pub fn load_chain(path: &Path) -> Result<(Inventory, ChainInfo), CodecError> {
+/// The one chain walker: loads the manifest at `path` and merges its
+/// links, in ascending generation order, onto what the caller already
+/// holds.
+///
+/// `merged` is an inventory together with the manifest entries it was
+/// built from. When those entries are a strict, field-for-field prefix
+/// of the manifest (same generation, length, CRC and name, and at least
+/// one link more), the walk starts from a copy of that inventory and
+/// reads only the new links; otherwise — no prefix given, a shorter or
+/// diverged manifest, the same manifest again — it starts from nothing
+/// and reads every link. Either way each link read is length-checked
+/// and CRC-checked against its entry before a byte is decoded, so a
+/// manifest can never bless a torn, stale or swapped file. What the
+/// prefix path does **not** do is re-read the prefix's files: the
+/// caller's inventory stands for them, and the manifest's matching
+/// length and CRC are the evidence they have not been republished.
+///
+/// The merge order is the identity anchor: the result depends only on
+/// the set of `(generation, delta)` pairs, and extending one link at a
+/// time gives the same POLINV3 bytes as one walk over the final manifest
+/// (pinned by `tests/chain_extend.rs`; `pol_stream`'s `merge_chain`
+/// applies the same canonical order in memory).
+pub fn extend_chain(
+    path: &Path,
+    merged: Option<(&Inventory, &[ManifestEntry])>,
+) -> Result<ChainExtension, CodecError> {
     let man = load(path)?;
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let mut chain = man.entries.iter();
-    let base_entry = chain.next().ok_or(wire("manifest names no base"))?;
-    let mut inv = columnar::from_bytes(&read_entry_bytes(dir, base_entry)?)?;
-    let mut info = ChainInfo {
-        generation: base_entry.generation,
-        chain_len: 1,
-    };
-    for e in chain {
-        let delta = columnar::from_bytes(&read_entry_bytes(dir, e)?)?;
-        if delta.resolution() != inv.resolution() {
-            return Err(wire("chain resolution mismatch"));
+    let (mut inv, reused) = match merged {
+        Some((inv, prefix))
+            if !prefix.is_empty()
+                && prefix.len() < man.entries.len()
+                && man.entries[..prefix.len()] == *prefix =>
+        {
+            (Some(inv.clone()), prefix.len())
         }
-        inv.merge(&delta);
-        info.generation = e.generation;
-        info.chain_len += 1;
+        _ => (None, 0),
+    };
+    let mut links = Vec::with_capacity(man.entries.len() - reused);
+    for e in &man.entries[reused..] {
+        let link = columnar::from_bytes(&read_entry_bytes(dir, e)?)?;
+        links.push(ChainEntryReport {
+            name: e.name.clone(),
+            generation: e.generation,
+            file_len: e.file_len,
+            crc: e.crc,
+            entries: link.len(),
+        });
+        match &mut inv {
+            None => inv = Some(link),
+            Some(inv) if link.resolution() != inv.resolution() => {
+                return Err(wire("chain resolution mismatch"));
+            }
+            Some(inv) => inv.merge(&link),
+        }
     }
-    Ok((inv, info))
+    Ok(ChainExtension {
+        inventory: inv.ok_or(wire("manifest names no base"))?,
+        entries: man.entries,
+        links,
+    })
 }
 
-/// What [`verify_chain`] found for one chain file.
+/// Loads a full delta chain: [`extend_chain`] from an empty prefix.
+pub fn load_chain(path: &Path) -> Result<(Inventory, ChainInfo), CodecError> {
+    let chain = extend_chain(path, None)?;
+    let info = chain.info();
+    Ok((chain.inventory, info))
+}
+
+/// What [`extend_chain`] found in one chain file.
 #[derive(Clone, Debug)]
 pub struct ChainEntryReport {
     /// The entry's file name.
@@ -295,28 +362,15 @@ pub struct ChainReport {
 }
 
 /// Audits a delta chain end to end: manifest validation, every file's
-/// length + CRC + full decode, and the merge itself. Any failure is the
-/// same typed [`CodecError`] a load would produce.
+/// length + CRC + full decode, and the merge itself — one
+/// [`extend_chain`] walk from an empty prefix, each file read once. Any
+/// failure is the same typed [`CodecError`] a load would produce.
 pub fn verify_chain(path: &Path) -> Result<ChainReport, CodecError> {
-    let man = load(path)?;
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let mut files = Vec::with_capacity(man.entries.len());
-    for e in &man.entries {
-        let bytes = read_entry_bytes(dir, e)?;
-        let inv = columnar::from_bytes(&bytes)?;
-        files.push(ChainEntryReport {
-            name: e.name.clone(),
-            generation: e.generation,
-            file_len: e.file_len,
-            crc: e.crc,
-            entries: inv.len(),
-        });
-    }
-    let (merged, info) = load_chain(path)?;
+    let chain = extend_chain(path, None)?;
     Ok(ChainReport {
-        generation: info.generation,
-        files,
-        merged_entries: merged.len(),
+        generation: chain.info().generation,
+        merged_entries: chain.inventory.len(),
+        files: chain.links,
     })
 }
 

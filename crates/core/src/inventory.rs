@@ -9,6 +9,7 @@ use pol_hexgrid::{cell_center, num_cells, CellIndex, Resolution};
 use pol_sketch::hash::FxHashMap;
 use pol_sketch::MergeSketch;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Coverage and compression figures — one row of the paper's Table 4.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -81,9 +82,17 @@ impl InventoryQuery for Inventory {
 }
 
 /// The queryable global inventory of per-cell statistical summaries.
+///
+/// `Clone` is a copy in meaning and copy-on-write in cost: the two
+/// inventories share every summary until [`merge`](Inventory::merge)
+/// changes one, which then copies just that summary. A hot reload
+/// extends a copy of the served inventory by the chain's new links while
+/// requests in flight keep reading the original, and pays for the
+/// entries the links touch, not for the inventory.
+#[derive(Clone)]
 pub struct Inventory {
     resolution: Resolution,
-    entries: FxHashMap<GroupKey, CellStats>,
+    entries: FxHashMap<GroupKey, Arc<CellStats>>,
     total_records: u64,
     /// Occupied `(cell)`-grouping-set cells with their centres, sorted by
     /// centre latitude — built once at construction so bbox queries
@@ -92,7 +101,9 @@ pub struct Inventory {
 }
 
 /// The latitude-sorted cell index backing [`Inventory::cells_in`].
-fn build_cell_index(entries: &FxHashMap<GroupKey, CellStats>) -> Vec<(pol_geo::LatLon, CellIndex)> {
+fn build_cell_index(
+    entries: &FxHashMap<GroupKey, Arc<CellStats>>,
+) -> Vec<(pol_geo::LatLon, CellIndex)> {
     let mut index: Vec<(pol_geo::LatLon, CellIndex)> = entries
         .keys()
         .filter_map(|k| match k {
@@ -115,17 +126,32 @@ impl Inventory {
         stats: Dataset<(GroupKey, CellStats)>,
         total_records: u64,
     ) -> Inventory {
-        Inventory::from_entries(
-            resolution,
-            stats.collect().into_iter().collect(),
-            total_records,
-        )
+        let entries = stats
+            .collect()
+            .into_iter()
+            .map(|(k, stats)| (k, Arc::new(stats)))
+            .collect();
+        Inventory::from_shared(resolution, entries, total_records)
     }
 
     /// Builds directly from a key→stats map (deserialization path).
     pub fn from_entries(
         resolution: Resolution,
         entries: FxHashMap<GroupKey, CellStats>,
+        total_records: u64,
+    ) -> Inventory {
+        let entries = entries
+            .into_iter()
+            .map(|(k, stats)| (k, Arc::new(stats)))
+            .collect();
+        Inventory::from_shared(resolution, entries, total_records)
+    }
+
+    /// Builds from summaries already behind their `Arc`s: what the
+    /// build and the snapshot decoder produce, one move per summary.
+    pub(crate) fn from_shared(
+        resolution: Resolution,
+        entries: FxHashMap<GroupKey, Arc<CellStats>>,
         total_records: u64,
     ) -> Inventory {
         let cell_index = build_cell_index(&entries);
@@ -167,12 +193,12 @@ impl Inventory {
 
     /// The all-traffic summary of a cell (GI = `(H3-index)`).
     pub fn summary(&self, cell: CellIndex) -> Option<&CellStats> {
-        self.entries.get(&GroupKey::Cell(cell))
+        self.get(&GroupKey::Cell(cell))
     }
 
     /// The per-vessel-type summary of a cell.
     pub fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<&CellStats> {
-        self.entries.get(&GroupKey::CellType(cell, segment))
+        self.get(&GroupKey::CellType(cell, segment))
     }
 
     /// The per-route summary of a cell (GI = cell, origin, destination,
@@ -184,18 +210,17 @@ impl Inventory {
         dest: u16,
         segment: MarketSegment,
     ) -> Option<&CellStats> {
-        self.entries
-            .get(&GroupKey::CellRoute(cell, origin, dest, segment))
+        self.get(&GroupKey::CellRoute(cell, origin, dest, segment))
     }
 
     /// Raw access to an arbitrary group key.
     pub fn get(&self, key: &GroupKey) -> Option<&CellStats> {
-        self.entries.get(key)
+        self.entries.get(key).map(|stats| &**stats)
     }
 
     /// Iterates all entries.
     pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &CellStats)> {
-        self.entries.iter()
+        self.entries.iter().map(|(k, stats)| (k, &**stats))
     }
 
     /// All occupied cells (the `(H3-index)` grouping set's key space).
@@ -288,16 +313,20 @@ impl Inventory {
             "cannot merge inventories at different resolutions"
         );
         self.total_records += other.total_records;
+        let mut new_cells = false;
         for (k, v) in &other.entries {
             match self.entries.get_mut(k) {
-                Some(mine) => mine.merge(v),
+                Some(mine) => Arc::make_mut(mine).merge(v),
                 None => {
-                    self.entries.insert(*k, v.clone());
+                    new_cells |= matches!(k, GroupKey::Cell(_));
+                    self.entries.insert(*k, Arc::clone(v));
                 }
             }
         }
-        // New cells may have appeared: rebuild the bbox-query index.
-        self.cell_index = build_cell_index(&self.entries);
+        // The bbox-query index lists the `(cell)` grouping set's keys.
+        if new_cells {
+            self.cell_index = build_cell_index(&self.entries);
+        }
     }
 }
 

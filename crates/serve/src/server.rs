@@ -23,6 +23,7 @@ use crate::store::{CacheKey, QueryCache, StoreBackend, StoredSummary};
 use parking_lot::{Mutex, RwLock};
 use pol_apps::destination::DestinationPredictor;
 use pol_apps::eta::EtaEstimator;
+use pol_core::codec::manifest::{extend_chain, ManifestEntry};
 use pol_core::codec::{encode_cell_stats, CodecError, SnapshotFormat};
 use pol_core::features::GroupKey;
 use pol_core::{Inventory, InventoryQuery};
@@ -91,6 +92,10 @@ pub struct InventoryService {
     store: StoreBackend,
     cache: Mutex<QueryCache>,
     metrics: Arc<ServerMetrics>,
+    /// The manifest entries the store was merged from, base first; empty
+    /// unless it was opened from a POLMAN1 chain. A later reload whose
+    /// manifest extends these merges only the links past them.
+    chain: Vec<ManifestEntry>,
 }
 
 impl InventoryService {
@@ -104,6 +109,7 @@ impl InventoryService {
             store,
             cache: Mutex::new(QueryCache::new(config.cache_capacity)),
             metrics,
+            chain: Vec::new(),
         }
     }
 
@@ -119,27 +125,52 @@ impl InventoryService {
         config: &ServerConfig,
         metrics: Arc<ServerMetrics>,
     ) -> Result<Self, CodecError> {
+        InventoryService::open_after(path, config, metrics, None)
+    }
+
+    /// [`open_snapshot`](Self::open_snapshot) for a hot reload: when
+    /// `path` is a manifest that extends the chain `served` was merged
+    /// from, only the new links are read, verified and merged, onto a
+    /// copy of the served inventory (`chain-extend`, input = links
+    /// merged); every other case is the full walk (`chain-load`).
+    fn open_after(
+        path: &Path,
+        config: &ServerConfig,
+        metrics: Arc<ServerMetrics>,
+        served: Option<&InventoryService>,
+    ) -> Result<Self, CodecError> {
         let started = Instant::now();
-        let (store, name, input_records, generation, chain_len) =
-            match pol_core::codec::sniff_file(path)? {
-                Some(SnapshotFormat::V3) => {
-                    let store = MappedStore::open(path)?;
-                    let records = store.total_records();
-                    (StoreBackend::Mapped(store), "mmap-open", records, 0, 1)
-                }
-                Some(SnapshotFormat::Manifest) => {
-                    let (inventory, info) = pol_core::codec::manifest::load_chain(path)?;
-                    let store = StoreBackend::Heap(inventory);
-                    (
-                        store,
-                        "chain-load",
-                        info.chain_len,
-                        info.generation,
-                        info.chain_len,
-                    )
-                }
-                None => return Err(CodecError::BadHeader),
-            };
+        let (store, name, input_records, chain) = match pol_core::codec::sniff_file(path)? {
+            Some(SnapshotFormat::V3) => {
+                let store = MappedStore::open(path)?;
+                let records = store.total_records();
+                (
+                    StoreBackend::Mapped(store),
+                    "mmap-open",
+                    records,
+                    Vec::new(),
+                )
+            }
+            Some(SnapshotFormat::Manifest) => {
+                let merged = served.and_then(|s| match &s.store {
+                    StoreBackend::Heap(inventory) => Some((inventory, s.chain.as_slice())),
+                    StoreBackend::Mapped(_) => None,
+                });
+                let chain = extend_chain(path, merged)?;
+                let name = if chain.links.len() < chain.entries.len() {
+                    "chain-extend"
+                } else {
+                    "chain-load"
+                };
+                (
+                    StoreBackend::Heap(chain.inventory),
+                    name,
+                    chain.links.len() as u64,
+                    chain.entries,
+                )
+            }
+            None => return Err(CodecError::BadHeader),
+        };
         metrics.record_stage(StageReport {
             name: name.into(),
             input_records,
@@ -147,8 +178,13 @@ impl InventoryService {
             shuffled_records: 0,
             wall: started.elapsed(),
         });
-        metrics.set_chain(generation, chain_len);
-        Ok(InventoryService::with_store(store, config, metrics))
+        metrics.set_chain(
+            chain.last().map_or(0, |e| e.generation),
+            chain.len().max(1) as u64,
+        );
+        let mut service = InventoryService::with_store(store, config, metrics);
+        service.chain = chain;
+        Ok(service)
     }
 
     /// The underlying store backend.
@@ -426,7 +462,8 @@ impl Server {
     /// snapshot. Requests already executing finish on the old snapshot
     /// (their clone keeps it alive); every frame decoded after the swap
     /// sees the new one. The generation counter in `STATS`/`HEALTH`
-    /// advances.
+    /// advances. Any chain a previous [`reload_from`](Self::reload_from)
+    /// remembered is forgotten: the next manifest is merged from its base.
     pub fn reload(&self, inventory: Inventory) {
         let fresh = Arc::new(InventoryService::new(
             inventory,
@@ -439,16 +476,26 @@ impl Server {
     }
 
     /// Hot-reloads the snapshot from an inventory file, sniffing its
-    /// format like [`Server::start_snapshot`] (a POLINV3 file swaps in a
-    /// fresh mapped store; a POLMAN1 manifest merges its base + delta
-    /// chain and records the lineage in the `STATS` freshness fields).
-    /// A corrupt, truncated, or
-    /// unreadable file — anywhere in a chain — is rejected by the
-    /// codec's checksums *before* anything is swapped: the error is
-    /// returned, `reloads_failed` advances, and the previous snapshot
-    /// keeps serving untouched.
+    /// format like [`Server::start_snapshot`]: a POLINV3 file swaps in a
+    /// fresh mapped store; a POLMAN1 manifest swaps in its merged chain
+    /// and records the lineage in the `STATS` freshness fields. When the
+    /// manifest extends the chain being served — the served entries are
+    /// a strict, field-for-field prefix of it — only the new links are
+    /// read, length- and CRC-checked, decoded and merged, onto a copy of
+    /// the served inventory; a shorter, diverged or first manifest is
+    /// merged from its base. A corrupt, truncated, or unreadable file —
+    /// anywhere in what is read — is rejected by the codec's checksums
+    /// *before* anything is swapped: the error is returned,
+    /// `reloads_failed` advances, and the previous snapshot keeps
+    /// serving untouched, the chain it remembers included.
     pub fn reload_from(&self, path: &Path) -> Result<(), CodecError> {
-        match InventoryService::open_snapshot(path, &self.config, Arc::clone(&self.metrics)) {
+        let served = Arc::clone(&self.service.read());
+        match InventoryService::open_after(
+            path,
+            &self.config,
+            Arc::clone(&self.metrics),
+            Some(&served),
+        ) {
             Ok(service) => {
                 *self.service.write() = Arc::new(service);
                 self.metrics.reload_succeeded();

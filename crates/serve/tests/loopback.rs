@@ -804,7 +804,8 @@ fn delta_chain_hot_reload_under_load_loses_no_query() {
     let base = sample_inventory(400);
     let delta = sample_inventory(150); // overlaps the base: real merges
     let merged = {
-        // Inventory has no Clone; a codec round trip is a faithful copy.
+        // The server merges onto what the base *file* decodes to, and the
+        // encoder canonicalises sketches: the oracle starts there too.
         let mut m = columnar::from_bytes(&columnar::to_bytes(&base)).unwrap();
         m.merge(&delta);
         m
@@ -1234,4 +1235,255 @@ fn reload_between_two_loop_requests_is_seen_by_the_second() {
     assert_eq!(stats_bytes(second.as_ref()), stats_bytes(new.summary(cell)));
     drop(server);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A delta chain on disk that tests grow one link at a time.
+struct ChainOnDisk {
+    dir: std::path::PathBuf,
+    entries: Vec<pol_core::codec::manifest::ManifestEntry>,
+}
+
+impl ChainOnDisk {
+    fn new(name: &str) -> ChainOnDisk {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        ChainOnDisk {
+            dir,
+            entries: Vec::new(),
+        }
+    }
+
+    fn manifest_path(&self) -> std::path::PathBuf {
+        self.dir.join("inventory.polman")
+    }
+
+    /// Writes `inv` as the next link's file; the manifest does not name
+    /// it until [`commit`](Self::commit).
+    fn write_link(&mut self, inv: &Inventory) -> std::path::PathBuf {
+        let bytes = pol_core::codec::columnar::to_bytes(inv);
+        let generation = self.entries.len() as u64;
+        let name = format!("link-{generation:05}.pol");
+        let path = self.dir.join(&name);
+        pol_core::codec::save_bytes(&bytes, &path).unwrap();
+        self.entries.push(pol_core::codec::manifest::ManifestEntry {
+            generation,
+            file_len: bytes.len() as u64,
+            crc: pol_sketch::crc64::crc64(&bytes),
+            name,
+        });
+        path
+    }
+
+    fn commit(&self) {
+        self.save_entries(&self.entries);
+    }
+
+    fn save_entries(&self, entries: &[pol_core::codec::manifest::ManifestEntry]) {
+        let man = pol_core::codec::manifest::Manifest {
+            entries: entries.to_vec(),
+        };
+        pol_core::codec::manifest::save(&man, &self.manifest_path()).unwrap();
+    }
+
+    fn publish(&mut self, inv: &Inventory) {
+        self.write_link(inv);
+        self.commit();
+    }
+}
+
+impl Drop for ChainOnDisk {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
+}
+
+/// The chain stages `STATS` lists, oldest first, as `(name, input)`.
+fn chain_stages(client: &mut Client) -> Vec<(String, u64)> {
+    client
+        .stats()
+        .unwrap()
+        .stages
+        .lines()
+        .filter_map(|line| {
+            let mut cols = line.split_whitespace();
+            let name = cols.next().filter(|n| n.starts_with("chain-"))?;
+            Some((name.to_string(), cols.next()?.parse().ok()?))
+        })
+        .collect()
+}
+
+/// Point, segment and route summaries on occupied and empty cells, and
+/// one bbox scan, as the reply bytes a client receives.
+fn probe_replies(client: &mut Client) -> Vec<Vec<u8>> {
+    let mut requests = vec![Request::BboxScan {
+        min_lat: -60.0,
+        min_lon: -175.0,
+        max_lat: 20.0,
+        max_lon: 60.0,
+    }];
+    for i in (0..900usize).step_by(53) {
+        let (lat, lon) = (-55.0 + (i % 111) as f64, -170.0 + (i % 340) as f64);
+        let segment = MarketSegment::from_id((i % 7) as u8).unwrap();
+        requests.push(Request::PointSummary { lat, lon });
+        requests.push(Request::SegmentSummary { lat, lon, segment });
+        requests.push(Request::RouteSummary {
+            lat,
+            lon,
+            origin: (i % 6) as u16,
+            dest: (i % 8) as u16,
+            segment,
+        });
+    }
+    requests
+        .iter()
+        .map(|req| pol_serve::proto::encode_response(&client.request(req).unwrap()))
+        .collect()
+}
+
+/// What a server freshly started on the chain's manifest answers.
+fn fresh_replies(chain: &ChainOnDisk) -> Vec<Vec<u8>> {
+    let server =
+        Server::start_snapshot(&chain.manifest_path(), "127.0.0.1:0", test_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        chain_stages(&mut client),
+        vec![("chain-load".to_string(), chain.entries.len() as u64)]
+    );
+    probe_replies(&mut client)
+}
+
+/// A server that reloads after every published delta merges one link
+/// each time and ends up answering byte for byte what a server started
+/// on the final manifest answers.
+#[test]
+fn reloading_after_every_delta_equals_a_fresh_start_on_the_final_manifest() {
+    let mut chain = ChainOnDisk::new("pol-serve-chain-extend");
+    let server = Server::start(sample_inventory(10), "127.0.0.1:0", test_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    let mut want_stages = Vec::new();
+    for (k, n) in [400usize, 150, 620, 90, 900].into_iter().enumerate() {
+        chain.publish(&sample_inventory(n));
+        server.reload_from(&chain.manifest_path()).unwrap();
+        // The first manifest meets a server that remembers no chain.
+        want_stages.push(match k {
+            0 => ("chain-load".to_string(), 1),
+            _ => ("chain-extend".to_string(), 1),
+        });
+        assert_eq!(chain_stages(&mut client), want_stages);
+        let report = client.stats().unwrap();
+        assert_eq!(report.chain_len, k as u64 + 1);
+        assert_eq!(report.delta_generation, k as u64);
+        assert_eq!(report.reloads_ok, k as u64 + 1);
+        assert_eq!(report.store, "heap");
+    }
+    assert_eq!(probe_replies(&mut client), fresh_replies(&chain));
+}
+
+/// A manifest that is not a strict extension of the served chain — a
+/// shorter prefix of it (the ingester began again and republished a
+/// byte-identical base), or one whose middle entry differs — is merged
+/// from its base, and answers correctly.
+#[test]
+fn a_shorter_or_diverged_manifest_is_merged_from_its_base() {
+    let mut chain = ChainOnDisk::new("pol-serve-chain-diverge");
+    for n in [300usize, 120, 500] {
+        chain.publish(&sample_inventory(n));
+    }
+    let server =
+        Server::start_snapshot(&chain.manifest_path(), "127.0.0.1:0", test_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // Shorter: the served chain's first two links, CRCs and all.
+    chain.entries.truncate(2);
+    chain.commit();
+    server.reload_from(&chain.manifest_path()).unwrap();
+    let report = client.stats().unwrap();
+    assert_eq!((report.chain_len, report.delta_generation), (2, 1));
+    assert_eq!(probe_replies(&mut client), fresh_replies(&chain));
+
+    // Diverged: same base, a different link 1, then a link 2 — longer
+    // than the served chain, but no extension of it.
+    chain.entries.truncate(1);
+    chain.write_link(&sample_inventory(77));
+    chain.write_link(&sample_inventory(410));
+    chain.commit();
+    server.reload_from(&chain.manifest_path()).unwrap();
+    let report = client.stats().unwrap();
+    assert_eq!((report.chain_len, report.delta_generation), (3, 2));
+    assert_eq!(probe_replies(&mut client), fresh_replies(&chain));
+
+    assert_eq!(
+        chain_stages(&mut client),
+        [3, 2, 3].map(|links| ("chain-load".to_string(), links))
+    );
+}
+
+/// A corrupt or truncated newest link is refused before anything is
+/// swapped: the failure is counted, the old chain keeps answering and
+/// stays the one remembered — the repaired manifest is then an
+/// extension of it, one link.
+#[test]
+fn a_bad_newest_link_is_rejected_and_the_served_chain_stays_remembered() {
+    let mut chain = ChainOnDisk::new("pol-serve-chain-badlink");
+    chain.publish(&sample_inventory(300));
+    chain.publish(&sample_inventory(120));
+    let server =
+        Server::start_snapshot(&chain.manifest_path(), "127.0.0.1:0", test_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let before = probe_replies(&mut client);
+
+    let link = chain.write_link(&sample_inventory(640));
+    chain.commit();
+    let good = std::fs::read(&link).unwrap();
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0x10;
+    for (failures, bad) in [(1, &flipped[..]), (2, &good[..good.len() - 9])] {
+        std::fs::write(&link, bad).unwrap();
+        assert!(server.reload_from(&chain.manifest_path()).is_err());
+        let report = client.stats().unwrap();
+        assert_eq!(report.reloads_failed, failures);
+        assert_eq!(report.reloads_ok, 0);
+        assert_eq!((report.chain_len, report.delta_generation), (2, 1));
+        assert_eq!(probe_replies(&mut client), before);
+    }
+
+    std::fs::write(&link, &good).unwrap();
+    server.reload_from(&chain.manifest_path()).unwrap();
+    assert_eq!(
+        chain_stages(&mut client),
+        vec![
+            ("chain-load".to_string(), 2),
+            ("chain-extend".to_string(), 1)
+        ]
+    );
+    let report = client.stats().unwrap();
+    assert_eq!((report.chain_len, report.delta_generation), (3, 2));
+    assert_eq!(probe_replies(&mut client), fresh_replies(&chain));
+}
+
+/// `reload(Inventory)` forgets the chain: the next manifest, though it
+/// extends what was served before, is merged from its base.
+#[test]
+fn reloading_an_inventory_forgets_the_chain() {
+    let mut chain = ChainOnDisk::new("pol-serve-chain-forget");
+    chain.publish(&sample_inventory(300));
+    let server =
+        Server::start_snapshot(&chain.manifest_path(), "127.0.0.1:0", test_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    server.reload(sample_inventory(40));
+    let report = client.stats().unwrap();
+    assert_eq!((report.chain_len, report.delta_generation), (1, 0));
+
+    chain.publish(&sample_inventory(150));
+    server.reload_from(&chain.manifest_path()).unwrap();
+    assert_eq!(
+        chain_stages(&mut client),
+        [1, 2].map(|links| ("chain-load".to_string(), links))
+    );
+    let report = client.stats().unwrap();
+    assert_eq!((report.chain_len, report.delta_generation), (2, 1));
+    assert_eq!(probe_replies(&mut client), fresh_replies(&chain));
 }

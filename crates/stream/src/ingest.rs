@@ -100,6 +100,27 @@ struct VesselSession {
     retained: Vec<CellPoint>,
     /// Start of the current delta window within `retained`.
     window_mark: usize,
+    /// Times the tracker discarded a non-empty open passage (at a port
+    /// sighting). A checkpoint that has logged part of the open passage
+    /// compares this with the value it saw then: equal means the passage
+    /// only grew, different means what it logged is gone.
+    passage_restarts: u64,
+}
+
+/// One vessel session as a checkpoint reads it: the scalars by value,
+/// the two vectors that only ever grow or restart — and the reorder
+/// buffer — borrowed.
+pub(crate) struct SessionView<'a> {
+    pub mmsi: u32,
+    pub frontier: i64,
+    pub window_mark: u64,
+    pub cleaner_last: Option<EnrichedReport>,
+    pub last_port: Option<u16>,
+    pub trip_seq: u32,
+    pub passage_restarts: u64,
+    pub open_passage: &'a [EnrichedReport],
+    pub retained: &'a [CellPoint],
+    pub buffer: &'a BTreeMap<(i64, u64), EnrichedReport>,
 }
 
 impl VesselSession {
@@ -113,6 +134,7 @@ impl VesselSession {
             cell_scratch: Vec::new(),
             retained: Vec::new(),
             window_mark: 0,
+            passage_restarts: 0,
         }
     }
 
@@ -129,7 +151,13 @@ impl VesselSession {
         let Some(survivor) = self.cleaner.push(r) else {
             return;
         };
-        if self.tracker.push(geofence, &survivor, &mut self.trip_buf) {
+        let open_before = self.tracker.state().2.len();
+        let finalized = self.tracker.push(geofence, &survivor, &mut self.trip_buf);
+        // A push appends one report or clears the passage, nothing else.
+        if self.tracker.state().2.len() < open_before {
+            self.passage_restarts += 1;
+        }
+        if finalized {
             counters.trips_finalized += 1;
             counters.trip_points += self.trip_buf.len() as u64;
             project_trip(
@@ -305,43 +333,35 @@ impl StreamEngine {
         fold_projected(engine, &self.cfg.pipeline, per_vessel, window_points)
     }
 
-    /// Captures the engine's complete mutable state for a POLCKP1
-    /// checkpoint. `wal_seq` and `window_cuts` are the journal layer's
-    /// bookkeeping (batches applied, delta windows cut) — the engine
-    /// itself does not track them but recovery needs them bound to the
-    /// exact engine state they describe.
+    /// Every session as a checkpoint reads it, in no particular order.
+    pub(crate) fn session_views(&self) -> impl Iterator<Item = SessionView<'_>> {
+        self.sessions.iter().map(|(&mmsi, s)| {
+            let (last_port, trip_seq, open_passage) = s.tracker.state();
+            SessionView {
+                mmsi,
+                frontier: s.frontier,
+                window_mark: s.window_mark as u64,
+                cleaner_last: s.cleaner.last(),
+                last_port,
+                trip_seq,
+                passage_restarts: s.passage_restarts,
+                open_passage,
+                retained: &s.retained,
+                buffer: &s.buffer,
+            }
+        })
+    }
+
+    /// The scalar half of a checkpoint: everything of [`EngineState`]
+    /// but its sessions.
     ///
-    /// Everything the remaining records' processing depends on is
-    /// captured: the per-vessel reorder buffers (with arrival sequence
-    /// numbers, preserving release tie-breaks), frontiers, cleaner and
-    /// tracker state, retained cell points and window marks, plus the
-    /// engine-wide arrival counter, event clock, and counters. The
-    /// transient `trip_buf`/`cell_scratch` are always empty between
-    /// pushes and are deliberately absent.
-    pub fn snapshot_state(&self, wal_seq: u64, window_cuts: u64) -> crate::checkpoint::EngineState {
+    /// [`EngineState`]: crate::checkpoint::EngineState
+    pub(crate) fn scalar_state(
+        &self,
+        wal_seq: u64,
+        window_cuts: u64,
+    ) -> crate::checkpoint::EngineState {
         let c = &self.counters;
-        let sessions = self
-            .sessions
-            .iter()
-            .map(|(&mmsi, s)| {
-                let (last_port, trip_seq, open) = s.tracker.state();
-                crate::checkpoint::SessionState {
-                    mmsi,
-                    frontier: s.frontier,
-                    window_mark: s.window_mark as u64,
-                    cleaner_last: s.cleaner.last(),
-                    last_port,
-                    trip_seq,
-                    open_passage: open.to_vec(),
-                    retained: s.retained.clone(),
-                    buffer: s
-                        .buffer
-                        .iter()
-                        .map(|(&(ts, seq), &r)| (ts, seq, r))
-                        .collect(),
-                }
-            })
-            .collect();
         crate::checkpoint::EngineState {
             resolution: self.cfg.pipeline.resolution.level(),
             reorder_bound_secs: self.cfg.reorder_bound_secs,
@@ -358,8 +378,46 @@ impl StreamEngine {
                 c.trips_finalized,
                 c.trip_points,
             ],
-            sessions,
+            sessions: Vec::new(),
         }
+    }
+
+    /// Copies the engine's complete mutable state out — what a
+    /// checkpoint taken now must load back to ([`crate::checkpoint`]
+    /// writes it from the borrowed sessions, without this copy; tests
+    /// hold the two against each other). `wal_seq` and `window_cuts` are
+    /// the journal layer's bookkeeping (batches applied, delta windows
+    /// cut) — the engine itself does not track them but recovery needs
+    /// them bound to the exact engine state they describe.
+    ///
+    /// Everything the remaining records' processing depends on is
+    /// captured: the per-vessel reorder buffers (with arrival sequence
+    /// numbers, preserving release tie-breaks), frontiers, cleaner and
+    /// tracker state, retained cell points and window marks, plus the
+    /// engine-wide arrival counter, event clock, and counters. The
+    /// transient `trip_buf`/`cell_scratch` are always empty between
+    /// pushes and are deliberately absent.
+    pub fn snapshot_state(&self, wal_seq: u64, window_cuts: u64) -> crate::checkpoint::EngineState {
+        let mut state = self.scalar_state(wal_seq, window_cuts);
+        state.sessions = self
+            .session_views()
+            .map(|v| crate::checkpoint::SessionState {
+                mmsi: v.mmsi,
+                frontier: v.frontier,
+                window_mark: v.window_mark,
+                cleaner_last: v.cleaner_last,
+                last_port: v.last_port,
+                trip_seq: v.trip_seq,
+                open_passage: v.open_passage.to_vec(),
+                retained: v.retained.to_vec(),
+                buffer: v
+                    .buffer
+                    .iter()
+                    .map(|(&(ts, seq), &r)| (ts, seq, r))
+                    .collect(),
+            })
+            .collect();
+        state
     }
 
     /// Rebuilds an engine from a checkpointed [`EngineState`]
@@ -373,7 +431,7 @@ impl StreamEngine {
         statics: &[StaticReport],
         ports: &[PortSite],
         cfg: StreamConfig,
-        state: &crate::checkpoint::EngineState,
+        state: crate::checkpoint::EngineState,
     ) -> Result<StreamEngine, &'static str> {
         if state.resolution != cfg.pipeline.resolution.level() {
             return Err("checkpoint grid resolution does not match the configured pipeline");
@@ -395,7 +453,7 @@ impl StreamEngine {
             trips_finalized,
             trip_points,
         };
-        for s in &state.sessions {
+        for s in state.sessions {
             let window_mark = usize::try_from(s.window_mark)
                 .map_err(|_| "checkpoint window mark out of range")?;
             if window_mark > s.retained.len() {
@@ -416,12 +474,13 @@ impl StreamEngine {
                     engine.cfg.pipeline.min_trip_points,
                     s.last_port,
                     s.trip_seq,
-                    s.open_passage.clone(),
+                    s.open_passage,
                 ),
                 trip_buf: Vec::new(),
                 cell_scratch: Vec::new(),
-                retained: s.retained.clone(),
+                retained: s.retained,
                 window_mark,
+                passage_restarts: 0,
             };
             if engine.sessions.insert(s.mmsi, session).is_some() {
                 return Err("checkpoint holds duplicate vessel sessions");

@@ -18,9 +18,10 @@
 //! published delta was derived from. Its two barriers:
 //!
 //! * **checkpoint** — flushes the journal (pending frame + fsync), then
-//!   snapshots the engine with `wal_seq` = batches durable, so replay
-//!   applies exactly the suffix `seq >= wal_seq`, no double-apply, no
-//!   gap;
+//!   checkpoints the engine ([`crate::checkpoint`]: what changed since
+//!   the last one is appended, the head commits it) with `wal_seq` =
+//!   batches durable, so replay applies exactly the suffix
+//!   `seq >= wal_seq`, no double-apply, no gap;
 //! * **window cut** — flushes the journal before deriving a delta, so
 //!   a published generation is always re-derivable from the journal
 //!   ("publish implies journal durable to the cut").
@@ -29,7 +30,7 @@
 //! plus a replay of the journal suffix, reconverges byte-identically —
 //! pinned by the crash-point sweep in `tests/recovery.rs`.
 
-use crate::checkpoint::{self, CHECKPOINT_NAME};
+use crate::checkpoint::{CheckpointStats, CheckpointWriter};
 use crate::ingest::{IngestCounters, StreamEngine, StreamOutput};
 use pol_ais::PositionReport;
 use pol_core::codec::wal::{self, SegmentWriter, WalError};
@@ -137,9 +138,9 @@ enum Tail {
 
 /// What a journal-directory load found.
 pub struct WalLoad {
-    /// Every durable batch across all segments, in sequence order. The
-    /// first batch's sequence may exceed zero when covered segments
-    /// were purged.
+    /// Every durable batch of the segments read, in sequence order. The
+    /// first batch's sequence exceeds zero when covered segments were
+    /// purged or the load began at a later segment.
     pub batches: Vec<wal::Batch>,
     /// Torn trailing bytes detected in the final segment and discarded.
     pub torn_bytes: u64,
@@ -168,6 +169,20 @@ impl WalReader {
     /// batch-sequence continuity across segment boundaries. A missing
     /// directory is an empty journal.
     pub fn load(dir: &Path) -> Result<WalLoad, JournalError> {
+        WalReader::read(dir, None)
+    }
+
+    /// [`load`](Self::load) for a reader that only needs batch
+    /// `from_seq` onward: segment names carry their first sequence, so
+    /// reading — and validating — starts at the segment that holds
+    /// `from_seq` and the sealed history before it is left on disk
+    /// unread. Segments on disk that all start past `from_seq` are a
+    /// journal purged too far, a typed error.
+    pub fn load_from(dir: &Path, from_seq: u64) -> Result<WalLoad, JournalError> {
+        WalReader::read(dir, Some(from_seq))
+    }
+
+    fn read(dir: &Path, from_seq: Option<u64>) -> Result<WalLoad, JournalError> {
         let mut names: Vec<String> = Vec::new();
         match std::fs::read_dir(dir) {
             Ok(entries) => {
@@ -184,6 +199,14 @@ impl WalReader {
             Err(e) => return Err(JournalError::Wal(WalError::Io(e))),
         }
         names.sort();
+        if let (Some(from_seq), false) = (from_seq, names.is_empty()) {
+            let not_past =
+                names.partition_point(|n| parse_segment_name(n).is_some_and(|seq| seq <= from_seq));
+            if not_past == 0 {
+                return Err(JournalError::State("journal purged past the checkpoint"));
+            }
+            names.drain(..not_past - 1);
+        }
         let segments = names.len();
 
         let mut batches: Vec<wal::Batch> = Vec::new();
@@ -252,6 +275,7 @@ pub struct WalWriter {
     seg: Option<SegmentWriter>,
     pending: Vec<PositionReport>,
     unsynced: u64,
+    fsyncs: u64,
 }
 
 impl WalWriter {
@@ -274,6 +298,7 @@ impl WalWriter {
             seg: Some(seg),
             pending: Vec::new(),
             unsynced: 0,
+            fsyncs: 1,
         })
     }
 
@@ -297,6 +322,7 @@ impl WalWriter {
             seg: Some(seg),
             pending: Vec::new(),
             unsynced: 0,
+            fsyncs: 0,
         })
     }
 
@@ -304,6 +330,14 @@ impl WalWriter {
         self.seg.as_mut().ok_or(JournalError::State(
             "journal writer poisoned by a failed rotation",
         ))
+    }
+
+    /// Fsyncs this writer has issued since it was created or resumed:
+    /// one per segment it created (the header), per group commit or
+    /// explicit flush that had frames to cover, and per seal. Whatever
+    /// a resume did to repair the tail is recovery's, not counted here.
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
     }
 
     /// Records buffered but not yet appended as a frame.
@@ -353,9 +387,15 @@ impl WalWriter {
         }
         self.unsynced += 1;
         if self.unsynced >= group {
-            self.seg_mut()?.sync()?;
-            self.unsynced = 0;
+            self.sync()?;
         }
+        Ok(())
+    }
+
+    fn sync(&mut self) -> Result<(), JournalError> {
+        self.seg_mut()?.sync()?;
+        self.unsynced = 0;
+        self.fsyncs += 1;
         Ok(())
     }
 
@@ -372,6 +412,7 @@ impl WalWriter {
         let seg = SegmentWriter::create(&self.dir.join(segment_name(next)), next)?;
         self.seg = Some(seg);
         self.unsynced = 0;
+        self.fsyncs += 2;
         Ok(())
     }
 
@@ -380,8 +421,7 @@ impl WalWriter {
     pub fn flush(&mut self) -> Result<(), JournalError> {
         self.commit_batch()?;
         if self.unsynced > 0 {
-            self.seg_mut()?.sync()?;
-            self.unsynced = 0;
+            self.sync()?;
         }
         Ok(())
     }
@@ -434,7 +474,7 @@ impl WalWriter {
 pub struct JournaledEngine {
     engine: StreamEngine,
     wal: WalWriter,
-    dir: PathBuf,
+    ckpt: CheckpointWriter,
     window_cuts: u64,
     checkpoint_every_records: u64,
     records_since_checkpoint: u64,
@@ -456,7 +496,7 @@ impl JournaledEngine {
         Ok(JournaledEngine {
             engine,
             wal,
-            dir: dir.to_path_buf(),
+            ckpt: CheckpointWriter::fresh(dir),
             window_cuts: 0,
             checkpoint_every_records,
             records_since_checkpoint: 0,
@@ -470,7 +510,7 @@ impl JournaledEngine {
     pub(crate) fn from_parts(
         engine: StreamEngine,
         wal: WalWriter,
-        dir: &Path,
+        ckpt: CheckpointWriter,
         window_cuts: u64,
         checkpoint_every_records: u64,
         checkpoint_wal_seq: u64,
@@ -478,7 +518,7 @@ impl JournaledEngine {
         JournaledEngine {
             engine,
             wal,
-            dir: dir.to_path_buf(),
+            ckpt,
             window_cuts,
             checkpoint_every_records,
             records_since_checkpoint: 0,
@@ -519,6 +559,17 @@ impl JournaledEngine {
         self.checkpoints_written
     }
 
+    /// What those checkpoints cost: bytes the last one wrote, live and
+    /// dead bytes in the checkpoint log, log rewrites so far.
+    pub fn checkpoint_stats(&self) -> CheckpointStats {
+        self.ckpt.stats()
+    }
+
+    /// Fsyncs the journal writer has issued (see [`WalWriter::fsyncs`]).
+    pub fn wal_fsyncs(&self) -> u64 {
+        self.wal.fsyncs()
+    }
+
     /// Journal-first ingestion: the record is appended to the WAL, then
     /// applied to the engine, then the automatic checkpoint cadence
     /// runs. An error means the record was **not** applied — the engine
@@ -536,15 +587,15 @@ impl JournaledEngine {
     }
 
     /// Writes a checkpoint: flushes the journal (so `wal_seq` covers
-    /// everything the engine has applied), snapshots the engine state,
-    /// and saves it atomically next to the segments. Replay after a
-    /// crash resumes from here.
+    /// everything the engine has applied), appends what the engine state
+    /// gained since the last checkpoint to the checkpoint log next to the
+    /// segments, and commits it by replacing the head atomically — all
+    /// before returning. Replay after a crash resumes from here; on an
+    /// error the previous checkpoint still stands.
     pub fn checkpoint(&mut self) -> Result<(), JournalError> {
         self.wal.flush()?;
         let wal_seq = self.wal.next_seq();
-        let state = self.engine.snapshot_state(wal_seq, self.window_cuts);
-        checkpoint::save(&state, &self.dir.join(CHECKPOINT_NAME))
-            .map_err(|e| JournalError::Codec(CodecError::Io(e)))?;
+        self.ckpt.write(&self.engine, wal_seq, self.window_cuts)?;
         self.records_since_checkpoint = 0;
         self.checkpoints_written += 1;
         self.checkpoint_wal_seq = wal_seq;
@@ -666,6 +717,40 @@ mod tests {
             WalWriter::create(&dir, WalConfig::default()),
             Err(JournalError::State(_)),
         ));
+    }
+
+    #[test]
+    fn fsyncs_are_counted_where_they_are_issued() {
+        let dir = fresh_dir("pol-journal-fsyncs");
+        let cfg = WalConfig {
+            batch_records: 4,
+            group_commit_batches: 2,
+            max_segment_bytes: 1 << 20,
+        };
+        let mut w = WalWriter::create(&dir, cfg).unwrap();
+        assert_eq!(w.fsyncs(), 1, "the first segment's header");
+        for i in 0..8 {
+            w.push(report(200_000_001, i)).unwrap();
+        }
+        assert_eq!(w.fsyncs(), 2, "two frames are one group commit");
+        w.flush().unwrap();
+        assert_eq!(w.fsyncs(), 2, "nothing appended since: nothing to sync");
+        w.push(report(200_000_001, 8)).unwrap();
+        w.flush().unwrap();
+        assert_eq!(w.fsyncs(), 3, "a flush covering a partial frame");
+
+        let tiny = WalConfig {
+            max_segment_bytes: 64,
+            ..cfg
+        };
+        let dir = fresh_dir("pol-journal-fsyncs-rotate");
+        let mut w = WalWriter::create(&dir, tiny).unwrap();
+        for i in 0..8 {
+            w.push(report(200_000_001, i)).unwrap();
+        }
+        // Frame 1 fills the first segment; frame 2 seals it (which makes
+        // frame 1 durable and starts the group over) and opens the next.
+        assert_eq!(w.fsyncs(), 1 + 2);
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   ([`pol_core::codec::wal`]) that makes every pushed record durable
 //!   *before* the engine applies it, wrapped with the engine as
 //!   [`journal::JournaledEngine`];
-//! * [`checkpoint`] — POLCKP1 snapshots of the whole engine state, so
-//!   recovery replays only the journal suffix past the checkpoint;
+//! * [`checkpoint`] — POLCKP2 checkpoints of the whole engine state (an
+//!   append-only log of what each one added, committed by a small head),
+//!   so recovery replays only the journal suffix past the checkpoint;
 //! * [`recover`] — the crash-recovery path: checkpoint restore +
 //!   journal replay + exactly-once delta-chain reconciliation,
 //!   reconverging byte-identically to a run that never crashed (see
@@ -60,7 +61,7 @@ pub mod ingest;
 pub mod journal;
 pub mod recover;
 
-pub use checkpoint::{EngineState, SessionState, CHECKPOINT_NAME};
+pub use checkpoint::{CheckpointStats, EngineState, SessionState, CHECKPOINT_NAME};
 pub use delta::{merge_chain, DeltaPublisher, PublishOutcome, SweepReport, MANIFEST_NAME};
 pub use ingest::{IngestCounters, StreamConfig, StreamEngine, StreamOutput};
 pub use journal::{JournalError, JournaledEngine, WalConfig, WalLoad, WalReader, WalWriter};

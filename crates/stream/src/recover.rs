@@ -3,12 +3,14 @@
 //! [`recover`] rebuilds a [`JournaledEngine`] from a journal directory
 //! after a crash, in four steps:
 //!
-//! 1. **restore** — load the newest POLCKP1 checkpoint (if any) and
-//!    rebuild the engine from it ([`StreamEngine::from_state`]); with
-//!    no checkpoint, start empty;
-//! 2. **read** — load every journal segment ([`WalReader::load`]):
-//!    sealed segments with zero tolerance, the tail tolerantly (a torn
-//!    final batch is discarded, never served);
+//! 1. **restore** — load the checkpoint (head plus the committed prefix
+//!    of its log, if any) and rebuild the engine from it
+//!    ([`StreamEngine::from_state`]); with no checkpoint, start empty;
+//! 2. **read** — load the journal from the segment that holds the
+//!    checkpoint's `wal_seq` onward ([`WalReader::load_from`]; the
+//!    sealed history before it is not read): sealed segments with zero
+//!    tolerance, the tail tolerantly (a torn final batch is discarded,
+//!    never served);
 //! 3. **replay** — re-push exactly the batches with sequence `>=` the
 //!    checkpoint's `wal_seq`. Because the journal holds the *raw wire
 //!    order* and the checkpoint was flushed to a batch boundary, this
@@ -24,12 +26,13 @@
 //!    before its manifest commit are swept by
 //!    [`DeltaPublisher::open`].
 //!
-//! The returned engine has a repaired, appendable journal tail and a
-//! fresh checkpoint (so repeated crashes pay a bounded replay, not a
+//! The returned engine has a repaired, appendable journal tail, a
+//! checkpoint log cut back to its committed length (and no unnamed
+//! sibling) and a fresh checkpoint (so repeated crashes pay a bounded replay, not a
 //! compounding one), and continues exactly where the wire left off:
 //! the caller resumes pushing at record `counters().ingested`.
 
-use crate::checkpoint::{self, CHECKPOINT_NAME};
+use crate::checkpoint::{self, CheckpointWriter, CHECKPOINT_NAME};
 use crate::delta::{DeltaPublisher, PublishOutcome};
 use crate::ingest::{StreamConfig, StreamEngine};
 use crate::journal::{JournalError, JournaledEngine, WalConfig, WalReader, WalWriter};
@@ -126,37 +129,35 @@ pub fn recover(
     checkpoint_every_records: u64,
     mut windows: Option<(&mut DeltaPublisher, WindowSpec)>,
 ) -> Result<(JournaledEngine, RecoveryReport), JournalError> {
-    let ckpt = checkpoint::load(&dir.join(CHECKPOINT_NAME))?;
-    let load = WalReader::load(dir)?;
+    let (ckpt, log_position) = checkpoint::load_with_log(&dir.join(CHECKPOINT_NAME))?.unzip();
+    let applied_seq = ckpt.as_ref().map_or(0, |state| state.wal_seq);
+    // A purged journal must still reach back to the checkpoint
+    // (`load_from` refuses one that does not), and the checkpoint cannot
+    // claim batches the journal never made durable: the two must
+    // describe one history.
+    let load = WalReader::load_from(dir, applied_seq)?;
+    if applied_seq > load.next_seq {
+        return Err(JournalError::State("checkpoint is ahead of the journal"));
+    }
 
     let mut report = RecoveryReport {
         checkpoint_found: ckpt.is_some(),
+        checkpoint_wal_seq: applied_seq,
         torn_bytes: load.torn_bytes,
         segments: load.segments,
         ..RecoveryReport::default()
     };
 
-    let (mut se, applied_seq, mut cuts) = match ckpt {
+    let (mut se, mut cuts) = match ckpt {
         Some(state) => {
-            let se = StreamEngine::from_state(statics, ports, cfg, &state)
+            let cuts = state.window_cuts;
+            let se = StreamEngine::from_state(statics, ports, cfg, state)
                 .map_err(JournalError::State)?;
-            report.checkpoint_wal_seq = state.wal_seq;
-            (se, state.wal_seq, state.window_cuts)
+            (se, cuts)
         }
-        None => (StreamEngine::new(statics, ports, cfg), 0, 0),
+        None => (StreamEngine::new(statics, ports, cfg), 0),
     };
 
-    // The checkpoint and journal must describe one history: the
-    // checkpoint cannot claim batches the journal never made durable,
-    // and a purged journal must still reach back to the checkpoint.
-    if applied_seq > load.next_seq {
-        return Err(JournalError::State("checkpoint is ahead of the journal"));
-    }
-    if let Some(first) = load.batches.first() {
-        if applied_seq < first.seq {
-            return Err(JournalError::State("journal purged past the checkpoint"));
-        }
-    }
     if let Some((publisher, _)) = windows.as_ref() {
         if cuts > publisher.chain_len() as u64 {
             return Err(JournalError::State(
@@ -190,10 +191,12 @@ pub fn recover(
     // immediately re-checkpoint: a second crash replays from here, not
     // from the pre-crash checkpoint — recovery cost stays bounded.
     let wal = WalWriter::resume(dir, wal_cfg, &load)?;
+    let ckpt = CheckpointWriter::resume(dir, log_position)
+        .map_err(|e| JournalError::Codec(CodecError::Io(e)))?;
     let mut je = JournaledEngine::from_parts(
         se,
         wal,
-        dir,
+        ckpt,
         cuts,
         checkpoint_every_records,
         report.checkpoint_wal_seq,

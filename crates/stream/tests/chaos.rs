@@ -1,7 +1,8 @@
 //! Chaos tests for delta publication and the write-ahead journal (run
 //! with `cargo test -p pol-stream --features chaos --test chaos`):
 //! injected write, sync, rename, and seal failures at any step of a
-//! publish, journal append, or checkpoint must never produce
+//! publish, journal append, checkpoint append or checkpoint-log rewrite
+//! must never produce
 //! loadable-but-wrong state — readers either see the old artifact
 //! (intact, fully verifiable) or the new one, and a crash at any
 //! failpoint recovers byte-identically.
@@ -330,6 +331,252 @@ fn checkpoint_save_fault_keeps_the_previous_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One cargo vessel shuttling between two ports two degrees apart, a
+/// report every ten minutes: its open passage grows for forty reports,
+/// then moves into `retained` at the far port — a checkpoint mid-leg
+/// has reports to append.
+fn shuttle_engine() -> StreamEngine {
+    StreamEngine::new(
+        &shuttle_statics(),
+        &shuttle_ports(),
+        StreamConfig::default(),
+    )
+}
+
+fn shuttle_statics() -> Vec<pol_ais::StaticReport> {
+    vec![pol_ais::StaticReport {
+        mmsi: Mmsi(200_000_001),
+        imo: None,
+        name: "SHUTTLE".to_string(),
+        ship_type: pol_ais::types::ShipTypeCode(70),
+        gross_tonnage: 30_000,
+    }]
+}
+
+fn shuttle_ports() -> Vec<PortSite> {
+    [10.0, 12.0]
+        .into_iter()
+        .enumerate()
+        .map(|(id, lon)| PortSite {
+            id: id as u16,
+            name: format!("PORT {id}"),
+            pos: LatLon::new(10.0, lon).unwrap(),
+            radius_km: 12.0,
+        })
+        .collect()
+}
+
+fn shuttle_report(step: i64) -> PositionReport {
+    let phase = step % 80;
+    let out = if phase <= 40 { phase } else { 80 - phase };
+    PositionReport {
+        mmsi: Mmsi(200_000_001),
+        timestamp: step * 600,
+        pos: LatLon::new(10.0, 10.0 + out as f64 / 20.0).unwrap(),
+        sog_knots: Some(18.0),
+        cog_deg: None,
+        heading_deg: None,
+        nav_status: NavStatus::UnderWayUsingEngine,
+    }
+}
+
+/// The checkpoint in `dir`, and what the engine says it should be.
+fn loaded_and_expected(
+    dir: &Path,
+    je: &JournaledEngine,
+) -> (checkpoint::EngineState, checkpoint::EngineState) {
+    let loaded = checkpoint::load(&dir.join(CHECKPOINT_NAME))
+        .unwrap()
+        .unwrap();
+    let mut want = je
+        .engine()
+        .snapshot_state(loaded.wal_seq, loaded.window_cuts);
+    want.sessions.sort_by_key(|s| s.mmsi);
+    (loaded, want)
+}
+
+fn checkpoint_log(dir: &Path) -> std::path::PathBuf {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "polckl"))
+        .expect("a checkpoint log")
+}
+
+#[test]
+fn checkpoint_append_fault_keeps_the_previous_checkpoint_and_a_retry_heals() {
+    let _chaos = exclusive();
+    let dir = fresh_dir("pol-stream-chaos-ckpt-append");
+    let mut je = JournaledEngine::create(&dir, shuttle_engine(), WalConfig::default(), 0).unwrap();
+    for step in 0..60 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    je.checkpoint().unwrap();
+    let (first, want) = loaded_and_expected(&dir, &je);
+    assert_eq!(first, want);
+    let committed = std::fs::metadata(checkpoint_log(&dir)).unwrap().len();
+
+    for step in 60..75 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    configure(
+        "stream.checkpoint.append",
+        Trigger::OneShot(FaultAction::Err),
+    );
+    assert!(je.checkpoint().is_err());
+    assert_eq!(stats("stream.checkpoint.append").fired, 1);
+    remove("stream.checkpoint.append");
+    // The fault tore the append: there are bytes past the committed
+    // length, and a load does not see them.
+    assert!(std::fs::metadata(checkpoint_log(&dir)).unwrap().len() > committed);
+    let after = checkpoint::load(&dir.join(CHECKPOINT_NAME))
+        .unwrap()
+        .unwrap();
+    assert_eq!(after, first, "previous checkpoint must survive the fault");
+
+    // Disarmed, the retry writes over the torn bytes and supersedes it.
+    je.checkpoint().unwrap();
+    let (healed, want) = loaded_and_expected(&dir, &je);
+    assert_eq!(healed, want);
+    assert!(healed.wal_seq > first.wal_seq);
+    let stats = je.checkpoint_stats();
+    assert_eq!(
+        std::fs::metadata(checkpoint_log(&dir)).unwrap().len(),
+        stats.live_bytes + stats.dead_bytes
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_kill_between_log_sync_and_head_rename_leaves_a_tail_recovery_truncates() {
+    let _chaos = exclusive();
+    let dir = fresh_dir("pol-stream-chaos-ckpt-orphan");
+    let mut je = JournaledEngine::create(&dir, shuttle_engine(), WalConfig::default(), 0).unwrap();
+    for step in 0..60 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    je.checkpoint().unwrap();
+    let (first, _) = loaded_and_expected(&dir, &je);
+    let committed = std::fs::metadata(checkpoint_log(&dir)).unwrap().len();
+
+    // The second checkpoint appends and fsyncs its frame, then dies at
+    // the head's rename; the process goes with it.
+    for step in 60..75 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    configure("codec.save.rename", Trigger::OneShot(FaultAction::Err));
+    assert!(je.checkpoint().is_err());
+    remove("codec.save.rename");
+    drop(je);
+    assert!(std::fs::metadata(checkpoint_log(&dir)).unwrap().len() > committed);
+    let orphaned = checkpoint::load(&dir.join(CHECKPOINT_NAME))
+        .unwrap()
+        .unwrap();
+    assert_eq!(orphaned, first, "the tail is no part of the checkpoint");
+
+    // Recovery replays the journal past the first checkpoint, cuts the
+    // tail off and appends its own checkpoint where the tail was.
+    let (je, report) = StreamEngine::recover(
+        &dir,
+        &Engine::new(1),
+        &shuttle_statics(),
+        &shuttle_ports(),
+        StreamConfig::default(),
+    )
+    .unwrap();
+    assert!(report.checkpoint_found);
+    assert_eq!(report.records_replayed, 15);
+    let (recovered, want) = loaded_and_expected(&dir, &je);
+    assert_eq!(recovered, want);
+    let stats = je.checkpoint_stats();
+    assert_eq!(
+        std::fs::metadata(checkpoint_log(&dir)).unwrap().len(),
+        stats.live_bytes + stats.dead_bytes,
+        "no byte of the orphan tail is left"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_compaction_that_dies_before_its_head_leaves_a_log_recovery_sweeps() {
+    let _chaos = exclusive();
+    let dir = fresh_dir("pol-stream-chaos-ckpt-compact");
+    let logs = |dir: &Path| {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| {
+                let path = e.as_ref().unwrap().path();
+                path.extension().is_some_and(|x| x == "polckl")
+            })
+            .count()
+    };
+    let mut je = JournaledEngine::create(&dir, shuttle_engine(), WalConfig::default(), 0).unwrap();
+    for step in 0..60 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    je.checkpoint().unwrap();
+    let (first, _) = loaded_and_expected(&dir, &je);
+
+    // Back at the first port the logged half of the passage is dead,
+    // far more than an eighth of what is live: this checkpoint rewrites.
+    for step in 60..100 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    configure(
+        "stream.checkpoint.compact",
+        Trigger::OneShot(FaultAction::Err),
+    );
+    assert!(je.checkpoint().is_err(), "the rewrite fails before a byte");
+    assert_eq!(stats("stream.checkpoint.compact").fired, 1);
+    remove("stream.checkpoint.compact");
+    assert_eq!(logs(&dir), 1);
+
+    // Again, dying later: hit 1 is the new log's save, hit 2 the head's.
+    configure(
+        "codec.save.write",
+        Trigger::NthHit {
+            n: 2,
+            action: FaultAction::Err,
+        },
+    );
+    assert!(je.checkpoint().is_err());
+    remove("codec.save.write");
+    assert_eq!(logs(&dir), 2, "a complete log no head names");
+    let after = checkpoint::load(&dir.join(CHECKPOINT_NAME))
+        .unwrap()
+        .unwrap();
+    assert_eq!(after, first, "the head still names the old log");
+    assert_eq!(je.checkpoint_stats().compactions, 0);
+    drop(je);
+
+    let (mut je, report) = StreamEngine::recover(
+        &dir,
+        &Engine::new(1),
+        &shuttle_statics(),
+        &shuttle_ports(),
+        StreamConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(report.records_replayed, 40);
+    assert_eq!(logs(&dir), 1, "the unnamed log is swept");
+    let (recovered, want) = loaded_and_expected(&dir, &je);
+    assert_eq!(recovered, want);
+
+    // The recovered engine goes on checkpointing, rewrites included.
+    for step in 100..260 {
+        je.push(shuttle_report(step)).unwrap();
+        if step % 20 == 0 {
+            je.checkpoint().unwrap();
+        }
+    }
+    je.checkpoint().unwrap();
+    assert!(je.checkpoint_stats().compactions > 0);
+    assert_eq!(logs(&dir), 1);
+    let (last, want) = loaded_and_expected(&dir, &je);
+    assert_eq!(last, want);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The full sweep: crash the journaled pipeline at every WAL and
 /// checkpoint/publish failpoint, recover in place, resume the wire,
 /// and demand byte-identity with an uninterrupted run — inventory,
@@ -402,6 +649,12 @@ fn crash_at_every_failpoint_reconverges_byte_identically() {
         ("codec.save.write", 4),
         ("codec.save.rename", 1),
         ("codec.save.rename", 3),
+        // The rewrite this feed reaches is its first checkpoint (no log
+        // yet); every later checkpoint appends. A compaction proper dies
+        // in `a_compaction_that_dies_before_its_head_...` above.
+        ("stream.checkpoint.compact", 1),
+        ("stream.checkpoint.append", 1),
+        ("stream.checkpoint.append", 5),
     ];
     for &(name, n) in failpoints {
         let dir = fresh_dir(&format!(

@@ -503,3 +503,118 @@ fn recovery_without_windows_matches_ingest_recover_wrapper() {
     assert!(!columnar::to_bytes(&out.inventory).is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// First batch sequences of the journal segments in `dir`, ascending.
+fn segment_seqs(dir: &Path) -> Vec<(u64, PathBuf)> {
+    let mut segments: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "polwal"))
+        .map(|p| {
+            let name = p.file_stem().unwrap().to_str().unwrap();
+            (name.strip_prefix("wal-").unwrap().parse().unwrap(), p)
+        })
+        .collect();
+    segments.sort();
+    segments
+}
+
+/// A quarter of the wire through a journal that rotates often, one
+/// checkpoint, another quarter, then a kill: sealed history before the
+/// checkpoint's segment and whole segments after it. Returns the
+/// checkpoint's `wal_seq`.
+fn killed_mid_wire(fx: &Fixture, dir: &Path) -> u64 {
+    let se = StreamEngine::new(&fx.statics, &fx.ports, StreamConfig::default());
+    let mut je = JournaledEngine::create(dir, se, wal_cfg(), 0).unwrap();
+    let n = fx.wire.len();
+    for &r in &fx.wire[..n / 4] {
+        je.push(r).unwrap();
+    }
+    je.checkpoint().unwrap();
+    for &r in &fx.wire[n / 4..n / 2] {
+        je.push(r).unwrap();
+    }
+    drop(je);
+    let wal_seq = pol_stream::checkpoint::load(&dir.join(pol_stream::CHECKPOINT_NAME))
+        .unwrap()
+        .expect("the run checkpointed")
+        .wal_seq;
+    let segments = segment_seqs(dir);
+    let holds = segments.iter().rposition(|(seq, _)| *seq <= wal_seq);
+    assert!(
+        holds.is_some_and(|at| at >= 1 && at + 1 < segments.len()),
+        "the checkpoint must sit between whole segments: {segments:?}, {wal_seq}"
+    );
+    wal_seq
+}
+
+fn recover_plain(fx: &Fixture, dir: &Path) -> Result<pol_stream::RecoveryReport, String> {
+    recover(
+        dir,
+        &Engine::new(2),
+        &fx.statics,
+        &fx.ports,
+        StreamConfig::default(),
+        wal_cfg(),
+        0,
+        None,
+    )
+    .map(|(_, report)| report)
+    .map_err(|e| e.to_string())
+}
+
+#[test]
+fn recovery_reads_the_journal_from_the_checkpoints_segment_on() {
+    let fx = fixture();
+    let dir = fresh_dir("pol-recovery-suffix");
+    let wal_seq = killed_mid_wire(&fx, &dir);
+    let segments = segment_seqs(&dir);
+    let holds = segments
+        .iter()
+        .rposition(|(seq, _)| *seq <= wal_seq)
+        .unwrap();
+
+    // The history before that segment is not even opened: garbage in it
+    // fails a whole-journal load and leaves recovery untouched.
+    std::fs::write(&segments[0].1, b"not a journal segment").unwrap();
+    assert!(pol_stream::WalReader::load(&dir).is_err());
+    let report = recover_plain(&fx, &dir).unwrap();
+    assert_eq!(report.checkpoint_wal_seq, wal_seq);
+    assert_eq!(report.segments, segments.len() - holds);
+    let replayed = report.records_replayed as usize;
+    assert!(replayed >= fx.wire.len() / 4 - 8 * 64 && replayed <= fx.wire.len() / 4);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_journal_purged_past_the_checkpoint_is_a_typed_error() {
+    let fx = fixture();
+    let dir = fresh_dir("pol-recovery-purged");
+    let wal_seq = killed_mid_wire(&fx, &dir);
+    // The segment holding `wal_seq` goes, and everything before it;
+    // what is left starts past the checkpoint.
+    for (seq, path) in segment_seqs(&dir) {
+        if seq <= wal_seq {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+    let err = recover_plain(&fx, &dir).unwrap_err();
+    assert!(err.contains("journal purged past the checkpoint"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_checkpoint_ahead_of_the_journal_is_a_typed_error() {
+    let fx = fixture();
+    let dir = fresh_dir("pol-recovery-ahead");
+    let wal_seq = killed_mid_wire(&fx, &dir);
+    assert!(wal_seq > 0);
+    // The journal loses its every segment past the first: it now ends
+    // before the batches the checkpoint says it has applied.
+    for (_, path) in &segment_seqs(&dir)[1..] {
+        std::fs::remove_file(path).unwrap();
+    }
+    let err = recover_plain(&fx, &dir).unwrap_err();
+    assert!(err.contains("checkpoint is ahead of the journal"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
