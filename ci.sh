@@ -66,6 +66,15 @@ run_gate() {
   echo "==> bench-smoke (polbench, traced, every output byte-checked against the Inventory oracle)"
   # Wire bytes in to first answer served; no line fails to decode.
   bench_smoke batch_build '"ais.decode_failures": {"value": 0,'
+  # Bytes allocated per record built, over the traced repetitions: a
+  # summary is allocated once and then moved as a pointer (1 367 when
+  # every layer of the build moved its 2 KB by value, 345 since). A
+  # byte count: it does not depend on the box's mood.
+  bench_alloc=$(bench_row proc.alloc_bytes_per_op)
+  if ! awk -v b="${bench_alloc:-800}" 'BEGIN { exit !(b < 800) }'; then
+    echo "ci: bench-smoke proc.alloc_bytes_per_op=${bench_alloc:-missing}, want < 800" >&2
+    exit 1
+  fi
   # The write side as one process-level pass: WAL, checkpoints, window
   # cuts, hot reload, crash image, recovery, and byte identity with the
   # batch oracle are each one of the checks counted in "attempted".

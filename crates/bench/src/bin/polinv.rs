@@ -107,8 +107,27 @@ fn cmd_build(args: &[String]) -> ExitCode {
     let before = alloc::snapshot();
     let out = build_inventory_on(&engine, &ds, &cfg);
     let delta = alloc::snapshot().since(before);
-    engine.metrics().add_counter("alloc.calls", delta.allocs);
-    engine.metrics().add_counter("alloc.bytes", delta.bytes);
+    let metrics = engine.metrics();
+    metrics.add_counter("alloc.calls", delta.allocs);
+    metrics.add_counter("alloc.bytes", delta.bytes);
+    metrics.add_counter(
+        "alloc.bytes_per_record",
+        delta.bytes / (ds.total_reports() as u64).max(1),
+    );
+    // What one summary weighs, and how many the merge took in for the
+    // entries it left: the map-side blow-up every merge pays for.
+    metrics.add_counter(
+        "summary.bytes",
+        std::mem::size_of::<pol_core::CellStats>() as u64,
+    );
+    if let Some(aggregate) = metrics
+        .report()
+        .iter()
+        .find(|s| s.name == "fused:aggregate")
+    {
+        metrics.add_counter("combiner.entries", aggregate.shuffled_records);
+        metrics.add_counter("final.entries", aggregate.output_records);
+    }
     eprintln!(
         "pipeline: {} raw -> {} trip records -> {} entries",
         ds.total_reports(),

@@ -29,6 +29,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// time: the harness starts the tests of a file on parallel threads.
 static ONE_BUILD_AT_A_TIME: Mutex<()> = Mutex::new(());
 
+/// Steady-state allocated bytes of one build of [`scenario`], with the
+/// count budgets' 2× headroom over the measured value: 7.75 MB fused (the
+/// cloned input is 2.6 MB of it; 15.8 MB when summaries moved by value)
+/// and 52 MB staged (every stage's intermediate dataset).
+const FUSED_BYTES_BUDGET: u64 = 15_500_000;
+const STAGED_BYTES_BUDGET: u64 = 104_000_000;
+
 /// Ten vessels over three days: some 30 k reports.
 fn scenario() -> ScenarioConfig {
     ScenarioConfig {
@@ -78,13 +85,20 @@ fn fused_steady_state_allocations_stay_pinned() {
     // insensitive to hash-map growth jitter without letting per-record
     // allocation creep back in.
     eprintln!(
-        "fused steady-state: {} allocs for {raw} records",
-        delta.allocs
+        "fused steady-state: {} allocs, {} bytes for {raw} records",
+        delta.allocs, delta.bytes
     );
     assert!(
         delta.allocs < 5_000,
         "fused steady-state allocation budget exceeded: {} allocs for {raw} records",
         delta.allocs
+    );
+    // Bytes, not only calls: a summary moved by value costs no call, only
+    // its 2 KB in every vector and map it passes through.
+    assert!(
+        delta.bytes < FUSED_BYTES_BUDGET,
+        "fused steady-state allocated-bytes budget exceeded: {} bytes for {raw} records",
+        delta.bytes
     );
 }
 
@@ -108,11 +122,19 @@ fn staged_pipeline_allocations_stay_reduced() {
     let before = snapshot();
     let _ = staged();
     let delta = snapshot().since(before);
-    eprintln!("staged steady-state: {} allocs", delta.allocs);
+    eprintln!(
+        "staged steady-state: {} allocs, {} bytes",
+        delta.allocs, delta.bytes
+    );
     assert!(
         delta.allocs < 8_000,
         "staged steady-state allocation count regressed: {}",
         delta.allocs
+    );
+    assert!(
+        delta.bytes < STAGED_BYTES_BUDGET,
+        "staged steady-state allocated bytes regressed: {}",
+        delta.bytes
     );
 }
 

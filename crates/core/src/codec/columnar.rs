@@ -143,27 +143,6 @@ impl SectionKind {
     }
 }
 
-/// Appends the fixed-stride big-endian encoding of a [`GroupKey`].
-///
-/// Big-endian field order means a lexicographic byte compare over
-/// encoded keys sorts them exactly like the tuple `(cell, origin, dest,
-/// segment)` — the property [`SectionReader::find`] relies on.
-pub fn encode_fixed_key(key: &GroupKey, out: &mut Vec<u8>) {
-    match key {
-        GroupKey::Cell(c) => out.extend_from_slice(&c.raw().to_be_bytes()),
-        GroupKey::CellType(c, seg) => {
-            out.extend_from_slice(&c.raw().to_be_bytes());
-            out.push(seg.id());
-        }
-        GroupKey::CellRoute(c, o, d, seg) => {
-            out.extend_from_slice(&c.raw().to_be_bytes());
-            out.extend_from_slice(&o.to_be_bytes());
-            out.extend_from_slice(&d.to_be_bytes());
-            out.push(seg.id());
-        }
-    }
-}
-
 /// The exact key bytes a point lookup binary-searches for in the `cell`
 /// section.
 pub fn cell_key(cell: CellIndex) -> [u8; 8] {
@@ -811,43 +790,67 @@ impl<'a> TopDestReader<'a> {
     }
 }
 
-fn group_section_body(entries: &[(Vec<u8>, &CellStats)]) -> Vec<u8> {
-    let mut keys = Vec::new();
-    let mut offsets = Vec::with_capacity((entries.len() + 1) * 8);
-    let mut blob = Vec::new();
-    for (kb, stats) in entries {
-        keys.extend_from_slice(kb);
-        offsets.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-        encode_cell_stats(stats, &mut blob);
+/// The most a POLINV3 image can hold before its section area: magic,
+/// header length, the longest possible header (resolution byte, two
+/// varints, five directory rows of a kind byte and three varints) and
+/// the header CRC.
+const MAX_PREFIX: usize = MAGIC_V3.len() + 4 + (1 + 10 + 10 + 5 * (1 + 3 * 10)) + 8;
+
+/// The fixed-stride big-endian encoding of a [`GroupKey`]: the bytes of
+/// its section's stride, zero-padded to the widest.
+///
+/// Big-endian field order means a lexicographic byte compare over
+/// encoded keys sorts them exactly like the tuple `(cell, origin, dest,
+/// segment)` — the property [`SectionReader::find`] relies on — and
+/// within one grouping set the padding is equal, so array order is key
+/// order too.
+fn fixed_key(key: &GroupKey) -> [u8; 13] {
+    let mut k = [0u8; 13];
+    match key {
+        GroupKey::Cell(c) => k[..8].copy_from_slice(&cell_key(*c)),
+        GroupKey::CellType(c, seg) => k[..9].copy_from_slice(&cell_type_key(*c, *seg)),
+        GroupKey::CellRoute(c, o, d, seg) => k = cell_route_key(*c, *o, *d, *seg),
     }
-    offsets.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-    let mut body = Vec::with_capacity(keys.len() + offsets.len() + blob.len());
-    body.extend_from_slice(&keys);
-    body.extend_from_slice(&offsets);
-    body.extend_from_slice(&blob);
-    body
+    k
+}
+
+/// Appends `body`'s CRC-64 — `body` being everything `out` holds from
+/// `start` on — and returns the section's directory row.
+fn seal_section(
+    out: &mut Vec<u8>,
+    kind: SectionKind,
+    count: usize,
+    start: usize,
+) -> (SectionKind, usize, usize) {
+    let len = out.len() - start;
+    let crc = crc64(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    (kind, count, len)
 }
 
 /// Serializes an inventory to its complete POLINV3 file image (magic
 /// through sealed footer). Deterministic: equal inventories always
 /// produce identical bytes.
+///
+/// The image is built in the one buffer that is returned: every section
+/// is encoded where it will stay (a grouping section's offsets column is
+/// patched as its blob grows behind it), and the header — whose length
+/// depends on the sections' — is written last, into room left in front.
 pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
     // Partition entries by grouping set and sort by encoded key — the
     // fixed-stride big-endian encoding makes byte order == key order.
-    let mut groups: [Vec<(Vec<u8>, &CellStats)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut groups: [Vec<([u8; 13], &CellStats)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut lat_rows: Vec<(f64, f64, u64)> = Vec::new();
     let mut top_rows: Vec<[u8; 11]> = Vec::new();
     for (key, stats) in inv.iter() {
-        let mut kb = Vec::with_capacity(13);
-        encode_fixed_key(key, &mut kb);
         // Invert the top-destination relation for the `cell` and
-        // `cell-type` groupings — the same `top_destinations(1)` the heap
+        // `cell-type` groupings — the same top destination the heap
         // query evaluates per entry, precomputed once at encode time.
         let top_of = |seg: u8, cell: &CellIndex| {
             stats
-                .top_destinations(1)
-                .first()
-                .map(|(d, _)| top_dest_row(*d, seg, cell.raw()))
+                .destinations
+                .top1()
+                .map(|(d, _)| top_dest_row(d as u16, seg, cell.raw()))
         };
         let slot = match key {
             GroupKey::Cell(c) => {
@@ -863,62 +866,76 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
             GroupKey::CellRoute(..) => 2,
         };
         if let Some(g) = groups.get_mut(slot) {
-            g.push((kb, stats));
+            g.push((fixed_key(key), stats));
         }
     }
     for g in &mut groups {
         g.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     }
     top_rows.sort_unstable();
-    let mut top_body = Vec::with_capacity(top_rows.len() * SectionKind::TopDest.stride());
-    for row in &top_rows {
-        top_body.extend_from_slice(row);
-    }
     lat_rows.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
-    let mut lat_body = Vec::with_capacity(lat_rows.len() * SectionKind::LatIndex.stride());
-    for (lat, lon, raw) in &lat_rows {
-        lat_body.extend_from_slice(&lat.to_le_bytes());
-        lat_body.extend_from_slice(&lon.to_le_bytes());
-        lat_body.extend_from_slice(&raw.to_le_bytes());
-    }
 
-    let [g_cell, g_cell_type, g_cell_route] = &groups;
-    let bodies: [(SectionKind, usize, Vec<u8>); 5] = [
-        (SectionKind::Cell, g_cell.len(), group_section_body(g_cell)),
-        (
-            SectionKind::CellType,
-            g_cell_type.len(),
-            group_section_body(g_cell_type),
-        ),
-        (
-            SectionKind::CellRoute,
-            g_cell_route.len(),
-            group_section_body(g_cell_route),
-        ),
-        (SectionKind::LatIndex, lat_rows.len(), lat_body),
-        (SectionKind::TopDest, top_rows.len(), top_body),
-    ];
+    let mut out = Vec::with_capacity(MAX_PREFIX + inv.len() * MIN_ENTRY_BYTES);
+    out.resize(MAX_PREFIX, 0);
+    let mut directory = Vec::with_capacity(SectionKind::ALL.len());
+    for (entries, kind) in groups.iter().zip(SectionKind::ALL) {
+        let start = out.len();
+        for (key, _) in entries {
+            out.extend_from_slice(&key[..kind.stride()]);
+        }
+        let offsets = out.len();
+        out.resize(offsets + (entries.len() + 1) * 8, 0);
+        let blob = out.len();
+        for (i, (_, stats)) in entries.iter().enumerate() {
+            encode_cell_stats(stats, &mut out);
+            let end = ((out.len() - blob) as u64).to_le_bytes();
+            out[offsets + (i + 1) * 8..offsets + (i + 2) * 8].copy_from_slice(&end);
+        }
+        directory.push(seal_section(&mut out, kind, entries.len(), start));
+    }
+    let start = out.len();
+    for (lat, lon, raw) in &lat_rows {
+        out.extend_from_slice(&lat.to_le_bytes());
+        out.extend_from_slice(&lon.to_le_bytes());
+        out.extend_from_slice(&raw.to_le_bytes());
+    }
+    directory.push(seal_section(
+        &mut out,
+        SectionKind::LatIndex,
+        lat_rows.len(),
+        start,
+    ));
+    let start = out.len();
+    for row in &top_rows {
+        out.extend_from_slice(row);
+    }
+    directory.push(seal_section(
+        &mut out,
+        SectionKind::TopDest,
+        top_rows.len(),
+        start,
+    ));
 
     let mut header = Vec::with_capacity(64);
     header.push(inv.resolution().level());
     put_varint(&mut header, inv.total_records());
-    put_varint(&mut header, bodies.len() as u64);
-    let mut area = Vec::new();
-    for (kind, count, body) in &bodies {
+    put_varint(&mut header, directory.len() as u64);
+    let mut offset = 0;
+    for (kind, count, len) in directory {
         header.push(kind.id());
-        put_varint(&mut header, *count as u64);
-        put_varint(&mut header, area.len() as u64);
-        put_varint(&mut header, body.len() as u64);
-        area.extend_from_slice(body);
-        area.extend_from_slice(&crc64(body).to_le_bytes());
+        put_varint(&mut header, count as u64);
+        put_varint(&mut header, offset as u64);
+        put_varint(&mut header, len as u64);
+        offset += len + 8;
     }
-
-    let mut out = Vec::with_capacity(MAGIC_V3.len() + 4 + header.len() + 8 + area.len() + 16);
-    out.extend_from_slice(MAGIC_V3);
-    out.extend_from_slice(&(header.len() as u32).to_le_bytes());
-    out.extend_from_slice(&header);
-    out.extend_from_slice(&crc64(&header).to_le_bytes());
-    out.extend_from_slice(&area);
+    // The prefix takes the place of the room left for it: the section
+    // area moves down once, by what the room had to spare.
+    let mut prefix = Vec::with_capacity(MAX_PREFIX);
+    prefix.extend_from_slice(MAGIC_V3);
+    prefix.extend_from_slice(&(header.len() as u32).to_le_bytes());
+    prefix.extend_from_slice(&header);
+    prefix.extend_from_slice(&crc64(&header).to_le_bytes());
+    out.splice(..MAX_PREFIX, prefix);
     let file_len = out.len() as u64 + 16; // footer included
     out.extend_from_slice(&file_len.to_le_bytes());
     out.extend_from_slice(FOOTER_MAGIC);
@@ -939,11 +956,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Inventory, CodecError> {
         for i in 0..reader.len() {
             let key = reader.group_key_at(i).ok_or(wire("bad section key"))?;
             let mut input = reader.stats_bytes(i).ok_or(wire("bad stats offsets"))?;
-            let stats = decode_cell_stats(&mut input)?;
+            // Decoded once, moved once: into the allocation it is shared from.
+            entries.insert(key, Arc::new(decode_cell_stats(&mut input)?));
             if !input.is_empty() {
                 return Err(wire("trailing stats bytes"));
             }
-            entries.insert(key, Arc::new(stats));
         }
     }
     Ok(Inventory::from_shared(
@@ -1079,9 +1096,8 @@ mod tests {
             let reader = SectionReader::new(&bytes, span).unwrap();
             for i in 0..reader.len() {
                 let key = reader.group_key_at(i).unwrap();
-                let mut kb = Vec::new();
-                encode_fixed_key(&key, &mut kb);
-                assert_eq!(reader.find(&kb), Some(i));
+                let kb = fixed_key(&key);
+                assert_eq!(reader.find(&kb[..span.kind.stride()]), Some(i));
                 let expect = inv.get(&key).unwrap();
                 let decoded = reader.decode_stats(i).unwrap();
                 assert_eq!(stats_bytes_of(&decoded), stats_bytes_of(expect));

@@ -12,6 +12,7 @@ use pol_ais::types::MarketSegment;
 use pol_engine::{Dataset, Engine, EngineError};
 use pol_hexgrid::CellIndex;
 use pol_sketch::{AngleHistogram, Circular, Distinct, GkSketch, MergeSketch, SpaceSaving, Welford};
+use std::sync::Arc;
 
 /// Which group identifiers (Table 2) the inventory materialises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -211,13 +212,27 @@ impl MergeSketch for CellStats {
     }
 }
 
+/// The reduce operator over accumulators behind their `Arc`s: merges
+/// `other` into `acc` where `acc` lives.
+pub(crate) fn merge_shared(acc: &mut Arc<CellStats>, other: Arc<CellStats>) {
+    Arc::make_mut(acc).merge(&other);
+}
+
 /// The map+reduce of §3.3.4: fans every record out to its group
 /// identifiers and aggregates [`CellStats`] per key.
+///
+/// An accumulator is allocated behind its `Arc` at a key's first record
+/// and stays there: the combiner maps, the radix shuffle and the shard
+/// merge move the 8-byte pointer, and [`Inventory::from_dataset`] adopts
+/// it. Nothing shares an accumulator while it is being built, so
+/// `Arc::make_mut` never copies.
+///
+/// [`Inventory::from_dataset`]: crate::inventory::Inventory::from_dataset
 pub fn build_group_stats(
     engine: &Engine,
     projected: Dataset<CellPoint>,
     cfg: &PipelineConfig,
-) -> Result<Dataset<(GroupKey, CellStats)>, EngineError> {
+) -> Result<Dataset<(GroupKey, Arc<CellStats>)>, EngineError> {
     let eps = cfg.quantile_epsilon;
     let cap = cfg.top_n_capacity;
     projected
@@ -236,9 +251,9 @@ pub fn build_group_stats(
         .aggregate_by_key(
             engine,
             "features:aggregate",
-            move || CellStats::new(eps, cap),
-            |acc, cp| acc.observe(&cp),
-            |acc, other| acc.merge(&other),
+            move || Arc::new(CellStats::new(eps, cap)),
+            |acc, cp| Arc::make_mut(acc).observe(&cp),
+            merge_shared,
         )
 }
 
@@ -271,6 +286,16 @@ mod tests {
             cell,
             next_cell: None,
         }
+    }
+
+    /// A build allocates one of these per group key and every layer after
+    /// the combiner moves the pointer, so the struct's size is what a
+    /// summary costs in memory and in first-touch time. Growing it is a
+    /// decision to make here, not a side effect of a sketch change.
+    #[test]
+    fn cell_stats_does_not_grow_unnoticed() {
+        let size = std::mem::size_of::<CellStats>();
+        assert!(size <= 2_144, "CellStats grew to {size} bytes");
     }
 
     #[test]

@@ -46,7 +46,7 @@
 use crate::clean::{enrich_one, segment_lookup, CleanReport, VesselCleaner};
 use crate::config::PipelineConfig;
 use crate::error::PipelineError;
-use crate::features::{CellStats, GroupKey};
+use crate::features::{merge_shared, CellStats, GroupKey};
 use crate::inventory::Inventory;
 use crate::pipeline::{PipelineOutput, StageCounts};
 use crate::project::project_trip;
@@ -56,7 +56,6 @@ use pol_ais::{PositionReport, StaticReport};
 use pol_engine::{merge_combiner_shards, radix_partition, Engine, StageReport};
 use pol_hexgrid::CellIndex;
 use pol_sketch::hash::{hash64, FxHashMap};
-use pol_sketch::MergeSketch;
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -103,10 +102,64 @@ struct ScanOut {
     out_of_range: u64,
 }
 
+/// One task's map-side combiner. A summary stays behind the `Arc` it was
+/// first observed into: the radix partition, the shard merge and the
+/// inventory downstream move 8-byte pointers.
+type Combiner = FxHashMap<GroupKey, Arc<CellStats>>;
+
+/// The fold every route to an inventory shares: observes `points` in
+/// order, each under its three group keys.
+fn observe(acc: &mut Combiner, cfg: &PipelineConfig, points: &[CellPoint]) {
+    for cp in points {
+        let p = &cp.point;
+        // Same fan-out order as the staged `features` stage.
+        for key in [
+            GroupKey::Cell(cp.cell),
+            GroupKey::CellType(cp.cell, p.segment),
+            GroupKey::CellRoute(cp.cell, p.origin, p.dest, p.segment),
+        ] {
+            let stats = acc.entry(key).or_insert_with(|| {
+                Arc::new(CellStats::new(cfg.quantile_epsilon, cfg.top_n_capacity))
+            });
+            // Never shared while the build runs: nothing is copied.
+            Arc::make_mut(stats).observe(cp);
+        }
+    }
+}
+
+/// The reduce half every route shares: the parallel radix shard merge —
+/// the same [`merge_combiner_shards`] the staged `aggregate_by_key` uses,
+/// so per-key merge order matches — recorded as `stage` (its shuffled
+/// over output records is the map-side blow-up the merge pays for), and
+/// the inventory adopting what the merge leaves.
+fn reduce(
+    engine: &Engine,
+    cfg: &PipelineConfig,
+    stage: &str,
+    started: Instant,
+    sharded: Vec<Vec<Vec<(GroupKey, Arc<CellStats>)>>>,
+    records: u64,
+) -> Result<Inventory, PipelineError> {
+    let combiner_entries = sharded
+        .iter()
+        .flat_map(|w| w.iter())
+        .map(|s| s.len() as u64)
+        .sum();
+    let stats = merge_combiner_shards(engine, stage, sharded, merge_shared)?;
+    engine.metrics().record(StageReport {
+        name: stage.to_string(),
+        input_records: records * 3,
+        output_records: stats.count() as u64,
+        shuffled_records: combiner_entries,
+        wall: started.elapsed(),
+    });
+    Ok(Inventory::from_dataset(cfg.resolution, stats, records))
+}
+
 /// Per-task output of the fused build phase.
 struct BuildOut {
     /// Radix-partitioned per-key combiners for the parallel shard merge.
-    shards: Vec<Vec<(GroupKey, CellStats)>>,
+    shards: Vec<Vec<(GroupKey, Arc<CellStats>)>>,
     cleaned: u64,
     with_trips: u64,
     morsels: u64,
@@ -176,9 +229,9 @@ pub fn run_fused(
     // — the shuffle's reduce side. The driver moves chunk *vectors*, never
     // records; each build task concatenates its own chunks, so the copy
     // work parallelizes instead of serializing on the driver.
-    let tasks = scanned.len();
-    let mut partitions: Vec<Vec<Vec<EnrichedReport>>> =
-        (0..num).map(|_| Vec::with_capacity(tasks)).collect();
+    let mut partitions: Vec<Vec<Vec<EnrichedReport>>> = (0..num)
+        .map(|_| Vec::with_capacity(scanned.len()))
+        .collect();
     for scan in scanned {
         for (b, bucket) in scan.buckets.into_iter().enumerate() {
             partitions[b].push(bucket);
@@ -202,11 +255,8 @@ pub fn run_fused(
     // buffers reused across morsels.
     let started = Instant::now();
     let geofence = Arc::new(Geofence::build(ports, cfg.resolution));
-    let max_kn = cfg.max_feasible_speed_kn;
-    let min_points = cfg.min_trip_points;
     let res = cfg.resolution;
-    let eps = cfg.quantile_epsilon;
-    let cap = cfg.top_n_capacity;
+    let task_cfg = cfg.clone();
     let built: Vec<BuildOut> = engine.run_tasks("fused:build", partitions, move |_, chunks| {
         BUILD_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
@@ -236,20 +286,15 @@ pub fn run_fused(
                     .map(|(i, r)| (r.mmsi.0, r.timestamp, i as u32)),
             );
             keys.sort_unstable();
-            let mut acc: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
+            let mut acc = Combiner::default();
             let cleaned_buf = &mut s.cleaned;
             let trip_buf = &mut s.trips;
             let cell_buf = &mut s.cells;
             let cell_scratch = &mut s.cell_scratch;
             let tracker = s
                 .tracker
-                .get_or_insert_with(|| TripTracker::new(min_points));
-            let mut counts = BuildOut {
-                shards: Vec::new(),
-                cleaned: 0,
-                with_trips: 0,
-                morsels: 0,
-            };
+                .get_or_insert_with(|| TripTracker::new(task_cfg.min_trip_points));
+            let (mut cleaned, mut with_trips, mut morsels) = (0, 0, 0);
             // Walk vessels as runs of equal MMSI — ascending-MMSI morsel
             // order, every scratch buffer reused across morsels.
             let mut i = 0;
@@ -259,22 +304,22 @@ pub fn run_fused(
                 while j < keys.len() && keys[j].0 == mmsi {
                     j += 1;
                 }
-                counts.morsels += 1;
+                morsels += 1;
                 cleaned_buf.clear();
                 trip_buf.clear();
                 // Clean: fold the shared VesselCleaner state machine over
                 // the time-sorted run (identical to
                 // `order_and_filter_vessel`).
-                let mut cleaner = VesselCleaner::new(max_kn);
+                let mut cleaner = VesselCleaner::new(task_cfg.max_feasible_speed_kn);
                 for k in &keys[i..j] {
                     if let Some(kept) = cleaner.push(records[k.2 as usize]) {
                         cleaned_buf.push(kept);
                     }
                 }
-                counts.cleaned += cleaned_buf.len() as u64;
-                tracker.reset(min_points);
+                cleaned += cleaned_buf.len() as u64;
+                tracker.reset(task_cfg.min_trip_points);
                 extract_for_vessel_with(tracker, &geofence, cleaned_buf, trip_buf);
-                counts.with_trips += trip_buf.len() as u64;
+                with_trips += trip_buf.len() as u64;
                 // Trips emit contiguously in (mmsi, seq) order: project one
                 // trip run at a time and fold straight into the combiners.
                 let mut ti = 0;
@@ -285,25 +330,17 @@ pub fn run_fused(
                     }
                     cell_buf.clear();
                     project_trip(&trip_buf[ti..tj], res, cell_scratch, cell_buf);
-                    for cp in cell_buf.iter() {
-                        let p = &cp.point;
-                        // Same fan-out order as the staged `features` stage.
-                        for key in [
-                            GroupKey::Cell(cp.cell),
-                            GroupKey::CellType(cp.cell, p.segment),
-                            GroupKey::CellRoute(cp.cell, p.origin, p.dest, p.segment),
-                        ] {
-                            acc.entry(key)
-                                .or_insert_with(|| CellStats::new(eps, cap))
-                                .observe(cp);
-                        }
-                    }
+                    observe(&mut acc, &task_cfg, cell_buf);
                     ti = tj;
                 }
                 i = j;
             }
-            counts.shards = radix_partition(acc, num);
-            counts
+            BuildOut {
+                shards: radix_partition(acc, num),
+                cleaned,
+                with_trips,
+                morsels,
+            }
         })
     })?;
     let cleaned_count: u64 = built.iter().map(|b| b.cleaned).sum();
@@ -319,32 +356,17 @@ pub fn run_fused(
     });
     engine.metrics().add_counter("fused.morsels", morsels);
 
-    // Phase 3: parallel radix shard merge — the same reduce half the
-    // staged `aggregate_by_key` uses, so per-key merge order matches.
-    let started = Instant::now();
-    let sharded: Vec<Vec<Vec<(GroupKey, CellStats)>>> =
-        built.into_iter().map(|b| b.shards).collect();
-    let combiner_entries: u64 = sharded
-        .iter()
-        .flat_map(|w| w.iter())
-        .map(|s| s.len() as u64)
-        .sum();
-    let stats = merge_combiner_shards(
+    // Phase 3: parallel radix shard merge.
+    let sharded = built.into_iter().map(|b| b.shards).collect();
+    let inventory = reduce(
         engine,
+        cfg,
         "fused:aggregate",
+        Instant::now(),
         sharded,
-        |a: &mut CellStats, o| a.merge(&o),
+        projected_count,
     )?;
-    let group_entries = stats.count() as u64;
-    engine.metrics().record(StageReport {
-        name: "fused:aggregate".to_string(),
-        input_records: projected_count * 3,
-        output_records: group_entries,
-        shuffled_records: combiner_entries,
-        wall: started.elapsed(),
-    });
-
-    let inventory = Inventory::from_dataset(cfg.resolution, stats, projected_count);
+    let group_entries = inventory.len() as u64;
     let output = cleaned_count;
     Ok(PipelineOutput {
         inventory,
@@ -372,78 +394,55 @@ pub fn run_fused(
 /// Folds per-vessel projected cell points into an [`Inventory`], replaying
 /// the fused executor's phase 2–3 ordering exactly: vessels scatter to
 /// `engine.default_partitions()` buckets by `hash64(mmsi) % num`, each
-/// bucket observes its vessels in ascending-MMSI order with the same
-/// `[Cell, CellType, CellRoute]` fan-out per point, and the reduce half is
-/// the same [`pol_engine::merge_combiner_shards`] radix merge.
+/// bucket observes its vessels in ascending-MMSI order through the same
+/// [`observe`], and the reduce half is the same [`reduce`].
 ///
-/// This is the streaming session layer's (pol-stream) close path: sessions
-/// clean/extract/project incrementally, retain each vessel's cell points
-/// in emission order, and hand them here — producing an inventory
-/// byte-identical to [`run_fused`] over the same records (pinned by
-/// `fold_projected_matches_run_fused` below). `projected_count` is the
-/// total cell-point count recorded as the inventory's record total.
+/// This is pol-stream's path to an inventory: a session retains its
+/// vessel's cell points in emission order and hands them over as
+/// `(mmsi, points, from)` — shared, not copied — to contribute
+/// `points[from..]`: a window cut folds the tail, a close all of it, and
+/// a close over a whole feed is byte-identical to [`run_fused`] over the
+/// same records (`fold_projected_matches_run_fused` below). `projected`
+/// is the cell-point count recorded as the inventory's record total.
+pub fn fold_shared(
+    engine: &Engine,
+    cfg: &PipelineConfig,
+    per_vessel: Vec<(u32, Arc<Vec<CellPoint>>, usize)>,
+    projected: u64,
+) -> Result<Inventory, PipelineError> {
+    let num = engine.default_partitions();
+    // Same scatter as `run_fused` phase 1: a vessel's bucket depends only
+    // on its MMSI hash, so bucket composition matches the batch shuffle.
+    let mut partitions: Vec<Vec<_>> = (0..num).map(|_| Vec::new()).collect();
+    for vessel in per_vessel {
+        partitions[(hash64(&vessel.0) % num as u64) as usize].push(vessel);
+    }
+    let started = Instant::now();
+    let task_cfg = cfg.clone();
+    let sharded = engine.run_tasks("stream:fold", partitions, move |_, mut part| {
+        // Deterministic morsel order, as in the fused build phase.
+        part.sort_by_key(|(mmsi, _, _)| *mmsi);
+        let mut acc = Combiner::default();
+        for (_, points, from) in &part {
+            observe(&mut acc, &task_cfg, points.get(*from..).unwrap_or_default());
+        }
+        radix_partition(acc, num)
+    })?;
+    reduce(engine, cfg, "stream:fold", started, sharded, projected)
+}
+
+/// [`fold_shared`] over vessels handed over whole.
 pub fn fold_projected(
     engine: &Engine,
     cfg: &PipelineConfig,
     per_vessel: Vec<(u32, Vec<CellPoint>)>,
     projected_count: u64,
 ) -> Result<Inventory, PipelineError> {
-    let num = engine.default_partitions();
-    // Same scatter as `run_fused` phase 1: a vessel's bucket depends only
-    // on its MMSI hash, so bucket composition matches the batch shuffle.
-    let mut partitions: Vec<Vec<(u32, Vec<CellPoint>)>> = (0..num).map(|_| Vec::new()).collect();
-    for (mmsi, points) in per_vessel {
-        let b = (hash64(&mmsi) % num as u64) as usize;
-        partitions[b].push((mmsi, points));
-    }
-    let eps = cfg.quantile_epsilon;
-    let cap = cfg.top_n_capacity;
-    let started = Instant::now();
-    let sharded: Vec<Vec<Vec<(GroupKey, CellStats)>>> =
-        engine.run_tasks("stream:fold", partitions, move |_, mut part| {
-            // Deterministic morsel order, as in the fused build phase.
-            part.sort_by_key(|(m, _)| *m);
-            let mut acc: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
-            for (_, points) in part {
-                for cp in &points {
-                    let p = &cp.point;
-                    // Same fan-out order as the staged `features` stage.
-                    for key in [
-                        GroupKey::Cell(cp.cell),
-                        GroupKey::CellType(cp.cell, p.segment),
-                        GroupKey::CellRoute(cp.cell, p.origin, p.dest, p.segment),
-                    ] {
-                        acc.entry(key)
-                            .or_insert_with(|| CellStats::new(eps, cap))
-                            .observe(cp);
-                    }
-                }
-            }
-            radix_partition(acc, num)
-        })?;
-    let combiner_entries: u64 = sharded
-        .iter()
-        .flat_map(|w| w.iter())
-        .map(|s| s.len() as u64)
-        .sum();
-    let stats = merge_combiner_shards(
-        engine,
-        "stream:aggregate",
-        sharded,
-        |a: &mut CellStats, o| a.merge(&o),
-    )?;
-    engine.metrics().record(StageReport {
-        name: "stream:fold".to_string(),
-        input_records: projected_count,
-        output_records: stats.count() as u64,
-        shuffled_records: combiner_entries,
-        wall: started.elapsed(),
-    });
-    Ok(Inventory::from_dataset(
-        cfg.resolution,
-        stats,
-        projected_count,
-    ))
+    let per_vessel = per_vessel
+        .into_iter()
+        .map(|(mmsi, points)| (mmsi, Arc::new(points), 0))
+        .collect();
+    fold_shared(engine, cfg, per_vessel, projected_count)
 }
 
 #[cfg(test)]

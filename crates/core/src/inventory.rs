@@ -97,40 +97,46 @@ pub struct Inventory {
     /// Occupied `(cell)`-grouping-set cells with their centres, sorted by
     /// centre latitude — built once at construction so bbox queries
     /// binary-search a latitude band instead of scanning every entry.
-    cell_index: Vec<(pol_geo::LatLon, CellIndex)>,
+    cell_index: Vec<CellRow>,
+}
+
+/// One row of the cell index: an occupied cell under its centre.
+type CellRow = (pol_geo::LatLon, CellIndex);
+
+/// The cell index's order: centre latitude, then raw cell index.
+fn cell_row_order(a: &CellRow, b: &CellRow) -> std::cmp::Ordering {
+    a.0.lat()
+        .total_cmp(&b.0.lat())
+        .then_with(|| a.1.raw().cmp(&b.1.raw()))
 }
 
 /// The latitude-sorted cell index backing [`Inventory::cells_in`].
-fn build_cell_index(
-    entries: &FxHashMap<GroupKey, Arc<CellStats>>,
-) -> Vec<(pol_geo::LatLon, CellIndex)> {
-    let mut index: Vec<(pol_geo::LatLon, CellIndex)> = entries
+fn build_cell_index(entries: &FxHashMap<GroupKey, Arc<CellStats>>) -> Vec<CellRow> {
+    let mut index: Vec<CellRow> = entries
         .keys()
         .filter_map(|k| match k {
             GroupKey::Cell(c) => Some((cell_center(*c), *c)),
             _ => None,
         })
         .collect();
-    index.sort_by(|a, b| {
-        a.0.lat()
-            .total_cmp(&b.0.lat())
-            .then_with(|| a.1.raw().cmp(&b.1.raw()))
-    });
+    index.sort_by(cell_row_order);
     index
 }
 
 impl Inventory {
-    /// Assembles an inventory from the aggregation output.
+    /// Assembles an inventory from the aggregation output, adopting each
+    /// summary in the allocation the build accumulated it in: the map is
+    /// sized once and takes the pointers, partition by partition.
     pub fn from_dataset(
         resolution: Resolution,
-        stats: Dataset<(GroupKey, CellStats)>,
+        stats: Dataset<(GroupKey, Arc<CellStats>)>,
         total_records: u64,
     ) -> Inventory {
-        let entries = stats
-            .collect()
-            .into_iter()
-            .map(|(k, stats)| (k, Arc::new(stats)))
-            .collect();
+        let mut entries = FxHashMap::default();
+        entries.reserve(stats.count());
+        for partition in stats.into_partitions() {
+            entries.extend(partition);
+        }
         Inventory::from_shared(resolution, entries, total_records)
     }
 
@@ -313,19 +319,25 @@ impl Inventory {
             "cannot merge inventories at different resolutions"
         );
         self.total_records += other.total_records;
-        let mut new_cells = false;
+        // The bbox-query index lists the `(cell)` grouping set's keys.
+        // The cells `other` brings are appended to the sorted index and
+        // the stable sort, which is adaptive, merges them in: a daily
+        // delta costs its own cells' centres and sort, not every cell's.
+        let mut new_cells: Vec<CellRow> = Vec::new();
         for (k, v) in &other.entries {
             match self.entries.get_mut(k) {
                 Some(mine) => Arc::make_mut(mine).merge(v),
                 None => {
-                    new_cells |= matches!(k, GroupKey::Cell(_));
+                    if let GroupKey::Cell(c) = k {
+                        new_cells.push((cell_center(*c), *c));
+                    }
                     self.entries.insert(*k, Arc::clone(v));
                 }
             }
         }
-        // The bbox-query index lists the `(cell)` grouping set's keys.
-        if new_cells {
-            self.cell_index = build_cell_index(&self.entries);
+        if !new_cells.is_empty() {
+            self.cell_index.append(&mut new_cells);
+            self.cell_index.sort_by(cell_row_order);
         }
     }
 }
@@ -458,6 +470,11 @@ mod tests {
         // Merging in new cells must refresh the index.
         let far = build(&[point_at(58.0, 21.0, 2, seg)]);
         inv.merge(&far);
+        assert_eq!(
+            inv.cell_index,
+            build_cell_index(&inv.entries),
+            "a merge leaves the index a rebuild would"
+        );
         let brute2: std::collections::BTreeSet<CellIndex> = inv
             .cells()
             .filter(|c| bbox.contains(cell_center(*c)))

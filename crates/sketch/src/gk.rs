@@ -10,13 +10,94 @@
 use crate::MergeSketch;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct Tuple {
+pub(crate) struct Tuple {
     /// Observed value.
-    v: f64,
+    pub(crate) v: f64,
     /// Number of observations represented by this tuple.
-    g: u64,
+    pub(crate) g: u64,
     /// Uncertainty of this tuple's rank.
-    delta: u64,
+    pub(crate) delta: u64,
+}
+
+/// GK's COMPRESS as a stream: a greedy forward fold with one tuple of
+/// lookback, so the flush, the merge and the encoder's borrowed view all
+/// run the same fold, each into the place its tuples will live. The
+/// first tuple (the exact minimum) is kept and never folded into.
+struct Compress<F: FnMut(Tuple)> {
+    /// `⌊2εn⌋` for the `n` the finished sketch will have.
+    threshold: u64,
+    /// Tuples handed on so far, the pending one included.
+    written: usize,
+    pending: Option<Tuple>,
+    emit: F,
+}
+
+impl<F: FnMut(Tuple)> Compress<F> {
+    fn new(epsilon: f64, n: u64, emit: F) -> Self {
+        Compress {
+            threshold: (2.0 * epsilon * n as f64).floor() as u64,
+            written: 0,
+            pending: None,
+            emit,
+        }
+    }
+
+    fn push(&mut self, cur: Tuple) {
+        match self.pending {
+            // Never exceed the error budget.
+            Some(last) if self.written > 1 && last.g + cur.g + cur.delta <= self.threshold => {
+                self.pending = Some(Tuple {
+                    v: cur.v,
+                    g: last.g + cur.g,
+                    delta: cur.delta,
+                });
+            }
+            last => {
+                last.into_iter().for_each(&mut self.emit);
+                self.pending = Some(cur);
+                self.written += 1;
+            }
+        }
+    }
+
+    fn finish(mut self) {
+        self.pending.into_iter().for_each(&mut self.emit);
+    }
+}
+
+/// Inserts the sorted `batch` into `tuples` and compresses — what a flush
+/// does — handing the resulting tuples to `emit` in order. Returns the
+/// observation count after the insertion. An empty batch passes the
+/// tuples through as they are: compressing is not idempotent.
+fn insert_sorted(
+    epsilon: f64,
+    mut n: u64,
+    tuples: &[Tuple],
+    batch: &[f64],
+    mut emit: impl FnMut(Tuple),
+) -> u64 {
+    if batch.is_empty() {
+        tuples.iter().copied().for_each(emit);
+        return n;
+    }
+    let mut out = Compress::new(epsilon, n + batch.len() as u64, &mut emit);
+    let mut ti = 0;
+    for &x in batch {
+        while ti < tuples.len() && tuples[ti].v <= x {
+            out.push(tuples[ti]);
+            ti += 1;
+        }
+        n += 1;
+        let delta = if out.written == 0 || ti == tuples.len() {
+            0 // new min or max is exact
+        } else {
+            (2.0 * epsilon * n as f64).floor() as u64
+        };
+        out.push(Tuple { v: x, g: 1, delta });
+    }
+    tuples[ti..].iter().for_each(|t| out.push(*t));
+    out.finish();
+    n
 }
 
 /// The GK quantile sketch.
@@ -110,53 +191,33 @@ impl GkSketch {
         self.inline_len = 0;
         self.spill.sort_unstable_by(f64::total_cmp);
         let mut merged = Vec::with_capacity(self.tuples.len() + self.spill.len());
-        let mut ti = 0;
-        for &x in &self.spill {
-            while ti < self.tuples.len() && self.tuples[ti].v <= x {
-                merged.push(self.tuples[ti]);
-                ti += 1;
-            }
-            self.n += 1;
-            let delta = if merged.is_empty() || ti == self.tuples.len() {
-                0 // new min or max is exact
-            } else {
-                (2.0 * self.epsilon * self.n as f64).floor() as u64
-            };
-            merged.push(Tuple { v: x, g: 1, delta });
-        }
-        merged.extend_from_slice(&self.tuples[ti..]);
+        self.n = insert_sorted(self.epsilon, self.n, &self.tuples, &self.spill, |t| {
+            merged.push(t)
+        });
         self.tuples = merged;
         self.spill.clear();
-        self.compress();
     }
 
-    fn compress(&mut self) {
-        if self.tuples.len() < 3 {
-            return;
-        }
-        let threshold = (2.0 * self.epsilon * self.n as f64).floor() as u64;
-        // In-place greedy forward fold: `w` is the write cursor; the first
-        // tuple (exact minimum) is kept and never folded into.
-        let mut w = 1;
-        for i in 1..self.tuples.len() {
-            let cur = self.tuples[i];
-            // Never fold the exact-minimum tuple into its successor, and
-            // never exceed the error budget.
-            if w > 1 {
-                let last = self.tuples[w - 1];
-                if last.g + cur.g + cur.delta <= threshold {
-                    self.tuples[w - 1] = Tuple {
-                        v: cur.v,
-                        g: last.g + cur.g,
-                        delta: cur.delta,
-                    };
-                    continue;
-                }
-            }
-            self.tuples[w] = cur;
-            w += 1;
-        }
-        self.tuples.truncate(w);
+    /// Hands `emit` the tuples [`flush`](Self::flush) would leave, in
+    /// order, and returns the observation count it would leave — without
+    /// flushing: nothing is cloned and nothing allocated. The buffered
+    /// values are sorted in a stack array — 16 of them unless the sketch
+    /// has spilled, and never [`BUFFER_CAP`] at rest.
+    pub(crate) fn flushed(&self, emit: impl FnMut(Tuple)) -> u64 {
+        let inline = &self.inline[..self.inline_len as usize];
+        let mut small = [0.0; INLINE_CAP];
+        let mut large;
+        let batch = if self.spill.is_empty() {
+            &mut small[..inline.len()]
+        } else {
+            large = [0.0; BUFFER_CAP];
+            &mut large[..self.buffered()]
+        };
+        let (head, tail) = batch.split_at_mut(self.spill.len());
+        head.copy_from_slice(&self.spill);
+        tail.copy_from_slice(inline);
+        batch.sort_unstable_by(f64::total_cmp);
+        insert_sorted(self.epsilon, self.n, &self.tuples, batch, emit)
     }
 
     /// The value at quantile `phi ∈ [0, 1]`, with rank error ≤ `ε·n`
@@ -250,29 +311,36 @@ impl MergeSketch for GkSketch {
             }
             return;
         }
-        let mut other = other.clone();
-        other.flush();
         self.flush();
         // Merge-sort the tuple lists; g and delta survive unchanged (the
         // classical mergeable-summary combination). Rank error becomes the
         // sum of both sketches' absolute errors.
-        let mut merged = Vec::with_capacity(self.tuples.len() + other.tuples.len());
-        let (a, b) = (&self.tuples, &other.tuples);
+        let flushed;
+        let (b, other_n) = if other.buffered() == 0 {
+            (&other.tuples, other.n)
+        } else {
+            let mut theirs = Vec::with_capacity(other.tuples.len() + other.buffered());
+            let n = other.flushed(|t| theirs.push(t));
+            flushed = theirs;
+            (&flushed, n)
+        };
+        let a = &self.tuples;
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let mut out = Compress::new(self.epsilon, self.n + other_n, |t| merged.push(t));
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             if a[i].v <= b[j].v {
-                merged.push(a[i]);
+                out.push(a[i]);
                 i += 1;
             } else {
-                merged.push(b[j]);
+                out.push(b[j]);
                 j += 1;
             }
         }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
+        a[i..].iter().chain(&b[j..]).for_each(|t| out.push(*t));
+        out.finish();
         self.tuples = merged;
-        self.n += other.n;
-        self.compress();
+        self.n += other_n;
     }
 }
 

@@ -111,7 +111,7 @@ pub const DEFAULT_EXACT_LIMIT: usize = 256;
 pub const DEFAULT_HLL_PRECISION: u8 = 12;
 
 /// Hashes held inline by a [`SmallSet`] before spilling to the heap.
-const SMALL_INLINE: usize = 16;
+pub(crate) const SMALL_INLINE: usize = 16;
 
 /// A tiny hash set for [`Distinct`]'s exact phase: the first
 /// [`SMALL_INLINE`] hashes live inline (no heap), the rest spill to an

@@ -15,7 +15,7 @@ use std::hash::Hash;
 
 /// One monitored item: an (over-)estimated count and its maximum
 /// overestimation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counter {
     /// Estimated count (true count ≤ `count`, ≥ `count - error`).
     pub count: u64,
@@ -26,7 +26,7 @@ pub struct Counter {
 /// Capacity at or below which monitored items are stored inline (no heap).
 /// The pipeline default `top_n_capacity` is 8, so inventory builds keep all
 /// three per-cell Top-N sketches allocation-free.
-const INLINE_SLOTS: usize = 8;
+pub(crate) const INLINE_SLOTS: usize = 8;
 
 /// Counter storage: a fixed slot array for small capacities, a hash map
 /// beyond that. The variant is decided once by `capacity` and never changes.
@@ -39,6 +39,15 @@ enum Slots<T> {
         len: u8,
     },
     Heap(FxHashMap<T, Counter>),
+}
+
+/// The order of [`SpaceSaving::top`]: heaviest first, then the more
+/// certain, then by item hash.
+fn rank<T: Hash>(a: (&T, &Counter), b: (&T, &Counter)) -> std::cmp::Ordering {
+    b.1.count
+        .cmp(&a.1.count)
+        .then(a.1.error.cmp(&b.1.error))
+        .then_with(|| hash64(a.0).cmp(&hash64(b.0)))
 }
 
 /// The SpaceSaving sketch over items of type `T`.
@@ -204,19 +213,17 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
     /// their storage iteration orders differ.
     pub fn top(&self, n: usize) -> Vec<(T, Counter)> {
         let mut all: Vec<(T, Counter)> = self.iter().map(|(k, c)| (k.clone(), *c)).collect();
-        all.sort_by(|a, b| {
-            b.1.count
-                .cmp(&a.1.count)
-                .then(a.1.error.cmp(&b.1.error))
-                .then_with(|| hash64(&a.0).cmp(&hash64(&b.0)))
-        });
+        all.sort_by(|a, b| rank((&a.0, &a.1), (&b.0, &b.1)));
         all.truncate(n);
         all
     }
 
-    /// The single most frequent item, if any.
+    /// The single most frequent item, if any: `top(1)` without the
+    /// vector (distinct items never tie in [`rank`]'s full order).
     pub fn top1(&self) -> Option<(T, Counter)> {
-        self.top(1).pop()
+        self.iter()
+            .min_by(|a, b| rank(*a, *b))
+            .map(|(k, c)| (k.clone(), *c))
     }
 
     /// Iterates over all monitored items (slot order for inline storage,
@@ -473,6 +480,19 @@ mod tests {
         assert_eq!(a.total(), 150);
         let c = a.estimate(&"big".to_string()).unwrap();
         assert!(c.count >= 110);
+    }
+
+    #[test]
+    fn top1_is_top_of_one() {
+        // Inline and heap storage, ties on count and on (count, error).
+        for capacity in [4, 32] {
+            let mut s = SpaceSaving::<u64>::new(capacity);
+            assert_eq!(s.top1(), None);
+            for i in 0..200u64 {
+                s.add(i % 9);
+                assert_eq!(s.top1(), s.top(1).pop(), "capacity {capacity}, after {i}");
+            }
+        }
     }
 
     #[test]

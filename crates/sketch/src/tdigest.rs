@@ -9,9 +9,45 @@
 use crate::MergeSketch;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct Centroid {
-    mean: f64,
-    weight: f64,
+pub(crate) struct Centroid {
+    pub(crate) mean: f64,
+    pub(crate) weight: f64,
+}
+
+/// The scale function `k(q) = δ/2π · asin(2q − 1)`.
+fn scale(compression: f64, q: f64) -> f64 {
+    compression / (2.0 * std::f64::consts::PI) * (2.0 * q.clamp(0.0, 1.0) - 1.0).asin()
+}
+
+/// Sorts `all` by mean (stably: retained centroids before buffered ones
+/// of the same mean) and folds neighbours in place while the scale
+/// function allows — the compression pass, into the vector it is given.
+fn fold(compression: f64, all: &mut Vec<Centroid>) {
+    all.sort_by(|a, b| a.mean.total_cmp(&b.mean));
+    let total: f64 = all.iter().map(|c| c.weight).sum();
+    let Some(&(mut acc)) = all.first() else {
+        return;
+    };
+    let mut w = 0; // write cursor: never ahead of the read cursor
+    let mut w_before = 0.0; // weight strictly before `acc`
+    for i in 1..all.len() {
+        let c = all[i];
+        let q0 = w_before / total;
+        let q1 = (w_before + acc.weight + c.weight) / total;
+        if scale(compression, q1) - scale(compression, q0) <= 1.0 {
+            // Fold c into acc (weighted mean).
+            let weight = acc.weight + c.weight;
+            acc.mean += (c.mean - acc.mean) * c.weight / weight;
+            acc.weight = weight;
+        } else {
+            w_before += acc.weight;
+            all[w] = acc;
+            w += 1;
+            acc = c;
+        }
+    }
+    all[w] = acc;
+    all.truncate(w + 1);
 }
 
 /// The merging t-digest.
@@ -67,40 +103,35 @@ impl TDigest {
         self.total_weight as u64
     }
 
-    fn scale(&self, q: f64) -> f64 {
-        self.compression / (2.0 * std::f64::consts::PI) * (2.0 * q.clamp(0.0, 1.0) - 1.0).asin()
-    }
-
     fn compress(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
         let mut all = std::mem::take(&mut self.centroids);
         all.append(&mut self.buffer);
-        all.sort_by(|a, b| a.mean.total_cmp(&b.mean));
-        let total: f64 = all.iter().map(|c| c.weight).sum();
-        let mut out: Vec<Centroid> = Vec::with_capacity(self.compression as usize * 2);
-        let mut iter = all.into_iter();
-        let Some(mut acc) = iter.next() else {
-            return;
-        };
-        let mut w_before = 0.0; // weight strictly before `acc`
-        for c in iter {
-            let q0 = w_before / total;
-            let q1 = (w_before + acc.weight + c.weight) / total;
-            if self.scale(q1) - self.scale(q0) <= 1.0 {
-                // Fold c into acc (weighted mean).
-                let w = acc.weight + c.weight;
-                acc.mean += (c.mean - acc.mean) * c.weight / w;
-                acc.weight = w;
-            } else {
-                w_before += acc.weight;
-                out.push(acc);
-                acc = c;
-            }
+        fold(self.compression, &mut all);
+        self.centroids = all;
+    }
+
+    /// `(compression, total_weight, min, max)`: the scalars compressing
+    /// does not move.
+    pub(crate) fn scalars(&self) -> (f64, f64, f64, f64) {
+        (self.compression, self.total_weight, self.min, self.max)
+    }
+
+    /// Runs `f` over the centroids as [`compress`](Self::compress) would
+    /// leave them, without compressing the digest: the encoder's and a
+    /// merge's view. Borrowed as they are when nothing is buffered, else
+    /// folded in one scratch vector — the digest is never cloned.
+    pub(crate) fn with_compressed<R>(&self, f: impl FnOnce(&[Centroid]) -> R) -> R {
+        if self.buffer.is_empty() {
+            return f(&self.centroids);
         }
-        out.push(acc);
-        self.centroids = out;
+        let mut all = Vec::with_capacity(self.centroids.len() + self.buffer.len());
+        all.extend_from_slice(&self.centroids);
+        all.extend_from_slice(&self.buffer);
+        fold(self.compression, &mut all);
+        f(&all)
     }
 
     /// The value at quantile `phi ∈ [0, 1]`; `None` when empty.
@@ -191,12 +222,10 @@ impl TDigest {
 
 impl MergeSketch for TDigest {
     fn merge(&mut self, other: &Self) {
-        let mut o = other.clone();
-        o.compress();
-        self.buffer.extend_from_slice(&o.centroids);
-        self.total_weight += o.total_weight;
-        self.min = self.min.min(o.min);
-        self.max = self.max.max(o.max);
+        other.with_compressed(|centroids| self.buffer.extend_from_slice(centroids));
+        self.total_weight += other.total_weight;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
         self.compress();
     }
 }

@@ -8,8 +8,8 @@
 use crate::circular::Circular;
 use crate::gk::GkSketch;
 use crate::histogram::AngleHistogram;
-use crate::hll::{Distinct, HyperLogLog, SmallSet};
-use crate::spacesaving::{Counter, SpaceSaving};
+use crate::hll::{Distinct, HyperLogLog, SmallSet, SMALL_INLINE};
+use crate::spacesaving::{Counter, SpaceSaving, INLINE_SLOTS};
 use crate::tdigest::TDigest;
 use crate::welford::Welford;
 use std::fmt;
@@ -69,6 +69,34 @@ pub fn get_f64(input: &mut &[u8]) -> Result<f64, WireError> {
     };
     *input = rest;
     Ok(f64::from_le_bytes(*bytes))
+}
+
+/// Hands `emit` the `len` items of `items` in ascending `key` order — the
+/// canonical order of a set's wire form. Up to `N` items (a sketch's
+/// inline storage: the sketches an inventory is made of) are sorted on
+/// the stack; only a larger sketch allocates.
+fn for_each_sorted<T: Copy + Default, K: Ord, const N: usize>(
+    len: usize,
+    items: impl Iterator<Item = T>,
+    key: impl Fn(&T) -> K,
+    emit: impl FnMut(T),
+) {
+    let mut small = [T::default(); N];
+    let mut large = Vec::new();
+    let sorted: &mut [T] = match small.get_mut(..len) {
+        Some(fits) => {
+            fits.iter_mut()
+                .zip(items)
+                .for_each(|(slot, item)| *slot = item);
+            fits
+        }
+        None => {
+            large.extend(items);
+            &mut large
+        }
+    };
+    sorted.sort_unstable_by_key(key);
+    sorted.iter().copied().for_each(emit);
 }
 
 /// Binary encoding contract for sketches.
@@ -143,16 +171,29 @@ impl Wire for AngleHistogram {
 }
 
 impl Wire for GkSketch {
+    /// The flushed sketch, read through a borrowed view: nothing is
+    /// cloned or allocated. The tuple count precedes the tuples and is
+    /// known only after them: its one byte is patched in, and widened in
+    /// the rare sketch that holds 128 tuples or more.
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut me = self.clone();
-        let (epsilon, n, tuples) = me.parts();
-        put_f64(out, epsilon);
-        put_varint(out, n);
-        put_varint(out, tuples.len() as u64);
-        for (v, g, delta) in tuples {
-            put_f64(out, v);
-            put_varint(out, g);
-            put_varint(out, delta);
+        put_f64(out, self.epsilon());
+        put_varint(out, self.count());
+        let len_at = out.len();
+        out.push(0);
+        let mut len = 0u64;
+        self.flushed(|t| {
+            len += 1;
+            put_f64(out, t.v);
+            put_varint(out, t.g);
+            put_varint(out, t.delta);
+        });
+        match u8::try_from(len) {
+            Ok(byte) if byte < 0x80 => out[len_at] = byte,
+            _ => {
+                let mut wide = Vec::new();
+                put_varint(&mut wide, len);
+                out.splice(len_at..=len_at, wide);
+            }
         }
     }
 
@@ -178,18 +219,21 @@ impl Wire for GkSketch {
 }
 
 impl Wire for TDigest {
+    /// The compressed digest, read through a borrowed view: the digest
+    /// is not cloned.
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut me = self.clone();
-        let (compression, total, min, max, centroids) = me.parts();
+        let (compression, total, min, max) = self.scalars();
         put_f64(out, compression);
         put_f64(out, total);
         put_f64(out, min);
         put_f64(out, max);
-        put_varint(out, centroids.len() as u64);
-        for (mean, weight) in centroids {
-            put_f64(out, mean);
-            put_f64(out, weight);
-        }
+        self.with_compressed(|centroids| {
+            put_varint(out, centroids.len() as u64);
+            for c in centroids {
+                put_f64(out, c.mean);
+                put_f64(out, c.weight);
+            }
+        });
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -243,12 +287,13 @@ impl Wire for Distinct {
             Distinct::Exact(set) => {
                 out.push(0);
                 put_varint(out, set.len() as u64);
-                // Sort for canonical output (sets iterate in storage order).
-                let mut hashes: Vec<u64> = set.iter().collect();
-                hashes.sort_unstable();
-                for h in hashes {
-                    put_varint(out, h);
-                }
+                // Sorted for canonical output (sets iterate in storage order).
+                for_each_sorted::<_, _, SMALL_INLINE>(
+                    set.len(),
+                    set.iter(),
+                    |h| *h,
+                    |h| put_varint(out, h),
+                );
             }
             Distinct::Approx(hll) => {
                 out.push(1);
@@ -283,13 +328,16 @@ impl Wire for SpaceSaving<u64> {
         put_varint(out, self.capacity() as u64);
         put_varint(out, self.total());
         put_varint(out, self.len() as u64);
-        let mut items: Vec<(u64, Counter)> = self.iter().map(|(k, c)| (*k, *c)).collect();
-        items.sort_unstable_by_key(|(k, _)| *k);
-        for (k, c) in items {
-            put_varint(out, k);
-            put_varint(out, c.count);
-            put_varint(out, c.error);
-        }
+        for_each_sorted::<_, _, INLINE_SLOTS>(
+            self.len(),
+            self.iter().map(|(k, c)| (*k, *c)),
+            |(k, _)| *k,
+            |(k, c)| {
+                put_varint(out, k);
+                put_varint(out, c.count);
+                put_varint(out, c.error);
+            },
+        );
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {

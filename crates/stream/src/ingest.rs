@@ -20,20 +20,21 @@
 //! [`pol_core::project::project_trip`] per finalized trip — so the
 //! retained per-vessel cell points equal the batch intermediates, and
 //! [`StreamEngine::close`] reproduces the batch inventory byte for byte
-//! via [`fold_projected`].
+//! via [`fold_shared`].
 
 use pol_ais::types::{MarketSegment, Mmsi};
 use pol_ais::{PositionReport, StaticReport};
 use pol_core::clean::{enrich_one, segment_lookup, VesselCleaner};
-use pol_core::fused::fold_projected;
+use pol_core::fused::fold_shared;
 use pol_core::project::project_trip;
 use pol_core::records::{CellPoint, EnrichedReport, PortSite, TripPoint};
 use pol_core::trips::{Geofence, TripTracker};
 use pol_core::{Inventory, PipelineConfig, PipelineError};
 use pol_engine::Engine;
-use pol_hexgrid::CellIndex;
+use pol_hexgrid::{CellIndex, Resolution};
 use pol_sketch::hash::FxHashMap;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Tunables of the streaming ingestion layer.
 #[derive(Clone, Debug)]
@@ -95,9 +96,13 @@ struct VesselSession {
     /// at a time; cleared after projection).
     trip_buf: Vec<TripPoint>,
     cell_scratch: Vec<CellIndex>,
-    /// Every projected cell point, in emission order — the vessel's
-    /// contribution to [`fold_projected`] at close.
-    retained: Vec<CellPoint>,
+    /// The grid resolution trips are projected at.
+    resolution: Resolution,
+    /// Every projected cell point, in emission order. A window cut and
+    /// the close share it with [`fold_shared`]'s tasks instead of copying;
+    /// the tasks are done with it when the fold returns, so appending the
+    /// next trip (`Arc::make_mut`) copies nothing.
+    retained: Arc<Vec<CellPoint>>,
     /// Start of the current delta window within `retained`.
     window_mark: usize,
     /// Times the tracker discarded a non-empty open passage (at a port
@@ -132,20 +137,15 @@ impl VesselSession {
             tracker: TripTracker::new(cfg.pipeline.min_trip_points),
             trip_buf: Vec::new(),
             cell_scratch: Vec::new(),
-            retained: Vec::new(),
+            resolution: cfg.pipeline.resolution,
+            retained: Arc::default(),
             window_mark: 0,
             passage_restarts: 0,
         }
     }
 
     /// Feeds one released record through clean → segment → project.
-    fn feed(
-        &mut self,
-        r: EnrichedReport,
-        geofence: &Geofence,
-        pipeline: &PipelineConfig,
-        counters: &mut IngestCounters,
-    ) {
+    fn feed(&mut self, r: EnrichedReport, geofence: &Geofence, counters: &mut IngestCounters) {
         self.frontier = self.frontier.max(r.timestamp);
         counters.released += 1;
         let Some(survivor) = self.cleaner.push(r) else {
@@ -160,31 +160,33 @@ impl VesselSession {
         if finalized {
             counters.trips_finalized += 1;
             counters.trip_points += self.trip_buf.len() as u64;
-            project_trip(
-                &self.trip_buf,
-                pipeline.resolution,
-                &mut self.cell_scratch,
-                &mut self.retained,
-            );
-            self.trip_buf.clear();
+            self.project_finalized();
         }
+    }
+
+    /// Projects the trip the tracker just finalized onto the grid, behind
+    /// the points retained so far. Kept out of line: it runs once a trip,
+    /// `feed` once a record.
+    #[inline(never)]
+    fn project_finalized(&mut self) {
+        project_trip(
+            &self.trip_buf,
+            self.resolution,
+            &mut self.cell_scratch,
+            Arc::make_mut(&mut self.retained),
+        );
+        self.trip_buf.clear();
     }
 
     /// Releases every buffered record at or below `watermark`, in key
     /// order.
-    fn release(
-        &mut self,
-        watermark: i64,
-        geofence: &Geofence,
-        pipeline: &PipelineConfig,
-        counters: &mut IngestCounters,
-    ) {
+    fn release(&mut self, watermark: i64, geofence: &Geofence, counters: &mut IngestCounters) {
         while let Some(entry) = self.buffer.first_entry() {
             if entry.key().0 > watermark {
                 break;
             }
             let (_, r) = entry.remove_entry();
-            self.feed(r, geofence, pipeline, counters);
+            self.feed(r, geofence, counters);
         }
     }
 }
@@ -275,12 +277,7 @@ impl StreamEngine {
             .or_insert_with(|| VesselSession::new(&self.cfg));
         // Drain first so the new record is ordered against everything
         // the advanced watermark just finalized.
-        session.release(
-            watermark,
-            &self.geofence,
-            &self.cfg.pipeline,
-            &mut self.counters,
-        );
+        session.release(watermark, &self.geofence, &mut self.counters);
         if e.timestamp < session.frontier {
             self.counters.late_dropped += 1;
             return;
@@ -289,7 +286,7 @@ impl StreamEngine {
             // Already final and not behind the frontier: everything
             // still buffered is above the watermark, so feeding now is
             // key order.
-            session.feed(e, &self.geofence, &self.cfg.pipeline, &mut self.counters);
+            session.feed(e, &self.geofence, &mut self.counters);
             return;
         }
         self.arrival_seq += 1;
@@ -300,14 +297,13 @@ impl StreamEngine {
     /// watermark — the barrier before a delta snapshot, so the window
     /// reflects one consistent watermark point.
     pub fn drain_to_watermark(&mut self) {
-        let watermark = self.watermark();
+        self.release_to(self.watermark());
+    }
+
+    /// Releases every vessel's buffered records at or below `watermark`.
+    fn release_to(&mut self, watermark: i64) {
         for session in self.sessions.values_mut() {
-            session.release(
-                watermark,
-                &self.geofence,
-                &self.cfg.pipeline,
-                &mut self.counters,
-            );
+            session.release(watermark, &self.geofence, &mut self.counters);
         }
     }
 
@@ -319,18 +315,17 @@ impl StreamEngine {
     /// crate docs).
     pub fn take_window_delta(&mut self, engine: &Engine) -> Result<Inventory, PipelineError> {
         self.drain_to_watermark();
-        let mut per_vessel: Vec<(u32, Vec<CellPoint>)> = Vec::new();
-        let mut window_points = 0u64;
+        let mut per_vessel = Vec::new();
+        let mut window_points = 0;
         for (mmsi, session) in self.sessions.iter_mut() {
-            let fresh = &session.retained[session.window_mark..];
-            if fresh.is_empty() {
-                continue;
+            let total = session.retained.len();
+            if session.window_mark < total {
+                let from = std::mem::replace(&mut session.window_mark, total);
+                window_points += (total - from) as u64;
+                per_vessel.push((*mmsi, Arc::clone(&session.retained), from));
             }
-            window_points += fresh.len() as u64;
-            per_vessel.push((*mmsi, fresh.to_vec()));
-            session.window_mark = session.retained.len();
         }
-        fold_projected(engine, &self.cfg.pipeline, per_vessel, window_points)
+        fold_shared(engine, &self.cfg.pipeline, per_vessel, window_points)
     }
 
     /// Every session as a checkpoint reads it, in no particular order.
@@ -478,7 +473,8 @@ impl StreamEngine {
                 ),
                 trip_buf: Vec::new(),
                 cell_scratch: Vec::new(),
-                retained: s.retained,
+                resolution: engine.cfg.pipeline.resolution,
+                retained: Arc::new(s.retained),
                 window_mark,
                 passage_restarts: 0,
             };
@@ -491,23 +487,16 @@ impl StreamEngine {
 
     /// Closes the stream: treats the watermark as infinite, drains and
     /// finalizes everything, and folds all retained cell points into
-    /// the final inventory via [`fold_projected`] — byte-identical to
+    /// the final inventory via [`fold_shared`] — byte-identical to
     /// the batch build over the same records.
     pub fn close(mut self, engine: &Engine) -> Result<StreamOutput, PipelineError> {
-        for session in self.sessions.values_mut() {
-            session.release(
-                i64::MAX,
-                &self.geofence,
-                &self.cfg.pipeline,
-                &mut self.counters,
-            );
-        }
-        let per_vessel: Vec<(u32, Vec<CellPoint>)> = self
+        self.release_to(i64::MAX);
+        let per_vessel = self
             .sessions
             .into_iter()
-            .map(|(mmsi, s)| (mmsi, s.retained))
+            .map(|(mmsi, s)| (mmsi, s.retained, 0))
             .collect();
-        let inventory = fold_projected(
+        let inventory = fold_shared(
             engine,
             &self.cfg.pipeline,
             per_vessel,

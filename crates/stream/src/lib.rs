@@ -42,7 +42,7 @@
 //!    `TripTracker` → `project_trip` state machines the batch fold
 //!    uses, so the retained per-vessel cell points match the batch
 //!    intermediates record for record;
-//! 3. [`pol_core::fused::fold_projected`] replays the fused executor's
+//! 3. [`pol_core::fused::fold_shared`] replays the fused executor's
 //!    scatter/morsel/radix-merge ordering over those points, which is
 //!    pinned byte-identical to [`pol_core::run_fused`] in pol-core's
 //!    own tests.
