@@ -97,8 +97,18 @@ run_gate() {
     echo "ci: bench-smoke serve.wakeups_per_request=${bench_wakeups:-missing}, want < 0.05" >&2
     exit 1
   fi
-  # BATCHx32 frames of scans, ETA and prediction through the worker pool.
+  # BATCHx32 frames of scans, ETA and prediction through the worker
+  # pool: a scan is written from where it was sorted and an estimate
+  # decodes the fields it reads, so a frame allocates for its replies and
+  # little else (473 allocations a frame when every lookup decoded a
+  # whole summary and every scan went through four lists and a cache,
+  # 121 since). A count: it does not depend on the box's mood.
   bench_smoke serve_heavy
+  bench_allocs=$(bench_row proc.allocs_per_kop)
+  if ! awk -v a="${bench_allocs:-250000}" 'BEGIN { exit !(a < 250000) }'; then
+    echo "ci: bench-smoke proc.allocs_per_kop=${bench_allocs:-missing}, want < 250000" >&2
+    exit 1
+  fi
 
   echo "==> chaos smoke (fault-injected persistence + serving + journaling)"
   cargo test -q -p pol-core --features chaos --test codec_chaos

@@ -54,7 +54,8 @@ impl<'a, I: InventoryQuery> DestinationPredictor<'a, I> {
                 .or_else(|| self.inventory.summary(cell)),
             None => self.inventory.summary(cell),
         };
-        let Some(stats) = stats else {
+        // An entry whose bytes do not decode votes like an absent one.
+        let Some(Ok(destinations)) = stats.map(|s| s.destinations()) else {
             return false;
         };
         // Decay the running tally, then add this cell's normalised votes.
@@ -62,13 +63,13 @@ impl<'a, I: InventoryQuery> DestinationPredictor<'a, I> {
             *v *= self.decay;
         }
         self.observations += 1;
-        let top = stats.top_destinations(8);
-        let total: u64 = top.iter().map(|(_, c)| *c).sum();
+        let top = destinations.top(8);
+        let total: u64 = top.iter().map(|(_, c)| c.count).sum();
         if total == 0 {
             return false;
         }
-        for (port, count) in top {
-            *self.scores.entry(port).or_insert(0.0) += count as f64 / total as f64;
+        for (port, c) in top {
+            *self.scores.entry(port as u16).or_insert(0.0) += c.count as f64 / total as f64;
         }
         true
     }

@@ -9,10 +9,9 @@
 //! exact cell is unseen.
 
 use pol_ais::types::MarketSegment;
-use pol_core::{CellStats, Inventory, InventoryQuery};
+use pol_core::{Inventory, InventoryQuery, Summary};
 use pol_geo::{haversine_km, LatLon};
 use pol_hexgrid::{cell_at, grid_disk, CellIndex};
-use std::borrow::Cow;
 
 /// An ETA estimate with its uncertainty band.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -29,6 +28,70 @@ pub struct EtaEstimate {
     pub samples: u64,
     /// How many rings of neighbouring cells were widened to (0 = exact).
     pub widened: u32,
+}
+
+/// ATA statistics merged over the cells looked up so far, each at the
+/// most specific key level it has: sample-weighted sums. The weighted
+/// sums start from what `Iterator::sum` starts from (-0.0, the identity
+/// that leaves a lone -0.0 term as it is).
+struct Merged {
+    mean_sum: f64,
+    samples: u64,
+    weight: f64,
+    /// p10, p50, p90, each times its cell's sample count.
+    quantile_sums: [f64; 3],
+}
+
+impl Default for Merged {
+    fn default() -> Self {
+        Merged {
+            mean_sum: 0.0,
+            samples: 0,
+            weight: -0.0,
+            quantile_sums: [-0.0; 3],
+        }
+    }
+}
+
+impl Merged {
+    /// Folds in one cell's arrival statistics; an absent cell, one
+    /// without arrivals or one whose bytes do not decode adds nothing.
+    fn add(&mut self, summary: Option<Summary<'_>>) {
+        let Some(Ok((ata, mut q))) = summary.map(|s| s.arrival()) else {
+            return;
+        };
+        let n = ata.count();
+        if n == 0 {
+            return;
+        }
+        self.mean_sum += ata.mean().unwrap_or(0.0) * n as f64;
+        self.samples += n;
+        if let (Some(p10), Some(p50), Some(p90)) =
+            (q.quantile(0.1), q.quantile(0.5), q.quantile(0.9))
+        {
+            self.weight += n as f64;
+            for (sum, p) in self.quantile_sums.iter_mut().zip([p10, p50, p90]) {
+                *sum += p * n as f64;
+            }
+        }
+    }
+
+    /// The estimate over what has been folded in, `None` until some
+    /// cell had arrivals with quantiles.
+    fn estimate(&self, widened: u32) -> Option<EtaEstimate> {
+        if self.samples == 0 || self.weight <= 0.0 {
+            return None;
+        }
+        let [p10_secs, p50_secs, p90_secs] = self.quantile_sums.map(|sum| sum / self.weight);
+        Some(EtaEstimate {
+            mean_secs: self.mean_sum / self.samples as f64,
+            p10_secs,
+            p50_secs,
+            p90_secs,
+            samples: self.samples,
+            widened,
+        })
+    }
 }
 
 /// The inventory-backed ETA estimator.
@@ -63,60 +126,36 @@ impl<'a, I: InventoryQuery> EtaEstimator<'a, I> {
         route: Option<(u16, u16)>,
     ) -> Option<EtaEstimate> {
         let cell = cell_at(pos, self.inventory.resolution());
+        let mut merged = Merged::default();
+        // The cell itself first — the path every hit takes — then one
+        // ring at a time: a disk lists its cells nearest first, so the
+        // cells past the previous disk's are the new ring, and each is
+        // looked up once however far the estimate widens.
+        merged.add(self.lookup(cell, segment, route));
+        let mut seen = 1;
         for k in 0..=self.max_widening {
-            let ring = grid_disk(cell, k);
-            // Merge ATA stats across the ring at the most specific
-            // available key level.
-            let mut best: Option<EtaEstimate> = None;
-            let mut agg_mean = 0.0f64;
-            let mut agg_n = 0u64;
-            let mut qs: Vec<(f64, f64, f64, u64)> = Vec::new();
-            for c in ring {
-                if let Some(stats) = self.lookup(c, segment, route) {
-                    if stats.ata.count() == 0 {
-                        continue;
-                    }
-                    let n = stats.ata.count();
-                    agg_mean += stats.ata.mean().unwrap_or(0.0) * n as f64;
-                    agg_n += n;
-                    let mut q = stats.ata_q.clone();
-                    if let (Some(p10), Some(p50), Some(p90)) =
-                        (q.quantile(0.1), q.quantile(0.5), q.quantile(0.9))
-                    {
-                        qs.push((p10, p50, p90, n));
-                    }
+            if k > 0 {
+                let disk = grid_disk(cell, k);
+                for c in disk.iter().skip(seen) {
+                    merged.add(self.lookup(*c, segment, route));
                 }
+                seen = disk.len();
             }
-            if agg_n > 0 && !qs.is_empty() {
-                let wsum: f64 = qs.iter().map(|q| q.3 as f64).sum();
-                let wavg = |f: fn(&(f64, f64, f64, u64)) -> f64| {
-                    qs.iter().map(|q| f(q) * q.3 as f64).sum::<f64>() / wsum
-                };
-                best = Some(EtaEstimate {
-                    mean_secs: agg_mean / agg_n as f64,
-                    p10_secs: wavg(|q| q.0),
-                    p50_secs: wavg(|q| q.1),
-                    p90_secs: wavg(|q| q.2),
-                    samples: agg_n,
-                    widened: k,
-                });
-            }
-            if best.is_some() {
-                return best;
+            if let Some(estimate) = merged.estimate(k) {
+                return Some(estimate);
             }
         }
         None
     }
 
-    /// Most specific grouping-set entry for a cell. `Cow` because a
-    /// mapped store decodes the stats on demand (owned) while the heap
-    /// inventory hands back a borrow — see [`InventoryQuery`].
+    /// Most specific grouping-set entry for a cell, as the store holds
+    /// it — see [`InventoryQuery`].
     fn lookup(
         &self,
         cell: CellIndex,
         segment: Option<MarketSegment>,
         route: Option<(u16, u16)>,
-    ) -> Option<Cow<'_, CellStats>> {
+    ) -> Option<Summary<'_>> {
         if let (Some(seg), Some((o, d))) = (segment, route) {
             if let Some(s) = self.inventory.summary_route(cell, o, d, seg) {
                 return Some(s);

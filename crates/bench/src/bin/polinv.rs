@@ -7,7 +7,7 @@
 //! polinv verify <inv.pol>
 //! polinv query <inv.pol> <lat> <lon> [--segment container|tanker|...]
 //! polinv top-dest <inv.pol> <LOCODE>
-//! polinv serve <inv.pol> [--addr 127.0.0.1:0] [--workers 8] [--cache 256]
+//! polinv serve <inv.pol> [--addr 127.0.0.1:0] [--workers 8]
 //! ```
 //!
 //! `build` writes one POLINV3 (columnar) file, and that file is what
@@ -47,7 +47,7 @@ fn usage() -> ExitCode {
          polinv verify <file>\n  \
          polinv query <file> <lat> <lon> [--segment <name>]\n  \
          polinv top-dest <file> <LOCODE>\n  \
-         polinv serve <file> [--addr HOST:PORT] [--workers N] [--cache N]"
+         polinv serve <file> [--addr HOST:PORT] [--workers N]"
     );
     ExitCode::from(2)
 }
@@ -330,9 +330,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         worker_threads: parse_flag(args, "--workers")
             .and_then(|v| v.parse().ok())
             .unwrap_or(8),
-        cache_capacity: parse_flag(args, "--cache")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256),
         ..pol_serve::ServerConfig::default()
     };
     // start_snapshot sniffs the format: a POLINV3 file is memory-mapped

@@ -37,7 +37,8 @@ use crate::features::{CellStats, GroupKey};
 use crate::inventory::Inventory;
 use pol_ais::types::MarketSegment;
 use pol_hexgrid::CellIndex;
-use pol_sketch::wire::{get_varint, put_varint, Wire, WireError};
+use pol_sketch::wire::{get_varint, put_varint, skip_varint, Wire, WireError};
+use pol_sketch::{AngleHistogram, Circular, Distinct, GkSketch, SpaceSaving, Welford};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -198,6 +199,43 @@ pub fn decode_cell_stats(input: &mut &[u8]) -> Result<CellStats, WireError> {
         destinations: Wire::decode(input)?,
         transitions: Wire::decode(input)?,
     })
+}
+
+/// Walks `input` past the fields [`encode_cell_stats`] writes before
+/// `ata`: every length is read and bounds-checked as a decode would,
+/// nothing is built.
+fn skip_to_ata(input: &mut &[u8]) -> Result<(), WireError> {
+    skip_varint(input)?; // records
+    Distinct::skip(input)?; // ships
+    Distinct::skip(input)?; // trips
+    Welford::skip(input)?; // speed
+    GkSketch::skip(input)?; // speed_q
+    Circular::skip(input)?; // course
+    AngleHistogram::skip(input)?; // course_bins
+    Circular::skip(input)?; // heading
+    AngleHistogram::skip(input)?; // heading_bins
+    Welford::skip(input)?; // eto
+    GkSketch::skip(input) // eto_q
+}
+
+/// The `ata` and `ata_q` fields of an encoded [`CellStats`] — what an
+/// ETA estimate reads — equal to those of [`decode_cell_stats`] on the
+/// same bytes. The eleven fields before them are walked past and the
+/// three after them are not looked at.
+pub fn decode_arrival(mut input: &[u8]) -> Result<(Welford, GkSketch), WireError> {
+    skip_to_ata(&mut input)?;
+    Ok((Wire::decode(&mut input)?, Wire::decode(&mut input)?))
+}
+
+/// The `destinations` field of an encoded [`CellStats`] — what a
+/// destination prediction reads — equal to that of
+/// [`decode_cell_stats`] on the same bytes.
+pub fn decode_destinations(mut input: &[u8]) -> Result<SpaceSaving<u64>, WireError> {
+    skip_to_ata(&mut input)?;
+    Welford::skip(&mut input)?; // ata
+    GkSketch::skip(&mut input)?; // ata_q
+    SpaceSaving::<u64>::skip(&mut input)?; // origins
+    Wire::decode(&mut input)
 }
 
 /// Distinguishes temp files of concurrent saves within one process.

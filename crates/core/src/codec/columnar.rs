@@ -187,6 +187,15 @@ fn le_f64(b: &[u8]) -> Option<f64> {
     Some(f64::from_le_bytes(b.get(..8)?.try_into().ok()?))
 }
 
+/// The rows of a fixed-stride section from row `from` on ([`Layout::parse`]
+/// checked that the rows tile the section); none when `from` is past them.
+fn rows_from(rows: &[u8], from: usize, stride: usize) -> std::slice::ChunksExact<'_, u8> {
+    from.checked_mul(stride)
+        .and_then(|at| rows.get(at..))
+        .unwrap_or_default()
+        .chunks_exact(stride)
+}
+
 /// One decoded lat-index row: `(centre lat, centre lon, raw cell)`.
 fn lat_row(rows: &[u8], i: usize) -> Option<(f64, f64, u64)> {
     let stride = SectionKind::LatIndex.stride();
@@ -684,6 +693,11 @@ impl<'a> LatIndexReader<'a> {
         lat_row(self.rows, i)
     }
 
+    /// The rows from `i` on, in latitude order, read as one slice.
+    pub fn rows_from(&self, i: usize) -> impl Iterator<Item = (f64, f64, u64)> + 'a {
+        rows_from(self.rows, i, SectionKind::LatIndex.stride()).filter_map(|row| lat_row(row, 0))
+    }
+
     /// The first row whose latitude is `>= lat` — the start of a
     /// latitude-band scan.
     pub fn lower_bound_lat(&self, lat: f64) -> usize {
@@ -765,28 +779,18 @@ impl<'a> TopDestReader<'a> {
         lo
     }
 
-    /// All cells whose top destination is `dest` under segment byte
-    /// `segment` ([`TOP_DEST_ALL_SEGMENTS`] for the all-segments
-    /// grouping), in ascending cell order.
-    pub fn cells_for(&self, dest: u16, segment: u8) -> Vec<u64> {
-        let mut prefix = [0u8; 3];
-        prefix[..2].copy_from_slice(&dest.to_be_bytes());
-        // lint: allow(no_unwrap) — constant index into `[u8; 3]`; rustc
-        // rejects an out-of-bounds constant at compile time.
-        prefix[2] = segment;
-        let mut out = Vec::new();
-        let mut i = self.lower_bound(&prefix);
-        while let Some(row) = self.row_bytes(i) {
-            match row.get(..3) {
-                Some(head) if head == prefix => {}
-                _ => break,
-            }
-            if let Some(cell) = be_u64(row.get(3..).unwrap_or(&[])) {
-                out.push(cell);
-            }
-            i += 1;
-        }
-        out
+    /// Hands `emit` every cell whose top destination is `dest` under
+    /// segment byte `segment` ([`TOP_DEST_ALL_SEGMENTS`] for the
+    /// all-segments grouping), in ascending cell order: the rows from
+    /// the first with that prefix to the last, read as one slice.
+    pub fn cells_for(&self, dest: u16, segment: u8, emit: impl FnMut(u64)) {
+        let [dest_hi, dest_lo] = dest.to_be_bytes();
+        let prefix = [dest_hi, dest_lo, segment];
+        let from = self.lower_bound(&prefix);
+        rows_from(self.rows, from, SectionKind::TopDest.stride())
+            .map_while(|row| row.strip_prefix(&prefix))
+            .filter_map(be_u64)
+            .for_each(emit);
     }
 }
 
@@ -1210,8 +1214,13 @@ mod tests {
         assert!(reader.len() > 0);
         // Every (dest, segment) combination the sample can produce, plus
         // one that cannot exist.
+        let cells_for = |dest, segment| {
+            let mut cells = Vec::new();
+            reader.cells_for(dest, segment, |cell| cells.push(cell));
+            cells
+        };
         for dest in 0..6u16 {
-            let got = reader.cells_for(dest, TOP_DEST_ALL_SEGMENTS);
+            let got = cells_for(dest, TOP_DEST_ALL_SEGMENTS);
             let mut want: Vec<u64> = inv
                 .cells_with_top_destination(dest, None)
                 .iter()
@@ -1221,7 +1230,7 @@ mod tests {
             assert_eq!(got, want, "all-segments dest {dest}");
             for seg_id in 0..6u8 {
                 let seg = MarketSegment::from_id(seg_id).unwrap();
-                let got = reader.cells_for(dest, seg_id);
+                let got = cells_for(dest, seg_id);
                 let mut want: Vec<u64> = inv
                     .cells_with_top_destination(dest, Some(seg))
                     .iter()
@@ -1231,7 +1240,7 @@ mod tests {
                 assert_eq!(got, want, "dest {dest} segment {seg_id}");
             }
         }
-        assert!(reader.cells_for(999, TOP_DEST_ALL_SEGMENTS).is_empty());
+        assert!(cells_for(999, TOP_DEST_ALL_SEGMENTS).is_empty());
     }
 
     #[test]

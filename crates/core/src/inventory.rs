@@ -1,13 +1,15 @@
 //! The global inventory: the compact, queryable data model the paper
 //! delivers, with the Table-4 coverage/compression accounting.
 
+use crate::codec::{decode_arrival, decode_cell_stats, decode_destinations, encode_cell_stats};
 use crate::features::{CellStats, GroupKey, GroupingSet};
 use pol_ais::types::MarketSegment;
 use pol_engine::Dataset;
 use pol_geo::BBox;
 use pol_hexgrid::{cell_center, num_cells, CellIndex, Resolution};
 use pol_sketch::hash::FxHashMap;
-use pol_sketch::MergeSketch;
+use pol_sketch::wire::WireError;
+use pol_sketch::{GkSketch, MergeSketch, SpaceSaving, Welford};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -28,6 +30,70 @@ pub struct CoverageReport {
     pub utilization: f64,
 }
 
+/// A summary as its store holds it, borrowed: a heap entry's decoded
+/// statistics, or a mapped entry's canonical [`encode_cell_stats`]
+/// bytes. A reader asks for the fields it reads — on encoded bytes a
+/// projection walks past the fields before them and decodes only those —
+/// and a reply takes the whole summary without building, cloning or
+/// re-encoding a [`CellStats`].
+///
+/// The projections fail only on encoded bytes no encoder wrote (a store
+/// checks its file's CRCs before serving from it); the estimators treat
+/// such an entry as absent.
+#[derive(Clone, Copy, Debug)]
+pub enum Summary<'a> {
+    /// A heap inventory's entry.
+    Stats(&'a CellStats),
+    /// A mapped snapshot's entry, encoded.
+    Encoded(&'a [u8]),
+}
+
+impl<'a> Summary<'a> {
+    /// Time-to-arrival moments and quantile sketch (`ata`, `ata_q`):
+    /// what an ETA estimate reads. The sketch is owned because a
+    /// quantile query flushes it.
+    pub fn arrival(&self) -> Result<(Welford, GkSketch), WireError> {
+        match *self {
+            Summary::Stats(stats) => Ok((stats.ata.clone(), stats.ata_q.clone())),
+            Summary::Encoded(bytes) => decode_arrival(bytes),
+        }
+    }
+
+    /// The destination heavy hitters: what a destination prediction
+    /// reads.
+    pub fn destinations(&self) -> Result<Cow<'a, SpaceSaving<u64>>, WireError> {
+        match *self {
+            Summary::Stats(stats) => Ok(Cow::Borrowed(&stats.destinations)),
+            Summary::Encoded(bytes) => decode_destinations(bytes).map(Cow::Owned),
+        }
+    }
+
+    /// Every field, owned: the full decode, for a caller that wants the
+    /// whole summary.
+    pub fn to_stats(&self) -> Result<CellStats, WireError> {
+        match *self {
+            Summary::Stats(stats) => Ok(stats.clone()),
+            Summary::Encoded(mut bytes) => {
+                let stats = decode_cell_stats(&mut bytes)?;
+                if bytes.is_empty() {
+                    Ok(stats)
+                } else {
+                    Err(WireError("trailing bytes after cell stats"))
+                }
+            }
+        }
+    }
+
+    /// Appends the summary's canonical encoding: a copy of a mapped
+    /// entry's bytes, [`encode_cell_stats`] of a heap entry.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            Summary::Stats(stats) => encode_cell_stats(stats, out),
+            Summary::Encoded(bytes) => out.extend_from_slice(bytes),
+        }
+    }
+}
+
 /// The point-lookup query surface shared by every inventory-shaped store.
 ///
 /// The §4 use cases (ETA estimation, destination prediction) only need
@@ -36,17 +102,16 @@ pub struct CoverageReport {
 /// against the in-memory [`Inventory`] *and* against serving-side stores
 /// (e.g. `pol-serve`'s mmap-backed columnar store).
 ///
-/// Lookups return [`Cow`] so heap stores stay zero-copy
-/// (`Cow::Borrowed` straight out of their maps) while zero-*deserialize*
-/// stores — which decode a summary on demand from mapped file bytes —
-/// can hand back `Cow::Owned` through the same surface.
+/// Lookups return a borrowed [`Summary`]: a heap store hands out the
+/// entry in its map, a mapped store the entry's bytes in the file, and
+/// neither decodes anything the caller does not read.
 pub trait InventoryQuery {
     /// The store's grid resolution.
     fn resolution(&self) -> Resolution;
     /// The all-traffic summary of a cell.
-    fn summary(&self, cell: CellIndex) -> Option<Cow<'_, CellStats>>;
+    fn summary(&self, cell: CellIndex) -> Option<Summary<'_>>;
     /// The per-vessel-type summary of a cell.
-    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Cow<'_, CellStats>>;
+    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Summary<'_>>;
     /// The per-route summary of a cell.
     fn summary_route(
         &self,
@@ -54,7 +119,7 @@ pub trait InventoryQuery {
         origin: u16,
         dest: u16,
         segment: MarketSegment,
-    ) -> Option<Cow<'_, CellStats>>;
+    ) -> Option<Summary<'_>>;
 }
 
 impl InventoryQuery for Inventory {
@@ -62,12 +127,12 @@ impl InventoryQuery for Inventory {
         Inventory::resolution(self)
     }
 
-    fn summary(&self, cell: CellIndex) -> Option<Cow<'_, CellStats>> {
-        Inventory::summary(self, cell).map(Cow::Borrowed)
+    fn summary(&self, cell: CellIndex) -> Option<Summary<'_>> {
+        Inventory::summary(self, cell).map(Summary::Stats)
     }
 
-    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Cow<'_, CellStats>> {
-        Inventory::summary_for(self, cell, segment).map(Cow::Borrowed)
+    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Summary<'_>> {
+        Inventory::summary_for(self, cell, segment).map(Summary::Stats)
     }
 
     fn summary_route(
@@ -76,8 +141,8 @@ impl InventoryQuery for Inventory {
         origin: u16,
         dest: u16,
         segment: MarketSegment,
-    ) -> Option<Cow<'_, CellStats>> {
-        Inventory::summary_route(self, cell, origin, dest, segment).map(Cow::Borrowed)
+    ) -> Option<Summary<'_>> {
+        Inventory::summary_route(self, cell, origin, dest, segment).map(Summary::Stats)
     }
 }
 

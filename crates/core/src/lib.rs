@@ -46,6 +46,6 @@ pub use config::PipelineConfig;
 pub use error::PipelineError;
 pub use features::{CellStats, GroupKey, GroupingSet};
 pub use fused::run_fused;
-pub use inventory::{CoverageReport, Inventory, InventoryQuery};
+pub use inventory::{CoverageReport, Inventory, InventoryQuery, Summary};
 pub use pipeline::{run, PipelineOutput, StageCounts};
 pub use records::{CellPoint, PortSite, TripPoint};

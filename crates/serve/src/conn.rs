@@ -1,31 +1,36 @@
 //! Per-connection state machine for the reactor core.
 //!
-//! A reactor connection is a pair of pumps over a nonblocking socket.
-//! The *read side* takes one `read` per readiness event into a buffer
-//! the loop owns and lends ([`READ_SCRATCH_BYTES`], one per loop, not
-//! per connection) and slices every complete request payload straight
-//! out of it; the connection itself keeps only what that read left
-//! unfinished — normally the head of a partial frame, and, when its
-//! pending queue is full, the frames it may not take yet. The *write
-//! side* drains a [`WriteBuffer`] that resumes cleanly from partial
-//! writes (`EAGAIN` after `n` of `m` bytes), so a frame is never
+//! A reactor connection is a pair of pumps over a nonblocking socket and,
+//! between them, the replies it is owed. The *read side* takes one
+//! `read` per readiness event into a buffer the loop owns and lends
+//! ([`READ_SCRATCH_BYTES`], one per loop, not per connection) and slices
+//! every complete request payload straight out of it; the connection
+//! itself keeps only what that read left unfinished — normally the head
+//! of a partial frame, and, while it may take no more frames, the frames
+//! it has read but not taken. The *reply sequencer* gives every taken
+//! frame a slot in request order: a frame on the worker pool leaves its
+//! slot empty until its completion fills it, whatever order completions
+//! arrive in, and replies reach the write side strictly from the front.
+//! The *write side* drains a [`WriteBuffer`] that resumes cleanly from
+//! partial writes (`EAGAIN` after `n` of `m` bytes), so a frame is never
 //! interleaved with or truncated by a slow-draining peer.
 //!
 //! Everything here is transport-generic (`Read`/`Write` bounds, no
 //! sockets), which is what makes the state machine unit-testable: the
 //! tests below drive it over deliberately fragmenting transports that
-//! return one byte at a time, inject `Interrupted`, and starve writes
-//! with `WouldBlock` mid-frame.
+//! return one byte at a time, inject `Interrupted`, starve writes with
+//! `WouldBlock` mid-frame, and complete pool frames in any order.
 
+use crate::metrics::Endpoint;
 use crate::proto::{split_frame, ProtoError, DEFAULT_MAX_FRAME_BYTES};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Pending frames a single connection may queue behind its in-flight
-/// request before the loop stops reading from it (kernel-buffer
-/// backpressure: the bytes stay in the socket until the pipeline
-/// drains).
+/// Replies a single connection may be owed — frames taken off the wire
+/// whose replies wait on a worker or on a reply ahead of them — before
+/// the loop stops reading from it (kernel-buffer backpressure: the bytes
+/// stay in the socket until the pipeline drains).
 pub const MAX_PENDING_FRAMES: usize = 32;
 
 /// Size of the read buffer the event loop lends to whichever connection
@@ -153,15 +158,25 @@ pub enum ReadEvent {
     Failed,
 }
 
-/// A complete request payload waiting its turn behind the connection's
-/// in-flight request.
+/// One taken frame's place in the reply order.
 #[derive(Debug)]
-pub struct PendingFrame {
-    /// The frame's payload bytes.
+struct Slot {
+    /// The reply, once there is one.
+    reply: Option<Reply>,
+    /// Whether the frame went to the pool ([`ConnState::begin`]).
+    pooled: bool,
+}
+
+/// One frame's encoded reply waiting for its turn to be written.
+#[derive(Debug)]
+pub struct Reply {
+    /// The encoded response payload.
     pub payload: Vec<u8>,
-    /// When the read that completed the frame returned: where the
-    /// server's latency clock for this request starts.
-    pub completed: Instant,
+    /// The endpoint to account the request under and the instant its
+    /// frame completed on the loop — where the server's latency clock
+    /// for it started; `None` for a reply that is not a served request
+    /// (a shed `Busy`, a typed framing error).
+    pub account: Option<(Endpoint, Instant)>,
 }
 
 /// Receives each complete frame of a pass: the connection it arrived
@@ -172,16 +187,27 @@ pub type FrameSink<'a> = &'a mut dyn FnMut(&mut ConnState, &[u8], Instant);
 /// The per-connection state the reactor keeps per registered socket.
 pub struct ConnState {
     /// Bytes received but not yet handed out as frames: the head of a
-    /// partial frame, or — when the pending queue was full mid-read —
-    /// everything from the first frame not taken.
+    /// partial frame, or — when reading paused mid-read — everything
+    /// from the first frame not taken.
     carry: Vec<u8>,
-    /// Complete request payloads queued behind the in-flight one.
-    pub pending: VecDeque<PendingFrame>,
-    /// A request from this connection is executing on the worker pool.
-    pub in_flight: bool,
+    /// The reply sequencer: one slot per frame taken off the wire whose
+    /// reply has not reached the outbox, in request order; a slot is
+    /// empty while its frame runs on the pool. The protocol has no
+    /// request ids, so replies leave from the front only.
+    owed: VecDeque<Slot>,
+    /// Sequence number of the front slot: frames are numbered as they
+    /// are taken, so a completion finds its slot at `seq - first_seq`.
+    first_seq: u64,
+    /// Slots of frames that went to the pool, running or finished.
+    pooled: usize,
+    /// How many of this connection's frames may be between handed to the
+    /// pool and answered: the pool's width — one connection can keep
+    /// every worker busy, and no more replies than that can be finished
+    /// and waiting when a slow one ahead of them lets them go.
+    pool_width: usize,
     /// Buffered response bytes awaiting socket writability.
     pub outbox: WriteBuffer,
-    /// Close once the outbox drains (malformed peer, shed follow-up).
+    /// Close once every owed reply has been written (malformed peer).
     pub close_after_flush: bool,
     /// Peer sent EOF; no more reads, close when idle.
     pub peer_closed: bool,
@@ -195,12 +221,15 @@ pub struct ConnState {
 }
 
 impl ConnState {
-    /// Fresh state for a just-accepted connection.
-    pub fn new(now: Instant) -> ConnState {
+    /// Fresh state for a just-accepted connection that may have
+    /// `pool_width` frames on the worker pool at a time.
+    pub fn new(now: Instant, pool_width: usize) -> ConnState {
         ConnState {
             carry: Vec::new(),
-            pending: VecDeque::new(),
-            in_flight: false,
+            owed: VecDeque::new(),
+            first_seq: 0,
+            pooled: 0,
+            pool_width,
             outbox: WriteBuffer::new(),
             close_after_flush: false,
             peer_closed: false,
@@ -210,45 +239,114 @@ impl ConnState {
     }
 
     /// Whether received bytes are waiting to become frames (a partial
-    /// frame, or frames held back by a full pending queue).
+    /// frame, or frames held back while reading is paused).
     pub fn mid_frame(&self) -> bool {
         !self.carry.is_empty()
     }
 
     /// Whether the in-progress frame has been assembling for longer than
     /// `stall`: the slow-loris cut-off.
-    pub fn frame_stalled(&self, stall: std::time::Duration, now: Instant) -> bool {
+    pub fn frame_stalled(&self, stall: Duration, now: Instant) -> bool {
         self.frame_started
             .is_some_and(|t| now.duration_since(t) > stall)
+    }
+
+    /// Whether a taken frame's reply has yet to reach the outbox. While
+    /// it holds, a reply that is ready now must [`park`](Self::park)
+    /// behind it; while it does not, the reply may be written to the
+    /// outbox directly.
+    pub fn owes_replies(&self) -> bool {
+        !self.owed.is_empty()
     }
 
     /// Idle at a frame boundary with nothing owed: safe to close during
     /// drain.
     pub fn idle(&self) -> bool {
-        !self.mid_frame() && !self.in_flight && self.pending.is_empty() && self.outbox.is_empty()
+        !self.mid_frame() && !self.owes_replies() && self.outbox.is_empty()
     }
 
-    /// Whether reading should stop: the pipeline is full, the peer is not
-    /// reading its replies (a frame's worth, [`DEFAULT_MAX_FRAME_BYTES`],
-    /// is already owed — a peer that pipelines and never reads must not
-    /// grow the outbox without bound), or the connection is condemned and
-    /// whatever else it sends will not be answered. While this holds the
-    /// reactor drops `EPOLLIN` from the connection's interest — with
-    /// level-triggered epoll, staying subscribed to a socket we refuse to
-    /// read would re-report it on every `epoll_wait` and spin the loop
-    /// hot exactly when the server is saturated. Unread bytes wait in the
-    /// kernel buffer; interest is re-armed as completions shrink the
-    /// queue and flushes shrink the outbox.
+    /// Whether reading should stop: the connection is owed as many
+    /// replies as it may be ([`MAX_PENDING_FRAMES`]), the pool's width of
+    /// them are for frames it handed to the pool (a frame taken now
+    /// might be one more, and frames are taken in request order), the
+    /// peer is not reading its replies (a frame's worth,
+    /// [`DEFAULT_MAX_FRAME_BYTES`], is already buffered — a peer that
+    /// pipelines and never reads must not grow the outbox without
+    /// bound), or the connection is condemned and whatever else it sends
+    /// will not be answered. While this holds the reactor drops
+    /// `EPOLLIN` from the connection's interest — with level-triggered
+    /// epoll, staying subscribed to a socket we refuse to read would
+    /// re-report it on every `epoll_wait` and spin the loop hot exactly
+    /// when the server is saturated. Unread bytes wait in the kernel
+    /// buffer; interest is re-armed as replies leave their slots and
+    /// flushes shrink the outbox.
     pub fn read_paused(&self) -> bool {
         self.close_after_flush
-            || self.pending.len() >= MAX_PENDING_FRAMES
+            || self.owed.len() >= MAX_PENDING_FRAMES
+            || self.pooled >= self.pool_width
             || self.outbox.pending() >= DEFAULT_MAX_FRAME_BYTES
+    }
+
+    /// Takes the next slot for a frame handed to the pool and returns
+    /// its sequence number, which the completion brings back.
+    pub fn begin(&mut self) -> u64 {
+        self.owed.push_back(Slot {
+            reply: None,
+            pooled: true,
+        });
+        self.pooled += 1;
+        self.first_seq + (self.owed.len() as u64 - 1)
+    }
+
+    /// Takes the next slot for a reply that is ready now but has replies
+    /// ahead of it ([`owes_replies`](Self::owes_replies)).
+    pub fn park(&mut self, reply: Reply) {
+        self.owed.push_back(Slot {
+            reply: Some(reply),
+            pooled: false,
+        });
+    }
+
+    /// Fills the slot [`begin`](Self::begin) numbered `seq`. Returns
+    /// whether there was such a slot still waiting.
+    pub fn complete(&mut self, seq: u64, reply: Reply) -> bool {
+        let slot = seq
+            .checked_sub(self.first_seq)
+            .and_then(|i| self.owed.get_mut(usize::try_from(i).ok()?));
+        match slot {
+            Some(Slot {
+                reply: slot @ None, ..
+            }) => {
+                *slot = Some(reply);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Moves every reply whose turn has come — the filled slots at the
+    /// front — into the outbox, in order, and tells `account` about the
+    /// served ones: endpoint and time since the frame completed.
+    pub fn release(&mut self, mut account: impl FnMut(Endpoint, Duration)) {
+        while let Some(Slot {
+            reply: Some(reply),
+            pooled,
+        }) = self.owed.front()
+        {
+            self.outbox.push_frame(&reply.payload);
+            if let Some((endpoint, completed)) = reply.account {
+                account(endpoint, completed.elapsed());
+            }
+            self.pooled -= usize::from(*pooled);
+            self.owed.pop_front();
+            self.first_seq += 1;
+        }
     }
 
     /// Pumps the read side after a readiness event: one `read` into
     /// `scratch`, then every complete frame in what arrived goes to
-    /// `sink`, in order, until the bytes run out or the pending queue
-    /// fills ([`MAX_PENDING_FRAMES`] — backpressure by not reading; the
+    /// `sink`, in order, until the bytes run out or reading pauses
+    /// ([`ConnState::read_paused`] — backpressure by not reading; the
     /// frames not taken wait for [`ConnState::resume`]). One read, not
     /// a loop to `WouldBlock`: a burst costs one syscall, and a peer
     /// that never stops sending gets one buffer's worth per turn of the
@@ -294,8 +392,8 @@ impl ConnState {
         read_event(sliced)
     }
 
-    /// Hands out the frames a full pending queue or a full outbox made
-    /// [`ConnState::read_ready`] hold back, now that there is room. No
+    /// Hands out the frames a pause made [`ConnState::read_ready`] hold
+    /// back, as far as there is room now. No
     /// read: these bytes left the socket already, so no readiness event
     /// will announce them.
     pub fn resume(&mut self, max_frame_bytes: usize, sink: FrameSink<'_>) -> ReadEvent {
@@ -324,7 +422,7 @@ impl ConnState {
     }
 
     /// Feeds `sink` the complete frames at the front of `bytes` while
-    /// the pending queue has room, keeps the stall clock (set while what
+    /// reading is not paused, keeps the stall clock (set while what
     /// is left starts with a partial frame, clear otherwise), and
     /// returns the bytes not consumed.
     fn slice<'b>(
@@ -430,29 +528,55 @@ mod tests {
         }
     }
 
-    /// The sink of a connection with a request in flight: every frame
-    /// waits in the pending queue.
-    fn queue(conn: &mut ConnState, payload: &[u8], completed: Instant) {
-        conn.pending.push_back(PendingFrame {
+    /// A connection that may have two frames on the pool, like a server
+    /// with two workers.
+    fn conn() -> ConnState {
+        ConnState::new(Instant::now(), 2)
+    }
+
+    /// A reply that is not accounted, carrying `payload`.
+    fn reply(payload: &[u8]) -> Reply {
+        Reply {
             payload: payload.to_vec(),
-            completed,
-        });
+            account: None,
+        }
+    }
+
+    /// The sink of a connection that answers every frame at once with
+    /// the frame's own bytes: into the outbox, or into the next slot
+    /// when replies are owed ahead of it — what the loop does with a
+    /// constant-time request.
+    fn echo(conn: &mut ConnState, payload: &[u8], _completed: Instant) {
+        if conn.owes_replies() {
+            conn.park(reply(payload));
+        } else {
+            conn.outbox.push_frame(payload);
+        }
     }
 
     /// Read passes (one `read` each, as one readiness event gives) until
-    /// the drip reader is dry, queueing every frame.
+    /// the drip reader is dry, echoing every frame.
     fn drain(conn: &mut ConnState, r: &mut DripReader, max_frame_bytes: usize) -> ReadEvent {
         let mut scratch = vec![0; READ_SCRATCH_BYTES];
         loop {
-            let event = conn.read_ready(r, &mut scratch, max_frame_bytes, &mut queue);
+            let event = conn.read_ready(r, &mut scratch, max_frame_bytes, &mut echo);
             if event != ReadEvent::Open || r.pos >= r.data.len() || conn.read_paused() {
                 return event;
             }
         }
     }
 
-    fn queued(conn: &ConnState) -> Vec<&[u8]> {
-        conn.pending.iter().map(|f| &f.payload[..]).collect()
+    /// Flushes the outbox and returns the payloads of the frames in it.
+    fn written(conn: &mut ConnState) -> Vec<Vec<u8>> {
+        let mut wire = Vec::new();
+        conn.outbox.flush_to(&mut wire).unwrap();
+        let mut rest = &wire[..];
+        let mut frames = Vec::new();
+        while let Some(payload) = split_frame(&mut rest, usize::MAX).unwrap() {
+            frames.push(payload.to_vec());
+        }
+        assert!(rest.is_empty(), "a partial frame was written");
+        frames
     }
 
     #[test]
@@ -536,11 +660,11 @@ mod tests {
             pos: 0,
             per_call: 1,
         };
-        let mut conn = ConnState::new(Instant::now());
+        let mut conn = conn();
         // One byte per readiness event, all the way through both frames.
         assert_eq!(drain(&mut conn, &mut r, 1 << 20), ReadEvent::Open);
         assert_eq!(
-            queued(&conn),
+            written(&mut conn),
             [&b"slow but valid"[..], &b"second frame"[..]]
         );
         assert!(!conn.mid_frame());
@@ -549,25 +673,22 @@ mod tests {
     #[test]
     fn oversized_frame_is_reported_and_peer_eof_detected() {
         let mut scratch = vec![0; READ_SCRATCH_BYTES];
-        let mut conn = ConnState::new(Instant::now());
         let huge = (1_000_000u32).to_le_bytes();
         let mut r = &huge[..];
         assert_eq!(
-            conn.read_ready(&mut r, &mut scratch, 1024, &mut queue),
+            conn().read_ready(&mut r, &mut scratch, 1024, &mut echo),
             ReadEvent::FrameTooLarge(1_000_000)
         );
         // A zero-length frame is refused the same way.
-        let mut conn = ConnState::new(Instant::now());
         let mut r = &[0u8; 4][..];
         assert_eq!(
-            conn.read_ready(&mut r, &mut scratch, 1024, &mut queue),
+            conn().read_ready(&mut r, &mut scratch, 1024, &mut echo),
             ReadEvent::FrameTooLarge(0)
         );
-        let mut conn = ConnState::new(Instant::now());
         let empty: &[u8] = &[];
         let mut r = empty;
         assert_eq!(
-            conn.read_ready(&mut r, &mut scratch, 1024, &mut queue),
+            conn().read_ready(&mut r, &mut scratch, 1024, &mut echo),
             ReadEvent::PeerClosed
         );
     }
@@ -590,15 +711,18 @@ mod tests {
             per_call: second.len(),
             data: wire,
         };
-        let mut conn = ConnState::new(Instant::now());
+        // A request on the pool ahead of the burst: every reply to it
+        // has to wait in a slot.
+        let mut conn = conn();
+        let first = conn.begin();
         assert_eq!(drain(&mut conn, &mut r, 1 << 20), ReadEvent::Open);
         assert_eq!(
-            conn.pending.len(),
+            conn.owed.len(),
             MAX_PENDING_FRAMES,
             "cap must bound one pass"
         );
-        // A full queue stops the reading: the second burst is still in
-        // the transport, and the frames read but not taken are held, not
+        // Full slots stop the reading: the second burst is still in the
+        // transport, and the frames read but not taken are held, not
         // lost and not mistaken for a stalled partial frame.
         assert!(conn.read_paused());
         assert_eq!(r.pos, second.len());
@@ -606,16 +730,20 @@ mod tests {
         assert_eq!(conn.frame_started, None);
         let mut scratch = vec![0; READ_SCRATCH_BYTES];
         assert_eq!(
-            conn.read_ready(&mut r, &mut scratch, 1 << 20, &mut queue),
+            conn.read_ready(&mut r, &mut scratch, 1 << 20, &mut echo),
             ReadEvent::Open
         );
         assert_eq!(r.pos, second.len(), "a paused connection must not read");
-        // The queue drains; the held frames come in, in order, without a
-        // read.
-        let mut got: Vec<Vec<u8>> = conn.pending.drain(..).map(|f| f.payload).collect();
-        assert_eq!(conn.resume(1 << 20, &mut queue), ReadEvent::Open);
-        got.extend(conn.pending.drain(..).map(|f| f.payload));
-        assert_eq!(got, sent);
+        assert!(conn.outbox.is_empty(), "nothing may pass the empty slot");
+        // The completion comes back: the slots drain in order, and the
+        // held frames come in, in order, without a read.
+        assert!(conn.complete(first, reply(b"pool reply")));
+        conn.release(|_, _| panic!("nothing here is accounted"));
+        assert!(!conn.owes_replies());
+        assert_eq!(conn.resume(1 << 20, &mut echo), ReadEvent::Open);
+        let mut want = vec![b"pool reply".to_vec()];
+        want.extend(sent);
+        assert_eq!(written(&mut conn), want);
         assert!(!conn.mid_frame());
     }
 
@@ -625,7 +753,7 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"a slow frame").unwrap();
         let (first, rest) = wire.split_at(3);
-        let mut conn = ConnState::new(Instant::now());
+        let mut conn = conn();
         let mut r = DripReader {
             data: first.to_vec(),
             pos: 0,
@@ -654,20 +782,41 @@ mod tests {
             per_call: 4096,
         };
         drain(&mut conn, &mut r, 1 << 20);
-        assert_eq!(conn.pending.len(), 1);
+        assert_eq!(written(&mut conn), [b"a slow frame"]);
         assert_eq!(conn.frame_started, None);
     }
 
     #[test]
     fn read_pauses_exactly_at_the_pending_cap() {
-        let mut conn = ConnState::new(Instant::now());
+        let mut conn = conn();
         assert!(!conn.read_paused());
-        for i in 0..MAX_PENDING_FRAMES {
-            queue(&mut conn, &[i as u8], Instant::now());
+        let first = conn.begin();
+        for i in 1..MAX_PENDING_FRAMES {
+            assert!(!conn.read_paused(), "slot {i} is free");
+            conn.park(reply(&[i as u8]));
         }
-        assert!(conn.read_paused(), "full pipeline must stop reading");
-        conn.pending.pop_front();
-        assert!(!conn.read_paused(), "one free slot must resume reading");
+        assert!(conn.read_paused(), "full slots must stop reading");
+        conn.complete(first, reply(b"first"));
+        conn.release(|_, _| {});
+        assert!(!conn.read_paused(), "free slots must resume reading");
+        // The pool's width of frames handed to the pool pauses it too,
+        // until the first of them is answered: one finished behind it
+        // waits, and holds its place.
+        let (a, b) = (conn.begin(), conn.begin());
+        assert!(
+            conn.read_paused(),
+            "a connection's share of the pool is taken"
+        );
+        assert!(conn.complete(b, reply(b"b")));
+        conn.release(|_, _| {});
+        assert!(
+            conn.read_paused(),
+            "a reply waiting its turn holds its share"
+        );
+        assert!(conn.complete(a, reply(b"a")));
+        conn.release(|_, _| {});
+        assert!(!conn.read_paused(), "answered frames free their share");
+        conn.outbox.flush_to(&mut Vec::new()).unwrap();
         // A frame's worth of replies the peer has not taken pauses it
         // too, until a flush makes room.
         conn.outbox.push_frame(&vec![0; DEFAULT_MAX_FRAME_BYTES]);
@@ -680,18 +829,52 @@ mod tests {
 
     #[test]
     fn idle_reflects_every_obligation() {
-        let mut conn = ConnState::new(Instant::now());
+        let mut conn = conn();
         assert!(conn.idle());
-        conn.in_flight = true;
-        assert!(!conn.idle());
-        conn.in_flight = false;
-        conn.outbox.push_frame(b"owed");
-        assert!(!conn.idle());
+        let seq = conn.begin();
+        assert!(!conn.idle(), "a frame on the pool is owed a reply");
+        conn.complete(seq, reply(b"owed"));
+        assert!(!conn.idle(), "a finished reply is owed until written");
+        conn.release(|_, _| {});
+        assert!(!conn.idle(), "a buffered reply is owed until flushed");
         let mut sink = Vec::new();
         conn.outbox.flush_to(&mut sink).unwrap();
         assert!(conn.idle());
-        queue(&mut conn, b"queued", Instant::now());
-        assert!(!conn.idle());
+    }
+
+    #[test]
+    fn replies_leave_in_request_order_however_completions_arrive() {
+        let mut conn = ConnState::new(Instant::now(), 3);
+        let a = conn.begin();
+        let b = conn.begin();
+        conn.park(reply(b"loop"));
+        let c = conn.begin();
+        // Last first: nothing may pass the first slot.
+        assert!(conn.complete(c, reply(b"c")));
+        assert!(conn.complete(b, reply(b"b")));
+        conn.release(|_, _| {});
+        assert!(conn.outbox.is_empty());
+        // A completion is filed once, and only in a slot that exists.
+        assert!(!conn.complete(b, reply(b"b again")));
+        assert!(!conn.complete(c + 1, reply(b"never begun")));
+        let completed = Instant::now();
+        let accounted = Reply {
+            payload: b"a".to_vec(),
+            account: Some((Endpoint::Stats, completed)),
+        };
+        assert!(conn.complete(a, accounted));
+        let mut served = Vec::new();
+        conn.release(|endpoint, _wall| served.push(endpoint));
+        assert_eq!(served, [Endpoint::Stats]);
+        assert_eq!(written(&mut conn), [&b"a"[..], b"b", b"loop", b"c"]);
+        // Numbering goes on where it was: an old number finds no slot.
+        let d = conn.begin();
+        assert_eq!(d, c + 1);
+        assert!(!conn.complete(a, reply(b"stale")));
+        assert!(conn.complete(d, reply(b"d")));
+        conn.release(|_, _| {});
+        assert_eq!(written(&mut conn), [b"d"]);
+        assert!(conn.idle());
     }
 
     /// A transport that follows a script: each `read` takes the next
@@ -726,23 +909,64 @@ mod tests {
         }
     }
 
+    /// What the model server does with a frame, read off its first
+    /// byte.
+    #[derive(PartialEq)]
+    enum Kind {
+        /// Answered where it stands, as the loop answers a lookup.
+        Loop,
+        /// Refused where it stands with `busy`, as admission sheds.
+        Shed,
+        /// Handed to the pool; its completion comes back some time later.
+        Pool,
+        /// Handed to the pool, where its worker is killed.
+        Killed,
+        /// Answered with `error`, and the connection condemned.
+        Malformed,
+    }
+
+    fn kind(payload: &[u8]) -> Kind {
+        match payload[0] {
+            255 => Kind::Malformed,
+            254 => Kind::Killed,
+            b if b % 4 == 0 => Kind::Loop,
+            b if b % 4 == 1 => Kind::Shed,
+            _ => Kind::Pool,
+        }
+    }
+
+    /// The reply the model server owes a frame.
+    fn reply_to(payload: &[u8]) -> Vec<u8> {
+        match kind(payload) {
+            Kind::Loop => payload.to_vec(),
+            Kind::Shed => b"busy".to_vec(),
+            Kind::Pool | Kind::Killed => [b"done ", payload].concat(),
+            Kind::Malformed => b"error".to_vec(),
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(192))]
 
         /// However the bytes of an N-frame stream are cut up — one-byte
         /// drips, one burst, frames split across readiness events,
         /// bursts longer than the read buffer, `Interrupted` and
-        /// `WouldBlock` in between — and however the connection
-        /// alternates between having a request in flight (frames queue,
-        /// the queue fills, reading pauses) and not (frames are taken on
-        /// the spot), the same payloads come out in the same order, and
-        /// a bad length after them is still a typed `FrameTooLarge`.
+        /// `WouldBlock` in between — and whatever the frames are — pool
+        /// requests that complete in any order, any number at a time,
+        /// lookups answered at once between them, a shed in the middle,
+        /// a malformed frame behind requests still running — the replies
+        /// come out one per frame in request order, up to the malformed
+        /// frame's and none after it; a bad length after the frames is
+        /// still a typed `FrameTooLarge`; a killed worker ends it with
+        /// the replies so far being the first of those owed; and the
+        /// connection never holds more than its bounds nor ends wedged.
         #[test]
         fn any_fragmentation_yields_the_same_frames_in_order(
             frames in proptest::collection::vec(
                 proptest::collection::vec(0u8..=255, 1usize..200), 1usize..80),
             steps in proptest::collection::vec(0usize..1000, 0usize..400),
-            in_flight in proptest::collection::vec(0u8..3, 1usize..60),
+            finish in proptest::collection::vec(0usize..1000, 1usize..60),
+            pool_width in 1usize..4,
             scratch_len in 5usize..300,
             tail in 0u8..3,
         ) {
@@ -760,52 +984,96 @@ mod tests {
                 wire.extend_from_slice(&(len as u32).to_le_bytes());
                 wire.extend_from_slice(b"whatever follows");
             }
+            let condemned_at = frames.iter().position(|f| kind(f) == Kind::Malformed);
+            let mut expected: Vec<Vec<u8>> = frames
+                .iter()
+                .take(condemned_at.map_or(frames.len(), |at| at + 1))
+                .map(|f| reply_to(f))
+                .collect();
+            if condemned_at.is_none() && bad.is_some() {
+                expected.push(b"too large".to_vec());
+            }
+
             let mut r = Scripted { data: wire, pos: 0, steps: steps.into_iter() };
             let mut scratch = vec![0; scratch_len];
-            let mut conn = ConnState::new(Instant::now());
+            let mut conn = ConnState::new(Instant::now(), pool_width);
+            let mut running: Vec<(u64, Vec<u8>)> = Vec::new();
             let mut got: Vec<Vec<u8>> = Vec::new();
             let mut refused = None;
-            // Rounds go on until the transport is dry; the last one has
-            // nothing in flight, so whatever was held comes out.
+            let mut killed = false;
             let mut round = 0;
-            let mut dry = false;
-            while refused.is_none() && !dry {
-                dry = r.pos >= r.data.len();
-                let holding = !dry && in_flight.get(round).is_some_and(|b| *b > 0);
+            loop {
                 round += 1;
                 proptest::prop_assert!(round < 10_000, "the rounds do not converge");
-                if !holding {
-                    // The completion came back: the queue drains in
-                    // order, then (below) the held frames come in.
-                    got.extend(conn.pending.drain(..).map(|f| f.payload));
-                }
-                let mut sink = |conn: &mut ConnState, payload: &[u8], at: Instant| {
-                    if holding || !conn.pending.is_empty() {
-                        queue(conn, payload, at);
-                    } else {
-                        got.push(payload.to_vec());
-                    }
+                let dry = r.pos >= r.data.len() || conn.close_after_flush;
+                // Completions come back: as many as the script says while
+                // the peer is still sending (one at least when reading
+                // waits for one), all of them once it is not, in an order
+                // the script picks.
+                let due = match dry {
+                    true => running.len(),
+                    false => (finish[round % finish.len()] % (running.len() + 1))
+                        .max(usize::from(conn.read_paused()))
+                        .min(running.len()),
                 };
-                let mut events = Vec::new();
-                if !holding {
-                    events.push(conn.resume(MAX, &mut sink));
+                for k in 0..due {
+                    let pick = finish[(round + k) % finish.len()] % running.len();
+                    let (seq, payload) = running.swap_remove(pick);
+                    if kind(&payload) == Kind::Killed {
+                        killed = true;
+                        break;
+                    }
+                    proptest::prop_assert!(conn.complete(seq, reply(&reply_to(&payload))));
                 }
-                if !dry {
-                    events.push(conn.read_ready(&mut r, &mut scratch, MAX, &mut sink));
+                if killed {
+                    break; // the loop closes the connection
                 }
-                for event in events {
+                conn.release(|_, _| {});
+                let mut sink = |conn: &mut ConnState, payload: &[u8], at: Instant| {
+                    match kind(payload) {
+                        Kind::Pool | Kind::Killed => running.push((conn.begin(), payload.to_vec())),
+                        Kind::Malformed => {
+                            echo(conn, &reply_to(payload), at);
+                            conn.close_after_flush = true;
+                        }
+                        Kind::Loop | Kind::Shed => echo(conn, &reply_to(payload), at),
+                    }
+                    assert!(conn.owed.len() <= MAX_PENDING_FRAMES, "owed past the cap");
+                    assert!(conn.pooled <= pool_width, "on the pool past its width");
+                };
+                // Held frames first, then one read — each settled before
+                // the next, as the loop settles a pass.
+                for reading in [false, true] {
+                    let event = match reading {
+                        false => conn.resume(MAX, &mut sink),
+                        true if dry => ReadEvent::Open,
+                        true => conn.read_ready(&mut r, &mut scratch, MAX, &mut sink),
+                    };
                     match event {
                         ReadEvent::Open => {}
-                        ReadEvent::FrameTooLarge(n) => refused = Some(n),
+                        ReadEvent::FrameTooLarge(n) => {
+                            refused = Some(n);
+                            echo(&mut conn, b"too large", Instant::now());
+                            conn.close_after_flush = true;
+                        }
                         other => proptest::prop_assert!(false, "unexpected {other:?}"),
                     }
                 }
+                got.extend(written(&mut conn));
+                if dry && running.is_empty() {
+                    break;
+                }
             }
-            got.extend(conn.pending.drain(..).map(|f| f.payload));
-            proptest::prop_assert_eq!(&got, &frames);
-            proptest::prop_assert_eq!(refused, bad);
-            if bad.is_none() {
-                proptest::prop_assert!(!conn.mid_frame());
+            if killed {
+                proptest::prop_assert!(got.len() <= expected.len());
+                proptest::prop_assert_eq!(&got[..], &expected[..got.len()]);
+                return Ok(());
+            }
+            proptest::prop_assert_eq!(&got, &expected);
+            proptest::prop_assert!(!conn.owes_replies(), "a reply was left waiting");
+            proptest::prop_assert_eq!(refused, bad.filter(|_| condemned_at.is_none()));
+            if bad.is_none() && condemned_at.is_none() {
+                proptest::prop_assert!(conn.idle());
                 proptest::prop_assert_eq!(conn.frame_started, None);
             }
         }

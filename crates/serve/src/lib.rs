@@ -4,9 +4,9 @@
 //! online. A [`server::Server`] holds one read-only
 //! [`store::StoreBackend`], answers point/route/bbox/top-destination
 //! queries plus the `pol-apps` ETA and destination-prediction endpoints
-//! over a versioned length-prefixed binary protocol ([`proto`]), caches
-//! the expensive aggregate scans ([`store::QueryCache`]), and accounts
-//! every request in per-endpoint latency histograms ([`metrics`]).
+//! over a versioned length-prefixed binary protocol ([`proto`]), and
+//! accounts every request in per-endpoint latency histograms
+//! ([`metrics`]).
 //!
 //! The zero-copy read path: a POLINV3 columnar snapshot is served
 //! straight off disk through a [`mapped::MappedStore`] — the file is
@@ -52,4 +52,4 @@ pub use metrics::{Endpoint, EndpointStats, HealthReport, ServerMetrics, StatsRep
 pub use mmap::MappedFile;
 pub use proto::{ProtoError, Request, Response, MAX_BATCH, PROTO_VERSION};
 pub use server::{InventoryService, Server, ServerConfig};
-pub use store::{QueryCache, StoreBackend};
+pub use store::StoreBackend;

@@ -33,10 +33,9 @@ use pol_core::codec::columnar::{
 };
 use pol_core::codec::CodecError;
 use pol_core::features::{CellStats, GroupKey};
-use pol_core::InventoryQuery;
+use pol_core::{InventoryQuery, Summary};
 use pol_geo::{BBox, LatLon};
 use pol_hexgrid::{CellIndex, Resolution};
-use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -153,59 +152,50 @@ impl MappedStore {
         reader.stats_bytes(i)
     }
 
-    /// Occupied cells whose centre falls inside a bounding box, sorted
-    /// by raw cell index for a canonical reply (same order as the heap
-    /// arm of [`crate::store::StoreBackend::cells_in`]).
-    pub fn cells_in(&self, bbox: &BBox) -> Vec<CellIndex> {
+    /// Appends the raw indices of the occupied cells whose centre falls
+    /// inside a bounding box, in latitude-index order (the caller sorts:
+    /// [`crate::store::StoreBackend::cells_in`]). A row's cell goes out
+    /// as the file holds it, like a summary's bytes: the file's CRCs
+    /// were checked when it was opened.
+    pub fn cells_in(&self, bbox: &BBox, cells: &mut Vec<u64>) {
         let Some(lat) = LatIndexReader::new(self.file.bytes(), &self.layout) else {
-            return Vec::new();
+            return;
         };
-        let mut raws: Vec<u64> = Vec::new();
-        let mut i = lat.lower_bound_lat(bbox.min_lat);
         let mut touched = 0u64;
-        while let Some((la, lo, raw)) = lat.row(i) {
+        for (la, lo, raw) in lat.rows_from(lat.lower_bound_lat(bbox.min_lat)) {
             if la > bbox.max_lat {
                 break;
             }
             touched += 1;
-            if let Some(center) = LatLon::new(la, lo) {
-                if bbox.contains(center) {
-                    raws.push(raw);
-                }
+            if LatLon::new(la, lo).is_some_and(|center| bbox.contains(center)) {
+                cells.push(raw);
             }
-            i += 1;
         }
         self.scan_entries.fetch_add(touched, Ordering::Relaxed);
-        raws.sort_unstable();
-        raws.into_iter()
-            .filter_map(|r| CellIndex::from_raw(r).ok())
-            .collect()
     }
 
-    /// Occupied cells whose most frequent destination is `dest`,
-    /// optionally per segment — a binary search to the `(dest, segment)`
-    /// prefix of the precomputed top-dest section, then one contiguous
-    /// run in ascending cell order. No stats are decoded at query time:
-    /// the encoder evaluated the same `top_destinations(1)` predicate
-    /// per entry when the snapshot was written.
+    /// Appends the raw indices of the occupied cells whose most frequent
+    /// destination is `dest`, optionally per segment — a binary search
+    /// to the `(dest, segment)` prefix of the precomputed top-dest
+    /// section, then one contiguous run, which ascends by cell: the
+    /// canonical reply order. No stats are decoded at query time: the
+    /// encoder evaluated the same `top_destinations(1)` predicate per
+    /// entry when the snapshot was written.
     pub fn cells_with_top_destination(
         &self,
         dest: u16,
         segment: Option<MarketSegment>,
-    ) -> Vec<CellIndex> {
+        cells: &mut Vec<u64>,
+    ) {
         let Some(reader) = TopDestReader::new(self.file.bytes(), &self.layout) else {
-            return Vec::new();
+            return;
         };
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let seg_byte = segment.map(|s| s.id()).unwrap_or(TOP_DEST_ALL_SEGMENTS);
-        let raws = reader.cells_for(dest, seg_byte);
+        let from = cells.len();
+        reader.cells_for(dest, seg_byte, |raw| cells.push(raw));
         self.scan_entries
-            .fetch_add(raws.len() as u64, Ordering::Relaxed);
-        // The section's rows ascend by (dest, segment, cell), so the run
-        // is already in ascending cell order — the canonical reply.
-        raws.into_iter()
-            .filter_map(|r| CellIndex::from_raw(r).ok())
-            .collect()
+            .fetch_add((cells.len() - from) as u64, Ordering::Relaxed);
     }
 }
 
@@ -214,12 +204,14 @@ impl InventoryQuery for MappedStore {
         self.layout.resolution
     }
 
-    fn summary(&self, cell: CellIndex) -> Option<Cow<'_, CellStats>> {
-        self.get(&GroupKey::Cell(cell)).map(Cow::Owned)
+    fn summary(&self, cell: CellIndex) -> Option<Summary<'_>> {
+        self.stats_bytes(&GroupKey::Cell(cell))
+            .map(Summary::Encoded)
     }
 
-    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Cow<'_, CellStats>> {
-        self.get(&GroupKey::CellType(cell, segment)).map(Cow::Owned)
+    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Summary<'_>> {
+        self.stats_bytes(&GroupKey::CellType(cell, segment))
+            .map(Summary::Encoded)
     }
 
     fn summary_route(
@@ -228,8 +220,8 @@ impl InventoryQuery for MappedStore {
         origin: u16,
         dest: u16,
         segment: MarketSegment,
-    ) -> Option<Cow<'_, CellStats>> {
-        self.get(&GroupKey::CellRoute(cell, origin, dest, segment))
-            .map(Cow::Owned)
+    ) -> Option<Summary<'_>> {
+        self.stats_bytes(&GroupKey::CellRoute(cell, origin, dest, segment))
+            .map(Summary::Encoded)
     }
 }

@@ -158,9 +158,11 @@ pub struct StatsReport {
     pub malformed_frames: u64,
     /// Connections accepted.
     pub connections: u64,
-    /// Aggregate-query cache hits (bbox scans, top-destination filters).
+    /// Always 0: the aggregate-query cache is gone and scans are
+    /// answered from the store. The field holds its place on the v5
+    /// `STATS` wire until the benchmark stops reading it.
     pub cache_hits: u64,
-    /// Aggregate-query cache misses.
+    /// Always 0, like [`cache_hits`](Self::cache_hits).
     pub cache_misses: u64,
     /// Live snapshot generation (see [`HealthReport::generation`]).
     pub generation: u64,
@@ -231,13 +233,8 @@ impl StatsReport {
         );
         let _ = writeln!(
             out,
-            "busy={} malformed={} cache_hit={} cache_miss={} reloads_ok={} reloads_failed={}",
-            self.busy_rejections,
-            self.malformed_frames,
-            self.cache_hits,
-            self.cache_misses,
-            self.reloads_ok,
-            self.reloads_failed
+            "busy={} malformed={} reloads_ok={} reloads_failed={}",
+            self.busy_rejections, self.malformed_frames, self.reloads_ok, self.reloads_failed
         );
         let _ = writeln!(
             out,
@@ -304,8 +301,6 @@ pub struct ServerMetrics {
     busy_rejections: AtomicU64,
     malformed_frames: AtomicU64,
     connections: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     generation: AtomicU64,
     reloads_ok: AtomicU64,
     reloads_failed: AtomicU64,
@@ -341,8 +336,6 @@ impl ServerMetrics {
             busy_rejections: AtomicU64::new(0),
             malformed_frames: AtomicU64::new(0),
             connections: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             generation: AtomicU64::new(1),
             reloads_ok: AtomicU64::new(0),
             reloads_failed: AtomicU64::new(0),
@@ -431,16 +424,6 @@ impl ServerMetrics {
     /// The open-connection gauge, as served in `STATS`.
     pub fn open_connections(&self) -> u64 {
         self.open_connections.load(Ordering::Relaxed)
-    }
-
-    /// Counts an aggregate-cache hit.
-    pub fn incr_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an aggregate-cache miss.
-    pub fn incr_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Accounts `n` sub-requests carried by one `BATCH` frame.
@@ -539,8 +522,8 @@ impl ServerMetrics {
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            cache_hits: 0,
+            cache_misses: 0,
             generation: self.generation(),
             reloads_ok: self.reloads_ok.load(Ordering::Relaxed),
             reloads_failed: self.reloads_failed.load(Ordering::Relaxed),
@@ -632,14 +615,10 @@ mod tests {
         m.record(Endpoint::PointSummary, Duration::from_micros(300));
         m.record(Endpoint::Eta, Duration::from_micros(900));
         m.incr_busy();
-        m.incr_cache_hit();
-        m.incr_cache_miss();
         m.incr_connections();
         let snap = m.snapshot();
         assert_eq!(snap.total_requests, 3);
         assert_eq!(snap.busy_rejections, 1);
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_misses, 1);
         assert_eq!(snap.connections, 1);
         assert_eq!(snap.endpoints.len(), 2); // zero-traffic endpoints omitted
         let point = &snap.endpoints[0];

@@ -707,13 +707,7 @@ pub(crate) fn encode_response_body(resp: &Response, out: &mut Vec<u8>) {
                 }
             }
         }
-        Response::Cells(cells) => {
-            out.push(RESP_CELLS);
-            put_varint(out, cells.len() as u64);
-            for c in cells {
-                put_varint(out, *c);
-            }
-        }
+        Response::Cells(cells) => encode_cells(cells, out),
         Response::Eta(est) => {
             out.push(RESP_ETA);
             match est {
@@ -766,6 +760,16 @@ pub(crate) fn encode_response_body(resp: &Response, out: &mut Vec<u8>) {
                 out.extend_from_slice(&body);
             }
         }
+    }
+}
+
+/// Writes a [`Response::Cells`] tag + body from a borrowed list, so a
+/// scan's reply is encoded from where its cells were sorted.
+pub(crate) fn encode_cells(cells: &[u64], out: &mut Vec<u8>) {
+    out.push(RESP_CELLS);
+    put_varint(out, cells.len() as u64);
+    for c in cells {
+        put_varint(out, *c);
     }
 }
 

@@ -18,27 +18,38 @@
 //!   a completion queue and ring an `eventfd` — the loop wakes and moves
 //!   the bytes into the connection's write buffer.
 //!
-//! The protocol has no request ids, so replies leave in request order: a
-//! connection has at most one request on the pool, every frame that
-//! arrives behind it (of either kind) waits in the connection's pending
-//! queue, and when the completion comes back the loop runs the queued
-//! loop-kind frames on the spot and stops at the first one it hands to
-//! the pool. The write buffer is flushed once per burst read and once
-//! per completion, with `EPOLLOUT` re-arming, so a peer that stops
-//! reading slows only itself.
+//! The protocol has no request ids, so replies leave in request order
+//! while the work behind them does not wait its turn: every frame taken
+//! off the wire gets the next slot of its connection's reply sequencer
+//! ([`ConnState`]). A pool request is dispatched as it arrives — its
+//! snapshot pinned on the loop at that moment, so a hot reload can never
+//! make a later frame answer from an older generation than an earlier
+//! one — and carries its slot's sequence number through its completion;
+//! a constant-time request behind one in flight is answered at once,
+//! into its slot; a shed `Busy` and a malformed frame's typed error take
+//! their turn like any reply. Completions fill slots in whatever order
+//! workers finish, and the loop moves the filled slots at the front into
+//! the write buffer. A connection has at most `worker_threads` requests
+//! between handed to the pool and answered — enough for one pipelining
+//! client to use every worker, and the bound on how many replies can be
+//! finished and waiting behind a slow one — and is owed at most
+//! [`crate::conn::MAX_PENDING_FRAMES`] replies; frames past either bound
+//! stay unread. The write buffer is flushed once per burst read and once
+//! per connection per completion pass, with `EPOLLOUT` re-arming, so a
+//! peer that stops reading slows only itself.
 //!
 //! Backpressure is load-shedding *at the loop*: before a request is
 //! handed to the pool the loop takes an admission slot (there are
 //! `worker_threads + max_pending` of them); when the slots are gone the
-//! request is answered with an immediate typed `Busy` frame and never
-//! queued.
+//! request is answered with a typed `Busy` frame and never queued.
 //! [`AdmitGuard`] releases the slot on drop, so a worker killed
 //! mid-request (the `serve.worker.kill` chaos fault) cannot leak one, and
 //! the `CompletionGuard` below pushes a close-the-connection completion
 //! from its own drop, so a killed request cannot wedge its connection
-//! either. A request the loop runs itself sits under `catch_unwind` with
-//! the same outcome — no reply, that connection closed — so neither a
-//! fault nor a bug in a query can take the loop thread down.
+//! either: the connection closes at once, whatever it was still owed. A
+//! request the loop runs itself sits under `catch_unwind` with the same
+//! outcome — no reply, that connection closed — so neither a fault nor a
+//! bug in a query can take the loop thread down.
 //!
 //! Shutdown ordering: `READY` flips (the `Server` marks draining before
 //! raising the stop flag), the loop drops the listener, in-flight and
@@ -53,8 +64,8 @@
 
 #![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 
-use crate::conn::{ConnState, PendingFrame, ReadEvent, READ_SCRATCH_BYTES};
-use crate::metrics::{Endpoint, ServerMetrics};
+use crate::conn::{ConnState, ReadEvent, Reply, READ_SCRATCH_BYTES};
+use crate::metrics::ServerMetrics;
 use crate::proto::{decode_request, encode_response, Request, Response};
 use crate::server::{InventoryService, ServerConfig};
 use parking_lot::{Mutex, RwLock};
@@ -116,19 +127,11 @@ impl Drop for AdmitGuard {
 struct Completion {
     /// Which connection asked.
     token: u64,
+    /// Which of its reply slots the request holds.
+    seq: u64,
     /// The answer; `None` aborts the connection without a reply (a
     /// killed worker).
-    served: Option<Served>,
-}
-
-/// A pool request's answer and what the loop needs to account it.
-struct Served {
-    /// Encoded response payload.
-    reply: Vec<u8>,
-    /// The endpoint the request is accounted under.
-    endpoint: Endpoint,
-    /// When the request's frame completed on the loop.
-    completed: Instant,
+    reply: Option<Reply>,
 }
 
 /// State shared between the loop and the pool workers.
@@ -155,39 +158,42 @@ impl LoopShared {
 /// normal return the job has filled it in, and on a panic (the
 /// `serve.worker.kill` chaos fault unwinding through the pool's
 /// `catch_unwind`) the drop still runs and the default outcome —
-/// no reply, close the connection — reaches the loop, so an in-flight
-/// marker can never wedge a connection.
+/// no reply, close the connection — reaches the loop, so an empty reply
+/// slot can never wedge a connection.
 struct CompletionGuard {
     shared: Arc<LoopShared>,
     token: u64,
-    served: Option<Served>,
+    seq: u64,
+    reply: Option<Reply>,
 }
 
 impl Drop for CompletionGuard {
     fn drop(&mut self) {
         self.shared.complete(Completion {
             token: self.token,
-            served: self.served.take(),
+            seq: self.seq,
+            reply: self.reply.take(),
         });
     }
 }
 
-/// The worker-side of one pool request: execute against a pinned
-/// snapshot and encode — never touching a socket. The loop decoded the
-/// frame (it had to, to know the request's kind); the chaos kill point
-/// comes first, and the snapshot is pinned per frame for hot-reload
-/// atomicity.
+/// The worker-side of one pool request: execute against the snapshot the
+/// loop pinned at dispatch and encode — never touching a socket. The
+/// loop decoded the frame (it had to, to know the request's kind); the
+/// chaos kill point comes first.
 fn execute_job(
     req: Request,
     completed: Instant,
     token: u64,
-    service: &RwLock<Arc<InventoryService>>,
+    seq: u64,
+    snapshot: &InventoryService,
     shared: Arc<LoopShared>,
 ) {
     let mut done = CompletionGuard {
         shared,
         token,
-        served: None,
+        seq,
+        reply: None,
     };
     if pol_chaos::fire("serve.worker.kill") {
         // Err action: abort this connection without a reply (the Kill
@@ -195,26 +201,20 @@ fn execute_job(
         // catch_unwind; either way the guard reports the abort).
         return;
     }
-    // The snapshot is resolved per frame: a hot reload swaps the Arc
-    // between requests, never under one.
-    let snapshot = Arc::clone(&service.read());
-    let mut reply = Vec::new();
-    snapshot.execute_into(&req, &mut reply);
-    done.served = Some(Served {
-        reply,
-        endpoint: req.endpoint(),
-        completed,
+    let mut payload = Vec::new();
+    snapshot.execute_into(&req, &mut payload);
+    done.reply = Some(Reply {
+        payload,
+        account: Some((req.endpoint(), completed)),
     });
 }
 
 /// What became of one frame the loop looked at.
 enum Outcome {
     /// Nothing more to do for it now: answered (a reply, a `Busy` or a
-    /// typed error is in the write buffer), queued, or dropped because
-    /// the connection is already condemned.
+    /// typed error is in the write buffer or in its slot), handed to the
+    /// pool, or dropped because the connection is already condemned.
     Settled,
-    /// Handed to the pool; the connection waits for its completion.
-    InFlight,
     /// The request died without an answer (an injected kill, a panic in
     /// a query, a pool that is gone): close the connection, reply
     /// nothing.
@@ -235,10 +235,8 @@ struct Runner {
 }
 
 impl Runner {
-    /// Takes a frame just sliced off the wire. Responses must leave in
-    /// request order and the protocol has no request ids, so a frame
-    /// behind an in-flight or queued one waits its turn in the pending
-    /// queue, whatever its kind; one with nothing ahead of it runs now.
+    /// Takes a frame just sliced off the wire: decodes it and answers it
+    /// on the loop or hands it to the pool, as its request kind says.
     fn accept(
         &self,
         token: u64,
@@ -249,14 +247,20 @@ impl Runner {
         if state.close_after_flush {
             return Outcome::Settled; // already condemned: don't take new work
         }
-        if state.in_flight || !state.pending.is_empty() {
-            state.pending.push_back(PendingFrame {
-                payload: payload.to_vec(),
-                completed,
-            });
-            return Outcome::Settled;
+        match decode_request(payload) {
+            Ok(req) if req.runs_on_loop() => self.run_on_loop(state, &req, completed),
+            Ok(req) => self.dispatch(token, state, req, completed),
+            Err(e) => {
+                // A peer that cannot frame a request correctly gets one
+                // typed error — after the replies it is still owed —
+                // then the socket: resynchronising a corrupt binary
+                // stream is not worth the attack surface.
+                self.metrics.incr_malformed();
+                self.answer_unserved(state, &Response::Error(e.to_string()));
+                state.close_after_flush = true;
+                Outcome::Settled
+            }
         }
-        self.run(token, state, payload, completed)
     }
 
     /// The sink a slicing pass feeds: [`Runner::accept`] for each frame,
@@ -274,58 +278,60 @@ impl Runner {
         }
     }
 
-    /// Decodes the frame whose turn it is and answers it on the loop or
-    /// hands it to the pool, as its request kind says.
-    fn run(
-        &self,
-        token: u64,
-        state: &mut ConnState,
-        payload: &[u8],
-        completed: Instant,
-    ) -> Outcome {
-        match decode_request(payload) {
-            Ok(req) if req.runs_on_loop() => self.run_on_loop(state, &req, completed),
-            Ok(req) => self.dispatch(token, state, req, completed),
-            Err(e) => {
-                // A peer that cannot frame a request correctly gets one
-                // typed error, then the socket: resynchronising a corrupt
-                // binary stream is not worth the attack surface.
-                self.metrics.incr_malformed();
-                let resp = Response::Error(e.to_string());
-                state.outbox.push_frame(&encode_response(&resp));
-                state.close_after_flush = true;
-                state.pending.clear();
-                Outcome::Settled
-            }
+    /// Gives a frame that is not served — shed, or refused — its reply:
+    /// straight into the write buffer, or into the next slot when
+    /// replies are owed ahead of it.
+    fn answer_unserved(&self, state: &mut ConnState, resp: &Response) {
+        let payload = encode_response(resp);
+        if state.owes_replies() {
+            state.park(Reply {
+                payload,
+                account: None,
+            });
+        } else {
+            state.outbox.push_frame(&payload);
         }
     }
 
     /// Answers a constant-time request where it stands: pin the
-    /// snapshot, execute, encode straight into the write buffer. The
-    /// same kill point as a pool request fires first, and the whole call
-    /// is unwind-contained with the killed-worker outcome — a half
-    /// written reply goes down with the connection it was for.
+    /// snapshot, execute, encode straight into the write buffer — or,
+    /// behind a request still on the pool, into its slot. The same kill
+    /// point as a pool request fires first, and the whole call is
+    /// unwind-contained with the killed-worker outcome — a half written
+    /// reply goes down with the connection it was for.
     fn run_on_loop(&self, state: &mut ConnState, req: &Request, completed: Instant) -> Outcome {
+        let mut parked = Vec::new();
+        let direct = !state.owes_replies();
         let outbox = &mut state.outbox;
         let answered = catch_unwind(AssertUnwindSafe(|| {
             if pol_chaos::fire("serve.worker.kill") {
                 return false;
             }
             let snapshot = Arc::clone(&self.service.read());
-            outbox.push_frame_with(|out| snapshot.execute_into(req, out));
+            if direct {
+                outbox.push_frame_with(|out| snapshot.execute_into(req, out));
+            } else {
+                snapshot.execute_into(req, &mut parked);
+            }
             true
         }));
         if !matches!(answered, Ok(true)) {
             return Outcome::Abort;
         }
-        self.metrics.record(req.endpoint(), completed.elapsed());
+        if direct {
+            self.metrics.record(req.endpoint(), completed.elapsed());
+        } else {
+            state.park(Reply {
+                payload: parked,
+                account: Some((req.endpoint(), completed)),
+            });
+        }
         Outcome::Settled
     }
 
     /// Admission check + hand-off to the pool: the loop-level
     /// expression of the typed Busy backpressure. A shed request is
-    /// answered (`Settled`), so the caller may feed the next pending
-    /// frame through immediately.
+    /// answered, never queued.
     fn dispatch(
         &self,
         token: u64,
@@ -337,22 +343,25 @@ impl Runner {
             self.admitted.fetch_sub(1, Ordering::Relaxed);
             self.metrics.incr_busy();
             self.metrics.incr_shed_at_loop();
-            // Shed *this request*, keep the connection: an immediate
-            // Busy frame, never a queue slot.
-            state.outbox.push_frame(&encode_response(&Response::Busy));
+            // Shed *this request*, keep the connection: a Busy frame in
+            // its turn, never a queue slot.
+            self.answer_unserved(state, &Response::Busy);
             return Outcome::Settled;
         }
         let guard = AdmitGuard(Arc::clone(&self.admitted));
-        state.in_flight = true;
-        let service = Arc::clone(&self.service);
+        let seq = state.begin();
+        // The snapshot is pinned here, per frame and in arrival order: a
+        // hot reload swaps the Arc between frames, never under one, and
+        // workers finishing out of order cannot reorder generations.
+        let snapshot = Arc::clone(&self.service.read());
         let shared = Arc::clone(&self.shared);
         let submitted = self.pool.execute(move || {
             let _admitted = guard;
-            execute_job(req, completed, token, &service, shared);
+            execute_job(req, completed, token, seq, &snapshot, shared);
             // Chaos: keep holding the admission slot after the
             // completion has been posted — the window where a
-            // pipelined connection's next pending frame meets a full
-            // cap at pop time and must be shed, not stranded.
+            // pipelined connection's next frame meets a full cap and
+            // must be shed, not stranded.
             pol_chaos::fire("serve.worker.slot_hold");
         });
         if submitted.is_err() {
@@ -361,7 +370,7 @@ impl Runner {
             // never be answered.
             return Outcome::Abort;
         }
-        Outcome::InFlight
+        Outcome::Settled
     }
 }
 
@@ -573,6 +582,10 @@ mod linux {
         /// hold a buffer sized for a burst.
         scratch: Vec<u8>,
         runner: Runner,
+        /// The completions of one pass, taken off the shared queue, and
+        /// the connections they touched; both empty between passes.
+        done: Vec<Completion>,
+        touched: Vec<u64>,
         config: ServerConfig,
         stop: Arc<AtomicBool>,
         drain_deadline: Option<Instant>,
@@ -613,6 +626,8 @@ mod linux {
                         wake,
                     }),
                 },
+                done: Vec::new(),
+                touched: Vec::new(),
                 config,
                 stop,
                 drain_deadline: None,
@@ -726,7 +741,7 @@ mod linux {
                 token,
                 ConnEntry {
                     stream,
-                    state: ConnState::new(Instant::now()),
+                    state: ConnState::new(Instant::now(), self.config.worker_threads.max(1)),
                     interest: READ_INTEREST,
                 },
             );
@@ -779,70 +794,74 @@ mod linux {
                 ReadEvent::FrameTooLarge(n) => {
                     self.runner.metrics.incr_malformed();
                     let resp = Response::Error(format!("frame of {n} bytes exceeds cap"));
-                    entry.state.outbox.push_frame(&encode_response(&resp));
+                    self.runner.answer_unserved(&mut entry.state, &resp);
                     entry.state.close_after_flush = true;
                 }
             }
             true
         }
 
-        /// Moves worker results into their connections' write buffers,
-        /// accounts them, and lets each connection's queued frames take
-        /// their turn. A connection has at most one request on the pool,
-        /// so it appears at most once per pass and is flushed once.
+        /// Files worker results in their connections' reply slots, then
+        /// lets each connection that got one move: replies whose turn has
+        /// come go to the write buffer and are accounted, frames the read
+        /// side was holding back come in, and the socket is flushed —
+        /// once per connection per pass, however many of its requests
+        /// completed in it.
         fn apply_completions(&mut self) {
-            let done = std::mem::take(&mut *self.runner.shared.completions.lock());
-            for completion in done {
+            // The queue's buffer and the loop's change hands, so neither
+            // side allocates per pass.
+            std::mem::swap(&mut self.done, &mut *self.runner.shared.completions.lock());
+            while let Some(completion) = self.done.pop() {
                 let token = completion.token;
                 let Some(entry) = self.conns.get_mut(&token) else {
                     continue; // connection died while the request ran
                 };
-                entry.state.in_flight = false;
-                let Some(served) = completion.served else {
+                match completion.reply {
+                    Some(reply) => {
+                        entry.state.complete(completion.seq, reply);
+                        self.touched.push(token);
+                    }
                     // Killed worker: abort without a reply.
-                    self.close_conn(token);
-                    continue;
-                };
-                entry.state.outbox.push_frame(&served.reply);
-                self.runner
-                    .metrics
-                    .record(served.endpoint, served.completed.elapsed());
-                if self.drain_pending(token) {
+                    None => self.close_conn(token),
+                }
+            }
+            self.touched.sort_unstable();
+            self.touched.dedup();
+            while let Some(token) = self.touched.pop() {
+                if self.release_replies(token) {
                     self.flush_conn(token);
                 }
             }
         }
 
-        /// Gives the frames queued behind a completed request their
-        /// turn: loop-kind frames are answered on the spot, and the walk
-        /// stops at the first frame handed to the pool (its completion
-        /// resumes it). A shed answers its frame with `Busy` but puts
-        /// nothing in flight, so the walk goes on — stopping there would
-        /// strand the rest of the queue with no completion to ever pop
-        /// it; every popped frame gets an answer. Once the queue is
-        /// empty with nothing in flight, frames a full queue had made
-        /// the read side hold back come in the same way. Returns whether
-        /// the connection is still registered.
-        fn drain_pending(&mut self, token: u64) -> bool {
+        /// Moves a connection's replies whose turn has come into its
+        /// write buffer, accounts them, and — slots having freed up —
+        /// takes the frames the read side was holding back. Returns
+        /// whether the connection is still registered.
+        fn release_replies(&mut self, token: u64) -> bool {
             let Some(entry) = self.conns.get_mut(&token) else {
                 return false;
             };
-            let state = &mut entry.state;
-            let runner = &self.runner;
+            let metrics = &self.runner.metrics;
+            entry
+                .state
+                .release(|endpoint, wall| metrics.record(endpoint, wall));
+            self.resume_reading(token)
+        }
+
+        /// Hands the frames a pause made the read side hold back to the
+        /// runner, as far as there is room now (no readiness event will
+        /// announce bytes already off the socket). Returns whether the
+        /// connection is still registered.
+        fn resume_reading(&mut self, token: u64) -> bool {
+            let Some(entry) = self.conns.get_mut(&token) else {
+                return false;
+            };
             let mut outcome = Outcome::Settled;
-            while let Some(frame) = state.pending.pop_front() {
-                outcome = runner.run(token, state, &frame.payload, frame.completed);
-                if !matches!(outcome, Outcome::Settled) {
-                    break;
-                }
-            }
-            let mut event = ReadEvent::Open;
-            if matches!(outcome, Outcome::Settled) {
-                event = state.resume(
-                    self.config.max_frame_bytes,
-                    &mut runner.sink(token, &mut outcome),
-                );
-            }
+            let event = entry.state.resume(
+                self.config.max_frame_bytes,
+                &mut self.runner.sink(token, &mut outcome),
+            );
             self.settle_read(token, outcome, event)
         }
 
@@ -850,11 +869,10 @@ mod linux {
         /// re-arms epoll interest: `EPOLLOUT` only while bytes are owed.
         fn flush_conn(&mut self, token: u64) {
             // A flush that takes a full outbox back under the mark lets
-            // the frames the read side was holding in (no readiness event
-            // will announce bytes already off the socket); their replies
-            // are flushed in turn, until the socket or the frames run out.
+            // the frames the read side was holding in; their replies are
+            // flushed in turn, until the socket or the frames run out.
             while self.flush_outbox(token) {
-                if !self.drain_pending(token) {
+                if !self.resume_reading(token) {
                     return;
                 }
             }
@@ -863,17 +881,15 @@ mod linux {
             };
             let drained = entry.state.outbox.is_empty();
             let done = drained
-                && (entry.state.close_after_flush
-                    || (entry.state.peer_closed
-                        && !entry.state.in_flight
-                        && entry.state.pending.is_empty()));
+                && !entry.state.owes_replies()
+                && (entry.state.close_after_flush || entry.state.peer_closed);
             if done {
                 self.close_conn(token);
                 return;
             }
             // Interest re-arming: EPOLLOUT only while bytes are owed,
             // and EPOLLIN (with RDHUP — also level-triggered) only while
-            // the pending pipeline has room, so a full queue applies
+            // the connection may take frames, so a full pipeline applies
             // kernel-buffer backpressure instead of spinning the loop on
             // a socket we refuse to read. EPOLLERR/EPOLLHUP are always
             // reported regardless of the interest mask.
@@ -893,8 +909,7 @@ mod linux {
 
         /// One write of the outbox to the socket. Returns whether that
         /// un-paused a read side that was holding frames back behind a
-        /// full outbox with nothing in flight (a completion hands held
-        /// frames out itself, after the queue ahead of them).
+        /// full outbox.
         fn flush_outbox(&mut self, token: u64) -> bool {
             let Some(entry) = self.conns.get_mut(&token) else {
                 return false;
@@ -914,8 +929,7 @@ mod linux {
             self.runner
                 .metrics
                 .observe_write_buffer(entry.state.outbox.high_water() as u64);
-            let state = &entry.state;
-            paused && !state.read_paused() && state.mid_frame() && !state.in_flight
+            paused && !entry.state.read_paused() && entry.state.mid_frame()
         }
 
         /// Periodic pass over all connections: slow-loris frame
@@ -938,8 +952,7 @@ mod linux {
                     && now.duration_since(entry.state.last_write) > write_stall;
                 let drain_idle = draining && entry.state.idle();
                 let peer_done = entry.state.peer_closed
-                    && !entry.state.in_flight
-                    && entry.state.pending.is_empty()
+                    && !entry.state.owes_replies()
                     && entry.state.outbox.is_empty();
                 if read_stalled || write_stalled || drain_idle || peer_done {
                     doomed.push(*token);

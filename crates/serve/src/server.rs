@@ -16,21 +16,22 @@
 use crate::mapped::MappedStore;
 use crate::metrics::ServerMetrics;
 use crate::proto::{
-    encode_response_body, Request, Response, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION, RESP_BATCH,
-    RESP_SUMMARY,
+    encode_cells, encode_response_body, Request, Response, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION,
+    RESP_BATCH, RESP_SUMMARY,
 };
-use crate::store::{CacheKey, QueryCache, StoreBackend, StoredSummary};
-use parking_lot::{Mutex, RwLock};
+use crate::store::StoreBackend;
+use parking_lot::RwLock;
 use pol_apps::destination::DestinationPredictor;
 use pol_apps::eta::EtaEstimator;
 use pol_core::codec::manifest::{extend_chain, ManifestEntry};
-use pol_core::codec::{encode_cell_stats, CodecError, SnapshotFormat};
+use pol_core::codec::{CodecError, SnapshotFormat};
 use pol_core::features::GroupKey;
 use pol_core::{Inventory, InventoryQuery};
 use pol_engine::metrics::StageReport;
 use pol_geo::{BBox, LatLon};
 use pol_hexgrid::cell_at;
-use pol_sketch::wire::put_varint;
+use pol_sketch::wire::{put_varint, varint_bytes};
+use std::cell::RefCell;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
@@ -47,8 +48,6 @@ pub struct ServerConfig {
     /// Admitted-but-unserved requests tolerated beyond the workers
     /// before new arrivals are shed with [`Response::Busy`].
     pub max_pending: usize,
-    /// Aggregate-query cache entries (0 disables the cache).
-    pub cache_capacity: usize,
     /// How long a response may sit unflushed (the peer is not reading)
     /// before the connection is closed.
     pub write_timeout: Duration,
@@ -74,7 +73,6 @@ impl Default for ServerConfig {
         ServerConfig {
             worker_threads: 8,
             max_pending: 64,
-            cache_capacity: 256,
             write_timeout: Duration::from_secs(5),
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             drain_timeout: Duration::from_secs(2),
@@ -84,13 +82,18 @@ impl Default for ServerConfig {
     }
 }
 
+thread_local! {
+    /// The cells of the scan this thread is answering: a pool worker
+    /// sorts every scan's cells in the one buffer and encodes the reply
+    /// from it.
+    static SCAN_CELLS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
 /// The query-execution core: a store backend (heap inventory or mapped
-/// columnar), the aggregate cache, and the metrics sink. Shared by every
-/// request worker; also usable directly (without sockets) for in-process
-/// querying and tests.
+/// columnar) and the metrics sink. Shared by every request worker; also
+/// usable directly (without sockets) for in-process querying and tests.
 pub struct InventoryService {
     store: StoreBackend,
-    cache: Mutex<QueryCache>,
     metrics: Arc<ServerMetrics>,
     /// The manifest entries the store was merged from, base first; empty
     /// unless it was opened from a POLMAN1 chain. A later reload whose
@@ -100,14 +103,9 @@ pub struct InventoryService {
 
 impl InventoryService {
     /// Serves `inventory` as it is, from the heap.
-    pub fn new(inventory: Inventory, config: &ServerConfig, metrics: Arc<ServerMetrics>) -> Self {
-        InventoryService::with_store(StoreBackend::Heap(inventory), config, metrics)
-    }
-
-    fn with_store(store: StoreBackend, config: &ServerConfig, metrics: Arc<ServerMetrics>) -> Self {
+    pub fn new(inventory: Inventory, metrics: Arc<ServerMetrics>) -> Self {
         InventoryService {
-            store,
-            cache: Mutex::new(QueryCache::new(config.cache_capacity)),
+            store: StoreBackend::Heap(inventory),
             metrics,
             chain: Vec::new(),
         }
@@ -119,13 +117,15 @@ impl InventoryService {
     /// manifest is merged base-plus-deltas into a heap inventory
     /// (recording the chain lineage for the `STATS` freshness fields),
     /// and anything else is [`CodecError::BadHeader`]. Both paths record
-    /// their startup cost as a `StageReport`.
+    /// their startup cost as a `StageReport`. Nothing in a
+    /// [`ServerConfig`] concerns a service any more; the argument stays
+    /// for the callers that pass one.
     pub fn open_snapshot(
         path: &Path,
-        config: &ServerConfig,
+        _config: &ServerConfig,
         metrics: Arc<ServerMetrics>,
     ) -> Result<Self, CodecError> {
-        InventoryService::open_after(path, config, metrics, None)
+        InventoryService::open_after(path, metrics, None)
     }
 
     /// [`open_snapshot`](Self::open_snapshot) for a hot reload: when
@@ -135,7 +135,6 @@ impl InventoryService {
     /// merged); every other case is the full walk (`chain-load`).
     fn open_after(
         path: &Path,
-        config: &ServerConfig,
         metrics: Arc<ServerMetrics>,
         served: Option<&InventoryService>,
     ) -> Result<Self, CodecError> {
@@ -182,9 +181,11 @@ impl InventoryService {
             chain.last().map_or(0, |e| e.generation),
             chain.len().max(1) as u64,
         );
-        let mut service = InventoryService::with_store(store, config, metrics);
-        service.chain = chain;
-        Ok(service)
+        Ok(InventoryService {
+            store,
+            metrics,
+            chain,
+        })
     }
 
     /// The underlying store backend.
@@ -204,37 +205,9 @@ impl InventoryService {
                 Some(key) => Response::Summary(self.store.get(&key)),
                 None => out_of_range(),
             },
-            Request::BboxScan {
-                min_lat,
-                min_lon,
-                max_lat,
-                max_lon,
-            } => match BBox::new(*min_lat, *min_lon, *max_lat, *max_lon) {
-                Some(bbox) => {
-                    let key = CacheKey::Bbox([
-                        min_lat.to_bits(),
-                        min_lon.to_bits(),
-                        max_lat.to_bits(),
-                        max_lon.to_bits(),
-                    ]);
-                    let cells = self.cached(key, || {
-                        self.store.cells_in(&bbox).iter().map(|c| c.raw()).collect()
-                    });
-                    Response::Cells(cells.to_vec())
-                }
-                None => Response::Error("invalid bounding box".into()),
-            },
-            Request::TopDestinationCells { dest, segment } => {
-                let key = CacheKey::TopDest(*dest, segment.map(|s| s.id()));
-                let cells = self.cached(key, || {
-                    self.store
-                        .cells_with_top_destination(*dest, *segment)
-                        .iter()
-                        .map(|c| c.raw())
-                        .collect()
-                });
-                Response::Cells(cells.to_vec())
-            }
+            Request::BboxScan { .. } | Request::TopDestinationCells { .. } => self
+                .scan(req, |cells| Response::Cells(cells.to_vec()))
+                .unwrap_or_else(invalid_bbox),
             Request::Eta {
                 lat,
                 lon,
@@ -307,30 +280,34 @@ impl InventoryService {
             | Request::RouteSummary { .. } => match self.summary_key(req) {
                 Some(key) => {
                     out.push(RESP_SUMMARY);
-                    match self.store.stored_summary(&key) {
+                    match self.store.summary_at(&key) {
                         None => out.push(0),
-                        Some(StoredSummary::Stats(stats)) => {
+                        Some(summary) => {
                             out.push(1);
-                            encode_cell_stats(stats, out);
-                        }
-                        Some(StoredSummary::Encoded(bytes)) => {
-                            out.push(1);
-                            out.extend_from_slice(bytes);
+                            summary.encode(out);
                         }
                     }
                 }
                 None => encode_response_body(&out_of_range(), out),
             },
+            Request::BboxScan { .. } | Request::TopDestinationCells { .. } => {
+                if self.scan(req, |cells| encode_cells(cells, out)).is_none() {
+                    encode_response_body(&invalid_bbox(), out);
+                }
+            }
             Request::Batch(children) => {
                 self.metrics.add_batched(children.len() as u64);
                 out.push(RESP_BATCH);
                 put_varint(out, children.len() as u64);
-                let mut body = Vec::new();
                 for child in children {
-                    body.clear();
-                    self.reply_body(child, &mut body);
-                    put_varint(out, body.len() as u64);
-                    out.extend_from_slice(&body);
+                    // A child's length goes before it and is known after
+                    // it: the child is encoded where it will stay, behind
+                    // one byte that the length's varint then replaces.
+                    let len_at = out.len();
+                    out.push(0);
+                    self.reply_body(child, out);
+                    let (len, width) = varint_bytes((out.len() - len_at - 1) as u64);
+                    out.splice(len_at..=len_at, len.into_iter().take(width));
                 }
             }
             other => encode_response_body(&self.execute(other), out),
@@ -359,23 +336,41 @@ impl InventoryService {
         }
     }
 
-    fn cached<F: FnOnce() -> Vec<u64>>(&self, key: CacheKey, compute: F) -> Arc<Vec<u64>> {
-        if let Some(hit) = self.cache.lock().get(&key) {
-            self.metrics.incr_cache_hit();
-            return hit;
-        }
-        // Compute outside the lock: a slow scan must not serialize every
-        // other aggregate query behind it (the race just recomputes).
-        self.metrics.incr_cache_miss();
-        let value = Arc::new(compute());
-        self.cache.lock().put(key, Arc::clone(&value));
-        value
+    /// Answers a scan request: its cells, ascending, gathered and sorted
+    /// in this thread's scratch, then handed to `reply` — so the typed
+    /// and the appended form of the answer come from one store call and
+    /// neither builds a list of its own. `None` for a bounding box that
+    /// is not one (and for a request that is not a scan).
+    fn scan<R>(&self, req: &Request, reply: impl FnOnce(&[u64]) -> R) -> Option<R> {
+        SCAN_CELLS.with_borrow_mut(|cells| {
+            match *req {
+                Request::BboxScan {
+                    min_lat,
+                    min_lon,
+                    max_lat,
+                    max_lon,
+                } => {
+                    let bbox = BBox::new(min_lat, min_lon, max_lat, max_lon)?;
+                    self.store.cells_in(&bbox, cells);
+                }
+                Request::TopDestinationCells { dest, segment } => {
+                    self.store.cells_with_top_destination(dest, segment, cells);
+                }
+                _ => return None,
+            }
+            Some(reply(cells))
+        })
     }
 }
 
 /// The typed error a summary request with impossible coordinates gets.
 fn out_of_range() -> Response {
     Response::Error("coordinates out of range".into())
+}
+
+/// The typed error a scan of an inverted or out-of-range box gets.
+fn invalid_bbox() -> Response {
+    Response::Error("invalid bounding box".into())
 }
 
 /// A running server. Dropping it shuts it down.
@@ -385,7 +380,6 @@ pub struct Server {
     loop_handle: Option<JoinHandle<()>>,
     metrics: Arc<ServerMetrics>,
     service: Arc<RwLock<Arc<InventoryService>>>,
-    config: ServerConfig,
 }
 
 impl Server {
@@ -400,7 +394,7 @@ impl Server {
         config: ServerConfig,
     ) -> io::Result<Server> {
         let metrics = Arc::new(ServerMetrics::new());
-        let service = InventoryService::new(inventory, &config, Arc::clone(&metrics));
+        let service = InventoryService::new(inventory, Arc::clone(&metrics));
         Server::start_with_service(service, metrics, addr, config)
     }
 
@@ -443,7 +437,6 @@ impl Server {
             loop_handle: Some(loop_handle),
             metrics,
             service,
-            config,
         })
     }
 
@@ -465,12 +458,8 @@ impl Server {
     /// advances. Any chain a previous [`reload_from`](Self::reload_from)
     /// remembered is forgotten: the next manifest is merged from its base.
     pub fn reload(&self, inventory: Inventory) {
-        let fresh = Arc::new(InventoryService::new(
-            inventory,
-            &self.config,
-            Arc::clone(&self.metrics),
-        ));
-        *self.service.write() = fresh;
+        let fresh = InventoryService::new(inventory, Arc::clone(&self.metrics));
+        *self.service.write() = Arc::new(fresh);
         self.metrics.set_chain(0, 1);
         self.metrics.reload_succeeded();
     }
@@ -490,12 +479,7 @@ impl Server {
     /// serving untouched, the chain it remembers included.
     pub fn reload_from(&self, path: &Path) -> Result<(), CodecError> {
         let served = Arc::clone(&self.service.read());
-        match InventoryService::open_after(
-            path,
-            &self.config,
-            Arc::clone(&self.metrics),
-            Some(&served),
-        ) {
+        match InventoryService::open_after(path, Arc::clone(&self.metrics), Some(&served)) {
             Ok(service) => {
                 *self.service.write() = Arc::new(service);
                 self.metrics.reload_succeeded();
@@ -543,8 +527,7 @@ mod tests {
 
     #[test]
     fn invalid_arguments_yield_typed_errors() {
-        let cfg = ServerConfig::default();
-        let svc = InventoryService::new(empty_inventory(), &cfg, Arc::new(ServerMetrics::new()));
+        let svc = InventoryService::new(empty_inventory(), Arc::new(ServerMetrics::new()));
         for req in [
             Request::PointSummary {
                 lat: 95.0,
@@ -573,22 +556,6 @@ mod tests {
                 "{req:?} should be rejected"
             );
         }
-    }
-
-    #[test]
-    fn aggregate_queries_hit_the_cache_on_repeat() {
-        let cfg = ServerConfig::default();
-        let metrics = Arc::new(ServerMetrics::new());
-        let svc = InventoryService::new(empty_inventory(), &cfg, Arc::clone(&metrics));
-        let req = Request::TopDestinationCells {
-            dest: 7,
-            segment: None,
-        };
-        svc.execute(&req);
-        svc.execute(&req);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.cache_misses, 1);
-        assert_eq!(snap.cache_hits, 1);
     }
 
     #[test]

@@ -1,23 +1,15 @@
 //! The serving-side read store: one enum over the two places an
 //! inventory can be served from — the heap [`Inventory`] the codecs
-//! produce, or a memory-mapped POLINV3 file — plus an LRU cache for the
-//! expensive aggregate queries. Both arms answer every query with the
-//! same bytes, which the loopback integration test asserts endpoint by
-//! endpoint.
+//! produce, or a memory-mapped POLINV3 file. Both arms answer every
+//! query with the same bytes, which the loopback integration test
+//! asserts endpoint by endpoint.
 
 use crate::mapped::{MappedCounters, MappedStore};
 use pol_ais::types::MarketSegment;
 use pol_core::features::{CellStats, GroupKey};
-use pol_core::{Inventory, InventoryQuery};
+use pol_core::{Inventory, InventoryQuery, Summary};
 use pol_geo::BBox;
 use pol_hexgrid::{CellIndex, Resolution};
-use pol_sketch::hash::FxHashMap;
-use std::borrow::Cow;
-use std::sync::Arc;
-
-// ---------------------------------------------------------------------
-// Backend dispatch
-// ---------------------------------------------------------------------
 
 /// The two read stores a server can serve from: a heap [`Inventory`]
 /// (a merged delta chain, or one handed over in process) and the
@@ -30,22 +22,6 @@ pub enum StoreBackend {
     Heap(Inventory),
     /// Memory-mapped columnar snapshot (POLINV3).
     Mapped(MappedStore),
-}
-
-/// A summary as its store holds it, borrowed: the decoded statistics of
-/// a heap entry, or a mapped entry's canonical encoding. Either becomes
-/// a reply without building, cloning or re-encoding a [`CellStats`].
-pub enum StoredSummary<'a> {
-    /// A heap inventory's entry.
-    Stats(&'a CellStats),
-    /// A mapped snapshot's `encode_cell_stats` bytes.
-    Encoded(&'a [u8]),
-}
-
-/// Sorts a heap scan's cells by raw index — the canonical reply order.
-fn sorted(mut cells: Vec<CellIndex>) -> Vec<CellIndex> {
-    cells.sort_unstable();
-    cells
 }
 
 impl StoreBackend {
@@ -78,26 +54,37 @@ impl StoreBackend {
         }
     }
 
-    /// Occupied cells whose centre falls inside a bounding box, sorted
-    /// by raw cell index — both backends reply in the same canonical
-    /// order.
-    pub fn cells_in(&self, bbox: &BBox) -> Vec<CellIndex> {
+    /// Fills `cells` with the raw indices of the occupied cells whose
+    /// centre falls inside a bounding box, ascending — both backends
+    /// reply in the same canonical order. The caller owns the buffer, so
+    /// a worker's scans reuse one.
+    pub fn cells_in(&self, bbox: &BBox, cells: &mut Vec<u64>) {
+        cells.clear();
         match self {
-            StoreBackend::Heap(inv) => sorted(inv.cells_in(bbox)),
-            StoreBackend::Mapped(m) => m.cells_in(bbox),
+            StoreBackend::Heap(inv) => cells.extend(inv.cells_in(bbox).iter().map(|c| c.raw())),
+            StoreBackend::Mapped(m) => m.cells_in(bbox, cells),
         }
+        cells.sort_unstable();
     }
 
-    /// Occupied cells whose most frequent destination is `dest`, sorted
-    /// by raw cell index.
+    /// Fills `cells` with the raw indices of the occupied cells whose
+    /// most frequent destination is `dest`, ascending. The mapped store
+    /// copies one precomputed run, in order already; the heap store
+    /// looks at every entry.
     pub fn cells_with_top_destination(
         &self,
         dest: u16,
         segment: Option<MarketSegment>,
-    ) -> Vec<CellIndex> {
+        cells: &mut Vec<u64>,
+    ) {
+        cells.clear();
         match self {
-            StoreBackend::Heap(inv) => sorted(inv.cells_with_top_destination(dest, segment)),
-            StoreBackend::Mapped(m) => m.cells_with_top_destination(dest, segment),
+            StoreBackend::Heap(inv) => {
+                let found = inv.cells_with_top_destination(dest, segment);
+                cells.extend(found.iter().map(|c| c.raw()));
+                cells.sort_unstable();
+            }
+            StoreBackend::Mapped(m) => m.cells_with_top_destination(dest, segment, cells),
         }
     }
 
@@ -111,10 +98,10 @@ impl StoreBackend {
     }
 
     /// The summary stored at `key`, in the form the backend holds it.
-    pub fn stored_summary(&self, key: &GroupKey) -> Option<StoredSummary<'_>> {
+    pub fn summary_at(&self, key: &GroupKey) -> Option<Summary<'_>> {
         match self {
-            StoreBackend::Heap(inv) => inv.get(key).map(StoredSummary::Stats),
-            StoreBackend::Mapped(m) => m.stats_bytes(key).map(StoredSummary::Encoded),
+            StoreBackend::Heap(inv) => inv.get(key).map(Summary::Stats),
+            StoreBackend::Mapped(m) => m.stats_bytes(key).map(Summary::Encoded),
         }
     }
 
@@ -135,18 +122,12 @@ impl InventoryQuery for StoreBackend {
         }
     }
 
-    fn summary(&self, cell: CellIndex) -> Option<Cow<'_, CellStats>> {
-        match self {
-            StoreBackend::Heap(inv) => InventoryQuery::summary(inv, cell),
-            StoreBackend::Mapped(m) => m.summary(cell),
-        }
+    fn summary(&self, cell: CellIndex) -> Option<Summary<'_>> {
+        self.summary_at(&GroupKey::Cell(cell))
     }
 
-    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Cow<'_, CellStats>> {
-        match self {
-            StoreBackend::Heap(inv) => InventoryQuery::summary_for(inv, cell, segment),
-            StoreBackend::Mapped(m) => m.summary_for(cell, segment),
-        }
+    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Summary<'_>> {
+        self.summary_at(&GroupKey::CellType(cell, segment))
     }
 
     fn summary_route(
@@ -155,132 +136,7 @@ impl InventoryQuery for StoreBackend {
         origin: u16,
         dest: u16,
         segment: MarketSegment,
-    ) -> Option<Cow<'_, CellStats>> {
-        match self {
-            StoreBackend::Heap(inv) => {
-                InventoryQuery::summary_route(inv, cell, origin, dest, segment)
-            }
-            StoreBackend::Mapped(m) => m.summary_route(cell, origin, dest, segment),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Aggregate-query LRU cache
-// ---------------------------------------------------------------------
-
-/// Cache key for the two scan-shaped queries. Bbox edges are keyed by
-/// their IEEE-754 bit patterns, so any byte-identical request hits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CacheKey {
-    /// `BboxScan` edges as f64 bit patterns (min_lat, min_lon, max_lat,
-    /// max_lon).
-    Bbox([u64; 4]),
-    /// `TopDestinationCells` arguments (dest, segment id).
-    TopDest(u16, Option<u8>),
-}
-
-/// A small least-recently-used cache mapping scan queries to their reply
-/// cell lists. Values are `Arc`-shared so concurrent hits clone a
-/// pointer, not the list.
-pub struct QueryCache {
-    capacity: usize,
-    tick: u64,
-    map: FxHashMap<CacheKey, (Arc<Vec<u64>>, u64)>,
-}
-
-impl QueryCache {
-    /// A cache holding at most `capacity` entries (0 disables caching).
-    pub fn new(capacity: usize) -> QueryCache {
-        QueryCache {
-            capacity,
-            tick: 0,
-            map: FxHashMap::default(),
-        }
-    }
-
-    /// Looks up a key, refreshing its recency on hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<Vec<u64>>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|(v, used)| {
-            *used = tick;
-            Arc::clone(v)
-        })
-    }
-
-    /// Inserts a value, evicting the least-recently-used entry when full.
-    pub fn put(&mut self, key: CacheKey, value: Arc<Vec<u64>>) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            // Linear eviction scan: the cache is deliberately small
-            // (hundreds of entries), so O(n) beats the bookkeeping cost
-            // of an intrusive list at this size.
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| *k)
-            {
-                self.map.remove(&oldest);
-            }
-        }
-        self.map.insert(key, (value, self.tick));
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cache_hits_and_lru_eviction() {
-        let mut cache = QueryCache::new(2);
-        let (a, b, c) = (
-            CacheKey::TopDest(1, None),
-            CacheKey::TopDest(2, None),
-            CacheKey::Bbox([0, 1, 2, 3]),
-        );
-        cache.put(a, Arc::new(vec![1]));
-        cache.put(b, Arc::new(vec![2]));
-        assert_eq!(cache.get(&a).map(|v| v[0]), Some(1)); // refresh a
-        cache.put(c, Arc::new(vec![3])); // evicts b (least recent)
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&b).is_none());
-        assert!(cache.get(&a).is_some());
-        assert!(cache.get(&c).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let mut cache = QueryCache::new(0);
-        cache.put(CacheKey::TopDest(1, None), Arc::new(vec![1]));
-        assert!(cache.is_empty());
-        assert!(cache.get(&CacheKey::TopDest(1, None)).is_none());
-    }
-
-    #[test]
-    fn updating_existing_key_does_not_evict() {
-        let mut cache = QueryCache::new(2);
-        let (a, b) = (CacheKey::TopDest(1, None), CacheKey::TopDest(2, None));
-        cache.put(a, Arc::new(vec![1]));
-        cache.put(b, Arc::new(vec![2]));
-        cache.put(a, Arc::new(vec![9])); // update in place
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&a).map(|v| v[0]), Some(9));
-        assert!(cache.get(&b).is_some());
+    ) -> Option<Summary<'_>> {
+        self.summary_at(&GroupKey::CellRoute(cell, origin, dest, segment))
     }
 }

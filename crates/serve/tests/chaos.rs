@@ -15,12 +15,19 @@ use pol_core::records::{CellPoint, TripPoint};
 use pol_core::Inventory;
 use pol_geo::LatLon;
 use pol_hexgrid::{cell_at, Resolution};
-use pol_serve::proto::{decode_response, read_frame, write_frame, Request, Response};
-use pol_serve::{Client, ClientConfig, ClientError, ProtoError, RetryPolicy, Server, ServerConfig};
+use pol_serve::proto::{
+    decode_response, encode_request, encode_response, read_frame, write_frame, Request, Response,
+};
+use pol_serve::{
+    Client, ClientConfig, ClientError, InventoryService, ProtoError, RetryPolicy, Server,
+    ServerConfig, ServerMetrics,
+};
 use pol_sketch::hash::FxHashMap;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn res() -> Resolution {
     Resolution::new(6).unwrap()
@@ -283,7 +290,6 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
     let payload = pol_serve::proto::encode_request(&Request::Stats);
     let mut framed = Vec::new();
     write_frame(&mut framed, &payload).unwrap();
-    use std::io::Write;
     stream.write_all(&framed).unwrap();
     let reply = read_frame(&mut stream, 1 << 20).unwrap();
     assert!(
@@ -307,14 +313,14 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
     server.shutdown();
 }
 
-/// A shed must never strand a *pipelined* connection's queue: when a
-/// completion pops the next pending frame and admission sheds it, the
-/// rest of the pending queue has no in-flight marker left to pop it — so
-/// the loop must keep draining, answering every queued frame with Busy,
-/// instead of leaving the connection wedged (no response, not idle, not
-/// stalled) until the peer gives up. The `serve.worker.slot_hold` fault
-/// pins the admission slot *after* the first completion posts, which is
-/// exactly the interleaving where the pop-path shed fires.
+/// A shed must never strand a *pipelined* connection's frames: when a
+/// completion lets the next held frame in and admission sheds it, there
+/// is no completion left to let the rest in — so the loop must keep
+/// taking them, answering every one with Busy, instead of leaving the
+/// connection wedged (no response, not idle, not stalled) until the peer
+/// gives up. The `serve.worker.slot_hold` fault pins the admission slot
+/// *after* the first completion posts, which is exactly the interleaving
+/// where a held frame meets a full cap.
 #[test]
 fn shed_at_pop_answers_every_pipelined_frame() {
     let _chaos = exclusive();
@@ -345,12 +351,11 @@ fn shed_at_pop_answers_every_pipelined_frame() {
     let mut framed = Vec::new();
     write_frame(&mut framed, &payload).unwrap();
     // Four pool requests in one burst: the first dispatches, the other
-    // three queue behind it in the connection's pending queue.
+    // three wait unread behind the connection's one share of the pool.
     let mut burst = Vec::new();
     for _ in 0..4 {
         burst.extend_from_slice(&framed);
     }
-    use std::io::Write;
     stream.write_all(&burst).unwrap();
 
     // Every request gets a response, in order: the served first frame,
@@ -464,7 +469,6 @@ fn a_fault_on_a_loop_request_closes_only_its_connection() {
         victim
             .set_read_timeout(Some(Duration::from_secs(2)))
             .unwrap();
-        use std::io::Write;
         victim.write_all(&burst).unwrap();
         // No reply to the dead request nor to the two behind it: the
         // next thing the peer sees is the close.
@@ -491,5 +495,333 @@ fn a_fault_on_a_loop_request_closes_only_its_connection() {
     fresh.ping().unwrap();
     let report = fresh.stats().unwrap();
     assert_eq!(report.open_connections, 2, "only the victims were closed");
+    server.shutdown();
+}
+
+/// One frame per request, back to back: what a pipelining client writes
+/// in one go.
+fn burst_of(requests: &[Request]) -> Vec<u8> {
+    let mut burst = Vec::new();
+    for req in requests {
+        write_frame(&mut burst, &encode_request(req)).unwrap();
+    }
+    burst
+}
+
+fn connect_raw(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    stream
+}
+
+/// A frame of everything `serve_heavy` batches: two scans, an estimate,
+/// a prediction.
+fn heavy_batch(i: usize) -> Request {
+    let (lat, lon) = (-50.0 + (i % 101) as f64, -160.0 + (i % 320) as f64);
+    Request::Batch(vec![
+        Request::BboxScan {
+            min_lat: -60.0,
+            min_lon: -170.0,
+            max_lat: 60.0,
+            max_lon: 170.0,
+        },
+        Request::TopDestinationCells {
+            dest: (i % 8) as u16,
+            segment: None,
+        },
+        Request::Eta {
+            lat,
+            lon,
+            segment: None,
+            route: None,
+        },
+        Request::PredictDestination {
+            segment: None,
+            top_n: 3,
+            track: vec![(lat, lon), (lat + 1.0, lon + 1.0)],
+        },
+    ])
+}
+
+/// Completions out of order: the first pool request of a pipelined burst
+/// is delayed on its worker, so every pool request behind it finishes
+/// first and every lookup between them is answered at once — and the
+/// replies still arrive one per request, in request order, each the
+/// in-process answer.
+#[test]
+fn replies_keep_request_order_when_the_first_job_finishes_last() {
+    let _chaos = exclusive();
+    const N: usize = 300;
+    let in_process = InventoryService::new(sample_inventory(N), Arc::new(ServerMetrics::new()));
+    let config = ServerConfig {
+        worker_threads: 3,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(sample_inventory(N), "127.0.0.1:0", config).unwrap();
+    configure(
+        "serve.worker.kill",
+        Trigger::NthHit {
+            n: 1,
+            action: FaultAction::Delay(Duration::from_millis(400)),
+        },
+    );
+
+    let point = |i: usize| Request::PointSummary {
+        lat: -50.0 + i as f64,
+        lon: -160.0 + i as f64,
+    };
+    let requests = [
+        heavy_batch(1), // sleeps on its worker
+        point(3),
+        heavy_batch(2),
+        Request::Ping,
+        Request::Eta {
+            lat: -47.0,
+            lon: -157.0,
+            segment: None,
+            route: None,
+        },
+        point(4),
+        heavy_batch(5),
+        Request::Health,
+        heavy_batch(6),
+        point(9),
+    ];
+    let mut stream = connect_raw(server.local_addr());
+    let started = Instant::now();
+    // The first frame alone, so that its worker is the first to meet the
+    // failpoint; then the rest in one burst.
+    stream.write_all(&burst_of(&requests[..1])).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    stream.write_all(&burst_of(&requests[1..])).unwrap();
+    for (i, req) in requests.iter().enumerate() {
+        let reply = read_frame(&mut stream, 1 << 20).unwrap();
+        assert_eq!(
+            reply,
+            encode_response(&in_process.execute(req)),
+            "reply {i} to {req:?}"
+        );
+        if i == 0 {
+            assert!(
+                started.elapsed() >= Duration::from_millis(400),
+                "the first reply did not wait for its delayed job"
+            );
+        }
+    }
+    assert_eq!(stats("serve.worker.kill").fired, 1);
+    // Everything behind the delayed job was done when it finished: the
+    // replies were waiting, not the work.
+    assert!(
+        started.elapsed() < Duration::from_millis(1_500),
+        "the burst took {:?}",
+        started.elapsed()
+    );
+    server.shutdown();
+}
+
+/// A shed in the middle of a pipeline takes its turn like any reply:
+/// with one admission slot left when the burst arrives, the pool request
+/// that gets it is served, the two that do not are answered `Busy`, and
+/// the lookups between them are answered — all in request order, on a
+/// connection that stays open.
+#[test]
+fn a_shed_in_the_middle_of_a_pipeline_takes_its_turn() {
+    let _chaos = exclusive();
+    let config = ServerConfig {
+        worker_threads: 2,
+        max_pending: 0, // two admission slots
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    // Every pool job keeps its admission slot for a while after it has
+    // answered: another connection's takes one of the two...
+    configure(
+        "serve.worker.slot_hold",
+        Trigger::Always(FaultAction::Delay(Duration::from_millis(500))),
+    );
+    Client::connect_with(addr, chaos_client_config(11))
+        .unwrap()
+        .stats()
+        .unwrap();
+
+    // ...the burst's first pool request takes the other, and the rest of
+    // the burst meets a full cap.
+    let mut stream = connect_raw(addr);
+    let requests = [
+        Request::Stats,
+        Request::Ping,
+        Request::Stats,
+        Request::Health,
+        Request::Stats,
+        Request::Ready,
+    ];
+    stream.write_all(&burst_of(&requests)).unwrap();
+    let replies: Vec<Response> = (0..requests.len())
+        .map(|_| decode_response(&read_frame(&mut stream, 1 << 20).unwrap()).unwrap())
+        .collect();
+    assert!(
+        matches!(
+            replies[..],
+            [
+                Response::Stats(_),
+                Response::Pong,
+                Response::Busy,
+                Response::Health(_),
+                Response::Busy,
+                Response::Ready(true)
+            ]
+        ),
+        "{replies:?}"
+    );
+    assert_eq!(server.metrics().snapshot().shed_at_loop, 2);
+
+    // Shed from, not closed: once the slots are free it is served again.
+    reset();
+    std::thread::sleep(Duration::from_millis(600));
+    stream.write_all(&burst_of(&requests[..2])).unwrap();
+    for expect_stats in [true, false] {
+        let reply = decode_response(&read_frame(&mut stream, 1 << 20).unwrap()).unwrap();
+        assert_eq!(
+            matches!(reply, Response::Stats(_)),
+            expect_stats,
+            "{reply:?}"
+        );
+    }
+    server.shutdown();
+}
+
+/// A malformed frame behind two requests still on the pool gets its
+/// typed error after their replies, then the close; the frame behind it
+/// is never answered.
+#[test]
+fn a_malformed_frame_behind_two_running_requests_waits_its_turn() {
+    let _chaos = exclusive();
+    let config = ServerConfig {
+        worker_threads: 3,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
+    // The two pool jobs sleep; the malformed frame is on the loop at once.
+    configure(
+        "serve.worker.kill",
+        Trigger::Always(FaultAction::Delay(Duration::from_millis(300))),
+    );
+    let mut stream = connect_raw(server.local_addr());
+    let mut burst = burst_of(&[Request::Stats, heavy_batch(3)]);
+    write_frame(&mut burst, &[0xEE, 0xEE, 0xEE]).unwrap();
+    burst.extend_from_slice(&burst_of(&[Request::Stats]));
+    let started = Instant::now();
+    stream.write_all(&burst).unwrap();
+    let replies: Vec<Response> = (0..3)
+        .map(|_| decode_response(&read_frame(&mut stream, 1 << 20).unwrap()).unwrap())
+        .collect();
+    assert!(
+        matches!(
+            replies[..],
+            [Response::Stats(_), Response::Batch(_), Response::Error(_)]
+        ),
+        "{replies:?}"
+    );
+    assert!(started.elapsed() >= Duration::from_millis(300));
+    assert!(matches!(
+        read_frame(&mut stream, 1 << 20),
+        Err(ProtoError::ConnectionClosed)
+    ));
+    assert_eq!(server.metrics().snapshot().malformed_frames, 1);
+    server.shutdown();
+}
+
+/// A worker killed in the middle of a pipeline closes the connection:
+/// whatever replies reach the peer first are the first ones owed, in
+/// order, and the next thing it sees is the close — not a reply out of
+/// turn and not a wedged socket — while the server goes on serving.
+#[test]
+fn a_worker_killed_mid_pipeline_closes_the_connection_in_order() {
+    let _chaos = exclusive();
+    let in_process = InventoryService::new(sample_inventory(100), Arc::new(ServerMetrics::new()));
+    let config = ServerConfig {
+        worker_threads: 3,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(sample_inventory(100), "127.0.0.1:0", config).unwrap();
+    // The third pool job to start is killed.
+    configure(
+        "serve.worker.kill",
+        Trigger::NthHit {
+            n: 3,
+            action: FaultAction::Kill,
+        },
+    );
+    let requests: Vec<Request> = (0..6).map(heavy_batch).collect();
+    let mut stream = connect_raw(server.local_addr());
+    stream.write_all(&burst_of(&requests)).unwrap();
+    let mut answered = 0;
+    loop {
+        match read_frame(&mut stream, 1 << 20) {
+            Ok(reply) => {
+                assert_eq!(
+                    reply,
+                    encode_response(&in_process.execute(&requests[answered])),
+                    "reply {answered} out of turn"
+                );
+                answered += 1;
+            }
+            Err(ProtoError::ConnectionClosed) => break,
+            Err(ProtoError::Io(e)) if e.kind() != std::io::ErrorKind::WouldBlock => break,
+            Err(e) => panic!("the connection was left open: {e}"),
+        }
+    }
+    assert!(answered < 3, "{answered} replies passed the killed request");
+    assert_eq!(stats("serve.worker.kill").fired, 1);
+    reset();
+    let mut client = Client::connect_with(server.local_addr(), chaos_client_config(5)).unwrap();
+    client.stats().unwrap();
+    server.shutdown();
+}
+
+/// What pipelining is for: one connection, two workers, sixteen heavy
+/// batches in one burst, every job held for a fixed time on its worker —
+/// the burst takes about eight holds, not sixteen, so both workers ran
+/// that connection's frames at once; and the replies are in order.
+#[test]
+fn one_connection_keeps_every_worker_busy() {
+    let _chaos = exclusive();
+    const HOLD: Duration = Duration::from_millis(60);
+    const FRAMES: usize = 16;
+    let in_process = InventoryService::new(sample_inventory(200), Arc::new(ServerMetrics::new()));
+    let config = ServerConfig {
+        worker_threads: 2,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(sample_inventory(200), "127.0.0.1:0", config).unwrap();
+    configure(
+        "serve.worker.kill",
+        Trigger::Always(FaultAction::Delay(HOLD)),
+    );
+    let requests: Vec<Request> = (0..FRAMES).map(heavy_batch).collect();
+    let mut stream = connect_raw(server.local_addr());
+    let started = Instant::now();
+    stream.write_all(&burst_of(&requests)).unwrap();
+    for (i, req) in requests.iter().enumerate() {
+        let reply = read_frame(&mut stream, 1 << 20).unwrap();
+        assert_eq!(
+            reply,
+            encode_response(&in_process.execute(req)),
+            "reply {i}"
+        );
+    }
+    let took = started.elapsed();
+    assert_eq!(stats("serve.worker.kill").fired, FRAMES as u64);
+    assert!(
+        took >= HOLD * (FRAMES as u32 / 2),
+        "{took:?}: the holds did not happen"
+    );
+    assert!(
+        took < HOLD * (FRAMES as u32 * 3 / 4),
+        "{took:?} for {FRAMES} frames of {HOLD:?} on two workers: they ran one at a time"
+    );
     server.shutdown();
 }

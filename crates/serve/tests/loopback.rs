@@ -688,8 +688,7 @@ fn a_peer_that_never_reads_is_bounded_by_backpressure_and_loses_nothing() {
         write_timeout: Duration::from_secs(60),
         ..test_config()
     };
-    let in_process =
-        InventoryService::new(sample_inventory(N), &config, Arc::new(ServerMetrics::new()));
+    let in_process = InventoryService::new(sample_inventory(N), Arc::new(ServerMetrics::new()));
     // Two occupied cells, alternating, so a reply out of place shows.
     let pair = [7.0, 8.0].map(|i| Request::PointSummary {
         lat: -55.0 + i,
@@ -1120,9 +1119,11 @@ fn burst_of(requests: &[Request]) -> Vec<u8> {
 
 /// Requests the loop answers itself and requests it hands to the pool,
 /// pipelined on one connection in one burst, are answered in request
-/// order — the scan first although the lookups behind it are ready long
-/// before it — and each reply is the in-process answer, from the heap
-/// and from a mapped snapshot.
+/// order — the slow scans first although the lookups and the quick
+/// estimates behind them are done long before, on another worker or on
+/// the loop — and each reply is the in-process answer, from the heap and
+/// from a mapped snapshot, with more workers than pool requests in the
+/// burst and with fewer.
 #[test]
 fn mixed_kinds_pipelined_on_one_connection_answer_in_order() {
     use pol_core::codec::columnar;
@@ -1134,32 +1135,35 @@ fn mixed_kinds_pipelined_on_one_connection_answer_in_order() {
     std::fs::create_dir_all(&dir).unwrap();
     let v3_path = dir.join("inv.pol3");
     columnar::save(&sample_inventory(N), &v3_path).unwrap();
-    let in_process = InventoryService::new(
-        sample_inventory(N),
-        &test_config(),
-        Arc::new(ServerMetrics::new()),
-    );
+    let in_process = InventoryService::new(sample_inventory(N), Arc::new(ServerMetrics::new()));
 
     let (lat, lon) = (-55.0 + 7.0, -170.0 + 7.0); // sample point 7
     let segment = MarketSegment::from_id(0).unwrap();
+    let world = Request::BboxScan {
+        min_lat: -60.0,
+        min_lon: -175.0,
+        max_lat: 60.0,
+        max_lon: 175.0,
+    };
+    let eta = Request::Eta {
+        lat,
+        lon,
+        segment: None,
+        route: None,
+    };
     let requests = [
-        Request::BboxScan {
-            min_lat: -60.0,
-            min_lon: -175.0,
-            max_lat: 60.0,
-            max_lon: 175.0,
-        },
+        world.clone(),
         Request::PointSummary { lat, lon },
+        // On the heap this one looks at every entry: the slowest.
+        Request::TopDestinationCells {
+            dest: 3,
+            segment: None,
+        },
         Request::PointSummary {
             lat: lat + 1.0,
             lon: lon + 1.0,
         },
-        Request::Eta {
-            lat,
-            lon,
-            segment: None,
-            route: None,
-        },
+        eta.clone(),
         Request::RouteSummary {
             lat,
             lon,
@@ -1167,43 +1171,124 @@ fn mixed_kinds_pipelined_on_one_connection_answer_in_order() {
             dest: 7,
             segment,
         },
+        Request::Batch(vec![world.clone(), eta.clone(), world]),
         Request::Ping,
+        eta,
+        Request::BboxScan {
+            min_lat: 10.0,
+            min_lon: 0.0,
+            max_lat: -10.0,
+            max_lon: 5.0,
+        },
+        Request::Health,
     ];
     assert!(matches!(
         in_process.execute(&requests[1]),
         Response::Summary(Some(_))
     ));
     assert!(matches!(
-        in_process.execute(&requests[4]),
+        in_process.execute(&requests[5]),
         Response::Summary(Some(_))
     ));
     let burst = burst_of(&requests);
 
-    let servers = [
-        Server::start(sample_inventory(N), "127.0.0.1:0", test_config()).unwrap(),
-        Server::start_snapshot(&v3_path, "127.0.0.1:0", test_config()).unwrap(),
-    ];
-    for mut server in servers {
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(3)))
-            .unwrap();
-        // Twice over: the second burst meets a connection that has
-        // already been through a pool round trip.
-        for round in 0..2 {
-            stream.write_all(&burst).unwrap();
-            for (i, req) in requests.iter().enumerate() {
-                let reply = read_frame(&mut stream, 1 << 20).unwrap();
-                assert_eq!(
-                    reply,
-                    encode_response(&in_process.execute(req)),
-                    "round {round} reply {i} to {req:?}"
-                );
+    for worker_threads in [6, 2] {
+        let config = ServerConfig {
+            worker_threads,
+            ..ServerConfig::default()
+        };
+        let servers = [
+            Server::start(sample_inventory(N), "127.0.0.1:0", config).unwrap(),
+            Server::start_snapshot(&v3_path, "127.0.0.1:0", config).unwrap(),
+        ];
+        for mut server in servers {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(3)))
+                .unwrap();
+            // Three times over: the later bursts meet a connection that
+            // has already been through pool round trips.
+            for round in 0..3 {
+                stream.write_all(&burst).unwrap();
+                for (i, req) in requests.iter().enumerate() {
+                    let reply = read_frame(&mut stream, 1 << 20).unwrap();
+                    assert_eq!(
+                        reply,
+                        encode_response(&in_process.execute(req)),
+                        "{worker_threads} workers, round {round}, reply {i} to {req:?}"
+                    );
+                }
             }
+            server.shutdown();
         }
-        server.shutdown();
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hot reload between two pipelined scans never shows on the
+/// connection as a generation going backwards: each scan answers from
+/// the snapshot that was live when its frame was taken, frames are taken
+/// in order, so once a reply comes from the new snapshot every later one
+/// does — whichever worker finishes first — and a scan sent after the
+/// reload returned always does.
+#[test]
+fn a_reload_between_pipelined_scans_never_goes_back_a_generation() {
+    use pol_serve::proto::encode_response;
+    use pol_serve::{InventoryService, ServerMetrics};
+    const SCANS: usize = 24;
+    let scan = Request::BboxScan {
+        min_lat: -60.0,
+        min_lon: -175.0,
+        max_lat: 60.0,
+        max_lon: 175.0,
+    };
+    let sizes = [300, 900];
+    let answers = sizes.map(|n| {
+        let service = InventoryService::new(sample_inventory(n), Arc::new(ServerMetrics::new()));
+        encode_response(&service.execute(&scan))
+    });
+    assert_ne!(
+        answers[0], answers[1],
+        "the two snapshots must scan differently"
+    );
+
+    let config = ServerConfig {
+        worker_threads: 3,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(sample_inventory(sizes[0]), "127.0.0.1:0", config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let half = burst_of(&vec![scan; SCANS / 2]);
+    let mut from_old = 0;
+    // Back and forth: each round reloads to the other snapshot between
+    // the two halves of one pipelined burst (building the inventory to
+    // reload gives the loop the time to take the first half).
+    for round in 0..6 {
+        let (old, new) = (round % 2, (round + 1) % 2);
+        stream.write_all(&half).unwrap();
+        server.reload(sample_inventory(sizes[new]));
+        stream.write_all(&half).unwrap();
+        let mut reloaded = false;
+        for i in 0..SCANS {
+            let reply = read_frame(&mut stream, 1 << 20).unwrap();
+            if reply == answers[new] {
+                reloaded = true;
+            } else {
+                assert_eq!(
+                    reply, answers[old],
+                    "round {round}: reply {i} is from neither"
+                );
+                assert!(!reloaded, "round {round}: reply {i} went back a generation");
+                assert!(i < SCANS / 2, "round {round}: reply {i} missed the reload");
+                from_old += 1;
+            }
+        }
+    }
+    assert!(from_old > 0, "no scan was taken before its round's reload");
+    server.shutdown();
 }
 
 /// The snapshot is pinned per frame on the loop as it is on a worker:

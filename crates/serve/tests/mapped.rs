@@ -11,7 +11,7 @@ use pol_apps::eta::EtaEstimator;
 use pol_core::codec::{columnar, encode_cell_stats};
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::records::{CellPoint, TripPoint};
-use pol_core::{Inventory, InventoryQuery};
+use pol_core::{Inventory, InventoryQuery, Summary};
 use pol_geo::{BBox, LatLon};
 use pol_hexgrid::{cell_at, CellIndex, Resolution};
 use pol_serve::MappedStore;
@@ -72,17 +72,19 @@ fn save_and_map(inv: &Inventory, tag: &str) -> (MappedStore, PathBuf) {
 }
 
 /// CellStats equality is by canonical encoding (no `PartialEq`).
-fn stats_bytes(stats: Option<std::borrow::Cow<'_, CellStats>>) -> Option<Vec<u8>> {
+fn stats_bytes(stats: Option<Summary<'_>>) -> Option<Vec<u8>> {
     stats.map(|s| {
         let mut out = Vec::new();
-        encode_cell_stats(&s, &mut out);
+        s.encode(&mut out);
         out
     })
 }
 
-fn sorted(mut cells: Vec<CellIndex>) -> Vec<CellIndex> {
-    cells.sort_unstable_by_key(|c| c.raw());
-    cells
+/// A heap scan's cells as the mapped store hands them out: raw, sorted.
+fn sorted(cells: Vec<CellIndex>) -> Vec<u64> {
+    let mut raws: Vec<u64> = cells.iter().map(|c| c.raw()).collect();
+    raws.sort_unstable();
+    raws
 }
 
 /// The core bit-identity claim: every point lookup at every grouping
@@ -104,7 +106,7 @@ fn mapped_store_equals_heap_inventory_on_every_lookup() {
         let seg = MarketSegment::from_id((i % 7) as u8).unwrap();
         let (origin, dest) = ((i % 6) as u16, (i % 8) as u16);
         // The heap inventory's inherent methods return `&CellStats`;
-        // qualify through the trait so both sides answer as `Cow`.
+        // qualify through the trait so both sides answer as `Summary`.
         assert_eq!(
             stats_bytes(mapped.summary(cell)),
             stats_bytes(InventoryQuery::summary(&heap, cell)),
@@ -141,16 +143,17 @@ fn mapped_store_equals_heap_inventory_on_scans() {
         let lo_lat = -60.0 + (i * 5) as f64;
         let lo_lon = -170.0 + (i * 12) as f64;
         let bbox = BBox::new(lo_lat, lo_lon, lo_lat + 9.0, lo_lon + 15.0).unwrap();
-        assert_eq!(
-            sorted(mapped.cells_in(&bbox)),
-            sorted(heap.cells_in(&bbox)),
-            "bbox {i}"
-        );
+        let mut cells = Vec::new();
+        mapped.cells_in(&bbox, &mut cells);
+        cells.sort_unstable();
+        assert_eq!(cells, sorted(heap.cells_in(&bbox)), "bbox {i}");
     }
     for dest in 0..8u16 {
         for segment in [None, Some(MarketSegment::from_id(2).unwrap())] {
+            let mut cells = Vec::new();
+            mapped.cells_with_top_destination(dest, segment, &mut cells);
             assert_eq!(
-                sorted(mapped.cells_with_top_destination(dest, segment)),
+                cells,
                 sorted(heap.cells_with_top_destination(dest, segment)),
                 "top-dest {dest} {segment:?}"
             );
@@ -413,7 +416,7 @@ fn append_form_equals_typed_form_on_every_endpoint() {
     let on_mapped =
         InventoryService::open_snapshot(&dir.join("inv.pol3"), &config, metrics()).unwrap();
     assert_eq!(on_mapped.store().name(), "mapped-columnar");
-    let on_heap = InventoryService::new(inventory, &config, metrics());
+    let on_heap = InventoryService::new(inventory, metrics());
     for service in [&on_mapped, &on_heap] {
         let store = service.store().name();
         let mut hits = 0;

@@ -39,6 +39,24 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// The LEB128 bytes of `v` and how many of them there are: for a length
+/// that is patched in before what it counts, where there is no vector to
+/// push to.
+pub fn varint_bytes(mut v: u64) -> ([u8; 10], usize) {
+    let mut bytes = [0u8; 10];
+    let mut len = 0;
+    for slot in &mut bytes {
+        len += 1;
+        *slot = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            break;
+        }
+        *slot |= 0x80;
+    }
+    (bytes, len)
+}
+
 /// Reads an LEB128 varint.
 pub fn get_varint(input: &mut &[u8]) -> Result<u64, WireError> {
     let mut v = 0u64;
@@ -57,6 +75,11 @@ pub fn get_varint(input: &mut &[u8]) -> Result<u64, WireError> {
     }
 }
 
+/// Advances `input` past one LEB128 varint, with [`get_varint`]'s checks.
+pub fn skip_varint(input: &mut &[u8]) -> Result<(), WireError> {
+    get_varint(input).map(drop)
+}
+
 /// Writes a raw f64.
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -69,6 +92,12 @@ pub fn get_f64(input: &mut &[u8]) -> Result<f64, WireError> {
     };
     *input = rest;
     Ok(f64::from_le_bytes(*bytes))
+}
+
+/// Advances `input` past `n` bytes of fixed-width fields.
+fn skip_bytes(input: &mut &[u8], n: usize, what: &'static str) -> Result<(), WireError> {
+    *input = input.get(n..).ok_or(WireError(what))?;
+    Ok(())
 }
 
 /// Hands `emit` the `len` items of `items` in ascending `key` order — the
@@ -105,6 +134,12 @@ pub trait Wire: Sized {
     fn encode(&self, out: &mut Vec<u8>);
     /// Decodes a value, advancing `input` past it.
     fn decode(input: &mut &[u8]) -> Result<Self, WireError>;
+    /// Advances `input` past one encoded value without building it: the
+    /// bytes [`decode`](Wire::decode) would consume, behind the same
+    /// bounds checks, and no allocation. Constraints between values
+    /// (sortedness, sums) are `decode`'s to check, so a skip may pass
+    /// over bytes a decode would refuse.
+    fn skip(input: &mut &[u8]) -> Result<(), WireError>;
 }
 
 impl Wire for Welford {
@@ -131,6 +166,13 @@ impl Wire for Welford {
         let max = get_f64(input)?;
         Ok(Welford::from_parts(count, mean, m2, min, max))
     }
+
+    fn skip(input: &mut &[u8]) -> Result<(), WireError> {
+        match get_varint(input)? {
+            0 => Ok(()),
+            _ => skip_bytes(input, 32, "f64 truncated"),
+        }
+    }
 }
 
 impl Wire for Circular {
@@ -152,6 +194,13 @@ impl Wire for Circular {
         let c = get_f64(input)?;
         Ok(Circular::from_parts(count, s, c))
     }
+
+    fn skip(input: &mut &[u8]) -> Result<(), WireError> {
+        match get_varint(input)? {
+            0 => Ok(()),
+            _ => skip_bytes(input, 16, "f64 truncated"),
+        }
+    }
 }
 
 impl Wire for AngleHistogram {
@@ -167,6 +216,10 @@ impl Wire for AngleHistogram {
             *c = get_varint(input)?;
         }
         Ok(AngleHistogram::from_counts(counts))
+    }
+
+    fn skip(input: &mut &[u8]) -> Result<(), WireError> {
+        (0..12).try_for_each(|_| skip_varint(input))
     }
 }
 
@@ -216,6 +269,24 @@ impl Wire for GkSketch {
         }
         GkSketch::from_parts(epsilon, n, tuples).ok_or(WireError("gk tuples not sorted"))
     }
+
+    fn skip(input: &mut &[u8]) -> Result<(), WireError> {
+        let epsilon = get_f64(input)?;
+        if !(epsilon > 0.0 && epsilon < 0.5) {
+            return Err(WireError("gk epsilon out of range"));
+        }
+        skip_varint(input)?;
+        let len = get_varint(input)? as usize;
+        if len > input.len() {
+            return Err(WireError("gk tuple count exceeds buffer"));
+        }
+        for _ in 0..len {
+            skip_bytes(input, 8, "f64 truncated")?;
+            skip_varint(input)?;
+            skip_varint(input)?;
+        }
+        Ok(())
+    }
 }
 
 impl Wire for TDigest {
@@ -257,6 +328,19 @@ impl Wire for TDigest {
         TDigest::from_parts(compression, total, min, max, centroids)
             .ok_or(WireError("tdigest centroids not sorted"))
     }
+
+    fn skip(input: &mut &[u8]) -> Result<(), WireError> {
+        let compression = get_f64(input)?;
+        if !(compression >= 10.0) {
+            return Err(WireError("tdigest compression out of range"));
+        }
+        skip_bytes(input, 24, "f64 truncated")?;
+        let len = get_varint(input)? as usize;
+        if len > input.len() {
+            return Err(WireError("tdigest centroid count exceeds buffer"));
+        }
+        skip_bytes(input, len.saturating_mul(16), "f64 truncated")
+    }
 }
 
 impl Wire for HyperLogLog {
@@ -278,6 +362,15 @@ impl Wire for HyperLogLog {
         let (regs, rest) = input.split_at(m);
         *input = rest;
         Ok(HyperLogLog::from_registers(p, regs.to_vec()))
+    }
+
+    fn skip(input: &mut &[u8]) -> Result<(), WireError> {
+        let (&p, rest) = input.split_first().ok_or(WireError("hll truncated"))?;
+        *input = rest;
+        if !(4..=16).contains(&p) {
+            return Err(WireError("hll precision out of range"));
+        }
+        skip_bytes(input, 1usize << p, "hll registers truncated")
     }
 }
 
@@ -321,6 +414,22 @@ impl Wire for Distinct {
             _ => Err(WireError("distinct bad tag")),
         }
     }
+
+    fn skip(input: &mut &[u8]) -> Result<(), WireError> {
+        let (&tag, rest) = input.split_first().ok_or(WireError("distinct truncated"))?;
+        *input = rest;
+        match tag {
+            0 => {
+                let len = get_varint(input)? as usize;
+                if len > input.len() {
+                    return Err(WireError("distinct set exceeds buffer"));
+                }
+                (0..len).try_for_each(|_| skip_varint(input))
+            }
+            1 => HyperLogLog::skip(input),
+            _ => Err(WireError("distinct bad tag")),
+        }
+    }
 }
 
 impl Wire for SpaceSaving<u64> {
@@ -359,6 +468,19 @@ impl Wire for SpaceSaving<u64> {
         }
         Ok(SpaceSaving::from_parts(capacity, total, items))
     }
+
+    fn skip(input: &mut &[u8]) -> Result<(), WireError> {
+        let capacity = get_varint(input)? as usize;
+        if capacity == 0 {
+            return Err(WireError("spacesaving zero capacity"));
+        }
+        skip_varint(input)?;
+        let len = get_varint(input)? as usize;
+        if len > capacity || len > input.len() {
+            return Err(WireError("spacesaving length invalid"));
+        }
+        (0..len * 3).try_for_each(|_| skip_varint(input))
+    }
 }
 
 #[cfg(test)]
@@ -373,6 +495,25 @@ mod tests {
         let back = T::decode(&mut slice).expect("decodes");
         assert!(slice.is_empty(), "trailing bytes");
         assert_eq!(&back, v);
+        skips_what_it_decodes::<T>(&buf);
+    }
+
+    /// `skip` stops where `decode` stops, with bytes of another value
+    /// behind the sketch or without.
+    fn skips_what_it_decodes<T: Wire>(encoded: &[u8]) {
+        let mut followed = encoded.to_vec();
+        followed.extend_from_slice(b"next");
+        let mut slice = &followed[..];
+        T::skip(&mut slice).expect("skips");
+        assert_eq!(slice, b"next");
+        for cut in 0..encoded.len() {
+            let (mut skipped, mut decoded) = (&encoded[..cut], &encoded[..cut]);
+            assert!(T::skip(&mut skipped).is_err(), "skipped a prefix of {cut}");
+            assert!(
+                T::decode(&mut decoded).is_err(),
+                "decoded a prefix of {cut}"
+            );
+        }
     }
 
     #[test]
@@ -386,6 +527,12 @@ mod tests {
         }
         let mut empty: &[u8] = &[];
         assert!(get_varint(&mut empty).is_err());
+        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            let (bytes, len) = varint_bytes(v);
+            assert_eq!(&bytes[..len], buf);
+        }
     }
 
     #[test]
@@ -426,6 +573,7 @@ mod tests {
         g.encode(&mut buf);
         let mut s = &buf[..];
         let mut back = GkSketch::decode(&mut s).unwrap();
+        skips_what_it_decodes::<GkSketch>(&buf);
         assert_eq!(back.count(), g.count());
         for phi in [0.1, 0.5, 0.9] {
             assert_eq!(back.quantile(phi), g.clone().quantile(phi));
@@ -442,6 +590,7 @@ mod tests {
         t.encode(&mut buf);
         let mut s = &buf[..];
         let mut back = TDigest::decode(&mut s).unwrap();
+        skips_what_it_decodes::<TDigest>(&buf);
         assert_eq!(back.count(), t.count());
         for phi in [0.1, 0.5, 0.9] {
             let a = back.quantile(phi).unwrap();
@@ -480,6 +629,7 @@ mod tests {
         s.encode(&mut buf);
         let mut slice = &buf[..];
         let back = SpaceSaving::<u64>::decode(&mut slice).unwrap();
+        skips_what_it_decodes::<SpaceSaving<u64>>(&buf);
         assert_eq!(back.total(), s.total());
         // `top` order among exact ties is unspecified; compare as sets.
         let as_set = |v: Vec<(u64, Counter)>| -> std::collections::BTreeSet<(u64, u64, u64)> {
