@@ -11,7 +11,8 @@
 #              stable, fully offline.
 #   analysis — the dynamic checkers: loom model checking of the serve
 #              primitives, Miri on the codec property tests, ASan on
-#              the mmap suite, TSan on the loopback server tests.
+#              the mmap suite, TSan on the loopback server tests and
+#              on the journal's recovery suite (the writer's I/O thread).
 #              Checkers whose toolchain components are unavailable in
 #              this container skip LOUDLY with the reason; the pinned
 #              CI job runs them for real. See analysis/README.md.
@@ -159,7 +160,7 @@ run_analysis() {
     LSAN_OPTIONS="suppressions=$PWD/analysis/asan.supp" \
       cargo "+$NIGHTLY" test -q -p pol-serve --test mapped --target "$host"
 
-    echo "==> ThreadSanitizer on the serve loopback tests"
+    echo "==> ThreadSanitizer on the serve loopback tests and the journal recovery suite"
     if rustup component list --toolchain "$NIGHTLY" 2>/dev/null \
         | grep -q '^rust-src.*(installed)'; then
       # -Zbuild-std instruments std itself; without it TSan reports
@@ -169,6 +170,12 @@ run_analysis() {
       TSAN_OPTIONS="suppressions=$PWD/analysis/tsan.supp" \
         cargo "+$NIGHTLY" test -q -Zbuild-std \
         -p pol-serve --test loopback --target "$host"
+      # pol-stream's one thread: the journal writer's I/O thread, under
+      # the kill-point sweep and the cadence permutations.
+      RUSTFLAGS="-Zsanitizer=thread" \
+      TSAN_OPTIONS="suppressions=$PWD/analysis/tsan.supp" \
+        cargo "+$NIGHTLY" test -q -Zbuild-std \
+        -p pol-stream --test recovery --target "$host"
     else
       skip "tsan" "the rust-src component is not installed for $NIGHTLY (needed for -Zbuild-std; offline container)"
     fi

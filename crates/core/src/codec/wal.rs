@@ -51,9 +51,9 @@ use pol_ais::types::{Mmsi, NavStatus};
 use pol_ais::PositionReport;
 use pol_geo::LatLon;
 use pol_sketch::crc64::crc64;
-use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, WireError};
+use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, varint_bytes, WireError};
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// WAL segment file magic.
@@ -66,6 +66,11 @@ pub const SEAL_SENTINEL: u32 = u32::MAX;
 /// timestamp varint (1) + two raw `f64`s (16) + flags (1) + nav status
 /// (1). Bounds the allocation a hostile record count can demand.
 pub const MIN_RECORD_BYTES: usize = 20;
+
+/// The most one encoded record takes: mmsi varint (5) + timestamp varint
+/// (10) + two raw `f64`s (16) + flags (1) + three optional `f64`s (24) +
+/// nav status (1). Sizes a frame buffer so that it never regrows.
+const MAX_RECORD_BYTES: usize = 57;
 
 /// An upper bound on one batch frame's payload, far above anything the
 /// writer produces (the journal flushes batches of hundreds of
@@ -192,15 +197,67 @@ pub fn decode_record(input: &mut &[u8]) -> Result<PositionReport, WireError> {
     })
 }
 
-/// Encodes one batch's payload (sequence number, count, records).
-pub fn encode_batch_payload(seq: u64, records: &[PositionReport]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + records.len() * 40);
-    put_varint(&mut out, seq);
-    put_varint(&mut out, records.len() as u64);
-    for r in records {
-        encode_record(r, &mut out);
+/// Room ahead of a frame's records for what is only known once the
+/// frame is closed: the `u32` payload length, the sequence varint and
+/// the record-count varint.
+const FRAME_HEADROOM: usize = 4 + 10 + 10;
+
+/// One batch frame being filled, in a buffer that is reused from frame
+/// to frame: each record is encoded once, where it is written from.
+/// [`SegmentWriter::append_frame`] closes it (head and CRC) and leaves
+/// the records as they were, so a frame whose append failed can be
+/// appended again.
+#[derive(Debug)]
+pub struct FrameBuf {
+    /// [`FRAME_HEADROOM`] bytes, then the encoded records.
+    bytes: Vec<u8>,
+    records: usize,
+}
+
+impl FrameBuf {
+    /// An empty frame with room for `records` records and the CRC.
+    pub fn with_capacity(records: usize) -> FrameBuf {
+        let mut bytes = Vec::with_capacity(FRAME_HEADROOM + records * MAX_RECORD_BYTES + 8);
+        bytes.resize(FRAME_HEADROOM, 0);
+        FrameBuf { bytes, records: 0 }
     }
-    out
+
+    /// Encodes one more record into the frame.
+    pub fn push(&mut self, r: &PositionReport) {
+        encode_record(r, &mut self.bytes);
+        self.records += 1;
+    }
+
+    /// Records in the frame.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
+    /// Empties the frame, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.bytes.truncate(FRAME_HEADROOM);
+        self.records = 0;
+    }
+
+    /// Writes the frame's head for sequence `seq` — payload length,
+    /// sequence, record count — right-aligned in the headroom, and
+    /// returns where the frame starts. A function of the sequence and
+    /// the records alone, so closing twice is closing once.
+    fn close(&mut self, seq: u64) -> usize {
+        let (seq_bytes, seq_len) = varint_bytes(seq);
+        let (count_bytes, count_len) = varint_bytes(self.records as u64);
+        let start = FRAME_HEADROOM - 4 - seq_len - count_len;
+        let payload_len = (self.bytes.len() - start - 4) as u32;
+        let head = payload_len
+            .to_le_bytes()
+            .into_iter()
+            .chain(seq_bytes.into_iter().take(seq_len))
+            .chain(count_bytes.into_iter().take(count_len));
+        for (slot, byte) in self.bytes.iter_mut().skip(start).zip(head) {
+            *slot = byte;
+        }
+        start
+    }
 }
 
 /// Decodes one batch payload into its sequence number and records.
@@ -235,8 +292,12 @@ pub struct Batch {
 pub struct SegmentLoad {
     /// The header's first batch sequence number.
     pub first_seq: u64,
-    /// Every durable batch, in append order.
+    /// The durable batches that were decoded, in append order: all of
+    /// them, or those from the `from_seq` a reader asked for onward.
     pub batches: Vec<Batch>,
+    /// Every durable batch frame, decoded or only checked: the next
+    /// batch appended carries `first_seq + frames`.
+    pub frames: u64,
     /// Whether the segment ended with a valid seal.
     pub sealed: bool,
     /// Bytes of a torn trailing batch (or partial seal) that were
@@ -261,6 +322,14 @@ pub fn read_sealed(bytes: &[u8]) -> Result<SegmentLoad, WalError> {
 /// seal is detected, reported in [`SegmentLoad::torn_bytes`], and
 /// discarded — never served. Mid-file defects are still typed errors.
 pub fn read_segment(bytes: &[u8]) -> Result<SegmentLoad, WalError> {
+    read_segment_from(bytes, 0)
+}
+
+/// [`read_segment`] for a reader that replays batch `from_seq` onward:
+/// a frame below it is proven exactly as far as the framing goes —
+/// length, CRC, and the sequence its payload opens with — and its
+/// records are not decoded.
+pub fn read_segment_from(bytes: &[u8], from_seq: u64) -> Result<SegmentLoad, WalError> {
     if bytes.len() < MAGIC_WAL.len() || &bytes[..MAGIC_WAL.len()] != MAGIC_WAL {
         return Err(WalError::BadHeader);
     }
@@ -287,19 +356,27 @@ pub fn read_segment(bytes: &[u8]) -> Result<SegmentLoad, WalError> {
 
     let mut batches = Vec::new();
     let mut next_seq = first_seq;
+    let torn = |batches: Vec<Batch>, next_seq: u64, valid_at: usize| SegmentLoad {
+        first_seq,
+        batches,
+        frames: next_seq - first_seq,
+        sealed: false,
+        torn_bytes: (bytes.len() - valid_at) as u64,
+        valid_len: valid_at as u64,
+    };
     loop {
         let frame_at = at;
         let Some(len) = read_u32(bytes, &mut at) else {
             // Torn: EOF inside (or right at) a frame-length field.
-            return Ok(torn(first_seq, batches, frame_at, bytes.len()));
+            return Ok(torn(batches, next_seq, frame_at));
         };
         if len == SEAL_SENTINEL {
             // Seal: recorded total length + footer magic, then EOF.
             let Some(recorded) = read_u64(bytes, &mut at) else {
-                return Ok(torn(first_seq, batches, frame_at, bytes.len()));
+                return Ok(torn(batches, next_seq, frame_at));
             };
             let Some(magic) = read_slice(bytes, &mut at, FOOTER_MAGIC.len()) else {
-                return Ok(torn(first_seq, batches, frame_at, bytes.len()));
+                return Ok(torn(batches, next_seq, frame_at));
             };
             if magic != FOOTER_MAGIC || recorded != bytes.len() as u64 {
                 return Err(WalError::Unsealed);
@@ -310,6 +387,7 @@ pub fn read_segment(bytes: &[u8]) -> Result<SegmentLoad, WalError> {
             return Ok(SegmentLoad {
                 first_seq,
                 batches,
+                frames: next_seq - first_seq,
                 sealed: true,
                 torn_bytes: 0,
                 valid_len: frame_at as u64,
@@ -320,47 +398,44 @@ pub fn read_segment(bytes: &[u8]) -> Result<SegmentLoad, WalError> {
             return Err(WalError::Corrupt("oversized batch frame"));
         }
         let Some(payload) = read_slice(bytes, &mut at, len) else {
-            return Ok(torn(first_seq, batches, frame_at, bytes.len()));
+            return Ok(torn(batches, next_seq, frame_at));
         };
         let Some(payload_crc) = read_u64(bytes, &mut at) else {
-            return Ok(torn(first_seq, batches, frame_at, bytes.len()));
+            return Ok(torn(batches, next_seq, frame_at));
         };
         if crc64(payload) != payload_crc {
             if at == bytes.len() {
                 // The final frame's bytes are all present but wrong: a
                 // torn write that persisted the length before the
                 // payload pages. Discard, never serve.
-                return Ok(torn(first_seq, batches, frame_at, bytes.len()));
+                return Ok(torn(batches, next_seq, frame_at));
             }
             return Err(WalError::Checksum { section: "batch" });
         }
-        let (seq, records) = decode_batch_payload(payload)?;
+        let seq = if next_seq < from_seq {
+            let mut opening = payload;
+            get_varint(&mut opening)?
+        } else {
+            let (seq, records) = decode_batch_payload(payload)?;
+            batches.push(Batch { seq, records });
+            seq
+        };
         if seq != next_seq {
             return Err(WalError::Corrupt("batch sequence gap"));
         }
         next_seq += 1;
-        batches.push(Batch { seq, records });
         if at == bytes.len() {
             // Clean unsealed end (e.g. the writer was killed between
             // batches): every batch is durable, nothing torn.
             return Ok(SegmentLoad {
                 first_seq,
                 batches,
+                frames: next_seq - first_seq,
                 sealed: false,
                 torn_bytes: 0,
                 valid_len: at as u64,
             });
         }
-    }
-}
-
-fn torn(first_seq: u64, batches: Vec<Batch>, valid_at: usize, file_len: usize) -> SegmentLoad {
-    SegmentLoad {
-        first_seq,
-        batches,
-        sealed: false,
-        torn_bytes: (file_len - valid_at) as u64,
-        valid_len: valid_at as u64,
     }
 }
 
@@ -398,7 +473,7 @@ fn chaos_io(what: &str) -> io::Error {
 ///
 /// `create` writes and syncs the header before returning, so a segment
 /// that exists on disk with a readable header is append-ready. Batches
-/// are appended with [`append_batch`](Self::append_batch); the caller
+/// are appended with [`append_frame`](Self::append_frame); the caller
 /// decides when to [`sync`](Self::sync) (group commit lives one layer
 /// up, in `pol-stream::journal`). Dropping the writer without
 /// [`seal`](Self::seal) leaves a valid unsealed segment — exactly what
@@ -410,6 +485,9 @@ pub struct SegmentWriter {
     len: u64,
     first_seq: u64,
     next_seq: u64,
+    /// A write failed part-way: the file may hold bytes past `len`, and
+    /// the next append or seal cuts them off first.
+    torn: bool,
 }
 
 impl SegmentWriter {
@@ -433,11 +511,13 @@ impl SegmentWriter {
             len: image.len() as u64,
             first_seq,
             next_seq: first_seq,
+            torn: false,
         })
     }
 
     /// Reopens an unsealed segment for appending, truncating away a
-    /// torn tail first. `load` must come from reading this same file.
+    /// torn tail first. `load` must come from reading this same file;
+    /// its `batches` are not read (a journal reader moves them out).
     pub fn resume(path: &Path, load: &SegmentLoad) -> Result<SegmentWriter, WalError> {
         if load.sealed {
             return Err(WalError::Corrupt("cannot resume a sealed segment"));
@@ -450,13 +530,14 @@ impl SegmentWriter {
             file.set_len(load.valid_len)?;
             file.sync_all()?;
         }
-        io::Seek::seek(&mut file, io::SeekFrom::Start(load.valid_len))?;
+        file.seek(io::SeekFrom::Start(load.valid_len))?;
         Ok(SegmentWriter {
             file,
             path: path.to_path_buf(),
             len: load.valid_len,
             first_seq: load.first_seq,
-            next_seq: load.first_seq + load.batches.len() as u64,
+            next_seq: load.first_seq + load.frames,
+            torn: false,
         })
     }
 
@@ -480,24 +561,58 @@ impl SegmentWriter {
         self.next_seq
     }
 
-    /// Appends one record batch. The bytes reach the file (and the
-    /// kernel), but not necessarily the platter — call
+    /// Appends `frame` as the next batch. The bytes reach the file (and
+    /// the kernel), but not necessarily the platter — call
     /// [`sync`](Self::sync) to make the batch durable. Returns the
-    /// batch's sequence number.
-    pub fn append_batch(&mut self, records: &[PositionReport]) -> Result<u64, WalError> {
-        if pol_chaos::fire("wal.append.write") {
-            return Err(WalError::Io(chaos_io("wal append write")));
-        }
+    /// batch's sequence number. On an error the segment is as long as
+    /// it was (whatever part of the frame got out is cut off before the
+    /// next append) and `frame` still holds its records: appending it
+    /// again is the retry.
+    pub fn append_frame(&mut self, frame: &mut FrameBuf) -> Result<u64, WalError> {
+        self.cut_back()?;
         let seq = self.next_seq;
-        let payload = encode_batch_payload(seq, records);
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc64(&payload).to_le_bytes());
-        self.file.write_all(&frame)?;
-        self.len += frame.len() as u64;
+        let start = frame.close(seq);
+        let end = frame.bytes.len();
+        let crc = crc64(&frame.bytes[start + 4..]);
+        frame.bytes.extend_from_slice(&crc.to_le_bytes());
+        let image = &frame.bytes[start..];
+        let frame_len = image.len() as u64;
+        self.torn = true;
+        let wrote = if pol_chaos::fire("wal.append.write") {
+            // The fault tears the append: half a frame is in the file
+            // when the call fails.
+            let _ = self.file.write_all(&image[..image.len() / 2]);
+            Err(chaos_io("wal append write"))
+        } else {
+            self.file.write_all(image)
+        };
+        frame.bytes.truncate(end);
+        wrote?;
+        self.torn = false;
+        self.len += frame_len;
         self.next_seq += 1;
         Ok(seq)
+    }
+
+    /// [`append_frame`](Self::append_frame) for records held in a slice.
+    pub fn append_batch(&mut self, records: &[PositionReport]) -> Result<u64, WalError> {
+        let mut frame = FrameBuf::with_capacity(records.len());
+        for r in records {
+            frame.push(r);
+        }
+        self.append_frame(&mut frame)
+    }
+
+    /// Cuts the file back to the last whole frame after a failed write:
+    /// a frame appended behind a fragment would read as mid-file
+    /// corruption, and a seal would record the wrong length.
+    fn cut_back(&mut self) -> io::Result<()> {
+        if self.torn {
+            self.file.set_len(self.len)?;
+            self.file.seek(io::SeekFrom::Start(self.len))?;
+            self.torn = false;
+        }
+        Ok(())
     }
 
     /// Makes every appended batch durable (fsync).
@@ -513,6 +628,7 @@ impl SegmentWriter {
     /// seal magic) and fsyncs. A sealed segment is immutable and is
     /// read with the same zero-tolerance discipline as a snapshot.
     pub fn seal(mut self) -> Result<(), WalError> {
+        self.cut_back()?;
         if pol_chaos::fire("wal.seal") {
             return Err(WalError::Io(chaos_io("wal seal")));
         }
@@ -553,6 +669,85 @@ mod tests {
         let dir = std::env::temp_dir().join("pol-wal-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// The payload as the format section spells it, built the slow way:
+    /// the oracle for [`FrameBuf`] and the forger of hostile frames.
+    fn encode_batch_payload(seq: u64, records: &[PositionReport]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, seq);
+        put_varint(&mut out, records.len() as u64);
+        for r in records {
+            encode_record(r, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn a_frame_filled_in_place_is_the_payload_framed() {
+        // Either side of both varint width changes: counts 127 / 128,
+        // sequences 127 / 128 and 16 383 / 16 384.
+        let path = tmp("framebuf.polwal");
+        for (seq, n) in [(0, 1), (127, 127), (128, 128), (16_383, 300), (16_384, 0)] {
+            let records = batch(n, 2);
+            let mut w = SegmentWriter::create(&path, seq).unwrap();
+            let header = w.len() as usize;
+            let mut frame = FrameBuf::with_capacity(4);
+            for r in &records {
+                frame.push(r);
+            }
+            assert_eq!(frame.records(), n);
+            assert_eq!(w.append_frame(&mut frame).unwrap(), seq);
+            let payload = encode_batch_payload(seq, &records);
+            let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&payload);
+            want.extend_from_slice(&crc64(&payload).to_le_bytes());
+            assert_eq!(std::fs::read(&path).unwrap()[header..], want, "seq {seq}");
+            assert_eq!(w.len() as usize, header + want.len());
+
+            // The buffer is reusable: cleared, it frames the next batch.
+            frame.clear();
+            assert_eq!(frame.records(), 0);
+            frame.push(&records.first().copied().unwrap_or(report(200_000_001, 1)));
+            assert_eq!(w.append_frame(&mut frame).unwrap(), seq + 1);
+            assert_eq!(load_segment(&path).unwrap().batches.len(), 2);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_reader_from_a_later_batch_checks_the_earlier_ones_without_decoding() {
+        let path = tmp("from-seq.polwal");
+        let mut w = SegmentWriter::create(&path, 10).unwrap();
+        for i in 0..5 {
+            w.append_batch(&batch(6, i)).unwrap();
+        }
+        w.sync().unwrap();
+        drop(w);
+        let bytes = std::fs::read(&path).unwrap();
+        let all = read_segment(&bytes).unwrap();
+        assert_eq!((all.frames, all.batches.len()), (5, 5));
+        for from in [0, 10, 12, 15, 99] {
+            let load = read_segment_from(&bytes, from).unwrap();
+            assert_eq!(load.frames, 5, "every frame is counted");
+            assert_eq!(load.valid_len, all.valid_len);
+            let seqs: Vec<u64> = load.batches.iter().map(|b| b.seq).collect();
+            let want: Vec<u64> = (10..15).filter(|s| *s >= from).collect();
+            assert_eq!(seqs, want, "from {from}");
+        }
+        // A skipped frame is still CRC-checked...
+        let header = MAGIC_WAL.len() + 4 + 1 + 8;
+        let mut flipped = bytes.clone();
+        flipped[header + 4 + 5] ^= 1;
+        assert!(matches!(
+            read_segment_from(&flipped, 14),
+            Err(WalError::Checksum { section: "batch" })
+        ));
+        // ...and its sequence read: a resumed writer continues the count.
+        let load = read_segment_from(&bytes, 14).unwrap();
+        let w = SegmentWriter::resume(&path, &load).unwrap();
+        assert_eq!(w.next_seq(), 15);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -111,3 +111,65 @@ fn injected_rename_failure_cleans_temp_and_preserves_old_file() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn an_append_torn_by_a_write_fault_is_cut_off_before_the_retry_and_the_seal() {
+    use pol_ais::types::NavStatus;
+    use pol_core::codec::wal::{self, FrameBuf, SegmentWriter};
+
+    let _chaos = exclusive();
+    let dir = std::env::temp_dir().join("pol-codec-chaos-wal-torn");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("torn.polwal");
+    let frame_of = |salt: i64| {
+        let mut frame = FrameBuf::with_capacity(8);
+        for i in 0..8 {
+            frame.push(&pol_ais::PositionReport {
+                mmsi: Mmsi(200_000_001),
+                timestamp: salt * 100 + i,
+                pos: LatLon::new(10.0 + i as f64, 20.0).unwrap(),
+                sog_knots: Some(9.5),
+                cog_deg: None,
+                heading_deg: None,
+                nav_status: NavStatus::UnderWayUsingEngine,
+            });
+        }
+        frame
+    };
+
+    let mut w = SegmentWriter::create(&path, 0).unwrap();
+    w.append_frame(&mut frame_of(0)).unwrap();
+    let whole = w.len();
+
+    // The fault leaves half of frame 1 in the file; the writer's length
+    // and sequence do not move, and what is on disk reads as a torn tail.
+    configure("wal.append.write", Trigger::OneShot(FaultAction::Err));
+    let mut second = frame_of(1);
+    assert!(w.append_frame(&mut second).is_err());
+    assert_eq!(stats("wal.append.write").fired, 1);
+    remove("wal.append.write");
+    assert_eq!((w.len(), w.next_seq()), (whole, 1));
+    assert!(std::fs::metadata(&path).unwrap().len() > whole);
+    let torn = wal::load_segment(&path).unwrap();
+    assert_eq!((torn.frames, torn.valid_len), (1, whole));
+    assert!(torn.torn_bytes > 0);
+
+    // The same frame again: the fragment goes first, so the segment is
+    // two whole frames, not a frame behind half of itself.
+    assert_eq!(w.append_frame(&mut second).unwrap(), 1);
+    let healed = wal::load_segment(&path).unwrap();
+    assert_eq!((healed.frames, healed.torn_bytes), (2, 0));
+    assert_eq!(healed.valid_len, w.len());
+
+    // A seal straight after a torn append records the length of what it
+    // seals.
+    configure("wal.append.write", Trigger::OneShot(FaultAction::Err));
+    assert!(w.append_frame(&mut frame_of(2)).is_err());
+    remove("wal.append.write");
+    w.seal().unwrap();
+    let sealed = wal::read_sealed(&std::fs::read(&path).unwrap()).unwrap();
+    assert_eq!(sealed.frames, 2);
+    assert_eq!(sealed.batches.len(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}

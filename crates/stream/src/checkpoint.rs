@@ -68,7 +68,7 @@ use pol_sketch::crc64::crc64;
 use pol_sketch::hash::FxHashMap;
 use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, WireError};
 use std::fs::File;
-use std::io::{self, Seek, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Checkpoint head magic.
@@ -813,14 +813,37 @@ fn chaos_io(what: &str) -> io::Error {
 /// when too much of it is dead.
 pub(crate) struct CheckpointWriter {
     dir: PathBuf,
-    /// The log the head names, open for writing; `None` before the
+    /// The log the head names, open for appending; `None` before the
     /// first checkpoint.
     log: Option<(u64, File)>,
-    /// The log's committed length. A failed checkpoint may have left
-    /// bytes past it; every append cuts the file back to it first.
+    /// The log's committed length.
     log_len: u64,
+    /// The log may hold bytes past `log_len`: a frame was appended and
+    /// the head that would have named it was never saved. The frame is
+    /// written *while* the journal flush it depends on is in flight, so
+    /// a whole, fsynced frame is orphaned whenever that flush (or the
+    /// head save) fails afterwards — "the append failed" does not say
+    /// whether there is a tail. The flag is therefore raised when an
+    /// append starts and lowered only by the commit that names the
+    /// frame; the next append truncates exactly when it is up, where
+    /// every append used to truncate to be safe.
+    orphan_tail: bool,
     marks: FxHashMap<u32, Mark>,
     stats: CheckpointStats,
+}
+
+/// A checkpoint whose log bytes are on disk and whose head is not: what
+/// [`CheckpointWriter::stage`] hands to [`CheckpointWriter::commit`].
+pub(crate) struct Staged {
+    head: Vec<u8>,
+    /// The log's length once this checkpoint is committed.
+    log_len: u64,
+    /// Bytes this checkpoint wrote to the log.
+    log_bytes: u64,
+    marks: Vec<(u32, Mark)>,
+    dead: u64,
+    /// The new log of a rewrite, which replaces the current one.
+    rewritten: Option<(u64, File)>,
 }
 
 impl CheckpointWriter {
@@ -830,6 +853,7 @@ impl CheckpointWriter {
             dir: dir.to_path_buf(),
             log: None,
             log_len: 0,
+            orphan_tail: false,
             marks: FxHashMap::default(),
             stats: CheckpointStats::default(),
         }
@@ -850,9 +874,7 @@ impl CheckpointWriter {
         }
         let mut writer = CheckpointWriter::fresh(dir);
         if let Some(position) = loaded {
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(dir.join(log_name(position.id)))?;
+            let file = open_log(&dir.join(log_name(position.id)))?;
             if file.metadata()?.len() != position.len {
                 file.set_len(position.len)?;
                 file.sync_all()?;
@@ -872,19 +894,23 @@ impl CheckpointWriter {
         }
     }
 
-    /// Checkpoints `engine`, whose journal is durable to `wal_seq`. On
-    /// an error nothing is committed: the previous checkpoint still
-    /// loads, and the next call starts over from it.
-    pub(crate) fn write(
+    /// The first half of a checkpoint of `engine`: what the state gained
+    /// since the last one is appended to the log and fsynced (or the log
+    /// rewritten), and the head that would commit it — naming `wal_seq`
+    /// as the journal position — is encoded but not saved. Nothing here
+    /// depends on the journal being durable to `wal_seq` yet: a load
+    /// reads the log only as far as a head says. On an error, or if the
+    /// result is never committed, the previous checkpoint still loads
+    /// and the next call starts over from it.
+    pub(crate) fn stage(
         &mut self,
         engine: &StreamEngine,
         wal_seq: u64,
         window_cuts: u64,
-    ) -> Result<(), CodecError> {
+    ) -> Result<Staged, CodecError> {
         let mut sessions: Vec<SessionView<'_>> = engine.session_views().collect();
         sessions.sort_unstable_by_key(|s| s.mmsi);
         let scalars = engine.scalar_state(wal_seq, window_cuts);
-        let head_path = self.dir.join(CHECKPOINT_NAME);
 
         let frame = encode_frame(&sessions, &self.marks, Vec::new())?;
         let dead = self.stats.dead_bytes + frame.newly_dead;
@@ -895,12 +921,15 @@ impl CheckpointWriter {
             _ => None,
         };
         let Some((id, file)) = appendable else {
-            return self.rewrite(&sessions, &scalars, &head_path);
+            return self.stage_rewrite(&sessions, &scalars);
         };
 
-        if !frame.bytes.is_empty() {
+        if self.orphan_tail {
             file.set_len(self.log_len)?;
-            file.seek(io::SeekFrom::Start(self.log_len))?;
+            self.orphan_tail = false;
+        }
+        if !frame.bytes.is_empty() {
+            self.orphan_tail = true;
             if pol_chaos::fire("stream.checkpoint.append") {
                 // The fault tears the append: half a frame is in the
                 // file when the call fails.
@@ -911,29 +940,28 @@ impl CheckpointWriter {
             file.sync_all()?;
         }
         let log_len = self.log_len + frame.bytes.len() as u64;
-        let head = encode_head(&scalars, id, log_len, &sessions);
-        save_bytes(&head, &head_path)?;
-
-        self.log_len = log_len;
-        self.marks.extend(frame.marks);
-        self.stats.last_bytes = (frame.bytes.len() + head.len()) as u64;
-        self.stats.dead_bytes = dead;
-        Ok(())
+        Ok(Staged {
+            head: encode_head(&scalars, id, log_len, &sessions),
+            log_len,
+            log_bytes: frame.bytes.len() as u64,
+            marks: frame.marks,
+            dead,
+            rewritten: None,
+        })
     }
 
-    /// Writes the whole live state as a new log under the next id,
-    /// commits it with the head, and drops the log it replaces.
-    fn rewrite(
+    /// [`stage`](Self::stage) when too much of the log is dead, or there
+    /// is none: the whole live state is written as a new log under the
+    /// next id, which no head names yet.
+    fn stage_rewrite(
         &mut self,
         sessions: &[SessionView<'_>],
         scalars: &EngineState,
-        head_path: &Path,
-    ) -> Result<(), CodecError> {
+    ) -> Result<Staged, CodecError> {
         if pol_chaos::fire("stream.checkpoint.compact") {
             return Err(chaos_io("checkpoint log rewrite").into());
         }
-        let old_id = self.log.as_ref().map(|(id, _)| *id);
-        let id = old_id.map_or(1, |old| old + 1);
+        let id = self.log.as_ref().map_or(1, |(old, _)| old + 1);
         let mut header = MAGIC_LOG.to_vec();
         header.extend_from_slice(&id.to_le_bytes());
         let Frame {
@@ -943,23 +971,45 @@ impl CheckpointWriter {
         } = encode_frame(sessions, &FxHashMap::default(), header)?;
         let path = self.dir.join(log_name(id));
         save_bytes(&image, &path)?;
-        let file = std::fs::OpenOptions::new().write(true).open(&path)?;
-        let head = encode_head(scalars, id, image.len() as u64, sessions);
-        save_bytes(&head, head_path)?;
+        Ok(Staged {
+            head: encode_head(scalars, id, image.len() as u64, sessions),
+            log_len: image.len() as u64,
+            log_bytes: image.len() as u64,
+            marks,
+            dead: 0,
+            rewritten: Some((id, open_log(&path)?)),
+        })
+    }
 
-        self.log = Some((id, file));
-        self.log_len = image.len() as u64;
-        self.marks = marks.into_iter().collect();
-        self.stats.last_bytes = (image.len() + head.len()) as u64;
-        self.stats.dead_bytes = 0;
-        if let Some(old) = old_id {
-            self.stats.compactions += 1;
-            // Unnamed from here on; if the removal fails recovery's
-            // sweep gets it.
-            let _ = std::fs::remove_file(self.dir.join(log_name(old)));
+    /// The second half: replaces the head atomically, which commits what
+    /// [`stage`](Self::stage) wrote. The caller has made the journal
+    /// durable to the staged `wal_seq` first.
+    pub(crate) fn commit(&mut self, staged: Staged) -> Result<(), CodecError> {
+        save_bytes(&staged.head, &self.dir.join(CHECKPOINT_NAME))?;
+        self.log_len = staged.log_len;
+        self.orphan_tail = false;
+        self.stats.last_bytes = staged.log_bytes + staged.head.len() as u64;
+        self.stats.dead_bytes = staged.dead;
+        match staged.rewritten {
+            None => self.marks.extend(staged.marks),
+            Some(new) => {
+                self.marks = staged.marks.into_iter().collect();
+                if let Some((old, _)) = self.log.replace(new) {
+                    self.stats.compactions += 1;
+                    // Unnamed from here on; if the removal fails
+                    // recovery's sweep gets it.
+                    let _ = std::fs::remove_file(self.dir.join(log_name(old)));
+                }
+            }
         }
         Ok(())
     }
+}
+
+/// Opens a checkpoint log for appending: every write lands at the end of
+/// the file, wherever a truncation has just put it.
+fn open_log(path: &Path) -> io::Result<File> {
+    std::fs::OpenOptions::new().append(true).open(path)
 }
 
 #[cfg(test)]

@@ -8,11 +8,12 @@
 //!    ([`StreamEngine::from_state`]); with no checkpoint, start empty;
 //! 2. **read** — load the journal from the segment that holds the
 //!    checkpoint's `wal_seq` onward ([`WalReader::load_from`]; the
-//!    sealed history before it is not read): sealed segments with zero
-//!    tolerance, the tail tolerantly (a torn final batch is discarded,
-//!    never served);
+//!    sealed history before it is not read, and the frames below
+//!    `wal_seq` in that segment are checked but not decoded): sealed
+//!    segments with zero tolerance, the tail tolerantly (a torn final
+//!    batch is discarded, never served);
 //! 3. **replay** — re-push exactly the batches with sequence `>=` the
-//!    checkpoint's `wal_seq`. Because the journal holds the *raw wire
+//!    checkpoint's `wal_seq`, which is what the load returned. Because the journal holds the *raw wire
 //!    order* and the checkpoint was flushed to a batch boundary, this
 //!    is no-double-apply, no-gap: the rebuilt engine state equals an
 //!    uninterrupted run over the same durable prefix, byte for byte
@@ -173,9 +174,6 @@ pub fn recover(
         run_cuts(&mut se, engine, publisher, spec, &mut cuts, &mut report)?;
     }
     for b in &load.batches {
-        if b.seq < applied_seq {
-            continue;
-        }
         report.batches_replayed += 1;
         for &r in &b.records {
             se.push(r);

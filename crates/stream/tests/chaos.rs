@@ -184,6 +184,10 @@ fn wire_report(mmsi: u32, ts: i64) -> PositionReport {
     }
 }
 
+// The journal's file I/O runs on the writer's own thread, so a fault
+// there is not the failing call's: it surfaces on the next push (before
+// that record is buffered) or the next barrier, whichever comes first.
+
 #[test]
 fn wal_append_write_fault_preserves_the_pending_frame() {
     let _chaos = exclusive();
@@ -194,21 +198,40 @@ fn wal_append_write_fault_preserves_the_pending_frame() {
         ..WalConfig::default()
     };
     let mut w = WalWriter::create(&dir, cfg).unwrap();
-    for i in 0..7 {
+    configure("wal.append.write", Trigger::OneShot(FaultAction::Err));
+    for i in 0..8 {
         w.push(wire_report(200_000_001, i)).unwrap();
     }
-    configure("wal.append.write", Trigger::OneShot(FaultAction::Err));
-    assert!(
-        w.push(wire_report(200_000_001, 7)).is_err(),
-        "the eighth record completes a frame and hits the failpoint"
-    );
+    // The eighth record completed a frame, and the I/O thread's append
+    // of it hit the failpoint. One frame buffer (`group_commit_batches`
+    // is 1): the next push needs it back, so it is the call that learns.
+    assert!(w.push(wire_report(200_000_001, 8)).is_err());
+    assert_eq!(stats("wal.append.write").fired, 1);
     remove("wal.append.write");
-    // The frame went back to the buffer: nothing silently dropped.
-    assert_eq!(w.pending_records(), 8);
+    assert_eq!(
+        w.pending_records(),
+        0,
+        "the refused record was not buffered"
+    );
+    // The torn half is in the file and the frame is kept on the thread:
+    // nothing silently dropped, and the flush's retry cuts the fragment.
+    w.flush().unwrap();
+
+    // Again with the barrier first. It is told of the fault even though
+    // its own retry of the frame succeeds; the next one has nothing left
+    // to report.
+    configure("wal.append.write", Trigger::OneShot(FaultAction::Err));
+    for i in 8..16 {
+        w.push(wire_report(200_000_001, i)).unwrap();
+    }
+    assert!(w.flush().is_err());
+    remove("wal.append.write");
     w.flush().unwrap();
     drop(w);
     let load = WalReader::load(&dir).unwrap();
-    assert_eq!(load.records(), 8, "the retried flush covers every record");
+    assert_eq!(load.records(), 16, "the retried flushes cover every record");
+    assert_eq!(load.batches.len(), 2, "and append each frame once");
+    assert_eq!(load.torn_bytes, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -222,15 +245,18 @@ fn wal_sync_fault_surfaces_and_the_retry_makes_records_durable() {
         ..WalConfig::default()
     };
     let mut w = WalWriter::create(&dir, cfg).unwrap();
-    for i in 0..3 {
+    configure("wal.append.sync", Trigger::OneShot(FaultAction::Err));
+    for i in 0..4 {
         w.push(wire_report(200_000_001, i)).unwrap();
     }
-    configure("wal.append.sync", Trigger::OneShot(FaultAction::Err));
-    assert!(w.push(wire_report(200_000_001, 3)).is_err());
+    // The frame is appended (its buffer may already be back, so a push
+    // could still be accepted); only the group commit's fsync failed,
+    // and the barrier says so.
+    assert!(w.flush().is_err());
+    assert_eq!(stats("wal.append.sync").fired, 1);
     remove("wal.append.sync");
-    // The frame is appended; only the fsync failed. A retried flush
-    // makes it durable without duplicating it.
     assert_eq!(w.pending_records(), 0);
+    // A retried flush makes it durable without duplicating it.
     w.flush().unwrap();
     drop(w);
     let load = WalReader::load(&dir).unwrap();
@@ -263,13 +289,15 @@ fn wal_seal_fault_poisons_rotation_but_recovery_heals_the_tail() {
     };
     remove("wal.seal");
     assert!(format!("{err}").contains("journal segment"));
-    // The writer is poisoned: later appends fail typed, never reorder.
+    // The writer is poisoned: the frame that wanted the rotation is held
+    // with the only buffer, so pushes fail typed instead of waiting for
+    // it, and every barrier says why — never a reordered append.
     for i in 0..4 {
-        let r = w.push(wire_report(200_000_001, pushed + i));
-        if let Err(e) = r {
-            assert!(format!("{e}").contains("poisoned"));
-            break;
-        }
+        assert!(w.push(wire_report(200_000_001, pushed + i)).is_err());
+    }
+    for _ in 0..2 {
+        let e = w.flush().unwrap_err();
+        assert!(format!("{e}").contains("poisoned"), "{e}");
     }
     drop(w);
     // The durable prefix still serves, and a resume continues appending
@@ -285,6 +313,84 @@ fn wal_seal_fault_poisons_rotation_but_recovery_heals_the_tail() {
     let load = WalReader::load(&dir).unwrap();
     assert_eq!(load.records(), durable + 8);
     assert_eq!(load.torn_bytes, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_killed_io_thread_is_a_typed_error_on_every_call_and_recovery_heals() {
+    let _chaos = exclusive();
+    let dir = fresh_dir("pol-stream-chaos-wal-kill");
+    let cfg = WalConfig {
+        batch_records: 4,
+        group_commit_batches: 2,
+        ..WalConfig::default()
+    };
+    let mut w = WalWriter::create(&dir, cfg).unwrap();
+    for i in 0..8 {
+        w.push(wire_report(200_000_001, i)).unwrap();
+    }
+    w.flush().unwrap();
+    configure("wal.append.write", Trigger::OneShot(FaultAction::Kill));
+    let mut refused = 0;
+    for i in 8..40 {
+        if let Err(e) = w.push(wire_report(200_000_001, i)) {
+            assert!(format!("{e}").contains("I/O thread is gone"), "{e}");
+            refused += 1;
+        }
+    }
+    assert!(refused > 0, "a push must notice within the buffers it has");
+    let e = w.flush().unwrap_err();
+    assert!(format!("{e}").contains("I/O thread is gone"), "{e}");
+    assert!(w.seal().is_err());
+    remove("wal.append.write");
+    let load = WalReader::load(&dir).unwrap();
+    assert_eq!(
+        load.records(),
+        8,
+        "what the barrier covered is all there is"
+    );
+    let mut w = WalWriter::resume(&dir, cfg, &load).unwrap();
+    w.push(wire_report(200_000_001, 8)).unwrap();
+    w.seal().unwrap();
+    assert_eq!(WalReader::load(&dir).unwrap().records(), 9);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_slow_disk_blocks_the_caller_at_the_configured_frames_and_no_buffer_more() {
+    let _chaos = exclusive();
+    let dir = fresh_dir("pol-stream-chaos-wal-backpressure");
+    let cfg = WalConfig {
+        batch_records: 4,
+        ..WalConfig::default()
+    };
+    let frames = cfg.group_commit_batches as usize;
+    let delay = std::time::Duration::from_millis(15);
+    let mut w = WalWriter::create(&dir, cfg).unwrap();
+    configure(
+        "wal.append.sync",
+        Trigger::Always(FaultAction::Delay(delay)),
+    );
+    let groups = 6;
+    let started = std::time::Instant::now();
+    for i in 0..(groups * frames * cfg.batch_records) as i64 {
+        w.push(wire_report(200_000_001, i)).unwrap();
+        assert!(w.frame_buffers() <= frames, "never a ninth buffer");
+    }
+    // While one group is being synced the caller can fill one more and
+    // no further: the feed cannot finish before all but the last two
+    // groups' fsyncs have.
+    assert!(started.elapsed() >= delay * (groups as u32 - 2));
+    assert_eq!(
+        w.frame_buffers(),
+        frames,
+        "the disk fell a whole pool behind"
+    );
+    w.flush().unwrap();
+    remove("wal.append.sync");
+    drop(w);
+    let load = WalReader::load(&dir).unwrap();
+    assert_eq!(load.records(), (groups * frames * cfg.batch_records) as u64);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -445,6 +551,85 @@ fn checkpoint_append_fault_keeps_the_previous_checkpoint_and_a_retry_heals() {
         stats.live_bytes + stats.dead_bytes
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_journal_flush_that_fails_under_a_checkpoint_orphans_its_frame_and_a_retry_heals() {
+    let _chaos = exclusive();
+    let dir = fresh_dir("pol-stream-chaos-ckpt-overlap");
+    let mut je = JournaledEngine::create(&dir, shuttle_engine(), WalConfig::default(), 0).unwrap();
+    for step in 0..60 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    je.checkpoint().unwrap();
+    let (first, _) = loaded_and_expected(&dir, &je);
+    let committed = std::fs::metadata(checkpoint_log(&dir)).unwrap().len();
+
+    // The checkpoint's log frame is appended and fsynced while the
+    // journal's own fsync is in flight; that fsync fails. The frame is
+    // whole and on disk, and no head names it.
+    for step in 60..75 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    configure("wal.append.sync", Trigger::OneShot(FaultAction::Err));
+    assert!(je.checkpoint().is_err());
+    assert_eq!(stats("wal.append.sync").fired, 1);
+    remove("wal.append.sync");
+    assert!(std::fs::metadata(checkpoint_log(&dir)).unwrap().len() > committed);
+    let after = checkpoint::load(&dir.join(CHECKPOINT_NAME))
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        after, first,
+        "a head never names a wal_seq that is not durable"
+    );
+
+    // The retry cuts the orphan frame off, appends its own and commits.
+    je.checkpoint().unwrap();
+    let (healed, want) = loaded_and_expected(&dir, &je);
+    assert_eq!(healed, want);
+    assert!(healed.wal_seq > first.wal_seq);
+    let stats = je.checkpoint_stats();
+    assert_eq!(
+        std::fs::metadata(checkpoint_log(&dir)).unwrap().len(),
+        stats.live_bytes + stats.dead_bytes
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_cut_whose_flush_fails_keeps_its_delta_for_the_retry_and_refuses_checkpoints() {
+    let _chaos = exclusive();
+    let engine = Engine::new(1);
+    let feed = |je: &mut JournaledEngine| {
+        for step in 0..130 {
+            je.push(shuttle_report(step)).unwrap();
+        }
+    };
+    let calm_dir = fresh_dir("pol-stream-chaos-cut-calm");
+    let mut calm =
+        JournaledEngine::create(&calm_dir, shuttle_engine(), WalConfig::default(), 0).unwrap();
+    feed(&mut calm);
+    let want = calm.take_window_delta(&engine).unwrap();
+    assert!(want.total_records() > 0, "the window must hold points");
+
+    let dir = fresh_dir("pol-stream-chaos-cut-fault");
+    let mut je = JournaledEngine::create(&dir, shuttle_engine(), WalConfig::default(), 0).unwrap();
+    feed(&mut je);
+    configure("wal.append.sync", Trigger::OneShot(FaultAction::Err));
+    assert!(je.take_window_delta(&engine).is_err());
+    remove("wal.append.sync");
+    assert_eq!(je.window_cuts(), 0, "nothing was handed out");
+    // The window is folded out of the engine and not yet cut: a
+    // checkpoint now would lose it.
+    let refused = je.checkpoint().unwrap_err();
+    assert!(format!("{refused}").contains("awaits its cut"), "{refused}");
+    let got = je.take_window_delta(&engine).unwrap();
+    assert_eq!(columnar::to_bytes(&got), columnar::to_bytes(&want));
+    assert_eq!(je.window_cuts(), 1);
+    je.checkpoint().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&calm_dir).ok();
 }
 
 #[test]
@@ -740,4 +925,221 @@ fn crash_at_every_failpoint_reconverges_byte_identically() {
         std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_dir_all(&oracle_dir).ok();
+}
+
+/// The stateful model behind the two proptests below: what was pushed
+/// and accepted, how much of it a barrier has acknowledged, and the two
+/// laws checked against the directory at every crash — an acknowledged
+/// barrier's records load, and what loads is a prefix of what was
+/// pushed.
+mod model {
+    use super::*;
+
+    /// The journal tunables of the models: small frames, a pool of two,
+    /// a rotation every few frames.
+    pub(super) fn cfg() -> WalConfig {
+        WalConfig {
+            batch_records: 4,
+            group_commit_batches: 2,
+            max_segment_bytes: 600,
+        }
+    }
+
+    /// A fault to arm: which failpoint, what it does, at which hit.
+    pub(super) fn arm((which, hit): (u8, u64)) -> &'static str {
+        let (point, action) = match which % 6 {
+            0 => ("wal.append.write", FaultAction::Err),
+            1 => ("wal.append.sync", FaultAction::Err),
+            2 => ("wal.seal", FaultAction::Err),
+            3 => ("wal.append.write", FaultAction::Kill),
+            4 => ("wal.append.sync", FaultAction::Kill),
+            _ => ("wal.seal", FaultAction::Kill),
+        };
+        configure(point, Trigger::NthHit { n: hit, action });
+        point
+    }
+
+    #[derive(Default)]
+    pub(super) struct Model {
+        pub(super) pushed: Vec<PositionReport>,
+        pub(super) acked: usize,
+    }
+
+    impl Model {
+        /// The next record of the feed, counted only if `push` took it.
+        pub(super) fn push(&mut self, push: impl FnOnce(PositionReport) -> bool) {
+            let r = shuttle_report(self.pushed.len() as i64);
+            if push(r) {
+                self.pushed.push(r);
+            }
+        }
+
+        /// A barrier that returned `Ok` covers everything pushed so far.
+        pub(super) fn barrier(&mut self, ok: bool) {
+            if ok {
+                self.acked = self.pushed.len();
+            }
+        }
+
+        /// After a crash: checks the two laws against `dir`, and forgets
+        /// what the crash lost. Returns the load for a resume.
+        pub(super) fn crashed(&mut self, dir: &Path) -> Result<pol_stream::WalLoad, String> {
+            let load = WalReader::load(dir).map_err(|e| format!("load after crash: {e}"))?;
+            let on_disk: Vec<PositionReport> = load
+                .batches
+                .iter()
+                .flat_map(|b| b.records.iter().copied())
+                .collect();
+            if on_disk.len() < self.acked {
+                return Err(format!(
+                    "a barrier acknowledged {} records and {} load",
+                    self.acked,
+                    on_disk.len()
+                ));
+            }
+            if self.pushed.get(..on_disk.len()) != Some(&on_disk[..]) {
+                return Err(format!(
+                    "{} records load and are no prefix of the {} pushed",
+                    on_disk.len(),
+                    self.pushed.len()
+                ));
+            }
+            self.pushed.truncate(on_disk.len());
+            Ok(load)
+        }
+    }
+
+    /// Runs `body` on a thread of its own and fails if it is not done in
+    /// a minute: a hang is a failure, not a stuck test run.
+    pub(super) fn within_a_minute(
+        body: impl FnOnce() -> Result<(), String> + Send + 'static,
+    ) -> Result<(), String> {
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(body()));
+        result
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| Err("a call blocked for a minute (or panicked)".to_string()))
+    }
+}
+
+mod stateful {
+    use super::model::{self, Model};
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `push` / `flush` / drop-and-resume on the writer alone.
+    fn writer_run(ops: Vec<(u8, usize)>, faults: Vec<(u8, u64)>) -> Result<(), String> {
+        let dir = fresh_dir("pol-stream-chaos-model-writer");
+        let cfg = model::cfg();
+        let mut faults = faults.into_iter();
+        let mut armed = faults.next().map(model::arm);
+        let mut m = Model::default();
+        let mut w = Some(WalWriter::create(&dir, cfg).map_err(|e| e.to_string())?);
+        for (kind, n) in ops.into_iter().chain([(9, 0)]) {
+            let Some(writer) = w.as_mut() else { break };
+            match kind % 10 {
+                0..=5 => (0..=n).for_each(|_| m.push(|r| writer.push(r).is_ok())),
+                6..=8 => m.barrier(writer.flush().is_ok()),
+                _ => {
+                    drop(w.take());
+                    if let Some(point) = armed.take() {
+                        remove(point);
+                    }
+                    let load = m.crashed(&dir)?;
+                    m.acked = m.acked.min(m.pushed.len());
+                    let resumed = WalWriter::resume(&dir, cfg, &load).map_err(|e| e.to_string())?;
+                    if resumed.next_seq() != load.next_seq {
+                        return Err("the resumed writer disagrees with the load".to_string());
+                    }
+                    w = Some(resumed);
+                    armed = faults.next().map(model::arm);
+                }
+            }
+        }
+        if let Some(point) = armed {
+            remove(point);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    /// `push` / `checkpoint` / `take_window_delta` / drop-and-`recover`
+    /// on the journaled engine.
+    fn engine_run(ops: Vec<(u8, usize)>, faults: Vec<(u8, u64)>) -> Result<(), String> {
+        let dir = fresh_dir("pol-stream-chaos-model-engine");
+        let cfg = model::cfg();
+        let engine = Engine::new(1);
+        let mut faults = faults.into_iter();
+        let mut armed = faults.next().map(model::arm);
+        let mut m = Model::default();
+        let mut je = Some(
+            JournaledEngine::create(&dir, shuttle_engine(), cfg, 0).map_err(|e| e.to_string())?,
+        );
+        for (kind, n) in ops.into_iter().chain([(9, 0)]) {
+            let Some(j) = je.as_mut() else { break };
+            match kind % 10 {
+                0..=5 => (0..=n).for_each(|_| m.push(|r| j.push(r).is_ok())),
+                6 | 7 => m.barrier(j.checkpoint().is_ok()),
+                8 => m.barrier(j.take_window_delta(&engine).is_ok()),
+                _ => {
+                    drop(je.take());
+                    if let Some(point) = armed.take() {
+                        remove(point);
+                    }
+                    m.crashed(&dir)?;
+                    let (recovered, _) = recover(
+                        &dir,
+                        &engine,
+                        &shuttle_statics(),
+                        &shuttle_ports(),
+                        StreamConfig::default(),
+                        cfg,
+                        0,
+                        None,
+                    )
+                    .map_err(|e| format!("recover: {e}"))?;
+                    if recovered.counters().ingested != m.pushed.len() as u64 {
+                        return Err(format!(
+                            "recovery ingested {} of the {} records that load",
+                            recovered.counters().ingested,
+                            m.pushed.len()
+                        ));
+                    }
+                    // Recovery ends in a checkpoint: a barrier.
+                    m.barrier(true);
+                    je = Some(recovered);
+                    armed = faults.next().map(model::arm);
+                }
+            }
+        }
+        if let Some(point) = armed {
+            remove(point);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn an_acknowledged_barrier_loads_and_what_loads_is_a_prefix_writer(
+            ops in prop::collection::vec((0u8..10, 0usize..12), 1..30),
+            faults in prop::collection::vec((0u8..6, 1u64..25), 0..4),
+        ) {
+            let _chaos = exclusive();
+            let outcome = model::within_a_minute(move || writer_run(ops, faults));
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        #[test]
+        fn an_acknowledged_barrier_loads_and_what_loads_is_a_prefix_engine(
+            ops in prop::collection::vec((0u8..10, 0usize..12), 1..30),
+            faults in prop::collection::vec((0u8..6, 1u64..25), 0..4),
+        ) {
+            let _chaos = exclusive();
+            let outcome = model::within_a_minute(move || engine_run(ops, faults));
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
 }
