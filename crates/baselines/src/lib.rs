@@ -1,31 +1,21 @@
-//! # pol-baselines — the clustering family the paper positions against
+//! # pol-baselines — the density clustering the paper positions against
 //!
 //! §2 of the paper surveys the dominant approach to AIS pattern mining:
-//! density-based clustering (DBSCAN/OPTICS — TREAD, Yan et al.), k-means
-//! with map/reduce partitioning (Zissis et al. [32]), and cluster-hull
-//! route models. The authors' own prior work [20] highlights DBSCAN's
-//! sensitivity on density-skewed global AIS data — the motivation for the
-//! grid-based inventory. To let the benches compare the two families on
-//! identical workloads, this crate implements:
+//! density-based clustering (DBSCAN/OPTICS — TREAD, Yan et al.). The
+//! authors' own prior work [20] highlights DBSCAN's sensitivity on
+//! density-skewed global AIS data — the motivation for the grid-based
+//! inventory. `polinv repro sensitivity` measures that sensitivity on the
+//! same points the grid summarises, with:
 //!
 //! * [`dbscan`] — DBSCAN with a uniform-grid neighbour index (the standard
 //!   ε-grid acceleration),
 //! * [`optics`] — OPTICS reachability ordering with flat-cluster
-//!   extraction at any ε′ ≤ ε (the way-point discovery tool of [29]/[18]),
-//! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding,
-//! * [`routes`] — cluster-based route extraction: cluster the points of a
-//!   port-pair's voyages, order cluster centroids along the voyage
-//!   direction, model the route as the centroid polyline (the TREAD /
-//!   convex-hull lineage, simplified).
+//!   extraction at any ε′ ≤ ε (the way-point discovery tool of [29]/[18]).
 
 #![deny(missing_docs)]
 
 pub mod dbscan;
-pub mod kmeans;
 pub mod optics;
-pub mod routes;
 
 pub use dbscan::{dbscan, DbscanParams, Label};
-pub use kmeans::{kmeans, KMeansResult};
 pub use optics::{extract_clusters, optics, OpticsParams, OrderedPoint};
-pub use routes::{extract_route, RouteModel};

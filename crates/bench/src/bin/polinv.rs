@@ -8,6 +8,7 @@
 //! polinv query <inv.pol> <lat> <lon> [--segment container|tanker|...]
 //! polinv top-dest <inv.pol> <LOCODE>
 //! polinv serve <inv.pol> [--addr 127.0.0.1:0] [--workers 8]
+//! polinv repro <name|all> [--out figures]
 //! ```
 //!
 //! `build` writes one POLINV3 (columnar) file, and that file is what
@@ -22,10 +23,15 @@
 //! `reload <file>` line hot-swaps the snapshot (validated first — a
 //! corrupt file is rejected and the old snapshot keeps serving), and
 //! EOF shuts the server down.
+//!
+//! `repro` runs the paper's experiments (`pol_bench::repro`) on the
+//! standard scenario, prints each one's rows and checks, writes its CSVs
+//! under `--out` and exits 1 if any check fails.
 
 use pol_ais::types::MarketSegment;
 use pol_bench::alloc::{self, CountingAlloc};
-use pol_bench::build_inventory_on;
+use pol_bench::repro::{self, World};
+use pol_bench::{build_inventory_on, experiment_scenario, TRAIN_SEED};
 use pol_core::{codec, Inventory, PipelineConfig};
 use pol_engine::Engine;
 use pol_fleetsim::emit::EmissionConfig;
@@ -47,7 +53,8 @@ fn usage() -> ExitCode {
          polinv verify <file>\n  \
          polinv query <file> <lat> <lon> [--segment <name>]\n  \
          polinv top-dest <file> <LOCODE>\n  \
-         polinv serve <file> [--addr HOST:PORT] [--workers N]"
+         polinv serve <file> [--addr HOST:PORT] [--workers N]\n  \
+         polinv repro <name|all> [--out DIR]"
     );
     ExitCode::from(2)
 }
@@ -105,7 +112,13 @@ fn cmd_build(args: &[String]) -> ExitCode {
     let ds = generate(&scenario);
     let engine = Engine::with_available_parallelism();
     let before = alloc::snapshot();
-    let out = build_inventory_on(&engine, &ds, &cfg);
+    let out = match build_inventory_on(&engine, &ds, &cfg) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let delta = alloc::snapshot().since(before);
     let metrics = engine.metrics();
     metrics.add_counter("alloc.calls", delta.allocs);
@@ -383,6 +396,60 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+fn cmd_repro(args: &[String]) -> ExitCode {
+    let names = || {
+        let names: Vec<&str> = repro::EXPERIMENTS.iter().map(|e| e.name).collect();
+        format!("all, {}", names.join(", "))
+    };
+    let chosen: Vec<&repro::Experiment> = match args.first().map(String::as_str) {
+        Some("all") => repro::EXPERIMENTS.iter().collect(),
+        Some(name) => match repro::find(name) {
+            Some(e) => vec![e],
+            None => {
+                eprintln!("error: no experiment `{name}`; one of: {}", names());
+                return ExitCode::from(2);
+            }
+        },
+        None => {
+            eprintln!(
+                "usage: polinv repro <name|all> [--out DIR]; names: {}",
+                names()
+            );
+            return ExitCode::from(2);
+        }
+    };
+    let out = parse_flag(args, "--out").unwrap_or_else(|| "figures".into());
+    let world = World::new(experiment_scenario(TRAIN_SEED));
+    let (mut checks, mut failed) = (0, 0);
+    for e in chosen {
+        println!("== {} · {}", e.name, e.reproduces);
+        let report = match (e.run)(&world) {
+            Ok(r) => r,
+            Err(err) => {
+                eprintln!("error: {}: {err}", e.name);
+                return ExitCode::FAILURE;
+            }
+        };
+        print!("{report}");
+        match report.write_csvs(Path::new(&out)) {
+            Ok(paths) => paths.iter().for_each(|p| println!("wrote {}", p.display())),
+            Err(err) => {
+                eprintln!("error: cannot write {}'s CSVs under {out}: {err}", e.name);
+                return ExitCode::FAILURE;
+            }
+        }
+        checks += report.checks.len();
+        failed += report.checks.iter().filter(|c| !c.holds).count();
+        println!();
+    }
+    println!("repro: {checks} checks, {failed} failed");
+    if failed == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -392,6 +459,7 @@ fn main() -> ExitCode {
         Some("query") => cmd_query(&args[1..]),
         Some("top-dest") => cmd_top_dest(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
+        Some("repro") => cmd_repro(&args[1..]),
         _ => usage(),
     }
 }

@@ -3,7 +3,9 @@
 //! `reload` a POLMAN1 chain over stdin → a corrupt file and one under a
 //! retired format's magic, refused by `verify`, `serve` and `reload` →
 //! thousands of open sockets → stdin EOF. Every answer is compared with
-//! the same query made on an `Inventory` in this process.
+//! the same query made on an `Inventory` in this process. `repro`'s
+//! command line (one experiment, an unknown name) is checked here too;
+//! its experiments are `tests/repro.rs`'s.
 //!
 //! The library tests reach all of this through `Server` and
 //! `InventoryService`; this file is the one place the command-line
@@ -314,6 +316,34 @@ fn idle_fleet_size() -> usize {
     // "unlimited" does not parse and does not bind.
     let soft = soft.parse::<usize>().unwrap_or(usize::MAX);
     soft.saturating_sub(512).min(10_000)
+}
+
+/// `repro` runs one experiment on the standard scenario and exits 0 when
+/// its checks hold; Table 1 writes no CSV, so `--out` stays empty.
+#[test]
+fn repro_runs_one_experiment() {
+    let out = scratch("repro");
+    let printed = polinv_ok(&["repro", "table1", "--out", arg(&out)]);
+    assert!(printed.starts_with("== table1 · Table 1"), "{printed}");
+    assert!(
+        printed.contains("commercial fleet positional reports"),
+        "{printed}"
+    );
+    assert!(
+        printed.ends_with("repro: 0 checks, 0 failed\n"),
+        "{printed}"
+    );
+}
+
+/// An unknown experiment is a usage error that names every experiment.
+#[test]
+fn repro_refuses_an_unknown_name() {
+    let out = polinv(&["repro", "table9"]);
+    let said = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{said}");
+    for e in pol_bench::repro::EXPERIMENTS {
+        assert!(said.contains(e.name), "{} missing from: {said}", e.name);
+    }
 }
 
 /// What this file is for. The file `polinv build` wrote is served from

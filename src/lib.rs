@@ -14,7 +14,7 @@
 //!   projection, feature extraction, and the global inventory
 //! * [`apps`] — §4 use cases: ETA, destination prediction, route forecasting,
 //!   anomaly detection
-//! * [`baselines`] — clustering baselines (DBSCAN, k-means route extraction)
+//! * [`baselines`] — density-clustering baselines (DBSCAN, OPTICS)
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
