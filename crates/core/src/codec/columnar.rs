@@ -1243,6 +1243,36 @@ mod tests {
         assert!(cells_for(999, TOP_DEST_ALL_SEGMENTS).is_empty());
     }
 
+    /// The header and every section body are followed by their own
+    /// CRC-64, and a CRC run over `block ‖ crc(block)` ends in a state
+    /// fixed by the block's length: the whole image's CRC tells layouts
+    /// apart, not contents. The sections' CRCs do.
+    #[test]
+    fn whole_file_crc_pins_only_the_layout() {
+        let inv = sample_inventory(60);
+        let mut entries: FxHashMap<GroupKey, CellStats> =
+            inv.iter().map(|(k, s)| (*k, s.clone())).collect();
+        let first = entries.keys().min().copied().unwrap();
+        let stats = entries.get_mut(&first).unwrap();
+        // Same observation count, other values: every field keeps its width.
+        let mut speed = pol_sketch::Welford::new();
+        for _ in 0..stats.speed.count() {
+            speed.add(99.0);
+        }
+        stats.speed = speed;
+        let edited = Inventory::from_entries(inv.resolution(), entries, inv.total_records());
+
+        let (a, b) = (to_bytes(&inv), to_bytes(&edited));
+        assert_ne!(a, b);
+        assert_eq!(a.len(), b.len());
+        assert_eq!(crc64(&a), crc64(&b), "whole-file CRC sees only the layout");
+        let crcs = |bytes: &[u8]| -> Vec<u64> {
+            let report = verify_bytes(bytes).unwrap();
+            report.sections.iter().map(|s| s.crc).collect()
+        };
+        assert_ne!(crcs(&a), crcs(&b), "a section CRC sees the statistic");
+    }
+
     #[test]
     fn file_round_trip_on_disk() {
         let dir = std::env::temp_dir().join("pol-columnar-test");
