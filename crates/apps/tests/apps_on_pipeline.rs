@@ -29,7 +29,7 @@ fn world() -> &'static (Dataset, PipelineOutput, PipelineConfig) {
                 radius_km: cfg.port_radius_km,
             })
             .collect();
-        let out = pol_core::run(
+        let out = pol_core::run_fused(
             &Engine::new(2),
             ds.positions.clone(),
             &ds.statics,

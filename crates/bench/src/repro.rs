@@ -540,7 +540,7 @@ fn figure2(w: &World) -> Result<Report, ReproError> {
     let engine = Engine::with_available_parallelism();
     let cfg = PipelineConfig::default();
     let ports = port_sites(cfg.port_radius_km);
-    let out = pol_core::run(&engine, positions, &ds.statics, &ports, &cfg)?;
+    let out = pol_core::run_fused(&engine, positions, &ds.statics, &ports, &cfg)?;
     let (n, cr) = (&out.counts, &out.clean_report);
     let mut r = Report::default();
     for (stage, records) in [

@@ -20,21 +20,14 @@ use pol_engine::Engine;
 use pol_fleetsim::emit::EmissionConfig;
 use pol_fleetsim::scenario::{generate, ScenarioConfig};
 use pol_geo::LatLon;
-use std::sync::{Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The build budgets read a process-wide counter, so they run one at a
-/// time: the harness starts the tests of a file on parallel threads.
-static ONE_BUILD_AT_A_TIME: Mutex<()> = Mutex::new(());
-
 /// Steady-state allocated bytes of one build of [`scenario`], with the
-/// count budgets' 2× headroom over the measured value: 7.75 MB fused (the
-/// cloned input is 2.6 MB of it; 15.8 MB when summaries moved by value)
-/// and 52 MB staged (every stage's intermediate dataset).
+/// count budget's 2× headroom over the measured value: 7.75 MB (the
+/// cloned input is 2.6 MB of it; 15.8 MB when summaries moved by value).
 const FUSED_BYTES_BUDGET: u64 = 15_500_000;
-const STAGED_BYTES_BUDGET: u64 = 104_000_000;
 
 /// Ten vessels over three days: some 30 k reports.
 fn scenario() -> ScenarioConfig {
@@ -52,9 +45,6 @@ fn scenario() -> ScenarioConfig {
 
 #[test]
 fn fused_steady_state_allocations_stay_pinned() {
-    let _alone = ONE_BUILD_AT_A_TIME
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
     let ds = generate(&scenario());
     let raw: u64 = ds.positions.iter().map(|p| p.len() as u64).sum();
     assert!(raw > 10_000, "workload too small to be meaningful: {raw}");
@@ -102,42 +92,6 @@ fn fused_steady_state_allocations_stay_pinned() {
     );
 }
 
-/// The staged `features` stage was the other allocation hot spot named in
-/// the profiling work (it builds one combiner per (key, partition) with
-/// eight sketches each). The inline small-storage rewrite of those
-/// sketches must keep the whole staged pipeline — features included —
-/// well under the old fused baseline too.
-#[test]
-fn staged_pipeline_allocations_stay_reduced() {
-    let _alone = ONE_BUILD_AT_A_TIME
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let ds = generate(&scenario());
-    let cfg = PipelineConfig::default();
-    let engine = Engine::new(2);
-    let ports = port_sites(cfg.port_radius_km);
-    let staged =
-        || pol_core::run(&engine, ds.positions.clone(), &ds.statics, &ports, &cfg).unwrap();
-    let _ = staged();
-    let before = snapshot();
-    let _ = staged();
-    let delta = snapshot().since(before);
-    eprintln!(
-        "staged steady-state: {} allocs, {} bytes",
-        delta.allocs, delta.bytes
-    );
-    assert!(
-        delta.allocs < 8_000,
-        "staged steady-state allocation count regressed: {}",
-        delta.allocs
-    );
-    assert!(
-        delta.bytes < STAGED_BYTES_BUDGET,
-        "staged steady-state allocated bytes regressed: {}",
-        delta.bytes
-    );
-}
-
 /// Runs `f` and returns what it allocated. Counted on this thread only
 /// (`CountingAlloc` feeds the engine's thread-local profile counters), so
 /// the tests running beside this one do not show.
@@ -149,8 +103,8 @@ fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 #[test]
 fn wire_decode_allocations_stay_pinned() {
-    // One hand-made report, not the scenario: the build budgets above read
-    // a process-wide counter while this test runs beside them.
+    // One hand-made report, not the scenario: the build budget above reads
+    // a process-wide counter while this test runs beside it.
     let report = PositionReport {
         mmsi: Mmsi(235_087_123),
         timestamp: 1_650_000_037,

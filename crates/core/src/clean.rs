@@ -5,16 +5,19 @@
 //! timestamp, drop duplicate timestamps, reject infeasible transitions
 //! (implied speed > 50 kn), and annotate/filter with the static inventory
 //! so only the commercial fleet remains.
+//!
+//! These are the per-record and per-vessel pieces every build route
+//! shares: [`crate::fused::run_fused`] and [`crate::reference::build`]
+//! scan with [`enrich_one`] and fold each vessel through a
+//! [`VesselCleaner`], and the streaming session layer (pol-stream) feeds
+//! the same cleaner record by record.
 
-use crate::config::PipelineConfig;
 use crate::records::EnrichedReport;
 use pol_ais::types::{MarketSegment, Mmsi};
 use pol_ais::{PositionReport, StaticReport};
-use pol_engine::{Dataset, Engine, EngineError};
 use pol_geo::haversine_km;
 use pol_geo::units::implied_speed_knots;
 use pol_sketch::hash::FxHashMap;
-use std::sync::Arc;
 
 /// What cleaning did — the stage-by-stage record accounting of Figure 2a.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -66,9 +69,19 @@ pub fn enrich_one(
     }
 }
 
+/// Why [`VesselCleaner::push`] dropped a report.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rejected {
+    /// Its timestamp equals the vessel's last surviving report's.
+    Duplicate,
+    /// Reaching it from the last surviving report implies more than the
+    /// feasible speed.
+    Infeasible,
+}
+
 /// The incremental form of the per-vessel order/de-dup/feasibility pass:
 /// one vessel's reports are fed in nondecreasing-timestamp order and each
-/// call answers whether that report survives.
+/// call answers whether that report survives, and if not, why.
 ///
 /// The batch path ([`order_and_filter_vessel`]) is a timestamp sort
 /// followed by a fold over this exact state machine, so the two cannot
@@ -110,21 +123,22 @@ impl VesselCleaner {
     }
 
     /// Feeds the vessel's next report (timestamps must be
-    /// nondecreasing). Returns `Some(r)` when the report survives the
-    /// duplicate and feasibility filters, `None` when it is dropped.
-    pub fn push(&mut self, r: EnrichedReport) -> Option<EnrichedReport> {
+    /// nondecreasing). Returns `Ok(r)` when the report survives the
+    /// duplicate and feasibility filters, and the filter that dropped it
+    /// otherwise.
+    pub fn push(&mut self, r: EnrichedReport) -> Result<EnrichedReport, Rejected> {
         if let Some(prev) = self.last {
             if r.timestamp == prev.timestamp {
-                return None; // duplicate
+                return Err(Rejected::Duplicate);
             }
             let d = haversine_km(prev.pos, r.pos);
             let dt = (r.timestamp - prev.timestamp) as f64;
             if implied_speed_knots(d, dt) > self.max_feasible_speed_kn {
-                return None; // infeasible transition
+                return Err(Rejected::Infeasible);
             }
         }
         self.last = Some(r);
-        Some(r)
+        Ok(r)
     }
 }
 
@@ -143,78 +157,19 @@ pub fn order_and_filter_vessel(
     reports.sort_by_key(|r| r.timestamp);
     let mut cleaner = VesselCleaner::new(max_feasible_speed_kn);
     for r in reports {
-        if let Some(kept) = cleaner.push(r) {
+        if let Ok(kept) = cleaner.push(r) {
             out.push(kept);
         }
     }
 }
 
-/// Runs the full cleaning + enrichment step. Returns the surviving
-/// reports, partitioned by vessel and time-sorted within each vessel, each
-/// annotated with its market segment.
-pub fn clean_and_enrich(
-    engine: &Engine,
-    raw: Dataset<PositionReport>,
-    statics: &[StaticReport],
-    cfg: &PipelineConfig,
-) -> Result<(Dataset<EnrichedReport>, CleanReport), EngineError> {
-    let mut report = CleanReport {
-        input: raw.count() as u64,
-        ..CleanReport::default()
-    };
-
-    // Protocol range check (positions were validated at parse time).
-    let ranged = raw.filter(engine, "clean:ranges", |r| r.in_protocol_ranges())?;
-    report.out_of_range = report.input - ranged.count() as u64;
-
-    // Static-inventory join: MMSI -> segment, commercial flag.
-    let lookup = Arc::new(segment_lookup(statics));
-    let commercial_only = cfg.commercial_only;
-    let lk = lookup.clone();
-    let enriched = ranged.flat_map(engine, "clean:enrich", move |r| {
-        enrich_one(&lk, commercial_only, r)
-    })?;
-    let after_enrich = enriched.count() as u64;
-    report.non_commercial = report.input - report.out_of_range - after_enrich;
-
-    // Partition by vessel, then order/de-dup/feasibility-filter per vessel.
-    let max_kn = cfg.max_feasible_speed_kn;
-    let by_vessel = enriched
-        .key_by(engine, "clean:key-by-mmsi", |r| r.mmsi.0)?
-        .partition_by_key(engine, "clean:shuffle-by-mmsi", engine.default_partitions())?;
-    let cleaned = by_vessel.into_inner().map_partitions(
-        engine,
-        "clean:order-and-feasibility",
-        move |part| {
-            let mut per_vessel: FxHashMap<u32, Vec<EnrichedReport>> = FxHashMap::default();
-            for (mmsi, r) in part {
-                per_vessel.entry(mmsi).or_default().push(r);
-            }
-            let mut out = Vec::new();
-            let mut vessels: Vec<_> = per_vessel.into_iter().collect();
-            // Deterministic output order regardless of hash iteration.
-            vessels.sort_by_key(|(m, _)| *m);
-            for (_, reports) in vessels {
-                order_and_filter_vessel(reports, max_kn, &mut out);
-            }
-            out
-        },
-    )?;
-    report.output = cleaned.count() as u64;
-    // The per-vessel pass removes both defect classes (duplicates and
-    // infeasible transitions) in one sweep; the split is not observable
-    // from outside, so the combined figure is reported under `infeasible`
-    // and `duplicates` stays zero. (Unit tests exercise the two classes
-    // separately.)
-    report.infeasible = after_enrich - report.output;
-
-    Ok((cleaned, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PipelineConfig;
+    use crate::fused::run_fused;
     use pol_ais::types::{NavStatus, ShipTypeCode};
+    use pol_engine::Engine;
     use pol_geo::LatLon;
 
     fn static_report(mmsi: u32, ship_type: u8, grt: u32) -> StaticReport {
@@ -239,15 +194,28 @@ mod tests {
         }
     }
 
+    /// Cleans `reports`, split into three input partitions, through the
+    /// reference build's cleaning pass, and checks the fused executor
+    /// accounts for them the same way.
+    fn run_with(
+        cfg: &PipelineConfig,
+        reports: Vec<PositionReport>,
+        statics: Vec<StaticReport>,
+    ) -> (Vec<EnrichedReport>, CleanReport) {
+        let chunk = reports.len().div_ceil(3).max(1);
+        let positions: Vec<Vec<PositionReport>> =
+            reports.chunks(chunk).map(<[_]>::to_vec).collect();
+        let (vessels, rep) = crate::reference::clean(positions.clone(), &statics, cfg);
+        let fused = run_fused(&Engine::new(2), positions, &statics, &[], cfg).unwrap();
+        assert_eq!(fused.clean_report, rep, "fused and reference accounting");
+        (vessels.into_values().flatten().collect(), rep)
+    }
+
     fn run(
         reports: Vec<PositionReport>,
         statics: Vec<StaticReport>,
     ) -> (Vec<EnrichedReport>, CleanReport) {
-        let engine = Engine::new(2);
-        let cfg = PipelineConfig::default();
-        let (ds, rep) =
-            clean_and_enrich(&engine, Dataset::from_vec(reports, 3), &statics, &cfg).unwrap();
-        (ds.collect(), rep)
+        run_with(&PipelineConfig::default(), reports, statics)
     }
 
     #[test]
@@ -259,7 +227,10 @@ mod tests {
         );
         assert_eq!(out.len(), 2);
         assert_eq!(rep.output, 2);
-        assert_eq!(rep.out_of_range + rep.infeasible + rep.non_commercial, 0);
+        assert_eq!(
+            rep.out_of_range + rep.duplicates + rep.infeasible + rep.non_commercial,
+            0
+        );
         assert_eq!(out[0].segment, MarketSegment::Container);
     }
 
@@ -298,7 +269,7 @@ mod tests {
     #[test]
     fn sorts_and_deduplicates_per_vessel() {
         let statics = vec![static_report(1, 71, 50_000)];
-        let (out, _) = run(
+        let (out, rep) = run(
             vec![
                 report(1, 300, 51.02, 1.0),
                 report(1, 100, 51.0, 1.0),
@@ -309,6 +280,7 @@ mod tests {
         );
         let ts: Vec<i64> = out.iter().map(|r| r.timestamp).collect();
         assert_eq!(ts, vec![100, 200, 300]);
+        assert_eq!((rep.duplicates, rep.infeasible), (1, 0));
     }
 
     #[test]
@@ -340,18 +312,10 @@ mod tests {
 
     #[test]
     fn commercial_only_can_be_disabled() {
-        let engine = Engine::new(1);
         let mut cfg = PipelineConfig::default();
         cfg.commercial_only = false;
         let statics = vec![static_report(2, 30, 100)]; // fishing boat
-        let (ds, _) = clean_and_enrich(
-            &engine,
-            Dataset::from_vec(vec![report(2, 100, 51.0, 1.0)], 1),
-            &statics,
-            &cfg,
-        )
-        .unwrap();
-        let out = ds.collect();
+        let (out, _) = run_with(&cfg, vec![report(2, 100, 51.0, 1.0)], statics);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].segment, MarketSegment::Other);
     }
@@ -372,7 +336,30 @@ mod tests {
         );
         assert_eq!(
             rep.input,
-            rep.out_of_range + rep.non_commercial + rep.infeasible + rep.output
+            rep.out_of_range + rep.non_commercial + rep.duplicates + rep.infeasible + rep.output
         );
+        // The second report at t=100 is a duplicate, not an infeasible jump.
+        assert_eq!((rep.duplicates, rep.infeasible), (1, 0));
+    }
+
+    /// Equal timestamps on both sides of an input-partition boundary: the
+    /// earlier partition's report arrived first and is the one kept, and
+    /// which one is kept decides whether the next report is feasible.
+    #[test]
+    fn equal_timestamps_keep_the_first_arrival() {
+        let statics = vec![static_report(1, 71, 50_000)];
+        let positions = vec![
+            vec![report(1, 0, 51.0, 1.0), report(1, 100, 51.0, 1.0)],
+            // 2.2 km from either neighbour in 100 s is feasible (43 kn);
+            // 4.4 km between them is not.
+            vec![report(1, 100, 51.02, 1.0), report(1, 200, 50.98, 1.0)],
+        ];
+        let cfg = PipelineConfig::default();
+        let (vessels, rep) = crate::reference::clean(positions.clone(), &statics, &cfg);
+        let lats: Vec<f64> = vessels[&1].iter().map(|r| r.pos.lat()).collect();
+        assert_eq!(lats, vec![51.0, 51.0, 50.98]);
+        assert_eq!((rep.duplicates, rep.infeasible), (1, 0));
+        let fused = run_fused(&Engine::new(2), positions, &statics, &[], &cfg).unwrap();
+        assert_eq!(fused.clean_report, rep);
     }
 }

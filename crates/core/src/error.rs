@@ -1,7 +1,7 @@
 //! The pipeline's error type.
 //!
-//! Every stage of [`crate::pipeline::run`] returns `Result`: execution
-//! failures (a panicking closure on a worker, an engine shutting down)
+//! [`crate::fused::run_fused`] returns `Result`: execution failures (a
+//! panicking closure on a worker, an engine shutting down)
 //! arrive as [`pol_engine::EngineError`], persistence failures as
 //! [`crate::codec::CodecError`]. Both convert into [`PipelineError`] via
 //! `?`, so drivers handle one type.

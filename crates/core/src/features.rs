@@ -1,16 +1,16 @@
 //! §3.3.4 — feature extraction over grouping sets.
 //!
 //! The grouping set (Table 2) defines the map phase: every projected
-//! record fans out to one key per enabled group identifier. The feature
-//! set (Table 3) defines the reduce phase: a [`CellStats`] accumulator per
-//! key, built from the crate's mergeable sketches, combined by the
-//! engine's `aggregate_by_key`.
+//! record fans out to one key per enabled group identifier (`observe`).
+//! The feature set (Table 3) defines the reduce phase: a [`CellStats`]
+//! accumulator per key, built from the crate's mergeable sketches, merged
+//! across partitions by the engine's `merge_combiner_shards`.
 
 use crate::config::PipelineConfig;
 use crate::records::CellPoint;
 use pol_ais::types::MarketSegment;
-use pol_engine::{Dataset, Engine, EngineError};
 use pol_hexgrid::CellIndex;
+use pol_sketch::hash::FxHashMap;
 use pol_sketch::{AngleHistogram, Circular, Distinct, GkSketch, MergeSketch, SpaceSaving, Welford};
 use std::sync::Arc;
 
@@ -218,43 +218,29 @@ pub(crate) fn merge_shared(acc: &mut Arc<CellStats>, other: Arc<CellStats>) {
     Arc::make_mut(acc).merge(&other);
 }
 
-/// The map+reduce of §3.3.4: fans every record out to its group
-/// identifiers and aggregates [`CellStats`] per key.
-///
-/// An accumulator is allocated behind its `Arc` at a key's first record
-/// and stays there: the combiner maps, the radix shuffle and the shard
-/// merge move the 8-byte pointer, and [`Inventory::from_dataset`] adopts
-/// it. Nothing shares an accumulator while it is being built, so
-/// `Arc::make_mut` never copies.
-///
-/// [`Inventory::from_dataset`]: crate::inventory::Inventory::from_dataset
-pub fn build_group_stats(
-    engine: &Engine,
-    projected: Dataset<CellPoint>,
-    cfg: &PipelineConfig,
-) -> Result<Dataset<(GroupKey, Arc<CellStats>)>, EngineError> {
-    let eps = cfg.quantile_epsilon;
-    let cap = cfg.top_n_capacity;
-    projected
-        .flat_map(engine, "features:group-keys", |cp| {
-            let p = &cp.point;
-            [
-                (GroupKey::Cell(cp.cell), cp),
-                (GroupKey::CellType(cp.cell, p.segment), cp),
-                (
-                    GroupKey::CellRoute(cp.cell, p.origin, p.dest, p.segment),
-                    cp,
-                ),
-            ]
-        })?
-        .into_keyed()
-        .aggregate_by_key(
-            engine,
-            "features:aggregate",
-            move || Arc::new(CellStats::new(eps, cap)),
-            |acc, cp| Arc::make_mut(acc).observe(&cp),
-            merge_shared,
-        )
+/// A per-key combiner map. A summary is allocated behind its `Arc` at a
+/// key's first record and stays there: the radix partition, the shard
+/// merge and the inventory downstream move the 8-byte pointer, and
+/// nothing shares an accumulator while it is built, so `Arc::make_mut`
+/// never copies.
+pub(crate) type Combiner = FxHashMap<GroupKey, Arc<CellStats>>;
+
+/// The map phase of §3.3.4, which every route to an inventory shares:
+/// observes `points` in order, each under its three group keys.
+pub(crate) fn observe(acc: &mut Combiner, cfg: &PipelineConfig, points: &[CellPoint]) {
+    for cp in points {
+        let p = &cp.point;
+        for key in [
+            GroupKey::Cell(cp.cell),
+            GroupKey::CellType(cp.cell, p.segment),
+            GroupKey::CellRoute(cp.cell, p.origin, p.dest, p.segment),
+        ] {
+            let stats = acc.entry(key).or_insert_with(|| {
+                Arc::new(CellStats::new(cfg.quantile_epsilon, cfg.top_n_capacity))
+            });
+            Arc::make_mut(stats).observe(cp);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -377,14 +363,15 @@ mod tests {
         assert_eq!(a.top_destinations(4), whole.top_destinations(4));
     }
 
+    fn group_stats(points: &[CellPoint]) -> Vec<(GroupKey, Arc<CellStats>)> {
+        let mut acc = Combiner::default();
+        observe(&mut acc, &PipelineConfig::default(), points);
+        acc.into_iter().collect()
+    }
+
     #[test]
     fn group_keys_fan_out_three_ways() {
-        let engine = Engine::new(2);
-        let cfg = PipelineConfig::default();
-        let points = vec![cp(1, 10, 12.0, 90.0, 0, 5), cp(2, 11, 13.0, 91.0, 0, 5)];
-        let out = build_group_stats(&engine, Dataset::from_vec(points, 1), &cfg)
-            .unwrap()
-            .collect();
+        let out = group_stats(&[cp(1, 10, 12.0, 90.0, 0, 5), cp(2, 11, 13.0, 91.0, 0, 5)]);
         // One cell, one segment, one (o,d): exactly 3 group keys.
         assert_eq!(out.len(), 3);
         let mut sets: Vec<GroupingSet> = out.iter().map(|(k, _)| k.grouping_set()).collect();
@@ -405,15 +392,11 @@ mod tests {
 
     #[test]
     fn distinct_segments_split_celltype_keys() {
-        let engine = Engine::new(2);
-        let cfg = PipelineConfig::default();
         let mut a = cp(1, 10, 12.0, 90.0, 0, 5);
         let mut b = cp(2, 11, 13.0, 91.0, 0, 5);
         a.point.segment = MarketSegment::Container;
         b.point.segment = MarketSegment::Tanker;
-        let out = build_group_stats(&engine, Dataset::from_vec(vec![a, b], 1), &cfg)
-            .unwrap()
-            .collect();
+        let out = group_stats(&[a, b]);
         // Cell (1 shared) + CellType (2) + CellRoute (2) = 5 keys.
         assert_eq!(out.len(), 5);
         let cell_key: Vec<_> = out

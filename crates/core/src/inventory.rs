@@ -4,7 +4,6 @@
 use crate::codec::{decode_arrival, decode_cell_stats, decode_destinations, encode_cell_stats};
 use crate::features::{CellStats, GroupKey, GroupingSet};
 use pol_ais::types::MarketSegment;
-use pol_engine::Dataset;
 use pol_geo::BBox;
 use pol_hexgrid::{cell_center, num_cells, CellIndex, Resolution};
 use pol_sketch::hash::FxHashMap;
@@ -189,18 +188,19 @@ fn build_cell_index(entries: &FxHashMap<GroupKey, Arc<CellStats>>) -> Vec<CellRo
 }
 
 impl Inventory {
-    /// Assembles an inventory from the aggregation output, adopting each
-    /// summary in the allocation the build accumulated it in: the map is
-    /// sized once and takes the pointers, partition by partition.
-    pub fn from_dataset(
+    /// Assembles an inventory from the merged shards of an aggregation
+    /// (each key in exactly one), adopting each summary in the allocation
+    /// the build accumulated it in: the map is sized once and takes the
+    /// pointers, shard by shard.
+    pub fn from_shards(
         resolution: Resolution,
-        stats: Dataset<(GroupKey, Arc<CellStats>)>,
+        shards: Vec<Vec<(GroupKey, Arc<CellStats>)>>,
         total_records: u64,
     ) -> Inventory {
         let mut entries = FxHashMap::default();
-        entries.reserve(stats.count());
-        for partition in stats.into_partitions() {
-            entries.extend(partition);
+        entries.reserve(shards.iter().map(Vec::len).sum());
+        for shard in shards {
+            entries.extend(shard);
         }
         Inventory::from_shared(resolution, entries, total_records)
     }

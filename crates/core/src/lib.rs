@@ -20,11 +20,12 @@
 //! 5. [`inventory`] — the queryable global inventory with its coverage /
 //!    compression accounting (Table 4) and [`codec`] for persistence.
 //!
-//! [`pipeline::run`] wires all stages over the `pol-engine` executor and
-//! reports per-stage record counts — the machine-checkable analogue of the
-//! paper's Figure 2 walkthrough. [`fused::run_fused`] executes the same
-//! methodology as a single morsel-driven pass per vessel partition —
-//! bit-identical output, a fraction of the intermediate materialization.
+//! [`fused::run_fused`] runs all stages over the `pol-engine` thread pool
+//! as one morsel-driven pass per vessel partition and reports per-stage
+//! record counts — the machine-checkable analogue of the paper's Figure 2
+//! walkthrough. [`reference::build`] is the same methodology as a plain
+//! single-threaded loop: the oracle the fused executor's bytes are tested
+//! against.
 
 #![deny(missing_docs)]
 
@@ -36,16 +37,17 @@ pub mod error;
 pub mod features;
 pub mod fused;
 pub mod inventory;
-pub mod pipeline;
+#[cfg(test)]
+mod pipeline;
 pub mod project;
 pub mod records;
+pub mod reference;
 pub mod trips;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveInventory};
 pub use config::PipelineConfig;
 pub use error::PipelineError;
 pub use features::{CellStats, GroupKey, GroupingSet};
-pub use fused::run_fused;
+pub use fused::{run_fused, PipelineOutput, StageCounts};
 pub use inventory::{CoverageReport, Inventory, InventoryQuery, Summary};
-pub use pipeline::{run, PipelineOutput, StageCounts};
 pub use records::{CellPoint, PortSite, TripPoint};

@@ -1,117 +1,41 @@
-//! The end-to-end pipeline driver (Figures 2 & 3 of the paper).
+//! End-to-end tests of the build pipeline (Figures 2 & 3 of the paper):
+//! the tiny scenario through [`crate::fused::run_fused`], checked for its
+//! funnel, its determinism and its agreement with
+//! [`crate::reference::build`]; and the port table the crate's build
+//! tests share.
 
-use crate::clean::{clean_and_enrich, CleanReport};
-use crate::config::PipelineConfig;
-use crate::error::PipelineError;
-use crate::features::build_group_stats;
-use crate::inventory::Inventory;
-use crate::project::project;
 use crate::records::PortSite;
-use crate::trips::extract_trips;
-use pol_ais::{PositionReport, StaticReport};
-use pol_engine::{Dataset, Engine};
+use pol_fleetsim::WORLD_PORTS;
 
-/// Per-stage record counts — the machine-checkable analogue of the
-/// Figure-2 pictorial walkthrough.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageCounts {
-    /// Raw input records.
-    pub raw: u64,
-    /// After cleaning + commercial enrichment (§3.3.1).
-    pub cleaned: u64,
-    /// After trip-semantics extraction (§3.3.2) — records outside any trip
-    /// are excluded here.
-    pub with_trips: u64,
-    /// After grid projection (§3.3.3); equals `with_trips` (projection is
-    /// total) and is kept for symmetry with the paper's flow diagram.
-    pub projected: u64,
-    /// Group identifiers materialised (§3.3.4).
-    pub group_entries: u64,
-}
-
-/// Everything a pipeline run produces.
-pub struct PipelineOutput {
-    /// The global inventory.
-    pub inventory: Inventory,
-    /// Stage-by-stage record accounting.
-    pub counts: StageCounts,
-    /// Cleaning detail (defect classes).
-    pub clean_report: CleanReport,
-}
-
-/// Runs the full methodology over pre-partitioned positional reports
-/// (partitioning by vessel is the natural input shape; any partitioning
-/// works — the pipeline re-shuffles by vessel in the cleaning stage).
-pub fn run(
-    engine: &Engine,
-    positions: Vec<Vec<PositionReport>>,
-    statics: &[StaticReport],
-    ports: &[PortSite],
-    cfg: &PipelineConfig,
-) -> Result<PipelineOutput, PipelineError> {
-    let raw = Dataset::from_partitions(positions);
-    let raw_count = raw.count() as u64;
-
-    let (cleaned, clean_report) = clean_and_enrich(engine, raw, statics, cfg)?;
-    let cleaned_count = cleaned.count() as u64;
-
-    let trips = extract_trips(engine, cleaned, ports, cfg)?;
-    let with_trips = trips.count() as u64;
-
-    let projected = project(engine, trips, cfg)?;
-    let projected_count = projected.count() as u64;
-
-    let stats = build_group_stats(engine, projected, cfg)?;
-    let group_entries = stats.count() as u64;
-
-    let inventory = Inventory::from_dataset(cfg.resolution, stats, projected_count);
-
-    Ok(PipelineOutput {
-        inventory,
-        counts: StageCounts {
-            raw: raw_count,
-            cleaned: cleaned_count,
-            with_trips,
-            projected: projected_count,
-            group_entries,
-        },
-        clean_report,
-    })
+/// Adapts the simulator's port table to pipeline port sites.
+pub(crate) fn port_sites(radius_km: f64) -> Vec<PortSite> {
+    WORLD_PORTS
+        .iter()
+        .enumerate()
+        .map(|(i, p)| PortSite {
+            id: i as u16,
+            name: p.name.to_string(),
+            pos: p.pos(),
+            radius_km,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::features::GroupingSet;
+    use super::port_sites;
+    use crate::codec::columnar;
+    use crate::features::{GroupKey, GroupingSet};
+    use crate::fused::{run_fused, PipelineOutput};
+    use crate::{reference, PipelineConfig};
+    use pol_engine::Engine;
     use pol_fleetsim::scenario::{generate, ScenarioConfig};
-    use pol_fleetsim::WORLD_PORTS;
-
-    /// Adapts the simulator's port table to pipeline port sites.
-    fn port_sites(radius_km: f64) -> Vec<PortSite> {
-        WORLD_PORTS
-            .iter()
-            .enumerate()
-            .map(|(i, p)| PortSite {
-                id: i as u16,
-                name: p.name.to_string(),
-                pos: p.pos(),
-                radius_km,
-            })
-            .collect()
-    }
 
     fn run_tiny() -> PipelineOutput {
         let ds = generate(&ScenarioConfig::tiny());
-        let engine = Engine::new(2);
         let cfg = PipelineConfig::default();
-        run(
-            &engine,
-            ds.positions,
-            &ds.statics,
-            &port_sites(cfg.port_radius_km),
-            &cfg,
-        )
-        .unwrap()
+        let ports = port_sites(cfg.port_radius_km);
+        run_fused(&Engine::new(2), ds.positions, &ds.statics, &ports, &cfg).unwrap()
     }
 
     #[test]
@@ -149,60 +73,37 @@ mod tests {
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.inventory.len(), b.inventory.len());
         assert_eq!(
-            crate::codec::columnar::to_bytes(&a.inventory),
-            crate::codec::columnar::to_bytes(&b.inventory),
+            columnar::to_bytes(&a.inventory),
+            columnar::to_bytes(&b.inventory),
             "same seed ⇒ byte-identical inventory"
         );
     }
 
+    /// The fused executor agrees with the reference fold — same inventory
+    /// bytes, stage counts and clean accounting — at every thread count,
+    /// including pools far wider than the partition count's parallelism
+    /// sweet spot (16 threads exercises workers that never receive a
+    /// task, and the per-worker scratch arenas at maximum pool width).
     #[test]
     fn thread_count_does_not_change_result() {
         let ds = generate(&ScenarioConfig::tiny());
         let cfg = PipelineConfig::default();
         let ports = port_sites(cfg.port_radius_km);
-        let a = run(
-            &Engine::new(1),
-            ds.positions.clone(),
-            &ds.statics,
-            &ports,
-            &cfg,
-        )
-        .unwrap();
-        let b = run(
-            &Engine::new(4),
-            ds.positions.clone(),
-            &ds.statics,
-            &ports,
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(a.counts, b.counts);
-        let reference = crate::codec::columnar::to_bytes(&a.inventory);
-        assert_eq!(reference, crate::codec::columnar::to_bytes(&b.inventory));
-        // The fused executor must agree with the staged path — same
-        // inventory bytes, stage counts and clean accounting — at every
-        // thread count, including pools far wider than the partition
-        // count's parallelism sweet spot (16 threads exercises workers
-        // that never receive a task, and the per-worker scratch arenas
-        // at maximum pool width).
+        let want = reference::build(ds.positions.clone(), &ds.statics, &ports, &cfg);
+        let bytes = columnar::to_bytes(&want.inventory);
+        assert!(want.clean_report.duplicates > 0, "tiny injects duplicates");
         for threads in [1, 2, 8, 16] {
-            let f = crate::fused::run_fused(
-                &Engine::new(threads),
-                ds.positions.clone(),
-                &ds.statics,
-                &ports,
-                &cfg,
-            )
-            .unwrap();
-            assert_eq!(a.counts, f.counts, "fused counts at {threads} threads");
+            let engine = Engine::new(threads);
+            let f = run_fused(&engine, ds.positions.clone(), &ds.statics, &ports, &cfg).unwrap();
+            assert_eq!(want.counts, f.counts, "counts at {threads} threads");
             assert_eq!(
-                a.clean_report, f.clean_report,
-                "fused clean report at {threads} threads"
+                want.clean_report, f.clean_report,
+                "clean report at {threads} threads"
             );
             assert_eq!(
-                reference,
-                crate::codec::columnar::to_bytes(&f.inventory),
-                "fused bytes at {threads} threads"
+                bytes,
+                columnar::to_bytes(&f.inventory),
+                "inventory bytes at {threads} threads"
             );
         }
     }
@@ -214,8 +115,8 @@ mod tests {
         let engine = Engine::new(2);
         let c6 = PipelineConfig::default();
         let c7 = PipelineConfig::fine();
-        let out6 = run(&engine, ds.positions.clone(), &ds.statics, &ports, &c6).unwrap();
-        let out7 = run(&engine, ds.positions, &ds.statics, &ports, &c7).unwrap();
+        let out6 = run_fused(&engine, ds.positions.clone(), &ds.statics, &ports, &c6).unwrap();
+        let out7 = run_fused(&engine, ds.positions, &ds.statics, &ports, &c7).unwrap();
         let (cov6, cov7) = (out6.inventory.coverage(), out7.inventory.coverage());
         assert!(
             cov7.occupied_cells > cov6.occupied_cells,
@@ -234,7 +135,7 @@ mod tests {
         let out = run_tiny();
         let mut checked = 0;
         for (key, stats) in out.inventory.iter() {
-            if let crate::features::GroupKey::Cell(_) = key {
+            if let GroupKey::Cell(_) = key {
                 if let Some(mean) = stats.speed.mean() {
                     assert!((0.0..=40.0).contains(&mean), "speed {mean}");
                 }

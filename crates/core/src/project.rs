@@ -5,17 +5,14 @@
 //! the *next distinct cell* of the same trip, which is what the Table-3
 //! "Transitions" feature counts.
 
-use crate::config::PipelineConfig;
 use crate::records::{CellPoint, TripPoint};
-use pol_engine::{Dataset, Engine, EngineError};
 use pol_hexgrid::{cell_at, CellIndex, Resolution};
-use pol_sketch::hash::FxHashMap;
 
 /// Projects one trip's time-ordered points onto the grid, appending
 /// cell-annotated points (with next-distinct-cell links) to `out`.
 /// `cells` is caller-owned scratch, cleared here — fused executors reuse
-/// it across trips. Shared by the staged path below, [`crate::fused`]
-/// and the streaming session layer (pol-stream).
+/// it across trips. Shared by [`crate::reference`], [`crate::fused`] and
+/// the streaming session layer (pol-stream).
 pub fn project_trip(
     points: &[TripPoint],
     res: Resolution,
@@ -33,32 +30,6 @@ pub fn project_trip(
             next_cell,
         });
     }
-}
-
-/// Projects trip points onto the grid and wires up per-trip transitions.
-pub fn project(
-    engine: &Engine,
-    trips: Dataset<TripPoint>,
-    cfg: &PipelineConfig,
-) -> Result<Dataset<CellPoint>, EngineError> {
-    let res = cfg.resolution;
-    trips.map_partitions(engine, "project:to-cells", move |part| {
-        // Group by trip (trips are contiguous per the extraction stage, but
-        // re-group defensively), keep time order, compute next-cell links.
-        let mut by_trip: FxHashMap<u64, Vec<TripPoint>> = FxHashMap::default();
-        for p in part {
-            by_trip.entry(p.trip_id).or_default().push(p);
-        }
-        let mut trips: Vec<_> = by_trip.into_iter().collect();
-        trips.sort_by_key(|(id, _)| *id);
-        let mut out = Vec::new();
-        let mut cells = Vec::new();
-        for (_, mut points) in trips {
-            points.sort_by_key(|p| p.timestamp);
-            project_trip(&points, res, &mut cells, &mut out);
-        }
-        out
-    })
 }
 
 #[cfg(test)]
@@ -98,12 +69,17 @@ mod tests {
             .collect()
     }
 
+    /// Projects each trip's run of points, as the build routes do.
+    fn run_at(points: &[TripPoint], res: Resolution) -> Vec<CellPoint> {
+        let (mut cells, mut out) = (Vec::new(), Vec::new());
+        for trip in points.chunk_by(|a, b| a.trip_id == b.trip_id) {
+            project_trip(trip, res, &mut cells, &mut out);
+        }
+        out
+    }
+
     fn run(points: Vec<TripPoint>) -> Vec<CellPoint> {
-        let engine = Engine::new(2);
-        let cfg = PipelineConfig::default();
-        project(&engine, Dataset::from_vec(points, 1), &cfg)
-            .unwrap()
-            .collect()
+        run_at(&points, crate::config::PipelineConfig::default().resolution)
     }
 
     #[test]
@@ -170,11 +146,8 @@ mod tests {
 
     #[test]
     fn respects_configured_resolution() {
-        let engine = Engine::new(1);
-        let cfg = PipelineConfig::fine();
-        let out = project(&engine, Dataset::from_vec(eastbound_track(3, 5.0), 1), &cfg)
-            .unwrap()
-            .collect();
+        let cfg = crate::config::PipelineConfig::fine();
+        let out = run_at(&eastbound_track(3, 5.0), cfg.resolution);
         for cp in out {
             assert_eq!(cp.cell.resolution().level(), 7);
         }

@@ -9,13 +9,10 @@
 //! from origin (ETO) and actual time to arrival (ATA). Records that cannot
 //! be attributed to a trip are excluded, exactly as the paper prescribes.
 
-use crate::config::PipelineConfig;
 use crate::records::{EnrichedReport, PortSite, TripPoint};
-use pol_engine::{Dataset, Engine, EngineError};
 use pol_geo::haversine_km;
 use pol_hexgrid::{cell_at, cell_axial_at, grid_disk, Resolution};
 use pol_sketch::hash::FxHashMap;
-use std::sync::Arc;
 
 /// The hex-grid port geofence.
 ///
@@ -69,35 +66,6 @@ impl Geofence {
     pub fn cell_count(&self) -> usize {
         self.axial_to_port.len()
     }
-}
-
-/// Per-vessel trip extraction over a cleaned, vessel-partitioned dataset.
-/// Returns trip-annotated records; reports outside any identifiable trip
-/// are dropped (and counted in the returned total).
-pub fn extract_trips(
-    engine: &Engine,
-    cleaned: Dataset<EnrichedReport>,
-    ports: &[PortSite],
-    cfg: &PipelineConfig,
-) -> Result<Dataset<TripPoint>, EngineError> {
-    let geofence = Arc::new(Geofence::build(ports, cfg.resolution));
-    let min_points = cfg.min_trip_points;
-    cleaned.map_partitions(engine, "trips:extract", move |part| {
-        // Records arrive grouped per vessel and time-sorted (clean's
-        // contract); re-group defensively since partition boundaries are
-        // vessel-aligned but one partition holds many vessels.
-        let mut per_vessel: FxHashMap<u32, Vec<EnrichedReport>> = FxHashMap::default();
-        for r in part {
-            per_vessel.entry(r.mmsi.0).or_default().push(r);
-        }
-        let mut vessels: Vec<_> = per_vessel.into_iter().collect();
-        vessels.sort_by_key(|(m, _)| *m);
-        let mut out = Vec::new();
-        for (_, reports) in vessels {
-            extract_for_vessel(&geofence, &reports, min_points, &mut out);
-        }
-        out
-    })
 }
 
 /// The incremental form of per-vessel trip extraction: one vessel's
@@ -201,9 +169,10 @@ impl TripTracker {
 }
 
 /// Walks one vessel's time-sorted reports, emitting trip-annotated points.
-/// Shared by the staged path above, the fused executor ([`crate::fused`])
-/// and — through the [`TripTracker`] it folds over — the streaming
-/// session layer, which is what keeps all three bit-identical.
+/// Shared by the reference build ([`crate::reference`]), the fused
+/// executor ([`crate::fused`]) and — through the [`TripTracker`] it folds
+/// over — the streaming session layer, which is what keeps all three
+/// bit-identical.
 pub fn extract_for_vessel(
     geofence: &Geofence,
     reports: &[EnrichedReport],
@@ -331,12 +300,11 @@ mod tests {
     }
 
     fn run(reports: Vec<EnrichedReport>) -> Vec<TripPoint> {
-        let engine = Engine::new(2);
-        let mut cfg = PipelineConfig::default();
-        cfg.resolution = Resolution::new(7).unwrap();
-        extract_trips(&engine, Dataset::from_vec(reports, 1), &ports(), &cfg)
-            .unwrap()
-            .collect()
+        let cfg = crate::config::PipelineConfig::default();
+        let g = Geofence::build(&ports(), Resolution::new(7).unwrap());
+        let mut out = Vec::new();
+        extract_for_vessel(&g, &reports, cfg.min_trip_points, &mut out);
+        out
     }
 
     #[test]

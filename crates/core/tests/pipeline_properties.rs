@@ -7,8 +7,9 @@ use pol_ais::{PositionReport, StaticReport};
 use pol_core::codec::columnar;
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::records::PortSite;
+use pol_core::reference;
 use pol_core::{Inventory, PipelineConfig};
-use pol_engine::{Dataset, Engine};
+use pol_engine::Engine;
 use pol_geo::LatLon;
 use pol_hexgrid::Resolution;
 use pol_sketch::hash::FxHashMap;
@@ -51,17 +52,15 @@ proptest! {
     /// output changes nothing.
     #[test]
     fn cleaning_is_idempotent(reports in prop::collection::vec(arb_report(77), 0..200)) {
-        let engine = Engine::new(2);
         let cfg = PipelineConfig::default();
         let st = vec![statics(77)];
-        let (once, _) = pol_core::clean::clean_and_enrich(
-            &engine,
-            Dataset::from_vec(reports, 3),
+        let third = reports.len().div_ceil(3).max(1);
+        let (once, _) = reference::clean(
+            reports.chunks(third).map(<[_]>::to_vec).collect(),
             &st,
             &cfg,
-        )
-        .unwrap();
-        let once_rows: Vec<_> = once.clone().collect();
+        );
+        let once_rows: Vec<_> = once.into_values().flatten().collect();
         // Re-feed the cleaned output (as raw reports again).
         let raw_again: Vec<PositionReport> = once_rows
             .iter()
@@ -75,16 +74,18 @@ proptest! {
                 nav_status: e.nav_status,
             })
             .collect();
-        let (twice, report2) = pol_core::clean::clean_and_enrich(
-            &engine,
-            Dataset::from_vec(raw_again, 2),
+        let half = raw_again.len().div_ceil(2).max(1);
+        let (twice, report2) = reference::clean(
+            raw_again.chunks(half).map(<[_]>::to_vec).collect(),
             &st,
             &cfg,
-        )
-        .unwrap();
-        let twice_rows: Vec<_> = twice.collect();
+        );
+        let twice_rows: Vec<_> = twice.into_values().flatten().collect();
         prop_assert_eq!(once_rows, twice_rows);
-        prop_assert_eq!(report2.out_of_range + report2.infeasible + report2.non_commercial, 0);
+        prop_assert_eq!(
+            report2.out_of_range + report2.duplicates + report2.infeasible + report2.non_commercial,
+            0
+        );
     }
 
     /// Inventory merge is associative and order-insensitive on the
@@ -203,15 +204,23 @@ proptest! {
         prop_assert_eq!(back.len(), inv.len());
     }
 
-    /// The fused single-pass executor is bit-identical to the staged
-    /// pipeline — same inventory bytes, stage counts and clean report —
-    /// over arbitrary multi-vessel inputs at 1, 2 and 8 threads.
+    /// The fused executor is bit-identical to the reference fold — same
+    /// inventory bytes, stage counts and clean report — over arbitrary
+    /// multi-vessel inputs at 1, 2, 8 and 16 threads, each run twice on
+    /// one engine so the second sees warm per-worker scratch.
+    ///
+    /// Vessel 501's reports are split across input partitions 0 and 1,
+    /// with `split` copying timestamps of `a`: equal timestamps on both
+    /// sides of a partition boundary, so which report survives as the
+    /// vessel's first at that time rests on the arrival-index tie-break
+    /// (partition order, then order within the partition).
     #[test]
-    fn fused_equals_staged(
+    fn fused_equals_reference(
         a in prop::collection::vec(arb_report(501), 0..120),
         b in prop::collection::vec(arb_report(502), 0..120),
         c in prop::collection::vec(arb_report(503), 0..120),
         unknown in prop::collection::vec(arb_report(504), 0..40),
+        mut split in prop::collection::vec(arb_report(501), 0..40),
     ) {
         let cfg = PipelineConfig::default();
         // Synthetic ports inside the generator's coordinate window, so
@@ -233,56 +242,51 @@ proptest! {
         // Vessel 504 has no static record: exercises the non-commercial
         // accounting in both executors.
         let st = vec![statics(501), statics(502), statics(503)];
+        for (r, twin) in split.iter_mut().zip(&a) {
+            r.timestamp = twin.timestamp;
+        }
         let mut p0 = a;
         p0.extend(unknown);
-        let positions = vec![p0, b, c];
-        let staged = pol_core::run(
-            &Engine::new(2),
-            positions.clone(),
-            &st,
-            &ports,
-            &cfg,
-        ).unwrap();
-        let reference = columnar::to_bytes(&staged.inventory);
+        let mut p1 = split;
+        p1.extend(b);
+        let positions = vec![p0, p1, c];
+        let reference = reference::build(positions.clone(), &st, &ports, &cfg);
+        let bytes = columnar::to_bytes(&reference.inventory);
         for threads in [1usize, 2, 8, 16] {
             let engine = Engine::new(threads);
-            let fused = pol_core::run_fused(
-                &engine,
-                positions.clone(),
-                &st,
-                &ports,
-                &cfg,
-            ).unwrap();
-            prop_assert_eq!(&staged.counts, &fused.counts, "counts at {} threads", threads);
-            prop_assert_eq!(
-                &staged.clean_report,
-                &fused.clean_report,
-                "clean report at {} threads",
-                threads
-            );
-            prop_assert_eq!(
-                &reference,
-                &columnar::to_bytes(&fused.inventory),
-                "inventory bytes at {} threads",
-                threads
-            );
-            // Second run on the SAME engine: the per-worker scratch
-            // arenas are now warm, so this exercises the buffer-reuse
-            // path (stale capacity, retained trip trackers) rather than
-            // the cold-allocation path.
-            let warm = pol_core::run_fused(
-                &engine,
-                positions.clone(),
-                &st,
-                &ports,
-                &cfg,
-            ).unwrap();
-            prop_assert_eq!(
-                &reference,
-                &columnar::to_bytes(&warm.inventory),
-                "warm-scratch inventory bytes at {} threads",
-                threads
-            );
+            // The second run on the SAME engine finds the per-worker
+            // scratch arenas warm: the buffer-reuse path (stale capacity,
+            // retained trip trackers) rather than the cold-allocation one.
+            for run in ["cold", "warm"] {
+                let fused = pol_core::run_fused(
+                    &engine,
+                    positions.clone(),
+                    &st,
+                    &ports,
+                    &cfg,
+                ).unwrap();
+                prop_assert_eq!(
+                    &reference.counts,
+                    &fused.counts,
+                    "{} counts at {} threads",
+                    run,
+                    threads
+                );
+                prop_assert_eq!(
+                    &reference.clean_report,
+                    &fused.clean_report,
+                    "{} clean report at {} threads",
+                    run,
+                    threads
+                );
+                prop_assert_eq!(
+                    &bytes,
+                    &columnar::to_bytes(&fused.inventory),
+                    "{} inventory bytes at {} threads",
+                    run,
+                    threads
+                );
+            }
         }
     }
 

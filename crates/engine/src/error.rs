@@ -23,7 +23,7 @@ pub enum EngineErrorKind {
 /// A failed engine stage: which stage, and why.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineError {
-    /// The stage name as passed to the dataset transformation.
+    /// The stage name as passed to [`crate::Engine::run_tasks`].
     pub stage: String,
     /// The failure kind.
     pub kind: EngineErrorKind,

@@ -1,148 +1,22 @@
-//! Wide (shuffle) transformations over keyed datasets.
+//! Keyed aggregation: the reduce side of the paper's methodology.
 //!
-//! This is the reduce side of the paper's methodology: grouping-set keys
-//! (Table 2) are hashed to reduce partitions, and per-key statistics are
-//! combined map-side first (`aggregate_by_key`'s `seq` operator) then
-//! merged across partitions (`comb` operator) — Spark's `aggregateByKey`
-//! contract, which is exactly what makes `pol-sketch`'s mergeable
-//! statistics partition-invariant.
+//! Grouping-set keys (Table 2) are folded into per-task combiner maps
+//! map-side, radix-partitioned by key hash inside each task
+//! ([`radix_partition`]), and merged shard by shard in parallel
+//! ([`merge_combiner_shards`]) — Spark's `aggregateByKey` contract, which
+//! is exactly what makes `pol-sketch`'s mergeable statistics
+//! partition-invariant.
 //!
-//! Like the narrow transformations, every shuffle returns `Result`: a
-//! panic inside a user-supplied operator is reported as an
+//! A panic inside the combine operator is reported as an
 //! [`EngineError`] instead of aborting the process.
 
-use crate::dataset::Dataset;
 use crate::error::EngineError;
 use crate::metrics::StageReport;
 use crate::Engine;
 use pol_sketch::hash::{hash64, FxHashMap};
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
-use std::sync::Arc;
 use std::time::Instant;
-
-/// A dataset of `(K, V)` pairs supporting shuffles and keyed aggregation.
-pub struct KeyedDataset<K, V> {
-    inner: Dataset<(K, V)>,
-}
-
-impl<K, V> KeyedDataset<K, V>
-where
-    K: Eq + Hash + Clone + Send + Sync + 'static,
-    V: Send + 'static,
-{
-    /// Wraps a pair dataset.
-    pub fn from_dataset(inner: Dataset<(K, V)>) -> Self {
-        KeyedDataset { inner }
-    }
-
-    /// The underlying pair dataset.
-    pub fn into_inner(self) -> Dataset<(K, V)> {
-        self.inner
-    }
-
-    /// Total record count.
-    pub fn count(&self) -> usize {
-        self.inner.count()
-    }
-
-    /// Hash-partitions records so all pairs of one key land in the same
-    /// partition (the shuffle). Deterministic: uses the workspace's FxHash.
-    pub fn partition_by_key(
-        self,
-        engine: &Engine,
-        stage: &str,
-        num_partitions: usize,
-    ) -> Result<Self, EngineError> {
-        let num = num_partitions.max(1);
-        let started = Instant::now();
-        let input_records = self.inner.count() as u64;
-        // Map side: split every input partition into `num` buckets.
-        let bucketed: Vec<Vec<Vec<(K, V)>>> =
-            engine.run_tasks(stage, self.inner.into_partitions(), move |_, part| {
-                let mut buckets: Vec<Vec<(K, V)>> = (0..num).map(|_| Vec::new()).collect();
-                for (k, v) in part {
-                    let b = (hash64(&k) % num as u64) as usize;
-                    buckets[b].push((k, v));
-                }
-                buckets
-            })?;
-        // Reduce side: transpose-concatenate bucket b of every map output.
-        let mut out: Vec<Vec<(K, V)>> = (0..num).map(|_| Vec::new()).collect();
-        for map_out in bucketed {
-            for (b, bucket) in map_out.into_iter().enumerate() {
-                out[b].extend(bucket);
-            }
-        }
-        let result = Dataset::from_partitions(out);
-        engine.metrics().record(StageReport {
-            name: stage.to_string(),
-            input_records,
-            output_records: result.count() as u64,
-            shuffled_records: input_records,
-            wall: started.elapsed(),
-        });
-        Ok(KeyedDataset { inner: result })
-    }
-
-    /// Spark's `aggregateByKey`: builds a per-key accumulator with `seq`
-    /// map-side (one pass per input partition, combiner style), shuffles the
-    /// combiners, then merges them with `comb`.
-    ///
-    /// Correctness requires `comb` to be commutative and associative, and
-    /// `seq`/`comb` to agree (folding values then combining must equal
-    /// folding all values into one accumulator) — the [`pol_sketch`]
-    /// statistics satisfy this by construction.
-    pub fn aggregate_by_key<A, Z, S, C>(
-        self,
-        engine: &Engine,
-        stage: &str,
-        zero: Z,
-        seq: S,
-        comb: C,
-    ) -> Result<Dataset<(K, A)>, EngineError>
-    where
-        A: Send + 'static,
-        Z: Fn() -> A + Send + Sync + 'static,
-        S: Fn(&mut A, V) + Send + Sync + 'static,
-        C: Fn(&mut A, A) + Send + Sync + 'static,
-    {
-        let started = Instant::now();
-        let input_records = self.inner.count() as u64;
-        let num = engine.default_partitions();
-        let zero = Arc::new(zero);
-        let seq = Arc::new(seq);
-
-        // Map side: per-partition combiners, radix-partitioned into `num`
-        // shards *inside the worker* so the driver never touches
-        // individual entries — it only moves shard pointers.
-        let z1 = zero.clone();
-        let s1 = seq.clone();
-        let sharded: Vec<Vec<Vec<(K, A)>>> =
-            engine.run_tasks(stage, self.inner.into_partitions(), move |_, part| {
-                let mut acc: FxHashMap<K, A> = FxHashMap::default();
-                for (k, v) in part {
-                    s1(acc.entry(k).or_insert_with(|| z1()), v);
-                }
-                radix_partition(acc, num)
-            })?;
-        let shuffled: u64 = sharded
-            .iter()
-            .flat_map(|w| w.iter())
-            .map(|s| s.len() as u64)
-            .sum();
-
-        // Reduce side: one parallel merge task per shard.
-        let result = merge_combiner_shards(engine, stage, sharded, comb)?;
-        engine.metrics().record(StageReport {
-            name: stage.to_string(),
-            input_records,
-            output_records: result.count() as u64,
-            shuffled_records: shuffled,
-            wall: started.elapsed(),
-        });
-        Ok(result)
-    }
-}
 
 /// Radix-partitions a combiner map into `shards` buckets by key hash —
 /// the map side of the two-phase parallel merge. Entries keep the map's
@@ -171,14 +45,16 @@ where
 }
 
 /// Merges radix-partitioned combiner shards in parallel — the reduce side
-/// of the two-phase aggregation. `sharded[w][s]` is worker `w`'s shard
-/// `s`; shard `s` of every worker goes to one merge task, so the merge
-/// scales with cores instead of serializing on the driver.
+/// of the two-phase aggregation. `sharded[w][s]` is task `w`'s shard `s`;
+/// shard `s` of every task goes to one merge task, so the merge scales
+/// with cores instead of serializing on the driver. Returns one partition
+/// of merged `(key, combiner)` pairs per shard; every key is in exactly
+/// one.
 ///
-/// Per key, combiners merge in worker-index order — exactly the order a
-/// sequential driver-side scatter would have produced — so the result is
-/// bit-identical to the pre-radix implementation (and thread-count
-/// invariant whenever the map-side partitioning is data-determined).
+/// Per key, the first task's combiner is adopted and the later ones are
+/// merged into it in task-index order, so the result does not depend on
+/// the worker count whenever the map-side partitioning is
+/// data-determined.
 ///
 /// Records a `{stage}:radix-merge` [`StageReport`] so the parallel merge
 /// is visible in [`crate::JobMetrics`] stage timings.
@@ -187,7 +63,7 @@ pub fn merge_combiner_shards<K, A, C>(
     stage: &str,
     sharded: Vec<Vec<Vec<(K, A)>>>,
     comb: C,
-) -> Result<Dataset<(K, A)>, EngineError>
+) -> Result<Vec<Vec<(K, A)>>, EngineError>
 where
     K: Eq + Hash + Send + 'static,
     A: Send + 'static,
@@ -200,8 +76,8 @@ where
         .flat_map(|w| w.iter())
         .map(|s| s.len() as u64)
         .sum();
-    // Transpose: gather shard `s` of every worker, in worker order.
-    // Pointer moves only — the driver never touches individual entries.
+    // Transpose: gather shard `s` of every task, in task order. Pointer
+    // moves only — the driver never touches individual entries.
     let mut transposed: Vec<Vec<Vec<(K, A)>>> = (0..shards).map(|_| Vec::new()).collect();
     for worker in sharded {
         for (s, shard) in worker.into_iter().enumerate() {
@@ -210,16 +86,13 @@ where
     }
     // Errors keep the caller's stage name; only the metrics row carries
     // the `:radix-merge` suffix.
-    let merge_stage = format!("{stage}:radix-merge");
     let reduced: Vec<Vec<(K, A)>> = engine.run_tasks(stage, transposed, move |_, buckets| {
         let mut acc: FxHashMap<K, A> = FxHashMap::default();
         for bucket in buckets {
             for (k, a) in bucket {
                 match acc.entry(k) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        comb(e.get_mut(), a);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
+                    Entry::Occupied(mut e) => comb(e.get_mut(), a),
+                    Entry::Vacant(e) => {
                         e.insert(a);
                     }
                 }
@@ -227,15 +100,14 @@ where
         }
         acc.into_iter().collect()
     })?;
-    let result = Dataset::from_partitions(reduced);
     engine.metrics().record(StageReport {
-        name: merge_stage,
+        name: format!("{stage}:radix-merge"),
         input_records,
-        output_records: result.count() as u64,
+        output_records: reduced.iter().map(|p| p.len() as u64).sum(),
         shuffled_records: input_records,
         wall: started.elapsed(),
     });
-    Ok(result)
+    Ok(reduced)
 }
 
 #[cfg(test)]
@@ -247,23 +119,49 @@ mod tests {
         text.split(' ').map(|w| (w, 1u64)).collect()
     }
 
-    /// Sums `u64` values per key: the smallest `aggregate_by_key`.
-    fn sum_by_key<K>(
-        d: KeyedDataset<K, u64>,
+    /// Keyed aggregation as the fused build runs it: each input partition
+    /// folds into its own combiner map, which is radix-partitioned, and
+    /// the shards are merged. `partitions` splits `data` into that many
+    /// contiguous chunks.
+    fn aggregate_by_key<K, V, A>(
         e: &Engine,
         stage: &str,
-    ) -> Result<Dataset<(K, u64)>, EngineError>
+        data: Vec<(K, V)>,
+        partitions: usize,
+        seq: impl Fn(&mut A, V),
+        comb: impl Fn(&mut A, A) + Send + Sync + 'static,
+    ) -> Result<Vec<(K, A)>, EngineError>
     where
-        K: Eq + Hash + Clone + Send + Sync + 'static,
+        K: Eq + Hash + Clone + Send + 'static,
+        V: Clone,
+        A: Default + Send + 'static,
     {
-        d.aggregate_by_key(e, stage, || 0u64, |a, v| *a += v, |a, o| *a += o)
+        let chunk = data.len().div_ceil(partitions).max(1);
+        let sharded = data
+            .chunks(chunk)
+            .map(|part| {
+                let mut acc: FxHashMap<K, A> = FxHashMap::default();
+                for (k, v) in part.iter().cloned() {
+                    seq(acc.entry(k).or_default(), v);
+                }
+                radix_partition(acc, Engine::DEFAULT_PARTITIONS)
+            })
+            .collect();
+        let merged = merge_combiner_shards(e, stage, sharded, comb)?;
+        Ok(merged.into_iter().flatten().collect())
+    }
+
+    fn sum_by_key<K>(e: &Engine, stage: &str, data: Vec<(K, u64)>) -> Vec<(K, u64)>
+    where
+        K: Eq + Hash + Clone + Send + 'static,
+    {
+        aggregate_by_key(e, stage, data, 3, |a, v| *a += v, |a, o| *a += o).unwrap()
     }
 
     #[test]
     fn word_count_via_aggregate_by_key() {
         let e = Engine::new(4);
-        let d = Dataset::from_vec(words(), 3).into_keyed();
-        let mut out = sum_by_key(d, &e, "wc").unwrap().collect();
+        let mut out = sum_by_key(&e, "wc", words());
         out.sort();
         let the = out.iter().find(|(w, _)| *w == "the").unwrap();
         assert_eq!(the.1, 3);
@@ -274,24 +172,27 @@ mod tests {
 
     #[test]
     fn partition_by_key_collocates() {
-        let e = Engine::new(4);
-        let data: Vec<(u32, u32)> = (0..200).map(|i| (i % 10, i)).collect();
-        let shuffled = Dataset::from_vec(data, 7)
-            .into_keyed()
-            .partition_by_key(&e, "shuffle", 4)
-            .unwrap();
-        let parts = shuffled.into_inner().into_partitions();
-        assert_eq!(parts.len(), 4);
-        // Every key appears in exactly one partition.
+        // Seven tasks' combiner maps over overlapping keys: a key lands in
+        // the same shard index in every task, so one merge task sees all
+        // of its combiners.
+        let sharded: Vec<Vec<Vec<(u32, u32)>>> = (0..7u32)
+            .map(|w| {
+                let acc: FxHashMap<u32, u32> = (0..30).map(|i| ((i * 7 + w) % 10, i)).collect();
+                radix_partition(acc, 4)
+            })
+            .collect();
         let mut seen: std::collections::HashMap<u32, usize> = Default::default();
-        for (pi, p) in parts.iter().enumerate() {
-            for (k, _) in p {
-                if let Some(prev) = seen.insert(*k, pi) {
-                    assert_eq!(prev, pi, "key {k} split across partitions");
+        for task in &sharded {
+            assert_eq!(task.len(), 4);
+            for (s, shard) in task.iter().enumerate() {
+                for (k, _) in shard {
+                    if let Some(prev) = seen.insert(*k, s) {
+                        assert_eq!(prev, s, "key {k} split across shards");
+                    }
                 }
             }
         }
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 200);
+        assert_eq!(seen.len(), 10);
     }
 
     #[test]
@@ -299,23 +200,21 @@ mod tests {
         let e = Engine::new(3);
         let data: Vec<(u8, f64)> = (0..1000).map(|i| ((i % 5) as u8, i as f64)).collect();
         let expect_sum: f64 = (0..1000).filter(|i| i % 5 == 2).map(|i| i as f64).sum();
-        let out = Dataset::from_vec(data, 8)
-            .into_keyed()
-            .aggregate_by_key(
-                &e,
-                "agg",
-                || (0u64, 0.0f64),
-                |acc, v| {
-                    acc.0 += 1;
-                    acc.1 += v;
-                },
-                |acc, o| {
-                    acc.0 += o.0;
-                    acc.1 += o.1;
-                },
-            )
-            .unwrap()
-            .collect();
+        let out = aggregate_by_key(
+            &e,
+            "agg",
+            data,
+            8,
+            |acc: &mut (u64, f64), v| {
+                acc.0 += 1;
+                acc.1 += v;
+            },
+            |acc, o| {
+                acc.0 += o.0;
+                acc.1 += o.1;
+            },
+        )
+        .unwrap();
         assert_eq!(out.len(), 5);
         let two = out.iter().find(|(k, _)| *k == 2).unwrap();
         assert_eq!(two.1 .0, 200);
@@ -323,24 +222,19 @@ mod tests {
     }
 
     #[test]
-    fn key_by_builds_pairs() {
-        let e = Engine::new(2);
-        let d = Dataset::from_vec(vec!["aa", "b", "ccc"], 2);
-        let keyed = d.key_by(&e, "len", |s| s.len()).unwrap();
-        let mut out = keyed.into_inner().collect();
-        out.sort();
-        assert_eq!(out, vec![(1, "b"), (2, "aa"), (3, "ccc")]);
-    }
-
-    #[test]
     fn shuffle_metrics_recorded() {
         let e = Engine::new(2);
-        let d =
-            Dataset::from_vec((0..50u32).map(|i| (i % 3, i)).collect::<Vec<_>>(), 4).into_keyed();
-        let _ = d.partition_by_key(&e, "the-shuffle", 2).unwrap();
+        // Four tasks, one combiner entry per key each: 12 entries move.
+        let data = (0..50u32).map(|i| (i % 3, 1u64)).collect::<Vec<_>>();
+        let add = |a: &mut u64, v| *a += v;
+        let _ = aggregate_by_key(&e, "the-shuffle", data, 4, add, |a, o| *a += o);
         let stages = e.metrics().report();
-        let s = stages.iter().find(|s| s.name == "the-shuffle").unwrap();
-        assert_eq!(s.shuffled_records, 50);
+        let s = stages
+            .iter()
+            .find(|s| s.name == "the-shuffle:radix-merge")
+            .unwrap();
+        assert_eq!(s.shuffled_records, 12);
+        assert_eq!(s.input_records, 12);
     }
 
     #[test]
@@ -367,9 +261,7 @@ mod tests {
     #[test]
     fn aggregate_records_radix_merge_stage() {
         let e = Engine::new(2);
-        let d = Dataset::from_vec((0..50u32).map(|i| (i % 3, 1u64)).collect::<Vec<_>>(), 4)
-            .into_keyed();
-        let _ = sum_by_key(d, &e, "agg").unwrap();
+        let _ = sum_by_key(&e, "agg", (0..50u32).map(|i| (i % 3, 1u64)).collect());
         let stages = e.metrics().report();
         let merge = stages.iter().find(|s| s.name == "agg:radix-merge");
         assert!(merge.is_some(), "radix merge stage visible in metrics");
@@ -388,24 +280,22 @@ mod tests {
         let out = merge_combiner_shards(&e, "mo", sharded, |a: &mut String, o: String| {
             a.push_str(&o);
         })
-        .unwrap()
-        .collect();
-        assert_eq!(out, vec![(1, "ab".to_string())]);
+        .unwrap();
+        assert_eq!(out, vec![vec![(1, "ab".to_string())]]);
     }
 
     #[test]
     fn panicking_combiner_surfaces_as_error() {
         let e = Engine::new(2);
-        let d = Dataset::from_vec(words(), 3).into_keyed();
-        let err = d
-            .aggregate_by_key(
-                &e,
-                "explode",
-                || 0u64,
-                |a, v| *a += v,
-                |_, _| panic!("combiner bug"),
-            )
-            .unwrap_err();
+        let err = aggregate_by_key(
+            &e,
+            "explode",
+            words(),
+            3,
+            |a: &mut u64, v| *a += v,
+            |_, _| panic!("combiner bug"),
+        )
+        .unwrap_err();
         assert_eq!(err.stage, "explode");
     }
 }

@@ -15,7 +15,7 @@ pub struct StageReport {
     pub input_records: u64,
     /// Records leaving the stage.
     pub output_records: u64,
-    /// Records moved across partitions (0 for narrow stages).
+    /// Records moved across partitions (0 for a stage that moves none).
     pub shuffled_records: u64,
     /// Wall-clock time of the stage.
     pub wall: Duration,

@@ -19,9 +19,12 @@
 //! * [`Histogram`] / [`AngleHistogram`] — the 30-degree course/heading bins.
 //!
 //! Every sketch implements [`MergeSketch`], a commutative-monoid contract
-//! (verified by property tests), which is exactly what the execution
-//! engine's combiner-based `aggregate_by_key` needs: shard-local sketches
-//! are built in the map phase and merged associatively in the reduce phase.
+//! (verified by property tests), which is exactly what the build's
+//! combiner-based keyed reduce needs: each task builds its own sketches in
+//! the map phase, and `pol-engine`'s `merge_combiner_shards` merges them
+//! per key in the reduce phase. The contract holds up to floating-point
+//! rounding, so the build fixes the merge order (task order) to keep its
+//! bytes reproducible.
 
 #![deny(missing_docs)]
 

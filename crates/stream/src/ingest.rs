@@ -148,7 +148,7 @@ impl VesselSession {
     fn feed(&mut self, r: EnrichedReport, geofence: &Geofence, counters: &mut IngestCounters) {
         self.frontier = self.frontier.max(r.timestamp);
         counters.released += 1;
-        let Some(survivor) = self.cleaner.push(r) else {
+        let Ok(survivor) = self.cleaner.push(r) else {
             return;
         };
         let open_before = self.tracker.state().2.len();

@@ -30,7 +30,7 @@ fn main() {
         })
         .collect();
     let engine = Engine::with_available_parallelism();
-    let out = patterns_of_life::core::run(
+    let out = patterns_of_life::core::run_fused(
         &engine,
         ds.positions,
         &ds.statics,

@@ -35,7 +35,7 @@ fn main() {
     });
     let engine = Engine::with_available_parallelism();
     let cfg = PipelineConfig::default();
-    let out = patterns_of_life::core::run(
+    let out = patterns_of_life::core::run_fused(
         &engine,
         train.positions,
         &train.statics,

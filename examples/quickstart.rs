@@ -44,7 +44,7 @@ fn main() {
     // 3. Run the methodology: clean → trips → project → aggregate.
     let engine = Engine::with_available_parallelism();
     let cfg = PipelineConfig::default(); // resolution 6, like the paper
-    let out = patterns_of_life::core::run(&engine, ds.positions, &ds.statics, &ports, &cfg)
+    let out = patterns_of_life::core::run_fused(&engine, ds.positions, &ds.statics, &ports, &cfg)
         .expect("pipeline run failed");
     println!(
         "pipeline: {} raw -> {} cleaned -> {} trip records -> {} group entries",

@@ -59,7 +59,7 @@ fn main() {
     };
     let train = generate(&normal_cfg);
     let engine = Engine::with_available_parallelism();
-    let out = patterns_of_life::core::run(
+    let out = patterns_of_life::core::run_fused(
         &engine,
         train.positions,
         &train.statics,

@@ -41,7 +41,7 @@ fn world() -> &'static World {
             })
             .collect();
         let engine = Engine::new(2);
-        let output = patterns_of_life::core::run(
+        let output = patterns_of_life::core::run_fused(
             &engine,
             dataset.positions.clone(),
             &dataset.statics,

@@ -89,9 +89,10 @@ fn nmea_wire_path_feeds_the_pipeline() {
         .collect();
     let engine = Engine::new(2);
     let direct =
-        patterns_of_life::core::run(&engine, ds.positions.clone(), &ds.statics, &ports, &cfg)
+        patterns_of_life::core::run_fused(&engine, ds.positions.clone(), &ds.statics, &ports, &cfg)
             .unwrap();
-    let via_wire = patterns_of_life::core::run(&engine, wired, &ds.statics, &ports, &cfg).unwrap();
+    let via_wire =
+        patterns_of_life::core::run_fused(&engine, wired, &ds.statics, &ports, &cfg).unwrap();
 
     // Wire quantisation is ~0.2 m in position and 0.05 kn in speed: stage
     // counts match exactly, per-cell stats match within quantisation.
@@ -132,9 +133,10 @@ fn unknown_vessels_are_dropped_by_enrichment() {
     // Keep statics for only the first two vessels.
     let statics: Vec<StaticReport> = ds.statics.iter().take(2).cloned().collect();
     let out =
-        patterns_of_life::core::run(&engine, ds.positions.clone(), &statics, &ports, &cfg).unwrap();
-    let full =
-        patterns_of_life::core::run(&engine, ds.positions, &ds.statics, &ports, &cfg).unwrap();
+        patterns_of_life::core::run_fused(&engine, ds.positions.clone(), &statics, &ports, &cfg)
+            .unwrap();
+    let full = patterns_of_life::core::run_fused(&engine, ds.positions, &ds.statics, &ports, &cfg)
+        .unwrap();
     assert!(out.counts.cleaned < full.counts.cleaned);
     assert!(out.clean_report.non_commercial > 0);
 }
