@@ -55,7 +55,7 @@ impl<'a, I: InventoryQuery> DestinationPredictor<'a, I> {
             None => self.inventory.summary(cell),
         };
         // An entry whose bytes do not decode votes like an absent one.
-        let Some(Ok(destinations)) = stats.map(|s| s.destinations()) else {
+        let Some(Ok(destinations)) = stats.as_ref().map(|s| s.destinations()) else {
             return false;
         };
         // Decay the running tally, then add this cell's normalised votes.

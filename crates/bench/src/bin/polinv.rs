@@ -13,15 +13,17 @@
 //!
 //! `build` writes one POLINV3 (columnar) file, and that file is what
 //! `serve` memory-maps — validated, not deserialized. Every reading
-//! subcommand sniffs the magic: a POLINV3 file or a POLMAN1 delta-chain
+//! subcommand sniffs the magic: a POLINV3 file or a POLMAN2 delta-chain
 //! manifest (`pol-stream`'s output — loaded base plus deltas, merged) is
 //! accepted everywhere a `<inv.pol>` appears, anything else is refused
 //! as not an inventory. `verify` on a manifest audits the whole chain
-//! file by file.
+//! file by file. `serve` maps a manifest's links and merges on read;
+//! past eight links it folds them into one image in memory.
 //!
 //! While `serve` is running, its stdin is a tiny control channel: a
 //! `reload <file>` line hot-swaps the snapshot (validated first — a
-//! corrupt file is rejected and the old snapshot keeps serving), and
+//! corrupt file is rejected and the old snapshot keeps serving; a
+//! manifest that extends the served chain maps only its new links), and
 //! EOF shuts the server down.
 //!
 //! `repro` runs the paper's experiments (`pol_bench::repro`) on the
@@ -54,7 +56,11 @@ fn usage() -> ExitCode {
          polinv query <file> <lat> <lon> [--segment <name>]\n  \
          polinv top-dest <file> <LOCODE>\n  \
          polinv serve <file> [--addr HOST:PORT] [--workers N]\n  \
-         polinv repro <name|all> [--out DIR]"
+         polinv repro <name|all> [--out DIR]\n\
+         <file> is a POLINV3 snapshot or a POLMAN2 chain manifest; `serve` maps\n\
+         a chain's links (folding past eight) and takes `reload <file>` lines\n\
+         on stdin, where a manifest that extends the served chain maps only\n\
+         its new links"
     );
     ExitCode::from(2)
 }
@@ -208,17 +214,17 @@ fn cmd_verify(args: &[String]) -> ExitCode {
 fn verify(path: &str) -> Result<(), codec::CodecError> {
     let file = Path::new(path);
     match codec::sniff_file(file)? {
-        // A POLMAN1 delta chain: walk base + every delta, re-verifying
-        // each file's recorded length + CRC and the merge itself.
+        // A POLMAN2 delta chain: walk base + every delta, re-verifying
+        // each file's recorded length + content check and the merge itself.
         Some(codec::SnapshotFormat::Manifest) => {
             let report = codec::manifest::verify_chain(file)?;
-            println!("{path}: OK (POLMAN1 delta chain)");
+            println!("{path}: OK (POLMAN2 delta chain)");
             println!("  newest generation {}", report.generation);
             println!("  chain length      {} files", report.files.len());
             println!("  merged entries    {}", report.merged_entries);
             for f in &report.files {
                 println!(
-                    "  gen {:>5}  {:<24} {:>10} bytes  crc64 {:016x}  {:>8} entries",
+                    "  gen {:>5}  {:<24} {:>10} bytes  content {:016x}  {:>8} entries",
                     f.generation, f.name, f.file_len, f.crc, f.entries
                 );
             }
@@ -346,8 +352,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         ..pol_serve::ServerConfig::default()
     };
     // start_snapshot sniffs the format: a POLINV3 file is memory-mapped
-    // zero-copy (validated, not deserialized), a POLMAN1 chain is merged
-    // into a heap inventory.
+    // zero-copy (validated, not deserialized), a POLMAN2 chain is mapped
+    // link by link; a `reload` of a manifest that extends the served
+    // chain maps only its new links.
     let started = std::time::Instant::now();
     let mut server = match pol_serve::Server::start_snapshot(Path::new(path), addr.as_str(), config)
     {

@@ -1,6 +1,6 @@
 //! The shipped `polinv` binary, driven end to end over real sockets:
 //! `build` → `verify` → `serve` the file `build` wrote, mapped →
-//! `reload` a POLMAN1 chain over stdin → a corrupt file and one under a
+//! `reload` a POLMAN2 chain over stdin → a corrupt file and one under a
 //! retired format's magic, refused by `verify`, `serve` and `reload` →
 //! thousands of open sockets → stdin EOF. Every answer is compared with
 //! the same query made on an `Inventory` in this process. `repro`'s
@@ -361,14 +361,14 @@ fn polinv3_server_reloads_a_chain_refuses_a_corrupt_file_holds_the_fleet_and_dra
     assert_eq!(before.store, "mapped-columnar");
     assert!(before.chain_len < 2, "a lone snapshot is no chain");
 
-    // A POLMAN1 chain, written the way an ingester does.
+    // A POLMAN2 chain, written the way an ingester does.
     let chain_dir = dir.join("chain");
     fs::create_dir_all(&chain_dir).unwrap();
     let mut publisher = DeltaPublisher::create(&chain_dir);
     publisher.publish(&fx.base).unwrap();
     publisher.publish(&fx.delta).unwrap();
     let manifest = publisher.manifest_path();
-    assert!(polinv_ok(&["verify", arg(manifest)]).contains(": OK (POLMAN1 delta chain)\n"));
+    assert!(polinv_ok(&["verify", arg(manifest)]).contains(": OK (POLMAN2 delta chain)\n"));
 
     let verdict = serving.reload(manifest);
     assert!(
@@ -466,4 +466,38 @@ fn polinv3_server_reloads_a_chain_refuses_a_corrupt_file_holds_the_fleet_and_dra
     let last = serving.stop();
     assert!(last.ends_with("(0 busy, 0 malformed)"), "{last}");
     drop(idle);
+}
+
+/// `serve` maps a chain link by link, and a `reload` of the manifest one
+/// link longer maps that link: the server answers what the chain folded
+/// in this process answers, and `STATS` names the mapped store and the
+/// new lineage.
+#[test]
+fn serve_maps_a_chain_and_a_reload_maps_its_new_link() {
+    let fx = fixture();
+    let dir = scratch("serve_chain");
+    let chain_dir = dir.join("chain");
+    fs::create_dir_all(&chain_dir).unwrap();
+    let mut publisher = DeltaPublisher::create(&chain_dir);
+    for link in [&fx.base, &fx.delta, &fx.base] {
+        publisher.publish(link).unwrap();
+    }
+    let manifest = publisher.manifest_path().to_path_buf();
+    let (mut serving, addr) = Serving::start(&manifest, &dir);
+    let served = stats(addr);
+    assert_eq!((served.chain_len, served.delta_generation), (3, 2));
+
+    publisher.publish(&fx.delta).unwrap();
+    let verdict = serving.reload(&manifest);
+    assert!(verdict.starts_with("reloaded"), "{verdict}");
+    let (folded, _) = pol_core::codec::manifest::load_chain(&manifest).unwrap();
+    assert_serves(addr, &folded, &fx.pool);
+    let report = stats(addr);
+    assert_eq!(report.store, "mapped-columnar");
+    assert_eq!((report.chain_len, report.delta_generation), (4, 3));
+    let rendered = report.render();
+    for field in ["store=mapped-columnar", "chain_len=4", "delta_generation=3"] {
+        assert!(rendered.contains(field), "no `{field}` in:\n{rendered}");
+    }
+    assert!(serving.stop().ends_with("(0 busy, 0 malformed)"));
 }

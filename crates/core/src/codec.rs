@@ -2,7 +2,7 @@
 //! format shares.
 //!
 //! An inventory is stored as one POLINV3 file ([`columnar`]) — the file
-//! `polinv build` writes is the file `pol-serve` maps — or as a POLMAN1
+//! `polinv build` writes is the file `pol-serve` maps — or as a POLMAN2
 //! chain ([`manifest`]) linking a POLINV3 base to its POLINV3 deltas;
 //! [`wal`] is the ingest journal. This module holds the pieces those
 //! formats have in common: the typed [`CodecError`], the canonical
@@ -72,7 +72,7 @@ pub enum CodecError {
     Checksum {
         /// Which section failed (`"header"` or a
         /// [`columnar::SectionKind::name`] for POLINV3 files,
-        /// `"manifest"` or `"chain-file"` for POLMAN1 chains).
+        /// `"manifest"` or `"chain-file"` for POLMAN2 chains).
         section: &'static str,
     },
 }
@@ -259,7 +259,7 @@ fn chaos_io(what: &str) -> io::Error {
 /// place, and the directory entry is fsynced. Readers of `path` observe
 /// either the old complete file or the new complete file, never a torn
 /// one. On any failure the temp file is removed and `path` is untouched.
-/// Shared by every format (POLINV3 in [`columnar::save`], POLMAN1
+/// Shared by every format (POLINV3 in [`columnar::save`], POLMAN2
 /// manifests, stream checkpoints) so the durability guarantees — and
 /// the `codec.save.*` chaos failpoints — cover them all.
 pub fn save_bytes(bytes: &[u8], path: &Path) -> io::Result<()> {
@@ -302,7 +302,7 @@ fn write_rename_sync(bytes: &[u8], tmp: &Path, path: &Path) -> io::Result<()> {
 pub enum SnapshotFormat {
     /// Columnar POLINV3 (mmap-friendly, lazily decoded).
     V3,
-    /// POLMAN1 delta-chain manifest (base + deltas, merged on load).
+    /// POLMAN2 delta-chain manifest (base + deltas).
     Manifest,
 }
 
@@ -391,6 +391,22 @@ mod tests {
             }
         }
         Inventory::from_entries(res, entries, n as u64)
+    }
+
+    /// `inv` with its smallest key's speed moments replaced by others of
+    /// the same observation count: every field keeps its width, so the
+    /// two POLINV3 images share their layout and differ in one statistic.
+    pub(super) fn one_statistic_apart(inv: &Inventory) -> Inventory {
+        let mut entries: FxHashMap<GroupKey, CellStats> =
+            inv.iter().map(|(k, s)| (*k, s.clone())).collect();
+        let first = entries.keys().min().copied().unwrap();
+        let stats = entries.get_mut(&first).unwrap();
+        let mut speed = pol_sketch::Welford::new();
+        for _ in 0..stats.speed.count() {
+            speed.add(99.0);
+        }
+        stats.speed = speed;
+        Inventory::from_entries(inv.resolution(), entries, inv.total_records())
     }
 
     /// The canonical encoding of one entry: tagged key, then statistics.
@@ -531,16 +547,18 @@ mod tests {
     #[test]
     fn corrupt_headers_rejected() {
         // Empty file, short file, wrong magic — the two retired row
-        // formats among them: nothing decodes them any more, so each is
-        // the same typed BadHeader as arbitrary bytes, never a panic.
+        // formats and the retired POLMAN1 manifest among them: nothing
+        // decodes them any more, so each is the same typed BadHeader as
+        // arbitrary bytes, never a panic.
         let dir = temp_dir("headers");
         let path = dir.join("inv.pol");
-        let inputs: [&[u8]; 5] = [
+        let inputs: [&[u8]; 6] = [
             b"",
             b"POLI",
             b"XOLINV3\0\x06",
             b"POLINV1\0\x06padding past the magic",
             b"POLINV2\0\x06padding past the magic",
+            b"POLMAN1\0\x06padding past the magic",
         ];
         for bytes in inputs {
             assert_eq!(sniff_format(bytes), None);

@@ -552,6 +552,19 @@ impl Layout {
             header_crc,
         })
     }
+
+    /// A CRC-64/XZ over the header's CRC and then the five section CRCs,
+    /// each u64 LE: what a POLMAN2 manifest pins a link by. Each of those
+    /// CRCs covers its block's content, so two images one statistic apart
+    /// differ here, where their whole-file CRCs need not.
+    pub fn content_crc(&self) -> u64 {
+        let mut crcs = [0u8; 48];
+        let all = std::iter::once(self.header_crc).chain(self.section_crcs);
+        for (slot, crc) in crcs.chunks_exact_mut(8).zip(all) {
+            slot.copy_from_slice(&crc.to_le_bytes());
+        }
+        crc64(&crcs)
+    }
 }
 
 /// Zero-copy accessor over one validated grouping-set section.
@@ -951,7 +964,11 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
 /// section (the path for tools and delta merges; serving reads
 /// zero-copy via [`Layout`] + [`SectionReader`] instead).
 pub fn from_bytes(bytes: &[u8]) -> Result<Inventory, CodecError> {
-    let layout = Layout::parse(bytes)?;
+    decode(bytes, &Layout::parse(bytes)?)
+}
+
+/// Decodes every entry of an image whose `layout` was already parsed.
+pub(crate) fn decode(bytes: &[u8], layout: &Layout) -> Result<Inventory, CodecError> {
     let mut entries: FxHashMap<GroupKey, Arc<CellStats>> = FxHashMap::default();
     let total: usize = layout.cell.count + layout.cell_type.count + layout.cell_route.count;
     entries.reserve(total);
@@ -1006,7 +1023,7 @@ pub struct ColumnarReport {
 /// [`CodecError`] a load would produce.
 pub fn verify_bytes(bytes: &[u8]) -> Result<ColumnarReport, CodecError> {
     let layout = Layout::parse(bytes)?;
-    let inv = from_bytes(bytes)?;
+    let inv = decode(bytes, &layout)?;
     let counts = [
         layout.cell.count,
         layout.cell_type.count,
@@ -1055,7 +1072,7 @@ pub fn load(path: &Path) -> Result<Inventory, CodecError> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::sample_inventory;
+    use super::super::tests::{one_statistic_apart, sample_inventory};
     use super::*;
     use pol_geo::{BBox, LatLon};
 
@@ -1250,18 +1267,7 @@ mod tests {
     #[test]
     fn whole_file_crc_pins_only_the_layout() {
         let inv = sample_inventory(60);
-        let mut entries: FxHashMap<GroupKey, CellStats> =
-            inv.iter().map(|(k, s)| (*k, s.clone())).collect();
-        let first = entries.keys().min().copied().unwrap();
-        let stats = entries.get_mut(&first).unwrap();
-        // Same observation count, other values: every field keeps its width.
-        let mut speed = pol_sketch::Welford::new();
-        for _ in 0..stats.speed.count() {
-            speed.add(99.0);
-        }
-        stats.speed = speed;
-        let edited = Inventory::from_entries(inv.resolution(), entries, inv.total_records());
-
+        let edited = one_statistic_apart(&inv);
         let (a, b) = (to_bytes(&inv), to_bytes(&edited));
         assert_ne!(a, b);
         assert_eq!(a.len(), b.len());
@@ -1271,6 +1277,8 @@ mod tests {
             report.sections.iter().map(|s| s.crc).collect()
         };
         assert_ne!(crcs(&a), crcs(&b), "a section CRC sees the statistic");
+        let content = |bytes: &[u8]| Layout::parse(bytes).unwrap().content_crc();
+        assert_ne!(content(&a), content(&b), "so does the content CRC");
     }
 
     #[test]

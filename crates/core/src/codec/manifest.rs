@@ -1,23 +1,31 @@
-//! POLMAN1 — the delta-chain manifest tying a base snapshot to its
+//! POLMAN2 — the delta-chain manifest tying a base snapshot to its
 //! incremental deltas.
 //!
 //! Streaming ingestion ([`pol-stream`]) emits periodic delta snapshots:
 //! small POLINV3 files summarising only the trips finalized since the
 //! previous emission. A manifest names the base snapshot plus every
-//! delta in generation order, and a serving process loads the *chain* —
-//! base merged with each delta — as one inventory.
+//! delta in generation order. `pol-serve` maps the links and merges on
+//! read; [`load_chain`] merges them into one heap inventory.
 //!
 //! ## On-disk layout
 //!
 //! ```text
-//! magic    b"POLMAN1\0"                               8 bytes
+//! magic    b"POLMAN2\0"                               8 bytes
 //! body     entry-count varint, then per entry:
 //!            generation varint, file-length varint,
-//!            u64 LE CRC-64/XZ of the whole file,
+//!            u64 LE content check of the link,
 //!            name-length varint + relative file name
 //! crc      u64 LE CRC-64/XZ of the body bytes         8 bytes
 //! footer   u64 LE total file length, b"POLSEAL\0"     16 bytes
 //! ```
+//!
+//! A link's content check is a CRC-64/XZ over its POLINV3 header CRC and
+//! then its five section CRCs ([`Layout::content_crc`]). A CRC over the
+//! whole file would not do: each block of a POLINV3 image is followed by
+//! its own CRC, and a CRC run over `block ‖ crc(block)` ends in a state
+//! fixed by the block's length, so two images one statistic apart share
+//! their whole-file CRC. POLMAN1 recorded exactly that, and is refused
+//! as [`CodecError::BadHeader`].
 //!
 //! Entry 0 is the base (generation 0); subsequent entries are deltas
 //! with strictly ascending generations. Names are plain file names
@@ -32,13 +40,13 @@
 //! only then rewrite the manifest. A crash between the two leaves the
 //! previous manifest naming only complete, verified files; a crash during
 //! the manifest rewrite leaves the old manifest (atomic rename). Because
-//! every entry records the referenced file's exact length and CRC-64/XZ,
-//! a manifest can never *silently* bless a torn or stale file: the chain
-//! walker ([`extend_chain`], the one function behind [`load_chain`],
-//! [`verify_chain`] and `pol-serve`'s hot reload) re-hashes every file it
-//! reads before decoding a byte of it.
+//! every entry records the referenced file's exact length and content
+//! check, a manifest can never *silently* bless a torn, stale or swapped
+//! file: every reader of a link ([`check_link`]) parses its layout —
+//! every section CRC verified — and compares before using a byte of it.
 
-use super::{columnar, save_bytes, CodecError, FOOTER_MAGIC};
+use super::columnar::{self, Layout};
+use super::{save_bytes, CodecError, FOOTER_MAGIC};
 use crate::inventory::Inventory;
 use pol_sketch::crc64::crc64;
 use pol_sketch::wire::{get_varint, put_varint, WireError};
@@ -46,10 +54,10 @@ use std::io::{self, Read};
 use std::path::Path;
 
 /// File magic of the delta-chain manifest.
-pub const MAGIC_MANIFEST: &[u8; 8] = b"POLMAN1\0";
+pub const MAGIC_MANIFEST: &[u8; 8] = b"POLMAN2\0";
 
 /// The smallest possible serialized entry: one-byte generation, one-byte
-/// length, 8-byte CRC, one-byte name length, one-byte name. Bounds the
+/// length, 8-byte check, one-byte name length, one-byte name. Bounds the
 /// entry count a hostile manifest can claim.
 const MIN_MANIFEST_ENTRY_BYTES: usize = 12;
 
@@ -64,10 +72,23 @@ pub struct ManifestEntry {
     pub generation: u64,
     /// Exact byte length of the referenced file.
     pub file_len: u64,
-    /// CRC-64/XZ over the referenced file's complete bytes.
+    /// The referenced file's content check: [`Layout::content_crc`].
     pub crc: u64,
     /// Plain file name, resolved against the manifest's directory.
     pub name: String,
+}
+
+impl ManifestEntry {
+    /// The entry naming `bytes`, a complete POLINV3 image, as link
+    /// `generation` under file name `name`.
+    pub fn for_link(generation: u64, name: String, bytes: &[u8]) -> Result<Self, CodecError> {
+        Ok(ManifestEntry {
+            generation,
+            file_len: bytes.len() as u64,
+            crc: Layout::parse(bytes)?.content_crc(),
+            name,
+        })
+    }
 }
 
 /// A parsed delta-chain manifest: the base entry followed by deltas in
@@ -85,30 +106,6 @@ pub struct ChainInfo {
     pub generation: u64,
     /// Files in the chain, base included.
     pub chain_len: u64,
-}
-
-/// What [`extend_chain`] produced: the merged inventory, the manifest
-/// entries it now reflects, and what was found in each link it read.
-pub struct ChainExtension {
-    /// Every link of the manifest merged in ascending generation order.
-    pub inventory: Inventory,
-    /// The manifest's entries, base first — what a later
-    /// [`extend_chain`] is handed back as the already-merged prefix.
-    pub entries: Vec<ManifestEntry>,
-    /// One report per link read, verified, decoded and merged by this
-    /// call, in merge order; links taken over from the caller's prefix
-    /// are not among them.
-    pub links: Vec<ChainEntryReport>,
-}
-
-impl ChainExtension {
-    /// The lineage of [`inventory`](Self::inventory).
-    pub fn info(&self) -> ChainInfo {
-        ChainInfo {
-            generation: self.entries.last().map_or(0, |e| e.generation),
-            chain_len: self.entries.len() as u64,
-        }
-    }
 }
 
 fn wire(msg: &'static str) -> CodecError {
@@ -249,93 +246,86 @@ pub fn load(path: &Path) -> Result<Manifest, CodecError> {
     from_bytes(&buf)
 }
 
-fn read_entry_bytes(dir: &Path, e: &ManifestEntry) -> Result<Vec<u8>, CodecError> {
-    let mut buf = Vec::new();
-    std::fs::File::open(dir.join(&e.name))?.read_to_end(&mut buf)?;
-    // Length and CRC before decoding a byte: a manifest can never bless
-    // a torn, stale, or swapped file.
-    if buf.len() as u64 != e.file_len {
+/// Checks `bytes`, the file `entry` names, before any of it is used:
+/// its length, its layout ([`Layout::parse`]: seal, every section CRC,
+/// sortedness) and then the entry's content check. A torn, stale or
+/// swapped file is a typed error; a sound one hands back its layout.
+pub fn check_link(bytes: &[u8], entry: &ManifestEntry) -> Result<Layout, CodecError> {
+    if bytes.len() as u64 != entry.file_len {
         return Err(wire("chain file length mismatch"));
     }
-    if crc64(&buf) != e.crc {
+    let layout = Layout::parse(bytes)?;
+    if layout.content_crc() != entry.crc {
         return Err(CodecError::Checksum {
             section: "chain-file",
         });
     }
-    Ok(buf)
+    Ok(layout)
 }
 
-/// The one chain walker: loads the manifest at `path` and merges its
-/// links, in ascending generation order, onto what the caller already
-/// holds.
-///
-/// `merged` is an inventory together with the manifest entries it was
-/// built from. When those entries are a strict, field-for-field prefix
-/// of the manifest (same generation, length, CRC and name, and at least
-/// one link more), the walk starts from a copy of that inventory and
-/// reads only the new links; otherwise — no prefix given, a shorter or
-/// diverged manifest, the same manifest again — it starts from nothing
-/// and reads every link. Either way each link read is length-checked
-/// and CRC-checked against its entry before a byte is decoded, so a
-/// manifest can never bless a torn, stale or swapped file. What the
-/// prefix path does **not** do is re-read the prefix's files: the
-/// caller's inventory stands for them, and the manifest's matching
-/// length and CRC are the evidence they have not been republished.
-///
-/// The merge order is the identity anchor: the result depends only on
-/// the set of `(generation, delta)` pairs, and extending one link at a
-/// time gives the same POLINV3 bytes as one walk over the final manifest
-/// (pinned by `tests/chain_extend.rs`; `pol_stream`'s `merge_chain`
-/// applies the same canonical order in memory).
-pub fn extend_chain(
-    path: &Path,
-    merged: Option<(&Inventory, &[ManifestEntry])>,
-) -> Result<ChainExtension, CodecError> {
+/// How many of `served`'s entries a reader holding them may keep when it
+/// moves to `entries`: all of them when they are a strict,
+/// field-for-field prefix (same generation, length, check and name, and
+/// at least one link more), otherwise none — a shorter or diverged
+/// manifest, the same manifest again, or nothing served. The kept links'
+/// files are not read again: the manifest's matching length and check
+/// are the evidence they have not been republished.
+pub fn kept_prefix(served: &[ManifestEntry], entries: &[ManifestEntry]) -> usize {
+    let extends = !served.is_empty()
+        && served.len() < entries.len()
+        && entries.get(..served.len()) == Some(served);
+    if extends {
+        served.len()
+    } else {
+        0
+    }
+}
+
+/// The full chain walk behind [`load_chain`] and [`verify_chain`]: every
+/// link checked ([`check_link`]), decoded and merged onto the ones
+/// before it, in ascending generation order — the first link adopted,
+/// each later one merged in with [`Inventory::merge`]. That order is the
+/// identity anchor: `pol-serve`'s merge-on-read applies the same
+/// sequence per key, and `pol_stream`'s `merge_chain` applies it in
+/// memory.
+fn walk(path: &Path) -> Result<(Inventory, Vec<ChainEntryReport>), CodecError> {
     let man = load(path)?;
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let (mut inv, reused) = match merged {
-        Some((inv, prefix))
-            if !prefix.is_empty()
-                && prefix.len() < man.entries.len()
-                && man.entries[..prefix.len()] == *prefix =>
-        {
-            (Some(inv.clone()), prefix.len())
-        }
-        _ => (None, 0),
-    };
-    let mut links = Vec::with_capacity(man.entries.len() - reused);
-    for e in &man.entries[reused..] {
-        let link = columnar::from_bytes(&read_entry_bytes(dir, e)?)?;
+    let mut merged: Option<Inventory> = None;
+    let mut links = Vec::with_capacity(man.entries.len());
+    for e in man.entries {
+        let mut bytes = Vec::new();
+        std::fs::File::open(dir.join(&e.name))?.read_to_end(&mut bytes)?;
+        let link = columnar::decode(&bytes, &check_link(&bytes, &e)?)?;
         links.push(ChainEntryReport {
-            name: e.name.clone(),
+            entries: link.len(),
+            name: e.name,
             generation: e.generation,
             file_len: e.file_len,
             crc: e.crc,
-            entries: link.len(),
         });
-        match &mut inv {
-            None => inv = Some(link),
+        match &mut merged {
+            None => merged = Some(link),
             Some(inv) if link.resolution() != inv.resolution() => {
                 return Err(wire("chain resolution mismatch"));
             }
             Some(inv) => inv.merge(&link),
         }
     }
-    Ok(ChainExtension {
-        inventory: inv.ok_or(wire("manifest names no base"))?,
-        entries: man.entries,
-        links,
-    })
+    Ok((merged.ok_or(wire("manifest names no base"))?, links))
 }
 
-/// Loads a full delta chain: [`extend_chain`] from an empty prefix.
+/// Loads a full delta chain into one heap inventory.
 pub fn load_chain(path: &Path) -> Result<(Inventory, ChainInfo), CodecError> {
-    let chain = extend_chain(path, None)?;
-    let info = chain.info();
-    Ok((chain.inventory, info))
+    let (inventory, links) = walk(path)?;
+    let info = ChainInfo {
+        generation: links.last().map_or(0, |l| l.generation),
+        chain_len: links.len() as u64,
+    };
+    Ok((inventory, info))
 }
 
-/// What [`extend_chain`] found in one chain file.
+/// What [`verify_chain`] found in one chain file.
 #[derive(Clone, Debug)]
 pub struct ChainEntryReport {
     /// The entry's file name.
@@ -344,7 +334,7 @@ pub struct ChainEntryReport {
     pub generation: u64,
     /// Verified byte length of the file.
     pub file_len: u64,
-    /// Verified CRC-64/XZ of the file.
+    /// Verified content check of the file ([`Layout::content_crc`]).
     pub crc: u64,
     /// Group-identifier entries decoded from the file.
     pub entries: usize,
@@ -362,32 +352,27 @@ pub struct ChainReport {
 }
 
 /// Audits a delta chain end to end: manifest validation, every file's
-/// length + CRC + full decode, and the merge itself — one
-/// [`extend_chain`] walk from an empty prefix, each file read once. Any
-/// failure is the same typed [`CodecError`] a load would produce.
+/// length + layout + content check + full decode, and the merge itself —
+/// one walk, each file read once. Any failure is the same typed
+/// [`CodecError`] a load would produce.
 pub fn verify_chain(path: &Path) -> Result<ChainReport, CodecError> {
-    let chain = extend_chain(path, None)?;
+    let (inventory, files) = walk(path)?;
     Ok(ChainReport {
-        generation: chain.info().generation,
-        merged_entries: chain.inventory.len(),
-        files: chain.links,
+        generation: files.last().map_or(0, |f| f.generation),
+        merged_entries: inventory.len(),
+        files,
     })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{sample_inventory, temp_dir};
+    use super::super::tests::{one_statistic_apart, sample_inventory, temp_dir};
     use super::*;
 
     fn entry_for(dir: &Path, generation: u64, name: &str, inv: &Inventory) -> ManifestEntry {
         let bytes = columnar::to_bytes(inv);
         save_bytes(&bytes, &dir.join(name)).unwrap();
-        ManifestEntry {
-            generation,
-            file_len: bytes.len() as u64,
-            crc: crc64(&bytes),
-            name: name.to_string(),
-        }
+        ManifestEntry::for_link(generation, name.to_string(), &bytes).unwrap()
     }
 
     #[test]
@@ -558,15 +543,15 @@ mod tests {
         std::fs::remove_file(dir.join("delta-1.pol3")).unwrap();
         assert!(matches!(load_chain(&man_path), Err(CodecError::Io(_))));
 
-        // A chain file must be POLINV3: one the manifest vouches for
-        // (length and CRC match) under any other magic is BadHeader.
+        // A chain file must be POLINV3: one of the length the manifest
+        // records under any other magic is BadHeader.
         let retired = b"POLINV2\0 and whatever a retired writer put after it";
         save_bytes(retired, &dir.join("base.pol")).unwrap();
         let man = Manifest {
             entries: vec![ManifestEntry {
                 generation: 0,
                 file_len: retired.len() as u64,
-                crc: crc64(retired),
+                crc: 0,
                 name: "base.pol".into(),
             }],
         };
@@ -576,6 +561,47 @@ mod tests {
             verify_chain(&man_path),
             Err(CodecError::BadHeader)
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What POLMAN1 could not see: a link swapped for another of the same
+    /// layout, one statistic apart. The two images have one length and
+    /// one whole-file CRC, and each is sound on its own; the manifest's
+    /// content check tells them apart.
+    #[test]
+    fn a_swapped_link_of_the_same_layout_is_refused() {
+        let dir = temp_dir("same-layout");
+        let base = sample_inventory(50);
+        let (d1, swapped) = (
+            sample_inventory(20),
+            one_statistic_apart(&sample_inventory(20)),
+        );
+        let (first, second) = (columnar::to_bytes(&d1), columnar::to_bytes(&swapped));
+        assert_eq!(first.len(), second.len());
+        assert_eq!(crc64(&first), crc64(&second), "one whole-file CRC");
+        let man = Manifest {
+            entries: vec![
+                entry_for(&dir, 0, "base.pol3", &base),
+                entry_for(&dir, 1, "delta-1.pol3", &d1),
+            ],
+        };
+        let man_path = dir.join("chain.polman");
+        save(&man, &man_path).unwrap();
+        assert!(load_chain(&man_path).is_ok());
+
+        save_bytes(&second, &dir.join("delta-1.pol3")).unwrap();
+        for refused in [
+            load_chain(&man_path).map(|_| ()),
+            verify_chain(&man_path).map(|_| ()),
+            check_link(&second, &man.entries[1]).map(|_| ()),
+        ] {
+            assert!(matches!(
+                refused,
+                Err(CodecError::Checksum {
+                    section: "chain-file"
+                })
+            ));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

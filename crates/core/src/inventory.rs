@@ -29,22 +29,25 @@ pub struct CoverageReport {
     pub utilization: f64,
 }
 
-/// A summary as its store holds it, borrowed: a heap entry's decoded
-/// statistics, or a mapped entry's canonical [`encode_cell_stats`]
-/// bytes. A reader asks for the fields it reads — on encoded bytes a
-/// projection walks past the fields before them and decodes only those —
-/// and a reply takes the whole summary without building, cloning or
-/// re-encoding a [`CellStats`].
+/// A summary as its store holds it: a heap entry's decoded statistics,
+/// a mapped entry's canonical [`encode_cell_stats`] bytes, or the
+/// statistics a store merged on read from several entries. A reader
+/// asks for the fields it reads — on encoded bytes a projection walks
+/// past the fields before them and decodes only those — and a reply
+/// takes the whole summary without building, cloning or re-encoding a
+/// [`CellStats`] the store did not have to build.
 ///
 /// The projections fail only on encoded bytes no encoder wrote (a store
 /// checks its file's CRCs before serving from it); the estimators treat
 /// such an entry as absent.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub enum Summary<'a> {
     /// A heap inventory's entry.
     Stats(&'a CellStats),
     /// A mapped snapshot's entry, encoded.
     Encoded(&'a [u8]),
+    /// A key's entries in several mapped links, merged in link order.
+    Owned(Box<CellStats>),
 }
 
 impl<'a> Summary<'a> {
@@ -54,15 +57,17 @@ impl<'a> Summary<'a> {
     pub fn arrival(&self) -> Result<(Welford, GkSketch), WireError> {
         match *self {
             Summary::Stats(stats) => Ok((stats.ata.clone(), stats.ata_q.clone())),
+            Summary::Owned(ref stats) => Ok((stats.ata.clone(), stats.ata_q.clone())),
             Summary::Encoded(bytes) => decode_arrival(bytes),
         }
     }
 
     /// The destination heavy hitters: what a destination prediction
     /// reads.
-    pub fn destinations(&self) -> Result<Cow<'a, SpaceSaving<u64>>, WireError> {
+    pub fn destinations(&self) -> Result<Cow<'_, SpaceSaving<u64>>, WireError> {
         match *self {
             Summary::Stats(stats) => Ok(Cow::Borrowed(&stats.destinations)),
+            Summary::Owned(ref stats) => Ok(Cow::Borrowed(&stats.destinations)),
             Summary::Encoded(bytes) => decode_destinations(bytes).map(Cow::Owned),
         }
     }
@@ -72,6 +77,7 @@ impl<'a> Summary<'a> {
     pub fn to_stats(&self) -> Result<CellStats, WireError> {
         match *self {
             Summary::Stats(stats) => Ok(stats.clone()),
+            Summary::Owned(ref stats) => Ok((**stats).clone()),
             Summary::Encoded(mut bytes) => {
                 let stats = decode_cell_stats(&mut bytes)?;
                 if bytes.is_empty() {
@@ -88,6 +94,7 @@ impl<'a> Summary<'a> {
     pub fn encode(&self, out: &mut Vec<u8>) {
         match *self {
             Summary::Stats(stats) => encode_cell_stats(stats, out),
+            Summary::Owned(ref stats) => encode_cell_stats(stats, out),
             Summary::Encoded(bytes) => out.extend_from_slice(bytes),
         }
     }

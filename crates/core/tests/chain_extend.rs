@@ -1,18 +1,19 @@
-//! Which merge is canonical, pinned on POLINV3 bytes: a chain extended
-//! one link at a time (what a hot reload does), one walk over the final
-//! manifest (`load_chain`), and a left fold of `Inventory::merge` over
-//! the codec-round-tripped links are the same inventory — and the
-//! inventories an extension started from are left as they were.
+//! Which merge is canonical, pinned on POLINV3 bytes: one walk over a
+//! manifest (`load_chain`) and a left fold of `Inventory::merge` over
+//! the codec-round-tripped links are the same inventory after every
+//! published link — and the prefix rule a hot reload extends by keeps
+//! every link already served and nothing else. (`pol-serve`'s
+//! `tests/mapped.rs` checks the mapped links answer what this walk
+//! holds.)
 
 use pol_ais::types::{MarketSegment, Mmsi};
-use pol_core::codec::manifest::{self, extend_chain, Manifest, ManifestEntry};
+use pol_core::codec::manifest::{self, kept_prefix, Manifest, ManifestEntry};
 use pol_core::codec::{columnar, save_bytes};
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::inventory::Inventory;
 use pol_core::records::{CellPoint, TripPoint};
 use pol_geo::LatLon;
 use pol_hexgrid::{cell_at, Resolution};
-use pol_sketch::crc64::crc64;
 use pol_sketch::hash::FxHashMap;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -77,12 +78,7 @@ fn publish(dir: &Path, generation: u64, inv: &Inventory) -> ManifestEntry {
     let name = format!("link-{generation:03}.pol");
     let bytes = columnar::to_bytes(inv);
     save_bytes(&bytes, &dir.join(&name)).unwrap();
-    ManifestEntry {
-        generation,
-        file_len: bytes.len() as u64,
-        crc: crc64(&bytes),
-        name,
-    }
+    ManifestEntry::for_link(generation, name, &bytes).unwrap()
 }
 
 proptest! {
@@ -95,27 +91,15 @@ proptest! {
         let dir = case_dir();
         let man_path = dir.join("chain.polman");
         let mut man = Manifest { entries: Vec::new() };
-        let mut served: Option<(Inventory, Vec<ManifestEntry>)> = None;
         let mut folded: Option<Inventory> = None;
 
         for (generation, &(n, salt)) in links.iter().enumerate() {
+            let served = man.entries.clone();
             let link = link_inventory(n, salt);
             man.entries.push(publish(&dir, generation as u64, &link));
             manifest::save(&man, &man_path).unwrap();
-
-            // The hot reload: extend what the previous step served.
-            let before = served.as_ref().map(|(inv, _)| columnar::to_bytes(inv));
-            let ext = extend_chain(
-                &man_path,
-                served.as_ref().map(|(inv, entries)| (inv, entries.as_slice())),
-            )
-            .unwrap();
-            prop_assert_eq!(ext.links.len(), 1, "only the new link is read");
-            prop_assert_eq!(&ext.entries, &man.entries);
-            // Copy-on-write must not reach the inventory still serving.
-            if let (Some(before), Some((inv, _))) = (before, served.as_ref()) {
-                prop_assert_eq!(before, columnar::to_bytes(inv));
-            }
+            // The hot reload keeps what it served and reads the new link.
+            prop_assert_eq!(kept_prefix(&served, &man.entries), generation);
 
             // The oracle: what the file holds, merged in memory.
             let round_tripped = columnar::from_bytes(&columnar::to_bytes(&link)).unwrap();
@@ -127,12 +111,13 @@ proptest! {
                 }
             });
 
-            let extended = columnar::to_bytes(&ext.inventory);
             let (walked, info) = manifest::load_chain(&man_path).unwrap();
             prop_assert_eq!(info.chain_len, generation as u64 + 1);
-            prop_assert_eq!(&extended, &columnar::to_bytes(&walked));
-            prop_assert_eq!(&extended, &columnar::to_bytes(folded.as_ref().unwrap()));
-            served = Some((ext.inventory, ext.entries));
+            prop_assert_eq!(info.generation, generation as u64);
+            prop_assert_eq!(
+                columnar::to_bytes(&walked),
+                columnar::to_bytes(folded.as_ref().unwrap())
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -141,52 +126,34 @@ proptest! {
 #[test]
 fn anything_but_a_strict_prefix_walks_the_whole_chain() {
     let dir = case_dir();
-    let man_path = dir.join("chain.polman");
-    let links: Vec<Inventory> = (0..3)
-        .map(|g| link_inventory(60 + g * 10, g as u64))
+    let entries: Vec<ManifestEntry> = (0..3)
+        .map(|g| publish(&dir, g as u64, &link_inventory(60 + g * 10, g as u64)))
         .collect();
-    let entries: Vec<ManifestEntry> = links
-        .iter()
-        .enumerate()
-        .map(|(g, inv)| publish(&dir, g as u64, inv))
-        .collect();
-    manifest::save(
-        &Manifest {
-            entries: entries.clone(),
-        },
-        &man_path,
-    )
-    .unwrap();
-    let full = extend_chain(&man_path, None).unwrap();
-    assert_eq!(full.links.len(), 3);
-    let want = columnar::to_bytes(&full.inventory);
-
-    // Held as merged: a decoy no link produces, so a walk that wrongly
-    // started from it would show in the bytes.
-    let decoy = link_inventory(500, 99);
     let mut diverged = entries[..2].to_vec();
     diverged[1].crc ^= 1;
+    let mut renamed = entries[..2].to_vec();
+    renamed[1].name = "link-other.pol".into();
+    let mut longer = entries.clone();
+    longer.push(ManifestEntry {
+        generation: 3,
+        ..entries[2].clone()
+    });
     for (what, held) in [
         ("the same chain", entries.clone()),
-        ("a longer chain", {
-            let mut longer = entries.clone();
-            longer.push(ManifestEntry {
-                generation: 3,
-                ..entries[2].clone()
-            });
-            longer
-        }),
+        ("a longer chain", longer),
         ("a chain whose middle entry differs", diverged),
+        ("a chain whose middle entry is renamed", renamed),
         ("no chain", Vec::new()),
     ] {
-        let ext = extend_chain(&man_path, Some((&decoy, &held))).unwrap();
-        assert_eq!(ext.links.len(), 3, "{what}: every link is read");
-        assert_eq!(columnar::to_bytes(&ext.inventory), want, "{what}");
+        assert_eq!(
+            kept_prefix(&held, &entries),
+            0,
+            "{what}: every link is read"
+        );
     }
 
     // A strict prefix is taken at its word.
-    let ext = extend_chain(&man_path, Some((&decoy, &entries[..2]))).unwrap();
-    assert_eq!(ext.links.len(), 1);
-    assert_ne!(columnar::to_bytes(&ext.inventory), want);
+    assert_eq!(kept_prefix(&entries[..2], &entries), 2);
+    assert_eq!(kept_prefix(&entries[..1], &entries), 1);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -117,7 +117,7 @@ fn stats_bytes(stats: &CellStats) -> Vec<u8> {
 /// `PartialEq`; their encoding is canonical).
 type Projected = (Option<(Vec<u8>, Vec<u8>)>, Option<Vec<u8>>);
 
-fn projected(summary: Summary<'_>) -> Projected {
+fn projected(summary: &Summary<'_>) -> Projected {
     (
         summary
             .arrival()
@@ -155,10 +155,11 @@ fn check_projections(stats: &CellStats, step: usize) {
     let bytes = stats_bytes(stats);
     let fields = decoded_fields(&bytes).expect("an encoding decodes");
 
-    // Intact: both shapes of a summary project what the decode holds,
+    // Intact: every shape of a summary projects what the decode holds,
     // and the full decode is the summary.
-    for summary in [Summary::Encoded(&bytes), Summary::Stats(stats)] {
-        let (arrival, destinations) = projected(summary);
+    let owned = Summary::Owned(Box::new(stats.clone()));
+    for summary in [Summary::Encoded(&bytes), Summary::Stats(stats), owned] {
+        let (arrival, destinations) = projected(&summary);
         assert_eq!(arrival, Some((fields.0.clone(), fields.1.clone())));
         assert_eq!(destinations, Some(fields.2.clone()));
         let whole = summary.to_stats().expect("an encoding decodes");
@@ -191,14 +192,14 @@ fn check_projections(stats: &CellStats, step: usize) {
 
     // Truncations: a projection that still answers read only bytes that
     // are all there, so it answers what the intact bytes answer.
-    let intact = projected(Summary::Encoded(&bytes));
+    let intact = projected(&Summary::Encoded(&bytes));
     for cut in positions(bytes.len(), step) {
         let prefix = &bytes[..cut];
         assert!(
             decode_cell_stats(&mut &prefix[..]).is_err(),
             "a strict prefix of {cut} decoded"
         );
-        let (arrival, destinations) = projected(Summary::Encoded(prefix));
+        let (arrival, destinations) = projected(&Summary::Encoded(prefix));
         assert!(arrival.is_none() || arrival == intact.0, "cut {cut}");
         assert!(
             destinations.is_none() || destinations == intact.1,
@@ -214,7 +215,7 @@ fn check_corruptions(stats: &CellStats, mask: u8, step: usize) {
     let mut bytes = stats_bytes(stats);
     for at in positions(bytes.len(), step) {
         bytes[at] ^= mask;
-        let (arrival, destinations) = projected(Summary::Encoded(&bytes));
+        let (arrival, destinations) = projected(&Summary::Encoded(&bytes));
         if let Some(fields) = decoded_fields(&bytes) {
             if let Some(arrival) = arrival {
                 assert_eq!(arrival, (fields.0, fields.1), "byte {at} ^ {mask:#x}");

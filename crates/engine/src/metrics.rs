@@ -77,19 +77,7 @@ impl JobMetrics {
 
     /// Renders a compact text table (one line per stage, then counters).
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "stage                          in_records  out_records    shuffled   wall_ms\n",
-        );
-        for s in self.stages.lock().iter() {
-            out.push_str(&format!(
-                "{:<30} {:>11} {:>12} {:>11} {:>9.1}\n",
-                s.name,
-                s.input_records,
-                s.output_records,
-                s.shuffled_records,
-                s.wall.as_secs_f64() * 1e3
-            ));
-        }
+        let mut out = render_stages(&self.stages.lock());
         let counters = self.counters();
         if !counters.is_empty() {
             out.push_str("counters\n");
@@ -99,6 +87,25 @@ impl JobMetrics {
         }
         out
     }
+}
+
+/// Renders stages as [`JobMetrics::render`]'s table: a header, then one
+/// line per stage.
+pub fn render_stages(stages: &[StageReport]) -> String {
+    let mut out = String::from(
+        "stage                          in_records  out_records    shuffled   wall_ms\n",
+    );
+    for s in stages {
+        out.push_str(&format!(
+            "{:<30} {:>11} {:>12} {:>11} {:>9.1}\n",
+            s.name,
+            s.input_records,
+            s.output_records,
+            s.shuffled_records,
+            s.wall.as_secs_f64() * 1e3
+        ));
+    }
+    out
 }
 
 #[cfg(test)]

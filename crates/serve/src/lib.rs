@@ -2,7 +2,7 @@
 //!
 //! The paper's inventory is an offline artefact; this crate puts it
 //! online. A [`server::Server`] holds one read-only
-//! [`store::StoreBackend`], answers point/route/bbox/top-destination
+//! [`mapped::MappedStore`], answers point/route/bbox/top-destination
 //! queries plus the `pol-apps` ETA and destination-prediction endpoints
 //! over a versioned length-prefixed binary protocol ([`proto`]), and
 //! accounts every request in per-endpoint latency histograms
@@ -11,11 +11,12 @@
 //! The zero-copy read path: a POLINV3 columnar snapshot is served
 //! straight off disk through a [`mapped::MappedStore`] — the file is
 //! memory-mapped ([`mmap::MappedFile`]), validated once, and queried by
-//! binary search without deserializing anything up front. A POLMAN1
-//! delta chain or an in-process build is served from the heap
-//! [`pol_core::Inventory`] it merges into. The server sniffs
-//! the snapshot format and picks the backend; [`proto::Request::Batch`]
-//! lets one frame carry many lookups.
+//! binary search without deserializing anything up front. A POLMAN2
+//! delta chain is the same store over one mapped file per link, merged
+//! on read where links share a key; a hot reload maps only the links it
+//! has not mapped yet. An in-process build is encoded as POLINV3 in
+//! memory and served the same way. [`proto::Request::Batch`] lets one
+//! frame carry many lookups.
 //!
 //! One serving core: the epoll-based [`reactor`] — one event loop owning
 //! every nonblocking socket and per-connection frame state machines
@@ -44,7 +45,6 @@ pub mod mmap;
 pub mod proto;
 pub mod reactor;
 pub mod server;
-pub mod store;
 
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy};
 pub use mapped::{MappedCounters, MappedStore};
@@ -52,4 +52,3 @@ pub use metrics::{Endpoint, EndpointStats, HealthReport, ServerMetrics, StatsRep
 pub use mmap::MappedFile;
 pub use proto::{ProtoError, Request, Response, MAX_BATCH, PROTO_VERSION};
 pub use server::{InventoryService, Server, ServerConfig};
-pub use store::StoreBackend;

@@ -8,13 +8,13 @@
 //! runs from the read that completed its frame on the event loop to its
 //! reply reaching the connection's write buffer, so time spent queued
 //! behind the connection's earlier frames, on the pool's queue and in
-//! the completion hand-off is in the number, whichever side ran it. Startup work (snapshot
-//! open or load) is accounted as [`pol_engine::metrics::StageReport`]s in
-//! a [`JobMetrics`], so `STATS` shows the server's build stages in the
-//! same rendering as a pipeline run.
+//! the completion hand-off is in the number, whichever side ran it.
+//! Snapshot opens are accounted as [`pol_engine::metrics::StageReport`]s,
+//! so `STATS` shows them in the same rendering as a pipeline run's
+//! stages: the server's first open and its latest reload.
 
 use parking_lot::Mutex;
-use pol_engine::metrics::{JobMetrics, StageReport};
+use pol_engine::metrics::{render_stages, StageReport};
 use pol_sketch::{Histogram, Welford};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -175,11 +175,11 @@ pub struct StatsReport {
     /// batch frame counts once under [`Endpoint::Batch`]; this counter
     /// accounts its children).
     pub batched_requests: u64,
-    /// Point lookups the mapped store answered by binary search over the
-    /// snapshot file (zero on the heap backend).
+    /// Binary searches the mapped store ran over a link's key column
+    /// (one per link searched).
     pub mapped_lookups: u64,
     /// Section entries / lat-index rows the mapped store touched during
-    /// scans (zero on the heap backend).
+    /// scans.
     pub mapped_scan_entries: u64,
     /// Newest delta generation merged into the live snapshot (0 when the
     /// snapshot was not loaded from a delta chain).
@@ -206,13 +206,13 @@ pub struct StatsReport {
     /// Largest per-connection write buffer observed, bytes — how far a
     /// slow reader ever got behind before `EPOLLOUT` caught it up.
     pub write_buffer_high_water: u64,
-    /// The live store backend ("heap" or "mapped-columnar").
+    /// The live store: always "mapped-columnar".
     pub store: String,
     /// Per-endpoint counters, in [`Endpoint::ALL`] order, endpoints with
     /// zero traffic omitted.
     pub endpoints: Vec<EndpointStats>,
-    /// Startup stage accounting rendered by
-    /// [`pol_engine::metrics::JobMetrics::render`].
+    /// The first snapshot open and the latest reload, rendered by
+    /// [`pol_engine::metrics::render_stages`].
     pub stages: String,
 }
 
@@ -319,7 +319,9 @@ pub struct ServerMetrics {
     /// (0 = never reloaded, so freshness counts from process start).
     last_reload_millis: AtomicU64,
     draining: AtomicBool,
-    jobs: JobMetrics,
+    /// The first open, then the latest reload's (each replaces the one
+    /// before, so a STATS reply stays one frame however long it runs).
+    stages: Mutex<Vec<StageReport>>,
 }
 
 impl Default for ServerMetrics {
@@ -351,7 +353,7 @@ impl ServerMetrics {
             started: Instant::now(),
             last_reload_millis: AtomicU64::new(0),
             draining: AtomicBool::new(false),
-            jobs: JobMetrics::default(),
+            stages: Mutex::new(Vec::with_capacity(2)),
         }
     }
 
@@ -367,9 +369,11 @@ impl ServerMetrics {
         }
     }
 
-    /// Accounts a startup stage (snapshot open, load or chain merge).
+    /// Accounts a snapshot open; a reload's replaces the previous one's.
     pub fn record_stage(&self, report: StageReport) {
-        self.jobs.record(report);
+        let mut stages = self.stages.lock();
+        stages.truncate(1);
+        stages.push(report);
     }
 
     /// Counts a busy rejection.
@@ -543,7 +547,7 @@ impl ServerMetrics {
             mapped_scan_entries: 0,
             store: String::new(),
             endpoints,
-            stages: self.jobs.render(),
+            stages: render_stages(&self.stages.lock()),
         }
     }
 }

@@ -58,7 +58,7 @@ enum Backing {
         ptr: std::ptr::NonNull<u8>,
         len: usize,
     },
-    /// Plain heap bytes (non-unix, empty file, or mmap failure).
+    /// Plain heap bytes (non-unix, empty file, mmap failure, in memory).
     Heap(Vec<u8>),
 }
 
@@ -118,6 +118,13 @@ impl MappedFile {
         })
     }
 
+    /// A view of bytes already in memory, served like a file's.
+    pub fn from_bytes(bytes: Vec<u8>) -> MappedFile {
+        MappedFile {
+            backing: Backing::Heap(bytes),
+        }
+    }
+
     /// The file's bytes.
     pub fn bytes(&self) -> &[u8] {
         match &self.backing {
@@ -142,16 +149,6 @@ impl MappedFile {
             Backing::Mapped { .. } => true,
             Backing::Heap(_) => false,
         }
-    }
-
-    /// Length of the view in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes().len()
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -194,7 +191,7 @@ mod tests {
         let path = temp_file("exact.bin", &payload);
         let map = MappedFile::open(&path).unwrap();
         assert_eq!(map.bytes(), &payload[..]);
-        assert_eq!(map.len(), payload.len());
+        assert_eq!(map.bytes().len(), payload.len());
         std::fs::remove_file(&path).ok();
     }
 
@@ -202,7 +199,7 @@ mod tests {
     fn empty_file_yields_empty_view() {
         let path = temp_file("empty.bin", b"");
         let map = MappedFile::open(&path).unwrap();
-        assert!(map.is_empty());
+        assert!(map.bytes().is_empty());
         assert!(!map.is_mapped(), "empty files use the heap fallback");
         std::fs::remove_file(&path).ok();
     }

@@ -19,12 +19,11 @@ use crate::proto::{
     encode_cells, encode_response_body, Request, Response, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION,
     RESP_BATCH, RESP_SUMMARY,
 };
-use crate::store::StoreBackend;
 use parking_lot::RwLock;
 use pol_apps::destination::DestinationPredictor;
 use pol_apps::eta::EtaEstimator;
-use pol_core::codec::manifest::{extend_chain, ManifestEntry};
-use pol_core::codec::{CodecError, SnapshotFormat};
+use pol_core::codec::manifest::{self, ManifestEntry};
+use pol_core::codec::{columnar, CodecError, SnapshotFormat};
 use pol_core::features::GroupKey;
 use pol_core::{Inventory, InventoryQuery};
 use pol_engine::metrics::StageReport;
@@ -89,37 +88,36 @@ thread_local! {
     static SCAN_CELLS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The query-execution core: a store backend (heap inventory or mapped
-/// columnar) and the metrics sink. Shared by every request worker; also
-/// usable directly (without sockets) for in-process querying and tests.
+/// The query-execution core: the mapped store and the metrics sink.
+/// Shared by every request worker; also usable directly (without
+/// sockets) for in-process querying and tests.
 pub struct InventoryService {
-    store: StoreBackend,
+    store: MappedStore,
     metrics: Arc<ServerMetrics>,
-    /// The manifest entries the store was merged from, base first; empty
-    /// unless it was opened from a POLMAN1 chain. A later reload whose
-    /// manifest extends these merges only the links past them.
+    /// The manifest entries the store's links were mapped from, base
+    /// first; empty unless it was opened from a POLMAN2 chain. A later
+    /// reload whose manifest extends these keeps their links.
     chain: Vec<ManifestEntry>,
 }
 
 impl InventoryService {
-    /// Serves `inventory` as it is, from the heap.
+    /// Serves `inventory` encoded as POLINV3 in memory (stage
+    /// `encode-open`): the reply a server over the saved file sends.
     pub fn new(inventory: Inventory, metrics: Arc<ServerMetrics>) -> Self {
-        InventoryService {
-            store: StoreBackend::Heap(inventory),
-            metrics,
-            chain: Vec::new(),
-        }
+        let started = Instant::now();
+        let image = columnar::to_bytes(&inventory);
+        // lint: allow(no_unwrap) — an image `to_bytes` wrote parses:
+        // columnar's round-trip tests cover every inventory shape.
+        let store = MappedStore::from_image(image).expect("an encoded inventory parses");
+        let stage = ("encode-open", inventory.total_records(), 0);
+        Self::opened(store, metrics, started, stage, Vec::new())
     }
 
-    /// Opens a snapshot file behind the right backend, sniffing its
-    /// format: a POLINV3 file is memory-mapped zero-copy (validated, not
-    /// deserialized — the cold-start win), a POLMAN1 delta-chain
-    /// manifest is merged base-plus-deltas into a heap inventory
-    /// (recording the chain lineage for the `STATS` freshness fields),
-    /// and anything else is [`CodecError::BadHeader`]. Both paths record
-    /// their startup cost as a `StageReport`. Nothing in a
-    /// [`ServerConfig`] concerns a service any more; the argument stays
-    /// for the callers that pass one.
+    /// Opens a snapshot file, sniffing its format: a POLINV3 file is
+    /// memory-mapped (validated, not deserialized), a POLMAN2 manifest's
+    /// links are each mapped (the lineage goes to the `STATS` freshness
+    /// fields), anything else is [`CodecError::BadHeader`]. The
+    /// `ServerConfig` stays for the callers that pass one.
     pub fn open_snapshot(
         path: &Path,
         _config: &ServerConfig,
@@ -128,52 +126,56 @@ impl InventoryService {
         InventoryService::open_after(path, metrics, None)
     }
 
-    /// [`open_snapshot`](Self::open_snapshot) for a hot reload: when
-    /// `path` is a manifest that extends the chain `served` was merged
-    /// from, only the new links are read, verified and merged, onto a
-    /// copy of the served inventory (`chain-extend`, input = links
-    /// merged); every other case is the full walk (`chain-load`).
+    /// [`open_snapshot`](Self::open_snapshot) for a hot reload: a manifest
+    /// that extends the chain `served` was mapped from keeps its links and
+    /// maps the new files (`chain-extend`); any other maps every link
+    /// (`chain-load`); either folds past `MAX_LINKS` (`chain-fold`).
     fn open_after(
         path: &Path,
         metrics: Arc<ServerMetrics>,
         served: Option<&InventoryService>,
     ) -> Result<Self, CodecError> {
         let started = Instant::now();
-        let (store, name, input_records, chain) = match pol_core::codec::sniff_file(path)? {
+        let (store, stage, chain) = match pol_core::codec::sniff_file(path)? {
             Some(SnapshotFormat::V3) => {
                 let store = MappedStore::open(path)?;
                 let records = store.total_records();
-                (
-                    StoreBackend::Mapped(store),
-                    "mmap-open",
-                    records,
-                    Vec::new(),
-                )
+                (store, ("mmap-open", records, 0), Vec::new())
             }
             Some(SnapshotFormat::Manifest) => {
-                let merged = served.and_then(|s| match &s.store {
-                    StoreBackend::Heap(inventory) => Some((inventory, s.chain.as_slice())),
-                    StoreBackend::Mapped(_) => None,
-                });
-                let chain = extend_chain(path, merged)?;
-                let name = if chain.links.len() < chain.entries.len() {
-                    "chain-extend"
-                } else {
-                    "chain-load"
+                let entries = manifest::load(path)?.entries;
+                let kept = served.map_or(0, |s| manifest::kept_prefix(&s.chain, &entries));
+                let kept_store = served.filter(|_| kept > 0).map(|s| &s.store);
+                let new_links = entries.get(kept..).unwrap_or_default();
+                let dir = path.parent().unwrap_or_else(|| Path::new("."));
+                let kept_links = kept_store.map_or(0, MappedStore::links);
+                let store = MappedStore::extend(kept_store, dir, new_links)?;
+                let (name, kept_links) = match kept {
+                    _ if store.links() < kept_links + new_links.len() => ("chain-fold", 0),
+                    0 => ("chain-load", 0),
+                    _ => ("chain-extend", kept_links),
                 };
-                (
-                    StoreBackend::Heap(chain.inventory),
-                    name,
-                    chain.links.len() as u64,
-                    chain.entries,
-                )
+                (store, (name, new_links.len() as u64, kept_links), entries)
             }
             None => return Err(CodecError::BadHeader),
         };
+        Ok(Self::opened(store, metrics, started, stage, chain))
+    }
+
+    /// A service over a store just opened: the open is a stage `(name,
+    /// input, links kept)` whose output is the entries the open mapped or
+    /// folded.
+    fn opened(
+        store: MappedStore,
+        metrics: Arc<ServerMetrics>,
+        started: Instant,
+        (name, input_records, kept): (&str, u64, usize),
+        chain: Vec<ManifestEntry>,
+    ) -> Self {
         metrics.record_stage(StageReport {
             name: name.into(),
             input_records,
-            output_records: store.len() as u64,
+            output_records: store.link_entries().skip(kept).sum::<usize>() as u64,
             shuffled_records: 0,
             wall: started.elapsed(),
         });
@@ -181,15 +183,15 @@ impl InventoryService {
             chain.last().map_or(0, |e| e.generation),
             chain.len().max(1) as u64,
         );
-        Ok(InventoryService {
+        InventoryService {
             store,
             metrics,
             chain,
-        })
+        }
     }
 
-    /// The underlying store backend.
-    pub fn store(&self) -> &StoreBackend {
+    /// The store the service answers from.
+    pub fn store(&self) -> &MappedStore {
         &self.store
     }
 
@@ -202,7 +204,10 @@ impl InventoryService {
             Request::PointSummary { .. }
             | Request::SegmentSummary { .. }
             | Request::RouteSummary { .. } => match self.summary_key(req) {
-                Some(key) => Response::Summary(self.store.get(&key)),
+                Some(key) => {
+                    let summary = self.store.summary_at(&key);
+                    Response::Summary(summary.and_then(|s| s.to_stats().ok()))
+                }
                 None => out_of_range(),
             },
             Request::BboxScan { .. } | Request::TopDestinationCells { .. } => self
@@ -238,13 +243,12 @@ impl InventoryService {
             }
             Request::Stats => {
                 // The metrics snapshot knows nothing about the store;
-                // fill in the backend identity and its read counters.
+                // fill in its identity and its read counters.
                 let mut report = self.metrics.snapshot();
-                report.store = self.store.name().to_string();
-                if let Some(c) = self.store.mapped_counters() {
-                    report.mapped_lookups = c.lookups;
-                    report.mapped_scan_entries = c.scan_entries;
-                }
+                report.store = "mapped-columnar".into();
+                let counters = self.store.counters();
+                report.mapped_lookups = counters.lookups;
+                report.mapped_scan_entries = counters.scan_entries;
                 Response::Stats(report)
             }
             Request::Health => Response::Health(self.metrics.health()),
@@ -263,10 +267,10 @@ impl InventoryService {
     /// Executes one request and appends its encoded reply payload to
     /// `out` — byte for byte `encode_response(&self.execute(req))`,
     /// which tests pin. This is the form the server sends: a summary
-    /// goes out as the store holds it (a mapped snapshot's stats bytes
-    /// *are* the wire encoding; a heap entry is encoded from the borrow),
-    /// so the three summary lookups build, clone and re-encode nothing,
-    /// and a batch answers its children the same way.
+    /// goes out as the store holds it (a mapped link's stats bytes *are*
+    /// the wire encoding; only a key several links hold is merged and
+    /// encoded), so a summary lookup builds, clones and re-encodes
+    /// nothing, and a batch answers its children the same way.
     pub fn execute_into(&self, req: &Request, out: &mut Vec<u8>) {
         out.push(PROTO_VERSION);
         self.reply_body(req, out);
@@ -383,8 +387,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts serving `inventory` from the heap on `addr` (use port 0 for
-    /// an ephemeral port; the bound address is available from
+    /// Starts serving `inventory` ([`InventoryService::new`]) on `addr`
+    /// (use port 0 for an ephemeral port; the bound address is available from
     /// [`Server::local_addr`]). Fails with the underlying `io::Error` when
     /// the bind or the event loop's epoll/eventfd setup fails, and with
     /// [`io::ErrorKind::Unsupported`] on platforms without epoll.
@@ -400,9 +404,8 @@ impl Server {
 
     /// Starts serving straight off a snapshot file, sniffing its format
     /// like [`InventoryService::open_snapshot`]: POLINV3 is memory-mapped
-    /// zero-copy (validate, don't deserialize), a POLMAN1 chain is
-    /// merged into a heap inventory. This is the cold-start path
-    /// `polinv serve` uses.
+    /// zero-copy (validate, don't deserialize), a POLMAN2 chain is mapped
+    /// link by link. This is the cold-start path `polinv serve` uses.
     pub fn start_snapshot<A: ToSocketAddrs>(
         path: &Path,
         addr: A,
@@ -456,27 +459,25 @@ impl Server {
     /// (their clone keeps it alive); every frame decoded after the swap
     /// sees the new one. The generation counter in `STATS`/`HEALTH`
     /// advances. Any chain a previous [`reload_from`](Self::reload_from)
-    /// remembered is forgotten: the next manifest is merged from its base.
+    /// remembered is forgotten: the next manifest maps every link.
     pub fn reload(&self, inventory: Inventory) {
         let fresh = InventoryService::new(inventory, Arc::clone(&self.metrics));
         *self.service.write() = Arc::new(fresh);
-        self.metrics.set_chain(0, 1);
         self.metrics.reload_succeeded();
     }
 
     /// Hot-reloads the snapshot from an inventory file, sniffing its
-    /// format like [`Server::start_snapshot`]: a POLINV3 file swaps in a
-    /// fresh mapped store; a POLMAN1 manifest swaps in its merged chain
-    /// and records the lineage in the `STATS` freshness fields. When the
-    /// manifest extends the chain being served — the served entries are
-    /// a strict, field-for-field prefix of it — only the new links are
-    /// read, length- and CRC-checked, decoded and merged, onto a copy of
-    /// the served inventory; a shorter, diverged or first manifest is
-    /// merged from its base. A corrupt, truncated, or unreadable file —
-    /// anywhere in what is read — is rejected by the codec's checksums
-    /// *before* anything is swapped: the error is returned,
-    /// `reloads_failed` advances, and the previous snapshot keeps
-    /// serving untouched, the chain it remembers included.
+    /// format like [`Server::start_snapshot`]. When a manifest extends the
+    /// served chain — the served entries are a strict, field-for-field
+    /// prefix of it — the served links are kept and only the new files
+    /// are mapped and checked (length, layout, content check,
+    /// resolution); any other manifest maps every link. Nothing is
+    /// decoded or copied, unless the store would hold more than
+    /// [`MAX_LINKS`](crate::mapped::MAX_LINKS) links: then they are
+    /// folded into one. A corrupt, truncated, swapped or unreadable
+    /// file is rejected *before* anything is swapped: `reloads_failed`
+    /// advances and the previous snapshot, and the chain it remembers,
+    /// keep serving.
     pub fn reload_from(&self, path: &Path) -> Result<(), CodecError> {
         let served = Arc::clone(&self.service.read());
         match InventoryService::open_after(path, Arc::clone(&self.metrics), Some(&served)) {

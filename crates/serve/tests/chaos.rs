@@ -825,3 +825,56 @@ fn one_connection_keeps_every_worker_busy() {
     );
     server.shutdown();
 }
+
+/// A hot reload whose mapping fails (`serve.reload.map`) is refused like
+/// a corrupt link: `reloads_failed` counts it, the served chain keeps
+/// answering and stays the one remembered, so the retry maps one link.
+#[test]
+fn a_failed_map_on_reload_keeps_the_old_chain_serving_and_remembered() {
+    use pol_core::codec::manifest;
+    use pol_stream::DeltaPublisher;
+    let _chaos = exclusive();
+    let dir = std::env::temp_dir().join(format!("pol-serve-chaos-map-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut publisher = DeltaPublisher::create(&dir);
+    publisher.publish(&sample_inventory(300)).unwrap();
+    publisher.publish(&sample_inventory(120)).unwrap();
+    let path = publisher.manifest_path().to_path_buf();
+    let mut server = Server::start_snapshot(&path, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let positions: Vec<(f64, f64)> = (0..300usize)
+        .step_by(11)
+        .map(|i| (-50.0 + (i % 101) as f64, -160.0 + (i % 320) as f64))
+        .collect();
+    let answers = |client: &mut Client| -> Vec<Option<Vec<u8>>> {
+        let found = client.point_summaries(&positions).unwrap();
+        found.iter().map(|s| stats_bytes(s.as_ref())).collect()
+    };
+    let before = answers(&mut client);
+
+    publisher.publish(&sample_inventory(500)).unwrap();
+    configure("serve.reload.map", Trigger::OneShot(FaultAction::Err));
+    assert!(server.reload_from(&path).is_err());
+    assert_eq!(stats("serve.reload.map").fired, 1);
+    let report = client.stats().unwrap();
+    assert_eq!((report.reloads_ok, report.reloads_failed), (0, 1));
+    assert_eq!((report.chain_len, report.delta_generation), (2, 1));
+    assert_eq!(answers(&mut client), before);
+
+    server.reload_from(&path).unwrap();
+    let report = client.stats().unwrap();
+    assert_eq!((report.chain_len, report.delta_generation), (3, 2));
+    let latest = report.stages.lines().last().unwrap_or_default();
+    assert!(latest.starts_with("chain-extend"), "{}", report.stages);
+    let (merged, _) = manifest::load_chain(&path).unwrap();
+    let want: Vec<Option<Vec<u8>>> = positions
+        .iter()
+        .map(|&(lat, lon)| {
+            stats_bytes(merged.summary(cell_at(LatLon::new(lat, lon).unwrap(), res())))
+        })
+        .collect();
+    assert_eq!(answers(&mut client), want);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -506,15 +506,15 @@ fn mmap_snapshot_server_equals_heap_server() {
         assert_eq!(a, b, "eta {i}");
     }
 
-    // The mapped backend identifies itself and counts its work.
-    let report = on_mmap.stats().unwrap();
-    assert_eq!(report.store, "mapped-columnar");
-    assert!(report.mapped_lookups > 0);
-    assert!(report.mapped_scan_entries > 0);
-    assert!(report.stages.contains("mmap-open"));
-    let report = on_heap.stats().unwrap();
-    assert_eq!(report.store, "heap");
-    assert_eq!(report.mapped_lookups, 0);
+    // Both serve through the mapped store, which counts its work; the
+    // in-process inventory was encoded first.
+    for (client, opened) in [(&mut on_mmap, "mmap-open"), (&mut on_heap, "encode-open")] {
+        let report = client.stats().unwrap();
+        assert_eq!(report.store, "mapped-columnar");
+        assert!(report.mapped_lookups > 0);
+        assert!(report.mapped_scan_entries > 0);
+        assert!(report.stages.contains(opened), "{}", report.stages);
+    }
 
     heap_server.shutdown();
     mmap_server.shutdown();
@@ -793,7 +793,6 @@ fn scanned_cells_reconstruct_as_valid_indices() {
 fn delta_chain_hot_reload_under_load_loses_no_query() {
     use pol_core::codec::manifest::{Manifest, ManifestEntry};
     use pol_core::codec::{columnar, save_bytes};
-    use pol_sketch::crc64::crc64;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     let dir = std::env::temp_dir().join("pol-serve-chain-reload");
@@ -813,7 +812,8 @@ fn delta_chain_hot_reload_under_load_loses_no_query() {
     let entry_for = |name: &str, inv: &Inventory| {
         let bytes = columnar::to_bytes(inv);
         save_bytes(&bytes, &dir.join(name)).unwrap();
-        (bytes.len() as u64, crc64(&bytes))
+        let entry = ManifestEntry::for_link(0, name.into(), &bytes).unwrap();
+        (entry.file_len, entry.crc)
     };
     let (base_len, base_crc) = entry_for("base.pol3", &base);
     let manifest_path = dir.join("inventory.polman");
@@ -1351,12 +1351,8 @@ impl ChainOnDisk {
         let name = format!("link-{generation:05}.pol");
         let path = self.dir.join(&name);
         pol_core::codec::save_bytes(&bytes, &path).unwrap();
-        self.entries.push(pol_core::codec::manifest::ManifestEntry {
-            generation,
-            file_len: bytes.len() as u64,
-            crc: pol_sketch::crc64::crc64(&bytes),
-            name,
-        });
+        let entry = pol_core::codec::manifest::ManifestEntry::for_link(generation, name, &bytes);
+        self.entries.push(entry.unwrap());
         path
     }
 
@@ -1383,7 +1379,8 @@ impl Drop for ChainOnDisk {
     }
 }
 
-/// The chain stages `STATS` lists, oldest first, as `(name, input)`.
+/// The chain stages `STATS` lists — the first open's, then the latest
+/// reload's — as `(name, input)`.
 fn chain_stages(client: &mut Client) -> Vec<(String, u64)> {
     client
         .stats()
@@ -1399,8 +1396,8 @@ fn chain_stages(client: &mut Client) -> Vec<(String, u64)> {
 }
 
 /// Point, segment and route summaries on occupied and empty cells, and
-/// one bbox scan, as the reply bytes a client receives.
-fn probe_replies(client: &mut Client) -> Vec<Vec<u8>> {
+/// one bbox scan.
+fn probe_requests() -> Vec<Request> {
     let mut requests = vec![Request::BboxScan {
         min_lat: -60.0,
         min_lon: -175.0,
@@ -1421,9 +1418,50 @@ fn probe_replies(client: &mut Client) -> Vec<Vec<u8>> {
         });
     }
     requests
+}
+
+/// The probes' reply bytes, as a client receives them.
+fn probe_replies(client: &mut Client) -> Vec<Vec<u8>> {
+    probe_requests()
         .iter()
         .map(|req| pol_serve::proto::encode_response(&client.request(req).unwrap()))
         .collect()
+}
+
+/// What `inv` answers to a probe, computed on the heap inventory.
+fn inventory_reply(inv: &Inventory, req: &Request) -> Vec<u8> {
+    let cell = |lat, lon| cell_at(LatLon::new(lat, lon).unwrap(), res());
+    let reply = match *req {
+        Request::PointSummary { lat, lon } => {
+            Response::Summary(inv.summary(cell(lat, lon)).cloned())
+        }
+        Request::SegmentSummary { lat, lon, segment } => {
+            Response::Summary(inv.summary_for(cell(lat, lon), segment).cloned())
+        }
+        Request::RouteSummary {
+            lat,
+            lon,
+            origin,
+            dest,
+            segment,
+        } => Response::Summary(
+            inv.summary_route(cell(lat, lon), origin, dest, segment)
+                .cloned(),
+        ),
+        Request::BboxScan {
+            min_lat,
+            min_lon,
+            max_lat,
+            max_lon,
+        } => {
+            let bbox = BBox::new(min_lat, min_lon, max_lat, max_lon).unwrap();
+            let mut cells: Vec<u64> = inv.cells_in(&bbox).iter().map(|c| c.raw()).collect();
+            cells.sort_unstable();
+            Response::Cells(cells)
+        }
+        ref other => panic!("not a probe: {other:?}"),
+    };
+    pol_serve::proto::encode_response(&reply)
 }
 
 /// What a server freshly started on the chain's manifest answers.
@@ -1431,9 +1469,15 @@ fn fresh_replies(chain: &ChainOnDisk) -> Vec<Vec<u8>> {
     let server =
         Server::start_snapshot(&chain.manifest_path(), "127.0.0.1:0", test_config()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
+    let links = chain.entries.len();
+    let name = if links > pol_serve::mapped::MAX_LINKS {
+        "chain-fold"
+    } else {
+        "chain-load"
+    };
     assert_eq!(
         chain_stages(&mut client),
-        vec![("chain-load".to_string(), chain.entries.len() as u64)]
+        vec![(name.to_string(), links as u64)]
     );
     probe_replies(&mut client)
 }
@@ -1447,21 +1491,20 @@ fn reloading_after_every_delta_equals_a_fresh_start_on_the_final_manifest() {
     let server = Server::start(sample_inventory(10), "127.0.0.1:0", test_config()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let mut want_stages = Vec::new();
     for (k, n) in [400usize, 150, 620, 90, 900].into_iter().enumerate() {
         chain.publish(&sample_inventory(n));
         server.reload_from(&chain.manifest_path()).unwrap();
         // The first manifest meets a server that remembers no chain.
-        want_stages.push(match k {
+        let latest = match k {
             0 => ("chain-load".to_string(), 1),
             _ => ("chain-extend".to_string(), 1),
-        });
-        assert_eq!(chain_stages(&mut client), want_stages);
+        };
+        assert_eq!(chain_stages(&mut client), vec![latest]);
         let report = client.stats().unwrap();
         assert_eq!(report.chain_len, k as u64 + 1);
         assert_eq!(report.delta_generation, k as u64);
         assert_eq!(report.reloads_ok, k as u64 + 1);
-        assert_eq!(report.store, "heap");
+        assert_eq!(report.store, "mapped-columnar");
     }
     assert_eq!(probe_replies(&mut client), fresh_replies(&chain));
 }
@@ -1486,6 +1529,10 @@ fn a_shorter_or_diverged_manifest_is_merged_from_its_base() {
     server.reload_from(&chain.manifest_path()).unwrap();
     let report = client.stats().unwrap();
     assert_eq!((report.chain_len, report.delta_generation), (2, 1));
+    assert_eq!(
+        chain_stages(&mut client).last(),
+        Some(&("chain-load".to_string(), 2))
+    );
     assert_eq!(probe_replies(&mut client), fresh_replies(&chain));
 
     // Diverged: same base, a different link 1, then a link 2 — longer
@@ -1500,8 +1547,8 @@ fn a_shorter_or_diverged_manifest_is_merged_from_its_base() {
     assert_eq!(probe_replies(&mut client), fresh_replies(&chain));
 
     assert_eq!(
-        chain_stages(&mut client),
-        [3, 2, 3].map(|links| ("chain-load".to_string(), links))
+        chain_stages(&mut client).last(),
+        Some(&("chain-load".to_string(), 3))
     );
 }
 
@@ -1571,4 +1618,108 @@ fn reloading_an_inventory_forgets_the_chain() {
     let report = client.stats().unwrap();
     assert_eq!((report.chain_len, report.delta_generation), (2, 1));
     assert_eq!(probe_replies(&mut client), fresh_replies(&chain));
+}
+
+/// A reload reads only its new links: with every served file unlinked
+/// from disk, a manifest one link longer still reloads — the served
+/// links stay mapped — and the server answers what the four links merged
+/// in memory answer, while the full walk, which reads every file, now
+/// fails.
+#[test]
+fn a_reload_maps_only_its_new_links() {
+    use pol_core::codec::{columnar, manifest, CodecError};
+    let mut chain = ChainOnDisk::new("pol-serve-chain-unlinked");
+    let sizes = [300usize, 120, 500, 260];
+    for n in &sizes[..3] {
+        chain.publish(&sample_inventory(*n));
+    }
+    let server =
+        Server::start_snapshot(&chain.manifest_path(), "127.0.0.1:0", test_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for entry in &chain.entries {
+        std::fs::remove_file(chain.dir.join(&entry.name)).unwrap();
+    }
+    chain.publish(&sample_inventory(sizes[3]));
+    server.reload_from(&chain.manifest_path()).unwrap();
+    assert_eq!(
+        chain_stages(&mut client).last(),
+        Some(&("chain-extend".to_string(), 1))
+    );
+    let report = client.stats().unwrap();
+    assert_eq!((report.chain_len, report.delta_generation), (4, 3));
+
+    // The oracle: each link as its file holds it, merged in memory.
+    let links = sizes.iter().enumerate().map(|(generation, &n)| {
+        let bytes = columnar::to_bytes(&sample_inventory(n));
+        (generation as u64, columnar::from_bytes(&bytes).unwrap())
+    });
+    let merged = pol_stream::merge_chain(links.collect()).unwrap();
+    let want: Vec<Vec<u8>> = probe_requests()
+        .iter()
+        .map(|req| inventory_reply(&merged, req))
+        .collect();
+    assert_eq!(probe_replies(&mut client), want);
+    assert!(matches!(
+        manifest::load_chain(&chain.manifest_path()),
+        Err(CodecError::Io(_))
+    ));
+}
+
+/// A chain is served from at most `MAX_LINKS` links: the reload that
+/// would serve one more folds the served links and the new one into one
+/// image (`chain-fold`), the next reloads extend that image, and every
+/// answer stays the chain's merged in memory.
+#[test]
+fn a_chain_past_max_links_is_folded_and_answers_the_same() {
+    use pol_core::codec::columnar;
+    use pol_serve::mapped::MAX_LINKS;
+    let mut chain = ChainOnDisk::new("pol-serve-chain-fold");
+    let server = Server::start(sample_inventory(10), "127.0.0.1:0", test_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut links = Vec::new();
+    let mut served = 0;
+    for k in 0..2 * MAX_LINKS + 2 {
+        let inv = sample_inventory(60 + 41 * k);
+        links.push((
+            k as u64,
+            columnar::from_bytes(&columnar::to_bytes(&inv)).unwrap(),
+        ));
+        chain.publish(&inv);
+        server.reload_from(&chain.manifest_path()).unwrap();
+        served = served % MAX_LINKS + 1;
+        let name = match k {
+            0 => "chain-load",
+            _ if served == 1 => "chain-fold",
+            _ => "chain-extend",
+        };
+        let latest = chain_stages(&mut client).pop().map(|(name, _)| name);
+        assert_eq!(latest.as_deref(), Some(name), "reload {k}");
+    }
+    let merged = pol_stream::merge_chain(links).unwrap();
+    let want: Vec<Vec<u8>> = probe_requests()
+        .iter()
+        .map(|req| inventory_reply(&merged, req))
+        .collect();
+    assert_eq!(probe_replies(&mut client), want);
+    assert_eq!(fresh_replies(&chain), want);
+}
+
+/// `STATS` keeps the first open and the latest reload, not every
+/// reload: a thousand reloads later the reply still decodes, with two
+/// stage rows.
+#[test]
+fn stats_lists_two_stage_rows_after_a_thousand_reloads() {
+    let mut chain = ChainOnDisk::new("pol-serve-stage-rows");
+    chain.publish(&sample_inventory(50));
+    let server =
+        Server::start_snapshot(&chain.manifest_path(), "127.0.0.1:0", test_config()).unwrap();
+    for _ in 0..1_000 {
+        server.reload_from(&chain.manifest_path()).unwrap();
+    }
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let report = client.stats().unwrap();
+    assert_eq!(report.reloads_ok, 1_000);
+    let rows: Vec<&str> = report.stages.lines().skip(1).collect();
+    assert_eq!(rows.len(), 2, "{}", report.stages);
+    assert!(rows.iter().all(|row| row.starts_with("chain-load")));
 }

@@ -1,9 +1,10 @@
-//! Zero-copy store equivalence tests (ISSUE tentpole): a
-//! [`MappedStore`] over a POLINV3 snapshot must answer every
-//! query — all three summary levels, bbox scans, top-destination scans,
-//! and the `pol-apps` estimators built on top — exactly like the heap
-//! [`Inventory`] the snapshot came from, while corrupt files are
-//! rejected at open time.
+//! Zero-copy store equivalence tests: a [`MappedStore`] over a POLINV3
+//! snapshot — or over the links of a POLMAN2 chain, merged on read —
+//! must answer every query — all three summary levels, bbox scans,
+//! top-destination scans, and the `pol-apps` estimators built on top —
+//! exactly like the heap [`Inventory`] the snapshot came from (the
+//! chain folded by `load_chain`), while corrupt files and links that do
+//! not fit the chain are rejected before anything serves from them.
 
 use pol_ais::types::{MarketSegment, Mmsi};
 use pol_apps::destination::DestinationPredictor;
@@ -16,6 +17,7 @@ use pol_geo::{BBox, LatLon};
 use pol_hexgrid::{cell_at, CellIndex, Resolution};
 use pol_serve::MappedStore;
 use pol_sketch::hash::FxHashMap;
+use proptest::prelude::*;
 use std::path::PathBuf;
 
 fn res() -> Resolution {
@@ -96,7 +98,7 @@ fn mapped_store_equals_heap_inventory_on_every_lookup() {
     let (mapped, dir) = save_and_map(&heap, "lookups");
 
     assert_eq!(mapped.resolution(), InventoryQuery::resolution(&heap));
-    assert_eq!(mapped.len(), heap.len());
+    assert_eq!(mapped.links(), 1);
     assert_eq!(mapped.total_records(), heap.total_records());
     assert!(mapped.is_mapped() || cfg!(not(unix)));
 
@@ -291,7 +293,10 @@ fn stored_stats_bytes_are_the_canonical_encoding() {
             encode_cell_stats(&reader.decode_stats(i).unwrap(), &mut reencoded);
             assert_eq!(stored, reencoded, "{:?} entry {i}", reader.kind());
             let key = reader.group_key_at(i).unwrap();
-            assert_eq!(mapped.stats_bytes(&key), Some(stored), "{key:?}");
+            match mapped.summary_at(&key) {
+                Some(Summary::Encoded(bytes)) => assert_eq!(bytes, stored, "{key:?}"),
+                other => panic!("{key:?}: {other:?}"),
+            }
             entries += 1;
         }
     }
@@ -415,10 +420,8 @@ fn append_form_equals_typed_form_on_every_endpoint() {
     let metrics = || Arc::new(ServerMetrics::new());
     let on_mapped =
         InventoryService::open_snapshot(&dir.join("inv.pol3"), &config, metrics()).unwrap();
-    assert_eq!(on_mapped.store().name(), "mapped-columnar");
     let on_heap = InventoryService::new(inventory, metrics());
-    for service in [&on_mapped, &on_heap] {
-        let store = service.store().name();
+    for (store, service) in [("mapped", &on_mapped), ("in memory", &on_heap)] {
         let mut hits = 0;
         for req in &requests {
             let typed = service.execute(req);
@@ -452,5 +455,354 @@ fn append_form_equals_typed_form_on_every_endpoint() {
         on_heap.execute_into(req, &mut b);
         assert_eq!(a, b, "{req:?}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What the heap inventory answers to `req`, computed directly from it:
+/// the oracle every reply of the chain tests is compared with.
+fn heap_answer(inv: &Inventory, req: &pol_serve::Request) -> pol_serve::Response {
+    use pol_serve::{Request, Response};
+    let cell = |lat, lon| cell_at(LatLon::new(lat, lon).unwrap(), inv.resolution());
+    match req {
+        Request::PointSummary { lat, lon } => {
+            Response::Summary(inv.summary(cell(*lat, *lon)).cloned())
+        }
+        Request::SegmentSummary { lat, lon, segment } => {
+            Response::Summary(inv.summary_for(cell(*lat, *lon), *segment).cloned())
+        }
+        Request::RouteSummary {
+            lat,
+            lon,
+            origin,
+            dest,
+            segment,
+        } => Response::Summary(
+            inv.summary_route(cell(*lat, *lon), *origin, *dest, *segment)
+                .cloned(),
+        ),
+        Request::BboxScan {
+            min_lat,
+            min_lon,
+            max_lat,
+            max_lon,
+        } => {
+            let bbox = BBox::new(*min_lat, *min_lon, *max_lat, *max_lon).unwrap();
+            Response::Cells(sorted(inv.cells_in(&bbox)))
+        }
+        Request::TopDestinationCells { dest, segment } => {
+            Response::Cells(sorted(inv.cells_with_top_destination(*dest, *segment)))
+        }
+        Request::Eta {
+            lat,
+            lon,
+            segment,
+            route,
+        } => Response::Eta(EtaEstimator::new(inv).estimate(
+            LatLon::new(*lat, *lon).unwrap(),
+            *segment,
+            *route,
+        )),
+        Request::PredictDestination {
+            segment,
+            top_n,
+            track,
+        } => {
+            let mut predictor = DestinationPredictor::new(inv, *segment);
+            for (lat, lon) in track {
+                predictor.observe(LatLon::new(*lat, *lon).unwrap());
+            }
+            Response::Destinations(predictor.top(*top_n as usize))
+        }
+        Request::Batch(children) => {
+            Response::Batch(children.iter().map(|c| heap_answer(inv, c)).collect())
+        }
+        other => panic!("no heap answer for {other:?}"),
+    }
+}
+
+/// One link of a generated chain.
+#[derive(Clone, Debug)]
+struct LinkSpec {
+    /// Ordinary points, drawn from a pool of positions every link
+    /// shares, so links overlap in some keys and not in others.
+    points: usize,
+    salt: u64,
+    /// Distinct vessels at the hot cell: 300 promote its counters to
+    /// HyperLogLog in the link, two links of 150 promote on merge.
+    hot_vessels: usize,
+    /// Points bound for `flip.0` at the flip cell: a later link with
+    /// more of another destination takes the top destination over.
+    flip: (u16, usize),
+}
+
+const HOT: (f64, f64) = (-2.0, 33.0);
+const FLIP: (f64, f64) = (4.0, 27.0);
+
+/// The pool positions, the hot cell and the flip cell.
+fn positions() -> Vec<(f64, f64)> {
+    let mut all: Vec<(f64, f64)> = (0..24u64)
+        .map(|k| (-12.0 + (k % 6) as f64 * 2.5, 20.0 + (k / 6) as f64 * 3.0))
+        .collect();
+    all.extend([HOT, FLIP]);
+    all
+}
+
+fn link_inventory(spec: &LinkSpec) -> Inventory {
+    let pool = positions();
+    let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
+    let mut observe = |(lat, lon): (f64, f64), k: u64, mmsi: u32, dest: u16| {
+        let pos = LatLon::new(lat, lon).unwrap();
+        let cell = cell_at(pos, res());
+        let cp = CellPoint {
+            point: TripPoint {
+                mmsi: Mmsi(mmsi),
+                timestamp: k as i64 * 60,
+                pos,
+                sog_knots: Some(5.0 + (k % 17) as f64),
+                cog_deg: Some((k * 31 % 360) as f64),
+                heading_deg: (k % 3 == 0).then_some((k * 29 % 360) as f64),
+                segment: MarketSegment::from_id((k % 4) as u8).unwrap(),
+                trip_id: k % 7,
+                origin: (k % 3) as u16,
+                dest,
+                eto_secs: k as i64 * 40,
+                ata_secs: 5_000 - k as i64 * 7,
+            },
+            cell,
+            next_cell: None,
+        };
+        for key in [
+            GroupKey::Cell(cell),
+            GroupKey::CellType(cell, cp.point.segment),
+            GroupKey::CellRoute(cell, cp.point.origin, dest, cp.point.segment),
+        ] {
+            entries
+                .entry(key)
+                .or_insert_with(|| CellStats::new(0.02, 8))
+                .observe(&cp);
+        }
+    };
+    for i in 0..spec.points as u64 {
+        let k = i * 7 + spec.salt * 13;
+        let at = pool[(k % (spec.salt % 5 + 20)) as usize];
+        observe(at, k, 300 + (k % 11) as u32, (k % 5) as u16);
+    }
+    for v in 0..spec.hot_vessels as u64 {
+        observe(HOT, v, 10_000 + (spec.salt * 1_000 + v) as u32, 1);
+    }
+    for f in 0..spec.flip.1 as u64 {
+        observe(FLIP, f * 4, 500 + f as u32, spec.flip.0);
+    }
+    let records = spec.points + spec.hot_vessels + spec.flip.1;
+    Inventory::from_entries(res(), entries, records as u64)
+}
+
+fn arb_link() -> impl Strategy<Value = LinkSpec> {
+    (
+        (0usize..6, 1usize..90),
+        0u64..40,
+        0usize..3,
+        (20u16..23, 0usize..9),
+    )
+        .prop_map(|((empty, points), salt, hot, flip)| LinkSpec {
+            // One link in six is empty.
+            points: if empty == 0 { 0 } else { points },
+            salt,
+            hot_vessels: if empty == 0 { 0 } else { hot * 150 },
+            flip: (flip.0, if empty == 0 { 0 } else { flip.1 }),
+        })
+}
+
+/// Every request kind, over the pool, the hot and the flip cell.
+fn chain_requests() -> Vec<pol_serve::Request> {
+    use pol_serve::Request;
+    let pool = positions();
+    let mut requests = Vec::new();
+    for (i, &(lat, lon)) in pool.iter().enumerate() {
+        let segment = MarketSegment::from_id((i % 4) as u8).unwrap();
+        let route = ((i % 3) as u16, (i % 5) as u16);
+        requests.push(Request::PointSummary { lat, lon });
+        requests.push(Request::SegmentSummary { lat, lon, segment });
+        requests.push(Request::RouteSummary {
+            lat,
+            lon,
+            origin: route.0,
+            dest: route.1,
+            segment,
+        });
+        requests.push(Request::Eta {
+            lat,
+            lon,
+            segment: Some(segment),
+            route: (i % 2 == 0).then_some(route),
+        });
+    }
+    for (min_lat, min_lon, max_lat, max_lon) in [
+        (-15.0, 15.0, 10.0, 35.0),
+        (-8.0, 19.0, 0.0, 26.0),
+        (40.0, 40.0, 50.0, 50.0),
+    ] {
+        requests.push(Request::BboxScan {
+            min_lat,
+            min_lon,
+            max_lat,
+            max_lon,
+        });
+    }
+    for dest in (0..5).chain(20..23) {
+        for segment in [None, Some(MarketSegment::from_id(0).unwrap())] {
+            requests.push(Request::TopDestinationCells { dest, segment });
+        }
+    }
+    let track: Vec<(f64, f64)> = pool.iter().step_by(3).copied().collect();
+    for segment in [None, Some(MarketSegment::from_id(1).unwrap())] {
+        requests.push(Request::PredictDestination {
+            segment,
+            top_n: 3,
+            track: track.clone(),
+        });
+    }
+    let batch = Request::Batch(requests.iter().step_by(5).cloned().collect());
+    requests.push(batch);
+    requests
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Merge-on-read equals the heap fold: a chain of 1–12 links mapped
+    /// in one go, and the same chain mapped a link at a time the way hot
+    /// reloads extend it, answer every request kind with the bytes the
+    /// `load_chain` inventory's own answer encodes to — past `MAX_LINKS`
+    /// links too, where the store folds them into one and then extends
+    /// the fold.
+    #[test]
+    fn merge_on_read_equals_the_heap_fold(links in prop::collection::vec(arb_link(), 1..=12)) {
+        use pol_core::codec::manifest::{self, Manifest, ManifestEntry};
+        use pol_serve::proto::encode_response;
+        use pol_serve::{InventoryService, ServerConfig, ServerMetrics};
+        use std::sync::Arc;
+
+        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("pol-serve-mapped-chain-{}-{case}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let man_path = dir.join("inventory.polman");
+        let mut man = Manifest { entries: Vec::new() };
+        let mut extended: Option<MappedStore> = None;
+        for (generation, spec) in links.iter().enumerate() {
+            let bytes = columnar::to_bytes(&link_inventory(spec));
+            let name = format!("link-{generation:05}.pol");
+            pol_core::codec::save_bytes(&bytes, &dir.join(&name)).unwrap();
+            man.entries.push(ManifestEntry::for_link(generation as u64, name, &bytes).unwrap());
+            let new = man.entries.get(generation..).unwrap();
+            extended = Some(MappedStore::extend(extended.as_ref(), &dir, new).unwrap());
+        }
+        manifest::save(&man, &man_path).unwrap();
+        let extended = extended.unwrap();
+        let (folded, _) = manifest::load_chain(&man_path).unwrap();
+
+        // Mapped in one go, behind the service: the reply bytes.
+        let service = InventoryService::open_snapshot(
+            &man_path,
+            &ServerConfig::default(),
+            Arc::new(ServerMetrics::new()),
+        )
+        .unwrap();
+        let served = if links.len() > pol_serve::mapped::MAX_LINKS { 1 } else { links.len() };
+        prop_assert_eq!(service.store().links(), served);
+        prop_assert_eq!(service.store().total_records(), folded.total_records());
+        for req in &chain_requests() {
+            let mut reply = Vec::new();
+            service.execute_into(req, &mut reply);
+            prop_assert_eq!(reply, encode_response(&heap_answer(&folded, req)), "{:?}", req);
+        }
+
+        // Mapped a link at a time: the store's own answers, at every key.
+        prop_assert!(extended.links() <= pol_serve::mapped::MAX_LINKS);
+        prop_assert_eq!(extended.total_records(), folded.total_records());
+        for (key, stats) in folded.iter() {
+            prop_assert_eq!(
+                stats_bytes(extended.summary_at(key)),
+                stats_bytes(Some(Summary::Stats(stats))),
+                "{:?}", key
+            );
+        }
+        for req in &chain_requests() {
+            let mut cells = Vec::new();
+            let got = match *req {
+                pol_serve::Request::BboxScan { min_lat, min_lon, max_lat, max_lon } => {
+                    extended.cells_in(&BBox::new(min_lat, min_lon, max_lat, max_lon).unwrap(), &mut cells);
+                    pol_serve::Response::Cells(cells)
+                }
+                pol_serve::Request::TopDestinationCells { dest, segment } => {
+                    extended.cells_with_top_destination(dest, segment, &mut cells);
+                    pol_serve::Response::Cells(cells)
+                }
+                pol_serve::Request::Eta { lat, lon, segment, route } => pol_serve::Response::Eta(
+                    EtaEstimator::new(&extended).estimate(LatLon::new(lat, lon).unwrap(), segment, route),
+                ),
+                _ => continue,
+            };
+            prop_assert_eq!(
+                encode_response(&got),
+                encode_response(&heap_answer(&folded, req)),
+                "{:?}",
+                req
+            );
+        }
+        prop_assert_eq!(extended.counters().decode_errors, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A link at another resolution does not fit the chain: the reload that
+/// names it is a typed error, and the served chain keeps answering and
+/// stays the one remembered.
+#[test]
+fn a_link_at_another_resolution_is_refused_and_nothing_is_swapped() {
+    use pol_core::codec::manifest::{self, Manifest, ManifestEntry};
+    use pol_core::codec::CodecError;
+    use pol_serve::{Client, Server, ServerConfig};
+
+    let dir = std::env::temp_dir().join(format!("pol-serve-mapped-res-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let man_path = dir.join("inventory.polman");
+    let link = |generation: u64, inv: &Inventory| {
+        let bytes = columnar::to_bytes(inv);
+        let name = format!("link-{generation}.pol");
+        pol_core::codec::save_bytes(&bytes, &dir.join(&name)).unwrap();
+        ManifestEntry::for_link(generation, name, &bytes).unwrap()
+    };
+    let mut man = Manifest {
+        entries: vec![
+            link(0, &sample_inventory(200)),
+            link(1, &sample_inventory(90)),
+        ],
+    };
+    manifest::save(&man, &man_path).unwrap();
+    let config = ServerConfig {
+        worker_threads: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::start_snapshot(&man_path, "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let probe = |client: &mut Client| client.bbox_scan(-60.0, -175.0, 60.0, 175.0).unwrap();
+    let before = probe(&mut client);
+
+    let coarse = Inventory::from_entries(Resolution::new(5).unwrap(), FxHashMap::default(), 0);
+    man.entries.push(link(2, &coarse));
+    manifest::save(&man, &man_path).unwrap();
+    match server.reload_from(&man_path) {
+        Err(CodecError::Wire(e)) => assert!(e.to_string().contains("resolution"), "{e}"),
+        other => panic!("expected a resolution mismatch, got {other:?}"),
+    }
+    let report = client.stats().unwrap();
+    assert_eq!((report.reloads_ok, report.reloads_failed), (0, 1));
+    assert_eq!((report.chain_len, report.delta_generation), (2, 1));
+    assert_eq!(probe(&mut client), before);
     std::fs::remove_dir_all(&dir).ok();
 }

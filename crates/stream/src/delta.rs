@@ -1,4 +1,4 @@
-//! Delta snapshot publication: POLINV3 windows chained by a POLMAN1
+//! Delta snapshot publication: POLINV3 windows chained by a POLMAN2
 //! manifest.
 //!
 //! A [`DeltaPublisher`] owns one publication directory. The first
@@ -12,8 +12,10 @@
 //! 2. only then is the manifest rewritten, by the same discipline.
 //!
 //! The manifest is the commit record: it names each file with its exact
-//! length and CRC-64, and [`pol_core::codec::manifest::load_chain`]
-//! re-verifies both before decoding a byte. A crash or injected fault
+//! length and content check (a CRC-64 over the file's header and section
+//! CRCs), and every reader — [`pol_core::codec::manifest::check_link`]
+//! behind `load_chain` and `pol-serve`'s mapped reload — re-verifies both
+//! before using a byte. A crash or injected fault
 //! between the two steps leaves at worst an orphaned snapshot file the
 //! old manifest never references — readers keep loading the previous
 //! chain, never a torn or half-published one (pinned by the chaos
@@ -28,7 +30,6 @@
 use pol_core::codec::manifest::{self, Manifest, ManifestEntry};
 use pol_core::codec::{columnar, save_bytes, CodecError};
 use pol_core::Inventory;
-use pol_sketch::crc64::crc64;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -158,15 +159,12 @@ impl DeltaPublisher {
             format!("delta-{generation:05}.pol")
         };
         let bytes = columnar::to_bytes(inv);
+        let entry = ManifestEntry::for_link(generation, name, &bytes)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         // Snapshot first: until the manifest names it, it does not exist
         // as far as any reader is concerned.
-        save_bytes(&bytes, &self.dir.join(&name))?;
-        self.manifest.entries.push(ManifestEntry {
-            generation,
-            file_len: bytes.len() as u64,
-            crc: crc64(&bytes),
-            name,
-        });
+        save_bytes(&bytes, &self.dir.join(&entry.name))?;
+        self.manifest.entries.push(entry);
         match manifest::save(&self.manifest, &self.manifest_path) {
             Ok(()) => Ok(generation),
             Err(e) => {

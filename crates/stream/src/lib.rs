@@ -13,7 +13,7 @@
 //!   [`pol_core::project::project_trip`]), fronted by a bounded
 //!   out-of-order buffer with watermark-driven release;
 //! * [`delta`] — periodic, mergeable inventory deltas published as
-//!   POLINV3 snapshots chained by a POLMAN1 manifest
+//!   POLINV3 snapshots chained by a POLMAN2 manifest
 //!   ([`pol_core::codec::manifest`]), which `pol-serve` hot-reloads
 //!   without dropping in-flight queries;
 //! * [`journal`] — a POLWAL1 write-ahead journal
