@@ -41,6 +41,7 @@ use pol_fleetsim::scenario::{generate, ScenarioConfig};
 use pol_fleetsim::WORLD_PORTS;
 use pol_geo::LatLon;
 use pol_hexgrid::{cell_at, Resolution};
+use pol_sketch::crc64;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -155,6 +156,7 @@ fn cmd_build(args: &[String]) -> ExitCode {
     );
     if timings {
         eprint!("{}", engine.metrics().render());
+        eprintln!("crc64 kernel: {}", crc64::kernel());
     }
     if let Err(e) = codec::columnar::save(&out.inventory, Path::new(&out_path)) {
         eprintln!("error: cannot write {out_path}: {e}");
@@ -219,6 +221,7 @@ fn verify(path: &str) -> Result<(), codec::CodecError> {
         Some(codec::SnapshotFormat::Manifest) => {
             let report = codec::manifest::verify_chain(file)?;
             println!("{path}: OK (POLMAN2 delta chain)");
+            println!("  crc64 kernel      {}", crc64::kernel());
             println!("  newest generation {}", report.generation);
             println!("  chain length      {} files", report.files.len());
             println!("  merged entries    {}", report.merged_entries);
@@ -232,6 +235,7 @@ fn verify(path: &str) -> Result<(), codec::CodecError> {
         Some(codec::SnapshotFormat::V3) => {
             let report = codec::columnar::verify(file)?;
             println!("{path}: OK (POLINV3 columnar)");
+            println!("  crc64 kernel      {}", crc64::kernel());
             println!("  file length       {} bytes", report.file_len);
             println!("  resolution        {}", report.resolution);
             println!("  records           {}", report.total_records);

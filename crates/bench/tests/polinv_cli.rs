@@ -271,6 +271,8 @@ fn fixture() -> &'static Fixture {
         // The POLINV3 report: one row per section.
         let audit = polinv_ok(&["verify", arg(&built)]);
         assert!(audit.contains(": OK (POLINV3 columnar)\n"), "{audit}");
+        let kernel = format!("  crc64 kernel      {}\n", pol_sketch::crc64::kernel());
+        assert!(audit.contains(&kernel), "no `{kernel}` in:\n{audit}");
         for section in columnar::SectionKind::ALL {
             let row = format!("  section {:<10} ", section.name());
             assert!(audit.contains(&row), "no `{row}` row in:\n{audit}");

@@ -1,20 +1,43 @@
-//! Slice-by-8 [`Crc64`] against the bytewise loop it replaced, kept here
-//! as the reference: random lengths, every start alignment, every
-//! streaming split point, and the catalogue's check value.
+//! [`Crc64`] — slice-by-8, and carry-less multiply on long inputs where
+//! the CPU has it — against the bytewise loop the tables replaced, kept
+//! here as the reference: every length across the kernels' cut-over at
+//! every 16-byte alignment, random lengths up to 64 KiB, streaming splits
+//! that enter and leave the wide kernel mid-digest, and the catalogue's
+//! check value.
 
-use pol_sketch::crc64::{crc64, Crc64};
+use pol_sketch::crc64::{crc64, kernel, Crc64};
 use proptest::prelude::*;
 
-/// CRC-64/XZ one bit at a time: reflected polynomial, init and xorout `!0`.
-fn reference(bytes: &[u8]) -> u64 {
-    let mut crc = !0u64;
+/// The reflected ECMA-182 polynomial.
+const POLY: u64 = 0xC96C_5795_D787_0F42;
+
+/// CRC-64/XZ one bit at a time from a raw state: no init, no xorout.
+fn reference_update(mut crc: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         crc ^= u64::from(b);
         for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xC96C_5795_D787_0F42 & (crc & 1).wrapping_neg());
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
         }
     }
-    !crc
+    crc
+}
+
+/// CRC-64/XZ one bit at a time: reflected polynomial, init and xorout `!0`.
+fn reference(bytes: &[u8]) -> u64 {
+    !reference_update(!0, bytes)
+}
+
+/// Deterministic bytes with no period a fold could hide behind.
+fn noise(len: usize) -> Vec<u8> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
 }
 
 #[test]
@@ -24,12 +47,19 @@ fn reference_has_the_standard_check_value() {
 }
 
 #[test]
-fn every_alignment_and_length_up_to_four_blocks() {
-    let data: Vec<u8> = (0..48u32).map(|i| (i * 151 + 7) as u8).collect();
-    for start in 0..8 {
-        for end in start..=data.len() {
-            let slice = &data[start..end];
-            assert_eq!(crc64(slice), reference(slice), "{start}..{end}");
+fn every_alignment_and_length_across_the_cut_over() {
+    // Lengths 0..=1 100 cover the table-only range, the cut-over, whole
+    // 128-byte steps, the 16-byte lanes after them and the < 16-byte
+    // tail; 16 starts cover every alignment of a 16-byte load.
+    let data = noise(16 + 1_100);
+    for start in 0..16 {
+        let mut want = !0u64;
+        for len in 0..=1_100 {
+            let slice = &data[start..start + len];
+            assert_eq!(crc64(slice), !want, "{start}+{len} ({})", kernel());
+            if let Some(&b) = data.get(start + len) {
+                want = reference_update(want, &[b]);
+            }
         }
     }
 }
@@ -61,5 +91,27 @@ proptest! {
             d.update(piece);
         }
         prop_assert_eq!(d.finish(), reference(&data));
+    }
+
+    #[test]
+    fn long_buffers_in_up_to_eight_updates(
+        data in prop::collection::vec(0u8..=255, 0..65_536),
+        start in 0usize..16,
+        cuts in prop::collection::vec(0usize..65_536, 0..8),
+    ) {
+        let data = data.get(start..).unwrap_or(&[]);
+        let want = reference(data);
+        prop_assert_eq!(crc64(data), want);
+        // Up to seven cut points, so a digest enters the wide kernel with
+        // a worn state and leaves it mid-stream.
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut d = Crc64::new();
+        let mut from = 0;
+        for to in cuts.into_iter().chain([data.len()]) {
+            d.update(&data[from..to]);
+            from = to;
+        }
+        prop_assert_eq!(d.finish(), want, "{} bytes", data.len());
     }
 }
