@@ -12,16 +12,16 @@ use pol_sketch::hash::FxHashMap;
 
 /// DBSCAN parameters.
 #[derive(Clone, Copy, Debug)]
-pub struct DbscanParams {
+pub(crate) struct DbscanParams {
     /// Neighbourhood radius in km (plane distance).
-    pub eps_km: f64,
+    pub(crate) eps_km: f64,
     /// Minimum neighbours (inclusive of the point itself) for a core point.
-    pub min_pts: usize,
+    pub(crate) min_pts: usize,
 }
 
 /// Cluster assignment of one input point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Label {
+pub(crate) enum Label {
     /// Sparse-region point.
     Noise,
     /// Member of cluster `id`.
@@ -30,7 +30,7 @@ pub enum Label {
 
 /// Runs DBSCAN over geographic points; returns one label per input point
 /// (input order preserved) plus the number of clusters found.
-pub fn dbscan(points: &[LatLon], params: DbscanParams) -> (Vec<Label>, u32) {
+pub(crate) fn dbscan(points: &[LatLon], params: DbscanParams) -> (Vec<Label>, u32) {
     assert!(params.eps_km > 0.0, "eps must be positive");
     assert!(params.min_pts >= 1, "min_pts must be at least 1");
     let xy: Vec<WorldXY> = points.iter().map(|p| to_xy(*p)).collect();

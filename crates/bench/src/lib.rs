@@ -4,10 +4,16 @@
 //! [`repro`] holds every table, figure and use case of the paper as a
 //! checked experiment (`polinv repro <name|all>`; DESIGN.md §4 is the
 //! index). They are deterministic given the scenario seed.
+//!
+//! `dbscan` and `optics` are private: the density clustering the paper
+//! positions against (§2), which `repro sensitivity` runs on the same
+//! points the grid summarises.
 
 #![deny(missing_docs)]
 
 pub mod alloc;
+mod dbscan;
+mod optics;
 pub mod repro;
 
 use pol_core::records::PortSite;

@@ -9,28 +9,30 @@ use pol_geo::project::{to_xy, WorldXY};
 use pol_geo::LatLon;
 use pol_sketch::hash::FxHashMap;
 
+use crate::dbscan::Label;
+
 /// OPTICS parameters.
 #[derive(Clone, Copy, Debug)]
-pub struct OpticsParams {
+pub(crate) struct OpticsParams {
     /// Maximum neighbourhood radius examined, km.
-    pub max_eps_km: f64,
+    pub(crate) max_eps_km: f64,
     /// Minimum neighbours (inclusive) for core-distance definition.
-    pub min_pts: usize,
+    pub(crate) min_pts: usize,
 }
 
 /// One entry of the OPTICS ordering.
 #[derive(Clone, Copy, Debug)]
-pub struct OrderedPoint {
+pub(crate) struct OrderedPoint {
     /// Index into the input slice.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Reachability distance (km); `f64::INFINITY` for ordering starts.
-    pub reachability_km: f64,
+    pub(crate) reachability_km: f64,
     /// Core distance (km); `f64::INFINITY` for non-core points.
-    pub core_km: f64,
+    pub(crate) core_km: f64,
 }
 
 /// Runs OPTICS and returns the cluster ordering.
-pub fn optics(points: &[LatLon], params: OpticsParams) -> Vec<OrderedPoint> {
+pub(crate) fn optics(points: &[LatLon], params: OpticsParams) -> Vec<OrderedPoint> {
     assert!(params.max_eps_km > 0.0, "max_eps must be positive");
     assert!(params.min_pts >= 1, "min_pts must be at least 1");
     let xy: Vec<WorldXY> = points.iter().map(|p| to_xy(*p)).collect();
@@ -110,13 +112,12 @@ fn core_distance(neighbours: &[(usize, f64)], min_pts: usize) -> f64 {
 
 /// Extracts DBSCAN-equivalent flat clusters from an OPTICS ordering at a
 /// reachability threshold `eps'` ≤ the run's `max_eps`. Returns one label
-/// per input point (same convention as [`crate::dbscan::Label`]).
-pub fn extract_clusters(
+/// per input point (same convention as DBSCAN's).
+pub(crate) fn extract_clusters(
     order: &[OrderedPoint],
     n_points: usize,
     eps_km: f64,
-) -> (Vec<crate::dbscan::Label>, u32) {
-    use crate::dbscan::Label;
+) -> (Vec<Label>, u32) {
     let mut labels = vec![Label::Noise; n_points];
     let mut cluster: i64 = -1;
     for p in order {
@@ -181,7 +182,7 @@ impl GridIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbscan::{dbscan, DbscanParams, Label};
+    use crate::dbscan::{dbscan, DbscanParams};
 
     fn blob(center: (f64, f64), n: usize, spread: f64, salt: u64) -> Vec<LatLon> {
         let mut rng = pol_fleetsim::Rng::new(4321 ^ salt);

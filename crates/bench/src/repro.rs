@@ -19,12 +19,13 @@
 //! [`experiment_scenario`]: crate::experiment_scenario
 //! [`quick_scenario`]: crate::quick_scenario
 
+use crate::dbscan::{dbscan, DbscanParams, Label};
+use crate::optics::{extract_clusters, optics, OpticsParams};
 use crate::{build_inventory_on, port_sites, TEST_SEED};
 use pol_ais::types::{MarketSegment, Mmsi};
 use pol_ais::PositionReport;
 use pol_apps::RouteForecaster;
 use pol_apps::{naive_eta_secs, AnomalyDetector, DestinationPredictor, EtaEstimator};
-use pol_baselines::{dbscan, extract_clusters, optics, DbscanParams, Label, OpticsParams};
 use pol_core::{
     AdaptiveConfig, AdaptiveInventory, CellStats, CoverageReport, GroupKey, GroupingSet, Inventory,
     PipelineConfig, PipelineError,

@@ -31,15 +31,12 @@
 //! ## Usage
 //!
 //! ```
-//! use pol_chaos::{configure, fire, Trigger, FaultAction};
+//! use pol_chaos::{configure, fire, io_error, Trigger, FaultAction};
 //!
 //! // In the fault-tolerant code path:
 //! fn save() -> Result<(), std::io::Error> {
 //!     if fire("codec.save.write") {
-//!         return Err(std::io::Error::new(
-//!             std::io::ErrorKind::Other,
-//!             "chaos: injected write failure",
-//!         ));
+//!         return Err(io_error("write"));
 //!     }
 //!     Ok(())
 //! }
@@ -116,10 +113,10 @@ impl fmt::Display for FailpointStats {
     }
 }
 
-/// Whether fault injection is compiled into this build.
-#[inline]
-pub const fn compiled_in() -> bool {
-    cfg!(feature = "failpoints")
+/// The `io::Error` a persistence call site returns when its failpoint
+/// fires [`FaultAction::Err`]: `what` names the failed step.
+pub fn io_error(what: &str) -> std::io::Error {
+    std::io::Error::other(format!("chaos: injected {what} failure"))
 }
 
 #[cfg(feature = "failpoints")]

@@ -16,7 +16,7 @@
 use crate::features::{CellStats, GroupKey};
 use crate::inventory::Inventory;
 use pol_geo::LatLon;
-use pol_hexgrid::{cell_at, children, parent, CellIndex, Resolution};
+use pol_hexgrid::{cell_at, parent, CellIndex, Resolution};
 use pol_sketch::hash::FxHashMap;
 use pol_sketch::MergeSketch;
 
@@ -149,11 +149,6 @@ impl AdaptiveInventory {
         self.cells.is_empty()
     }
 
-    /// Finest resolution present.
-    pub fn fine_resolution(&self) -> Resolution {
-        self.fine
-    }
-
     /// The summary covering a position: the finest cell of the partition
     /// containing it (fine first, walking up to the coarsest).
     pub fn summary_at(&self, pos: LatLon) -> Option<(CellIndex, &CellStats)> {
@@ -208,25 +203,6 @@ impl AdaptiveInventory {
     pub fn total_records(&self) -> u64 {
         self.cells.values().map(|s| s.records).sum()
     }
-}
-
-/// Expands a mixed-resolution cell back to its constituent fine cells
-/// (for rendering an adaptive inventory on a uniform map).
-pub fn descendants_at(cell: CellIndex, res: Resolution) -> Vec<CellIndex> {
-    if cell.resolution() == res {
-        return vec![cell];
-    }
-    if cell.resolution() > res {
-        return Vec::new();
-    }
-    let mut frontier = vec![cell];
-    while frontier.first().is_some_and(|c| c.resolution() < res) {
-        frontier = frontier
-            .into_iter()
-            .flat_map(|c| children(c).into_iter().flatten())
-            .collect();
-    }
-    frontier
 }
 
 #[cfg(test)]
@@ -377,29 +353,5 @@ mod tests {
             .all(|(r, _)| *r == AdaptiveConfig::default().coarsest.level()));
         assert_eq!(all.total_records(), none.total_records());
         assert_eq!(all.partition_violations(), 0);
-    }
-
-    #[test]
-    fn descendants_expand_correctly() {
-        let cell = cell_at(
-            LatLon::new(10.0, 10.0).unwrap(),
-            Resolution::new(4).unwrap(),
-        );
-        let res6 = Resolution::new(6).unwrap();
-        let fine = descendants_at(cell, res6);
-        assert_eq!(fine.len(), 49, "two levels of aperture 7");
-        for f in &fine {
-            assert_eq!(f.resolution(), res6);
-            assert_eq!(
-                pol_hexgrid::parent_at(*f, Resolution::new(4).unwrap()),
-                Some(cell)
-            );
-        }
-        // Identity and degenerate cases.
-        assert_eq!(
-            descendants_at(cell, Resolution::new(4).unwrap()),
-            vec![cell]
-        );
-        assert!(descendants_at(cell, Resolution::new(3).unwrap()).is_empty());
     }
 }

@@ -250,10 +250,6 @@ fn temp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(format!(".{stem}.tmp.{}.{unique}", std::process::id()))
 }
 
-fn chaos_io(what: &str) -> io::Error {
-    io::Error::other(format!("chaos: injected {what} failure"))
-}
-
 /// Crash-safely writes a complete file image to `path`: the bytes are
 /// written to a sibling temp file, fsynced, atomically renamed into
 /// place, and the directory entry is fsynced. Readers of `path` observe
@@ -275,7 +271,7 @@ pub fn save_bytes(bytes: &[u8], path: &Path) -> io::Result<()> {
 fn write_rename_sync(bytes: &[u8], tmp: &Path, path: &Path) -> io::Result<()> {
     let mut f = std::fs::File::create(tmp)?;
     if pol_chaos::fire("codec.save.write") {
-        return Err(chaos_io("write"));
+        return Err(pol_chaos::io_error("write"));
     }
     f.write_all(bytes)?;
     // fsync before rename: the rename must never publish a name whose
@@ -283,7 +279,7 @@ fn write_rename_sync(bytes: &[u8], tmp: &Path, path: &Path) -> io::Result<()> {
     f.sync_all()?;
     drop(f);
     if pol_chaos::fire("codec.save.rename") {
-        return Err(chaos_io("rename"));
+        return Err(pol_chaos::io_error("rename"));
     }
     std::fs::rename(tmp, path)?;
     // Make the rename itself durable by fsyncing the directory entry.

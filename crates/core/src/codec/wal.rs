@@ -51,7 +51,9 @@ use pol_ais::types::{Mmsi, NavStatus};
 use pol_ais::PositionReport;
 use pol_geo::LatLon;
 use pol_sketch::crc64::crc64;
-use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, varint_bytes, WireError};
+use pol_sketch::wire::{
+    get_f64, get_i64, get_varint, put_f64, put_i64, put_varint, varint_bytes, WireError,
+};
 use std::fmt;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -132,18 +134,10 @@ impl From<WireError> for WalError {
     }
 }
 
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 /// Appends the canonical encoding of one record to `out`.
 pub fn encode_record(r: &PositionReport, out: &mut Vec<u8>) {
     put_varint(out, r.mmsi.0 as u64);
-    put_varint(out, zigzag(r.timestamp));
+    put_i64(out, r.timestamp);
     put_f64(out, r.pos.lat());
     put_f64(out, r.pos.lon());
     let flags = r.sog_knots.is_some() as u8
@@ -165,7 +159,7 @@ pub fn decode_record(input: &mut &[u8]) -> Result<PositionReport, WireError> {
         .ok()
         .and_then(Mmsi::new)
         .ok_or(WireError("bad mmsi"))?;
-    let timestamp = unzigzag(get_varint(input)?);
+    let timestamp = get_i64(input)?;
     let lat = get_f64(input)?;
     let lon = get_f64(input)?;
     let pos = LatLon::new(lat, lon).ok_or(WireError("bad position"))?;
@@ -465,10 +459,6 @@ pub fn load_segment(path: &Path) -> Result<SegmentLoad, WalError> {
     read_segment(&bytes)
 }
 
-fn chaos_io(what: &str) -> io::Error {
-    io::Error::other(format!("chaos: injected {what} failure"))
-}
-
 /// An open, appendable WAL segment file.
 ///
 /// `create` writes and syncs the header before returning, so a segment
@@ -582,7 +572,7 @@ impl SegmentWriter {
             // The fault tears the append: half a frame is in the file
             // when the call fails.
             let _ = self.file.write_all(&image[..image.len() / 2]);
-            Err(chaos_io("wal append write"))
+            Err(pol_chaos::io_error("wal append write"))
         } else {
             self.file.write_all(image)
         };
@@ -618,7 +608,7 @@ impl SegmentWriter {
     /// Makes every appended batch durable (fsync).
     pub fn sync(&mut self) -> Result<(), WalError> {
         if pol_chaos::fire("wal.append.sync") {
-            return Err(WalError::Io(chaos_io("wal append sync")));
+            return Err(WalError::Io(pol_chaos::io_error("wal append sync")));
         }
         self.file.sync_all()?;
         Ok(())
@@ -630,7 +620,7 @@ impl SegmentWriter {
     pub fn seal(mut self) -> Result<(), WalError> {
         self.cut_back()?;
         if pol_chaos::fire("wal.seal") {
-            return Err(WalError::Io(chaos_io("wal seal")));
+            return Err(WalError::Io(pol_chaos::io_error("wal seal")));
         }
         let total = self.len + 20;
         let mut footer = Vec::with_capacity(20);

@@ -57,7 +57,7 @@ mod tests {
     #[test]
     fn wraps_engine_errors() {
         let e: PipelineError =
-            EngineError::new("trips:extract", EngineErrorKind::PoolShutdown).into();
+            EngineError::new("trips:extract", EngineErrorKind::ResultsLost).into();
         assert!(e.to_string().contains("trips:extract"));
         assert!(std::error::Error::source(&e).is_some());
     }

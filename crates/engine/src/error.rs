@@ -13,8 +13,6 @@ use std::fmt;
 pub enum EngineErrorKind {
     /// A job panicked on a worker thread; the payload is the panic message.
     JobPanicked(String),
-    /// The pool is shutting down and no longer accepts work.
-    PoolShutdown,
     /// A worker died without reporting its result (should not happen while
     /// panics are caught; kept as a defensive terminal state).
     ResultsLost,
@@ -45,9 +43,6 @@ impl fmt::Display for EngineError {
             EngineErrorKind::JobPanicked(msg) => {
                 write!(f, "stage '{}': job panicked: {msg}", self.stage)
             }
-            EngineErrorKind::PoolShutdown => {
-                write!(f, "stage '{}': thread pool shut down", self.stage)
-            }
             EngineErrorKind::ResultsLost => {
                 write!(f, "stage '{}': stage results lost", self.stage)
             }
@@ -66,7 +61,7 @@ mod tests {
         let e = EngineError::new("clean:ranges", EngineErrorKind::JobPanicked("boom".into()));
         let s = e.to_string();
         assert!(s.contains("clean:ranges") && s.contains("boom"), "{s}");
-        let e = EngineError::new("x", EngineErrorKind::PoolShutdown);
-        assert!(e.to_string().contains("shut down"));
+        let e = EngineError::new("x", EngineErrorKind::ResultsLost);
+        assert!(e.to_string().contains("results lost"));
     }
 }

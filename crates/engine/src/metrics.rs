@@ -2,8 +2,8 @@
 //! engine (what Spark's UI shows per stage; what Figure 3 of the paper
 //! sketches as the execution flow).
 
-use parking_lot::Mutex;
 use pol_sketch::hash::FxHashMap;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// A completed stage's accounting.
@@ -32,23 +32,39 @@ pub struct JobMetrics {
 impl JobMetrics {
     /// Records a completed stage.
     pub fn record(&self, report: StageReport) {
-        self.stages.lock().push(report);
+        self.stages
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(report);
     }
 
     /// Snapshot of all stages so far, in completion order.
     pub fn report(&self) -> Vec<StageReport> {
-        self.stages.lock().clone()
+        self.stages
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Adds `delta` to the named free-form counter (allocation counts,
     /// morsel counts — anything that is not a per-stage record count).
     pub fn add_counter(&self, name: &str, delta: u64) {
-        *self.counters.lock().entry(name.to_string()).or_insert(0) += delta;
+        *self
+            .counters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(name.to_string())
+            .or_insert(0) += delta;
     }
 
     /// Current value of a named counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.lock().get(name).copied().unwrap_or(0)
+        self.counters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// All named counters, sorted by name for stable output.
@@ -56,6 +72,7 @@ impl JobMetrics {
         let mut out: Vec<(String, u64)> = self
             .counters
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect();
@@ -66,18 +83,29 @@ impl JobMetrics {
     /// Total wall time across stages (stages on the same pool serialize, so
     /// this approximates job time).
     pub fn total_wall(&self) -> Duration {
-        self.stages.lock().iter().map(|s| s.wall).sum()
+        self.stages
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|s| s.wall)
+            .sum()
     }
 
     /// Drops all recorded stages and counters.
     pub fn clear(&self) {
-        self.stages.lock().clear();
-        self.counters.lock().clear();
+        self.stages
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        self.counters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     /// Renders a compact text table (one line per stage, then counters).
     pub fn render(&self) -> String {
-        let mut out = render_stages(&self.stages.lock());
+        let mut out = render_stages(&self.stages.lock().unwrap_or_else(PoisonError::into_inner));
         let counters = self.counters();
         if !counters.is_empty() {
             out.push_str("counters\n");

@@ -1,19 +1,22 @@
-//! A fixed-size worker pool over crossbeam channels.
+//! A fixed-size worker pool over one shared job queue.
 //!
-//! Deliberately simple: an unbounded MPMC job channel consumed by `n`
-//! workers. Stages submit one job per partition and gather results over a
-//! private result channel, so a stage's wall time is the longest partition
-//! (the same straggler behaviour a Spark stage exhibits).
+//! Deliberately simple: a FIFO of jobs behind a `Mutex`, with a
+//! `Condvar` to wake idle workers, consumed by `n` workers. Stages submit
+//! one job per partition and gather results over a private result
+//! channel, so a stage's wall time is the longest partition (the same
+//! straggler behaviour a Spark stage exhibits).
 //!
 //! Workers are panic-proof: a job that panics is caught on the worker, the
 //! worker keeps serving the queue, and [`ThreadPool::run_stage`] reports
-//! the failure to the submitting stage as an [`EngineError`].
+//! the failure to the submitting stage as an [`EngineError`]. A job runs
+//! outside the queue lock, and every acquisition takes the guard back
+//! from a poisoned lock, so no panic anywhere stops the queue.
 
 use crate::error::{EngineError, EngineErrorKind};
-use crossbeam::channel::{unbounded, Sender};
 use std::any::Any;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -29,9 +32,42 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
+/// The job queue the workers share. `closed` is set once, by
+/// [`ThreadPool`]'s `Drop`: workers drain what is queued, then exit.
+struct Chan {
+    jobs: VecDeque<Job>,
+    closed: bool,
+}
+
+/// The queue and the condition variable a worker waits on while it is
+/// empty and open.
+type Queue = (Mutex<Chan>, Condvar);
+
+/// A worker's life: pop a job (or wait for one), run it outside the
+/// lock, repeat until the queue is closed and empty.
+fn work(queue: &Queue) {
+    let (lock, ready) = queue;
+    loop {
+        let mut chan = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let job = loop {
+            if let Some(job) = chan.jobs.pop_front() {
+                break job;
+            }
+            if chan.closed {
+                return;
+            }
+            chan = ready.wait(chan).unwrap_or_else(PoisonError::into_inner);
+        };
+        drop(chan);
+        // A panicking job must not take the worker down; run_stage
+        // surfaces the failure to the caller.
+        let _ = catch_unwind(AssertUnwindSafe(job));
+    }
+}
+
 /// The fixed-size thread pool.
 pub struct ThreadPool {
-    sender: Option<Sender<Job>>,
+    queue: Arc<Queue>,
     handles: Vec<JoinHandle<()>>,
     threads: usize,
 }
@@ -43,19 +79,19 @@ impl ThreadPool {
     /// recoverable state for a compute engine).
     pub fn new(threads: usize) -> ThreadPool {
         let threads = threads.max(1);
-        let (sender, receiver) = unbounded::<Job>();
+        let queue: Arc<Queue> = Arc::new((
+            Mutex::new(Chan {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
+            Condvar::new(),
+        ));
         let mut handles = Vec::with_capacity(threads);
         for i in 0..threads {
-            let rx = receiver.clone();
+            let queue = Arc::clone(&queue);
             let spawned = std::thread::Builder::new()
                 .name(format!("pol-worker-{i}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        // A panicking job must not take the worker down;
-                        // run_stage surfaces the failure to the caller.
-                        let _ = catch_unwind(AssertUnwindSafe(job));
-                    }
-                });
+                .spawn(move || work(&queue));
             match spawned {
                 Ok(h) => handles.push(h),
                 Err(e) if handles.is_empty() && i + 1 == threads => {
@@ -69,7 +105,7 @@ impl ThreadPool {
         }
         let threads = handles.len();
         ThreadPool {
-            sender: Some(sender),
+            queue,
             handles,
             threads,
         }
@@ -80,13 +116,15 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Submits a fire-and-forget job. Fails only when the pool has shut
-    /// down (the send side is closed during drop).
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), EngineErrorKind> {
-        let sender = self.sender.as_ref().ok_or(EngineErrorKind::PoolShutdown)?;
-        sender
-            .send(Box::new(job))
-            .map_err(|_| EngineErrorKind::PoolShutdown)
+    /// Submits a fire-and-forget job. The queue closes only when the
+    /// pool is dropped, so a job submitted through `&self` always runs.
+    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
+        let (lock, ready) = &*self.queue;
+        lock.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .jobs
+            .push_back(Box::new(job));
+        ready.notify_one();
     }
 
     /// Runs one closure per item of `inputs` on the pool and returns the
@@ -111,7 +149,7 @@ impl ThreadPool {
             return Ok(Vec::new());
         }
         let f = Arc::new(f);
-        let (tx, rx) = unbounded::<(usize, Result<R, String>)>();
+        let (tx, rx) = mpsc::channel::<(usize, Result<R, String>)>();
         for (idx, input) in inputs.into_iter().enumerate() {
             let f = f.clone();
             let tx = tx.clone();
@@ -121,8 +159,7 @@ impl ThreadPool {
                 // Receiver outlives all jobs within this call; a send error
                 // can only happen if the caller's thread panicked.
                 let _ = tx.send((idx, out));
-            })
-            .map_err(|kind| EngineError::new(stage, kind))?;
+            });
         }
         drop(tx);
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -154,7 +191,10 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        drop(self.sender.take()); // closes the channel; workers drain & exit
+        let (lock, ready) = &*self.queue;
+        // Closing lets the workers drain what is queued, then exit.
+        lock.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        ready.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -165,21 +205,19 @@ impl Drop for ThreadPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn executes_all_jobs() {
         let pool = ThreadPool::new(4);
         let counter = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         for _ in 0..100 {
             let c = counter.clone();
             let tx = tx.clone();
             pool.execute(move || {
                 c.fetch_add(1, Ordering::SeqCst);
                 tx.send(()).unwrap();
-            })
-            .unwrap();
+            });
         }
         for _ in 0..100 {
             rx.recv().unwrap();
@@ -228,8 +266,7 @@ mod tests {
             let d = done.clone();
             pool.execute(move || {
                 d.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
+            });
         }
         drop(pool); // must drain queued jobs before joining
         assert_eq!(done.load(Ordering::SeqCst), 10);
@@ -262,17 +299,41 @@ mod tests {
     #[test]
     fn execute_panic_does_not_kill_worker() {
         let pool = ThreadPool::new(1);
-        pool.execute(|| panic!("fire-and-forget boom")).unwrap();
+        pool.execute(|| panic!("fire-and-forget boom"));
         // The lone worker must still process subsequent jobs.
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         pool.execute(move || {
             tx.send(42u8).unwrap();
-        })
-        .unwrap();
+        });
         assert_eq!(
             rx.recv_timeout(std::time::Duration::from_secs(10)).ok(),
             Some(42)
         );
+    }
+
+    #[test]
+    fn queue_survives_panicking_lock_holder() {
+        let pool = ThreadPool::new(2);
+        // A thread that panics while it holds the queue lock poisons it;
+        // every acquisition takes the guard back, so nothing stops.
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _chan = pool.queue.0.lock().unwrap();
+                panic!("poisoning the queue lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(pool.queue.0.is_poisoned());
+        let (tx, rx) = mpsc::channel();
+        pool.execute(move || tx.send(7u8).unwrap());
+        assert_eq!(
+            rx.recv_timeout(std::time::Duration::from_secs(10)).ok(),
+            Some(7)
+        );
+        let out = pool
+            .run_stage("after-poison", (0..20u32).collect::<Vec<_>>(), |_, x| x + 1)
+            .unwrap();
+        assert_eq!(out, (1..21).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -25,12 +25,6 @@ pub fn nm_to_km(nm: f64) -> f64 {
     nm * KM_PER_NM
 }
 
-/// Converts kilometres to nautical miles.
-#[inline]
-pub fn km_to_nm(km: f64) -> f64 {
-    km / KM_PER_NM
-}
-
 /// Implied speed in knots for covering `distance_km` in `seconds`.
 /// Returns `f64::INFINITY` when `seconds == 0` and the distance is positive
 /// (a duplicate-timestamp jump — always infeasible).

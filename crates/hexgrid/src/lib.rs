@@ -39,13 +39,11 @@
 
 #![deny(missing_docs)]
 
-pub mod compact;
 pub mod grid;
 pub mod index;
 pub mod lattice;
 pub mod stats;
 
-pub use compact::{compact, uncompact};
 pub use grid::{
     cell_at, cell_axial_at, cell_boundary, cell_center, cells_in_bbox, children, grid_disk,
     grid_distance, neighbors, parent, parent_at,

@@ -13,10 +13,10 @@
 //! so `STATS` shows them in the same rendering as a pipeline run's
 //! stages: the server's first open and its latest reload.
 
-use parking_lot::Mutex;
 use pol_engine::metrics::{render_stages, StageReport};
 use pol_sketch::{Histogram, Welford};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Upper edge of the latency histograms, microseconds. Slower requests
@@ -363,7 +363,7 @@ impl ServerMetrics {
         if let Some(slot) = self.slots.get(endpoint.id() as usize) {
             slot.count.fetch_add(1, Ordering::Relaxed);
             let us = wall.as_secs_f64() * 1e6;
-            let mut lat = slot.lat.lock();
+            let mut lat = slot.lat.lock().unwrap_or_else(PoisonError::into_inner);
             lat.0.add(us);
             lat.1.add(us);
         }
@@ -371,7 +371,7 @@ impl ServerMetrics {
 
     /// Accounts a snapshot open; a reload's replaces the previous one's.
     pub fn record_stage(&self, report: StageReport) {
-        let mut stages = self.stages.lock();
+        let mut stages = self.stages.lock().unwrap_or_else(PoisonError::into_inner);
         stages.truncate(1);
         stages.push(report);
     }
@@ -511,7 +511,7 @@ impl ServerMetrics {
             if count == 0 {
                 continue;
             }
-            let lat = slot.lat.lock();
+            let lat = slot.lat.lock().unwrap_or_else(PoisonError::into_inner);
             endpoints.push(EndpointStats {
                 endpoint: ep,
                 count,
@@ -547,7 +547,7 @@ impl ServerMetrics {
             mapped_scan_entries: 0,
             store: String::new(),
             endpoints,
-            stages: render_stages(&self.stages.lock()),
+            stages: render_stages(&self.stages.lock().unwrap_or_else(PoisonError::into_inner)),
         }
     }
 }

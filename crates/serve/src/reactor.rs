@@ -68,13 +68,12 @@ use crate::conn::{ConnState, ReadEvent, Reply, READ_SCRATCH_BYTES};
 use crate::metrics::ServerMetrics;
 use crate::proto::{decode_request, encode_response, Request, Response};
 use crate::server::{InventoryService, ServerConfig};
-use parking_lot::{Mutex, RwLock};
 use pol_engine::ThreadPool;
 use std::io;
 use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -147,7 +146,10 @@ struct LoopShared {
 impl LoopShared {
     /// Queues one completion and wakes the loop.
     fn complete(&self, completion: Completion) {
-        self.completions.lock().push(completion);
+        self.completions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(completion);
         #[cfg(target_os = "linux")]
         self.wake.wake();
     }
@@ -216,8 +218,7 @@ enum Outcome {
     /// pool, or dropped because the connection is already condemned.
     Settled,
     /// The request died without an answer (an injected kill, a panic in
-    /// a query, a pool that is gone): close the connection, reply
-    /// nothing.
+    /// a query): close the connection, reply nothing.
     Abort,
 }
 
@@ -249,7 +250,10 @@ impl Runner {
         }
         match decode_request(payload) {
             Ok(req) if req.runs_on_loop() => self.run_on_loop(state, &req, completed),
-            Ok(req) => self.dispatch(token, state, req, completed),
+            Ok(req) => {
+                self.dispatch(token, state, req, completed);
+                Outcome::Settled
+            }
             Err(e) => {
                 // A peer that cannot frame a request correctly gets one
                 // typed error — after the replies it is still owed —
@@ -307,7 +311,7 @@ impl Runner {
             if pol_chaos::fire("serve.worker.kill") {
                 return false;
             }
-            let snapshot = Arc::clone(&self.service.read());
+            let snapshot = Arc::clone(&self.service.read().unwrap_or_else(PoisonError::into_inner));
             if direct {
                 outbox.push_frame_with(|out| snapshot.execute_into(req, out));
             } else {
@@ -332,13 +336,7 @@ impl Runner {
     /// Admission check + hand-off to the pool: the loop-level
     /// expression of the typed Busy backpressure. A shed request is
     /// answered, never queued.
-    fn dispatch(
-        &self,
-        token: u64,
-        state: &mut ConnState,
-        req: Request,
-        completed: Instant,
-    ) -> Outcome {
+    fn dispatch(&self, token: u64, state: &mut ConnState, req: Request, completed: Instant) {
         if self.admitted.fetch_add(1, Ordering::Relaxed) >= self.admit_cap {
             self.admitted.fetch_sub(1, Ordering::Relaxed);
             self.metrics.incr_busy();
@@ -346,16 +344,16 @@ impl Runner {
             // Shed *this request*, keep the connection: a Busy frame in
             // its turn, never a queue slot.
             self.answer_unserved(state, &Response::Busy);
-            return Outcome::Settled;
+            return;
         }
         let guard = AdmitGuard(Arc::clone(&self.admitted));
         let seq = state.begin();
         // The snapshot is pinned here, per frame and in arrival order: a
         // hot reload swaps the Arc between frames, never under one, and
         // workers finishing out of order cannot reorder generations.
-        let snapshot = Arc::clone(&self.service.read());
+        let snapshot = Arc::clone(&self.service.read().unwrap_or_else(PoisonError::into_inner));
         let shared = Arc::clone(&self.shared);
-        let submitted = self.pool.execute(move || {
+        self.pool.execute(move || {
             let _admitted = guard;
             execute_job(req, completed, token, seq, &snapshot, shared);
             // Chaos: keep holding the admission slot after the
@@ -364,13 +362,6 @@ impl Runner {
             // must be shed, not stranded.
             pol_chaos::fire("serve.worker.slot_hold");
         });
-        if submitted.is_err() {
-            // Pool shut down underneath us (closure dropped unrun; its
-            // AdmitGuard released on the way out). The request can
-            // never be answered.
-            return Outcome::Abort;
-        }
-        Outcome::Settled
     }
 }
 
@@ -810,7 +801,15 @@ mod linux {
         fn apply_completions(&mut self) {
             // The queue's buffer and the loop's change hands, so neither
             // side allocates per pass.
-            std::mem::swap(&mut self.done, &mut *self.runner.shared.completions.lock());
+            std::mem::swap(
+                &mut self.done,
+                &mut *self
+                    .runner
+                    .shared
+                    .completions
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
             while let Some(completion) = self.done.pop() {
                 let token = completion.token;
                 let Some(entry) = self.conns.get_mut(&token) else {

@@ -19,7 +19,6 @@ use crate::proto::{
     encode_cells, encode_response_body, Request, Response, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION,
     RESP_BATCH, RESP_SUMMARY,
 };
-use parking_lot::RwLock;
 use pol_apps::destination::DestinationPredictor;
 use pol_apps::eta::EtaEstimator;
 use pol_core::codec::manifest::{self, ManifestEntry};
@@ -35,7 +34,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -462,7 +461,7 @@ impl Server {
     /// remembered is forgotten: the next manifest maps every link.
     pub fn reload(&self, inventory: Inventory) {
         let fresh = InventoryService::new(inventory, Arc::clone(&self.metrics));
-        *self.service.write() = Arc::new(fresh);
+        *self.service.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(fresh);
         self.metrics.reload_succeeded();
     }
 
@@ -479,10 +478,10 @@ impl Server {
     /// advances and the previous snapshot, and the chain it remembers,
     /// keep serving.
     pub fn reload_from(&self, path: &Path) -> Result<(), CodecError> {
-        let served = Arc::clone(&self.service.read());
+        let served = Arc::clone(&self.service.read().unwrap_or_else(PoisonError::into_inner));
         match InventoryService::open_after(path, Arc::clone(&self.metrics), Some(&served)) {
             Ok(service) => {
-                *self.service.write() = Arc::new(service);
+                *self.service.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(service);
                 self.metrics.reload_succeeded();
                 Ok(())
             }

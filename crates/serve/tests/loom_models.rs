@@ -160,19 +160,19 @@ fn admit_guard_never_leaks_a_slot() {
     });
 }
 
-/// The job queue of the modeled worker pool: closing it is what
-/// `ThreadPool::drop` does by dropping the crossbeam sender.
+/// The job queue of the modeled worker pool: the same shape as the
+/// private `Chan` in `pol_engine`'s `pool.rs` (a job FIFO and a `closed`
+/// flag behind one `Mutex`, with a `Condvar`), jobs reduced to ids.
 struct Chan {
     jobs: VecDeque<usize>,
     closed: bool,
 }
 
-/// Mirrors `pol_engine::ThreadPool` shutdown: jobs are submitted, the
-/// channel closes, and dropping the pool joins the workers. Crossbeam's
-/// disconnect semantics let receivers drain buffered messages, so every
-/// job submitted before the close must run exactly once and both
-/// workers must exit — in every interleaving of submit, close, pop, and
-/// wakeup.
+/// Mirrors `pol_engine::ThreadPool` shutdown: `execute` pushes a job and
+/// notifies one worker, `Drop` sets `closed` and notifies all, and a
+/// worker pops until the queue is closed *and* empty. So every job
+/// submitted before the close must run exactly once and both workers
+/// must exit — in every interleaving of submit, close, pop, and wakeup.
 #[test]
 fn pool_shutdown_drains_every_submitted_job() {
     loom::model(|| {
@@ -214,13 +214,12 @@ fn pool_shutdown_drains_every_submitted_job() {
             })
             .collect();
 
-        // Submit two jobs, then close — ThreadPool::drop in two steps.
-        {
+        // Two `execute` calls (push, wake one worker), then `Drop`'s
+        // close (wake all).
+        for id in 1..=2 {
             let (lock, cv) = &*chan;
-            let mut st = lock.lock().expect("chan lock");
-            st.jobs.push_back(1);
-            st.jobs.push_back(2);
-            cv.notify_all();
+            lock.lock().expect("chan lock").jobs.push_back(id);
+            cv.notify_one();
         }
         {
             let (lock, cv) = &*chan;

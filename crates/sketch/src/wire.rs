@@ -39,6 +39,18 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Writes an i64 as a zigzag LEB128 varint: small magnitudes of either
+/// sign take few bytes (0 → `00`, −1 → `01`, 1 → `02`).
+pub fn put_i64(out: &mut Vec<u8>, v: i64) {
+    put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
+}
+
+/// Reads a zigzag LEB128 varint written by [`put_i64`].
+pub fn get_i64(input: &mut &[u8]) -> Result<i64, WireError> {
+    let v = get_varint(input)?;
+    Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
+}
+
 /// The LEB128 bytes of `v` and how many of them there are: for a length
 /// that is patched in before what it counts, where there is no vector to
 /// push to.
@@ -533,6 +545,25 @@ mod tests {
             let (bytes, len) = varint_bytes(v);
             assert_eq!(&bytes[..len], buf);
         }
+    }
+
+    #[test]
+    fn zigzag_i64_round_trip() {
+        // Small magnitudes of either sign stay one byte, in zigzag order.
+        for (v, byte) in [(0i64, 0u8), (-1, 1), (1, 2), (-2, 3), (63, 126), (-64, 127)] {
+            let mut buf = Vec::new();
+            put_i64(&mut buf, v);
+            assert_eq!(buf, [byte]);
+        }
+        for v in [i64::MIN, -300, 64, 1 << 40, i64::MAX] {
+            let mut buf = Vec::new();
+            put_i64(&mut buf, v);
+            let mut s = &buf[..];
+            assert_eq!(get_i64(&mut s).unwrap(), v);
+            assert!(s.is_empty());
+        }
+        let mut empty: &[u8] = &[];
+        assert!(get_i64(&mut empty).is_err());
     }
 
     #[test]

@@ -66,7 +66,7 @@ use pol_geo::LatLon;
 use pol_hexgrid::CellIndex;
 use pol_sketch::crc64::crc64;
 use pol_sketch::hash::FxHashMap;
-use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, WireError};
+use pol_sketch::wire::{get_f64, get_i64, get_varint, put_f64, put_i64, put_varint, WireError};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -147,22 +147,6 @@ pub struct EngineState {
 
 fn wire(msg: &'static str) -> CodecError {
     CodecError::Wire(WireError(msg))
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    put_varint(out, zigzag(v));
-}
-
-fn get_i64(input: &mut &[u8]) -> Result<i64, WireError> {
-    Ok(unzigzag(get_varint(input)?))
 }
 
 fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
@@ -804,10 +788,6 @@ pub struct CheckpointStats {
     pub compactions: u64,
 }
 
-fn chaos_io(what: &str) -> io::Error {
-    io::Error::other(format!("chaos: injected {what} failure"))
-}
-
 /// Writes one engine's checkpoints into its journal directory: appends
 /// to the log what changed, commits with the head, rewrites the log
 /// when too much of it is dead.
@@ -934,7 +914,7 @@ impl CheckpointWriter {
                 // The fault tears the append: half a frame is in the
                 // file when the call fails.
                 let _ = file.write_all(&frame.bytes[..frame.bytes.len() / 2]);
-                return Err(chaos_io("checkpoint log append").into());
+                return Err(pol_chaos::io_error("checkpoint log append").into());
             }
             file.write_all(&frame.bytes)?;
             file.sync_all()?;
@@ -959,7 +939,7 @@ impl CheckpointWriter {
         scalars: &EngineState,
     ) -> Result<Staged, CodecError> {
         if pol_chaos::fire("stream.checkpoint.compact") {
-            return Err(chaos_io("checkpoint log rewrite").into());
+            return Err(pol_chaos::io_error("checkpoint log rewrite").into());
         }
         let id = self.log.as_ref().map_or(1, |(old, _)| old + 1);
         let mut header = MAGIC_LOG.to_vec();

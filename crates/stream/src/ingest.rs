@@ -244,11 +244,6 @@ impl StreamEngine {
         self.counters
     }
 
-    /// Vessels with live sessions.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// Records currently parked in reorder buffers.
     pub fn buffered(&self) -> usize {
         self.sessions.values().map(|s| s.buffer.len()).sum()

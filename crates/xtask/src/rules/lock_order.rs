@@ -36,11 +36,20 @@ fn check_acquisition_order(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     for (fn_name, start, end) in &ctx.file.fn_spans {
         // (rank, line idx, lock name) acquisitions in body order.
         let mut held: Vec<(usize, usize, String)> = Vec::new();
+        // The last non-blank code line above `i`: where rustfmt leaves
+        // the receiver of a `.lock()` it wraps onto its own line.
+        let mut prev = "";
         for i in *start..=(*end).min(ctx.file.code.len().saturating_sub(1)) {
-            if ctx.testish(i) {
-                continue;
+            let code = ctx.file.code[i].as_str();
+            let names = if ctx.testish(i) {
+                Vec::new()
+            } else {
+                lock_acquisitions(code, prev)
+            };
+            if !code.trim().is_empty() {
+                prev = code;
             }
-            for name in lock_acquisitions(&ctx.file.code[i]) {
+            for name in names {
                 let Some(rank) = rank_of(&name) else {
                     continue;
                 };
@@ -97,14 +106,21 @@ fn check_seqcst_escalation(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 
 /// Extracts the receiver names of `.lock()` / `.read()` / `.write()`
 /// calls on a code line: the last path segment before the method, so
-/// `self.cache.lock()` yields `cache`.
-fn lock_acquisitions(code: &str) -> Vec<String> {
+/// `self.cache.lock()` yields `cache`. A call that begins the line (a
+/// chain rustfmt wrapped) takes the last identifier of `prev`, the code
+/// line above it.
+fn lock_acquisitions(code: &str, prev: &str) -> Vec<String> {
     let mut hits: Vec<(usize, String)> = Vec::new();
     for method in [".lock()", ".read()", ".write()"] {
         let mut from = 0;
         while let Some(pos) = code[from..].find(method) {
             let at = from + pos;
-            let recv: String = code[..at]
+            let before = match code[..at].trim() {
+                "" => prev,
+                _ => &code[..at],
+            };
+            let recv: String = before
+                .trim_end()
                 .chars()
                 .rev()
                 .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
@@ -128,11 +144,25 @@ mod tests {
 
     #[test]
     fn extracts_receiver_names() {
-        assert_eq!(lock_acquisitions("let g = self.cache.lock();"), ["cache"]);
         assert_eq!(
-            lock_acquisitions("service.read(); self.cache.lock();"),
+            lock_acquisitions("let g = self.cache.lock();", ""),
+            ["cache"]
+        );
+        assert_eq!(
+            lock_acquisitions("service.read(); self.cache.lock();", ""),
             ["service", "cache"]
         );
-        assert!(lock_acquisitions("file.read_to_string(&mut s)").is_empty());
+        assert!(lock_acquisitions("file.read_to_string(&mut s)", "").is_empty());
+    }
+
+    #[test]
+    fn wrapped_call_takes_receiver_from_line_above() {
+        let src = "self.completions\n    .lock()";
+        let (prev, code) = src.split_once('\n').unwrap();
+        assert_eq!(lock_acquisitions(code, prev), ["completions"]);
+        // A receiver on the call's own line wins over the line above.
+        assert_eq!(lock_acquisitions("    cache.lock()", "service"), ["cache"]);
+        // A call on a call result names no lock, wrapped or not.
+        assert!(lock_acquisitions("    .get().lock()", "service").is_empty());
     }
 }

@@ -250,13 +250,6 @@ impl SourceFile {
         let lo = idx.saturating_sub(above);
         self.comment[lo..=idx].iter().any(|c| c.contains(needle))
     }
-
-    /// The concatenated comment text of the window `[idx-above, idx]`,
-    /// newline-joined — used to inspect multi-line `SAFETY:` contracts.
-    pub fn comment_window(&self, idx: usize, above: usize) -> String {
-        let lo = idx.saturating_sub(above);
-        self.comment[lo..=idx].join("\n")
-    }
 }
 
 /// Parses the escape hatch out of one line's comment text. The rule name
@@ -403,16 +396,6 @@ pub fn find_token(line: &str, token: &str) -> Option<usize> {
         from = end;
     }
     None
-}
-
-/// Returns 1-based line numbers where `token` appears in `code` with
-/// non-identifier characters (or line edges) on both sides.
-pub fn token_lines(code: &[String], token: &str) -> Vec<usize> {
-    code.iter()
-        .enumerate()
-        .filter(|(_, line)| line_has_token(line, token))
-        .map(|(i, _)| i + 1)
-        .collect()
 }
 
 #[cfg(test)]

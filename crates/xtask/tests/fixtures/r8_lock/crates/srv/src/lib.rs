@@ -3,7 +3,7 @@
 
 pub mod seq;
 
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Shared state with the workspace's two ordered locks.
 pub struct State {
@@ -35,4 +35,15 @@ pub fn inverted(s: &State) -> u64 {
         Ok(g) => held + *g,
         Err(_) => held,
     }
+}
+
+/// The same inversion with the outer acquisition wrapped onto its own
+/// line, the way rustfmt breaks a long chain.
+pub fn inverted_wrapped(s: &State) -> u64 {
+    let held = *s.cache.lock().unwrap_or_else(PoisonError::into_inner);
+    let svc = *s
+        .service
+        .read()
+        .unwrap_or_else(PoisonError::into_inner);
+    held + svc
 }

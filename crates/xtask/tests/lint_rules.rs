@@ -164,27 +164,37 @@ fn r7_wire_exhaustive_flags_the_half_wired_opcode() {
 fn r8_lock_order_flags_inversion_and_seqcst_escalation() {
     let root = fixture("r8_lock");
     let diags = lint(&root);
-    assert_eq!(diags.len(), 2, "{diags:?}");
+    assert_eq!(diags.len(), 3, "{diags:?}");
     for d in &diags {
         assert_eq!(d.rule, Rule::LockOrder);
     }
     // The inverted acquisition fires at the service.read() inside
-    // `inverted`, not at the correctly ordered pair in `ordered`.
+    // `inverted`, not at the correctly ordered pair in `ordered`; the
+    // wrapped one fires at the `.read()` line of `inverted_wrapped`.
     let lib = root.join("crates/srv/src/lib.rs");
     let text = fs::read_to_string(&lib).unwrap();
-    let inverted_read = text
-        .lines()
-        .enumerate()
-        .skip(line_of(&lib, "fn inverted"))
-        .find(|(_, l)| l.contains("service.read()"))
-        .map(|(i, _)| i + 1)
-        .unwrap();
-    let d_order = diags
+    let first_after = |fn_decl: &str, needle: &str| {
+        text.lines()
+            .enumerate()
+            .skip(line_of(&lib, fn_decl))
+            .find(|(_, l)| l.contains(needle))
+            .map(|(i, _)| i + 1)
+            .unwrap()
+    };
+    let d_order: Vec<_> = diags
         .iter()
-        .find(|d| d.path == Path::new("crates/srv/src/lib.rs"))
-        .unwrap();
-    assert_eq!(d_order.line, inverted_read);
-    assert!(d_order.message.contains("`service`"));
+        .filter(|d| d.path == Path::new("crates/srv/src/lib.rs"))
+        .collect();
+    assert_eq!(
+        d_order.iter().map(|d| d.line).collect::<Vec<_>>(),
+        [
+            first_after("fn inverted(", "service.read()"),
+            first_after("fn inverted_wrapped(", ".read()"),
+        ]
+    );
+    for d in d_order {
+        assert!(d.message.contains("`service`"), "{}", d.message);
+    }
     // The justified-but-uninventoried SeqCst is an escalation.
     let d_seq = diags
         .iter()

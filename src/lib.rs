@@ -14,13 +14,11 @@
 //!   projection, feature extraction, and the global inventory
 //! * [`apps`] — §4 use cases: ETA, destination prediction, route forecasting,
 //!   anomaly detection
-//! * [`baselines`] — density-clustering baselines (DBSCAN, OPTICS)
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
 pub use pol_ais as ais;
 pub use pol_apps as apps;
-pub use pol_baselines as baselines;
 pub use pol_core as core;
 pub use pol_engine as engine;
 pub use pol_fleetsim as fleetsim;
