@@ -6,7 +6,8 @@
 #   gate     — formatting, release build, full test suite (which drives
 #              the shipped `polinv` binary end to end over real sockets:
 #              crates/bench/tests/polinv_cli.rs), xtask lint, the
-#              quickstart example README.md quotes, the paper's
+#              quickstart example README.md quotes, the two wire
+#              examples (decode_nmea, pol-ais' wire_throughput), the paper's
 #              experiments (`polinv repro all`: every claim checked, the
 #              committed figures/ regenerated byte for byte), the
 #              repository's benchmark as a smoke on all four workloads,
@@ -72,6 +73,14 @@ run_gate() {
   # quotes this one's output.
   echo "==> cargo run --release --example quickstart"
   cargo run -q --release --example quickstart
+
+  # Likewise run, not only compiled: the wire walk-through (a documented
+  # sentence, a round trip, a type 5 reassembled) and the wire front's
+  # ns per line for parse, assemble and decode.
+  echo "==> cargo run --release --example decode_nmea"
+  cargo run -q --release --example decode_nmea
+  echo "==> cargo run --release -p pol-ais --example wire_throughput"
+  cargo run -q --release -p pol-ais --example wire_throughput
 
   echo "==> polinv repro all (every paper claim holds; figures/ regenerates unchanged)"
   cargo run -q --release -p pol-bench --bin polinv -- repro all --out figures

@@ -16,6 +16,9 @@ pub enum DecodeError {
     UnsupportedType(u8),
     /// MMSI field was zero/out of range.
     BadMmsi(u32),
+    /// A type-24 part number other than 0 (part A) or 1 (part B), the
+    /// only two ITU-R M.1371 defines.
+    UnknownPart(u8),
 }
 
 impl From<SixBitError> for DecodeError {
@@ -30,6 +33,7 @@ impl fmt::Display for DecodeError {
             Self::Bits(e) => write!(f, "payload bit error: {e}"),
             Self::UnsupportedType(t) => write!(f, "unsupported AIS message type {t}"),
             Self::BadMmsi(m) => write!(f, "invalid MMSI {m}"),
+            Self::UnknownPart(p) => write!(f, "undefined type 24 part number {p}"),
         }
     }
 }
@@ -232,19 +236,22 @@ pub fn decode_payload(payload: &str, fill_bits: u8) -> Result<AisMessage, Decode
         24 => {
             r.skip(2)?;
             let mmsi = read_mmsi(&mut r)?;
-            let part = r.read_u64(2)?;
-            if part == 0 {
-                let name = r.read_text(20)?;
-                Ok(AisMessage::StaticPartA { mmsi, name })
-            } else {
-                let ship_type = ShipTypeCode(r.read_u64(8)? as u8);
-                r.skip(42)?; // vendor id
-                let callsign = r.read_text(7)?;
-                Ok(AisMessage::StaticPartB {
-                    mmsi,
-                    ship_type,
-                    callsign,
-                })
+            match r.read_u64(2)? as u8 {
+                0 => {
+                    let name = r.read_text(20)?;
+                    Ok(AisMessage::StaticPartA { mmsi, name })
+                }
+                1 => {
+                    let ship_type = ShipTypeCode(r.read_u64(8)? as u8);
+                    r.skip(42)?; // vendor id
+                    let callsign = r.read_text(7)?;
+                    Ok(AisMessage::StaticPartB {
+                        mmsi,
+                        ship_type,
+                        callsign,
+                    })
+                }
+                part => Err(DecodeError::UnknownPart(part)),
             }
         }
         other => Err(DecodeError::UnsupportedType(other)),
@@ -262,7 +269,7 @@ mod tests {
     #[test]
     fn decode_documented_type1() {
         let s = Sentence::parse(KNOWN).unwrap();
-        let m = decode_payload(&s.payload, s.fill_bits).unwrap();
+        let m = decode_payload(s.payload, s.fill_bits).unwrap();
         match m {
             AisMessage::PositionA {
                 msg_type,
@@ -306,6 +313,31 @@ mod tests {
             decode_payload(&p, f),
             Err(DecodeError::Bits(SixBitError::OutOfBits { .. }))
         ));
+    }
+
+    #[test]
+    fn type24_parts_2_and_3_rejected() {
+        for part in 0..4 {
+            let mut w = crate::sixbit::BitWriter::new();
+            w.write_u64(24, 6);
+            w.write_u64(0, 2);
+            w.write_u64(244_123_456, 30);
+            w.write_u64(part, 2);
+            // Long enough for either defined part's fields.
+            w.write_u64(0, 64);
+            w.write_u64(0, 64);
+            let (p, f) = w.into_payload();
+            let decoded = decode_payload(&p, f);
+            match part {
+                0 => assert!(matches!(decoded, Ok(AisMessage::StaticPartA { .. }))),
+                1 => assert!(matches!(decoded, Ok(AisMessage::StaticPartB { .. }))),
+                _ => assert_eq!(decoded, Err(DecodeError::UnknownPart(part as u8))),
+            }
+        }
+        assert_eq!(
+            DecodeError::UnknownPart(2).to_string(),
+            "undefined type 24 part number 2"
+        );
     }
 
     #[test]

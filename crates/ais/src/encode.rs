@@ -300,14 +300,14 @@ mod tests {
         let sentences = crate::nmea::Sentence::wrap(&p, f, 1);
         assert_eq!(sentences.len(), 2, "424 bits = 71 chars -> 2 sentences");
         // And reassembly decodes.
+        let lines: Vec<String> = sentences.iter().map(|s| s.to_line()).collect();
         let mut asm = crate::nmea::Assembler::new();
         let mut out = None;
-        for s in sentences {
-            let line = s.to_line();
-            let parsed = crate::nmea::Sentence::parse(&line).unwrap();
+        for line in &lines {
+            let parsed = crate::nmea::Sentence::parse(line).unwrap();
             out = asm.push(parsed);
         }
         let (payload, fill) = out.expect("assembled");
-        assert!(decode_payload(&payload, fill).is_ok());
+        assert!(decode_payload(payload, fill).is_ok());
     }
 }

@@ -33,16 +33,18 @@ fn arb_report() -> impl Strategy<Value = PositionReport> {
 }
 
 fn through_wire(payload: String, fill: u8) -> AisMessage {
-    let sentences = Sentence::wrap(&payload, fill, 5);
+    let lines: Vec<String> = Sentence::wrap(&payload, fill, 5)
+        .iter()
+        .map(Sentence::to_line)
+        .collect();
     let mut asm = Assembler::new();
     let mut result = None;
-    for s in sentences {
-        let line = s.to_line();
-        let parsed = Sentence::parse(&line).expect("self-produced line parses");
+    for line in &lines {
+        let parsed = Sentence::parse(line).expect("self-produced line parses");
         result = asm.push(parsed);
     }
     let (p, f) = result.expect("message completes");
-    decode_payload(&p, f).expect("self-produced payload decodes")
+    decode_payload(p, f).expect("self-produced payload decodes")
 }
 
 proptest! {

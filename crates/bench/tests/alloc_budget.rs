@@ -10,8 +10,11 @@
 //! test workload — a regression that reintroduces per-vessel or
 //! per-record allocation blows through it immediately.
 
-use pol_ais::encode::{encode_position_a, encode_position_b};
-use pol_ais::{decode_payload, Assembler, Mmsi, NavStatus, PositionReport, Sentence};
+use pol_ais::encode::{encode_position_a, encode_position_b, encode_static_voyage};
+use pol_ais::{
+    decode_payload, Assembler, Mmsi, NavStatus, PositionReport, Sentence, ShipTypeCode,
+    StaticReport,
+};
 use pol_bench::alloc::{snapshot, CountingAlloc};
 use pol_bench::port_sites;
 use pol_core::codec::columnar;
@@ -127,12 +130,45 @@ fn wire_decode_allocations_stay_pinned() {
         assert_eq!(allocs, 0, "decode_payload({payload}) allocated");
     }
 
+    // A single-fragment payload is handed back as a slice of the line.
     let line = Sentence::wrap(&type1, fill, 0).remove(0).to_line();
     let mut assembler = Assembler::new();
     let (allocs, assembled) = allocs_of(|| assembler.push(Sentence::parse(&line).ok()?));
-    assert_eq!(assembled, Some((type1, fill)));
-    assert!(
-        allocs <= 1,
-        "parse + push of a single-fragment line: {allocs} allocations"
+    assert_eq!(assembled, Some((type1.as_str(), fill)));
+    assert_eq!(
+        allocs, 0,
+        "parse + push of a single-fragment line allocated"
+    );
+
+    // A two-fragment type 5 is joined in the assembler's own buffers:
+    // after one message has sized them, the next allocates nothing.
+    let statics = StaticReport {
+        mmsi: report.mmsi,
+        imo: Some(9_412_345),
+        name: "POL QUICKSILVER".into(),
+        ship_type: ShipTypeCode(71),
+        gross_tonnage: 95_000,
+    };
+    let (type5, fill5) = encode_static_voyage(&statics, "NLRTM", 12.5);
+    let lines: Vec<String> = Sentence::wrap(&type5, fill5, 3)
+        .iter()
+        .map(Sentence::to_line)
+        .collect();
+    assert_eq!(lines.len(), 2, "type 5 spans two sentences");
+    let assemble = |assembler: &mut Assembler| {
+        let mut complete = None;
+        for line in &lines {
+            if let Some((payload, fill)) = assembler.push(Sentence::parse(line).ok()?) {
+                complete = Some((payload == type5, fill));
+            }
+        }
+        complete
+    };
+    assert_eq!(assemble(&mut assembler), Some((true, fill5)), "warm-up");
+    let (allocs, assembled) = allocs_of(|| assemble(&mut assembler));
+    assert_eq!(assembled, Some((true, fill5)));
+    assert_eq!(
+        allocs, 0,
+        "parse + push of a warm two-fragment message allocated"
     );
 }

@@ -81,7 +81,7 @@ mod tests {
         for line in &lines {
             let s = Sentence::parse(line).expect("self-produced NMEA parses");
             if let Some((payload, fill)) = asm.push(s) {
-                match decode_payload(&payload, fill).expect("valid payload") {
+                match decode_payload(payload, fill).expect("valid payload") {
                     AisMessage::PositionA { .. } => positions += 1,
                     AisMessage::StaticVoyage { .. } => statics += 1,
                     other => panic!("unexpected {other:?}"),
@@ -112,7 +112,7 @@ mod tests {
         let r = ds.positions.iter().flatten().next().expect("has reports");
         let line = position_line(r);
         let s = Sentence::parse(&line).unwrap();
-        match decode_payload(&s.payload, s.fill_bits).unwrap() {
+        match decode_payload(s.payload, s.fill_bits).unwrap() {
             AisMessage::PositionA { mmsi, pos, .. } => {
                 assert_eq!(mmsi, r.mmsi);
                 let p = pos.unwrap();

@@ -6,7 +6,7 @@
 //! * [`sphere`] — haversine distance, bearings, great-circle interpolation,
 //! * [`project`] — the Lambert cylindrical *equal-area* projection used by the
 //!   hexagonal grid (`pol-hexgrid`),
-//! * [`polygon`] — point-in-polygon and convex hulls for port geofencing,
+//! * [`polygon`] — polygons and point-in-polygon tests for port geofencing,
 //! * [`bbox`] — geographic bounding boxes for regional filters (e.g. the
 //!   Baltic-sea views of the paper's Figure 4),
 //! * [`units`] — knots / km/h / nautical-mile conversions.

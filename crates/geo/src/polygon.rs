@@ -76,39 +76,6 @@ impl Polygon {
     }
 }
 
-/// Convex hull (Andrew's monotone chain) of planar points `(x, y)`,
-/// returned in counter-clockwise order. Used by the clustering baselines to
-/// model routes as hulls of clusters, like the map-reduce approach of
-/// Zissis et al. the paper builds on.
-pub fn convex_hull(points: &[(f64, f64)]) -> Vec<(f64, f64)> {
-    let mut pts: Vec<(f64, f64)> = points.to_vec();
-    pts.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    pts.dedup();
-    if pts.len() < 3 {
-        return pts;
-    }
-    fn cross(o: (f64, f64), a: (f64, f64), b: (f64, f64)) -> f64 {
-        (a.0 - o.0) * (b.1 - o.1) - (a.1 - o.1) * (b.0 - o.0)
-    }
-    let mut hull: Vec<(f64, f64)> = Vec::with_capacity(pts.len() * 2);
-    for &p in &pts {
-        while hull.len() >= 2 && cross(hull[hull.len() - 2], hull[hull.len() - 1], p) <= 0.0 {
-            hull.pop();
-        }
-        hull.push(p);
-    }
-    let lower_len = hull.len() + 1;
-    for &p in pts.iter().rev().skip(1) {
-        while hull.len() >= lower_len && cross(hull[hull.len() - 2], hull[hull.len() - 1], p) <= 0.0
-        {
-            hull.pop();
-        }
-        hull.push(p);
-    }
-    hull.pop();
-    hull
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,32 +134,5 @@ mod tests {
             assert!(v.lat() >= min_lat && v.lat() <= max_lat);
             assert!(v.lon() >= min_lon && v.lon() <= max_lon);
         }
-    }
-
-    #[test]
-    fn hull_of_square_with_interior_points() {
-        let pts = vec![
-            (0.0, 0.0),
-            (4.0, 0.0),
-            (4.0, 4.0),
-            (0.0, 4.0),
-            (2.0, 2.0),
-            (1.0, 3.0),
-        ];
-        let hull = convex_hull(&pts);
-        assert_eq!(hull.len(), 4);
-        for corner in [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)] {
-            assert!(hull.contains(&corner), "missing {corner:?}");
-        }
-    }
-
-    #[test]
-    fn hull_degenerate_inputs() {
-        assert!(convex_hull(&[]).is_empty());
-        assert_eq!(convex_hull(&[(1.0, 1.0)]).len(), 1);
-        assert_eq!(convex_hull(&[(1.0, 1.0), (2.0, 2.0)]).len(), 2);
-        // Collinear points collapse to the two extremes.
-        let hull = convex_hull(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]);
-        assert_eq!(hull.len(), 2);
     }
 }

@@ -18,7 +18,7 @@ fn main() {
     let wire = "!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C";
     println!("raw:     {wire}");
     let sentence = Sentence::parse(wire).expect("valid NMEA");
-    let msg = decode_payload(&sentence.payload, sentence.fill_bits).expect("valid payload");
+    let msg = decode_payload(sentence.payload, sentence.fill_bits).expect("valid payload");
     if let AisMessage::PositionA {
         mmsi,
         nav_status,
@@ -47,7 +47,7 @@ fn main() {
     let line = Sentence::wrap(&payload, fill, 1)[0].to_line();
     println!("\nour vessel on the wire: {line}");
     let parsed = Sentence::parse(&line).expect("round-trip");
-    let back = decode_payload(&parsed.payload, parsed.fill_bits).expect("round-trip");
+    let back = decode_payload(parsed.payload, parsed.fill_bits).expect("round-trip");
     println!("decoded back:           {back:?}");
 
     // Static & voyage data spans two sentences; the assembler reassembles.
@@ -61,12 +61,14 @@ fn main() {
     let (payload, fill) = encode_static_voyage(&static_report, "NLRTM", 12.5);
     let sentences = Sentence::wrap(&payload, fill, 7);
     println!("\ntype 5 needs {} sentences:", sentences.len());
+    // A sentence borrows its payload from the line, so the lines outlive
+    // the parsing.
+    let lines: Vec<String> = sentences.iter().map(Sentence::to_line).collect();
     let mut assembler = Assembler::new();
     let mut assembled = None;
-    for s in &sentences {
-        let line = s.to_line();
+    for line in &lines {
         println!("  {line}");
-        assembled = assembler.push(Sentence::parse(&line).unwrap());
+        assembled = assembler.push(Sentence::parse(line).unwrap());
     }
     let (payload, fill) = assembled.expect("complete");
     if let AisMessage::StaticVoyage {
