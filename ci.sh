@@ -5,8 +5,9 @@
 #
 #   gate     — formatting, release build, full test suite (which drives
 #              the shipped `polinv` binary end to end over real sockets:
-#              crates/bench/tests/polinv_cli.rs), xtask lint, the
-#              quickstart example README.md quotes, the two wire
+#              crates/bench/tests/polinv_cli.rs), xtask lint, rustdoc
+#              with its warnings denied, the quickstart example
+#              README.md quotes, the two wire
 #              examples (decode_nmea, pol-ais' wire_throughput), the paper's
 #              experiments (`polinv repro all`: every claim checked, the
 #              committed figures/ regenerated byte for byte), the
@@ -68,6 +69,10 @@ run_gate() {
 
   echo "==> cargo run -p xtask -- lint"
   cargo run -q -p xtask -- lint
+
+  # A deleted or private item must not leave a dangling intra-doc link.
+  echo "==> cargo doc (rustdoc warnings denied)"
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude loom --exclude proptest
 
   # cargo test compiles the examples but never runs them; README.md
   # quotes this one's output.

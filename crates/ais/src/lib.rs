@@ -13,16 +13,13 @@
 //!   assembly,
 //! * [`decode`] / [`encode`] — payload codecs for message types 1/2/3
 //!   (class-A position), 5 (class-A static & voyage), 18 (class-B position)
-//!   and 24 (class-B static), round-trip tested,
-//! * [`csvio`] — the bulk CSV representation used to persist simulated
-//!   datasets (the stand-in for the paper's 600 GB archive format).
+//!   and 24 (class-B static), round-trip tested.
 //!
 //! Message types 19 (extended class-B) and the binary/application types are
 //! out of scope: the paper's pipeline never consumes them.
 
 #![deny(missing_docs)]
 
-pub mod csvio;
 pub mod decode;
 pub mod encode;
 pub mod nmea;

@@ -297,8 +297,8 @@ struct Slot {
 ///
 /// Fragments belong together when channel and sequential message id both
 /// match: the ids are drawn per channel, so the same id is routinely live
-/// on A and B at once. Storage is fixed: [`SLOTS`] messages of up to
-/// [`MAX_FRAGMENTS`] fragments. A message that would need a further slot
+/// on A and B at once. Storage is fixed: `SLOTS` messages of up to
+/// `MAX_FRAGMENTS` fragments. A message that would need a further slot
 /// takes over the one waiting longest, so fragments whose siblings were
 /// lost cannot accumulate; a sentence announcing more fragments than that
 /// is dropped.

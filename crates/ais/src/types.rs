@@ -97,13 +97,6 @@ impl NavStatus {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShipTypeCode(pub u8);
 
-impl ShipTypeCode {
-    /// First-digit category of the two-digit code.
-    pub fn category(self) -> u8 {
-        self.0 / 10
-    }
-}
-
 /// The market segment a vessel belongs to — the `vessel-type` dimension of
 /// the paper's grouping sets (Table 2). The paper's inventory tracks the
 /// commercial fleet (> 5000 GRT, class-A); segmentation follows the
@@ -139,17 +132,6 @@ impl MarketSegment {
         Self::GeneralCargo,
         Self::Passenger,
         Self::Other,
-    ];
-
-    /// Commercial segments included in the inventory (the paper filters the
-    /// fleet to logistics-chain vessels).
-    pub const COMMERCIAL: [MarketSegment; 6] = [
-        Self::Container,
-        Self::DryBulk,
-        Self::Tanker,
-        Self::Gas,
-        Self::GeneralCargo,
-        Self::Passenger,
     ];
 
     /// Whether this segment belongs to the commercial fleet.
@@ -297,9 +279,8 @@ mod tests {
 
     #[test]
     fn commercial_excludes_other() {
-        assert!(!MarketSegment::Other.is_commercial());
-        for seg in MarketSegment::COMMERCIAL {
-            assert!(seg.is_commercial());
+        for seg in MarketSegment::ALL {
+            assert_eq!(seg.is_commercial(), seg != MarketSegment::Other);
         }
     }
 }

@@ -11,7 +11,7 @@
 //! dominate the tally.
 
 use pol_ais::types::MarketSegment;
-use pol_core::{Inventory, InventoryQuery};
+use pol_core::{GroupKey, Inventory, InventoryQuery};
 use pol_geo::LatLon;
 use pol_hexgrid::cell_at;
 use pol_sketch::hash::FxHashMap;
@@ -50,9 +50,9 @@ impl<'a, I: InventoryQuery> DestinationPredictor<'a, I> {
         let stats = match self.segment {
             Some(seg) => self
                 .inventory
-                .summary_for(cell, seg)
-                .or_else(|| self.inventory.summary(cell)),
-            None => self.inventory.summary(cell),
+                .summary_at(&GroupKey::CellType(cell, seg))
+                .or_else(|| self.inventory.summary_at(&GroupKey::Cell(cell))),
+            None => self.inventory.summary_at(&GroupKey::Cell(cell)),
         };
         // An entry whose bytes do not decode votes like an absent one.
         let Some(Ok(destinations)) = stats.as_ref().map(|s| s.destinations()) else {

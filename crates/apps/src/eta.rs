@@ -9,7 +9,7 @@
 //! exact cell is unseen.
 
 use pol_ais::types::MarketSegment;
-use pol_core::{Inventory, InventoryQuery, Summary};
+use pol_core::{GroupKey, Inventory, InventoryQuery, Summary};
 use pol_geo::{haversine_km, LatLon};
 use pol_hexgrid::{cell_at, grid_disk, CellIndex};
 
@@ -157,16 +157,19 @@ impl<'a, I: InventoryQuery> EtaEstimator<'a, I> {
         route: Option<(u16, u16)>,
     ) -> Option<Summary<'_>> {
         if let (Some(seg), Some((o, d))) = (segment, route) {
-            if let Some(s) = self.inventory.summary_route(cell, o, d, seg) {
+            if let Some(s) = self
+                .inventory
+                .summary_at(&GroupKey::CellRoute(cell, o, d, seg))
+            {
                 return Some(s);
             }
         }
         if let Some(seg) = segment {
-            if let Some(s) = self.inventory.summary_for(cell, seg) {
+            if let Some(s) = self.inventory.summary_at(&GroupKey::CellType(cell, seg)) {
                 return Some(s);
             }
         }
-        self.inventory.summary(cell)
+        self.inventory.summary_at(&GroupKey::Cell(cell))
     }
 }
 

@@ -72,8 +72,41 @@ fn parse_flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn segment_by_name(name: &str) -> Option<MarketSegment> {
-    MarketSegment::ALL.into_iter().find(|s| s.name() == name)
+/// The value after flag `name` parsed as a `T`: `default` when the flag
+/// is absent, a usage error naming the flag when the value is missing or
+/// does not parse.
+fn parsed_flag<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    default: T,
+) -> Result<T, ExitCode> {
+    let Some(at) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let value = args.get(at + 1).map_or("", String::as_str);
+    value.parse().map_err(|_| {
+        eprintln!("error: {name} takes a number, not `{value}`");
+        ExitCode::from(2)
+    })
+}
+
+/// The segment `--segment` names, `None` when the flag is absent; a
+/// usage error listing the segments when it names none of them.
+fn segment_flag(args: &[String]) -> Result<Option<MarketSegment>, ExitCode> {
+    let Some(name) = parse_flag(args, "--segment") else {
+        return Ok(None);
+    };
+    match MarketSegment::ALL.into_iter().find(|s| s.name() == name) {
+        Some(segment) => Ok(Some(segment)),
+        None => {
+            let names: Vec<&str> = MarketSegment::ALL.iter().map(|s| s.name()).collect();
+            eprintln!(
+                "error: --segment `{name}` is not a segment; one of: {}",
+                names.join(", ")
+            );
+            Err(ExitCode::from(2))
+        }
+    }
 }
 
 fn load(path: &str) -> Result<Inventory, ExitCode> {
@@ -83,25 +116,28 @@ fn load(path: &str) -> Result<Inventory, ExitCode> {
     })
 }
 
+/// `build`'s scenario flags: `--vessels`, `--days`, `--res`, `--seed`.
+fn build_flags(args: &[String]) -> Result<(usize, u32, Resolution, u64), ExitCode> {
+    let res = parsed_flag(args, "--res", 6u8)?;
+    let Some(resolution) = Resolution::new(res) else {
+        eprintln!("error: --res {res} out of 0..=15");
+        return Err(ExitCode::from(2));
+    };
+    Ok((
+        parsed_flag(args, "--vessels", 150)?,
+        parsed_flag(args, "--days", 14)?,
+        resolution,
+        parsed_flag(args, "--seed", 42)?,
+    ))
+}
+
 fn cmd_build(args: &[String]) -> ExitCode {
     let Some(out_path) = parse_flag(args, "--out") else {
         return usage();
     };
-    let vessels = parse_flag(args, "--vessels")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150);
-    let days = parse_flag(args, "--days")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(14);
-    let res = parse_flag(args, "--res")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6u8);
-    let seed = parse_flag(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let Some(resolution) = Resolution::new(res) else {
-        eprintln!("error: resolution {res} out of 0..=15");
-        return ExitCode::FAILURE;
+    let (vessels, days, resolution, seed) = match build_flags(args) {
+        Ok(flags) => flags,
+        Err(code) => return code,
     };
     let scenario = ScenarioConfig {
         seed,
@@ -264,11 +300,14 @@ fn cmd_query(args: &[String]) -> ExitCode {
         eprintln!("error: coordinates out of range");
         return ExitCode::FAILURE;
     };
+    let segment = match segment_flag(args) {
+        Ok(segment) => segment,
+        Err(code) => return code,
+    };
     let inv = match load(path) {
         Ok(i) => i,
         Err(e) => return e,
     };
-    let segment = parse_flag(args, "--segment").and_then(|s| segment_by_name(&s));
     let cell = cell_at(pos, inv.resolution());
     let stats = match segment {
         Some(seg) => inv.summary_for(cell, seg),
@@ -349,10 +388,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         return usage();
     };
     let addr = parse_flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
+    let worker_threads = match parsed_flag(args, "--workers", 8) {
+        Ok(n) => n,
+        Err(code) => return code,
+    };
     let config = pol_serve::ServerConfig {
-        worker_threads: parse_flag(args, "--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8),
+        worker_threads,
         ..pol_serve::ServerConfig::default()
     };
     // start_snapshot sniffs the format: a POLINV3 file is memory-mapped

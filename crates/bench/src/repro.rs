@@ -418,6 +418,26 @@ fn human(bytes: usize) -> String {
     }
 }
 
+/// One report as a row of the archive Table 1 sizes:
+/// `mmsi,timestamp,lat,lon,sog,cog,heading,status`, an absent field
+/// empty, no newline.
+fn position_to_row(r: &PositionReport) -> String {
+    fn opt(v: Option<f64>) -> String {
+        v.map(|x| format!("{x:.1}")).unwrap_or_default()
+    }
+    format!(
+        "{},{},{:.6},{:.6},{},{},{},{}",
+        r.mmsi.0,
+        r.timestamp,
+        r.pos.lat(),
+        r.pos.lon(),
+        opt(r.sog_knots),
+        opt(r.cog_deg),
+        opt(r.heading_deg),
+        r.nav_status.raw()
+    )
+}
+
 fn table1(w: &World) -> Result<Report, ReproError> {
     let (ds, cfg) = (w.train(), &w.scenario);
     let (rows, bytes) = ds
@@ -425,7 +445,7 @@ fn table1(w: &World) -> Result<Report, ReproError> {
         .iter()
         .flatten()
         .fold((0usize, 0), |(n, b), r| {
-            (n + 1, b + pol_ais::csvio::position_to_row(r).len() + 1)
+            (n + 1, b + position_to_row(r).len() + 1)
         });
     // Row estimates: mmsi, imo, name, type, grt; id, name, lat, lon.
     let static_bytes = ds.statics.iter().map(|s| 40 + s.name.len()).sum();

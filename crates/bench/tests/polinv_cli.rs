@@ -348,6 +348,57 @@ fn repro_refuses_an_unknown_name() {
     }
 }
 
+/// A `build` number flag that does not parse, or has no value, is a
+/// usage error naming the flag, before anything is simulated or written.
+#[test]
+fn build_refuses_a_malformed_number_before_simulating() {
+    let dir = scratch("bad_build_flags");
+    let out = dir.join("inv.pol");
+    for (flag, value) in [
+        ("--vessels", Some("many")),
+        ("--days", Some("-3")),
+        ("--res", Some("6.5")),
+        ("--res", Some("16")),
+        ("--seed", Some("0x2a")),
+        ("--seed", None),
+    ] {
+        let mut args = vec!["build", "--out", arg(&out), flag];
+        args.extend(value);
+        let run = polinv(&args);
+        let said = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {said}");
+        assert!(said.contains(flag), "{args:?}: {said}");
+        assert!(!said.contains("simulating"), "{args:?}: {said}");
+        assert!(!out.exists(), "{args:?} wrote {}", out.display());
+    }
+}
+
+/// `query --segment` with a name no segment has is a usage error that
+/// lists the segments, before the file is opened (it does not exist).
+#[test]
+fn query_refuses_an_unknown_segment_before_loading() {
+    let missing = scratch("bad_segment").join("absent.pol");
+    let run = polinv(&["query", arg(&missing), "51.9", "4.1", "--segment", "bogus"]);
+    let said = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{said}");
+    assert!(said.contains("--segment `bogus`"), "{said}");
+    for segment in pol_ais::MarketSegment::ALL {
+        assert!(said.contains(segment.name()), "{segment} missing: {said}");
+    }
+}
+
+/// `serve --workers` that does not parse is a usage error, before the
+/// file is opened or a socket bound.
+#[test]
+fn serve_refuses_a_malformed_worker_count_before_loading() {
+    let missing = scratch("bad_workers").join("absent.pol");
+    let run = polinv(&["serve", arg(&missing), "--workers", "eight"]);
+    let said = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{said}");
+    assert!(said.contains("--workers"), "{said}");
+    assert!(String::from_utf8_lossy(&run.stdout).is_empty());
+}
+
 /// What this file is for. The file `polinv build` wrote is served from
 /// the mapped store with no command in between; a chain reloads over it;
 /// a damaged file and one in the retired row format are refused by

@@ -6,7 +6,7 @@
 //! chain ([`manifest`]) linking a POLINV3 base to its POLINV3 deltas;
 //! [`wal`] is the ingest journal. This module holds the pieces those
 //! formats have in common: the typed [`CodecError`], the canonical
-//! [`GroupKey`] and [`CellStats`] encodings, the footer seal, the
+//! [`CellStats`] encoding, the footer seal, the
 //! crash-safe [`save_bytes`] write, and magic sniffing ([`load_any`]).
 //!
 //! ## The footer seal
@@ -33,10 +33,8 @@ pub mod columnar;
 pub mod manifest;
 pub mod wal;
 
-use crate::features::{CellStats, GroupKey};
+use crate::features::CellStats;
 use crate::inventory::Inventory;
-use pol_ais::types::MarketSegment;
-use pol_hexgrid::CellIndex;
 use pol_sketch::wire::{get_varint, put_varint, skip_varint, Wire, WireError};
 use pol_sketch::{AngleHistogram, Circular, Distinct, GkSketch, SpaceSaving, Welford};
 use std::fmt;
@@ -48,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const FOOTER_MAGIC: &[u8; 8] = b"POLSEAL\0";
 
 /// A conservative lower bound on the serialized size of one inventory
-/// entry (tagged key + all sixteen statistics in their empty form). An
+/// entry (its key + all sixteen statistics in their empty form). An
 /// empty [`CellStats`] alone encodes to over 70 bytes (checked by a
 /// regression test); 64 keeps headroom for future slimmer encodings while
 /// still bounding allocation to `input_len / 64` entries.
@@ -105,53 +103,6 @@ impl From<io::Error> for CodecError {
 impl From<WireError> for CodecError {
     fn from(e: WireError) -> Self {
         Self::Wire(e)
-    }
-}
-
-/// Appends the canonical encoding of a [`GroupKey`] to `out`.
-///
-/// Public so transports other than the inventory file (e.g. the
-/// `pol-serve` wire protocol) can reuse the exact on-disk key encoding.
-pub fn encode_group_key(key: &GroupKey, out: &mut Vec<u8>) {
-    match key {
-        GroupKey::Cell(c) => {
-            out.push(0);
-            put_varint(out, c.raw());
-        }
-        GroupKey::CellType(c, seg) => {
-            out.push(1);
-            put_varint(out, c.raw());
-            out.push(seg.id());
-        }
-        GroupKey::CellRoute(c, o, d, seg) => {
-            out.push(2);
-            put_varint(out, c.raw());
-            put_varint(out, *o as u64);
-            put_varint(out, *d as u64);
-            out.push(seg.id());
-        }
-    }
-}
-
-/// Decodes a [`GroupKey`], advancing `input` past it.
-pub fn decode_group_key(input: &mut &[u8]) -> Result<GroupKey, WireError> {
-    let (&tag, rest) = input.split_first().ok_or(WireError("key truncated"))?;
-    *input = rest;
-    let cell = CellIndex::from_raw(get_varint(input)?).map_err(|_| WireError("bad cell index"))?;
-    let seg = |input: &mut &[u8]| -> Result<MarketSegment, WireError> {
-        let (&id, rest) = input.split_first().ok_or(WireError("segment truncated"))?;
-        *input = rest;
-        MarketSegment::from_id(id).ok_or(WireError("bad segment id"))
-    };
-    match tag {
-        0 => Ok(GroupKey::Cell(cell)),
-        1 => Ok(GroupKey::CellType(cell, seg(input)?)),
-        2 => {
-            let o = get_varint(input)? as u16;
-            let d = get_varint(input)? as u16;
-            Ok(GroupKey::CellRoute(cell, o, d, seg(input)?))
-        }
-        _ => Err(WireError("bad key tag")),
     }
 }
 
@@ -338,9 +289,9 @@ pub fn load_any(path: &Path) -> Result<Inventory, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::CellStats;
+    use crate::features::GroupKey;
     use crate::records::{CellPoint, TripPoint};
-    use pol_ais::types::Mmsi;
+    use pol_ais::types::{MarketSegment, Mmsi};
     use pol_geo::LatLon;
     use pol_hexgrid::{cell_at, Resolution};
     use pol_sketch::hash::FxHashMap;
@@ -405,10 +356,9 @@ mod tests {
         Inventory::from_entries(inv.resolution(), entries, inv.total_records())
     }
 
-    /// The canonical encoding of one entry: tagged key, then statistics.
-    fn entry_bytes(key: &GroupKey, stats: &CellStats) -> Vec<u8> {
+    /// The canonical encoding of one entry's statistics.
+    fn stats_bytes(stats: &CellStats) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_group_key(key, &mut out);
         encode_cell_stats(stats, &mut out);
         out
     }
@@ -434,9 +384,8 @@ mod tests {
     fn round_trip_preserves_everything_observable() {
         let inv = sample_inventory(500);
         for (key, stats) in inv.iter() {
-            let bytes = entry_bytes(key, stats);
+            let bytes = stats_bytes(stats);
             let mut input = &bytes[..];
-            assert_eq!(decode_group_key(&mut input).unwrap(), *key);
             let b = decode_cell_stats(&mut input).unwrap();
             assert!(input.is_empty(), "trailing bytes after {key:?}");
             assert_eq!(b.records, stats.records);
@@ -450,7 +399,7 @@ mod tests {
             assert_eq!(bq.quantile(0.5), sq.quantile(0.5));
             // Canonical fixed point: re-encoding the decoded entry gives
             // the bytes it was decoded from.
-            assert_eq!(entry_bytes(key, &b), bytes);
+            assert_eq!(stats_bytes(&b), bytes);
         }
     }
 
@@ -463,8 +412,8 @@ mod tests {
         for (key, stats) in a.iter() {
             let other = b.get(key).unwrap_or_else(|| panic!("missing {key:?}"));
             assert_eq!(
-                entry_bytes(key, stats),
-                entry_bytes(key, other),
+                stats_bytes(stats),
+                stats_bytes(other),
                 "serialization must be canonical"
             );
         }
@@ -493,12 +442,9 @@ mod tests {
     #[test]
     fn min_entry_bound_is_sound() {
         // The allocation guard divides by MIN_ENTRY_BYTES, so the bound
-        // must never exceed the true minimum entry size.
-        let smallest_key = GroupKey::Cell(cell_at(
-            LatLon::new(0.0, 0.0).unwrap(),
-            Resolution::new(0).unwrap(),
-        ));
-        let len = entry_bytes(&smallest_key, &CellStats::new(0.02, 8)).len();
+        // must never exceed the true minimum entry size: the statistics
+        // alone, before the entry's key.
+        let len = stats_bytes(&CellStats::new(0.02, 8)).len();
         assert!(
             len >= MIN_ENTRY_BYTES,
             "empty entry is {len} bytes, below MIN_ENTRY_BYTES={MIN_ENTRY_BYTES}"

@@ -50,7 +50,7 @@
 //! lookup from the blob column.
 //!
 //! Statistics are the parent module's canonical
-//! [`encode_cell_stats`](super::encode_cell_stats) bytes — the encoding
+//! [`encode_cell_stats`] bytes — the encoding
 //! the wire protocol carries — so every query answered from the mapped
 //! file is bit-identical to the heap inventory's answer, and a summary
 //! reply is the mapped bytes themselves.
@@ -654,22 +654,6 @@ impl<'a> SectionReader<'a> {
             }
         }
         None
-    }
-
-    /// The first index whose key is `>= key` (a `partition_point` over
-    /// the sorted key column) — the start of a range scan.
-    pub fn lower_bound(&self, key: &[u8]) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.count;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.key_at(mid).map(|k| k < key).unwrap_or(false) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
     }
 }
 

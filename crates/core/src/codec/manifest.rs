@@ -1,7 +1,7 @@
 //! POLMAN2 — the delta-chain manifest tying a base snapshot to its
 //! incremental deltas.
 //!
-//! Streaming ingestion ([`pol-stream`]) emits periodic delta snapshots:
+//! Streaming ingestion (`pol-stream`) emits periodic delta snapshots:
 //! small POLINV3 files summarising only the trips finalized since the
 //! previous emission. A manifest names the base snapshot plus every
 //! delta in generation order. `pol-serve` maps the links and merges on
@@ -35,7 +35,7 @@
 //! ## Crash safety
 //!
 //! The manifest is the *commit record* of the chain. Writers persist the
-//! new delta file first (via the crash-safe [`save_bytes`](super::save_bytes)
+//! new delta file first (via the crash-safe [`save_bytes`]
 //! discipline, which also hosts the `codec.save.*` chaos failpoints) and
 //! only then rewrite the manifest. A crash between the two leaves the
 //! previous manifest naming only complete, verified files; a crash during

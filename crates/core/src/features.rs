@@ -171,15 +171,6 @@ impl CellStats {
             .collect()
     }
 
-    /// Most frequent origin ports.
-    pub fn top_origins(&self, n: usize) -> Vec<(u16, u64)> {
-        self.origins
-            .top(n)
-            .into_iter()
-            .map(|(k, c)| (k as u16, c.count))
-            .collect()
-    }
-
     /// Most frequent outgoing transitions, `(cell, estimated count)`.
     /// Invalid raw values (cannot occur from `observe`) are skipped.
     pub fn top_transitions(&self, n: usize) -> Vec<(CellIndex, u64)> {
@@ -299,7 +290,7 @@ mod tests {
         assert_eq!(s.course_bins.counts()[2], 1);
         assert_eq!(s.course_bins.counts()[3], 2);
         assert_eq!(s.top_destinations(1), vec![(5, 3)]);
-        assert_eq!(s.top_origins(1)[0].0, 0);
+        assert_eq!(s.origins.top(1)[0].0, 0);
         assert!((s.eto.mean().unwrap() - 3_600.0).abs() < 1e-9);
         assert!((s.ata.mean().unwrap() - 7_200.0).abs() < 1e-9);
     }

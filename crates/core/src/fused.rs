@@ -379,7 +379,7 @@ pub fn run_fused(
 /// the fused executor's phase 2–3 ordering exactly: vessels scatter to
 /// [`Engine::DEFAULT_PARTITIONS`] buckets by `hash64(mmsi) % num`, each
 /// bucket observes its vessels in ascending-MMSI order through the same
-/// [`observe`], and the reduce half is the same [`reduce`].
+/// `observe`, and the reduce half is the same `reduce`.
 ///
 /// This is pol-stream's path to an inventory: a session retains its
 /// vessel's cell points in emission order and hands them over as

@@ -103,29 +103,19 @@ impl<'a> Summary<'a> {
 /// The point-lookup query surface shared by every inventory-shaped store.
 ///
 /// The §4 use cases (ETA estimation, destination prediction) only need
-/// cell-keyed lookups at the three grouping-set levels plus the grid
+/// keyed lookups at the three grouping-set levels plus the grid
 /// resolution. Abstracting that surface lets the same estimators run
 /// against the in-memory [`Inventory`] *and* against serving-side stores
 /// (e.g. `pol-serve`'s mmap-backed columnar store).
 ///
-/// Lookups return a borrowed [`Summary`]: a heap store hands out the
+/// A lookup returns a borrowed [`Summary`]: a heap store hands out the
 /// entry in its map, a mapped store the entry's bytes in the file, and
 /// neither decodes anything the caller does not read.
 pub trait InventoryQuery {
     /// The store's grid resolution.
     fn resolution(&self) -> Resolution;
-    /// The all-traffic summary of a cell.
-    fn summary(&self, cell: CellIndex) -> Option<Summary<'_>>;
-    /// The per-vessel-type summary of a cell.
-    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Summary<'_>>;
-    /// The per-route summary of a cell.
-    fn summary_route(
-        &self,
-        cell: CellIndex,
-        origin: u16,
-        dest: u16,
-        segment: MarketSegment,
-    ) -> Option<Summary<'_>>;
+    /// The summary stored at `key`, at any grouping-set level.
+    fn summary_at(&self, key: &GroupKey) -> Option<Summary<'_>>;
 }
 
 impl InventoryQuery for Inventory {
@@ -133,22 +123,8 @@ impl InventoryQuery for Inventory {
         Inventory::resolution(self)
     }
 
-    fn summary(&self, cell: CellIndex) -> Option<Summary<'_>> {
-        Inventory::summary(self, cell).map(Summary::Stats)
-    }
-
-    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Summary<'_>> {
-        Inventory::summary_for(self, cell, segment).map(Summary::Stats)
-    }
-
-    fn summary_route(
-        &self,
-        cell: CellIndex,
-        origin: u16,
-        dest: u16,
-        segment: MarketSegment,
-    ) -> Option<Summary<'_>> {
-        Inventory::summary_route(self, cell, origin, dest, segment).map(Summary::Stats)
+    fn summary_at(&self, key: &GroupKey) -> Option<Summary<'_>> {
+        self.get(key).map(Summary::Stats)
     }
 }
 
@@ -156,10 +132,9 @@ impl InventoryQuery for Inventory {
 ///
 /// `Clone` is a copy in meaning and copy-on-write in cost: the two
 /// inventories share every summary until [`merge`](Inventory::merge)
-/// changes one, which then copies just that summary. A hot reload
-/// extends a copy of the served inventory by the chain's new links while
-/// requests in flight keep reading the original, and pays for the
-/// entries the links touch, not for the inventory.
+/// changes one, which then copies just that summary: merging a small
+/// delta into a copy pays for the entries the delta touches, not for the
+/// inventory.
 #[derive(Clone)]
 pub struct Inventory {
     resolution: Resolution,

@@ -80,17 +80,6 @@ impl JobMetrics {
         out
     }
 
-    /// Total wall time across stages (stages on the same pool serialize, so
-    /// this approximates job time).
-    pub fn total_wall(&self) -> Duration {
-        self.stages
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|s| s.wall)
-            .sum()
-    }
-
     /// Drops all recorded stages and counters.
     pub fn clear(&self) {
         self.stages
@@ -158,7 +147,8 @@ mod tests {
         let r = m.report();
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].name, "a");
-        assert_eq!(m.total_wall(), Duration::from_millis(12));
+        let wall: Duration = r.iter().map(|s| s.wall).sum();
+        assert_eq!(wall, Duration::from_millis(12));
     }
 
     #[test]
@@ -167,7 +157,6 @@ mod tests {
         m.record(stage("a", 5));
         m.clear();
         assert!(m.report().is_empty());
-        assert_eq!(m.total_wall(), Duration::ZERO);
     }
 
     #[test]

@@ -66,14 +66,6 @@ impl BBox {
             (self.min_lon + self.max_lon) / 2.0,
         )
     }
-
-    /// Whether two boxes overlap (inclusive).
-    pub fn intersects(&self, other: &BBox) -> bool {
-        self.min_lat <= other.max_lat
-            && other.min_lat <= self.max_lat
-            && self.min_lon <= other.max_lon
-            && other.min_lon <= self.max_lon
-    }
 }
 
 #[cfg(test)]
@@ -103,19 +95,6 @@ mod tests {
         assert!(b.contains(LatLon::new(59.44, 24.75).unwrap())); // Tallinn
         assert!(b.contains(LatLon::new(55.68, 12.6).unwrap())); // Copenhagen
         assert!(!b.contains(LatLon::new(51.95, 4.14).unwrap())); // Rotterdam
-    }
-
-    #[test]
-    fn intersects_cases() {
-        let a = BBox::new(0.0, 0.0, 10.0, 10.0).unwrap();
-        let b = BBox::new(5.0, 5.0, 15.0, 15.0).unwrap();
-        let c = BBox::new(11.0, 11.0, 20.0, 20.0).unwrap();
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-        // Edge touching counts
-        let d = BBox::new(10.0, 10.0, 20.0, 20.0).unwrap();
-        assert!(a.intersects(&d));
     }
 
     #[test]

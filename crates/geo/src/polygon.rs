@@ -22,19 +22,6 @@ impl Polygon {
         Some(Self { vertices })
     }
 
-    /// A regular `n`-gon of the given radius (km) around a centre — the shape
-    /// used for synthetic port geofences.
-    pub fn circle_approx(center: LatLon, radius_km: f64, n: usize) -> Self {
-        assert!(n >= 3 && radius_km > 0.0);
-        let vertices = (0..n)
-            .map(|i| {
-                let bearing = 360.0 * i as f64 / n as f64;
-                crate::sphere::destination(center, bearing, radius_km)
-            })
-            .collect();
-        Self { vertices }
-    }
-
     /// Polygon vertices in order.
     pub fn vertices(&self) -> &[LatLon] {
         &self.vertices
@@ -84,6 +71,15 @@ mod tests {
         LatLon::new(lat, lon).unwrap()
     }
 
+    /// A regular `n`-gon of radius `radius_km` around `center`.
+    fn regular(center: LatLon, radius_km: f64, n: u32) -> Polygon {
+        let step = 360.0 / f64::from(n);
+        let ring = (0..n)
+            .map(|i| crate::sphere::destination(center, step * f64::from(i), radius_km))
+            .collect();
+        Polygon::new(ring).unwrap()
+    }
+
     #[test]
     fn new_requires_three_vertices() {
         assert!(Polygon::new(vec![ll(0.0, 0.0), ll(1.0, 1.0)]).is_none());
@@ -118,9 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn circle_approx_contains_center_not_far_points() {
+    fn regular_polygon_contains_center_not_far_points() {
         let c = ll(51.95, 4.14); // Rotterdam
-        let p = Polygon::circle_approx(c, 10.0, 12);
+        let p = regular(c, 10.0, 12);
         assert!(p.contains(c));
         assert!(p.contains(ll(51.99, 4.14))); // ~4.5 km north
         assert!(!p.contains(ll(52.2, 4.14))); // ~28 km north
@@ -128,7 +124,7 @@ mod tests {
 
     #[test]
     fn bounds_cover_vertices() {
-        let p = Polygon::circle_approx(ll(0.0, 0.0), 50.0, 8);
+        let p = regular(ll(0.0, 0.0), 50.0, 8);
         let (min_lat, min_lon, max_lat, max_lon) = p.bounds();
         for v in p.vertices() {
             assert!(v.lat() >= min_lat && v.lat() <= max_lat);

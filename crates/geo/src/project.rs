@@ -52,13 +52,6 @@ pub fn from_xy(p: WorldXY) -> LatLon {
     )
 }
 
-/// Wraps a planar x coordinate into `[-WORLD_WIDTH/2, WORLD_WIDTH/2)`.
-#[inline]
-pub fn wrap_x(x: f64) -> f64 {
-    let half_w = WORLD_WIDTH_KM / 2.0;
-    (x + half_w).rem_euclid(WORLD_WIDTH_KM) - half_w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,10 +96,12 @@ mod tests {
     }
 
     #[test]
-    fn wrap_x_is_periodic() {
+    fn from_xy_wraps_x_periodically() {
+        // `from_xy` wraps x into [-WORLD_WIDTH/2, WORLD_WIDTH/2) first.
+        let lon_at = |x: f64| from_xy(WorldXY { x, y: 0.0 }).lon();
         let x = 1234.5;
-        assert!((wrap_x(x + WORLD_WIDTH_KM) - x).abs() < 1e-6);
-        assert!((wrap_x(x - 2.0 * WORLD_WIDTH_KM) - x).abs() < 1e-6);
-        assert!(wrap_x(WORLD_WIDTH_KM / 2.0) < 0.0); // right edge wraps to left
+        assert!((lon_at(x + WORLD_WIDTH_KM) - lon_at(x)).abs() < 1e-9);
+        assert!((lon_at(x - 2.0 * WORLD_WIDTH_KM) - lon_at(x)).abs() < 1e-9);
+        assert!(lon_at(WORLD_WIDTH_KM / 2.0) < 0.0); // right edge wraps to left
     }
 }

@@ -69,15 +69,6 @@ pub fn interpolate(a: LatLon, b: LatLon, f: f64) -> LatLon {
     LatLon::wrapped(lat.to_degrees(), lon.to_degrees())
 }
 
-/// Cross-track distance in km of point `p` from the great circle through
-/// `a` → `b` (signed: positive to the right of the path).
-pub fn cross_track_km(a: LatLon, b: LatLon, p: LatLon) -> f64 {
-    let d13 = haversine_km(a, p) / EARTH_RADIUS_KM;
-    let t13 = initial_bearing_deg(a, p).to_radians();
-    let t12 = initial_bearing_deg(a, b).to_radians();
-    (d13.sin() * (t13 - t12).sin()).asin() * EARTH_RADIUS_KM
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,17 +157,6 @@ mod tests {
             (acc - total).abs() < 1.0,
             "piecewise {acc} vs direct {total}"
         );
-    }
-
-    #[test]
-    fn cross_track_sign_and_zero() {
-        let a = ll(0.0, 0.0);
-        let b = ll(0.0, 10.0);
-        // On the path
-        assert!(cross_track_km(a, b, ll(0.0, 5.0)).abs() < 0.01);
-        // North of an eastbound path = left = negative
-        assert!(cross_track_km(a, b, ll(1.0, 5.0)) < 0.0);
-        assert!(cross_track_km(a, b, ll(-1.0, 5.0)) > 0.0);
     }
 
     #[test]

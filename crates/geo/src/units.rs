@@ -19,12 +19,6 @@ pub fn kmh_to_knots(kmh: f64) -> f64 {
     kmh / KM_PER_NM
 }
 
-/// Converts nautical miles to kilometres.
-#[inline]
-pub fn nm_to_km(nm: f64) -> f64 {
-    nm * KM_PER_NM
-}
-
 /// Implied speed in knots for covering `distance_km` in `seconds`.
 /// Returns `f64::INFINITY` when `seconds == 0` and the distance is positive
 /// (a duplicate-timestamp jump — always infeasible).
@@ -54,7 +48,6 @@ mod tests {
     fn known_conversion() {
         // 20 kn ≈ 37.04 km/h
         assert!((knots_to_kmh(20.0) - 37.04).abs() < 0.01);
-        assert!((nm_to_km(100.0) - 185.2).abs() < 1e-9);
     }
 
     #[test]

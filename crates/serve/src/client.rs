@@ -178,11 +178,6 @@ impl Client {
         Ok(client)
     }
 
-    /// Drops the current connection (the next request reconnects).
-    pub fn disconnect(&mut self) {
-        self.conn = None;
-    }
-
     /// Sets the socket read timeout for this and future connections.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
         self.config.read_timeout = timeout;
@@ -481,54 +476,6 @@ impl Client {
             }
             _ => Err(ClientError::Unexpected("wanted Batch")),
         }
-    }
-
-    /// Route-level summaries for many positions in one round-trip — the
-    /// multi-cell query the batching protocol exists for.
-    pub fn route_summaries(
-        &mut self,
-        origin: u16,
-        dest: u16,
-        segment: MarketSegment,
-        positions: &[(f64, f64)],
-    ) -> Result<Vec<Option<CellStats>>, ClientError> {
-        let reqs: Vec<Request> = positions
-            .iter()
-            .map(|&(lat, lon)| Request::RouteSummary {
-                lat,
-                lon,
-                origin,
-                dest,
-                segment,
-            })
-            .collect();
-        self.batch(&reqs)?
-            .into_iter()
-            .map(|resp| match resp {
-                Response::Summary(s) => Ok(s),
-                Response::Error(msg) => Err(ClientError::ServerError(msg)),
-                _ => Err(ClientError::Unexpected("wanted Summary")),
-            })
-            .collect()
-    }
-
-    /// All-traffic summaries for many positions in one round-trip.
-    pub fn point_summaries(
-        &mut self,
-        positions: &[(f64, f64)],
-    ) -> Result<Vec<Option<CellStats>>, ClientError> {
-        let reqs: Vec<Request> = positions
-            .iter()
-            .map(|&(lat, lon)| Request::PointSummary { lat, lon })
-            .collect();
-        self.batch(&reqs)?
-            .into_iter()
-            .map(|resp| match resp {
-                Response::Summary(s) => Ok(s),
-                Response::Error(msg) => Err(ClientError::ServerError(msg)),
-                _ => Err(ClientError::Unexpected("wanted Summary")),
-            })
-            .collect()
     }
 }
 

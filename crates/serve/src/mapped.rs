@@ -31,7 +31,7 @@ use pol_core::codec::{decode_destinations, CodecError};
 use pol_core::features::GroupKey;
 use pol_core::{Inventory, InventoryQuery, Summary};
 use pol_geo::{BBox, LatLon};
-use pol_hexgrid::{CellIndex, Resolution};
+use pol_hexgrid::Resolution;
 use pol_sketch::wire::WireError;
 use pol_sketch::MergeSketch;
 use std::path::Path;
@@ -277,7 +277,7 @@ impl MappedStore {
     /// top-dest rows, where the encoder put each entry under its
     /// `top_destinations(1)`, then one contiguous run. One link's rows are
     /// its file's section; several links' are built by the first scan
-    /// ([`merged_top_dest`](Self::merged_top_dest)) and kept.
+    /// (`merged_top_dest`) and kept.
     pub fn cells_with_top_destination(
         &self,
         dest: u16,
@@ -375,21 +375,7 @@ impl InventoryQuery for MappedStore {
         self.resolution
     }
 
-    fn summary(&self, cell: CellIndex) -> Option<Summary<'_>> {
-        self.summary_at(&GroupKey::Cell(cell))
-    }
-
-    fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<Summary<'_>> {
-        self.summary_at(&GroupKey::CellType(cell, segment))
-    }
-
-    fn summary_route(
-        &self,
-        cell: CellIndex,
-        origin: u16,
-        dest: u16,
-        segment: MarketSegment,
-    ) -> Option<Summary<'_>> {
-        self.summary_at(&GroupKey::CellRoute(cell, origin, dest, segment))
+    fn summary_at(&self, key: &GroupKey) -> Option<Summary<'_>> {
+        MappedStore::summary_at(self, key)
     }
 }

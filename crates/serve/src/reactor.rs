@@ -42,7 +42,7 @@
 //! handed to the pool the loop takes an admission slot (there are
 //! `worker_threads + max_pending` of them); when the slots are gone the
 //! request is answered with a typed `Busy` frame and never queued.
-//! [`AdmitGuard`] releases the slot on drop, so a worker killed
+//! `AdmitGuard` releases the slot on drop, so a worker killed
 //! mid-request (the `serve.worker.kill` chaos fault) cannot leak one, and
 //! the `CompletionGuard` below pushes a close-the-connection completion
 //! from its own drop, so a killed request cannot wedge its connection
@@ -60,7 +60,7 @@
 //! The epoll/eventfd bindings are declared `extern "C"` in the style of
 //! [`crate::mmap`] — std already links libc on every unix target. The
 //! server needs epoll: on other platforms, or when epoll/eventfd setup
-//! fails, [`spawn`] returns the error and nothing is left running.
+//! fails, `spawn` returns the error and nothing is left running.
 
 #![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 

@@ -847,9 +847,19 @@ fn a_failed_map_on_reload_keeps_the_old_chain_serving_and_remembered() {
         .step_by(11)
         .map(|i| (-50.0 + (i % 101) as f64, -160.0 + (i % 320) as f64))
         .collect();
+    let requests: Vec<Request> = positions
+        .iter()
+        .map(|&(lat, lon)| Request::PointSummary { lat, lon })
+        .collect();
     let answers = |client: &mut Client| -> Vec<Option<Vec<u8>>> {
-        let found = client.point_summaries(&positions).unwrap();
-        found.iter().map(|s| stats_bytes(s.as_ref())).collect()
+        let found = client.batch(&requests).unwrap();
+        found
+            .iter()
+            .map(|reply| match reply {
+                Response::Summary(s) => stats_bytes(s.as_ref()),
+                other => panic!("wanted Summary, got {other:?}"),
+            })
+            .collect()
     };
     let before = answers(&mut client);
 

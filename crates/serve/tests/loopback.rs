@@ -73,6 +73,19 @@ fn stats_bytes(stats: Option<&CellStats>) -> Option<Vec<u8>> {
     })
 }
 
+/// The summaries a batch of summary requests answers, in request order.
+fn batch_summaries(client: &mut Client, requests: &[Request]) -> Vec<Option<CellStats>> {
+    let replies = client.batch(requests).unwrap();
+    assert_eq!(replies.len(), requests.len());
+    replies
+        .into_iter()
+        .map(|reply| match reply {
+            Response::Summary(s) => s,
+            other => panic!("wanted Summary, got {other:?}"),
+        })
+        .collect()
+}
+
 fn test_config() -> ServerConfig {
     ServerConfig {
         worker_threads: 6,
@@ -552,8 +565,8 @@ fn batched_requests_equal_single_requests() {
     assert!(matches!(replies.first(), Some(Response::Summary(_))));
     assert!(matches!(replies.last(), Some(Response::Pong)));
 
-    // Typed helper: batched point summaries == singles, byte for byte.
-    let batched = client.point_summaries(&positions).unwrap();
+    // Batched point summaries == singles, byte for byte.
+    let batched = batch_summaries(&mut client, &batch[..positions.len()]);
     for (i, (lat, lon)) in positions.iter().enumerate() {
         let single = client.point_summary(*lat, *lon).unwrap();
         assert_eq!(
@@ -569,9 +582,19 @@ fn batched_requests_equal_single_requests() {
         );
     }
 
-    // Typed helper: batched route summaries == singles.
+    // Batched route summaries == singles.
     let seg = MarketSegment::from_id(3).unwrap();
-    let routed = client.route_summaries(2, 5, seg, &positions).unwrap();
+    let routes: Vec<Req> = positions
+        .iter()
+        .map(|&(lat, lon)| Req::RouteSummary {
+            lat,
+            lon,
+            origin: 2,
+            dest: 5,
+            segment: seg,
+        })
+        .collect();
+    let routed = batch_summaries(&mut client, &routes);
     for (i, (lat, lon)) in positions.iter().enumerate() {
         let single = client.route_summary(*lat, *lon, 2, 5, seg).unwrap();
         assert_eq!(

@@ -107,27 +107,24 @@ fn mapped_store_equals_heap_inventory_on_every_lookup() {
         let cell = cell_at(pos, res());
         let seg = MarketSegment::from_id((i % 7) as u8).unwrap();
         let (origin, dest) = ((i % 6) as u16, (i % 8) as u16);
-        // The heap inventory's inherent methods return `&CellStats`;
+        // The heap inventory's inherent `get` returns `&CellStats`;
         // qualify through the trait so both sides answer as `Summary`.
-        assert_eq!(
-            stats_bytes(mapped.summary(cell)),
-            stats_bytes(InventoryQuery::summary(&heap, cell)),
-            "cell {i}"
-        );
-        assert_eq!(
-            stats_bytes(mapped.summary_for(cell, seg)),
-            stats_bytes(InventoryQuery::summary_for(&heap, cell, seg)),
-            "cell-type {i}"
-        );
-        assert_eq!(
-            stats_bytes(mapped.summary_route(cell, origin, dest, seg)),
-            stats_bytes(InventoryQuery::summary_route(
-                &heap, cell, origin, dest, seg
-            )),
-            "cell-route {i}"
-        );
+        let keys = [
+            ("cell", GroupKey::Cell(cell)),
+            ("cell-type", GroupKey::CellType(cell, seg)),
+            ("cell-route", GroupKey::CellRoute(cell, origin, dest, seg)),
+        ];
+        for (level, key) in keys {
+            assert_eq!(
+                stats_bytes(mapped.summary_at(&key)),
+                stats_bytes(InventoryQuery::summary_at(&heap, &key)),
+                "{level} {i}"
+            );
+        }
         // Absent keys answer None from both stores.
-        assert!(mapped.summary_route(cell, 400, 401, seg).is_none());
+        assert!(mapped
+            .summary_at(&GroupKey::CellRoute(cell, 400, 401, seg))
+            .is_none());
     }
     assert!(mapped.counters().lookups > 0);
     std::fs::remove_dir_all(&dir).ok();

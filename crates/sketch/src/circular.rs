@@ -65,11 +65,6 @@ impl Circular {
         Some((r / self.count as f64).min(1.0))
     }
 
-    /// Circular variance `1 − R ∈ [0, 1]`.
-    pub fn circular_variance(&self) -> Option<f64> {
-        self.resultant_length().map(|r| 1.0 - r)
-    }
-
     /// Raw vector sums `(Σsin, Σcos)` (serialization support).
     pub fn sums(&self) -> (f64, f64) {
         (self.sum_sin, self.sum_cos)
@@ -125,7 +120,6 @@ mod tests {
         }
         assert!((c.mean_deg().unwrap() - 90.0).abs() < 1e-9);
         assert!((c.resultant_length().unwrap() - 1.0).abs() < 1e-9);
-        assert!(c.circular_variance().unwrap() < 1e-9);
     }
 
     #[test]

@@ -81,12 +81,6 @@ impl Histogram {
             )
         })
     }
-
-    /// Index of the fullest bin, `None` when all bins are empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        let (i, &c) = self.counts.iter().enumerate().max_by_key(|(_, c)| **c)?;
-        (c > 0).then_some(i)
-    }
 }
 
 impl MergeSketch for Histogram {
@@ -147,12 +141,6 @@ impl AngleHistogram {
         self.counts.iter().sum()
     }
 
-    /// Centre angle of the fullest bin, `None` when empty.
-    pub fn mode_deg(&self) -> Option<f64> {
-        let (i, &c) = self.counts.iter().enumerate().max_by_key(|(_, c)| **c)?;
-        (c > 0).then(|| i as f64 * Self::BIN_DEG + Self::BIN_DEG / 2.0)
-    }
-
     /// Reconstructs a histogram from its bin counters (deserialization).
     pub fn from_counts(counts: [u64; 12]) -> AngleHistogram {
         AngleHistogram { counts }
@@ -187,16 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_mode() {
-        let mut h = Histogram::new(0.0, 3.0, 3);
-        assert_eq!(h.mode_bin(), None);
-        h.add(1.5);
-        h.add(1.6);
-        h.add(0.5);
-        assert_eq!(h.mode_bin(), Some(1));
-    }
-
-    #[test]
     fn histogram_merge() {
         let mut a = Histogram::new(0.0, 10.0, 5);
         let mut b = Histogram::new(0.0, 10.0, 5);
@@ -228,17 +206,6 @@ mod tests {
         assert_eq!(h.counts()[1], 1);
         assert_eq!(h.counts()[11], 2);
         assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    fn angle_histogram_mode() {
-        let mut h = AngleHistogram::new();
-        assert_eq!(h.mode_deg(), None);
-        for _ in 0..3 {
-            h.add(95.0);
-        }
-        h.add(10.0);
-        assert_eq!(h.mode_deg(), Some(105.0)); // bin [90,120) centre
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub const DEFAULT_HLL_PRECISION: u8 = 12;
 pub(crate) const SMALL_INLINE: usize = 16;
 
 /// A tiny hash set for [`Distinct`]'s exact phase: the first
-/// [`SMALL_INLINE`] hashes live inline (no heap), the rest spill to an
+/// `SMALL_INLINE` hashes live inline (no heap), the rest spill to an
 /// `FxHashSet`. Most inventory cells see only a handful of distinct ships
 /// and trips, so the common case allocates nothing.
 #[derive(Clone, Debug, Default)]

@@ -219,7 +219,7 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
     }
 
     /// The single most frequent item, if any: `top(1)` without the
-    /// vector (distinct items never tie in [`rank`]'s full order).
+    /// vector (distinct items never tie in `rank`'s full order).
     pub fn top1(&self) -> Option<(T, Counter)> {
         self.iter()
             .min_by(|a, b| rank(*a, *b))

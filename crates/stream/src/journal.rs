@@ -38,7 +38,7 @@
 //!   re-derivable from the journal ("publish implies journal durable to
 //!   the cut").
 //!
-//! Recovery (in [`crate::recover`]) is the inverse: newest checkpoint,
+//! Recovery (in [`crate::recover`](mod@crate::recover)) is the inverse: newest checkpoint,
 //! plus a replay of the journal suffix, reconverges byte-identically —
 //! pinned by the crash-point sweep in `tests/recovery.rs`.
 
@@ -487,7 +487,7 @@ impl WalWriter {
     /// Starts a fresh journal in `dir` (created if missing), refusing a
     /// directory that already holds segments — resuming an existing
     /// journal without replaying it would silently fork history; use
-    /// [`crate::recover`] for that.
+    /// [`recover`](fn@crate::recover) for that.
     pub fn create(dir: &Path, cfg: WalConfig) -> Result<WalWriter, JournalError> {
         std::fs::create_dir_all(dir).map_err(|e| JournalError::Wal(WalError::Io(e)))?;
         let existing = WalReader::load(dir)?;

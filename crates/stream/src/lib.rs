@@ -23,7 +23,7 @@
 //! * [`checkpoint`] — POLCKP2 checkpoints of the whole engine state (an
 //!   append-only log of what each one added, committed by a small head),
 //!   so recovery replays only the journal suffix past the checkpoint;
-//! * [`recover`] — the crash-recovery path: checkpoint restore +
+//! * [`recover`](mod@recover) — the crash-recovery path: checkpoint restore +
 //!   journal replay + exactly-once delta-chain reconciliation,
 //!   reconverging byte-identically to a run that never crashed (see
 //!   DESIGN.md §10 for the failure model and crash matrix).

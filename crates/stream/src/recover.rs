@@ -202,28 +202,3 @@ pub fn recover(
     je.checkpoint()?;
     Ok((je, report))
 }
-
-impl StreamEngine {
-    /// Recovers engine state from the journal in `dir` with default
-    /// journal tunables and no delta chain — the minimal crash-restart
-    /// path. See [`recover`] for the full-fidelity variant that also
-    /// reconciles a published chain.
-    pub fn recover(
-        dir: &Path,
-        engine: &Engine,
-        statics: &[StaticReport],
-        ports: &[PortSite],
-        cfg: StreamConfig,
-    ) -> Result<(JournaledEngine, RecoveryReport), JournalError> {
-        recover(
-            dir,
-            engine,
-            statics,
-            ports,
-            cfg,
-            WalConfig::default(),
-            0,
-            None,
-        )
-    }
-}

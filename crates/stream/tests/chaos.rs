@@ -661,12 +661,15 @@ fn a_kill_between_log_sync_and_head_rename_leaves_a_tail_recovery_truncates() {
 
     // Recovery replays the journal past the first checkpoint, cuts the
     // tail off and appends its own checkpoint where the tail was.
-    let (je, report) = StreamEngine::recover(
+    let (je, report) = recover(
         &dir,
         &Engine::new(1),
         &shuttle_statics(),
         &shuttle_ports(),
         StreamConfig::default(),
+        WalConfig::default(),
+        0,
+        None,
     )
     .unwrap();
     assert!(report.checkpoint_found);
@@ -734,12 +737,15 @@ fn a_compaction_that_dies_before_its_head_leaves_a_log_recovery_sweeps() {
     assert_eq!(je.checkpoint_stats().compactions, 0);
     drop(je);
 
-    let (mut je, report) = StreamEngine::recover(
+    let (mut je, report) = recover(
         &dir,
         &Engine::new(1),
         &shuttle_statics(),
         &shuttle_ports(),
         StreamConfig::default(),
+        WalConfig::default(),
+        0,
+        None,
     )
     .unwrap();
     assert_eq!(report.records_replayed, 40);

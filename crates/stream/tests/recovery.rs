@@ -479,12 +479,15 @@ fn recovery_without_windows_matches_ingest_recover_wrapper() {
             je.push(r).unwrap();
         }
     }
-    let (mut je, report) = StreamEngine::recover(
+    let (mut je, report) = recover(
         &dir,
         &engine,
         &fx.statics,
         &fx.ports,
         StreamConfig::default(),
+        WalConfig::default(),
+        0,
+        None,
     )
     .unwrap();
     assert!(report.checkpoint_found);
