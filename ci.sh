@@ -5,8 +5,9 @@
 #
 #   gate     — formatting, release build, full test suite (which drives
 #              the shipped `polinv` binary end to end over real sockets:
-#              crates/bench/tests/polinv_cli.rs), xtask lint, rustdoc
-#              with its warnings denied, the quickstart example
+#              crates/bench/tests/polinv_cli.rs), xtask lint, the
+#              workspace's deny-level clippy lints, rustdoc with its
+#              warnings denied, the quickstart example
 #              README.md quotes, the two wire
 #              examples (decode_nmea, pol-ais' wire_throughput), the paper's
 #              experiments (`polinv repro all`: every claim checked, the
@@ -69,6 +70,13 @@ run_gate() {
 
   echo "==> cargo run -p xtask -- lint"
   cargo run -q -p xtask -- lint
+
+  # The clippy lints `[workspace.lints.clippy]` denies (todo,
+  # unimplemented, dbg_macro, mem_forget, exit). No `-D warnings`: the
+  # stage fails on exactly those. The vendored loom, a path dependency,
+  # is linted with the crates that use it.
+  echo "==> cargo clippy (the workspace's deny-level lints)"
+  cargo clippy --workspace --all-targets --exclude loom --exclude proptest
 
   # A deleted or private item must not leave a dangling intra-doc link.
   echo "==> cargo doc (rustdoc warnings denied)"

@@ -8,9 +8,19 @@
 //! cell its vessel type has never been seen in.
 
 use pol_ais::types::MarketSegment;
-use pol_core::Inventory;
+use pol_core::{Inventory, InventoryQuery};
 use pol_geo::LatLon;
 use pol_hexgrid::cell_at;
+
+/// Speed z-score beyond which a report is anomalous.
+const SPEED_Z_THRESHOLD: f64 = 3.0;
+/// Minimum resultant length for course checks: only strongly lane-like
+/// cells (e.g. traffic separation schemes) judge a course.
+const MIN_ALIGNMENT: f64 = 0.8;
+/// Course deviation, in degrees, beyond which a report is anomalous.
+const COURSE_THRESHOLD_DEG: f64 = 60.0;
+/// Historical records a cell needs before it judges speed or course.
+const MIN_SAMPLES: u64 = 20;
 
 /// One detected deviation from normalcy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -36,35 +46,22 @@ pub enum Anomaly {
     OffLane,
 }
 
-/// Detector configuration + inventory handle.
-pub struct AnomalyDetector<'a> {
-    inventory: &'a Inventory,
-    /// Speed z-score threshold (default 3).
-    pub speed_z_threshold: f64,
-    /// Minimum resultant length for course checks (default 0.8: only in
-    /// strongly lane-like cells, e.g. traffic separation schemes).
-    pub min_alignment: f64,
-    /// Course deviation threshold in degrees (default 60).
-    pub course_threshold_deg: f64,
-    /// Minimum historical records before judging (default 20).
-    pub min_samples: u64,
+/// The normalcy model over an inventory-shaped store, generic over
+/// [`InventoryQuery`] like the other estimators.
+pub struct AnomalyDetector<'a, I: InventoryQuery = Inventory> {
+    inventory: &'a I,
 }
 
-impl<'a> AnomalyDetector<'a> {
-    /// Wraps an inventory with default thresholds.
-    pub fn new(inventory: &'a Inventory) -> Self {
-        AnomalyDetector {
-            inventory,
-            speed_z_threshold: 3.0,
-            min_alignment: 0.8,
-            course_threshold_deg: 60.0,
-            min_samples: 20,
-        }
+impl<'a, I: InventoryQuery> AnomalyDetector<'a, I> {
+    /// Wraps an inventory-shaped store.
+    pub fn new(inventory: &'a I) -> Self {
+        AnomalyDetector { inventory }
     }
 
-    /// Assesses one live report. Returns every triggered anomaly (empty =
-    /// normal). Unknown cells yield [`Anomaly::OffLane`] only when a
-    /// segment is provided and the cell has no all-traffic history either.
+    /// Assesses one live report against the cell's vessel-type summary,
+    /// else its all-traffic one. Returns every triggered anomaly (empty =
+    /// normal); a cell with neither summary, or one whose bytes do not
+    /// decode, yields [`Anomaly::OffLane`].
     pub fn assess(
         &self,
         pos: LatLon,
@@ -73,24 +70,18 @@ impl<'a> AnomalyDetector<'a> {
         segment: Option<MarketSegment>,
     ) -> Vec<Anomaly> {
         let cell = cell_at(pos, self.inventory.resolution());
-        let stats = match segment {
-            Some(seg) => self
-                .inventory
-                .summary_for(cell, seg)
-                .or_else(|| self.inventory.summary(cell)),
-            None => self.inventory.summary(cell),
-        };
-        let Some(stats) = stats else {
+        let summary = self.inventory.most_specific(cell, segment, None);
+        let Some(Ok(stats)) = summary.as_ref().map(|s| s.stats()) else {
             return vec![Anomaly::OffLane];
         };
         let mut out = Vec::new();
-        if stats.records >= self.min_samples {
+        if stats.records >= MIN_SAMPLES {
             if let (Some(obs), Some(mean), Some(std)) =
                 (sog_knots, stats.speed.mean(), stats.speed.std_dev())
             {
                 let std = std.max(0.5); // floor: protocol quantisation noise
                 let z = (obs - mean) / std;
-                if z.abs() > self.speed_z_threshold {
+                if z.abs() > SPEED_Z_THRESHOLD {
                     out.push(Anomaly::Speed {
                         observed_kn: obs,
                         z,
@@ -102,12 +93,12 @@ impl<'a> AnomalyDetector<'a> {
                 stats.course.mean_deg(),
                 stats.course.resultant_length(),
             ) {
-                if r >= self.min_alignment {
+                if r >= MIN_ALIGNMENT {
                     let mut dev = (obs - mean).abs() % 360.0;
                     if dev > 180.0 {
                         dev = 360.0 - dev;
                     }
-                    if dev > self.course_threshold_deg {
+                    if dev > COURSE_THRESHOLD_DEG {
                         out.push(Anomaly::Course {
                             observed_deg: obs,
                             mean_deg: mean,
@@ -123,9 +114,9 @@ impl<'a> AnomalyDetector<'a> {
     /// Fraction of a report stream flagged anomalous — the fleet-level
     /// disruption signal (rises when e.g. Suez traffic reroutes through
     /// cells that never saw those origin/destination flows).
-    pub fn anomaly_rate<I>(&self, reports: I) -> f64
+    pub fn anomaly_rate<R>(&self, reports: R) -> f64
     where
-        I: IntoIterator<Item = (LatLon, Option<f64>, Option<f64>, Option<MarketSegment>)>,
+        R: IntoIterator<Item = (LatLon, Option<f64>, Option<f64>, Option<MarketSegment>)>,
     {
         let mut total = 0u64;
         let mut flagged = 0u64;
@@ -234,7 +225,7 @@ mod tests {
 
     #[test]
     fn insufficient_history_is_lenient() {
-        // Cells below min_samples never produce speed/course anomalies.
+        // Cells below MIN_SAMPLES never produce speed/course anomalies.
         let res = Resolution::new(6).unwrap();
         let pos = LatLon::new(10.0, 10.0).unwrap();
         let cell = cell_at(pos, res);

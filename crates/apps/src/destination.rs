@@ -11,22 +11,23 @@
 //! dominate the tally.
 
 use pol_ais::types::MarketSegment;
-use pol_core::{GroupKey, Inventory, InventoryQuery};
+use pol_core::{Inventory, InventoryQuery};
 use pol_geo::LatLon;
 use pol_hexgrid::cell_at;
 use pol_sketch::hash::FxHashMap;
 
+/// Decay applied to the running tally per contributing observation
+/// (1.0 would be a plain sum; below it recent cells count for more).
+const DECAY: f64 = 0.98;
+
 /// The streaming predictor. One instance per tracked vessel.
 ///
 /// Generic over [`InventoryQuery`] so the same predictor runs against the
-/// in-memory [`Inventory`] or a serving-side store (the `pol-serve`
+/// in-memory [`Inventory`] or `pol-serve`'s mapped store (its
 /// destination-prediction endpoint replays a track through one of these).
 pub struct DestinationPredictor<'a, I: InventoryQuery = Inventory> {
     inventory: &'a I,
     segment: Option<MarketSegment>,
-    /// Exponential decay applied to the running tally per observation
-    /// (1.0 = plain sum; < 1.0 favours recent cells).
-    pub decay: f64,
     scores: FxHashMap<u16, f64>,
     observations: u64,
 }
@@ -37,30 +38,24 @@ impl<'a, I: InventoryQuery> DestinationPredictor<'a, I> {
         DestinationPredictor {
             inventory,
             segment,
-            decay: 0.98,
             scores: FxHashMap::default(),
             observations: 0,
         }
     }
 
     /// Feeds one positional report; returns whether the cell contributed
-    /// any votes.
+    /// any votes. The cell's vessel-type summary votes, else its
+    /// all-traffic one.
     pub fn observe(&mut self, pos: LatLon) -> bool {
         let cell = cell_at(pos, self.inventory.resolution());
-        let stats = match self.segment {
-            Some(seg) => self
-                .inventory
-                .summary_at(&GroupKey::CellType(cell, seg))
-                .or_else(|| self.inventory.summary_at(&GroupKey::Cell(cell))),
-            None => self.inventory.summary_at(&GroupKey::Cell(cell)),
-        };
+        let stats = self.inventory.most_specific(cell, self.segment, None);
         // An entry whose bytes do not decode votes like an absent one.
         let Some(Ok(destinations)) = stats.as_ref().map(|s| s.destinations()) else {
             return false;
         };
         // Decay the running tally, then add this cell's normalised votes.
         for v in self.scores.values_mut() {
-            *v *= self.decay;
+            *v *= DECAY;
         }
         self.observations += 1;
         let top = destinations.top(8);
@@ -189,16 +184,26 @@ mod tests {
     fn recency_outweighs_stale_votes() {
         let (inv, track) = corridor_inventory();
         let mut p = DestinationPredictor::new(&inv, None);
-        p.decay = 0.5; // aggressive decay for the test
         for pos in &track {
             p.observe(*pos);
         }
-        // Late cells are pure port 9 ⇒ with strong decay port 3's early
-        // votes all but vanish.
+        // Port 3 holds a third of the votes in each of the six early
+        // cells and none in the six late ones: 2 of 12 undecayed. The
+        // k-th of n observations is decayed n − 1 − k times, so its
+        // decayed share is a third of the early weights over all.
+        let n = track.len() as i32;
+        let weight = |k: i32| DECAY.powi(n - 1 - k);
+        let early: f64 = (0..6).map(weight).sum();
+        let all: f64 = (0..n).map(weight).sum();
+        let decayed = early / 3.0 / all;
+        let undecayed = 2.0 / 12.0;
         let top = p.top(2);
         assert_eq!(top[0].0, 9);
-        if let Some((_, s3)) = top.iter().find(|(d, _)| *d == 3) {
-            assert!(*s3 < 0.05, "stale vote survived: {s3}");
-        }
+        let (_, s3) = *top.iter().find(|(d, _)| *d == 3).expect("port 3 ranked");
+        assert!(
+            (s3 - decayed).abs() < 1e-12,
+            "port 3 scored {s3}, not {decayed}"
+        );
+        assert!(s3 < undecayed, "stale votes not discounted: {s3}");
     }
 }

@@ -9,9 +9,9 @@
 //! exact cell is unseen.
 
 use pol_ais::types::MarketSegment;
-use pol_core::{GroupKey, Inventory, InventoryQuery, Summary};
+use pol_core::{Inventory, InventoryQuery, Summary};
 use pol_geo::{haversine_km, LatLon};
-use pol_hexgrid::{cell_at, grid_disk, CellIndex};
+use pol_hexgrid::{cell_at, grid_disk};
 
 /// An ETA estimate with its uncertainty band.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -98,27 +98,24 @@ impl Merged {
 ///
 /// Generic over [`InventoryQuery`] so the same estimator serves from the
 /// in-memory [`Inventory`] or from a serving-side store (the `pol-serve`
-/// ETA endpoint delegates here against its heap or mapped store).
+/// ETA endpoint delegates here against its mapped store).
 pub struct EtaEstimator<'a, I: InventoryQuery = Inventory> {
     inventory: &'a I,
-    /// Widen the query up to this many rings when the cell is unseen.
-    pub max_widening: u32,
 }
 
 impl<'a, I: InventoryQuery> EtaEstimator<'a, I> {
     /// Wraps an inventory-shaped store.
     pub fn new(inventory: &'a I) -> Self {
-        EtaEstimator {
-            inventory,
-            max_widening: 2,
-        }
+        EtaEstimator { inventory }
     }
 
-    /// Estimates remaining time to destination for a vessel at `pos`.
+    /// Estimates remaining time to destination for a vessel at `pos`,
+    /// widening up to two rings of neighbours when the cell is unseen.
     ///
-    /// `route` narrows the lookup to the `(origin, dest, segment)` grouping
-    /// set when provided (the most informative key); otherwise the
-    /// vessel-type or all-traffic summaries serve.
+    /// Each cell is read through [`InventoryQuery::most_specific`]:
+    /// `route` narrows the lookup to the `(origin, dest, segment)`
+    /// grouping set when provided (the most informative key); otherwise
+    /// the vessel-type or all-traffic summaries serve.
     pub fn estimate(
         &self,
         pos: LatLon,
@@ -131,13 +128,13 @@ impl<'a, I: InventoryQuery> EtaEstimator<'a, I> {
         // ring at a time: a disk lists its cells nearest first, so the
         // cells past the previous disk's are the new ring, and each is
         // looked up once however far the estimate widens.
-        merged.add(self.lookup(cell, segment, route));
+        merged.add(self.inventory.most_specific(cell, segment, route));
         let mut seen = 1;
-        for k in 0..=self.max_widening {
+        for k in 0..=crate::MAX_WIDENING {
             if k > 0 {
                 let disk = grid_disk(cell, k);
                 for c in disk.iter().skip(seen) {
-                    merged.add(self.lookup(*c, segment, route));
+                    merged.add(self.inventory.most_specific(*c, segment, route));
                 }
                 seen = disk.len();
             }
@@ -146,30 +143,6 @@ impl<'a, I: InventoryQuery> EtaEstimator<'a, I> {
             }
         }
         None
-    }
-
-    /// Most specific grouping-set entry for a cell, as the store holds
-    /// it — see [`InventoryQuery`].
-    fn lookup(
-        &self,
-        cell: CellIndex,
-        segment: Option<MarketSegment>,
-        route: Option<(u16, u16)>,
-    ) -> Option<Summary<'_>> {
-        if let (Some(seg), Some((o, d))) = (segment, route) {
-            if let Some(s) = self
-                .inventory
-                .summary_at(&GroupKey::CellRoute(cell, o, d, seg))
-            {
-                return Some(s);
-            }
-        }
-        if let Some(seg) = segment {
-            if let Some(s) = self.inventory.summary_at(&GroupKey::CellType(cell, seg)) {
-                return Some(s);
-            }
-        }
-        self.inventory.summary_at(&GroupKey::Cell(cell))
     }
 }
 
@@ -185,7 +158,7 @@ mod tests {
     use super::*;
     use pol_core::features::{CellStats, GroupKey};
     use pol_core::records::{CellPoint, TripPoint};
-    use pol_hexgrid::Resolution;
+    use pol_hexgrid::{CellIndex, Resolution};
     use pol_sketch::hash::FxHashMap;
 
     /// Hand-built inventory: one mid-ocean cell with known ATA ≈ 10 000 s.

@@ -14,6 +14,13 @@
 //!   `(origin, destination, vessel-type)` key with A* search,
 //! * [`anomaly`] — the "model of normalcy" (§2): per-cell z-scores for
 //!   speed, circular deviation for course, and off-lane detection.
+//!
+//! Every estimator but the route forecaster is generic over
+//! [`InventoryQuery`](pol_core::InventoryQuery), so it answers from the
+//! heap [`Inventory`](pol_core::Inventory) or from `pol-serve`'s mapped
+//! store alike, and each reads a cell through
+//! [`most_specific`](pol_core::InventoryQuery::most_specific): the route
+//! entry, else the vessel-type entry, else all traffic.
 
 #![deny(missing_docs)]
 
@@ -28,3 +35,7 @@ pub use destination::DestinationPredictor;
 pub use eta::{naive_eta_secs, EtaEstimate, EtaEstimator};
 pub use progress::{ProgressEstimate, ProgressEstimator};
 pub use route::RouteForecaster;
+
+/// Rings of neighbouring cells the ETA and progress estimators widen to
+/// when the vessel's own cell holds nothing they can use.
+const MAX_WIDENING: u32 = 2;

@@ -8,9 +8,10 @@
 //! yields a progress fraction when combined with ATA.
 
 use pol_ais::types::MarketSegment;
-use pol_core::{CellStats, Inventory};
+use pol_core::{Inventory, InventoryQuery, Summary};
 use pol_geo::LatLon;
 use pol_hexgrid::{cell_at, grid_disk};
+use std::cmp::Reverse;
 
 /// A progress estimate for a vessel at a position.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,25 +28,23 @@ pub struct ProgressEstimate {
     pub samples: u64,
 }
 
-/// Inventory-backed progress estimator.
-pub struct ProgressEstimator<'a> {
-    inventory: &'a Inventory,
-    /// Rings of widening when the exact cell is unseen.
-    pub max_widening: u32,
+/// Inventory-backed progress estimator, generic over [`InventoryQuery`]
+/// like the ETA estimator.
+pub struct ProgressEstimator<'a, I: InventoryQuery = Inventory> {
+    inventory: &'a I,
 }
 
-impl<'a> ProgressEstimator<'a> {
-    /// Wraps an inventory.
-    pub fn new(inventory: &'a Inventory) -> Self {
-        ProgressEstimator {
-            inventory,
-            max_widening: 2,
-        }
+impl<'a, I: InventoryQuery> ProgressEstimator<'a, I> {
+    /// Wraps an inventory-shaped store.
+    pub fn new(inventory: &'a I) -> Self {
+        ProgressEstimator { inventory }
     }
 
     /// Estimates voyage progress for a vessel observed at `pos` at Unix
-    /// time `now`. Uses the most specific grouping-set entry available,
-    /// like the ETA estimator.
+    /// time `now`. Reads each cell through
+    /// [`InventoryQuery::most_specific`], like the ETA estimator, and
+    /// widens up to two rings when no cell of the disk has ETO history;
+    /// an entry whose bytes do not decode counts as absent.
     pub fn estimate(
         &self,
         pos: LatLon,
@@ -54,20 +53,19 @@ impl<'a> ProgressEstimator<'a> {
         route: Option<(u16, u16)>,
     ) -> Option<ProgressEstimate> {
         let origin_cell = cell_at(pos, self.inventory.resolution());
-        for k in 0..=self.max_widening {
-            let mut best: Option<(&CellStats, u64)> = None;
-            for cell in grid_disk(origin_cell, k) {
-                let stats = self.lookup(cell, segment, route);
-                if let Some(s) = stats {
-                    if s.eto.count() > 0 {
-                        match best {
-                            Some((_, n)) if n >= s.eto.count() => {}
-                            _ => best = Some((s, s.eto.count())),
-                        }
-                    }
-                }
-            }
-            if let Some((stats, _)) = best {
+        for k in 0..=crate::MAX_WIDENING {
+            let summaries: Vec<Summary<'_>> = grid_disk(origin_cell, k)
+                .into_iter()
+                .filter_map(|cell| self.inventory.most_specific(cell, segment, route))
+                .collect();
+            // The disk's cell with the most ETO samples, the first of
+            // equals.
+            let best = summaries
+                .iter()
+                .filter_map(|s| s.stats().ok())
+                .filter(|stats| stats.eto.count() > 0)
+                .min_by_key(|stats| Reverse(stats.eto.count()));
+            if let Some(stats) = best {
                 let mut eto_q = stats.eto_q.clone();
                 let mut ata_q = stats.ata_q.clone();
                 let eto = eto_q.quantile(0.5)?;
@@ -86,25 +84,6 @@ impl<'a> ProgressEstimator<'a> {
             }
         }
         None
-    }
-
-    fn lookup(
-        &self,
-        cell: pol_hexgrid::CellIndex,
-        segment: Option<MarketSegment>,
-        route: Option<(u16, u16)>,
-    ) -> Option<&CellStats> {
-        if let (Some(seg), Some((o, d))) = (segment, route) {
-            if let Some(s) = self.inventory.summary_route(cell, o, d, seg) {
-                return Some(s);
-            }
-        }
-        if let Some(seg) = segment {
-            if let Some(s) = self.inventory.summary_for(cell, seg) {
-                return Some(s);
-            }
-        }
-        self.inventory.summary(cell)
     }
 }
 

@@ -8,7 +8,7 @@
 //! paper names A*) from the vessel's current cell towards the destination.
 
 use pol_ais::types::MarketSegment;
-use pol_core::Inventory;
+use pol_core::{GroupKey, Inventory, InventoryQuery};
 use pol_geo::{haversine_km, LatLon};
 use pol_hexgrid::{cell_at, cell_center, CellIndex};
 use pol_sketch::hash::{FxHashMap, FxHashSet};
@@ -36,6 +36,11 @@ pub struct RouteForecaster {
 impl RouteForecaster {
     /// Builds the transition graph for one `(origin, dest, segment)` key.
     /// `dest_pos` anchors the A* heuristic and the goal test.
+    ///
+    /// Each cell's summary is read through [`InventoryQuery::summary_at`];
+    /// the heap [`Inventory`] is taken for [`Inventory::route_cells`]
+    /// alone: a mapped file sorts route keys by cell first, so it cannot
+    /// list a route's cells until POLINV3 has a route-key section.
     pub fn build(
         inventory: &Inventory,
         origin: u16,
@@ -49,7 +54,8 @@ impl RouteForecaster {
             .collect();
         let mut edges: FxHashMap<CellIndex, Vec<(CellIndex, u64)>> = FxHashMap::default();
         for &cell in &members {
-            if let Some(stats) = inventory.summary_route(cell, origin, dest, segment) {
+            let summary = inventory.summary_at(&GroupKey::CellRoute(cell, origin, dest, segment));
+            if let Some(Ok(stats)) = summary.as_ref().map(|s| s.stats()) {
                 let outs: Vec<(CellIndex, u64)> = stats
                     .top_transitions(8)
                     .into_iter()

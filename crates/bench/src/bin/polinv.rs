@@ -66,10 +66,20 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value after flag `name`: `None` when the flag is absent, a usage
+/// error naming the flag when it is the last argument or another flag
+/// follows it.
+fn parse_flag(args: &[String], name: &str) -> Result<Option<String>, ExitCode> {
+    let Some(at) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(at + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        _ => {
+            eprintln!("error: {name} takes a value");
+            Err(ExitCode::from(2))
+        }
+    }
 }
 
 /// The value after flag `name` parsed as a `T`: `default` when the flag
@@ -80,10 +90,9 @@ fn parsed_flag<T: std::str::FromStr>(
     name: &str,
     default: T,
 ) -> Result<T, ExitCode> {
-    let Some(at) = args.iter().position(|a| a == name) else {
+    let Some(value) = parse_flag(args, name)? else {
         return Ok(default);
     };
-    let value = args.get(at + 1).map_or("", String::as_str);
     value.parse().map_err(|_| {
         eprintln!("error: {name} takes a number, not `{value}`");
         ExitCode::from(2)
@@ -93,7 +102,7 @@ fn parsed_flag<T: std::str::FromStr>(
 /// The segment `--segment` names, `None` when the flag is absent; a
 /// usage error listing the segments when it names none of them.
 fn segment_flag(args: &[String]) -> Result<Option<MarketSegment>, ExitCode> {
-    let Some(name) = parse_flag(args, "--segment") else {
+    let Some(name) = parse_flag(args, "--segment")? else {
         return Ok(None);
     };
     match MarketSegment::ALL.into_iter().find(|s| s.name() == name) {
@@ -132,8 +141,10 @@ fn build_flags(args: &[String]) -> Result<(usize, u32, Resolution, u64), ExitCod
 }
 
 fn cmd_build(args: &[String]) -> ExitCode {
-    let Some(out_path) = parse_flag(args, "--out") else {
-        return usage();
+    let out_path = match parse_flag(args, "--out") {
+        Ok(Some(path)) => path,
+        Ok(None) => return usage(),
+        Err(code) => return code,
     };
     let (vessels, days, resolution, seed) = match build_flags(args) {
         Ok(flags) => flags,
@@ -294,7 +305,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
     };
     let (Ok(lat), Ok(lon)) = (lat.parse::<f64>(), lon.parse::<f64>()) else {
         eprintln!("error: lat/lon must be numbers");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let Some(pos) = LatLon::new(lat, lon) else {
         eprintln!("error: coordinates out of range");
@@ -387,7 +398,10 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
     };
-    let addr = parse_flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
+    let addr = match parse_flag(args, "--addr") {
+        Ok(addr) => addr.unwrap_or_else(|| "127.0.0.1:0".into()),
+        Err(code) => return code,
+    };
     let worker_threads = match parsed_flag(args, "--workers", 8) {
         Ok(n) => n,
         Err(code) => return code,
@@ -470,7 +484,10 @@ fn cmd_repro(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let out = parse_flag(args, "--out").unwrap_or_else(|| "figures".into());
+    let out = match parse_flag(args, "--out") {
+        Ok(out) => out.unwrap_or_else(|| "figures".into()),
+        Err(code) => return code,
+    };
     let world = World::new(experiment_scenario(TRAIN_SEED));
     let (mut checks, mut failed) = (0, 0);
     for e in chosen {

@@ -348,6 +348,17 @@ fn repro_refuses_an_unknown_name() {
     }
 }
 
+/// `repro --out` with no value is a usage error naming the flag, before
+/// any experiment runs or writes into the default directory.
+#[test]
+fn repro_refuses_an_out_flag_without_a_value() {
+    let run = polinv(&["repro", "table1", "--out"]);
+    let said = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{said}");
+    assert!(said.contains("--out"), "{said}");
+    assert!(String::from_utf8_lossy(&run.stdout).is_empty(), "{said}");
+}
+
 /// A `build` number flag that does not parse, or has no value, is a
 /// usage error naming the flag, before anything is simulated or written.
 #[test]
@@ -374,7 +385,9 @@ fn build_refuses_a_malformed_number_before_simulating() {
 }
 
 /// `query --segment` with a name no segment has is a usage error that
-/// lists the segments, before the file is opened (it does not exist).
+/// lists the segments, before the file is opened (it does not exist);
+/// so are a `--segment` with no value and a `<lat>` or `<lon>` that is
+/// not a number, each named.
 #[test]
 fn query_refuses_an_unknown_segment_before_loading() {
     let missing = scratch("bad_segment").join("absent.pol");
@@ -385,18 +398,39 @@ fn query_refuses_an_unknown_segment_before_loading() {
     for segment in pol_ais::MarketSegment::ALL {
         assert!(said.contains(segment.name()), "{segment} missing: {said}");
     }
+    for (rest, named) in [
+        (&["51.9", "4.1", "--segment"][..], "--segment"),
+        (&["north", "4.1"][..], "lat/lon"),
+        (&["51.9", "4.1e"][..], "lat/lon"),
+    ] {
+        let args = [&["query", arg(&missing)][..], rest].concat();
+        let run = polinv(&args);
+        let said = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {said}");
+        assert!(said.contains(named), "{args:?}: {said}");
+        assert!(!said.contains("cannot load"), "{args:?}: {said}");
+    }
 }
 
-/// `serve --workers` that does not parse is a usage error, before the
-/// file is opened or a socket bound.
+/// `serve --workers` that does not parse, or `--addr` with no value, is
+/// a usage error naming the flag, before the file is opened or a socket
+/// bound.
 #[test]
 fn serve_refuses_a_malformed_worker_count_before_loading() {
     let missing = scratch("bad_workers").join("absent.pol");
-    let run = polinv(&["serve", arg(&missing), "--workers", "eight"]);
-    let said = String::from_utf8_lossy(&run.stderr);
-    assert_eq!(run.status.code(), Some(2), "{said}");
-    assert!(said.contains("--workers"), "{said}");
-    assert!(String::from_utf8_lossy(&run.stdout).is_empty());
+    for (rest, flag) in [
+        (&["--workers", "eight"][..], "--workers"),
+        (&["--addr"][..], "--addr"),
+        (&["--addr", "--workers", "2"][..], "--addr"),
+    ] {
+        let args = [&["serve", arg(&missing)][..], rest].concat();
+        let run = polinv(&args);
+        let said = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {said}");
+        assert!(said.contains(flag), "{args:?}: {said}");
+        assert!(!said.contains("cannot serve"), "{args:?}: {said}");
+        assert!(String::from_utf8_lossy(&run.stdout).is_empty(), "{args:?}");
+    }
 }
 
 /// What this file is for. The file `polinv build` wrote is served from

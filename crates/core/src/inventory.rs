@@ -72,21 +72,26 @@ impl<'a> Summary<'a> {
         }
     }
 
-    /// Every field, owned: the full decode, for a caller that wants the
-    /// whole summary.
-    pub fn to_stats(&self) -> Result<CellStats, WireError> {
+    /// Every field: a heap entry or a merge borrowed, a mapped entry
+    /// decoded whole — for a reader of several fields.
+    pub fn stats(&self) -> Result<Cow<'_, CellStats>, WireError> {
         match *self {
-            Summary::Stats(stats) => Ok(stats.clone()),
-            Summary::Owned(ref stats) => Ok((**stats).clone()),
+            Summary::Stats(stats) => Ok(Cow::Borrowed(stats)),
+            Summary::Owned(ref stats) => Ok(Cow::Borrowed(stats)),
             Summary::Encoded(mut bytes) => {
                 let stats = decode_cell_stats(&mut bytes)?;
                 if bytes.is_empty() {
-                    Ok(stats)
+                    Ok(Cow::Owned(stats))
                 } else {
                     Err(WireError("trailing bytes after cell stats"))
                 }
             }
         }
+    }
+
+    /// [`stats`](Summary::stats), owned.
+    pub fn to_stats(&self) -> Result<CellStats, WireError> {
+        self.stats().map(Cow::into_owned)
     }
 
     /// Appends the summary's canonical encoding: a copy of a mapped
@@ -102,11 +107,11 @@ impl<'a> Summary<'a> {
 
 /// The point-lookup query surface shared by every inventory-shaped store.
 ///
-/// The §4 use cases (ETA estimation, destination prediction) only need
-/// keyed lookups at the three grouping-set levels plus the grid
-/// resolution. Abstracting that surface lets the same estimators run
-/// against the in-memory [`Inventory`] *and* against serving-side stores
-/// (e.g. `pol-serve`'s mmap-backed columnar store).
+/// The §4 use cases (ETA, voyage progress, destination prediction,
+/// anomaly detection) only need keyed lookups at the three grouping-set
+/// levels plus the grid resolution. Abstracting that surface lets the
+/// same estimators run against the in-memory [`Inventory`] *and* against
+/// serving-side stores (e.g. `pol-serve`'s mmap-backed columnar store).
 ///
 /// A lookup returns a borrowed [`Summary`]: a heap store hands out the
 /// entry in its map, a mapped store the entry's bytes in the file, and
@@ -116,6 +121,26 @@ pub trait InventoryQuery {
     fn resolution(&self) -> Resolution;
     /// The summary stored at `key`, at any grouping-set level.
     fn summary_at(&self, key: &GroupKey) -> Option<Summary<'_>>;
+
+    /// The most specific summary held for `cell`: the route entry
+    /// `(cell, origin, dest, segment)` when both a segment and a route
+    /// are given, else the vessel-type entry `(cell, segment)` when a
+    /// segment is, else the all-traffic entry `(cell)` — the back-off
+    /// every §4 estimator reads through.
+    fn most_specific(
+        &self,
+        cell: CellIndex,
+        segment: Option<MarketSegment>,
+        route: Option<(u16, u16)>,
+    ) -> Option<Summary<'_>> {
+        segment
+            .zip(route)
+            .and_then(|(seg, (origin, dest))| {
+                self.summary_at(&GroupKey::CellRoute(cell, origin, dest, seg))
+            })
+            .or_else(|| segment.and_then(|seg| self.summary_at(&GroupKey::CellType(cell, seg))))
+            .or_else(|| self.summary_at(&GroupKey::Cell(cell)))
+    }
 }
 
 impl InventoryQuery for Inventory {
@@ -457,6 +482,45 @@ mod tests {
         assert!(inv.summary_route(cell, 0, 9, seg).is_none());
         assert_eq!(inv.len_of(GroupingSet::Cell), 2);
         assert_eq!(inv.route_cells(0, 3, seg), vec![cell]);
+    }
+
+    #[test]
+    fn most_specific_backs_off_route_then_type_then_cell() {
+        let seg = MarketSegment::Container;
+        // Two container voyages 0 → 3 and one tanker voyage 0 → 4 in
+        // one cell: each level holds a different record count.
+        let points = vec![
+            point_at(50.0, -10.0, 3, seg),
+            point_at(50.0, -10.0, 3, seg),
+            point_at(50.0, -10.0, 4, MarketSegment::Tanker),
+            point_at(50.0, -10.0, 5, seg),
+        ];
+        let inv = build(&points);
+        let cell = points[0].cell;
+        let records = |s: Option<Summary<'_>>| s.map(|s| s.to_stats().unwrap().records);
+        // The route held: the route entry.
+        assert_eq!(
+            records(inv.most_specific(cell, Some(seg), Some((0, 3)))),
+            Some(2)
+        );
+        // The route absent: the vessel-type entry.
+        assert_eq!(
+            records(inv.most_specific(cell, Some(seg), Some((0, 9)))),
+            Some(3)
+        );
+        // No segment, a type entry present: the cell entry.
+        assert_eq!(records(inv.most_specific(cell, None, None)), Some(4));
+        // A route without a segment names no route key: the cell entry.
+        assert_eq!(
+            records(inv.most_specific(cell, None, Some((0, 3)))),
+            Some(4)
+        );
+        // A segment the cell never saw: the cell entry.
+        let gas = Some(MarketSegment::Gas);
+        assert_eq!(records(inv.most_specific(cell, gas, Some((0, 3)))), Some(4));
+        // A cell with no traffic: nothing.
+        let empty = cell_at(LatLon::new(-40.0, 100.0).unwrap(), res());
+        assert!(inv.most_specific(empty, Some(seg), Some((0, 3))).is_none());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! * [`sphere`] — haversine distance, bearings, great-circle interpolation,
 //! * [`project`] — the Lambert cylindrical *equal-area* projection used by the
 //!   hexagonal grid (`pol-hexgrid`),
-//! * [`polygon`] — polygons and point-in-polygon tests for port geofencing,
 //! * [`bbox`] — geographic bounding boxes for regional filters (e.g. the
 //!   Baltic-sea views of the paper's Figure 4),
 //! * [`units`] — knots / km/h / nautical-mile conversions.
@@ -19,14 +18,12 @@
 
 pub mod bbox;
 pub mod latlon;
-pub mod polygon;
 pub mod project;
 pub mod sphere;
 pub mod units;
 
 pub use bbox::BBox;
 pub use latlon::LatLon;
-pub use polygon::Polygon;
 pub use project::{from_xy, to_xy, WorldXY, WORLD_HEIGHT_KM, WORLD_WIDTH_KM};
 pub use sphere::{
     destination, haversine_km, initial_bearing_deg, interpolate, EARTH_RADIUS_KM, EARTH_SURFACE_KM2,

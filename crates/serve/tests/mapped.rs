@@ -7,8 +7,7 @@
 //! not fit the chain are rejected before anything serves from them.
 
 use pol_ais::types::{MarketSegment, Mmsi};
-use pol_apps::destination::DestinationPredictor;
-use pol_apps::eta::EtaEstimator;
+use pol_apps::{Anomaly, AnomalyDetector, DestinationPredictor, EtaEstimator, ProgressEstimator};
 use pol_core::codec::{columnar, encode_cell_stats};
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::records::{CellPoint, TripPoint};
@@ -24,27 +23,32 @@ fn res() -> Resolution {
     Resolution::new(6).unwrap()
 }
 
-/// A deterministic inventory with traffic in all three grouping sets.
-fn sample_inventory(n: usize) -> Inventory {
+/// The `i`-th of `n` reports of the sample.
+fn sample_point(i: usize, n: usize) -> TripPoint {
+    TripPoint {
+        mmsi: Mmsi(1 + (i % 9) as u32),
+        timestamp: i as i64 * 60,
+        pos: LatLon::new(-55.0 + (i % 111) as f64, -170.0 + (i % 340) as f64).unwrap(),
+        sog_knots: Some(8.0 + (i % 14) as f64),
+        cog_deg: Some((i * 37 % 360) as f64),
+        heading_deg: Some((i * 41 % 360) as f64),
+        segment: MarketSegment::from_id((i % 7) as u8).unwrap(),
+        trip_id: (i % 13) as u64,
+        origin: (i % 6) as u16,
+        dest: (i % 8) as u16,
+        eto_secs: i as i64 * 45,
+        ata_secs: (n - i) as i64 * 45,
+    }
+}
+
+/// Each report observed in all three grouping sets of its cell.
+fn inventory_of(points: impl ExactSizeIterator<Item = TripPoint>) -> Inventory {
+    let records = points.len() as u64;
     let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
-    for i in 0..n {
-        let pos = LatLon::new(-55.0 + (i % 111) as f64, -170.0 + (i % 340) as f64).unwrap();
-        let cell = cell_at(pos, res());
+    for point in points {
+        let cell = cell_at(point.pos, res());
         let cp = CellPoint {
-            point: TripPoint {
-                mmsi: Mmsi(1 + (i % 9) as u32),
-                timestamp: i as i64 * 60,
-                pos,
-                sog_knots: Some(8.0 + (i % 14) as f64),
-                cog_deg: Some((i * 37 % 360) as f64),
-                heading_deg: Some((i * 41 % 360) as f64),
-                segment: MarketSegment::from_id((i % 7) as u8).unwrap(),
-                trip_id: (i % 13) as u64,
-                origin: (i % 6) as u16,
-                dest: (i % 8) as u16,
-                eto_secs: i as i64 * 45,
-                ata_secs: (n - i) as i64 * 45,
-            },
+            point,
             cell,
             next_cell: None,
         };
@@ -59,7 +63,22 @@ fn sample_inventory(n: usize) -> Inventory {
                 .observe(&cp);
         }
     }
-    Inventory::from_entries(res(), entries, n as u64)
+    Inventory::from_entries(res(), entries, records)
+}
+
+/// A deterministic inventory with traffic in all three grouping sets.
+fn sample_inventory(n: usize) -> Inventory {
+    inventory_of((0..n).map(|i| sample_point(i, n)))
+}
+
+/// Lanes dense enough for the normalcy model to judge: the sample's
+/// first 24 cells, 40 reports each, every report within 6° of its
+/// lane's course.
+fn lane_inventory() -> Inventory {
+    inventory_of((0..960).map(|i| TripPoint {
+        cog_deg: Some((i % 24 * 15 + i % 7) as f64),
+        ..sample_point(i % 24, 960)
+    }))
 }
 
 /// Saves the inventory as `polinv build` does (a POLINV3 file) and maps
@@ -163,14 +182,16 @@ fn mapped_store_equals_heap_inventory_on_scans() {
 }
 
 /// The estimators are generic over [`InventoryQuery`]; running them
-/// against the mapped store must reproduce the heap answers exactly.
+/// against the mapped store must reproduce the heap answers exactly:
+/// ETA, progress, anomaly and destination over the sample, anomaly and
+/// progress over dense lanes too.
 #[test]
 fn estimators_agree_across_backends() {
     let heap = sample_inventory(600);
     let (mapped, dir) = save_and_map(&heap, "estimators");
 
     for i in 0..80usize {
-        let pos = LatLon::new(-55.0 + (i % 111) as f64, -170.0 + (i % 340) as f64).unwrap();
+        let pos = sample_point(i, 600).pos;
         let seg = MarketSegment::from_id((i % 7) as u8).unwrap();
         let route = (i % 2 == 0).then_some(((i % 6) as u16, (i % 8) as u16));
         assert_eq!(
@@ -178,16 +199,21 @@ fn estimators_agree_across_backends() {
             EtaEstimator::new(&heap).estimate(pos, Some(seg), route),
             "eta {i}"
         );
+        let now = 1_700_000_000 + i as i64;
+        assert_eq!(
+            ProgressEstimator::new(&mapped).estimate(pos, now, Some(seg), route),
+            ProgressEstimator::new(&heap).estimate(pos, now, Some(seg), route),
+            "progress {i}"
+        );
+        let (sog, cog) = (Some(4.0 + (i % 19) as f64), Some((i * 53 % 360) as f64));
+        let segment = (i % 3 != 0).then_some(seg);
+        assert_eq!(
+            AnomalyDetector::new(&mapped).assess(pos, sog, cog, segment),
+            AnomalyDetector::new(&heap).assess(pos, sog, cog, segment),
+            "anomaly {i}"
+        );
 
-        let track: Vec<LatLon> = (0..5)
-            .map(|k| {
-                LatLon::new(
-                    -55.0 + ((i + k) % 111) as f64,
-                    -170.0 + ((i + k) % 340) as f64,
-                )
-                .unwrap()
-            })
-            .collect();
+        let track: Vec<LatLon> = (0..5).map(|k| sample_point(i + k, 600).pos).collect();
         let mut from_mapped = DestinationPredictor::new(&mapped, None);
         let mut from_heap = DestinationPredictor::new(&heap, None);
         for p in &track {
@@ -196,6 +222,42 @@ fn estimators_agree_across_backends() {
         }
         assert_eq!(from_mapped.top(3), from_heap.top(3), "predict {i}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The sample holds one record a cell, too few for the normalcy model
+    // to judge speed or course; the lanes are dense enough, and most of
+    // the sample's positions lie off them.
+    let heap = lane_inventory();
+    let (mapped, dir) = save_and_map(&heap, "estimators-lanes");
+    let positions = (0..80usize).map(|i| sample_point(i, 80).pos);
+    let mut fired = [0usize; 3];
+    for (i, pos) in positions.enumerate() {
+        let seg = MarketSegment::from_id((i % 7) as u8).unwrap();
+        let segment = (i % 3 != 0).then_some(seg);
+        let (sog, cog) = (Some((i % 29) as f64), Some((i * 53 % 360) as f64));
+        let anomalies = AnomalyDetector::new(&heap).assess(pos, sog, cog, segment);
+        assert_eq!(
+            AnomalyDetector::new(&mapped).assess(pos, sog, cog, segment),
+            anomalies,
+            "lane anomaly {i}"
+        );
+        for anomaly in anomalies {
+            fired[match anomaly {
+                Anomaly::Speed { .. } => 0,
+                Anomaly::Course { .. } => 1,
+                Anomaly::OffLane => 2,
+            }] += 1;
+        }
+        assert_eq!(
+            ProgressEstimator::new(&mapped).estimate(pos, 1_700_000_000, segment, None),
+            ProgressEstimator::new(&heap).estimate(pos, 1_700_000_000, segment, None),
+            "lane progress {i}"
+        );
+    }
+    assert!(
+        fired.iter().all(|&n| n > 0),
+        "speed, course, off-lane: {fired:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
