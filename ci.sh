@@ -123,6 +123,16 @@ run_gate() {
     echo "ci: bench-smoke stream.checkpoint_bytes=${bench_head:-missing}, want < 262144" >&2
     exit 1
   fi
+  # Every checkpoint deletes the journal segments it covers, so what the
+  # pass leaves is the tail recovery reads: one whole 8 MiB segment over
+  # the feed's 359 k records would be 23.4 B a record (51.0 when nothing
+  # was purged, 4.3 measured since). A byte count: it does not depend
+  # on the box's mood.
+  bench_wal=$(bench_row stream.wal_bytes_per_record)
+  if ! awk -v b="${bench_wal:-25}" 'BEGIN { exit !(b < 25) }'; then
+    echo "ci: bench-smoke stream.wal_bytes_per_record=${bench_wal:-missing}, want < 25" >&2
+    exit 1
+  fi
   # The server child answers point, segment and route summaries on its
   # event loop: nothing is shed and next to no request wakes the loop
   # through the eventfd. The wakeup row is a ratio of two STATS

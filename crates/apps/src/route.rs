@@ -78,11 +78,6 @@ impl RouteForecaster {
         self.members.len()
     }
 
-    /// Number of cells with outgoing transitions.
-    pub fn edge_sources(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Forecasts the route from the vessel's current position: A* over the
     /// historical transition graph with the great-circle distance to the
     /// destination as the (admissible) heuristic. Succeeds when the current
@@ -211,13 +206,21 @@ mod tests {
 
     #[test]
     fn graph_built_from_route_key() {
-        let (inv, _, dest) = chain_inventory();
+        let (inv, positions, dest) = chain_inventory();
         let f = RouteForecaster::build(&inv, 1, 2, SEG, dest);
         assert!(f.cell_count() > 5);
-        assert!(f.edge_sources() > 3);
-        // Wrong key: empty graph.
+        // A forecast path leaves each of its cells but the last by one of
+        // that cell's transitions: more than four cells, more than three
+        // cells with outgoing edges.
+        let res = Resolution::new(6).unwrap();
+        let fc = f
+            .forecast(positions[0], res)
+            .expect("the chain's start forecasts");
+        assert!(fc.cells.len() > 4, "path of {} cells", fc.cells.len());
+        // Wrong key: empty graph, nothing to forecast over.
         let empty = RouteForecaster::build(&inv, 1, 3, SEG, dest);
         assert_eq!(empty.cell_count(), 0);
+        assert!(empty.forecast(positions[0], res).is_none());
     }
 
     #[test]

@@ -474,11 +474,6 @@ impl LaneGraph {
         }
     }
 
-    /// Number of nodes (waypoints + ports).
-    pub fn node_count(&self) -> usize {
-        self.positions.len()
-    }
-
     /// Shortest water route between two ports, or `None` when disconnected
     /// under the given options.
     pub fn route(&self, from: PortId, to: PortId, opts: RouteOptions) -> Option<Route> {
@@ -556,17 +551,27 @@ mod tests {
     #[test]
     fn graph_builds_and_is_connected() {
         let g = LaneGraph::global();
-        assert!(g.node_count() > 200);
-        // Every port reaches every other port.
+        // Every port reaches every other port, from its own position to
+        // the other's, and between them the routes run over waypoints.
         let probe = id("NLRTM");
+        let mut waypoints: Vec<(u64, u64)> = Vec::new();
         for i in 0..WORLD_PORTS.len() as u16 {
             let r = g.route(probe, PortId(i), RouteOptions::default());
-            assert!(
-                r.is_some(),
-                "no route Rotterdam -> {}",
-                WORLD_PORTS[i as usize].locode
+            let Some(r) = r else {
+                panic!("no route Rotterdam -> {}", WORLD_PORTS[i as usize].locode);
+            };
+            assert_eq!(r.points.first(), Some(&WORLD_PORTS[probe.0 as usize].pos()));
+            assert_eq!(r.points.last(), Some(&WORLD_PORTS[i as usize].pos()));
+            waypoints.extend(
+                r.points
+                    .iter()
+                    .filter(|p| WORLD_PORTS.iter().all(|port| port.pos() != **p))
+                    .map(|p| (p.lat().to_bits(), p.lon().to_bits())),
             );
         }
+        waypoints.sort_unstable();
+        waypoints.dedup();
+        assert!(waypoints.len() > 80, "{} waypoints", waypoints.len());
     }
 
     #[test]

@@ -786,6 +786,11 @@ pub struct CheckpointStats {
     pub dead_bytes: u64,
     /// Times the log was rewritten from live state to shed dead bytes.
     pub compactions: u64,
+    /// Journal segments deleted behind committed checkpoints.
+    pub segments_purged: u64,
+    /// Purges that stopped at a segment they could not delete; the next
+    /// checkpoint's purge retries it.
+    pub purge_failures: u64,
 }
 
 /// Writes one engine's checkpoints into its journal directory: appends
@@ -872,6 +877,12 @@ impl CheckpointWriter {
             live_bytes: self.log_len - self.stats.dead_bytes,
             ..self.stats
         }
+    }
+
+    /// Counts what the journal purge behind a commit did.
+    pub(crate) fn count_purge(&mut self, purged: u64, failed: bool) {
+        self.stats.segments_purged += purged;
+        self.stats.purge_failures += u64::from(failed);
     }
 
     /// The first half of a checkpoint of `engine`: what the state gained

@@ -32,7 +32,10 @@
 //!   `wal_seq` = batches durable, so replay applies exactly the suffix
 //!   `seq >= wal_seq`, no double-apply, no gap. A head never names a
 //!   `wal_seq` that is not durable; a log frame written ahead of a flush
-//!   that then fails is an orphan tail, cut off by the next append;
+//!   that then fails is an orphan tail, cut off by the next append. Once
+//!   the head commits, the journal is trimmed behind it: every sealed
+//!   segment whose batches all lie below `wal_seq` is deleted, oldest
+//!   first, so the journal on disk is what recovery reads;
 //! * **window cut** — begins the flush, folds the window, and waits
 //!   before handing the delta out, so a published generation is always
 //!   re-derivable from the journal ("publish implies journal durable to
@@ -153,6 +156,25 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// The first batch sequences of the segments in `dir`, ascending; a
+/// missing directory holds none.
+fn segment_seqs(dir: &Path) -> Result<Vec<u64>, JournalError> {
+    let io = |e| JournalError::Wal(WalError::Io(e));
+    let mut seqs = Vec::new();
+    match std::fs::read_dir(dir) {
+        Ok(entries) => {
+            for entry in entries {
+                let name = entry.map_err(io)?.file_name();
+                seqs.extend(name.to_str().and_then(parse_segment_name));
+            }
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(io(e)),
+    }
+    seqs.sort_unstable();
+    Ok(seqs)
+}
+
 /// The journal tail as a resume target.
 enum Tail {
     /// An unsealed final segment with a clean (possibly repaired-on-
@@ -205,8 +227,8 @@ impl WalReader {
     /// [`load`](Self::load) for a reader that only needs batch
     /// `from_seq` onward: segment names carry their first sequence, so
     /// reading — and validating — starts at the segment that holds
-    /// `from_seq` and the sealed history before it is left on disk
-    /// unread; inside that segment the frames below `from_seq` are
+    /// `from_seq`, and whatever sealed history a purge left before it is
+    /// not read; inside that segment the frames below `from_seq` are
     /// length-, CRC- and sequence-checked but not decoded, and not
     /// returned. Segments on disk that all start past `from_seq` are a
     /// journal purged too far, a typed error.
@@ -215,46 +237,28 @@ impl WalReader {
     }
 
     fn read(dir: &Path, from_seq: Option<u64>) -> Result<WalLoad, JournalError> {
-        let mut names: Vec<String> = Vec::new();
-        match std::fs::read_dir(dir) {
-            Ok(entries) => {
-                for entry in entries {
-                    let entry = entry.map_err(|e| JournalError::Wal(WalError::Io(e)))?;
-                    if let Ok(name) = entry.file_name().into_string() {
-                        if parse_segment_name(&name).is_some() {
-                            names.push(name);
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(JournalError::Wal(WalError::Io(e))),
-        }
-        names.sort();
-        if let (Some(from_seq), false) = (from_seq, names.is_empty()) {
-            let not_past =
-                names.partition_point(|n| parse_segment_name(n).is_some_and(|seq| seq <= from_seq));
+        let mut seqs = segment_seqs(dir)?;
+        if let (Some(from_seq), false) = (from_seq, seqs.is_empty()) {
+            let not_past = seqs.partition_point(|&seq| seq <= from_seq);
             if not_past == 0 {
                 return Err(JournalError::State("journal purged past the checkpoint"));
             }
-            names.drain(..not_past - 1);
+            seqs.drain(..not_past - 1);
         }
-        let segments = names.len();
+        let segments = seqs.len();
 
         let from_seq = from_seq.unwrap_or(0);
         let mut batches: Vec<wal::Batch> = Vec::new();
         let mut torn_bytes = 0u64;
         let mut next_seq: Option<u64> = None;
         let mut tail = None;
-        for (i, name) in names.iter().enumerate() {
-            let name_seq =
-                parse_segment_name(name).ok_or(JournalError::State("unparsable segment name"))?;
+        for (i, &name_seq) in seqs.iter().enumerate() {
             if let Some(expect) = next_seq {
                 if name_seq != expect {
                     return Err(JournalError::State("journal segments are not contiguous"));
                 }
             }
-            let path = dir.join(name);
+            let path = dir.join(segment_name(name_seq));
             let bytes = std::fs::read(&path).map_err(|e| JournalError::Wal(WalError::Io(e)))?;
             let last = i + 1 == segments;
             let mut load = match wal::read_segment_from(&bytes, from_seq) {
@@ -719,34 +723,33 @@ impl WalWriter {
         self.wait_durable()
     }
 
-    /// Deletes sealed segments fully covered by a checkpoint at
-    /// `covered_seq` (every batch below it is re-derivable from the
-    /// checkpoint alone). A segment is removed only when its *successor*
-    /// starts at or below `covered_seq`; the tail always survives.
-    /// Opt-in: callers that want the full journal for audit keep it.
-    pub fn purge_covered(&self, covered_seq: u64) -> Result<Vec<String>, JournalError> {
-        let mut names: Vec<String> = Vec::new();
-        for entry in std::fs::read_dir(&self.dir).map_err(|e| JournalError::Wal(WalError::Io(e)))? {
-            let entry = entry.map_err(|e| JournalError::Wal(WalError::Io(e)))?;
-            if let Ok(name) = entry.file_name().into_string() {
-                if parse_segment_name(&name).is_some() {
-                    names.push(name);
-                }
+    /// Deletes, oldest first, the sealed segments a checkpoint at
+    /// `covered_seq` covers: a segment goes only when its *successor*
+    /// starts at or below `covered_seq` (then every batch in it lies
+    /// below), so the tail always stays. The purge stops at the first
+    /// failure, so the segments left are contiguous. Returns the
+    /// segments removed, and whether one that should have gone did not.
+    pub(crate) fn purge_covered(&self, covered_seq: u64) -> (u64, bool) {
+        let Ok(seqs) = segment_seqs(&self.dir) else {
+            return (0, true);
+        };
+        let mut purged = 0;
+        for pair in seqs.windows(2) {
+            let &[covered, next] = pair else { continue };
+            if next > covered_seq {
+                break;
             }
-        }
-        names.sort();
-        let mut removed = Vec::new();
-        for pair in names.windows(2) {
-            let [covered, next] = pair else { continue };
-            let next_first =
-                parse_segment_name(next).ok_or(JournalError::State("unparsable segment name"))?;
-            if next_first <= covered_seq {
-                std::fs::remove_file(self.dir.join(covered))
-                    .map_err(|e| JournalError::Wal(WalError::Io(e)))?;
-                removed.push(covered.clone());
+            let removed = if pol_chaos::fire("wal.purge") {
+                Err(pol_chaos::io_error("wal purge"))
+            } else {
+                std::fs::remove_file(self.dir.join(segment_name(covered)))
+            };
+            if removed.is_err() {
+                return (purged, true);
             }
+            purged += 1;
         }
-        Ok(removed)
+        (purged, false)
     }
 }
 
@@ -774,7 +777,6 @@ pub struct JournaledEngine {
     checkpoint_every_records: u64,
     records_since_checkpoint: u64,
     checkpoints_written: u64,
-    checkpoint_wal_seq: u64,
 }
 
 impl JournaledEngine {
@@ -797,7 +799,6 @@ impl JournaledEngine {
             checkpoint_every_records,
             records_since_checkpoint: 0,
             checkpoints_written: 0,
-            checkpoint_wal_seq: 0,
         })
     }
 
@@ -809,7 +810,6 @@ impl JournaledEngine {
         ckpt: CheckpointWriter,
         window_cuts: u64,
         checkpoint_every_records: u64,
-        checkpoint_wal_seq: u64,
     ) -> JournaledEngine {
         JournaledEngine {
             engine,
@@ -820,7 +820,6 @@ impl JournaledEngine {
             checkpoint_every_records,
             records_since_checkpoint: 0,
             checkpoints_written: 0,
-            checkpoint_wal_seq,
         }
     }
 
@@ -857,7 +856,8 @@ impl JournaledEngine {
     }
 
     /// What those checkpoints cost: bytes the last one wrote, live and
-    /// dead bytes in the checkpoint log, log rewrites so far.
+    /// dead bytes in the checkpoint log, log rewrites so far, and the
+    /// journal segments purged behind them.
     pub fn checkpoint_stats(&self) -> CheckpointStats {
         self.ckpt.stats()
     }
@@ -902,6 +902,12 @@ impl JournaledEngine {
     /// wait, so no loadable checkpoint ever names a `wal_seq` the journal
     /// does not hold. A frame appended ahead of a flush that then fails
     /// is an orphan tail the next append cuts back.
+    ///
+    /// Once the head is committed, the sealed journal segments it covers
+    /// are deleted: recovery reads from the segment holding `wal_seq`
+    /// on. A segment that cannot be deleted stays for the next
+    /// checkpoint and is counted in [`CheckpointStats::purge_failures`];
+    /// it does not fail this one.
     pub fn checkpoint(&mut self) -> Result<(), JournalError> {
         if self.uncut.is_some() {
             return Err(JournalError::State(
@@ -914,13 +920,11 @@ impl JournaledEngine {
         self.ckpt.commit(staged?)?;
         self.records_since_checkpoint = 0;
         self.checkpoints_written += 1;
-        self.checkpoint_wal_seq = wal_seq;
+        // Committed, so no failure from here on may fail the call: a
+        // segment the purge cannot remove, the next checkpoint's does.
+        let (purged, failed) = self.wal.purge_covered(wal_seq);
+        self.ckpt.count_purge(purged, failed);
         Ok(())
-    }
-
-    /// Deletes journal segments fully covered by the newest checkpoint.
-    pub fn purge_covered(&self) -> Result<Vec<String>, JournalError> {
-        self.wal.purge_covered(self.checkpoint_wal_seq)
     }
 
     /// Cuts the next delta window: begins the journal flush, folds the
@@ -1237,16 +1241,21 @@ mod tests {
         w.flush().unwrap();
         let before = WalReader::load(&dir).unwrap();
         assert!(before.segments >= 3);
+        let seqs = segment_seqs(&dir).unwrap();
+
+        // Nothing is covered at seq 0: purge is a no-op.
+        assert_eq!(w.purge_covered(0), (0, false));
+        // A checkpoint inside the second segment covers the first alone.
+        assert_eq!(w.purge_covered(seqs[2] - 1), (1, false));
+        assert_eq!(segment_seqs(&dir).unwrap(), seqs[1..]);
 
         // A checkpoint at the journal head covers every batch; the tail
         // still survives.
-        let removed = w.purge_covered(w.next_seq()).unwrap();
-        assert_eq!(removed.len(), before.segments - 1);
+        let (removed, failed) = w.purge_covered(w.next_seq());
+        assert!(!failed);
+        assert_eq!(removed as usize, before.segments - 2);
         let after = WalReader::load(&dir).unwrap();
         assert_eq!(after.segments, 1);
         assert_eq!(after.next_seq, before.next_seq, "sequence is preserved");
-
-        // Nothing is covered at seq 0: purge is a no-op.
-        assert!(w.purge_covered(0).unwrap().is_empty());
     }
 }

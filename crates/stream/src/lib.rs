@@ -19,7 +19,8 @@
 //! * [`journal`] — a POLWAL1 write-ahead journal
 //!   ([`pol_core::codec::wal`]) that makes every pushed record durable
 //!   *before* the engine applies it, wrapped with the engine as
-//!   [`journal::JournaledEngine`];
+//!   [`journal::JournaledEngine`], and trimmed behind every checkpoint
+//!   to the segments recovery still reads;
 //! * [`checkpoint`] — POLCKP2 checkpoints of the whole engine state (an
 //!   append-only log of what each one added, committed by a small head),
 //!   so recovery replays only the journal suffix past the checkpoint;

@@ -7,11 +7,12 @@
 //!    of its log, if any) and rebuild the engine from it
 //!    ([`StreamEngine::from_state`]); with no checkpoint, start empty;
 //! 2. **read** — load the journal from the segment that holds the
-//!    checkpoint's `wal_seq` onward ([`WalReader::load_from`]; the
-//!    sealed history before it is not read, and the frames below
-//!    `wal_seq` in that segment are checked but not decoded): sealed
-//!    segments with zero tolerance, the tail tolerantly (a torn final
-//!    batch is discarded, never served);
+//!    checkpoint's `wal_seq` onward ([`WalReader::load_from`]; every
+//!    checkpoint purges the sealed segments before it, and one a failed
+//!    or interrupted purge left is not read; the frames below `wal_seq`
+//!    in that segment are checked but not decoded): sealed segments
+//!    with zero tolerance, the tail tolerantly (a torn final batch is
+//!    discarded, never served);
 //! 3. **replay** — re-push exactly the batches with sequence `>=` the
 //!    checkpoint's `wal_seq`, which is what the load returned. Because the journal holds the *raw wire
 //!    order* and the checkpoint was flushed to a batch boundary, this
@@ -29,9 +30,10 @@
 //!
 //! The returned engine has a repaired, appendable journal tail, a
 //! checkpoint log cut back to its committed length (and no unnamed
-//! sibling) and a fresh checkpoint (so repeated crashes pay a bounded replay, not a
-//! compounding one), and continues exactly where the wire left off:
-//! the caller resumes pushing at record `counters().ingested`.
+//! sibling) and a fresh checkpoint (so repeated crashes pay a bounded
+//! replay, not a compounding one, and the segments it covers are
+//! purged like any checkpoint's), and continues exactly where the wire
+//! left off: the caller resumes pushing at record `counters().ingested`.
 
 use crate::checkpoint::{self, CheckpointWriter, CHECKPOINT_NAME};
 use crate::delta::{DeltaPublisher, PublishOutcome};
@@ -191,14 +193,7 @@ pub fn recover(
     let wal = WalWriter::resume(dir, wal_cfg, &load)?;
     let ckpt = CheckpointWriter::resume(dir, log_position)
         .map_err(|e| JournalError::Codec(CodecError::Io(e)))?;
-    let mut je = JournaledEngine::from_parts(
-        se,
-        wal,
-        ckpt,
-        cuts,
-        checkpoint_every_records,
-        report.checkpoint_wal_seq,
-    );
+    let mut je = JournaledEngine::from_parts(se, wal, ckpt, cuts, checkpoint_every_records);
     je.checkpoint()?;
     Ok((je, report))
 }

@@ -32,6 +32,9 @@ use pol_stream::{
 };
 use std::path::Path;
 
+mod common;
+use common::{segment_seqs, shuttle_engine, shuttle_ports, shuttle_report, shuttle_statics};
+
 fn window_inventory(n: usize, salt: u64) -> Inventory {
     let res = Resolution::new(6).unwrap();
     let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
@@ -437,55 +440,6 @@ fn checkpoint_save_fault_keeps_the_previous_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One cargo vessel shuttling between two ports two degrees apart, a
-/// report every ten minutes: its open passage grows for forty reports,
-/// then moves into `retained` at the far port — a checkpoint mid-leg
-/// has reports to append.
-fn shuttle_engine() -> StreamEngine {
-    StreamEngine::new(
-        &shuttle_statics(),
-        &shuttle_ports(),
-        StreamConfig::default(),
-    )
-}
-
-fn shuttle_statics() -> Vec<pol_ais::StaticReport> {
-    vec![pol_ais::StaticReport {
-        mmsi: Mmsi(200_000_001),
-        imo: None,
-        name: "SHUTTLE".to_string(),
-        ship_type: pol_ais::types::ShipTypeCode(70),
-        gross_tonnage: 30_000,
-    }]
-}
-
-fn shuttle_ports() -> Vec<PortSite> {
-    [10.0, 12.0]
-        .into_iter()
-        .enumerate()
-        .map(|(id, lon)| PortSite {
-            id: id as u16,
-            name: format!("PORT {id}"),
-            pos: LatLon::new(10.0, lon).unwrap(),
-            radius_km: 12.0,
-        })
-        .collect()
-}
-
-fn shuttle_report(step: i64) -> PositionReport {
-    let phase = step % 80;
-    let out = if phase <= 40 { phase } else { 80 - phase };
-    PositionReport {
-        mmsi: Mmsi(200_000_001),
-        timestamp: step * 600,
-        pos: LatLon::new(10.0, 10.0 + out as f64 / 20.0).unwrap(),
-        sog_knots: Some(18.0),
-        cog_deg: None,
-        heading_deg: None,
-        nav_status: NavStatus::UnderWayUsingEngine,
-    }
-}
-
 /// The checkpoint in `dir`, and what the engine says it should be.
 fn loaded_and_expected(
     dir: &Path,
@@ -768,6 +722,97 @@ fn a_compaction_that_dies_before_its_head_leaves_a_log_recovery_sweeps() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_failed_purge_keeps_the_checkpoint_and_the_next_one_removes_the_segment() {
+    let _chaos = exclusive();
+    let dir = fresh_dir("pol-stream-chaos-purge");
+    let seqs = |dir: &Path| -> Vec<u64> { segment_seqs(dir).into_iter().map(|(s, _)| s).collect() };
+    let cfg = WalConfig {
+        batch_records: 4,
+        group_commit_batches: 2,
+        max_segment_bytes: 600,
+    };
+    let mut je = JournaledEngine::create(&dir, shuttle_engine(), cfg, 0).unwrap();
+    for step in 0..200 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    let before = seqs(&dir);
+    assert!(before.len() >= 3, "the feed must rotate: {before:?}");
+
+    // The unlink of the oldest covered segment fails after the head has
+    // committed: the checkpoint stands, and the purge stops there.
+    configure("wal.purge", Trigger::OneShot(FaultAction::Err));
+    je.checkpoint().unwrap();
+    assert_eq!(stats("wal.purge").fired, 1);
+    remove("wal.purge");
+    let (loaded, want) = loaded_and_expected(&dir, &je);
+    assert_eq!(loaded, want);
+    let stats = je.checkpoint_stats();
+    assert_eq!((stats.segments_purged, stats.purge_failures), (0, 1));
+    assert_eq!(seqs(&dir)[0], before[0], "the segment stays on disk");
+    assert_eq!(WalReader::load(&dir).unwrap().records(), 200);
+
+    // The next checkpoint's purge removes it, and everything else its
+    // head covers, and leaves no gap.
+    for step in 200..210 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    je.checkpoint().unwrap();
+    let (loaded, want) = loaded_and_expected(&dir, &je);
+    assert_eq!(loaded, want);
+    let after = seqs(&dir);
+    assert!(after[0] <= loaded.wal_seq && after.get(1).is_none_or(|&s| s > loaded.wal_seq));
+    assert!(!after.contains(&before[0]));
+    let stats = je.checkpoint_stats();
+    assert_eq!(stats.purge_failures, 1);
+    assert!(stats.segments_purged as usize >= before.len() - 1);
+    let load = WalReader::load(&dir).unwrap();
+    assert_eq!(
+        load.batches[0].seq, after[0],
+        "the journal starts where it says"
+    );
+
+    // A purge that fails part-way keeps what it did: the segments left
+    // are the newest ones, contiguous.
+    for step in 210..400 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    let before = seqs(&dir);
+    assert!(before.len() >= 3, "the feed must rotate again: {before:?}");
+    configure(
+        "wal.purge",
+        Trigger::NthHit {
+            n: 2,
+            action: FaultAction::Err,
+        },
+    );
+    je.checkpoint().unwrap();
+    remove("wal.purge");
+    let after = seqs(&dir);
+    assert_eq!(after[0], before[1], "{before:?} -> {after:?}");
+    let stats = je.checkpoint_stats();
+    assert_eq!(stats.purge_failures, 2);
+    WalReader::load(&dir).unwrap();
+
+    // A crash now recovers every record pushed.
+    drop(je);
+    let (je, report) = recover(
+        &dir,
+        &Engine::new(1),
+        &shuttle_statics(),
+        &shuttle_ports(),
+        StreamConfig::default(),
+        cfg,
+        0,
+        None,
+    )
+    .unwrap();
+    assert_eq!(report.records_replayed, 0);
+    assert_eq!(je.counters().ingested, 400);
+    assert_eq!(seqs(&dir).len(), 1, "the recovery checkpoint purges");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The full sweep: crash the journaled pipeline at every WAL and
 /// checkpoint/publish failpoint, recover in place, resume the wire,
 /// and demand byte-identity with an uninterrupted run — inventory,
@@ -846,6 +891,10 @@ fn crash_at_every_failpoint_reconverges_byte_identically() {
         ("stream.checkpoint.compact", 1),
         ("stream.checkpoint.append", 1),
         ("stream.checkpoint.append", 5),
+        // A failed purge fails no call: the run goes on to the end of
+        // the wire with covered segments left behind, and is dropped.
+        ("wal.purge", 1),
+        ("wal.purge", 2),
     ];
     for &(name, n) in failpoints {
         let dir = fresh_dir(&format!(
@@ -935,9 +984,10 @@ fn crash_at_every_failpoint_reconverges_byte_identically() {
 
 /// The stateful model behind the two proptests below: what was pushed
 /// and accepted, how much of it a barrier has acknowledged, and the two
-/// laws checked against the directory at every crash — an acknowledged
-/// barrier's records load, and what loads is a prefix of what was
-/// pushed.
+/// laws checked against the directory at every crash — the records the
+/// checkpoint holds plus those that load from its `wal_seq` on are a
+/// prefix of what was pushed, and they cover every acknowledged record.
+/// (Without a checkpoint that is the whole journal.)
 mod model {
     use super::*;
 
@@ -990,27 +1040,35 @@ mod model {
         /// After a crash: checks the two laws against `dir`, and forgets
         /// what the crash lost. Returns the load for a resume.
         pub(super) fn crashed(&mut self, dir: &Path) -> Result<pol_stream::WalLoad, String> {
-            let load = WalReader::load(dir).map_err(|e| format!("load after crash: {e}"))?;
+            let (held, wal_seq) = checkpoint::load(&dir.join(CHECKPOINT_NAME))
+                .map_err(|e| format!("checkpoint after crash: {e}"))?
+                .map_or((0, 0), |state| (state.counters[0] as usize, state.wal_seq));
+            let load =
+                WalReader::load_from(dir, wal_seq).map_err(|e| format!("load after crash: {e}"))?;
+            if load.batches.first().is_some_and(|b| b.seq != wal_seq) {
+                return Err(format!("the load starts past the checkpoint's {wal_seq}"));
+            }
             let on_disk: Vec<PositionReport> = load
                 .batches
                 .iter()
                 .flat_map(|b| b.records.iter().copied())
                 .collect();
-            if on_disk.len() < self.acked {
+            let durable = held + on_disk.len();
+            if durable < self.acked {
                 return Err(format!(
-                    "a barrier acknowledged {} records and {} load",
+                    "a barrier acknowledged {} records and {held} + {} are durable",
                     self.acked,
                     on_disk.len()
                 ));
             }
-            if self.pushed.get(..on_disk.len()) != Some(&on_disk[..]) {
+            if self.pushed.get(held..durable) != Some(&on_disk[..]) {
                 return Err(format!(
-                    "{} records load and are no prefix of the {} pushed",
+                    "{held} checkpointed and {} loaded records are no prefix of the {} pushed",
                     on_disk.len(),
                     self.pushed.len()
                 ));
             }
-            self.pushed.truncate(on_disk.len());
+            self.pushed.truncate(durable);
             Ok(load)
         }
     }

@@ -20,7 +20,7 @@
 //! journal tails, and planted chain orphans.
 
 use pol_ais::PositionReport;
-use pol_core::codec::{columnar, manifest};
+use pol_core::codec::{columnar, manifest, wal};
 use pol_core::records::PortSite;
 use pol_core::{run_fused, PipelineConfig};
 use pol_engine::Engine;
@@ -32,6 +32,9 @@ use pol_stream::{
     WalConfig, WindowSpec,
 };
 use std::path::{Path, PathBuf};
+
+mod common;
+use common::{segment_seqs, shuttle_engine, shuttle_ports, shuttle_report, shuttle_statics};
 
 fn port_sites(radius_km: f64) -> Vec<PortSite> {
     WORLD_PORTS
@@ -507,25 +510,11 @@ fn recovery_without_windows_matches_ingest_recover_wrapper() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// First batch sequences of the journal segments in `dir`, ascending.
-fn segment_seqs(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut segments: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "polwal"))
-        .map(|p| {
-            let name = p.file_stem().unwrap().to_str().unwrap();
-            (name.strip_prefix("wal-").unwrap().parse().unwrap(), p)
-        })
-        .collect();
-    segments.sort();
-    segments
-}
-
 /// A quarter of the wire through a journal that rotates often, one
-/// checkpoint, another quarter, then a kill: sealed history before the
-/// checkpoint's segment and whole segments after it. Returns the
-/// checkpoint's `wal_seq`.
+/// checkpoint (which purges the sealed history before its segment),
+/// another quarter, then a kill: the checkpoint's segment is the oldest
+/// on disk, and whole segments follow it. Returns the checkpoint's
+/// `wal_seq`.
 fn killed_mid_wire(fx: &Fixture, dir: &Path) -> u64 {
     let se = StreamEngine::new(&fx.statics, &fx.ports, StreamConfig::default());
     let mut je = JournaledEngine::create(dir, se, wal_cfg(), 0).unwrap();
@@ -545,8 +534,9 @@ fn killed_mid_wire(fx: &Fixture, dir: &Path) -> u64 {
     let segments = segment_seqs(dir);
     let holds = segments.iter().rposition(|(seq, _)| *seq <= wal_seq);
     assert!(
-        holds.is_some_and(|at| at >= 1 && at + 1 < segments.len()),
-        "the checkpoint must sit between whole segments: {segments:?}, {wal_seq}"
+        holds == Some(0) && segments.len() > 2 && segments[0].0 > 0,
+        "the checkpoint's segment must be the oldest, history before it \
+         purged and whole segments after it: {segments:?}, {wal_seq}"
     );
     wal_seq
 }
@@ -571,21 +561,22 @@ fn recovery_reads_the_journal_from_the_checkpoints_segment_on() {
     let fx = fixture();
     let dir = fresh_dir("pol-recovery-suffix");
     let wal_seq = killed_mid_wire(&fx, &dir);
+    // The history before the checkpoint's segment is gone: the journal
+    // on disk is what recovery reads.
     let segments = segment_seqs(&dir);
-    let holds = segments
-        .iter()
-        .rposition(|(seq, _)| *seq <= wal_seq)
-        .unwrap();
-
-    // The history before that segment is not even opened: garbage in it
-    // fails a whole-journal load and leaves recovery untouched.
-    std::fs::write(&segments[0].1, b"not a journal segment").unwrap();
+    assert!(segments[0].0 <= wal_seq && segments[1].0 > wal_seq);
+    // History a failed purge left behind is not even opened: garbage in
+    // it fails a whole-journal load and leaves recovery untouched, and
+    // the recovery's own checkpoint purges it.
+    let stale = dir.join("wal-0000000000.polwal");
+    std::fs::write(&stale, b"not a journal segment").unwrap();
     assert!(pol_stream::WalReader::load(&dir).is_err());
     let report = recover_plain(&fx, &dir).unwrap();
     assert_eq!(report.checkpoint_wal_seq, wal_seq);
-    assert_eq!(report.segments, segments.len() - holds);
+    assert_eq!(report.segments, segments.len());
     let replayed = report.records_replayed as usize;
     assert!(replayed >= fx.wire.len() / 4 - 8 * 64 && replayed <= fx.wire.len() / 4);
+    assert!(!stale.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -611,13 +602,99 @@ fn a_checkpoint_ahead_of_the_journal_is_a_typed_error() {
     let fx = fixture();
     let dir = fresh_dir("pol-recovery-ahead");
     let wal_seq = killed_mid_wire(&fx, &dir);
-    assert!(wal_seq > 0);
-    // The journal loses its every segment past the first: it now ends
-    // before the batches the checkpoint says it has applied.
-    for (_, path) in &segment_seqs(&dir)[1..] {
+    // The checkpoint's segment loses every frame and the segments after
+    // it go: the journal now ends before the batches the checkpoint
+    // says it has applied.
+    let segments = segment_seqs(&dir);
+    let (first_seq, oldest) = &segments[0];
+    assert!(
+        *first_seq < wal_seq,
+        "the checkpoint must sit inside its segment"
+    );
+    for (_, path) in &segments[1..] {
         std::fs::remove_file(path).unwrap();
     }
+    let bytes = std::fs::read(oldest).unwrap();
+    let at = wal::MAGIC_WAL.len();
+    let header_len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    std::fs::write(oldest, &bytes[..at + 4 + header_len + 8]).unwrap();
     let err = recover_plain(&fx, &dir).unwrap_err();
     assert!(err.contains("checkpoint is ahead of the journal"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The shuttle through a journal that rotates every few frames, a
+/// checkpoint every 150 records: after each one the oldest segment on
+/// disk is the one that holds its `wal_seq`, and a crash after the last
+/// recovers to the uninterrupted run's bytes.
+#[test]
+fn every_checkpoint_trims_the_journal_to_the_segment_holding_its_wal_seq() {
+    let engine = Engine::new(2);
+    let cfg = WalConfig {
+        batch_records: 16,
+        group_commit_batches: 2,
+        max_segment_bytes: 1_024,
+    };
+    let feed: Vec<PositionReport> = (0..5_000).map(shuttle_report).collect();
+    let mut uninterrupted = shuttle_engine();
+    for &r in &feed {
+        uninterrupted.push(r);
+    }
+    let want = uninterrupted.close(&engine).unwrap().inventory;
+    assert!(want.total_records() > 0, "the shuttle must close passages");
+    let want = columnar::to_bytes(&want);
+
+    let dir = fresh_dir("pol-recovery-trim");
+    let mut je = JournaledEngine::create(&dir, shuttle_engine(), cfg, 0).unwrap();
+    let mut checkpoints = 0;
+    for (i, &r) in feed[..4_900].iter().enumerate() {
+        je.push(r).unwrap();
+        if (i + 1) % 150 > 0 {
+            continue;
+        }
+        je.checkpoint().unwrap();
+        checkpoints += 1;
+        let wal_seq = pol_stream::checkpoint::load(&dir.join(pol_stream::CHECKPOINT_NAME))
+            .unwrap()
+            .unwrap()
+            .wal_seq;
+        let segments = segment_seqs(&dir);
+        assert!(
+            segments[0].0 <= wal_seq && segments.get(1).is_none_or(|(seq, _)| *seq > wal_seq),
+            "checkpoint {checkpoints} at {wal_seq}: {segments:?}"
+        );
+    }
+    assert!(checkpoints >= 30);
+    let stats = je.checkpoint_stats();
+    assert_eq!(stats.purge_failures, 0);
+    assert!(
+        stats.segments_purged > checkpoints,
+        "{} segments purged",
+        stats.segments_purged
+    );
+    drop(je);
+
+    let (mut je, report) = recover(
+        &dir,
+        &engine,
+        &shuttle_statics(),
+        &shuttle_ports(),
+        StreamConfig::default(),
+        cfg,
+        0,
+        None,
+    )
+    .unwrap();
+    assert!(report.checkpoint_found);
+    assert!(
+        report.records_replayed > 0,
+        "the crash left a suffix to replay"
+    );
+    let resume_at = usize::try_from(je.counters().ingested).unwrap();
+    for &r in &feed[resume_at..] {
+        je.push(r).unwrap();
+    }
+    let out = je.close(&engine).unwrap();
+    assert_eq!(columnar::to_bytes(&out.inventory), want);
     std::fs::remove_dir_all(&dir).ok();
 }
