@@ -9,7 +9,8 @@
 #              workspace's deny-level clippy lints, rustdoc with its
 #              warnings denied, the quickstart example
 #              README.md quotes, the two wire
-#              examples (decode_nmea, pol-ais' wire_throughput), the paper's
+#              examples (decode_nmea, pol-ais' wire_throughput), pol-stream's
+#              recovery_phases (a crash recovered to byte identity), the paper's
 #              experiments (`polinv repro all`: every claim checked, the
 #              committed figures/ regenerated byte for byte), the
 #              repository's benchmark as a smoke on all four workloads,
@@ -94,6 +95,11 @@ run_gate() {
   cargo run -q --release --example decode_nmea
   echo "==> cargo run --release -p pol-ais --example wire_throughput"
   cargo run -q --release -p pol-ais --example wire_throughput
+  # A crash at 62.5 % of polbench's feed, recovered: prints where the
+  # recovery's time went and asserts the recovered run closes to an
+  # uninterrupted run's bytes. No time is checked.
+  echo "==> cargo run --release -p pol-stream --example recovery_phases"
+  cargo run -q --release -p pol-stream --example recovery_phases
 
   echo "==> polinv repro all (every paper claim holds; figures/ regenerates unchanged)"
   cargo run -q --release -p pol-bench --bin polinv -- repro all --out figures

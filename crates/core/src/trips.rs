@@ -28,10 +28,9 @@ pub struct Geofence {
 }
 
 impl Geofence {
-    /// Builds a geofence covering each port's radius with grid cells.
-    ///
-    /// Uses one resolution finer than cells-per-port would strictly need
-    /// so that small radii still get a few cells of coverage.
+    /// Builds a geofence covering each port's radius with cells of
+    /// `resolution`: every cell whose centre lies within the radius plus
+    /// one edge length, so a small radius still gets its centre cell.
     pub fn build(ports: &[PortSite], resolution: Resolution) -> Geofence {
         let edge = pol_hexgrid::avg_edge_length_km(resolution);
         let mut axial_to_port = FxHashMap::default();

@@ -5,7 +5,7 @@ use crate::index::{CellIndex, Resolution};
 use crate::lattice::{child_axial, parent_axial, Axial, Lattice};
 use pol_geo::project::{from_xy, to_xy, WorldXY};
 use pol_geo::{BBox, LatLon};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Returns the cell containing `p` at the given resolution.
 ///
@@ -109,10 +109,13 @@ pub fn grid_disk(origin: CellIndex, k: u32) -> Vec<CellIndex> {
     let res = origin.resolution();
     let oax = origin.axial();
     let mut out = Vec::with_capacity(1 + 3 * k as usize * (k as usize + 1));
-    let mut seen = HashSet::new();
+    // Everything the BFS reaches lies within k of `origin` along both
+    // axes, so a (2k+1)² bitmap centred on it marks what was seen.
+    let (k64, side) = (i64::from(k), 2 * k as usize + 1);
+    let mut seen = vec![false; side * side];
+    seen[side * side / 2] = true;
     let mut queue = VecDeque::new();
     queue.push_back((oax, 0u32));
-    seen.insert(oax);
     while let Some((ax, d)) = queue.pop_front() {
         if let Some(c) = CellIndex::from_axial(ax, res) {
             out.push(c);
@@ -122,7 +125,8 @@ pub fn grid_disk(origin: CellIndex, k: u32) -> Vec<CellIndex> {
         }
         for off in Axial::NEIGHBOR_OFFSETS {
             let n = ax + off;
-            if seen.insert(n) {
+            let at = (n.q - oax.q + k64) as usize * side + (n.r - oax.r + k64) as usize;
+            if !std::mem::replace(&mut seen[at], true) {
                 queue.push_back((n, d + 1));
             }
         }
@@ -186,6 +190,7 @@ mod tests {
     use super::*;
     use crate::stats::avg_edge_length_km;
     use pol_geo::haversine_km;
+    use std::collections::HashSet;
 
     fn ll(lat: f64, lon: f64) -> LatLon {
         LatLon::new(lat, lon).unwrap()

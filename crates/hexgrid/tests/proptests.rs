@@ -3,9 +3,10 @@
 use pol_geo::{haversine_km, LatLon};
 use pol_hexgrid::{
     avg_edge_length_km, cell_at, cell_boundary, cell_center, children, grid_disk, grid_distance,
-    neighbors, parent, parent_at, CellIndex, Resolution,
+    neighbors, parent, parent_at, Axial, CellIndex, Resolution,
 };
 use proptest::prelude::*;
+use std::collections::{HashSet, VecDeque};
 
 fn arb_latlon() -> impl Strategy<Value = LatLon> {
     // Shipping latitudes: the equal-area lattice distorts *shape* near the
@@ -15,6 +16,56 @@ fn arb_latlon() -> impl Strategy<Value = LatLon> {
 
 fn arb_res() -> impl Strategy<Value = Resolution> {
     (0u8..=9).prop_map(|r| Resolution::new(r).unwrap())
+}
+
+/// Disk origins anywhere, in the polar rows, or on the antimeridian
+/// seam: the last two are where `CellIndex::from_axial` finds no cell
+/// for part of a disk.
+fn arb_disk_origin() -> impl Strategy<Value = LatLon> {
+    (0u8..3, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(region, a, b)| {
+        let (lat, lon) = match region {
+            0 => (-90.0 + 180.0 * a, -180.0 + 360.0 * b),
+            1 => ((80.0 + 10.0 * a).copysign(b - 0.5), -180.0 + 360.0 * b),
+            _ => (-80.0 + 160.0 * a, (178.0 + 2.0 * b).copysign(a - 0.5)),
+        };
+        LatLon::new(lat, lon).unwrap()
+    })
+}
+
+/// `grid_disk` as it was before it marked cells in a bitmap: the same
+/// BFS over a `HashSet` of the axial coordinates reached. The oracle the
+/// bitmap form must match cell for cell, in order.
+fn grid_disk_hashset(origin: CellIndex, k: u32) -> Vec<CellIndex> {
+    let res = origin.resolution();
+    let mut out = Vec::new();
+    let mut seen = HashSet::from([origin.axial()]);
+    let mut queue = VecDeque::from([(origin.axial(), 0u32)]);
+    while let Some((ax, d)) = queue.pop_front() {
+        out.extend(CellIndex::from_axial(ax, res));
+        if d == k {
+            continue;
+        }
+        for off in Axial::NEIGHBOR_OFFSETS {
+            if seen.insert(ax + off) {
+                queue.push_back((ax + off, d + 1));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn the_disk_origins_reach_cells_from_axial_skips() {
+    // The generator's polar and seam regions are not vacuous: at the
+    // coarsest resolution a disk there comes out short of the hexagonal
+    // number.
+    let res = Resolution::new(0).unwrap();
+    for (lat, lon) in [(89.9, 0.0), (-89.9, 120.0), (0.0, 179.9), (40.0, -179.9)] {
+        let c = cell_at(LatLon::new(lat, lon).unwrap(), res);
+        let disk = grid_disk(c, 4);
+        assert!(disk.len() < 61, "({lat}, {lon}): {} cells", disk.len());
+        assert_eq!(disk, grid_disk_hashset(c, 4));
+    }
 }
 
 proptest! {
@@ -110,6 +161,12 @@ proptest! {
         for m in &disk {
             prop_assert!(grid_distance(c, *m).unwrap() <= k as u64);
         }
+    }
+
+    #[test]
+    fn disk_bitmap_matches_the_hashset_bfs(p in arb_disk_origin(), res in arb_res(), k in 0u32..=8) {
+        let c = cell_at(p, res);
+        prop_assert_eq!(grid_disk(c, k), grid_disk_hashset(c, k));
     }
 
     #[test]

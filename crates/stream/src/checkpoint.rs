@@ -546,8 +546,8 @@ fn encode_head(
 
 /// A decoded head: the state with every session's two logged vectors
 /// still empty, and what the log must fill them with.
-struct Head {
-    state: EngineState,
+pub(crate) struct Head {
+    pub(crate) state: EngineState,
     log_id: u64,
     log_len: u64,
     /// Per session of `state`, in order: `(passage reports, cell
@@ -710,17 +710,19 @@ pub(crate) struct LogPosition {
     marks: FxHashMap<u32, Mark>,
 }
 
-/// Loads the checkpoint whose head is at `head_path` and whose log is
-/// its sibling. `Ok(None)` when no head exists.
-pub(crate) fn load_with_log(
-    head_path: &Path,
-) -> Result<Option<(EngineState, LogPosition)>, CodecError> {
-    let head = match std::fs::read(head_path) {
-        Ok(b) => decode_head(&b)?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(CodecError::Io(e)),
-    };
-    let dir = head_path.parent().unwrap_or_else(|| Path::new("."));
+/// Reads and unseals the checkpoint head at `head_path`. `Ok(None)` when
+/// no head exists.
+pub(crate) fn read_head(head_path: &Path) -> Result<Option<Head>, CodecError> {
+    match std::fs::read(head_path) {
+        Ok(b) => decode_head(&b).map(Some),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(CodecError::Io(e)),
+    }
+}
+
+/// Reads the committed prefix of the log `head` names, in `dir`, into
+/// its state, proving the log yields what the head recorded.
+pub(crate) fn load_log(head: Head, dir: &Path) -> Result<(EngineState, LogPosition), CodecError> {
     let log = std::fs::read(dir.join(log_name(head.log_id)))?;
     // Bytes past the committed length are a dead checkpoint's orphan
     // tail; fewer than it is a log the head never saw.
@@ -758,7 +760,7 @@ pub(crate) fn load_with_log(
         dead,
         marks,
     };
-    Ok(Some((state, position)))
+    Ok((state, position))
 }
 
 /// Loads the checkpoint whose head is at `path` (its log is found beside
@@ -767,7 +769,9 @@ pub(crate) fn load_with_log(
 /// journal from record zero. Reads only: an orphan log tail is skipped
 /// here and truncated by recovery.
 pub fn load(path: &Path) -> Result<Option<EngineState>, CodecError> {
-    Ok(load_with_log(path)?.map(|(state, _)| state))
+    let dir = path.parent().unwrap_or_else(|| Path::new("."));
+    let loaded = read_head(path)?.map(|head| load_log(head, dir));
+    Ok(loaded.transpose()?.map(|(state, _)| state))
 }
 
 /// What the checkpoints of one [`JournaledEngine`] have cost so far.
@@ -1299,7 +1303,7 @@ mod tests {
         std::fs::write(dir.join(log_name(2)), &bytes).unwrap();
         assert_eq!(load(&head).unwrap().unwrap(), want, "a load skips the tail");
 
-        let (state, position) = load_with_log(&head).unwrap().unwrap();
+        let (state, position) = load_log(read_head(&head).unwrap().unwrap(), &dir).unwrap();
         assert_eq!(state, want);
         let writer = CheckpointWriter::resume(&dir, Some(position)).unwrap();
         assert_eq!(std::fs::metadata(log_path(&dir)).unwrap().len(), committed);

@@ -423,13 +423,22 @@ impl StreamEngine {
         cfg: StreamConfig,
         state: crate::checkpoint::EngineState,
     ) -> Result<StreamEngine, &'static str> {
-        if state.resolution != cfg.pipeline.resolution.level() {
+        StreamEngine::new(statics, ports, cfg).restore(state)
+    }
+
+    /// The second half of [`from_state`](Self::from_state), on a skeleton
+    /// from [`new`](Self::new) that recovery builds while it reads the log.
+    pub(crate) fn restore(
+        self,
+        state: crate::checkpoint::EngineState,
+    ) -> Result<StreamEngine, &'static str> {
+        if state.resolution != self.cfg.pipeline.resolution.level() {
             return Err("checkpoint grid resolution does not match the configured pipeline");
         }
-        if state.reorder_bound_secs != cfg.reorder_bound_secs {
+        if state.reorder_bound_secs != self.cfg.reorder_bound_secs {
             return Err("checkpoint reorder bound does not match the configured pipeline");
         }
-        let mut engine = StreamEngine::new(statics, ports, cfg);
+        let mut engine = self;
         engine.arrival_seq = state.arrival_seq;
         engine.max_event_ts = state.max_event_ts;
         let [ingested, out_of_range, non_commercial, released, late_dropped, trips_finalized, trip_points] =

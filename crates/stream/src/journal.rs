@@ -43,7 +43,11 @@
 //!
 //! Recovery (in [`crate::recover`](mod@crate::recover)) is the inverse: newest checkpoint,
 //! plus a replay of the journal suffix, reconverges byte-identically —
-//! pinned by the crash-point sweep in `tests/recovery.rs`.
+//! pinned by the crash-point sweep in `tests/recovery.rs`. It writes no
+//! checkpoint of its own: the records it replayed count toward the
+//! cadence, so the first checkpoint after it comes where an
+//! uninterrupted run's would, and until then a second crash replays
+//! the same suffix from the same checkpoint.
 
 use crate::checkpoint::{CheckpointStats, CheckpointWriter};
 use crate::ingest::{IngestCounters, StreamEngine, StreamOutput};
@@ -803,13 +807,15 @@ impl JournaledEngine {
     }
 
     /// Assembles a journaled engine from recovered parts (the
-    /// [`crate::recover`] constructor).
+    /// [`crate::recover`] constructor); `records_replayed` counts toward
+    /// the checkpoint cadence.
     pub(crate) fn from_parts(
         engine: StreamEngine,
         wal: WalWriter,
         ckpt: CheckpointWriter,
         window_cuts: u64,
         checkpoint_every_records: u64,
+        records_replayed: u64,
     ) -> JournaledEngine {
         JournaledEngine {
             engine,
@@ -818,7 +824,7 @@ impl JournaledEngine {
             window_cuts,
             uncut: None,
             checkpoint_every_records,
-            records_since_checkpoint: 0,
+            records_since_checkpoint: records_replayed,
             checkpoints_written: 0,
         }
     }

@@ -1,11 +1,14 @@
 //! Crash recovery: checkpoint restore plus journal-suffix replay.
 //!
 //! [`recover`] rebuilds a [`JournaledEngine`] from a journal directory
-//! after a crash, in four steps:
+//! after a crash, in five steps:
 //!
-//! 1. **restore** — load the checkpoint (head plus the committed prefix
-//!    of its log, if any) and rebuild the engine from it
-//!    ([`StreamEngine::from_state`]); with no checkpoint, start empty;
+//! 1. **restore** — read and unseal the checkpoint head, then on three
+//!    threads at once decode the committed prefix of its log, load the
+//!    journal (step 2) and build the engine skeleton
+//!    ([`StreamEngine::new`]), and restore the checkpoint into it (as
+//!    [`StreamEngine::from_state`] does). Errors are reported in that
+//!    order — head, log, journal, skeleton — once every thread is done;
 //! 2. **read** — load the journal from the segment that holds the
 //!    checkpoint's `wal_seq` onward ([`WalReader::load_from`]; every
 //!    checkpoint purges the sealed segments before it, and one a failed
@@ -26,24 +29,30 @@
 //!    the durable bytes identical); the first missing generation
 //!    onward is published. Orphaned snapshots from a publish that died
 //!    before its manifest commit are swept by
-//!    [`DeltaPublisher::open`].
+//!    [`DeltaPublisher::open`];
+//! 5. **reopen** — repair and reopen the journal tail, cut the
+//!    checkpoint log back to its committed length and sweep any unnamed
+//!    sibling. No checkpoint is written (DESIGN.md §10 says why that is
+//!    safe): the replayed records count toward the cadence, whose next
+//!    checkpoint bounds replay and purges the segments behind it.
 //!
-//! The returned engine has a repaired, appendable journal tail, a
-//! checkpoint log cut back to its committed length (and no unnamed
-//! sibling) and a fresh checkpoint (so repeated crashes pay a bounded
-//! replay, not a compounding one, and the segments it covers are
-//! purged like any checkpoint's), and continues exactly where the wire
-//! left off: the caller resumes pushing at record `counters().ingested`.
+//! The returned engine continues exactly where the wire left off: the
+//! caller resumes pushing at record `counters().ingested`.
+//! [`RecoveryReport`] says what each of steps 1, 2, 3 and 5 took.
 
 use crate::checkpoint::{self, CheckpointWriter, CHECKPOINT_NAME};
 use crate::delta::{DeltaPublisher, PublishOutcome};
 use crate::ingest::{StreamConfig, StreamEngine};
 use crate::journal::{JournalError, JournaledEngine, WalConfig, WalReader, WalWriter};
 use pol_ais::StaticReport;
+use pol_core::codec::wal::WalError;
 use pol_core::codec::CodecError;
 use pol_core::records::PortSite;
 use pol_engine::Engine;
+use std::panic::resume_unwind;
 use std::path::Path;
+use std::thread::{Builder, ScopedJoinHandle};
+use std::time::{Duration, Instant};
 
 /// The delta-window schedule, shared by the live driver and recovery
 /// replay: window `k` (generation `k`) is cut when the watermark
@@ -91,6 +100,14 @@ pub struct RecoveryReport {
     pub deltas_already_durable: u64,
     /// Total window cuts after replay.
     pub window_cuts: u64,
+    /// Wall time of steps 1 and 2: head, log, journal and skeleton.
+    pub restore: Duration,
+    /// Wall time of step 2 alone, on its own thread inside `restore`.
+    pub journal_load: Duration,
+    /// Wall time of steps 3 and 4: replay and its window cuts.
+    pub replay: Duration,
+    /// Wall time of step 5.
+    pub reopen: Duration,
 }
 
 /// Re-derives every cut the current watermark allows, reconciling each
@@ -118,7 +135,7 @@ fn run_cuts(
 }
 
 /// Recovers a journaled engine from `dir` (see the module docs for the
-/// four steps). `windows` carries the delta chain to reconcile against
+/// steps). `windows` carries the delta chain to reconcile against
 /// and the cut schedule; without it, replay rebuilds engine state only
 /// and no windows are cut.
 #[allow(clippy::too_many_arguments)]
@@ -132,13 +149,27 @@ pub fn recover(
     checkpoint_every_records: u64,
     mut windows: Option<(&mut DeltaPublisher, WindowSpec)>,
 ) -> Result<(JournaledEngine, RecoveryReport), JournalError> {
-    let (ckpt, log_position) = checkpoint::load_with_log(&dir.join(CHECKPOINT_NAME))?.unzip();
-    let applied_seq = ckpt.as_ref().map_or(0, |state| state.wal_seq);
+    let started = Instant::now();
+    let head = checkpoint::read_head(&dir.join(CHECKPOINT_NAME))?;
+    let applied_seq = head.as_ref().map_or(0, |head| head.state.wal_seq);
+    // The log, the journal and the skeleton do not depend on one another:
+    // each is read or built on a thread of its own.
+    let (restored, load, skeleton) = std::thread::scope(|s| {
+        let load = Builder::new().spawn_scoped(s, || {
+            let started = Instant::now();
+            WalReader::load_from(dir, applied_seq).map(|load| (load, started.elapsed()))
+        });
+        let skeleton = Builder::new().spawn_scoped(s, || StreamEngine::new(statics, ports, cfg));
+        let restored = head.map(|head| checkpoint::load_log(head, dir)).transpose();
+        (restored, joined(load), joined(skeleton))
+    });
+    let (ckpt, log_position) = restored?.unzip();
+    let (load, journal_load) = load??;
+    let skeleton = skeleton?;
     // A purged journal must still reach back to the checkpoint
     // (`load_from` refuses one that does not), and the checkpoint cannot
     // claim batches the journal never made durable: the two must
     // describe one history.
-    let load = WalReader::load_from(dir, applied_seq)?;
     if applied_seq > load.next_seq {
         return Err(JournalError::State("checkpoint is ahead of the journal"));
     }
@@ -148,19 +179,17 @@ pub fn recover(
         checkpoint_wal_seq: applied_seq,
         torn_bytes: load.torn_bytes,
         segments: load.segments,
+        journal_load,
         ..RecoveryReport::default()
     };
 
     let (mut se, mut cuts) = match ckpt {
         Some(state) => {
             let cuts = state.window_cuts;
-            let se = StreamEngine::from_state(statics, ports, cfg, state)
-                .map_err(JournalError::State)?;
-            (se, cuts)
+            (skeleton.restore(state).map_err(JournalError::State)?, cuts)
         }
-        None => (StreamEngine::new(statics, ports, cfg), 0),
+        None => (skeleton, 0),
     };
-
     if let Some((publisher, _)) = windows.as_ref() {
         if cuts > publisher.chain_len() as u64 {
             return Err(JournalError::State(
@@ -168,6 +197,7 @@ pub fn recover(
             ));
         }
     }
+    report.restore = started.elapsed();
 
     // Replay the journal suffix, re-deriving window cuts at the same
     // record boundaries the pre-crash run used. The initial cut pass
@@ -186,14 +216,23 @@ pub fn recover(
         }
     }
     report.window_cuts = cuts;
+    report.replay = started.elapsed() - report.restore;
 
-    // Reopen the tail for appending (repairing any torn bytes) and
-    // immediately re-checkpoint: a second crash replays from here, not
-    // from the pre-crash checkpoint — recovery cost stays bounded.
+    // Reopen the tail for appending (repairing any torn bytes) and the
+    // checkpoint log. No checkpoint is written here: the replayed
+    // records count toward the cadence, which takes the next one.
     let wal = WalWriter::resume(dir, wal_cfg, &load)?;
     let ckpt = CheckpointWriter::resume(dir, log_position)
         .map_err(|e| JournalError::Codec(CodecError::Io(e)))?;
-    let mut je = JournaledEngine::from_parts(se, wal, ckpt, cuts, checkpoint_every_records);
-    je.checkpoint()?;
+    let every = checkpoint_every_records;
+    let je = JournaledEngine::from_parts(se, wal, ckpt, cuts, every, report.records_replayed);
+    report.reopen = started.elapsed() - report.restore - report.replay;
     Ok((je, report))
+}
+
+/// What a recovery thread returned, or why it never ran; a panic in it
+/// goes on unwinding here.
+fn joined<T>(thread: std::io::Result<ScopedJoinHandle<'_, T>>) -> Result<T, JournalError> {
+    let thread = thread.map_err(|e| JournalError::Wal(WalError::Io(e)))?;
+    Ok(thread.join().unwrap_or_else(|panic| resume_unwind(panic)))
 }

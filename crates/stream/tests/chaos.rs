@@ -613,9 +613,9 @@ fn a_kill_between_log_sync_and_head_rename_leaves_a_tail_recovery_truncates() {
         .unwrap();
     assert_eq!(orphaned, first, "the tail is no part of the checkpoint");
 
-    // Recovery replays the journal past the first checkpoint, cuts the
-    // tail off and appends its own checkpoint where the tail was.
-    let (je, report) = recover(
+    // Recovery replays the journal past the first checkpoint and cuts the
+    // tail off; the next checkpoint appends where the tail was.
+    let (mut je, report) = recover(
         &dir,
         &Engine::new(1),
         &shuttle_statics(),
@@ -628,6 +628,11 @@ fn a_kill_between_log_sync_and_head_rename_leaves_a_tail_recovery_truncates() {
     .unwrap();
     assert!(report.checkpoint_found);
     assert_eq!(report.records_replayed, 15);
+    assert_eq!(
+        std::fs::metadata(checkpoint_log(&dir)).unwrap().len(),
+        committed
+    );
+    je.checkpoint().unwrap();
     let (recovered, want) = loaded_and_expected(&dir, &je);
     assert_eq!(recovered, want);
     let stats = je.checkpoint_stats();
@@ -704,6 +709,11 @@ fn a_compaction_that_dies_before_its_head_leaves_a_log_recovery_sweeps() {
     .unwrap();
     assert_eq!(report.records_replayed, 40);
     assert_eq!(logs(&dir), 1, "the unnamed log is swept");
+    let after = checkpoint::load(&dir.join(CHECKPOINT_NAME))
+        .unwrap()
+        .unwrap();
+    assert_eq!(after, first, "recovery writes no checkpoint");
+    je.checkpoint().unwrap();
     let (recovered, want) = loaded_and_expected(&dir, &je);
     assert_eq!(recovered, want);
 
@@ -796,7 +806,7 @@ fn a_failed_purge_keeps_the_checkpoint_and_the_next_one_removes_the_segment() {
 
     // A crash now recovers every record pushed.
     drop(je);
-    let (je, report) = recover(
+    let (mut je, report) = recover(
         &dir,
         &Engine::new(1),
         &shuttle_statics(),
@@ -809,7 +819,13 @@ fn a_failed_purge_keeps_the_checkpoint_and_the_next_one_removes_the_segment() {
     .unwrap();
     assert_eq!(report.records_replayed, 0);
     assert_eq!(je.counters().ingested, 400);
-    assert_eq!(seqs(&dir).len(), 1, "the recovery checkpoint purges");
+    assert!(seqs(&dir).len() > 1, "recovery purges nothing");
+    je.checkpoint().unwrap();
+    assert_eq!(
+        seqs(&dir).len(),
+        1,
+        "the first checkpoint after recovery purges"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1169,7 +1185,8 @@ mod stateful {
                             m.pushed.len()
                         ));
                     }
-                    // Recovery ends in a checkpoint: a barrier.
+                    // What recovery replayed it read from the journal on
+                    // disk, where the next crash finds it again: a barrier.
                     m.barrier(true);
                     je = Some(recovered);
                     armed = faults.next().map(model::arm);

@@ -440,8 +440,9 @@ fn double_crash_recovers_from_the_recovery_checkpoint() {
             step(&mut je, &mut publisher, &fx.spec, &engine, r);
         }
     }
-    // Third life: recover again — the recovery checkpoint written by
-    // life two bounds this replay — and finish.
+    // Third life: recover again — the checkpoints life two's cadence
+    // wrote (its replayed records counted toward the first) bound this
+    // replay — and finish.
     let (mut publisher, _) = DeltaPublisher::open(&dir).unwrap();
     let (mut je, report) = recover(
         &dir,
@@ -454,7 +455,7 @@ fn double_crash_recovers_from_the_recovery_checkpoint() {
         Some((&mut publisher, fx.spec)),
     )
     .unwrap();
-    assert!(report.checkpoint_found, "life two re-checkpointed");
+    assert!(report.checkpoint_found, "life two checkpointed");
     let resume_at = usize::try_from(je.counters().ingested).unwrap();
     for &r in &fx.wire[resume_at..] {
         step(&mut je, &mut publisher, &fx.spec, &engine, r);
@@ -566,16 +567,29 @@ fn recovery_reads_the_journal_from_the_checkpoints_segment_on() {
     let segments = segment_seqs(&dir);
     assert!(segments[0].0 <= wal_seq && segments[1].0 > wal_seq);
     // History a failed purge left behind is not even opened: garbage in
-    // it fails a whole-journal load and leaves recovery untouched, and
-    // the recovery's own checkpoint purges it.
+    // it fails a whole-journal load and leaves recovery untouched.
+    // Recovery writes no checkpoint, so the segment survives it; the
+    // next checkpoint's purge removes it.
     let stale = dir.join("wal-0000000000.polwal");
     std::fs::write(&stale, b"not a journal segment").unwrap();
     assert!(pol_stream::WalReader::load(&dir).is_err());
-    let report = recover_plain(&fx, &dir).unwrap();
+    let (mut je, report) = recover(
+        &dir,
+        &Engine::new(2),
+        &fx.statics,
+        &fx.ports,
+        StreamConfig::default(),
+        wal_cfg(),
+        0,
+        None,
+    )
+    .unwrap();
     assert_eq!(report.checkpoint_wal_seq, wal_seq);
     assert_eq!(report.segments, segments.len());
     let replayed = report.records_replayed as usize;
     assert!(replayed >= fx.wire.len() / 4 - 8 * 64 && replayed <= fx.wire.len() / 4);
+    assert!(stale.exists());
+    je.checkpoint().unwrap();
     assert!(!stale.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -696,5 +710,176 @@ fn every_checkpoint_trims_the_journal_to_the_segment_holding_its_wal_seq() {
     }
     let out = je.close(&engine).unwrap();
     assert_eq!(columnar::to_bytes(&out.inventory), want);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovery writes no checkpoint, so a crash right after it, before a
+/// record is pushed, recovers again from the same checkpoint: the same
+/// suffix replayed, the windows it cut found durable, and the run closes
+/// to the uninterrupted run's bytes.
+#[test]
+fn a_crash_right_after_recovery_recovers_to_the_same_bytes() {
+    let fx = fixture();
+    let oracle_dir = fresh_dir("pol-recovery-again-oracle");
+    let oracle = uninterrupted(&fx, &oracle_dir, 250);
+    let dir = fresh_dir("pol-recovery-again");
+    let engine = Engine::new(2);
+    {
+        let se = StreamEngine::new(&fx.statics, &fx.ports, StreamConfig::default());
+        let mut je = JournaledEngine::create(&dir, se, wal_cfg(), 250).unwrap();
+        let mut publisher = DeltaPublisher::create(&dir);
+        for &r in &fx.wire[..fx.wire.len() / 2] {
+            step(&mut je, &mut publisher, &fx.spec, &engine, r);
+        }
+    }
+    let recover_here = |dir: &Path| {
+        let (mut publisher, _) = DeltaPublisher::open(dir).unwrap();
+        let (je, report) = recover(
+            dir,
+            &engine,
+            &fx.statics,
+            &fx.ports,
+            StreamConfig::default(),
+            wal_cfg(),
+            250,
+            Some((&mut publisher, fx.spec)),
+        )
+        .unwrap();
+        (publisher, je, report)
+    };
+    let (_, je, first) = recover_here(&dir);
+    assert!(first.checkpoint_found && first.records_replayed > 0);
+    drop(je);
+    let (mut publisher, mut je, again) = recover_here(&dir);
+    assert_eq!(again.checkpoint_wal_seq, first.checkpoint_wal_seq);
+    assert_eq!(again.records_replayed, first.records_replayed);
+    assert_eq!(again.window_cuts, first.window_cuts);
+    assert_eq!(again.deltas_published, 0);
+    assert_eq!(
+        again.deltas_already_durable,
+        first.deltas_published + first.deltas_already_durable
+    );
+    let resume_at = usize::try_from(je.counters().ingested).unwrap();
+    for &r in &fx.wire[resume_at..] {
+        step(&mut je, &mut publisher, &fx.spec, &engine, r);
+    }
+    let out = je.close(&engine).unwrap();
+    let recovered = RunResult {
+        inventory_bytes: columnar::to_bytes(&out.inventory),
+        counters: out.counters,
+        chain_files: chain_files(&dir),
+    };
+    assert_converged(&oracle, &recovered, "crash right after recovery");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&oracle_dir).ok();
+}
+
+/// The records recovery replays count toward the cadence: with R of
+/// them, the first automatic checkpoint comes after 250 − R pushes, at
+/// the record an uninterrupted run's would.
+#[test]
+fn the_first_checkpoint_after_recovery_keeps_the_cadence() {
+    let cfg = WalConfig {
+        batch_records: 16,
+        group_commit_batches: 2,
+        max_segment_bytes: 4_096,
+    };
+    let dir = fresh_dir("pol-recovery-cadence-kept");
+    {
+        let mut je = JournaledEngine::create(&dir, shuttle_engine(), cfg, 250).unwrap();
+        for step in 0..600 {
+            je.push(shuttle_report(step)).unwrap();
+        }
+        assert_eq!(je.checkpoints_written(), 2);
+    }
+    let (mut je, report) = recover(
+        &dir,
+        &Engine::new(1),
+        &shuttle_statics(),
+        &shuttle_ports(),
+        StreamConfig::default(),
+        cfg,
+        250,
+        None,
+    )
+    .unwrap();
+    let replayed = report.records_replayed;
+    assert!(replayed > 0 && replayed < 250, "{replayed} replayed");
+    assert_eq!(je.counters().ingested, 500 + replayed);
+    assert_eq!(je.records_since_checkpoint(), replayed);
+    let head = dir.join(pol_stream::CHECKPOINT_NAME);
+    let ingested_at_checkpoint = || {
+        pol_stream::checkpoint::load(&head)
+            .unwrap()
+            .unwrap()
+            .counters[0]
+    };
+    for step in 500 + replayed..749 {
+        je.push(shuttle_report(step as i64)).unwrap();
+    }
+    assert_eq!(je.checkpoints_written(), 0, "one push early");
+    assert_eq!(ingested_at_checkpoint(), 500);
+    je.push(shuttle_report(749)).unwrap();
+    assert_eq!(je.checkpoints_written(), 1);
+    assert_eq!(je.records_since_checkpoint(), 0);
+    assert_eq!(ingested_at_checkpoint(), 750);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint log that fails its CRC is the checkpoint's typed error,
+/// whether the journal beside it is sound or not: the log's error is
+/// reported before the journal's, once both readers are done.
+#[test]
+fn a_corrupt_checkpoint_log_is_its_typed_error_and_not_a_hang() {
+    let dir = fresh_dir("pol-recovery-corrupt-log");
+    {
+        let mut je =
+            JournaledEngine::create(&dir, shuttle_engine(), WalConfig::default(), 0).unwrap();
+        for step in 0..120 {
+            je.push(shuttle_report(step)).unwrap();
+        }
+        je.checkpoint().unwrap();
+        for step in 120..150 {
+            je.push(shuttle_report(step)).unwrap();
+        }
+    }
+    let log = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "polckl"))
+        .unwrap();
+    let mut bytes = std::fs::read(&log).unwrap();
+    bytes[16 + 8 + 4] ^= 0x20;
+    std::fs::write(&log, &bytes).unwrap();
+    let recover_in = |dir: PathBuf| {
+        let (done, answer) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let recovered = recover(
+                &dir,
+                &Engine::new(1),
+                &shuttle_statics(),
+                &shuttle_ports(),
+                StreamConfig::default(),
+                WalConfig::default(),
+                0,
+                None,
+            );
+            done.send(recovered.map(|_| ()).map_err(|e| e.to_string()))
+        });
+        answer
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("recovery returns within a minute")
+    };
+    let sound = recover_in(dir.clone()).unwrap_err();
+    assert!(sound.contains("checkpoint-frame"), "{sound}");
+    // Now the journal is unsound too — purged past any checkpoint — and
+    // the checkpoint's error still wins.
+    for (_, path) in segment_seqs(&dir) {
+        std::fs::remove_file(path).unwrap();
+    }
+    std::fs::write(dir.join("wal-0001000000.polwal"), b"not a journal segment").unwrap();
+    assert!(pol_stream::WalReader::load_from(&dir, 0).is_err());
+    let both = recover_in(dir.clone()).unwrap_err();
+    assert_eq!(both, sound);
     std::fs::remove_dir_all(&dir).ok();
 }
