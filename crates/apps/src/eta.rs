@@ -57,7 +57,8 @@ impl Merged {
     /// Folds in one cell's arrival statistics; an absent cell, one
     /// without arrivals or one whose bytes do not decode adds nothing.
     fn add(&mut self, summary: Option<Summary<'_>>) {
-        let Some(Ok((ata, mut q))) = summary.map(|s| s.arrival()) else {
+        let Some(Ok((ata, quantiles))) = summary.map(|s| s.arrival_quantiles([0.1, 0.5, 0.9]))
+        else {
             return;
         };
         let n = ata.count();
@@ -66,9 +67,7 @@ impl Merged {
         }
         self.mean_sum += ata.mean().unwrap_or(0.0) * n as f64;
         self.samples += n;
-        if let (Some(p10), Some(p50), Some(p90)) =
-            (q.quantile(0.1), q.quantile(0.5), q.quantile(0.9))
-        {
+        if let [Some(p10), Some(p50), Some(p90)] = quantiles {
             self.weight += n as f64;
             for (sum, p) in self.quantile_sums.iter_mut().zip([p10, p50, p90]) {
                 *sum += p * n as f64;

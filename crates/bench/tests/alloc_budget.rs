@@ -172,3 +172,89 @@ fn wire_decode_allocations_stay_pinned() {
         "parse + push of a warm two-fragment message allocated"
     );
 }
+
+/// A frame's ETA and prediction children, answered into a warm reply
+/// buffer from a mapped fleetsim snapshot: the estimators read the
+/// fields they need straight off the mapped bytes, rank in place and
+/// write the reply where it goes, so neither allocates (an ETA built a
+/// quantile sketch's tuple vector, a four-point prediction ten vectors
+/// and a hash map).
+#[test]
+fn eta_and_prediction_children_allocate_nothing() {
+    use pol_core::features::GroupKey;
+    use pol_hexgrid::cell_center;
+    use pol_serve::proto::encode_response;
+    use pol_serve::{InventoryService, Request, Response, ServerConfig, ServerMetrics};
+    use std::sync::Arc;
+
+    let ds = generate(&ScenarioConfig::tiny());
+    let cfg = PipelineConfig::default();
+    let ports = port_sites(cfg.port_radius_km);
+    let built = pol_core::run_fused(&Engine::new(2), ds.positions, &ds.statics, &ports, &cfg)
+        .expect("the scenario builds");
+    let dir = std::env::temp_dir().join(format!("pol-alloc-budget-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let path = dir.join("inv.pol3");
+    columnar::save(&built.inventory, &path).expect("saved");
+    let service = InventoryService::open_snapshot(
+        &path,
+        &ServerConfig::default(),
+        Arc::new(ServerMetrics::new()),
+    )
+    .expect("maps");
+    assert!(service.store().is_mapped(), "served from a live mapping");
+
+    let centre = |c| {
+        let p = cell_center(c);
+        (p.lat(), p.lon())
+    };
+    let mut routes: Vec<_> = (built.inventory.iter())
+        .filter_map(|(key, _)| match *key {
+            GroupKey::CellRoute(c, o, d, s) => Some((c.raw(), o, d, s.id(), c, s)),
+            _ => None,
+        })
+        .collect();
+    routes.sort_unstable_by_key(|r| (r.0, r.1, r.2, r.3));
+    let etas = routes.iter().map(|&(_, origin, dest, _, cell, segment)| {
+        let (lat, lon) = centre(cell);
+        Request::Eta {
+            lat,
+            lon,
+            segment: Some(segment),
+            route: Some((origin, dest)),
+        }
+    });
+    // An estimate from the vessel's own cell: a widening walks grid
+    // disks, which build their own sets.
+    let eta = etas
+        .filter(|req| matches!(service.execute(req), Response::Eta(Some(e)) if e.widened == 0))
+        .nth(3)
+        .expect("an estimate from a cell's own route summary");
+    let track = routes
+        .iter()
+        .step_by(7)
+        .take(4)
+        .map(|r| centre(r.4))
+        .collect();
+    let predict = Request::PredictDestination {
+        segment: None,
+        top_n: 3,
+        track,
+    };
+    assert!(
+        matches!(service.execute(&predict), Response::Destinations(ref d) if !d.is_empty()),
+        "the track votes"
+    );
+
+    let mut out = Vec::new();
+    for (name, req) in [("eta", &eta), ("four-point prediction", &predict)] {
+        // Warm-up: sizes the reply buffer.
+        service.execute_into(req, &mut out);
+        out.clear();
+        let (allocs, ()) = allocs_of(|| service.execute_into(req, &mut out));
+        assert_eq!(allocs, 0, "an {name} child allocated");
+        assert_eq!(out, encode_response(&service.execute(req)), "{name}");
+        out.clear();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

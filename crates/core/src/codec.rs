@@ -35,7 +35,10 @@ pub mod wal;
 
 use crate::features::CellStats;
 use crate::inventory::Inventory;
-use pol_sketch::wire::{get_varint, put_varint, skip_varint, Wire, WireError};
+use pol_sketch::spacesaving::Heaviest;
+use pol_sketch::wire::{
+    get_varint, gk_quantiles, put_varint, skip_varint, spacesaving_heaviest, Wire, WireError,
+};
 use pol_sketch::{AngleHistogram, Circular, Distinct, GkSketch, SpaceSaving, Welford};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -178,15 +181,44 @@ pub fn decode_arrival(mut input: &[u8]) -> Result<(Welford, GkSketch), WireError
     Ok((Wire::decode(&mut input)?, Wire::decode(&mut input)?))
 }
 
+/// `ata` and the quantiles `phis` of `ata_q` of an encoded
+/// [`CellStats`] — what an ETA estimate reads — equal to
+/// [`decode_arrival`] and then [`GkSketch::quantile`] of each, with the
+/// quantile sketch read off the bytes, not built.
+pub(crate) fn decode_arrival_quantiles<const N: usize>(
+    mut input: &[u8],
+    phis: [f64; N],
+) -> Result<(Welford, [Option<f64>; N]), WireError> {
+    skip_to_ata(&mut input)?;
+    let ata = Wire::decode(&mut input)?;
+    Ok((ata, gk_quantiles(&mut input, phis)?))
+}
+
+/// Walks `input` past the fields [`encode_cell_stats`] writes before
+/// `destinations`.
+fn skip_to_destinations(input: &mut &[u8]) -> Result<(), WireError> {
+    skip_to_ata(input)?;
+    Welford::skip(input)?; // ata
+    GkSketch::skip(input)?; // ata_q
+    SpaceSaving::<u64>::skip(input) // origins
+}
+
 /// The `destinations` field of an encoded [`CellStats`] — what a
 /// destination prediction reads — equal to that of
 /// [`decode_cell_stats`] on the same bytes.
 pub fn decode_destinations(mut input: &[u8]) -> Result<SpaceSaving<u64>, WireError> {
-    skip_to_ata(&mut input)?;
-    Welford::skip(&mut input)?; // ata
-    GkSketch::skip(&mut input)?; // ata_q
-    SpaceSaving::<u64>::skip(&mut input)?; // origins
+    skip_to_destinations(&mut input)?;
     Wire::decode(&mut input)
+}
+
+/// The `N` heaviest `destinations` of an encoded [`CellStats`], equal to
+/// [`decode_destinations`] and then [`SpaceSaving::top`]`(N)`, read off
+/// the bytes: no sketch and no vector is built.
+pub(crate) fn decode_heaviest_destinations<const N: usize>(
+    mut input: &[u8],
+) -> Result<Heaviest<N>, WireError> {
+    skip_to_destinations(&mut input)?;
+    spacesaving_heaviest(&mut input)
 }
 
 /// Distinguishes temp files of concurrent saves within one process.

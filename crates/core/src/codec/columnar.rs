@@ -776,18 +776,28 @@ impl<'a> TopDestReader<'a> {
         lo
     }
 
-    /// Hands `emit` every cell whose top destination is `dest` under
-    /// segment byte `segment` ([`TOP_DEST_ALL_SEGMENTS`] for the
-    /// all-segments grouping), in ascending cell order: the rows from
-    /// the first with that prefix to the last, read as one slice.
-    pub fn cells_for(&self, dest: u16, segment: u8, emit: impl FnMut(u64)) {
+    /// Every cell whose top destination is `dest` under segment byte
+    /// `segment` ([`TOP_DEST_ALL_SEGMENTS`] for the all-segments
+    /// grouping), in ascending cell order: the rows from the first with
+    /// that prefix to the first past it, found by two binary searches and
+    /// read as one slice of known length.
+    pub fn cells_for(&self, dest: u16, segment: u8) -> impl ExactSizeIterator<Item = u64> + 'a {
         let [dest_hi, dest_lo] = dest.to_be_bytes();
-        let prefix = [dest_hi, dest_lo, segment];
-        let from = self.lower_bound(&prefix);
-        rows_from(self.rows, from, SectionKind::TopDest.stride())
-            .map_while(|row| row.strip_prefix(&prefix))
-            .filter_map(be_u64)
-            .for_each(emit);
+        let from = self.lower_bound(&[dest_hi, dest_lo, segment]);
+        // The next prefix up, as a 3-byte big-endian number; none past
+        // the largest.
+        let key = u32::from_be_bytes([0, dest_hi, dest_lo, segment]) + 1;
+        let to = match key.to_be_bytes() {
+            [0, next @ ..] => self.lower_bound(&next),
+            _ => self.count,
+        };
+        let stride = SectionKind::TopDest.stride();
+        let run = self
+            .rows
+            .get(from * stride..to * stride)
+            .unwrap_or_default();
+        // A row is 11 bytes: its last 8 are the cell.
+        (run.chunks_exact(stride)).map(|row| row.last_chunk().map_or(0, |c| u64::from_be_bytes(*c)))
     }
 }
 
@@ -1215,11 +1225,7 @@ mod tests {
         assert!(reader.len() > 0);
         // Every (dest, segment) combination the sample can produce, plus
         // one that cannot exist.
-        let cells_for = |dest, segment| {
-            let mut cells = Vec::new();
-            reader.cells_for(dest, segment, |cell| cells.push(cell));
-            cells
-        };
+        let cells_for = |dest, segment| reader.cells_for(dest, segment).collect::<Vec<_>>();
         for dest in 0..6u16 {
             let got = cells_for(dest, TOP_DEST_ALL_SEGMENTS);
             let mut want: Vec<u64> = inv
@@ -1242,6 +1248,7 @@ mod tests {
             }
         }
         assert!(cells_for(999, TOP_DEST_ALL_SEGMENTS).is_empty());
+        assert!(cells_for(u16::MAX, u8::MAX).is_empty());
     }
 
     /// The header and every section body are followed by their own

@@ -1,12 +1,16 @@
 //! The global inventory: the compact, queryable data model the paper
 //! delivers, with the Table-4 coverage/compression accounting.
 
-use crate::codec::{decode_arrival, decode_cell_stats, decode_destinations, encode_cell_stats};
+use crate::codec::{
+    decode_arrival, decode_arrival_quantiles, decode_cell_stats, decode_destinations,
+    decode_heaviest_destinations, encode_cell_stats,
+};
 use crate::features::{CellStats, GroupKey, GroupingSet};
 use pol_ais::types::MarketSegment;
 use pol_geo::BBox;
 use pol_hexgrid::{cell_center, num_cells, CellIndex, Resolution};
 use pol_sketch::hash::FxHashMap;
+use pol_sketch::spacesaving::Heaviest;
 use pol_sketch::wire::WireError;
 use pol_sketch::{GkSketch, MergeSketch, SpaceSaving, Welford};
 use std::borrow::Cow;
@@ -69,6 +73,32 @@ impl<'a> Summary<'a> {
             Summary::Stats(stats) => Ok(Cow::Borrowed(&stats.destinations)),
             Summary::Owned(ref stats) => Ok(Cow::Borrowed(&stats.destinations)),
             Summary::Encoded(bytes) => decode_destinations(bytes).map(Cow::Owned),
+        }
+    }
+
+    /// `ata` and the quantiles `phis` of `ata_q`: what an ETA estimate
+    /// reads — [`arrival`](Summary::arrival) and then
+    /// [`GkSketch::quantile`] of each, with no sketch cloned, flushed or
+    /// built and nothing allocated.
+    pub fn arrival_quantiles<const N: usize>(
+        &self,
+        phis: [f64; N],
+    ) -> Result<(Welford, [Option<f64>; N]), WireError> {
+        match *self {
+            Summary::Stats(stats) => Ok((stats.ata.clone(), stats.ata_q.quantiles(phis))),
+            Summary::Owned(ref stats) => Ok((stats.ata.clone(), stats.ata_q.quantiles(phis))),
+            Summary::Encoded(bytes) => decode_arrival_quantiles(bytes, phis),
+        }
+    }
+
+    /// The `N` heaviest destinations, in [`SpaceSaving::top`]'s order:
+    /// what a destination prediction reads — [`destinations`](Summary::destinations)
+    /// and then `top(N)`, with no sketch and no vector built.
+    pub fn heaviest_destinations<const N: usize>(&self) -> Result<Heaviest<N>, WireError> {
+        match *self {
+            Summary::Stats(stats) => Ok(stats.destinations.heaviest()),
+            Summary::Owned(ref stats) => Ok(stats.destinations.heaviest()),
+            Summary::Encoded(bytes) => decode_heaviest_destinations(bytes),
         }
     }
 

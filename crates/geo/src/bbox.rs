@@ -50,13 +50,15 @@ impl BBox {
         Self::new(48.5, -5.5, 51.8, 2.5).expect("static bounds")
     }
 
-    /// Whether the point lies inside (inclusive of edges).
+    /// Whether the point lies inside (inclusive of edges). The four
+    /// comparisons are all made, with no branch between them: a scan
+    /// asks this of points that fall either way.
     #[inline]
     pub fn contains(&self, p: LatLon) -> bool {
-        p.lat() >= self.min_lat
-            && p.lat() <= self.max_lat
-            && p.lon() >= self.min_lon
-            && p.lon() <= self.max_lon
+        (p.lat() >= self.min_lat)
+            & (p.lat() <= self.max_lat)
+            & (p.lon() >= self.min_lon)
+            & (p.lon() <= self.max_lon)
     }
 
     /// Centre of the box.

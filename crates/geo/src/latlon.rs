@@ -17,6 +17,7 @@ pub struct LatLon {
 
 impl LatLon {
     /// Creates a coordinate, returning `None` when out of range or non-finite.
+    #[inline]
     pub fn new(lat: f64, lon: f64) -> Option<Self> {
         if !lat.is_finite() || !lon.is_finite() {
             return None;
@@ -86,13 +87,30 @@ impl fmt::Display for LatLon {
 }
 
 /// Normalizes a longitude in degrees to `[-180, 180)`.
+#[inline]
 pub fn normalize_lon(lon: f64) -> f64 {
-    let mut l = (lon + 180.0).rem_euclid(360.0) - 180.0;
+    let shifted = lon + 180.0;
+    // `rem_euclid` (an `fmod`) returns a value in `[0, 360)` as it is, so
+    // an in-range longitude skips it and keeps its bits.
+    let wrapped = if (0.0..360.0).contains(&shifted) {
+        shifted
+    } else {
+        rem_360(shifted)
+    };
+    let mut l = wrapped - 180.0;
     // rem_euclid can return exactly 360.0 - epsilon artifacts; pin the edge.
     if l >= 180.0 {
         l -= 360.0;
     }
     l
+}
+
+/// `x.rem_euclid(360.0)`, out of line: the call stays off the path of
+/// the longitudes that are already in range.
+#[cold]
+#[inline(never)]
+fn rem_360(x: f64) -> f64 {
+    x.rem_euclid(360.0)
 }
 
 /// Smallest absolute difference between two longitudes, in degrees (≤ 180).

@@ -76,3 +76,24 @@ proptest! {
         prop_assert!((normalize_lon(n) - n).abs() < 1e-12);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn normalize_lon_is_the_rem_euclid_form_to_the_bit(
+        hi in 0u64..=u64::from(u32::MAX),
+        lo in 0u64..=u64::from(u32::MAX),
+        near in -1_000.0f64..1_000.0,
+    ) {
+        // Arbitrary bit patterns (NaNs, infinities, subnormals, huge
+        // magnitudes) and plausible longitudes, the in-range ones among them.
+        for lon in [f64::from_bits((hi << 32) | lo), near, near / 5.0] {
+            let mut l = (lon + 180.0).rem_euclid(360.0) - 180.0;
+            if l >= 180.0 {
+                l -= 360.0;
+            }
+            prop_assert_eq!(normalize_lon(lon).to_bits(), l.to_bits(), "{}", lon);
+        }
+    }
+}

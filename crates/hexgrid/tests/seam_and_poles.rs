@@ -60,16 +60,40 @@ fn seam_affects_only_a_narrow_column() {
 }
 
 #[test]
-fn polar_cells_exist_and_have_reduced_neighborhoods() {
-    for lat in [89.9, -89.9] {
-        let p = LatLon::new(lat, 45.0).unwrap();
-        let c = cell_at(p, res6());
-        // The pole row is the lattice edge: some neighbours fall off the
-        // indexed world; the rest behave.
+fn disks_at_the_poles_and_the_seam_are_whole_from_resolution_two() {
+    // At the pole rows and the antimeridian column a radius-4 disk keeps
+    // all 61 cells at the resolutions an inventory is built at (the
+    // pipeline's 6, the coarse 2 and 3); only at resolution 0, where the
+    // lattice is a few cells across, does it run off the indexed world.
+    let disk_len = |lat: f64, lon: f64, res: u8| {
+        let p = LatLon::new(lat, lon).unwrap();
+        grid_disk(cell_at(p, Resolution::new(res).unwrap()), 4).len()
+    };
+    let edges = [
+        (89.99, 45.0),
+        (-89.99, 45.0),
+        (12.3, 179.99),
+        (12.3, -179.99),
+    ];
+    for (lat, lon) in edges {
+        for res in [2, 3, 6] {
+            assert_eq!(
+                disk_len(lat, lon, res),
+                61,
+                "({lat}, {lon}) at resolution {res}"
+            );
+        }
+        let coarsest = disk_len(lat, lon, 0);
+        assert!(
+            coarsest < 61,
+            "({lat}, {lon}): {coarsest} cells at resolution 0"
+        );
+        // Adjacency stays symmetric there.
+        let c = cell_at(LatLon::new(lat, lon).unwrap(), res6());
         let ns = neighbors(c);
-        assert!(!ns.is_empty());
+        assert_eq!(ns.len(), 6);
         for n in &ns {
-            assert!(neighbors(*n).contains(&c), "symmetry holds where defined");
+            assert!(neighbors(*n).contains(&c), "symmetry at ({lat}, {lon})");
         }
     }
 }

@@ -261,14 +261,20 @@ impl MappedStore {
                     break;
                 }
                 touched += 1;
-                if LatLon::new(la, lo).is_some_and(|center| bbox.contains(center)) {
-                    cells.push(raw);
-                }
+                // Every row is written and the ones outside the box taken
+                // back: whether a row is in is a coin toss a branch would
+                // mispredict.
+                let inside = LatLon::new(la, lo).is_some_and(|center| bbox.contains(center));
+                cells.push(raw);
+                cells.truncate(cells.len() - usize::from(!inside));
             }
         }
         self.scan_entries.fetch_add(touched, Ordering::Relaxed);
         cells.sort_unstable();
-        cells.dedup();
+        // A link's index lists each cell once; only links can repeat one.
+        if self.links.len() > 1 {
+            cells.dedup();
+        }
     }
 
     /// Fills `cells` with the raw indices of the occupied cells whose
@@ -289,7 +295,7 @@ impl MappedStore {
         let seg_byte = segment.map_or(TOP_DEST_ALL_SEGMENTS, |s| s.id());
         if let [only] = self.links.as_slice() {
             if let Some(reader) = only.top_dest() {
-                reader.cells_for(dest, seg_byte, |raw| cells.push(raw));
+                cells.extend(reader.cells_for(dest, seg_byte));
             }
         } else {
             let rows = self.top_dest.get_or_init(|| self.merged_top_dest());

@@ -18,7 +18,7 @@ use pol_ais::types::MarketSegment;
 use pol_apps::eta::EtaEstimate;
 use pol_core::codec::{decode_cell_stats, encode_cell_stats};
 use pol_core::CellStats;
-use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, WireError};
+use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, put_varints, WireError};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -708,29 +708,8 @@ pub(crate) fn encode_response_body(resp: &Response, out: &mut Vec<u8>) {
             }
         }
         Response::Cells(cells) => encode_cells(cells, out),
-        Response::Eta(est) => {
-            out.push(RESP_ETA);
-            match est {
-                None => out.push(0),
-                Some(e) => {
-                    out.push(1);
-                    put_f64(out, e.mean_secs);
-                    put_f64(out, e.p10_secs);
-                    put_f64(out, e.p50_secs);
-                    put_f64(out, e.p90_secs);
-                    put_varint(out, e.samples);
-                    put_varint(out, e.widened as u64);
-                }
-            }
-        }
-        Response::Destinations(ranked) => {
-            out.push(RESP_DESTINATIONS);
-            put_varint(out, ranked.len() as u64);
-            for (port, score) in ranked {
-                put_u16(out, *port);
-                put_f64(out, *score);
-            }
-        }
+        Response::Eta(est) => encode_eta(est.as_ref(), out),
+        Response::Destinations(ranked) => encode_destinations(ranked, out),
         Response::Stats(report) => {
             out.push(RESP_STATS);
             encode_stats_report(report, out);
@@ -768,8 +747,34 @@ pub(crate) fn encode_response_body(resp: &Response, out: &mut Vec<u8>) {
 pub(crate) fn encode_cells(cells: &[u64], out: &mut Vec<u8>) {
     out.push(RESP_CELLS);
     put_varint(out, cells.len() as u64);
-    for c in cells {
-        put_varint(out, *c);
+    put_varints(out, cells);
+}
+
+/// Writes a [`Response::Eta`] tag + body.
+pub(crate) fn encode_eta(est: Option<&EtaEstimate>, out: &mut Vec<u8>) {
+    out.push(RESP_ETA);
+    match est {
+        None => out.push(0),
+        Some(e) => {
+            out.push(1);
+            put_f64(out, e.mean_secs);
+            put_f64(out, e.p10_secs);
+            put_f64(out, e.p50_secs);
+            put_f64(out, e.p90_secs);
+            put_varint(out, e.samples);
+            put_varint(out, e.widened as u64);
+        }
+    }
+}
+
+/// Writes a [`Response::Destinations`] tag + body from a borrowed
+/// ranking, so a prediction's reply is encoded from where it was ranked.
+pub(crate) fn encode_destinations(ranked: &[(u16, f64)], out: &mut Vec<u8>) {
+    out.push(RESP_DESTINATIONS);
+    put_varint(out, ranked.len() as u64);
+    for (port, score) in ranked {
+        put_u16(out, *port);
+        put_f64(out, *score);
     }
 }
 

@@ -16,11 +16,11 @@
 use crate::mapped::MappedStore;
 use crate::metrics::ServerMetrics;
 use crate::proto::{
-    encode_cells, encode_response_body, Request, Response, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION,
-    RESP_BATCH, RESP_SUMMARY,
+    encode_cells, encode_destinations, encode_eta, encode_response_body, Request, Response,
+    DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION, RESP_BATCH, RESP_SUMMARY,
 };
 use pol_apps::destination::DestinationPredictor;
-use pol_apps::eta::EtaEstimator;
+use pol_apps::eta::{EtaEstimate, EtaEstimator};
 use pol_core::codec::manifest::{self, ManifestEntry};
 use pol_core::codec::{columnar, CodecError, SnapshotFormat};
 use pol_core::features::GroupKey;
@@ -212,34 +212,11 @@ impl InventoryService {
             Request::BboxScan { .. } | Request::TopDestinationCells { .. } => self
                 .scan(req, |cells| Response::Cells(cells.to_vec()))
                 .unwrap_or_else(invalid_bbox),
-            Request::Eta {
-                lat,
-                lon,
-                segment,
-                route,
-            } => match LatLon::new(*lat, *lon) {
-                Some(pos) => {
-                    let estimator = EtaEstimator::new(&self.store);
-                    Response::Eta(estimator.estimate(pos, *segment, *route))
-                }
-                None => Response::Error("coordinates out of range".into()),
+            Request::Eta { .. } => self.eta(req).map_or_else(out_of_range, Response::Eta),
+            Request::PredictDestination { top_n, .. } => match self.predict(req) {
+                Some(predictor) => Response::Destinations(predictor.top(*top_n as usize)),
+                None => track_out_of_range(),
             },
-            Request::PredictDestination {
-                segment,
-                top_n,
-                track,
-            } => {
-                let mut predictor = DestinationPredictor::new(&self.store, *segment);
-                for (lat, lon) in track {
-                    match LatLon::new(*lat, *lon) {
-                        Some(pos) => {
-                            predictor.observe(pos);
-                        }
-                        None => return Response::Error("track coordinate out of range".into()),
-                    }
-                }
-                Response::Destinations(predictor.top(*top_n as usize))
-            }
             Request::Stats => {
                 // The metrics snapshot knows nothing about the store;
                 // fill in its identity and its read counters.
@@ -269,7 +246,9 @@ impl InventoryService {
     /// goes out as the store holds it (a mapped link's stats bytes *are*
     /// the wire encoding; only a key several links hold is merged and
     /// encoded), so a summary lookup builds, clones and re-encodes
-    /// nothing, and a batch answers its children the same way.
+    /// nothing; a scan, an ETA and a prediction are encoded from where
+    /// they were computed, with no `Response` built; and a batch answers
+    /// its children the same way.
     pub fn execute_into(&self, req: &Request, out: &mut Vec<u8>) {
         out.push(PROTO_VERSION);
         self.reply_body(req, out);
@@ -298,6 +277,16 @@ impl InventoryService {
                     encode_response_body(&invalid_bbox(), out);
                 }
             }
+            Request::Eta { .. } => match self.eta(req) {
+                Some(estimate) => encode_eta(estimate.as_ref(), out),
+                None => encode_response_body(&out_of_range(), out),
+            },
+            Request::PredictDestination { top_n, .. } => match self.predict(req) {
+                Some(predictor) => {
+                    predictor.with_top(*top_n as usize, |ranked| encode_destinations(ranked, out))
+                }
+                None => encode_response_body(&track_out_of_range(), out),
+            },
             Request::Batch(children) => {
                 self.metrics.add_batched(children.len() as u64);
                 out.push(RESP_BATCH);
@@ -339,6 +328,35 @@ impl InventoryService {
         }
     }
 
+    /// Answers an ETA request; `None` when its coordinates are out of
+    /// range (and for every other request kind).
+    fn eta(&self, req: &Request) -> Option<Option<EtaEstimate>> {
+        let Request::Eta {
+            lat,
+            lon,
+            segment,
+            route,
+        } = *req
+        else {
+            return None;
+        };
+        let pos = LatLon::new(lat, lon)?;
+        Some(EtaEstimator::new(&self.store).estimate(pos, segment, route))
+    }
+
+    /// Replays a prediction request's track; `None` at its first
+    /// coordinate out of range (and for every other request kind).
+    fn predict(&self, req: &Request) -> Option<DestinationPredictor<'_, MappedStore>> {
+        let Request::PredictDestination { segment, track, .. } = req else {
+            return None;
+        };
+        let mut predictor = DestinationPredictor::new(&self.store, *segment);
+        for (lat, lon) in track {
+            predictor.observe(LatLon::new(*lat, *lon)?);
+        }
+        Some(predictor)
+    }
+
     /// Answers a scan request: its cells, ascending, gathered and sorted
     /// in this thread's scratch, then handed to `reply` — so the typed
     /// and the appended form of the answer come from one store call and
@@ -369,6 +387,11 @@ impl InventoryService {
 /// The typed error a summary request with impossible coordinates gets.
 fn out_of_range() -> Response {
     Response::Error("coordinates out of range".into())
+}
+
+/// The typed error a prediction with an impossible track point gets.
+fn track_out_of_range() -> Response {
+    Response::Error("track coordinate out of range".into())
 }
 
 /// The typed error a scan of an inverted or out-of-range box gets.

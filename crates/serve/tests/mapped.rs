@@ -366,6 +366,48 @@ fn stored_stats_bytes_are_the_canonical_encoding() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The readers the estimators use answer off a mapped entry's bytes
+/// what the decode answers: for every entry of every section, the ETA's
+/// `arrival_quantiles` is `decode_arrival` then `quantile` of each, and
+/// the prediction's `heaviest_destinations` is `decode_destinations` then
+/// `top(8)` — and the heap entry's `Summary` answers the same.
+#[test]
+fn byte_level_readers_equal_decode_then_query_on_every_entry() {
+    use pol_core::codec::{decode_arrival, decode_destinations};
+    const PHIS: [f64; 3] = [0.1, 0.5, 0.9];
+    let (inventory, dir) = fleetsim_snapshot("readers");
+    let bytes = std::fs::read(dir.join("inv.pol3")).unwrap();
+    let layout = columnar::Layout::parse(&bytes).unwrap();
+    let (mut entries, mut with_arrivals, mut voting) = (0, 0, 0);
+    for span in [&layout.cell, &layout.cell_type, &layout.cell_route] {
+        let reader = columnar::SectionReader::new(&bytes, span).unwrap();
+        for i in 0..reader.len() {
+            let stored = reader.stats_bytes(i).unwrap();
+            let key = reader.group_key_at(i).unwrap();
+            let (ata, mut ata_q) = decode_arrival(stored).unwrap();
+            let quantiles = PHIS.map(|phi| ata_q.quantile(phi));
+            let top = decode_destinations(stored).unwrap().top(8);
+            let heap = Summary::Stats(inventory.get(&key).unwrap());
+            for summary in [Summary::Encoded(stored), heap] {
+                let (read_ata, read_quantiles) = summary.arrival_quantiles(PHIS).unwrap();
+                assert_eq!(read_ata, ata, "{key:?}");
+                assert_eq!(read_quantiles, quantiles, "{key:?}");
+                let heaviest = summary.heaviest_destinations::<8>().unwrap();
+                assert_eq!(heaviest.as_slice(), &top[..], "{key:?}");
+            }
+            entries += 1;
+            with_arrivals += usize::from(quantiles[0].is_some());
+            voting += usize::from(!top.is_empty());
+        }
+    }
+    assert_eq!(entries, inventory.len());
+    assert!(
+        with_arrivals > 100 && voting > 100,
+        "{with_arrivals} {voting}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The two forms of an answer are pinned equal: what `execute_into`
 /// appends is byte for byte `encode_response(&execute(req))`, on the
 /// mapped store and on the heap, for every endpoint — hits at all three

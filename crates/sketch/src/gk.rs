@@ -100,6 +100,67 @@ fn insert_sorted(
     n
 }
 
+/// The standard GK query for several quantiles in one pass over a
+/// sketch's tuples: each answer is the last tuple whose maximum possible
+/// rank stays within `target + ε·n`. Fed the tuples of a flushed sketch
+/// (or of its encoding, in `wire`), it answers what
+/// [`GkSketch::quantile`] answers for each. The sums wrap where a
+/// release build's `+` would: on tuples no sketch wrote they cannot
+/// panic.
+pub(crate) struct Quantiles<const N: usize> {
+    /// `⌈φ·n⌉` (at least 1) plus `⌊ε·n⌋`, per quantile.
+    bounds: [u64; N],
+    rmin: u64,
+    answers: [Option<f64>; N],
+    settled: [bool; N],
+}
+
+impl<const N: usize> Quantiles<N> {
+    /// A query of `phis` over a sketch of `n` observations.
+    ///
+    /// # Panics
+    /// When a quantile is outside `[0, 1]`.
+    pub(crate) fn new(epsilon: f64, n: u64, phis: [f64; N]) -> Self {
+        let allowed = (epsilon * n as f64) as u64;
+        Quantiles {
+            bounds: phis.map(|phi| {
+                assert!((0.0..=1.0).contains(&phi), "quantile {phi} out of [0,1]");
+                ((phi * n as f64).ceil().max(1.0) as u64).wrapping_add(allowed)
+            }),
+            rmin: 0,
+            answers: [None; N],
+            settled: [false; N],
+        }
+    }
+
+    pub(crate) fn push(&mut self, t: Tuple) {
+        self.rmin = self.rmin.wrapping_add(t.g);
+        let reach = self.rmin.wrapping_add(t.delta);
+        for ((answer, settled), bound) in self
+            .answers
+            .iter_mut()
+            .zip(&mut self.settled)
+            .zip(self.bounds)
+        {
+            if *settled {
+                continue;
+            }
+            if reach > bound {
+                // The first tuple answers even when it is already past.
+                answer.get_or_insert(t.v);
+                *settled = true;
+            } else {
+                *answer = Some(t.v);
+            }
+        }
+    }
+
+    /// The answers: `None` for each when no tuple was pushed.
+    pub(crate) fn finish(self) -> [Option<f64>; N] {
+        self.answers
+    }
+}
+
 /// The GK quantile sketch.
 #[derive(Clone, Debug)]
 pub struct GkSketch {
@@ -223,25 +284,20 @@ impl GkSketch {
     /// The value at quantile `phi ∈ [0, 1]`, with rank error ≤ `ε·n`
     /// (plus merge degradation, see [`MergeSketch`] impl). `None` when empty.
     pub fn quantile(&mut self, phi: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&phi), "quantile {phi} out of [0,1]");
         self.flush();
-        if self.tuples.is_empty() {
-            return None;
-        }
-        let target = (phi * self.n as f64).ceil().max(1.0) as u64;
-        let allowed = (self.epsilon * self.n as f64) as u64;
-        // Standard GK query: return the last tuple whose maximum possible
-        // rank stays within target + ε·n.
-        let mut rmin = 0u64;
-        let mut answer = self.tuples.first()?.v;
-        for t in &self.tuples {
-            rmin += t.g;
-            if rmin + t.delta > target + allowed {
-                return Some(answer);
-            }
-            answer = t.v;
-        }
-        Some(answer)
+        let mut query = Quantiles::new(self.epsilon, self.n, [phi]);
+        self.tuples.iter().for_each(|t| query.push(*t));
+        let [answer] = query.finish();
+        answer
+    }
+
+    /// [`quantile`](Self::quantile) of each of `phis`, read through the
+    /// flushed view: the sketch is neither flushed nor cloned, and
+    /// nothing is allocated unless it has spilled.
+    pub fn quantiles<const N: usize>(&self, phis: [f64; N]) -> [Option<f64>; N] {
+        let mut query = Quantiles::new(self.epsilon, self.count(), phis);
+        self.flushed(|t| query.push(t));
+        query.finish()
     }
 
     /// Number of stored tuples (the space usage; O(1/ε · log(εn))).

@@ -50,6 +50,45 @@ fn rank<T: Hash>(a: (&T, &Counter), b: (&T, &Counter)) -> std::cmp::Ordering {
         .then_with(|| hash64(a.0).cmp(&hash64(b.0)))
 }
 
+/// Up to `N` items of a `SpaceSaving<u64>` in [`SpaceSaving::top`]'s
+/// order, held inline: [`SpaceSaving::heaviest`] and
+/// [`wire::spacesaving_heaviest`](crate::wire::spacesaving_heaviest) keep
+/// the `N` first in `rank` order of the items offered, which is what
+/// `top(N)` returns, without its vector.
+#[derive(Clone, Copy, Debug)]
+pub struct Heaviest<const N: usize> {
+    items: [(u64, Counter); N],
+    len: usize,
+}
+
+impl<const N: usize> Heaviest<N> {
+    pub(crate) fn new() -> Self {
+        Heaviest {
+            items: [(0, Counter::default()); N],
+            len: 0,
+        }
+    }
+
+    /// Keeps `(item, counter)` when it ranks among the `N` first offered
+    /// so far, after the ones that rank equal to it (a stable sort's
+    /// place).
+    pub(crate) fn offer(&mut self, item: u64, counter: Counter) {
+        let kept = &self.items[..self.len];
+        let at = kept.partition_point(|(k, c)| rank((k, c), (&item, &counter)).is_le());
+        if at == N {
+            return;
+        }
+        self.len = (self.len + 1).min(N);
+        self.items.copy_within(at..self.len - 1, at + 1);
+        self.items[at] = (item, counter);
+    }
+
+    /// The items kept, heaviest first.
+    pub fn as_slice(&self) -> &[(u64, Counter)] {
+        &self.items[..self.len]
+    }
+}
+
 /// The SpaceSaving sketch over items of type `T`.
 #[derive(Clone, Debug)]
 pub struct SpaceSaving<T: Eq + Hash + Clone> {
@@ -273,6 +312,16 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
             slots,
             total,
         }
+    }
+}
+
+impl SpaceSaving<u64> {
+    /// [`top`](Self::top)`(N)` without the vector: the `N` heaviest items
+    /// in the same order, held inline.
+    pub fn heaviest<const N: usize>(&self) -> Heaviest<N> {
+        let mut heaviest = Heaviest::new();
+        self.iter().for_each(|(k, c)| heaviest.offer(*k, *c));
+        heaviest
     }
 }
 

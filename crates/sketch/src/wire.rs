@@ -4,12 +4,28 @@
 //! sketches; this module gives every sketch a versionless, schema-stable
 //! little-endian encoding: varint for integers, raw IEEE-754 for floats.
 //! Round-trips are property-tested.
+//!
+//! The varint kernels work a `u64` word at a time. [`put_varint`] spreads
+//! a value's low 56 bits into seven-bit groups and writes them with one
+//! word store; a value of 2⁵⁶ or more (a cell index is one) adds its top
+//! byte or two after the word. [`get_varint`] and [`skip_varint`] load
+//! eight bytes, find the terminator (the first byte without its top bit)
+//! in the word or in the two bytes after it, and gather the groups back
+//! by shifts; [`skip_varints`] takes every terminator in a word before it
+//! loads the next. Only an input with fewer than eight bytes left, or a
+//! varint that does not end within ten bytes, is read by the byte loop.
+//! Their contract is the byte loop's: the same bytes written for every
+//! `u64`; on every input the same value, the same input left behind and
+//! the same [`WireError`] — a truncated varint is `"varint truncated"`
+//! with the input consumed, an eleventh byte is `"varint overflow"`, and
+//! a tenth byte's bits above bit 63 are dropped. `tests/wire_canonical.rs`
+//! holds them to the byte loop, kept there as the oracle.
 
 use crate::circular::Circular;
-use crate::gk::GkSketch;
+use crate::gk::{GkSketch, Quantiles, Tuple};
 use crate::histogram::AngleHistogram;
 use crate::hll::{Distinct, HyperLogLog, SmallSet, SMALL_INLINE};
-use crate::spacesaving::{Counter, SpaceSaving, INLINE_SLOTS};
+use crate::spacesaving::{Counter, Heaviest, SpaceSaving, INLINE_SLOTS};
 use crate::tdigest::TDigest;
 use crate::welford::Welford;
 use std::fmt;
@@ -26,16 +42,65 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// The top bit of every byte of a word: the continuation flags.
+const CONTINUATION: u64 = 0x8080_8080_8080_8080;
+
+/// The most bytes a varint of a `u64` takes.
+const MAX_VARINT_LEN: usize = 10;
+
+/// The low 56 bits of `v` as eight seven-bit groups, one per byte, least
+/// significant first: 28-bit halves into 32-bit lanes, 14-bit quarters
+/// into 16-bit lanes, 7-bit groups into bytes.
+#[inline]
+fn spread(v: u64) -> u64 {
+    let mut x = (v & 0x0000_0000_0FFF_FFFF) | ((v & 0x00FF_FFFF_F000_0000) << 4);
+    x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x0FFF_C000_0FFF_C000) << 2);
+    (x & 0x007F_007F_007F_007F) | ((x & 0x3F80_3F80_3F80_3F80) << 1)
+}
+
+/// [`spread`] undone: the seven-bit groups of `word`'s bytes (flags
+/// ignored) gathered back into 56 bits.
+#[inline]
+fn gather(word: u64) -> u64 {
+    let mut x = word & !CONTINUATION;
+    x = (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1);
+    x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
+    (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4)
+}
+
 /// Writes an LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, v: u64) {
+    if v < 0x80 {
+        out.push(v as u8);
+        return;
+    }
+    let at = out.len();
+    if v < 1 << 56 {
+        let len = (64 - v.leading_zeros() as usize).div_ceil(7);
+        // Every byte before the last carries the continuation flag.
+        let word = spread(v) | (CONTINUATION >> (64 - 8 * (len - 1)));
+        out.extend_from_slice(&word.to_le_bytes());
+        out.truncate(at + len);
+    } else {
+        // Eight flagged bytes, then the top eight bits: one byte, or two
+        // when bit 63 is set.
+        out.extend_from_slice(&(spread(v) | CONTINUATION).to_le_bytes());
+        let top = v >> 56;
+        if top < 0x80 {
+            out.push(top as u8);
+        } else {
+            out.extend_from_slice(&[top as u8, 1]);
         }
-        out.push(byte | 0x80);
+    }
+}
+
+/// Writes each of `values` as an LEB128 varint, in order, after one
+/// `reserve` for the longest they can be.
+pub fn put_varints(out: &mut Vec<u8>, values: &[u64]) {
+    out.reserve(values.len().saturating_mul(MAX_VARINT_LEN));
+    for &v in values {
+        put_varint(out, v);
     }
 }
 
@@ -69,8 +134,51 @@ pub fn varint_bytes(mut v: u64) -> ([u8; 10], usize) {
     (bytes, len)
 }
 
+/// The varint at the start of `input`, found a word at a time: its
+/// first eight bytes as a little-endian word and its length, when there
+/// are eight bytes to load and the varint ends within its first ten.
+/// `None` sends the caller to the byte loop, which reports what is wrong.
+#[inline]
+fn varint_at(input: &[u8]) -> Option<(u64, usize)> {
+    let word = u64::from_le_bytes(*input.first_chunk::<8>()?);
+    let stops = !word & CONTINUATION;
+    if stops != 0 {
+        return Some((word, stops.trailing_zeros() as usize / 8 + 1));
+    }
+    let past = input.get(8..).unwrap_or_default();
+    let ends = past.iter().take(2).position(|&b| b < 0x80)?;
+    Some((word, 9 + ends))
+}
+
 /// Reads an LEB128 varint.
+#[inline]
 pub fn get_varint(input: &mut &[u8]) -> Result<u64, WireError> {
+    if let Some((&byte, rest)) = input.split_first() {
+        if byte < 0x80 {
+            *input = rest;
+            return Ok(u64::from(byte));
+        }
+    }
+    let Some((word, len)) = varint_at(input) else {
+        return get_varint_bytewise(input);
+    };
+    let v = if len <= 8 {
+        gather(word & (u64::MAX >> (64 - 8 * len)))
+    } else {
+        // The groups past the word: bits 56..62, then bit 63 (the loop
+        // drops a tenth byte's other bits as this shift does).
+        let past = input.get(8..len).unwrap_or_default();
+        (past.iter().zip([56, 63])).fold(gather(word), |v, (&b, shift)| {
+            v | u64::from(b & 0x7F) << shift
+        })
+    };
+    *input = input.get(len..).unwrap_or_default();
+    Ok(v)
+}
+
+/// [`get_varint`] one byte at a time: the last bytes of an input, and
+/// whatever is not a whole varint of at most ten bytes.
+fn get_varint_bytewise(input: &mut &[u8]) -> Result<u64, WireError> {
     let mut v = 0u64;
     let mut shift = 0;
     loop {
@@ -88,8 +196,40 @@ pub fn get_varint(input: &mut &[u8]) -> Result<u64, WireError> {
 }
 
 /// Advances `input` past one LEB128 varint, with [`get_varint`]'s checks.
+#[inline]
 pub fn skip_varint(input: &mut &[u8]) -> Result<(), WireError> {
-    get_varint(input).map(drop)
+    match varint_at(input) {
+        Some((_, len)) => {
+            *input = input.get(len..).unwrap_or_default();
+            Ok(())
+        }
+        None => get_varint_bytewise(input).map(drop),
+    }
+}
+
+/// Advances `input` past `n` LEB128 varints, with [`skip_varint`]'s
+/// checks: the terminators in a word are taken one after another with
+/// no reload, and every varint that ends in the word it starts in is at
+/// most eight bytes, so only one that runs past its word is walked on
+/// its own.
+pub fn skip_varints(input: &mut &[u8], mut n: usize) -> Result<(), WireError> {
+    while n > 0 {
+        let Some(word) = input.first_chunk::<8>() else {
+            break;
+        };
+        let mut stops = !u64::from_le_bytes(*word) & CONTINUATION;
+        if stops == 0 {
+            break;
+        }
+        let mut end = 0;
+        while stops != 0 && n > 0 {
+            end = stops.trailing_zeros() as usize / 8 + 1;
+            stops &= stops - 1;
+            n -= 1;
+        }
+        *input = input.get(end..).unwrap_or_default();
+    }
+    (0..n).try_for_each(|_| skip_varint(input))
 }
 
 /// Writes a raw f64.
@@ -231,7 +371,7 @@ impl Wire for AngleHistogram {
     }
 
     fn skip(input: &mut &[u8]) -> Result<(), WireError> {
-        (0..12).try_for_each(|_| skip_varint(input))
+        skip_varints(input, 12)
     }
 }
 
@@ -293,12 +433,85 @@ impl Wire for GkSketch {
             return Err(WireError("gk tuple count exceeds buffer"));
         }
         for _ in 0..len {
+            // A tuple is an f64 and two varints, most often of one byte
+            // each: ten bytes, and the next tuple's place is known before
+            // this one's bytes are looked at.
+            if let Some(&[g, delta]) = input.get(8..10) {
+                if (g | delta) < 0x80 {
+                    *input = input.get(10..).unwrap_or_default();
+                    continue;
+                }
+            }
             skip_bytes(input, 8, "f64 truncated")?;
-            skip_varint(input)?;
-            skip_varint(input)?;
+            skip_varints(input, 2)?;
         }
         Ok(())
     }
+}
+
+/// The quantiles `phis` of an encoded [`GkSketch`], advancing `input`
+/// past it: what [`GkSketch::decode`](Wire::decode) and then
+/// [`GkSketch::quantile`] of each give, and the same error where the
+/// decode fails — read straight off the bytes, so no tuple vector is
+/// built.
+pub fn gk_quantiles<const N: usize>(
+    input: &mut &[u8],
+    phis: [f64; N],
+) -> Result<[Option<f64>; N], WireError> {
+    let epsilon = get_f64(input)?;
+    if !(epsilon > 0.0 && epsilon < 0.5) {
+        return Err(WireError("gk epsilon out of range"));
+    }
+    let n = get_varint(input)?;
+    let len = get_varint(input)? as usize;
+    if len > input.len() {
+        return Err(WireError("gk tuple count exceeds buffer"));
+    }
+    // The query runs as the tuples are read; `GkSketch::from_parts`'
+    // checks (sorted, finite, `g` summing to `n`) decide at the end
+    // whether its answers stand.
+    let mut query = Quantiles::new(epsilon, n, phis);
+    let (mut valid, mut total_g, mut last) = (true, 0u64, None);
+    for _ in 0..len {
+        let v = get_f64(input)?;
+        let g = get_varint(input)?;
+        let delta = get_varint(input)?;
+        valid &= v.is_finite() && !last.is_some_and(|last| last > v);
+        total_g = total_g.wrapping_add(g);
+        last = Some(v);
+        query.push(Tuple { v, g, delta });
+    }
+    if valid && total_g == n {
+        Ok(query.finish())
+    } else {
+        Err(WireError("gk tuples not sorted"))
+    }
+}
+
+/// The [`Heaviest`] `N` items of an encoded `SpaceSaving<u64>`,
+/// advancing `input` past it: what [`SpaceSaving::decode`](Wire::decode)
+/// and then [`SpaceSaving::top`]`(N)` give, and the same error where the
+/// decode fails — read straight off the bytes, so no sketch and no
+/// vector is built. (An encoder writes each item once; bytes that
+/// repeat one are not a sketch's.)
+pub fn spacesaving_heaviest<const N: usize>(input: &mut &[u8]) -> Result<Heaviest<N>, WireError> {
+    let capacity = get_varint(input)? as usize;
+    if capacity == 0 {
+        return Err(WireError("spacesaving zero capacity"));
+    }
+    skip_varint(input)?; // total
+    let len = get_varint(input)? as usize;
+    if len > capacity || len > input.len() {
+        return Err(WireError("spacesaving length invalid"));
+    }
+    let mut heaviest = Heaviest::new();
+    for _ in 0..len {
+        let k = get_varint(input)?;
+        let count = get_varint(input)?;
+        let error = get_varint(input)?;
+        heaviest.offer(k, Counter { count, error });
+    }
+    Ok(heaviest)
 }
 
 impl Wire for TDigest {
@@ -436,7 +649,7 @@ impl Wire for Distinct {
                 if len > input.len() {
                     return Err(WireError("distinct set exceeds buffer"));
                 }
-                (0..len).try_for_each(|_| skip_varint(input))
+                skip_varints(input, len)
             }
             1 => HyperLogLog::skip(input),
             _ => Err(WireError("distinct bad tag")),
@@ -491,7 +704,7 @@ impl Wire for SpaceSaving<u64> {
         if len > capacity || len > input.len() {
             return Err(WireError("spacesaving length invalid"));
         }
-        (0..len * 3).try_for_each(|_| skip_varint(input))
+        skip_varints(input, len * 3)
     }
 }
 
