@@ -122,6 +122,14 @@ run_gate() {
     echo "ci: bench-smoke proc.alloc_bytes_per_op=${bench_alloc:-missing}, want < 800" >&2
     exit 1
   fi
+  # Snapshot bytes per entry: DESIGN §7 "What a POLINV4 entry holds"
+  # tables 207.1 B on this image; more than 2 % over it means a field
+  # grew. A byte count of a deterministic build.
+  bench_entry=$(bench_row codec.bytes_per_entry)
+  if ! awk -v b="${bench_entry:-1e9}" 'BEGIN { exit !(b <= 207.1 * 1.02) }'; then
+    echo "ci: bench-smoke codec.bytes_per_entry=${bench_entry:-missing}, want <= 211.2 (DESIGN §7 table + 2 %)" >&2
+    exit 1
+  fi
   # The write side as one process-level pass: WAL, checkpoints, window
   # cuts, hot reload, crash image, recovery, and byte identity with the
   # batch oracle are each one of the checks counted in "attempted".

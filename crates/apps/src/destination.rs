@@ -122,12 +122,12 @@ impl<'a, I: InventoryQuery> DestinationPredictor<'a, I> {
         }
         self.observations += 1;
         let top = top.as_slice();
-        let total: u64 = top.iter().map(|(_, c)| c.count).sum();
+        let total: u64 = top.iter().map(|(_, c)| c).sum();
         if total == 0 {
             return false;
         }
         for (port, c) in top {
-            *self.scores.score_mut(*port as u16) += c.count as f64 / total as f64;
+            *self.scores.score_mut(*port as u16) += *c as f64 / total as f64;
         }
         true
     }
@@ -243,9 +243,9 @@ mod tests {
             let summary = inv.summary(cell_at(*pos, inv.resolution())).unwrap();
             scores.values_mut().for_each(|v| *v *= DECAY);
             let top = summary.destinations.top(8);
-            let total: u64 = top.iter().map(|(_, c)| c.count).sum();
+            let total: u64 = top.iter().map(|(_, c)| c).sum();
             for (port, c) in top {
-                *scores.entry(port as u16).or_insert(0.0) += c.count as f64 / total as f64;
+                *scores.entry(port as u16).or_insert(0.0) += c as f64 / total as f64;
             }
         }
         let total: f64 = scores.values().sum();

@@ -66,10 +66,8 @@ impl<'a, I: InventoryQuery> ProgressEstimator<'a, I> {
                 .filter(|stats| stats.eto.count() > 0)
                 .min_by_key(|stats| Reverse(stats.eto.count()));
             if let Some(stats) = best {
-                let mut eto_q = stats.eto_q.clone();
-                let mut ata_q = stats.ata_q.clone();
-                let eto = eto_q.quantile(0.5)?;
-                let ata = ata_q.quantile(0.5)?;
+                let eto = stats.eto_q.quantile(0.5)?;
+                let ata = stats.ata_q.quantile(0.5)?;
                 let total = eto + ata;
                 if total <= 0.0 {
                     return None;
@@ -100,7 +98,7 @@ mod tests {
     fn inventory_at(pos: LatLon, eto: i64, ata: i64, n: usize) -> Inventory {
         let res = Resolution::new(6).unwrap();
         let cell = cell_at(pos, res);
-        let mut stats = CellStats::new(0.02, 8);
+        let mut stats = CellStats::new(0.01, 8);
         for i in 0..n {
             stats.observe(&CellPoint {
                 point: TripPoint {

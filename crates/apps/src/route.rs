@@ -40,7 +40,7 @@ impl RouteForecaster {
     /// Each cell's summary is read through [`InventoryQuery::summary_at`];
     /// the heap [`Inventory`] is taken for [`Inventory::route_cells`]
     /// alone: a mapped file sorts route keys by cell first, so it cannot
-    /// list a route's cells until POLINV3 has a route-key section.
+    /// list a route's cells until POLINV4 has a route-key section.
     pub fn build(
         inventory: &Inventory,
         origin: u16,

@@ -11,9 +11,9 @@
 //! polinv repro <name|all> [--out figures]
 //! ```
 //!
-//! `build` writes one POLINV3 (columnar) file, and that file is what
+//! `build` writes one POLINV4 (columnar) file, and that file is what
 //! `serve` memory-maps — validated, not deserialized. Every reading
-//! subcommand sniffs the magic: a POLINV3 file or a POLMAN2 delta-chain
+//! subcommand sniffs the magic: a POLINV4 file or a POLMAN2 delta-chain
 //! manifest (`pol-stream`'s output — loaded base plus deltas, merged) is
 //! accepted everywhere a `<inv.pol>` appears, anything else is refused
 //! as not an inventory. `verify` on a manifest audits the whole chain
@@ -58,7 +58,7 @@ fn usage() -> ExitCode {
          polinv top-dest <file> <LOCODE>\n  \
          polinv serve <file> [--addr HOST:PORT] [--workers N]\n  \
          polinv repro <name|all> [--out DIR]\n\
-         <file> is a POLINV3 snapshot or a POLMAN2 chain manifest; `serve` maps\n\
+         <file> is a POLINV4 snapshot or a POLMAN2 chain manifest; `serve` maps\n\
          a chain's links (folding past eight) and takes `reload <file>` lines\n\
          on stdin, where a manifest that extends the served chain maps only\n\
          its new links"
@@ -279,9 +279,9 @@ fn verify(path: &str) -> Result<(), codec::CodecError> {
                 );
             }
         }
-        Some(codec::SnapshotFormat::V3) => {
+        Some(codec::SnapshotFormat::V4) => {
             let report = codec::columnar::verify(file)?;
-            println!("{path}: OK (POLINV3 columnar)");
+            println!("{path}: OK (POLINV4 columnar)");
             println!("  crc64 kernel      {}", crc64::kernel());
             println!("  file length       {} bytes", report.file_len);
             println!("  resolution        {}", report.resolution);
@@ -339,7 +339,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
     println!("  distinct ships   {}", stats.ships.estimate());
     println!("  distinct trips   {}", stats.trips.estimate());
     if let (Some(m), Some(s)) = (stats.speed.mean(), stats.speed.std_dev()) {
-        let mut q = stats.speed_q.clone();
+        let q = &stats.speed_q;
         println!(
             "  speed            {m:.1} ± {s:.1} kn (p10 {:.1} / p50 {:.1} / p90 {:.1})",
             q.quantile(0.1).unwrap_or(0.0),
@@ -410,7 +410,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         worker_threads,
         ..pol_serve::ServerConfig::default()
     };
-    // start_snapshot sniffs the format: a POLINV3 file is memory-mapped
+    // start_snapshot sniffs the format: a POLINV4 file is memory-mapped
     // zero-copy (validated, not deserialized), a POLMAN2 chain is mapped
     // link by link; a `reload` of a manifest that extends the served
     // chain maps only its new links.

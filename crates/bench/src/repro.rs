@@ -42,7 +42,7 @@ use pol_hexgrid::{
     cell_at, cell_boundary, cell_center, children, grid_disk, grid_distance, parent, CellIndex,
     Resolution,
 };
-use pol_sketch::{Distinct, GkSketch, HyperLogLog, TDigest, Welford};
+use pol_sketch::{Distinct, HyperLogLog, LogHistogram, MergeSketch, SpeedMoments};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::hint::black_box;
@@ -734,7 +734,7 @@ fn lookup_vs_scan(w: &World) -> Result<Report, ReproError> {
     // What answering without the inventory costs: project every raw
     // record and aggregate the ones in the cell.
     let started = Instant::now();
-    let (mut scanned, mut matched, mut speed) = (0usize, 0u64, Welford::new());
+    let (mut scanned, mut matched, mut speed) = (0usize, 0u64, SpeedMoments::new());
     for rec in ds.positions.iter().flatten() {
         scanned += 1;
         if cell_at(rec.pos, inv.resolution()) == cell {
@@ -1267,8 +1267,6 @@ fn grid_ops(_: &World) -> Result<Report, ReproError> {
 }
 
 /// Rank error GK is built with.
-const GK_EPSILON: f64 = 0.02;
-
 /// An AIS-like bimodal speed stream: a moored mass at 0–0.5 kn, a cruise
 /// mode at 12–20 kn.
 fn bimodal_speeds(n: u32) -> Vec<f64> {
@@ -1279,46 +1277,68 @@ fn bimodal_speeds(n: u32) -> Vec<f64> {
     (0..n).map(speed).collect()
 }
 
-/// Whether `estimate` of the `phi` quantile of `sorted` is within
-/// `eps·n` ranks of `phi·n` — GK's guarantee. Ties make a value's rank an
-/// interval; any rank in it will do.
-fn within_rank_error(sorted: &[f64], phi: f64, estimate: f64, eps: f64) -> bool {
-    let (target, slack) = (phi * sorted.len() as f64, eps * sorted.len() as f64);
+/// How far `estimate` is from rank `phi·(n − 1)` of `sorted`, as a share
+/// of `n`: 0 when some tie of `estimate` holds that rank.
+fn rank_error(sorted: &[f64], phi: f64, estimate: f64) -> f64 {
+    let target = phi * (sorted.len() - 1) as f64;
     let lo = sorted.partition_point(|x| *x < estimate) as f64;
-    let hi = sorted.partition_point(|x| *x <= estimate) as f64;
-    lo <= target + slack && hi >= target - slack
+    let hi = sorted.partition_point(|x| *x <= estimate) as f64 - 1.0;
+    (lo - target).max(target - hi).max(0.0) / sorted.len() as f64
 }
 
 fn sketches(_: &World) -> Result<Report, ReproError> {
     let data = bimodal_speeds(100_000);
-    let (mut gk, mut td) = (GkSketch::new(GK_EPSILON), TDigest::new(100.0));
-    let gk_ns = ns_per_item(&data, |x| gk.add(*x));
-    let td_ns = ns_per_item(&data, |x| td.add(*x));
+    let alpha = PipelineConfig::default().quantile_epsilon;
+    let mut summary = LogHistogram::new(alpha);
+    let summary_ns = ns_per_item(&data, |x| summary.add(*x));
     let started = Instant::now();
     let mut sorted = data.clone();
     sorted.sort_by(f64::total_cmp);
     let sort_ns = started.elapsed().as_nanos() as f64 / data.len() as f64;
+    let bound = summary.mapping().relative_accuracy();
 
     let mut r = Report::default();
-    r.row("          exact       GK  t-digest");
-    let (mut gk_bound, mut td_tails) = (true, true);
-    for phi in [0.1, 0.5, 0.9] {
+    r.row(format!(
+        "log-bucketed summary, {} buckets per octave (α = {bound:.4}): {} buckets for {} values",
+        summary.mapping().per_octave(),
+        summary.buckets().len(),
+        data.len()
+    ));
+    r.row("          exact  summary  rel. error  rank error");
+    let mut within = true;
+    for (phi, got) in [0.1, 0.5, 0.9]
+        .into_iter()
+        .zip(summary.quantiles([0.1, 0.5, 0.9]))
+    {
         let idx = (phi * (sorted.len() - 1) as f64) as usize;
-        let (Some(&truth), Some(g), Some(t)) =
-            (sorted.get(idx), gk.quantile(phi), td.quantile(phi))
-        else {
-            gk_bound = false;
+        let (Some(&truth), Some(got)) = (sorted.get(idx), got) else {
+            within = false;
             continue;
         };
+        let rel = (got - truth).abs() / truth.abs();
         r.row(format!(
-            "p{:<5.0} {truth:>8.3} {g:>8.3} {t:>9.3}",
-            phi * 100.0
+            "p{:<5.0} {truth:>8.3} {got:>8.3} {rel:>11.4} {:>11.4}",
+            phi * 100.0,
+            rank_error(&sorted, phi, got)
         ));
-        gk_bound &= within_rank_error(&sorted, phi, g, GK_EPSILON);
-        if phi != 0.5 {
-            td_tails &= (t - truth).abs() < (g - truth).abs();
-        }
+        within &= rel <= bound * (1.0 + 1e-9);
     }
+    // The same values in 16 shards, merged in opposite orders.
+    let shards: Vec<LogHistogram> = data
+        .chunks(data.len() / 16)
+        .map(|chunk| {
+            let mut shard = LogHistogram::new(alpha);
+            chunk.iter().for_each(|x| shard.add(*x));
+            shard
+        })
+        .collect();
+    let merged = |order: &mut dyn Iterator<Item = &LogHistogram>| {
+        let mut acc = LogHistogram::new(alpha);
+        order.for_each(|shard| acc.merge(shard));
+        acc
+    };
+    let order_free =
+        merged(&mut shards.iter()) == summary && merged(&mut shards.iter().rev()) == summary;
 
     let ids: Vec<u64> = (0..100_000u64)
         .map(|i| (i * 2_654_435_761) % 60_000)
@@ -1333,14 +1353,17 @@ fn sketches(_: &World) -> Result<Report, ReproError> {
         "distinct: exact {truth:.0}, HLL(p = 12) {estimate:.0}, adaptive {adaptive}"
     ));
     r.row(format!(
-        "ns/value: GK {gk_ns:.0}, t-digest {td_ns:.0}, sort {sort_ns:.0}, \
+        "ns/value: summary {summary_ns:.0}, sort {sort_ns:.0}, \
          HLL {hll_ns:.0}, adaptive {distinct_ns:.0}, hash set {set_ns:.0}"
     ));
     r.check(
-        "GK answers p10, p50 and p90 within its rank error ε = 0.02",
-        gk_bound,
+        "the log-bucketed summary answers p10, p50 and p90 within its relative accuracy α of exact",
+        within,
     );
-    r.check("t-digest is nearer the exact p10 and p90 than GK", td_tails);
+    r.check(
+        "16 shards of the summary merged in either order are the single pass's summary",
+        order_free,
+    );
     // Standard error of HLL with 2^12 registers: 1.04 / 64.
     r.check(
         "HLL(p = 12) is within three standard errors (4.9 %) of the exact distinct count",
@@ -1398,9 +1421,9 @@ mod tests {
     #[test]
     fn rank_error_counts_ties_as_an_interval() {
         let sorted = [0.0, 1.0, 1.0, 1.0, 2.0];
-        assert!(within_rank_error(&sorted, 0.5, 1.0, 0.0));
-        assert!(!within_rank_error(&sorted, 0.5, 2.0, 0.1));
-        assert!(!within_rank_error(&sorted, 0.9, 0.0, 0.1));
+        assert_eq!(rank_error(&sorted, 0.5, 1.0), 0.0);
+        assert_eq!(rank_error(&sorted, 0.5, 2.0), 0.4);
+        assert!((rank_error(&sorted, 0.9, 0.0) - 0.72).abs() < 1e-12);
     }
 
     #[test]

@@ -241,7 +241,7 @@ fn stats(addr: SocketAddr) -> StatsReport {
 /// What `polinv build` and `verify` left on disk, and the inventories
 /// the servers' answers are held to.
 struct Fixture {
-    /// `polinv build`'s output: the POLINV3 file `serve` maps.
+    /// `polinv build`'s output: the POLINV4 file `serve` maps.
     built: PathBuf,
     /// `built`, decoded.
     base: Inventory,
@@ -268,9 +268,9 @@ fn fixture() -> &'static Fixture {
             "6",
         ]);
         assert!(wrote.starts_with(&format!("wrote {}", built.display())));
-        // The POLINV3 report: one row per section.
+        // The POLINV4 report: one row per section.
         let audit = polinv_ok(&["verify", arg(&built)]);
-        assert!(audit.contains(": OK (POLINV3 columnar)\n"), "{audit}");
+        assert!(audit.contains(": OK (POLINV4 columnar)\n"), "{audit}");
         let kernel = format!("  crc64 kernel      {}\n", pol_sketch::crc64::kernel());
         assert!(audit.contains(&kernel), "no `{kernel}` in:\n{audit}");
         for section in columnar::SectionKind::ALL {

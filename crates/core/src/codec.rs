@@ -1,9 +1,9 @@
 //! Crash-safe binary persistence for the inventory: what every on-disk
 //! format shares.
 //!
-//! An inventory is stored as one POLINV3 file ([`columnar`]) — the file
+//! An inventory is stored as one POLINV4 file ([`columnar`]) — the file
 //! `polinv build` writes is the file `pol-serve` maps — or as a POLMAN2
-//! chain ([`manifest`]) linking a POLINV3 base to its POLINV3 deltas;
+//! chain ([`manifest`]) linking a POLINV4 base to its POLINV4 deltas;
 //! [`wal`] is the ingest journal. This module holds the pieces those
 //! formats have in common: the typed [`CodecError`], the canonical
 //! [`CellStats`] encoding, the footer seal, the
@@ -35,11 +35,13 @@ pub mod wal;
 
 use crate::features::CellStats;
 use crate::inventory::Inventory;
-use pol_sketch::spacesaving::Heaviest;
+use pol_sketch::tally::Heaviest;
 use pol_sketch::wire::{
-    get_varint, gk_quantiles, put_varint, skip_varint, spacesaving_heaviest, Wire, WireError,
+    get_varint, loghist_quantiles_counted, put_varint, skip_varint, tally_heaviest, Wire, WireError,
 };
-use pol_sketch::{AngleHistogram, Circular, Distinct, GkSketch, SpaceSaving, Welford};
+use pol_sketch::{
+    AngleHistogram, Circular, Distinct, LogHistogram, SecondsMoments, SpeedMoments, Tally,
+};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -50,10 +52,10 @@ pub const FOOTER_MAGIC: &[u8; 8] = b"POLSEAL\0";
 
 /// A conservative lower bound on the serialized size of one inventory
 /// entry (its key + all sixteen statistics in their empty form). An
-/// empty [`CellStats`] alone encodes to over 70 bytes (checked by a
-/// regression test); 64 keeps headroom for future slimmer encodings while
-/// still bounding allocation to `input_len / 64` entries.
-pub const MIN_ENTRY_BYTES: usize = 64;
+/// empty [`CellStats`] alone encodes to 43 bytes (checked by a
+/// regression test); 32 keeps headroom for future slimmer encodings while
+/// still bounding allocation to `input_len / 32` entries.
+pub const MIN_ENTRY_BYTES: usize = 32;
 
 /// Errors from loading or verifying an inventory.
 #[derive(Debug)]
@@ -72,7 +74,7 @@ pub enum CodecError {
     /// in-place corruption.
     Checksum {
         /// Which section failed (`"header"` or a
-        /// [`columnar::SectionKind::name`] for POLINV3 files,
+        /// [`columnar::SectionKind::name`] for POLINV4 files,
         /// `"manifest"` or `"chain-file"` for POLMAN2 chains).
         section: &'static str,
     },
@@ -112,8 +114,10 @@ impl From<WireError> for CodecError {
 /// Appends the canonical encoding of a [`CellStats`] to `out`.
 ///
 /// The encoding is deterministic (sketches with set semantics sort their
-/// contents), so equal statistics always produce identical bytes — the
-/// serving layer relies on this to compare summaries by encoding.
+/// contents, and no field is a float), so equal statistics always
+/// produce identical bytes — the serving layer relies on this to compare
+/// summaries by encoding — and, since every merge is exact, so do any
+/// two folds of the same records.
 pub fn encode_cell_stats(s: &CellStats, out: &mut Vec<u8>) {
     put_varint(out, s.records);
     s.ships.encode(out);
@@ -162,63 +166,60 @@ fn skip_to_ata(input: &mut &[u8]) -> Result<(), WireError> {
     skip_varint(input)?; // records
     Distinct::skip(input)?; // ships
     Distinct::skip(input)?; // trips
-    Welford::skip(input)?; // speed
-    GkSketch::skip(input)?; // speed_q
+    SpeedMoments::skip(input)?; // speed
+    LogHistogram::skip(input)?; // speed_q
     Circular::skip(input)?; // course
     AngleHistogram::skip(input)?; // course_bins
     Circular::skip(input)?; // heading
     AngleHistogram::skip(input)?; // heading_bins
-    Welford::skip(input)?; // eto
-    GkSketch::skip(input) // eto_q
-}
-
-/// The `ata` and `ata_q` fields of an encoded [`CellStats`] — what an
-/// ETA estimate reads — equal to those of [`decode_cell_stats`] on the
-/// same bytes. The eleven fields before them are walked past and the
-/// three after them are not looked at.
-pub fn decode_arrival(mut input: &[u8]) -> Result<(Welford, GkSketch), WireError> {
-    skip_to_ata(&mut input)?;
-    Ok((Wire::decode(&mut input)?, Wire::decode(&mut input)?))
+    SecondsMoments::skip(input)?; // eto
+    LogHistogram::skip(input) // eto_q
 }
 
 /// `ata` and the quantiles `phis` of `ata_q` of an encoded
-/// [`CellStats`] — what an ETA estimate reads — equal to
-/// [`decode_arrival`] and then [`GkSketch::quantile`] of each, with the
-/// quantile sketch read off the bytes, not built.
+/// [`CellStats`] — what an ETA estimate reads — equal to those fields of
+/// [`decode_cell_stats`] and then [`LogHistogram::quantiles`], with the
+/// eleven fields before them walked past, the quantile summary read off
+/// the bytes, not built, and the three fields after not looked at.
 pub(crate) fn decode_arrival_quantiles<const N: usize>(
     mut input: &[u8],
     phis: [f64; N],
-) -> Result<(Welford, [Option<f64>; N]), WireError> {
+) -> Result<(SecondsMoments, [Option<f64>; N]), WireError> {
     skip_to_ata(&mut input)?;
-    let ata = Wire::decode(&mut input)?;
-    Ok((ata, gk_quantiles(&mut input, phis)?))
+    let ata: SecondsMoments = Wire::decode(&mut input)?;
+    // Every record adds to both `ata` and `ata_q`, so the summary counts
+    // `ata.count()` values: one walk answers.
+    Ok((
+        ata,
+        loghist_quantiles_counted(&mut input, ata.count(), phis)?,
+    ))
 }
 
 /// Walks `input` past the fields [`encode_cell_stats`] writes before
 /// `destinations`.
 fn skip_to_destinations(input: &mut &[u8]) -> Result<(), WireError> {
     skip_to_ata(input)?;
-    Welford::skip(input)?; // ata
-    GkSketch::skip(input)?; // ata_q
-    SpaceSaving::<u64>::skip(input) // origins
+    SecondsMoments::skip(input)?; // ata
+    LogHistogram::skip(input)?; // ata_q
+    Tally::skip(input) // origins
 }
 
 /// The `destinations` field of an encoded [`CellStats`] — what a
 /// destination prediction reads — equal to that of
 /// [`decode_cell_stats`] on the same bytes.
-pub fn decode_destinations(mut input: &[u8]) -> Result<SpaceSaving<u64>, WireError> {
+pub fn decode_destinations(mut input: &[u8]) -> Result<Tally, WireError> {
     skip_to_destinations(&mut input)?;
     Wire::decode(&mut input)
 }
 
 /// The `N` heaviest `destinations` of an encoded [`CellStats`], equal to
-/// [`decode_destinations`] and then [`SpaceSaving::top`]`(N)`, read off
-/// the bytes: no sketch and no vector is built.
+/// [`decode_destinations`] and then [`Tally::top`]`(N)`, read off
+/// the bytes: no tally and no vector is built.
 pub(crate) fn decode_heaviest_destinations<const N: usize>(
     mut input: &[u8],
 ) -> Result<Heaviest<N>, WireError> {
     skip_to_destinations(&mut input)?;
-    spacesaving_heaviest(&mut input)
+    tally_heaviest(&mut input)
 }
 
 /// Distinguishes temp files of concurrent saves within one process.
@@ -238,7 +239,7 @@ fn temp_sibling(path: &Path) -> PathBuf {
 /// place, and the directory entry is fsynced. Readers of `path` observe
 /// either the old complete file or the new complete file, never a torn
 /// one. On any failure the temp file is removed and `path` is untouched.
-/// Shared by every format (POLINV3 in [`columnar::save`], POLMAN2
+/// Shared by every format (POLINV4 in [`columnar::save`], POLMAN2
 /// manifests, stream checkpoints) so the durability guarantees — and
 /// the `codec.save.*` chaos failpoints — cover them all.
 pub fn save_bytes(bytes: &[u8], path: &Path) -> io::Result<()> {
@@ -279,8 +280,8 @@ fn write_rename_sync(bytes: &[u8], tmp: &Path, path: &Path) -> io::Result<()> {
 /// Which snapshot format a file's leading magic bytes announce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotFormat {
-    /// Columnar POLINV3 (mmap-friendly, lazily decoded).
-    V3,
+    /// Columnar POLINV4 (mmap-friendly, lazily decoded).
+    V4,
     /// POLMAN2 delta-chain manifest (base + deltas).
     Manifest,
 }
@@ -289,7 +290,7 @@ pub enum SnapshotFormat {
 /// bytes). `None` when the prefix names no known format.
 pub fn sniff_format(prefix: &[u8]) -> Option<SnapshotFormat> {
     match prefix.first_chunk::<8>()? {
-        m if m == columnar::MAGIC_V3 => Some(SnapshotFormat::V3),
+        m if m == columnar::MAGIC_V4 => Some(SnapshotFormat::V4),
         m if m == manifest::MAGIC_MANIFEST => Some(SnapshotFormat::Manifest),
         _ => None,
     }
@@ -312,7 +313,7 @@ pub fn sniff_file(path: &Path) -> Result<Option<SnapshotFormat>, io::Error> {
 /// magic, a retired format's included, is [`CodecError::BadHeader`].
 pub fn load_any(path: &Path) -> Result<Inventory, CodecError> {
     match sniff_file(path)? {
-        Some(SnapshotFormat::V3) => columnar::load(path),
+        Some(SnapshotFormat::V4) => columnar::load(path),
         Some(SnapshotFormat::Manifest) => Ok(manifest::load_chain(path)?.0),
         None => Err(CodecError::BadHeader),
     }
@@ -372,19 +373,21 @@ mod tests {
         Inventory::from_entries(res, entries, n as u64)
     }
 
-    /// `inv` with its smallest key's speed moments replaced by others of
-    /// the same observation count: every field keeps its width, so the
-    /// two POLINV3 images share their layout and differ in one statistic.
+    /// `inv` with one course observation of its smallest key moved to
+    /// the next 30° bin: every count stays a one-byte varint, so the two
+    /// POLINV4 images share their layout and differ in one statistic.
     pub(super) fn one_statistic_apart(inv: &Inventory) -> Inventory {
         let mut entries: FxHashMap<GroupKey, CellStats> =
             inv.iter().map(|(k, s)| (*k, s.clone())).collect();
         let first = entries.keys().min().copied().unwrap();
         let stats = entries.get_mut(&first).unwrap();
-        let mut speed = pol_sketch::Welford::new();
-        for _ in 0..stats.speed.count() {
-            speed.add(99.0);
-        }
-        stats.speed = speed;
+        let mut counts = *stats.course_bins.counts();
+        let from = counts.iter().position(|&c| c > 0).unwrap();
+        let to = (from + 1) % counts.len();
+        assert!(counts[to] < 127, "the moved count stays one byte");
+        counts[from] -= 1;
+        counts[to] += 1;
+        stats.course_bins = pol_sketch::AngleHistogram::from_counts(counts);
         Inventory::from_entries(inv.resolution(), entries, inv.total_records())
     }
 
@@ -426,9 +429,7 @@ mod tests {
             assert_eq!(b.speed.mean(), stats.speed.mean());
             assert_eq!(b.course_bins.counts(), stats.course_bins.counts());
             assert_eq!(b.top_destinations(3), stats.top_destinations(3));
-            let mut bq = b.speed_q.clone();
-            let mut sq = stats.speed_q.clone();
-            assert_eq!(bq.quantile(0.5), sq.quantile(0.5));
+            assert_eq!(&b, stats);
             // Canonical fixed point: re-encoding the decoded entry gives
             // the bytes it was decoded from.
             assert_eq!(stats_bytes(&b), bytes);
@@ -503,7 +504,7 @@ mod tests {
                 let mut forged_header = header[..at].to_vec();
                 put_varint(&mut forged_header, claimed);
                 forged_header.extend_from_slice(&header[at + 1..]);
-                let mut forged = columnar::MAGIC_V3.to_vec();
+                let mut forged = columnar::MAGIC_V4.to_vec();
                 forged.extend_from_slice(&(forged_header.len() as u32).to_le_bytes());
                 forged.extend_from_slice(&forged_header);
                 forged.extend_from_slice(&pol_sketch::crc64::crc64(&forged_header).to_le_bytes());
@@ -521,15 +522,17 @@ mod tests {
     #[test]
     fn corrupt_headers_rejected() {
         // Empty file, short file, wrong magic — the two retired row
-        // formats and the retired POLMAN1 manifest among them: nothing
-        // decodes them any more, so each is the same typed BadHeader as
-        // arbitrary bytes, never a panic.
+        // formats, the retired POLINV3 columnar format (its summaries
+        // held floats) and the retired POLMAN1 manifest among them:
+        // nothing decodes them any more, so each is the same typed
+        // BadHeader as arbitrary bytes, never a panic.
         let dir = temp_dir("headers");
         let path = dir.join("inv.pol");
-        let inputs: [&[u8]; 6] = [
+        let inputs: [&[u8]; 7] = [
             b"",
             b"POLI",
-            b"XOLINV3\0\x06",
+            b"XOLINV4\0\x06",
+            b"POLINV3\0\x06padding past the magic",
             b"POLINV1\0\x06padding past the magic",
             b"POLINV2\0\x06padding past the magic",
             b"POLMAN1\0\x06padding past the magic",
@@ -595,7 +598,7 @@ mod tests {
         let path = dir.join("inv.pol");
         let inv = sample_inventory(100);
         columnar::save(&inv, &path).unwrap();
-        assert_eq!(sniff_file(&path).unwrap(), Some(SnapshotFormat::V3));
+        assert_eq!(sniff_file(&path).unwrap(), Some(SnapshotFormat::V4));
         let back = load_any(&path).unwrap();
         assert_eq!(columnar::to_bytes(&back), columnar::to_bytes(&inv));
         std::fs::remove_dir_all(&dir).ok();

@@ -1,9 +1,9 @@
-//! POLINV3 — the columnar, mmap-friendly snapshot format.
+//! POLINV4 — the columnar, mmap-friendly snapshot format.
 //!
 //! ## On-disk layout (version 3)
 //!
 //! ```text
-//! magic    b"POLINV3\0"                                  8 bytes
+//! magic    b"POLINV4\0"                                  8 bytes
 //! header   u32 LE section length                         4 bytes
 //!          resolution u8, total-record varint,
 //!          section-count varint (= 5), then per section:
@@ -45,7 +45,7 @@
 //! seeks straight to any section without scanning, and nothing hides in
 //! gaps. [`Layout::parse`] validates everything eagerly — seal, CRCs,
 //! bounds, key sortedness, offset monotonicity — in one linear pass that
-//! decodes no sketches, which is why opening a POLINV3 snapshot costs a
+//! decodes no sketches, which is why opening a POLINV4 snapshot costs a
 //! validation pass, not a deserialization. Stats decode lazily per
 //! lookup from the blob column.
 //!
@@ -71,9 +71,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// File magic (format version 3: columnar sections, sealed footer).
-pub const MAGIC_V3: &[u8; 8] = b"POLINV3\0";
+pub const MAGIC_V4: &[u8; 8] = b"POLINV4\0";
 
-/// The five sections of a POLINV3 file, in canonical directory order.
+/// The five sections of a POLINV4 file, in canonical directory order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SectionKind {
     /// `(H3-index)` grouping set.
@@ -262,7 +262,7 @@ pub struct GroupSpan {
     pub blob: Range<usize>,
 }
 
-/// A fully validated POLINV3 file layout: where every column lives.
+/// A fully validated POLINV4 file layout: where every column lives.
 ///
 /// Produced by [`Layout::parse`], which proves the seal, every section
 /// CRC, key sortedness and offset monotonicity before returning — a
@@ -310,7 +310,7 @@ fn wire(msg: &'static str) -> CodecError {
 }
 
 impl Layout {
-    /// Structurally validates a complete POLINV3 file image.
+    /// Structurally validates a complete POLINV4 file image.
     ///
     /// One linear pass over the bytes: magic, footer seal, header CRC,
     /// directory sanity (five known sections, contiguous, in order),
@@ -319,12 +319,12 @@ impl Layout {
     /// one row per occupied cell, and strictly ascending top-dest rows.
     /// No sketch is decoded.
     pub fn parse(bytes: &[u8]) -> Result<Layout, CodecError> {
-        if bytes.len() < MAGIC_V3.len() || &bytes[..MAGIC_V3.len()] != MAGIC_V3 {
+        if bytes.len() < MAGIC_V4.len() || &bytes[..MAGIC_V4.len()] != MAGIC_V4 {
             return Err(CodecError::BadHeader);
         }
         // Footer seal first, as everywhere else: prove the file *ends*
         // correctly before trusting anything in the middle.
-        if bytes.len() < MAGIC_V3.len() + 16 {
+        if bytes.len() < MAGIC_V4.len() + 16 {
             return Err(unsealed());
         }
         let seal_at = bytes.len() - FOOTER_MAGIC.len();
@@ -338,7 +338,7 @@ impl Layout {
         }
 
         // Header section.
-        let mut at = MAGIC_V3.len();
+        let mut at = MAGIC_V4.len();
         let take = |at: &mut usize, n: usize| -> Result<&[u8], CodecError> {
             let end = at.checked_add(n).ok_or_else(unsealed)?;
             if end > len_at {
@@ -801,11 +801,11 @@ impl<'a> TopDestReader<'a> {
     }
 }
 
-/// The most a POLINV3 image can hold before its section area: magic,
+/// The most a POLINV4 image can hold before its section area: magic,
 /// header length, the longest possible header (resolution byte, two
 /// varints, five directory rows of a kind byte and three varints) and
 /// the header CRC.
-const MAX_PREFIX: usize = MAGIC_V3.len() + 4 + (1 + 10 + 10 + 5 * (1 + 3 * 10)) + 8;
+const MAX_PREFIX: usize = MAGIC_V4.len() + 4 + (1 + 10 + 10 + 5 * (1 + 3 * 10)) + 8;
 
 /// The fixed-stride big-endian encoding of a [`GroupKey`]: the bytes of
 /// its section's stride, zero-padded to the widest.
@@ -839,7 +839,7 @@ fn seal_section(
     (kind, count, len)
 }
 
-/// Serializes an inventory to its complete POLINV3 file image (magic
+/// Serializes an inventory to its complete POLINV4 file image (magic
 /// through sealed footer). Deterministic: equal inventories always
 /// produce identical bytes.
 ///
@@ -942,7 +942,7 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
     // The prefix takes the place of the room left for it: the section
     // area moves down once, by what the room had to spare.
     let mut prefix = Vec::with_capacity(MAX_PREFIX);
-    prefix.extend_from_slice(MAGIC_V3);
+    prefix.extend_from_slice(MAGIC_V4);
     prefix.extend_from_slice(&(header.len() as u32).to_le_bytes());
     prefix.extend_from_slice(&header);
     prefix.extend_from_slice(&crc64(&header).to_le_bytes());
@@ -953,7 +953,7 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
     out
 }
 
-/// Deserializes a POLINV3 file image into a heap [`Inventory`] —
+/// Deserializes a POLINV4 file image into a heap [`Inventory`] —
 /// validating the layout, then decoding every entry of every grouping
 /// section (the path for tools and delta merges; serving reads
 /// zero-copy via [`Layout`] + [`SectionReader`] instead).
@@ -985,7 +985,7 @@ pub(crate) fn decode(bytes: &[u8], layout: &Layout) -> Result<Inventory, CodecEr
     ))
 }
 
-/// What [`verify_bytes`] found in one section of a sound POLINV3 file.
+/// What [`verify_bytes`] found in one section of a sound POLINV4 file.
 #[derive(Clone, Debug)]
 pub struct SectionReport {
     /// Section name (`cell`, `cell-type`, `cell-route`, `lat-index`).
@@ -996,7 +996,7 @@ pub struct SectionReport {
     pub crc: u64,
 }
 
-/// What [`verify_bytes`] found in a structurally sound POLINV3 file.
+/// What [`verify_bytes`] found in a structurally sound POLINV4 file.
 #[derive(Clone, Debug)]
 pub struct ColumnarReport {
     /// Total file length in bytes, as recorded in the sealed footer.
@@ -1011,7 +1011,7 @@ pub struct ColumnarReport {
     pub entries: usize,
 }
 
-/// Audits a POLINV3 file image end to end: layout validation plus a
+/// Audits a POLINV4 file image end to end: layout validation plus a
 /// full decode of every entry (catching logical corruption a checksum
 /// of buggy bytes would bless). Any failure is the same typed
 /// [`CodecError`] a load would produce.
@@ -1044,20 +1044,20 @@ pub fn verify_bytes(bytes: &[u8]) -> Result<ColumnarReport, CodecError> {
     })
 }
 
-/// Audits a POLINV3 file on disk (see [`verify_bytes`]).
+/// Audits a POLINV4 file on disk (see [`verify_bytes`]).
 pub fn verify(path: &Path) -> Result<ColumnarReport, CodecError> {
     let mut buf = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut buf)?;
     verify_bytes(&buf)
 }
 
-/// Saves an inventory as a POLINV3 file, crash-safely — the temp-file
+/// Saves an inventory as a POLINV4 file, crash-safely — the temp-file
 /// + fsync + atomic-rename discipline of [`save_bytes`].
 pub fn save(inv: &Inventory, path: &Path) -> io::Result<()> {
     save_bytes(&to_bytes(inv), path)
 }
 
-/// Loads a POLINV3 file into a heap [`Inventory`] (full decode).
+/// Loads a POLINV4 file into a heap [`Inventory`] (full decode).
 pub fn load(path: &Path) -> Result<Inventory, CodecError> {
     let mut buf = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut buf)?;

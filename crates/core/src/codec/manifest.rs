@@ -2,7 +2,7 @@
 //! incremental deltas.
 //!
 //! Streaming ingestion (`pol-stream`) emits periodic delta snapshots:
-//! small POLINV3 files summarising only the trips finalized since the
+//! small POLINV4 files summarising only the trips finalized since the
 //! previous emission. A manifest names the base snapshot plus every
 //! delta in generation order. `pol-serve` maps the links and merges on
 //! read; [`load_chain`] merges them into one heap inventory.
@@ -19,9 +19,9 @@
 //! footer   u64 LE total file length, b"POLSEAL\0"     16 bytes
 //! ```
 //!
-//! A link's content check is a CRC-64/XZ over its POLINV3 header CRC and
+//! A link's content check is a CRC-64/XZ over its POLINV4 header CRC and
 //! then its five section CRCs ([`Layout::content_crc`]). A CRC over the
-//! whole file would not do: each block of a POLINV3 image is followed by
+//! whole file would not do: each block of a POLINV4 image is followed by
 //! its own CRC, and a CRC run over `block ‖ crc(block)` ends in a state
 //! fixed by the block's length, so two images one statistic apart share
 //! their whole-file CRC. POLMAN1 recorded exactly that, and is refused
@@ -79,7 +79,7 @@ pub struct ManifestEntry {
 }
 
 impl ManifestEntry {
-    /// The entry naming `bytes`, a complete POLINV3 image, as link
+    /// The entry naming `bytes`, a complete POLINV4 image, as link
     /// `generation` under file name `name`.
     pub fn for_link(generation: u64, name: String, bytes: &[u8]) -> Result<Self, CodecError> {
         Ok(ManifestEntry {
@@ -543,7 +543,7 @@ mod tests {
         std::fs::remove_file(dir.join("delta-1.pol3")).unwrap();
         assert!(matches!(load_chain(&man_path), Err(CodecError::Io(_))));
 
-        // A chain file must be POLINV3: one of the length the manifest
+        // A chain file must be POLINV4: one of the length the manifest
         // records under any other magic is BadHeader.
         let retired = b"POLINV2\0 and whatever a retired writer put after it";
         save_bytes(retired, &dir.join("base.pol")).unwrap();

@@ -16,9 +16,13 @@ pub struct PipelineConfig {
     /// Minimum positional reports for a trip to enter the inventory
     /// (guards against geofence flicker).
     pub min_trip_points: usize,
-    /// Rank-error bound of the percentile sketches (Table 3 "Perc.").
+    /// Relative accuracy α of the percentile summaries (Table 3 "Perc."):
+    /// a reported quantile is within `α·|x|` of the exact order statistic
+    /// `x` ([`pol_sketch::LogHistogram`]).
     pub quantile_epsilon: f64,
-    /// Capacity of the Top-N sketches (origins/destinations/transitions).
+    /// Bounds nothing: the Top-N columns (origins, destinations,
+    /// transitions) are exact tallies ([`pol_sketch::Tally`]). Kept for
+    /// configurations written against the bounded sketch they replaced.
     pub top_n_capacity: usize,
     /// Filter to commercial fleet only (the paper's preprocessing).
     pub commercial_only: bool,
@@ -31,7 +35,7 @@ impl Default for PipelineConfig {
             port_radius_km: 12.0,
             max_feasible_speed_kn: 50.0,
             min_trip_points: 5,
-            quantile_epsilon: 0.02,
+            quantile_epsilon: 0.01,
             top_n_capacity: 8,
             commercial_only: true,
         }

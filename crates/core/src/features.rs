@@ -10,8 +10,14 @@ use crate::config::PipelineConfig;
 use crate::records::CellPoint;
 use pol_ais::types::MarketSegment;
 use pol_hexgrid::CellIndex;
+use pol_sketch::circular::unit_vector;
+use pol_sketch::hash::hash64;
 use pol_sketch::hash::FxHashMap;
-use pol_sketch::{AngleHistogram, Circular, Distinct, GkSketch, MergeSketch, SpaceSaving, Welford};
+use pol_sketch::loghist::Mapping;
+use pol_sketch::{
+    AngleHistogram, Circular, Distinct, LogHistogram, MergeSketch, SecondsMoments, SpeedMoments,
+    Tally,
+};
 use std::sync::Arc;
 
 /// Which group identifiers (Table 2) the inventory materialises.
@@ -74,7 +80,11 @@ impl GroupKey {
 /// | Origin      | Top-N port ids                               |
 /// | Destination | Top-N port ids                               |
 /// | Transitions | Top-N next-cell indices                      |
-#[derive(Clone, Debug)]
+///
+/// No field holds a float: a summary is a function of the multiset of
+/// records folded into it, whatever the order and grouping of the
+/// folds and merges (DESIGN §9).
+#[derive(Clone, Debug, PartialEq)]
 pub struct CellStats {
     /// Raw record count.
     pub records: u64,
@@ -82,10 +92,10 @@ pub struct CellStats {
     pub ships: Distinct,
     /// Distinct trips.
     pub trips: Distinct,
-    /// Speed over ground, knots.
-    pub speed: Welford,
+    /// Speed over ground, knots (summed at 2⁻³² kn).
+    pub speed: SpeedMoments,
     /// Speed percentiles.
-    pub speed_q: GkSketch,
+    pub speed_q: LogHistogram,
     /// Course over ground (circular).
     pub course: Circular,
     /// Course 30°-bins.
@@ -94,90 +104,142 @@ pub struct CellStats {
     pub heading: Circular,
     /// Heading 30°-bins.
     pub heading_bins: AngleHistogram,
-    /// Elapsed time from origin, seconds.
-    pub eto: Welford,
+    /// Elapsed time from origin, whole seconds.
+    pub eto: SecondsMoments,
     /// ETO percentiles.
-    pub eto_q: GkSketch,
-    /// Actual time to arrival, seconds.
-    pub ata: Welford,
+    pub eto_q: LogHistogram,
+    /// Actual time to arrival, whole seconds.
+    pub ata: SecondsMoments,
     /// ATA percentiles.
-    pub ata_q: GkSketch,
-    /// Most frequent origin ports.
-    pub origins: SpaceSaving<u64>,
-    /// Most frequent destination ports.
-    pub destinations: SpaceSaving<u64>,
-    /// Most frequent next-cell transitions (raw cell indices).
-    pub transitions: SpaceSaving<u64>,
+    pub ata_q: LogHistogram,
+    /// Origin ports, counted exactly.
+    pub origins: Tally,
+    /// Destination ports, counted exactly.
+    pub destinations: Tally,
+    /// Next-cell transitions (raw cell indices), counted exactly.
+    pub transitions: Tally,
+}
+
+/// What one record adds to a summary, computed once for the three group
+/// keys it folds into: hashes, fixed-point values, bucket keys and bins.
+struct Sample {
+    ship: u64,
+    trip: u64,
+    speed: Option<(i64, i32)>,
+    course: Option<((i64, i64), usize)>,
+    heading: Option<((i64, i64), usize)>,
+    eto: (i64, i32),
+    ata: (i64, i32),
+    origin: u64,
+    dest: u64,
+    next: Option<u64>,
+}
+
+impl Sample {
+    /// `cp` under the quantile summaries' `mapping`. Non-finite speeds
+    /// and angles count as absent.
+    fn of(cp: &CellPoint, mapping: Mapping) -> Sample {
+        let p = &cp.point;
+        let angle = |deg: Option<f64>| {
+            let deg = deg?;
+            Some((unit_vector(deg)?, AngleHistogram::bin_of(deg)?))
+        };
+        let seconds = |s: i64| (s, mapping.key(s as f64).unwrap_or(0));
+        Sample {
+            ship: hash64(&p.mmsi.0),
+            trip: hash64(&p.trip_id),
+            speed: p
+                .sog_knots
+                .and_then(|s| Some((SpeedMoments::quantize(s)?, mapping.key(s)?))),
+            course: angle(p.cog_deg),
+            heading: angle(p.heading_deg),
+            eto: seconds(p.eto_secs),
+            ata: seconds(p.ata_secs),
+            origin: u64::from(p.origin),
+            dest: u64::from(p.dest),
+            next: cp.next_cell.map(|c| c.raw()),
+        }
+    }
 }
 
 impl CellStats {
-    /// An empty accumulator with the configured sketch parameters.
-    pub fn new(quantile_epsilon: f64, top_n_capacity: usize) -> CellStats {
+    /// An empty accumulator whose percentiles answer within relative
+    /// accuracy `quantile_epsilon` ([`LogHistogram::new`]). The Top-N
+    /// columns are exact tallies, so `_top_n_capacity` bounds nothing;
+    /// it stays in the signature for callers written against the
+    /// bounded sketch it replaced.
+    pub fn new(quantile_epsilon: f64, _top_n_capacity: usize) -> CellStats {
+        let quantiles = LogHistogram::new(quantile_epsilon);
         CellStats {
             records: 0,
             ships: Distinct::new(),
             trips: Distinct::new(),
-            speed: Welford::new(),
-            speed_q: GkSketch::new(quantile_epsilon),
+            speed: SpeedMoments::new(),
+            speed_q: quantiles.clone(),
             course: Circular::new(),
             course_bins: AngleHistogram::new(),
             heading: Circular::new(),
             heading_bins: AngleHistogram::new(),
-            eto: Welford::new(),
-            eto_q: GkSketch::new(quantile_epsilon),
-            ata: Welford::new(),
-            ata_q: GkSketch::new(quantile_epsilon),
-            origins: SpaceSaving::new(top_n_capacity),
-            destinations: SpaceSaving::new(top_n_capacity),
-            transitions: SpaceSaving::new(top_n_capacity),
+            eto: SecondsMoments::new(),
+            eto_q: quantiles.clone(),
+            ata: SecondsMoments::new(),
+            ata_q: quantiles,
+            origins: Tally::new(),
+            destinations: Tally::new(),
+            transitions: Tally::new(),
         }
     }
 
     /// Folds one projected record into the accumulator.
     pub fn observe(&mut self, cp: &CellPoint) {
-        let p = &cp.point;
+        self.add(&Sample::of(cp, self.speed_q.mapping()));
+    }
+
+    /// Folds one record's [`Sample`], made under this summary's mapping.
+    #[inline]
+    fn add(&mut self, s: &Sample) {
         self.records += 1;
-        self.ships.add(&p.mmsi.0);
-        self.trips.add(&p.trip_id);
-        if let Some(s) = p.sog_knots {
-            self.speed.add(s);
-            self.speed_q.add(s);
+        self.ships.add_hash(s.ship);
+        self.trips.add_hash(s.trip);
+        if let Some((q, key)) = s.speed {
+            self.speed.add_fixed(q);
+            self.speed_q.add_key(key);
         }
-        if let Some(c) = p.cog_deg {
-            self.course.add(c);
-            self.course_bins.add(c);
+        if let Some((unit, bin)) = s.course {
+            self.course.add_unit(unit);
+            self.course_bins.add_bin(bin);
         }
-        if let Some(h) = p.heading_deg {
-            self.heading.add(h);
-            self.heading_bins.add(h);
+        if let Some((unit, bin)) = s.heading {
+            self.heading.add_unit(unit);
+            self.heading_bins.add_bin(bin);
         }
-        self.eto.add(p.eto_secs as f64);
-        self.eto_q.add(p.eto_secs as f64);
-        self.ata.add(p.ata_secs as f64);
-        self.ata_q.add(p.ata_secs as f64);
-        self.origins.add(p.origin as u64);
-        self.destinations.add(p.dest as u64);
-        if let Some(next) = cp.next_cell {
-            self.transitions.add(next.raw());
+        self.eto.add_fixed(s.eto.0);
+        self.eto_q.add_key(s.eto.1);
+        self.ata.add_fixed(s.ata.0);
+        self.ata_q.add_key(s.ata.1);
+        self.origins.add(s.origin);
+        self.destinations.add(s.dest);
+        if let Some(next) = s.next {
+            self.transitions.add(next);
         }
     }
 
-    /// Most frequent destination ports, `(port id, estimated count)`.
+    /// Most frequent destination ports, `(port id, count)`.
     pub fn top_destinations(&self, n: usize) -> Vec<(u16, u64)> {
         self.destinations
             .top(n)
             .into_iter()
-            .map(|(k, c)| (k as u16, c.count))
+            .map(|(k, c)| (k as u16, c))
             .collect()
     }
 
-    /// Most frequent outgoing transitions, `(cell, estimated count)`.
-    /// Invalid raw values (cannot occur from `observe`) are skipped.
+    /// Most frequent outgoing transitions, `(cell, count)`. Invalid raw
+    /// values (cannot occur from `observe`) are skipped.
     pub fn top_transitions(&self, n: usize) -> Vec<(CellIndex, u64)> {
         self.transitions
             .top(n)
             .into_iter()
-            .filter_map(|(raw, c)| CellIndex::from_raw(raw).ok().map(|cell| (cell, c.count)))
+            .filter_map(|(raw, c)| CellIndex::from_raw(raw).ok().map(|cell| (cell, c)))
             .collect()
     }
 }
@@ -217,10 +279,13 @@ pub(crate) fn merge_shared(acc: &mut Arc<CellStats>, other: Arc<CellStats>) {
 pub(crate) type Combiner = FxHashMap<GroupKey, Arc<CellStats>>;
 
 /// The map phase of §3.3.4, which every route to an inventory shares:
-/// observes `points` in order, each under its three group keys.
+/// observes `points`, each under its three group keys. A record's
+/// [`Sample`] is made once for the three.
 pub(crate) fn observe(acc: &mut Combiner, cfg: &PipelineConfig, points: &[CellPoint]) {
+    let mapping = Mapping::for_accuracy(cfg.quantile_epsilon);
     for cp in points {
         let p = &cp.point;
+        let sample = Sample::of(cp, mapping);
         for key in [
             GroupKey::Cell(cp.cell),
             GroupKey::CellType(cp.cell, p.segment),
@@ -229,7 +294,7 @@ pub(crate) fn observe(acc: &mut Combiner, cfg: &PipelineConfig, points: &[CellPo
             let stats = acc.entry(key).or_insert_with(|| {
                 Arc::new(CellStats::new(cfg.quantile_epsilon, cfg.top_n_capacity))
             });
-            Arc::make_mut(stats).observe(cp);
+            Arc::make_mut(stats).add(&sample);
         }
     }
 }
@@ -290,7 +355,7 @@ mod tests {
         assert_eq!(s.course_bins.counts()[2], 1);
         assert_eq!(s.course_bins.counts()[3], 2);
         assert_eq!(s.top_destinations(1), vec![(5, 3)]);
-        assert_eq!(s.origins.top(1)[0].0, 0);
+        assert_eq!(s.origins.top1(), Some((0, 2)));
         assert!((s.eto.mean().unwrap() - 3_600.0).abs() < 1e-9);
         assert!((s.ata.mean().unwrap() - 7_200.0).abs() < 1e-9);
     }
@@ -345,19 +410,41 @@ mod tests {
         let mut b = CellStats::new(0.02, 8);
         points[..20].iter().for_each(|p| a.observe(p));
         points[20..].iter().for_each(|p| b.observe(p));
+        let mut ba = b.clone();
+        ba.merge(&a);
         a.merge(&b);
-        assert_eq!(a.records, whole.records);
-        assert_eq!(a.ships.estimate(), whole.ships.estimate());
-        assert_eq!(a.speed.count(), whole.speed.count());
-        assert!((a.speed.mean().unwrap() - whole.speed.mean().unwrap()).abs() < 1e-9);
-        assert_eq!(a.course_bins.counts(), whole.course_bins.counts());
-        assert_eq!(a.top_destinations(4), whole.top_destinations(4));
+        assert_eq!(a, whole);
+        assert_eq!(ba, whole);
     }
 
     fn group_stats(points: &[CellPoint]) -> Vec<(GroupKey, Arc<CellStats>)> {
         let mut acc = Combiner::default();
         observe(&mut acc, &PipelineConfig::default(), points);
         acc.into_iter().collect()
+    }
+
+    #[test]
+    fn a_shared_sample_folds_as_observe_does() {
+        // The build makes one `Sample` per record for its three keys;
+        // `CellStats::observe` makes its own. Same summary either way,
+        // off-grid values and absent kinematics included.
+        let mut points: Vec<CellPoint> = (0..40)
+            .map(|i| {
+                let x = f64::from(i);
+                cp(i % 3, u64::from(i % 4), 3.3 + x * 0.731, x * 17.77, 1, 2)
+            })
+            .collect();
+        points[5].point.sog_knots = None;
+        points[6].point.cog_deg = None;
+        points[7].point.heading_deg = Some(f64::NAN);
+        let mut observed = CellStats::new(0.01, 8);
+        points.iter().for_each(|p| observed.observe(p));
+        let out = group_stats(&points);
+        for (_, stats) in &out {
+            assert_eq!(**stats, observed);
+        }
+        assert_eq!(observed.speed.count(), 39);
+        assert_eq!(observed.heading.count(), 39);
     }
 
     #[test]

@@ -14,8 +14,12 @@
 //! [`StageCounts`] and [`CleanReport`]s (tested at 1, 2, 8 and 16 threads
 //! on the tiny scenario, and over arbitrary inputs in
 //! `tests/pipeline_properties.rs`).
-//! That holds because every ordering decision that reaches the bytes is
-//! data-determined:
+//! The stage counts and clean report are bit-identical because every
+//! ordering decision that reaches them is data-determined; the inventory
+//! bytes are because, on top of that, every summary merge is exact and
+//! commutes (DESIGN §9), so how vessels are bucketed and in which order
+//! the buckets' summaries merge does not reach the bytes either — at any
+//! partition count ([`run_fused_partitioned`]):
 //!
 //! * records scatter to [`Engine::DEFAULT_PARTITIONS`] buckets by
 //!   `hash64(mmsi) % num`, input partitions concatenated in order. The
@@ -35,8 +39,7 @@
 //!   across morsels), projection is [`crate::project::project_trip`] and
 //!   the fan-out is [`crate::features`]' `observe`;
 //! * per key, [`merge_combiner_shards`] adopts the first bucket's summary
-//!   and merges the later ones into it in bucket order. Floating-point
-//!   merges are not associative, so this order is part of the bytes.
+//!   and merges the later ones into it in bucket order.
 
 use crate::clean::{enrich_one, segment_lookup, CleanReport, Rejected, VesselCleaner};
 use crate::config::PipelineConfig;
@@ -175,7 +178,28 @@ pub fn run_fused(
     ports: &[PortSite],
     cfg: &PipelineConfig,
 ) -> Result<PipelineOutput, PipelineError> {
-    let num = Engine::DEFAULT_PARTITIONS;
+    run_fused_partitioned(
+        engine,
+        Engine::DEFAULT_PARTITIONS,
+        positions,
+        statics,
+        ports,
+        cfg,
+    )
+}
+
+/// [`run_fused`] with the vessels scattered to `partitions` buckets (at
+/// least one) instead of [`Engine::DEFAULT_PARTITIONS`]: the same
+/// output at every count, which `tests/pipeline_properties.rs` checks.
+pub fn run_fused_partitioned(
+    engine: &Engine,
+    partitions: usize,
+    positions: Vec<Vec<PositionReport>>,
+    statics: &[StaticReport],
+    ports: &[PortSite],
+    cfg: &PipelineConfig,
+) -> Result<PipelineOutput, PipelineError> {
+    let num = partitions.max(1);
 
     // Phase 1: scan + range-check + enrich + scatter by vessel, one task
     // per input partition.
@@ -375,11 +399,11 @@ pub fn run_fused(
     })
 }
 
-/// Folds per-vessel projected cell points into an [`Inventory`], replaying
-/// the fused executor's phase 2–3 ordering exactly: vessels scatter to
+/// Folds per-vessel projected cell points into an [`Inventory`] as the
+/// fused executor's phases 2–3 do: vessels scatter to
 /// [`Engine::DEFAULT_PARTITIONS`] buckets by `hash64(mmsi) % num`, each
-/// bucket observes its vessels in ascending-MMSI order through the same
-/// `observe`, and the reduce half is the same `reduce`.
+/// bucket observes its vessels through the same `observe`, and the
+/// reduce half is the same `reduce`.
 ///
 /// This is pol-stream's path to an inventory: a session retains its
 /// vessel's cell points in emission order and hands them over as
@@ -403,9 +427,8 @@ pub fn fold_shared(
     }
     let started = Instant::now();
     let task_cfg = cfg.clone();
-    let sharded = engine.run_tasks("stream:fold", partitions, move |_, mut part| {
-        // Deterministic morsel order, as in the fused build phase.
-        part.sort_by_key(|(mmsi, _, _)| *mmsi);
+    let sharded = engine.run_tasks("stream:fold", partitions, move |_, part| {
+        // Any vessel order folds to the same bytes (DESIGN §9).
         let mut acc = Combiner::default();
         for (_, points, from) in &part {
             observe(&mut acc, &task_cfg, points.get(*from..).unwrap_or_default());

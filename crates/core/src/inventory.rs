@@ -2,17 +2,16 @@
 //! delivers, with the Table-4 coverage/compression accounting.
 
 use crate::codec::{
-    decode_arrival, decode_arrival_quantiles, decode_cell_stats, decode_destinations,
-    decode_heaviest_destinations, encode_cell_stats,
+    decode_arrival_quantiles, decode_cell_stats, decode_heaviest_destinations, encode_cell_stats,
 };
 use crate::features::{CellStats, GroupKey, GroupingSet};
 use pol_ais::types::MarketSegment;
 use pol_geo::BBox;
 use pol_hexgrid::{cell_center, num_cells, CellIndex, Resolution};
 use pol_sketch::hash::FxHashMap;
-use pol_sketch::spacesaving::Heaviest;
+use pol_sketch::tally::Heaviest;
 use pol_sketch::wire::WireError;
-use pol_sketch::{GkSketch, MergeSketch, SpaceSaving, Welford};
+use pol_sketch::{MergeSketch, SecondsMoments};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -55,45 +54,25 @@ pub enum Summary<'a> {
 }
 
 impl<'a> Summary<'a> {
-    /// Time-to-arrival moments and quantile sketch (`ata`, `ata_q`):
-    /// what an ETA estimate reads. The sketch is owned because a
-    /// quantile query flushes it.
-    pub fn arrival(&self) -> Result<(Welford, GkSketch), WireError> {
-        match *self {
-            Summary::Stats(stats) => Ok((stats.ata.clone(), stats.ata_q.clone())),
-            Summary::Owned(ref stats) => Ok((stats.ata.clone(), stats.ata_q.clone())),
-            Summary::Encoded(bytes) => decode_arrival(bytes),
-        }
-    }
-
-    /// The destination heavy hitters: what a destination prediction
-    /// reads.
-    pub fn destinations(&self) -> Result<Cow<'_, SpaceSaving<u64>>, WireError> {
-        match *self {
-            Summary::Stats(stats) => Ok(Cow::Borrowed(&stats.destinations)),
-            Summary::Owned(ref stats) => Ok(Cow::Borrowed(&stats.destinations)),
-            Summary::Encoded(bytes) => decode_destinations(bytes).map(Cow::Owned),
-        }
-    }
-
     /// `ata` and the quantiles `phis` of `ata_q`: what an ETA estimate
-    /// reads — [`arrival`](Summary::arrival) and then
-    /// [`GkSketch::quantile`] of each, with no sketch cloned, flushed or
-    /// built and nothing allocated.
+    /// reads — those fields of [`stats`](Summary::stats) and then
+    /// [`LogHistogram::quantiles`](pol_sketch::LogHistogram::quantiles),
+    /// with no summary decoded and nothing allocated.
     pub fn arrival_quantiles<const N: usize>(
         &self,
         phis: [f64; N],
-    ) -> Result<(Welford, [Option<f64>; N]), WireError> {
+    ) -> Result<(SecondsMoments, [Option<f64>; N]), WireError> {
         match *self {
-            Summary::Stats(stats) => Ok((stats.ata.clone(), stats.ata_q.quantiles(phis))),
-            Summary::Owned(ref stats) => Ok((stats.ata.clone(), stats.ata_q.quantiles(phis))),
+            Summary::Stats(stats) => Ok((stats.ata, stats.ata_q.quantiles(phis))),
+            Summary::Owned(ref stats) => Ok((stats.ata, stats.ata_q.quantiles(phis))),
             Summary::Encoded(bytes) => decode_arrival_quantiles(bytes, phis),
         }
     }
 
-    /// The `N` heaviest destinations, in [`SpaceSaving::top`]'s order:
-    /// what a destination prediction reads — [`destinations`](Summary::destinations)
-    /// and then `top(N)`, with no sketch and no vector built.
+    /// The `N` heaviest destinations, in
+    /// [`Tally::top`](pol_sketch::Tally::top)'s order: what a destination
+    /// prediction reads — `destinations.top(N)` of
+    /// [`stats`](Summary::stats), with no tally and no vector built.
     pub fn heaviest_destinations<const N: usize>(&self) -> Result<Heaviest<N>, WireError> {
         match *self {
             Summary::Stats(stats) => Ok(stats.destinations.heaviest()),

@@ -48,6 +48,6 @@ pub use adaptive::{AdaptiveConfig, AdaptiveInventory};
 pub use config::PipelineConfig;
 pub use error::PipelineError;
 pub use features::{CellStats, GroupKey, GroupingSet};
-pub use fused::{run_fused, PipelineOutput, StageCounts};
+pub use fused::{run_fused, run_fused_partitioned, PipelineOutput, StageCounts};
 pub use inventory::{CoverageReport, Inventory, InventoryQuery, Summary};
 pub use records::{CellPoint, PortSite, TripPoint};

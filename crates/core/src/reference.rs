@@ -5,25 +5,20 @@
 //! Vessels are walked in ascending MMSI order through the shared
 //! per-vessel helpers: the timestamp sort and [`VesselCleaner`] fold of
 //! [`crate::clean::order_and_filter_vessel`], [`extract_for_vessel`],
-//! [`project_trip`] per trip, and the grouping-set fan-out. Each vessel
-//! folds into bucket `hash64(mmsi) %` [`Engine::DEFAULT_PARTITIONS`], and
-//! per key the first bucket's summary is adopted and the later ones are
-//! merged into it in bucket order, as in `run_fused`. The buckets are not
-//! an optimisation: floating-point merges are not associative, so one
-//! accumulator for every vessel gives other bytes.
+//! [`project_trip`] per trip, and the grouping-set fan-out into one
+//! accumulator per key. `run_fused` folds partitions of the vessels on
+//! several threads and merges them; every summary merge is exact and
+//! commutes (DESIGN §9), so the one accumulator here has its bytes.
 
 use crate::clean::{enrich_one, segment_lookup, CleanReport, Rejected, VesselCleaner};
 use crate::config::PipelineConfig;
-use crate::features::{merge_shared, observe, Combiner};
+use crate::features::{observe, Combiner};
 use crate::fused::{PipelineOutput, StageCounts};
 use crate::inventory::Inventory;
 use crate::project::project_trip;
 use crate::records::{EnrichedReport, PortSite};
 use crate::trips::{extract_for_vessel, Geofence};
 use pol_ais::{PositionReport, StaticReport};
-use pol_engine::Engine;
-use pol_sketch::hash::hash64;
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 /// §3.3.1 for every vessel: range check, static-inventory enrichment,
@@ -79,28 +74,17 @@ pub fn build(
 ) -> PipelineOutput {
     let (vessels, clean_report) = clean(positions, statics, cfg);
     let geofence = Geofence::build(ports, cfg.resolution);
-    let num = Engine::DEFAULT_PARTITIONS;
-    let mut buckets: Vec<Combiner> = (0..num).map(|_| Combiner::default()).collect();
+    let mut entries = Combiner::default();
     let (mut trips, mut cells, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
     let mut with_trips = 0;
-    for (mmsi, reports) in &vessels {
+    for reports in vessels.values() {
         trips.clear();
         extract_for_vessel(&geofence, reports, cfg.min_trip_points, &mut trips);
         with_trips += trips.len() as u64;
-        let bucket = &mut buckets[(hash64(mmsi) % num as u64) as usize];
         for trip in trips.chunk_by(|a, b| a.trip_id == b.trip_id) {
             cells.clear();
             project_trip(trip, cfg.resolution, &mut scratch, &mut cells);
-            observe(bucket, cfg, &cells);
-        }
-    }
-    let mut entries = Combiner::default();
-    for (key, stats) in buckets.into_iter().flatten() {
-        match entries.entry(key) {
-            Entry::Occupied(mut e) => merge_shared(e.get_mut(), stats),
-            Entry::Vacant(e) => {
-                e.insert(stats);
-            }
+            observe(&mut entries, cfg, &cells);
         }
     }
     PipelineOutput {
@@ -120,16 +104,19 @@ pub fn build(
 mod tests {
     use super::*;
     use crate::codec::columnar;
-    use crate::fused::run_fused;
+    use crate::fused::run_fused_partitioned;
     use pol_ais::types::{Mmsi, NavStatus, ShipTypeCode};
+    use pol_engine::Engine;
     use pol_geo::{interpolate, LatLon};
+    use pol_sketch::hash::hash64;
 
     /// Two vessels in different buckets sail the same lane slowly enough
-    /// to leave a dozen reports in each cell. Folding both into one
-    /// accumulator gives other bytes than merging the buckets' summaries,
-    /// so this input sees the merge order, and `build` has `run_fused`'s.
+    /// to leave a dozen reports in each cell, off the AIS grids: every
+    /// shared cell's summary is merged from two buckets in `run_fused`,
+    /// and is one accumulator's here. The bytes are the same at 1, 2 and
+    /// 32 buckets.
     #[test]
-    fn bucket_merge_order_is_part_of_the_bytes() {
+    fn merge_order_is_not_part_of_the_bytes() {
         let cfg = PipelineConfig::default();
         let (a, b) = (
             LatLon::new(51.95, 4.14).unwrap(),
@@ -166,28 +153,27 @@ mod tests {
         });
         let positions = vec![voyage(1), voyage(2)];
         let built = build(positions.clone(), &statics, &ports, &cfg);
-        let fused = run_fused(&Engine::new(2), positions.clone(), &statics, &ports, &cfg).unwrap();
         let bytes = columnar::to_bytes(&built.inventory);
-        assert!(
-            bytes == columnar::to_bytes(&fused.inventory),
-            "build differs from run_fused"
-        );
-
-        // The same vessels, in the same order, into one accumulator.
-        let (vessels, _) = clean(positions, &statics, &cfg);
-        let geofence = Geofence::build(&ports, cfg.resolution);
-        let mut one = Combiner::default();
-        for reports in vessels.values() {
-            let (mut trips, mut cells) = (Vec::new(), Vec::new());
-            extract_for_vessel(&geofence, reports, cfg.min_trip_points, &mut trips);
-            assert!(trips.iter().all(|t| t.trip_id == trips[0].trip_id));
-            project_trip(&trips, cfg.resolution, &mut Vec::new(), &mut cells);
-            observe(&mut one, &cfg, &cells);
+        let shared = built
+            .inventory
+            .iter()
+            .filter(|(_, s)| s.ships.estimate() == 2);
+        assert!(shared.count() > 5, "the vessels share cells");
+        for partitions in [1, 2, Engine::DEFAULT_PARTITIONS] {
+            let engine = Engine::new(2);
+            let fused = run_fused_partitioned(
+                &engine,
+                partitions,
+                positions.clone(),
+                &statics,
+                &ports,
+                &cfg,
+            )
+            .unwrap();
+            assert!(
+                columnar::to_bytes(&fused.inventory) == bytes,
+                "{partitions} buckets differ from one accumulator"
+            );
         }
-        let one = Inventory::from_shared(cfg.resolution, one, built.counts.projected);
-        assert!(
-            columnar::to_bytes(&one) != bytes,
-            "input does not see the merge order"
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! Which merge is canonical, pinned on POLINV3 bytes: one walk over a
+//! Which merge is canonical, pinned on POLINV4 bytes: one walk over a
 //! manifest (`load_chain`) and a left fold of `Inventory::merge` over
 //! the codec-round-tripped links are the same inventory after every
 //! published link — and the prefix rule a hot reload extends by keeps

@@ -1,4 +1,4 @@
-//! Property tests for the POLINV3 columnar snapshot: the encoding is
+//! Property tests for the POLINV4 columnar snapshot: the encoding is
 //! canonical, and `columnar::from_bytes` / `Layout::parse` on truncated,
 //! bit-flipped, zero-length or arbitrary-garbage input must never panic
 //! and must always return a typed [`CodecError`].
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 
 /// A fixed non-trivial inventory shared across all properties — traffic
-/// in all three grouping sets so every POLINV3 section is populated.
+/// in all three grouping sets so every POLINV4 section is populated.
 fn sample_inventory() -> Inventory {
     let res = Resolution::new(6).unwrap();
     let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
@@ -54,7 +54,7 @@ fn sample_inventory() -> Inventory {
     Inventory::from_entries(res, entries, 400)
 }
 
-/// The POLINV3 image of the sample inventory (the corruption target).
+/// The POLINV4 image of the sample inventory (the corruption target).
 fn v3_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| columnar::to_bytes(&sample_inventory()))
@@ -97,7 +97,7 @@ fn columnar_encoding_is_canonical() {
 }
 
 proptest! {
-    /// Every strict prefix of a valid POLINV3 file fails typed — no
+    /// Every strict prefix of a valid POLINV4 file fails typed — no
     /// truncation point yields a wrong-but-successful load, none panics.
     #[test]
     fn truncation_never_panics_and_always_fails_typed(cut in 0usize..1_000_000) {
@@ -138,14 +138,14 @@ proptest! {
         }
     }
 
-    /// Garbage wearing a valid POLINV3 magic still never panics — this
+    /// Garbage wearing a valid POLINV4 magic still never panics — this
     /// drives the parser into the directory and section framing instead
     /// of bailing at byte 0.
     #[test]
     fn garbage_behind_valid_magic_never_panics(
         bytes in prop::collection::vec(0u8..=255, 0..2048),
     ) {
-        let mut framed = columnar::MAGIC_V3.to_vec();
+        let mut framed = columnar::MAGIC_V4.to_vec();
         framed.extend_from_slice(&bytes);
         match columnar::from_bytes(&framed) {
             Ok(_) => {}

@@ -2,7 +2,7 @@
 //! `codec::wal::read_segment` on truncated, bit-flipped, zero-length or
 //! arbitrary-garbage input must never panic and must either serve only
 //! durable batches (the torn-tail tolerance) or fail with a typed
-//! [`WalError`] — mirrors the POLINV3 corruption suite in
+//! [`WalError`] — mirrors the POLINV4 corruption suite in
 //! `codec_columnar.rs`, plus WAL-specific properties: a truncated
 //! unsealed segment never serves a batch the full segment did not hold,
 //! and a sealed segment admits no tolerance at all.

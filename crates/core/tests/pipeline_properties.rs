@@ -1,19 +1,112 @@
 //! Property tests on the pipeline's §5-DESIGN.md invariants: cleaning
-//! idempotence, grouping-set consistency, codec round-trips and inventory
-//! merge associativity over randomly-shaped miniature worlds.
+//! idempotence, grouping-set consistency, codec round-trips, and bytes
+//! that do not depend on merge order (DESIGN §9) — per summary, per
+//! inventory and for `run_fused` at any thread and partition count —
+//! over randomly-shaped miniature worlds.
 
 use pol_ais::types::{Mmsi, NavStatus, ShipTypeCode};
 use pol_ais::{PositionReport, StaticReport};
 use pol_core::codec::columnar;
+use pol_core::codec::encode_cell_stats;
 use pol_core::features::{CellStats, GroupKey};
-use pol_core::records::PortSite;
+use pol_core::records::{CellPoint, PortSite, TripPoint};
 use pol_core::reference;
 use pol_core::{Inventory, PipelineConfig};
 use pol_engine::Engine;
 use pol_geo::LatLon;
 use pol_hexgrid::Resolution;
 use pol_sketch::hash::FxHashMap;
+use pol_sketch::MergeSketch;
 use proptest::prelude::*;
+
+/// One projected record of a small world: any kinematics, on or off the
+/// AIS grids, in one of a few cells, vessels, trips and ports.
+fn arb_point() -> impl Strategy<Value = CellPoint> {
+    (
+        (0u32..6, 0u64..8, 0u8..4),
+        (
+            0u8..2,
+            prop::option::of(0.0f64..30.0),
+            prop::option::of(0u16..3600),
+        ),
+        (0i64..3_000_000, 0i64..3_000_000, 0u8..4),
+    )
+        .prop_map(
+            |((mmsi, trip, at), (grid, sog, tenths), (eto, ata, next))| {
+                let res = Resolution::new(5).unwrap();
+                let pos = LatLon::new(40.0 + f64::from(at), 5.0 - f64::from(at)).unwrap();
+                let cell = pol_hexgrid::cell_at(pos, res);
+                // Half the points on the 0.1-kn / 0.1° grids, half off them.
+                let on_grid = |x: f64| {
+                    if grid == 0 {
+                        (x * 10.0).round() / 10.0
+                    } else {
+                        x
+                    }
+                };
+                let cog = tenths.map(|t| on_grid(f64::from(t) / 10.0 + 0.037));
+                CellPoint {
+                    point: TripPoint {
+                        mmsi: Mmsi(1 + mmsi),
+                        timestamp: eto,
+                        pos,
+                        sog_knots: sog.map(on_grid),
+                        cog_deg: cog,
+                        heading_deg: cog.map(|c| (c * 1.7) % 360.0),
+                        segment: pol_ais::types::MarketSegment::from_id((mmsi % 6) as u8).unwrap(),
+                        trip_id: trip,
+                        origin: (trip % 3) as u16,
+                        dest: (trip % 5) as u16,
+                        eto_secs: eto,
+                        ata_secs: ata,
+                    },
+                    cell,
+                    next_cell: (next > 0).then(|| {
+                        pol_hexgrid::cell_at(LatLon::new(41.0 + f64::from(next), 4.0).unwrap(), res)
+                    }),
+                }
+            },
+        )
+}
+
+/// `points` in the order of `ranks` (a permutation drawn as sort keys),
+/// dealt into `parts` groups by `deal`.
+fn permuted_parts(
+    points: &[CellPoint],
+    ranks: &[u64],
+    deal: &[u8],
+    parts: u8,
+) -> Vec<Vec<CellPoint>> {
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    order.sort_by_key(|&i| (ranks.get(i).copied().unwrap_or(0), i));
+    let mut out = vec![Vec::new(); usize::from(parts)];
+    for (n, i) in order.into_iter().enumerate() {
+        let part = usize::from(deal.get(n).copied().unwrap_or(0) % parts);
+        out[part].push(points[i]);
+    }
+    out
+}
+
+/// Every grouping-set key of `points`, each summary folded record by
+/// record in the given order.
+fn fold(points: &[CellPoint]) -> FxHashMap<GroupKey, CellStats> {
+    let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
+    for cp in points {
+        let p = &cp.point;
+        for key in [
+            GroupKey::Cell(cp.cell),
+            GroupKey::CellType(cp.cell, p.segment),
+            GroupKey::CellRoute(cp.cell, p.origin, p.dest, p.segment),
+        ] {
+            let cfg = PipelineConfig::default();
+            entries
+                .entry(key)
+                .or_insert_with(|| CellStats::new(cfg.quantile_epsilon, cfg.top_n_capacity))
+                .observe(cp);
+        }
+    }
+    entries
+}
 
 fn arb_report(mmsi: u32) -> impl Strategy<Value = PositionReport> {
     (
@@ -88,72 +181,82 @@ proptest! {
         );
     }
 
-    /// Inventory merge is associative and order-insensitive on the
-    /// observable statistics.
+    /// Inventory merge is associative and commutative on the bytes:
+    /// `(a ⊕ b) ⊕ c`, `a ⊕ (b ⊕ c)` and `c ⊕ b ⊕ a` are one file image,
+    /// the image of one inventory built from all the records.
     #[test]
     fn inventory_merge_associative(
-        xs in prop::collection::vec((30.0f64..60.0, -20.0f64..20.0, 0u64..5), 1..60),
-        ys in prop::collection::vec((30.0f64..60.0, -20.0f64..20.0, 0u64..5), 1..60),
-        zs in prop::collection::vec((30.0f64..60.0, -20.0f64..20.0, 0u64..5), 1..60),
+        xs in prop::collection::vec(arb_point(), 1..60),
+        ys in prop::collection::vec(arb_point(), 1..60),
+        zs in prop::collection::vec(arb_point(), 1..60),
     ) {
         let res = Resolution::new(5).unwrap();
-        let build = |pts: &[(f64, f64, u64)]| -> Inventory {
-            let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
-            for (lat, lon, trip) in pts {
-                let pos = LatLon::new(*lat, *lon).unwrap();
-                let cell = pol_hexgrid::cell_at(pos, res);
-                let cp = pol_core::records::CellPoint {
-                    point: pol_core::records::TripPoint {
-                        mmsi: Mmsi(9),
-                        timestamp: 0,
-                        pos,
-                        sog_knots: Some(12.0),
-                        cog_deg: Some(45.0),
-                        heading_deg: Some(45.0),
-                        segment: pol_ais::types::MarketSegment::Container,
-                        trip_id: *trip,
-                        origin: 1,
-                        dest: 2,
-                        eto_secs: 10,
-                        ata_secs: 20,
-                    },
-                    cell,
-                    next_cell: None,
-                };
-                entries
-                    .entry(GroupKey::Cell(cell))
-                    .or_insert_with(|| CellStats::new(0.05, 4))
-                    .observe(&cp);
-            }
-            Inventory::from_entries(res, entries, pts.len() as u64)
-        };
+        let build = |pts: &[CellPoint]| Inventory::from_entries(res, fold(pts), pts.len() as u64);
         let (a, b, c) = (build(&xs), build(&ys), build(&zs));
-        // (a ⊕ b) ⊕ c
-        let mut left = build(&xs);
+        let mut left = a.clone();
         left.merge(&b);
         left.merge(&c);
-        // a ⊕ (b ⊕ c)
-        let mut bc = build(&ys);
+        let mut bc = b.clone();
         bc.merge(&c);
-        let mut right = build(&xs);
+        let mut right = a.clone();
         right.merge(&bc);
-        prop_assert_eq!(left.len(), right.len());
-        prop_assert_eq!(left.total_records(), right.total_records());
-        for (key, ls) in left.iter() {
-            let rs = right.get(key).expect("same key space");
-            prop_assert_eq!(ls.records, rs.records);
-            prop_assert_eq!(ls.trips.estimate(), rs.trips.estimate());
-            match (ls.speed.mean(), rs.speed.mean()) {
-                (Some(x), Some(y)) => prop_assert!((x - y).abs() < 1e-9),
-                (None, None) => {}
-                other => prop_assert!(false, "{other:?}"),
+        let mut backwards = c.clone();
+        backwards.merge(&b);
+        backwards.merge(&a);
+        let whole = build(&[xs, ys, zs].concat());
+        let want = columnar::to_bytes(&whole);
+        prop_assert_eq!(&columnar::to_bytes(&left), &want);
+        prop_assert_eq!(&columnar::to_bytes(&right), &want);
+        prop_assert_eq!(&columnar::to_bytes(&backwards), &want);
+    }
+
+    /// Any permutation and any partition of a record multiset folds to
+    /// the same bytes: each part folded record by record in the permuted
+    /// order, the parts' summaries merged in either order, equal the
+    /// summary of the whole folded in input order — per summary and per
+    /// inventory.
+    #[test]
+    fn any_permutation_and_partition_folds_to_the_same_bytes(
+        points in prop::collection::vec(arb_point(), 0..150),
+        ranks in prop::collection::vec(0u64..1_000, 150),
+        deal in prop::collection::vec(0u8..255, 150),
+        parts in 1u8..9,
+    ) {
+        let res = Resolution::new(5).unwrap();
+        let whole = fold(&points);
+        let folded: Vec<FxHashMap<GroupKey, CellStats>> = permuted_parts(&points, &ranks, &deal, parts)
+            .iter()
+            .map(|part| fold(part))
+            .collect();
+        let stats_bytes = |s: &CellStats| {
+            let mut out = Vec::new();
+            encode_cell_stats(s, &mut out);
+            out
+        };
+        let merged_in = |order: &mut dyn Iterator<Item = &FxHashMap<GroupKey, CellStats>>, key| {
+            let mut acc: Option<CellStats> = None;
+            for s in order.filter_map(|entries| entries.get(key)) {
+                match acc.as_mut() {
+                    Some(acc) => acc.merge(s),
+                    None => acc = Some(s.clone()),
+                }
             }
+            acc.map(|s| stats_bytes(&s))
+        };
+        for (key, want) in &whole {
+            let want = Some(stats_bytes(want));
+            prop_assert_eq!(&merged_in(&mut folded.iter(), key), &want, "{:?}", key);
+            prop_assert_eq!(&merged_in(&mut folded.iter().rev(), key), &want, "{:?}", key);
         }
-        let _ = a; // silence: a is reconstructed as `left`'s base
-        // And the merged total equals the sum of the parts.
+        let n = points.len() as u64;
+        let mut merged = Inventory::from_entries(res, FxHashMap::default(), 0);
+        for (i, entries) in folded.into_iter().enumerate() {
+            let records = if i == 0 { n } else { 0 };
+            merged.merge(&Inventory::from_entries(res, entries, records));
+        }
         prop_assert_eq!(
-            left.total_records(),
-            (xs.len() + ys.len() + zs.len()) as u64
+            columnar::to_bytes(&merged),
+            columnar::to_bytes(&Inventory::from_entries(res, whole, n))
         );
     }
 
@@ -207,7 +310,10 @@ proptest! {
     /// The fused executor is bit-identical to the reference fold — same
     /// inventory bytes, stage counts and clean report — over arbitrary
     /// multi-vessel inputs at 1, 2, 8 and 16 threads, each run twice on
-    /// one engine so the second sees warm per-worker scratch.
+    /// one engine so the second sees warm per-worker scratch: first at
+    /// the default 32 partitions, then at `partitions`. The reference
+    /// folds every vessel into one accumulator, so no bucket count or
+    /// merge order reaches the bytes.
     ///
     /// Vessel 501's reports are split across input partitions 0 and 1,
     /// with `split` copying timestamps of `a`: equal timestamps on both
@@ -221,6 +327,7 @@ proptest! {
         c in prop::collection::vec(arb_report(503), 0..120),
         unknown in prop::collection::vec(arb_report(504), 0..40),
         mut split in prop::collection::vec(arb_report(501), 0..40),
+        partitions in 1usize..70,
     ) {
         let cfg = PipelineConfig::default();
         // Synthetic ports inside the generator's coordinate window, so
@@ -257,9 +364,10 @@ proptest! {
             // The second run on the SAME engine finds the per-worker
             // scratch arenas warm: the buffer-reuse path (stale capacity,
             // retained trip trackers) rather than the cold-allocation one.
-            for run in ["cold", "warm"] {
-                let fused = pol_core::run_fused(
+            for (run, buckets) in [("cold", Engine::DEFAULT_PARTITIONS), ("warm", partitions)] {
+                let fused = pol_core::run_fused_partitioned(
                     &engine,
+                    buckets,
                     positions.clone(),
                     &st,
                     &ports,

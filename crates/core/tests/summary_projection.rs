@@ -1,13 +1,14 @@
 //! Property tests for [`Summary`]'s projections: on the encoding of an
 //! arbitrary [`CellStats`] — observe and merge histories, distinct
-//! counters promoted to HyperLogLog, quantile sketches of 128 tuples and
-//! more, top-N sketches past their inline slots — `arrival()` and
-//! `destinations()` equal the fields of the full decode, `Wire::skip`
+//! counters promoted to HyperLogLog, quantile summaries of 128 buckets
+//! and more, tallies past their inline slots — `arrival_quantiles` and
+//! `heaviest_destinations` equal the same queries of the full decode's
+//! fields (`ata`, `ata_q.quantiles`, `destinations.top`), `Wire::skip`
 //! consumes exactly what `Wire::decode` does for every sketch, and on
 //! every truncation and single-byte corruption a projection returns a
 //! typed error or a value, agreeing with the full decode wherever both
 //! succeed: never a panic, never a read past the slice. (Every position
-//! of a summary of exact counters, one with 128-tuple sketches among
+//! of a summary of exact counters, one with 128-bucket summaries among
 //! them; of one holding 4 KB of HyperLogLog registers, its head and
 //! every thirteenth byte after.)
 
@@ -19,7 +20,10 @@ use pol_core::Summary;
 use pol_geo::LatLon;
 use pol_hexgrid::{cell_at, Resolution};
 use pol_sketch::wire::{get_varint, skip_varint, Wire};
-use pol_sketch::{AngleHistogram, Circular, Distinct, GkSketch, MergeSketch, SpaceSaving, Welford};
+use pol_sketch::{
+    AngleHistogram, Circular, Distinct, LogHistogram, MergeSketch, SecondsMoments, SpeedMoments,
+    Tally,
+};
 use proptest::prelude::*;
 
 /// One report's worth of everything a summary folds in.
@@ -64,8 +68,8 @@ fn arb_stats(promoted: bool) -> impl Strategy<Value = CellStats> {
         0u8..2,
     )
         .prop_map(move |(parts, fine, roomy)| {
-            // 0.001 keeps every value of a few hundred as a tuple of its
-            // own; 20 counters live in a map, 8 inline.
+            // 0.001 keeps most values of a few hundred in a bucket of
+            // their own; 30 ports spill a tally past its 8 inline items.
             let epsilon = if fine == 0 || promoted { 0.001 } else { 0.02 };
             let capacity = if roomy == 0 { 20 } else { 8 };
             let mut vessel = 0;
@@ -101,39 +105,34 @@ fn arb_stats(promoted: bool) -> impl Strategy<Value = CellStats> {
         })
 }
 
-fn encoded<T: Wire>(value: &T) -> Vec<u8> {
-    let mut out = Vec::new();
-    value.encode(&mut out);
-    out
-}
-
 fn stats_bytes(stats: &CellStats) -> Vec<u8> {
     let mut out = Vec::new();
     encode_cell_stats(stats, &mut out);
     out
 }
 
-/// What the projections answer, as bytes (the sketches have no
-/// `PartialEq`; their encoding is canonical).
-type Projected = (Option<(Vec<u8>, Vec<u8>)>, Option<Vec<u8>>);
+/// The quantiles an ETA estimate asks for.
+const PHIS: [f64; 3] = [0.1, 0.5, 0.9];
+
+/// What the two readers answer.
+type Arrival = (SecondsMoments, [Option<f64>; 3]);
+type Projected = (Option<Arrival>, Option<Vec<(u64, u64)>>);
 
 fn projected(summary: &Summary<'_>) -> Projected {
     (
-        summary
-            .arrival()
+        summary.arrival_quantiles(PHIS).ok(),
+        (summary.heaviest_destinations::<8>())
             .ok()
-            .map(|(ata, ata_q)| (encoded(&ata), encoded(&ata_q))),
-        summary.destinations().ok().map(|d| encoded(&*d)),
+            .map(|h| h.as_slice().to_vec()),
     )
 }
 
-/// The same fields out of the full decode, when the bytes decode.
-fn decoded_fields(bytes: &[u8]) -> Option<(Vec<u8>, Vec<u8>, Vec<u8>)> {
+/// The same queries of the full decode's fields, when the bytes decode.
+fn decoded_fields(bytes: &[u8]) -> Option<(Arrival, Vec<(u64, u64)>)> {
     let stats = Summary::Encoded(bytes).to_stats().ok()?;
     Some((
-        encoded(&stats.ata),
-        encoded(&stats.ata_q),
-        encoded(&stats.destinations),
+        (stats.ata, stats.ata_q.quantiles(PHIS)),
+        stats.destinations.top(8),
     ))
 }
 
@@ -160,8 +159,8 @@ fn check_projections(stats: &CellStats, step: usize) {
     let owned = Summary::Owned(Box::new(stats.clone()));
     for summary in [Summary::Encoded(&bytes), Summary::Stats(stats), owned] {
         let (arrival, destinations) = projected(&summary);
-        assert_eq!(arrival, Some((fields.0.clone(), fields.1.clone())));
-        assert_eq!(destinations, Some(fields.2.clone()));
+        assert_eq!(arrival, Some(fields.0));
+        assert_eq!(destinations, Some(fields.1.clone()));
         let whole = summary.to_stats().expect("an encoding decodes");
         assert_eq!(stats_bytes(&whole), bytes);
         let mut copied = Vec::new();
@@ -175,19 +174,19 @@ fn check_projections(stats: &CellStats, step: usize) {
     get_varint(&mut decoded).expect("records");
     skip_matches_decode::<Distinct>(&mut skipped, &mut decoded, "ships");
     skip_matches_decode::<Distinct>(&mut skipped, &mut decoded, "trips");
-    skip_matches_decode::<Welford>(&mut skipped, &mut decoded, "speed");
-    skip_matches_decode::<GkSketch>(&mut skipped, &mut decoded, "speed_q");
+    skip_matches_decode::<SpeedMoments>(&mut skipped, &mut decoded, "speed");
+    skip_matches_decode::<LogHistogram>(&mut skipped, &mut decoded, "speed_q");
     skip_matches_decode::<Circular>(&mut skipped, &mut decoded, "course");
     skip_matches_decode::<AngleHistogram>(&mut skipped, &mut decoded, "course_bins");
     skip_matches_decode::<Circular>(&mut skipped, &mut decoded, "heading");
     skip_matches_decode::<AngleHistogram>(&mut skipped, &mut decoded, "heading_bins");
-    skip_matches_decode::<Welford>(&mut skipped, &mut decoded, "eto");
-    skip_matches_decode::<GkSketch>(&mut skipped, &mut decoded, "eto_q");
-    skip_matches_decode::<Welford>(&mut skipped, &mut decoded, "ata");
-    skip_matches_decode::<GkSketch>(&mut skipped, &mut decoded, "ata_q");
-    skip_matches_decode::<SpaceSaving<u64>>(&mut skipped, &mut decoded, "origins");
-    skip_matches_decode::<SpaceSaving<u64>>(&mut skipped, &mut decoded, "destinations");
-    skip_matches_decode::<SpaceSaving<u64>>(&mut skipped, &mut decoded, "transitions");
+    skip_matches_decode::<SecondsMoments>(&mut skipped, &mut decoded, "eto");
+    skip_matches_decode::<LogHistogram>(&mut skipped, &mut decoded, "eto_q");
+    skip_matches_decode::<SecondsMoments>(&mut skipped, &mut decoded, "ata");
+    skip_matches_decode::<LogHistogram>(&mut skipped, &mut decoded, "ata_q");
+    skip_matches_decode::<Tally>(&mut skipped, &mut decoded, "origins");
+    skip_matches_decode::<Tally>(&mut skipped, &mut decoded, "destinations");
+    skip_matches_decode::<Tally>(&mut skipped, &mut decoded, "transitions");
     assert!(skipped.is_empty(), "bytes after the last field");
 
     // Truncations: a projection that still answers read only bytes that
@@ -218,17 +217,17 @@ fn check_corruptions(stats: &CellStats, mask: u8, step: usize) {
         let (arrival, destinations) = projected(&Summary::Encoded(&bytes));
         if let Some(fields) = decoded_fields(&bytes) {
             if let Some(arrival) = arrival {
-                assert_eq!(arrival, (fields.0, fields.1), "byte {at} ^ {mask:#x}");
+                assert_eq!(arrival, fields.0, "byte {at} ^ {mask:#x}");
             }
             if let Some(destinations) = destinations {
-                assert_eq!(destinations, fields.2, "byte {at} ^ {mask:#x}");
+                assert_eq!(destinations, fields.1, "byte {at} ^ {mask:#x}");
             }
         }
         bytes[at] ^= mask;
     }
 }
 
-/// Sketches whose tuple count takes two bytes to write, cut and
+/// Summaries whose bucket count takes two bytes to write, cut and
 /// corrupted at every byte.
 #[test]
 fn projections_equal_the_full_decode_at_every_byte_of_wide_sketches() {
@@ -255,7 +254,7 @@ fn projections_equal_the_full_decode_at_every_byte_of_wide_sketches() {
             next_cell: None,
         });
     }
-    assert!(stats.ata_q.clone().tuple_count() >= 128);
+    assert!(stats.ata_q.buckets().len() >= 128);
     check_projections(&stats, 1);
     check_corruptions(&stats, 0x81, 1);
 }
@@ -282,9 +281,8 @@ proptest! {
         mask in 1u8..=255,
     ) {
         prop_assert!(!stats.ships.is_exact(), "the vessel counter was not promoted");
-        let bytes = stats_bytes(&stats);
-        let mut ata_q = Summary::Encoded(&bytes).arrival().expect("decodes").1;
-        prop_assert!(ata_q.tuple_count() >= 128, "{} tuples", ata_q.tuple_count());
+        let buckets = stats.ata_q.buckets().len();
+        prop_assert!(buckets >= 128, "{} buckets", buckets);
         check_projections(&stats, 13);
         check_corruptions(&stats, mask, 13);
     }

@@ -3,7 +3,7 @@
 //!
 //! Simulates a fleet (polbench's scenario shape: 50 vessels at
 //! `interval_scale` 10, seed 42), cuts it into daily windows with
-//! `StreamEngine` and publishes each as a POLINV3 link. Then, for every
+//! `StreamEngine` and publishes each as a POLINV4 link. Then, for every
 //! k, it serves the first k links and times:
 //!
 //! * `reload` — the server's hot reload onto the first k links, from
@@ -17,7 +17,7 @@
 //! * `rtt` / `batch32` — over loopback, one point summary per round trip
 //!   (`serve_lookup`'s shape) and a `BATCH` of 32 (`serve_heavy`'s).
 //!
-//! The last row serves the whole chain folded into one POLINV3 file.
+//! The last row serves the whole chain folded into one POLINV4 file.
 //! Past `MAX_LINKS` links the store folds on its own, so `served` drops
 //! back to 1. In-process times are the median of 31 batches.
 //!

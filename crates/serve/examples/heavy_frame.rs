@@ -3,7 +3,7 @@
 //! Simulates polbench's world (50 vessels over 7 days at
 //! `interval_scale` 10, seed 42), builds it with `run_fused` and serves
 //! it from memory as the server does (`InventoryService::new`: encoded to
-//! POLINV3 and read mapped). Then it makes `serve_heavy`-shaped children
+//! POLINV4 and read mapped). Then it makes `serve_heavy`-shaped children
 //! — bbox scans of ±0.5–2° around occupied cells, top-destination filters
 //! (every other one narrowed to a segment), ETAs (one in three narrowed
 //! to a route) and four-point destination predictions — and times

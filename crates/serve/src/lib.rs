@@ -8,13 +8,13 @@
 //! accounts every request in per-endpoint latency histograms
 //! ([`metrics`]).
 //!
-//! The zero-copy read path: a POLINV3 columnar snapshot is served
+//! The zero-copy read path: a POLINV4 columnar snapshot is served
 //! straight off disk through a [`mapped::MappedStore`] — the file is
 //! memory-mapped ([`mmap::MappedFile`]), validated once, and queried by
 //! binary search without deserializing anything up front. A POLMAN2
 //! delta chain is the same store over one mapped file per link, merged
 //! on read where links share a key; a hot reload maps only the links it
-//! has not mapped yet. An in-process build is encoded as POLINV3 in
+//! has not mapped yet. An in-process build is encoded as POLINV4 in
 //! memory and served the same way. [`proto::Request::Batch`] lets one
 //! frame carry many lookups.
 //!

@@ -1,6 +1,6 @@
-//! The zero-copy read store: memory-mapped POLINV3 links, base first.
+//! The zero-copy read store: memory-mapped POLINV4 links, base first.
 //!
-//! A POLINV3 snapshot is one link; a POLMAN2 delta chain is one link per
+//! A POLINV4 snapshot is one link; a POLMAN2 delta chain is one link per
 //! file. Each file is mapped ([`crate::mmap::MappedFile`]) and validated
 //! once ([`Layout::parse`] — CRCs, seal, sortedness; no sketch decoding).
 //! A point lookup binary-searches each link's key column: a key one link
@@ -16,7 +16,7 @@
 //! links' `Arc`s and maps only the new files ([`MappedStore::extend`]):
 //! nothing is decoded or copied, and dropping the old store unmaps only
 //! what no store holds any more. A store that would hold more than
-//! [`MAX_LINKS`] links folds them into one POLINV3 image in memory, so a
+//! [`MAX_LINKS`] links folds them into one POLINV4 image in memory, so a
 //! read merges at most that many. The store counts its work (`lookups`,
 //! `scan_entries`, `decode_errors`) for the STATS endpoint.
 
@@ -54,7 +54,7 @@ pub struct MappedCounters {
     pub decode_errors: u64,
 }
 
-/// One validated POLINV3 image: a link of the served chain.
+/// One validated POLINV4 image: a link of the served chain.
 struct Link {
     file: MappedFile,
     layout: Layout,
@@ -100,7 +100,7 @@ impl Link {
     }
 }
 
-/// A read-only query store over validated POLINV3 links in ascending
+/// A read-only query store over validated POLINV4 links in ascending
 /// generation: one snapshot, or the files of a delta chain.
 pub struct MappedStore {
     links: Vec<Arc<Link>>,
@@ -113,13 +113,13 @@ pub struct MappedStore {
 }
 
 impl MappedStore {
-    /// Maps `path` and validates the POLINV3 layout on the mapped bytes
+    /// Maps `path` and validates the POLINV4 layout on the mapped bytes
     /// themselves, before any query can touch them.
     pub fn open(path: &Path) -> Result<MappedStore, CodecError> {
         MappedStore::one(MappedFile::open(path)?)
     }
 
-    /// Serves a POLINV3 image held in memory, validated like a file.
+    /// Serves a POLINV4 image held in memory, validated like a file.
     pub(crate) fn from_image(bytes: Vec<u8>) -> Result<MappedStore, CodecError> {
         MappedStore::one(MappedFile::from_bytes(bytes))
     }

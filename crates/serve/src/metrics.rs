@@ -3,8 +3,8 @@
 //!
 //! Latency is tracked per endpoint in a fixed-width
 //! [`pol_sketch::Histogram`] over microseconds (the same machinery the
-//! inventory uses for its 30°-bin course histograms), with a
-//! [`pol_sketch::Welford`] alongside for exact max. A request's clock
+//! inventory uses for its 30°-bin course histograms), with the exact
+//! maximum alongside. A request's clock
 //! runs from the read that completed its frame on the event loop to its
 //! reply reaching the connection's write buffer, so time spent queued
 //! behind the connection's earlier frames, on the pool's queue and in
@@ -14,7 +14,7 @@
 //! stages: the server's first open and its latest reload.
 
 use pol_engine::metrics::{render_stages, StageReport};
-use pol_sketch::{Histogram, Welford};
+use pol_sketch::Histogram;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -159,7 +159,7 @@ pub struct StatsReport {
     /// Connections accepted.
     pub connections: u64,
     /// Always 0: the aggregate-query cache is gone and scans are
-    /// answered from the store. The field holds its place on the v5
+    /// answered from the store. The field holds its place on the v6
     /// `STATS` wire until the benchmark stops reading it.
     pub cache_hits: u64,
     /// Always 0, like [`cache_hits`](Self::cache_hits).
@@ -283,14 +283,14 @@ impl StatsReport {
 
 struct EndpointSlot {
     count: AtomicU64,
-    lat: Mutex<(Histogram, Welford)>,
+    lat: Mutex<(Histogram, f64)>,
 }
 
 impl EndpointSlot {
     fn new() -> EndpointSlot {
         EndpointSlot {
             count: AtomicU64::new(0),
-            lat: Mutex::new((Histogram::new(0.0, HIST_MAX_US, HIST_BINS), Welford::new())),
+            lat: Mutex::new((Histogram::new(0.0, HIST_MAX_US, HIST_BINS), 0.0)),
         }
     }
 }
@@ -365,7 +365,7 @@ impl ServerMetrics {
             let us = wall.as_secs_f64() * 1e6;
             let mut lat = slot.lat.lock().unwrap_or_else(PoisonError::into_inner);
             lat.0.add(us);
-            lat.1.add(us);
+            lat.1 = lat.1.max(us);
         }
     }
 
@@ -518,7 +518,7 @@ impl ServerMetrics {
                 p50_us: histogram_quantile_us(&lat.0, 0.50),
                 p95_us: histogram_quantile_us(&lat.0, 0.95),
                 p99_us: histogram_quantile_us(&lat.0, 0.99),
-                max_us: lat.1.max().unwrap_or(0.0),
+                max_us: lat.1,
             });
         }
         StatsReport {

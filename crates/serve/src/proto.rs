@@ -18,14 +18,14 @@ use pol_ais::types::MarketSegment;
 use pol_apps::eta::EtaEstimate;
 use pol_core::codec::{decode_cell_stats, encode_cell_stats};
 use pol_core::CellStats;
-use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, put_varints, WireError};
+use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, WireError};
 use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Wire protocol version carried in every payload. There are no
 /// deployed peers to stay compatible with, so the decoders accept exactly
 /// this version: any other version byte is [`ProtoError::BadVersion`].
-pub const PROTO_VERSION: u8 = 5;
+pub const PROTO_VERSION: u8 = 6;
 
 /// Upper bound on sub-requests in one `BATCH` frame.
 pub const MAX_BATCH: usize = 256;
@@ -249,7 +249,9 @@ pub enum Response {
     /// A cell summary (in its canonical `pol-core::codec` encoding on the
     /// wire), or `None` when the cell has no entry at the queried key.
     Summary(Option<CellStats>),
-    /// Raw 64-bit cell indices, sorted ascending.
+    /// Raw 64-bit cell indices, sorted ascending. On the wire each is
+    /// its distance from the one before (the first from 0), so a list of
+    /// nearby cells costs a few bytes a cell rather than nine.
     Cells(Vec<u64>),
     /// An ETA estimate, or `None` when no nearby history exists.
     Eta(Option<EtaEstimate>),
@@ -747,7 +749,14 @@ pub(crate) fn encode_response_body(resp: &Response, out: &mut Vec<u8>) {
 pub(crate) fn encode_cells(cells: &[u64], out: &mut Vec<u8>) {
     out.push(RESP_CELLS);
     put_varint(out, cells.len() as u64);
-    put_varints(out, cells);
+    // Distances wrap, so a list out of order still round-trips; only a
+    // sorted one is short.
+    out.reserve(cells.len().saturating_mul(10));
+    let mut last = 0u64;
+    for &cell in cells {
+        put_varint(out, cell.wrapping_sub(last));
+        last = cell;
+    }
 }
 
 /// Writes a [`Response::Eta`] tag + body.
@@ -808,8 +817,10 @@ fn decode_response_body(input: &mut &[u8], allow_batch: bool) -> Result<Response
                 return Err(ProtoError::Wire(WireError("cell count exceeds buffer")));
             }
             let mut cells = Vec::with_capacity(len);
+            let mut last = 0u64;
             for _ in 0..len {
-                cells.push(get_varint(input)?);
+                last = last.wrapping_add(get_varint(input)?);
+                cells.push(last);
             }
             Response::Cells(cells)
         }
@@ -1149,9 +1160,9 @@ mod tests {
 
     #[test]
     fn request_rejects_bad_version_tag_and_trailing() {
-        // One accepted version: its neighbours and the retired 2–4
+        // One accepted version: its neighbours and the retired 2–5
         // are as foreign as 99, for requests and responses alike.
-        for version in [2u8, 3, 4, 6, 99] {
+        for version in [2u8, 3, 4, 5, 7, 99] {
             let mut bytes = encode_request(&Request::Ping);
             bytes[0] = version;
             assert!(matches!(
@@ -1188,6 +1199,28 @@ mod tests {
         let mut bytes = vec![PROTO_VERSION, RESP_CELLS];
         put_varint(&mut bytes, 1 << 50);
         assert!(decode_response(&bytes).is_err());
+    }
+
+    #[test]
+    fn cell_lists_are_delta_coded_and_any_order_round_trips() {
+        // Sorted neighbours at resolution 6 are 2⁵⁶ and more: the first
+        // takes nine bytes, each later one its small distance.
+        let base = 0x0869_0000_0000_0000u64;
+        let sorted: Vec<u64> = (0..64).map(|i| base + i * 0x1_0000).collect();
+        let bytes = encode_response(&Response::Cells(sorted.clone()));
+        // Version, tag, count, then 9 + 63 × 3 bytes of distances.
+        assert_eq!(bytes.len(), 3 + 9 + 63 * 3);
+        let mut unsorted = sorted;
+        unsorted.reverse();
+        unsorted.push(0);
+        unsorted.push(u64::MAX);
+        for cells in [unsorted, vec![], vec![u64::MAX, 0, u64::MAX]] {
+            let bytes = encode_response(&Response::Cells(cells.clone()));
+            match decode_response(&bytes).unwrap() {
+                Response::Cells(back) => assert_eq!(back, cells),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub struct InventoryService {
 }
 
 impl InventoryService {
-    /// Serves `inventory` encoded as POLINV3 in memory (stage
+    /// Serves `inventory` encoded as POLINV4 in memory (stage
     /// `encode-open`): the reply a server over the saved file sends.
     pub fn new(inventory: Inventory, metrics: Arc<ServerMetrics>) -> Self {
         let started = Instant::now();
@@ -112,7 +112,7 @@ impl InventoryService {
         Self::opened(store, metrics, started, stage, Vec::new())
     }
 
-    /// Opens a snapshot file, sniffing its format: a POLINV3 file is
+    /// Opens a snapshot file, sniffing its format: a POLINV4 file is
     /// memory-mapped (validated, not deserialized), a POLMAN2 manifest's
     /// links are each mapped (the lineage goes to the `STATS` freshness
     /// fields), anything else is [`CodecError::BadHeader`]. The
@@ -136,7 +136,7 @@ impl InventoryService {
     ) -> Result<Self, CodecError> {
         let started = Instant::now();
         let (store, stage, chain) = match pol_core::codec::sniff_file(path)? {
-            Some(SnapshotFormat::V3) => {
+            Some(SnapshotFormat::V4) => {
                 let store = MappedStore::open(path)?;
                 let records = store.total_records();
                 (store, ("mmap-open", records, 0), Vec::new())
@@ -425,7 +425,7 @@ impl Server {
     }
 
     /// Starts serving straight off a snapshot file, sniffing its format
-    /// like [`InventoryService::open_snapshot`]: POLINV3 is memory-mapped
+    /// like [`InventoryService::open_snapshot`]: POLINV4 is memory-mapped
     /// zero-copy (validate, don't deserialize), a POLMAN2 chain is mapped
     /// link by link. This is the cold-start path `polinv serve` uses.
     pub fn start_snapshot<A: ToSocketAddrs>(

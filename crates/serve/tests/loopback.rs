@@ -454,7 +454,7 @@ fn corrupt_reload_is_rejected_and_old_snapshot_survives() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A server started from a POLINV3 snapshot (zero-copy mapped
+/// A server started from a POLINV4 snapshot (zero-copy mapped
 /// backend) answers every endpoint exactly like the heap-backed server
 /// over the same data, and reports the mapped store through `STATS`.
 #[test]

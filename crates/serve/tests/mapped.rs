@@ -1,4 +1,4 @@
-//! Zero-copy store equivalence tests: a [`MappedStore`] over a POLINV3
+//! Zero-copy store equivalence tests: a [`MappedStore`] over a POLINV4
 //! snapshot — or over the links of a POLMAN2 chain, merged on read —
 //! must answer every query — all three summary levels, bbox scans,
 //! top-destination scans, and the `pol-apps` estimators built on top —
@@ -81,7 +81,7 @@ fn lane_inventory() -> Inventory {
     }))
 }
 
-/// Saves the inventory as `polinv build` does (a POLINV3 file) and maps
+/// Saves the inventory as `polinv build` does (a POLINV4 file) and maps
 /// it.
 fn save_and_map(inv: &Inventory, tag: &str) -> (MappedStore, PathBuf) {
     let dir = std::env::temp_dir().join(format!("pol-serve-mapped-{tag}-{}", std::process::id()));
@@ -290,7 +290,7 @@ fn corrupt_snapshot_is_rejected_at_open() {
         std::fs::write(&path, &bytes).unwrap();
         assert!(MappedStore::open(&path).is_err(), "{name} must not open");
     }
-    // Another format's magic is not a POLINV3 file.
+    // Another format's magic is not a POLINV4 file.
     let v2path = dir.join("v2.pol");
     std::fs::write(&v2path, b"POLINV2\0 and the rest of a retired file").unwrap();
     assert!(MappedStore::open(&v2path).is_err());
@@ -298,7 +298,7 @@ fn corrupt_snapshot_is_rejected_at_open() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A fleetsim fleet through the fused build, written as POLINV3: real
+/// A fleetsim fleet through the fused build, written as POLINV4: real
 /// sketches of every shape (empty, single-sample, saturated) in all
 /// three grouping sets.
 fn fleetsim_snapshot(tag: &str) -> (Inventory, PathBuf) {
@@ -368,12 +368,12 @@ fn stored_stats_bytes_are_the_canonical_encoding() {
 
 /// The readers the estimators use answer off a mapped entry's bytes
 /// what the decode answers: for every entry of every section, the ETA's
-/// `arrival_quantiles` is `decode_arrival` then `quantile` of each, and
+/// `arrival_quantiles` is the decoded `ata` and `ata_q.quantiles`, and
 /// the prediction's `heaviest_destinations` is `decode_destinations` then
 /// `top(8)` — and the heap entry's `Summary` answers the same.
 #[test]
 fn byte_level_readers_equal_decode_then_query_on_every_entry() {
-    use pol_core::codec::{decode_arrival, decode_destinations};
+    use pol_core::codec::decode_destinations;
     const PHIS: [f64; 3] = [0.1, 0.5, 0.9];
     let (inventory, dir) = fleetsim_snapshot("readers");
     let bytes = std::fs::read(dir.join("inv.pol3")).unwrap();
@@ -384,8 +384,8 @@ fn byte_level_readers_equal_decode_then_query_on_every_entry() {
         for i in 0..reader.len() {
             let stored = reader.stats_bytes(i).unwrap();
             let key = reader.group_key_at(i).unwrap();
-            let (ata, mut ata_q) = decode_arrival(stored).unwrap();
-            let quantiles = PHIS.map(|phi| ata_q.quantile(phi));
+            let decoded = Summary::Encoded(stored).to_stats().unwrap();
+            let (ata, quantiles) = (decoded.ata, decoded.ata_q.quantiles(PHIS));
             let top = decode_destinations(stored).unwrap().top(8);
             let heap = Summary::Stats(inventory.get(&key).unwrap());
             for summary in [Summary::Encoded(stored), heap] {

@@ -3,7 +3,7 @@
 //! Prints the kernel a long input takes on this CPU (`crc64::kernel`),
 //! then the GB/s of `crc64` over one buffer of each size the workspace
 //! checks: a 37-byte report, 1 KiB, a 13 KiB WAL frame, an 800 KiB delta
-//! link and the 6.7 MB POLINV3 image polbench's `batch_build` writes.
+//! link and the 6.7 MB POLINV4 image polbench's `batch_build` writes.
 //! Each row is the median of 15 batches of about 64 MB of input.
 //!
 //! ```sh

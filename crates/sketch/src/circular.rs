@@ -6,14 +6,37 @@
 //! the circular mean correctly faces north. The resultant length `R ∈ [0,1]`
 //! doubles as a concentration measure: the traffic-separation lanes of the
 //! paper's Figure 4 show up as cells with `R` close to 1.
+//!
+//! The vector sums are kept in a `2^-32` fixed point, as integers: the
+//! summary of a multiset of angles is the same whatever order they are
+//! added and merged in.
 
+use crate::moments::round_to_int;
 use crate::MergeSketch;
 
-/// Accumulates unit vectors of angles in degrees.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Fractional bits of the fixed point the unit-vector components are
+/// summed in: each `sin`/`cos` is rounded to the nearest `2^-32`.
+pub const UNIT_FRAC: u32 = 32;
+
+/// The unit vector of an angle in degrees, each component in the
+/// `2^-32` fixed point [`Circular`] sums: what [`Circular::add`] adds,
+/// for a caller that folds one angle into several accumulators.
+#[inline]
+pub fn unit_vector(deg: f64) -> Option<(i64, i64)> {
+    const SCALE: f64 = (1u64 << UNIT_FRAC) as f64;
+    if !deg.is_finite() {
+        return None;
+    }
+    let (sin, cos) = deg.to_radians().sin_cos();
+    Some((round_to_int(sin * SCALE), round_to_int(cos * SCALE)))
+}
+
+/// Accumulates unit vectors of angles in degrees, as integer sums of
+/// fixed-point components: merges are exact and commute.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Circular {
-    sum_sin: f64,
-    sum_cos: f64,
+    sum_sin: i128,
+    sum_cos: i128,
     count: u64,
 }
 
@@ -27,12 +50,16 @@ impl Circular {
     /// Non-finite values are ignored.
     #[inline]
     pub fn add(&mut self, deg: f64) {
-        if !deg.is_finite() {
-            return;
+        if let Some(v) = unit_vector(deg) {
+            self.add_unit(v);
         }
-        let rad = deg.to_radians();
-        self.sum_sin += rad.sin();
-        self.sum_cos += rad.cos();
+    }
+
+    /// Adds a unit vector made by [`unit_vector`].
+    #[inline]
+    pub fn add_unit(&mut self, (sin, cos): (i64, i64)) {
+        self.sum_sin = self.sum_sin.wrapping_add(i128::from(sin));
+        self.sum_cos = self.sum_cos.wrapping_add(i128::from(cos));
         self.count += 1;
     }
 
@@ -41,17 +68,23 @@ impl Circular {
         self.count
     }
 
+    /// The resultant vector `(Σsin, Σcos)` in units of one observation.
+    fn resultant(&self) -> (f64, f64) {
+        const SCALE: f64 = (1u64 << UNIT_FRAC) as f64;
+        (self.sum_sin as f64 / SCALE, self.sum_cos as f64 / SCALE)
+    }
+
     /// Circular mean in degrees `[0, 360)`. `None` when empty or when the
     /// directions cancel exactly (resultant length ~0, mean undefined).
     pub fn mean_deg(&self) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
-        let r = (self.sum_sin * self.sum_sin + self.sum_cos * self.sum_cos).sqrt();
-        if r / (self.count as f64) < 1e-9 {
+        let (s, c) = self.resultant();
+        if (s * s + c * c).sqrt() / (self.count as f64) < 1e-9 {
             return None;
         }
-        let mean = self.sum_sin.atan2(self.sum_cos).to_degrees();
+        let mean = s.atan2(c).to_degrees();
         Some((mean + 360.0) % 360.0)
     }
 
@@ -61,17 +94,17 @@ impl Circular {
         if self.count == 0 {
             return None;
         }
-        let r = (self.sum_sin * self.sum_sin + self.sum_cos * self.sum_cos).sqrt();
-        Some((r / self.count as f64).min(1.0))
+        let (s, c) = self.resultant();
+        Some(((s * s + c * c).sqrt() / self.count as f64).min(1.0))
     }
 
-    /// Raw vector sums `(Σsin, Σcos)` (serialization support).
-    pub fn sums(&self) -> (f64, f64) {
+    /// Raw fixed-point sums `(Σsin, Σcos)` (serialization support).
+    pub(crate) fn sums(&self) -> (i128, i128) {
         (self.sum_sin, self.sum_cos)
     }
 
     /// Reconstructs an accumulator from raw parts (deserialization).
-    pub fn from_parts(count: u64, sum_sin: f64, sum_cos: f64) -> Circular {
+    pub(crate) fn from_parts(count: u64, sum_sin: i128, sum_cos: i128) -> Circular {
         if count == 0 {
             return Circular::new();
         }
@@ -85,8 +118,8 @@ impl Circular {
 
 impl MergeSketch for Circular {
     fn merge(&mut self, other: &Self) {
-        self.sum_sin += other.sum_sin;
-        self.sum_cos += other.sum_cos;
+        self.sum_sin = self.sum_sin.wrapping_add(other.sum_sin);
+        self.sum_cos = self.sum_cos.wrapping_add(other.sum_cos);
         self.count += other.count;
     }
 }
@@ -167,8 +200,6 @@ mod tests {
             right.add(a);
         }
         left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.sum_sin - whole.sum_sin).abs() < 1e-9);
-        assert!((left.sum_cos - whole.sum_cos).abs() < 1e-9);
+        assert_eq!(left, whole);
     }
 }

@@ -123,12 +123,24 @@ impl AngleHistogram {
     /// Non-finite values are ignored.
     #[inline]
     pub fn add(&mut self, deg: f64) {
-        if !deg.is_finite() {
-            return;
+        if let Some(bin) = Self::bin_of(deg) {
+            self.add_bin(bin);
         }
-        let wrapped = deg.rem_euclid(360.0);
-        let i = ((wrapped / Self::BIN_DEG) as usize).min(11);
-        self.counts[i] += 1;
+    }
+
+    /// The bin of an angle in degrees; `None` when it is not finite.
+    #[inline]
+    pub fn bin_of(deg: f64) -> Option<usize> {
+        deg.is_finite()
+            .then(|| ((deg.rem_euclid(360.0) / Self::BIN_DEG) as usize).min(11))
+    }
+
+    /// Counts one angle in bin `bin` (of [`bin_of`](Self::bin_of)).
+    #[inline]
+    pub fn add_bin(&mut self, bin: usize) {
+        if let Some(count) = self.counts.get_mut(bin) {
+            *count += 1;
+        }
     }
 
     /// The 12 bin counters; bin `i` covers `[30·i, 30·(i+1))` degrees.

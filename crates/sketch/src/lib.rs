@@ -7,14 +7,15 @@
 //! Greenwald–Khanna summary, `approx_count_distinct` a HyperLogLog). This
 //! crate provides the same machinery as standalone, *mergeable* sketches:
 //!
-//! * [`Welford`] — exact count/mean/variance/min/max in one pass,
+//! * [`Moments`] — exact count/mean/variance/min/max as integer sums of
+//!   fixed-point values,
 //! * [`Circular`] — mean direction for course/heading (the `X*` entries of
 //!   Table 3; an arithmetic mean of 359° and 1° would be 180°, the circular
-//!   mean is 0°),
-//! * [`GkSketch`] — Greenwald–Khanna rank-error-bounded quantiles,
-//! * [`TDigest`] — Dunning's merging t-digest (the ablation partner of GK),
-//! * [`SpaceSaving`] — Metwally et al. heavy hitters for Top-N origins,
-//!   destinations and cell transitions,
+//!   mean is 0°), as integer sums of fixed-point unit vectors,
+//! * [`LogHistogram`] — log-bucketed quantiles with relative accuracy α
+//!   (DDSketch-style),
+//! * [`Tally`] — exact counts for Top-N origins, destinations and cell
+//!   transitions,
 //! * [`HyperLogLog`] / [`Distinct`] — distinct vessels and trips per cell,
 //! * [`Histogram`] / [`AngleHistogram`] — the 30-degree course/heading bins.
 //!
@@ -22,37 +23,37 @@
 //! (verified by property tests), which is exactly what the build's
 //! combiner-based keyed reduce needs: each task builds its own sketches in
 //! the map phase, and `pol-engine`'s `merge_combiner_shards` merges them
-//! per key in the reduce phase. The contract holds up to floating-point
-//! rounding, so the build fixes the merge order (task order) to keep its
-//! bytes reproducible.
+//! per key in the reduce phase. The inventory's sketches hold no float
+//! state, so the contract holds exactly: a summary — and its encoding —
+//! is a function of the multiset of observations, whatever the order and
+//! partition of its adds and merges.
 
 #![deny(missing_docs)]
 
 pub mod circular;
+mod counts;
 pub mod crc64;
-pub mod gk;
 pub mod hash;
 pub mod histogram;
 pub mod hll;
-pub mod spacesaving;
-pub mod tdigest;
-pub mod welford;
+pub mod loghist;
+pub mod moments;
+pub mod tally;
 pub mod wire;
 
 pub use circular::Circular;
-pub use gk::GkSketch;
 pub use histogram::{AngleHistogram, Histogram};
 pub use hll::{Distinct, HyperLogLog};
-pub use spacesaving::SpaceSaving;
-pub use tdigest::TDigest;
-pub use welford::Welford;
+pub use loghist::LogHistogram;
+pub use moments::{Moments, SecondsMoments, SpeedMoments};
+pub use tally::Tally;
 
 /// The contract every statistic of the inventory satisfies: an associative,
 /// commutative merge with the empty sketch as identity. This is what makes
 /// the map/reduce decomposition of §3.3.4 correct regardless of how records
 /// are partitioned.
 pub trait MergeSketch {
-    /// Folds `other` into `self`. Must be associative and commutative up to
-    /// each sketch's documented approximation error.
+    /// Folds `other` into `self`. Must be associative and commutative,
+    /// with the empty sketch as identity.
     fn merge(&mut self, other: &Self);
 }

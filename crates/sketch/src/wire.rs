@@ -2,7 +2,10 @@
 //!
 //! The inventory's on-disk format (`pol-core::codec`) persists per-cell
 //! sketches; this module gives every sketch a versionless, schema-stable
-//! little-endian encoding: varint for integers, raw IEEE-754 for floats.
+//! encoding: LEB128 varints for integers (zigzag for signed ones, up to
+//! 128 bits for the exact sums), sorted keys as gaps, and raw bytes for
+//! HLL registers. No sketch stores a float, so equal summaries — which
+//! every merge order of the same observations gives — are equal bytes.
 //! Round-trips are property-tested.
 //!
 //! The varint kernels work a `u64` word at a time. [`put_varint`] spreads
@@ -22,12 +25,11 @@
 //! holds them to the byte loop, kept there as the oracle.
 
 use crate::circular::Circular;
-use crate::gk::{GkSketch, Quantiles, Tuple};
 use crate::histogram::AngleHistogram;
 use crate::hll::{Distinct, HyperLogLog, SmallSet, SMALL_INLINE};
-use crate::spacesaving::{Counter, Heaviest, SpaceSaving, INLINE_SLOTS};
-use crate::tdigest::TDigest;
-use crate::welford::Welford;
+use crate::loghist::{LogHistogram, Mapping, Query};
+use crate::moments::Moments;
+use crate::tally::{Heaviest, Tally};
 use std::fmt;
 
 /// Error for malformed wire data.
@@ -114,6 +116,80 @@ pub fn put_i64(out: &mut Vec<u8>, v: i64) {
 pub fn get_i64(input: &mut &[u8]) -> Result<i64, WireError> {
     let v = get_varint(input)?;
     Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
+}
+
+/// Writes a u128 as an LEB128 varint (at most 19 bytes): the wide sums
+/// of [`Moments`] and [`Circular`].
+fn put_u128(out: &mut Vec<u8>, v: u128) {
+    match u64::try_from(v) {
+        Ok(small) => put_varint(out, small),
+        Err(_) => {
+            let mut v = v;
+            while v >= 0x80 {
+                out.push((v as u8) | 0x80);
+                v >>= 7;
+            }
+            out.push(v as u8);
+        }
+    }
+}
+
+/// Reads a varint written by [`put_u128`]. One that ends within nine
+/// bytes is a `u64` varint's bytes, read by [`get_varint`].
+fn get_u128(input: &mut &[u8]) -> Result<u128, WireError> {
+    match varint_at(input) {
+        Some((word, len @ ..=8)) => {
+            *input = input.get(len..).unwrap_or_default();
+            return Ok(u128::from(gather(word & (u64::MAX >> (64 - 8 * len)))));
+        }
+        Some((_, 9)) => return get_varint(input).map(u128::from),
+        _ => {}
+    }
+    let mut v = 0u128;
+    let mut shift = 0;
+    loop {
+        let (&byte, rest) = input.split_first().ok_or(WireError("varint truncated"))?;
+        *input = rest;
+        if shift >= 128 {
+            return Err(WireError("varint overflow"));
+        }
+        v |= u128::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+/// Advances `input` past one varint written by [`put_u128`], with
+/// [`get_u128`]'s checks: word at a time when it ends within ten bytes,
+/// else by finding its last byte among the nineteen it may take.
+fn skip_u128(input: &mut &[u8]) -> Result<(), WireError> {
+    let len = match varint_at(input) {
+        Some((_, len)) => Some(len),
+        None => input
+            .iter()
+            .take(19)
+            .position(|&b| b < 0x80)
+            .map(|at| at + 1),
+    };
+    match len {
+        Some(len) => {
+            *input = input.get(len..).unwrap_or_default();
+            Ok(())
+        }
+        None => get_u128(input).map(drop),
+    }
+}
+
+/// An i128 in zigzag order (0, −1, 1, −2, …), for [`put_u128`].
+fn zigzag128(v: i128) -> u128 {
+    ((v << 1) ^ (v >> 127)) as u128
+}
+
+/// [`zigzag128`] undone.
+fn unzigzag128(v: u128) -> i128 {
+    ((v >> 1) as i128) ^ -((v & 1) as i128)
 }
 
 /// The LEB128 bytes of `v` and how many of them there are: for a length
@@ -294,46 +370,52 @@ pub trait Wire: Sized {
     fn skip(input: &mut &[u8]) -> Result<(), WireError>;
 }
 
-impl Wire for Welford {
+impl<const FRAC: u32> Wire for Moments<FRAC> {
+    /// The count, then — when it is not zero — `Σq` (zigzag), `Σq²`, the
+    /// smallest `q` (zigzag) and the largest's distance above it.
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.count());
-        // mean/min/max are Some exactly when count > 0, so the decoder's
-        // "count > 0 means four floats follow" contract is preserved.
-        if let (Some(mean), Some(min), Some(max)) = (self.mean(), self.min(), self.max()) {
-            put_f64(out, mean);
-            put_f64(out, self.m2());
-            put_f64(out, min);
-            put_f64(out, max);
+        let (count, sum, sum_sq, min, max) = self.parts();
+        put_varint(out, count);
+        if count > 0 {
+            put_u128(out, zigzag128(sum));
+            put_u128(out, sum_sq);
+            put_i64(out, min);
+            put_varint(out, max.wrapping_sub(min) as u64);
         }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let count = get_varint(input)?;
         if count == 0 {
-            return Ok(Welford::new());
+            return Ok(Moments::new());
         }
-        let mean = get_f64(input)?;
-        let m2 = get_f64(input)?;
-        let min = get_f64(input)?;
-        let max = get_f64(input)?;
-        Ok(Welford::from_parts(count, mean, m2, min, max))
+        let sum = unzigzag128(get_u128(input)?);
+        let sum_sq = get_u128(input)?;
+        let min = get_i64(input)?;
+        let max = i64::try_from(i128::from(min) + i128::from(get_varint(input)?))
+            .map_err(|_| WireError("moments max out of range"))?;
+        Moments::from_parts(count, sum, sum_sq, min, max).ok_or(WireError("moments min above max"))
     }
 
     fn skip(input: &mut &[u8]) -> Result<(), WireError> {
-        match get_varint(input)? {
-            0 => Ok(()),
-            _ => skip_bytes(input, 32, "f64 truncated"),
+        if get_varint(input)? == 0 {
+            return Ok(());
         }
+        skip_u128(input)?;
+        skip_u128(input)?;
+        skip_varints(input, 2)
     }
 }
 
 impl Wire for Circular {
+    /// The count, then — when it is not zero — `Σsin` and `Σcos`
+    /// (zigzag, in the `2^-32` fixed point).
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.count());
         if self.count() > 0 {
             let (s, c) = self.sums();
-            put_f64(out, s);
-            put_f64(out, c);
+            put_u128(out, zigzag128(s));
+            put_u128(out, zigzag128(c));
         }
     }
 
@@ -342,15 +424,18 @@ impl Wire for Circular {
         if count == 0 {
             return Ok(Circular::new());
         }
-        let s = get_f64(input)?;
-        let c = get_f64(input)?;
+        let s = unzigzag128(get_u128(input)?);
+        let c = unzigzag128(get_u128(input)?);
         Ok(Circular::from_parts(count, s, c))
     }
 
     fn skip(input: &mut &[u8]) -> Result<(), WireError> {
         match get_varint(input)? {
             0 => Ok(()),
-            _ => skip_bytes(input, 16, "f64 truncated"),
+            _ => {
+                skip_u128(input)?;
+                skip_u128(input)
+            }
         }
     }
 }
@@ -375,197 +460,198 @@ impl Wire for AngleHistogram {
     }
 }
 
-impl Wire for GkSketch {
-    /// The flushed sketch, read through a borrowed view: nothing is
-    /// cloned or allocated. The tuple count precedes the tuples and is
-    /// known only after them: its one byte is patched in, and widened in
-    /// the rare sketch that holds 128 tuples or more.
+/// Walks an encoded [`LogHistogram`], handing `each` its buckets in key
+/// order, and returns its mapping: what a decode checks (a mapping of 1
+/// to 255 buckets per octave, keys the mapping can hold, no zero count),
+/// and nothing built. The bucket checks decide after the last bucket is
+/// read, so bytes cut short fail as [`Wire::skip`] fails on them.
+fn read_buckets(
+    input: &mut &[u8],
+    mut each: impl FnMut(Mapping, i32, u64),
+) -> Result<Mapping, WireError> {
+    let mapping = u8::try_from(get_varint(input)?)
+        .ok()
+        .and_then(Mapping::with_per_octave)
+        .ok_or(WireError("loghist mapping out of range"))?;
+    let len = get_varint(input)? as usize;
+    if len > input.len() {
+        return Err(WireError("loghist bucket count exceeds buffer"));
+    }
+    let (mut key, mut valid) = (0i64, true);
+    for i in 0..len {
+        key = if i == 0 {
+            get_i64(input)?
+        } else {
+            key.saturating_add(get_varint(input)?.min(i64::MAX as u64) as i64)
+                .saturating_add(1)
+        };
+        let count = get_varint(input)?;
+        valid &= count > 0 && mapping.holds(key);
+        if valid {
+            each(mapping, key as i32, count);
+        }
+    }
+    if valid {
+        Ok(mapping)
+    } else {
+        Err(WireError("loghist bucket invalid"))
+    }
+}
+
+impl Wire for LogHistogram {
+    /// The buckets per octave, the bucket count, then each bucket: its
+    /// key (the first zigzag, every later one as its gap above the last,
+    /// minus one) and its count.
     fn encode(&self, out: &mut Vec<u8>) {
-        put_f64(out, self.epsilon());
-        put_varint(out, self.count());
-        let len_at = out.len();
-        out.push(0);
-        let mut len = 0u64;
-        self.flushed(|t| {
-            len += 1;
-            put_f64(out, t.v);
-            put_varint(out, t.g);
-            put_varint(out, t.delta);
-        });
-        match u8::try_from(len) {
-            Ok(byte) if byte < 0x80 => out[len_at] = byte,
-            _ => {
-                let mut wide = Vec::new();
-                put_varint(&mut wide, len);
-                out.splice(len_at..=len_at, wide);
+        put_varint(out, u64::from(self.mapping().per_octave()));
+        put_varint(out, self.buckets().len() as u64);
+        let mut last = None;
+        for &(key, count) in self.buckets() {
+            match last {
+                None => put_i64(out, i64::from(key)),
+                Some(last) => put_varint(out, (i64::from(key) - i64::from(last) - 1) as u64),
             }
+            put_varint(out, count);
+            last = Some(key);
         }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let epsilon = get_f64(input)?;
-        if !(epsilon > 0.0 && epsilon < 0.5) {
-            return Err(WireError("gk epsilon out of range"));
-        }
-        let n = get_varint(input)?;
-        let len = get_varint(input)? as usize;
-        if len > input.len() {
-            return Err(WireError("gk tuple count exceeds buffer"));
-        }
-        let mut tuples = Vec::with_capacity(len);
-        for _ in 0..len {
-            let v = get_f64(input)?;
-            let g = get_varint(input)?;
-            let delta = get_varint(input)?;
-            tuples.push((v, g, delta));
-        }
-        GkSketch::from_parts(epsilon, n, tuples).ok_or(WireError("gk tuples not sorted"))
+        let mut buckets = Vec::new();
+        let mapping = read_buckets(input, |_, key, count| buckets.push((key, count)))?;
+        Ok(LogHistogram::from_sorted(mapping, buckets))
     }
 
+    /// Checks the mapping and the bucket count; the keys and counts are
+    /// the decode's to check.
     fn skip(input: &mut &[u8]) -> Result<(), WireError> {
-        let epsilon = get_f64(input)?;
-        if !(epsilon > 0.0 && epsilon < 0.5) {
-            return Err(WireError("gk epsilon out of range"));
-        }
-        skip_varint(input)?;
+        u8::try_from(get_varint(input)?)
+            .ok()
+            .and_then(Mapping::with_per_octave)
+            .ok_or(WireError("loghist mapping out of range"))?;
         let len = get_varint(input)? as usize;
         if len > input.len() {
-            return Err(WireError("gk tuple count exceeds buffer"));
+            return Err(WireError("loghist bucket count exceeds buffer"));
         }
-        for _ in 0..len {
-            // A tuple is an f64 and two varints, most often of one byte
-            // each: ten bytes, and the next tuple's place is known before
-            // this one's bytes are looked at.
-            if let Some(&[g, delta]) = input.get(8..10) {
-                if (g | delta) < 0x80 {
-                    *input = input.get(10..).unwrap_or_default();
-                    continue;
-                }
-            }
-            skip_bytes(input, 8, "f64 truncated")?;
-            skip_varints(input, 2)?;
-        }
-        Ok(())
+        skip_varints(input, 2 * len)
     }
 }
 
-/// The quantiles `phis` of an encoded [`GkSketch`], advancing `input`
-/// past it: what [`GkSketch::decode`](Wire::decode) and then
-/// [`GkSketch::quantile`] of each give, and the same error where the
-/// decode fails — read straight off the bytes, so no tuple vector is
-/// built.
-pub fn gk_quantiles<const N: usize>(
+/// The quantiles `phis` of an encoded [`LogHistogram`], advancing
+/// `input` past it: what [`LogHistogram::decode`](Wire::decode) and then
+/// [`LogHistogram::quantiles`] give, and the same error where the decode
+/// fails — read straight off the bytes in two walks (the count, then
+/// the ranks), so nothing is built.
+pub fn loghist_quantiles<const N: usize>(
     input: &mut &[u8],
     phis: [f64; N],
 ) -> Result<[Option<f64>; N], WireError> {
-    let epsilon = get_f64(input)?;
-    if !(epsilon > 0.0 && epsilon < 0.5) {
-        return Err(WireError("gk epsilon out of range"));
-    }
-    let n = get_varint(input)?;
-    let len = get_varint(input)? as usize;
-    if len > input.len() {
-        return Err(WireError("gk tuple count exceeds buffer"));
-    }
-    // The query runs as the tuples are read; `GkSketch::from_parts`'
-    // checks (sorted, finite, `g` summing to `n`) decide at the end
-    // whether its answers stand.
-    let mut query = Quantiles::new(epsilon, n, phis);
-    let (mut valid, mut total_g, mut last) = (true, 0u64, None);
-    for _ in 0..len {
-        let v = get_f64(input)?;
-        let g = get_varint(input)?;
-        let delta = get_varint(input)?;
-        valid &= v.is_finite() && !last.is_some_and(|last| last > v);
-        total_g = total_g.wrapping_add(g);
-        last = Some(v);
-        query.push(Tuple { v, g, delta });
-    }
-    if valid && total_g == n {
-        Ok(query.finish())
+    let (start, mut n) = (*input, 0u64);
+    read_buckets(input, |_, _, count| n = n.wrapping_add(count))?;
+    let mut query = None;
+    read_buckets(&mut { start }, |mapping, key, count| {
+        query
+            .get_or_insert_with(|| Query::new(mapping, n, phis))
+            .push(key, count)
+    })?;
+    Ok(query.map_or([None; N], Query::finish))
+}
+
+/// [`loghist_quantiles`] when the summary's count is likely `n` (a
+/// summary folded beside a [`Moments`] of the same values): one walk
+/// answers for `n`, and a second runs only if the buckets count another
+/// total. Same answers, same errors.
+pub fn loghist_quantiles_counted<const N: usize>(
+    input: &mut &[u8],
+    n: u64,
+    phis: [f64; N],
+) -> Result<[Option<f64>; N], WireError> {
+    let (start, mut total, mut query) = (*input, 0u64, None);
+    read_buckets(input, |mapping, key, count| {
+        total = total.wrapping_add(count);
+        query
+            .get_or_insert_with(|| Query::new(mapping, n, phis))
+            .push(key, count)
+    })?;
+    if total == n {
+        Ok(query.map_or([None; N], Query::finish))
     } else {
-        Err(WireError("gk tuples not sorted"))
+        loghist_quantiles(&mut { start }, phis)
     }
 }
 
-/// The [`Heaviest`] `N` items of an encoded `SpaceSaving<u64>`,
-/// advancing `input` past it: what [`SpaceSaving::decode`](Wire::decode)
-/// and then [`SpaceSaving::top`]`(N)` give, and the same error where the
-/// decode fails — read straight off the bytes, so no sketch and no
-/// vector is built. (An encoder writes each item once; bytes that
-/// repeat one are not a sketch's.)
-pub fn spacesaving_heaviest<const N: usize>(input: &mut &[u8]) -> Result<Heaviest<N>, WireError> {
-    let capacity = get_varint(input)? as usize;
-    if capacity == 0 {
-        return Err(WireError("spacesaving zero capacity"));
-    }
-    skip_varint(input)?; // total
-    let len = get_varint(input)? as usize;
-    if len > capacity || len > input.len() {
-        return Err(WireError("spacesaving length invalid"));
-    }
-    let mut heaviest = Heaviest::new();
-    for _ in 0..len {
-        let k = get_varint(input)?;
-        let count = get_varint(input)?;
-        let error = get_varint(input)?;
-        heaviest.offer(k, Counter { count, error });
-    }
-    Ok(heaviest)
-}
-
-impl Wire for TDigest {
-    /// The compressed digest, read through a borrowed view: the digest
-    /// is not cloned.
+impl Wire for Tally {
+    /// The item count, then each item: its value (the first raw, every
+    /// later one as its gap above the last, minus one) and its count.
     fn encode(&self, out: &mut Vec<u8>) {
-        let (compression, total, min, max) = self.scalars();
-        put_f64(out, compression);
-        put_f64(out, total);
-        put_f64(out, min);
-        put_f64(out, max);
-        self.with_compressed(|centroids| {
-            put_varint(out, centroids.len() as u64);
-            for c in centroids {
-                put_f64(out, c.mean);
-                put_f64(out, c.weight);
+        put_varint(out, self.len() as u64);
+        let mut last = None;
+        for (item, count) in self.iter() {
+            match last {
+                None => put_varint(out, item),
+                Some(last) => put_varint(out, item - last - 1),
             }
-        });
+            put_varint(out, count);
+            last = Some(item);
+        }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let compression = get_f64(input)?;
-        if !(compression >= 10.0) {
-            return Err(WireError("tdigest compression out of range"));
-        }
-        let total = get_f64(input)?;
-        let min = get_f64(input)?;
-        let max = get_f64(input)?;
-        let len = get_varint(input)? as usize;
-        if len > input.len() {
-            return Err(WireError("tdigest centroid count exceeds buffer"));
-        }
-        let mut centroids = Vec::with_capacity(len);
-        for _ in 0..len {
-            let mean = get_f64(input)?;
-            let weight = get_f64(input)?;
-            centroids.push((mean, weight));
-        }
-        TDigest::from_parts(compression, total, min, max, centroids)
-            .ok_or(WireError("tdigest centroids not sorted"))
+        let mut items = Vec::new();
+        read_items(input, |item, count| items.push((item, count)))?;
+        Ok(Tally::from_sorted(items))
     }
 
+    /// Checks the item count; the items and counts are the decode's to
+    /// check.
     fn skip(input: &mut &[u8]) -> Result<(), WireError> {
-        let compression = get_f64(input)?;
-        if !(compression >= 10.0) {
-            return Err(WireError("tdigest compression out of range"));
-        }
-        skip_bytes(input, 24, "f64 truncated")?;
         let len = get_varint(input)? as usize;
         if len > input.len() {
-            return Err(WireError("tdigest centroid count exceeds buffer"));
+            return Err(WireError("tally length exceeds buffer"));
         }
-        skip_bytes(input, len.saturating_mul(16), "f64 truncated")
+        skip_varints(input, 2 * len)
     }
+}
+
+/// Walks an encoded [`Tally`], handing `each` its items in ascending
+/// order: what a decode checks (items that fit a `u64`, no zero count),
+/// and nothing built. The item checks decide after the last item is
+/// read, so bytes cut short fail as [`Wire::skip`] fails on them.
+fn read_items(input: &mut &[u8], mut each: impl FnMut(u64, u64)) -> Result<(), WireError> {
+    let len = get_varint(input)? as usize;
+    if len > input.len() {
+        return Err(WireError("tally length exceeds buffer"));
+    }
+    let (mut item, mut overflow, mut zero) = (0u64, false, false);
+    for i in 0..len {
+        let raw = get_varint(input)?;
+        let next = match i {
+            0 => Some(raw),
+            _ => item.checked_add(raw).and_then(|v| v.checked_add(1)),
+        };
+        overflow |= next.is_none();
+        item = next.unwrap_or(u64::MAX);
+        let count = get_varint(input)?;
+        zero |= count == 0;
+        if !(overflow || zero) {
+            each(item, count);
+        }
+    }
+    match (overflow, zero) {
+        (true, _) => Err(WireError("tally item overflow")),
+        (_, true) => Err(WireError("tally zero count")),
+        _ => Ok(()),
+    }
+}
+
+/// The [`Heaviest`] `N` items of an encoded [`Tally`], advancing
+/// `input` past it: what [`Tally::decode`](Wire::decode) and then
+/// [`Tally::top`]`(N)` give, and the same error where the decode fails —
+/// read straight off the bytes, so no tally and no vector is built.
+pub fn tally_heaviest<const N: usize>(input: &mut &[u8]) -> Result<Heaviest<N>, WireError> {
+    let mut heaviest = Heaviest::new();
+    read_items(input, |item, count| heaviest.offer(item, count))?;
+    Ok(heaviest)
 }
 
 impl Wire for HyperLogLog {
@@ -657,57 +743,6 @@ impl Wire for Distinct {
     }
 }
 
-impl Wire for SpaceSaving<u64> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.capacity() as u64);
-        put_varint(out, self.total());
-        put_varint(out, self.len() as u64);
-        for_each_sorted::<_, _, INLINE_SLOTS>(
-            self.len(),
-            self.iter().map(|(k, c)| (*k, *c)),
-            |(k, _)| *k,
-            |(k, c)| {
-                put_varint(out, k);
-                put_varint(out, c.count);
-                put_varint(out, c.error);
-            },
-        );
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let capacity = get_varint(input)? as usize;
-        if capacity == 0 {
-            return Err(WireError("spacesaving zero capacity"));
-        }
-        let total = get_varint(input)?;
-        let len = get_varint(input)? as usize;
-        if len > capacity || len > input.len() {
-            return Err(WireError("spacesaving length invalid"));
-        }
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            let k = get_varint(input)?;
-            let count = get_varint(input)?;
-            let error = get_varint(input)?;
-            items.push((k, Counter { count, error }));
-        }
-        Ok(SpaceSaving::from_parts(capacity, total, items))
-    }
-
-    fn skip(input: &mut &[u8]) -> Result<(), WireError> {
-        let capacity = get_varint(input)? as usize;
-        if capacity == 0 {
-            return Err(WireError("spacesaving zero capacity"));
-        }
-        skip_varint(input)?;
-        let len = get_varint(input)? as usize;
-        if len > capacity || len > input.len() {
-            return Err(WireError("spacesaving length invalid"));
-        }
-        skip_varints(input, len * 3)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,13 +815,32 @@ mod tests {
     }
 
     #[test]
-    fn welford_wire() {
-        round_trip(&Welford::new());
-        let mut w = Welford::new();
+    fn u128_varint_round_trip() {
+        for v in [0u128, 1, 127, 128, u64::MAX as u128, 1 << 64, u128::MAX] {
+            let mut buf = Vec::new();
+            put_u128(&mut buf, v);
+            let mut s = &buf[..];
+            assert_eq!(get_u128(&mut s).unwrap(), v);
+            assert!(s.is_empty());
+        }
+        for v in [0i128, -1, 1, i128::MIN, i128::MAX] {
+            assert_eq!(unzigzag128(zigzag128(v)), v);
+        }
+        assert!(get_u128(&mut &[0x80u8; 20][..]).is_err());
+    }
+
+    #[test]
+    fn moments_wire() {
+        round_trip(&Moments::<32>::new());
+        let mut w = Moments::<32>::new();
         for x in [1.0, 2.5, -3.0, 100.0] {
             w.add(x);
         }
         round_trip(&w);
+        let mut s = Moments::<0>::new();
+        s.add_fixed(i64::MIN);
+        s.add_fixed(i64::MAX);
+        round_trip(&s);
     }
 
     #[test]
@@ -808,39 +862,20 @@ mod tests {
     }
 
     #[test]
-    fn gk_wire_preserves_quantiles() {
-        let mut g = GkSketch::new(0.02);
+    fn loghist_wire_preserves_quantiles() {
+        round_trip(&LogHistogram::new(0.01));
+        let mut h = LogHistogram::new(0.01);
         for i in 0..5_000 {
-            g.add(((i * 37) % 1000) as f64);
+            h.add(((i * 37) % 1000) as f64 - 20.0);
         }
+        round_trip(&h);
         let mut buf = Vec::new();
-        g.encode(&mut buf);
-        let mut s = &buf[..];
-        let mut back = GkSketch::decode(&mut s).unwrap();
-        skips_what_it_decodes::<GkSketch>(&buf);
-        assert_eq!(back.count(), g.count());
-        for phi in [0.1, 0.5, 0.9] {
-            assert_eq!(back.quantile(phi), g.clone().quantile(phi));
-        }
-    }
-
-    #[test]
-    fn tdigest_wire_preserves_quantiles() {
-        let mut t = TDigest::new(100.0);
-        for i in 0..5_000 {
-            t.add(((i * 37) % 1000) as f64);
-        }
-        let mut buf = Vec::new();
-        t.encode(&mut buf);
-        let mut s = &buf[..];
-        let mut back = TDigest::decode(&mut s).unwrap();
-        skips_what_it_decodes::<TDigest>(&buf);
-        assert_eq!(back.count(), t.count());
-        for phi in [0.1, 0.5, 0.9] {
-            let a = back.quantile(phi).unwrap();
-            let b = t.clone().quantile(phi).unwrap();
-            assert!((a - b).abs() < 1e-9);
-        }
+        h.encode(&mut buf);
+        let phis = [0.1, 0.5, 0.9];
+        assert_eq!(
+            loghist_quantiles(&mut &buf[..], phis),
+            Ok(h.quantiles(phis))
+        );
     }
 
     #[test]
@@ -864,33 +899,43 @@ mod tests {
     }
 
     #[test]
-    fn spacesaving_wire() {
-        let mut s = SpaceSaving::<u64>::new(8);
+    fn cut_bytes_fail_alike_in_skip_and_decode() {
+        // A zero count, then the bytes end: truncation is the error a
+        // skip sees, so it is the decode's and the readers' too.
+        let cut: &[u8] = &[1, 2, 0, 0, 0x80];
+        let truncated = Err(WireError("varint truncated"));
+        assert_eq!(LogHistogram::skip(&mut &cut[..]), truncated);
+        assert_eq!(LogHistogram::decode(&mut &cut[..]).map(drop), truncated);
+        assert_eq!(loghist_quantiles(&mut &cut[..], [0.5]).map(drop), truncated);
+        let cut: &[u8] = &[2, 5, 0, 0x80];
+        assert_eq!(Tally::skip(&mut &cut[..]), truncated);
+        assert_eq!(Tally::decode(&mut &cut[..]).map(drop), truncated);
+        assert_eq!(tally_heaviest::<8>(&mut &cut[..]).map(drop), truncated);
+    }
+
+    #[test]
+    fn tally_wire() {
+        round_trip(&Tally::new());
+        let mut t = Tally::new();
         for i in 0..500u64 {
-            s.add(i % 20);
+            t.add((i % 20) * 1_000_003 + (1 << 58));
         }
+        round_trip(&t);
         let mut buf = Vec::new();
-        s.encode(&mut buf);
-        let mut slice = &buf[..];
-        let back = SpaceSaving::<u64>::decode(&mut slice).unwrap();
-        skips_what_it_decodes::<SpaceSaving<u64>>(&buf);
-        assert_eq!(back.total(), s.total());
-        // `top` order among exact ties is unspecified; compare as sets.
-        let as_set = |v: Vec<(u64, Counter)>| -> std::collections::BTreeSet<(u64, u64, u64)> {
-            v.into_iter().map(|(k, c)| (k, c.count, c.error)).collect()
-        };
-        assert_eq!(as_set(back.top(100)), as_set(s.top(100)));
+        t.encode(&mut buf);
+        let heaviest = tally_heaviest::<8>(&mut &buf[..]).unwrap();
+        assert_eq!(heaviest.as_slice(), &t.top(8)[..]);
     }
 
     #[test]
     fn decoded_sketches_remain_mergeable() {
-        let mut a = Welford::new();
+        let mut a = Moments::<32>::new();
         a.add(1.0);
         let mut buf = Vec::new();
         a.encode(&mut buf);
         let mut s = &buf[..];
-        let mut back = Welford::decode(&mut s).unwrap();
-        let mut b = Welford::new();
+        let mut back = Moments::<32>::decode(&mut s).unwrap();
+        let mut b = Moments::<32>::new();
         b.add(3.0);
         back.merge(&b);
         assert_eq!(back.count(), 2);
@@ -901,7 +946,7 @@ mod tests {
     fn garbage_rejected() {
         let garbage = [0xFFu8; 3];
         let mut s = &garbage[..];
-        assert!(GkSketch::decode(&mut s).is_err());
+        assert!(LogHistogram::decode(&mut s).is_err());
         let mut s2: &[u8] = &[9];
         assert!(Distinct::decode(&mut s2).is_err());
     }

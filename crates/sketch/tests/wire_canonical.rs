@@ -1,8 +1,6 @@
-//! The quantile sketches encode through a borrowed view (no clone, no
-//! flush of the sketch itself). These properties hold that view to the
-//! encoding it replaced — clone the sketch, flush the clone, write its
-//! parts — on arbitrary add/merge histories, and pin the canonical form:
-//! what decodes re-encodes to the same bytes.
+//! The canonical form: on arbitrary add/merge histories, what decodes
+//! re-encodes to the same bytes, and a quantile read off the bytes is the
+//! summary's own answer.
 //!
 //! The wire's varint kernels work a word at a time; the byte loop they
 //! replaced is kept here as their oracle, and every `Wire::skip` — and
@@ -10,19 +8,18 @@
 //! — is held to its `Wire::decode` on valid, cut and corrupted encodings.
 
 use pol_sketch::wire::{
-    get_varint, gk_quantiles, put_f64, put_varint, put_varints, skip_varint, skip_varints,
-    spacesaving_heaviest, Wire, WireError,
+    get_varint, loghist_quantiles, put_varint, put_varints, skip_varint, skip_varints,
+    tally_heaviest, Wire, WireError,
 };
 use pol_sketch::{
-    AngleHistogram, Circular, Distinct, GkSketch, HyperLogLog, MergeSketch, SpaceSaving, TDigest,
-    Welford,
+    AngleHistogram, Circular, Distinct, HyperLogLog, LogHistogram, MergeSketch, SecondsMoments,
+    SpeedMoments, Tally,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Batches of observations, quantised so equal values occur. A batch is
-/// long enough to cross both sketches' flush points (512 and 500), so
-/// histories mix retained tuples with a pending buffer.
+/// Batches of observations, quantised so equal values occur, of both
+/// signs: long enough to take a summary past its inline buckets.
 fn history() -> impl Strategy<Value = Vec<Vec<f64>>> {
     let value = (-4_000i32..4_000).prop_map(|q| f64::from(q) / 4.0);
     prop::collection::vec(prop::collection::vec(value, 0..700), 1..5)
@@ -63,89 +60,56 @@ fn reencoded<T: Wire>(bytes: &[u8]) -> Vec<u8> {
     encoded(&back)
 }
 
-/// The encoding before the borrowed view: flush a clone, write its parts.
-fn gk_clone_and_flush(g: &GkSketch) -> Vec<u8> {
-    let (epsilon, n, tuples) = g.clone().parts();
-    let mut out = Vec::new();
-    put_f64(&mut out, epsilon);
-    put_varint(&mut out, n);
-    put_varint(&mut out, tuples.len() as u64);
-    for (v, g, delta) in tuples {
-        put_f64(&mut out, v);
-        put_varint(&mut out, g);
-        put_varint(&mut out, delta);
-    }
-    out
-}
-
-fn tdigest_clone_and_compress(t: &TDigest) -> Vec<u8> {
-    let (compression, total, min, max, centroids) = t.clone().parts();
-    let mut out = Vec::new();
-    for x in [compression, total, min, max] {
-        put_f64(&mut out, x);
-    }
-    put_varint(&mut out, centroids.len() as u64);
-    for (mean, weight) in centroids {
-        put_f64(&mut out, mean);
-        put_f64(&mut out, weight);
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn gk_borrowed_encode_is_the_flushed_clone(
+    fn loghist_decode_re_encodes_to_the_same_bytes(
         h in history(),
         tail in 0usize..600,
         fine in 0u8..2,
     ) {
-        // The fine sketch folds next to nothing, so its tuple count needs
-        // a two-byte varint; the pipeline's ε keeps it to one.
-        let epsilon = if fine == 1 { 0.001 } else { 0.02 };
-        let g = replay(&h, tail, || GkSketch::new(epsilon), GkSketch::add);
-        let bytes = encoded(&g);
-        prop_assert_eq!(&bytes, &gk_clone_and_flush(&g));
-        prop_assert_eq!(&bytes, &reencoded::<GkSketch>(&bytes));
-        // Encoding left the sketch as it was: it still counts its buffer.
+        // The fine summary keeps about every value in a bucket of its
+        // own, so its bucket count needs a two-byte varint.
+        let alpha = if fine == 1 { 0.0005 } else { 0.01 };
+        let q = replay(&h, tail, || LogHistogram::new(alpha), LogHistogram::add);
+        let bytes = encoded(&q);
+        prop_assert_eq!(&bytes, &reencoded::<LogHistogram>(&bytes));
         let n: usize = h.iter().map(Vec::len).sum();
-        prop_assert_eq!(g.count(), (n + tail.min(n)) as u64);
+        prop_assert_eq!(q.count(), (n + tail.min(n)) as u64);
     }
 
     #[test]
-    fn quantiles_are_the_standard_gk_query(
+    fn quantiles_off_the_bytes_are_the_summarys_query(
         h in history(),
         tail in 0usize..600,
         coarse in 0u8..2,
         phi in 0.0f64..=1.0,
     ) {
-        // The coarse sketch folds hard: its `g` and `delta` take two
-        // bytes on the wire.
-        let epsilon = if coarse == 1 { 0.45 } else { 0.02 };
-        let g = replay(&h, tail, || GkSketch::new(epsilon), GkSketch::add);
+        // The coarse summary folds hard: its counts take two bytes.
+        let alpha = if coarse == 1 { 0.3 } else { 0.01 };
+        let q = replay(&h, tail, || LogHistogram::new(alpha), LogHistogram::add);
         let phis = [0.0, phi, 0.5, 1.0];
-        let want = phis.map(|p| gk_query(&g, p));
-        // Through the flushed view, through a flush, and off the bytes.
-        prop_assert_eq!(g.quantiles(phis), want);
-        prop_assert_eq!(phis.map(|p| g.clone().quantile(p)), want);
-        let bytes = encoded(&g);
-        prop_assert_eq!(gk_quantiles(&mut &bytes[..], phis), Ok(want));
-        skip_agrees_with_decode::<GkSketch>(&bytes)?;
+        let want = phis.map(|p| q.quantile(p));
+        prop_assert_eq!(q.quantiles(phis), want);
+        let bytes = encoded(&q);
+        prop_assert_eq!(loghist_quantiles(&mut &bytes[..], phis), Ok(want));
+        skip_agrees_with_decode::<LogHistogram>(&bytes)?;
     }
 
     #[test]
-    fn tdigest_borrowed_encode_is_the_compressed_clone(h in history(), tail in 0usize..600) {
-        let t = replay(&h, tail, || TDigest::new(100.0), TDigest::add);
-        let bytes = encoded(&t);
-        prop_assert_eq!(&bytes, &tdigest_clone_and_compress(&t));
-        prop_assert_eq!(&bytes, &reencoded::<TDigest>(&bytes));
+    fn exact_sums_decode_re_encodes_to_the_same_bytes(h in history(), tail in 0usize..600) {
+        let speed = replay(&h, tail, SpeedMoments::new, SpeedMoments::add);
+        let seconds = replay(&h, tail, SecondsMoments::new, |m, x| m.add_fixed((x * 1e3) as i64));
+        let course = replay(&h, tail, Circular::new, Circular::add);
+        let bytes = encoded(&speed);
+        prop_assert_eq!(&bytes, &reencoded::<SpeedMoments>(&bytes));
+        let bytes = encoded(&seconds);
+        prop_assert_eq!(&bytes, &reencoded::<SecondsMoments>(&bytes));
+        let bytes = encoded(&course);
+        prop_assert_eq!(&bytes, &reencoded::<Circular>(&bytes));
     }
 }
-
-// ---------------------------------------------------------------------
-// The word-at-a-time varint kernels against the byte loop they replaced.
-// ---------------------------------------------------------------------
 
 /// The byte-at-a-time LEB128 writer: the oracle of `put_varint`.
 fn put_varint_bytewise(out: &mut Vec<u8>, mut v: u64) {
@@ -297,8 +261,13 @@ fn runs_of_flagged_bytes_of_every_length_read_as_the_byte_loop() {
 // ---------------------------------------------------------------------
 
 /// The errors a decode raises past what a skip checks: constraints
-/// between values.
-const DECODE_ONLY: [&str; 2] = ["gk tuples not sorted", "tdigest centroids not sorted"];
+/// between values, and on values a skip steps over.
+const DECODE_ONLY: [&str; 4] = [
+    "moments max out of range",
+    "loghist bucket invalid",
+    "tally item overflow",
+    "tally zero count",
+];
 
 /// `T::skip` stops where `T::decode` does when the decode succeeds, and
 /// fails with the decode's error when it fails.
@@ -314,30 +283,12 @@ fn skip_agrees_with_decode<T: Wire>(bytes: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The GK query `GkSketch::quantile` answered before it shared one fold
-/// with the readers: the oracle of that fold.
-fn gk_query(g: &GkSketch, phi: f64) -> Option<f64> {
-    let (epsilon, n, tuples) = g.clone().parts();
-    let target = (phi * n as f64).ceil().max(1.0) as u64;
-    let allowed = (epsilon * n as f64) as u64;
-    let mut rmin = 0u64;
-    let mut answer = tuples.first()?.0;
-    for (v, g, delta) in tuples {
-        rmin += g;
-        if rmin + delta > target + allowed {
-            return Some(answer);
-        }
-        answer = v;
-    }
-    Some(answer)
-}
-
-/// `gk_quantiles` is `decode` then `quantile` of each, errors included.
-fn gk_quantiles_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+/// `loghist_quantiles` is `decode` then `quantiles`, errors included.
+fn loghist_quantiles_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
     const PHIS: [f64; 3] = [0.1, 0.5, 0.9];
     let (mut read, mut decoded) = (bytes, bytes);
-    let want = GkSketch::decode(&mut decoded).map(|mut g| PHIS.map(|phi| g.quantile(phi)));
-    let got = gk_quantiles(&mut read, PHIS);
+    let want = LogHistogram::decode(&mut decoded).map(|q| q.quantiles(PHIS));
+    let got = loghist_quantiles(&mut read, PHIS);
     prop_assert_eq!(got, want.clone(), "{:02x?}", bytes);
     if want.is_ok() {
         prop_assert_eq!(read, decoded);
@@ -345,24 +296,14 @@ fn gk_quantiles_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// `spacesaving_heaviest` is `decode` then `top(8)`, errors included,
-/// wherever the bytes hold each item once (the decoded sketch then holds
-/// every item the bytes list).
+/// `tally_heaviest` is `decode` then `top(8)`, errors included.
 fn heaviest_agrees(bytes: &[u8]) -> Result<(), TestCaseError> {
     let (mut read, mut decoded) = (bytes, bytes);
-    let want = SpaceSaving::<u64>::decode(&mut decoded);
-    let got = spacesaving_heaviest::<8>(&mut read);
-    match (got, want) {
-        (Err(got), want) => prop_assert_eq!(Some(got), want.err()),
-        (Ok(_), Err(e)) => prop_assert!(false, "read bytes the decode refused: {}", e),
-        (Ok(got), Ok(sketch)) => {
-            prop_assert_eq!(read, decoded);
-            let mut header = bytes;
-            let listed = [(); 3].map(|_| get_varint(&mut header).unwrap_or(0))[2];
-            if sketch.len() as u64 == listed {
-                prop_assert_eq!(got.as_slice(), &sketch.top(8)[..]);
-            }
-        }
+    let want = Tally::decode(&mut decoded).map(|t| t.top(8));
+    let got = tally_heaviest::<8>(&mut read).map(|h| h.as_slice().to_vec());
+    prop_assert_eq!(&got, &want, "{:02x?}", bytes);
+    if want.is_ok() {
+        prop_assert_eq!(read, decoded);
     }
     Ok(())
 }
@@ -393,54 +334,53 @@ proptest! {
     #[test]
     fn every_skip_advances_as_far_as_its_decode(
         values in prop::collection::vec(0u64..=u64::from(u32::MAX), 0..160),
-        capacity in 1usize..12,
+        spread in 1u64..12,
         precision in 4u8..8,
         damage in arb_damage(),
     ) {
-        let as_f64 = |v: &u64| (*v % 100_000) as f64 / 8.0;
-        let mut welford = Welford::new();
+        let as_f64 = |v: &u64| (*v % 100_000) as f64 / 8.0 - 500.0;
+        let mut speed = SpeedMoments::new();
+        let mut seconds = SecondsMoments::new();
         let mut circular = Circular::new();
         let mut bins = AngleHistogram::new();
-        let mut gk = GkSketch::new(0.02);
-        let mut td = TDigest::new(100.0);
+        let mut quantiles = LogHistogram::new(0.01);
         let mut hll = HyperLogLog::new(precision);
         let mut distinct = Distinct::new();
-        let mut top = SpaceSaving::<u64>::new(capacity);
+        let mut top = Tally::new();
         for v in &values {
-            welford.add(as_f64(v));
+            speed.add(as_f64(v));
+            seconds.add_fixed(*v as i64 - (1 << 31));
             circular.add((v % 360) as f64);
             bins.add((v % 360) as f64);
-            gk.add(as_f64(v));
-            td.add(as_f64(v));
+            quantiles.add(as_f64(v));
             hll.add(v);
             distinct.add(v);
-            top.add(v % 20 + v % 3 * 100_000_000_000);
+            top.add(v % (2 * spread) + v % 3 * 100_000_000_000);
         }
-        skip_agrees_with_decode::<Welford>(&damaged(&welford, damage))?;
+        skip_agrees_with_decode::<SpeedMoments>(&damaged(&speed, damage))?;
+        skip_agrees_with_decode::<SecondsMoments>(&damaged(&seconds, damage))?;
         skip_agrees_with_decode::<Circular>(&damaged(&circular, damage))?;
         skip_agrees_with_decode::<AngleHistogram>(&damaged(&bins, damage))?;
-        skip_agrees_with_decode::<TDigest>(&damaged(&td, damage))?;
         skip_agrees_with_decode::<HyperLogLog>(&damaged(&hll, damage))?;
         skip_agrees_with_decode::<Distinct>(&damaged(&distinct, damage))?;
-        let gk_bytes = damaged(&gk, damage);
-        skip_agrees_with_decode::<GkSketch>(&gk_bytes)?;
-        gk_quantiles_agree(&gk_bytes)?;
+        let quantile_bytes = damaged(&quantiles, damage);
+        skip_agrees_with_decode::<LogHistogram>(&quantile_bytes)?;
+        loghist_quantiles_agree(&quantile_bytes)?;
         let top_bytes = damaged(&top, damage);
-        skip_agrees_with_decode::<SpaceSaving<u64>>(&top_bytes)?;
+        skip_agrees_with_decode::<Tally>(&top_bytes)?;
         heaviest_agrees(&top_bytes)?;
     }
 
     #[test]
     fn every_skip_agrees_with_its_decode_on_arbitrary_bytes(bytes in arb_varint_bytes()) {
-        skip_agrees_with_decode::<Welford>(&bytes)?;
+        skip_agrees_with_decode::<SpeedMoments>(&bytes)?;
         skip_agrees_with_decode::<Circular>(&bytes)?;
         skip_agrees_with_decode::<AngleHistogram>(&bytes)?;
-        skip_agrees_with_decode::<GkSketch>(&bytes)?;
-        skip_agrees_with_decode::<TDigest>(&bytes)?;
+        skip_agrees_with_decode::<LogHistogram>(&bytes)?;
         skip_agrees_with_decode::<HyperLogLog>(&bytes)?;
         skip_agrees_with_decode::<Distinct>(&bytes)?;
-        skip_agrees_with_decode::<SpaceSaving<u64>>(&bytes)?;
-        gk_quantiles_agree(&bytes)?;
+        skip_agrees_with_decode::<Tally>(&bytes)?;
+        loghist_quantiles_agree(&bytes)?;
         heaviest_agrees(&bytes)?;
     }
 }

@@ -388,8 +388,21 @@ struct Frame {
     bytes: Vec<u8>,
     /// The mark of every session with a section in `body`.
     marks: Vec<(u32, Mark)>,
-    /// Logged passage bytes this frame's restart markers kill.
-    newly_dead: u64,
+}
+
+/// The logged passage bytes the restart markers of a frame of `sessions`
+/// over `marks` would kill — known from the marks alone, before the
+/// frame is encoded.
+fn newly_dead(sessions: &[SessionView<'_>], marks: &FxHashMap<u32, Mark>) -> u64 {
+    sessions
+        .iter()
+        .filter_map(|s| {
+            marks
+                .get(&s.mmsi)
+                .filter(|m| m.restarts != s.passage_restarts)
+        })
+        .map(|m| m.passage_bytes)
+        .sum()
 }
 
 /// Appends to `prefix` a frame of what `marks` says the log lacks, per
@@ -403,7 +416,6 @@ fn encode_frame(
     let mut frame = Frame {
         bytes: prefix,
         marks: Vec::new(),
-        newly_dead: 0,
     };
     let out = &mut frame.bytes;
     let frame_at = begin_frame(out);
@@ -411,7 +423,6 @@ fn encode_frame(
         let mut mark = marks.get(&s.mmsi).copied().unwrap_or_default();
         let restarted = mark.restarts != s.passage_restarts;
         if restarted {
-            frame.newly_dead += mark.passage_bytes;
             mark.passage = 0;
             mark.passage_bytes = 0;
             mark.restarts = s.passage_restarts;
@@ -907,8 +918,9 @@ impl CheckpointWriter {
         sessions.sort_unstable_by_key(|s| s.mmsi);
         let scalars = engine.scalar_state(wal_seq, window_cuts);
 
-        let frame = encode_frame(&sessions, &self.marks, Vec::new())?;
-        let dead = self.stats.dead_bytes + frame.newly_dead;
+        // Append or rewrite is decided from the marks, so the frame of
+        // the one not taken is never encoded.
+        let dead = self.stats.dead_bytes + newly_dead(&sessions, &self.marks);
         let appendable = match &mut self.log {
             Some((id, file)) if dead * DEAD_PER_LIVE <= self.log_len.saturating_sub(dead) => {
                 Some((*id, file))
@@ -918,6 +930,7 @@ impl CheckpointWriter {
         let Some((id, file)) = appendable else {
             return self.stage_rewrite(&sessions, &scalars);
         };
+        let frame = encode_frame(&sessions, &self.marks, Vec::new())?;
 
         if self.orphan_tail {
             file.set_len(self.log_len)?;
@@ -962,7 +975,6 @@ impl CheckpointWriter {
         let Frame {
             bytes: image,
             marks,
-            ..
         } = encode_frame(sessions, &FxHashMap::default(), header)?;
         let path = self.dir.join(log_name(id));
         save_bytes(&image, &path)?;

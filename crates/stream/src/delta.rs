@@ -1,4 +1,4 @@
-//! Delta snapshot publication: POLINV3 windows chained by a POLMAN2
+//! Delta snapshot publication: POLINV4 windows chained by a POLMAN2
 //! manifest.
 //!
 //! A [`DeltaPublisher`] owns one publication directory. The first
@@ -21,10 +21,9 @@
 //! chain, never a torn or half-published one (pinned by the chaos
 //! tests).
 //!
-//! [`merge_chain`] is the in-memory equivalent of a chain load: it
-//! canonicalizes by sorting on generation before folding, so the merged
-//! bytes depend only on the *set* of `(generation, delta)` pairs —
-//! never on arrival order. The permutation proptest in
+//! [`merge_chain`] is the in-memory equivalent of a chain load. Summary
+//! merges are exact and commute, so the merged bytes depend only on the
+//! *set* of deltas — never on their order. The permutation proptest in
 //! `tests/delta_chain.rs` pins that.
 
 use pol_core::codec::manifest::{self, Manifest, ManifestEntry};
@@ -201,15 +200,12 @@ impl DeltaPublisher {
     }
 }
 
-/// Merges a set of `(generation, inventory)` deltas into one inventory,
-/// canonicalizing by ascending generation first — the same order
-/// [`pol_core::codec::manifest::load_chain`] applies on disk. Because
-/// of that canonicalization the output bytes are independent of the
-/// input order (generations must be distinct, as a manifest
-/// guarantees). Returns `None` for an empty set. All parts must share
-/// one grid resolution, as chain loading enforces.
-pub fn merge_chain(mut parts: Vec<(u64, Inventory)>) -> Option<Inventory> {
-    parts.sort_by_key(|(generation, _)| *generation);
+/// Merges a set of `(generation, inventory)` deltas into one inventory:
+/// the bytes [`pol_core::codec::manifest::load_chain`] gives on disk, in
+/// whatever order the parts come, since summary merges commute. Returns
+/// `None` for an empty set. All parts must share one grid resolution,
+/// as chain loading enforces.
+pub fn merge_chain(parts: Vec<(u64, Inventory)>) -> Option<Inventory> {
     let mut iter = parts.into_iter();
     let (_, mut merged) = iter.next()?;
     for (_, delta) in iter {

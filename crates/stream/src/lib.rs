@@ -13,7 +13,7 @@
 //!   [`pol_core::project::project_trip`]), fronted by a bounded
 //!   out-of-order buffer with watermark-driven release;
 //! * [`delta`] — periodic, mergeable inventory deltas published as
-//!   POLINV3 snapshots chained by a POLMAN2 manifest
+//!   POLINV4 snapshots chained by a POLMAN2 manifest
 //!   ([`pol_core::codec::manifest`]), which `pol-serve` hot-reloads
 //!   without dropping in-flight queries;
 //! * [`journal`] — a POLWAL1 write-ahead journal
@@ -43,16 +43,16 @@
 //!    `TripTracker` → `project_trip` state machines the batch fold
 //!    uses, so the retained per-vessel cell points match the batch
 //!    intermediates record for record;
-//! 3. [`pol_core::fused::fold_shared`] replays the fused executor's
-//!    scatter/morsel/radix-merge ordering over those points, which is
-//!    pinned byte-identical to [`pol_core::run_fused`] in pol-core's
-//!    own tests.
+//! 3. [`pol_core::fused::fold_shared`] folds those points through the
+//!    fused executor's `observe` and `reduce`; summary merges are exact
+//!    and commute, so the order of the fold does not reach the bytes,
+//!    which are pinned byte-identical to [`pol_core::run_fused`] in
+//!    pol-core's own tests.
 //!
-//! Delta snapshots are deliberately *not* the identity artifact: they
-//! summarize each watermark window independently (sketch merges across
-//! windows are approximation-preserving but not byte-neutral) and exist
-//! for freshness — a warm `pol-serve` applies them seconds after the
-//! window closes. The identity artifact is [`ingest::StreamEngine::close`].
+//! Delta snapshots are not the identity artifact: they summarize each
+//! watermark window and exist for freshness — a warm `pol-serve` applies
+//! them seconds after the window closes. The identity artifact is
+//! [`ingest::StreamEngine::close`].
 
 #![deny(missing_docs)]
 

@@ -1,5 +1,5 @@
 //! Order-insensitivity of delta merging: any permutation of the same
-//! `(generation, delta)` set merges to byte-identical POLINV3 output,
+//! `(generation, delta)` set merges to byte-identical POLINV4 output,
 //! because [`pol_stream::merge_chain`] canonicalizes on generation —
 //! the same order a manifest chain load applies.
 
@@ -78,7 +78,7 @@ fn chain_bytes(order: &[usize], sizes: &[usize]) -> Vec<u8> {
 
 proptest! {
     /// The satellite gate: merging the same deltas in any permutation
-    /// yields byte-identical POLINV3 output.
+    /// yields byte-identical POLINV4 output.
     #[test]
     fn delta_merge_is_order_insensitive(
         perm in 0u64..120,          // all orderings of 5 generations

@@ -1,5 +1,5 @@
 //! "Bytes identical to the parent commit", as an assertion: the length of
-//! the POLINV3 image of `ScenarioConfig::tiny()` and the CRC-64/XZ of each
+//! the POLINV4 image of `ScenarioConfig::tiny()` and the CRC-64/XZ of each
 //! of its five sections, as the parent commit wrote them, by each of the
 //! routes to an inventory. The cross-path identity tests say the routes
 //! agree with each other; this one says a change that moved them all
@@ -28,14 +28,17 @@ use pol_fleetsim::WORLD_PORTS;
 use pol_sketch::crc64::crc64;
 use pol_stream::{StreamConfig, StreamEngine};
 
-/// Captured on commit 53fda2b (PR 20), before PR 21 touched anything.
-const PARENT_LEN: usize = 81_482;
-const PARENT_CRC64: u64 = 0x302C_F632_39E8_BC3F;
-/// Captured on commit 10efe22, whose image is 53fda2b's byte for byte.
+/// Re-captured when the summaries became POLINV4's order-free integer
+/// sums, log-bucketed quantiles and exact tallies: every summary's bytes
+/// changed (the image fell from 81 482 bytes), while the lat-index and
+/// top-destination sections — the same keys and the same top
+/// destinations — kept the CRCs captured on commit 53fda2b.
+const PARENT_LEN: usize = 42_745;
+const PARENT_CRC64: u64 = 0x9FA6_E762_14AD_16ED;
 const PARENT_SECTION_CRCS: [(&str, u64); 5] = [
-    ("cell", 0xA1FA_8A2C_EB9B_555C),
-    ("cell-type", 0x572B_A12E_F9A5_2A28),
-    ("cell-route", 0xCB6E_4FDF_4B17_7299),
+    ("cell", 0x6BAF_BF97_5304_AB84),
+    ("cell-type", 0x351D_9E73_7BC7_BBD5),
+    ("cell-route", 0x0C3F_5A9A_D926_FC4F),
     ("lat-index", 0x5B4F_3575_FFF3_7419),
     ("top-dest", 0x17C3_F2C3_56F8_92C3),
 ];
@@ -77,7 +80,7 @@ fn tiny_scenario_bytes_equal_the_parent_commits() {
         assert_eq!(
             (bytes.len(), crc64(&bytes)),
             (PARENT_LEN, PARENT_CRC64),
-            "{route}: POLINV3 layout differs from the parent commit's"
+            "{route}: POLINV4 layout differs from the parent commit's"
         );
         let sections: Vec<(&str, u64)> = columnar::verify_bytes(&bytes)
             .unwrap()
@@ -87,7 +90,7 @@ fn tiny_scenario_bytes_equal_the_parent_commits() {
             .collect();
         assert_eq!(
             sections, PARENT_SECTION_CRCS,
-            "{route}: POLINV3 content differs from the parent commit's"
+            "{route}: POLINV4 content differs from the parent commit's"
         );
     }
 }
