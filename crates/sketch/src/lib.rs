@@ -41,6 +41,19 @@ pub mod moments;
 pub mod tally;
 pub mod wire;
 
+// The inventory's earlier sketches (Welford moments, Greenwald–Khanna
+// quantiles, SpaceSaving Top-N) are gone; the checks they were held to
+// keep their names and run against the sketches that took their columns.
+#[cfg(test)]
+#[path = "replaced/gk.rs"]
+mod gk;
+#[cfg(test)]
+#[path = "replaced/spacesaving.rs"]
+mod spacesaving;
+#[cfg(test)]
+#[path = "replaced/welford.rs"]
+mod welford;
+
 pub use circular::Circular;
 pub use histogram::{AngleHistogram, Histogram};
 pub use hll::{Distinct, HyperLogLog};

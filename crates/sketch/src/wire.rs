@@ -743,6 +743,9 @@ impl Wire for Distinct {
     }
 }
 
+// The `welford_`, `gk_` and `spacesaving_` tests keep the names of the
+// sketches that held the moment, quantile and Top-N columns before
+// `Moments`, `LogHistogram` and `Tally`.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn moments_wire() {
+    fn welford_wire() {
         round_trip(&Moments::<32>::new());
         let mut w = Moments::<32>::new();
         for x in [1.0, 2.5, -3.0, 100.0] {
@@ -862,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn loghist_wire_preserves_quantiles() {
+    fn gk_wire_preserves_quantiles() {
         round_trip(&LogHistogram::new(0.01));
         let mut h = LogHistogram::new(0.01);
         for i in 0..5_000 {
@@ -914,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn tally_wire() {
+    fn spacesaving_wire() {
         round_trip(&Tally::new());
         let mut t = Tally::new();
         for i in 0..500u64 {

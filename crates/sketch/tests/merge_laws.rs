@@ -8,6 +8,11 @@
 //! c) == encode(a ⊕ (b ⊕ c))`, and both are the single pass's bytes —
 //! over values on the AIS grids (0.1 kn, 0.1°, whole seconds) and over
 //! arbitrary f64s off them.
+//!
+//! The `welford_`, `gk_`, `tdigest_` and `spacesaving_` tests keep the
+//! names of the sketches that held the moment, quantile and Top-N
+//! columns before; they run on `Moments`, `LogHistogram` and `Tally`.
+//! `gk_rank_error_bound` bounds the value returned at each rank.
 
 use pol_sketch::wire::Wire;
 use pol_sketch::{
@@ -73,7 +78,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn moments_partition_invariant(x in values(), y in values(), z in values()) {
+    fn welford_partition_invariant(x in values(), y in values(), z in values()) {
         let build = |d: &[f64]| {
             let mut w = SpeedMoments::new();
             d.iter().for_each(|&v| w.add(v));
@@ -89,7 +94,7 @@ proptest! {
     }
 
     #[test]
-    fn moments_associative(
+    fn welford_associative(
         x in prop::collection::vec(-3_000_000i64..3_000_000, 0..200),
         y in prop::collection::vec(-3_000_000i64..3_000_000, 0..200),
         z in prop::collection::vec(-3_000_000i64..3_000_000, 0..200),
@@ -196,7 +201,7 @@ proptest! {
     }
 
     #[test]
-    fn tally_total_additive(xs in prop::collection::vec(0u8..30, 0..300), ys in prop::collection::vec(0u8..30, 0..300)) {
+    fn spacesaving_total_additive(xs in prop::collection::vec(0u8..30, 0..300), ys in prop::collection::vec(0u8..30, 0..300)) {
         let build = |d: &[u8]| {
             let mut s = Tally::new();
             d.iter().for_each(|&v| s.add(u64::from(v)));
@@ -216,7 +221,7 @@ proptest! {
     }
 
     #[test]
-    fn loghist_relative_error_bound(data in values(), phi in 0.0f64..=1.0) {
+    fn gk_rank_error_bound(data in values(), phi in 0.0f64..=1.0) {
         prop_assume!(!data.is_empty());
         let mut h = LogHistogram::new(0.01);
         data.iter().for_each(|&x| h.add(x));
@@ -231,7 +236,7 @@ proptest! {
     }
 
     #[test]
-    fn loghist_between_min_max(data in values(), phi in 0.0f64..=1.0) {
+    fn tdigest_between_min_max(data in values(), phi in 0.0f64..=1.0) {
         prop_assume!(!data.is_empty());
         let mut h = LogHistogram::new(0.01);
         data.iter().for_each(|&x| h.add(x));
