@@ -7,8 +7,8 @@
 #              the shipped `polinv` binary end to end over real sockets:
 #              crates/bench/tests/polinv_cli.rs), xtask lint, the
 #              workspace's deny-level clippy lints, rustdoc with its
-#              warnings denied, the quickstart example
-#              README.md quotes, the two wire
+#              warnings denied (both also over the chaos features), the
+#              quickstart example README.md quotes, the two wire
 #              examples (decode_nmea, pol-ais' wire_throughput), pol-stream's
 #              recovery_phases (a crash recovered to byte identity),
 #              pol-serve's heavy_frame (ns per child of a heavy frame), the paper's
@@ -83,6 +83,15 @@ run_gate() {
   # A deleted or private item must not leave a dangling intra-doc link.
   echo "==> cargo doc (rustdoc warnings denied)"
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude loom --exclude proptest
+
+  # The failpoint registry (`pol-chaos` under `failpoints`) and every
+  # `chaos`-gated line compile only with the chaos features: lint and
+  # doc-check them as the chaos suites build them.
+  local chaos_crates=(-p pol-chaos -p pol-core -p pol-serve -p pol-stream)
+  local chaos_features=pol-chaos/failpoints,pol-core/chaos,pol-serve/chaos,pol-stream/chaos
+  echo "==> cargo clippy + cargo doc (the chaos features)"
+  cargo clippy "${chaos_crates[@]}" --all-targets --features "$chaos_features"
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${chaos_crates[@]}" --features "$chaos_features"
 
   # cargo test compiles the examples but never runs them; README.md
   # quotes this one's output.

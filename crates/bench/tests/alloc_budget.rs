@@ -27,6 +27,11 @@ use pol_geo::LatLon;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The serve suites' heap oracle: what a server answers, computed on the
+/// heap inventory.
+#[path = "../../serve/tests/oracle/mod.rs"]
+mod oracle;
+
 /// Steady-state allocated bytes of one build of [`scenario`], with the
 /// count budget's 2× headroom over the measured value: 7.75 MB (the
 /// cloned input is 2.6 MB of it; 15.8 MB when summaries moved by value).
@@ -178,12 +183,12 @@ fn wire_decode_allocations_stay_pinned() {
 /// fields they need straight off the mapped bytes, rank in place and
 /// write the reply where it goes, so neither allocates (an ETA built a
 /// quantile sketch's tuple vector, a four-point prediction ten vectors
-/// and a hash map).
+/// and a hash map); and each reply is the heap inventory's answer.
 #[test]
 fn eta_and_prediction_children_allocate_nothing() {
     use pol_core::features::GroupKey;
     use pol_hexgrid::cell_center;
-    use pol_serve::proto::encode_response;
+    use pol_serve::proto::decode_response;
     use pol_serve::{InventoryService, Request, Response, ServerConfig, ServerMetrics};
     use std::sync::Arc;
 
@@ -208,6 +213,9 @@ fn eta_and_prediction_children_allocate_nothing() {
         let p = cell_center(c);
         (p.lat(), p.lon())
     };
+    let answer = |req: &Request| {
+        decode_response(&oracle::reply(&built.inventory, req)).expect("the oracle's reply decodes")
+    };
     let mut routes: Vec<_> = (built.inventory.iter())
         .filter_map(|(key, _)| match *key {
             GroupKey::CellRoute(c, o, d, s) => Some((c.raw(), o, d, s.id(), c, s)),
@@ -227,7 +235,7 @@ fn eta_and_prediction_children_allocate_nothing() {
     // An estimate from the vessel's own cell: a widening walks grid
     // disks, which build their own sets.
     let eta = etas
-        .filter(|req| matches!(service.execute(req), Response::Eta(Some(e)) if e.widened == 0))
+        .filter(|req| matches!(answer(req), Response::Eta(Some(e)) if e.widened == 0))
         .nth(3)
         .expect("an estimate from a cell's own route summary");
     let track = routes
@@ -242,7 +250,7 @@ fn eta_and_prediction_children_allocate_nothing() {
         track,
     };
     assert!(
-        matches!(service.execute(&predict), Response::Destinations(ref d) if !d.is_empty()),
+        matches!(answer(&predict), Response::Destinations(ref d) if !d.is_empty()),
         "the track votes"
     );
 
@@ -253,7 +261,7 @@ fn eta_and_prediction_children_allocate_nothing() {
         out.clear();
         let (allocs, ()) = allocs_of(|| service.execute_into(req, &mut out));
         assert_eq!(allocs, 0, "an {name} child allocated");
-        assert_eq!(out, encode_response(&service.execute(req)), "{name}");
+        assert_eq!(out, oracle::reply(&built.inventory, req), "{name}");
         out.clear();
     }
     std::fs::remove_dir_all(&dir).ok();

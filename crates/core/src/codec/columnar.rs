@@ -1,6 +1,6 @@
 //! POLINV4 — the columnar, mmap-friendly snapshot format.
 //!
-//! ## On-disk layout (version 3)
+//! ## On-disk layout (version 4)
 //!
 //! ```text
 //! magic    b"POLINV4\0"                                  8 bytes
@@ -31,8 +31,7 @@
 //! nothing. The fourth section (`lat-index`) holds one 24-byte row per
 //! occupied cell — centre latitude f64 LE, centre longitude f64 LE, raw
 //! cell index u64 LE — sorted by latitude, so bbox scans
-//! `partition_point` into a latitude band exactly like the heap
-//! [`Inventory`]'s cell index. The fifth section (`top-dest`) inverts
+//! `partition_point` into a latitude band. The fifth section (`top-dest`) inverts
 //! the top-destination relation: one 11-byte row — destination u16 BE,
 //! segment byte ([`TOP_DEST_ALL_SEGMENTS`] for the all-segments `cell`
 //! grouping), raw cell u64 BE — per grouping entry whose most frequent
@@ -70,7 +69,7 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-/// File magic (format version 3: columnar sections, sealed footer).
+/// File magic (format version 4: columnar sections, sealed footer).
 pub const MAGIC_V4: &[u8; 8] = b"POLINV4\0";
 
 /// The five sections of a POLINV4 file, in canonical directory order.
@@ -988,7 +987,8 @@ pub(crate) fn decode(bytes: &[u8], layout: &Layout) -> Result<Inventory, CodecEr
 /// What [`verify_bytes`] found in one section of a sound POLINV4 file.
 #[derive(Clone, Debug)]
 pub struct SectionReport {
-    /// Section name (`cell`, `cell-type`, `cell-route`, `lat-index`).
+    /// Section name (`cell`, `cell-type`, `cell-route`, `lat-index`,
+    /// `top-dest`).
     pub name: &'static str,
     /// Entries (or lat-index rows) in the section.
     pub entries: usize,

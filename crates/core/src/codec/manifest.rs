@@ -284,10 +284,10 @@ pub fn kept_prefix(served: &[ManifestEntry], entries: &[ManifestEntry]) -> usize
 /// The full chain walk behind [`load_chain`] and [`verify_chain`]: every
 /// link checked ([`check_link`]), decoded and merged onto the ones
 /// before it, in ascending generation order — the first link adopted,
-/// each later one merged in with [`Inventory::merge`]. That order is the
-/// identity anchor: `pol-serve`'s merge-on-read applies the same
-/// sequence per key, and `pol_stream`'s `merge_chain` applies it in
-/// memory.
+/// each later one merged in with [`Inventory::merge`]. Every summary
+/// merge is exact and commutative, so the order is only the walk's:
+/// `pol-serve`'s merge-on-read and `pol_stream`'s `merge_chain` give the
+/// same bytes.
 fn walk(path: &Path) -> Result<(Inventory, Vec<ChainEntryReport>), CodecError> {
     let man = load(path)?;
     let dir = path.parent().unwrap_or_else(|| Path::new("."));

@@ -6,14 +6,14 @@ use crate::codec::{
 };
 use crate::features::{CellStats, GroupKey, GroupingSet};
 use pol_ais::types::MarketSegment;
-use pol_geo::BBox;
+use pol_geo::{BBox, LatLon};
 use pol_hexgrid::{cell_center, num_cells, CellIndex, Resolution};
 use pol_sketch::hash::FxHashMap;
 use pol_sketch::tally::Heaviest;
 use pol_sketch::wire::WireError;
 use pol_sketch::{MergeSketch, SecondsMoments};
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Coverage and compression figures — one row of the paper's Table 4.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -32,25 +32,25 @@ pub struct CoverageReport {
     pub utilization: f64,
 }
 
-/// A summary as its store holds it: a heap entry's decoded statistics,
-/// a mapped entry's canonical [`encode_cell_stats`] bytes, or the
-/// statistics a store merged on read from several entries. A reader
-/// asks for the fields it reads — on encoded bytes a projection walks
-/// past the fields before them and decodes only those — and a reply
-/// takes the whole summary without building, cloning or re-encoding a
-/// [`CellStats`] the store did not have to build.
+/// A summary as its store holds it: a mapped entry's canonical
+/// [`encode_cell_stats`] bytes, or decoded statistics — a heap entry
+/// borrowed, or the statistics a store merged on read from several
+/// entries. A reader asks for the fields it reads — on encoded bytes a
+/// projection walks past the fields before them and decodes only those
+/// — and a reply takes the whole summary without building, cloning or
+/// re-encoding a [`CellStats`] the store did not have to build.
 ///
 /// The projections fail only on encoded bytes no encoder wrote (a store
 /// checks its file's CRCs before serving from it); the estimators treat
 /// such an entry as absent.
 #[derive(Clone, Debug)]
 pub enum Summary<'a> {
-    /// A heap inventory's entry.
-    Stats(&'a CellStats),
+    /// Decoded statistics: a heap inventory's entry, borrowed, or a key's
+    /// entries in several mapped links, merged. Behind an `Arc`, as the
+    /// heap holds them, so a summary stays three words.
+    Stats(Cow<'a, Arc<CellStats>>),
     /// A mapped snapshot's entry, encoded.
     Encoded(&'a [u8]),
-    /// A key's entries in several mapped links, merged in link order.
-    Owned(Box<CellStats>),
 }
 
 impl<'a> Summary<'a> {
@@ -62,9 +62,8 @@ impl<'a> Summary<'a> {
         &self,
         phis: [f64; N],
     ) -> Result<(SecondsMoments, [Option<f64>; N]), WireError> {
-        match *self {
+        match self {
             Summary::Stats(stats) => Ok((stats.ata, stats.ata_q.quantiles(phis))),
-            Summary::Owned(ref stats) => Ok((stats.ata, stats.ata_q.quantiles(phis))),
             Summary::Encoded(bytes) => decode_arrival_quantiles(bytes, phis),
         }
     }
@@ -74,19 +73,17 @@ impl<'a> Summary<'a> {
     /// prediction reads — `destinations.top(N)` of
     /// [`stats`](Summary::stats), with no tally and no vector built.
     pub fn heaviest_destinations<const N: usize>(&self) -> Result<Heaviest<N>, WireError> {
-        match *self {
+        match self {
             Summary::Stats(stats) => Ok(stats.destinations.heaviest()),
-            Summary::Owned(ref stats) => Ok(stats.destinations.heaviest()),
             Summary::Encoded(bytes) => decode_heaviest_destinations(bytes),
         }
     }
 
-    /// Every field: a heap entry or a merge borrowed, a mapped entry
-    /// decoded whole — for a reader of several fields.
+    /// Every field: decoded statistics borrowed, a mapped entry decoded
+    /// whole — for a reader of several fields.
     pub fn stats(&self) -> Result<Cow<'_, CellStats>, WireError> {
         match *self {
-            Summary::Stats(stats) => Ok(Cow::Borrowed(stats)),
-            Summary::Owned(ref stats) => Ok(Cow::Borrowed(stats)),
+            Summary::Stats(ref stats) => Ok(Cow::Borrowed(stats)),
             Summary::Encoded(mut bytes) => {
                 let stats = decode_cell_stats(&mut bytes)?;
                 if bytes.is_empty() {
@@ -104,11 +101,10 @@ impl<'a> Summary<'a> {
     }
 
     /// Appends the summary's canonical encoding: a copy of a mapped
-    /// entry's bytes, [`encode_cell_stats`] of a heap entry.
+    /// entry's bytes, [`encode_cell_stats`] of decoded statistics.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
+        match self {
             Summary::Stats(stats) => encode_cell_stats(stats, out),
-            Summary::Owned(ref stats) => encode_cell_stats(stats, out),
             Summary::Encoded(bytes) => out.extend_from_slice(bytes),
         }
     }
@@ -158,7 +154,9 @@ impl InventoryQuery for Inventory {
     }
 
     fn summary_at(&self, key: &GroupKey) -> Option<Summary<'_>> {
-        self.get(key).map(Summary::Stats)
+        self.entries
+            .get(key)
+            .map(|stats| Summary::Stats(Cow::Borrowed(stats)))
     }
 }
 
@@ -174,33 +172,10 @@ pub struct Inventory {
     resolution: Resolution,
     entries: FxHashMap<GroupKey, Arc<CellStats>>,
     total_records: u64,
-    /// Occupied `(cell)`-grouping-set cells with their centres, sorted by
-    /// centre latitude — built once at construction so bbox queries
-    /// binary-search a latitude band instead of scanning every entry.
-    cell_index: Vec<CellRow>,
-}
-
-/// One row of the cell index: an occupied cell under its centre.
-type CellRow = (pol_geo::LatLon, CellIndex);
-
-/// The cell index's order: centre latitude, then raw cell index.
-fn cell_row_order(a: &CellRow, b: &CellRow) -> std::cmp::Ordering {
-    a.0.lat()
-        .total_cmp(&b.0.lat())
-        .then_with(|| a.1.raw().cmp(&b.1.raw()))
-}
-
-/// The latitude-sorted cell index backing [`Inventory::cells_in`].
-fn build_cell_index(entries: &FxHashMap<GroupKey, Arc<CellStats>>) -> Vec<CellRow> {
-    let mut index: Vec<CellRow> = entries
-        .keys()
-        .filter_map(|k| match k {
-            GroupKey::Cell(c) => Some((cell_center(*c), *c)),
-            _ => None,
-        })
-        .collect();
-    index.sort_by(cell_row_order);
-    index
+    /// The `(cell)` grouping set's cells under their centres, ascending by
+    /// raw index: computed by the first [`cells_in`](Inventory::cells_in)
+    /// and dropped by [`merge`](Inventory::merge).
+    centres: OnceLock<Vec<(LatLon, CellIndex)>>,
 }
 
 impl Inventory {
@@ -241,12 +216,11 @@ impl Inventory {
         entries: FxHashMap<GroupKey, Arc<CellStats>>,
         total_records: u64,
     ) -> Inventory {
-        let cell_index = build_cell_index(&entries);
         Inventory {
             resolution,
             entries,
             total_records,
-            cell_index,
+            centres: OnceLock::new(),
         }
     }
 
@@ -334,7 +308,9 @@ impl Inventory {
     }
 
     /// Occupied cells whose most frequent destination is `dest`
-    /// (the paper's Figure 6 filter), optionally per segment.
+    /// (the paper's Figure 6 filter), optionally per segment: each entry
+    /// ranked by [`Tally::top1`](pol_sketch::Tally::top1), the rule the
+    /// snapshot's top-destination section is written by.
     pub fn cells_with_top_destination(
         &self,
         dest: u16,
@@ -348,25 +324,26 @@ impl Inventory {
                     (GroupKey::CellType(c, s), Some(want)) if *s == want => *c,
                     _ => return None,
                 };
-                let top = stats.top_destinations(1);
-                (top.first().map(|(d, _)| *d) == Some(dest)).then_some(cell)
+                let top = stats.destinations.top1();
+                (top.map(|(d, _)| d) == Some(u64::from(dest))).then_some(cell)
             })
             .collect()
     }
 
     /// Occupied cells whose centre falls inside a bounding box — the
-    /// regional views of Figure 4. Binary-searches the latitude-sorted
-    /// cell index to scan only the `[min_lat, max_lat]` band instead of
-    /// every occupied cell. Results come back in index (latitude) order.
+    /// regional views of Figure 4 — ascending by raw index. A plain
+    /// filter over every occupied cell's centre: the oracle of the
+    /// served latitude-band scan.
     pub fn cells_in(&self, bbox: &BBox) -> Vec<CellIndex> {
-        let lo = self
-            .cell_index
-            .partition_point(|(center, _)| center.lat() < bbox.min_lat);
-        self.cell_index[lo..]
+        let centres = self.centres.get_or_init(|| {
+            let mut centres: Vec<_> = self.cells().map(|c| (cell_center(c), c)).collect();
+            centres.sort_unstable_by_key(|&(_, c)| c.raw());
+            centres
+        });
+        centres
             .iter()
-            .take_while(|(center, _)| center.lat() <= bbox.max_lat)
-            .filter(|(center, _)| bbox.contains(*center))
-            .map(|(_, cell)| *cell)
+            .filter(|&&(centre, _)| bbox.contains(centre))
+            .map(|&(_, cell)| cell)
             .collect()
     }
 
@@ -400,25 +377,12 @@ impl Inventory {
             "cannot merge inventories at different resolutions"
         );
         self.total_records += other.total_records;
-        // The bbox-query index lists the `(cell)` grouping set's keys.
-        // The cells `other` brings are appended to the sorted index and
-        // the stable sort, which is adaptive, merges them in: a daily
-        // delta costs its own cells' centres and sort, not every cell's.
-        let mut new_cells: Vec<CellRow> = Vec::new();
+        self.centres.take();
         for (k, v) in &other.entries {
-            match self.entries.get_mut(k) {
-                Some(mine) => Arc::make_mut(mine).merge(v),
-                None => {
-                    if let GroupKey::Cell(c) = k {
-                        new_cells.push((cell_center(*c), *c));
-                    }
-                    self.entries.insert(*k, Arc::clone(v));
-                }
-            }
-        }
-        if !new_cells.is_empty() {
-            self.cell_index.append(&mut new_cells);
-            self.cell_index.sort_by(cell_row_order);
+            self.entries
+                .entry(*k)
+                .and_modify(|mine| Arc::make_mut(mine).merge(v))
+                .or_insert_with(|| Arc::clone(v));
         }
     }
 }
@@ -572,37 +536,27 @@ mod tests {
             .collect();
         let mut inv = build(&points);
         let bbox = BBox::baltic();
-        let brute: std::collections::BTreeSet<CellIndex> = inv
-            .cells()
-            .filter(|c| bbox.contains(cell_center(*c)))
-            .collect();
-        assert!(!brute.is_empty());
-        let indexed: std::collections::BTreeSet<CellIndex> =
-            inv.cells_in(&bbox).into_iter().collect();
-        assert_eq!(indexed, brute);
-        // Latitude ordering from the index.
-        let lats: Vec<f64> = inv
-            .cells_in(&bbox)
-            .iter()
-            .map(|c| cell_center(*c).lat())
-            .collect();
-        assert!(lats.windows(2).all(|w| w[0] <= w[1]));
-        // Merging in new cells must refresh the index.
+        let brute = |inv: &Inventory| {
+            let mut cells: Vec<u64> = inv
+                .cells()
+                .filter(|c| bbox.contains(cell_center(*c)))
+                .map(CellIndex::raw)
+                .collect();
+            cells.sort_unstable();
+            cells
+        };
+        let raw = |cells: Vec<CellIndex>| cells.into_iter().map(CellIndex::raw).collect::<Vec<_>>();
+        let before = brute(&inv);
+        assert!(!before.is_empty());
+        // Ascending by raw index, as the served scan replies.
+        assert_eq!(raw(inv.cells_in(&bbox)), before);
+        // A merge that brings a new cell into the box drops the centres
+        // the first scan cached.
         let far = build(&[point_at(58.0, 21.0, 2, seg)]);
         inv.merge(&far);
-        assert_eq!(
-            inv.cell_index,
-            build_cell_index(&inv.entries),
-            "a merge leaves the index a rebuild would"
-        );
-        let brute2: std::collections::BTreeSet<CellIndex> = inv
-            .cells()
-            .filter(|c| bbox.contains(cell_center(*c)))
-            .collect();
-        let indexed2: std::collections::BTreeSet<CellIndex> =
-            inv.cells_in(&bbox).into_iter().collect();
-        assert_eq!(indexed2, brute2);
-        assert!(brute2.len() >= brute.len());
+        let after = brute(&inv);
+        assert!(after.len() > before.len());
+        assert_eq!(raw(inv.cells_in(&bbox)), after);
     }
 
     #[test]

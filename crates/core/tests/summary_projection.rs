@@ -25,6 +25,8 @@ use pol_sketch::{
     Tally,
 };
 use proptest::prelude::*;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// One report's worth of everything a summary folds in.
 type Observation = (
@@ -156,8 +158,10 @@ fn check_projections(stats: &CellStats, step: usize) {
 
     // Intact: every shape of a summary projects what the decode holds,
     // and the full decode is the summary.
-    let owned = Summary::Owned(Box::new(stats.clone()));
-    for summary in [Summary::Encoded(&bytes), Summary::Stats(stats), owned] {
+    let shared = Arc::new(stats.clone());
+    let borrowed = Summary::Stats(Cow::Borrowed(&shared));
+    let owned = Summary::Stats(Cow::Owned(Arc::clone(&shared)));
+    for summary in [Summary::Encoded(&bytes), borrowed, owned] {
         let (arrival, destinations) = projected(&summary);
         assert_eq!(arrival, Some(fields.0));
         assert_eq!(destinations, Some(fields.1.clone()));

@@ -21,9 +21,9 @@
 //! The core correctness property (tested): **the keyed merge is
 //! worker-count-invariant** — it equals a sequential fold of the same
 //! records, as long as the combine operator is commutative and associative
-//! (which every `pol-sketch` statistic is), and because the shard count is
-//! fixed and the merge order is task order, its result does not depend on
-//! how many threads ran it.
+//! (which every `pol-sketch` statistic is, exactly: each merges by
+//! integer addition, union or min/max), so its result does not depend on
+//! how many threads ran it or in which order their shards were combined.
 
 #![deny(missing_docs)]
 
@@ -50,14 +50,12 @@ pub struct Engine {
 
 impl Engine {
     /// Shard count for radix-partitioned aggregations and for the fused
-    /// build's scatter by vessel. Deliberately a constant, NOT a function
-    /// of the worker count: partition composition determines the fold
-    /// order of floating-point accumulators, so a thread-dependent count
-    /// would make the inventory bytes depend on the machine. A fixed 32
-    /// keeps `same seed ⇒ byte-identical inventory` true across thread
-    /// counts (`thread_count_does_not_change_result` pins exactly
-    /// this) while still giving the merge enough shards to saturate
-    /// typical worker pools.
+    /// build's scatter by vessel. It sets how finely the work is split,
+    /// not what the bytes are: every summary merge is exact and
+    /// commutative, so any shard count and any thread count give the same
+    /// inventory (`thread_count_does_not_change_result` pins the bytes
+    /// across thread counts). 32 gives the merge enough shards to
+    /// saturate typical worker pools.
     pub const DEFAULT_PARTITIONS: usize = 32;
 
     /// Creates an engine with `threads` worker threads.

@@ -5,9 +5,9 @@
 //! once ([`Layout::parse`] — CRCs, seal, sortedness; no sketch decoding).
 //! A point lookup binary-searches each link's key column: a key one link
 //! holds answers with that link's bytes, and a key several hold is
-//! decoded from each, the first summary adopted and the rest merged in
-//! link order — the sequence `Inventory::merge` folds a chain in, so the
-//! reply is the folded chain's, byte for byte. A bbox scan takes the
+//! decoded from each and merged: a POLINV4 merge is exact and
+//! commutative, so the reply is the folded chain's, byte for byte,
+//! whatever order the links are merged in. A bbox scan takes the
 //! union of each link's lat-index band. A top-destination scan is one run
 //! of the precomputed `(dest, segment, cell)` rows: one link's section,
 //! or for several the rows of their merge, built by the first scan.
@@ -34,6 +34,7 @@ use pol_geo::{BBox, LatLon};
 use pol_hexgrid::Resolution;
 use pol_sketch::wire::WireError;
 use pol_sketch::MergeSketch;
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -155,8 +156,9 @@ impl MappedStore {
         Ok(store)
     }
 
-    /// The links decoded and merged in link order — the fold `load_chain`
-    /// applies, so every answer keeps its bytes — as one image in memory.
+    /// The links decoded and merged — the fold `load_chain` applies, and
+    /// merges do not depend on order, so every answer keeps its bytes —
+    /// as one image in memory.
     fn folded(&self) -> Result<MappedStore, CodecError> {
         let mut merged = Inventory::from_entries(self.resolution, Default::default(), 0);
         for link in &self.links {
@@ -230,7 +232,7 @@ impl MappedStore {
     /// `encode_cell_stats` bytes the file holds, CRC-verified when it was
     /// opened and borrowed from the mapping — what a summary reply
     /// carries, so serving it decodes nothing. Held by several, it is
-    /// their entries merged in link order.
+    /// their entries merged.
     pub fn summary_at(&self, key: &GroupKey) -> Option<Summary<'_>> {
         // Every link is searched whatever is found: count them at once.
         let searched = self.links.len() as u64;
@@ -242,7 +244,7 @@ impl MappedStore {
         };
         let each = [first, second].into_iter().chain(found);
         let merged = self.merged(each.map(|(section, i)| section.decode_stats(i)))?;
-        Some(Summary::Owned(Box::new(merged)))
+        Some(Summary::Stats(Cow::Owned(Arc::new(merged))))
     }
 
     /// Fills `cells` with the raw indices of the occupied cells whose
@@ -281,7 +283,7 @@ impl MappedStore {
     /// most frequent destination is `dest`, optionally per segment,
     /// ascending: a binary search to the `(dest, segment)` prefix of the
     /// top-dest rows, where the encoder put each entry under its
-    /// `top_destinations(1)`, then one contiguous run. One link's rows are
+    /// destinations' `Tally::top1`, then one contiguous run. One link's rows are
     /// its file's section; several links' are built by the first scan
     /// (`merged_top_dest`) and kept.
     pub fn cells_with_top_destination(
@@ -313,8 +315,8 @@ impl MappedStore {
 
     /// The top-dest rows of the links merged, sorted: a key one link holds
     /// keeps its row from that link's section, and a key several hold
-    /// gets its row from their `destinations` merged in link order, as the
-    /// folded chain's summary has them.
+    /// gets its row from their `destinations` merged, as the folded
+    /// chain's summary has them.
     fn merged_top_dest(&self) -> Vec<[u8; 11]> {
         let (mut rows, mut shared) = (Vec::new(), Vec::new());
         for kind in [SectionKind::Cell, SectionKind::CellType] {

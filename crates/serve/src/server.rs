@@ -16,8 +16,8 @@
 use crate::mapped::MappedStore;
 use crate::metrics::ServerMetrics;
 use crate::proto::{
-    encode_cells, encode_destinations, encode_eta, encode_response_body, Request, Response,
-    DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION, RESP_BATCH, RESP_SUMMARY,
+    decode_response, encode_cells, encode_destinations, encode_eta, encode_response_body, Request,
+    Response, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION, RESP_BATCH, RESP_SUMMARY,
 };
 use pol_apps::destination::DestinationPredictor;
 use pol_apps::eta::{EtaEstimate, EtaEstimator};
@@ -194,61 +194,26 @@ impl InventoryService {
         &self.store
     }
 
-    /// Executes one request. Invalid arguments (out-of-range coordinates,
-    /// inverted boxes) yield [`Response::Error`], never a transport
-    /// failure.
+    /// Executes one request and decodes its reply:
+    /// [`execute_into`](Self::execute_into)'s bytes as a client reads
+    /// them, for an in-process caller that wants the typed form. Invalid
+    /// arguments (out-of-range coordinates, inverted boxes) yield
+    /// [`Response::Error`], never a transport failure; so does a reply
+    /// that does not decode, which would be an encoder bug.
     pub fn execute(&self, req: &Request) -> Response {
-        match req {
-            Request::Ping => Response::Pong,
-            Request::PointSummary { .. }
-            | Request::SegmentSummary { .. }
-            | Request::RouteSummary { .. } => match self.summary_key(req) {
-                Some(key) => {
-                    let summary = self.store.summary_at(&key);
-                    Response::Summary(summary.and_then(|s| s.to_stats().ok()))
-                }
-                None => out_of_range(),
-            },
-            Request::BboxScan { .. } | Request::TopDestinationCells { .. } => self
-                .scan(req, |cells| Response::Cells(cells.to_vec()))
-                .unwrap_or_else(invalid_bbox),
-            Request::Eta { .. } => self.eta(req).map_or_else(out_of_range, Response::Eta),
-            Request::PredictDestination { top_n, .. } => match self.predict(req) {
-                Some(predictor) => Response::Destinations(predictor.top(*top_n as usize)),
-                None => track_out_of_range(),
-            },
-            Request::Stats => {
-                // The metrics snapshot knows nothing about the store;
-                // fill in its identity and its read counters.
-                let mut report = self.metrics.snapshot();
-                report.store = "mapped-columnar".into();
-                let counters = self.store.counters();
-                report.mapped_lookups = counters.lookups;
-                report.mapped_scan_entries = counters.scan_entries;
-                Response::Stats(report)
-            }
-            Request::Health => Response::Health(self.metrics.health()),
-            Request::Ready => Response::Ready(!self.metrics.is_draining()),
-            Request::Batch(children) => {
-                // One BATCH frame = one Endpoint::Batch latency sample
-                // (recorded by the caller); the children are accounted in
-                // the batched_requests counter, not double-counted under
-                // their own endpoints.
-                self.metrics.add_batched(children.len() as u64);
-                Response::Batch(children.iter().map(|child| self.execute(child)).collect())
-            }
-        }
+        let mut out = Vec::new();
+        self.execute_into(req, &mut out);
+        decode_response(&out).unwrap_or_else(|e| Response::Error(format!("reply: {e}")))
     }
 
     /// Executes one request and appends its encoded reply payload to
-    /// `out` — byte for byte `encode_response(&self.execute(req))`,
-    /// which tests pin. This is the form the server sends: a summary
-    /// goes out as the store holds it (a mapped link's stats bytes *are*
-    /// the wire encoding; only a key several links hold is merged and
-    /// encoded), so a summary lookup builds, clones and re-encodes
-    /// nothing; a scan, an ETA and a prediction are encoded from where
-    /// they were computed, with no `Response` built; and a batch answers
-    /// its children the same way.
+    /// `out`. This is the one executor, and the form the server sends: a
+    /// summary goes out as the store holds it (a mapped link's stats
+    /// bytes *are* the wire encoding; only a key several links hold is
+    /// merged and encoded), so a summary lookup builds, clones and
+    /// re-encodes nothing; a scan, an ETA and a prediction are encoded
+    /// from where they were computed; and a batch answers its children
+    /// the same way.
     pub fn execute_into(&self, req: &Request, out: &mut Vec<u8>) {
         out.push(PROTO_VERSION);
         self.reply_body(req, out);
@@ -257,6 +222,7 @@ impl InventoryService {
     /// Appends a reply's tag + body (no version byte).
     fn reply_body(&self, req: &Request, out: &mut Vec<u8>) {
         match req {
+            Request::Ping => encode_response_body(&Response::Pong, out),
             Request::PointSummary { .. }
             | Request::SegmentSummary { .. }
             | Request::RouteSummary { .. } => match self.summary_key(req) {
@@ -273,7 +239,7 @@ impl InventoryService {
                 None => encode_response_body(&out_of_range(), out),
             },
             Request::BboxScan { .. } | Request::TopDestinationCells { .. } => {
-                if self.scan(req, |cells| encode_cells(cells, out)).is_none() {
+                if !self.scan(req, out) {
                     encode_response_body(&invalid_bbox(), out);
                 }
             }
@@ -287,7 +253,25 @@ impl InventoryService {
                 }
                 None => encode_response_body(&track_out_of_range(), out),
             },
+            Request::Stats => {
+                // The metrics snapshot knows nothing about the store;
+                // fill in its identity and its read counters.
+                let mut report = self.metrics.snapshot();
+                report.store = "mapped-columnar".into();
+                let counters = self.store.counters();
+                report.mapped_lookups = counters.lookups;
+                report.mapped_scan_entries = counters.scan_entries;
+                encode_response_body(&Response::Stats(report), out);
+            }
+            Request::Health => encode_response_body(&Response::Health(self.metrics.health()), out),
+            Request::Ready => {
+                encode_response_body(&Response::Ready(!self.metrics.is_draining()), out)
+            }
             Request::Batch(children) => {
+                // One BATCH frame = one Endpoint::Batch latency sample
+                // (recorded by the caller); the children are accounted in
+                // the batched_requests counter, not double-counted under
+                // their own endpoints.
                 self.metrics.add_batched(children.len() as u64);
                 out.push(RESP_BATCH);
                 put_varint(out, children.len() as u64);
@@ -302,7 +286,6 @@ impl InventoryService {
                     out.splice(len_at..=len_at, len.into_iter().take(width));
                 }
             }
-            other => encode_response_body(&self.execute(other), out),
         }
     }
 
@@ -358,11 +341,10 @@ impl InventoryService {
     }
 
     /// Answers a scan request: its cells, ascending, gathered and sorted
-    /// in this thread's scratch, then handed to `reply` — so the typed
-    /// and the appended form of the answer come from one store call and
-    /// neither builds a list of its own. `None` for a bounding box that
-    /// is not one (and for a request that is not a scan).
-    fn scan<R>(&self, req: &Request, reply: impl FnOnce(&[u64]) -> R) -> Option<R> {
+    /// in this thread's scratch and encoded from there. `false` for a
+    /// bounding box that is not one (and for a request that is not a
+    /// scan).
+    fn scan(&self, req: &Request, out: &mut Vec<u8>) -> bool {
         SCAN_CELLS.with_borrow_mut(|cells| {
             match *req {
                 Request::BboxScan {
@@ -370,16 +352,17 @@ impl InventoryService {
                     min_lon,
                     max_lat,
                     max_lon,
-                } => {
-                    let bbox = BBox::new(min_lat, min_lon, max_lat, max_lon)?;
-                    self.store.cells_in(&bbox, cells);
-                }
+                } => match BBox::new(min_lat, min_lon, max_lat, max_lon) {
+                    Some(bbox) => self.store.cells_in(&bbox, cells),
+                    None => return false,
+                },
                 Request::TopDestinationCells { dest, segment } => {
                     self.store.cells_with_top_destination(dest, segment, cells);
                 }
-                _ => return None,
+                _ => return false,
             }
-            Some(reply(cells))
+            encode_cells(cells, out);
+            true
         })
     }
 }
@@ -548,6 +531,13 @@ mod tests {
         Inventory::from_entries(pol_hexgrid::Resolution::new(6).unwrap(), entries, 0)
     }
 
+    /// The reply the server sends, decoded as a client reads it.
+    fn reply(svc: &InventoryService, req: &Request) -> Response {
+        let mut out = Vec::new();
+        svc.execute_into(req, &mut out);
+        decode_response(&out).unwrap()
+    }
+
     #[test]
     fn invalid_arguments_yield_typed_errors() {
         let svc = InventoryService::new(empty_inventory(), Arc::new(ServerMetrics::new()));
@@ -575,7 +565,7 @@ mod tests {
             },
         ] {
             assert!(
-                matches!(svc.execute(&req), Response::Error(_)),
+                matches!(reply(&svc, &req), Response::Error(_)),
                 "{req:?} should be rejected"
             );
         }
@@ -590,7 +580,7 @@ mod tests {
         let cfg = ServerConfig::default();
         let svc =
             InventoryService::open_snapshot(&path, &cfg, Arc::new(ServerMetrics::new())).unwrap();
-        match svc.execute(&Request::Stats) {
+        match reply(&svc, &Request::Stats) {
             Response::Stats(report) => {
                 assert!(report.stages.contains("mmap-open"));
                 assert_eq!(report.store, "mapped-columnar");
@@ -598,5 +588,18 @@ mod tests {
             other => panic!("expected stats, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_reply_that_does_not_decode_is_a_typed_error() {
+        let svc = InventoryService::new(empty_inventory(), Arc::new(ServerMetrics::new()));
+        // A batch inside a batch never comes off the wire; built in
+        // process, its reply is one no decoder accepts.
+        let nested = Request::Batch(vec![Request::Batch(vec![Request::Ping])]);
+        assert!(matches!(svc.execute(&nested), Response::Error(_)));
+        assert!(matches!(
+            svc.execute(&Request::Batch(vec![Request::Ping])),
+            Response::Batch(ref replies) if matches!(replies[..], [Response::Pong])
+        ));
     }
 }

@@ -16,18 +16,17 @@ use pol_core::Inventory;
 use pol_geo::LatLon;
 use pol_hexgrid::{cell_at, Resolution};
 use pol_serve::proto::{
-    decode_response, encode_request, encode_response, read_frame, write_frame, Request, Response,
+    decode_response, encode_request, read_frame, write_frame, Request, Response,
 };
-use pol_serve::{
-    Client, ClientConfig, ClientError, InventoryService, ProtoError, RetryPolicy, Server,
-    ServerConfig, ServerMetrics,
-};
+use pol_serve::{Client, ClientConfig, ClientError, ProtoError, RetryPolicy, Server, ServerConfig};
 use pol_sketch::hash::FxHashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod oracle;
 
 fn res() -> Resolution {
     Resolution::new(6).unwrap()
@@ -549,12 +548,12 @@ fn heavy_batch(i: usize) -> Request {
 /// is delayed on its worker, so every pool request behind it finishes
 /// first and every lookup between them is answered at once — and the
 /// replies still arrive one per request, in request order, each the
-/// in-process answer.
+/// heap oracle's.
 #[test]
 fn replies_keep_request_order_when_the_first_job_finishes_last() {
     let _chaos = exclusive();
     const N: usize = 300;
-    let in_process = InventoryService::new(sample_inventory(N), Arc::new(ServerMetrics::new()));
+    let inventory = sample_inventory(N);
     let config = ServerConfig {
         worker_threads: 3,
         ..ServerConfig::default()
@@ -600,7 +599,7 @@ fn replies_keep_request_order_when_the_first_job_finishes_last() {
         let reply = read_frame(&mut stream, 1 << 20).unwrap();
         assert_eq!(
             reply,
-            encode_response(&in_process.execute(req)),
+            oracle::reply(&inventory, req),
             "reply {i} to {req:?}"
         );
         if i == 0 {
@@ -741,7 +740,7 @@ fn a_malformed_frame_behind_two_running_requests_waits_its_turn() {
 #[test]
 fn a_worker_killed_mid_pipeline_closes_the_connection_in_order() {
     let _chaos = exclusive();
-    let in_process = InventoryService::new(sample_inventory(100), Arc::new(ServerMetrics::new()));
+    let inventory = sample_inventory(100);
     let config = ServerConfig {
         worker_threads: 3,
         ..ServerConfig::default()
@@ -764,7 +763,7 @@ fn a_worker_killed_mid_pipeline_closes_the_connection_in_order() {
             Ok(reply) => {
                 assert_eq!(
                     reply,
-                    encode_response(&in_process.execute(&requests[answered])),
+                    oracle::reply(&inventory, &requests[answered]),
                     "reply {answered} out of turn"
                 );
                 answered += 1;
@@ -791,7 +790,7 @@ fn one_connection_keeps_every_worker_busy() {
     let _chaos = exclusive();
     const HOLD: Duration = Duration::from_millis(60);
     const FRAMES: usize = 16;
-    let in_process = InventoryService::new(sample_inventory(200), Arc::new(ServerMetrics::new()));
+    let inventory = sample_inventory(200);
     let config = ServerConfig {
         worker_threads: 2,
         ..ServerConfig::default()
@@ -807,11 +806,7 @@ fn one_connection_keeps_every_worker_busy() {
     stream.write_all(&burst_of(&requests)).unwrap();
     for (i, req) in requests.iter().enumerate() {
         let reply = read_frame(&mut stream, 1 << 20).unwrap();
-        assert_eq!(
-            reply,
-            encode_response(&in_process.execute(req)),
-            "reply {i}"
-        );
+        assert_eq!(reply, oracle::reply(&inventory, req), "reply {i}");
     }
     let took = started.elapsed();
     assert_eq!(stats("serve.worker.kill").fired, FRAMES as u64);

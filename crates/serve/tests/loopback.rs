@@ -21,6 +21,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod oracle;
+
 fn res() -> Resolution {
     Resolution::new(6).unwrap()
 }
@@ -702,8 +704,7 @@ fn pipelined_responses_survive_a_lazy_reader() {
 /// in order.
 #[test]
 fn a_peer_that_never_reads_is_bounded_by_backpressure_and_loses_nothing() {
-    use pol_serve::proto::{encode_response, DEFAULT_MAX_FRAME_BYTES};
-    use pol_serve::{InventoryService, ServerMetrics};
+    use pol_serve::proto::{decode_response, DEFAULT_MAX_FRAME_BYTES};
     const N: usize = 400;
     const LOOKUPS: usize = 100_000;
     let mark = DEFAULT_MAX_FRAME_BYTES as u64;
@@ -711,16 +712,19 @@ fn a_peer_that_never_reads_is_bounded_by_backpressure_and_loses_nothing() {
         write_timeout: Duration::from_secs(60),
         ..test_config()
     };
-    let in_process = InventoryService::new(sample_inventory(N), Arc::new(ServerMetrics::new()));
+    let inventory = sample_inventory(N);
     // Two occupied cells, alternating, so a reply out of place shows.
     let pair = [7.0, 8.0].map(|i| Request::PointSummary {
         lat: -55.0 + i,
         lon: -170.0 + i,
     });
     let expected = pair.each_ref().map(|req| {
-        let resp = in_process.execute(req);
-        assert!(matches!(resp, Response::Summary(Some(_))));
-        encode_response(&resp)
+        let reply = oracle::reply(&inventory, req);
+        assert!(matches!(
+            decode_response(&reply),
+            Ok(Response::Summary(Some(_)))
+        ));
+        reply
     });
     assert_ne!(expected[0], expected[1]);
 
@@ -1150,15 +1154,14 @@ fn burst_of(requests: &[Request]) -> Vec<u8> {
 #[test]
 fn mixed_kinds_pipelined_on_one_connection_answer_in_order() {
     use pol_core::codec::columnar;
-    use pol_serve::proto::encode_response;
-    use pol_serve::{InventoryService, ServerMetrics};
+    use pol_serve::proto::decode_response;
     const N: usize = 400;
     let dir = std::env::temp_dir().join(format!("pol-serve-mixed-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let v3_path = dir.join("inv.pol3");
     columnar::save(&sample_inventory(N), &v3_path).unwrap();
-    let in_process = InventoryService::new(sample_inventory(N), Arc::new(ServerMetrics::new()));
+    let inventory = sample_inventory(N);
 
     let (lat, lon) = (-55.0 + 7.0, -170.0 + 7.0); // sample point 7
     let segment = MarketSegment::from_id(0).unwrap();
@@ -1205,14 +1208,12 @@ fn mixed_kinds_pipelined_on_one_connection_answer_in_order() {
         },
         Request::Health,
     ];
-    assert!(matches!(
-        in_process.execute(&requests[1]),
-        Response::Summary(Some(_))
-    ));
-    assert!(matches!(
-        in_process.execute(&requests[5]),
-        Response::Summary(Some(_))
-    ));
+    for hit in [&requests[1], &requests[5]] {
+        assert!(matches!(
+            decode_response(&oracle::reply(&inventory, hit)),
+            Ok(Response::Summary(Some(_)))
+        ));
+    }
     let burst = burst_of(&requests);
 
     for worker_threads in [6, 2] {
@@ -1237,7 +1238,7 @@ fn mixed_kinds_pipelined_on_one_connection_answer_in_order() {
                     let reply = read_frame(&mut stream, 1 << 20).unwrap();
                     assert_eq!(
                         reply,
-                        encode_response(&in_process.execute(req)),
+                        oracle::reply(&inventory, req),
                         "{worker_threads} workers, round {round}, reply {i} to {req:?}"
                     );
                 }
@@ -1256,8 +1257,6 @@ fn mixed_kinds_pipelined_on_one_connection_answer_in_order() {
 /// reload returned always does.
 #[test]
 fn a_reload_between_pipelined_scans_never_goes_back_a_generation() {
-    use pol_serve::proto::encode_response;
-    use pol_serve::{InventoryService, ServerMetrics};
     const SCANS: usize = 24;
     let scan = Request::BboxScan {
         min_lat: -60.0,
@@ -1266,10 +1265,7 @@ fn a_reload_between_pipelined_scans_never_goes_back_a_generation() {
         max_lon: 175.0,
     };
     let sizes = [300, 900];
-    let answers = sizes.map(|n| {
-        let service = InventoryService::new(sample_inventory(n), Arc::new(ServerMetrics::new()));
-        encode_response(&service.execute(&scan))
-    });
+    let answers = sizes.map(|n| oracle::reply(&sample_inventory(n), &scan));
     assert_ne!(
         answers[0], answers[1],
         "the two snapshots must scan differently"
@@ -1449,42 +1445,6 @@ fn probe_replies(client: &mut Client) -> Vec<Vec<u8>> {
         .iter()
         .map(|req| pol_serve::proto::encode_response(&client.request(req).unwrap()))
         .collect()
-}
-
-/// What `inv` answers to a probe, computed on the heap inventory.
-fn inventory_reply(inv: &Inventory, req: &Request) -> Vec<u8> {
-    let cell = |lat, lon| cell_at(LatLon::new(lat, lon).unwrap(), res());
-    let reply = match *req {
-        Request::PointSummary { lat, lon } => {
-            Response::Summary(inv.summary(cell(lat, lon)).cloned())
-        }
-        Request::SegmentSummary { lat, lon, segment } => {
-            Response::Summary(inv.summary_for(cell(lat, lon), segment).cloned())
-        }
-        Request::RouteSummary {
-            lat,
-            lon,
-            origin,
-            dest,
-            segment,
-        } => Response::Summary(
-            inv.summary_route(cell(lat, lon), origin, dest, segment)
-                .cloned(),
-        ),
-        Request::BboxScan {
-            min_lat,
-            min_lon,
-            max_lat,
-            max_lon,
-        } => {
-            let bbox = BBox::new(min_lat, min_lon, max_lat, max_lon).unwrap();
-            let mut cells: Vec<u64> = inv.cells_in(&bbox).iter().map(|c| c.raw()).collect();
-            cells.sort_unstable();
-            Response::Cells(cells)
-        }
-        ref other => panic!("not a probe: {other:?}"),
-    };
-    pol_serve::proto::encode_response(&reply)
 }
 
 /// What a server freshly started on the chain's manifest answers.
@@ -1679,7 +1639,7 @@ fn a_reload_maps_only_its_new_links() {
     let merged = pol_stream::merge_chain(links.collect()).unwrap();
     let want: Vec<Vec<u8>> = probe_requests()
         .iter()
-        .map(|req| inventory_reply(&merged, req))
+        .map(|req| oracle::reply(&merged, req))
         .collect();
     assert_eq!(probe_replies(&mut client), want);
     assert!(matches!(
@@ -1721,7 +1681,7 @@ fn a_chain_past_max_links_is_folded_and_answers_the_same() {
     let merged = pol_stream::merge_chain(links).unwrap();
     let want: Vec<Vec<u8>> = probe_requests()
         .iter()
-        .map(|req| inventory_reply(&merged, req))
+        .map(|req| oracle::reply(&merged, req))
         .collect();
     assert_eq!(probe_replies(&mut client), want);
     assert_eq!(fresh_replies(&chain), want);

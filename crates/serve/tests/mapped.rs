@@ -19,6 +19,8 @@ use pol_sketch::hash::FxHashMap;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
+mod oracle;
+
 fn res() -> Resolution {
     Resolution::new(6).unwrap()
 }
@@ -387,7 +389,7 @@ fn byte_level_readers_equal_decode_then_query_on_every_entry() {
             let decoded = Summary::Encoded(stored).to_stats().unwrap();
             let (ata, quantiles) = (decoded.ata, decoded.ata_q.quantiles(PHIS));
             let top = decode_destinations(stored).unwrap().top(8);
-            let heap = Summary::Stats(inventory.get(&key).unwrap());
+            let heap = InventoryQuery::summary_at(&inventory, &key).unwrap();
             for summary in [Summary::Encoded(stored), heap] {
                 let (read_ata, read_quantiles) = summary.arrival_quantiles(PHIS).unwrap();
                 assert_eq!(read_ata, ata, "{key:?}");
@@ -408,16 +410,15 @@ fn byte_level_readers_equal_decode_then_query_on_every_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The two forms of an answer are pinned equal: what `execute_into`
-/// appends is byte for byte `encode_response(&execute(req))`, on the
-/// mapped store and on the heap, for every endpoint — hits at all three
-/// grouping sets over every stored key, a miss, out-of-range
-/// coordinates, and a batch of all of them.
+/// Every endpoint's reply is the heap oracle's, byte for byte, whether
+/// the service maps the saved file or encodes the inventory in memory —
+/// hits at all three grouping sets over every stored key, a miss,
+/// out-of-range coordinates, an inverted box, and batches of them.
 #[test]
-fn append_form_equals_typed_form_on_every_endpoint() {
+fn every_endpoint_answers_as_the_heap_oracle() {
     use pol_core::features::GroupKey;
     use pol_hexgrid::cell_center;
-    use pol_serve::proto::{decode_response, encode_response, Request, Response};
+    use pol_serve::proto::{decode_response, Request, Response};
     use pol_serve::{InventoryService, ServerConfig, ServerMetrics};
     use std::sync::Arc;
 
@@ -521,104 +522,32 @@ fn append_form_equals_typed_form_on_every_endpoint() {
     let metrics = || Arc::new(ServerMetrics::new());
     let on_mapped =
         InventoryService::open_snapshot(&dir.join("inv.pol3"), &config, metrics()).unwrap();
-    let on_heap = InventoryService::new(inventory, metrics());
+    let on_heap = InventoryService::new(inventory.clone(), metrics());
     for (store, service) in [("mapped", &on_mapped), ("in memory", &on_heap)] {
         let mut hits = 0;
         for req in &requests {
-            let typed = service.execute(req);
-            hits += usize::from(matches!(typed, Response::Summary(Some(_))));
             // Appended after bytes that are already there, as a reply
             // is appended to a write buffer.
             let mut appended = b"earlier".to_vec();
             service.execute_into(req, &mut appended);
-            assert_eq!(&appended[7..], encode_response(&typed), "{store}: {req:?}");
+            let reply = &appended[7..];
+            assert_eq!(reply, oracle::reply(&inventory, req), "{store}: {req:?}");
+            hits += usize::from(matches!(
+                decode_response(reply),
+                Ok(Response::Summary(Some(_)))
+            ));
         }
         assert!(hits > 100, "{store}: only {hits} summary hits");
-        // STATS reads clocks and counters; its two forms are taken a
-        // moment apart, so they are compared field by field.
+        // STATS reads clocks and counters: it has no oracle, but it
+        // decodes and names the store.
         let mut appended = Vec::new();
         service.execute_into(&Request::Stats, &mut appended);
-        match (
-            decode_response(&appended).unwrap(),
-            service.execute(&Request::Stats),
-        ) {
-            (Response::Stats(mut a), Response::Stats(b)) => {
-                a.since_reload_secs = b.since_reload_secs;
-                assert_eq!(a, b, "{store}: STATS");
-            }
-            other => panic!("{store}: expected two STATS replies, got {other:?}"),
+        match decode_response(&appended) {
+            Ok(Response::Stats(report)) => assert_eq!(report.store, "mapped-columnar"),
+            other => panic!("{store}: expected STATS, got {other:?}"),
         }
-    }
-    // The heap and the mapped store append the same bytes, too.
-    for req in &requests {
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        on_mapped.execute_into(req, &mut a);
-        on_heap.execute_into(req, &mut b);
-        assert_eq!(a, b, "{req:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// What the heap inventory answers to `req`, computed directly from it:
-/// the oracle every reply of the chain tests is compared with.
-fn heap_answer(inv: &Inventory, req: &pol_serve::Request) -> pol_serve::Response {
-    use pol_serve::{Request, Response};
-    let cell = |lat, lon| cell_at(LatLon::new(lat, lon).unwrap(), inv.resolution());
-    match req {
-        Request::PointSummary { lat, lon } => {
-            Response::Summary(inv.summary(cell(*lat, *lon)).cloned())
-        }
-        Request::SegmentSummary { lat, lon, segment } => {
-            Response::Summary(inv.summary_for(cell(*lat, *lon), *segment).cloned())
-        }
-        Request::RouteSummary {
-            lat,
-            lon,
-            origin,
-            dest,
-            segment,
-        } => Response::Summary(
-            inv.summary_route(cell(*lat, *lon), *origin, *dest, *segment)
-                .cloned(),
-        ),
-        Request::BboxScan {
-            min_lat,
-            min_lon,
-            max_lat,
-            max_lon,
-        } => {
-            let bbox = BBox::new(*min_lat, *min_lon, *max_lat, *max_lon).unwrap();
-            Response::Cells(sorted(inv.cells_in(&bbox)))
-        }
-        Request::TopDestinationCells { dest, segment } => {
-            Response::Cells(sorted(inv.cells_with_top_destination(*dest, *segment)))
-        }
-        Request::Eta {
-            lat,
-            lon,
-            segment,
-            route,
-        } => Response::Eta(EtaEstimator::new(inv).estimate(
-            LatLon::new(*lat, *lon).unwrap(),
-            *segment,
-            *route,
-        )),
-        Request::PredictDestination {
-            segment,
-            top_n,
-            track,
-        } => {
-            let mut predictor = DestinationPredictor::new(inv, *segment);
-            for (lat, lon) in track {
-                predictor.observe(LatLon::new(*lat, *lon).unwrap());
-            }
-            Response::Destinations(predictor.top(*top_n as usize))
-        }
-        Request::Batch(children) => {
-            Response::Batch(children.iter().map(|c| heap_answer(inv, c)).collect())
-        }
-        other => panic!("no heap answer for {other:?}"),
-    }
 }
 
 /// One link of a generated chain.
@@ -818,16 +747,16 @@ proptest! {
         for req in &chain_requests() {
             let mut reply = Vec::new();
             service.execute_into(req, &mut reply);
-            prop_assert_eq!(reply, encode_response(&heap_answer(&folded, req)), "{:?}", req);
+            prop_assert_eq!(reply, oracle::reply(&folded, req), "{:?}", req);
         }
 
         // Mapped a link at a time: the store's own answers, at every key.
         prop_assert!(extended.links() <= pol_serve::mapped::MAX_LINKS);
         prop_assert_eq!(extended.total_records(), folded.total_records());
-        for (key, stats) in folded.iter() {
+        for (key, _) in folded.iter() {
             prop_assert_eq!(
                 stats_bytes(extended.summary_at(key)),
-                stats_bytes(Some(Summary::Stats(stats))),
+                stats_bytes(InventoryQuery::summary_at(&folded, key)),
                 "{:?}", key
             );
         }
@@ -849,12 +778,135 @@ proptest! {
             };
             prop_assert_eq!(
                 encode_response(&got),
-                encode_response(&heap_answer(&folded, req)),
+                oracle::reply(&folded, req),
                 "{:?}",
                 req
             );
         }
         prop_assert_eq!(extended.counters().decode_errors, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A scan box, drawn before the store it scans exists: `kind` 0 is a box
+/// anywhere around the pool, 1 a point on a stored centre (`min ==
+/// max`), 2 a box with an edge on a stored centre's latitude, 3 the
+/// whole globe. `at` picks the centre.
+#[derive(Clone, Debug)]
+struct BoxDraw {
+    kind: u8,
+    corner: (f64, f64),
+    span: (f64, f64),
+    at: usize,
+    upper_edge: bool,
+}
+
+fn arb_box() -> impl Strategy<Value = BoxDraw> {
+    (
+        0u8..4,
+        (-20.0..15.0, 10.0..45.0),
+        (0.0..12.0, 0.0..12.0),
+        0usize..1_000,
+        0u8..2,
+    )
+        .prop_map(|(kind, corner, span, at, upper)| BoxDraw {
+            kind,
+            corner,
+            span,
+            at,
+            upper_edge: upper == 1,
+        })
+}
+
+impl BoxDraw {
+    /// The box over a store whose occupied cells have `centres`.
+    fn bbox(&self, centres: &[LatLon]) -> BBox {
+        let (dlat, dlon) = self.span;
+        let centre = centres.get(self.at % centres.len().max(1));
+        let (min_lat, min_lon, max_lat, max_lon) = match (self.kind, centre) {
+            (0, _) => (
+                self.corner.0,
+                self.corner.1,
+                self.corner.0 + dlat,
+                self.corner.1 + dlon,
+            ),
+            (1, Some(c)) => (c.lat(), c.lon(), c.lat(), c.lon()),
+            (2, Some(c)) if self.upper_edge => {
+                (c.lat() - dlat, c.lon() - dlon, c.lat(), c.lon() + dlon)
+            }
+            (2, Some(c)) => (c.lat(), c.lon() - dlon, c.lat() + dlat, c.lon() + dlon),
+            _ => (-90.0, -180.0, 90.0, 180.0),
+        };
+        BBox::new(min_lat, min_lon, max_lat, max_lon).unwrap()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The served scans against an independent scan: the mapped store's
+    /// latitude-band walk and top-destination runs, over one file and
+    /// over a 3-link chain (where cells repeat across links and a shared
+    /// key's top destination comes from the merge), answer every box and
+    /// every `(dest, segment)` as the heap inventory's plain filters over
+    /// the links merged.
+    #[test]
+    fn served_scans_equal_the_heap_filters(
+        links in prop::collection::vec(arb_link(), 3),
+        boxes in prop::collection::vec(arb_box(), 16),
+    ) {
+        use pol_core::codec::manifest::ManifestEntry;
+
+        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("pol-serve-mapped-scans-{}-{case}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let inventories: Vec<Inventory> = links.iter().map(link_inventory).collect();
+        let entries: Vec<ManifestEntry> = inventories
+            .iter()
+            .enumerate()
+            .map(|(generation, inv)| {
+                let bytes = columnar::to_bytes(inv);
+                let name = format!("link-{generation}.pol");
+                pol_core::codec::save_bytes(&bytes, &dir.join(&name)).unwrap();
+                ManifestEntry::for_link(generation as u64, name, &bytes).unwrap()
+            })
+            .collect();
+        let mut chain_heap = inventories[0].clone();
+        for inv in &inventories[1..] {
+            chain_heap.merge(inv);
+        }
+        let stores = [
+            ("one file", MappedStore::open(&dir.join("link-0.pol")).unwrap(), &inventories[0]),
+            ("3-link chain", MappedStore::extend(None, &dir, &entries).unwrap(), &chain_heap),
+        ];
+        for (name, mapped, heap) in &stores {
+            let mut cells: Vec<CellIndex> = heap.cells().collect();
+            cells.sort_unstable_by_key(|c| c.raw());
+            let centres: Vec<LatLon> = cells.iter().map(|c| pol_hexgrid::cell_center(*c)).collect();
+            let mut got = Vec::new();
+            for draw in &boxes {
+                let bbox = draw.bbox(&centres);
+                mapped.cells_in(&bbox, &mut got);
+                let want: Vec<u64> = heap.cells_in(&bbox).iter().map(|c| c.raw()).collect();
+                prop_assert_eq!(&got, &want, "{}: {:?} {:?}", name, draw, bbox);
+                if draw.kind == 3 {
+                    prop_assert_eq!(got.len(), cells.len(), "{}: the globe holds every cell", name);
+                }
+            }
+            for dest in (0..5).chain(20..23) {
+                for segment in [None, Some(MarketSegment::from_id(1).unwrap())] {
+                    mapped.cells_with_top_destination(dest, segment, &mut got);
+                    prop_assert_eq!(
+                        &got,
+                        &sorted(heap.cells_with_top_destination(dest, segment)),
+                        "{}: top-dest {} {:?}", name, dest, segment
+                    );
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

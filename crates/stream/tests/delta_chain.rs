@@ -1,7 +1,8 @@
 //! Order-insensitivity of delta merging: any permutation of the same
-//! `(generation, delta)` set merges to byte-identical POLINV4 output,
-//! because [`pol_stream::merge_chain`] canonicalizes on generation —
-//! the same order a manifest chain load applies.
+//! `(generation, delta)` set merges to byte-identical POLINV4 output.
+//! [`pol_stream::merge_chain`] folds the deltas in the order it is given;
+//! every POLINV4 summary merge is exact and commutative, so no order
+//! reaches the bytes.
 
 use pol_ais::types::{MarketSegment, Mmsi};
 use pol_core::codec::columnar;
@@ -91,7 +92,7 @@ proptest! {
         prop_assert_eq!(
             chain_bytes(&shuffled, &sizes),
             reference,
-            "merge order {:?} diverged from canonical",
+            "merge order {:?} diverged from generation order",
             shuffled
         );
     }
