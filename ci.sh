@@ -187,6 +187,9 @@ run_gate() {
   fi
 
   echo "==> chaos smoke (fault-injected persistence + serving + journaling)"
+  # The failpoint registry's and the operation recorder's own tests are
+  # gated on `failpoints`, which no other stage turns on for pol-chaos.
+  cargo test -q -p pol-chaos --features failpoints
   cargo test -q -p pol-core --features chaos --test codec_chaos
   cargo test -q -p pol-serve --features chaos --test chaos
   cargo test -q -p pol-stream --features chaos --test chaos

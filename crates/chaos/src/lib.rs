@@ -48,6 +48,7 @@
 #![deny(missing_docs)]
 
 use std::fmt;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// What an armed failpoint does when its trigger fires.
@@ -123,6 +124,7 @@ pub fn io_error(what: &str) -> std::io::Error {
 mod registry {
     use super::{FailpointStats, FaultAction, Trigger};
     use std::collections::HashMap;
+    use std::path::PathBuf;
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
     struct Slot {
@@ -171,6 +173,12 @@ mod registry {
 
     pub(super) fn reset() {
         slots().clear();
+        ops().clear();
+    }
+
+    pub(super) fn ops() -> MutexGuard<'static, Vec<(&'static str, PathBuf)>> {
+        static OPS: Mutex<Vec<(&'static str, PathBuf)>> = Mutex::new(Vec::new());
+        OPS.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     pub(super) fn stats(name: &str) -> FailpointStats {
@@ -229,7 +237,8 @@ pub fn remove(name: &str) {
     let _ = name;
 }
 
-/// Disarms every failpoint. No-op without the `failpoints` feature.
+/// Disarms every failpoint and forgets the recorded operations. No-op
+/// without the `failpoints` feature.
 #[inline]
 pub fn reset() {
     #[cfg(feature = "failpoints")]
@@ -315,6 +324,29 @@ pub fn fire(name: &str) -> bool {
             panic!("chaos: failpoint `{name}` killed this worker");
         }
     }
+}
+
+/// Logs one durable file operation — its kind (`"create"`, `"write"`,
+/// `"fsync"`, `"rename"`, `"fsync-dir"`, `"truncate"`, `"unlink"`) and
+/// the path it acted on — for [`take_ops`]. `pol_core::codec::durable`
+/// calls it after each operation succeeds. No-op without the
+/// `failpoints` feature.
+#[inline]
+pub fn record(kind: &'static str, path: &Path) {
+    #[cfg(feature = "failpoints")]
+    registry::ops().push((kind, path.to_path_buf()));
+    #[cfg(not(feature = "failpoints"))]
+    let _ = (kind, path);
+}
+
+/// The operations recorded since the last call (or [`reset`]), in the
+/// order they were made, across threads. Empty without the
+/// `failpoints` feature.
+pub fn take_ops() -> Vec<(&'static str, PathBuf)> {
+    #[cfg(feature = "failpoints")]
+    return std::mem::take(&mut *registry::ops());
+    #[cfg(not(feature = "failpoints"))]
+    Vec::new()
 }
 
 #[cfg(all(test, feature = "failpoints"))]
@@ -461,5 +493,23 @@ mod tests {
         })
         .join();
         let _chaos = exclusive();
+    }
+
+    #[test]
+    fn recorded_operations_come_back_in_order_once() {
+        let _chaos = exclusive();
+        record("create", Path::new("a"));
+        record("fsync", Path::new("a"));
+        assert_eq!(
+            take_ops(),
+            [
+                ("create", PathBuf::from("a")),
+                ("fsync", PathBuf::from("a"))
+            ]
+        );
+        assert!(take_ops().is_empty());
+        record("unlink", Path::new("b"));
+        reset();
+        assert!(take_ops().is_empty(), "reset forgets the log");
     }
 }

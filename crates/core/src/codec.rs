@@ -6,8 +6,10 @@
 //! chain ([`manifest`]) linking a POLINV4 base to its POLINV4 deltas;
 //! [`wal`] is the ingest journal. This module holds the pieces those
 //! formats have in common: the typed [`CodecError`], the canonical
-//! [`CellStats`] encoding, the footer seal, the
-//! crash-safe [`save_bytes`] write, and magic sniffing ([`load_any`]).
+//! [`CellStats`] encoding, the footer seal and magic sniffing
+//! ([`load_any`]). How a file reaches the disk — [`save_bytes`]'s atomic
+//! replace, the append-only files, the directory rule — is [`durable`]'s
+//! alone.
 //!
 //! ## The footer seal
 //!
@@ -19,19 +21,13 @@
 //! written. Any single bit flip anywhere in a file surfaces as a typed
 //! [`CodecError`] — property-tested in `tests/codec_columnar.rs`,
 //! audited on demand by `polinv verify`.
-//!
-//! ## Crash-safe writes
-//!
-//! [`save_bytes`] never exposes a half-written file: bytes go to a
-//! sibling temp file, which is fsynced, atomically renamed over the
-//! destination, and the directory entry is then fsynced. A crash (or an
-//! injected `codec.save.*` failpoint) at any step leaves either the old
-//! complete file or the new complete file, never a torn one, and the
-//! temp file is removed on every failure path.
 
 pub mod columnar;
+pub mod durable;
 pub mod manifest;
 pub mod wal;
+
+pub use durable::save_bytes;
 
 use crate::features::CellStats;
 use crate::inventory::Inventory;
@@ -43,9 +39,8 @@ use pol_sketch::{
     AngleHistogram, Circular, Distinct, LogHistogram, SecondsMoments, SpeedMoments, Tally,
 };
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::{self, Read};
+use std::path::Path;
 
 /// Footer seal magic — the last 8 bytes of every complete inventory file.
 pub const FOOTER_MAGIC: &[u8; 8] = b"POLSEAL\0";
@@ -222,61 +217,6 @@ pub(crate) fn decode_heaviest_destinations<const N: usize>(
     tally_heaviest(&mut input)
 }
 
-/// Distinguishes temp files of concurrent saves within one process.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn temp_sibling(path: &Path) -> PathBuf {
-    let stem = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "inventory".to_string());
-    let unique = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-    path.with_file_name(format!(".{stem}.tmp.{}.{unique}", std::process::id()))
-}
-
-/// Crash-safely writes a complete file image to `path`: the bytes are
-/// written to a sibling temp file, fsynced, atomically renamed into
-/// place, and the directory entry is fsynced. Readers of `path` observe
-/// either the old complete file or the new complete file, never a torn
-/// one. On any failure the temp file is removed and `path` is untouched.
-/// Shared by every format (POLINV4 in [`columnar::save`], POLMAN2
-/// manifests, stream checkpoints) so the durability guarantees — and
-/// the `codec.save.*` chaos failpoints — cover them all.
-pub fn save_bytes(bytes: &[u8], path: &Path) -> io::Result<()> {
-    let tmp = temp_sibling(path);
-    let result = write_rename_sync(bytes, &tmp, path);
-    if result.is_err() {
-        // Failure must not leave a half-written sibling behind.
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
-fn write_rename_sync(bytes: &[u8], tmp: &Path, path: &Path) -> io::Result<()> {
-    let mut f = std::fs::File::create(tmp)?;
-    if pol_chaos::fire("codec.save.write") {
-        return Err(pol_chaos::io_error("write"));
-    }
-    f.write_all(bytes)?;
-    // fsync before rename: the rename must never publish a name whose
-    // bytes are still only in the page cache.
-    f.sync_all()?;
-    drop(f);
-    if pol_chaos::fire("codec.save.rename") {
-        return Err(pol_chaos::io_error("rename"));
-    }
-    std::fs::rename(tmp, path)?;
-    // Make the rename itself durable by fsyncing the directory entry.
-    // Best-effort: not every platform/filesystem lets a directory be
-    // opened for syncing, and the data itself is already safe on disk.
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
 /// Which snapshot format a file's leading magic bytes announce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotFormat {
@@ -328,6 +268,7 @@ mod tests {
     use pol_geo::LatLon;
     use pol_hexgrid::{cell_at, Resolution};
     use pol_sketch::hash::FxHashMap;
+    use std::path::PathBuf;
 
     /// The fixture of every codec unit test: `n` records spread over
     /// both hemispheres, all three grouping-set levels, some transitions.

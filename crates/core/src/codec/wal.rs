@@ -45,8 +45,11 @@
 //! appending" as normal (`tests/codec_wal.rs` proves the tolerant
 //! loader never panics and never serves a torn batch) while still
 //! refusing bit rot in the middle of the journal.
+//!
+//! [`SegmentWriter`] keeps the framing and the sequence numbers; the file
+//! under it, its fsyncs and its cut-backs are a [`durable::AppendFile`]'s.
 
-use super::FOOTER_MAGIC;
+use super::{durable, FOOTER_MAGIC};
 use pol_ais::types::{Mmsi, NavStatus};
 use pol_ais::PositionReport;
 use pol_geo::LatLon;
@@ -55,8 +58,8 @@ use pol_sketch::wire::{
     get_f64, get_i64, get_varint, put_f64, put_i64, put_varint, varint_bytes, WireError,
 };
 use std::fmt;
-use std::io::{self, Seek, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 /// WAL segment file magic.
 pub const MAGIC_WAL: &[u8; 8] = b"POLWAL1\0";
@@ -302,16 +305,6 @@ pub struct SegmentLoad {
     pub valid_len: u64,
 }
 
-/// Reads a segment image, requiring a valid seal (the contract for
-/// every non-final segment of a journal).
-pub fn read_sealed(bytes: &[u8]) -> Result<SegmentLoad, WalError> {
-    let load = read_segment(bytes)?;
-    if !load.sealed {
-        return Err(WalError::Unsealed);
-    }
-    Ok(load)
-}
-
 /// Reads a segment image tolerantly: a torn trailing batch or partial
 /// seal is detected, reported in [`SegmentLoad::torn_bytes`], and
 /// discarded — never served. Mid-file defects are still typed errors.
@@ -350,6 +343,8 @@ pub fn read_segment_from(bytes: &[u8], from_seq: u64) -> Result<SegmentLoad, Wal
 
     let mut batches = Vec::new();
     let mut next_seq = first_seq;
+    // The segment read as ending unsealed at `valid_at`, what follows
+    // torn.
     let torn = |batches: Vec<Batch>, next_seq: u64, valid_at: usize| SegmentLoad {
         first_seq,
         batches,
@@ -379,12 +374,9 @@ pub fn read_segment_from(bytes: &[u8], from_seq: u64) -> Result<SegmentLoad, Wal
                 return Err(WalError::Corrupt("bytes after seal"));
             }
             return Ok(SegmentLoad {
-                first_seq,
-                batches,
-                frames: next_seq - first_seq,
                 sealed: true,
                 torn_bytes: 0,
-                valid_len: frame_at as u64,
+                ..torn(batches, next_seq, frame_at)
             });
         }
         let len = len as usize;
@@ -421,14 +413,7 @@ pub fn read_segment_from(bytes: &[u8], from_seq: u64) -> Result<SegmentLoad, Wal
         if at == bytes.len() {
             // Clean unsealed end (e.g. the writer was killed between
             // batches): every batch is durable, nothing torn.
-            return Ok(SegmentLoad {
-                first_seq,
-                batches,
-                frames: next_seq - first_seq,
-                sealed: false,
-                torn_bytes: 0,
-                valid_len: at as u64,
-            });
+            return Ok(torn(batches, next_seq, at));
         }
     }
 }
@@ -453,31 +438,22 @@ fn read_slice<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]>
     Some(s)
 }
 
-/// Reads a segment file tolerantly (see [`read_segment`]).
-pub fn load_segment(path: &Path) -> Result<SegmentLoad, WalError> {
-    let bytes = std::fs::read(path)?;
-    read_segment(&bytes)
-}
-
 /// An open, appendable WAL segment file.
 ///
-/// `create` writes and syncs the header before returning, so a segment
-/// that exists on disk with a readable header is append-ready. Batches
-/// are appended with [`append_frame`](Self::append_frame); the caller
-/// decides when to [`sync`](Self::sync) (group commit lives one layer
-/// up, in `pol-stream::journal`). Dropping the writer without
+/// `create` writes and syncs the header, and the directory entry, before
+/// returning, so a segment that exists on disk with a readable header is
+/// append-ready. Batches are appended with
+/// [`append_frame`](Self::append_frame); the caller decides when to
+/// [`sync`](Self::sync) (group commit lives one layer up, in
+/// `pol-stream::journal`). Dropping the writer without
 /// [`seal`](Self::seal) leaves a valid unsealed segment — exactly what
 /// a crash leaves — which `read_segment` serves in full.
 #[derive(Debug)]
 pub struct SegmentWriter {
-    file: std::fs::File,
-    path: PathBuf,
-    len: u64,
+    /// Committed through the last whole frame.
+    file: durable::AppendFile,
     first_seq: u64,
     next_seq: u64,
-    /// A write failed part-way: the file may hold bytes past `len`, and
-    /// the next append or seal cuts them off first.
-    torn: bool,
 }
 
 impl SegmentWriter {
@@ -485,60 +461,35 @@ impl SegmentWriter {
     /// durably writes its header. `first_seq` is the sequence number
     /// the first appended batch must carry.
     pub fn create(path: &Path, first_seq: u64) -> Result<SegmentWriter, WalError> {
-        let mut image = Vec::with_capacity(32);
-        image.extend_from_slice(MAGIC_WAL);
         let mut header = Vec::with_capacity(10);
         put_varint(&mut header, first_seq);
-        image.extend_from_slice(&(header.len() as u32).to_le_bytes());
-        image.extend_from_slice(&header);
-        image.extend_from_slice(&crc64(&header).to_le_bytes());
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(&image)?;
-        file.sync_all()?;
+        let header_len = (header.len() as u32).to_le_bytes();
+        let crc = crc64(&header).to_le_bytes();
+        let image = [&MAGIC_WAL[..], &header_len, &header, &crc].concat();
         Ok(SegmentWriter {
-            file,
-            path: path.to_path_buf(),
-            len: image.len() as u64,
+            file: durable::AppendFile::create(path, &image)?,
             first_seq,
             next_seq: first_seq,
-            torn: false,
         })
     }
 
-    /// Reopens an unsealed segment for appending, truncating away a
-    /// torn tail first. `load` must come from reading this same file;
-    /// its `batches` are not read (a journal reader moves them out).
+    /// Reopens an unsealed segment for appending, cutting a torn tail off
+    /// first. `load` must come from reading this same file; its
+    /// `batches` are not read (a journal reader moves them out).
     pub fn resume(path: &Path, load: &SegmentLoad) -> Result<SegmentWriter, WalError> {
         if load.sealed {
             return Err(WalError::Corrupt("cannot resume a sealed segment"));
         }
-        let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
-        if load.torn_bytes > 0 {
-            // Repair is idempotent: truncating to the valid prefix and
-            // syncing leaves the same clean unsealed segment no matter
-            // how many times a crashing recovery retries it.
-            file.set_len(load.valid_len)?;
-            file.sync_all()?;
-        }
-        file.seek(io::SeekFrom::Start(load.valid_len))?;
         Ok(SegmentWriter {
-            file,
-            path: path.to_path_buf(),
-            len: load.valid_len,
+            file: durable::AppendFile::resume(path, load.valid_len)?,
             first_seq: load.first_seq,
             next_seq: load.first_seq + load.frames,
-            torn: false,
         })
-    }
-
-    /// The file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Bytes appended so far (header included).
     pub fn len(&self) -> u64 {
-        self.len
+        self.file.committed()
     }
 
     /// Whether nothing has been appended (a fresh header-only segment).
@@ -559,76 +510,32 @@ impl SegmentWriter {
     /// next append) and `frame` still holds its records: appending it
     /// again is the retry.
     pub fn append_frame(&mut self, frame: &mut FrameBuf) -> Result<u64, WalError> {
-        self.cut_back()?;
         let seq = self.next_seq;
         let start = frame.close(seq);
         let end = frame.bytes.len();
         let crc = crc64(&frame.bytes[start + 4..]);
         frame.bytes.extend_from_slice(&crc.to_le_bytes());
-        let image = &frame.bytes[start..];
-        let frame_len = image.len() as u64;
-        self.torn = true;
-        let wrote = if pol_chaos::fire("wal.append.write") {
-            // The fault tears the append: half a frame is in the file
-            // when the call fails.
-            let _ = self.file.write_all(&image[..image.len() / 2]);
-            Err(pol_chaos::io_error("wal append write"))
-        } else {
-            self.file.write_all(image)
-        };
+        let wrote = self.file.append(&frame.bytes[start..], "wal.append.write");
         frame.bytes.truncate(end);
         wrote?;
-        self.torn = false;
-        self.len += frame_len;
+        self.file.commit();
         self.next_seq += 1;
         Ok(seq)
     }
 
-    /// [`append_frame`](Self::append_frame) for records held in a slice.
-    pub fn append_batch(&mut self, records: &[PositionReport]) -> Result<u64, WalError> {
-        let mut frame = FrameBuf::with_capacity(records.len());
-        for r in records {
-            frame.push(r);
-        }
-        self.append_frame(&mut frame)
-    }
-
-    /// Cuts the file back to the last whole frame after a failed write:
-    /// a frame appended behind a fragment would read as mid-file
-    /// corruption, and a seal would record the wrong length.
-    fn cut_back(&mut self) -> io::Result<()> {
-        if self.torn {
-            self.file.set_len(self.len)?;
-            self.file.seek(io::SeekFrom::Start(self.len))?;
-            self.torn = false;
-        }
-        Ok(())
-    }
-
     /// Makes every appended batch durable (fsync).
     pub fn sync(&mut self) -> Result<(), WalError> {
-        if pol_chaos::fire("wal.append.sync") {
-            return Err(WalError::Io(pol_chaos::io_error("wal append sync")));
-        }
-        self.file.sync_all()?;
-        Ok(())
+        Ok(self.file.sync(Some("wal.append.sync"))?)
     }
 
     /// Seals the segment: appends the footer (sentinel, total length,
     /// seal magic) and fsyncs. A sealed segment is immutable and is
     /// read with the same zero-tolerance discipline as a snapshot.
     pub fn seal(mut self) -> Result<(), WalError> {
-        self.cut_back()?;
-        if pol_chaos::fire("wal.seal") {
-            return Err(WalError::Io(pol_chaos::io_error("wal seal")));
-        }
-        let total = self.len + 20;
-        let mut footer = Vec::with_capacity(20);
-        footer.extend_from_slice(&SEAL_SENTINEL.to_le_bytes());
-        footer.extend_from_slice(&total.to_le_bytes());
-        footer.extend_from_slice(FOOTER_MAGIC);
-        self.file.write_all(&footer)?;
-        self.file.sync_all()?;
+        let total = (self.len() + 20).to_le_bytes();
+        let footer = [&SEAL_SENTINEL.to_le_bytes()[..], &total, FOOTER_MAGIC].concat();
+        self.file.append(&footer, "wal.seal")?;
+        self.file.sync(None)?;
         Ok(())
     }
 }
@@ -636,6 +543,7 @@ impl SegmentWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn report(mmsi: u32, ts: i64) -> PositionReport {
         PositionReport {
@@ -653,6 +561,20 @@ mod tests {
         (0..n)
             .map(|i| report(200_000_001 + (i % 5) as u32, salt * 1_000 + i as i64))
             .collect()
+    }
+
+    /// Appends `records` as one frame; returns its sequence number.
+    fn append(w: &mut SegmentWriter, records: &[PositionReport]) -> u64 {
+        let mut frame = FrameBuf::with_capacity(records.len());
+        for r in records {
+            frame.push(r);
+        }
+        w.append_frame(&mut frame).unwrap()
+    }
+
+    /// Reads the segment file at `path` tolerantly.
+    fn load_file(path: &Path) -> SegmentLoad {
+        read_segment(&std::fs::read(path).unwrap()).unwrap()
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -700,7 +622,7 @@ mod tests {
             assert_eq!(frame.records(), 0);
             frame.push(&records.first().copied().unwrap_or(report(200_000_001, 1)));
             assert_eq!(w.append_frame(&mut frame).unwrap(), seq + 1);
-            assert_eq!(load_segment(&path).unwrap().batches.len(), 2);
+            assert_eq!(load_file(&path).batches.len(), 2);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -710,7 +632,7 @@ mod tests {
         let path = tmp("from-seq.polwal");
         let mut w = SegmentWriter::create(&path, 10).unwrap();
         for i in 0..5 {
-            w.append_batch(&batch(6, i)).unwrap();
+            append(&mut w, &batch(6, i));
         }
         w.sync().unwrap();
         drop(w);
@@ -780,20 +702,20 @@ mod tests {
         assert!(w.is_empty());
         let b0 = batch(40, 0);
         let b1 = batch(25, 1);
-        assert_eq!(w.append_batch(&b0).unwrap(), 5);
-        assert_eq!(w.append_batch(&b1).unwrap(), 6);
+        assert_eq!(append(&mut w, &b0), 5);
+        assert_eq!(append(&mut w, &b1), 6);
         assert!(!w.is_empty());
         w.sync().unwrap();
         w.seal().unwrap();
 
-        let load = load_segment(&path).unwrap();
+        let load = load_file(&path);
         assert!(load.sealed);
         assert_eq!(load.torn_bytes, 0);
         assert_eq!(load.first_seq, 5);
         assert_eq!(load.batches.len(), 2);
         assert_eq!(load.batches[0].records, b0);
         assert_eq!(load.batches[1].records, b1);
-        assert!(read_sealed(&std::fs::read(&path).unwrap()).is_ok());
+        assert!(read_segment(&std::fs::read(&path).unwrap()).unwrap().sealed);
         std::fs::remove_file(&path).ok();
     }
 
@@ -801,8 +723,8 @@ mod tests {
     fn unsealed_segment_serves_complete_batches() {
         let path = tmp("unsealed.polwal");
         let mut w = SegmentWriter::create(&path, 0).unwrap();
-        w.append_batch(&batch(10, 0)).unwrap();
-        w.append_batch(&batch(10, 1)).unwrap();
+        append(&mut w, &batch(10, 0));
+        append(&mut w, &batch(10, 1));
         w.sync().unwrap();
         drop(w); // killed between batches: no seal
 
@@ -812,7 +734,7 @@ mod tests {
         assert_eq!(load.torn_bytes, 0);
         assert_eq!(load.batches.len(), 2);
         assert_eq!(load.valid_len, bytes.len() as u64);
-        assert!(matches!(read_sealed(&bytes), Err(WalError::Unsealed)));
+        assert!(!read_segment(&bytes).unwrap().sealed);
         std::fs::remove_file(&path).ok();
     }
 
@@ -824,10 +746,10 @@ mod tests {
         // points at the end of batch 2.
         let path = tmp("torn.polwal");
         let mut w = SegmentWriter::create(&path, 0).unwrap();
-        w.append_batch(&batch(8, 0)).unwrap();
-        w.append_batch(&batch(8, 1)).unwrap();
+        append(&mut w, &batch(8, 0));
+        append(&mut w, &batch(8, 1));
         let two_batches = w.len();
-        w.append_batch(&batch(8, 2)).unwrap();
+        append(&mut w, &batch(8, 2));
         w.sync().unwrap();
         drop(w);
         let bytes = std::fs::read(&path).unwrap();
@@ -848,9 +770,9 @@ mod tests {
         // disk (zeroed): CRC fails at EOF — torn tail, not corruption.
         let path = tmp("torn-payload.polwal");
         let mut w = SegmentWriter::create(&path, 0).unwrap();
-        w.append_batch(&batch(8, 0)).unwrap();
+        append(&mut w, &batch(8, 0));
         let one = w.len() as usize;
-        w.append_batch(&batch(8, 1)).unwrap();
+        append(&mut w, &batch(8, 1));
         w.sync().unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -870,9 +792,9 @@ mod tests {
         let path = tmp("midfile.polwal");
         let mut w = SegmentWriter::create(&path, 0).unwrap();
         let header = w.len() as usize;
-        w.append_batch(&batch(8, 0)).unwrap();
+        append(&mut w, &batch(8, 0));
         let one = w.len() as usize;
-        w.append_batch(&batch(8, 1)).unwrap();
+        append(&mut w, &batch(8, 1));
         w.sync().unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -895,7 +817,7 @@ mod tests {
     fn sealed_segment_rejects_trailing_bytes_and_bad_seal() {
         let path = tmp("sealcheck.polwal");
         let mut w = SegmentWriter::create(&path, 0).unwrap();
-        w.append_batch(&batch(8, 0)).unwrap();
+        append(&mut w, &batch(8, 0));
         w.seal().unwrap();
         let bytes = std::fs::read(&path).unwrap();
 
@@ -938,8 +860,8 @@ mod tests {
         let path = tmp("resume.polwal");
         let mut w = SegmentWriter::create(&path, 0).unwrap();
         let b0 = batch(8, 0);
-        w.append_batch(&b0).unwrap();
-        w.append_batch(&batch(8, 1)).unwrap();
+        append(&mut w, &b0);
+        append(&mut w, &batch(8, 1));
         w.sync().unwrap();
         drop(w);
         // Tear the second batch.
@@ -948,17 +870,17 @@ mod tests {
         f.set_len(full - 5).unwrap();
         drop(f);
 
-        let load = load_segment(&path).unwrap();
+        let load = load_file(&path);
         assert_eq!(load.batches.len(), 1);
         assert!(load.torn_bytes > 0);
         let mut w = SegmentWriter::resume(&path, &load).unwrap();
         assert_eq!(w.next_seq(), 1);
         let b1 = batch(5, 9);
-        w.append_batch(&b1).unwrap();
+        append(&mut w, &b1);
         w.sync().unwrap();
         w.seal().unwrap();
 
-        let reloaded = load_segment(&path).unwrap();
+        let reloaded = load_file(&path);
         assert!(reloaded.sealed);
         assert_eq!(reloaded.batches.len(), 2);
         assert_eq!(reloaded.batches[0].records, b0);
@@ -987,7 +909,7 @@ mod tests {
         let path = tmp("fresh.polwal");
         let w = SegmentWriter::create(&path, 42).unwrap();
         drop(w);
-        let load = load_segment(&path).unwrap();
+        let load = load_file(&path);
         assert_eq!(load.first_seq, 42);
         assert!(load.batches.is_empty());
         assert!(!load.sealed);

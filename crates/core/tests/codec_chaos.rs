@@ -151,14 +151,15 @@ fn an_append_torn_by_a_write_fault_is_cut_off_before_the_retry_and_the_seal() {
     remove("wal.append.write");
     assert_eq!((w.len(), w.next_seq()), (whole, 1));
     assert!(std::fs::metadata(&path).unwrap().len() > whole);
-    let torn = wal::load_segment(&path).unwrap();
+    let load = |path: &Path| wal::read_segment(&std::fs::read(path).unwrap()).unwrap();
+    let torn = load(&path);
     assert_eq!((torn.frames, torn.valid_len), (1, whole));
     assert!(torn.torn_bytes > 0);
 
     // The same frame again: the fragment goes first, so the segment is
     // two whole frames, not a frame behind half of itself.
     assert_eq!(w.append_frame(&mut second).unwrap(), 1);
-    let healed = wal::load_segment(&path).unwrap();
+    let healed = load(&path);
     assert_eq!((healed.frames, healed.torn_bytes), (2, 0));
     assert_eq!(healed.valid_len, w.len());
 
@@ -168,7 +169,8 @@ fn an_append_torn_by_a_write_fault_is_cut_off_before_the_retry_and_the_seal() {
     assert!(w.append_frame(&mut frame_of(2)).is_err());
     remove("wal.append.write");
     w.seal().unwrap();
-    let sealed = wal::read_sealed(&std::fs::read(&path).unwrap()).unwrap();
+    let sealed = load(&path);
+    assert!(sealed.sealed);
     assert_eq!(sealed.frames, 2);
     assert_eq!(sealed.batches.len(), 2);
     std::fs::remove_dir_all(&dir).ok();

@@ -9,7 +9,7 @@
 
 use pol_ais::types::{Mmsi, NavStatus};
 use pol_ais::PositionReport;
-use pol_core::codec::wal::{self, SegmentWriter, WalError};
+use pol_core::codec::wal::{self, FrameBuf, SegmentLoad, SegmentWriter, WalError};
 use pol_geo::LatLon;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -40,7 +40,11 @@ fn build(sealed: bool, name: &str) -> Vec<u8> {
         let records: Vec<PositionReport> = (0..50)
             .map(|i| report(200_000_001 + (i % 7) as u32, b * 10_000 + i))
             .collect();
-        w.append_batch(&records).unwrap();
+        let mut frame = FrameBuf::with_capacity(records.len());
+        for r in &records {
+            frame.push(r);
+        }
+        w.append_frame(&mut frame).unwrap();
     }
     w.sync().unwrap();
     if sealed {
@@ -61,6 +65,15 @@ fn sealed_bytes() -> &'static [u8] {
 fn unsealed_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| build(false, "unsealed-src.polwal"))
+}
+
+/// Reads a segment image requiring a valid seal — the contract for
+/// every non-final segment of a journal.
+fn read_sealed(bytes: &[u8]) -> Result<SegmentLoad, WalError> {
+    wal::read_segment(bytes).and_then(|load| match load.sealed {
+        true => Ok(load),
+        false => Err(WalError::Unsealed),
+    })
 }
 
 fn is_typed(err: &WalError) -> bool {
@@ -133,7 +146,7 @@ proptest! {
     fn truncated_sealed_always_fails_typed(cut in 0usize..1_000_000) {
         let bytes = sealed_bytes();
         let cut = cut % bytes.len();
-        let err = wal::read_sealed(&bytes[..cut])
+        let err = read_sealed(&bytes[..cut])
             .err()
             .expect("truncated sealed segment must not load");
         prop_assert!(is_typed(&err), "untyped error for prefix {}: {:?}", cut, err);
@@ -155,7 +168,7 @@ proptest! {
         let mut corrupt = bytes.to_vec();
         corrupt[pos] ^= 1 << bit;
         // The sealed contract must always reject a flipped image.
-        let err = wal::read_sealed(&corrupt)
+        let err = read_sealed(&corrupt)
             .err()
             .expect("bit-flipped sealed segment must not read as sealed");
         prop_assert!(is_typed(&err), "untyped error for flip {}:{}: {:?}", pos, bit, err);

@@ -648,10 +648,20 @@ fn reactor_core_event_counters_are_live() {
     assert_eq!(report.open_connections, 1);
     assert!(report.peak_connections >= 1);
     assert!(report.ready_events > 0, "no readiness events recorded");
-    assert!(report.wakeups > 0, "no eventfd wakeups recorded");
     assert_eq!(report.shed_at_loop, 0);
-    drop(client);
+    // The scan's completion wakes the loop through the eventfd, and the
+    // loop may answer STATS from the same `epoll_wait` batch before it
+    // counts that wakeup: wait for the counter rather than race it.
     let metrics = server.metrics();
+    let deadline = Instant::now() + Duration::from_secs(3);
+    while metrics.snapshot().wakeups == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        metrics.snapshot().wakeups > 0,
+        "no eventfd wakeups recorded"
+    );
+    drop(client);
     let deadline = Instant::now() + Duration::from_secs(3);
     while metrics.open_connections() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));

@@ -37,9 +37,10 @@
 //!
 //! A checkpoint appends its frame to the log, fsyncs it, and only then
 //! replaces the head. The head is the commit record: bytes of the log
-//! past its committed length do not exist as far as a load is concerned
-//! (the orphan tail of a checkpoint that died between the two steps),
-//! and recovery truncates them before appending again. A load trusts
+//! past its committed length do not exist as far as a load is concerned,
+//! and the log is a [`durable::AppendFile`] that commits a frame only
+//! when the head naming it is saved, so whatever lies past that length
+//! is cut off before the next append, or by recovery. A load trusts
 //! nothing before the head's seal and body CRC pass, every frame's CRC
 //! passes, the frames tile the committed length exactly and every
 //! vessel's vectors come out at the lengths the head recorded; it never
@@ -55,11 +56,13 @@
 //! through [`save_bytes`], then the head that names it, then the old
 //! file's removal — so the log never exceeds 9⁄8 of its live bytes plus
 //! the frame just appended, and the rewrites amortise like a `Vec`'s
-//! doublings. A log file no head names is swept at recovery. The very
-//! first checkpoint is the same rewrite from an absent log.
+//! doublings. A log file no head names, and any temp sibling a crashed
+//! save left, is swept at recovery. The very first checkpoint is the
+//! same rewrite from an absent log.
 
 use crate::ingest::{SessionView, StreamEngine};
 use pol_ais::types::{MarketSegment, Mmsi, NavStatus};
+use pol_core::codec::durable::{self, AppendFile};
 use pol_core::codec::{save_bytes, CodecError, FOOTER_MAGIC};
 use pol_core::records::{CellPoint, EnrichedReport, TripPoint};
 use pol_geo::LatLon;
@@ -67,8 +70,7 @@ use pol_hexgrid::CellIndex;
 use pol_sketch::crc64::crc64;
 use pol_sketch::hash::FxHashMap;
 use pol_sketch::wire::{get_f64, get_i64, get_varint, put_f64, put_i64, put_varint, WireError};
-use std::fs::File;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Checkpoint head magic.
@@ -91,11 +93,7 @@ fn log_name(id: u64) -> String {
 
 /// Parses a log file name back to its id.
 fn parse_log_name(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix("checkpoint-")?.strip_suffix(".polckl")?;
-    if digits.len() != 10 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
+    crate::journal::parse_numbered(name, "checkpoint-", ".polckl")
 }
 
 /// One vessel session's checkpointed state.
@@ -813,21 +811,9 @@ pub struct CheckpointStats {
 /// when too much of it is dead.
 pub(crate) struct CheckpointWriter {
     dir: PathBuf,
-    /// The log the head names, open for appending; `None` before the
-    /// first checkpoint.
-    log: Option<(u64, File)>,
-    /// The log's committed length.
-    log_len: u64,
-    /// The log may hold bytes past `log_len`: a frame was appended and
-    /// the head that would have named it was never saved. The frame is
-    /// written *while* the journal flush it depends on is in flight, so
-    /// a whole, fsynced frame is orphaned whenever that flush (or the
-    /// head save) fails afterwards — "the append failed" does not say
-    /// whether there is a tail. The flag is therefore raised when an
-    /// append starts and lowered only by the commit that names the
-    /// frame; the next append truncates exactly when it is up, where
-    /// every append used to truncate to be safe.
-    orphan_tail: bool,
+    /// The log the head names, with its id; `None` before the first
+    /// checkpoint. Its committed length is the head's.
+    log: Option<(u64, AppendFile)>,
     marks: FxHashMap<u32, Mark>,
     stats: CheckpointStats,
 }
@@ -836,14 +822,12 @@ pub(crate) struct CheckpointWriter {
 /// [`CheckpointWriter::stage`] hands to [`CheckpointWriter::commit`].
 pub(crate) struct Staged {
     head: Vec<u8>,
-    /// The log's length once this checkpoint is committed.
-    log_len: u64,
     /// Bytes this checkpoint wrote to the log.
     log_bytes: u64,
     marks: Vec<(u32, Mark)>,
     dead: u64,
     /// The new log of a rewrite, which replaces the current one.
-    rewritten: Option<(u64, File)>,
+    rewritten: Option<(u64, AppendFile)>,
 }
 
 impl CheckpointWriter {
@@ -852,44 +836,45 @@ impl CheckpointWriter {
         CheckpointWriter {
             dir: dir.to_path_buf(),
             log: None,
-            log_len: 0,
-            orphan_tail: false,
             marks: FxHashMap::default(),
             stats: CheckpointStats::default(),
         }
     }
 
     /// A writer continuing the checkpoint recovery loaded from `dir`:
-    /// every log file the head does not name is swept (the debris of a
-    /// rewrite that died before its head), and the named log loses any
-    /// orphan tail past its committed length.
+    /// every log file the head does not name (the debris of a rewrite
+    /// that died before its head) and every temp sibling a crashed save
+    /// left is swept, and the named log loses anything past its
+    /// committed length.
     pub(crate) fn resume(dir: &Path, loaded: Option<LogPosition>) -> io::Result<CheckpointWriter> {
         let named = loaded.as_ref().map(|p| p.id);
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
-            let id = entry.file_name().to_str().and_then(parse_log_name);
-            if id.is_some() && id != named {
-                std::fs::remove_file(entry.path())?;
+            let name = entry.file_name();
+            let name = name.to_str().unwrap_or_default();
+            let id = parse_log_name(name);
+            if (id.is_some() && id != named) || durable::is_temp_sibling(name) {
+                durable::remove(&entry.path(), None)?;
             }
         }
         let mut writer = CheckpointWriter::fresh(dir);
         if let Some(position) = loaded {
-            let file = open_log(&dir.join(log_name(position.id)))?;
-            if file.metadata()?.len() != position.len {
-                file.set_len(position.len)?;
-                file.sync_all()?;
-            }
-            writer.log = Some((position.id, file));
-            writer.log_len = position.len;
+            let log = AppendFile::resume(&dir.join(log_name(position.id)), position.len)?;
+            writer.log = Some((position.id, log));
             writer.marks = position.marks;
             writer.stats.dead_bytes = position.dead;
         }
         Ok(writer)
     }
 
+    /// The log's committed length.
+    fn log_len(&self) -> u64 {
+        self.log.as_ref().map_or(0, |(_, log)| log.committed())
+    }
+
     pub(crate) fn stats(&self) -> CheckpointStats {
         CheckpointStats {
-            live_bytes: self.log_len - self.stats.dead_bytes,
+            live_bytes: self.log_len() - self.stats.dead_bytes,
             ..self.stats
         }
     }
@@ -921,37 +906,19 @@ impl CheckpointWriter {
         // Append or rewrite is decided from the marks, so the frame of
         // the one not taken is never encoded.
         let dead = self.stats.dead_bytes + newly_dead(&sessions, &self.marks);
-        let appendable = match &mut self.log {
-            Some((id, file)) if dead * DEAD_PER_LIVE <= self.log_len.saturating_sub(dead) => {
-                Some((*id, file))
-            }
-            _ => None,
-        };
-        let Some((id, file)) = appendable else {
+        let rewrite = dead * DEAD_PER_LIVE > self.log_len().saturating_sub(dead);
+        let Some((id, log)) = self.log.as_mut().filter(|_| !rewrite) else {
             return self.stage_rewrite(&sessions, &scalars);
         };
         let frame = encode_frame(&sessions, &self.marks, Vec::new())?;
-
-        if self.orphan_tail {
-            file.set_len(self.log_len)?;
-            self.orphan_tail = false;
-        }
         if !frame.bytes.is_empty() {
-            self.orphan_tail = true;
-            if pol_chaos::fire("stream.checkpoint.append") {
-                // The fault tears the append: half a frame is in the
-                // file when the call fails.
-                let _ = file.write_all(&frame.bytes[..frame.bytes.len() / 2]);
-                return Err(pol_chaos::io_error("checkpoint log append").into());
-            }
-            file.write_all(&frame.bytes)?;
-            file.sync_all()?;
+            log.append(&frame.bytes, "stream.checkpoint.append")?;
+            log.sync(None)?;
         }
-        let log_len = self.log_len + frame.bytes.len() as u64;
+        let log_bytes = frame.bytes.len() as u64;
         Ok(Staged {
-            head: encode_head(&scalars, id, log_len, &sessions),
-            log_len,
-            log_bytes: frame.bytes.len() as u64,
+            head: encode_head(&scalars, *id, log.committed() + log_bytes, &sessions),
+            log_bytes,
             marks: frame.marks,
             dead,
             rewritten: None,
@@ -966,9 +933,7 @@ impl CheckpointWriter {
         sessions: &[SessionView<'_>],
         scalars: &EngineState,
     ) -> Result<Staged, CodecError> {
-        if pol_chaos::fire("stream.checkpoint.compact") {
-            return Err(pol_chaos::io_error("checkpoint log rewrite").into());
-        }
+        durable::failpoint("stream.checkpoint.compact")?;
         let id = self.log.as_ref().map_or(1, |(old, _)| old + 1);
         let mut header = MAGIC_LOG.to_vec();
         header.extend_from_slice(&id.to_le_bytes());
@@ -980,11 +945,10 @@ impl CheckpointWriter {
         save_bytes(&image, &path)?;
         Ok(Staged {
             head: encode_head(scalars, id, image.len() as u64, sessions),
-            log_len: image.len() as u64,
             log_bytes: image.len() as u64,
             marks,
             dead: 0,
-            rewritten: Some((id, open_log(&path)?)),
+            rewritten: Some((id, AppendFile::resume(&path, image.len() as u64)?)),
         })
     }
 
@@ -993,30 +957,28 @@ impl CheckpointWriter {
     /// durable to the staged `wal_seq` first.
     pub(crate) fn commit(&mut self, staged: Staged) -> Result<(), CodecError> {
         save_bytes(&staged.head, &self.dir.join(CHECKPOINT_NAME))?;
-        self.log_len = staged.log_len;
-        self.orphan_tail = false;
         self.stats.last_bytes = staged.log_bytes + staged.head.len() as u64;
         self.stats.dead_bytes = staged.dead;
         match staged.rewritten {
-            None => self.marks.extend(staged.marks),
+            None => {
+                // Only this stage's own frame: an earlier one is cut off.
+                if let Some((_, log)) = self.log.as_mut().filter(|_| staged.log_bytes > 0) {
+                    log.commit();
+                }
+                self.marks.extend(staged.marks);
+            }
             Some(new) => {
                 self.marks = staged.marks.into_iter().collect();
                 if let Some((old, _)) = self.log.replace(new) {
                     self.stats.compactions += 1;
                     // Unnamed from here on; if the removal fails
                     // recovery's sweep gets it.
-                    let _ = std::fs::remove_file(self.dir.join(log_name(old)));
+                    let _ = durable::remove(&self.dir.join(log_name(old)), None);
                 }
             }
         }
         Ok(())
     }
-}
-
-/// Opens a checkpoint log for appending: every write lands at the end of
-/// the file, wherever a truncation has just put it.
-fn open_log(path: &Path) -> io::Result<File> {
-    std::fs::OpenOptions::new().append(true).open(path)
 }
 
 #[cfg(test)]

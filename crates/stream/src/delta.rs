@@ -27,7 +27,7 @@
 //! `tests/delta_chain.rs` pins that.
 
 use pol_core::codec::manifest::{self, Manifest, ManifestEntry};
-use pol_core::codec::{columnar, save_bytes, CodecError};
+use pol_core::codec::{columnar, durable, save_bytes, CodecError};
 use pol_core::Inventory;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -37,7 +37,8 @@ pub const MANIFEST_NAME: &str = "inventory.polman";
 
 /// What an orphan sweep removed: snapshot files present in the
 /// publication directory but unreferenced by the manifest — the debris
-/// a crash between snapshot write and manifest commit leaves behind.
+/// a crash between snapshot write and manifest commit leaves behind —
+/// and the temp siblings of saves a crash interrupted.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SweepReport {
     /// File names deleted by the sweep.
@@ -81,8 +82,9 @@ impl DeltaPublisher {
     /// on-disk manifest (if any) is the truth, and any snapshot file it
     /// does not reference — the debris of a publish that crashed
     /// between snapshot write and manifest commit — is swept away so it
-    /// can never shadow a future generation's file name. This is the
-    /// recovery-path constructor.
+    /// can never shadow a future generation's file name, with the temp
+    /// sibling of any save a crash cut short. This is the recovery-path
+    /// constructor.
     pub fn open(dir: &Path) -> Result<(DeltaPublisher, SweepReport), CodecError> {
         let manifest_path = dir.join(MANIFEST_NAME);
         let manifest = match manifest::load(&manifest_path) {
@@ -101,11 +103,12 @@ impl DeltaPublisher {
         Ok((publisher, swept))
     }
 
-    /// Deletes every `*.pol` snapshot in the publication directory the
-    /// manifest does not reference, reporting what was removed. Safe at
-    /// any time: an unreferenced snapshot is invisible to readers by
-    /// construction (the manifest is the commit record), so removing it
-    /// cannot change what any chain load observes.
+    /// Deletes every `*.pol` snapshot the manifest does not reference —
+    /// invisible to readers, since the manifest is the commit record —
+    /// and every temp sibling a crashed [`save_bytes`] left, reporting
+    /// what was removed. Called by the writer that owns the directory
+    /// ([`open`](Self::open)): a temp sibling is debris only while no
+    /// save into the directory is running.
     pub fn sweep_orphans(&self) -> io::Result<SweepReport> {
         let mut removed = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
@@ -113,18 +116,15 @@ impl DeltaPublisher {
             if !entry.file_type()?.is_file() {
                 continue;
             }
-            let name = match entry.file_name().into_string() {
-                Ok(n) => n,
-                Err(_) => continue,
+            let Ok(name) = entry.file_name().into_string() else {
+                continue;
             };
-            if !name.ends_with(".pol") {
-                continue;
+            let orphan =
+                name.ends_with(".pol") && !self.manifest.entries.iter().any(|e| e.name == name);
+            if orphan || durable::is_temp_sibling(&name) {
+                durable::remove(&entry.path(), None)?;
+                removed.push(name);
             }
-            if self.manifest.entries.iter().any(|e| e.name == name) {
-                continue;
-            }
-            std::fs::remove_file(entry.path())?;
-            removed.push(name);
         }
         removed.sort();
         Ok(SweepReport { removed })

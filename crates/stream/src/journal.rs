@@ -21,25 +21,12 @@
 //! do work of its own in between.
 //!
 //! [`JournaledEngine`] threads the writer in front of
-//! [`StreamEngine::push`]: journal first, apply second, so the durable
-//! prefix of the journal always covers at least what any checkpoint or
-//! published delta was derived from. Its two barriers:
-//!
-//! * **checkpoint** — begins the flush (pending frame + fsync), appends
-//!   and fsyncs what the engine gained since the last checkpoint to the
-//!   checkpoint log ([`crate::checkpoint`]) while the journal syncs,
-//!   waits for the journal, and only then commits the head with
-//!   `wal_seq` = batches durable, so replay applies exactly the suffix
-//!   `seq >= wal_seq`, no double-apply, no gap. A head never names a
-//!   `wal_seq` that is not durable; a log frame written ahead of a flush
-//!   that then fails is an orphan tail, cut off by the next append. Once
-//!   the head commits, the journal is trimmed behind it: every sealed
-//!   segment whose batches all lie below `wal_seq` is deleted, oldest
-//!   first, so the journal on disk is what recovery reads;
-//! * **window cut** — begins the flush, folds the window, and waits
-//!   before handing the delta out, so a published generation is always
-//!   re-derivable from the journal ("publish implies journal durable to
-//!   the cut").
+//! [`StreamEngine::push`] — journal first, apply second — and its two
+//! barriers, [`checkpoint`](JournaledEngine::checkpoint) and
+//! [`take_window_delta`](JournaledEngine::take_window_delta), do their
+//! own work while the journal syncs and commit or hand out nothing
+//! before it is durable: the journal always covers what any checkpoint
+//! or published delta was derived from.
 //!
 //! Recovery (in [`crate::recover`](mod@crate::recover)) is the inverse: newest checkpoint,
 //! plus a replay of the journal suffix, reconverges byte-identically —
@@ -53,7 +40,7 @@ use crate::checkpoint::{CheckpointStats, CheckpointWriter};
 use crate::ingest::{IngestCounters, StreamEngine, StreamOutput};
 use pol_ais::PositionReport;
 use pol_core::codec::wal::{self, FrameBuf, SegmentWriter, WalError};
-use pol_core::codec::CodecError;
+use pol_core::codec::{durable, CodecError};
 use pol_core::{Inventory, PipelineError};
 use pol_engine::Engine;
 use std::collections::VecDeque;
@@ -151,9 +138,10 @@ fn segment_name(first_seq: u64) -> String {
     format!("wal-{first_seq:010}.polwal")
 }
 
-/// Parses a segment file name back to its first batch sequence.
-fn parse_segment_name(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix("wal-")?.strip_suffix(".polwal")?;
+/// Parses `{prefix}{ten digits}{suffix}` — how segments and checkpoint
+/// logs are named — back to its number.
+pub(crate) fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+    let digits = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
     if digits.len() != 10 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
@@ -169,7 +157,7 @@ fn segment_seqs(dir: &Path) -> Result<Vec<u64>, JournalError> {
         Ok(entries) => {
             for entry in entries {
                 let name = entry.map_err(io)?.file_name();
-                seqs.extend(name.to_str().and_then(parse_segment_name));
+                seqs.extend(parse_numbered(&name.to_string_lossy(), "wal-", ".polwal"));
             }
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -177,17 +165,6 @@ fn segment_seqs(dir: &Path) -> Result<Vec<u64>, JournalError> {
     }
     seqs.sort_unstable();
     Ok(seqs)
-}
-
-/// The journal tail as a resume target.
-enum Tail {
-    /// An unsealed final segment with a clean (possibly repaired-on-
-    /// resume) prefix. The load's batches have moved to
-    /// [`WalLoad::batches`]; what is left is what a resume reads.
-    Resume(PathBuf, wal::SegmentLoad),
-    /// The final segment's header itself was torn — nothing durable in
-    /// it; resume recreates the file in place.
-    Recreate(PathBuf, u64),
 }
 
 /// What a journal-directory load found.
@@ -204,7 +181,10 @@ pub struct WalLoad {
     pub segments: usize,
     /// The sequence the next appended batch will carry.
     pub next_seq: u64,
-    tail: Option<Tail>,
+    /// An unsealed final segment with a clean (possibly repaired-on-
+    /// resume) prefix, which a resume appends to. The load's batches
+    /// have moved to `batches`.
+    tail: Option<(PathBuf, wal::SegmentLoad)>,
 }
 
 impl WalLoad {
@@ -269,10 +249,10 @@ impl WalReader {
                 Ok(load) => load,
                 // The tail's own header never became durable: the
                 // journal ends at the previous segment, and resume
-                // recreates this file in place.
+                // recreates this file in place (it is named for
+                // `next_seq`).
                 Err(WalError::BadHeader) if last => {
                     torn_bytes += bytes.len() as u64;
-                    tail = Some(Tail::Recreate(path, name_seq));
                     next_seq.get_or_insert(name_seq);
                     continue;
                 }
@@ -290,7 +270,7 @@ impl WalReader {
             batches.append(&mut load.batches);
             next_seq = Some(load.first_seq + load.frames);
             if last && !load.sealed {
-                tail = Some(Tail::Resume(path, load));
+                tail = Some((path, load));
             }
         }
         Ok(WalLoad {
@@ -302,6 +282,9 @@ impl WalReader {
         })
     }
 }
+
+/// Fsyncs a [`SegmentWriter::create`] issues: its header's, its name's.
+const CREATE_FSYNCS: u64 = 2;
 
 const POISONED: JournalError = JournalError::State("journal writer poisoned by a failed rotation");
 const IO_THREAD_GONE: JournalError = JournalError::State("journal I/O thread is gone");
@@ -425,7 +408,7 @@ impl Appender {
         let seg = SegmentWriter::create(&self.dir.join(segment_name(next)), next)?;
         self.seg = Some(seg);
         self.unsynced = 0;
-        self.fsyncs += 2;
+        self.fsyncs += 1 + CREATE_FSYNCS;
         Ok(())
     }
 
@@ -505,24 +488,27 @@ impl WalWriter {
             ));
         }
         let seg = SegmentWriter::create(&dir.join(segment_name(0)), 0)?;
-        WalWriter::start(dir, cfg, seg, 1)
+        WalWriter::start(dir, cfg, seg, CREATE_FSYNCS)
     }
 
     /// Reopens the journal a [`WalReader::load`] described, repairing a
     /// torn tail (idempotently) or opening a fresh tail after a sealed
     /// or destroyed one.
     pub fn resume(dir: &Path, cfg: WalConfig, load: &WalLoad) -> Result<WalWriter, JournalError> {
-        let seg = match &load.tail {
-            Some(Tail::Resume(path, seg_load)) => SegmentWriter::resume(path, seg_load)?,
-            Some(Tail::Recreate(path, first_seq)) => SegmentWriter::create(path, *first_seq)?,
-            // No tail: the directory is empty, or every segment is
-            // sealed — open the next segment either way.
-            None => SegmentWriter::create(&dir.join(segment_name(load.next_seq)), load.next_seq)?,
+        let (seg, fsyncs) = match &load.tail {
+            Some((path, seg_load)) => (SegmentWriter::resume(path, seg_load)?, 0),
+            // No unsealed tail: the directory is empty, every segment is
+            // sealed, or the last one's header was torn — (re)create the
+            // segment `next_seq` names.
+            None => {
+                let path = dir.join(segment_name(load.next_seq));
+                (SegmentWriter::create(&path, load.next_seq)?, CREATE_FSYNCS)
+            }
         };
         if seg.next_seq() != load.next_seq {
             return Err(JournalError::State("resumed tail disagrees with the load"));
         }
-        WalWriter::start(dir, cfg, seg, 0)
+        WalWriter::start(dir, cfg, seg, fsyncs)
     }
 
     /// Hands the open tail to a new I/O thread.
@@ -569,10 +555,11 @@ impl WalWriter {
     }
 
     /// Fsyncs this writer has issued since it was created or resumed,
-    /// exact as of the last barrier: one per segment it created (the
-    /// header), per group commit or barrier that had frames to cover,
-    /// and per seal. Whatever a resume did to repair the tail is
-    /// recovery's, not counted here.
+    /// exact as of the last barrier: two per segment it created (the
+    /// header, then the directory, so the segment's name is durable
+    /// before its first batch is appended), one per group commit or
+    /// barrier that had frames to cover, and one per seal. Whatever a
+    /// resume did to repair the tail is recovery's, not counted here.
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs
     }
@@ -738,17 +725,10 @@ impl WalWriter {
             return (0, true);
         };
         let mut purged = 0;
-        for pair in seqs.windows(2) {
-            let &[covered, next] = pair else { continue };
-            if next > covered_seq {
-                break;
-            }
-            let removed = if pol_chaos::fire("wal.purge") {
-                Err(pol_chaos::io_error("wal purge"))
-            } else {
-                std::fs::remove_file(self.dir.join(segment_name(covered)))
-            };
-            if removed.is_err() {
+        let pairs = seqs.iter().zip(seqs.iter().skip(1));
+        for (&covered, _) in pairs.take_while(|&(_, &next)| next <= covered_seq) {
+            let segment = self.dir.join(segment_name(covered));
+            if durable::remove(&segment, Some("wal.purge")).is_err() {
                 return (purged, true);
             }
             purged += 1;
@@ -1071,7 +1051,7 @@ mod tests {
             max_segment_bytes: 1 << 20,
         };
         let mut w = WalWriter::create(&dir, cfg).unwrap();
-        assert_eq!(w.fsyncs(), 1, "the first segment's header");
+        assert_eq!(w.fsyncs(), 2, "the first segment's header and name");
         for i in 0..8 {
             w.push(report(200_000_001, i)).unwrap();
         }
@@ -1079,14 +1059,14 @@ mod tests {
         w.flush().unwrap();
         assert_eq!(
             w.fsyncs(),
-            2,
+            3,
             "two frames are one group commit, and the barrier found nothing left to sync"
         );
         w.flush().unwrap();
-        assert_eq!(w.fsyncs(), 2, "nothing appended since: nothing to sync");
+        assert_eq!(w.fsyncs(), 3, "nothing appended since: nothing to sync");
         w.push(report(200_000_001, 8)).unwrap();
         w.flush().unwrap();
-        assert_eq!(w.fsyncs(), 3, "a flush covering a partial frame");
+        assert_eq!(w.fsyncs(), 4, "a flush covering a partial frame");
 
         let tiny = WalConfig {
             max_segment_bytes: 64,
@@ -1099,9 +1079,9 @@ mod tests {
         }
         w.flush().unwrap();
         // Frame 1 fills the first segment; frame 2 seals it (which makes
-        // frame 1 durable and starts the group over) and opens the next;
-        // the barrier syncs frame 2.
-        assert_eq!(w.fsyncs(), 1 + 2 + 1);
+        // frame 1 durable and starts the group over) and opens the next,
+        // header and name; the barrier syncs frame 2.
+        assert_eq!(w.fsyncs(), 2 + 3 + 1);
     }
 
     /// The journal as one loop on the calling thread, the way it was
@@ -1116,18 +1096,19 @@ mod tests {
     ) -> u64 {
         std::fs::create_dir_all(dir).unwrap();
         let mut seg = SegmentWriter::create(&dir.join(segment_name(0)), 0).unwrap();
-        let (mut fsyncs, mut unsynced, mut pending) = (1u64, 0u64, Vec::new());
+        let (mut fsyncs, mut unsynced) = (2u64, 0u64);
+        let mut pending = FrameBuf::with_capacity(cfg.batch_records);
         for (i, r) in records.iter().enumerate() {
-            pending.push(*r);
+            pending.push(r);
             let barrier = barriers.contains(&(i + 1));
-            if pending.len() >= cfg.batch_records || barrier {
+            if pending.records() >= cfg.batch_records || barrier {
                 if seg.len() >= cfg.max_segment_bytes && !seg.is_empty() {
                     let next = seg.next_seq();
                     seg.seal().unwrap();
                     seg = SegmentWriter::create(&dir.join(segment_name(next)), next).unwrap();
-                    (fsyncs, unsynced) = (fsyncs + 2, 0);
+                    (fsyncs, unsynced) = (fsyncs + 3, 0);
                 }
-                seg.append_batch(&pending).unwrap();
+                seg.append_frame(&mut pending).unwrap();
                 pending.clear();
                 unsynced += 1;
             }

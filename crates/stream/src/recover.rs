@@ -32,7 +32,8 @@
 //!    [`DeltaPublisher::open`];
 //! 5. **reopen** — repair and reopen the journal tail, cut the
 //!    checkpoint log back to its committed length and sweep any unnamed
-//!    sibling. No checkpoint is written (DESIGN.md §10 says why that is
+//!    log and any temp sibling a crashed save left, in the one directory
+//!    pass that looks for logs. No checkpoint is written (DESIGN.md §10 says why that is
 //!    safe): the replayed records count toward the cadence, whose next
 //!    checkpoint bounds replay and purges the segments behind it.
 //!

@@ -8,14 +8,16 @@
 //! failpoint recovers byte-identically.
 //!
 //! Failpoint configuration is process-global, so every test holds
-//! [`pol_chaos::exclusive`] for its whole body.
+//! [`pol_chaos::exclusive`] for its whole body. The same feature turns
+//! on the recorder of `pol_core::codec::durable`, which pins the order
+//! each commit reaches the disk in.
 
 #![cfg(feature = "chaos")]
 
 use pol_ais::types::{MarketSegment, Mmsi, NavStatus};
 use pol_ais::PositionReport;
 use pol_chaos::{configure, exclusive, remove, stats, FaultAction, Trigger};
-use pol_core::codec::{columnar, manifest};
+use pol_core::codec::{columnar, durable, manifest, save_bytes};
 use pol_core::features::{CellStats, GroupKey};
 use pol_core::records::{CellPoint, PortSite, TripPoint};
 use pol_core::Inventory;
@@ -827,6 +829,147 @@ fn a_failed_purge_keeps_the_checkpoint_and_the_next_one_removes_the_segment() {
         "the first checkpoint after recovery purges"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The file operations recorded since the last call, as `"kind name"`:
+/// `name` is the file's, `tmp` for a temp sibling, `.` for `dir` itself.
+/// Operations on files `skip` names are left out.
+fn recorded(dir: &Path, skip: impl Fn(&str) -> bool) -> Vec<String> {
+    pol_chaos::take_ops()
+        .into_iter()
+        .map(|(kind, path)| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let name = match () {
+                _ if path == dir => ".".to_string(),
+                _ if durable::is_temp_sibling(&name) => "tmp".to_string(),
+                _ => name,
+            };
+            (kind, name)
+        })
+        .filter(|(_, name)| !skip(name))
+        .map(|(kind, name)| format!("{kind} {name}"))
+        .collect()
+}
+
+/// The order each commit reaches the disk in, as the durable layer
+/// records it: a name is fsynced into its directory before anything
+/// depends on it, and nothing is unlinked before the state that
+/// replaces it is committed.
+#[test]
+fn each_commit_reaches_the_disk_in_its_order() {
+    let _chaos = exclusive();
+
+    // An atomic save: temp written and fsynced, renamed, directory synced.
+    let dir = fresh_dir("pol-stream-chaos-order-save");
+    save_bytes(b"an image", &dir.join("base.pol")).unwrap();
+    assert_eq!(
+        recorded(&dir, |_| false),
+        [
+            "create tmp",
+            "write tmp",
+            "fsync tmp",
+            "rename base.pol",
+            "fsync-dir .",
+        ]
+    );
+
+    // A rotation: the old segment's seal is durable before the new
+    // segment exists, and the new one's name before its first batch.
+    let dir = fresh_dir("pol-stream-chaos-order-rotate");
+    let cfg = WalConfig {
+        batch_records: 4,
+        group_commit_batches: 1,
+        max_segment_bytes: 64,
+    };
+    let mut w = WalWriter::create(&dir, cfg).unwrap();
+    for i in 0..8 {
+        w.push(wire_report(200_000_001, i)).unwrap();
+    }
+    w.flush().unwrap();
+    drop(w);
+    let (first, second) = ("wal-0000000000.polwal", "wal-0000000001.polwal");
+    assert_eq!(
+        recorded(&dir, |_| false),
+        [
+            "create wal-0000000000.polwal",
+            "write wal-0000000000.polwal",
+            "fsync wal-0000000000.polwal",
+            "fsync-dir .",
+            // Frame 1 and its group commit.
+            &format!("write {first}"),
+            &format!("fsync {first}"),
+            // Frame 2 rotates: the seal, then the next segment.
+            &format!("write {first}"),
+            &format!("fsync {first}"),
+            &format!("create {second}"),
+            &format!("write {second}"),
+            &format!("fsync {second}"),
+            "fsync-dir .",
+            &format!("write {second}"),
+            &format!("fsync {second}"),
+        ]
+    );
+
+    // A checkpoint: its log frame is durable before the head that names
+    // it is renamed into place, and a rewrite unlinks the log it
+    // replaces only once the new head's directory entry is synced. The
+    // journal's own writes, on its I/O thread, are left out.
+    let dir = fresh_dir("pol-stream-chaos-order-checkpoint");
+    let journal = |name: &str| name.ends_with(".polwal");
+    let mut je = JournaledEngine::create(&dir, shuttle_engine(), WalConfig::default(), 0).unwrap();
+    for step in 0..60 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    je.checkpoint().unwrap();
+    for step in 60..75 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    recorded(&dir, journal);
+    je.checkpoint().unwrap();
+    assert_eq!(je.checkpoint_stats().compactions, 0, "this one appends");
+    assert_eq!(
+        recorded(&dir, journal),
+        [
+            "write checkpoint-0000000001.polckl",
+            "fsync checkpoint-0000000001.polckl",
+            "create tmp",
+            "write tmp",
+            "fsync tmp",
+            "rename checkpoint.polckp",
+            "fsync-dir .",
+        ]
+    );
+    // Back at the first port the passage logged so far is dead, far
+    // more than an eighth of what is live: the next one rewrites.
+    for step in 75..100 {
+        je.push(shuttle_report(step)).unwrap();
+    }
+    je.checkpoint().unwrap();
+    assert_eq!(je.checkpoint_stats().compactions, 1, "this one rewrites");
+    assert_eq!(
+        recorded(&dir, journal),
+        [
+            "create tmp",
+            "write tmp",
+            "fsync tmp",
+            "rename checkpoint-0000000002.polckl",
+            "fsync-dir .",
+            "create tmp",
+            "write tmp",
+            "fsync tmp",
+            "rename checkpoint.polckp",
+            "fsync-dir .",
+            "unlink checkpoint-0000000001.polckl",
+        ]
+    );
+    drop(je);
+    for name in [
+        "pol-stream-chaos-order-save",
+        "pol-stream-chaos-order-rotate",
+        "pol-stream-chaos-order-checkpoint",
+    ] {
+        std::fs::remove_dir_all(std::env::temp_dir().join(name)).ok();
+    }
 }
 
 /// The full sweep: crash the journaled pipeline at every WAL and

@@ -29,7 +29,7 @@ use pol_fleetsim::stream::interleave;
 use pol_fleetsim::WORLD_PORTS;
 use pol_stream::{
     recover, DeltaPublisher, IngestCounters, JournaledEngine, StreamConfig, StreamEngine,
-    WalConfig, WindowSpec,
+    WalConfig, WindowSpec, CHECKPOINT_NAME,
 };
 use std::path::{Path, PathBuf};
 
@@ -400,6 +400,63 @@ fn planted_chain_orphan_is_swept_and_generation_reused() {
     };
     assert_converged(&oracle, &recovered, "planted orphan");
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&oracle_dir).ok();
+}
+
+#[test]
+fn temp_siblings_of_crashed_saves_are_swept_and_the_run_converges() {
+    let fx = fixture();
+    let oracle_dir = fresh_dir("pol-recovery-temp-oracle");
+    let oracle = uninterrupted(&fx, &oracle_dir, 400);
+
+    // The journal and the chain in directories of their own, so that
+    // each writer's sweep is seen.
+    let root = fresh_dir("pol-recovery-temp");
+    let (journal, chain) = (root.join("journal"), root.join("chain"));
+    std::fs::create_dir_all(&chain).unwrap();
+    let engine = Engine::new(2);
+    {
+        let se = StreamEngine::new(&fx.statics, &fx.ports, StreamConfig::default());
+        let mut je = JournaledEngine::create(&journal, se, wal_cfg(), 400).unwrap();
+        let mut publisher = DeltaPublisher::create(&chain);
+        for &r in &fx.wire[..fx.wire.len() / 2] {
+            step(&mut je, &mut publisher, &fx.spec, &engine, r);
+        }
+    }
+    // Two saves that died between writing their temp file and the
+    // rename, under the names `save_bytes` gives its temp siblings.
+    let head_tmp = journal.join(format!(".{CHECKPOINT_NAME}.tmp.4242.0"));
+    let delta_tmp = chain.join(".delta-00003.pol.tmp.4242.1");
+    std::fs::write(&head_tmp, b"half a head").unwrap();
+    std::fs::write(&delta_tmp, b"half a delta").unwrap();
+
+    let (mut publisher, swept) = DeltaPublisher::open(&chain).unwrap();
+    assert_eq!(swept.removed, [".delta-00003.pol.tmp.4242.1"]);
+    let (mut je, _) = recover(
+        &journal,
+        &engine,
+        &fx.statics,
+        &fx.ports,
+        StreamConfig::default(),
+        wal_cfg(),
+        400,
+        Some((&mut publisher, fx.spec)),
+    )
+    .unwrap();
+    assert!(!delta_tmp.exists(), "the chain's debris is swept");
+    assert!(!head_tmp.exists(), "the journal's debris is swept");
+    let resume_at = usize::try_from(je.counters().ingested).unwrap();
+    for &r in &fx.wire[resume_at..] {
+        step(&mut je, &mut publisher, &fx.spec, &engine, r);
+    }
+    let out = je.close(&engine).unwrap();
+    let recovered = RunResult {
+        inventory_bytes: columnar::to_bytes(&out.inventory),
+        counters: out.counters,
+        chain_files: chain_files(&chain),
+    };
+    assert_converged(&oracle, &recovered, "temp siblings");
+    std::fs::remove_dir_all(&root).ok();
     std::fs::remove_dir_all(&oracle_dir).ok();
 }
 
