@@ -120,8 +120,16 @@ run_gate() {
   git diff --exit-code -- figures/
 
   echo "==> bench-smoke (polbench, traced, every output byte-checked against the Inventory oracle)"
-  # Wire bytes in to first answer served; no line fails to decode.
-  bench_smoke batch_build '"ais.decode_failures": {"value": 0,'
+  # Wire bytes in to first answer served; no line fails to decode. The
+  # build's decisions at polbench's scale, from decoded wire bytes: the
+  # records that survive cleaning, the points of the trips extracted and
+  # the snapshot's bytes. Counts of a deterministic build, pinned where
+  # the per-record fast paths were added: a fast path that decided one
+  # report otherwise than the general path moves one of them.
+  bench_smoke batch_build '"ais.decode_failures": {"value": 0,' \
+    '"core.records_cleaned": {"value": 359022,' \
+    '"core.trip_points": {"value": 38579,' \
+    '"codec.snapshot_bytes": {"value": 2484898,'
   # Bytes allocated per record built, over the traced repetitions: a
   # summary is allocated once and then moved as a pointer (1 367 when
   # every layer of the build moved its 2 KB by value, 345 since). A
@@ -191,6 +199,7 @@ run_gate() {
   # gated on `failpoints`, which no other stage turns on for pol-chaos.
   cargo test -q -p pol-chaos --features failpoints
   cargo test -q -p pol-core --features chaos --test codec_chaos
+  cargo test -q -p pol-core --features chaos --test durable_bare_name
   cargo test -q -p pol-serve --features chaos --test chaos
   cargo test -q -p pol-stream --features chaos --test chaos
 

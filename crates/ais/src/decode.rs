@@ -2,7 +2,7 @@
 //! consumes: 1/2/3 (class-A position), 5 (class-A static & voyage),
 //! 18 (class-B position) and 24 (class-B static).
 
-use crate::sixbit::{BitReader, SixBitError};
+use crate::sixbit::{BitReader, SixBitError, UNARMOR};
 use crate::types::{Mmsi, NavStatus, ShipTypeCode};
 use pol_geo::LatLon;
 use std::fmt;
@@ -159,9 +159,109 @@ fn read_mmsi(r: &mut BitReader) -> Result<Mmsi, DecodeError> {
     Mmsi::new(raw).ok_or(DecodeError::BadMmsi(raw))
 }
 
+/// Bits a type 1–3 report is read through: its UTC second ends at bit
+/// 143.
+const POSITION_A_BITS: usize = 143;
+
+/// Bits a type 18 report is read through.
+const POSITION_B_BITS: usize = 139;
+
+/// Characters [`decode_position`] unarmours: 144 bits, the fewest whole
+/// characters that hold either report's fields.
+const POSITION_CHARS: usize = 24;
+
 /// Decodes an assembled armoured payload into a message.
+///
+/// A position report [`decode_position`] can read takes that one pass;
+/// every other payload, and every error, is [`decode_bits`] over a
+/// [`BitReader`].
 pub fn decode_payload(payload: &str, fill_bits: u8) -> Result<AisMessage, DecodeError> {
-    let mut r = BitReader::from_payload(payload, fill_bits)?;
+    match decode_position(payload, fill_bits) {
+        Some(message) => Ok(message),
+        None => decode_bits(BitReader::from_payload(payload, fill_bits)?),
+    }
+}
+
+/// The one-pass path for position reports (types 1–3 and 18): one
+/// table-driven unarmour of the first 24 characters into two 128-bit
+/// windows, each field then read at its fixed offset.
+///
+/// `None` unless the payload carries every bit the report's fields span
+/// (143 bits for types 1–3, 139 for type 18), every character passes the
+/// armour table and the MMSI is valid. Those are exactly the payloads on
+/// which [`decode_bits`] reads the same fields without an error, so a
+/// `Some` is the message it would return.
+pub fn decode_position(payload: &str, fill_bits: u8) -> Option<AisMessage> {
+    let bytes = payload.as_bytes();
+    let (head, rest) = bytes.split_first_chunk::<POSITION_CHARS>()?;
+    // Every looked-up value is ORed into `seen`, which is tested once:
+    // see `BAD_ARMOR`.
+    let mut seen = 0u8;
+    let mut unarmor = |b: &u8| {
+        let v = UNARMOR[*b as usize];
+        seen |= v;
+        u128::from(v & 63)
+    };
+    // Characters 0..21 are stream bits 0..126, characters 21..24 bits
+    // 126..144.
+    let first = head[..21].iter().fold(0, |acc, b| acc << 6 | unarmor(b));
+    let last = head[21..].iter().fold(0, |acc, b| acc << 6 | unarmor(b));
+    for b in rest {
+        unarmor(b);
+    }
+    if seen & 0xC0 != 0 {
+        return None;
+    }
+    // Stream bits 0..128 and 16..144: a field of at most 30 bits lies
+    // whole in one of them.
+    let low = first << 2 | last >> 16;
+    let high = first << 18 | last;
+    let field = |at: usize, n: usize| {
+        let window = if at + n <= 128 {
+            low << at
+        } else {
+            high << (at - 16)
+        };
+        (window >> (128 - n)) as u64
+    };
+    let signed = |at: usize, n: usize| ((field(at, n) << (64 - n)) as i64) >> (64 - n);
+    let msg_type = field(0, 6) as u8;
+    let span = match msg_type {
+        1..=3 => POSITION_A_BITS,
+        18 => POSITION_B_BITS,
+        _ => return None,
+    };
+    if (bytes.len() * 6).saturating_sub(usize::from(fill_bits)) < span {
+        return None;
+    }
+    let mmsi = Mmsi::new(field(8, 30) as u32)?;
+    Some(if msg_type == 18 {
+        AisMessage::PositionB {
+            mmsi,
+            sog_knots: decode_sog(field(46, 10)),
+            pos: decode_pos(signed(57, 28), signed(85, 27)),
+            cog_deg: decode_cog(field(112, 12)),
+            heading_deg: decode_heading(field(124, 9)),
+            utc_second: field(133, 6) as u8,
+        }
+    } else {
+        AisMessage::PositionA {
+            msg_type,
+            mmsi,
+            nav_status: NavStatus::from_raw(field(38, 4) as u8),
+            sog_knots: decode_sog(field(50, 10)),
+            pos: decode_pos(signed(61, 28), signed(89, 27)),
+            cog_deg: decode_cog(field(116, 12)),
+            heading_deg: decode_heading(field(128, 9)),
+            utc_second: field(137, 6) as u8,
+        }
+    })
+}
+
+/// The general decoder: reads a message field by field out of `r`, every
+/// read checked. [`decode_payload`] takes it for every payload
+/// [`decode_position`] does not decide, and it is that path's oracle.
+pub fn decode_bits(mut r: BitReader) -> Result<AisMessage, DecodeError> {
     let msg_type = r.read_u64(6)? as u8;
     match msg_type {
         1..=3 => {

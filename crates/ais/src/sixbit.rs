@@ -58,10 +58,10 @@ const fn armor_byte(v: u8) -> u8 {
 
 /// Marks a byte outside the armouring alphabet in [`UNARMOR`]; its two high
 /// bits are what a valid value (< 64) never has.
-const BAD_ARMOR: u8 = 0xFF;
+pub(crate) const BAD_ARMOR: u8 = 0xFF;
 
 /// Armoured payload byte → 6-bit value, the inverse of [`armor_byte`].
-static UNARMOR: [u8; 256] = {
+pub(crate) static UNARMOR: [u8; 256] = {
     let mut table = [BAD_ARMOR; 256];
     let mut v = 0u8;
     while v < 64 {

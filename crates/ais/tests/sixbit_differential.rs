@@ -4,7 +4,13 @@
 //! with characters outside the armouring alphabet), fill values and
 //! read / skip / `read_text` sequences must give the same values, the same
 //! errors and the same position afterwards.
+//!
+//! Likewise `decode_payload`, whose position reports take the one-pass
+//! `decode_position`, against `decode_bits` over a `BitReader`: every type
+//! byte, lengths around the 139- and 143-bit spans, every fill and a bad
+//! character at every position must give the same whole `Result`.
 
+use pol_ais::decode::{decode_bits, decode_payload, decode_position, AisMessage, DecodeError};
 use pol_ais::sixbit::{BitReader, BitWriter, SixBitError};
 use proptest::prelude::*;
 
@@ -181,4 +187,178 @@ fn bad_input_names_the_offending_character() {
     }
     // More fill than bits: an empty reader, not an error.
     assert_eq!(BitReader::from_payload("00", 200).unwrap().remaining(), 0);
+}
+
+/// `decode_payload`'s general path, the one-pass path's oracle.
+fn decode_general(payload: &str, fill: u8) -> Result<AisMessage, DecodeError> {
+    BitReader::from_payload(payload, fill)
+        .map_err(DecodeError::from)
+        .and_then(decode_bits)
+}
+
+/// Armours six-bit values into a payload.
+fn armoured(values: &[u8]) -> String {
+    values
+        .iter()
+        .map(|&v| (if v < 40 { v + 48 } else { v + 56 }) as char)
+        .collect()
+}
+
+/// Asserts both decoders agree on `payload`, and that a one-pass answer
+/// is the general one; returns whether the one-pass path decided it.
+fn assert_decoders_agree(payload: &str, fill: u8) -> bool {
+    let general = decode_general(payload, fill);
+    assert_eq!(
+        decode_payload(payload, fill),
+        general,
+        "{payload:?} fill {fill}"
+    );
+    match decode_position(payload, fill) {
+        Some(message) => {
+            assert_eq!(Ok(message), general, "{payload:?} fill {fill}");
+            true
+        }
+        None => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn one_pass_decode_agrees_with_the_general_reader(
+        msg_type in 0u8..64,
+        values in prop::collection::vec(0u8..64, 0..40),
+        len in (0u8..2, 20usize..28, 0usize..40)
+            .prop_map(|(pick, near, any)| if pick == 0 { near } else { any }),
+        fill in 0u8..8,
+        splice in prop::option::of((0usize..40, 0u32..0x2000)),
+    ) {
+        let mut chars: Vec<char> = armoured(&[msg_type]).chars().collect();
+        chars.extend(armoured(&values).chars().cycle().take(len.saturating_sub(1)));
+        if let Some((at, code)) = splice {
+            let c = char::from_u32(code).unwrap_or('!');
+            let at = at.min(chars.len());
+            if at < chars.len() {
+                chars[at] = c;
+            } else {
+                chars.push(c);
+            }
+        }
+        let payload: String = chars.into_iter().collect();
+        assert_decoders_agree(&payload, fill);
+    }
+}
+
+/// A random payload of `chars` characters whose first is `msg_type`, with
+/// an in-range MMSI so that position types decode.
+fn typed_payload(next: &mut impl FnMut() -> u8, msg_type: u8, chars: usize) -> String {
+    let mut values: Vec<u8> = (0..chars).map(|_| next()).collect();
+    if let Some(first) = values.first_mut() {
+        *first = msg_type;
+    }
+    if let Some(mmsi_high) = values.get_mut(2) {
+        // Bits 12..18 of the 30-bit MMSI field: keeps it under 10^9.
+        *mmsi_high &= 0x1F;
+    }
+    armoured(&values)
+}
+
+fn xorshift() -> impl FnMut() -> u8 {
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x >> 58) as u8
+    }
+}
+
+#[test]
+fn every_type_length_and_fill_decodes_alike() {
+    let mut next = xorshift();
+    let mut one_pass = 0;
+    for msg_type in 0..64u8 {
+        for chars in 0..=30 {
+            for fill in 0..=5 {
+                for _ in 0..4 {
+                    let payload = typed_payload(&mut next, msg_type, chars);
+                    one_pass += usize::from(assert_decoders_agree(&payload, fill));
+                }
+            }
+        }
+    }
+    // Types 1, 2, 3 and 18 from 24 characters on, less the fills that
+    // leave too few bits at exactly 24.
+    assert!(one_pass > 0, "the one-pass path never ran");
+}
+
+#[test]
+fn the_one_pass_path_starts_at_each_types_span() {
+    let mut next = xorshift();
+    // (type, characters, fill, whether the bits reach the span)
+    for (msg_type, chars, fill, decided) in [
+        (1, 24, 0, true),
+        (1, 24, 1, true), // 143 bits: exactly the span
+        (1, 24, 2, false),
+        (1, 23, 0, false),
+        (2, 24, 1, true),
+        (3, 24, 2, false),
+        (1, 25, 5, true),
+        (18, 24, 5, true), // 139 bits: exactly the span
+        (18, 24, 6, false),
+        (18, 23, 0, false),
+        (18, 25, 5, true),
+        (5, 71, 2, false),
+        (24, 28, 0, false),
+    ] {
+        let payload = typed_payload(&mut next, msg_type, chars);
+        assert_eq!(
+            assert_decoders_agree(&payload, fill),
+            decided,
+            "type {msg_type}, {chars} characters, fill {fill}"
+        );
+    }
+}
+
+#[test]
+fn a_bad_character_anywhere_is_the_general_readers_error() {
+    let mut next = xorshift();
+    for (msg_type, chars) in [(1, 28), (3, 28), (18, 28), (1, 24), (18, 24), (5, 71)] {
+        let valid = typed_payload(&mut next, msg_type, chars);
+        assert!(decode_payload(&valid, 0).is_ok(), "{valid:?}");
+        for at in 0..chars {
+            for bad in ['X', '_', '!', '\n', 'é', '\u{2603}'] {
+                let payload: String = valid
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| if i == at { bad } else { c })
+                    .collect();
+                assert!(!assert_decoders_agree(&payload, 0), "{payload:?}");
+                assert_eq!(
+                    decode_payload(&payload, 0),
+                    Err(DecodeError::Bits(SixBitError::BadArmorChar(bad))),
+                    "{payload:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn an_invalid_mmsi_is_the_general_readers_error() {
+    for mmsi in [0u64, 1_000_000_000, (1 << 30) - 1] {
+        let mut w = BitWriter::new();
+        w.write_u64(1, 6);
+        w.write_u64(0, 2);
+        w.write_u64(mmsi, 30);
+        w.write_u64(0, 64);
+        w.write_u64(0, 64);
+        let (payload, fill) = w.into_payload();
+        assert!(!assert_decoders_agree(&payload, fill));
+        assert_eq!(
+            decode_payload(&payload, fill),
+            Err(DecodeError::BadMmsi(mmsi as u32))
+        );
+    }
 }

@@ -40,6 +40,15 @@ pub fn sync_dir(dir: &Path) {
     }
 }
 
+/// The directory that holds `path`'s name: its parent, or `.` for a bare
+/// file name, whose parent is the empty path.
+fn directory_of(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
 /// Unlinks `path`, firing `failpoint` first; no directory fsync follows.
 pub fn remove(path: &Path, failpoint: Option<&str>) -> io::Result<()> {
     failpoint.map_or(Ok(()), self::failpoint)?;
@@ -112,9 +121,7 @@ fn write_rename_sync(bytes: &[u8], tmp: &Path, path: &Path) -> io::Result<()> {
     failpoint("codec.save.rename")?;
     std::fs::rename(tmp, path)?;
     record("rename", path);
-    if let Some(dir) = path.parent() {
-        sync_dir(dir);
-    }
+    sync_dir(directory_of(path));
     Ok(())
 }
 
@@ -143,9 +150,7 @@ impl AppendFile {
         record("create", path);
         write(&mut file, path, header)?;
         fsync(&file, path)?;
-        if let Some(dir) = path.parent() {
-            sync_dir(dir);
-        }
+        sync_dir(directory_of(path));
         let committed = header.len() as u64;
         Ok(AppendFile {
             file,

@@ -400,10 +400,19 @@ proptest! {
 
     /// Geofence coverage: a point within 70% of a port's radius is always
     /// attributed to some port; a point 3 radii away to none (other ports
-    /// permitting).
+    /// permitting). And the square bitmap `port_at` tests first changes
+    /// no answer, also for ports on the antimeridian and past 80° of
+    /// latitude, where coverage itself is not claimed (the fence's rings
+    /// are planar: the seam cuts them, and near a pole they span few
+    /// degrees of longitude).
     #[test]
-    fn geofence_coverage(port_idx in 0usize..10, bearing in 0.0f64..360.0, f in 0.0f64..0.7) {
-        let ports: Vec<PortSite> = (0..10)
+    fn geofence_coverage(
+        port_idx in 0usize..14,
+        bearing in 0.0f64..360.0,
+        f in 0.0f64..0.7,
+        far in 0.0f64..8.0,
+    ) {
+        let mut ports: Vec<PortSite> = (0..10)
             .map(|i| PortSite {
                 id: i as u16,
                 name: format!("P{i}"),
@@ -411,14 +420,53 @@ proptest! {
                 radius_km: 12.0,
             })
             .collect();
-        let g = pol_core::trips::Geofence::build(&ports, Resolution::new(6).unwrap());
+        for (i, (lat, lon)) in [(-20.0, 179.9), (40.0, -179.9), (81.0, 60.0), (-84.0, -179.9)]
+            .into_iter()
+            .enumerate()
+        {
+            ports.push(PortSite {
+                id: 10 + i as u16,
+                name: format!("S{i}"),
+                pos: LatLon::new(lat, lon).unwrap(),
+                radius_km: 12.0,
+            });
+        }
+        let res = Resolution::new(6).unwrap();
+        let g = pol_core::trips::Geofence::build(&ports, res);
+        let unfiltered = fence_without_bitmap(&ports, res);
         let port = &ports[port_idx];
         let inside = pol_geo::destination(port.pos, bearing, port.radius_km * f);
-        prop_assert!(g.port_at(inside).is_some(), "point at {f:.2}R uncovered");
         let outside = pol_geo::destination(port.pos, bearing, port.radius_km * 5.0);
-        if let Some(hit) = g.port_at(outside) {
-            // May legitimately hit a *different* port's fence.
-            prop_assert_ne!(hit, port.id);
+        let anywhere = pol_geo::destination(port.pos, bearing, port.radius_km * far);
+        for p in [inside, outside, anywhere] {
+            let ax = pol_hexgrid::cell_axial_at(p, res);
+            prop_assert_eq!(g.port_at(p), unfiltered.get(&(ax.q, ax.r)).copied(), "{:?}", p);
+        }
+        if port_idx < 10 {
+            prop_assert!(g.port_at(inside).is_some(), "point at {f:.2}R uncovered");
+            if let Some(hit) = g.port_at(outside) {
+                // May legitimately hit a *different* port's fence.
+                prop_assert_ne!(hit, port.id);
+            }
         }
     }
+}
+
+/// The fence `Geofence::build` makes, as a plain axial map: each port's
+/// disk of cells whose centres lie within its radius plus one edge, the
+/// first port to claim a cell keeping it.
+fn fence_without_bitmap(ports: &[PortSite], res: Resolution) -> FxHashMap<(i64, i64), u16> {
+    let edge = pol_hexgrid::avg_edge_length_km(res);
+    let mut fence = FxHashMap::default();
+    for port in ports {
+        let k = (port.radius_km / (edge * 1.5)).ceil() as u32 + 1;
+        for cell in pol_hexgrid::grid_disk(pol_hexgrid::cell_at(port.pos, res), k) {
+            let centre = pol_hexgrid::cell_center(cell);
+            if pol_geo::haversine_km(centre, port.pos) <= port.radius_km + edge {
+                let ax = cell.axial();
+                fence.entry((ax.q, ax.r)).or_insert(port.id);
+            }
+        }
+    }
+    fence
 }

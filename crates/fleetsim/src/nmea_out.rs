@@ -59,7 +59,7 @@ pub fn to_nmea_lines(ds: &Dataset) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::scenario::{generate, ScenarioConfig};
-    use pol_ais::decode::{decode_payload, AisMessage};
+    use pol_ais::decode::{decode_payload, decode_position, AisMessage};
     use pol_ais::nmea::Assembler;
 
     fn tiny() -> Dataset {
@@ -136,5 +136,30 @@ mod tests {
         for w in lines.windows(2) {
             assert!(Sentence::parse(&w[0]).is_ok());
         }
+    }
+
+    /// The share of a fleetsim wire's messages `decode_payload` answers by
+    /// the one-pass position path. A floor, so that the fast path cannot
+    /// be switched off unnoticed (DESIGN §8 "Per-record fast paths" states
+    /// the share on polbench's world).
+    #[test]
+    fn the_one_pass_path_decodes_nearly_every_message() {
+        let ds = generate(&ScenarioConfig::tiny());
+        let lines = to_nmea_lines(&ds);
+        let mut asm = Assembler::new();
+        let (mut messages, mut one_pass) = (0u64, 0u64);
+        for line in &lines {
+            let s = Sentence::parse(line).expect("self-produced NMEA parses");
+            if let Some((payload, fill)) = asm.push(s) {
+                messages += 1;
+                one_pass += u64::from(decode_position(payload, fill).is_some());
+            }
+        }
+        let share = one_pass as f64 / messages as f64;
+        assert!(messages > 10_000, "{messages} messages");
+        assert!(
+            share > 0.97,
+            "the one-pass path decoded {share:.4} of {messages} messages"
+        );
     }
 }
