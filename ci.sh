@@ -5,18 +5,19 @@
 #
 #   gate     — formatting, release build, full test suite (which drives
 #              the shipped `polinv` binary end to end over real sockets:
-#              crates/bench/tests/polinv_cli.rs), xtask lint, the
-#              workspace's deny-level clippy lints, rustdoc with its
-#              warnings denied (both also over the chaos features), the
+#              crates/bench/tests/polinv_cli.rs, and runs the
+#              fault-injected chaos suites: test builds compile the
+#              failpoints in), a check that the release `polinv` carries
+#              no failpoint, xtask lint, the workspace's deny-level
+#              clippy lints, rustdoc with its warnings denied, the
 #              quickstart example README.md quotes, the two wire
 #              examples (decode_nmea, pol-ais' wire_throughput), pol-stream's
 #              recovery_phases (a crash recovered to byte identity),
 #              pol-serve's heavy_frame (ns per child of a heavy frame), the paper's
 #              experiments (`polinv repro all`: every claim checked, the
-#              committed figures/ regenerated byte for byte), the
-#              repository's benchmark as a smoke on all four workloads,
-#              and the fault-injected chaos suites. Tier-1: must pass on
-#              stable, fully offline.
+#              committed figures/ regenerated byte for byte) and the
+#              repository's benchmark as a smoke on all four workloads.
+#              Tier-1: must pass on stable, fully offline.
 #   analysis — the dynamic checkers: loom model checking of the serve
 #              primitives, Miri on the codec property tests, ASan on
 #              the mmap suite and the CRC-64 kernels, TSan on the
@@ -70,6 +71,23 @@ run_gate() {
   echo "==> cargo test --workspace -q"
   cargo test --workspace -q
 
+  # Only dev-dependencies turn on `pol-chaos/failpoints`, so the release
+  # `polinv` must hold none of the registry's strings (a failpoint name,
+  # a Kill's panic message). The `polinv` the tests built must hold
+  # both, or this check could no longer see a failpoint.
+  echo "==> the release polinv carries no failpoint"
+  local target="${CARGO_TARGET_DIR:-target}" needle
+  for needle in 'codec.save.write' 'killed this worker'; do
+    if grep -qaF -- "$needle" "$target/release/polinv"; then
+      echo "ci: $target/release/polinv contains \"$needle\": a failpoint reached the release build" >&2
+      exit 1
+    fi
+    if ! grep -qaF -- "$needle" "$target/debug/polinv"; then
+      echo "ci: $target/debug/polinv lacks \"$needle\": the failpoint check can no longer tell" >&2
+      exit 1
+    fi
+  done
+
   echo "==> cargo run -p xtask -- lint"
   cargo run -q -p xtask -- lint
 
@@ -83,15 +101,6 @@ run_gate() {
   # A deleted or private item must not leave a dangling intra-doc link.
   echo "==> cargo doc (rustdoc warnings denied)"
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude loom --exclude proptest
-
-  # The failpoint registry (`pol-chaos` under `failpoints`) and every
-  # `chaos`-gated line compile only with the chaos features: lint and
-  # doc-check them as the chaos suites build them.
-  local chaos_crates=(-p pol-chaos -p pol-core -p pol-serve -p pol-stream)
-  local chaos_features=pol-chaos/failpoints,pol-core/chaos,pol-serve/chaos,pol-stream/chaos
-  echo "==> cargo clippy + cargo doc (the chaos features)"
-  cargo clippy "${chaos_crates[@]}" --all-targets --features "$chaos_features"
-  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${chaos_crates[@]}" --features "$chaos_features"
 
   # cargo test compiles the examples but never runs them; README.md
   # quotes this one's output.
@@ -193,15 +202,6 @@ run_gate() {
     echo "ci: bench-smoke proc.allocs_per_kop=${bench_allocs:-missing}, want < 25000" >&2
     exit 1
   fi
-
-  echo "==> chaos smoke (fault-injected persistence + serving + journaling)"
-  # The failpoint registry's and the operation recorder's own tests are
-  # gated on `failpoints`, which no other stage turns on for pol-chaos.
-  cargo test -q -p pol-chaos --features failpoints
-  cargo test -q -p pol-core --features chaos --test codec_chaos
-  cargo test -q -p pol-core --features chaos --test durable_bare_name
-  cargo test -q -p pol-serve --features chaos --test chaos
-  cargo test -q -p pol-stream --features chaos --test chaos
 
   echo "ci: gate passed"
 }

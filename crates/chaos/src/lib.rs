@@ -26,7 +26,9 @@
 //! are `#[inline]` constant functions returning "no fault" and the
 //! registry does not exist; the optimizer deletes the call and the
 //! branch on its result entirely. Production builds therefore carry no
-//! registry lookups, no locks, and no branches for any failpoint.
+//! registry lookups, no locks, and no branches for any failpoint. The
+//! workspace turns the feature on only through dev-dependencies, so test
+//! and example builds have the registry and no other build does.
 //!
 //! ## Usage
 //!
@@ -124,7 +126,8 @@ pub fn io_error(what: &str) -> std::io::Error {
 mod registry {
     use super::{FailpointStats, FaultAction, Trigger};
     use std::collections::HashMap;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
     struct Slot {
@@ -179,6 +182,21 @@ mod registry {
     pub(super) fn ops() -> MutexGuard<'static, Vec<(&'static str, PathBuf)>> {
         static OPS: Mutex<Vec<(&'static str, PathBuf)>> = Mutex::new(Vec::new());
         OPS.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Set while an `Exclusive` guard is held. Only then is an operation
+    /// logged, so a process that takes no guard keeps no log however
+    /// many files it writes.
+    static RECORDING: AtomicBool = AtomicBool::new(false);
+
+    pub(super) fn set_recording(on: bool) {
+        RECORDING.store(on, Ordering::Release);
+    }
+
+    pub(super) fn record(kind: &'static str, path: &Path) {
+        if RECORDING.load(Ordering::Acquire) {
+            ops().push((kind, path.to_path_buf()));
+        }
     }
 
     pub(super) fn stats(name: &str) -> FailpointStats {
@@ -254,6 +272,8 @@ pub struct Exclusive {
 
 impl Drop for Exclusive {
     fn drop(&mut self) {
+        #[cfg(feature = "failpoints")]
+        registry::set_recording(false);
         reset();
     }
 }
@@ -264,11 +284,14 @@ impl Drop for Exclusive {
 /// threads a test does not own, so tests that share a binary must not
 /// arm it concurrently — each takes this guard first. A test that
 /// panicked while holding it (chaos tests assert under fire) does not
-/// poison the next one.
+/// poison the next one. Operations are [`record`]ed only while a guard
+/// is held.
 pub fn exclusive() -> Exclusive {
     static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _held = GATE.lock().unwrap_or_else(|p| p.into_inner());
     reset();
+    #[cfg(feature = "failpoints")]
+    registry::set_recording(true);
     Exclusive { _held }
 }
 
@@ -329,12 +352,13 @@ pub fn fire(name: &str) -> bool {
 /// Logs one durable file operation — its kind (`"create"`, `"write"`,
 /// `"fsync"`, `"rename"`, `"fsync-dir"`, `"truncate"`, `"unlink"`) and
 /// the path it acted on — for [`take_ops`]. `pol_core::codec::durable`
-/// calls it after each operation succeeds. No-op without the
-/// `failpoints` feature.
+/// calls it after each operation succeeds. Logged only while an
+/// [`Exclusive`] guard is held, so the log is bounded by what one test
+/// does. No-op without the `failpoints` feature.
 #[inline]
 pub fn record(kind: &'static str, path: &Path) {
     #[cfg(feature = "failpoints")]
-    registry::ops().push((kind, path.to_path_buf()));
+    registry::record(kind, path);
     #[cfg(not(feature = "failpoints"))]
     let _ = (kind, path);
 }
@@ -349,7 +373,7 @@ pub fn take_ops() -> Vec<(&'static str, PathBuf)> {
     Vec::new()
 }
 
-#[cfg(all(test, feature = "failpoints"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,9 +1,7 @@
 //! Chaos tests for the persistence path (run with
-//! `cargo test -p pol-core --features chaos --test codec_chaos`):
+//! `cargo test -p pol-core --test codec_chaos`):
 //! injected write and rename failures must leave the destination file
 //! untouched, loadable, and the directory free of temp files.
-
-#![cfg(feature = "chaos")]
 
 use pol_ais::types::{MarketSegment, Mmsi};
 use pol_chaos::{configure, exclusive, remove, stats, FaultAction, Trigger};

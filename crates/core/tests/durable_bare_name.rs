@@ -1,11 +1,9 @@
 //! A file saved or created under a bare name has the working directory
 //! fsynced, as a file under any other path has its parent (run with
-//! `cargo test -p pol-core --features chaos --test durable_bare_name`).
+//! `cargo test -p pol-core --test durable_bare_name`).
 //! A bare name's parent is the empty path, which cannot be opened, so a
 //! `sync_dir` of it would do nothing. This is its own test binary
 //! because it changes the process's working directory.
-
-#![cfg(feature = "chaos")]
 
 use pol_core::codec::durable::{save_bytes, AppendFile};
 use std::path::{Path, PathBuf};

@@ -1,5 +1,5 @@
-//! Chaos harness (run with `cargo test -p pol-serve --features chaos
-//! --test chaos`): a client fleet drives a live server while failpoints
+//! Chaos harness (run with `cargo test -p pol-serve --test chaos`): a
+//! client fleet drives a live server while failpoints
 //! kill connection workers and delay reads, and a corrupted snapshot
 //! reload is attempted mid-run. The assertions are the ISSUE's
 //! acceptance bar: **zero** client-visible wrong answers, only typed

@@ -1,5 +1,5 @@
 //! Chaos tests for delta publication and the write-ahead journal (run
-//! with `cargo test -p pol-stream --features chaos --test chaos`):
+//! with `cargo test -p pol-stream --test chaos`):
 //! injected write, sync, rename, and seal failures at any step of a
 //! publish, journal append, checkpoint append or checkpoint-log rewrite
 //! must never produce
@@ -8,11 +8,9 @@
 //! failpoint recovers byte-identically.
 //!
 //! Failpoint configuration is process-global, so every test holds
-//! [`pol_chaos::exclusive`] for its whole body. The same feature turns
-//! on the recorder of `pol_core::codec::durable`, which pins the order
-//! each commit reaches the disk in.
-
-#![cfg(feature = "chaos")]
+//! [`pol_chaos::exclusive`] for its whole body. While it is held,
+//! `pol_core::codec::durable` logs each file operation to the recorder,
+//! which pins the order each commit reaches the disk in.
 
 use pol_ais::types::{MarketSegment, Mmsi, NavStatus};
 use pol_ais::PositionReport;
