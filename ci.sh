@@ -20,9 +20,10 @@
 #              Tier-1: must pass on stable, fully offline.
 #   analysis — the dynamic checkers: loom model checking of the serve
 #              primitives, Miri on the codec property tests, ASan on
-#              the mmap suite and the CRC-64 kernels, TSan on the
-#              loopback server tests and on the journal's recovery
-#              suite (the writer's I/O thread).
+#              the mmap suite, the CRC-64 kernels and the columnar
+#              codec (the snapshot encoder's helper threads), TSan on
+#              the loopback server tests, the journal's recovery suite
+#              (the writer's I/O thread) and the columnar codec.
 #              Checkers whose toolchain components are unavailable in
 #              this container skip LOUDLY with the reason; the pinned
 #              CI job runs them for real. See analysis/README.md.
@@ -226,7 +227,10 @@ run_analysis() {
   if cargo "+$NIGHTLY" miri --version >/dev/null 2>&1; then
     # Shrunk case counts: Miri executes ~100x slower than native, and
     # the UB surface does not grow with the number of random inputs.
-    PROPTEST_CASES=4 cargo "+$NIGHTLY" miri test -q \
+    # Miri reports one CPU unless told otherwise, and `to_bytes` cuts
+    # a section of 2 048 entries or more into one piece per CPU at most:
+    # four CPUs give the suite's 2 053-entry section a helper thread.
+    PROPTEST_CASES=4 MIRIFLAGS="-Zmiri-num-cpus=4" cargo "+$NIGHTLY" miri test -q \
       -p pol-core --test codec_columnar
     # wire_canonical holds the word-at-a-time varint kernels (unaligned
     # word loads off a byte slice) to the byte loop.
@@ -241,18 +245,21 @@ run_analysis() {
     skip "asan" "no $NIGHTLY toolchain available"
     skip "tsan" "no $NIGHTLY toolchain available"
   else
-    echo "==> AddressSanitizer on the mmap test suite and the CRC-64 kernels ($host)"
+    echo "==> AddressSanitizer on the mmap test suite, the CRC-64 kernels and the columnar codec ($host)"
     # --target keeps build scripts and proc macros uninstrumented; the
     # suppression file is policy-empty (see analysis/README.md). The CRC
     # suite drives the carry-less kernel's unaligned 16-byte loads at
-    # every start alignment and every length up to 1 100 bytes.
+    # every start alignment and every length up to 1 100 bytes; the
+    # codec suite runs `to_bytes`' helper threads, each encoding its
+    # piece of a section into a buffer of its own.
     RUSTFLAGS="-Zsanitizer=address" \
     ASAN_OPTIONS="suppressions=$PWD/analysis/asan.supp" \
     LSAN_OPTIONS="suppressions=$PWD/analysis/asan.supp" \
       cargo "+$NIGHTLY" test -q -p pol-serve --test mapped \
-      -p pol-sketch --test crc64_reference --target "$host"
+      -p pol-sketch --test crc64_reference \
+      -p pol-core --test codec_columnar --target "$host"
 
-    echo "==> ThreadSanitizer on the serve loopback tests and the journal recovery suite"
+    echo "==> ThreadSanitizer on the serve loopback tests, the journal recovery suite and the columnar codec"
     if rustup component list --toolchain "$NIGHTLY" 2>/dev/null \
         | grep -q '^rust-src.*(installed)'; then
       # -Zbuild-std instruments std itself; without it TSan reports
@@ -268,6 +275,12 @@ run_analysis() {
       TSAN_OPTIONS="suppressions=$PWD/analysis/tsan.supp" \
         cargo "+$NIGHTLY" test -q -Zbuild-std \
         -p pol-stream --test recovery --target "$host"
+      # The snapshot encoder's scoped helper threads, which read the
+      # shared summaries while the calling thread encodes beside them.
+      RUSTFLAGS="-Zsanitizer=thread" \
+      TSAN_OPTIONS="suppressions=$PWD/analysis/tsan.supp" \
+        cargo "+$NIGHTLY" test -q -Zbuild-std \
+        -p pol-core --test codec_columnar --target "$host"
     else
       skip "tsan" "the rust-src component is not installed for $NIGHTLY (needed for -Zbuild-std; offline container)"
     fi

@@ -65,9 +65,12 @@ use pol_sketch::crc64::crc64;
 use pol_sketch::hash::FxHashMap;
 use pol_sketch::wire::{get_varint, put_varint, WireError};
 use std::io::{self, Read};
+use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::path::Path;
 use std::sync::Arc;
+use std::thread::Builder;
 
 /// File magic (format version 4: columnar sections, sealed footer).
 pub const MAGIC_V4: &[u8; 8] = b"POLINV4\0";
@@ -838,18 +841,92 @@ fn seal_section(
     (kind, count, len)
 }
 
+/// A grouping section's entries, sorted by encoded key.
+type Entry<'a> = ([u8; 13], &'a CellStats);
+
+/// Appends `entries`' canonical stats encodings to `out`, pushing each
+/// one's end — counted from where `out` ended on entry — onto `ends`.
+fn encode_blob(entries: &[Entry<'_>], out: &mut Vec<u8>, ends: &mut Vec<u64>) {
+    let start = out.len();
+    for (_, stats) in entries {
+        encode_cell_stats(stats, out);
+        ends.push((out.len() - start) as u64);
+    }
+}
+
+/// [`encode_blob`] into a buffer of its own: one piece of a section.
+fn encode_piece(entries: &[Entry<'_>]) -> (Vec<u8>, Vec<u64>) {
+    let mut out = Vec::with_capacity(entries.len() * MIN_ENTRY_BYTES);
+    let mut ends = Vec::with_capacity(entries.len());
+    encode_blob(entries, &mut out, &mut ends);
+    (out, ends)
+}
+
+/// Entries a grouping section needs per piece before its blob is cut:
+/// a helper thread's start and join (~50 µs on two vCPUs) must stay small
+/// beside the piece's encoding (~0.5 µs an entry), so a section of fewer
+/// than two of these is encoded inline.
+const MIN_PIECE_ENTRIES: usize = 1_024;
+
+/// Appends `entries`' blob column to `out` in `pieces` contiguous pieces
+/// (at most): the calling thread encodes the first in place while one
+/// scoped thread per further piece encodes it into a buffer of its own,
+/// and those buffers are appended in order. `ends` is refilled with each
+/// entry's end, counted from where the blob starts. The bytes are the
+/// same for every piece count.
+fn encode_blob_column(
+    entries: &[Entry<'_>],
+    pieces: usize,
+    out: &mut Vec<u8>,
+    ends: &mut Vec<u64>,
+) {
+    ends.clear();
+    let blob = out.len();
+    let mut pieces = entries.chunks(entries.len().div_ceil(pieces.max(1)).max(1));
+    let first = pieces.next().unwrap_or_default();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = pieces
+            .map(|piece| {
+                let thread = Builder::new().spawn_scoped(scope, move || encode_piece(piece));
+                (piece, thread)
+            })
+            .collect();
+        encode_blob(first, out, ends);
+        for (piece, thread) in helpers {
+            let (bytes, piece_ends) = match thread {
+                Ok(thread) => thread.join().unwrap_or_else(|panic| resume_unwind(panic)),
+                Err(_) => encode_piece(piece),
+            };
+            let base = (out.len() - blob) as u64;
+            ends.extend(piece_ends.iter().map(|end| base + end));
+            out.extend_from_slice(&bytes);
+        }
+    });
+}
+
 /// Serializes an inventory to its complete POLINV4 file image (magic
 /// through sealed footer). Deterministic: equal inventories always
 /// produce identical bytes.
 ///
 /// The image is built in the one buffer that is returned: every section
 /// is encoded where it will stay (a grouping section's offsets column is
-/// patched as its blob grows behind it), and the header — whose length
-/// depends on the sections' — is written last, into room left in front.
+/// patched once its blob is written behind it), and the header — whose
+/// length depends on the sections' — is written last, into room left in
+/// front.
+///
+/// A grouping section's blob column is encoded in pieces on every core:
+/// its sorted entries are cut into at most
+/// [`std::thread::available_parallelism`] contiguous pieces of about
+/// 1 024 entries or more (`MIN_PIECE_ENTRIES`), the first encoded on
+/// the calling thread and each further one on a scoped thread of its
+/// own, then appended in order with their end offsets rebased. One
+/// piece spawns no thread, and a piece whose thread cannot be spawned is
+/// encoded on the calling thread; the bytes are the same however the
+/// entries are cut.
 pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
     // Partition entries by grouping set and sort by encoded key — the
     // fixed-stride big-endian encoding makes byte order == key order.
-    let mut groups: [Vec<([u8; 13], &CellStats)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut groups: [Vec<Entry<'_>>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut lat_rows: Vec<(f64, f64, u64)> = Vec::new();
     let mut top_rows: Vec<[u8; 11]> = Vec::new();
     for (key, stats) in inv.iter() {
@@ -888,6 +965,14 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
     let mut out = Vec::with_capacity(MAX_PREFIX + inv.len() * MIN_ENTRY_BYTES);
     out.resize(MAX_PREFIX, 0);
     let mut directory = Vec::with_capacity(SectionKind::ALL.len());
+    // The core count is read from the cgroup's files (~15 µs): only ask
+    // when some section is long enough to be cut.
+    let cores = if groups.iter().any(|g| g.len() >= 2 * MIN_PIECE_ENTRIES) {
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    } else {
+        1
+    };
+    let mut ends = Vec::new();
     for (entries, kind) in groups.iter().zip(SectionKind::ALL) {
         let start = out.len();
         for (key, _) in entries {
@@ -896,10 +981,11 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
         let offsets = out.len();
         out.resize(offsets + (entries.len() + 1) * 8, 0);
         let blob = out.len();
-        for (i, (_, stats)) in entries.iter().enumerate() {
-            encode_cell_stats(stats, &mut out);
-            let end = ((out.len() - blob) as u64).to_le_bytes();
-            out[offsets + (i + 1) * 8..offsets + (i + 2) * 8].copy_from_slice(&end);
+        let pieces = (entries.len() / MIN_PIECE_ENTRIES).clamp(1, cores);
+        encode_blob_column(entries, pieces, &mut out, &mut ends);
+        let column = out.get_mut(offsets + 8..blob).unwrap_or_default();
+        for (slot, end) in column.chunks_exact_mut(8).zip(&ends) {
+            slot.copy_from_slice(&end.to_le_bytes());
         }
         directory.push(seal_section(&mut out, kind, entries.len(), start));
     }
@@ -1087,6 +1173,38 @@ mod tests {
         for (key, stats) in inv.iter() {
             let b = back.get(key).unwrap_or_else(|| panic!("missing {key:?}"));
             assert_eq!(stats_bytes_of(b), stats_bytes_of(stats));
+        }
+    }
+
+    /// The blob column and its ends are the same in any number of pieces,
+    /// at a section's edges too: no entry, one, fewer entries than
+    /// pieces, an odd count.
+    #[test]
+    fn blob_column_is_the_same_in_any_number_of_pieces() {
+        let inv = sample_inventory(40);
+        let all: Vec<Entry<'_>> = inv.iter().map(|(_, stats)| ([0; 13], stats)).collect();
+        for n in [0, 1, 2, 3, 5, 7, all.len()] {
+            let entries = &all[..n];
+            let want: Vec<u8> = entries
+                .iter()
+                .flat_map(|(_, s)| stats_bytes_of(s))
+                .collect();
+            let mut want_ends = Vec::new();
+            let mut end = 0;
+            for (_, stats) in entries {
+                end += stats_bytes_of(stats).len() as u64;
+                want_ends.push(end);
+            }
+            for pieces in 1..=4 {
+                let (mut out, mut ends) = (vec![0xAA; 5], vec![9]);
+                encode_blob_column(entries, pieces, &mut out, &mut ends);
+                assert_eq!(
+                    out.get(5..),
+                    Some(&want[..]),
+                    "{n} entries, {pieces} pieces"
+                );
+                assert_eq!(ends, want_ends, "{n} entries, {pieces} pieces");
+            }
         }
     }
 

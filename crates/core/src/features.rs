@@ -340,6 +340,32 @@ mod tests {
         assert!(size <= 2_144, "CellStats grew to {size} bytes");
     }
 
+    /// The combiner, the shard merge and the inventory key their maps by
+    /// `GroupKey`: ~4 k keys of real resolution-6 cells spread over the
+    /// 13 bits a table holding them picks buckets by (a uniform hash
+    /// gives ~3 160 distinct values). Without the map hasher's finalizer
+    /// the `Cell` keys all share one value and the `CellType` keys 32.
+    #[test]
+    fn map_hashes_of_real_cell_keys_spread() {
+        use std::hash::BuildHasher;
+        let build = pol_sketch::hash::FxBuildHasher::default();
+        let centre = cell_at(LatLon::new(54.0, 8.0).unwrap(), Resolution::new(6).unwrap());
+        let cells = pol_hexgrid::grid_disk(centre, 36);
+        assert!(cells.len() > 3_900);
+        let segments = MarketSegment::ALL;
+        let spread = |keys: Vec<GroupKey>| {
+            let low: std::collections::HashSet<u64> =
+                keys.iter().map(|k| build.hash_one(k) & 0x1fff).collect();
+            low.len()
+        };
+        let cell_keys = cells.iter().map(|&c| GroupKey::Cell(c)).collect();
+        let type_keys = (cells.iter().zip(segments.iter().cycle()))
+            .map(|(&c, &s)| GroupKey::CellType(c, s))
+            .collect();
+        assert!(spread(cell_keys) >= 3_000, "cell keys");
+        assert!(spread(type_keys) >= 3_000, "cell-type keys");
+    }
+
     #[test]
     fn observe_accumulates_all_features() {
         let mut s = CellStats::new(0.02, 8);

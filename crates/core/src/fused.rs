@@ -26,11 +26,14 @@
 //!   scatter is two-pass (count, then write into exactly-sized per-worker
 //!   buckets) and the driver moves whole chunk vectors, never records, so
 //!   workers share nothing;
-//! * within a partition, one unstable sort over `(mmsi, timestamp,
-//!   arrival index)` replaces per-vessel grouping + per-vessel stable
-//!   timestamp sort: the arrival index makes the key total (no equal
-//!   keys), so the order is exactly ascending-MMSI vessels, each stably
-//!   time-sorted — what [`crate::clean::order_and_filter_vessel`]
+//! * within a partition, vessels are grouped by one counting pass, not a
+//!   sort, and the records stay in the chunks they arrived in: each
+//!   vessel gets a dense id and a record count, and one scatter writes
+//!   the records' `(chunk, index)` pairs into ascending-MMSI runs that
+//!   keep arrival order (input partitions in order, each in its own
+//!   order). A run whose timestamps already rise is walked as is; any
+//!   other gets a stable sort by timestamp, so equal timestamps keep
+//!   arrival order — what [`crate::clean::order_and_filter_vessel`]
 //!   produces vessel by vessel;
 //! * the per-vessel machinery is literally shared: cleaning folds the
 //!   same [`crate::clean::VesselCleaner`] state machine, trip extraction
@@ -52,7 +55,7 @@ use crate::trips::{extract_for_vessel_with, Geofence, TripTracker};
 use pol_ais::{PositionReport, StaticReport};
 use pol_engine::{merge_combiner_shards, radix_partition, Engine, StageReport};
 use pol_hexgrid::CellIndex;
-use pol_sketch::hash::hash64;
+use pol_sketch::hash::{hash64, FxHashMap};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,10 +98,18 @@ pub struct PipelineOutput {
 /// untouched.
 #[derive(Default)]
 struct BuildScratch {
-    /// Concatenated shuffle chunks for the current bucket.
-    records: Vec<EnrichedReport>,
-    /// `(mmsi, timestamp, arrival index)` sort keys over `records`.
-    keys: Vec<(u32, i64, u32)>,
+    /// Each vessel's dense id, in order of first arrival.
+    ids: FxHashMap<u32, u32>,
+    /// Per dense id: the vessel's run.
+    vessels: Vec<Run>,
+    /// Per record, in arrival order: its vessel's dense id.
+    vessel_of: Vec<u32>,
+    /// Dense ids in ascending-MMSI order.
+    by_mmsi: Vec<(u32, u32)>,
+    /// `(chunk, index)` of every record of the bucket: one run per
+    /// vessel, ascending MMSI, each run in arrival order until it is
+    /// time-sorted.
+    order: Vec<(u32, u32)>,
     /// Per-vessel cleaned reports.
     cleaned: Vec<EnrichedReport>,
     /// Per-vessel trip points.
@@ -117,6 +128,79 @@ thread_local! {
     static BUILD_SCRATCH: RefCell<BuildScratch> = RefCell::new(BuildScratch::default());
     /// Scan-phase scratch: the enrich pass's survivor buffer.
     static SCAN_SCRATCH: RefCell<Vec<EnrichedReport>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One vessel's records in a bucket, as [`group_by_vessel`] finds them.
+#[derive(Clone, Copy)]
+struct Run {
+    /// The vessel's MMSI.
+    mmsi: u32,
+    /// How many records the vessel has.
+    len: u32,
+    /// The run's next free slot in `order` while it is filled.
+    next: u32,
+    /// The timestamp of the vessel's latest arrival.
+    last: i64,
+    /// Whether the records arrived in time order.
+    rising: bool,
+}
+
+/// Groups a bucket's records by vessel without copying or sorting them:
+/// each vessel gets a dense id in order of first arrival and a record
+/// count, and notes whether its timestamps rise in arrival order; the
+/// ids (one per vessel, not per record) are sorted by MMSI, and one
+/// scatter writes every record's `(chunk, index)` into its vessel's run
+/// of `s.order` — runs in ascending-MMSI order, each in arrival order
+/// (chunks in input-partition order, each in its own).
+fn group_by_vessel(chunks: &[Vec<EnrichedReport>], s: &mut BuildScratch) {
+    let BuildScratch {
+        ids,
+        vessels,
+        vessel_of,
+        by_mmsi,
+        order,
+        ..
+    } = s;
+    ids.clear();
+    vessels.clear();
+    vessel_of.clear();
+    for r in chunks.iter().flatten() {
+        let next = vessels.len() as u32;
+        let id = *ids.entry(r.mmsi.0).or_insert(next);
+        if id == next {
+            vessels.push(Run {
+                mmsi: r.mmsi.0,
+                len: 0,
+                next: 0,
+                last: r.timestamp,
+                rising: true,
+            });
+        }
+        let v = &mut vessels[id as usize];
+        v.len += 1;
+        v.rising &= r.timestamp >= v.last;
+        v.last = r.timestamp;
+        vessel_of.push(id);
+    }
+    by_mmsi.clear();
+    by_mmsi.extend(vessels.iter().zip(0..).map(|(v, id)| (v.mmsi, id)));
+    by_mmsi.sort_unstable();
+    let mut start = 0;
+    for &(_, id) in by_mmsi.iter() {
+        let v = &mut vessels[id as usize];
+        v.next = start;
+        start += v.len;
+    }
+    order.clear();
+    order.resize(vessel_of.len(), (0, 0));
+    let mut of = vessel_of.iter();
+    for (chunk, c) in chunks.iter().zip(0..) {
+        for (&id, i) in of.by_ref().take(chunk.len()).zip(0..) {
+            let v = &mut vessels[id as usize];
+            order[v.next as usize] = (c, i);
+            v.next += 1;
+        }
+    }
 }
 
 /// Per-task output of the scan-enrich phase.
@@ -248,8 +332,7 @@ pub fn run_fused_partitioned(
 
     // Driver-side transpose: gather bucket b of every task in input order
     // — the shuffle's reduce side. The driver moves chunk *vectors*, never
-    // records; each build task concatenates its own chunks, so the copy
-    // work parallelizes instead of serializing on the driver.
+    // records, and a build task reads its records where they are.
     let mut partitions: Vec<Vec<Vec<EnrichedReport>>> = (0..num)
         .map(|_| Vec::with_capacity(scanned.len()))
         .collect();
@@ -281,31 +364,8 @@ pub fn run_fused_partitioned(
     let built: Vec<BuildOut> = engine.run_tasks("fused:build", partitions, move |_, chunks| {
         BUILD_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
-            // Concatenate the shuffle chunks once, in input-partition
-            // order, into the worker's reusable buffer.
-            let total: usize = chunks.iter().map(Vec::len).sum();
-            let records = &mut s.records;
-            records.clear();
-            records.reserve(total);
-            for chunk in chunks {
-                records.extend(chunk);
-            }
-            // One unstable sort over (mmsi, timestamp, arrival index)
-            // replaces the per-vessel hash grouping + per-vessel stable
-            // timestamp sort: the arrival index makes the key total (no
-            // equal keys, so instability is unobservable), and within a
-            // vessel (timestamp, arrival) order is exactly the stable time
-            // sort of its arrival-ordered records — what
-            // `order_and_filter_vessel` feeds the cleaner vessel by vessel.
-            let keys = &mut s.keys;
-            keys.clear();
-            keys.extend(
-                records
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| (r.mmsi.0, r.timestamp, i as u32)),
-            );
-            keys.sort_unstable();
+            group_by_vessel(&chunks, s);
+            let at = |&(c, i): &(u32, u32)| &chunks[c as usize][i as usize];
             let mut acc = Combiner::default();
             let cleaned_buf = &mut s.cleaned;
             let trip_buf = &mut s.trips;
@@ -315,9 +375,20 @@ pub fn run_fused_partitioned(
                 .tracker
                 .get_or_insert_with(|| TripTracker::new(task_cfg.min_trip_points));
             let (mut cleaned, mut duplicates, mut with_trips, mut morsels) = (0, 0, 0, 0);
-            // Walk vessels as runs of equal MMSI — ascending-MMSI morsel
-            // order, every scratch buffer reused across morsels.
-            for vessel in keys.chunk_by(|a, b| a.0 == b.0) {
+            // Walk the vessels' runs — ascending-MMSI morsel order, every
+            // scratch buffer reused across morsels.
+            let mut rest = &mut s.order[..];
+            for &(_, id) in &s.by_mmsi {
+                let vessel = s.vessels[id as usize];
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(vessel.len as usize);
+                rest = tail;
+                // A run in arrival order whose timestamps already rise is
+                // the stable time sort; any other gets one, so equal
+                // timestamps keep arrival order — what
+                // `order_and_filter_vessel` feeds the cleaner.
+                if !vessel.rising {
+                    run.sort_by_key(|k| at(k).timestamp);
+                }
                 morsels += 1;
                 cleaned_buf.clear();
                 trip_buf.clear();
@@ -325,8 +396,8 @@ pub fn run_fused_partitioned(
                 // the time-sorted run (identical to
                 // `order_and_filter_vessel`).
                 let mut cleaner = VesselCleaner::new(task_cfg.max_feasible_speed_kn);
-                for k in vessel {
-                    match cleaner.push(records[k.2 as usize]) {
+                for k in run.iter() {
+                    match cleaner.push(*at(k)) {
                         Ok(kept) => cleaned_buf.push(kept),
                         Err(Rejected::Duplicate) => duplicates += 1,
                         Err(Rejected::Infeasible) => {}

@@ -153,3 +153,100 @@ proptest! {
         }
     }
 }
+
+/// An inventory with `counts[0]` cell, `counts[1]` cell-type and
+/// `counts[2]` cell-route entries, each summary folded from a different
+/// number of records so the blobs differ in length.
+fn inventory_with(counts: [usize; 3]) -> Inventory {
+    let res = Resolution::new(6).unwrap();
+    let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
+    for (slot, &n) in counts.iter().enumerate() {
+        for i in 0..n {
+            let pos = LatLon::new(-60.0 + (i / 200) as f64, -170.0 + (i % 200) as f64).unwrap();
+            let cell = cell_at(pos, res);
+            let segment = MarketSegment::from_id((i % 7) as u8).unwrap();
+            let key = match slot {
+                0 => GroupKey::Cell(cell),
+                1 => GroupKey::CellType(cell, segment),
+                _ => GroupKey::CellRoute(cell, (i % 5) as u16, (i % 3) as u16, segment),
+            };
+            let stats = entries
+                .entry(key)
+                .or_insert_with(|| CellStats::new(0.02, 8));
+            for r in 0..=i % 4 {
+                stats.observe(&CellPoint {
+                    point: TripPoint {
+                        mmsi: Mmsi(600 + r as u32),
+                        timestamp: r as i64,
+                        pos,
+                        sog_knots: Some(1.0 + (i * 3 + r) as f64),
+                        cog_deg: Some(((i + r) * 29 % 360) as f64),
+                        heading_deg: None,
+                        segment,
+                        trip_id: (i + r) as u64,
+                        origin: (i % 5) as u16,
+                        dest: (i % 3) as u16,
+                        eto_secs: (i * 60) as i64,
+                        ata_secs: (r * 60) as i64,
+                    },
+                    cell,
+                    next_cell: None,
+                });
+            }
+        }
+    }
+    Inventory::from_entries(res, entries, counts.iter().sum::<usize>() as u64)
+}
+
+/// At a grouping section's edges — empty, one entry, a few, an odd
+/// count, long enough to be cut into pieces on a multi-core host — the
+/// image still parses, decodes to the inventory encoded and re-encodes
+/// to itself, and every offsets column starts at 0, rises strictly and
+/// ends at its blob's length. (That every piece count gives the same
+/// bytes is pinned, on any host, by the codec's unit tests.)
+#[test]
+fn split_encoder_at_section_edges() {
+    for counts in [
+        [0, 0, 0],
+        [1, 1, 1],
+        [2, 2, 2],
+        [3, 3, 3],
+        [0, 3, 1],
+        [2, 0, 3],
+        [257, 131, 1],
+        [1, 599, 0],
+        [2_053, 2, 0],
+    ] {
+        let inv = inventory_with(counts);
+        let bytes = columnar::to_bytes(&inv);
+        let layout = columnar::Layout::parse(&bytes).unwrap();
+        for (span, &n) in [&layout.cell, &layout.cell_type, &layout.cell_route]
+            .into_iter()
+            .zip(&counts)
+        {
+            assert_eq!(span.count, n, "{counts:?}");
+            let offsets: Vec<u64> = bytes[span.offsets.clone()]
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+                .collect();
+            assert_eq!(offsets.len(), n + 1, "{counts:?}");
+            assert_eq!(offsets.first(), Some(&0), "{counts:?}");
+            assert_eq!(
+                offsets.last(),
+                Some(&(span.blob.len() as u64)),
+                "{counts:?}"
+            );
+            assert!(offsets.windows(2).all(|w| w[0] < w[1]), "{counts:?}");
+        }
+        let back = columnar::from_bytes(&bytes).unwrap();
+        assert_eq!(back.len(), inv.len(), "{counts:?}");
+        for (key, stats) in inv.iter() {
+            let got = back.get(key).unwrap();
+            let (mut want_bytes, mut got_bytes) = (Vec::new(), Vec::new());
+            pol_core::codec::encode_cell_stats(stats, &mut want_bytes);
+            pol_core::codec::encode_cell_stats(got, &mut got_bytes);
+            assert_eq!(got_bytes, want_bytes, "{counts:?} {key:?}");
+        }
+        assert_eq!(columnar::to_bytes(&back), bytes, "{counts:?}");
+    }
+}

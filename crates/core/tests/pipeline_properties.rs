@@ -470,3 +470,123 @@ fn fence_without_bitmap(ports: &[PortSite], res: Resolution) -> FxHashMap<(i64, 
     }
     fence
 }
+
+/// `run_fused_partitioned` at 1, 2 and 8 threads and 1, 32 and 69
+/// buckets, each byte for byte against `reference::build`; returns the
+/// reference bytes.
+fn fused_matches_reference_everywhere(
+    positions: &[Vec<PositionReport>],
+    statics: &[StaticReport],
+    ports: &[PortSite],
+) -> Vec<u8> {
+    let cfg = PipelineConfig::default();
+    let reference = reference::build(positions.to_vec(), statics, ports, &cfg);
+    let bytes = columnar::to_bytes(&reference.inventory);
+    for threads in [1usize, 2, 8] {
+        let engine = Engine::new(threads);
+        for buckets in [1usize, 32, 69] {
+            let fused = pol_core::run_fused_partitioned(
+                &engine,
+                buckets,
+                positions.to_vec(),
+                statics,
+                ports,
+                &cfg,
+            )
+            .unwrap();
+            let at = format!("{threads} threads, {buckets} buckets");
+            assert_eq!(reference.counts, fused.counts, "counts at {at}");
+            assert_eq!(reference.clean_report, fused.clean_report, "report at {at}");
+            assert!(
+                columnar::to_bytes(&fused.inventory) == bytes,
+                "bytes at {at}"
+            );
+        }
+    }
+    bytes
+}
+
+/// Arrival order decides among equal timestamps. Vessels 1 and 2 sail
+/// from one port to another, reporting every minute; at every fourth
+/// minute of the passage vessel 1 also sends a twin report — the same
+/// time, another position, speed and course — so which of the two the
+/// cleaner keeps (the first to arrive) moves the bytes, as the swapped
+/// feed shows. Scrambled, vessel 1's reports are dealt over three input
+/// partitions, each in reverse time order, so its run needs the stable
+/// fallback sort; sorted, every run already rises. Either way the fused
+/// build equals the reference at every thread and bucket count.
+#[test]
+fn arrival_order_decides_among_equal_timestamps() {
+    let (a, b) = (
+        LatLon::new(51.95, 4.14).unwrap(),
+        LatLon::new(51.96, 3.2).unwrap(),
+    );
+    let ports = [(0, a), (1, b)].map(|(id, pos)| PortSite {
+        id,
+        name: format!("P{id}"),
+        pos,
+        radius_km: 10.0,
+    });
+    let report = |mmsi: u32, i: i64, f: f64, sog: f64| PositionReport {
+        mmsi: Mmsi(mmsi),
+        timestamp: i * 60,
+        pos: pol_geo::interpolate(a, b, f / 120.0),
+        sog_knots: Some(sog),
+        cog_deg: Some(270.0 + sog),
+        heading_deg: None,
+        nav_status: NavStatus::UnderWayUsingEngine,
+    };
+    let voyage = |mmsi: u32| -> Vec<PositionReport> {
+        (0..=120)
+            .map(|i| report(mmsi, i, i as f64, 12.0 + (i % 5) as f64 * 0.3))
+            .collect()
+    };
+    let twins: Vec<PositionReport> = (30..=90)
+        .step_by(4)
+        .map(|i| report(1, i, i as f64 + 0.3, 20.0))
+        .collect();
+    let st = [statics(1), statics(2)];
+
+    // Sorted: each twin right behind its original, in one partition.
+    let sorted_feed = |twin_first: bool| {
+        let mut one = Vec::new();
+        for r in voyage(1) {
+            let twin = twins.iter().find(|t| t.timestamp == r.timestamp);
+            if twin_first {
+                one.extend(twin);
+            }
+            one.push(r);
+            if !twin_first {
+                one.extend(twin);
+            }
+        }
+        vec![one, voyage(2)]
+    };
+    let sorted = fused_matches_reference_everywhere(&sorted_feed(false), &st, &ports);
+    let swapped = fused_matches_reference_everywhere(&sorted_feed(true), &st, &ports);
+    assert!(
+        sorted != swapped,
+        "the twin that arrives first is in the bytes"
+    );
+
+    // Scrambled: report i in partition i % 3, every partition reversed;
+    // each twin arrives in the partition after its original's, so the
+    // original is kept where that is a later partition and the twin
+    // where it wraps around to partition 0: a mix of the two feeds.
+    let mut scrambled = vec![Vec::new(), Vec::new(), voyage(2)];
+    for r in voyage(1) {
+        let i = (r.timestamp / 60) as usize;
+        scrambled[i % 3].push(r);
+        if let Some(t) = twins.iter().find(|t| t.timestamp == r.timestamp) {
+            scrambled[(i + 1) % 3].push(*t);
+        }
+    }
+    for part in &mut scrambled {
+        part.reverse();
+    }
+    let bytes = fused_matches_reference_everywhere(&scrambled, &st, &ports);
+    assert!(
+        bytes != sorted && bytes != swapped,
+        "some twins kept, some not"
+    );
+}

@@ -1,10 +1,14 @@
-//! Deterministic hashing for sketches and shuffle partitioning.
+//! Deterministic hashing for sketches, shuffle partitioning and maps.
 //!
 //! `std::collections::HashMap`'s default hasher is randomly seeded per
 //! process; sketches (HyperLogLog) and the engine's hash partitioner need
 //! run-to-run determinism so the pipeline is reproducible given a seed.
-//! This module provides an FxHash-style 64-bit hasher plus a splitmix64
-//! finalizer for avalanche.
+//! This module provides an FxHash-style 64-bit hasher whose `finish`
+//! applies a splitmix64 finalizer, and [`hash64`] over it.
+//!
+//! `finish` mixes because FxHash's low bits see only its inputs' low
+//! bits, std's table picks a bucket by the hash's low bits, and keys
+//! such as a resolution-6 cell index have their low 27 bits fixed.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -20,7 +24,7 @@ pub struct FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        mix64(self.state)
     }
 
     #[inline]
@@ -77,9 +81,8 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` with the deterministic hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
-/// splitmix64 finalizer: a strong avalanche over a 64-bit word. Applied on
-/// top of FxHash where unbiased bit distribution matters (HyperLogLog
-/// register selection, shuffle partitioning).
+/// splitmix64 finalizer: a strong avalanche over a 64-bit word, applied
+/// to FxHash's state in [`FxHasher::finish`].
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -93,7 +96,7 @@ pub fn mix64(mut z: u64) -> u64 {
 pub fn hash64<T: Hash>(value: &T) -> u64 {
     let mut h = FxHasher::default();
     value.hash(&mut h);
-    mix64(h.finish())
+    h.finish()
 }
 
 #[cfg(test)]
@@ -131,6 +134,39 @@ mod tests {
             let frac = *o as f64 / n as f64;
             assert!((0.42..0.58).contains(&frac), "bit {b}: {frac}");
         }
+    }
+
+    /// `hash64`'s output is stored, so its bits are pinned: these are
+    /// the values the build has always written.
+    #[test]
+    fn hash64_is_pinned() {
+        assert_eq!(hash64(&0u64), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(hash64(&42u64), 0x1fbb_8ac5_2a8b_7f5e);
+        assert_eq!(hash64(&501u32), 0x5946_74b7_b518_e4bd);
+        assert_eq!(hash64(&"abc"), 0xf667_2d5a_4bbd_0825);
+        assert_eq!(
+            hash64(&(7u64, 3u16, 0x0861_8c8f_ffff_ffffu64)),
+            0x8997_e5ef_388c_f8ca
+        );
+    }
+
+    /// Keys shaped like resolution-6 cell indexes — the low 27 bits all
+    /// ones, the digits in bits 27..45 — spread over the bits a table
+    /// holding them picks buckets by: 4 096 keys fill 8 192 buckets, so
+    /// 13 bits, where a uniform hash gives ~3 220 distinct values.
+    /// FxHash's state unmixed gives them all one.
+    #[test]
+    fn map_hashes_spread_keys_that_differ_in_high_bits() {
+        use std::hash::BuildHasher;
+        let build = FxBuildHasher::default();
+        let low: FxHashSet<u64> = (0..4_096u64)
+            .map(|i| build.hash_one((((i * 0x9e37) % (1 << 18)) << 27) | 0x7ff_ffff) & 0x1fff)
+            .collect();
+        assert!(
+            low.len() >= 3_000,
+            "{} distinct low-13-bit hashes",
+            low.len()
+        );
     }
 
     #[test]
