@@ -141,12 +141,15 @@ run_gate() {
     '"core.trip_points": {"value": 38579,' \
     '"codec.snapshot_bytes": {"value": 2484898,'
   # Bytes allocated per record built, over the traced repetitions: a
-  # summary is allocated once and then moved as a pointer (1 367 when
-  # every layer of the build moved its 2 KB by value, 345 since). A
-  # byte count: it does not depend on the box's mood.
+  # summary is allocated once and then moved as a pointer, holds inline
+  # only its common case, and a record is enriched where it was decoded
+  # (1 367 when every layer of the build moved its 2 KB by value, 345
+  # after, 284 with the split encode, 165 with the 800-byte summary and
+  # the in-place scan; the bound is 2x that). A byte count: it does not
+  # depend on the box's mood.
   bench_alloc=$(bench_row proc.alloc_bytes_per_op)
-  if ! awk -v b="${bench_alloc:-800}" 'BEGIN { exit !(b < 800) }'; then
-    echo "ci: bench-smoke proc.alloc_bytes_per_op=${bench_alloc:-missing}, want < 800" >&2
+  if ! awk -v b="${bench_alloc:-330}" 'BEGIN { exit !(b < 330) }'; then
+    echo "ci: bench-smoke proc.alloc_bytes_per_op=${bench_alloc:-missing}, want < 330" >&2
     exit 1
   fi
   # Snapshot bytes per entry: DESIGN §7 "What a POLINV4 entry holds"

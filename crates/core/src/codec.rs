@@ -322,7 +322,7 @@ mod tests {
             inv.iter().map(|(k, s)| (*k, s.clone())).collect();
         let first = entries.keys().min().copied().unwrap();
         let stats = entries.get_mut(&first).unwrap();
-        let mut counts = *stats.course_bins.counts();
+        let mut counts = stats.course_bins.counts();
         let from = counts.iter().position(|&c| c > 0).unwrap();
         let to = (from + 1) % counts.len();
         assert!(counts[to] < 127, "the moved count stays one byte");

@@ -22,19 +22,23 @@
 //! partition count ([`run_fused_partitioned`]):
 //!
 //! * records scatter to [`Engine::DEFAULT_PARTITIONS`] buckets by
-//!   `hash64(mmsi) % num`, input partitions concatenated in order. The
-//!   scatter is two-pass (count, then write into exactly-sized per-worker
-//!   buckets) and the driver moves whole chunk vectors, never records, so
-//!   workers share nothing;
-//! * within a partition, vessels are grouped by one counting pass, not a
-//!   sort, and the records stay in the chunks they arrived in: each
-//!   vessel gets a dense id and a record count, and one scatter writes
-//!   the records' `(chunk, index)` pairs into ascending-MMSI runs that
-//!   keep arrival order (input partitions in order, each in its own
-//!   order). A run whose timestamps already rise is walked as is; any
-//!   other gets a stable sort by timestamp, so equal timestamps keep
-//!   arrival order — what [`crate::clean::order_and_filter_vessel`]
-//!   produces vessel by vessel;
+//!   `hash64(mmsi) % num`, input partitions concatenated in order. A
+//!   record is enriched where it was decoded (an [`EnrichedReport`] takes
+//!   the place of its [`PositionReport`] in the input partition's own
+//!   allocation) and is not copied after: a stable counting sort by
+//!   bucket permutes each partition in place, and a build task reads its
+//!   bucket's run of every partition where it is. A copy into buckets
+//!   allocated by the workers would leave the freed input resident in
+//!   the decoding thread's allocator arena while the workers' arenas
+//!   grew by as much (DESIGN §8);
+//! * within a bucket, vessels are grouped by one counting pass, not a
+//!   sort: each vessel gets a dense id and a record count, and one
+//!   scatter writes the records' `(partition, index)` pairs into
+//!   ascending-MMSI runs that keep arrival order (input partitions in
+//!   order, each in its own order). A run whose timestamps already rise
+//!   is walked as is; any other gets a stable sort by timestamp, so
+//!   equal timestamps keep arrival order — what
+//!   [`crate::clean::order_and_filter_vessel`] produces vessel by vessel;
 //! * the per-vessel machinery is literally shared: cleaning folds the
 //!   same [`crate::clean::VesselCleaner`] state machine, trip extraction
 //!   folds the same [`crate::trips::TripTracker`] (via
@@ -52,7 +56,7 @@ use crate::inventory::Inventory;
 use crate::project::project_trip;
 use crate::records::{CellPoint, EnrichedReport, PortSite, TripPoint};
 use crate::trips::{extract_for_vessel_with, Geofence, TripTracker};
-use pol_ais::{PositionReport, StaticReport};
+use pol_ais::{MarketSegment, Mmsi, PositionReport, StaticReport};
 use pol_engine::{merge_combiner_shards, radix_partition, Engine, StageReport};
 use pol_hexgrid::CellIndex;
 use pol_sketch::hash::{hash64, FxHashMap};
@@ -106,7 +110,7 @@ struct BuildScratch {
     vessel_of: Vec<u32>,
     /// Dense ids in ascending-MMSI order.
     by_mmsi: Vec<(u32, u32)>,
-    /// `(chunk, index)` of every record of the bucket: one run per
+    /// `(partition, index)` of every record of the bucket: one run per
     /// vessel, ascending MMSI, each run in arrival order until it is
     /// time-sorted.
     order: Vec<(u32, u32)>,
@@ -126,8 +130,6 @@ struct BuildScratch {
 
 thread_local! {
     static BUILD_SCRATCH: RefCell<BuildScratch> = RefCell::new(BuildScratch::default());
-    /// Scan-phase scratch: the enrich pass's survivor buffer.
-    static SCAN_SCRATCH: RefCell<Vec<EnrichedReport>> = const { RefCell::new(Vec::new()) };
 }
 
 /// One vessel's records in a bucket, as [`group_by_vessel`] finds them.
@@ -145,14 +147,14 @@ struct Run {
     rising: bool,
 }
 
-/// Groups a bucket's records by vessel without copying or sorting them:
-/// each vessel gets a dense id in order of first arrival and a record
-/// count, and notes whether its timestamps rise in arrival order; the
-/// ids (one per vessel, not per record) are sorted by MMSI, and one
-/// scatter writes every record's `(chunk, index)` into its vessel's run
-/// of `s.order` — runs in ascending-MMSI order, each in arrival order
-/// (chunks in input-partition order, each in its own).
-fn group_by_vessel(chunks: &[Vec<EnrichedReport>], s: &mut BuildScratch) {
+/// Groups bucket `b`'s records by vessel without copying or sorting
+/// them: each vessel gets a dense id in order of first arrival and a
+/// record count, and notes whether its timestamps rise in arrival order;
+/// the ids (one per vessel, not per record) are sorted by MMSI, and one
+/// scatter writes every record's `(partition, index)` into its vessel's
+/// run of `s.order` — runs in ascending-MMSI order, each in arrival
+/// order (input partitions in order, each in its own).
+fn group_by_vessel(scans: &[ScanOut], b: usize, s: &mut BuildScratch) {
     let BuildScratch {
         ids,
         vessels,
@@ -164,7 +166,7 @@ fn group_by_vessel(chunks: &[Vec<EnrichedReport>], s: &mut BuildScratch) {
     ids.clear();
     vessels.clear();
     vessel_of.clear();
-    for r in chunks.iter().flatten() {
+    for r in scans.iter().flat_map(|scan| scan.bucket(b)) {
         let next = vessels.len() as u32;
         let id = *ids.entry(r.mmsi.0).or_insert(next);
         if id == next {
@@ -194,10 +196,10 @@ fn group_by_vessel(chunks: &[Vec<EnrichedReport>], s: &mut BuildScratch) {
     order.clear();
     order.resize(vessel_of.len(), (0, 0));
     let mut of = vessel_of.iter();
-    for (chunk, c) in chunks.iter().zip(0..) {
-        for (&id, i) in of.by_ref().take(chunk.len()).zip(0..) {
+    for (scan, p) in scans.iter().zip(0..) {
+        for (i, &id) in scan.range(b).zip(of.by_ref()) {
             let v = &mut vessels[id as usize];
-            order[v.next as usize] = (c, i);
+            order[v.next as usize] = (p, i as u32);
             v.next += 1;
         }
     }
@@ -205,10 +207,91 @@ fn group_by_vessel(chunks: &[Vec<EnrichedReport>], s: &mut BuildScratch) {
 
 /// Per-task output of the scan-enrich phase.
 struct ScanOut {
-    /// Enriched records, bucketed by `hash64(mmsi) % num`.
-    buckets: Vec<Vec<EnrichedReport>>,
+    /// The input partition's enriched records, in the allocation its
+    /// position reports arrived in, grouped by bucket (`hash64(mmsi) %
+    /// num`), each bucket in input order.
+    records: Vec<EnrichedReport>,
+    /// Where each bucket starts in `records`, then its end.
+    starts: Vec<usize>,
     raw: u64,
     out_of_range: u64,
+}
+
+impl ScanOut {
+    /// Range-checks and enriches one input partition and groups its
+    /// survivors by bucket, in the partition's own allocation.
+    fn of(
+        part: Vec<PositionReport>,
+        lookup: &FxHashMap<Mmsi, (MarketSegment, bool)>,
+        commercial_only: bool,
+        num: usize,
+    ) -> ScanOut {
+        let raw = part.len() as u64;
+        let mut out_of_range = 0u64;
+        // Pass 1: enrich in place, counting each survivor's bucket.
+        // `EnrichedReport` and `PositionReport` have one size and
+        // alignment, so `collect` writes the survivors over the reports
+        // they came from, in the partition's own allocation.
+        let mut starts = vec![0usize; num + 1];
+        let mut records: Vec<EnrichedReport> = part
+            .into_iter()
+            .filter_map(|r| {
+                if !r.in_protocol_ranges() {
+                    out_of_range += 1;
+                    return None;
+                }
+                let e = enrich_one(lookup, commercial_only, r)?;
+                starts[bucket_of(e.mmsi.0, num) + 1] += 1;
+                Some(e)
+            })
+            .collect();
+        // Pass 2: a stable counting sort by bucket, in place: each
+        // record's place is worked out first, then every record is
+        // swapped along its cycle of the permutation to its place.
+        for b in 1..=num {
+            starts[b] += starts[b - 1];
+        }
+        let mut next = starts.clone();
+        let mut place: Vec<u32> = records
+            .iter()
+            .map(|e| {
+                let at = &mut next[bucket_of(e.mmsi.0, num)];
+                *at += 1;
+                (*at - 1) as u32
+            })
+            .collect();
+        for i in 0..records.len() {
+            loop {
+                let to = place[i] as usize;
+                if to == i {
+                    break;
+                }
+                records.swap(i, to);
+                place.swap(i, to);
+            }
+        }
+        ScanOut {
+            records,
+            starts,
+            raw,
+            out_of_range,
+        }
+    }
+
+    /// Where bucket `b`'s records are in `records`.
+    fn range(&self, b: usize) -> std::ops::Range<usize> {
+        self.starts[b]..self.starts[b + 1]
+    }
+
+    /// Bucket `b`'s records, in input order.
+    fn bucket(&self, b: usize) -> &[EnrichedReport] {
+        self.records.get(self.range(b)).unwrap_or_default()
+    }
+}
+
+/// The bucket of a record of vessel `mmsi`.
+fn bucket_of(mmsi: u32, num: usize) -> usize {
+    (hash64(&mmsi) % num as u64) as usize
 }
 
 /// The reduce half [`run_fused`] and [`fold_shared`] share: the parallel
@@ -292,60 +375,11 @@ pub fn run_fused_partitioned(
     let commercial_only = cfg.commercial_only;
     let scanned: Vec<ScanOut> =
         engine.run_tasks("fused:scan-enrich", positions, move |_, part| {
-            let raw = part.len() as u64;
-            let mut out_of_range = 0u64;
-            SCAN_SCRATCH.with(|scratch| {
-                // Pass 1: enrich into the worker's reusable buffer,
-                // counting each survivor's destination bucket.
-                let mut enriched = scratch.borrow_mut();
-                enriched.clear();
-                enriched.reserve(part.len());
-                let mut counts = vec![0usize; num];
-                for r in part {
-                    if !r.in_protocol_ranges() {
-                        out_of_range += 1;
-                        continue;
-                    }
-                    if let Some(e) = enrich_one(&lookup, commercial_only, r) {
-                        counts[(hash64(&e.mmsi.0) % num as u64) as usize] += 1;
-                        enriched.push(e);
-                    }
-                }
-                // Pass 2: scatter into exactly-sized worker-local buckets —
-                // same record order, no growth reallocation, nothing shared
-                // across workers.
-                let mut buckets: Vec<Vec<EnrichedReport>> =
-                    counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-                for e in enriched.drain(..) {
-                    let b = (hash64(&e.mmsi.0) % num as u64) as usize;
-                    buckets[b].push(e);
-                }
-                ScanOut {
-                    buckets,
-                    raw,
-                    out_of_range,
-                }
-            })
+            ScanOut::of(part, &lookup, commercial_only, num)
         })?;
     let raw_count: u64 = scanned.iter().map(|s| s.raw).sum();
     let out_of_range: u64 = scanned.iter().map(|s| s.out_of_range).sum();
-
-    // Driver-side transpose: gather bucket b of every task in input order
-    // — the shuffle's reduce side. The driver moves chunk *vectors*, never
-    // records, and a build task reads its records where they are.
-    let mut partitions: Vec<Vec<Vec<EnrichedReport>>> = (0..num)
-        .map(|_| Vec::with_capacity(scanned.len()))
-        .collect();
-    for scan in scanned {
-        for (b, bucket) in scan.buckets.into_iter().enumerate() {
-            partitions[b].push(bucket);
-        }
-    }
-    let enriched_count: u64 = partitions
-        .iter()
-        .flat_map(|p| p.iter())
-        .map(|c| c.len() as u64)
-        .sum();
+    let enriched_count: u64 = scanned.iter().map(|s| s.records.len() as u64).sum();
     engine.metrics().record(StageReport {
         name: "fused:scan-enrich".to_string(),
         input_records: raw_count,
@@ -361,11 +395,15 @@ pub fn run_fused_partitioned(
     let geofence = Arc::new(Geofence::build(ports, cfg.resolution));
     let res = cfg.resolution;
     let task_cfg = cfg.clone();
-    let built: Vec<BuildOut> = engine.run_tasks("fused:build", partitions, move |_, chunks| {
+    // Every task reads every input partition's records where they are;
+    // they are freed when the last task is done with them.
+    let scans = Arc::new(scanned);
+    let buckets: Vec<usize> = (0..num).collect();
+    let built: Vec<BuildOut> = engine.run_tasks("fused:build", buckets, move |_, b| {
         BUILD_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
-            group_by_vessel(&chunks, s);
-            let at = |&(c, i): &(u32, u32)| &chunks[c as usize][i as usize];
+            group_by_vessel(&scans, b, s);
+            let at = |&(p, i): &(u32, u32)| &scans[p as usize].records[i as usize];
             let mut acc = Combiner::default();
             let cleaned_buf = &mut s.cleaned;
             let trip_buf = &mut s.trips;
@@ -494,7 +532,7 @@ pub fn fold_shared(
     // on its MMSI hash, so bucket composition matches the batch shuffle.
     let mut partitions: Vec<Vec<_>> = (0..num).map(|_| Vec::new()).collect();
     for vessel in per_vessel {
-        partitions[(hash64(&vessel.0) % num as u64) as usize].push(vessel);
+        partitions[bucket_of(vessel.0, num)].push(vessel);
     }
     let started = Instant::now();
     let task_cfg = cfg.clone();
@@ -552,6 +590,37 @@ mod tests {
             "parallel shard merge must be visible in stage timings"
         );
         assert!(engine.metrics().counter("fused.morsels") > 0);
+    }
+
+    /// The scan keeps each partition in the allocation it was decoded
+    /// into (a copy would leave the input resident in the decoding
+    /// thread's arena beside the workers' growth, DESIGN §8) and lays its
+    /// buckets out as a stable sort by bucket would.
+    #[test]
+    fn scan_enriches_in_place_and_sorts_by_bucket_stably() {
+        let ds = generate(&ScenarioConfig::tiny());
+        let cfg = PipelineConfig::default();
+        let lookup = segment_lookup(&ds.statics);
+        for num in [1, 7, Engine::DEFAULT_PARTITIONS] {
+            for part in ds.positions.iter().filter(|p| !p.is_empty()) {
+                let mut expected: Vec<EnrichedReport> = part
+                    .iter()
+                    .filter(|r| r.in_protocol_ranges())
+                    .filter_map(|r| enrich_one(&lookup, cfg.commercial_only, *r))
+                    .collect();
+                expected.sort_by_key(|e| bucket_of(e.mmsi.0, num));
+                let input = part.clone();
+                let at = input.as_ptr() as usize;
+                let scan = ScanOut::of(input, &lookup, cfg.commercial_only, num);
+                assert_eq!(scan.records.as_ptr() as usize, at, "the scan copied");
+                assert_eq!(scan.records, expected);
+                for b in 0..num {
+                    assert!(scan.bucket(b).iter().all(|e| bucket_of(e.mmsi.0, num) == b));
+                }
+                assert_eq!(scan.starts.last(), Some(&expected.len()));
+                assert_eq!(scan.raw, part.len() as u64);
+            }
+        }
     }
 
     /// The contract pol-stream's close path rests on: collecting each

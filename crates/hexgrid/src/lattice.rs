@@ -29,7 +29,6 @@
 
 use pol_geo::project::{to_xy, WorldXY, WORLD_HEIGHT_KM, WORLD_WIDTH_KM};
 use pol_geo::{LatLon, EARTH_SURFACE_KM2};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Number of resolution-0 cells' worth of area on the sphere (H3 has 122
@@ -232,9 +231,18 @@ pub struct Lattice {
     bases: [Basis; (MAX_RES + 1) as usize],
     /// base cell id → axial coords at resolution 0
     base_by_id: Vec<Axial>,
-    /// axial coords at resolution 0 → base cell id
-    id_by_axial: HashMap<(i64, i64), u16>,
+    /// axial coords at resolution 0 → base cell id, over the table's
+    /// bounding box: row `r − r0`, column `q − q0`, [`NO_BASE`] where no
+    /// base cell sits. A probe is two subtractions and a load.
+    id_by_axial: Vec<u16>,
+    /// The bounding box's smallest `q` and `r`, and its width in `q`.
+    q0: i64,
+    r0: i64,
+    width: usize,
 }
+
+/// The dense base table's entry where no base cell sits.
+const NO_BASE: u16 = u16::MAX;
 
 static LATTICE: OnceLock<Lattice> = OnceLock::new();
 
@@ -270,7 +278,6 @@ impl Lattice {
         let half_h = WORLD_HEIGHT_KM / 2.0 + margin;
         let r_max = (half_h / (1.5 * s)).ceil() as i64 + 1;
         let mut base_by_id = Vec::new();
-        let mut id_by_axial = HashMap::new();
         for r in -r_max..=r_max {
             // x(q, r) = √3·s·(q + r/2) ⇒ q range from x bounds.
             let q_lo = ((-half_w / (rt3 * s)) - r as f64 / 2.0).floor() as i64 - 1;
@@ -278,9 +285,7 @@ impl Lattice {
             for q in q_lo..=q_hi {
                 let c = b0.to_world(Axial::new(q, r));
                 if c.x.abs() <= half_w && c.y.abs() <= half_h {
-                    let id = base_by_id.len() as u16;
                     base_by_id.push(Axial::new(q, r));
-                    id_by_axial.insert((q, r), id);
                 }
             }
         }
@@ -289,10 +294,22 @@ impl Lattice {
             "base cell table exceeds 9-bit index space: {}",
             base_by_id.len()
         );
+        let q0 = base_by_id.iter().map(|a| a.q).min().unwrap_or(0);
+        let r0 = base_by_id.iter().map(|a| a.r).min().unwrap_or(0);
+        let q1 = base_by_id.iter().map(|a| a.q).max().unwrap_or(0);
+        let r1 = base_by_id.iter().map(|a| a.r).max().unwrap_or(0);
+        let width = (q1 - q0 + 1) as usize;
+        let mut id_by_axial = vec![NO_BASE; width * (r1 - r0 + 1) as usize];
+        for (id, a) in base_by_id.iter().enumerate() {
+            id_by_axial[(a.r - r0) as usize * width + (a.q - q0) as usize] = id as u16;
+        }
         Lattice {
             bases,
             base_by_id,
             id_by_axial,
+            q0,
+            r0,
+            width,
         }
     }
 
@@ -314,7 +331,13 @@ impl Lattice {
 
     /// Base cell id for resolution-0 axial coordinates.
     pub fn base_id(&self, ax: Axial) -> Option<u16> {
-        self.id_by_axial.get(&(ax.q, ax.r)).copied()
+        let q = usize::try_from(ax.q.checked_sub(self.q0)?).ok()?;
+        let r = usize::try_from(ax.r.checked_sub(self.r0)?).ok()?;
+        if q >= self.width {
+            return None;
+        }
+        let id = *self.id_by_axial.get(r.checked_mul(self.width)? + q)?;
+        (id != NO_BASE).then_some(id)
     }
 
     /// Axial coordinates of the cell containing a plane point at `res`.
@@ -397,6 +420,47 @@ mod tests {
         for id in 0..l.base_cell_count() as u16 {
             let ax = l.base_axial(id).unwrap();
             assert_eq!(l.base_id(ax), Some(id));
+        }
+    }
+
+    /// Every axial of the table's bounding box and a ring of two around
+    /// it answers as the table does: an id that round-trips where a base
+    /// cell sits, `None` off the table — as do axials far outside it.
+    #[test]
+    fn base_ids_off_the_table_are_none() {
+        let l = Lattice::get();
+        let known: std::collections::HashSet<(i64, i64)> = (0..l.base_cell_count() as u16)
+            .map(|id| l.base_axial(id).unwrap())
+            .map(|a| (a.q, a.r))
+            .collect();
+        let (q0, q1) = (
+            known.iter().map(|a| a.0).min().unwrap(),
+            known.iter().map(|a| a.0).max().unwrap(),
+        );
+        let (r0, r1) = (
+            known.iter().map(|a| a.1).min().unwrap(),
+            known.iter().map(|a| a.1).max().unwrap(),
+        );
+        let mut off = 0;
+        for q in q0 - 2..=q1 + 2 {
+            for r in r0 - 2..=r1 + 2 {
+                let ax = Axial::new(q, r);
+                match l.base_id(ax) {
+                    Some(id) => assert_eq!(l.base_axial(id), Some(ax)),
+                    None => off += 1,
+                }
+                assert_eq!(l.base_id(ax).is_some(), known.contains(&(q, r)), "{q},{r}");
+            }
+        }
+        assert!(off > 0);
+        for (q, r) in [
+            (i64::MIN, 0),
+            (0, i64::MIN),
+            (i64::MAX, 0),
+            (0, i64::MAX),
+            (i64::MAX, i64::MAX),
+        ] {
+            assert_eq!(l.base_id(Axial::new(q, r)), None, "{q},{r}");
         }
     }
 

@@ -128,6 +128,12 @@ impl MergeSketch for Circular {
 mod tests {
     use super::*;
 
+    /// The count and the two `i128` sums; a `CellStats` holds two.
+    #[test]
+    fn a_circular_mean_holds_its_exact_sums_in_48_bytes() {
+        assert_eq!(std::mem::size_of::<Circular>(), 48);
+    }
+
     #[test]
     fn empty() {
         let c = Circular::new();

@@ -38,8 +38,10 @@ pub const MIN_MAGNITUDE: f64 = 1.0 / 1024.0;
 /// `log2` of [`MIN_MAGNITUDE`].
 const MIN_LOG2: i32 = -10;
 
-/// Buckets held inline before a summary moves to the heap.
-pub(crate) const INLINE_BUCKETS: usize = 12;
+/// Buckets held inline before a summary moves to the heap: on polbench's
+/// seed-1 build 90 % of the speed, ETO and ATA summaries hold four or
+/// fewer.
+pub(crate) const INLINE_BUCKETS: usize = 4;
 
 /// `e + P(s)` for `x = 2^e·(1 + s)`: a monotone stand-in for `log2 x`
 /// that is exact at powers of two. `x` must be positive and normal.
@@ -280,12 +282,18 @@ impl LogHistogram {
         query.finish()
     }
 
+    /// Whether the buckets live on the heap.
+    pub fn is_spilled(&self) -> bool {
+        self.buckets.is_spilled()
+    }
+
     /// A summary of `buckets`, which must ascend strictly by key with no
     /// zero count (deserialization).
-    pub(crate) fn from_sorted(mapping: Mapping, buckets: Vec<(i32, u64)>) -> LogHistogram {
-        let mut summary = LogHistogram::with_mapping(mapping);
-        summary.buckets.set(buckets);
-        summary
+    pub(crate) fn from_sorted(
+        mapping: Mapping,
+        buckets: SortedCounts<i32, INLINE_BUCKETS>,
+    ) -> LogHistogram {
+        LogHistogram { mapping, buckets }
     }
 }
 
@@ -315,6 +323,13 @@ impl MergeSketch for LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Four `(key, count)` buckets inline, the tag and the mapping; a
+    /// `CellStats` holds three.
+    #[test]
+    fn a_quantile_summary_holds_four_buckets_in_80_bytes() {
+        assert_eq!(std::mem::size_of::<LogHistogram>(), 80);
+    }
 
     #[test]
     fn interpolated_log_is_monotone_and_inverted() {

@@ -188,6 +188,13 @@ impl<const FRAC: u32> MergeSketch for Moments<FRAC> {
 mod tests {
     use super::*;
 
+    /// The count, the `i128` and `u128` sums and the extremes; a
+    /// `CellStats` holds three.
+    #[test]
+    fn moments_hold_their_exact_sums_in_64_bytes() {
+        assert_eq!(std::mem::size_of::<SpeedMoments>(), 64);
+    }
+
     #[test]
     fn whole_seconds_are_exact() {
         let mut w = SecondsMoments::new();

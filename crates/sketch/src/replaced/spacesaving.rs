@@ -19,7 +19,7 @@ mod tests {
     #[test]
     fn exact_when_under_capacity() {
         let t = tally_of(&[(1, 5), (2, 3), (3, 1)]);
-        assert!(t.len() < INLINE_ITEMS);
+        assert_eq!(t.is_spilled(), t.len() > INLINE_ITEMS);
         assert_eq!(t.iter().collect::<Vec<_>>(), [(1, 5), (2, 3), (3, 1)]);
         assert_eq!(t.top1(), Some((1, 5)));
         assert_eq!(t.total(), 9);

@@ -25,8 +25,9 @@
 //! holds them to the byte loop, kept there as the oracle.
 
 use crate::circular::Circular;
+use crate::counts::SortedCounts;
 use crate::histogram::AngleHistogram;
-use crate::hll::{Distinct, HyperLogLog, SmallSet, SMALL_INLINE};
+use crate::hll::{Distinct, HyperLogLog, SmallSet};
 use crate::loghist::{LogHistogram, Mapping, Query};
 use crate::moments::Moments;
 use crate::tally::{Heaviest, Tally};
@@ -328,34 +329,6 @@ fn skip_bytes(input: &mut &[u8], n: usize, what: &'static str) -> Result<(), Wir
     Ok(())
 }
 
-/// Hands `emit` the `len` items of `items` in ascending `key` order — the
-/// canonical order of a set's wire form. Up to `N` items (a sketch's
-/// inline storage: the sketches an inventory is made of) are sorted on
-/// the stack; only a larger sketch allocates.
-fn for_each_sorted<T: Copy + Default, K: Ord, const N: usize>(
-    len: usize,
-    items: impl Iterator<Item = T>,
-    key: impl Fn(&T) -> K,
-    emit: impl FnMut(T),
-) {
-    let mut small = [T::default(); N];
-    let mut large = Vec::new();
-    let sorted: &mut [T] = match small.get_mut(..len) {
-        Some(fits) => {
-            fits.iter_mut()
-                .zip(items)
-                .for_each(|(slot, item)| *slot = item);
-            fits
-        }
-        None => {
-            large.extend(items);
-            &mut large
-        }
-    };
-    sorted.sort_unstable_by_key(key);
-    sorted.iter().copied().for_each(emit);
-}
-
 /// Binary encoding contract for sketches.
 pub trait Wire: Sized {
     /// Appends the encoding of `self` to `out`.
@@ -442,7 +415,7 @@ impl Wire for Circular {
 
 impl Wire for AngleHistogram {
     fn encode(&self, out: &mut Vec<u8>) {
-        for &c in self.counts() {
+        for c in self.counts() {
             put_varint(out, c);
         }
     }
@@ -517,8 +490,8 @@ impl Wire for LogHistogram {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let mut buckets = Vec::new();
-        let mapping = read_buckets(input, |_, key, count| buckets.push((key, count)))?;
+        let mut buckets = SortedCounts::default();
+        let mapping = read_buckets(input, |_, key, count| buckets.push(key, count))?;
         Ok(LogHistogram::from_sorted(mapping, buckets))
     }
 
@@ -597,8 +570,8 @@ impl Wire for Tally {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let mut items = Vec::new();
-        read_items(input, |item, count| items.push((item, count)))?;
+        let mut items = SortedCounts::default();
+        read_items(input, |item, count| items.push(item, count))?;
         Ok(Tally::from_sorted(items))
     }
 
@@ -691,13 +664,7 @@ impl Wire for Distinct {
             Distinct::Exact(set) => {
                 out.push(0);
                 put_varint(out, set.len() as u64);
-                // Sorted for canonical output (sets iterate in storage order).
-                for_each_sorted::<_, _, SMALL_INLINE>(
-                    set.len(),
-                    set.iter(),
-                    |h| *h,
-                    |h| put_varint(out, h),
-                );
+                set.iter().for_each(|h| put_varint(out, h));
             }
             Distinct::Approx(hll) => {
                 out.push(1);
@@ -899,6 +866,149 @@ mod tests {
         }
         assert!(!d.is_exact());
         round_trip(&d);
+    }
+
+    fn encoded<T: Wire>(value: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.encode(&mut out);
+        out
+    }
+
+    /// `n` keys `3i + offset`, key `i` counted `i + 1` times, added
+    /// highest first.
+    fn straddling(n: usize, offset: u64) -> Vec<u64> {
+        (0..n as u64)
+            .rev()
+            .flat_map(|i| std::iter::repeat_n(3 * i + offset, i as usize + 1))
+            .collect()
+    }
+
+    /// The plain sorted-`Vec` oracle of a multiset: `(key, count)`
+    /// ascending by key.
+    fn sorted_counts(keys: &[u64]) -> Vec<(u64, u64)> {
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for k in sorted {
+            match out.last_mut() {
+                Some(last) if last.0 == k => last.1 += 1,
+                _ => out.push((k, 1)),
+            }
+        }
+        out
+    }
+
+    /// Keys as their first raw (`put_first`) and every later one as its
+    /// gap above the last, minus one, each followed by its count.
+    fn gaps(out: &mut Vec<u8>, entries: &[(u64, u64)], put_first: fn(&mut Vec<u8>, u64)) {
+        put_varint(out, entries.len() as u64);
+        for (i, &(key, count)) in entries.iter().enumerate() {
+            match i.checked_sub(1).and_then(|j| entries.get(j)) {
+                None => put_first(out, key),
+                Some(last) => put_varint(out, key - last.0 - 1),
+            }
+            put_varint(out, count);
+        }
+    }
+
+    /// One container on either side of its inline capacity `cap`:
+    /// `cap − 1`, `cap` and `cap + 1` entries a side, overlapping or
+    /// not, merged in both orders (inline ⊕ inline, inline ⊕ spilled,
+    /// spilled ⊕ inline, spilled ⊕ spilled). Each merge is `==` the
+    /// single pass and encodes to the sorted-`Vec` oracle's bytes, and a
+    /// container is on the heap exactly when it holds more than `cap`.
+    fn straddles<S: Wire + MergeSketch + Clone + PartialEq + std::fmt::Debug>(
+        cap: usize,
+        build: impl Fn(&[u64]) -> S,
+        spilled: impl Fn(&S) -> bool,
+        oracle: impl Fn(&[(u64, u64)]) -> Vec<u8>,
+    ) {
+        let sizes = [cap - 1, cap, cap + 1];
+        for n in sizes {
+            for m in [0, cap - 1, cap, cap + 1] {
+                for offset in [0, 1, 3] {
+                    let (xs, ys) = (straddling(n, 0), straddling(m, offset));
+                    let all = [&xs[..], &ys[..]].concat();
+                    let counts = sorted_counts(&all);
+                    let whole = build(&all);
+                    assert_eq!(encoded(&whole), oracle(&counts), "{n} + {m} @ {offset}");
+                    assert_eq!(spilled(&whole), counts.len() > cap);
+                    for (a, b) in [(&xs, &ys), (&ys, &xs)] {
+                        let mut merged = build(a);
+                        merged.merge(&build(b));
+                        assert_eq!(merged, whole, "{} ⊕ {}", a.len(), b.len());
+                        assert_eq!(encoded(&merged), oracle(&counts));
+                        assert_eq!(spilled(&merged), counts.len() > cap);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_container_straddles_its_inline_capacity() {
+        straddles(
+            crate::tally::INLINE_ITEMS,
+            |keys| {
+                let mut t = Tally::new();
+                keys.iter().for_each(|&k| t.add(k));
+                t
+            },
+            Tally::is_spilled,
+            |counts| {
+                let mut out = Vec::new();
+                gaps(&mut out, counts, put_varint);
+                out
+            },
+        );
+        let mapping = Mapping::for_accuracy(0.01);
+        straddles(
+            crate::loghist::INLINE_BUCKETS,
+            |keys| {
+                let mut h = LogHistogram::new(0.01);
+                keys.iter().for_each(|&k| h.add_key(k as i32));
+                h
+            },
+            LogHistogram::is_spilled,
+            |counts| {
+                let mut out = Vec::new();
+                put_varint(&mut out, u64::from(mapping.per_octave()));
+                gaps(&mut out, counts, |out, k| put_i64(out, k as i64));
+                out
+            },
+        );
+        straddles(
+            crate::hll::SMALL_INLINE,
+            |keys| {
+                let mut d = Distinct::new();
+                keys.iter().for_each(|&k| d.add_hash(k));
+                d
+            },
+            Distinct::is_spilled,
+            |counts| {
+                let mut out = vec![0];
+                put_varint(&mut out, counts.len() as u64);
+                counts.iter().for_each(|&(h, _)| put_varint(&mut out, h));
+                out
+            },
+        );
+        straddles(
+            crate::histogram::INLINE_BINS,
+            |keys| {
+                let mut h = AngleHistogram::new();
+                keys.iter().for_each(|&k| h.add_bin(k as usize));
+                h
+            },
+            AngleHistogram::is_spilled,
+            |counts| {
+                let mut out = Vec::new();
+                for bin in 0..12 {
+                    let count = counts.iter().find(|e| e.0 == bin).map_or(0, |e| e.1);
+                    put_varint(&mut out, count);
+                }
+                out
+            },
+        );
     }
 
     #[test]

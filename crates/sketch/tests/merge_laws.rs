@@ -22,7 +22,9 @@ use pol_sketch::{
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Values on the 0.1 grid, or arbitrary f64s of either sign.
+/// Values on the 0.1 grid, or arbitrary f64s of either sign. A third of
+/// the lists hold six values or fewer, so a quantile summary's buckets
+/// fall on either side of its inline capacity (four).
 fn values() -> impl Strategy<Value = Vec<f64>> {
     let value = (0u8..2, 0u32..5_000, -1e4f64..1e4).prop_map(|(grid, tenths, raw)| {
         if grid == 0 {
@@ -31,7 +33,29 @@ fn values() -> impl Strategy<Value = Vec<f64>> {
             raw
         }
     });
-    prop::collection::vec(value, 0..300)
+    (0u8..3).prop_flat_map(move |shape| {
+        prop::collection::vec(value.clone(), 0..if shape == 0 { 7 } else { 300 })
+    })
+}
+
+/// Items below 40, or — in a third of the lists — a handful below
+/// `few`, so a tally's items fall on either side of its inline capacity
+/// (two).
+fn items() -> impl Strategy<Value = Vec<u64>> {
+    (0u8..3, 1u64..6).prop_flat_map(|(shape, few)| match shape {
+        0 => prop::collection::vec(0..few, 0..6),
+        _ => prop::collection::vec(0..40, 0..200),
+    })
+}
+
+/// Values below 2 000, or — in a third of the lists — a handful below
+/// `few`, so an exact set's hashes fall on either side of its inline
+/// capacity (three).
+fn identities() -> impl Strategy<Value = Vec<u32>> {
+    (0u8..3, 1u32..8).prop_flat_map(|(shape, few)| match shape {
+        0 => prop::collection::vec(0..few, 0..6),
+        _ => prop::collection::vec(0..2_000, 0..600),
+    })
 }
 
 fn encoded<T: Wire>(value: &T) -> Vec<u8> {
@@ -132,8 +156,8 @@ proptest! {
 
     #[test]
     fn tally_partition_invariant(
-        x in prop::collection::vec(0u64..40, 0..200),
-        y in prop::collection::vec(0u64..40, 0..200),
+        x in items(),
+        y in items(),
         z in prop::collection::vec(0u64..u64::MAX, 0..20),
     ) {
         let build = |d: &[u64]| {
@@ -146,16 +170,30 @@ proptest! {
     }
 
     #[test]
-    fn angle_histogram_partition_invariant(angles in prop::collection::vec(-720.0f64..720.0, 0..300), split in 0usize..300) {
+    fn angle_histogram_partition_invariant(
+        // A third of the lists hold four angles or fewer: occupied bins
+        // on either side of the inline capacity (two).
+        angles in (0u8..3).prop_flat_map(|shape| {
+            prop::collection::vec(-720.0f64..720.0, 0..if shape == 0 { 5 } else { 300 })
+        }),
+        split in 0usize..300,
+        cut in 0usize..300,
+    ) {
         let split = split.min(angles.len());
-        let mut whole = AngleHistogram::new();
-        angles.iter().for_each(|&a| whole.add(a));
-        let mut l = AngleHistogram::new();
-        let mut r = AngleHistogram::new();
-        angles[..split].iter().for_each(|&a| l.add(a));
-        angles[split..].iter().for_each(|&a| r.add(a));
+        let build = |d: &[f64]| {
+            let mut h = AngleHistogram::new();
+            d.iter().for_each(|&a| h.add(a));
+            h
+        };
+        let whole = build(&angles);
+        let mut l = build(&angles[..split]);
+        let r = build(&angles[split..]);
         l.merge(&r);
         prop_assert_eq!(l.counts(), whole.counts());
+        let cut = cut.min(split);
+        let ([a, b, c], whole) =
+            parts_and_whole([&angles[..cut], &angles[cut..split], &angles[split..]], build);
+        laws_hold([&a, &b, &c], &whole, &AngleHistogram::new())?;
     }
 
     #[test]
@@ -178,7 +216,7 @@ proptest! {
     }
 
     #[test]
-    fn distinct_merge_counts_union(xs in prop::collection::vec(0u32..2_000, 0..600), ys in prop::collection::vec(0u32..2_000, 0..600)) {
+    fn distinct_merge_counts_union(xs in identities(), ys in identities()) {
         let mut union: std::collections::HashSet<u32> = xs.iter().copied().collect();
         union.extend(ys.iter().copied());
         let build = |d: &[u32]| {

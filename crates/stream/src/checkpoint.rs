@@ -544,9 +544,9 @@ fn encode_head(
         put_varint(&mut body, s.open_passage.len() as u64);
         put_varint(&mut body, s.retained.len() as u64);
         put_varint(&mut body, s.buffer.len() as u64);
-        for (&(ts, seq), r) in s.buffer {
-            put_i64(&mut body, ts);
-            put_varint(&mut body, seq);
+        for (ts, seq, r) in s.buffer {
+            put_i64(&mut body, *ts);
+            put_varint(&mut body, *seq);
             put_enriched(&mut body, r);
         }
     }
@@ -1198,7 +1198,7 @@ mod tests {
     /// A head over sessions that own nothing but their scalars, in the
     /// order given, committing an empty log — and that log's image.
     fn bare_head(sessions: &[(u32, u64)]) -> (Vec<u8>, Vec<u8>) {
-        let buffer = std::collections::BTreeMap::new();
+        let buffer = std::collections::VecDeque::new();
         let views: Vec<SessionView<'_>> = sessions
             .iter()
             .map(|&(mmsi, window_mark)| SessionView {

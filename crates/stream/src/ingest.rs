@@ -33,7 +33,7 @@ use pol_core::{Inventory, PipelineConfig, PipelineError};
 use pol_engine::Engine;
 use pol_hexgrid::{CellIndex, Resolution};
 use pol_sketch::hash::FxHashMap;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Tunables of the streaming ingestion layer.
@@ -85,9 +85,11 @@ pub struct IngestCounters {
 /// One vessel's online state: the reorder buffer plus the shared
 /// incremental clean → segment → project machinery.
 struct VesselSession {
-    /// Out-of-order parking lot, keyed `(timestamp, arrival_seq)` —
-    /// draining in key order reproduces the batch stable sort.
-    buffer: BTreeMap<(i64, u64), EnrichedReport>,
+    /// Out-of-order parking lot, `(timestamp, arrival_seq, report)`
+    /// ascending by `(timestamp, arrival_seq)` — draining from the front
+    /// reproduces the batch stable sort. It holds a few reports a vessel,
+    /// and most arrive in order, so a park is usually an append.
+    buffer: VecDeque<(i64, u64, EnrichedReport)>,
     /// Maximum released timestamp; records behind it are late.
     frontier: i64,
     cleaner: VesselCleaner,
@@ -125,13 +127,13 @@ pub(crate) struct SessionView<'a> {
     pub passage_restarts: u64,
     pub open_passage: &'a [EnrichedReport],
     pub retained: &'a [CellPoint],
-    pub buffer: &'a BTreeMap<(i64, u64), EnrichedReport>,
+    pub buffer: &'a VecDeque<(i64, u64, EnrichedReport)>,
 }
 
 impl VesselSession {
     fn new(cfg: &StreamConfig) -> VesselSession {
         VesselSession {
-            buffer: BTreeMap::new(),
+            buffer: VecDeque::new(),
             frontier: i64::MIN,
             cleaner: VesselCleaner::new(cfg.pipeline.max_feasible_speed_kn),
             tracker: TripTracker::new(cfg.pipeline.min_trip_points),
@@ -178,15 +180,28 @@ impl VesselSession {
         self.trip_buf.clear();
     }
 
+    /// Parks `r` under `(ts, seq)` in key order; a key already parked
+    /// takes the new report.
+    fn park(&mut self, ts: i64, seq: u64, r: EnrichedReport) {
+        let key = (ts, seq);
+        if self.buffer.back().is_none_or(|&(t, s, _)| (t, s) < key) {
+            self.buffer.push_back((ts, seq, r));
+            return;
+        }
+        let at = self.buffer.partition_point(|&(t, s, _)| (t, s) < key);
+        match self.buffer.get_mut(at) {
+            Some(parked) if (parked.0, parked.1) == key => parked.2 = r,
+            _ => self.buffer.insert(at, (ts, seq, r)),
+        }
+    }
+
     /// Releases every buffered record at or below `watermark`, in key
     /// order.
     fn release(&mut self, watermark: i64, geofence: &Geofence, counters: &mut IngestCounters) {
-        while let Some(entry) = self.buffer.first_entry() {
-            if entry.key().0 > watermark {
-                break;
+        while self.buffer.front().is_some_and(|e| e.0 <= watermark) {
+            if let Some((_, _, r)) = self.buffer.pop_front() {
+                self.feed(r, geofence, counters);
             }
-            let (_, r) = entry.remove_entry();
-            self.feed(r, geofence, counters);
         }
     }
 }
@@ -285,7 +300,7 @@ impl StreamEngine {
             return;
         }
         self.arrival_seq += 1;
-        session.buffer.insert((e.timestamp, self.arrival_seq), e);
+        session.park(e.timestamp, self.arrival_seq, e);
     }
 
     /// Releases every vessel's buffered records up to the current
@@ -400,11 +415,7 @@ impl StreamEngine {
                 trip_seq: v.trip_seq,
                 open_passage: v.open_passage.to_vec(),
                 retained: v.retained.to_vec(),
-                buffer: v
-                    .buffer
-                    .iter()
-                    .map(|(&(ts, seq), &r)| (ts, seq, r))
-                    .collect(),
+                buffer: v.buffer.iter().copied().collect(),
             })
             .collect();
         state
@@ -458,12 +469,8 @@ impl StreamEngine {
             if window_mark > s.retained.len() {
                 return Err("checkpoint window mark past retained points");
             }
-            let session = VesselSession {
-                buffer: s
-                    .buffer
-                    .iter()
-                    .map(|&(ts, seq, r)| ((ts, seq), r))
-                    .collect(),
+            let mut session = VesselSession {
+                buffer: VecDeque::with_capacity(s.buffer.len()),
                 frontier: s.frontier,
                 cleaner: VesselCleaner::resume(
                     engine.cfg.pipeline.max_feasible_speed_kn,
@@ -482,6 +489,9 @@ impl StreamEngine {
                 window_mark,
                 passage_restarts: 0,
             };
+            for &(ts, seq, r) in &s.buffer {
+                session.park(ts, seq, r);
+            }
             if engine.sessions.insert(s.mmsi, session).is_some() {
                 return Err("checkpoint holds duplicate vessel sessions");
             }
