@@ -15,12 +15,14 @@
 //!
 //! Every sealed image ends `u64 LE total file length, b"POLSEAL\0"`, and
 //! every section inside it carries its own [`pol_sketch::crc64`]
-//! checksum. A load first proves the file *ends* correctly, so
-//! truncation from a torn write is detected before any section is
-//! trusted, then proves each section's bytes are the bytes that were
-//! written. Any single bit flip anywhere in a file surfaces as a typed
-//! [`CodecError`] — property-tested in `tests/codec_columnar.rs`,
-//! audited on demand by `polinv verify`.
+//! checksum. [`seal`] writes that footer for every sealed format —
+//! POLINV4, POLMAN2, the POLCKP2 checkpoint head and a sealed POLWAL1
+//! segment — and [`unseal`] proves it. A load first proves the file
+//! *ends* correctly, so truncation from a torn write is detected before
+//! any section is trusted, then proves each section's bytes are the
+//! bytes that were written. Any single bit flip anywhere in a file
+//! surfaces as a typed [`CodecError`] — property-tested in
+//! `tests/codec_columnar.rs`, audited on demand by `polinv verify`.
 
 pub mod columnar;
 pub mod durable;
@@ -44,6 +46,37 @@ use std::path::Path;
 
 /// Footer seal magic — the last 8 bytes of every complete inventory file.
 pub const FOOTER_MAGIC: &[u8; 8] = b"POLSEAL\0";
+
+/// Bytes of the footer seal: the recorded file length and
+/// [`FOOTER_MAGIC`].
+const FOOTER_LEN: usize = 16;
+
+/// Appends the footer seal to `out`, the bytes of a file from offset
+/// `start` on: the file's length once the footer is written, then
+/// [`FOOTER_MAGIC`].
+pub fn seal(out: &mut Vec<u8>, start: u64) {
+    let file_len = start + (out.len() + FOOTER_LEN) as u64;
+    out.extend_from_slice(&file_len.to_le_bytes());
+    out.extend_from_slice(FOOTER_MAGIC);
+}
+
+/// Proves a sealed file image — its leading `magic`, its footer seal
+/// and the file length the seal records — and hands back the bytes in
+/// between. Another magic is [`CodecError::BadHeader`]; a missing,
+/// broken or misplaced seal is [`CodecError::Unsealed`].
+pub fn unseal<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], CodecError> {
+    let rest = bytes
+        .strip_prefix(magic.as_slice())
+        .ok_or(CodecError::BadHeader)?;
+    let (inner, footer) = rest
+        .split_last_chunk::<FOOTER_LEN>()
+        .ok_or(CodecError::Unsealed)?;
+    let (recorded, seal) = footer.split_at(8);
+    if seal != FOOTER_MAGIC || recorded != (bytes.len() as u64).to_le_bytes() {
+        return Err(CodecError::Unsealed);
+    }
+    Ok(inner)
+}
 
 /// A conservative lower bound on the serialized size of one inventory
 /// entry (its key + all sixteen statistics in their empty form). An

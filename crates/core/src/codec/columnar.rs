@@ -55,7 +55,7 @@
 //! reply is the mapped bytes themselves.
 
 use super::{
-    decode_cell_stats, encode_cell_stats, save_bytes, CodecError, FOOTER_MAGIC, MIN_ENTRY_BYTES,
+    decode_cell_stats, encode_cell_stats, save_bytes, seal, unseal, CodecError, MIN_ENTRY_BYTES,
 };
 use crate::features::{CellStats, GroupKey};
 use crate::inventory::Inventory;
@@ -63,7 +63,7 @@ use pol_ais::types::MarketSegment;
 use pol_hexgrid::{cell_center, CellIndex, Resolution};
 use pol_sketch::crc64::crc64;
 use pol_sketch::hash::FxHashMap;
-use pol_sketch::wire::{get_varint, put_varint, WireError};
+use pol_sketch::wire::{get_u8, get_varint, put_varint, WireError};
 use std::io::{self, Read};
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -303,14 +303,6 @@ struct RawSection {
     crc: u64,
 }
 
-fn unsealed() -> CodecError {
-    CodecError::Unsealed
-}
-
-fn wire(msg: &'static str) -> CodecError {
-    CodecError::Wire(WireError(msg))
-}
-
 impl Layout {
     /// Structurally validates a complete POLINV4 file image.
     ///
@@ -321,39 +313,32 @@ impl Layout {
     /// one row per occupied cell, and strictly ascending top-dest rows.
     /// No sketch is decoded.
     pub fn parse(bytes: &[u8]) -> Result<Layout, CodecError> {
-        if bytes.len() < MAGIC_V4.len() || &bytes[..MAGIC_V4.len()] != MAGIC_V4 {
-            return Err(CodecError::BadHeader);
-        }
         // Footer seal first, as everywhere else: prove the file *ends*
         // correctly before trusting anything in the middle.
-        if bytes.len() < MAGIC_V4.len() + 16 {
-            return Err(unsealed());
-        }
-        let seal_at = bytes.len() - FOOTER_MAGIC.len();
-        if &bytes[seal_at..] != FOOTER_MAGIC {
-            return Err(unsealed());
-        }
-        let len_at = seal_at - 8;
-        let recorded = le_u64(&bytes[len_at..]).ok_or_else(unsealed)?;
-        if recorded != bytes.len() as u64 {
-            return Err(unsealed());
-        }
+        let len_at = MAGIC_V4.len() + unseal(bytes, MAGIC_V4)?.len();
 
         // Header section.
         let mut at = MAGIC_V4.len();
         let take = |at: &mut usize, n: usize| -> Result<&[u8], CodecError> {
-            let end = at.checked_add(n).ok_or_else(unsealed)?;
+            let end = at.checked_add(n).ok_or(CodecError::Unsealed)?;
             if end > len_at {
-                return Err(unsealed());
+                return Err(CodecError::Unsealed);
             }
             let s = &bytes[*at..end];
             *at = end;
             Ok(s)
         };
-        let header_len =
-            u32::from_le_bytes(take(&mut at, 4)?.try_into().map_err(|_| unsealed())?) as usize;
+        let header_len = u32::from_le_bytes(
+            take(&mut at, 4)?
+                .try_into()
+                .map_err(|_| CodecError::Unsealed)?,
+        ) as usize;
         let header = take(&mut at, header_len)?;
-        let header_crc = u64::from_le_bytes(take(&mut at, 8)?.try_into().map_err(|_| unsealed())?);
+        let header_crc = u64::from_le_bytes(
+            take(&mut at, 8)?
+                .try_into()
+                .map_err(|_| CodecError::Unsealed)?,
+        );
         if crc64(header) != header_crc {
             return Err(CodecError::Checksum { section: "header" });
         }
@@ -364,34 +349,34 @@ impl Layout {
         let total_records = get_varint(&mut h)?;
         let n_sections = get_varint(&mut h)? as usize;
         if n_sections != SectionKind::ALL.len() {
-            return Err(wire("unexpected section count"));
+            return Err(WireError("unexpected section count").into());
         }
         let area_start = at;
-        let area_len = len_at.checked_sub(area_start).ok_or_else(unsealed)?;
+        let area_len = len_at.checked_sub(area_start).ok_or(CodecError::Unsealed)?;
         let mut raw: Vec<RawSection> = Vec::with_capacity(n_sections);
         let mut expect_off = 0usize;
         for want in SectionKind::ALL {
-            let (&kind_id, rest) = h.split_first().ok_or(wire("directory truncated"))?;
-            h = rest;
-            let kind = SectionKind::from_id(kind_id).ok_or(wire("unknown section kind"))?;
+            let kind =
+                SectionKind::from_id(get_u8(&mut h)?).ok_or(WireError("unknown section kind"))?;
             if kind != want {
-                return Err(wire("sections out of canonical order"));
+                return Err(WireError("sections out of canonical order").into());
             }
-            let count = usize::try_from(get_varint(&mut h)?).map_err(|_| wire("huge count"))?;
-            let off = usize::try_from(get_varint(&mut h)?).map_err(|_| wire("huge offset"))?;
-            let len = usize::try_from(get_varint(&mut h)?).map_err(|_| wire("huge length"))?;
+            let count =
+                usize::try_from(get_varint(&mut h)?).map_err(|_| WireError("huge count"))?;
+            let off = usize::try_from(get_varint(&mut h)?).map_err(|_| WireError("huge offset"))?;
+            let len = usize::try_from(get_varint(&mut h)?).map_err(|_| WireError("huge length"))?;
             // Contiguity: bodies tile the section area in directory
             // order, so nothing can hide between or after them.
             if off != expect_off {
-                return Err(wire("section directory not contiguous"));
+                return Err(WireError("section directory not contiguous").into());
             }
-            let body_start = area_start.checked_add(off).ok_or_else(unsealed)?;
-            let body_end = body_start.checked_add(len).ok_or_else(unsealed)?;
-            let crc_end = body_end.checked_add(8).ok_or_else(unsealed)?;
+            let body_start = area_start.checked_add(off).ok_or(CodecError::Unsealed)?;
+            let body_end = body_start.checked_add(len).ok_or(CodecError::Unsealed)?;
+            let crc_end = body_end.checked_add(8).ok_or(CodecError::Unsealed)?;
             if crc_end > len_at {
-                return Err(unsealed());
+                return Err(CodecError::Unsealed);
             }
-            let crc = le_u64(&bytes[body_end..crc_end]).ok_or_else(unsealed)?;
+            let crc = le_u64(&bytes[body_end..crc_end]).ok_or(CodecError::Unsealed)?;
             if crc64(&bytes[body_start..body_end]) != crc {
                 return Err(CodecError::Checksum {
                     section: kind.name(),
@@ -400,7 +385,7 @@ impl Layout {
             expect_off = off
                 .checked_add(len)
                 .and_then(|v| v.checked_add(8))
-                .ok_or_else(unsealed)?;
+                .ok_or(CodecError::Unsealed)?;
             raw.push(RawSection {
                 kind,
                 count,
@@ -409,10 +394,10 @@ impl Layout {
             });
         }
         if !h.is_empty() {
-            return Err(wire("trailing header bytes"));
+            return Err(WireError("trailing header bytes").into());
         }
         if expect_off != area_len {
-            return Err(unsealed());
+            return Err(CodecError::Unsealed);
         }
 
         let mut group_spans: Vec<GroupSpan> = Vec::with_capacity(3);
@@ -430,7 +415,7 @@ impl Layout {
             if sec.kind == SectionKind::TopDest {
                 // Hostile-count guard + exact tiling of the rows.
                 if sec.count.checked_mul(stride) != Some(body.len()) {
-                    return Err(wire("top-dest length mismatch"));
+                    return Err(WireError("top-dest length mismatch").into());
                 }
                 // Rows strictly ascending as raw byte tuples: the prefix
                 // range scan the top-destination query runs requires it,
@@ -440,7 +425,7 @@ impl Layout {
                     let b = body.get((w + 1) * stride..(w + 2) * stride);
                     match (a, b) {
                         (Some(a), Some(b)) if a < b => {}
-                        _ => return Err(wire("top-dest rows not sorted")),
+                        _ => return Err(WireError("top-dest rows not sorted").into()),
                     }
                 }
                 top_dest_span = sec.body.clone();
@@ -450,16 +435,16 @@ impl Layout {
             if sec.kind == SectionKind::LatIndex {
                 // Hostile-count guard + exact tiling of the rows.
                 if sec.count.checked_mul(stride) != Some(body.len()) {
-                    return Err(wire("lat-index length mismatch"));
+                    return Err(WireError("lat-index length mismatch").into());
                 }
                 // Rows sorted by (latitude, cell): the partition_point
                 // the bbox scan runs requires it.
                 for w in 0..sec.count.saturating_sub(1) {
-                    let a = lat_row(body, w).ok_or(wire("lat-index row unreadable"))?;
-                    let b = lat_row(body, w + 1).ok_or(wire("lat-index row unreadable"))?;
+                    let a = lat_row(body, w).ok_or(WireError("lat-index row unreadable"))?;
+                    let b = lat_row(body, w + 1).ok_or(WireError("lat-index row unreadable"))?;
                     let ord = a.0.total_cmp(&b.0).then_with(|| a.2.cmp(&b.2));
                     if ord != std::cmp::Ordering::Less {
-                        return Err(wire("lat-index not sorted"));
+                        return Err(WireError("lat-index not sorted").into());
                     }
                 }
                 lat_span = sec.body.clone();
@@ -470,17 +455,17 @@ impl Layout {
             let keys_len = sec
                 .count
                 .checked_mul(stride)
-                .ok_or(wire("huge key column"))?;
+                .ok_or(WireError("huge key column"))?;
             let offsets_len = sec
                 .count
                 .checked_add(1)
                 .and_then(|n| n.checked_mul(8))
-                .ok_or(wire("huge offset column"))?;
+                .ok_or(WireError("huge offset column"))?;
             let fixed = keys_len
                 .checked_add(offsets_len)
-                .ok_or(wire("huge section"))?;
+                .ok_or(WireError("huge section"))?;
             if fixed > body.len() {
-                return Err(wire("entry count exceeds section"));
+                return Err(WireError("entry count exceeds section").into());
             }
             let blob_len = body.len() - fixed;
             // Allocation guard: a count claiming more entries than the
@@ -493,7 +478,7 @@ impl Layout {
                 .unwrap_or(true)
                 && sec.count > 0
             {
-                return Err(wire("entry count exceeds buffer"));
+                return Err(WireError("entry count exceeds buffer").into());
             }
             let keys = &body[..keys_len];
             let offsets = &body[keys_len..fixed];
@@ -504,7 +489,7 @@ impl Layout {
                 let b = keys.get((w + 1) * stride..(w + 2) * stride);
                 match (a, b) {
                     (Some(a), Some(b)) if a < b => {}
-                    _ => return Err(wire("keys not strictly sorted")),
+                    _ => return Err(WireError("keys not strictly sorted").into()),
                 }
             }
             // Offsets strictly increasing (every entry non-empty),
@@ -512,15 +497,15 @@ impl Layout {
             let mut prev: Option<u64> = None;
             for i in 0..=sec.count {
                 let off = le_u64(offsets.get(i * 8..).unwrap_or(&[]))
-                    .ok_or(wire("offset column unreadable"))?;
+                    .ok_or(WireError("offset column unreadable"))?;
                 match prev {
-                    None if off != 0 => return Err(wire("first offset not zero")),
-                    Some(p) if off <= p => return Err(wire("offsets not increasing")),
+                    None if off != 0 => return Err(WireError("first offset not zero").into()),
+                    Some(p) if off <= p => return Err(WireError("offsets not increasing").into()),
                     _ => {}
                 }
                 // The zero-count section's single offset must still be 0.
                 if i == sec.count && off != blob_len as u64 {
-                    return Err(wire("offsets do not cover blob"));
+                    return Err(WireError("offsets do not cover blob").into());
                 }
                 prev = Some(off);
             }
@@ -535,10 +520,10 @@ impl Layout {
         let mut spans = group_spans.into_iter();
         let (cell, cell_type, cell_route) = match (spans.next(), spans.next(), spans.next()) {
             (Some(a), Some(b), Some(c)) => (a, b, c),
-            _ => return Err(wire("missing grouping section")),
+            _ => return Err(WireError("missing grouping section").into()),
         };
         if lat_count != cell.count {
-            return Err(wire("lat-index row count mismatch"));
+            return Err(WireError("lat-index row count mismatch").into());
         }
         Ok(Layout {
             resolution,
@@ -1032,9 +1017,7 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
     prefix.extend_from_slice(&header);
     prefix.extend_from_slice(&crc64(&header).to_le_bytes());
     out.splice(..MAX_PREFIX, prefix);
-    let file_len = out.len() as u64 + 16; // footer included
-    out.extend_from_slice(&file_len.to_le_bytes());
-    out.extend_from_slice(FOOTER_MAGIC);
+    seal(&mut out, 0);
     out
 }
 
@@ -1052,14 +1035,16 @@ pub(crate) fn decode(bytes: &[u8], layout: &Layout) -> Result<Inventory, CodecEr
     let total: usize = layout.cell.count + layout.cell_type.count + layout.cell_route.count;
     entries.reserve(total);
     for span in [&layout.cell, &layout.cell_type, &layout.cell_route] {
-        let reader = SectionReader::new(bytes, span).ok_or(wire("section out of bounds"))?;
+        let reader = SectionReader::new(bytes, span).ok_or(WireError("section out of bounds"))?;
         for i in 0..reader.len() {
-            let key = reader.group_key_at(i).ok_or(wire("bad section key"))?;
-            let mut input = reader.stats_bytes(i).ok_or(wire("bad stats offsets"))?;
+            let key = reader.group_key_at(i).ok_or(WireError("bad section key"))?;
+            let mut input = reader
+                .stats_bytes(i)
+                .ok_or(WireError("bad stats offsets"))?;
             // Decoded once, moved once: into the allocation it is shared from.
             entries.insert(key, Arc::new(decode_cell_stats(&mut input)?));
             if !input.is_empty() {
-                return Err(wire("trailing stats bytes"));
+                return Err(WireError("trailing stats bytes").into());
             }
         }
     }

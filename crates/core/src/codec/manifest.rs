@@ -46,10 +46,10 @@
 //! every section CRC verified — and compares before using a byte of it.
 
 use super::columnar::{self, Layout};
-use super::{save_bytes, CodecError, FOOTER_MAGIC};
+use super::{save_bytes, seal, unseal, CodecError};
 use crate::inventory::Inventory;
 use pol_sketch::crc64::crc64;
-use pol_sketch::wire::{get_varint, put_varint, WireError};
+use pol_sketch::wire::{get_u64_le, get_varint, put_varint, WireError};
 use std::io::{self, Read};
 use std::path::Path;
 
@@ -108,10 +108,6 @@ pub struct ChainInfo {
     pub chain_len: u64,
 }
 
-fn wire(msg: &'static str) -> CodecError {
-    CodecError::Wire(WireError(msg))
-}
-
 fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= MAX_NAME_BYTES
@@ -137,9 +133,7 @@ pub fn to_bytes(man: &Manifest) -> Vec<u8> {
     out.extend_from_slice(MAGIC_MANIFEST);
     out.extend_from_slice(&body);
     out.extend_from_slice(&crc64(&body).to_le_bytes());
-    let file_len = out.len() as u64 + 16; // footer included
-    out.extend_from_slice(&file_len.to_le_bytes());
-    out.extend_from_slice(FOOTER_MAGIC);
+    seal(&mut out, 0);
     out
 }
 
@@ -147,33 +141,12 @@ pub fn to_bytes(man: &Manifest) -> Vec<u8> {
 /// seal, body CRC, entry-count allocation bound, base generation 0,
 /// strictly ascending delta generations, and sibling-only names.
 pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, CodecError> {
-    if bytes.len() < MAGIC_MANIFEST.len() || &bytes[..MAGIC_MANIFEST.len()] != MAGIC_MANIFEST {
-        return Err(CodecError::BadHeader);
-    }
     // Footer seal first, as everywhere else: prove the file *ends*
     // correctly before trusting anything in the middle.
-    if bytes.len() < MAGIC_MANIFEST.len() + 24 {
-        return Err(CodecError::Unsealed);
-    }
-    let seal_at = bytes.len() - FOOTER_MAGIC.len();
-    if &bytes[seal_at..] != FOOTER_MAGIC {
-        return Err(CodecError::Unsealed);
-    }
-    let len_at = seal_at - 8;
-    let recorded = bytes
-        .get(len_at..seal_at)
-        .and_then(|b| Some(u64::from_le_bytes(b.try_into().ok()?)))
+    let (body, body_crc) = unseal(bytes, MAGIC_MANIFEST)?
+        .split_last_chunk::<8>()
         .ok_or(CodecError::Unsealed)?;
-    if recorded != bytes.len() as u64 {
-        return Err(CodecError::Unsealed);
-    }
-    let crc_at = len_at - 8;
-    let body = &bytes[MAGIC_MANIFEST.len()..crc_at];
-    let body_crc = bytes
-        .get(crc_at..len_at)
-        .and_then(|b| Some(u64::from_le_bytes(b.try_into().ok()?)))
-        .ok_or(CodecError::Unsealed)?;
-    if crc64(body) != body_crc {
+    if crc64(body) != u64::from_le_bytes(*body_crc) {
         return Err(CodecError::Checksum {
             section: "manifest",
         });
@@ -182,42 +155,40 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, CodecError> {
     let mut input = body;
     let count = get_varint(&mut input)? as usize;
     if count == 0 {
-        return Err(wire("manifest names no base"));
+        return Err(WireError("manifest names no base").into());
     }
     // Allocation guard: a count claiming more entries than the body
     // could physically hold is hostile.
     if count > body.len() / MIN_MANIFEST_ENTRY_BYTES + 1 {
-        return Err(wire("manifest entry count exceeds buffer"));
+        return Err(WireError("manifest entry count exceeds buffer").into());
     }
     let mut entries = Vec::with_capacity(count);
     let mut prev_gen: Option<u64> = None;
     for i in 0..count {
         let generation = get_varint(&mut input)?;
         match (i, prev_gen) {
-            (0, _) if generation != 0 => return Err(wire("base generation must be 0")),
-            (_, Some(p)) if generation <= p => return Err(wire("delta generations not ascending")),
+            (0, _) if generation != 0 => return Err(WireError("base generation must be 0").into()),
+            (_, Some(p)) if generation <= p => {
+                return Err(WireError("delta generations not ascending").into())
+            }
             _ => {}
         }
         prev_gen = Some(generation);
         let file_len = get_varint(&mut input)?;
-        let crc = input
-            .get(..8)
-            .and_then(|b| Some(u64::from_le_bytes(b.try_into().ok()?)))
-            .ok_or(wire("manifest entry truncated"))?;
-        input = &input[8..];
+        let crc = get_u64_le(&mut input)?;
         let name_len = get_varint(&mut input)? as usize;
         if name_len > MAX_NAME_BYTES {
-            return Err(wire("manifest name too long"));
+            return Err(WireError("manifest name too long").into());
         }
         let name_bytes = input
             .get(..name_len)
-            .ok_or(wire("manifest name truncated"))?;
+            .ok_or(WireError("manifest name truncated"))?;
         input = &input[name_len..];
         let name = std::str::from_utf8(name_bytes)
-            .map_err(|_| wire("manifest name not utf-8"))?
+            .map_err(|_| WireError("manifest name not utf-8"))?
             .to_string();
         if !valid_name(&name) {
-            return Err(wire("manifest name escapes directory"));
+            return Err(WireError("manifest name escapes directory").into());
         }
         entries.push(ManifestEntry {
             generation,
@@ -227,7 +198,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, CodecError> {
         });
     }
     if !input.is_empty() {
-        return Err(wire("trailing manifest bytes"));
+        return Err(WireError("trailing manifest bytes").into());
     }
     Ok(Manifest { entries })
 }
@@ -252,7 +223,7 @@ pub fn load(path: &Path) -> Result<Manifest, CodecError> {
 /// swapped file is a typed error; a sound one hands back its layout.
 pub fn check_link(bytes: &[u8], entry: &ManifestEntry) -> Result<Layout, CodecError> {
     if bytes.len() as u64 != entry.file_len {
-        return Err(wire("chain file length mismatch"));
+        return Err(WireError("chain file length mismatch").into());
     }
     let layout = Layout::parse(bytes)?;
     if layout.content_crc() != entry.crc {
@@ -307,12 +278,12 @@ fn walk(path: &Path) -> Result<(Inventory, Vec<ChainEntryReport>), CodecError> {
         match &mut merged {
             None => merged = Some(link),
             Some(inv) if link.resolution() != inv.resolution() => {
-                return Err(wire("chain resolution mismatch"));
+                return Err(WireError("chain resolution mismatch").into());
             }
             Some(inv) => inv.merge(&link),
         }
     }
-    Ok((merged.ok_or(wire("manifest names no base"))?, links))
+    Ok((merged.ok_or(WireError("manifest names no base"))?, links))
 }
 
 /// Loads a full delta chain into one heap inventory.

@@ -49,13 +49,13 @@
 //! [`SegmentWriter`] keeps the framing and the sequence numbers; the file
 //! under it, its fsyncs and its cut-backs are a [`durable::AppendFile`]'s.
 
-use super::{durable, FOOTER_MAGIC};
+use super::{durable, seal, unseal, FOOTER_LEN};
 use pol_ais::types::{Mmsi, NavStatus};
 use pol_ais::PositionReport;
 use pol_geo::LatLon;
 use pol_sketch::crc64::crc64;
 use pol_sketch::wire::{
-    get_f64, get_i64, get_varint, put_f64, put_i64, put_varint, varint_bytes, WireError,
+    get_f64, get_i64, get_u8, get_varint, put_f64, put_i64, put_varint, varint_bytes, WireError,
 };
 use std::fmt;
 use std::io;
@@ -166,8 +166,7 @@ pub fn decode_record(input: &mut &[u8]) -> Result<PositionReport, WireError> {
     let lat = get_f64(input)?;
     let lon = get_f64(input)?;
     let pos = LatLon::new(lat, lon).ok_or(WireError("bad position"))?;
-    let (&flags, rest) = input.split_first().ok_or(WireError("flags truncated"))?;
-    *input = rest;
+    let flags = get_u8(input)?;
     if flags & !0b111 != 0 {
         return Err(WireError("bad flags"));
     }
@@ -181,8 +180,7 @@ pub fn decode_record(input: &mut &[u8]) -> Result<PositionReport, WireError> {
     let sog_knots = opt(1)?;
     let cog_deg = opt(2)?;
     let heading_deg = opt(4)?;
-    let (&nav, rest) = input.split_first().ok_or(WireError("nav truncated"))?;
-    *input = rest;
+    let nav = get_u8(input)?;
     Ok(PositionReport {
         mmsi,
         timestamp,
@@ -360,17 +358,12 @@ pub fn read_segment_from(bytes: &[u8], from_seq: u64) -> Result<SegmentLoad, Wal
             return Ok(torn(batches, next_seq, frame_at));
         };
         if len == SEAL_SENTINEL {
-            // Seal: recorded total length + footer magic, then EOF.
-            let Some(recorded) = read_u64(bytes, &mut at) else {
+            // Seal: the footer, then EOF; a partial one is a torn tail.
+            if bytes.len() - at < FOOTER_LEN {
                 return Ok(torn(batches, next_seq, frame_at));
-            };
-            let Some(magic) = read_slice(bytes, &mut at, FOOTER_MAGIC.len()) else {
-                return Ok(torn(batches, next_seq, frame_at));
-            };
-            if magic != FOOTER_MAGIC || recorded != bytes.len() as u64 {
-                return Err(WalError::Unsealed);
             }
-            if at != bytes.len() {
+            let sealed = unseal(bytes, MAGIC_WAL).map_err(|_| WalError::Unsealed)?;
+            if MAGIC_WAL.len() + sealed.len() != at {
                 return Err(WalError::Corrupt("bytes after seal"));
             }
             return Ok(SegmentLoad {
@@ -532,8 +525,8 @@ impl SegmentWriter {
     /// seal magic) and fsyncs. A sealed segment is immutable and is
     /// read with the same zero-tolerance discipline as a snapshot.
     pub fn seal(mut self) -> Result<(), WalError> {
-        let total = (self.len() + 20).to_le_bytes();
-        let footer = [&SEAL_SENTINEL.to_le_bytes()[..], &total, FOOTER_MAGIC].concat();
+        let mut footer = SEAL_SENTINEL.to_le_bytes().to_vec();
+        seal(&mut footer, self.len());
         self.file.append(&footer, "wal.seal")?;
         self.file.sync(None)?;
         Ok(())

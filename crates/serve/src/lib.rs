@@ -5,7 +5,7 @@
 //! [`mapped::MappedStore`], answers point/route/bbox/top-destination
 //! queries plus the `pol-apps` ETA and destination-prediction endpoints
 //! over a versioned length-prefixed binary protocol ([`proto`]), and
-//! accounts every request in per-endpoint latency histograms
+//! accounts every request in per-endpoint latency quantile summaries
 //! ([`metrics`]).
 //!
 //! The zero-copy read path: a POLINV4 columnar snapshot is served

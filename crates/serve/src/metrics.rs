@@ -1,12 +1,15 @@
 //! Per-endpoint serving metrics: request counters and latency
-//! histograms, exposed through the `STATS` endpoint.
+//! quantiles, exposed through the `STATS` endpoint.
 //!
-//! Latency is tracked per endpoint in a fixed-width
-//! [`pol_sketch::Histogram`] over microseconds (the same machinery the
-//! inventory uses for its 30°-bin course histograms), with the exact
-//! maximum alongside. A request's clock
-//! runs from the read that completed its frame on the event loop to its
-//! reply reaching the connection's write buffer, so time spent queued
+//! Latency is tracked per endpoint in a [`LogHistogram`] over
+//! microseconds — the summary behind the inventory's speed, ETO and
+//! ATA percentiles — at a constant relative accuracy α = 0.01, with the
+//! exact maximum alongside. `STATS` reports p50, p95 and p99 as the
+//! latency of rank ⌊φ·(n − 1)⌋ (0-based) among an endpoint's `n`
+//! requests, each within α of the exact one however slow (one under a
+//! nanosecond reads 0). A request's clock runs from the read that
+//! completed its frame on the event loop to its reply reaching the
+//! connection's write buffer, so time spent queued
 //! behind the connection's earlier frames, on the pool's queue and in
 //! the completion hand-off is in the number, whichever side ran it.
 //! Snapshot opens are accounted as [`pol_engine::metrics::StageReport`]s,
@@ -14,17 +17,13 @@
 //! stages: the server's first open and its latest reload.
 
 use pol_engine::metrics::{render_stages, StageReport};
-use pol_sketch::Histogram;
+use pol_sketch::LogHistogram;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Upper edge of the latency histograms, microseconds. Slower requests
-/// land in the overflow counter and report as `HIST_MAX_US`.
-pub const HIST_MAX_US: f64 = 10_000.0;
-
-/// Histogram bin count (10 µs granularity over `0..HIST_MAX_US`).
-pub const HIST_BINS: usize = 1000;
+/// Relative accuracy α of the latency quantiles.
+const LATENCY_ALPHA: f64 = 0.01;
 
 /// A served endpoint, used for routing metrics and in `STATS` replies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -136,7 +135,7 @@ pub struct EndpointStats {
     pub endpoint: Endpoint,
     /// Requests served.
     pub count: u64,
-    /// Median latency, microseconds (histogram bin upper edge).
+    /// Median latency, microseconds (within α; see the module docs).
     pub p50_us: f64,
     /// 95th-percentile latency, microseconds.
     pub p95_us: f64,
@@ -283,14 +282,14 @@ impl StatsReport {
 
 struct EndpointSlot {
     count: AtomicU64,
-    lat: Mutex<(Histogram, f64)>,
+    lat: Mutex<(LogHistogram, f64)>,
 }
 
 impl EndpointSlot {
     fn new() -> EndpointSlot {
         EndpointSlot {
             count: AtomicU64::new(0),
-            lat: Mutex::new((Histogram::new(0.0, HIST_MAX_US, HIST_BINS), 0.0)),
+            lat: Mutex::new((LogHistogram::new(LATENCY_ALPHA), 0.0)),
         }
     }
 }
@@ -512,12 +511,16 @@ impl ServerMetrics {
                 continue;
             }
             let lat = slot.lat.lock().unwrap_or_else(PoisonError::into_inner);
+            let [p50_us, p95_us, p99_us] = lat
+                .0
+                .quantiles([0.50, 0.95, 0.99])
+                .map(|q| q.unwrap_or(0.0));
             endpoints.push(EndpointStats {
                 endpoint: ep,
                 count,
-                p50_us: histogram_quantile_us(&lat.0, 0.50),
-                p95_us: histogram_quantile_us(&lat.0, 0.95),
-                p99_us: histogram_quantile_us(&lat.0, 0.99),
+                p50_us,
+                p95_us,
+                p99_us,
                 max_us: lat.1,
             });
         }
@@ -552,29 +555,6 @@ impl ServerMetrics {
     }
 }
 
-/// Reads quantile `q` off a latency histogram: the upper edge of the bin
-/// where the cumulative count crosses `q·total` (≤ one bin width of
-/// overestimate). Observations past the histogram range report as
-/// [`HIST_MAX_US`].
-pub fn histogram_quantile_us(h: &Histogram, q: f64) -> f64 {
-    let total = h.total();
-    if total == 0 {
-        return 0.0;
-    }
-    let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-    let mut cum = h.underflow();
-    if cum >= target {
-        return 0.0;
-    }
-    for (_, hi, count) in h.bins() {
-        cum += count;
-        if cum >= target {
-            return hi;
-        }
-    }
-    HIST_MAX_US
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,29 +567,43 @@ mod tests {
         assert_eq!(Endpoint::from_id(200), None);
     }
 
+    /// What 10 µs bins capped at 10 ms read as 10 and 10 000: a
+    /// point lookup's microseconds and a stalled request's tens of
+    /// milliseconds, each within α.
     #[test]
-    fn quantiles_from_histogram() {
-        let mut h = Histogram::new(0.0, HIST_MAX_US, HIST_BINS);
-        for i in 0..100 {
-            h.add(i as f64 * 10.0); // 0, 10, …, 990 µs
+    fn stats_resolve_microseconds_and_tens_of_milliseconds() {
+        let m = ServerMetrics::new();
+        for _ in 0..100 {
+            m.record(Endpoint::PointSummary, Duration::from_nanos(1_500));
+            m.record(Endpoint::Eta, Duration::from_millis(25));
         }
-        let p50 = histogram_quantile_us(&h, 0.5);
-        assert!((400.0..=600.0).contains(&p50), "p50 {p50}");
-        let p99 = histogram_quantile_us(&h, 0.99);
-        assert!((950.0..=1000.0).contains(&p99), "p99 {p99}");
-        assert_eq!(
-            histogram_quantile_us(&Histogram::new(0.0, 1.0, 2), 0.5),
-            0.0
-        );
+        let snap = m.snapshot();
+        for (row, want) in snap.endpoints.iter().zip([1.5, 25_000.0]) {
+            for got in [row.p50_us, row.p95_us, row.p99_us, row.max_us] {
+                assert!(
+                    (got - want).abs() <= LATENCY_ALPHA * want,
+                    "{:?}: {got} µs, want {want}",
+                    row.endpoint
+                );
+            }
+        }
     }
 
+    /// Quantile `φ` is the latency of rank ⌊φ·(n − 1)⌋, within α.
     #[test]
-    fn overflow_reports_hist_max() {
-        let mut h = Histogram::new(0.0, HIST_MAX_US, HIST_BINS);
-        for _ in 0..10 {
-            h.add(HIST_MAX_US * 5.0);
+    fn stats_quantiles_are_ranks_within_alpha() {
+        let m = ServerMetrics::new();
+        for us in (1..=100).rev() {
+            m.record(Endpoint::BboxScan, Duration::from_micros(us));
         }
-        assert_eq!(histogram_quantile_us(&h, 0.5), HIST_MAX_US);
+        let row = &m.snapshot().endpoints[0];
+        for (got, want) in [(row.p50_us, 50.0), (row.p95_us, 95.0), (row.p99_us, 99.0)] {
+            assert!(
+                (got - want).abs() <= LATENCY_ALPHA * want,
+                "{got} vs {want}"
+            );
+        }
+        assert!((row.max_us - 100.0).abs() < 1e-9, "{}", row.max_us);
     }
 
     #[test]

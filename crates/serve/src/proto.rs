@@ -18,7 +18,9 @@ use pol_ais::types::MarketSegment;
 use pol_apps::eta::EtaEstimate;
 use pol_core::codec::{decode_cell_stats, encode_cell_stats};
 use pol_core::CellStats;
-use pol_sketch::wire::{get_f64, get_varint, put_f64, put_varint, WireError};
+use pol_sketch::wire::{
+    get_f64, get_opt, get_u8, get_varint, put_f64, put_opt, put_varint, WireError,
+};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -160,7 +162,8 @@ pub enum Request {
         /// The track, oldest first, as `(lat, lon)` degrees.
         track: Vec<(f64, f64)>,
     },
-    /// Server counters and latency histograms.
+    /// Server counters and per-endpoint latency quantiles (see
+    /// [`crate::metrics`]).
     Stats,
     /// Liveness/health probe: snapshot generation and drain state.
     Health,
@@ -342,24 +345,8 @@ fn get_u16(input: &mut &[u8]) -> Result<u16, WireError> {
     u16::try_from(v).map_err(|_| WireError("port id out of range"))
 }
 
-fn put_opt_segment(out: &mut Vec<u8>, seg: Option<MarketSegment>) {
-    match seg {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            out.push(s.id());
-        }
-    }
-}
-
-fn get_byte(input: &mut &[u8]) -> Result<u8, WireError> {
-    let (&b, rest) = input.split_first().ok_or(WireError("payload truncated"))?;
-    *input = rest;
-    Ok(b)
-}
-
 fn get_bool(input: &mut &[u8]) -> Result<bool, WireError> {
-    match get_byte(input)? {
+    match get_u8(input)? {
         0 => Ok(false),
         1 => Ok(true),
         _ => Err(WireError("bad bool byte")),
@@ -367,15 +354,7 @@ fn get_bool(input: &mut &[u8]) -> Result<bool, WireError> {
 }
 
 fn get_segment(input: &mut &[u8]) -> Result<MarketSegment, WireError> {
-    MarketSegment::from_id(get_byte(input)?).ok_or(WireError("bad segment id"))
-}
-
-fn get_opt_segment(input: &mut &[u8]) -> Result<Option<MarketSegment>, WireError> {
-    match get_byte(input)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_segment(input)?)),
-        _ => Err(WireError("bad option tag")),
-    }
+    MarketSegment::from_id(get_u8(input)?).ok_or(WireError("bad segment id"))
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -480,7 +459,7 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
         Request::TopDestinationCells { dest, segment } => {
             out.push(REQ_TOP_DEST);
             put_u16(out, *dest);
-            put_opt_segment(out, *segment);
+            put_opt(out, *segment, |out, s| out.push(s.id()));
         }
         Request::Eta {
             lat,
@@ -491,15 +470,11 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
             out.push(REQ_ETA);
             put_f64(out, *lat);
             put_f64(out, *lon);
-            put_opt_segment(out, *segment);
-            match route {
-                None => out.push(0),
-                Some((o, d)) => {
-                    out.push(1);
-                    put_u16(out, *o);
-                    put_u16(out, *d);
-                }
-            }
+            put_opt(out, *segment, |out, s| out.push(s.id()));
+            put_opt(out, *route, |out, (o, d)| {
+                put_u16(out, o);
+                put_u16(out, d);
+            });
         }
         Request::PredictDestination {
             segment,
@@ -507,7 +482,7 @@ fn encode_request_body(req: &Request, out: &mut Vec<u8>) {
             track,
         } => {
             out.push(REQ_PREDICT);
-            put_opt_segment(out, *segment);
+            put_opt(out, *segment, |out, s| out.push(s.id()));
             out.push(*top_n);
             put_varint(out, track.len() as u64);
             for (lat, lon) in track {
@@ -546,7 +521,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
 /// Consumes the payload's leading version byte, which must be
 /// [`PROTO_VERSION`].
 fn check_version(input: &mut &[u8]) -> Result<(), ProtoError> {
-    match get_byte(input)? {
+    match get_u8(input)? {
         PROTO_VERSION => Ok(()),
         other => Err(ProtoError::BadVersion(other)),
     }
@@ -555,7 +530,7 @@ fn check_version(input: &mut &[u8]) -> Result<(), ProtoError> {
 /// Reads a request's tag + body (no version byte). `allow_batch` is
 /// false inside a batch child, so batches cannot nest.
 fn decode_request_body(input: &mut &[u8], allow_batch: bool) -> Result<Request, ProtoError> {
-    let tag = get_byte(input)?;
+    let tag = get_u8(input)?;
     let req = match tag {
         REQ_PING => Request::Ping,
         REQ_POINT => Request::PointSummary {
@@ -582,17 +557,13 @@ fn decode_request_body(input: &mut &[u8], allow_batch: bool) -> Result<Request, 
         },
         REQ_TOP_DEST => Request::TopDestinationCells {
             dest: get_u16(input)?,
-            segment: get_opt_segment(input)?,
+            segment: get_opt(input, get_segment)?,
         },
         REQ_ETA => {
             let lat = get_f64(input)?;
             let lon = get_f64(input)?;
-            let segment = get_opt_segment(input)?;
-            let route = match get_byte(input)? {
-                0 => None,
-                1 => Some((get_u16(input)?, get_u16(input)?)),
-                _ => return Err(ProtoError::Wire(WireError("bad option tag"))),
-            };
+            let segment = get_opt(input, get_segment)?;
+            let route = get_opt(input, |input| Ok((get_u16(input)?, get_u16(input)?)))?;
             Request::Eta {
                 lat,
                 lon,
@@ -601,8 +572,8 @@ fn decode_request_body(input: &mut &[u8], allow_batch: bool) -> Result<Request, 
             }
         }
         REQ_PREDICT => {
-            let segment = get_opt_segment(input)?;
-            let top_n = get_byte(input)?;
+            let segment = get_opt(input, get_segment)?;
+            let top_n = get_u8(input)?;
             let len = get_varint(input)? as usize;
             // Each track point is exactly 16 bytes; a count that cannot
             // fit the remaining payload is rejected before allocating.
@@ -701,13 +672,7 @@ pub(crate) fn encode_response_body(resp: &Response, out: &mut Vec<u8>) {
         Response::Pong => out.push(RESP_PONG),
         Response::Summary(stats) => {
             out.push(RESP_SUMMARY);
-            match stats {
-                None => out.push(0),
-                Some(s) => {
-                    out.push(1);
-                    encode_cell_stats(s, out);
-                }
-            }
+            put_opt(out, stats.as_ref(), |out, s| encode_cell_stats(s, out));
         }
         Response::Cells(cells) => encode_cells(cells, out),
         Response::Eta(est) => encode_eta(est.as_ref(), out),
@@ -762,18 +727,14 @@ pub(crate) fn encode_cells(cells: &[u64], out: &mut Vec<u8>) {
 /// Writes a [`Response::Eta`] tag + body.
 pub(crate) fn encode_eta(est: Option<&EtaEstimate>, out: &mut Vec<u8>) {
     out.push(RESP_ETA);
-    match est {
-        None => out.push(0),
-        Some(e) => {
-            out.push(1);
-            put_f64(out, e.mean_secs);
-            put_f64(out, e.p10_secs);
-            put_f64(out, e.p50_secs);
-            put_f64(out, e.p90_secs);
-            put_varint(out, e.samples);
-            put_varint(out, e.widened as u64);
-        }
-    }
+    put_opt(out, est, |out, e| {
+        put_f64(out, e.mean_secs);
+        put_f64(out, e.p10_secs);
+        put_f64(out, e.p50_secs);
+        put_f64(out, e.p90_secs);
+        put_varint(out, e.samples);
+        put_varint(out, e.widened as u64);
+    });
 }
 
 /// Writes a [`Response::Destinations`] tag + body from a borrowed
@@ -802,14 +763,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
 /// Reads a response's tag + body (no version byte). `allow_batch` is
 /// false inside a batch child, so batches cannot nest.
 fn decode_response_body(input: &mut &[u8], allow_batch: bool) -> Result<Response, ProtoError> {
-    let tag = get_byte(input)?;
+    let tag = get_u8(input)?;
     let resp = match tag {
         RESP_PONG => Response::Pong,
-        RESP_SUMMARY => match get_byte(input)? {
-            0 => Response::Summary(None),
-            1 => Response::Summary(Some(decode_cell_stats(input)?)),
-            _ => return Err(ProtoError::Wire(WireError("bad option tag"))),
-        },
+        RESP_SUMMARY => Response::Summary(get_opt(input, decode_cell_stats)?),
         RESP_CELLS => {
             let len = get_varint(input)? as usize;
             // Each cell index is at least one varint byte.
@@ -824,27 +781,17 @@ fn decode_response_body(input: &mut &[u8], allow_batch: bool) -> Result<Response
             }
             Response::Cells(cells)
         }
-        RESP_ETA => match get_byte(input)? {
-            0 => Response::Eta(None),
-            1 => {
-                let mean_secs = get_f64(input)?;
-                let p10_secs = get_f64(input)?;
-                let p50_secs = get_f64(input)?;
-                let p90_secs = get_f64(input)?;
-                let samples = get_varint(input)?;
-                let widened = u32::try_from(get_varint(input)?)
-                    .map_err(|_| WireError("widened out of range"))?;
-                Response::Eta(Some(EtaEstimate {
-                    mean_secs,
-                    p10_secs,
-                    p50_secs,
-                    p90_secs,
-                    samples,
-                    widened,
-                }))
-            }
-            _ => return Err(ProtoError::Wire(WireError("bad option tag"))),
-        },
+        RESP_ETA => Response::Eta(get_opt(input, |input| {
+            Ok(EtaEstimate {
+                mean_secs: get_f64(input)?,
+                p10_secs: get_f64(input)?,
+                p50_secs: get_f64(input)?,
+                p90_secs: get_f64(input)?,
+                samples: get_varint(input)?,
+                widened: u32::try_from(get_varint(input)?)
+                    .map_err(|_| WireError("widened out of range"))?,
+            })
+        })?),
         RESP_DESTINATIONS => {
             let len = get_varint(input)? as usize;
             // Each ranked entry is at least 9 bytes (varint port + f64).
@@ -948,8 +895,7 @@ fn decode_stats_report(input: &mut &[u8]) -> Result<StatsReport, ProtoError> {
     }
     let mut endpoints = Vec::with_capacity(len);
     for _ in 0..len {
-        let endpoint =
-            Endpoint::from_id(get_byte(input)?).ok_or(WireError("unknown endpoint id"))?;
+        let endpoint = Endpoint::from_id(get_u8(input)?).ok_or(WireError("unknown endpoint id"))?;
         let count = get_varint(input)?;
         let p50_us = get_f64(input)?;
         let p95_us = get_f64(input)?;

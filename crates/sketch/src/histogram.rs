@@ -1,107 +1,11 @@
 //! Fixed-bin histograms — the "Bins" column of Table 3.
 //!
-//! The paper splits course and heading into 30° counters (12 bins). A
-//! general fixed-width [`Histogram`] covers other features; the
-//! [`AngleHistogram`] specialisation wraps angles and owns the 30° layout.
+//! The paper splits course and heading into 30° counters (12 bins):
+//! [`AngleHistogram`] wraps angles into that layout and holds only the
+//! occupied bins.
 
 use crate::counts::Spill;
 use crate::MergeSketch;
-
-/// A fixed-width histogram over `[lo, hi)` with under/overflow counters.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// When `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        assert!(lo < hi, "invalid range {lo}..{hi}");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds an observation. Non-finite values are ignored.
-    #[inline]
-    pub fn add(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.counts.len() as f64;
-            let i = (((x - self.lo) / width) as usize).min(self.counts.len() - 1);
-            self.counts[i] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Count below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count at or above the range's upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// `(bin_lo, bin_hi, count)` triples.
-    pub fn bins(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts.iter().enumerate().map(move |(i, &c)| {
-            (
-                self.lo + i as f64 * width,
-                self.lo + (i + 1) as f64 * width,
-                c,
-            )
-        })
-    }
-}
-
-impl MergeSketch for Histogram {
-    /// # Panics
-    /// When the histograms have different layouts.
-    fn merge(&mut self, other: &Self) {
-        assert_eq!(self.lo, other.lo, "histogram layout mismatch");
-        assert_eq!(self.hi, other.hi, "histogram layout mismatch");
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "histogram layout mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-    }
-}
 
 /// Bins held inline by an [`AngleHistogram`] before it moves to the
 /// heap: on polbench's seed-1 build 98 % of the histograms use one or
@@ -206,40 +110,6 @@ mod tests {
     #[test]
     fn an_angle_histogram_holds_two_bins_in_40_bytes() {
         assert_eq!(std::mem::size_of::<AngleHistogram>(), 40);
-    }
-
-    #[test]
-    fn histogram_bin_assignment() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.add(0.0); // bin 0
-        h.add(1.99); // bin 0
-        h.add(2.0); // bin 1
-        h.add(9.99); // bin 4
-        h.add(-0.1); // underflow
-        h.add(10.0); // overflow (hi exclusive)
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let mut b = Histogram::new(0.0, 10.0, 5);
-        a.add(1.0);
-        b.add(1.0);
-        b.add(9.0);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[2, 0, 0, 0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "layout mismatch")]
-    fn histogram_merge_rejects_mismatch() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let b = Histogram::new(0.0, 10.0, 6);
-        a.merge(&b);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`Tally`] — exact counts for Top-N origins, destinations and cell
 //!   transitions,
 //! * [`HyperLogLog`] / [`Distinct`] — distinct vessels and trips per cell,
-//! * [`Histogram`] / [`AngleHistogram`] — the 30-degree course/heading bins.
+//! * [`AngleHistogram`] — the 30-degree course/heading bins.
 //!
 //! Every sketch implements [`MergeSketch`], a commutative-monoid contract
 //! (verified by property tests), which is exactly what the build's
@@ -55,7 +55,7 @@ mod spacesaving;
 mod welford;
 
 pub use circular::Circular;
-pub use histogram::{AngleHistogram, Histogram};
+pub use histogram::AngleHistogram;
 pub use hll::{Distinct, HyperLogLog};
 pub use loghist::LogHistogram;
 pub use moments::{Moments, SecondsMoments, SpeedMoments};

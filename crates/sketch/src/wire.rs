@@ -315,12 +315,53 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
 }
 
 /// Reads a raw f64.
+#[inline]
 pub fn get_f64(input: &mut &[u8]) -> Result<f64, WireError> {
-    let Some((bytes, rest)) = input.split_first_chunk::<8>() else {
-        return Err(WireError("f64 truncated"));
-    };
+    get_u64_le(input).map(f64::from_bits)
+}
+
+/// Reads one byte.
+#[inline]
+pub fn get_u8(input: &mut &[u8]) -> Result<u8, WireError> {
+    let (&byte, rest) = input.split_first().ok_or(WireError("byte truncated"))?;
     *input = rest;
-    Ok(f64::from_le_bytes(*bytes))
+    Ok(byte)
+}
+
+/// Reads a raw little-endian u64.
+#[inline]
+pub fn get_u64_le(input: &mut &[u8]) -> Result<u64, WireError> {
+    let (word, rest) = input
+        .split_first_chunk::<8>()
+        .ok_or(WireError("word truncated"))?;
+    *input = rest;
+    Ok(u64::from_le_bytes(*word))
+}
+
+/// Writes a 0/1 option tag and, after a 1, what `put` writes of the
+/// value.
+#[inline]
+pub fn put_opt<T>(out: &mut Vec<u8>, value: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    match value {
+        Some(v) => {
+            out.push(1);
+            put(out, v);
+        }
+        None => out.push(0),
+    }
+}
+
+/// Reads a 0/1 option tag and, after a 1, the value `some` reads.
+#[inline]
+pub fn get_opt<T>(
+    input: &mut &[u8],
+    some: impl FnOnce(&mut &[u8]) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    match get_u8(input)? {
+        0 => Ok(None),
+        1 => some(input).map(Some),
+        _ => Err(WireError("bad option tag")),
+    }
 }
 
 /// Advances `input` past `n` bytes of fixed-width fields.
@@ -634,8 +675,7 @@ impl Wire for HyperLogLog {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let (&p, rest) = input.split_first().ok_or(WireError("hll truncated"))?;
-        *input = rest;
+        let p = get_u8(input)?;
         if !(4..=16).contains(&p) {
             return Err(WireError("hll precision out of range"));
         }
@@ -649,8 +689,7 @@ impl Wire for HyperLogLog {
     }
 
     fn skip(input: &mut &[u8]) -> Result<(), WireError> {
-        let (&p, rest) = input.split_first().ok_or(WireError("hll truncated"))?;
-        *input = rest;
+        let p = get_u8(input)?;
         if !(4..=16).contains(&p) {
             return Err(WireError("hll precision out of range"));
         }
@@ -674,8 +713,7 @@ impl Wire for Distinct {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let (&tag, rest) = input.split_first().ok_or(WireError("distinct truncated"))?;
-        *input = rest;
+        let tag = get_u8(input)?;
         match tag {
             0 => {
                 let len = get_varint(input)? as usize;
@@ -694,8 +732,7 @@ impl Wire for Distinct {
     }
 
     fn skip(input: &mut &[u8]) -> Result<(), WireError> {
-        let (&tag, rest) = input.split_first().ok_or(WireError("distinct truncated"))?;
-        *input = rest;
+        let tag = get_u8(input)?;
         match tag {
             0 => {
                 let len = get_varint(input)? as usize;

@@ -63,13 +63,16 @@
 use crate::ingest::{SessionView, StreamEngine};
 use pol_ais::types::{MarketSegment, Mmsi, NavStatus};
 use pol_core::codec::durable::{self, AppendFile};
-use pol_core::codec::{save_bytes, CodecError, FOOTER_MAGIC};
+use pol_core::codec::{save_bytes, seal, unseal, CodecError};
 use pol_core::records::{CellPoint, EnrichedReport, TripPoint};
 use pol_geo::LatLon;
 use pol_hexgrid::CellIndex;
 use pol_sketch::crc64::crc64;
 use pol_sketch::hash::FxHashMap;
-use pol_sketch::wire::{get_f64, get_i64, get_varint, put_f64, put_i64, put_varint, WireError};
+use pol_sketch::wire::{
+    get_f64, get_i64, get_opt, get_u64_le, get_u8, get_varint, put_f64, put_i64, put_opt,
+    put_varint, WireError,
+};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -143,42 +146,6 @@ pub struct EngineState {
     pub sessions: Vec<SessionState>,
 }
 
-fn wire(msg: &'static str) -> CodecError {
-    CodecError::Wire(WireError(msg))
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            out.push(1);
-            put_f64(out, x);
-        }
-        None => out.push(0),
-    }
-}
-
-fn get_u8(input: &mut &[u8]) -> Result<u8, WireError> {
-    let (&b, rest) = input.split_first().ok_or(WireError("byte truncated"))?;
-    *input = rest;
-    Ok(b)
-}
-
-fn get_u64_le(input: &mut &[u8]) -> Result<u64, WireError> {
-    let (word, rest) = input
-        .split_first_chunk::<8>()
-        .ok_or(WireError("word truncated"))?;
-    *input = rest;
-    Ok(u64::from_le_bytes(*word))
-}
-
-fn get_opt_f64(input: &mut &[u8]) -> Result<Option<f64>, WireError> {
-    match get_u8(input)? {
-        0 => Ok(None),
-        1 => get_f64(input).map(Some),
-        _ => Err(WireError("bad option tag")),
-    }
-}
-
 fn get_mmsi(input: &mut &[u8]) -> Result<Mmsi, WireError> {
     u32::try_from(get_varint(input)?)
         .ok()
@@ -200,9 +167,9 @@ fn put_motion(
 ) {
     put_f64(out, pos.lat());
     put_f64(out, pos.lon());
-    put_opt_f64(out, sog);
-    put_opt_f64(out, cog);
-    put_opt_f64(out, heading);
+    put_opt(out, sog, put_f64);
+    put_opt(out, cog, put_f64);
+    put_opt(out, heading, put_f64);
 }
 
 type Motion = (LatLon, Option<f64>, Option<f64>, Option<f64>);
@@ -213,9 +180,9 @@ fn get_motion(input: &mut &[u8]) -> Result<Motion, WireError> {
     let pos = LatLon::new(lat, lon).ok_or(WireError("bad position"))?;
     Ok((
         pos,
-        get_opt_f64(input)?,
-        get_opt_f64(input)?,
-        get_opt_f64(input)?,
+        get_opt(input, get_f64)?,
+        get_opt(input, get_f64)?,
+        get_opt(input, get_f64)?,
     ))
 }
 
@@ -273,13 +240,7 @@ fn put_cell_point(out: &mut Vec<u8>, cp: &CellPoint, prev_ts: i64) {
     put_i64(out, p.eto_secs);
     put_i64(out, p.ata_secs);
     put_varint(out, cp.cell.raw());
-    match cp.next_cell {
-        Some(c) => {
-            out.push(1);
-            put_varint(out, c.raw());
-        }
-        None => out.push(0),
-    }
+    put_opt(out, cp.next_cell, |out, c| put_varint(out, c.raw()));
 }
 
 fn get_cell(input: &mut &[u8]) -> Result<CellIndex, WireError> {
@@ -300,11 +261,7 @@ fn get_cell_point(
     let eto_secs = get_i64(input)?;
     let ata_secs = get_i64(input)?;
     let cell = get_cell(input)?;
-    let next_cell = match get_u8(input)? {
-        0 => None,
-        1 => Some(get_cell(input)?),
-        _ => return Err(WireError("bad option tag")),
-    };
+    let next_cell = get_opt(input, get_cell)?;
     Ok(CellPoint {
         point: TripPoint {
             mmsi,
@@ -333,9 +290,7 @@ fn seal_head(body: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&(body.len() as u64).to_le_bytes());
     out.extend_from_slice(body);
     out.extend_from_slice(&crc64(body).to_le_bytes());
-    let file_len = out.len() as u64 + 16;
-    out.extend_from_slice(&file_len.to_le_bytes());
-    out.extend_from_slice(FOOTER_MAGIC);
+    seal(&mut out, 0);
     out
 }
 
@@ -343,16 +298,7 @@ fn seal_head(body: &[u8]) -> Vec<u8> {
 /// body. Any other magic — POLCKP1's included — is
 /// [`CodecError::BadHeader`].
 fn unseal_head(bytes: &[u8]) -> Result<&[u8], CodecError> {
-    let rest = bytes
-        .strip_prefix(MAGIC_CKP.as_slice())
-        .ok_or(CodecError::BadHeader)?;
-    let rest = rest
-        .strip_suffix(FOOTER_MAGIC.as_slice())
-        .ok_or(CodecError::Unsealed)?;
-    let (rest, recorded) = rest.split_last_chunk::<8>().ok_or(CodecError::Unsealed)?;
-    if u64::from_le_bytes(*recorded) != bytes.len() as u64 {
-        return Err(CodecError::Unsealed);
-    }
+    let rest = unseal(bytes, MAGIC_CKP)?;
     let (rest, body_crc) = rest.split_last_chunk::<8>().ok_or(CodecError::Unsealed)?;
     let (body_len, body) = rest.split_first_chunk::<8>().ok_or(CodecError::Unsealed)?;
     if u64::from_le_bytes(*body_len) != body.len() as u64 {
@@ -428,11 +374,11 @@ fn encode_frame(
         let passage = s
             .open_passage
             .get(mark.passage..)
-            .ok_or(wire("open passage shrank without a restart"))?;
+            .ok_or(WireError("open passage shrank without a restart"))?;
         let retained = s
             .retained
             .get(mark.retained..)
-            .ok_or(wire("retained points shrank"))?;
+            .ok_or(WireError("retained points shrank"))?;
         if !restarted && passage.is_empty() && retained.is_empty() {
             continue;
         }
@@ -454,7 +400,7 @@ fn encode_frame(
         };
         for r in passage {
             if r.mmsi.0 != s.mmsi || r.segment != segment {
-                return Err(wire("session mixes vessel identities"));
+                return Err(WireError("session mixes vessel identities").into());
             }
             put_passage_report(out, r, prev_ts);
             prev_ts = r.timestamp;
@@ -469,7 +415,7 @@ fn encode_frame(
         };
         for cp in retained {
             if cp.point.mmsi.0 != s.mmsi || cp.point.segment != segment {
-                return Err(wire("session mixes vessel identities"));
+                return Err(WireError("session mixes vessel identities").into());
             }
             put_cell_point(out, cp, prev_ts);
             prev_ts = cp.point.timestamp;
@@ -526,20 +472,8 @@ fn encode_head(
         put_varint(&mut body, s.mmsi as u64);
         put_i64(&mut body, s.frontier);
         put_varint(&mut body, s.window_mark);
-        match &s.cleaner_last {
-            Some(r) => {
-                body.push(1);
-                put_enriched(&mut body, r);
-            }
-            None => body.push(0),
-        }
-        match s.last_port {
-            Some(p) => {
-                body.push(1);
-                put_varint(&mut body, p as u64);
-            }
-            None => body.push(0),
-        }
+        put_opt(&mut body, s.cleaner_last.as_ref(), put_enriched);
+        put_opt(&mut body, s.last_port, |out, p| put_varint(out, p as u64));
         put_varint(&mut body, s.trip_seq as u64);
         put_varint(&mut body, s.open_passage.len() as u64);
         put_varint(&mut body, s.retained.len() as u64);
@@ -587,27 +521,21 @@ fn decode_head(bytes: &[u8]) -> Result<Head, CodecError> {
     let n = get_varint(input)?;
     let mut expect = Vec::new();
     for _ in 0..n {
-        let mmsi = u32::try_from(get_varint(input)?).map_err(|_| wire("bad mmsi"))?;
+        let mmsi = u32::try_from(get_varint(input)?).map_err(|_| WireError("bad mmsi"))?;
         if state.sessions.last().is_some_and(|prev| prev.mmsi >= mmsi) {
-            return Err(wire("checkpoint sessions not in ascending vessel order"));
+            return Err(WireError("checkpoint sessions not in ascending vessel order").into());
         }
         let frontier = get_i64(input)?;
         let window_mark = get_varint(input)?;
-        let cleaner_last = match get_u8(input)? {
-            0 => None,
-            1 => Some(get_enriched(input)?),
-            _ => return Err(wire("bad option tag")),
-        };
-        let last_port = match get_u8(input)? {
-            0 => None,
-            1 => Some(u16::try_from(get_varint(input)?).map_err(|_| wire("bad port"))?),
-            _ => return Err(wire("bad option tag")),
-        };
-        let trip_seq = u32::try_from(get_varint(input)?).map_err(|_| wire("bad trip seq"))?;
+        let cleaner_last = get_opt(input, get_enriched)?;
+        let last_port = get_opt(input, |input| {
+            u16::try_from(get_varint(input)?).map_err(|_| WireError("bad port"))
+        })?;
+        let trip_seq = u32::try_from(get_varint(input)?).map_err(|_| WireError("bad trip seq"))?;
         let passage_len = get_varint(input)?;
         let retained_len = get_varint(input)?;
         if window_mark > retained_len {
-            return Err(wire("window mark past retained points"));
+            return Err(WireError("window mark past retained points").into());
         }
         let n = get_varint(input)?;
         let mut buffer = Vec::new();
@@ -630,7 +558,7 @@ fn decode_head(bytes: &[u8]) -> Result<Head, CodecError> {
         });
     }
     if !input.is_empty() {
-        return Err(wire("trailing checkpoint bytes"));
+        return Err(WireError("trailing checkpoint bytes").into());
     }
     Ok(Head {
         state,
@@ -656,7 +584,7 @@ fn replay_log(log: &[u8], id: u64) -> Result<(FxHashMap<u32, Replayed>, u64), Co
         .strip_prefix(MAGIC_LOG.as_slice())
         .ok_or(CodecError::BadHeader)?;
     if get_u64_le(&mut input)? != id {
-        return Err(wire("checkpoint log carries another id"));
+        return Err(WireError("checkpoint log carries another id").into());
     }
     let mut vessels: FxHashMap<u32, Replayed> = FxHashMap::default();
     let mut dead = 0u64;
@@ -681,7 +609,7 @@ fn replay_log(log: &[u8], id: u64) -> Result<(FxHashMap<u32, Replayed>, u64), Co
             let restarted = match get_u8(body)? {
                 0 => false,
                 1 => true,
-                _ => return Err(wire("bad restart flag")),
+                _ => return Err(WireError("bad restart flag").into()),
             };
             let v = vessels.entry(mmsi.0).or_default();
             if restarted {
@@ -746,7 +674,7 @@ pub(crate) fn load_log(head: Head, dir: &Path) -> Result<(EngineState, LogPositi
     for (s, (passage_len, retained_len)) in state.sessions.iter_mut().zip(head.expect) {
         let v = vessels.remove(&s.mmsi).unwrap_or_default();
         if v.open_passage.len() as u64 != passage_len || v.retained.len() as u64 != retained_len {
-            return Err(wire("checkpoint log and head disagree on a session"));
+            return Err(WireError("checkpoint log and head disagree on a session").into());
         }
         marks.insert(
             s.mmsi,
@@ -761,7 +689,7 @@ pub(crate) fn load_log(head: Head, dir: &Path) -> Result<(EngineState, LogPositi
         s.retained = v.retained;
     }
     if !vessels.is_empty() {
-        return Err(wire("checkpoint log holds a session the head does not"));
+        return Err(WireError("checkpoint log holds a session the head does not").into());
     }
     let position = LogPosition {
         id: head.log_id,

@@ -421,24 +421,15 @@ impl StreamEngine {
         state
     }
 
-    /// Rebuilds an engine from a checkpointed [`EngineState`]
-    /// (the inverse of [`StreamEngine::snapshot_state`]). Refuses a
-    /// checkpoint whose resolution or reorder-bound echo disagrees with
-    /// `cfg` — replaying a journal against different semantics would
-    /// silently diverge from the pre-crash run.
+    /// Rebuilds an engine from a checkpointed [`EngineState`] (the
+    /// inverse of [`StreamEngine::snapshot_state`]), on a skeleton from
+    /// [`new`](Self::new) that recovery builds while it reads the log.
+    /// Refuses a checkpoint whose resolution or reorder-bound echo
+    /// disagrees with the skeleton's config — replaying a journal
+    /// against different semantics would silently diverge from the
+    /// pre-crash run.
     ///
     /// [`EngineState`]: crate::checkpoint::EngineState
-    pub fn from_state(
-        statics: &[StaticReport],
-        ports: &[PortSite],
-        cfg: StreamConfig,
-        state: crate::checkpoint::EngineState,
-    ) -> Result<StreamEngine, &'static str> {
-        StreamEngine::new(statics, ports, cfg).restore(state)
-    }
-
-    /// The second half of [`from_state`](Self::from_state), on a skeleton
-    /// from [`new`](Self::new) that recovery builds while it reads the log.
     pub(crate) fn restore(
         self,
         state: crate::checkpoint::EngineState,

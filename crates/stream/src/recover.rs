@@ -6,9 +6,9 @@
 //! 1. **restore** — read and unseal the checkpoint head, then on three
 //!    threads at once decode the committed prefix of its log, load the
 //!    journal (step 2) and build the engine skeleton
-//!    ([`StreamEngine::new`]), and restore the checkpoint into it (as
-//!    [`StreamEngine::from_state`] does). Errors are reported in that
-//!    order — head, log, journal, skeleton — once every thread is done;
+//!    ([`StreamEngine::new`]), and restore the checkpoint into it.
+//!    Errors are reported in that order — head, log, journal,
+//!    skeleton — once every thread is done;
 //! 2. **read** — load the journal from the segment that holds the
 //!    checkpoint's `wal_seq` onward ([`WalReader::load_from`]; every
 //!    checkpoint purges the sealed segments before it, and one a failed
